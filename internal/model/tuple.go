@@ -104,11 +104,15 @@ func (t Tuple) IsGround() bool {
 // u[i] -> t[i] must be a function and the identity on constants.
 // The relation is reflexive, and two tuples can each be more specific
 // than the other when they are equal up to a renaming of nulls.
+//
+// Functionality is checked by scanning the earlier positions for the
+// same null rather than through a map: arities are tiny, and this runs
+// once per candidate tuple on the chase's planning path, where a map
+// per call dominated the allocation profile.
 func MoreSpecificVals(t, u []Value) bool {
 	if len(t) != len(u) {
 		return false
 	}
-	var f map[Value]Value
 	for i := range u {
 		if u[i].IsConst() {
 			if t[i] != u[i] {
@@ -116,15 +120,10 @@ func MoreSpecificVals(t, u []Value) bool {
 			}
 			continue
 		}
-		if f == nil {
-			f = make(map[Value]Value, len(u))
-		}
-		if prev, ok := f[u[i]]; ok {
-			if prev != t[i] {
+		for j := 0; j < i; j++ {
+			if u[j] == u[i] && t[j] != t[i] {
 				return false
 			}
-		} else {
-			f[u[i]] = t[i]
 		}
 	}
 	return true

@@ -147,6 +147,64 @@ func randVals(r *rand.Rand, n int) []Value {
 	return vals
 }
 
+// moreSpecificValsReference is Definition 2.4 read literally: build the
+// positionwise map u[i] -> t[i] and require it to be a function that is
+// the identity on constants. MoreSpecificVals must agree with it.
+func moreSpecificValsReference(t, u []Value) bool {
+	if len(t) != len(u) {
+		return false
+	}
+	f := make(map[Value]Value, len(u))
+	for i := range u {
+		if u[i].IsConst() {
+			if t[i] != u[i] {
+				return false
+			}
+			continue
+		}
+		if prev, ok := f[u[i]]; ok && prev != t[i] {
+			return false
+		}
+		f[u[i]] = t[i]
+	}
+	return true
+}
+
+func TestMoreSpecificValsMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	agree := 0
+	for i := 0; i < 50000; i++ {
+		k := r.Intn(7)
+		a, b := randVals(r, k), randVals(r, k)
+		if r.Intn(4) == 0 {
+			b = randVals(r, r.Intn(7)) // arities may differ
+		}
+		got, want := MoreSpecificVals(a, b), moreSpecificValsReference(a, b)
+		if got != want {
+			t.Fatalf("MoreSpecificVals(%v, %v) = %v, reference %v", a, b, got, want)
+		}
+		if want {
+			agree++
+		}
+	}
+	if agree == 0 {
+		t.Fatal("no positive case generated")
+	}
+}
+
+// The check runs once per candidate tuple while the chase plans a
+// step, so it must not allocate, repeated nulls in the pattern included.
+func TestMoreSpecificValsAllocFree(t *testing.T) {
+	u := []Value{Null(1), Const("a"), Null(2), Null(1), Null(3), Null(2)}
+	v := []Value{Const("p"), Const("a"), Null(9), Const("p"), Const("q"), Null(9)}
+	if !MoreSpecificVals(v, u) {
+		t.Fatal("fixture must be a positive case")
+	}
+	if n := testing.AllocsPerRun(1000, func() { MoreSpecificVals(v, u) }); n != 0 {
+		t.Fatalf("MoreSpecificVals allocates %.0f times per call, want 0", n)
+	}
+}
+
 // Property: specificity is reflexive.
 func TestMoreSpecificReflexiveQuick(t *testing.T) {
 	f := func(seed int64, n uint8) bool {

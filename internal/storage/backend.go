@@ -31,9 +31,10 @@ type Backend interface {
 	FreshNull() model.Value
 	// Snap returns a read view at the given reader priority.
 	Snap(reader int) *Snapshot
-	// EpochSnap returns a wait-free committed-state snapshot: a frozen
-	// view of the backend's last published commit epoch whose reads
-	// acquire no stripe lock and never change under the caller. On a
+	// EpochSnap returns a committed-state snapshot: a frozen view of
+	// the backend's current commit epoch whose reads acquire no stripe
+	// lock and never change under the caller. Commits build nothing for
+	// it; the first call after one rebuilds the stripes it wrote. On a
 	// sharded backend each shard's slice of the view is internally
 	// consistent; the cross-shard assembly is per-shard atomic only,
 	// the same relaxation live cross-shard reads have.

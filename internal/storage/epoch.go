@@ -8,58 +8,78 @@ import (
 	"youtopia/internal/model"
 )
 
-// This file is the epoch-snapshot layer: every commit batch publishes
-// an immutable copy-on-write record of each touched relation's
-// committed contents through one atomic pointer, so committed-state
-// readers — snapshot reads, the background checkpointer, read-replica
-// feeds — never acquire a stripe RWMutex. It is the PR 4 ReadPrefix
-// pattern (immutable records behind atomic.Pointer) applied to the
-// relation data itself, the paper's push-updates-to-readers framing
-// realized in-process: writers hand readers a finished snapshot
-// instead of letting readers contend for the writers' locks.
+// This file is the epoch-snapshot layer: an immutable copy-on-write
+// record of each relation's committed contents, assembled into a
+// store-wide CommittedEpoch behind one atomic pointer, so committed-
+// state readers — snapshot reads, the planner's cardinality stats, the
+// background checkpointer — never contend for the writers' locks in
+// steady state. It is the PR 4 ReadPrefix pattern (immutable records
+// behind atomic.Pointer) applied to the relation data itself.
 //
-// # Staleness and the commitMut counters
+// # Publication is pay-per-read
 //
-// Rebuilding every record on every writer-0 bootstrap insert would be
-// quadratic, so publication is lazy: each stripe carries a commitMut
+// Writers build nothing for readers. Each stripe carries a commitMut
 // counter bumped (under the stripe's write lock) whenever its
 // committed-visible content changes — a committed writer's version
 // landing via insertVersion, or a commit batch flipping a writer with
-// live writes in the stripe. A published record remembers the counter
-// value it was built at; record fresh ⇔ counters match, checked with
-// two atomic loads and no lock.
+// live writes in the stripe — and the store counts commit batches in
+// commits. That is the whole cost of a commit on this layer: one
+// atomic add per written stripe plus one for the count. A record
+// remembers the commitMut it was built at; record fresh ⇔ counters
+// match, checked with two atomic loads and no lock.
 //
-// CommitBatchAsync publishes eagerly (it already holds every stripe
-// lock, so the rebuild is free of extra synchronization and the epoch
-// it stores is authoritative). Writer-0 mutations — bootstrap loads,
-// recovery replay, checkpoint restore — only bump counters; the next
-// Epoch call rebuilds the stale stripes under their read locks and
-// re-publishes via compare-and-swap. Steady-state reads between
-// commits therefore take zero locks, which TestSnapshotReadLockFree
-// pins with the lock probe below.
+// Epoch is the one place records are built. It loads the cached epoch
+// and, if every record is fresh, returns it: reads between commits take
+// zero locks, which TestSnapshotReadLockFree pins with the lock probe
+// below. Otherwise it rebuilds exactly the stale stripes and caches the
+// result by compare-and-swap, so a store nobody reads committed state
+// from — the common case on the update path (push an update only when
+// the expected reads justify it, CUP in PAPERS.md) — never rebuilds.
 //
-// # Why the refresh must CAS
+// # Why every epoch is a consistent cut
 //
-// A refresher rebuilds stale stripes one read lock at a time, so a
-// commit batch landing mid-refresh could leave it holding records
-// from both sides of the commit — a torn epoch. Commits always
-// publish with a plain Store while holding every write lock, so any
-// commit that lands between the refresher's Load and its
-// CompareAndSwap changes the pointer and fails the CAS, forcing a
-// retry. The one cross-stripe committed-content mutator that does NOT
-// publish is ReplaceNull — which the engine only ever runs for live
-// uncommitted writers (committed writers cannot acquire new writes),
-// so its versions never carry committed visibility at write time.
+// A commit batch holds the write locks of all the stripes it wrote
+// while it flips its writers, bumps those stripes' commitMut and then,
+// last, advances commits. A refresh
+//
+//  1. read-locks all the stale stripes together, in ascending order;
+//  2. loads commits under those locks;
+//  3. re-validates every stripe it did not lock against the record it
+//     is about to reuse, and starts over if one moved;
+//  4. rebuilds the locked stripes and releases them.
+//
+// A batch that shares a stripe with the locked set is wholly before the
+// refresh (content rebuilt, count included) or blocked before it has
+// changed anything. A batch disjoint from the locked set bumps
+// commitMut before it advances commits and the refresh loads commits
+// before it validates, so a batch the count includes always fails step
+// 3, and a batch step 3 missed is in neither the count nor the reused
+// records, which are immutable. The cut therefore never tears across
+// stripes and Commits() is exactly the number of batches it contains,
+// whether or not the CAS that caches it wins; the CAS only keeps a
+// slower refresher from overwriting a newer cached epoch. After
+// epochRefreshAttempts failed validations a refresh read-locks every
+// stripe, which needs no validation, so a reader cannot spin behind a
+// continuous commit stream.
+//
+// The one cross-stripe mutator besides commit is ReplaceNull, which
+// the engine only ever runs for live uncommitted writers (committed
+// writers cannot acquire new writes), so its versions never carry
+// committed visibility at write time.
 //
 // # Pairing with the write-ahead log
 //
-// CommittedEpoch carries the count of commit batches the store's
-// durability hook accepted since construction, advanced in the same
-// critical section as the hook append. wal.Manager.Checkpoint matches
-// that count against its own batch counter to pair a published epoch
-// with the exact log position it reflects — and then serializes the
-// checkpoint entirely outside the store's locks, so checkpointing
-// never stalls commits.
+// On a durable store a batch advances commits exactly when the
+// durability hook accepted its append, in the same critical section,
+// and batches run one at a time. wal.Manager.Checkpoint matches
+// Commits() against its own batch counter to pair an epoch with the
+// exact log position it reflects — and then serializes the checkpoint
+// entirely outside the store's locks, so checkpointing never stalls
+// commits.
+
+// epochRefreshAttempts bounds the optimistic refreshes of one Epoch
+// call before it falls back to read-locking every stripe.
+const epochRefreshAttempts = 3
 
 // maxReader is the all-seeing reader priority epoch snapshots use:
 // every record they serve is already committed-only.
@@ -238,72 +258,91 @@ func (st *Store) initEpoch() {
 	st.epoch.Store(&CommittedEpoch{store: st, rels: rels})
 }
 
-// publishEpochLocked builds and stores the post-commit epoch. Callers
-// hold every stripe's write lock (CommitBatchAsync); stripes whose
-// commitMut still matches the published record are reused untouched,
-// so the cost is proportional to the stripes the batch (or earlier
-// writer-0 mutations) actually changed.
-func (st *Store) publishEpochLocked() {
-	old := st.epoch.Load()
-	rels := make([]*relEpoch, len(st.byIdx))
-	rebuilt := int64(0)
-	for i, s := range st.byIdx {
-		if e := old.rels[i]; e.mut == s.commitMut.Load() {
-			rels[i] = e
-			continue
-		}
-		rels[i] = st.buildRelEpoch(s)
-		rebuilt++
-	}
-	st.epoch.Store(&CommittedEpoch{store: st, commits: old.commits + 1, rels: rels})
-	obsEpochPublish.Inc()
-	obsEpochRebuilds.Add(rebuilt)
-}
-
-// Epoch returns the store's current committed epoch. When every
-// stripe's published record is fresh — always the case between a
-// commit and the next writer-0 mutation — this is a single atomic
-// load plus one counter comparison per stripe and takes no lock. A
-// stripe dirtied outside the commit path (bootstrap loads, recovery
-// replay, checkpoint restore) is rebuilt under its read lock and the
-// repaired epoch re-published via compare-and-swap; a commit landing
-// mid-refresh changes the pointer, fails the CAS, and the refresh
-// retries from the new authoritative epoch — which is what keeps
-// every returned epoch a consistent cross-stripe cut.
+// Epoch returns the store's current committed epoch: a consistent
+// cross-stripe cut at least as recent as the call, paired with the
+// number of commit batches it contains. When every cached record is
+// fresh — always the case between one read and the next commit or
+// writer-0 mutation — this is a single atomic load plus one counter
+// comparison per stripe and takes no lock. Otherwise the stale stripes
+// are rebuilt under their read locks (never a write lock) and the
+// result is cached for later readers; see the file comment for why the
+// cut is consistent.
 func (st *Store) Epoch() *CommittedEpoch {
-	for {
+	for attempt := 0; ; attempt++ {
 		ep := st.epoch.Load()
-		var fresh *CommittedEpoch
-		for i, s := range st.byIdx {
-			if ep.rels[i].mut == s.commitMut.Load() {
-				continue
-			}
-			if fresh == nil {
-				fresh = &CommittedEpoch{
-					store:   st,
-					commits: ep.commits,
-					rels:    append([]*relEpoch(nil), ep.rels...),
-				}
-			}
-			s.rlock()
-			fresh.rels[i] = st.buildRelEpoch(s)
-			s.runlock()
-			obsEpochRebuilds.Inc()
-		}
-		if fresh == nil {
+		if st.epochFresh(ep) {
 			return ep
 		}
-		if st.epoch.CompareAndSwap(ep, fresh) {
-			obsEpochRefresh.Inc()
+		if fresh := st.refreshEpoch(ep, attempt >= epochRefreshAttempts); fresh != nil {
 			return fresh
 		}
+		obsEpochRetries.Inc()
 	}
 }
 
-// EpochSnap returns a wait-free committed-state snapshot: a frozen
-// view of the last published epoch. Unlike Snap's live views it never
-// changes under the caller — later commits publish new epochs without
-// touching this one — and its reads acquire no stripe RWMutex.
+// epochFresh reports whether every record of ep matches its stripe's
+// commitMut.
+func (st *Store) epochFresh(ep *CommittedEpoch) bool {
+	for i, s := range st.byIdx {
+		if ep.rels[i].mut != s.commitMut.Load() {
+			return false
+		}
+	}
+	return true
+}
+
+// refreshEpoch builds the successor of ep, reusing its fresh records.
+// With all set it read-locks every stripe and always succeeds;
+// otherwise it locks only the stale ones and returns nil when a stripe
+// it left unlocked changed underneath it.
+func (st *Store) refreshEpoch(ep *CommittedEpoch, all bool) *CommittedEpoch {
+	// A nil slot marks a stripe this refresh holds the read lock of.
+	rels := make([]*relEpoch, len(st.byIdx))
+	for i, s := range st.byIdx {
+		if all || ep.rels[i].mut != s.commitMut.Load() {
+			s.rlock()
+		} else {
+			rels[i] = ep.rels[i]
+		}
+	}
+	commits := st.commits.Load()
+	valid := true
+	for i, s := range st.byIdx {
+		if rels[i] != nil && rels[i].mut != s.commitMut.Load() {
+			valid = false
+			break
+		}
+	}
+	rebuilt := int64(0)
+	for i, s := range st.byIdx {
+		if rels[i] != nil {
+			continue
+		}
+		if valid {
+			if rels[i] = ep.rels[i]; rels[i].mut != s.commitMut.Load() {
+				rels[i] = st.buildRelEpoch(s)
+				rebuilt++
+			}
+		}
+		s.runlock()
+	}
+	if !valid {
+		return nil
+	}
+	fresh := &CommittedEpoch{store: st, commits: commits, rels: rels}
+	obsEpochRefresh.Inc()
+	obsEpochRebuilds.Add(rebuilt)
+	if st.epoch.CompareAndSwap(ep, fresh) {
+		obsEpochPublish.Inc()
+	}
+	return fresh
+}
+
+// EpochSnap returns a committed-state snapshot: a frozen view of the
+// store's current epoch. Unlike Snap's live views it never changes
+// under the caller — later commits leave its records untouched — and
+// its reads acquire no stripe RWMutex; only minting the first one
+// after a commit read-locks the stripes that commit wrote.
 func (st *Store) EpochSnap() *Snapshot {
 	return &Snapshot{stores: st.self, reader: maxReader, epoch: st.Epoch().rels}
 }
@@ -326,18 +365,21 @@ func (ss *ShardedStore) EpochSnap() *Snapshot {
 
 // Lock probe: test instrumentation pinning the wait-free contract.
 // While armed, every stripe-mutex acquisition (read or write, any
-// path) increments the counter; the epoch read path must leave it at
-// zero. Disarmed — the production state — the probe is one shared
-// atomic load per acquisition. Arming is global, so probing tests
-// must not run in parallel with other store activity.
+// path) increments the counter, write acquisitions a second one; the
+// epoch read path must leave the first at zero between commits and the
+// second at zero always. Disarmed — the production state — the probe
+// is one shared atomic load per acquisition. Arming is global, so
+// probing tests must not run in parallel with other store activity.
 var (
-	lockProbeArmed atomic.Bool
-	lockProbeCount atomic.Int64
+	lockProbeArmed  atomic.Bool
+	lockProbeCount  atomic.Int64
+	lockProbeWrites atomic.Int64
 )
 
-// LockProbeArm zeroes and arms the stripe-lock acquisition counter.
+// LockProbeArm zeroes and arms the stripe-lock acquisition counters.
 func LockProbeArm() {
 	lockProbeCount.Store(0)
+	lockProbeWrites.Store(0)
 	lockProbeArmed.Store(true)
 }
 
@@ -348,9 +390,16 @@ func LockProbeDisarm() int64 {
 	return lockProbeCount.Load()
 }
 
-func lockProbeNote() {
+// LockProbeWriteLocks returns how many of the acquisitions counted
+// since LockProbeArm were write locks.
+func LockProbeWriteLocks() int64 { return lockProbeWrites.Load() }
+
+func lockProbeNote(write bool) {
 	if lockProbeArmed.Load() {
 		lockProbeCount.Add(1)
+		if write {
+			lockProbeWrites.Add(1)
+		}
 	}
 }
 
@@ -360,7 +409,7 @@ func lockProbeNote() {
 // try-acquire (same cost class as the plain acquire); only when that
 // fails does the wait get timed into the contention histogram.
 func (s *stripe) lock() {
-	lockProbeNote()
+	lockProbeNote(true)
 	if s.mu.TryLock() {
 		return
 	}
@@ -373,7 +422,7 @@ func (s *stripe) lock() {
 func (s *stripe) unlock() { s.mu.Unlock() }
 
 func (s *stripe) rlock() {
-	lockProbeNote()
+	lockProbeNote(false)
 	if s.mu.TryRLock() {
 		return
 	}

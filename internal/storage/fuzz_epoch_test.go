@@ -11,13 +11,17 @@ import (
 
 // FuzzEpochSnapshot hammers the wait-free read path: per-relation
 // mutator goroutines apply fuzz-decoded operation streams (inserts,
-// content deletes, commits of batch-numbered writer generations) while
-// reader goroutines continuously mint epoch snapshots and read through
-// every lock-free method. Under -race this is the memory-safety proof
-// for the publish/CAS protocol; the final-state check proves no
-// interleaving can publish a wrong epoch — after quiescing and
-// aborting the uncommitted writers, the last epoch's contents must
-// equal a serial locked oracle that applied the same streams.
+// content deletes, paired inserts that put one key into the stream's
+// relation AND its partner relation, commits of batch-numbered writer
+// generations — multi-stripe batches once a generation holds a paired
+// insert) while reader goroutines continuously mint epoch snapshots
+// and read through every lock-free method. Every snapshot must be a
+// cut no batch straddles: a relation holds exactly as many paired keys
+// as its partner holds tuples. Under -race this is the memory-safety
+// proof for the refresh/CAS protocol; the final-state check proves no
+// interleaving can build a wrong epoch — after quiescing and aborting
+// the uncommitted writers, the last epoch's contents must equal a
+// serial locked oracle that applied the same streams.
 //
 // Writers are (relation index + 1) + 100*generation, a fresh writer
 // per commit so committed data accretes across the run and epochs have
@@ -31,20 +35,30 @@ func FuzzEpochSnapshot(f *testing.F) {
 		seed[i] = byte(i*53 + 7)
 	}
 	f.Add(seed)
+	// Every relation alternates paired inserts with commits, so readers
+	// race a steady stream of two-stripe batches.
+	paired := make([]byte, 0, 192)
+	for i := 0; i < 24; i++ {
+		for rel := 0; rel < 4; rel++ {
+			paired = append(paired, byte(rel<<6|0x30|i%16), byte(rel<<6|0x20))
+		}
+	}
+	f.Add(paired)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const nRels = 4
 		schema := model.NewSchema()
-		for i := 0; i < nRels; i++ {
-			schema.MustAddRelation(fmt.Sprintf("F%d", i), "a", "b")
-		}
 		rels := make([]string, nRels)
+		partners := make([]string, nRels)
 		for i := range rels {
 			rels[i] = fmt.Sprintf("F%d", i)
+			partners[i] = fmt.Sprintf("P%d", i)
+			schema.MustAddRelation(rels[i], "a", "b")
+			schema.MustAddRelation(partners[i], "a", "b")
 		}
 
 		type op struct {
-			action byte // 0 insert, 1 delete content, 2 commit current writer
+			action byte // 0 insert, 1 delete content, 2 commit current writer, 3 paired insert
 			val    byte
 		}
 		streams := make([][]op, nRels)
@@ -62,7 +76,7 @@ func FuzzEpochSnapshot(f *testing.F) {
 				writer := rel + 1 + 100*gen
 				a := model.Const(fmt.Sprintf("v%d", o.val))
 				var err error
-				switch o.action % 3 {
+				switch o.action {
 				case 0:
 					_, _, _, err = st.Insert(writer, model.NewTuple(relName, a, model.Const("k")))
 				case 1:
@@ -70,6 +84,11 @@ func FuzzEpochSnapshot(f *testing.F) {
 				case 2:
 					err = st.Commit(writer)
 					gen++
+				case 3:
+					// Never deleted, so the two relations stay in step.
+					if _, _, _, err = st.Insert(writer, model.NewTuple(relName, a, model.Const("p"))); err == nil {
+						_, _, _, err = st.Insert(writer, model.NewTuple(partners[rel], a, model.Const("p")))
+					}
 				}
 				if err != nil {
 					return err
@@ -84,7 +103,7 @@ func FuzzEpochSnapshot(f *testing.F) {
 			for rel := 0; rel < nRels; rel++ {
 				gens := 0
 				for _, o := range streams[rel] {
-					if o.action%3 == 2 {
+					if o.action == 2 {
 						gens++
 					}
 				}
@@ -102,9 +121,15 @@ func FuzzEpochSnapshot(f *testing.F) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
+				commits := int64(0)
 				for !stop.Load() {
+					if c := conc.Epoch().Commits(); c < commits {
+						t.Errorf("epoch Commits ran backwards: %d after %d", c, commits)
+					} else {
+						commits = c
+					}
 					sn := conc.EpochSnap()
-					for _, rel := range rels {
+					for i, rel := range rels {
 						n := 0
 						sn.ScanRel(rel, func(id TupleID, vals []model.Value) bool {
 							if got, ok := sn.Get(id); !ok || len(got) != 2 {
@@ -118,6 +143,9 @@ func FuzzEpochSnapshot(f *testing.F) {
 							t.Errorf("epoch CountRel(%s) = %d, scan saw %d", rel, c, n)
 						}
 						sn.CandidatesByValue(rel, 0, model.Const("v1"))
+						if p, q := len(sn.CandidatesByValue(rel, 1, model.Const("p"))), sn.CountRel(partners[i]); p != q {
+							t.Errorf("torn epoch: %s holds %d paired keys, %s holds %d", rel, p, partners[i], q)
+						}
 					}
 					sn.VisibleFacts()
 				}

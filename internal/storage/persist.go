@@ -17,17 +17,18 @@ import (
 // CommitAck blocks until the commit batch that returned it is durable
 // and reports the outcome. The commit pipeline splits a durable commit
 // into append-under-lock and sync-outside: the hook appends the batch
-// to its log while CommitBatch holds every stripe lock, but the fsync
-// happens after the locks are released, and the ack is how a caller
-// waits for it. Callers must not acknowledge a commit to anyone —
-// return from a synchronous apply, completion of a scheduler run —
-// before the ack resolves without error.
+// to its log while CommitBatch holds the locks of the stripes the
+// batch wrote, but the fsync happens after the locks are released, and
+// the ack is how a caller waits for it. Callers must not acknowledge a
+// commit to anyone — return from a synchronous apply, completion of a
+// scheduler run — before the ack resolves without error.
 type CommitAck func() error
 
 // CommitHook observes a commit batch before it takes effect. It is
-// called by CommitBatch while every stripe lock is held, with the
-// batch's writers in ascending order and their write records merged in
-// (writer, seq) order — the serialization order of the batch. Both
+// called by CommitBatch, one batch at a time, while the locks of the
+// stripes the batch wrote are held, with the batch's writers in
+// ascending order and their write records merged in (writer, seq)
+// order — the serialization order of the batch. Both
 // slices are only valid for the duration of the call (the record slice
 // is a scratch buffer the store reuses across batches); hooks that
 // retain them must copy.
@@ -86,17 +87,18 @@ func sortedWriters(writers []int) []int {
 }
 
 // batchWrites merges the live write logs of a commit batch's writers
-// across all stripes, sorted by (writer, seq) — the order recovery
-// replays them in. The result reuses the store's commit scratch buffer
-// (sized exactly from the per-writer shard lengths, so steady-state
-// batches allocate nothing) and is valid only until the next batch;
-// CommitBatch hands it to the hook under that contract. Callers hold
-// every stripe lock, which is also what serializes scratch reuse.
-func (st *Store) batchWrites(writers []int) []WriteRec {
+// across the stripes they wrote, sorted by (writer, seq) — the order
+// recovery replays them in. The result reuses the store's commit
+// scratch buffer (sized exactly from the per-writer shard lengths, so
+// steady-state batches allocate nothing) and is valid only until the
+// next batch; CommitBatch hands it to the hook under that contract.
+// Callers hold those stripes' locks and batchMu, which is what
+// serializes scratch reuse.
+func (st *Store) batchWrites(stripes, writers []int) []WriteRec {
 	n := 0
-	for _, s := range st.byIdx {
+	for _, si := range stripes {
 		for _, w := range writers {
-			n += len(s.logs[w])
+			n += len(st.byIdx[si].logs[w])
 		}
 	}
 	out := st.commitScratch
@@ -104,9 +106,9 @@ func (st *Store) batchWrites(writers []int) []WriteRec {
 		out = make([]WriteRec, 0, n)
 	}
 	out = out[:0]
-	for _, s := range st.byIdx {
+	for _, si := range stripes {
 		for _, w := range writers {
-			out = append(out, s.logs[w]...)
+			out = append(out, st.byIdx[si].logs[w]...)
 		}
 	}
 	slices.SortFunc(out, func(a, b WriteRec) int {
@@ -129,9 +131,11 @@ func (st *Store) batchWrites(writers []int) []WriteRec {
 func (st *Store) CommitMergeProbe(writers []int) func() {
 	ws := sortedWriters(writers)
 	return func() {
-		st.lockAll()
-		st.batchWrites(ws)
-		st.unlockAll()
+		st.batchMu.Lock()
+		stripes := st.lockBatch(ws)
+		st.batchWrites(stripes, ws)
+		st.unlockStripes(stripes)
+		st.batchMu.Unlock()
 	}
 }
 
@@ -198,10 +202,10 @@ type CommittedTuple struct {
 // CommittedSnapshot extracts the committed instance — for every tuple,
 // the maximal version in (writer, seq) order among committed writers —
 // together with the labeled-null floor, in deterministic (stripe,
-// tuple ID) order. It serializes the store's published commit epoch,
-// so it takes no stripe lock: the cut is the last published epoch
-// (repaired on demand if writer-0 mutations dirtied it), and commits
-// proceed while it renders. Callers that need to pair the cut with
+// tuple ID) order. It serializes the store's current commit epoch:
+// Epoch read-locks only the stripes committed to since the last epoch
+// anyone asked for, and the rendering itself takes no lock, so commits
+// proceed while it runs. Callers that need to pair the cut with
 // commit-batch bookkeeping match Epoch().Commits() against their own
 // batch counter (see wal.Manager.Checkpoint).
 func (st *Store) CommittedSnapshot() ([]CommittedTuple, int64) {

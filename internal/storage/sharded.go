@@ -28,16 +28,17 @@ import (
 //
 // Cross-shard operations compose shard-local primitives:
 //
-//   - ReplaceNull and Abort take every shard's stripe locks (ascending
-//     shard order, then stripe order) and run the shared cores, so they
-//     are atomic across the whole backend exactly as on one Store.
+//   - ReplaceNull takes every shard's stripe locks, and Abort the locks
+//     of the stripes the writer wrote in every shard at once (ascending
+//     shard order, then stripe order); both run the shared cores, so
+//     they are atomic across the whole backend exactly as on one Store.
 //   - CommitBatchAsync is a two-level group commit: each shard commits
-//     the batch under its own store-wide lock round, appending only
-//     the batch's writes that live in that shard to its own log (empty
-//     slices are skipped), and the returned acknowledgment aggregates
-//     the per-shard ack tickets — durable means durable in every
-//     involved shard. Commit status is recorded in every shard, so
-//     Committed answers uniformly.
+//     the batch under the locks of the stripes the batch wrote there,
+//     appending only the batch's writes that live in that shard to its
+//     own log (empty slices are skipped), and the returned
+//     acknowledgment aggregates the per-shard ack tickets — durable
+//     means durable in every involved shard. Commit status is recorded
+//     in every shard, so Committed answers uniformly.
 //
 // A hook veto (a poisoned shard log) fails the commit fan-out at that
 // shard: shards earlier in the order have committed — each internally
@@ -164,7 +165,7 @@ func (ss *ShardedStore) shardForID(id TupleID) *Store {
 
 // lockAllShards acquires every stripe lock of every shard in ascending
 // (shard, stripe) order — the cross-shard exclusive section ReplaceNull
-// and Abort run in. unlockAllShards releases them.
+// runs in. unlockAllShards releases them.
 func (ss *ShardedStore) lockAllShards() {
 	for _, sh := range ss.shards {
 		sh.lockAll()
@@ -248,16 +249,21 @@ func (ss *ShardedStore) Load(t model.Tuple) (TupleID, error) {
 }
 
 // Abort implements Backend: every shard's versions by the writer are
-// removed under one cross-shard lock acquisition, so no reader can
-// observe a partially aborted writer.
+// removed while the stripes it wrote are locked in all shards at once,
+// so no reader can observe a partially aborted writer.
 func (ss *ShardedStore) Abort(writer int) {
 	if writer == 0 {
 		panic("storage: cannot abort the initial load")
 	}
-	ss.lockAllShards()
-	defer ss.unlockAllShards()
-	for _, sh := range ss.shards {
-		sh.abortLocked(writer)
+	written := make([][]int, len(ss.shards))
+	for k, sh := range ss.shards {
+		written[k] = sh.lockWritten(writer)
+	}
+	for k, sh := range ss.shards {
+		sh.abortLocked(writer, written[k])
+	}
+	for k, sh := range ss.shards {
+		sh.unlockStripes(written[k])
 	}
 }
 
@@ -280,12 +286,12 @@ func (ss *ShardedStore) CommitBatch(writers []int) error {
 }
 
 // CommitBatchAsync implements Backend as a two-level group commit:
-// each shard retires the batch under its own store-wide lock round —
-// one log append per shard that the batch actually wrote to — and the
-// returned acknowledgment resolves once every involved shard's
-// covering sync has landed (the first error wins). Shards the batch
-// never wrote to still flip the writers' commit status but stay out
-// of the durability path entirely.
+// each shard retires the batch under the locks of the stripes the
+// batch wrote there — one log append per shard that the batch actually
+// wrote to — and the returned acknowledgment resolves once every
+// involved shard's covering sync has landed (the first error wins).
+// Shards the batch never wrote to still flip the writers' commit
+// status but stay out of the durability path entirely.
 func (ss *ShardedStore) CommitBatchAsync(writers []int) (CommitAck, error) {
 	if len(writers) == 0 {
 		return nil, nil

@@ -430,8 +430,8 @@ type RelStats struct {
 // RelStats returns cardinality statistics for the relation. Epoch
 // snapshots answer from their own immutable records; live snapshots
 // answer from the owning store's current committed epoch. Either way
-// the read never touches a stripe RWMutex in steady state (an epoch
-// refresh after writer-0 mutations briefly takes read locks), because
+// the read never touches a stripe RWMutex in steady state (the first
+// epoch read after a commit briefly read-locks the stripes it wrote), because
 // planning sits on the doorstep of the hottest query path and must
 // not contend with writers. The numbers describe committed state, not
 // the snapshot's exact visibility — they feed ordering heuristics,

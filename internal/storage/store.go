@@ -27,13 +27,22 @@
 //   - nullIdx (labeled-null occurrences cross relations) is guarded by
 //     nullMu, a leaf lock acquired while holding a stripe lock; no
 //     stripe lock is ever acquired while holding nullMu.
-//   - the committed-writer set is guarded by commitMu, a leaf lock
-//     below the stripe locks.
-//   - cross-relation operations (ReplaceNull, Abort, CommitBatch,
-//     WritesOf, the UncommittedWrites rebuild, Stats, Dump) acquire
-//     every stripe lock in ascending stripe order, which makes them
-//     atomic against all single-stripe operations and against each
-//     other without a global mutex on the hot paths.
+//   - the committed-writer set, and the set of stripes each
+//     uncommitted writer has written, are guarded by commitMu, a leaf
+//     lock below the stripe locks.
+//   - Abort and CommitBatch lock exactly the stripes their writers
+//     wrote — that write set, not the schema, bounds their lock round
+//     and their scan — in ascending stripe order. A writer's own
+//     operations (its writes, its commit, its abort) must be issued one
+//     at a time, which both schedulers do; different writers need no
+//     coordination. Commit batches additionally serialize among
+//     themselves on batchMu, taken before any stripe lock.
+//   - the remaining cross-relation operations (ReplaceNull, WritesOf,
+//     the UncommittedWrites rebuild, Stats, Dump) acquire every stripe
+//     lock in ascending stripe order. Every multi-stripe acquisition in
+//     the package is ascending, which makes these operations atomic
+//     against all single-stripe operations and against each other
+//     without a global mutex on the hot paths.
 //
 // Sequence numbers and tuple IDs are allocated without locks: the
 // global sequence counter is atomic (assigned while holding the
@@ -54,6 +63,7 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -178,9 +188,10 @@ type stripe struct {
 
 	// commitMut counts committed-visible content changes: bumped under
 	// mu whenever a committed writer's version lands (insertVersion)
-	// and at commit time for every stripe the batch wrote to. The
-	// epoch-snapshot layer compares it against the published record's
-	// build counter to detect staleness without locks; see epoch.go.
+	// and at commit time for every stripe the batch wrote to. It is
+	// all a commit does for committed-state readers: the epoch layer
+	// compares it against a record's build counter to detect staleness
+	// without locks and rebuilds when someone asks; see epoch.go.
 	commitMut atomic.Int64
 }
 
@@ -224,21 +235,35 @@ type Store struct {
 	// containing the labeled null.
 	nullIdx map[model.Value]*bucket
 
-	// commitMu guards committed.
+	// commitMu guards committed and writerStripes.
 	commitMu  sync.RWMutex
 	committed map[int]bool
+	// writerStripes[w] lists the stripe indexes uncommitted writer w has
+	// live writes in: a stripe joins when its relWriters[w] goes 0→1,
+	// and the entry goes when w commits or aborts.
+	writerStripes map[int][]int
 
 	// commitHook, when non-nil, makes commits durable: CommitBatch
 	// hands it every batch's write records before marking the writers
 	// committed. Installed once via SetCommitHook before the store sees
 	// concurrent use; see persist.go. syncCounter reports the backend's
-	// fsync count (SetSyncCounter). commitScratch is the reusable
-	// merged-record buffer batchWrites fills; it is only touched while
-	// every stripe lock is held.
-	commitHook    CommitHook
-	commitGuard   CommitGuard
-	syncCounter   func() int64
+	// fsync count (SetSyncCounter).
+	commitHook  CommitHook
+	commitGuard CommitGuard
+	syncCounter func() int64
+
+	// batchMu serializes commit batches, so the hook sees them, and
+	// commits counts them, in one order. It also guards the two reusable
+	// buffers a batch fills: the stripes it locks and the merged write
+	// records it hands the hook.
+	batchMu       sync.Mutex
+	stripeScratch []int
 	commitScratch []WriteRec
+	// commits counts the batches with writes committed so far — on a
+	// durable store exactly the batches the hook accepted. A batch
+	// advances it while still holding its stripes' write locks, after
+	// bumping their commitMut; Epoch depends on that order.
+	commits atomic.Int64
 
 	// uncommittedCache publishes the memoized UncommittedWrites result
 	// (nil = stale); PRECISE dependency tracking calls it on every
@@ -248,10 +273,9 @@ type Store struct {
 	cacheMu          sync.Mutex
 	uncommittedCache atomic.Pointer[[]WriteRec]
 
-	// epoch publishes the committed-state snapshot wait-free reads and
-	// the checkpointer consume: rebuilt and stored by every commit
-	// batch with writes (under all stripe locks), refreshed by Epoch
-	// via CAS when writer-0 mutations dirtied stripes. See epoch.go.
+	// epoch caches the last committed-state snapshot a reader asked
+	// for. Writers never touch it; Epoch rebuilds the stripes whose
+	// commitMut moved and republishes by CAS. See epoch.go.
 	epoch atomic.Pointer[CommittedEpoch]
 }
 
@@ -267,6 +291,8 @@ func NewStore(schema *model.Schema) *Store {
 		relsByIdx: names,
 		nullIdx:   make(map[model.Value]*bucket),
 		committed: map[int]bool{0: true},
+
+		writerStripes: make(map[int][]int),
 	}
 	st.self = []*Store{st}
 	for i, name := range names {
@@ -302,7 +328,8 @@ func (st *Store) stripeOf(id TupleID) *stripe {
 }
 
 // lockAll acquires every stripe's write lock in ascending order; the
-// caller then owns the whole store. unlockAll releases them.
+// caller then owns the whole store. unlockAll releases them. Only
+// ReplaceNull needs this; commits and aborts lock their write set.
 func (st *Store) lockAll() {
 	for _, s := range st.byIdx {
 		s.lock()
@@ -452,8 +479,8 @@ func (st *Store) insertVersion(s *stripe, rec *tupleRec, v version) {
 	st.indexVersion(s, rec.id, v.vals, +1)
 	s.seq.Store(v.seq)
 	// A version that is committed-visible the moment it lands — live
-	// writer-0 writes, recovery replay, checkpoint restore — dirties
-	// the stripe's published epoch record.
+	// writer-0 writes, recovery replay, checkpoint restore — makes
+	// the stripe's cached epoch record stale.
 	if v.writer == 0 || st.isCommitted(v.writer) {
 		s.commitMut.Add(1)
 	}
@@ -467,7 +494,26 @@ func (st *Store) addVersion(s *stripe, rec *tupleRec, v version, logRec WriteRec
 	s.logs[v.writer] = append(s.logs[v.writer], logRec)
 	if !st.isCommitted(v.writer) {
 		s.relWriters[v.writer]++
+		if s.relWriters[v.writer] == 1 {
+			st.commitMu.Lock()
+			st.writerStripes[v.writer] = append(st.writerStripes[v.writer], s.idx)
+			st.commitMu.Unlock()
+		}
 		st.markUncommittedDirty()
+	}
+}
+
+// lockStripes write-locks the listed stripes, which must be in
+// ascending index order; unlockStripes releases them.
+func (st *Store) lockStripes(idxs []int) {
+	for _, i := range idxs {
+		st.byIdx[i].lock()
+	}
+}
+
+func (st *Store) unlockStripes(idxs []int) {
+	for _, i := range idxs {
+		st.byIdx[i].unlock()
 	}
 }
 
@@ -705,20 +751,30 @@ func (st *Store) Abort(writer int) {
 	if writer == 0 {
 		panic("storage: cannot abort the initial load")
 	}
-	st.lockAll()
-	defer st.unlockAll()
-	st.abortLocked(writer)
+	stripes := st.lockWritten(writer)
+	defer st.unlockStripes(stripes)
+	st.abortLocked(writer, stripes)
 }
 
-// abortLocked is Abort's body; callers hold every stripe lock (a
-// ShardedStore holds every partition's locks so the abort is atomic
-// across shards).
-func (st *Store) abortLocked(writer int) {
-	for _, s := range st.byIdx {
+// lockWritten detaches the writer's stripe set and write-locks it in
+// ascending order; the caller owns the returned slice.
+func (st *Store) lockWritten(writer int) []int {
+	st.commitMu.Lock()
+	stripes := st.writerStripes[writer]
+	delete(st.writerStripes, writer)
+	st.commitMu.Unlock()
+	sort.Ints(stripes)
+	st.lockStripes(stripes)
+	return stripes
+}
+
+// abortLocked is Abort's body over the stripes the writer wrote, all
+// of which the caller holds (a ShardedStore holds them in every
+// partition so the abort is atomic across shards).
+func (st *Store) abortLocked(writer int, stripes []int) {
+	for _, si := range stripes {
+		s := st.byIdx[si]
 		log := s.logs[writer]
-		if len(log) == 0 {
-			continue
-		}
 		for i := len(log) - 1; i >= 0; i-- {
 			rec := log[i]
 			tr, ok := s.tuples[rec.ID]
@@ -741,7 +797,9 @@ func (st *Store) abortLocked(writer int) {
 		delete(s.logs, writer)
 		delete(s.relWriters, writer)
 	}
-	st.markUncommittedDirty()
+	if len(stripes) > 0 {
+		st.markUncommittedDirty()
+	}
 }
 
 // Commit marks a writer's versions as permanent and retires its write
@@ -752,12 +810,12 @@ func (st *Store) Commit(writer int) error {
 	return st.CommitBatch([]int{writer})
 }
 
-// CommitBatch commits a group of writers in one store-wide lock
-// acquisition — the group-commit primitive the scheduler's commit
-// frontier uses to drain a whole terminated prefix at once — and, on a
-// durable store, blocks until the batch's log sync lands. It is
-// CommitBatchAsync followed by the ack wait; an ack failure means the
-// batch is committed in memory but its durability could not be
+// CommitBatch commits a group of writers in one lock round over the
+// stripes they wrote — the group-commit primitive the scheduler's
+// commit frontier uses to drain a whole terminated prefix at once —
+// and, on a durable store, blocks until the batch's log sync lands. It
+// is CommitBatchAsync followed by the ack wait; an ack failure means
+// the batch is committed in memory but its durability could not be
 // confirmed (the backend refuses further commits until reopened).
 func (st *Store) CommitBatch(writers []int) error {
 	ack, err := st.CommitBatchAsync(writers)
@@ -773,17 +831,21 @@ func (st *Store) CommitBatch(writers []int) error {
 // CommitBatchAsync is the pipelined commit: logs and per-relation
 // writer counts are retired for every writer in the batch and the
 // batch's write records are handed to the durability hook — appended
-// to the log, one call per commit batch — all under one store-wide
-// lock round, but the locks are released *before* any fsync. The
-// returned ack (nil on in-memory stores) blocks until the covering
-// sync lands; callers must not report the commit as durable before
-// the ack resolves.
+// to the log, one call per commit batch — all under the write locks of
+// the stripes the batch wrote, but the locks are released *before* any
+// fsync. The returned ack (nil on in-memory stores) blocks until the
+// covering sync lands; callers must not report the commit as durable
+// before the ack resolves.
 //
 // A hook error vetoes the commit: nothing was appended past the
 // failure, the store is unchanged, and the error is returned — the
 // pre-pipeline semantics. Once the hook accepts the append the commit
 // takes effect in memory unconditionally; only acknowledgment waits
 // for the disk.
+//
+// The commit builds nothing for committed-state readers. It bumps the
+// written stripes' commitMut and then the batch count, and the next
+// Epoch call rebuilds those stripes if anyone makes one.
 func (st *Store) CommitBatchAsync(writers []int) (CommitAck, error) {
 	if len(writers) == 0 {
 		return nil, nil
@@ -798,60 +860,62 @@ func (st *Store) CommitBatchAsync(writers []int) (CommitAck, error) {
 			return nil, err
 		}
 	}
-	st.lockAll()
-	defer st.unlockAll()
-	// Stripes the batch wrote to, identified before the logs retire:
-	// their committed-visible content is about to change, so their
-	// epoch records must be rebuilt (and their commitMut bumped — a
-	// refresher that rebuilt a record just before this commit must not
-	// be able to pass it off as current afterwards).
-	touched := make([]bool, len(st.byIdx))
-	hasWrites := false
-	for i, s := range st.byIdx {
-		for _, w := range writers {
-			if len(s.logs[w]) > 0 {
-				touched[i] = true
-				hasWrites = true
-				break
-			}
-		}
-	}
+	st.batchMu.Lock()
+	defer st.batchMu.Unlock()
+	stripes := st.lockBatch(writers)
+	defer st.unlockStripes(stripes)
 	var ack CommitAck
-	if st.commitHook != nil && hasWrites {
+	if st.commitHook != nil && len(stripes) > 0 {
 		// A batch with no live writes in this store has nothing to make
 		// durable — recovery replays write records, not commit-status
 		// flips — so the log append is skipped. In a relation-partitioned
 		// deployment this is what keeps a commit out of the logs of
 		// partitions the batch never wrote to.
-		if recs := st.batchWrites(writers); len(recs) > 0 {
-			a, err := st.commitHook(sortedWriters(writers), recs)
-			if err != nil {
-				return nil, err
-			}
-			ack = a
+		a, err := st.commitHook(sortedWriters(writers), st.batchWrites(stripes, writers))
+		if err != nil {
+			return nil, err
 		}
+		ack = a
 	}
 	st.commitMu.Lock()
 	for _, w := range writers {
 		st.committed[w] = true
+		delete(st.writerStripes, w)
 	}
 	st.commitMu.Unlock()
-	for _, s := range st.byIdx {
+	if len(stripes) == 0 {
+		return ack, nil
+	}
+	for _, si := range stripes {
+		s := st.byIdx[si]
 		for _, w := range writers {
 			delete(s.relWriters, w)
 			delete(s.logs, w)
 		}
+		// A refresher that rebuilt this stripe's record just before the
+		// commit must not be able to pass it off as current afterwards.
+		s.commitMut.Add(1)
 	}
 	st.markUncommittedDirty()
-	if hasWrites {
-		for i, s := range st.byIdx {
-			if touched[i] {
-				s.commitMut.Add(1)
-			}
-		}
-		st.publishEpochLocked()
-	}
+	st.commits.Add(1)
 	return ack, nil
+}
+
+// lockBatch write-locks, in ascending order, the stripes the batch's
+// writers wrote and returns their indexes in the store's reusable
+// buffer. Callers hold batchMu.
+func (st *Store) lockBatch(writers []int) []int {
+	stripes := st.stripeScratch[:0]
+	st.commitMu.RLock()
+	for _, w := range writers {
+		stripes = append(stripes, st.writerStripes[w]...)
+	}
+	st.commitMu.RUnlock()
+	slices.Sort(stripes)
+	stripes = slices.Compact(stripes)
+	st.stripeScratch = stripes
+	st.lockStripes(stripes)
+	return stripes
 }
 
 // Committed reports whether the writer has committed.

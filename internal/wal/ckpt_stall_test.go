@@ -1,6 +1,8 @@
 package wal
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 	"time"
 )
@@ -90,10 +92,10 @@ func TestCheckpointDoesNotStallCommits(t *testing.T) {
 }
 
 // TestCheckpointPairsWithInFlightCommit drives the pairing retry: the
-// checkpointer observes a batch counter ahead of the store's published
-// epoch (a commit between its append and its epoch publication) and
-// must wait for the epoch to catch up rather than pair a stale epoch
-// with a newer batch index.
+// checkpointer observes a batch counter ahead of the epoch it was
+// handed (a commit between its append and its batch-count advance, or
+// one that landed after the epoch was built) and must ask for a newer
+// epoch rather than pair a stale one with a newer batch index.
 func TestCheckpointPairsWithInFlightCommit(t *testing.T) {
 	dir := t.TempDir()
 	m, st, err := Open(dir, testSchema(), Options{CheckpointBytes: -1})
@@ -130,5 +132,118 @@ func TestCheckpointPairsWithInFlightCommit(t *testing.T) {
 	m.mu.Unlock()
 	if got := st.Epoch().Commits(); got != batches {
 		t.Fatalf("epoch Commits = %d, manager batches = %d", got, batches)
+	}
+}
+
+// TestCheckpointUnderCommitsThenCrash: checkpoints are cut from epochs
+// the store builds on demand while two-stripe commits are in flight —
+// first racing freely, then with one checkpoint frozen between pairing
+// and serialization while further commits are appended, synced and
+// acknowledged — and then the process dies. Recovery must compose the
+// last checkpoint with the surviving log exactly: the checkpoint holds
+// the two tuples of each batch up to its index and nothing of a later
+// one, every later batch is replayed once, no acknowledged key is
+// missing from either relation, and the instance is byte-identical to
+// the one that crashed.
+func TestCheckpointUnderCommitsThenCrash(t *testing.T) {
+	dir := t.TempDir()
+	m, st, err := Open(dir, testSchema(), Options{CheckpointBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var mu sync.Mutex
+	var acked []string
+	// commitKeys commits n single-writer batches, each putting one fresh
+	// key into BOTH relations, and records the key once the commit is
+	// acknowledged.
+	commitKeys := func(g, n int) {
+		for i := 0; i < n; i++ {
+			w := 1 + g + 8*i
+			key := fmt.Sprintf("k%d-%d", g, i)
+			if _, _, _, err := st.Insert(w, tup("C", c(key))); err != nil {
+				t.Error(err)
+				return
+			}
+			if _, _, _, err := st.Insert(w, tup("S", c(key), c("loc"), c(key))); err != nil {
+				t.Error(err)
+				return
+			}
+			if err := st.CommitBatch([]int{w}); err != nil {
+				t.Error(err)
+				return
+			}
+			mu.Lock()
+			acked = append(acked, key)
+			mu.Unlock()
+		}
+	}
+
+	// Phase 1: commits race checkpoints.
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func(g int) { defer wg.Done(); commitKeys(g, 30) }(g)
+	}
+	for j := 0; j < 5; j++ {
+		if err := m.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wg.Wait()
+
+	// Phase 2: one checkpoint frozen mid-flight while commits complete.
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	testCkptSerialize = func() {
+		close(entered)
+		<-release
+	}
+	defer func() { testCkptSerialize = nil }()
+	ckptErr := make(chan error, 1)
+	go func() { ckptErr <- m.Checkpoint() }()
+	<-entered
+	for g := 2; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) { defer wg.Done(); commitKeys(g, 10) }(g)
+	}
+	wg.Wait()
+	close(release)
+	if err := <-ckptErr; err != nil {
+		t.Fatal(err)
+	}
+	if t.Failed() {
+		t.FailNow()
+	}
+
+	m.mu.Lock()
+	lastCkpt, batches := m.lastCkpt, m.batches
+	m.mu.Unlock()
+	if batches != 80 || lastCkpt != 60 {
+		t.Fatalf("batches = %d, lastCkpt = %d; want 80 and the frozen checkpoint at 60", batches, lastCkpt)
+	}
+	want := st.Dump(allSeeing)
+	m.crashStop()
+
+	st2, info, err := Recover(dir, testSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.CheckpointBatch != lastCkpt || info.CheckpointTuples != int(2*lastCkpt) {
+		t.Fatalf("recovered from checkpoint %d holding %d tuples; want %d holding %d",
+			info.CheckpointBatch, info.CheckpointTuples, lastCkpt, 2*lastCkpt)
+	}
+	if info.LastBatch != batches || info.CheckpointBatch+int64(info.BatchesReplayed) != info.LastBatch {
+		t.Fatalf("recovered through batch %d replaying %d on checkpoint %d; want every batch after the checkpoint once, through %d",
+			info.LastBatch, info.BatchesReplayed, info.CheckpointBatch, batches)
+	}
+	sn := st2.Snap(allSeeing)
+	for _, key := range acked {
+		if !sn.ContainsContent(tup("C", c(key))) || !sn.ContainsContent(tup("S", c(key), c("loc"), c(key))) {
+			t.Fatalf("acknowledged key %s lost in recovery", key)
+		}
+	}
+	if got := st2.Dump(allSeeing); got != want {
+		t.Fatalf("recovered instance differs:\n got:\n%s\nwant:\n%s", got, want)
 	}
 }

@@ -494,11 +494,14 @@ func (m *Manager) appendBatch(writers []int, recs []storage.WriteRec) (storage.C
 // durable sync or checkpoint. Transient sync failures hold the waiter
 // parked — the syncer is retrying and will either land a covering
 // sync (waking it with success, exactly once) or transition the
-// state, waking it with the error.
+// state, waking it with the error. A waiter the rescue checkpoint
+// covers stays parked until the rescue has also made its state
+// transition, so a caller whose ack resolved reads the health the
+// rescue left behind, not the one it started from.
 func (m *Manager) waitSynced(batch int64) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for m.syncedBatch < batch && m.state == StateHealthy && !m.closed {
+	for (m.syncedBatch < batch || m.rescuing) && m.state == StateHealthy && !m.closed {
 		m.syncCond.Wait()
 	}
 	if m.syncedBatch >= batch {
@@ -765,17 +768,20 @@ var testCkptSerialize func()
 // Checkpoint serializes the committed instance, installs it with a
 // temp-file rename, and deletes segments (and older checkpoints) the
 // new checkpoint wholly covers. It never stalls commits: the instance
-// is the store's published commit epoch, serialized entirely outside
-// both the manager's mutex and the store's stripe locks. The epoch is
-// paired with the exact batch index it reflects by matching its
-// Commits counter — advanced in the same critical section as the
-// hook's log append — against the manager's batch counter: observing
-// an epoch with Commits == c implies the first batchBase+c appends
-// are complete, and a batch counter still at batchBase+c implies no
-// further append has started, so the epoch is the committed instance
-// as of exactly batch k = batchBase+c. A mismatch means a commit is
-// in flight between its append and its epoch publication; the loop
-// yields and re-pairs.
+// is the store's commit epoch — built on demand under read locks of
+// only the stripes committed to since the last one — serialized
+// entirely outside both the manager's mutex and the store's stripe
+// locks. The epoch is paired with the exact batch index it reflects by
+// matching its Commits counter against the manager's batch counter.
+// The store runs batches one at a time and advances the count in the
+// same critical section as the hook's log append, and an epoch with
+// Commits == c contains exactly the first c of them: observing it
+// implies the first batchBase+c appends are complete, and a batch
+// counter still at batchBase+c implies no further append has started,
+// so the epoch is the committed instance as of exactly batch
+// k = batchBase+c. A mismatch means a commit is in flight between its
+// append and its count advance, or landed after the epoch was built;
+// the loop yields and asks the store again.
 func (m *Manager) Checkpoint() error {
 	m.ckptMu.Lock()
 	defer m.ckptMu.Unlock()

@@ -9,10 +9,12 @@
 package workload
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
-	"strings"
+	"strconv"
 
 	"youtopia/internal/cc"
 	"youtopia/internal/chase"
@@ -419,63 +421,112 @@ func genInitialDB(rng *rand.Rand, cfg Config, u *Universe) ([]model.Tuple, error
 // refinement occupy genuinely symmetric positions, where any
 // assignment yields the same set up to automorphism.
 func canonicalizeNulls(facts []model.Tuple) []model.Tuple {
-	color := make(map[model.Value]int)
-	render := func(t model.Tuple) string {
-		var b strings.Builder
-		b.WriteString(t.Rel)
-		for _, v := range t.Vals {
-			b.WriteByte('\x02')
-			if v.IsNull() {
-				fmt.Fprintf(&b, "?%d", color[v])
-			} else {
-				b.WriteString("c:" + v.ConstValue())
-			}
-		}
-		return b.String()
+	// Nulls get dense indexes in first-occurrence order. The refinement
+	// below runs up to |nulls|+1 rounds and on the benchmark's universe
+	// really does run them all (the partition is discrete after one
+	// round but the color numbers keep permuting), so everything a round
+	// needs is laid out once here: which facts carry nulls, each such
+	// fact's rendering split around its nulls, and where each null
+	// occurs. A round then only appends bytes into reused buffers.
+	index := make(map[model.Value]int)
+	type occurrence struct{ slot, pos int }
+	type template struct {
+		pieces [][]byte // len(nulls)+1 literal runs, a color between each
+		nulls  []int
 	}
-	distinct := make(map[model.Value]bool)
+	var occs [][]occurrence // per null
+	var tmpls []template    // per null-bearing fact, its slot
 	for _, t := range facts {
-		for _, v := range t.Vals {
-			if v.IsNull() {
-				distinct[v] = true
+		var tm template
+		piece := []byte(t.Rel)
+		for pos, v := range t.Vals {
+			piece = append(piece, '\x02')
+			if !v.IsNull() {
+				piece = append(append(piece, "c:"...), v.ConstValue()...)
+				continue
 			}
+			k, ok := index[v]
+			if !ok {
+				k = len(occs)
+				index[v] = k
+				occs = append(occs, nil)
+			}
+			occs[k] = append(occs[k], occurrence{len(tmpls), pos})
+			tm.pieces = append(tm.pieces, append(piece, '?'))
+			tm.nulls = append(tm.nulls, k)
+			piece = nil
 		}
+		if tm.nulls != nil {
+			tm.pieces = append(tm.pieces, piece)
+			tmpls = append(tmpls, tm)
+		}
+	}
+	color := make([]int, len(occs))
+
+	// keyBuf[keyOff[slot]:keyOff[slot+1]] is a fact's key this round,
+	// joinBuf[joinOff[k]:joinOff[k+1]] a null's joined signature.
+	var keyBuf, sigBuf, joinBuf []byte
+	keyOff := make([]int, len(tmpls)+1)
+	joinOff := make([]int, len(occs)+1)
+	key := func(slot int) []byte { return keyBuf[keyOff[slot]:keyOff[slot+1]] }
+	joined := func(k int) []byte { return joinBuf[joinOff[k]:joinOff[k+1]] }
+	var sigs [][]byte
+	var sigEnd []int
+	order := make([]int, len(occs))
+	for k := range order {
+		order[k] = k
 	}
 	// Refinement strictly grows the color partition until it reaches a
 	// fixpoint, so |nulls| rounds always suffice; chain-shaped sharing
 	// graphs genuinely need O(|nulls|) of them.
-	for round := 0; round <= len(distinct); round++ {
-		keys := make([]string, len(facts))
-		for i, t := range facts {
-			keys[i] = render(t)
+	for round := 0; round <= len(occs); round++ {
+		// Each null-bearing fact's key: its rendering with the current
+		// colors standing in for its nulls.
+		keyBuf = keyBuf[:0]
+		for slot, tm := range tmpls {
+			for i, k := range tm.nulls {
+				keyBuf = append(keyBuf, tm.pieces[i]...)
+				keyBuf = strconv.AppendInt(keyBuf, int64(color[k]), 10)
+			}
+			keyBuf = append(keyBuf, tm.pieces[len(tm.nulls)]...)
+			keyOff[slot+1] = len(keyBuf)
 		}
-		sigs := make(map[model.Value][]string)
-		for i, t := range facts {
-			for pos, v := range t.Vals {
-				if v.IsNull() {
-					sigs[v] = append(sigs[v], fmt.Sprintf("%s@%d", keys[i], pos))
+		// Each null's signature: the sorted "key@position" of its
+		// occurrences, joined.
+		joinBuf = joinBuf[:0]
+		for k, os := range occs {
+			sigBuf, sigEnd, sigs = sigBuf[:0], sigEnd[:0], sigs[:0]
+			for _, o := range os {
+				sigBuf = append(append(sigBuf, key(o.slot)...), '@')
+				sigBuf = strconv.AppendInt(sigBuf, int64(o.pos), 10)
+				sigEnd = append(sigEnd, len(sigBuf))
+			}
+			// Sliced only now: sigBuf may have moved while it grew.
+			from := 0
+			for _, to := range sigEnd {
+				sigs = append(sigs, sigBuf[from:to])
+				from = to
+			}
+			slices.SortFunc(sigs, bytes.Compare)
+			for i, sig := range sigs {
+				if i > 0 {
+					joinBuf = append(joinBuf, '\x01')
 				}
+				joinBuf = append(joinBuf, sig...)
 			}
+			joinOff[k+1] = len(joinBuf)
 		}
-		joined := make(map[model.Value]string, len(sigs))
-		all := make([]string, 0, len(sigs))
-		for v, ss := range sigs {
-			sort.Strings(ss)
-			j := strings.Join(ss, "\x01")
-			joined[v] = j
-			all = append(all, j)
-		}
-		sort.Strings(all)
-		rank := make(map[string]int, len(all))
-		for _, k := range all {
-			if _, ok := rank[k]; !ok {
-				rank[k] = len(rank) + 1
-			}
-		}
+		// A null's new color is the rank of its signature among the
+		// distinct signatures.
+		slices.SortFunc(order, func(a, b int) int { return bytes.Compare(joined(a), joined(b)) })
 		changed := false
-		for v, j := range joined {
-			if c := rank[j]; c != color[v] {
-				color[v] = c
+		rank := 0
+		for i, k := range order {
+			if i == 0 || !bytes.Equal(joined(k), joined(order[i-1])) {
+				rank++
+			}
+			if color[k] != rank {
+				color[k] = rank
 				changed = true
 			}
 		}
@@ -484,6 +535,18 @@ func canonicalizeNulls(facts []model.Tuple) []model.Tuple {
 		}
 	}
 
+	render := func(t model.Tuple) string {
+		b := []byte(t.Rel)
+		for _, v := range t.Vals {
+			b = append(b, '\x02')
+			if v.IsNull() {
+				b = strconv.AppendInt(append(b, '?'), int64(color[index[v]]), 10)
+			} else {
+				b = append(append(b, "c:"...), v.ConstValue()...)
+			}
+		}
+		return string(b)
+	}
 	idx := make([]int, len(facts))
 	final := make([]string, len(facts))
 	for i, t := range facts {
