@@ -63,7 +63,7 @@ func driftFixture(t *testing.T) (storage.Backend, *Config, []*Txn, *query.Violat
 
 	// Update 9 performs the seeded violation read: A(a) present, B(a)
 	// absent — no violation to repair.
-	q, vs := query.NewViolationRead(st, m, "A", []model.Value{a}, query.SeedLHS, 9)
+	q, vs := query.NewViolationRead(query.NewEngine(st.Snap(9)), m, "A", []model.Value{a}, query.SeedLHS)
 	if len(vs) != 0 {
 		t.Fatalf("fixture expects no initial violation, got %v", vs)
 	}

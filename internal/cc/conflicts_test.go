@@ -152,7 +152,7 @@ func TestDirectConflictsViolationReadRelations(t *testing.T) {
 	// Reader 2 evaluates the seeded violation query on the current
 	// (empty) store and stores it.
 	seed := []model.Value{model.Const("a"), model.Const("b")}
-	rq, _ := query.NewViolationRead(st, m1, "R", seed, query.SeedLHS, 2)
+	rq, _ := query.NewViolationRead(query.NewEngine(st.Snap(2)), m1, "R", seed, query.SeedLHS)
 	reader := mkTxn(2, rq)
 	cands := snapshotCandidatesInto(nil, []*Txn{reader}, 1)
 

@@ -1,0 +1,150 @@
+package cc_test
+
+import (
+	"fmt"
+	"testing"
+
+	"youtopia/internal/cc"
+	"youtopia/internal/chase"
+	"youtopia/internal/model"
+	"youtopia/internal/obs"
+	"youtopia/internal/serial"
+	"youtopia/internal/simuser"
+	"youtopia/internal/storage"
+	"youtopia/internal/tgd"
+	"youtopia/internal/workload"
+)
+
+// chaseSeam reads the chase's query-seam counters off the process-wide
+// registry by name — the way /metrics and the benchmark see them.
+type chaseSeam struct{ contexts, recorded, deduped int64 }
+
+func readChaseSeam() chaseSeam {
+	return chaseSeam{
+		contexts: obs.Default.Counter("chase_query_contexts_total").Value(),
+		recorded: obs.Default.Counter("chase_reads_recorded_total").Value(),
+		deduped:  obs.Default.Counter("chase_reads_deduped_total").Value(),
+	}
+}
+
+func (a chaseSeam) since(b chaseSeam) chaseSeam {
+	return chaseSeam{a.contexts - b.contexts, a.recorded - b.recorded, a.deduped - b.deduped}
+}
+
+func randomUniverse(t *testing.T, seed int64) *workload.Universe {
+	t.Helper()
+	u, err := workload.Build(workload.Config{
+		Relations: 10, MinArity: 1, MaxArity: 3, Constants: 6, Mappings: 8, MaxAtomsPerSide: 2,
+		InitialTuples: 30, Updates: 10, InsertPct: 80, Seed: seed,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return u
+}
+
+// TestOneQueryContextPerAttempt: every update attempt that steps builds
+// exactly one query context — contexts ÷ attempts is 1 — on the serial
+// reference execution and on a two-worker parallel run.
+func TestOneQueryContextPerAttempt(t *testing.T) {
+	t.Run("serial.Execute", func(t *testing.T) {
+		u := randomUniverse(t, 1)
+		ops := u.GenOpsSeeded(501)
+		st, err := u.NewStore()
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := readChaseSeam()
+		m, err := serial.Execute(st, u.Mappings, ops, simuser.New(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := readChaseSeam().since(before)
+		if m.Runs != len(ops) {
+			t.Fatalf("serial execution ran %d attempts for %d updates", m.Runs, len(ops))
+		}
+		if d.contexts != int64(m.Runs) {
+			t.Fatalf("%d query contexts for %d attempts, want exactly one each", d.contexts, m.Runs)
+		}
+		if d.recorded == 0 || d.deduped == 0 {
+			t.Fatalf("read-log counters did not move: recorded %d, deduped %d", d.recorded, d.deduped)
+		}
+	})
+
+	// Every update writes a relation pair of its own, so no attempt can
+	// be aborted between its write half and its read half: all attempts
+	// reach their first query, under real two-worker interleaving.
+	t.Run("ParallelScheduler workers=2", func(t *testing.T) {
+		const n = 40
+		schema := model.NewSchema()
+		var mappings []*tgd.TGD
+		var ops []chase.Op
+		for i := 0; i < n; i++ {
+			a, b := fmt.Sprintf("A%d", i), fmt.Sprintf("B%d", i)
+			schema.MustAddRelation(a, "x")
+			schema.MustAddRelation(b, "x", "z")
+			mappings = append(mappings, tgd.New(fmt.Sprintf("copy%d", i),
+				[]tgd.Atom{tgd.NewAtom(a, tgd.V("x"))},
+				[]tgd.Atom{tgd.NewAtom(b, tgd.V("x"), tgd.V("z"))}))
+			ops = append(ops, chase.Insert(model.NewTuple(a, model.Const("v"))))
+		}
+		set := tgd.MustNewSet(mappings...)
+		if err := set.Validate(schema); err != nil {
+			t.Fatal(err)
+		}
+		st := storage.NewStore(schema)
+		sched := cc.NewParallelScheduler(st, set, cc.Config{Tracker: cc.Coarse{}, Workers: 2})
+		before := readChaseSeam()
+		m, err := sched.Run(ops)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := readChaseSeam().since(before)
+		if m.Aborts != 0 || m.Runs != n {
+			t.Fatalf("disjoint updates ran %d attempts with %d aborts, want %d and 0", m.Runs, m.Aborts, n)
+		}
+		if d.contexts != int64(m.Runs) {
+			t.Fatalf("%d query contexts for %d attempts, want exactly one each", d.contexts, m.Runs)
+		}
+		for _, txn := range sched.Txns() {
+			if !txn.Committed() {
+				t.Fatalf("update %d never committed", txn.Number)
+			}
+		}
+	})
+}
+
+// TestMappingRelationsNotMutated: tgd.TGD.Relations hands every caller
+// the same slice; the trackers (relation-granularity dependencies, log
+// shard selection) and the query layer (read vectors) only read it.
+func TestMappingRelationsNotMutated(t *testing.T) {
+	u := randomUniverse(t, 2)
+	ops := u.GenOpsSeeded(502)
+	want := make(map[*tgd.TGD][]string)
+	for _, m := range u.Mappings.All() {
+		want[m] = append([]string(nil), m.Relations()...)
+	}
+	for _, tr := range []cc.Tracker{cc.Naive{}, cc.Coarse{}, cc.Precise{}} {
+		st, err := u.NewStore()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sched := cc.NewScheduler(st, u.Mappings, cc.Config{
+			Tracker: tr, Policy: cc.PolicyRoundRobinStep, User: simuser.New(2), MaxAbortsPerUpdate: 500,
+		})
+		if _, err := sched.Run(ops); err != nil {
+			t.Fatalf("%s: %v", tr.Name(), err)
+		}
+		for m, rels := range want {
+			got := m.Relations()
+			if len(got) != len(rels) {
+				t.Fatalf("%s: %s relations now %v, were %v", tr.Name(), m.Name, got, rels)
+			}
+			for i := range rels {
+				if got[i] != rels[i] {
+					t.Fatalf("%s: %s relations now %v, were %v", tr.Name(), m.Name, got, rels)
+				}
+			}
+		}
+	}
+}

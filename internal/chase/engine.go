@@ -54,12 +54,24 @@ func (e *Engine) record(u *Update, q query.ReadQuery) {
 	}
 }
 
-// snap returns the update's read view.
-func (e *Engine) snap(u *Update) *storage.Snapshot { return e.store.Snap(u.Number) }
-
-// engineFor returns a query engine over the update's read view.
-func (e *Engine) engineFor(u *Update) *query.Engine {
-	return query.NewEngine(e.snap(u))
+// queryContext returns the update attempt's query context — one live
+// snapshot at the update's reader priority and one query engine whose
+// pools (slot runs, key and signature buffers) every query of the
+// attempt then finds warm — creating it on first use. The snapshot is
+// a stateless view over live store state, so it stays valid across the
+// attempt's own writes. The context belongs to the goroutine currently
+// stepping the update (query.Engine is not safe for concurrent use):
+// every caller is a step or frontier operation on u itself, never a
+// conflict check on u's behalf, which runs on other goroutines and
+// builds its own engine (query.ViolationRead.AffectedBy). It is
+// dropped when the attempt ends — termination, Cancel, Reset — so a
+// finished update pins no pools.
+func (e *Engine) queryContext(u *Update) *query.Engine {
+	if u.qctx == nil {
+		u.qctx = query.NewEngine(e.store.Snap(u.Number))
+		obsQueryContexts.Inc()
+	}
+	return u.qctx
 }
 
 // StepResult reports what one chase step did.
@@ -126,13 +138,15 @@ func (e *Engine) StepWrites(u *Update) (StepResult, error) {
 // It only reads the store — new writes are merely planned into the
 // update's write set — and mutates nothing but the update itself.
 func (e *Engine) StepReads(u *Update, writes []storage.WriteRec) (StepResult, error) {
+	qe := e.queryContext(u)
+
 	// Phase 2: discover new violations caused by the writes.
-	for _, w := range writes {
-		e.discoverViolations(u, w)
+	for i := range writes {
+		e.discoverViolations(u, qe, &writes[i])
 	}
 
 	// Phase 3: recheck the queue — remove violations just corrected.
-	e.recheckQueue(u)
+	recheckQueue(u, qe)
 
 	// Phase 4: process pending violations until writes are planned or
 	// all pending violations turn into frontier requests.
@@ -152,6 +166,7 @@ func (e *Engine) StepReads(u *Update, writes []storage.WriteRec) (StepResult, er
 		u.state = StateReady
 	case len(u.queue) == 0:
 		u.state = StateTerminated
+		u.qctx = nil
 	default:
 		u.state = StateAwaitingUser
 	}
@@ -163,13 +178,10 @@ func (e *Engine) StepReads(u *Update, writes []storage.WriteRec) (StepResult, er
 func (e *Engine) performWrites(u *Update) ([]storage.WriteRec, error) {
 	ops := u.writeSet
 	u.writeSet = nil
-	var out []storage.WriteRec
-	for _, op := range ops {
-		trace := func(recs ...storage.WriteRec) {
-			for _, rec := range recs {
-				u.Trace = append(u.Trace, TraceEntry{Write: rec, Cause: op.Cause})
-			}
-		}
+	out := make([]storage.WriteRec, 0, len(ops))
+	for i := range ops {
+		op := &ops[i]
+		done := len(out)
 		switch op.Kind {
 		case OpInsert:
 			_, rec, inserted, err := e.store.Insert(u.Number, op.Tuple)
@@ -183,22 +195,23 @@ func (e *Engine) performWrites(u *Update) ([]storage.WriteRec, error) {
 			// would have no-op'ed here, so the stored probe must exist
 			// for Algorithm 4 to abort and rerun this update.
 			e.record(u, &query.ContentRead{Rel: op.Tuple.Rel,
-				Vals: append([]model.Value(nil), op.Tuple.Vals...), ReaderNo: u.Number})
-			if !inserted {
-				continue
+				Vals: contentVals(op.Tuple.Vals, rec.After), ReaderNo: u.Number})
+			if inserted {
+				out = append(out, rec)
 			}
-			out = append(out, rec)
-			trace(rec)
 		case OpDelete:
 			recs, err := e.store.DeleteContent(u.Number, op.Tuple)
 			if err != nil {
 				return out, err
 			}
 			// The set of copies removed is a content read.
+			var removed []model.Value
+			if len(recs) > 0 {
+				removed = recs[0].Before
+			}
 			e.record(u, &query.ContentRead{Rel: op.Tuple.Rel,
-				Vals: append([]model.Value(nil), op.Tuple.Vals...), ReaderNo: u.Number})
+				Vals: contentVals(op.Tuple.Vals, removed), ReaderNo: u.Number})
 			out = append(out, recs...)
-			trace(recs...)
 		case OpDeleteID:
 			rec, ok, err := e.store.Delete(u.Number, op.ID)
 			if err != nil {
@@ -206,7 +219,6 @@ func (e *Engine) performWrites(u *Update) ([]storage.WriteRec, error) {
 			}
 			if ok {
 				out = append(out, rec)
-				trace(rec)
 			}
 		case OpReplaceNull:
 			// The set of rewritten tuples is the null-occurrence read.
@@ -216,10 +228,21 @@ func (e *Engine) performWrites(u *Update) ([]storage.WriteRec, error) {
 				return out, err
 			}
 			out = append(out, recs...)
-			trace(recs...)
 		}
+		u.trace(out[done:], op.Cause)
 	}
 	return out, nil
+}
+
+// contentVals picks the value slice a content read stores for an
+// operation's fact: the store's own immutable copy of the same content
+// when the write produced one (the defensive copy the store already
+// made), else a copy of the caller's slice, which the caller may reuse.
+func contentVals(opVals, stored []model.Value) []model.Value {
+	if stored != nil {
+		return stored
+	}
+	return append([]model.Value(nil), opVals...)
 }
 
 // discoverViolations runs the seeded violation queries for one write
@@ -229,65 +252,63 @@ func (e *Engine) performWrites(u *Update) ([]storage.WriteRec, error) {
 // modifications are treated as delete-then-insert but — per §2 — can
 // only surface LHS-violations, because null-replacement changes all
 // occurrences consistently, so the delete side cannot strand an RHS.
-func (e *Engine) discoverViolations(u *Update, w storage.WriteRec) {
-	seedAndEnqueue := func(vals []model.Value, side query.Side, isLHS bool) {
-		if vals == nil {
-			return
-		}
-		var mappings []*tgd.TGD
-		switch side {
-		case query.SeedLHS:
-			mappings = e.tgds.WithLHSRelation(w.Rel)
-		case query.SeedRHS:
-			mappings = e.tgds.WithRHSRelation(w.Rel)
-		}
-		for _, t := range mappings {
-			rq, vs := query.NewViolationRead(e.store, t, w.Rel, vals, side, u.Number)
-			e.record(u, rq)
-			for _, v := range vs {
-				e.enqueue(u, v, isLHS)
-			}
-		}
-	}
+func (e *Engine) discoverViolations(u *Update, qe *query.Engine, w *storage.WriteRec) {
 	switch w.Op {
 	case storage.OpInsert:
-		seedAndEnqueue(w.After, query.SeedLHS, true)
+		e.seedAndEnqueue(u, qe, w.Rel, w.After, query.SeedLHS)
 	case storage.OpDelete:
-		seedAndEnqueue(w.Before, query.SeedRHS, false)
+		e.seedAndEnqueue(u, qe, w.Rel, w.Before, query.SeedRHS)
 	case storage.OpModify:
 		// Null-replacement: the new values may complete LHS joins.
-		seedAndEnqueue(w.After, query.SeedLHS, true)
+		e.seedAndEnqueue(u, qe, w.Rel, w.After, query.SeedLHS)
 	}
 }
 
-// enqueue adds a violation to the update's queue unless an entry with
-// the same key is already present, recording its canonical witness
-// signature for content-ordered processing (see nextPending).
-func (e *Engine) enqueue(u *Update, v query.Violation, isLHS bool) {
-	if u.findQueued(v.Key()) != nil {
+// seedAndEnqueue runs, logs and harvests the violation query of every
+// mapping a write of vals into rel can violate on the given side.
+func (e *Engine) seedAndEnqueue(u *Update, qe *query.Engine, rel string, vals []model.Value, side query.Side) {
+	if vals == nil {
 		return
 	}
-	sig := e.engineFor(u).WitnessSig(&v)
-	u.queue = append(u.queue, &queuedViolation{v: v, isLHS: isLHS, sig: sig})
+	mappings := e.tgds.WithLHSRelation(rel)
+	if side == query.SeedRHS {
+		mappings = e.tgds.WithRHSRelation(rel)
+	}
+	for _, t := range mappings {
+		rq, vs := query.NewViolationRead(qe, t, rel, vals, side)
+		e.record(u, rq)
+		for i := range vs {
+			enqueue(u, qe, vs[i], side == query.SeedLHS)
+		}
+	}
+}
+
+// enqueue adds a violation to the update's queue unless the same
+// violation is already present, recording its canonical witness
+// signature for content-ordered processing (see nextPending).
+func enqueue(u *Update, qe *query.Engine, v query.Violation, isLHS bool) {
+	if u.findQueued(&v) != nil {
+		return
+	}
+	u.queue = append(u.queue, &queuedViolation{v: v, isLHS: isLHS, sig: qe.WitnessSig(&v)})
 	obsViolations.Inc()
 }
 
 // recheckQueue removes queue entries whose violation no longer holds —
 // "violQueue.remove(violations just corrected)" in Algorithm 1 — and
-// reactivates entries whose planned repair did not stick.
-func (e *Engine) recheckQueue(u *Update) {
-	qe := e.engineFor(u)
+// reactivates entries whose planned repair did not stick. Entries that
+// still hold carry the binding of their witness's current values
+// (query.Engine.Recheck).
+func recheckQueue(u *Update, qe *query.Engine) {
 	kept := u.queue[:0]
 	for _, qv := range u.queue {
-		holds, binding := e.violationHolds(qe, &qv.v)
-		if !holds {
+		if !qe.Recheck(&qv.v) {
 			if qv.group != nil {
 				u.removeGroup(qv.group)
 				qv.group = nil
 			}
 			continue
 		}
-		qv.v.Binding = binding
 		if qv.state == ViolRepairing {
 			// The deterministic repair should have corrected it; if it
 			// is still here the repair raced with something — retry.
@@ -296,31 +317,6 @@ func (e *Engine) recheckQueue(u *Update) {
 		kept = append(kept, qv)
 	}
 	u.queue = kept
-}
-
-// violationHolds rechecks one recorded violation against the current
-// snapshot: its witness tuples must still be visible, still jointly
-// match the mapping's LHS (their values may have changed through
-// null-replacements), and the RHS must still have no match. It returns
-// the rebuilt binding.
-func (e *Engine) violationHolds(qe *query.Engine, v *query.Violation) (bool, query.Binding) {
-	snap := qe.Snapshot()
-	b := query.Binding{}
-	for i, id := range v.Witness {
-		vals, ok := snap.Get(id)
-		if !ok {
-			return false, nil
-		}
-		nb, ok := query.UnifyValsAtom(vals, v.TGD.LHS[i], b)
-		if !ok {
-			return false, nil
-		}
-		b = nb
-	}
-	if qe.RHSSatisfied(v.TGD, b) {
-		return false, nil
-	}
-	return true, b
 }
 
 // nextPending returns the pending violation with the smallest
@@ -367,12 +363,13 @@ func (e *Engine) planRepair(u *Update, qv *queuedViolation) error {
 // awaiting a frontier operation.
 func (e *Engine) planForward(u *Update, qv *queuedViolation) error {
 	tuples, fresh := query.InstantiateRHS(qv.v.TGD, qv.v.Binding, e.store.FreshNull)
-	snap := e.snap(u)
+	snap := e.queryContext(u).Snapshot()
 	var frontier []model.Tuple
 	var inserts []model.Tuple
 	for _, t := range tuples {
-		e.record(u, &query.MoreSpecificRead{Rel: t.Rel,
-			Pattern: append([]model.Value(nil), t.Vals...), ReaderNo: u.Number})
+		// The generated tuple's values are never modified in place
+		// (substitutions copy), so the stored pattern shares them.
+		e.record(u, &query.MoreSpecificRead{Rel: t.Rel, Pattern: t.Vals, ReaderNo: u.Number})
 		if len(snap.MoreSpecific(t)) > 0 {
 			frontier = append(frontier, t)
 		} else {

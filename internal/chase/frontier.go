@@ -94,11 +94,10 @@ var (
 func (e *Engine) Options(u *Update, g *FrontierGroup) []Decision {
 	var out []Decision
 	if g.Positive {
-		snap := e.snap(u)
+		snap := e.queryContext(u).Snapshot()
 		for idx, t := range g.Tuples {
 			out = append(out, Decision{Kind: DecideExpand, TupleIdx: idx})
-			e.record(u, &query.MoreSpecificRead{Rel: t.Rel,
-				Pattern: append([]model.Value(nil), t.Vals...), ReaderNo: u.Number})
+			e.record(u, &query.MoreSpecificRead{Rel: t.Rel, Pattern: t.Vals, ReaderNo: u.Number})
 			targets := snap.MoreSpecific(t)
 			type cand struct {
 				id    storage.TupleID
@@ -150,7 +149,7 @@ func (e *Engine) Options(u *Update, g *FrontierGroup) []Decision {
 // replays after aborts — and serial reference executions — decide
 // identically.
 func (e *Engine) DecisionContext(u *Update, g *FrontierGroup) string {
-	snap := e.snap(u)
+	snap := e.queryContext(u).Snapshot()
 	var ts []model.Tuple
 	for _, id := range g.Viol.Witness {
 		if tv, ok := snap.GetTuple(id); ok {
@@ -280,7 +279,7 @@ func (e *Engine) applyUnify(u *Update, g *FrontierGroup, d Decision) error {
 		return fmt.Errorf("%w: tuple index %d out of range", ErrStaleDecision, d.TupleIdx)
 	}
 	t := g.Tuples[d.TupleIdx]
-	snap := e.snap(u)
+	snap := e.queryContext(u).Snapshot()
 	target, ok := snap.GetTuple(d.Target)
 	if !ok {
 		return fmt.Errorf("%w: unify target #%d not visible", ErrStaleDecision, d.Target)

@@ -13,4 +13,12 @@ var (
 	obsViolations       = obs.Default.Counter("chase_violations_total")
 	obsFrontierRequests = obs.Default.Counter("chase_frontier_requests_total")
 	obsFrontierOps      = obs.Default.Counter("chase_frontier_ops_total")
+
+	// The query seam: contexts created (one per update attempt that
+	// issues a query — contexts ÷ attempts is the "one context per
+	// attempt" check), reads stored in read logs, and identical reads
+	// the logs dropped.
+	obsQueryContexts = obs.Default.Counter("chase_query_contexts_total")
+	obsReadsRecorded = obs.Default.Counter("chase_reads_recorded_total")
+	obsReadsDeduped  = obs.Default.Counter("chase_reads_deduped_total")
 )

@@ -78,3 +78,49 @@ func TestReadPrefixPublication(t *testing.T) {
 		t.Fatalf("reset did not advance the epoch: %d -> %d", p2.Epoch, p.Epoch)
 	}
 }
+
+// TestPublishAfterReleaseReads: a release empties the log but the
+// attempt may go on reading (a committed update is only released once,
+// but nothing in the API forbids the order, and the observer-driven
+// differential test relies on it). Used to panic with "assignment to
+// entry in nil map".
+func TestPublishAfterReleaseReads(t *testing.T) {
+	u := NewUpdate(1, Op{})
+	u.PublishRead(probeRead(0))
+	u.ReleaseReads()
+	if !u.PublishRead(probeRead(0)) {
+		t.Fatal("a read repeated after the release was dropped: the release kept the dedupe index")
+	}
+	if u.PublishRead(probeRead(0)) {
+		t.Fatal("duplicate after the release reported as new")
+	}
+	if !u.PublishRead(probeRead(1)) || len(u.StoredReads()) != 2 {
+		t.Fatalf("log holds %d reads after release + 2 distinct reads", len(u.StoredReads()))
+	}
+}
+
+// TestReadLogHashCollision: reads whose identity hashes collide are
+// told apart by structural equality — each distinct one is stored,
+// each repeat dropped — and a Reset forgets the whole chain.
+func TestReadLogHashCollision(t *testing.T) {
+	u := NewUpdate(1, Op{})
+	const h = 42
+	for round := 0; round < 2; round++ {
+		for i := 0; i < 5; i++ {
+			if got, want := u.addReadHashed(probeRead(i), h), round == 0; got != want {
+				t.Fatalf("round %d read %d under one hash: taken = %v, want %v", round, i, got, want)
+			}
+		}
+	}
+	// A neighbour hash already claimed by the chain still finds its own.
+	if !u.addReadHashed(probeRead(5), h+2) || u.addReadHashed(probeRead(5), h+2) {
+		t.Fatal("a read hashing into the collision chain was mis-deduplicated")
+	}
+	if got := len(u.StoredReads()); got != 6 {
+		t.Fatalf("log holds %d reads, want 6", got)
+	}
+	u.Reset()
+	if !u.addReadHashed(probeRead(3), h) {
+		t.Fatal("Reset kept the dedupe index")
+	}
+}

@@ -162,7 +162,18 @@ type Update struct {
 	readsMu   sync.Mutex
 	published atomic.Pointer[ReadPrefix]
 	epoch     uint64 // publication counter; guarded by readsMu
-	readsSeen map[string]bool
+	// readIdx is the dedupe index over reads: identity hash
+	// (query.ReadHash) to position in reads. Two different reads with
+	// one hash probe linearly — the second lives under hash+1 — which
+	// is sound because entries are only ever removed all at once.
+	// Guarded by readsMu; nil until the first read after a Reset or
+	// ReleaseReads.
+	readIdx map[uint64]int32
+
+	// qctx is the attempt's query context (Engine.queryContext): nil
+	// until the attempt's first query and again once the attempt ends.
+	// Touched only by the goroutine stepping the update.
+	qctx *query.Engine
 
 	// Trace records every performed write with its provenance cause,
 	// in execution order — the derivation a user interface can show
@@ -196,10 +207,11 @@ func (u *Update) Reset() {
 	u.queue = nil
 	u.groups = nil
 	u.nextGID = 0
+	u.qctx = nil
 	u.Attempt++
 	u.readsMu.Lock()
 	u.reads = nil
-	u.readsSeen = make(map[string]bool)
+	u.readIdx = nil
 	u.publishLocked()
 	u.readsMu.Unlock()
 	u.Trace = nil
@@ -217,6 +229,7 @@ func (u *Update) Cancel() {
 	u.writeSet = nil
 	u.queue = nil
 	u.groups = nil
+	u.qctx = nil
 }
 
 // TraceEntry pairs a performed write with the reason the chase
@@ -270,18 +283,35 @@ func (u *Update) publishLocked() {
 	})
 }
 
-// addRead stores a read query, deduplicating identical ones, and
-// publishes the grown prefix. It reports whether the query was new.
+// addRead stores a read query, deduplicating identical ones
+// (query.SameRead), and publishes the grown prefix. It reports whether
+// the query was new.
 func (u *Update) addRead(q query.ReadQuery) bool {
-	key := q.String()
+	return u.addReadHashed(q, query.ReadHash(q))
+}
+
+// addReadHashed is addRead with the identity hash supplied by the
+// caller (tests force collisions through it).
+func (u *Update) addReadHashed(q query.ReadQuery, h uint64) bool {
 	u.readsMu.Lock()
 	defer u.readsMu.Unlock()
-	if u.readsSeen[key] {
-		return false
+	for ; ; h++ {
+		i, taken := u.readIdx[h]
+		if !taken {
+			break
+		}
+		if query.SameRead(u.reads[i], q) {
+			obsReadsDeduped.Inc()
+			return false
+		}
 	}
-	u.readsSeen[key] = true
+	if u.readIdx == nil {
+		u.readIdx = make(map[uint64]int32)
+	}
+	u.readIdx[h] = int32(len(u.reads))
 	u.reads = append(u.reads, q)
 	u.publishLocked()
+	obsReadsRecorded.Inc()
 	return true
 }
 
@@ -322,7 +352,7 @@ func (u *Update) ReleaseReads() {
 	u.readsMu.Lock()
 	defer u.readsMu.Unlock()
 	u.reads = nil
-	u.readsSeen = nil
+	u.readIdx = nil
 	u.publishLocked()
 }
 
@@ -382,14 +412,23 @@ func (u *Update) applySubst(s model.Subst) {
 	}
 }
 
-// findQueued locates a queued violation by key.
-func (u *Update) findQueued(key string) *queuedViolation {
+// findQueued locates the queue entry of a violation (query.Violation.
+// Same), or nil.
+func (u *Update) findQueued(v *query.Violation) *queuedViolation {
 	for _, qv := range u.queue {
-		if qv.v.Key() == key {
+		if qv.v.Same(v) {
 			return qv
 		}
 	}
 	return nil
+}
+
+// trace appends the performed writes of one operation to the
+// provenance trace.
+func (u *Update) trace(recs []storage.WriteRec, cause string) {
+	for i := range recs {
+		u.Trace = append(u.Trace, TraceEntry{Write: recs[i], Cause: cause})
+	}
 }
 
 // removeQueued drops a queue entry and its group.

@@ -76,6 +76,12 @@ func (v Value) NullID() int64 {
 	return v.id
 }
 
+// Hash folds the value's two words into one, for callers that hash
+// composite keys containing values (the chase's read-log identity)
+// without rendering them. Equal values hash equal; distinct values
+// collide only when their ids differ in bit 63 alone.
+func (v Value) Hash() uint64 { return uint64(v.id)<<1 | uint64(v.kind) }
+
 // String renders the value in the paper's notation: constants appear
 // verbatim, labeled nulls as x<id>.
 func (v Value) String() string {

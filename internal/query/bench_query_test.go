@@ -170,7 +170,7 @@ func BenchmarkViolationReadAffectedBy(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	q, _ := NewViolationRead(st, m, w.Rel, w.After, SeedLHS, 2)
+	q, _ := NewViolationRead(NewEngine(st.Snap(2)), m, w.Rel, w.After, SeedLHS)
 	// A later write by update 1 joining through j3.
 	_, w1, _, err := st.Insert(1, model.NewTuple("T", c("j3"), c("zz")))
 	if err != nil {

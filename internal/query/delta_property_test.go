@@ -148,7 +148,7 @@ func TestAffectedByAgreesWithRecomputation(t *testing.T) {
 			continue
 		}
 		readSeq := st.CurrentSeq()
-		q, _ := NewViolationRead(st, m, w5.Rel, w5.After, SeedLHS, 5)
+		q, _ := NewViolationRead(NewEngine(st.Snap(5)), m, w5.Rel, w5.After, SeedLHS)
 
 		// Writer 2 performs a later write.
 		var w2 storage.WriteRec

@@ -12,6 +12,8 @@
 package query
 
 import (
+	"maps"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -161,6 +163,14 @@ func (v *Violation) appendKey(dst []byte) []byte {
 // free once the buffer has capacity; for callers (benches, the chase's
 // own dedup) that re-render keys in a loop.
 func (v *Violation) AppendKey(dst []byte) []byte { return v.appendKey(dst) }
+
+// Same reports whether v and o are the same violation — same mapping,
+// same witness tuples, same binding — which is exactly when their Keys
+// are equal, decided on the parts themselves without rendering either
+// key. The chase's queue dedup asks this on every enqueue.
+func (v *Violation) Same(o *Violation) bool {
+	return v.TGD == o.TGD && slices.Equal(v.Witness, o.Witness) && maps.Equal(v.Binding, o.Binding)
+}
 
 // appendKeyParts is the shared key layout: name | witness IDs | binding.
 func appendKeyParts(dst []byte, p *Plan, witness []storage.TupleID, binding func([]byte) []byte) []byte {
@@ -755,7 +765,7 @@ func (e *Engine) violationsSeededCompiled(p *Plan, rel string, vals []model.Valu
 			if a.rel != rel {
 				continue
 			}
-			mask, ok := unifyRegs(vals, a, lr.regs)
+			mask, ok := unifyRegs(vals, a, lr.regs, 0)
 			if !ok {
 				continue
 			}
@@ -768,7 +778,7 @@ func (e *Engine) violationsSeededCompiled(p *Plan, rel string, vals []model.Valu
 			if a.rel != rel {
 				continue
 			}
-			mask, ok := unifyRegs(vals, a, lr.regs)
+			mask, ok := unifyRegs(vals, a, lr.regs, 0)
 			if !ok {
 				continue
 			}
@@ -782,11 +792,61 @@ func (e *Engine) violationsSeededCompiled(p *Plan, rel string, vals []model.Valu
 	return out
 }
 
-// UnifyValsAtom extends binding b by matching concrete values against
-// an atom's terms; see unifyValsAtom. Exported for the chase engine's
-// violation rechecks.
-func UnifyValsAtom(vals []model.Value, a tgd.Atom, b Binding) (Binding, bool) {
-	return unifyValsAtom(vals, a, b)
+// Recheck re-evaluates one recorded violation against the snapshot: its
+// witness tuples must still be visible, still jointly match the
+// mapping's LHS (their values may have changed through
+// null-replacements), and the RHS must still have no match. It reports
+// whether the violation still holds. The witness is re-unified into a
+// pooled register file, so a recheck that finds the witness unchanged
+// — every recheck but the one right after a unification — allocates
+// nothing; only when a witness value actually moved is v.Binding
+// replaced by a freshly materialised map.
+func (e *Engine) Recheck(v *Violation) bool {
+	defer e.flushObs()
+	t := v.TGD
+	p := PlanFor(t)
+	if !e.useCompiled(p) {
+		b := Binding{}
+		for i, id := range v.Witness {
+			vals, ok := e.snap.Get(id)
+			if !ok {
+				return false
+			}
+			if b, ok = unifyValsAtom(vals, t.LHS[i], b); !ok {
+				return false
+			}
+		}
+		if e.RHSSatisfied(t, b) {
+			return false
+		}
+		v.Binding = b
+		return true
+	}
+	lr, rr := e.getRun(p), e.getRun(p)
+	defer e.putRun(rr)
+	defer e.putRun(lr)
+	var mask uint64
+	for i, id := range v.Witness {
+		vals, ok := e.snap.Get(id)
+		if !ok {
+			return false
+		}
+		if mask, ok = unifyRegs(vals, &p.lhs[i], lr.regs, mask); !ok {
+			return false
+		}
+	}
+	rr.regs = lr.regs
+	rr.side(true, p.frontierMask)
+	rr.fn = srExists
+	rr.found = false
+	rr.rec(0, mask&p.frontierMask)
+	if rr.found {
+		return false
+	}
+	if !p.bindingMatchesRegs(v.Binding, lr.regs, mask) {
+		v.Binding = p.bindingFromRegs(lr.regs, mask)
+	}
+	return true
 }
 
 // AllViolations returns the violations of every mapping in the set, in

@@ -1,0 +1,215 @@
+// The chase's step used to identify stored reads and queued violations
+// by rendering them (ReadQuery.String, Violation.Key) and to recheck a
+// violation by rebuilding its binding map from scratch. Those
+// renderings are now the reference: the structural identities and the
+// register-file recheck must agree with them on randomized worlds.
+package query
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"youtopia/internal/model"
+	"youtopia/internal/storage"
+	"youtopia/internal/tgd"
+)
+
+// refRecheck is the recheck the chase performed before Engine.Recheck
+// existed: unify the witness's current values atom by atom into a
+// fresh binding, then probe the RHS.
+func refRecheck(e *Engine, v *Violation) (bool, Binding) {
+	b := Binding{}
+	for i, id := range v.Witness {
+		vals, ok := e.snap.Get(id)
+		if !ok {
+			return false, nil
+		}
+		nb, ok := unifyValsAtom(vals, v.TGD.LHS[i], b)
+		if !ok {
+			return false, nil
+		}
+		b = nb
+	}
+	if e.RHSSatisfied(v.TGD, b) {
+		return false, nil
+	}
+	return true, b
+}
+
+func cloneViolation(v Violation) Violation {
+	return Violation{TGD: v.TGD, Binding: v.Binding.clone(), Witness: append([]storage.TupleID(nil), v.Witness...)}
+}
+
+// TestRecheckMatchesReference: after random writes (null replacements,
+// deletes, inserts) by the reader, Recheck on the compiled and on the
+// interpreted engine reaches the reference verdict and leaves the
+// reference binding on every violation that still holds.
+func TestRecheckMatchesReference(t *testing.T) {
+	rechecked, gone, rebound := 0, 0, 0
+	for seed := int64(0); seed < 100; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		w := genWorld(r)
+		snap := w.st.Snap(1)
+		ce, ie := NewEngine(snap), NewInterpretedEngine(snap)
+		var vs []Violation
+		for _, m := range w.tgds {
+			vs = append(vs, ce.Violations(m, Binding{})...)
+		}
+		for i, n := 0, 1+r.Intn(4); i < n; i++ {
+			tp := w.tuples[r.Intn(len(w.tuples))]
+			switch r.Intn(3) {
+			case 0:
+				if _, err := w.st.ReplaceNull(1, model.Null(int64(1+r.Intn(3))), model.Const(fmt.Sprintf("c%d", r.Intn(6)))); err != nil {
+					t.Fatal(err)
+				}
+			case 1:
+				if _, err := w.st.DeleteContent(1, tp); err != nil {
+					t.Fatal(err)
+				}
+			default:
+				vals := append([]model.Value(nil), tp.Vals...)
+				vals[r.Intn(len(vals))] = model.Const(fmt.Sprintf("c%d", r.Intn(6)))
+				if _, _, _, err := w.st.Insert(1, model.Tuple{Rel: tp.Rel, Vals: vals}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for i := range vs {
+			wantHolds, wantBinding := refRecheck(ie, &vs[i])
+			for name, e := range map[string]*Engine{"compiled": ce, "interpreted": ie} {
+				v := cloneViolation(vs[i])
+				if got := e.Recheck(&v); got != wantHolds {
+					t.Fatalf("seed %d %s: Recheck(%s) = %v, reference %v", seed, name, vs[i].Key(), got, wantHolds)
+				}
+				if !wantHolds {
+					continue
+				}
+				want := Violation{TGD: v.TGD, Binding: wantBinding, Witness: v.Witness}
+				if v.Key() != want.Key() {
+					t.Fatalf("seed %d %s: binding after Recheck %s, reference %s", seed, name, v.Key(), want.Key())
+				}
+			}
+			rechecked++
+			if !wantHolds {
+				gone++
+			} else if (&Violation{TGD: vs[i].TGD, Binding: wantBinding, Witness: vs[i].Witness}).Key() != vs[i].Key() {
+				rebound++
+			}
+		}
+	}
+	// The worlds must exercise all three outcomes.
+	if gone == 0 || rebound == 0 || rechecked-gone-rebound == 0 {
+		t.Fatalf("rechecked %d violations: %d gone, %d rebound — an outcome is uncovered", rechecked, gone, rebound)
+	}
+}
+
+// TestRecheckUnchangedWitnessAllocFree: the steady-state recheck — the
+// witness still stands and nothing moved — allocates nothing and keeps
+// the violation's binding map.
+func TestRecheckUnchangedWitnessAllocFree(t *testing.T) {
+	st, set := fig2(t)
+	sigma3, _ := set.ByName("sigma3")
+	// A tour of Geneva Winery by a company that has no review of it.
+	if _, _, _, err := st.Insert(2, tup("T", c("Geneva Winery"), c("ABC Tours"), c("Ithaca"))); err != nil {
+		t.Fatal(err)
+	}
+	e := NewEngine(st.Snap(2))
+	vs := e.Violations(sigma3, nil)
+	if len(vs) == 0 {
+		t.Fatal("fixture has no sigma3 violation")
+	}
+	v := &vs[0]
+	before := fmt.Sprintf("%p", v.Binding)
+	if !e.Recheck(v) { // warm the run pool
+		t.Fatal("violation does not hold")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { e.Recheck(v) }); allocs != 0 {
+		t.Fatalf("Recheck of an unchanged witness: %.0f allocs, want 0", allocs)
+	}
+	if after := fmt.Sprintf("%p", v.Binding); after != before {
+		t.Fatal("Recheck replaced an unchanged binding")
+	}
+}
+
+// TestViolationSameMatchesKey: Same is Key equality, over every pair
+// of violations of a world plus perturbed copies.
+func TestViolationSameMatchesKey(t *testing.T) {
+	for seed := int64(0); seed < 40; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		w := genWorld(r)
+		e := NewEngine(w.st.Snap(1))
+		var vs []Violation
+		for _, m := range w.tgds {
+			for _, v := range e.Violations(m, Binding{}) {
+				vs = append(vs, v, cloneViolation(v))
+				p := cloneViolation(v) // same witness, one value moved
+				for name := range p.Binding {
+					p.Binding[name] = model.Const("elsewhere")
+					break
+				}
+				q := cloneViolation(v) // same binding, one witness moved
+				q.Witness[0]++
+				vs = append(vs, p, q)
+			}
+		}
+		for i := range vs {
+			for j := range vs {
+				same, keys := vs[i].Same(&vs[j]), vs[i].Key() == vs[j].Key()
+				if same != keys {
+					t.Fatalf("seed %d: Same = %v but keys %q vs %q", seed, same, vs[i].Key(), vs[j].Key())
+				}
+			}
+		}
+	}
+}
+
+// TestReadIdentityMatchesString: SameRead is String equality within a
+// kind, and equal reads hash equal, over reads of every kind that
+// differ in exactly one component.
+func TestReadIdentityMatchesString(t *testing.T) {
+	a, b, n1, n2 := model.Const("a"), model.Const("b"), model.Null(1), model.Null(2)
+	_, set := fig2(t)
+	sigma3, _ := set.ByName("sigma3")
+	other := tgd.New("other", sigma3.LHS, sigma3.RHS)
+	seqs := func(s ...int64) []storage.RelSeq {
+		out := make([]storage.RelSeq, len(s))
+		for i, rel := range sigma3.Relations() {
+			out[i] = storage.RelSeq{Rel: rel, Seq: s[i]}
+		}
+		return out
+	}
+	viol := func(m *tgd.TGD, side Side, rel string, vals []model.Value, rs []storage.RelSeq) ReadQuery {
+		return &ViolationRead{TGD: m, SeedSide: side, SeedRel: rel, SeedVals: vals, ReadSeqs: rs, ReaderNo: 1}
+	}
+	var reads []ReadQuery
+	for i := 0; i < 2; i++ { // every read twice: equal content behind distinct pointers
+		reads = append(reads,
+			viol(sigma3, SeedLHS, "A", []model.Value{a, b}, seqs(1, 2, 3)),
+			viol(other, SeedLHS, "A", []model.Value{a, b}, seqs(1, 2, 3)),
+			viol(sigma3, SeedRHS, "A", []model.Value{a, b}, seqs(1, 2, 3)),
+			viol(sigma3, SeedLHS, "T", []model.Value{a, b}, seqs(1, 2, 3)),
+			viol(sigma3, SeedLHS, "A", []model.Value{a, n1}, seqs(1, 2, 3)),
+			viol(sigma3, SeedLHS, "A", []model.Value{a, b}, seqs(1, 2, 4)),
+			&MoreSpecificRead{Rel: "A", Pattern: []model.Value{a, n1}, ReaderNo: 1},
+			&MoreSpecificRead{Rel: "A", Pattern: []model.Value{a, n2}, ReaderNo: 1},
+			&MoreSpecificRead{Rel: "T", Pattern: []model.Value{a, n1}, ReaderNo: 1},
+			&ContentRead{Rel: "A", Vals: []model.Value{a, n1}, ReaderNo: 1},
+			&ContentRead{Rel: "A", Vals: []model.Value{a}, ReaderNo: 1},
+			&ContentRead{Rel: "T", Vals: []model.Value{a, n1}, ReaderNo: 1},
+			&NullOccRead{Null: n1, ReaderNo: 1},
+			&NullOccRead{Null: n2, ReaderNo: 1},
+		)
+	}
+	for i, x := range reads {
+		for j, y := range reads {
+			same := SameRead(x, y)
+			if want := x.Kind() == y.Kind() && x.String() == y.String(); same != want {
+				t.Errorf("SameRead(#%d %s, #%d %s) = %v, String says %v", i, x, j, y, same, want)
+			}
+			if same && ReadHash(x) != ReadHash(y) {
+				t.Errorf("equal reads #%d and #%d (%s) hash differently", i, j, x)
+			}
+		}
+	}
+}

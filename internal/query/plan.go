@@ -302,14 +302,15 @@ func (p *Plan) seedMask(seed Binding, regs []model.Value) (uint64, bool) {
 	return mask, true
 }
 
-// unifyRegs matches a written tuple's values against a compiled atom,
-// binding slots into regs starting from an empty mask — the compiled
-// form of unifyValsAtom for the §4.2 seeded violation queries.
-func unifyRegs(vals []model.Value, a *planAtom, regs []model.Value) (uint64, bool) {
+// unifyRegs matches a tuple's values against a compiled atom, binding
+// slots into regs on top of the slots mask already holds — the
+// compiled form of unifyValsAtom. The §4.2 seeded violation queries
+// start from an empty mask; a recheck threads one mask through a
+// violation's whole witness.
+func unifyRegs(vals []model.Value, a *planAtom, regs []model.Value, mask uint64) (uint64, bool) {
 	if len(vals) != len(a.terms) {
 		return 0, false
 	}
-	var mask uint64
 	for i := range a.terms {
 		td := &a.terms[i]
 		v := vals[i]
@@ -342,4 +343,21 @@ func (p *Plan) bindingFromRegs(regs []model.Value, bound uint64) Binding {
 		}
 	}
 	return b
+}
+
+// bindingMatchesRegs reports whether b binds exactly the slots in bound
+// to the values the register file holds — whether materialising the
+// registers would reproduce b.
+func (p *Plan) bindingMatchesRegs(b Binding, regs []model.Value, bound uint64) bool {
+	if len(b) != bits.OnesCount64(bound) {
+		return false
+	}
+	for s, name := range p.slots {
+		if bound>>uint(s)&1 == 1 {
+			if val, ok := b[name]; !ok || val != regs[s] {
+				return false
+			}
+		}
+	}
+	return true
 }

@@ -2,6 +2,8 @@ package query
 
 import (
 	"fmt"
+	"hash/maphash"
+	"slices"
 	"sort"
 	"strings"
 
@@ -109,29 +111,34 @@ type ViolationRead struct {
 }
 
 // NewViolationRead evaluates the seeded violation query on the
-// reader's snapshot and returns both the stored read descriptor and
-// the violations it found. The read vector is captured before the
-// evaluation: per stripe, everything at or below the captured
-// sequence is already applied (stripe sequences publish under the
-// stripe lock), so the vector lower-bounds what the evaluation saw in
-// each relation and is exact whenever no writer runs during the read
-// — which the schedulers' phase locking guarantees.
-func NewViolationRead(st storage.Backend, t *tgd.TGD, seedRel string, seedVals []model.Value, side Side, reader int) (*ViolationRead, []Violation) {
+// reader's engine — the update attempt's one query context, so the
+// evaluation runs on warm pools — and returns both the stored read
+// descriptor and the violations it found. The reader is the engine's
+// snapshot reader. The read vector is captured before the evaluation:
+// per stripe, everything at or below the captured sequence is already
+// applied (stripe sequences publish under the stripe lock), so the
+// vector lower-bounds what the evaluation saw in each relation and is
+// exact whenever no writer runs during the read — which the
+// schedulers' phase locking guarantees.
+//
+// seedVals is retained, not copied: callers pass a write record's
+// immutable value slice.
+func NewViolationRead(e *Engine, t *tgd.TGD, seedRel string, seedVals []model.Value, side Side) (*ViolationRead, []Violation) {
 	rels := t.Relations()
 	seqs := make([]storage.RelSeq, len(rels))
 	for i, rel := range rels {
-		seqs[i] = storage.RelSeq{Rel: rel, Seq: st.RelSeq(rel)}
+		seqs[i] = storage.RelSeq{Rel: rel, Seq: e.snap.RelSeq(rel)}
 	}
 	q := &ViolationRead{
 		TGD:      t,
 		SeedRel:  seedRel,
-		SeedVals: append([]model.Value(nil), seedVals...),
+		SeedVals: seedVals,
 		SeedSide: side,
-		ReaderNo: reader,
+		ReaderNo: e.snap.Reader(),
 		ReadSeqs: seqs,
 	}
-	vs := q.eval(NewEngine(st.Snap(reader)))
-	q.Answer = canonViolations(vs)
+	vs := q.eval(e)
+	q.Answer = e.canonViolations(vs)
 	return q, vs
 }
 
@@ -146,11 +153,22 @@ func (q *ViolationRead) readCeil(rel string) int64 {
 	return 0
 }
 
-// canonViolations renders a violation set canonically.
-func canonViolations(vs []Violation) string {
+// canonViolations renders a violation set canonically, through the
+// engine's reusable key buffer. The empty and the singleton answer —
+// all but a sliver of the reads a chase stores — need no key slice,
+// sort or join.
+func (e *Engine) canonViolations(vs []Violation) string {
+	switch len(vs) {
+	case 0:
+		return ""
+	case 1:
+		e.keyBuf = vs[0].appendKey(e.keyBuf[:0])
+		return string(e.keyBuf)
+	}
 	keys := make([]string, len(vs))
 	for i := range vs {
-		keys[i] = vs[i].Key()
+		e.keyBuf = vs[i].appendKey(e.keyBuf[:0])
+		keys[i] = string(e.keyBuf)
 	}
 	sort.Strings(keys)
 	return strings.Join(keys, ";")
@@ -211,7 +229,8 @@ func mayTouch(t *tgd.TGD, rel string, vals []model.Value) bool {
 // answerCanon renders the full answer of the stored query on a
 // snapshot, canonically.
 func (q *ViolationRead) answerCanon(snap *storage.Snapshot) string {
-	return canonViolations(q.eval(NewEngine(snap)))
+	e := NewEngine(snap)
+	return e.canonViolations(q.eval(e))
 }
 
 // eval re-evaluates the stored query on an engine.
@@ -409,16 +428,97 @@ func (q *ContentRead) AffectedBy(_ storage.Backend, w storage.WriteRec) bool {
 	if w.Writer > q.ReaderNo || w.Rel != q.Rel {
 		return false
 	}
-	eq := func(vals []model.Value) bool {
-		if len(vals) != len(q.Vals) {
+	return slices.Equal(w.Before, q.Vals) || slices.Equal(w.After, q.Vals)
+}
+
+// Read identity. A chase step performs the same intensional read many
+// times (every recheck, every re-enumeration of a frontier group's
+// options); the update's read log stores each distinct read once. Two
+// reads are the same read iff they are of the same kind and agree on
+// everything String renders — for a violation query the mapping, the
+// seed (side, relation, values) and the read vector; for the
+// correction and content queries their relation and values — compared
+// here on the comparable parts themselves (the mapping pointer, the
+// two-word interned values, the sequence numbers) so that logging a
+// read renders nothing. String stays the diagnostic form and the
+// reference the tests compare this identity against.
+
+// hashWord folds one word into a running 64-bit hash (multiply-xorshift
+// per word; the constant is splitmix64's).
+func hashWord(h, x uint64) uint64 {
+	h = (h ^ x) * 0xbf58476d1ce4e5b9
+	return h ^ h>>31
+}
+
+// hashSeed seeds the hashing of relation and mapping names; identity
+// hashes never leave the process.
+var hashSeed = maphash.MakeSeed()
+
+func hashString(h uint64, s string) uint64 {
+	return hashWord(h, maphash.String(hashSeed, s))
+}
+
+func hashVals(h uint64, vals []model.Value) uint64 {
+	for _, v := range vals {
+		h = hashWord(h, v.Hash())
+	}
+	return hashWord(h, uint64(len(vals)))
+}
+
+// ReadHash hashes a read's identity: SameRead(a, b) implies
+// ReadHash(a) == ReadHash(b).
+func ReadHash(q ReadQuery) uint64 {
+	h := uint64(q.Kind()) + 0x9e3779b97f4a7c15
+	switch r := q.(type) {
+	case *ViolationRead:
+		h = hashString(h, r.TGD.Name)
+		h = hashWord(h, uint64(r.SeedSide))
+		h = hashString(h, r.SeedRel)
+		h = hashVals(h, r.SeedVals)
+		for i := range r.ReadSeqs {
+			h = hashWord(h, uint64(r.ReadSeqs[i].Seq))
+		}
+	case *MoreSpecificRead:
+		h = hashVals(hashString(h, r.Rel), r.Pattern)
+	case *NullOccRead:
+		h = hashWord(h, r.Null.Hash())
+	case *ContentRead:
+		h = hashVals(hashString(h, r.Rel), r.Vals)
+	default:
+		h = hashString(h, q.String())
+	}
+	return h
+}
+
+// SameRead reports whether a and b are the same intensional read (see
+// above). Reads of a kind this package does not define compare by
+// their String rendering.
+func SameRead(a, b ReadQuery) bool {
+	switch x := a.(type) {
+	case *ViolationRead:
+		y, ok := b.(*ViolationRead)
+		if !ok || x.TGD != y.TGD || x.SeedSide != y.SeedSide || x.SeedRel != y.SeedRel ||
+			!slices.Equal(x.SeedVals, y.SeedVals) || len(x.ReadSeqs) != len(y.ReadSeqs) {
 			return false
 		}
-		for i := range vals {
-			if vals[i] != q.Vals[i] {
+		// Same mapping, so the vectors list the same relations in the
+		// same order; only the sequence numbers can differ.
+		for i := range x.ReadSeqs {
+			if x.ReadSeqs[i].Seq != y.ReadSeqs[i].Seq {
 				return false
 			}
 		}
 		return true
+	case *MoreSpecificRead:
+		y, ok := b.(*MoreSpecificRead)
+		return ok && x.Rel == y.Rel && slices.Equal(x.Pattern, y.Pattern)
+	case *NullOccRead:
+		y, ok := b.(*NullOccRead)
+		return ok && x.Null == y.Null
+	case *ContentRead:
+		y, ok := b.(*ContentRead)
+		return ok && x.Rel == y.Rel && slices.Equal(x.Vals, y.Vals)
+	default:
+		return a.Kind() == b.Kind() && a.String() == b.String()
 	}
-	return eq(w.Before) || eq(w.After)
 }

@@ -35,7 +35,7 @@ func TestViolationReadAffectedByExample31(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, got := NewViolationRead(st, sigma4, wIns.Rel, wIns.After, SeedLHS, 2)
+	q, got := NewViolationRead(NewEngine(st.Snap(2)), sigma4, wIns.Rel, wIns.After, SeedLHS)
 	if len(got) != 1 {
 		t.Fatalf("u2 must see one violation of sigma4, got %v", got)
 	}
@@ -54,7 +54,7 @@ func TestViolationReadUnaffectedByIrrelevantWrite(t *testing.T) {
 	st, set := fig2(t)
 	sigma4, _ := set.ByName("sigma4")
 	_, wIns, _, _ := st.Insert(2, tup("V", c("Syracuse"), c("Math Conf")))
-	q, _ := NewViolationRead(st, sigma4, wIns.Rel, wIns.After, SeedLHS, 2)
+	q, _ := NewViolationRead(NewEngine(st.Snap(2)), sigma4, wIns.Rel, wIns.After, SeedLHS)
 
 	// A write to C is outside sigma4's relations entirely.
 	_, recC, _, _ := st.Insert(1, tup("C", c("Boston")))
@@ -78,7 +78,7 @@ func TestViolationReadInvisibleWriter(t *testing.T) {
 	st, set := fig2(t)
 	sigma4, _ := set.ByName("sigma4")
 	_, wIns, _, _ := st.Insert(2, tup("V", c("Syracuse"), c("Math Conf")))
-	q, _ := NewViolationRead(st, sigma4, wIns.Rel, wIns.After, SeedLHS, 2)
+	q, _ := NewViolationRead(NewEngine(st.Snap(2)), sigma4, wIns.Rel, wIns.After, SeedLHS)
 	// A write by update 7 is invisible to reader 2 and cannot affect it.
 	_, rec, _, _ := st.Insert(7, tup("T", c("Niagara Falls"), c("QQQ"), c("Syracuse")))
 	if q.AffectedBy(st, rec) {
@@ -93,7 +93,7 @@ func TestViolationReadRHSCompletionRemovesViolation(t *testing.T) {
 	sigma3, _ := set.ByName("sigma3")
 	// u2 inserts a tour with no review: a violation exists.
 	_, wIns, _, _ := st.Insert(2, tup("T", c("Niagara Falls"), c("ABC"), c("Buffalo")))
-	q, got := NewViolationRead(st, sigma3, wIns.Rel, wIns.After, SeedLHS, 2)
+	q, got := NewViolationRead(NewEngine(st.Snap(2)), sigma3, wIns.Rel, wIns.After, SeedLHS)
 	if len(got) != 1 {
 		t.Fatalf("violation expected, got %v", got)
 	}

@@ -40,7 +40,8 @@ type slotRun struct {
 }
 
 // getRun pops a pooled run shaped for the plan; witness and register
-// slices are reused across evaluations.
+// slices are reused across evaluations (the save area is sized on
+// demand, see rhsHolds).
 func (e *Engine) getRun(p *Plan) *slotRun {
 	var r *slotRun
 	if k := len(e.runPool); k > 0 {
@@ -55,10 +56,6 @@ func (e *Engine) getRun(p *Plan) *slotRun {
 		r.regs = make([]model.Value, len(p.slots))
 	}
 	r.regs = r.regs[:len(p.slots)]
-	if cap(r.save) < len(p.slots) {
-		r.save = make([]model.Value, len(p.slots))
-	}
-	r.save = r.save[:len(p.slots)]
 	n := len(p.lhs)
 	if len(p.rhs) > n {
 		n = len(p.rhs)
@@ -179,6 +176,11 @@ func rhsHolds(r *slotRun, bound uint64) bool {
 	rr := r.rhsRun
 	rr.found = false
 	clob := bound & r.p.rhsVarsMask &^ r.p.frontierMask
+	if clob != 0 && len(r.save) < len(r.regs) {
+		// Only a seed that binds an existential needs the save area;
+		// the chase's seeded queries never do.
+		r.save = make([]model.Value, len(r.regs))
+	}
 	for m := clob; m != 0; m &= m - 1 {
 		s := bits.TrailingZeros64(m)
 		r.save[s] = r.regs[s]

@@ -142,6 +142,18 @@ func (sn *Snapshot) epochForID(id TupleID) *relEpoch {
 // Reader returns the snapshot's reader priority.
 func (sn *Snapshot) Reader() int { return sn.reader }
 
+// RelSeq returns the relation's live stripe sequence number, exactly
+// as Backend.RelSeq on the backend the snapshot was taken from (0 for
+// an undeclared relation). Readers that hold only a snapshot capture
+// their per-relation read vectors through it.
+func (sn *Snapshot) RelSeq(rel string) int64 {
+	_, s := sn.stripeFor(rel)
+	if s == nil {
+		return 0
+	}
+	return s.seq.Load()
+}
+
 // WithMask returns a snapshot identical to sn but with the version
 // (writer, seq) hidden. Used to answer "what would this query return
 // had that write not happened?".

@@ -93,6 +93,7 @@ type TGD struct {
 	existVars []string        // z̄: RHS-only variables, in order
 	lhsRels   map[string]bool
 	rhsRels   map[string]bool
+	rels      []string // every relation, LHS first then RHS, no duplicates
 
 	// compiled caches the query layer's compiled plan for this mapping
 	// (an opaque pointer so tgd stays independent of internal/query).
@@ -133,13 +134,20 @@ func (t *TGD) init() {
 	t.rhsVars = make(map[string]bool)
 	t.lhsRels = make(map[string]bool)
 	t.rhsRels = make(map[string]bool)
+	t.rels = t.rels[:0]
 	for _, a := range t.LHS {
+		if !t.lhsRels[a.Rel] {
+			t.rels = append(t.rels, a.Rel)
+		}
 		t.lhsRels[a.Rel] = true
 		for _, v := range a.Vars() {
 			t.lhsVars[v] = true
 		}
 	}
 	for _, a := range t.RHS {
+		if !t.lhsRels[a.Rel] && !t.rhsRels[a.Rel] {
+			t.rels = append(t.rels, a.Rel)
+		}
 		t.rhsRels[a.Rel] = true
 		for _, v := range a.Vars() {
 			t.rhsVars[v] = true
@@ -190,24 +198,11 @@ func (t *TGD) UsesRelation(rel string) bool {
 
 // Relations returns every relation mentioned by the mapping, LHS first
 // then RHS, without duplicates. This is the relation set a COARSE
-// violation-query dependency is charged against (§5.1.1).
-func (t *TGD) Relations() []string {
-	var out []string
-	seen := make(map[string]bool)
-	for _, a := range t.LHS {
-		if !seen[a.Rel] {
-			seen[a.Rel] = true
-			out = append(out, a.Rel)
-		}
-	}
-	for _, a := range t.RHS {
-		if !seen[a.Rel] {
-			seen[a.Rel] = true
-			out = append(out, a.Rel)
-		}
-	}
-	return out
-}
+// violation-query dependency is charged against (§5.1.1). The slice is
+// computed once at construction and shared by every caller — the chase
+// asks for it on every violation query — so it is read-only: callers
+// that need to reorder or extend it must copy first.
+func (t *TGD) Relations() []string { return t.rels }
 
 // Validate checks the mapping against a schema: every atom's relation
 // must be declared with matching arity, both sides must be nonempty,

@@ -102,6 +102,18 @@ func TestTGDRelations(t *testing.T) {
 	if !sigma3.RHSRelations()["R"] {
 		t.Fatal("RHSRelations wrong")
 	}
+
+	// Computed once: a self-join or a relation on both sides is listed
+	// once, and asking again allocates nothing.
+	loop := New("loop",
+		[]Atom{NewAtom("E", V("x"), V("y")), NewAtom("E", V("y"), V("z"))},
+		[]Atom{NewAtom("E", V("x"), V("z")), NewAtom("P", V("x"))})
+	if got := loop.Relations(); len(got) != 2 || got[0] != "E" || got[1] != "P" {
+		t.Fatalf("loop.Relations = %v, want [E P]", got)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = sigma3.Relations() }); allocs != 0 {
+		t.Fatalf("Relations allocates %.0f per call", allocs)
+	}
 }
 
 func TestTGDString(t *testing.T) {
