@@ -78,6 +78,9 @@ func TestSerializabilityOnRandomUniverses(t *testing.T) {
 // bijective renaming of labeled nulls.
 func checkAgainstSerial(t *testing.T, st *storage.Store, u *workload.Universe, want map[string][]model.Tuple, label string) {
 	t.Helper()
+	if err := st.AuditIndexes(); err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
 	got := st.Snap(1 << 30).VisibleFacts()
 	qe := query.NewEngine(st.Snap(1 << 30))
 	if vs := qe.AllViolations(u.Mappings); len(vs) != 0 {

@@ -119,12 +119,13 @@ func (f *stepFixture) stepInsert(tb testing.TB, u *Update, t model.Tuple) int {
 }
 
 // TestStepAllocBudget pins what a chase step allocates on a warm
-// attempt, per planned insert and store included (the version record,
-// index buckets and content key are the storage layer's: 15 of the 27).
-// The bounds are the numbers achieved, 27 and 71, plus one for the
-// growth of the attempt's logs (reads, dedupe index, trace). At the
-// parent commit — a cold snapshot and engine per query, a rendered key
-// per read and per queue probe — the same inserts cost 66 and 157.
+// attempt, per planned insert and store included (the tuple and version
+// records and the posting lists of fresh values are the storage
+// layer's). The bounds are the numbers achieved, 12 and 40, plus one
+// for the growth of the attempt's logs (reads, dedupe index, trace).
+// With a Go map per indexed value and a rendered content key in the
+// store the same inserts cost 27 and 71; before the per-attempt query
+// context, 66 and 157.
 func TestStepAllocBudget(t *testing.T) {
 	for _, c := range []struct {
 		name  string
@@ -132,8 +133,8 @@ func TestStepAllocBudget(t *testing.T) {
 		steps int
 		bound float64
 	}{
-		{"no-violation insert", "R", 1, 28},
-		{"one-mapping forward repair", "A", 2, 72},
+		{"no-violation insert", "R", 1, 13},
+		{"one-mapping forward repair", "A", 2, 41},
 	} {
 		f := newStepFixture(t)
 		u := f.warmAttempt(t)

@@ -44,10 +44,11 @@ func (t Tuple) Equal(u Tuple) bool {
 }
 
 // Key returns a collision-free string encoding of the tuple, suitable
-// as a map key. Two tuples have equal keys iff Equal reports true.
+// as a map key. Two tuples have equal keys iff Equal reports true: the
+// parts are joined by NUL and a NUL inside a part is doubled.
 func (t Tuple) Key() string {
 	var b strings.Builder
-	b.WriteString(t.Rel)
+	b.WriteString(escapeKeySep(t.Rel))
 	for _, v := range t.Vals {
 		b.WriteByte(0)
 		b.WriteString(v.encode())

@@ -61,6 +61,13 @@ func TestTupleKeyUniqueness(t *testing.T) {
 		tupleOf("S", Const("a"), Const("b")),
 		tupleOf("R", Const("a\x00c"), Const("b")),
 		tupleOf("R", Const("a"), Const("c"), Const("b")),
+		// The separator byte inside a constant or a relation name must
+		// not read as a separator: these rendered alike before constants
+		// escaped it.
+		tupleOf("R", Const("a\x00cb"), Const("x")),
+		tupleOf("R", Const("a"), Const("b\x00cx")),
+		tupleOf("R", Const("a\x00"), Const("cb\x00cx")),
+		tupleOf("R\x00ca", Const("b\x00cx")),
 	}
 	seen := make(map[string]Tuple)
 	for _, tp := range distinct {

@@ -14,6 +14,7 @@ package model
 import (
 	"fmt"
 	"strconv"
+	"strings"
 	"sync/atomic"
 )
 
@@ -104,7 +105,14 @@ func (v Value) encode() string {
 	if v.kind == KindNull {
 		return "n" + strconv.FormatInt(v.id, 10)
 	}
-	return "c" + symString(v.id)
+	return "c" + escapeKeySep(symString(v.id))
+}
+
+// escapeKeySep doubles the tuple-key separator byte, NUL, inside a key
+// part, so that no part can render a separator followed by what looks
+// like the next part. A part without NUL is returned as it is.
+func escapeKeySep(s string) string {
+	return strings.ReplaceAll(s, "\x00", "\x00\x00")
 }
 
 // NullFactory mints fresh labeled nulls. It is safe for concurrent

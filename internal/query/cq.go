@@ -2,7 +2,7 @@ package query
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"youtopia/internal/model"
@@ -91,18 +91,24 @@ func (q *CQ) project(b Binding) model.Tuple {
 	return model.Tuple{Rel: q.Name, Vals: vals}
 }
 
-// dedupSort removes duplicate rows and orders them canonically.
+// dedupSort removes duplicate rows and orders them canonically, by
+// Tuple.Key, rendering each row's key once.
 func dedupSort(rows []model.Tuple) []model.Tuple {
-	seen := make(map[string]bool, len(rows))
+	type keyed struct {
+		key string
+		row model.Tuple
+	}
+	ks := make([]keyed, len(rows))
+	for i, r := range rows {
+		ks[i] = keyed{r.Key(), r}
+	}
+	slices.SortFunc(ks, func(a, b keyed) int { return strings.Compare(a.key, b.key) })
 	out := rows[:0]
-	for _, r := range rows {
-		k := r.Key()
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, r)
+	for i, k := range ks {
+		if i == 0 || k.key != ks[i-1].key {
+			out = append(out, k.row)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key() < out[j].Key() })
 	return out
 }
 

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"sort"
 	"testing"
 
 	"youtopia/internal/model"
@@ -184,6 +185,45 @@ func TestCQAnswersDeterministic(t *testing.T) {
 			if !again[j].Equal(first[j]) {
 				t.Fatal("nondeterministic answer order")
 			}
+		}
+	}
+}
+
+// TestDedupSortOrderAndDistinctRows: dedupSort renders each key once and
+// must still return what the render-per-comparison form returned — the
+// distinct rows in Key order — including rows whose constants contain
+// the key separator (two such rows rendered alike, and one was dropped,
+// before Tuple.Key escaped it).
+func TestDedupSortOrderAndDistinctRows(t *testing.T) {
+	rows := []model.Tuple{
+		tup("q", c("b"), n(2)),
+		tup("q", c("a\x00cb"), c("x")),
+		tup("q", c("a"), c("b\x00cx")),
+		tup("q", c("b"), n(2)),
+		tup("q", c("a"), c("b")),
+		tup("q", n(10), c("a")),
+		tup("q", c("a"), c("b")),
+		tup("q", n(9), c("a")),
+	}
+	var want []model.Tuple
+	seen := make(map[string]bool)
+	for _, r := range rows {
+		if !seen[r.Key()] {
+			seen[r.Key()] = true
+			want = append(want, r)
+		}
+	}
+	sort.Slice(want, func(i, j int) bool { return want[i].Key() < want[j].Key() })
+	if len(want) != 6 {
+		t.Fatalf("%d distinct rows by key, want 6", len(want))
+	}
+	got := dedupSort(append([]model.Tuple(nil), rows...))
+	if len(got) != len(want) {
+		t.Fatalf("dedupSort kept %d rows, want %d: %v", len(got), len(want), got)
+	}
+	for i := range got {
+		if !got[i].Equal(want[i]) {
+			t.Fatalf("row %d is %s, want %s", i, got[i], want[i])
 		}
 	}
 }

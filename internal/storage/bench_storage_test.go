@@ -104,3 +104,44 @@ func BenchmarkAbort(b *testing.B) {
 		b.StopTimer()
 	}
 }
+
+// BenchmarkStoreInsert is the write path the chase drives, as one mix:
+// each iteration is a writer that inserts eight fresh S tuples (three
+// value columns, the content index, values shared with the loaded
+// tuples), inserts one of them again (the set-semantics duplicate
+// check), reads what it wrote the way a violation query does (a value
+// probe and the relation's member list) and then commits or, every
+// fourth writer, aborts, which takes its tuples out of the indexes
+// again. Run with -benchmem.
+func BenchmarkStoreInsert(b *testing.B) {
+	st := benchStore(b, 1000)
+	fresh := make([]model.Tuple, 8*b.N)
+	for i := range fresh {
+		fresh[i] = tup("S",
+			c(fmt.Sprintf("code%d", i%50)),
+			c(fmt.Sprintf("loc%d", i%20)),
+			c(fmt.Sprintf("new%d", i)))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w, batch := i+1, fresh[8*i:8*i+8]
+		for _, t := range batch {
+			if _, _, _, err := st.Insert(w, t); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if _, _, inserted, _ := st.Insert(w, batch[3]); inserted {
+			b.Fatal("duplicate content inserted")
+		}
+		snap := st.Snap(w)
+		if len(snap.CandidatesByValue("S", 0, batch[0].Vals[0])) == 0 || len(snap.RelIDs("S")) == 0 {
+			b.Fatal("indexes lost the writer's tuples")
+		}
+		if i%4 == 3 {
+			st.Abort(w)
+		} else if err := st.Commit(w); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

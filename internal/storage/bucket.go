@@ -1,89 +1,75 @@
 package storage
 
-import (
-	"sort"
-	"sync"
-	"sync/atomic"
-)
+import "slices"
 
-// bucket is a multiset of tuple IDs (counting versions) with a cached
-// sorted view. Queries fetch candidate lists far more often than
-// writes change membership, so the sorted slice is memoized and only
-// invalidated when an ID enters or leaves the set — reference-count
-// changes for an existing member keep the cache.
+// bucket is a posting list: the IDs of the tuples indexed under one key
+// (a column value, a content hash, a labeled null, a relation), strictly
+// ascending. It is a set. A tuple belongs while at least one of its
+// versions carries the key; the store adds it with every such version
+// and removes it when an abort takes the last one away (unindexVersion
+// decides that from the version chain, so nothing is counted here).
 //
-// Membership mutation happens only under the store's write lock, but
-// the lazy rebuild in ids runs under the store's read lock, which many
-// goroutines may hold at once. The cached view is published through an
-// atomic pointer so cache hits — the common case — stay lock-free;
-// sortMu only serializes the rebuild itself. A rebuild always
-// allocates a fresh slice, so callers may keep reading a previously
-// returned slice after later invalidations.
+// ids returns the list itself — no copy, no lock — and callers keep
+// reading it after they release the stripe lock (RelIDs,
+// CandidatesByValue, the null index). The rule that keeps a returned
+// slice valid for ever: elements below a list's length are never
+// overwritten.
+//
+//   - A member larger than the last one is appended in place. IDs are
+//     minted ascending per stripe, so every fresh insert is this case;
+//     it writes only past the length a reader holds, and append copies
+//     when capacity runs out.
+//   - Any other new member (ReplaceNull giving an old tuple a new value,
+//     the cross-stripe null index, replay) gets a fresh array.
+//   - Removing the last member reslices with the capacity clamped to the
+//     new length, so the next append copies instead of reusing the slot;
+//     removing any other member (aborts only) gets a fresh array.
+//
+// Mutators hold the write lock that guards the bucket.
 type bucket struct {
-	counts map[TupleID]int
-
-	sortMu sync.Mutex
-	sorted atomic.Pointer[[]TupleID] // nil when stale
+	list []TupleID
+	// one backs the list of a bucket that has only ever had one member —
+	// most of them — so a singleton costs no second allocation. It is
+	// written once, while list is still nil.
+	one [1]TupleID
 }
 
-func newBucket() *bucket {
-	return &bucket{counts: make(map[TupleID]int)}
-}
-
-// add increments the count for id, invalidating the cache only on
-// fresh membership. Callers hold the store's write lock.
+// add makes id a member; adding a member again changes nothing.
 func (b *bucket) add(id TupleID) {
-	if b.counts[id] == 0 {
-		b.sorted.Store(nil)
+	n := len(b.list)
+	if n == 0 || id > b.list[n-1] {
+		if b.list == nil {
+			b.one[0] = id
+			b.list = b.one[:]
+		} else {
+			b.list = append(b.list, id)
+		}
+		return
 	}
-	b.counts[id]++
+	if i, found := slices.BinarySearch(b.list, id); !found {
+		b.list = slices.Concat(b.list[:i], []TupleID{id}, b.list[i:])
+	}
 }
 
-// remove decrements the count, dropping membership at zero. It
-// reports whether the bucket became empty. Callers hold the store's
-// write lock.
+// remove drops id, if it is a member, and reports whether the bucket is
+// now empty.
 func (b *bucket) remove(id TupleID) bool {
-	c, ok := b.counts[id]
-	if !ok {
-		return len(b.counts) == 0
+	i, found := slices.BinarySearch(b.list, id)
+	switch last := len(b.list) - 1; {
+	case !found:
+	case i == last:
+		b.list = b.list[:last:last]
+	default:
+		b.list = slices.Concat(b.list[:i], b.list[i+1:])
 	}
-	if c <= 1 {
-		delete(b.counts, id)
-		b.sorted.Store(nil)
-	} else {
-		b.counts[id] = c - 1
-	}
-	return len(b.counts) == 0
+	return len(b.list) == 0
 }
 
-// ids returns the member IDs in ascending order; the slice is shared
-// and must not be modified by callers. Callers hold the store's lock
-// (read or write).
+// ids returns the members in ascending order. The slice is shared:
+// callers must not modify it, and may keep it (see the type comment).
 func (b *bucket) ids() []TupleID {
 	if b == nil {
 		return nil
 	}
-	if p := b.sorted.Load(); p != nil {
-		return *p
-	}
-	b.sortMu.Lock()
-	defer b.sortMu.Unlock()
-	if p := b.sorted.Load(); p != nil {
-		return *p
-	}
-	s := make([]TupleID, 0, len(b.counts))
-	for id := range b.counts {
-		s = append(s, id)
-	}
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	b.sorted.Store(&s)
-	return s
-}
-
-// size returns the number of distinct members.
-func (b *bucket) size() int {
-	if b == nil {
-		return 0
-	}
-	return len(b.counts)
+	return b.list
 }

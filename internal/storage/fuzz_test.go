@@ -114,6 +114,8 @@ func FuzzStoreStripes(f *testing.F) {
 		}
 		finish(serial)
 
+		mustAudit(t, conc)
+		mustAudit(t, serial)
 		reader := 1 << 30
 		if got, want := conc.Dump(reader), serial.Dump(reader); got != want {
 			t.Fatalf("concurrent execution diverged from serial oracle\nconcurrent:\n%s\nserial:\n%s", got, want)

@@ -114,6 +114,7 @@ func TestStoreConcurrentStress(t *testing.T) {
 	if ws := st.UncommittedWrites(); len(ws) != 0 {
 		t.Fatalf("%d uncommitted writes survive the aborts", len(ws))
 	}
+	mustAudit(t, st)
 }
 
 // TestStoreConcurrentCommitAbort interleaves commits and aborts with
@@ -157,4 +158,5 @@ func TestStoreConcurrentCommitAbort(t *testing.T) {
 	if got := st.Snap(1 << 30).CountRel("R"); got != want {
 		t.Fatalf("committed R count = %d, want %d", got, want)
 	}
+	mustAudit(t, st)
 }

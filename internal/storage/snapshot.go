@@ -1,7 +1,7 @@
 package storage
 
 import (
-	"sort"
+	"slices"
 
 	"youtopia/internal/model"
 )
@@ -497,14 +497,14 @@ func (sn *Snapshot) LookupContent(t model.Tuple) []TupleID {
 	if sn.epoch != nil {
 		return sn.epochLookupContent(t)
 	}
-	_, s := sn.stripeFor(t.Rel)
+	st, s := sn.stripeFor(t.Rel)
 	if s == nil {
 		return nil
 	}
 	sn.rlock(s)
 	defer sn.runlock(s)
 	var out []TupleID
-	for _, id := range s.contentIdx[contentKey(t.Vals)].ids() {
+	for _, id := range s.contentIdx[st.contentHash(t.Vals)].ids() {
 		if vals, ok := sn.getInStripe(s, id); ok && (model.Tuple{Rel: t.Rel, Vals: vals}).Equal(t) {
 			out = append(out, id)
 		}
@@ -546,31 +546,24 @@ func (sn *Snapshot) ContainsContent(t model.Tuple) bool {
 	return len(sn.LookupContent(t)) > 0
 }
 
+// nullIDs returns the null index's list for x.
+func (st *Store) nullIDs(x model.Value) []TupleID {
+	st.nullMu.Lock()
+	defer st.nullMu.Unlock()
+	return st.nullIdx[x].ids()
+}
+
 // nullCandidates unions the partitions' null-index entries for x, in
-// ascending tuple-ID order (which clusters IDs by stripe). Each
-// partition's index has its own leaf mutex unless the snapshot was
-// minted under already-held locks.
+// ascending tuple-ID order (which clusters IDs by stripe).
 func (sn *Snapshot) nullCandidates(x model.Value) []TupleID {
 	if len(sn.stores) == 1 {
-		st := sn.stores[0]
-		if sn.noLock {
-			return st.nullIdx[x].ids()
-		}
-		st.nullMu.Lock()
-		defer st.nullMu.Unlock()
-		return st.nullIdx[x].ids()
+		return sn.stores[0].nullIDs(x)
 	}
 	var cands []TupleID
 	for _, st := range sn.stores {
-		if sn.noLock {
-			cands = append(cands, st.nullIdx[x].ids()...)
-			continue
-		}
-		st.nullMu.Lock()
-		cands = append(cands, st.nullIdx[x].ids()...)
-		st.nullMu.Unlock()
+		cands = append(cands, st.nullIDs(x)...)
 	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i] < cands[j] })
+	slices.Sort(cands)
 	return cands
 }
 
@@ -663,7 +656,7 @@ func (sn *Snapshot) MoreSpecific(t model.Tuple) []TupleID {
 		if !v.IsConst() {
 			continue
 		}
-		size := s.valIdx[i][v].size()
+		size := len(s.valIdx[i][v].ids())
 		if bestCol == -1 || size < bestSize {
 			bestCol, bestSize = i, size
 		}

@@ -167,15 +167,14 @@ type stripe struct {
 
 	nextLocal int64
 	tuples    map[TupleID]*tupleRec
-	ids       *bucket // members of the relation, visible or not
+	ids       bucket // members of the relation, visible or not
 
-	// valIdx[col][value] is a multiset of tuple IDs: the count of
-	// versions of that tuple carrying that value in that column. The
-	// index over-approximates; readers verify against their snapshot.
-	valIdx []map[model.Value]*bucket
-	// contentIdx[contentKey] is a multiset of tuple IDs with a version
-	// whose full content matches.
-	contentIdx map[string]*bucket
+	// valIdx[col][value] lists the tuples with a version carrying that
+	// value in that column, contentIdx[contentHash(vals)] those with a
+	// version of that content or of one that hashes alike. Both
+	// over-approximate; readers verify against their snapshot.
+	valIdx     []map[model.Value]*bucket
+	contentIdx map[uint64]*bucket
 
 	logs       map[int][]WriteRec // this relation's writes per writer
 	relWriters map[int]int        // live write counts per uncommitted writer
@@ -231,9 +230,13 @@ type Store struct {
 
 	// nullMu guards nullIdx; see the package comment for lock order.
 	nullMu sync.Mutex
-	// nullIdx[null] is a multiset of tuple IDs with a version
-	// containing the labeled null.
+	// nullIdx[null] lists the tuples with a version containing the
+	// labeled null.
 	nullIdx map[model.Value]*bucket
+
+	// contentHash keys the stripes' content indexes. It is a field only
+	// so that a test can substitute a colliding hash.
+	contentHash func([]model.Value) uint64
 
 	// commitMu guards committed and writerStripes.
 	commitMu  sync.RWMutex
@@ -292,6 +295,8 @@ func NewStore(schema *model.Schema) *Store {
 		nullIdx:   make(map[model.Value]*bucket),
 		committed: map[int]bool{0: true},
 
+		contentHash: contentHash,
+
 		writerStripes: make(map[int][]int),
 	}
 	st.self = []*Store{st}
@@ -304,9 +309,8 @@ func NewStore(schema *model.Schema) *Store {
 			rel:        name,
 			idx:        i,
 			tuples:     make(map[TupleID]*tupleRec),
-			ids:        newBucket(),
 			valIdx:     cols,
-			contentIdx: make(map[string]*bucket),
+			contentIdx: make(map[uint64]*bucket),
 			logs:       make(map[int][]WriteRec),
 			relWriters: make(map[int]int),
 		}
@@ -382,9 +386,15 @@ func (st *Store) noteNulls(vals []model.Value) {
 	}
 }
 
-func contentKey(vals []model.Value) string {
-	t := model.Tuple{Vals: vals}
-	return t.Key()[1:] // strip the empty relation prefix separator-free
+// contentHash folds a tuple's values into the key of the content
+// index (multiply-xorshift per word; the constant is splitmix64's).
+func contentHash(vals []model.Value) uint64 {
+	h := uint64(len(vals))
+	for _, v := range vals {
+		h = (h ^ v.Hash()) * 0xbf58476d1ce4e5b9
+		h ^= h >> 31
+	}
+	return h
 }
 
 // markUncommittedDirty invalidates the UncommittedWrites memo.
@@ -393,65 +403,74 @@ func (st *Store) markUncommittedDirty() {
 	st.uncommittedCache.Store(nil)
 }
 
-// indexNull adds (delta +1) or removes (delta -1) one null occurrence
-// of a tuple. Callers hold the owning stripe's write lock; nullMu is a
-// leaf below it.
-func (st *Store) indexNull(v model.Value, id TupleID, delta int) {
-	st.nullMu.Lock()
-	defer st.nullMu.Unlock()
-	nb := st.nullIdx[v]
-	if nb == nil {
-		if delta < 0 {
-			return
-		}
-		nb = newBucket()
-		st.nullIdx[v] = nb
+// post adds id to the posting list under key k of an index, creating
+// the list on first use; drop removes it and deletes a list that
+// empties. Callers hold the lock guarding m.
+func post[K comparable](m map[K]*bucket, k K, id TupleID) {
+	b := m[k]
+	if b == nil {
+		b = new(bucket)
+		m[k] = b
 	}
-	if delta > 0 {
-		nb.add(id)
-	} else if nb.remove(id) {
-		delete(st.nullIdx, v)
+	b.add(id)
+}
+
+func drop[K comparable](m map[K]*bucket, k K, id TupleID) {
+	if b := m[k]; b != nil && b.remove(id) {
+		delete(m, k)
 	}
 }
 
-// indexVersion adds (or with delta -1, removes) one version's values
-// to the stripe's secondary indexes and the global null index.
-// Callers hold the stripe's write lock.
-func (st *Store) indexVersion(s *stripe, id TupleID, vals []model.Value, delta int) {
+// indexVersion enters one version's values into the stripe's secondary
+// indexes and the global null index. Callers hold the stripe's write
+// lock; nullMu is a leaf below it.
+func (st *Store) indexVersion(s *stripe, id TupleID, vals []model.Value) {
 	if vals == nil {
 		return
 	}
 	for i, v := range vals {
-		vb := s.valIdx[i][v]
-		if vb == nil {
-			if delta < 0 {
-				continue
-			}
-			vb = newBucket()
-			s.valIdx[i][v] = vb
-		}
-		if delta > 0 {
-			vb.add(id)
-		} else if vb.remove(id) {
-			delete(s.valIdx[i], v)
-		}
+		post(s.valIdx[i], v, id)
 		if v.IsNull() {
-			st.indexNull(v, id, delta)
+			st.nullMu.Lock()
+			post(st.nullIdx, v, id)
+			st.nullMu.Unlock()
 		}
 	}
-	ck := contentKey(vals)
-	cb := s.contentIdx[ck]
-	if cb == nil {
-		if delta < 0 {
-			return
+	post(s.contentIdx, st.contentHash(vals), id)
+}
+
+// carries reports whether some version of the tuple has values that
+// satisfy has.
+func (tr *tupleRec) carries(has func(vals []model.Value) bool) bool {
+	for i := range tr.versions {
+		if vals := tr.versions[i].vals; vals != nil && has(vals) {
+			return true
 		}
-		cb = newBucket()
-		s.contentIdx[ck] = cb
 	}
-	if delta > 0 {
-		cb.add(id)
-	} else if cb.remove(id) {
-		delete(s.contentIdx, ck)
+	return false
+}
+
+// unindexVersion takes out of the indexes what a version that has just
+// left tr's chain put there and no remaining version of the tuple still
+// carries. Callers hold the stripe's write lock.
+func (st *Store) unindexVersion(s *stripe, tr *tupleRec, vals []model.Value) {
+	if vals == nil {
+		return
+	}
+	for i, v := range vals {
+		if !tr.carries(func(w []model.Value) bool { return w[i] == v }) {
+			drop(s.valIdx[i], v, tr.id)
+		}
+		if v.IsNull() && !tr.carries(func(w []model.Value) bool { return slices.Contains(w, v) }) {
+			st.nullMu.Lock()
+			drop(st.nullIdx, v, tr.id)
+			st.nullMu.Unlock()
+		}
+	}
+	// Keyed by hash, so it is the hash another version has to share.
+	h := st.contentHash(vals)
+	if !tr.carries(func(w []model.Value) bool { return st.contentHash(w) == h }) {
+		drop(s.contentIdx, h, tr.id)
 	}
 }
 
@@ -476,7 +495,7 @@ func (st *Store) insertVersion(s *stripe, rec *tupleRec, v version) {
 	rec.versions = append(rec.versions, version{})
 	copy(rec.versions[i+1:], rec.versions[i:])
 	rec.versions[i] = v
-	st.indexVersion(s, rec.id, v.vals, +1)
+	st.indexVersion(s, rec.id, v.vals)
 	s.seq.Store(v.seq)
 	// A version that is committed-visible the moment it lands — live
 	// writer-0 writes, recovery replay, checkpoint restore — makes
@@ -554,7 +573,7 @@ func (st *Store) Insert(writer int, t model.Tuple) (id TupleID, rec WriteRec, in
 func (st *Store) insertLocked(s *stripe, writer int, t model.Tuple) (id TupleID, rec WriteRec, inserted bool, err error) {
 	// Visible-duplicate check.
 	snap := st.snapLocked(writer)
-	for _, dupID := range s.contentIdx[contentKey(t.Vals)].ids() {
+	for _, dupID := range s.contentIdx[st.contentHash(t.Vals)].ids() {
 		if vals, ok := snap.getInStripe(s, dupID); ok && (model.Tuple{Rel: t.Rel, Vals: vals}).Equal(t) {
 			return dupID, WriteRec{}, false, nil
 		}
@@ -611,7 +630,7 @@ func (st *Store) DeleteContent(writer int, t model.Tuple) ([]WriteRec, error) {
 	defer s.unlock()
 	snap := st.snapLocked(writer)
 	var ids []TupleID
-	for _, id := range s.contentIdx[contentKey(t.Vals)].ids() {
+	for _, id := range s.contentIdx[st.contentHash(t.Vals)].ids() {
 		if vals, ok := snap.getInStripe(s, id); ok && (model.Tuple{Rel: t.Rel, Vals: vals}).Equal(t) {
 			ids = append(ids, id)
 		}
@@ -694,7 +713,7 @@ func replaceNullLocked(stores []*Store, writer int, x, to model.Value) []WriteRe
 		// check runs against the live store so that two tuples rewritten
 		// to the same content within one replacement also collapse.
 		collapsed := false
-		for _, dupID := range s.contentIdx[contentKey(newVals)].ids() {
+		for _, dupID := range s.contentIdx[owner.contentHash(newVals)].ids() {
 			if dupID == h.id {
 				continue
 			}
@@ -784,8 +803,8 @@ func (st *Store) abortLocked(writer int, stripes []int) {
 			for j := len(tr.versions) - 1; j >= 0; j-- {
 				v := tr.versions[j]
 				if v.writer == writer && v.seq == rec.Seq {
-					st.indexVersion(s, tr.id, v.vals, -1)
 					tr.versions = append(tr.versions[:j], tr.versions[j+1:]...)
+					st.unindexVersion(s, tr, v.vals)
 					break
 				}
 			}

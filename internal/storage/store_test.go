@@ -173,6 +173,7 @@ func TestReplaceNull(t *testing.T) {
 	if got := snap.TuplesWithNull(n(8)); len(got) != 1 || got[0] != idR {
 		t.Fatalf("x8 index wrong: %v", got)
 	}
+	mustAudit(t, st)
 }
 
 func TestReplaceNullErrors(t *testing.T) {
@@ -236,6 +237,7 @@ func TestAbortRestoresState(t *testing.T) {
 	if logs := st.WritesOf(2); len(logs) != 0 {
 		t.Fatalf("log survives abort: %v", logs)
 	}
+	mustAudit(t, st)
 }
 
 func TestAbortRandomizedInverse(t *testing.T) {
@@ -272,6 +274,7 @@ func TestAbortRandomizedInverse(t *testing.T) {
 			if include2 {
 				st.Abort(2)
 			}
+			mustAudit(t, st)
 			return st.Dump(1)
 		}
 		_ = rng

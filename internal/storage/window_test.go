@@ -113,6 +113,7 @@ func TestReplaceNullCollapsesDuplicates(t *testing.T) {
 	if got := snap.LookupContent(tup("C", c("Ithaca"))); len(got) != 1 {
 		t.Fatalf("duplicate content after collapse: %v", got)
 	}
+	mustAudit(t, st)
 }
 
 func TestReplaceNullCollapsesWithinBatch(t *testing.T) {
@@ -137,4 +138,5 @@ func TestReplaceNullCollapsesWithinBatch(t *testing.T) {
 	if got := st2.Snap(1).LookupContent(tup("R", n(7), c("v"))); len(got) != 1 {
 		t.Fatalf("copies = %v", got)
 	}
+	mustAudit(t, st2)
 }

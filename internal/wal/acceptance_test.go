@@ -213,6 +213,9 @@ func TestParallelCrashRecoveryAtEveryBatchBoundary(t *testing.T) {
 			t.Fatalf("boundary %d: recovered instance differs from oracle:\n got:\n%s\nwant:\n%s",
 				k, got, dumps[k])
 		}
+		if err := stK.AuditIndexes(); err != nil {
+			t.Fatalf("boundary %d: %v", k, err)
+		}
 	}
 }
 

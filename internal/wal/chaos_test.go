@@ -113,14 +113,23 @@ func TestChaosDurableWorkload(t *testing.T) {
 			if got := st2.Dump(allSeeing); got != final {
 				t.Fatalf("recovered instance differs from the acked one:\n got:\n%s\nwant:\n%s", got, final)
 			}
+			for _, s := range []*storage.Store{st, st2} {
+				if err := s.AuditIndexes(); err != nil {
+					t.Fatal(err)
+				}
+			}
 		})
 	}
 }
 
-// TestChaosNoSpaceWorkload runs the workload into a disk that fills
-// up mid-run: the log must degrade (not poison), epoch reads must
-// keep serving the acked state, and Resume after space returns must
-// take commits again.
+// TestChaosNoSpaceWorkload runs the workload into a disk that is full
+// from the workload's first log append on: the log must degrade (not
+// poison), epoch reads must keep serving the acked state, and Resume
+// after space returns must take commits again. The initial load is
+// durable before the schedule is installed, and the schedule lets no
+// append through: group commit can finish the whole workload in fewer
+// appends than an allowance of three, which made "the run failed"
+// depend on how commits happened to batch (1 run in 100).
 func TestChaosNoSpaceWorkload(t *testing.T) {
 	u := chaosUniverse(t)
 	dir := filepath.Join(t.TempDir(), "wal")
@@ -132,7 +141,7 @@ func TestChaosNoSpaceWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ffs.Script(chaostest.NoSpaceSchedule(3)...)
+	ffs.Script(chaostest.NoSpaceSchedule(0)...)
 	ffs.SetFreeBytes(0)
 
 	sched := cc.NewParallelScheduler(st, u.Mappings, cc.Config{

@@ -87,6 +87,9 @@ func TestAppendRecoverRoundTrip(t *testing.T) {
 	if got := st2.Dump(allSeeing); got != want {
 		t.Fatalf("recovered instance differs:\n got:\n%s\nwant:\n%s", got, want)
 	}
+	if err := st2.AuditIndexes(); err != nil {
+		t.Fatal(err)
+	}
 
 	// Recovered stores accept new writers numbered from 1: everything
 	// recovered was collapsed onto writer 0.
@@ -120,6 +123,9 @@ func TestRecoveredNullsKeepIdentity(t *testing.T) {
 	}
 	if got, want := st2.Dump(allSeeing), st.Dump(allSeeing); got != want {
 		t.Fatalf("null identity lost:\n got:\n%s\nwant:\n%s", got, want)
+	}
+	if err := st2.AuditIndexes(); err != nil {
+		t.Fatal(err)
 	}
 	if fresh := st2.FreshNull(); fresh == x {
 		t.Fatalf("recovered store re-minted null %s", fresh)
@@ -212,6 +218,9 @@ func TestCheckpointTruncatesSegments(t *testing.T) {
 	}
 	if got := st2.Dump(allSeeing); got != want {
 		t.Fatalf("checkpoint+tail recovery differs:\n got:\n%s\nwant:\n%s", got, want)
+	}
+	if err := st2.AuditIndexes(); err != nil {
+		t.Fatal(err)
 	}
 }
 
