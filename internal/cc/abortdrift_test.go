@@ -100,7 +100,7 @@ func driftFixture(t *testing.T) (storage.Backend, *Config, []*Txn, *query.Violat
 func TestAbortRemovalDriftAbortsStaleReader(t *testing.T) {
 	st, cfg, txns, _ := driftFixture(t)
 	var m Metrics
-	err := executeAbortWave(st, cfg, txns, []*Txn{txns[2]}, &m, func(tx *Txn) error {
+	err := executeAbortWave(st, cfg, txns, []*Txn{txns[2]}, &m, new(stepScratch), func(tx *Txn) error {
 		return rollbackTxn(st, cfg, tx, &m)
 	})
 	if err != nil {
@@ -133,16 +133,16 @@ func TestAbortRemovalDriftDetectedByQuery(t *testing.T) {
 	}
 	// Before the rollback the store still carries the deletion: the
 	// reconstruction has no violation and no drift.
-	if q.AffectedByRemoval(st, removed) {
+	if q.AffectedByRemoval(new(query.Checker), st, removed) {
 		t.Fatal("drift reported while the deletion is still in place")
 	}
 	st.Abort(3)
-	if !q.AffectedByRemoval(st, removed) {
+	if !q.AffectedByRemoval(new(query.Checker), st, removed) {
 		t.Fatal("drift not reported after the deletion was rolled back")
 	}
 	// A removal that cannot touch the mapping is filtered structurally.
 	irrelevant := []storage.WriteRec{{Writer: 3, Rel: "nope", Op: storage.OpInsert}}
-	if q.AffectedByRemoval(st, irrelevant) {
+	if q.AffectedByRemoval(new(query.Checker), st, irrelevant) {
 		t.Fatal("irrelevant removal reported as drift")
 	}
 }

@@ -74,13 +74,14 @@ func snapshotCandidatesInto(dst []conflictCandidate, txns []*Txn, writer int) []
 }
 
 // directConflicts checks one batch of writes against the candidates'
-// frozen read prefixes and returns the directly affected candidates in
-// candidate order (Algorithm 4's detection phase), attempts preserved
-// so a later exclusive phase can revalidate them. Counters accumulate
-// into m; in ModeFlag conflicts are only counted and nothing is
-// returned. Candidates whose attempt counter moved on since the
-// snapshot are skipped — their restarted reads postdate the writes.
-func directConflicts(store storage.Backend, cfg *Config, cands []conflictCandidate, writes []storage.WriteRec, m *Metrics) []conflictCandidate {
+// frozen read prefixes on the calling goroutine's checker and returns
+// the directly affected candidates in candidate order (Algorithm 4's
+// detection phase), attempts preserved so a later exclusive phase can
+// revalidate them. Counters accumulate into m; in ModeFlag conflicts
+// are only counted and nothing is returned. Candidates whose attempt
+// counter moved on since the snapshot are skipped — their restarted
+// reads postdate the writes.
+func directConflicts(store storage.Backend, cfg *Config, chk *query.Checker, cands []conflictCandidate, writes []storage.WriteRec, m *Metrics) []conflictCandidate {
 	if len(writes) == 0 {
 		return nil
 	}
@@ -93,7 +94,7 @@ func directConflicts(store storage.Backend, cfg *Config, cands []conflictCandida
 	scan:
 		for _, w := range writes {
 			for _, q := range c.prefix.Reads {
-				if q.AffectedBy(store, w) {
+				if q.AffectedBy(chk, store, w) {
 					m.DirectAbortRequests++
 					obsConflictDirect.Inc()
 					if cfg.Mode == ModeFlag {
@@ -116,66 +117,55 @@ func directConflicts(store storage.Backend, cfg *Config, cands []conflictCandida
 	return marked
 }
 
-// removalCandidate pairs a surviving transaction with its published
-// violation reads — the prefixes the abort-side drift check can act
-// on.
-type removalCandidate struct {
-	t     *Txn
-	reads []*query.ViolationRead
-}
-
-// removalCandidates collects, under the exclusive phase lock, the
-// uncommitted transactions outside the current wave whose live attempt
-// has published violation reads. This one filter feeds both the
-// should-we-snapshot-the-log decision and the drift checks themselves,
-// so the two can never drift apart. Empty in ModeFlag (nothing
-// aborts there). Only violation queries matter: structural queries are
-// covered by their state-independent write-side checks and the
-// dependencies the trackers record.
-func removalCandidates(cfg *Config, txns []*Txn, marked map[int]bool) []removalCandidate {
+// removalCandidatesInto appends to dst (a scratch buffer reset by the
+// caller), under the exclusive phase lock, the uncommitted transactions
+// outside the current wave whose live attempt has published a
+// violation read, each with its frozen read prefix. This one filter
+// feeds both the should-we-snapshot-the-log decision and the drift
+// checks themselves, so the two can never drift apart. Empty in
+// ModeFlag (nothing aborts there). Only violation queries matter:
+// structural queries are covered by their state-independent
+// write-side checks and the dependencies the trackers record.
+func removalCandidatesInto(dst []conflictCandidate, cfg *Config, txns []*Txn, marked map[int]bool) []conflictCandidate {
 	if cfg.Mode == ModeFlag {
-		return nil
+		return dst
 	}
-	var out []removalCandidate
 	for _, t := range txns {
 		if t.committed || marked[t.Number] {
 			continue
 		}
 		p := t.Upd.PublishedReads()
-		if t.Upd.Attempt != p.Attempt || len(p.Reads) == 0 {
+		if t.Upd.Attempt != p.Attempt {
 			continue
 		}
-		var reads []*query.ViolationRead
 		for _, q := range p.Reads {
-			if vq, ok := q.(*query.ViolationRead); ok {
-				reads = append(reads, vq)
+			if _, ok := q.(*query.ViolationRead); ok {
+				dst = append(dst, conflictCandidate{t: t, prefix: p})
+				break
 			}
 		}
-		if len(reads) > 0 {
-			out = append(out, removalCandidate{t: t, reads: reads})
-		}
 	}
-	return out
+	return dst
 }
 
 // abortConflicts is the abort-side half of conflict detection: after a
-// writer's rollback removed its writes, every candidate read prefix is
-// re-checked for drift (ViolationRead.AffectedByRemoval). A removal
-// can flip verdicts that write-side checks delivered honestly — the
-// check of a write evaluates the interference that existed at that
-// moment, and an abort takes part of it back without any later write
-// re-asking the question — so the removal itself must be processed as
-// a conflict event. Callers hold the exclusive phase lock; victims
-// marked since the candidates were collected are filtered by the
-// wave's enqueue.
-func abortConflicts(store storage.Backend, cands []removalCandidate, removed []storage.WriteRec, m *Metrics) []*Txn {
+// writer's rollback removed its writes, every candidate's violation
+// reads are re-checked for drift (ViolationRead.AffectedByRemoval) on
+// the calling goroutine's checker. A removal can flip verdicts that
+// write-side checks delivered honestly — the check of a write
+// evaluates the interference that existed at that moment, and an abort
+// takes part of it back without any later write re-asking the question
+// — so the removal itself must be processed as a conflict event.
+// Callers hold the exclusive phase lock; victims marked since the
+// candidates were collected are filtered by the wave's enqueue.
+func abortConflicts(store storage.Backend, chk *query.Checker, cands []conflictCandidate, removed []storage.WriteRec, m *Metrics) []*Txn {
 	if len(removed) == 0 {
 		return nil
 	}
 	var out []*Txn
 	for _, c := range cands {
-		for _, vq := range c.reads {
-			if vq.AffectedByRemoval(store, removed) {
+		for _, q := range c.prefix.Reads {
+			if vq, ok := q.(*query.ViolationRead); ok && vq.AffectedByRemoval(chk, store, removed) {
 				m.RemovalAbortRequests++
 				obsConflictRemoval.Inc()
 				out = append(out, c.t)
@@ -195,8 +185,9 @@ func abortConflicts(store storage.Backend, cands []removalCandidate, removed []s
 // so executions are deterministic given the same wave. The rollback
 // callback performs the actual rollback plus any scheduler-specific
 // bookkeeping; callers hold the exclusive phase lock, where dependency
-// sets and read prefixes are stable between rollbacks.
-func executeAbortWave(store storage.Backend, cfg *Config, txns []*Txn, direct []*Txn, m *Metrics, rollback func(*Txn) error) error {
+// sets and read prefixes are stable between rollbacks. The drift checks
+// run on sc's checker and collect into sc's candidate buffer.
+func executeAbortWave(store storage.Backend, cfg *Config, txns []*Txn, direct []*Txn, m *Metrics, sc *stepScratch, rollback func(*Txn) error) error {
 	if len(direct) == 0 {
 		return nil
 	}
@@ -231,30 +222,36 @@ func executeAbortWave(store storage.Backend, cfg *Config, txns []*Txn, direct []
 		}
 		// The victim's log is only worth snapshotting (a store-wide
 		// read-lock round) when some surviving prefix could act on it.
-		cands := removalCandidates(cfg, txns, marked)
+		sc.removal = removalCandidatesInto(sc.removal[:0], cfg, txns, marked)
 		var removed []storage.WriteRec
-		if len(cands) > 0 {
+		if len(sc.removal) > 0 {
 			removed = store.WritesOf(n)
 		}
 		if err := rollback(t); err != nil {
 			return err
 		}
-		for _, v := range abortConflicts(store, cands, removed, m) {
+		for _, v := range abortConflicts(store, &sc.chk, sc.removal, removed, m) {
 			enqueue(v)
 		}
 	}
 	return nil
 }
 
-// stepScratch holds the reusable buffers of one conflict-processing
+// stepScratch holds the reusable state of one conflict-processing
 // pipeline: the candidate collection, the redo collection of the
-// exclusive revalidation phase, and the written-relation sequence
-// snapshot. Each scheduler goroutine owns one, so steady-state steps
-// (no conflicts) allocate nothing on the coordination path.
+// exclusive revalidation phase, the written-relation sequence
+// snapshot, the abort wave's drift candidates, the trackers' write-log
+// scan buffer, and the checker every conflict check of the goroutine
+// runs on. Each scheduler goroutine owns one, so steady-state steps
+// (no conflicts) allocate nothing on the coordination path. The
+// checker is never pooled and never an update attempt's query context.
 type stepScratch struct {
-	cands []conflictCandidate
-	redo  []conflictCandidate
-	rels  []relSeq
+	cands   []conflictCandidate
+	redo    []conflictCandidate
+	rels    []relSeq
+	removal []conflictCandidate
+	log     []storage.WriteRec
+	chk     query.Checker
 }
 
 // relSeq records one written relation's stripe sequence number at
@@ -297,7 +294,7 @@ func collectDirect(store storage.Backend, cfg *Config, txns []*Txn, writes []sto
 		return nil
 	}
 	scratch.cands = snapshotCandidatesInto(scratch.cands[:0], txns, writes[0].Writer)
-	direct := directConflicts(store, cfg, scratch.cands, writes, m)
+	direct := directConflicts(store, cfg, &scratch.chk, scratch.cands, writes, m)
 	if len(direct) == 0 {
 		return nil
 	}
@@ -331,7 +328,7 @@ func rollbackTxn(store storage.Backend, cfg *Config, t *Txn, m *Metrics) error {
 	}
 	m.FrontierRequests += t.Upd.Stats.FrontierRequests
 	store.Abort(t.Number)
-	t.deps = make(map[int]bool)
+	clear(t.deps)
 	t.Upd.Reset()
 	return nil
 }

@@ -53,7 +53,7 @@ func TestDirectConflictsDisjointRelations(t *testing.T) {
 	if len(cands) != 1 {
 		t.Fatalf("candidates = %d, want 1", len(cands))
 	}
-	if marked := directConflicts(st, cfg, cands, []storage.WriteRec{w}, &m); len(marked) != 0 {
+	if marked := directConflicts(st, cfg, new(query.Checker), cands, []storage.WriteRec{w}, &m); len(marked) != 0 {
 		t.Fatalf("disjoint write marked %d victims", len(marked))
 	}
 	if m.DirectAbortRequests != 0 {
@@ -77,7 +77,7 @@ func TestDirectConflictsOverlappingRelations(t *testing.T) {
 
 	var m Metrics
 	cands := snapshotCandidatesInto(nil, []*Txn{reader}, 1)
-	marked := directConflicts(st, cfg, cands, []storage.WriteRec{w}, &m)
+	marked := directConflicts(st, cfg, new(query.Checker), cands, []storage.WriteRec{w}, &m)
 	if len(marked) != 1 || marked[0].t.Number != 2 {
 		t.Fatalf("overlapping write marked %v, want txn 2", marked)
 	}
@@ -103,7 +103,7 @@ func TestDirectConflictsInvisibleWriter(t *testing.T) {
 	// snapshotCandidates already filters by priority; check the query
 	// layer agrees if forced through.
 	cands := []conflictCandidate{{t: reader, prefix: reader.Upd.PublishedReads()}}
-	if marked := directConflicts(st, cfg, cands, []storage.WriteRec{w}, &m); len(marked) != 0 {
+	if marked := directConflicts(st, cfg, new(query.Checker), cands, []storage.WriteRec{w}, &m); len(marked) != 0 {
 		t.Fatalf("invisible write marked %v", marked)
 	}
 	if got := snapshotCandidatesInto(nil, []*Txn{reader}, 3); len(got) != 0 {
@@ -128,7 +128,7 @@ func TestDirectConflictsSkipsRestartedAttempt(t *testing.T) {
 	// new attempt and must be ignored.
 	reader.Upd.Reset()
 	var m Metrics
-	if marked := directConflicts(st, cfg, cands, []storage.WriteRec{w}, &m); len(marked) != 0 {
+	if marked := directConflicts(st, cfg, new(query.Checker), cands, []storage.WriteRec{w}, &m); len(marked) != 0 {
 		t.Fatalf("restarted attempt still marked: %v", marked)
 	}
 	if m.DirectAbortRequests != 0 {
@@ -162,7 +162,7 @@ func TestDirectConflictsViolationReadRelations(t *testing.T) {
 		t.Fatal(err)
 	}
 	var m Metrics
-	if marked := directConflicts(st, cfg, cands, []storage.WriteRec{wT}, &m); len(marked) != 0 {
+	if marked := directConflicts(st, cfg, new(query.Checker), cands, []storage.WriteRec{wT}, &m); len(marked) != 0 {
 		t.Fatalf("disjoint T write marked %v", marked)
 	}
 
@@ -172,7 +172,7 @@ func TestDirectConflictsViolationReadRelations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	marked := directConflicts(st, cfg, cands, []storage.WriteRec{wR}, &m)
+	marked := directConflicts(st, cfg, new(query.Checker), cands, []storage.WriteRec{wR}, &m)
 	if len(marked) != 1 {
 		t.Fatalf("overlapping R write marked %d victims, want 1", len(marked))
 	}

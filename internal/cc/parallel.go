@@ -337,14 +337,18 @@ func (s *ParallelScheduler) Run(ops []chase.Op) (Metrics, error) {
 }
 
 // workerLoop pulls and executes work items until the run completes or
-// fails. Each worker owns a conflict-processing scratch, so
-// steady-state steps allocate nothing on the coordination path.
+// fails. Each worker owns a conflict-processing scratch — its checker
+// included — so steady-state steps allocate nothing on the
+// coordination path; a claimed txn's reads reach it through t.sc.
 func (s *ParallelScheduler) workerLoop() {
 	var scratch stepScratch
 	for {
 		kind, t, ok := s.next()
 		if !ok {
 			return
+		}
+		if t != nil {
+			t.sc = &scratch
 		}
 		var progressed bool
 		var err error
@@ -532,7 +536,7 @@ func (s *ParallelScheduler) processWritesDeferred(t *Txn, attempt int, writes []
 	if t.Upd.Attempt == attempt {
 		// Our writes are still in place (a rolled-back batch cannot
 		// retroactively change anyone's answers).
-		marked = directConflicts(s.store, &s.cfg, cands, writes, &delta)
+		marked = directConflicts(s.store, &s.cfg, &scratch.chk, cands, writes, &delta)
 	}
 	s.gmu.RUnlock()
 	if len(marked) == 0 {
@@ -563,7 +567,7 @@ func (s *ParallelScheduler) processWritesDeferred(t *Txn, attempt int, writes []
 	if stale {
 		delta = Metrics{}
 		scratch.redo = snapshotCandidatesInto(scratch.redo[:0], s.txns, t.Number)
-		marked = directConflicts(s.store, &s.cfg, scratch.redo, writes, &delta)
+		marked = directConflicts(s.store, &s.cfg, &scratch.chk, scratch.redo, writes, &delta)
 	}
 	// Revalidate: a victim whose attempt counter moved on (or that
 	// committed) restarted after our writes, so its fresh reads already
@@ -577,7 +581,7 @@ func (s *ParallelScheduler) processWritesDeferred(t *Txn, attempt int, writes []
 			victims = append(victims, c.t)
 		}
 	}
-	err := executeAbortWave(s.store, &s.cfg, s.txns, victims, &delta, s.abortLocked)
+	err := executeAbortWave(s.store, &s.cfg, s.txns, victims, &delta, scratch, s.abortLocked)
 	s.bumpConflictMetrics(delta)
 	return err
 }

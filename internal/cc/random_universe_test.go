@@ -167,6 +167,52 @@ func TestParallelSerializabilityOnRandomUniverses(t *testing.T) {
 	}
 }
 
+// TestParallelCheckersPerWorker: four workers, each stepping txns whose
+// reads — PRECISE's dependency checks included — run on the worker's
+// own checker, stay serial-equivalent (under -race, a checker shared
+// between workers is a reported race), and a run's txns name at most
+// one checker per worker.
+func TestParallelCheckersPerWorker(t *testing.T) {
+	cfg := goldenUniverses[1].cfg
+	cfg.Seed = 2
+	u, err := workload.Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := u.GenOpsSeeded(902)
+	stSerial, err := u.NewStore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := serial.Execute(stSerial, u.Mappings, ops, simuser.New(2)); err != nil {
+		t.Fatal(err)
+	}
+	want := stSerial.Snap(1 << 30).VisibleFacts()
+	const workers = 4
+	for _, tr := range []cc.Tracker{cc.Coarse{}, cc.Precise{}} {
+		st, err := u.NewStore()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sched := cc.NewParallelScheduler(st, u.Mappings, cc.Config{
+			Tracker: tr, User: simuser.New(2), MaxAbortsPerUpdate: 1000, Workers: workers,
+		})
+		if _, err := sched.Run(ops); err != nil {
+			t.Fatalf("%s: %v", tr.Name(), err)
+		}
+		checkAgainstSerial(t, st, u, want, "4 workers "+tr.Name())
+		checkers := map[*query.Checker]bool{}
+		for _, txn := range sched.Txns() {
+			if c := cc.CheckerOf(txn); c != nil {
+				checkers[c] = true
+			}
+		}
+		if len(checkers) == 0 || len(checkers) > workers {
+			t.Fatalf("%s: txns ran on %d checkers, want 1..%d", tr.Name(), len(checkers), workers)
+		}
+	}
+}
+
 // TestParallelEquivalenceOnDuplicateHeavySeeds regresses a conflict
 // hole the striped-store PR fixed: pool-constant seed batches carry
 // many content-identical inserts, and a successful insert that a

@@ -28,6 +28,10 @@ type Txn struct {
 	committed bool
 	// aborts counts how many times this txn has aborted.
 	aborts int
+	// sc is the scratch of the goroutine stepping the txn, set by the
+	// scheduler before each step: the trackers' OnRead reaches that
+	// goroutine's checker and scan buffer through it.
+	sc *stepScratch
 }
 
 // Deps returns the recorded read dependencies, for inspection.
@@ -311,7 +315,7 @@ func (s *Scheduler) Run(ops []chase.Op) (Metrics, error) {
 	s.txns = make([]*Txn, len(ops))
 	for i, op := range ops {
 		u := chase.NewUpdate(i+1, op)
-		s.txns[i] = &Txn{Upd: u, Number: i + 1, deps: make(map[int]bool)}
+		s.txns[i] = &Txn{Upd: u, Number: i + 1, deps: make(map[int]bool), sc: &s.scratch}
 		s.cfg.Trace.Note(i+1, "submit")
 	}
 	s.m.Submitted = len(ops)
@@ -665,7 +669,7 @@ func (s *Scheduler) processWrites(writes []storage.WriteRec) error {
 	if s.cfg.Trace.Enabled() && len(writes) > 0 {
 		s.cfg.Trace.Span(writes[0].Writer, "conflict_check", checkStart)
 	}
-	return executeAbortWave(s.store, &s.cfg, s.txns, direct, &s.m, func(t *Txn) error {
+	return executeAbortWave(s.store, &s.cfg, s.txns, direct, &s.m, &s.scratch, func(t *Txn) error {
 		// A parked victim's question is void — its attempt restarts from
 		// scratch — so the inbox entry goes with the rollback.
 		if s.cfg.Inbox != nil {

@@ -67,42 +67,41 @@ type Coarse struct{}
 // Name implements Tracker.
 func (Coarse) Name() string { return "COARSE" }
 
-// OnRead implements Tracker.
+// OnRead implements Tracker. A violation query depends on every
+// uncommitted writer into its relations; a correction or content query
+// on exactly the writers whose writes change its answer.
 func (Coarse) OnRead(st storage.Backend, u *Txn, q query.ReadQuery) {
-	if q.Kind() == query.KindViolation {
-		for _, rel := range q.Relations() {
-			for _, w := range st.UncommittedWritersOf(rel) {
-				u.addDep(w)
-			}
-		}
-		return
-	}
-	for _, w := range relevantUncommitted(st, q) {
-		if w.Writer != u.Number && q.AffectedBy(st, w) {
+	sc := u.sc
+	sc.log = appendRelevant(sc.log[:0], st, q)
+	violation := q.Kind() == query.KindViolation
+	for _, w := range sc.log {
+		if violation || (w.Writer != u.Number && q.AffectedBy(&sc.chk, st, w)) {
 			u.addDep(w.Writer)
 		}
 	}
 }
 
-// relevantUncommitted returns the uncommitted writes a read query's
-// AffectedBy could possibly match: queries that name their relations
-// (content, more-specific, violation) can only be affected by writes
-// into those relations, so only the matching stripes' log shards are
-// scanned; relation-less queries (null occurrence) fall back to the
-// full memoized list.
-func relevantUncommitted(st storage.Backend, q query.ReadQuery) []storage.WriteRec {
+// appendRelevant appends to dst, through the one write-log scan, the
+// uncommitted writes a read query's AffectedBy could possibly match:
+// writes into the query's relation (content, more-specific) or its
+// mapping's relations (violation), or every write for the
+// relation-less null-occurrence query. Order is irrelevant — the
+// trackers derive a dependency set.
+func appendRelevant(dst []storage.WriteRec, st storage.Backend, q query.ReadQuery) []storage.WriteRec {
+	switch r := q.(type) {
+	case *query.ContentRead:
+		return st.AppendUncommittedWrites(dst, r.Rel)
+	case *query.MoreSpecificRead:
+		return st.AppendUncommittedWrites(dst, r.Rel)
+	}
 	rels := q.Relations()
 	if rels == nil {
-		return st.UncommittedWrites()
+		return st.AppendUncommittedWrites(dst, "")
 	}
-	if len(rels) == 1 {
-		return st.UncommittedWritesOf(rels[0])
-	}
-	var out []storage.WriteRec
 	for _, rel := range rels {
-		out = append(out, st.UncommittedWritesOf(rel)...)
+		dst = st.AppendUncommittedWrites(dst, rel)
 	}
-	return out
+	return dst
 }
 
 // Cascade implements Tracker: txns whose recorded dependencies include
@@ -121,16 +120,19 @@ type Precise struct{}
 // Name implements Tracker.
 func (Precise) Name() string { return "PRECISE" }
 
-// OnRead implements Tracker.
+// OnRead implements Tracker. Violation queries are checked on the
+// stepping goroutine's checker.
 func (Precise) OnRead(st storage.Backend, u *Txn, q query.ReadQuery) {
-	for _, w := range relevantUncommitted(st, q) {
+	sc := u.sc
+	sc.log = appendRelevant(sc.log[:0], st, q)
+	for _, w := range sc.log {
 		if w.Writer == u.Number {
 			continue
 		}
 		if u.deps[w.Writer] {
 			continue // already dependent; skip the expensive check
 		}
-		if q.AffectedBy(st, w) {
+		if q.AffectedBy(&sc.chk, st, w) {
 			u.addDep(w.Writer)
 		}
 	}

@@ -3,6 +3,8 @@ package chase
 import (
 	"errors"
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 
@@ -92,13 +94,21 @@ var (
 // that). Reconfirmation is deliberately not enumerated — it is an
 // explicit-intent extension operation — but Apply accepts it.
 func (e *Engine) Options(u *Update, g *FrontierGroup) []Decision {
-	var out []Decision
 	if g.Positive {
+		var out []Decision
 		snap := e.queryContext(u).Snapshot()
 		for idx, t := range g.Tuples {
-			out = append(out, Decision{Kind: DecideExpand, TupleIdx: idx})
 			e.record(u, &query.MoreSpecificRead{Rel: t.Rel, Pattern: t.Vals, ReaderNo: u.Number})
 			targets := snap.MoreSpecific(t)
+			out = slices.Grow(out, 1+len(targets))
+			out = append(out, Decision{Kind: DecideExpand, TupleIdx: idx})
+			if len(targets) < 2 {
+				// One target or none: nothing to order canonically.
+				for _, id := range targets {
+					out = append(out, Decision{Kind: DecideUnify, TupleIdx: idx, Target: id})
+				}
+				continue
+			}
 			type cand struct {
 				id    storage.TupleID
 				canon string
@@ -125,8 +135,9 @@ func (e *Engine) Options(u *Update, g *FrontierGroup) []Decision {
 	}
 	k := len(g.Candidates)
 	if k <= 6 {
+		out := make([]Decision, 0, 1<<k-1)
 		for mask := 1; mask < 1<<k; mask++ {
-			var subset []storage.TupleID
+			subset := make([]storage.TupleID, 0, bits.OnesCount(uint(mask)))
 			for i := 0; i < k; i++ {
 				if mask&(1<<i) != 0 {
 					subset = append(subset, g.Candidates[i])
@@ -136,6 +147,7 @@ func (e *Engine) Options(u *Update, g *FrontierGroup) []Decision {
 		}
 		return out
 	}
+	out := make([]Decision, 0, k)
 	for _, id := range g.Candidates {
 		out = append(out, Decision{Kind: DecideDelete, Subset: []storage.TupleID{id}})
 	}

@@ -176,9 +176,11 @@ func BenchmarkViolationReadAffectedBy(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	var chk Checker
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if !q.AffectedBy(st, w1) {
+		if !q.AffectedBy(&chk, st, w1) {
 			b.Fatal("must be affected")
 		}
 	}

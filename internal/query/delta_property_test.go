@@ -165,7 +165,7 @@ func TestAffectedByAgreesWithRecomputation(t *testing.T) {
 			w2 = recs[0]
 		}
 
-		got := q.AffectedBy(st, w2)
+		got := q.AffectedBy(new(Checker), st, w2)
 		// Brute force: answer as of read time + interference window,
 		// with the read time expressed as one global ceiling captured
 		// independently of the query's per-relation vector. This

@@ -642,7 +642,8 @@ func (e *Engine) Violations(t *tgd.TGD, seed Binding) []Violation {
 	if p := PlanFor(t); e.useCompiled(p) {
 		lr, rr := e.getRun(p), e.getRun(p)
 		if mask, ok := p.seedMask(seed, lr.regs); ok {
-			e.violationJoin(p, lr, rr, mask, false)
+			lr.fn, lr.vout = srViolation, &e.vout
+			e.violationJoin(p, lr, rr, mask)
 			e.putRun(rr)
 			e.putRun(lr)
 			out := e.vout
@@ -661,20 +662,47 @@ func (e *Engine) Violations(t *tgd.TGD, seed Binding) []Violation {
 	return out
 }
 
-// violationJoin wires the LHS enumeration run lr and the nested RHS
-// probe run rr (sharing lr's register file) and collects violations
-// extending the seed shape into e.vout (see the field comment for why
-// collection goes through the engine rather than a caller local).
-func (e *Engine) violationJoin(p *Plan, lr, rr *slotRun, mask uint64, dedup bool) {
+// violationJoin wires the LHS enumeration run lr — whose callback the
+// caller has set: collect into e.vout (see the field comment for why
+// collection goes through the engine rather than a caller local), stop
+// at the first violation, or compare against a recorded answer — to the
+// nested RHS probe run rr (sharing lr's register file), and enumerates
+// the LHS matches extending the seed shape. It reports false when the
+// callback stopped the enumeration.
+func (e *Engine) violationJoin(p *Plan, lr, rr *slotRun, mask uint64) bool {
 	lr.side(false, mask)
-	lr.fn = srViolation
-	lr.dedup = dedup
-	lr.vout = &e.vout
 	rr.regs = lr.regs
 	rr.side(true, p.frontierMask)
 	rr.fn = srExists
 	lr.rhsRun = rr
-	lr.rec(0, mask)
+	return lr.rec(0, mask)
+}
+
+// seededJoin runs violationJoin over the seed shapes of the §4.2
+// seeded query — the written values unified into each LHS atom over
+// rel, and/or into each RHS atom over rel keeping only the frontier —
+// until lr's callback stops the enumeration.
+func (e *Engine) seededJoin(p *Plan, lr, rr *slotRun, rel string, vals []model.Value, side Side) {
+	if side == SeedLHS || side == SeedBoth {
+		for i := range p.lhs {
+			if p.lhs[i].rel != rel {
+				continue
+			}
+			if mask, ok := unifyRegs(vals, &p.lhs[i], lr.regs, 0); ok && !e.violationJoin(p, lr, rr, mask) {
+				return
+			}
+		}
+	}
+	if side == SeedRHS || side == SeedBoth {
+		for i := range p.rhs {
+			if p.rhs[i].rel != rel {
+				continue
+			}
+			if mask, ok := unifyRegs(vals, &p.rhs[i], lr.regs, 0); ok && !e.violationJoin(p, lr, rr, mask&p.frontierMask) {
+				return
+			}
+		}
+	}
 }
 
 // Side selects which atoms of a mapping a seeded violation query
@@ -759,37 +787,41 @@ func (e *Engine) violationsSeededCompiled(p *Plan, rel string, vals []model.Valu
 	defer e.flushObs()
 	clear(e.seen)
 	lr, rr := e.getRun(p), e.getRun(p)
-	if side == SeedLHS || side == SeedBoth {
-		for i := range p.lhs {
-			a := &p.lhs[i]
-			if a.rel != rel {
-				continue
-			}
-			mask, ok := unifyRegs(vals, a, lr.regs, 0)
-			if !ok {
-				continue
-			}
-			e.violationJoin(p, lr, rr, mask, true)
-		}
-	}
-	if side == SeedRHS || side == SeedBoth {
-		for i := range p.rhs {
-			a := &p.rhs[i]
-			if a.rel != rel {
-				continue
-			}
-			mask, ok := unifyRegs(vals, a, lr.regs, 0)
-			if !ok {
-				continue
-			}
-			e.violationJoin(p, lr, rr, mask&p.frontierMask, true)
-		}
-	}
+	lr.fn, lr.dedup, lr.vout = srViolation, true, &e.vout
+	e.seededJoin(p, lr, rr, rel, vals, side)
 	e.putRun(rr)
 	e.putRun(lr)
 	out := e.vout
 	e.vout = nil
 	return out
+}
+
+// answerDiffers reports whether a stored violation query's answer on
+// the engine's snapshot differs from its recorded Answer, materialising
+// no more than the comparison needs: an empty Answer is an existence
+// probe that stops at the first violation, a single-violation Answer is
+// compared violation by violation in the key buffer, and only a
+// multi-violation Answer — or a mapping the slot runtime cannot hold —
+// is evaluated and rendered in full.
+func (e *Engine) answerDiffers(q *ViolationRead) bool {
+	p := PlanFor(q.TGD)
+	if q.multi || !e.useCompiled(p) {
+		return e.canonViolations(q.eval(e)) != q.Answer
+	}
+	defer e.flushObs()
+	lr, rr := e.getRun(p), e.getRun(p)
+	lr.found = false
+	lr.fn = srFirstViolation
+	if q.Answer != "" {
+		lr.fn, lr.answer = srSameAnswer, q.Answer
+	}
+	e.seededJoin(p, lr, rr, q.SeedRel, q.SeedVals, q.SeedSide)
+	// An empty answer changed once a violation exists; a singleton
+	// unless the recorded violation, and only it, was found.
+	differs := lr.found == (q.Answer == "")
+	e.putRun(rr)
+	e.putRun(lr)
+	return differs
 }
 
 // Recheck re-evaluates one recorded violation against the snapshot: its
@@ -867,14 +899,9 @@ func (e *Engine) Satisfied(set *tgd.Set) bool {
 		violated := false
 		if p := PlanFor(t); e.useCompiled(p) {
 			lr, rr := e.getRun(p), e.getRun(p)
-			lr.side(false, 0)
 			lr.fn = srFirstViolation
 			lr.found = false
-			rr.regs = lr.regs
-			rr.side(true, p.frontierMask)
-			rr.fn = srExists
-			lr.rhsRun = rr
-			lr.rec(0, 0)
+			e.violationJoin(p, lr, rr, 0)
 			violated = lr.found
 			e.putRun(rr)
 			e.putRun(lr)

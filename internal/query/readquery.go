@@ -73,8 +73,9 @@ type ReadQuery interface {
 	// AffectedBy reports whether the given write, already applied to
 	// the store, retroactively changes this query's answer as seen by
 	// the reader. Writes that are invisible to the reader never affect
-	// the answer.
-	AffectedBy(st storage.Backend, w storage.WriteRec) bool
+	// the answer. Only the violation query evaluates anything; it runs
+	// on the calling goroutine's checker.
+	AffectedBy(c *Checker, st storage.Backend, w storage.WriteRec) bool
 	// String renders the query for diagnostics.
 	String() string
 }
@@ -99,8 +100,11 @@ type ViolationRead struct {
 	// re-evaluation used by AffectedBy reproduces the same query.
 	SeedSide Side
 	ReaderNo int
-	// Answer is the canonical rendering of the violations read.
+	// Answer is the canonical rendering of the violations read; multi
+	// marks an Answer of two or more violations, the one shape a
+	// conflict check compares by rendering rather than in place.
 	Answer string
+	multi  bool
 	// ReadSeqs is the per-relation read vector: for every relation the
 	// mapping ranges over, the relation's stripe sequence number when
 	// the read happened. Two reads of the same seeded query with equal
@@ -138,7 +142,7 @@ func NewViolationRead(e *Engine, t *tgd.TGD, seedRel string, seedVals []model.Va
 		ReadSeqs: seqs,
 	}
 	vs := q.eval(e)
-	q.Answer = e.canonViolations(vs)
+	q.Answer, q.multi = e.canonViolations(vs), len(vs) > 1
 	return q, vs
 }
 
@@ -209,16 +213,9 @@ func mayTouch(t *tgd.TGD, rel string, vals []model.Value) bool {
 	if vals == nil {
 		return false
 	}
-	for _, a := range t.LHS {
-		if a.Rel == rel {
-			if _, ok := unifyValsAtom(vals, a, Binding{}); ok {
-				return true
-			}
-		}
-	}
-	for _, a := range t.RHS {
-		if a.Rel == rel {
-			if _, ok := unifyValsAtom(vals, a, Binding{}); ok {
+	for _, atoms := range [2][]tgd.Atom{t.LHS, t.RHS} {
+		for _, a := range atoms {
+			if a.Rel == rel && unifiable(vals, a) {
 				return true
 			}
 		}
@@ -226,11 +223,47 @@ func mayTouch(t *tgd.TGD, rel string, vals []model.Value) bool {
 	return false
 }
 
-// answerCanon renders the full answer of the stored query on a
-// snapshot, canonically.
-func (q *ViolationRead) answerCanon(snap *storage.Snapshot) string {
-	e := NewEngine(snap)
-	return e.canonViolations(q.eval(e))
+// unifiable is unifyValsAtom's verdict against an empty binding,
+// decided in place: constants match and a variable repeated within the
+// atom meets equal values.
+func unifiable(vals []model.Value, a tgd.Atom) bool {
+	if len(vals) != len(a.Terms) {
+		return false
+	}
+	for i, term := range a.Terms {
+		if !term.IsVar {
+			if !vals[i].IsConst() || vals[i].ConstValue() != term.Const {
+				return false
+			}
+			continue
+		}
+		for j := range i {
+			if a.Terms[j].IsVar && a.Terms[j].Var == term.Var && vals[j] != vals[i] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// Checker is the warm query context of one conflict-checking goroutine:
+// one engine, whose run pools, register files and key buffer stay warm
+// from check to check, and one snapshot value each check's view is
+// derived into — the reader's live view narrowed to the read vector and
+// the write's window or mask. A Checker belongs to one goroutine (the
+// cc schedulers keep one per scheduler goroutine) and is never an
+// update attempt's query context. The zero value is ready to use.
+type Checker struct {
+	eng  Engine
+	snap storage.Snapshot
+}
+
+// view re-points the checker's engine at reader's unfiltered live view
+// of st and returns that view for the caller to narrow in place.
+func (c *Checker) view(st storage.Backend, reader int) *storage.Snapshot {
+	st.SnapInto(&c.snap, reader)
+	c.eng.snap = &c.snap
+	return &c.snap
 }
 
 // eval re-evaluates the stored query on an engine.
@@ -255,8 +288,9 @@ func (q *ViolationRead) eval(e *Engine) []Violation {
 // influences the read. This is the "single query combining the
 // original violation query with information about the new tuple" of
 // §5; modifications are delete-then-insert records, exactly as the
-// paper prescribes.
-func (q *ViolationRead) AffectedBy(st storage.Backend, w storage.WriteRec) bool {
+// paper prescribes. The evaluation runs on the checker c, compared
+// against the recorded answer in place (Engine.answerDiffers).
+func (q *ViolationRead) AffectedBy(c *Checker, st storage.Backend, w storage.WriteRec) bool {
 	if w.Writer > q.ReaderNo {
 		return false // invisible to the reader
 	}
@@ -266,14 +300,14 @@ func (q *ViolationRead) AffectedBy(st storage.Backend, w storage.WriteRec) bool 
 	if !mayTouch(q.TGD, w.Rel, w.After) && !mayTouch(q.TGD, w.Rel, w.Before) {
 		return false
 	}
-	base := st.Snap(q.ReaderNo)
-	var snap *storage.Snapshot
+	snap := c.view(st, q.ReaderNo)
 	if w.Seq > q.readCeil(w.Rel) {
-		snap = base.WithRelWindow(q.ReadSeqs, w.Seq)
+		snap.SetRelWindow(q.ReadSeqs, w.Seq)
 	} else {
-		snap = base.WithRelCeilings(q.ReadSeqs).WithMask(w.Writer, w.Seq)
+		snap.SetRelCeilings(q.ReadSeqs)
+		snap.SetMask(w.Writer, w.Seq)
 	}
-	return q.answerCanon(snap) != q.Answer
+	return c.eng.answerDiffers(q)
 }
 
 // AffectedByRemoval reports whether undoing the given writes — an
@@ -301,7 +335,7 @@ func (q *ViolationRead) AffectedBy(st storage.Backend, w storage.WriteRec) bool 
 // when some removed write was visible to the reader and could touch
 // the mapping. Irrelevant removals return false without touching the
 // database.
-func (q *ViolationRead) AffectedByRemoval(st storage.Backend, removed []storage.WriteRec) bool {
+func (q *ViolationRead) AffectedByRemoval(c *Checker, st storage.Backend, removed []storage.WriteRec) bool {
 	relevant := false
 	for _, w := range removed {
 		if w.Writer > q.ReaderNo || !q.TGD.UsesRelation(w.Rel) {
@@ -315,8 +349,8 @@ func (q *ViolationRead) AffectedByRemoval(st storage.Backend, removed []storage.
 	if !relevant {
 		return false
 	}
-	snap := st.Snap(q.ReaderNo).WithRelWindow(q.ReadSeqs, st.CurrentSeq())
-	return q.answerCanon(snap) != q.Answer
+	c.view(st, q.ReaderNo).SetRelWindow(q.ReadSeqs, st.CurrentSeq())
+	return c.eng.answerDiffers(q)
 }
 
 // MoreSpecificRead stores the correction query "find tuples of Rel
@@ -344,7 +378,7 @@ func (q *MoreSpecificRead) String() string {
 // AffectedBy implements ReadQuery structurally, without touching the
 // database: a write changes the answer iff it writes or removes a
 // tuple more specific than the pattern.
-func (q *MoreSpecificRead) AffectedBy(_ storage.Backend, w storage.WriteRec) bool {
+func (q *MoreSpecificRead) AffectedBy(_ *Checker, _ storage.Backend, w storage.WriteRec) bool {
 	if w.Writer > q.ReaderNo || w.Rel != q.Rel {
 		return false
 	}
@@ -381,7 +415,7 @@ func (q *NullOccRead) String() string {
 // write changes the answer to a correction query either on all
 // databases, or on none" — here, iff the written tuple contains the
 // null (before or after).
-func (q *NullOccRead) AffectedBy(_ storage.Backend, w storage.WriteRec) bool {
+func (q *NullOccRead) AffectedBy(_ *Checker, _ storage.Backend, w storage.WriteRec) bool {
 	if w.Writer > q.ReaderNo {
 		return false
 	}
@@ -415,16 +449,15 @@ func (q *ContentRead) Reader() int { return q.ReaderNo }
 // Relations implements ReadQuery.
 func (q *ContentRead) Relations() []string { return []string{q.Rel} }
 
-// String implements ReadQuery. The rendering doubles as the read-dedup
-// key and is built once per insert/delete on the hot write path, so it
-// uses the tuple's cheap canonical key rather than display formatting.
+// String implements ReadQuery with the tuple's cheap canonical key
+// rather than display formatting.
 func (q *ContentRead) String() string {
 	return "content-query[" + (model.Tuple{Rel: q.Rel, Vals: q.Vals}).Key() + "]"
 }
 
 // AffectedBy implements ReadQuery: a write affects the probe iff it
 // writes or removes exactly this content.
-func (q *ContentRead) AffectedBy(_ storage.Backend, w storage.WriteRec) bool {
+func (q *ContentRead) AffectedBy(_ *Checker, _ storage.Backend, w storage.WriteRec) bool {
 	if w.Writer > q.ReaderNo || w.Rel != q.Rel {
 		return false
 	}

@@ -5,7 +5,16 @@ import (
 	"testing"
 
 	"youtopia/internal/model"
+	"youtopia/internal/storage"
 )
+
+// answerCanon renders the full answer of the stored query on a
+// snapshot, canonically, on a cold engine: the reference the checker's
+// in-place comparison (Engine.answerDiffers) is held to.
+func (q *ViolationRead) answerCanon(snap *storage.Snapshot) string {
+	e := NewEngine(snap)
+	return e.canonViolations(q.eval(e))
+}
 
 func TestKindString(t *testing.T) {
 	cases := map[Kind]string{
@@ -45,7 +54,7 @@ func TestViolationReadAffectedByExample31(t *testing.T) {
 	if err != nil || len(recs) != 1 {
 		t.Fatalf("delete: %v %v", recs, err)
 	}
-	if !q.AffectedBy(st, recs[0]) {
+	if !q.AffectedBy(new(Checker), st, recs[0]) {
 		t.Fatal("u1's delete must retroactively change u2's violation query")
 	}
 }
@@ -58,18 +67,18 @@ func TestViolationReadUnaffectedByIrrelevantWrite(t *testing.T) {
 
 	// A write to C is outside sigma4's relations entirely.
 	_, recC, _, _ := st.Insert(1, tup("C", c("Boston")))
-	if q.AffectedBy(st, recC) {
+	if q.AffectedBy(new(Checker), st, recC) {
 		t.Fatal("write to C cannot affect a sigma4 violation query")
 	}
 	// A T write that does not join with the seed (different city).
 	_, recT, _, _ := st.Insert(1, tup("T", c("Niagara Falls"), c("QQQ"), c("Toronto")))
-	if q.AffectedBy(st, recT) {
+	if q.AffectedBy(new(Checker), st, recT) {
 		t.Fatal("non-joining T write must not affect the seeded query")
 	}
 	// A T write that does join (starts in Syracuse) creates a new
 	// violation for the seeded query.
 	_, recT2, _, _ := st.Insert(1, tup("T", c("Niagara Falls"), c("QQQ"), c("Syracuse")))
-	if !q.AffectedBy(st, recT2) {
+	if !q.AffectedBy(new(Checker), st, recT2) {
 		t.Fatal("joining T insert must affect the seeded query")
 	}
 }
@@ -81,7 +90,7 @@ func TestViolationReadInvisibleWriter(t *testing.T) {
 	q, _ := NewViolationRead(NewEngine(st.Snap(2)), sigma4, wIns.Rel, wIns.After, SeedLHS)
 	// A write by update 7 is invisible to reader 2 and cannot affect it.
 	_, rec, _, _ := st.Insert(7, tup("T", c("Niagara Falls"), c("QQQ"), c("Syracuse")))
-	if q.AffectedBy(st, rec) {
+	if q.AffectedBy(new(Checker), st, rec) {
 		t.Fatal("invisible write must not affect the query")
 	}
 }
@@ -99,7 +108,7 @@ func TestViolationReadRHSCompletionRemovesViolation(t *testing.T) {
 	}
 	// u1 supplies the review: the violation disappears retroactively.
 	_, rec, _, _ := st.Insert(1, tup("R", c("ABC"), c("Niagara Falls"), c("ok")))
-	if !q.AffectedBy(st, rec) {
+	if !q.AffectedBy(new(Checker), st, rec) {
 		t.Fatal("RHS completion must affect the violation query")
 	}
 }
@@ -110,20 +119,20 @@ func TestMoreSpecificReadAffectedBy(t *testing.T) {
 	// affects the query.
 	q := &MoreSpecificRead{Rel: "C", Pattern: []model.Value{n(9)}, ReaderNo: 3}
 	_, ins, _, _ := st.Insert(1, tup("C", c("NYC")))
-	if !q.AffectedBy(st, ins) {
+	if !q.AffectedBy(new(Checker), st, ins) {
 		t.Fatal("C insert must affect C(x9) more-specific query")
 	}
 	recs, _ := st.DeleteContent(2, tup("C", c("Ithaca")))
-	if !q.AffectedBy(st, recs[0]) {
+	if !q.AffectedBy(new(Checker), st, recs[0]) {
 		t.Fatal("C delete must affect the query")
 	}
 	_, insS, _, _ := st.Insert(1, tup("S", c("JFK"), c("NYC"), c("NYC")))
-	if q.AffectedBy(st, insS) {
+	if q.AffectedBy(new(Checker), st, insS) {
 		t.Fatal("S write must not affect a C query")
 	}
 	// Invisible writer.
 	_, insHi, _, _ := st.Insert(9, tup("C", c("LA")))
-	if q.AffectedBy(st, insHi) {
+	if q.AffectedBy(new(Checker), st, insHi) {
 		t.Fatal("invisible write must not affect the query")
 	}
 }
@@ -132,11 +141,11 @@ func TestMoreSpecificReadConstantPattern(t *testing.T) {
 	st, _ := fig2(t)
 	q := &MoreSpecificRead{Rel: "S", Pattern: []model.Value{n(7), n(8), c("NYC")}, ReaderNo: 3}
 	_, w1, _, _ := st.Insert(1, tup("S", c("JFK"), c("NYC"), c("NYC")))
-	if !q.AffectedBy(st, w1) {
+	if !q.AffectedBy(new(Checker), st, w1) {
 		t.Fatal("matching city must affect")
 	}
 	_, w2, _, _ := st.Insert(1, tup("S", c("ALB"), c("Albany"), c("Albany")))
-	if q.AffectedBy(st, w2) {
+	if q.AffectedBy(new(Checker), st, w2) {
 		t.Fatal("non-matching city must not affect")
 	}
 }
@@ -146,7 +155,7 @@ func TestNullOccReadAffectedBy(t *testing.T) {
 	q := &NullOccRead{Null: n(1), ReaderNo: 5}
 	// Insert containing x1.
 	_, w, _, _ := st.Insert(1, tup("C", n(1)))
-	if !q.AffectedBy(st, w) {
+	if !q.AffectedBy(new(Checker), st, w) {
 		t.Fatal("insert containing x1 must affect")
 	}
 	// Replacement of x1 rewrites tuples containing it.
@@ -154,12 +163,12 @@ func TestNullOccReadAffectedBy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) == 0 || !q.AffectedBy(st, recs[0]) {
+	if len(recs) == 0 || !q.AffectedBy(new(Checker), st, recs[0]) {
 		t.Fatal("null replacement must affect")
 	}
 	// Unrelated write.
 	_, w2, _, _ := st.Insert(1, tup("C", c("plain")))
-	if q.AffectedBy(st, w2) {
+	if q.AffectedBy(new(Checker), st, w2) {
 		t.Fatal("unrelated write must not affect")
 	}
 }
@@ -168,11 +177,11 @@ func TestContentReadAffectedBy(t *testing.T) {
 	st, _ := fig2(t)
 	q := &ContentRead{Rel: "C", Vals: []model.Value{c("Ithaca")}, ReaderNo: 4}
 	recs, _ := st.DeleteContent(1, tup("C", c("Ithaca")))
-	if !q.AffectedBy(st, recs[0]) {
+	if !q.AffectedBy(new(Checker), st, recs[0]) {
 		t.Fatal("deleting the probed content must affect")
 	}
 	_, w, _, _ := st.Insert(2, tup("C", c("Boston")))
-	if q.AffectedBy(st, w) {
+	if q.AffectedBy(new(Checker), st, w) {
 		t.Fatal("different content must not affect")
 	}
 }

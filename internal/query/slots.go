@@ -32,8 +32,9 @@ type slotRun struct {
 	fn func(r *slotRun, bound uint64) bool
 
 	// Callback state, valid for one evaluation:
-	found  bool     // srExists / srFirstViolation output
+	found  bool     // srExists / srFirstViolation / srSameAnswer output
 	dedup  bool     // srViolation: dedup through e.seen
+	answer string   // srSameAnswer: the recorded single-violation key
 	rhsRun *slotRun // nested RHS existence probe, sharing regs
 	vout   *[]Violation
 	mout   *[]Match
@@ -69,6 +70,8 @@ func (e *Engine) getRun(p *Plan) *slotRun {
 // putRun returns a run to the pool, dropping callback state.
 func (e *Engine) putRun(r *slotRun) {
 	r.fn = nil
+	r.dedup = false
+	r.answer = ""
 	r.rhsRun = nil
 	r.vout = nil
 	r.mout = nil
@@ -204,9 +207,7 @@ func srViolation(r *slotRun, bound uint64) bool {
 	}
 	e := r.e
 	if r.dedup {
-		e.keyBuf = appendKeyParts(e.keyBuf[:0], r.p, r.witness, func(dst []byte) []byte {
-			return appendBindingSlots(dst, r.p, r.regs, bound)
-		})
+		e.keyBuf = r.appendKey(e.keyBuf[:0], bound)
 		if e.seen[string(e.keyBuf)] {
 			return true
 		}
@@ -224,13 +225,36 @@ func srViolation(r *slotRun, bound uint64) bool {
 }
 
 // srFirstViolation stops the enumeration at the first violation; the
-// compiled core of Satisfied.
+// compiled core of Satisfied and of the empty-answer conflict check.
 func srFirstViolation(r *slotRun, bound uint64) bool {
 	if rhsHolds(r, bound) {
 		return true
 	}
 	r.found = true
 	return false
+}
+
+// srSameAnswer compares each violation with a recorded single-violation
+// answer in the engine's key buffer, building no string: found reports
+// whether the last violation was the recorded one (the same violation
+// reached through another seed atom matches again), and the first that
+// is not stops the enumeration.
+func srSameAnswer(r *slotRun, bound uint64) bool {
+	if rhsHolds(r, bound) {
+		return true
+	}
+	e := r.e
+	e.keyBuf = r.appendKey(e.keyBuf[:0], bound)
+	r.found = string(e.keyBuf) == r.answer
+	return r.found
+}
+
+// appendKey renders the current violation's key from the registers:
+// the bytes Violation.appendKey produces once it is materialised.
+func (r *slotRun) appendKey(dst []byte, bound uint64) []byte {
+	return appendKeyParts(dst, r.p, r.witness, func(dst []byte) []byte {
+		return appendBindingSlots(dst, r.p, r.regs, bound)
+	})
 }
 
 // appendBindingSlots renders the bound registers in canonical slot

@@ -29,8 +29,11 @@ type Backend interface {
 	Schema() *model.Schema
 	// FreshNull mints a labeled null unused anywhere in the backend.
 	FreshNull() model.Value
-	// Snap returns a read view at the given reader priority.
+	// Snap returns a read view at the given reader priority; SnapInto
+	// writes the same view into a caller-owned value, so a conflict
+	// checker re-derives its view per check without allocating.
 	Snap(reader int) *Snapshot
+	SnapInto(dst *Snapshot, reader int)
 	// EpochSnap returns a committed-state snapshot: a frozen view of
 	// the backend's current commit epoch whose reads acquire no stripe
 	// lock and never change under the caller. Commits build nothing for
@@ -71,9 +74,12 @@ type Backend interface {
 	CurrentSeq() int64
 	RelSeq(rel string) int64
 
+	// AppendUncommittedWrites is the one scan of the live write log the
+	// dependency trackers of §5.1 read: every uncommitted write into rel
+	// ("" = every relation), appended to dst in no particular order.
 	// WritesOf, UncommittedWrites, UncommittedWritesOf and
-	// UncommittedWritersOf expose the live write logs the dependency
-	// trackers of §5.1 read.
+	// UncommittedWritersOf are seq-sorted views over the same scan.
+	AppendUncommittedWrites(dst []WriteRec, rel string) []WriteRec
 	WritesOf(writer int) []WriteRec
 	UncommittedWrites() []WriteRec
 	UncommittedWritesOf(rel string) []WriteRec

@@ -283,7 +283,8 @@ func TestConformanceSnapshotFilters(t *testing.T) {
 		idB, recB := mustInsert(t, b, 2, "B", cv("late"))
 		idA2, _ := mustInsert(t, b, 2, "A", cv("later"), cv("y"))
 
-		past := b.Snap(1 << 30).WithRelCeilings(ceils)
+		past := b.Snap(1 << 30)
+		past.SetRelCeilings(ceils)
 		if _, ok := past.Get(idA); !ok {
 			t.Fatal("ceiling hides a pre-ceiling version")
 		}
@@ -296,7 +297,8 @@ func TestConformanceSnapshotFilters(t *testing.T) {
 
 		// The window admits other writers' post-ceiling writes up to the
 		// bound, in every relation, but never the reader's own.
-		reader3 := b.Snap(3).WithRelWindow(ceils, recB.Seq)
+		reader3 := b.Snap(3)
+		reader3.SetRelWindow(ceils, recB.Seq)
 		if _, ok := reader3.Get(idB); !ok {
 			t.Fatal("window excludes an admitted interference write")
 		}

@@ -164,11 +164,11 @@ func TestEpochSnapshotFilterPanics(t *testing.T) {
 	b := NewStore(confSchema())
 	sn := b.EpochSnap()
 	for name, fn := range map[string]func(){
-		"WithMask":        func() { sn.WithMask(1, 1) },
-		"WithCeiling":     func() { sn.WithCeiling(1) },
-		"WithWindow":      func() { sn.WithWindow(1, 2) },
-		"WithRelCeilings": func() { sn.WithRelCeilings(nil) },
-		"WithRelWindow":   func() { sn.WithRelWindow(nil, 1) },
+		"SetMask":        func() { sn.SetMask(1, 1) },
+		"WithCeiling":    func() { sn.WithCeiling(1) },
+		"WithWindow":     func() { sn.WithWindow(1, 2) },
+		"SetRelCeilings": func() { sn.SetRelCeilings(nil) },
+		"SetRelWindow":   func() { sn.SetRelWindow(nil, 1) },
 	} {
 		func() {
 			defer func() {

@@ -15,10 +15,10 @@ import (
 // single-relation operations — the hot path of chase execution and
 // dependency tracking — touch exactly one shard's locks, logs, and
 // group-commit machinery, and each shard can own its own write-ahead
-// log directory (see wal.OpenSharded). The paper's tracker interface
-// (UncommittedWritersOf and the per-relation log shards) was designed
-// so conflict tracking never needs a global view of the store; this
-// type is that property turned into deployment structure.
+// log directory (see wal.OpenSharded). The paper's trackers read the
+// live write log relation by relation, so conflict tracking never
+// needs a global view of the store; this type is that property turned
+// into deployment structure.
 //
 // Shards share one sequence counter and one null factory, so sequence
 // numbers stay totally ordered and labeled nulls unique across the
@@ -193,6 +193,11 @@ func (ss *ShardedStore) RewindNulls(mark int64) { ss.nulls.Rewind(mark) }
 // Snap implements Backend: the snapshot routes over all shards.
 func (ss *ShardedStore) Snap(reader int) *Snapshot {
 	return &Snapshot{stores: ss.shards, reader: reader}
+}
+
+// SnapInto implements Backend.
+func (ss *ShardedStore) SnapInto(dst *Snapshot, reader int) {
+	*dst = Snapshot{stores: ss.shards, reader: reader}
 }
 
 // Insert implements Backend by routing to the owning shard. Undeclared
@@ -381,85 +386,45 @@ func (ss *ShardedStore) RelSeq(rel string) int64 {
 	return sh.RelSeq(rel)
 }
 
-// mergeBySeq k-way-merges per-shard write slices that are each already
-// in ascending sequence order — the shards publish their logs sorted,
-// so the union needs no comparison sort, only O(total·k) scanning for
-// the small shard counts in play.
-func mergeBySeq(parts [][]WriteRec) []WriteRec {
-	n, nonEmpty := 0, 0
-	last := -1
-	for i, p := range parts {
-		if len(p) > 0 {
-			n += len(p)
-			nonEmpty++
-			last = i
+// appendLogs is Store.appendLogs over the partitions: a relation's
+// scan is its owning shard's business, a scan of every relation visits
+// every shard (each one consistent, the union per-shard atomic).
+func (ss *ShardedStore) appendLogs(dst []WriteRec, rel string, writer int) []WriteRec {
+	if rel != "" {
+		if sh := ss.shardFor(rel); sh != nil {
+			return sh.appendLogs(dst, rel, writer)
 		}
+		return dst
 	}
-	if nonEmpty == 0 {
-		return nil
+	for _, sh := range ss.shards {
+		dst = sh.appendLogs(dst, "", writer)
 	}
-	if nonEmpty == 1 {
-		return parts[last]
-	}
-	out := make([]WriteRec, 0, n)
-	idx := make([]int, len(parts))
-	for len(out) < n {
-		best := -1
-		for i, p := range parts {
-			if idx[i] >= len(p) {
-				continue
-			}
-			if best < 0 || p[idx[i]].Seq < parts[best][idx[best]].Seq {
-				best = i
-			}
-		}
-		out = append(out, parts[best][idx[best]])
-		idx[best]++
-	}
-	return out
+	return dst
 }
 
-// WritesOf implements Backend: the shards' per-writer logs merged in
-// sequence order.
+// AppendUncommittedWrites implements Backend.
+func (ss *ShardedStore) AppendUncommittedWrites(dst []WriteRec, rel string) []WriteRec {
+	return ss.appendLogs(dst, rel, anyWriter)
+}
+
+// WritesOf implements Backend.
 func (ss *ShardedStore) WritesOf(writer int) []WriteRec {
-	parts := make([][]WriteRec, len(ss.shards))
-	for i, sh := range ss.shards {
-		parts[i] = sh.WritesOf(writer)
-	}
-	return mergeBySeq(parts)
+	return sortedBySeq(ss.appendLogs(nil, "", writer))
 }
 
-// UncommittedWrites implements Backend: the shards' uncommitted writes
-// merged in sequence order. Each shard's slice is memoized internally
-// and already seq-sorted, so the union is a k-way merge; it still
-// allocates per call when more than one shard has live writes, which
-// relation-naming queries avoid by using UncommittedWritesOf.
+// UncommittedWrites implements Backend.
 func (ss *ShardedStore) UncommittedWrites() []WriteRec {
-	parts := make([][]WriteRec, len(ss.shards))
-	for i, sh := range ss.shards {
-		parts[i] = sh.UncommittedWrites()
-	}
-	return mergeBySeq(parts)
+	return sortedBySeq(ss.appendLogs(nil, "", anyWriter))
 }
 
-// UncommittedWritesOf implements Backend by routing to the owning
-// shard — the stripe-local scan stays one shard's business.
+// UncommittedWritesOf implements Backend.
 func (ss *ShardedStore) UncommittedWritesOf(rel string) []WriteRec {
-	sh := ss.shardFor(rel)
-	if sh == nil {
-		return nil
-	}
-	return sh.UncommittedWritesOf(rel)
+	return sortedBySeq(ss.appendLogs(nil, rel, anyWriter))
 }
 
-// UncommittedWritersOf implements Backend by routing to the owning
-// shard.
+// UncommittedWritersOf implements Backend.
 func (ss *ShardedStore) UncommittedWritersOf(rel string) []int {
-	sh := ss.shardFor(rel)
-	if sh == nil {
-		return nil
-	}
-	return sh.UncommittedWritersOf(rel)
+	return writersIn(ss.appendLogs(nil, rel, anyWriter))
 }
 
 // Stats implements Backend by summing the shards.

@@ -154,16 +154,14 @@ func (sn *Snapshot) RelSeq(rel string) int64 {
 	return s.seq.Load()
 }
 
-// WithMask returns a snapshot identical to sn but with the version
-// (writer, seq) hidden. Used to answer "what would this query return
-// had that write not happened?".
-func (sn *Snapshot) WithMask(writer int, seq int64) *Snapshot {
-	sn.requireLive("WithMask")
-	out := *sn
-	out.masked = true
-	out.maskWriter = writer
-	out.maskSeq = seq
-	return &out
+// SetMask hides the version (writer, seq) from sn. Used to answer
+// "what would this query return had that write not happened?". The
+// Set* narrowings modify sn in place, so a conflict checker derives
+// each check's view into one reused value; a caller that must keep the
+// wider view narrows a copy of the Snapshot value.
+func (sn *Snapshot) SetMask(writer int, seq int64) {
+	sn.requireLive("SetMask")
+	sn.masked, sn.maskWriter, sn.maskSeq = true, writer, seq
 }
 
 // WithCeiling returns a snapshot restricted to versions with sequence
@@ -190,32 +188,25 @@ func (sn *Snapshot) WithWindow(ceil, upto int64) *Snapshot {
 	return &out
 }
 
-// WithRelCeilings returns a snapshot restricted, per relation, to
-// versions with sequence numbers at most the vector's entry — the
-// state a read observed judged stripe by stripe. Relations absent
-// from the vector are unrestricted. The caller must keep the vector
-// immutable for the snapshot's lifetime.
-func (sn *Snapshot) WithRelCeilings(ceils []RelSeq) *Snapshot {
-	sn.requireLive("WithRelCeilings")
-	out := *sn
-	out.hasRelCeil = true
-	out.relCeils = ceils
-	return &out
+// SetRelCeilings restricts sn, per relation, to versions with sequence
+// numbers at most the vector's entry — the state a read observed
+// judged stripe by stripe. Relations absent from the vector are
+// unrestricted. The caller must keep the vector immutable for the
+// snapshot's lifetime.
+func (sn *Snapshot) SetRelCeilings(ceils []RelSeq) {
+	sn.requireLive("SetRelCeilings")
+	sn.hasRelCeil, sn.relCeils = true, ceils
 }
 
-// WithRelWindow returns a snapshot of the state as of the per-relation
-// ceiling vector, augmented with the writes other writers performed
-// past their relation's ceiling up to sequence upto — the reader's own
+// SetRelWindow narrows sn to the state as of the per-relation ceiling
+// vector, augmented with the writes other writers performed past their
+// relation's ceiling up to sequence upto — the reader's own
 // post-ceiling writes stay hidden. It is WithWindow with the read
-// boundary judged per stripe.
-func (sn *Snapshot) WithRelWindow(ceils []RelSeq, upto int64) *Snapshot {
-	sn.requireLive("WithRelWindow")
-	out := *sn
-	out.hasRelCeil = true
-	out.relCeils = ceils
-	out.hasWindow = true
-	out.windowSeq = upto
-	return &out
+// boundary judged per stripe, applied in place.
+func (sn *Snapshot) SetRelWindow(ceils []RelSeq, upto int64) {
+	sn.requireLive("SetRelWindow")
+	sn.hasRelCeil, sn.relCeils = true, ceils
+	sn.hasWindow, sn.windowSeq = true, upto
 }
 
 // requireLive panics when a visibility filter is requested on an epoch

@@ -37,12 +37,12 @@
 //     at a time, which both schedulers do; different writers need no
 //     coordination. Commit batches additionally serialize among
 //     themselves on batchMu, taken before any stripe lock.
-//   - the remaining cross-relation operations (ReplaceNull, WritesOf,
-//     the UncommittedWrites rebuild, Stats, Dump) acquire every stripe
-//     lock in ascending stripe order. Every multi-stripe acquisition in
-//     the package is ascending, which makes these operations atomic
-//     against all single-stripe operations and against each other
-//     without a global mutex on the hot paths.
+//   - the remaining cross-relation operations (ReplaceNull, the
+//     write-log scan over every relation, Stats, Dump) acquire every
+//     stripe lock in ascending stripe order. Every multi-stripe
+//     acquisition in the package is ascending, which makes these
+//     operations atomic against all single-stripe operations and
+//     against each other without a global mutex on the hot paths.
 //
 // Sequence numbers and tuple IDs are allocated without locks: the
 // global sequence counter is atomic (assigned while holding the
@@ -62,6 +62,7 @@
 package storage
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -268,14 +269,6 @@ type Store struct {
 	// bumping their commitMut; Epoch depends on that order.
 	commits atomic.Int64
 
-	// uncommittedCache publishes the memoized UncommittedWrites result
-	// (nil = stale); PRECISE dependency tracking calls it on every
-	// read, so cache hits go through the atomic pointer without any
-	// lock. cacheMu serializes the rebuild, which takes every stripe's
-	// read lock for a consistent cross-stripe view.
-	cacheMu          sync.Mutex
-	uncommittedCache atomic.Pointer[[]WriteRec]
-
 	// epoch caches the last committed-state snapshot a reader asked
 	// for. Writers never touch it; Epoch rebuilds the stripes whose
 	// commitMut moved and republishes by CAS. See epoch.go.
@@ -397,12 +390,6 @@ func contentHash(vals []model.Value) uint64 {
 	return h
 }
 
-// markUncommittedDirty invalidates the UncommittedWrites memo.
-// Callers hold the write lock of the stripe they mutated.
-func (st *Store) markUncommittedDirty() {
-	st.uncommittedCache.Store(nil)
-}
-
 // post adds id to the posting list under key k of an index, creating
 // the list on first use; drop removes it and deletes a list that
 // empties. Callers hold the lock guarding m.
@@ -518,7 +505,6 @@ func (st *Store) addVersion(s *stripe, rec *tupleRec, v version, logRec WriteRec
 			st.writerStripes[v.writer] = append(st.writerStripes[v.writer], s.idx)
 			st.commitMu.Unlock()
 		}
-		st.markUncommittedDirty()
 	}
 }
 
@@ -816,9 +802,6 @@ func (st *Store) abortLocked(writer int, stripes []int) {
 		delete(s.logs, writer)
 		delete(s.relWriters, writer)
 	}
-	if len(stripes) > 0 {
-		st.markUncommittedDirty()
-	}
 }
 
 // Commit marks a writer's versions as permanent and retires its write
@@ -915,7 +898,6 @@ func (st *Store) CommitBatchAsync(writers []int) (CommitAck, error) {
 		// commit must not be able to pass it off as current afterwards.
 		s.commitMut.Add(1)
 	}
-	st.markUncommittedDirty()
 	st.commits.Add(1)
 	return ack, nil
 }
@@ -942,92 +924,95 @@ func (st *Store) Committed(writer int) bool {
 	return st.isCommitted(writer)
 }
 
-// WritesOf returns the write log of an uncommitted writer in sequence
-// order. The log is sharded by relation internally, so this merges the
-// shards; callers must not modify the slice.
-func (st *Store) WritesOf(writer int) []WriteRec {
-	st.rlockAll()
-	defer st.runlockAll()
-	var out []WriteRec
-	for _, s := range st.byIdx {
-		out = append(out, s.logs[writer]...)
+// anyWriter makes appendLogs scan every uncommitted writer's log.
+const anyWriter = -1
+
+// appendLogs is the one scan of the live write log: it appends to dst
+// the log records in relation rel ("" = every relation) of writer, or
+// of every uncommitted writer when writer is anyWriter, and returns the
+// extended slice. Records come in no particular order. The scanned
+// stripes are read-locked together, so a scan of every relation is
+// one consistent cut.
+func (st *Store) appendLogs(dst []WriteRec, rel string, writer int) []WriteRec {
+	stripes := st.byIdx
+	if rel != "" {
+		s := st.stripes[rel]
+		if s == nil {
+			return dst
+		}
+		stripes = st.byIdx[s.idx : s.idx+1]
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
-	return out
+	for _, s := range stripes {
+		s.rlock()
+	}
+	for _, s := range stripes {
+		if writer != anyWriter {
+			dst = append(dst, s.logs[writer]...)
+			continue
+		}
+		// relWriters holds exactly the uncommitted writers with live
+		// records in the stripe.
+		for w := range s.relWriters {
+			dst = append(dst, s.logs[w]...)
+		}
+	}
+	for _, s := range stripes {
+		s.runlock()
+	}
+	return dst
+}
+
+// AppendUncommittedWrites appends to dst the live writes of every
+// uncommitted writer into rel — into every relation when rel is "" —
+// in no particular order, and returns the extended slice. It is the
+// dependency trackers' scan (§5.1): they reuse one buffer per
+// goroutine and treat the result as a set.
+func (st *Store) AppendUncommittedWrites(dst []WriteRec, rel string) []WriteRec {
+	return st.appendLogs(dst, rel, anyWriter)
+}
+
+// bySeq orders write records by sequence number.
+func bySeq(a, b WriteRec) int { return cmp.Compare(a.Seq, b.Seq) }
+
+// sortedBySeq sorts recs by sequence number in place and returns it.
+func sortedBySeq(recs []WriteRec) []WriteRec {
+	slices.SortFunc(recs, bySeq)
+	return recs
+}
+
+// writersIn returns the distinct writers of recs, ascending.
+func writersIn(recs []WriteRec) []int {
+	out := make([]int, len(recs))
+	for i := range recs {
+		out[i] = recs[i].Writer
+	}
+	slices.Sort(out)
+	return slices.Compact(out)
+}
+
+// WritesOf returns the write log of an uncommitted writer in sequence
+// order.
+func (st *Store) WritesOf(writer int) []WriteRec {
+	return sortedBySeq(st.appendLogs(nil, "", writer))
 }
 
 // UncommittedWrites returns all writes by uncommitted writers, sorted
-// by sequence number. PRECISE dependency computation iterates these on
-// every read, so the result is memoized between mutations; the rebuild
-// takes every stripe's read lock for a consistent cross-stripe view.
-// Callers must not modify the returned slice.
+// by sequence number.
 func (st *Store) UncommittedWrites() []WriteRec {
-	if p := st.uncommittedCache.Load(); p != nil {
-		return *p
-	}
-	st.cacheMu.Lock()
-	defer st.cacheMu.Unlock()
-	if p := st.uncommittedCache.Load(); p != nil {
-		return *p
-	}
-	st.rlockAll()
-	out := []WriteRec{}
-	for _, s := range st.byIdx {
-		for w, log := range s.logs {
-			if !st.isCommitted(w) {
-				out = append(out, log...)
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
-	// Publish while still holding every stripe lock: a mutator that
-	// slipped in after an unlock could have invalidated the cache
-	// first, and storing afterwards would resurrect a stale list.
-	st.uncommittedCache.Store(&out)
-	st.runlockAll()
-	return out
+	return sortedBySeq(st.appendLogs(nil, "", anyWriter))
 }
 
 // UncommittedWritesOf returns the writes by uncommitted writers into
-// one relation, sorted by sequence number — the stripe-local slice of
-// UncommittedWrites. Dependency trackers use it for read queries that
-// name their relations, which turns the per-read scan from
-// O(all uncommitted writes) plus a store-wide memo rebuild into a walk
-// of one stripe's (usually tiny) log shard. Callers must not modify
-// the returned slice.
+// one relation, sorted by sequence number.
 func (st *Store) UncommittedWritesOf(rel string) []WriteRec {
-	s := st.stripes[rel]
-	if s == nil {
-		return nil
-	}
-	s.rlock()
-	defer s.runlock()
-	var out []WriteRec
-	for w, log := range s.logs {
-		if !st.isCommitted(w) {
-			out = append(out, log...)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
-	return out
+	return sortedBySeq(st.appendLogs(nil, rel, anyWriter))
 }
 
 // UncommittedWritersOf returns the uncommitted writers with live
-// writes into rel, sorted ascending. COARSE charges a violation-query
-// read dependency against exactly this set (§5.1.1).
+// writes into rel, sorted ascending — the set COARSE charges a
+// violation-query read dependency against (§5.1.1).
 func (st *Store) UncommittedWritersOf(rel string) []int {
-	s := st.stripes[rel]
-	if s == nil {
-		return nil
-	}
-	s.rlock()
-	defer s.runlock()
-	out := make([]int, 0, len(s.relWriters))
-	for w := range s.relWriters {
-		out = append(out, w)
-	}
-	sort.Ints(out)
-	return out
+	return writersIn(st.appendLogs(nil, rel, anyWriter))
 }
 
 // Snap returns a read view of the store at the given reader priority.
@@ -1035,6 +1020,11 @@ func (st *Store) UncommittedWritersOf(rel string) []int {
 // use.
 func (st *Store) Snap(reader int) *Snapshot {
 	return &Snapshot{stores: st.self, reader: reader}
+}
+
+// SnapInto implements Backend.
+func (st *Store) SnapInto(dst *Snapshot, reader int) {
+	*dst = Snapshot{stores: st.self, reader: reader}
 }
 
 // snapLocked returns a read view for use by code already holding the

@@ -89,7 +89,8 @@ func TestMaskComposesWithCeiling(t *testing.T) {
 	recs, _ := st.ReplaceNull(1, model.Null(1), c("done"))
 	seqNow := st.CurrentSeq()
 
-	snap := st.Snap(5).WithCeiling(seqNow).WithMask(1, recs[0].Seq)
+	snap := st.Snap(5).WithCeiling(seqNow)
+	snap.SetMask(1, recs[0].Seq)
 	if vals, ok := snap.Get(id); !ok || vals[0] != model.Null(1) {
 		t.Fatalf("mask within ceiling must expose prior version, got %v %v", vals, ok)
 	}
