@@ -9,12 +9,12 @@ import (
 	"youtopia/internal/storage"
 )
 
-// This file holds the Algorithm-4 core shared by the cooperative
-// Scheduler and the goroutine-parallel ParallelScheduler. Keeping the
-// conflict detection, cascade closure, rollback, and frontier-polling
-// logic in one place is what makes the two schedulers' semantics
-// provably identical — the parallel-vs-serial equivalence tests lean
-// on that.
+// This file holds the Algorithm-4 conflict processing shared by the
+// cooperative Scheduler and the goroutine-parallel ParallelScheduler.
+// Keeping the conflict detection, cascade closure and rollback in one
+// place, beside the transaction core of txncore.go, is what makes the
+// two schedulers' semantics provably identical — the
+// parallel-vs-serial equivalence tests lean on that.
 //
 // Detection is split into three phases so the parallel scheduler can
 // run the expensive part outside its exclusive phase lock:
@@ -331,30 +331,4 @@ func rollbackTxn(store storage.Backend, cfg *Config, t *Txn, m *Metrics) error {
 	clear(t.deps)
 	t.Upd.Reset()
 	return nil
-}
-
-// pollFrontier offers one frontier decision opportunity to a blocked
-// update: it walks the open groups, enumerates each group's options,
-// and applies the first decision the decide callback supplies. It
-// reports whether a decision was applied. The parallel scheduler
-// wraps decide to serialize user calls across workers.
-func pollFrontier(e *chase.Engine, u *chase.Update,
-	decide func(g *chase.FrontierGroup, opts []chase.Decision, ctx string) (chase.Decision, bool)) (bool, error) {
-	groups := append([]*chase.FrontierGroup(nil), u.Groups()...)
-	for _, g := range groups {
-		opts := e.Options(u, g)
-		if len(opts) == 0 {
-			continue
-		}
-		ctx := e.DecisionContext(u, g)
-		d, ok := decide(g, opts, ctx)
-		if !ok {
-			continue
-		}
-		if err := e.Apply(u, g.ID, d); err != nil {
-			return false, fmt.Errorf("cc: update %d frontier op: %w", u.Number, err)
-		}
-		return true, nil
-	}
-	return false, nil
 }

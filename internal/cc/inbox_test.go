@@ -2,6 +2,7 @@ package cc_test
 
 import (
 	"testing"
+	"time"
 
 	"youtopia/internal/cc"
 	"youtopia/internal/chase"
@@ -238,6 +239,39 @@ func TestSchedulerDeadlineAbort(t *testing.T) {
 	}
 	if box.Len() != 0 {
 		t.Fatalf("%d entries left after abort deadlines", box.Len())
+	}
+}
+
+// TestSchedulerCancelsAbortedEntry: a curator aborting a parked update's
+// inbox entry cancels the update for good, and the run still completes.
+func TestSchedulerCancelsAbortedEntry(t *testing.T) {
+	st, set := genealogyFixture(t)
+	box := inbox.NewBox()
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			case <-time.After(50 * time.Microsecond):
+			}
+			for _, e := range box.List() {
+				box.Abort(e.ID)
+			}
+		}
+	}()
+	m, err := cc.NewScheduler(st, set, cc.Config{Tracker: cc.Coarse{}, Inbox: box}).Run(genealogyOps())
+	close(stop)
+	<-done
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Cancelled == 0 {
+		t.Fatal("no update was cancelled after its entry was aborted")
+	}
+	if box.Len() != 0 {
+		t.Fatalf("%d entries left after the run", box.Len())
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 
 	"youtopia/internal/chase"
 	"youtopia/internal/inbox"
-	"youtopia/internal/query"
 	"youtopia/internal/storage"
 	"youtopia/internal/tgd"
 )
@@ -57,58 +56,40 @@ import (
 // carries over unchanged, and the committed final instance is
 // equivalent to the serial execution of the same workload.
 //
-// Updates commit strictly in priority order once terminated, exactly
-// as in the cooperative scheduler, but the commit frontier is a group
-// commit: one exclusive-lock acquisition drains the whole terminated
-// prefix through a single storage.CommitBatch. Aborts decided during
+// Updates commit strictly in priority order once terminated, through
+// the transaction core shared with the cooperative scheduler: one
+// exclusive-lock acquisition drains the whole terminated prefix through
+// a single storage group commit. Aborts decided during
 // conflict processing are executed under the exclusive lock; a worker
 // that had claimed the aborted transaction notices the bumped attempt
 // counter at its next lock acquisition and abandons the stale phase.
 type ParallelScheduler struct {
-	store  storage.Backend
-	engine *chase.Engine
-	cfg    Config
+	txnCore
 
 	// gmu is the phase lock described above. Lock order: gmu before mu.
 	gmu sync.RWMutex
 
-	// userMu serializes frontier-decision calls: chase.User
-	// implementations (the simulated users included) are not required
-	// to be goroutine-safe.
-	userMu sync.Mutex
-
-	// mu guards the dispatch state and metrics below.
-	mu             sync.Mutex
+	// The core's mu guards the dispatch state below.
 	cond           *sync.Cond
-	txns           []*Txn
 	status         []txnStatus
 	claimed        []bool
 	ready          readyQueue // candidate txn indexes awaiting dispatch
 	inflight       int
 	commitInFlight bool
-	committedUpTo  int // txns[:committedUpTo] have committed
 	idle           int // consecutive finished work items without progress
 	idleLimit      int
 	err            error
 	done           bool
-	m              Metrics
 
 	// Inbox-mode state (cfg.Inbox != nil), guarded by mu. A parked txn
 	// (statusParked) is out of the dispatchable set entirely — no worker
 	// polls it — until the box's answer hook or the policy ticker moves
 	// it back to statusAwaiting.
-	parkID     []int64       // txn index -> inbox entry ID (0 = not parked)
-	applied    []int         // txn index -> recorded answers consumed
-	autoAnswer []bool        // deadline auto-answer due (policy ticker)
-	cancelReq  []bool        // deadline abort due (policy ticker)
-	byPark     map[int64]int // inbox entry ID -> txn index
-	parked     int           // txns currently in statusParked
-	parkedIdle int           // consecutive policy ticks with only parked work
+	autoAnswer []bool // deadline auto-answer due (policy ticker)
+	cancelReq  []bool // deadline abort due (policy ticker)
+	parked     int    // txns currently in statusParked
+	parkedIdle int    // consecutive policy ticks with only parked work
 	tickStop   chan struct{}
-
-	// acks settles the pipelined commit acknowledgments before Run
-	// returns; see ackTracker.
-	acks ackTracker
 }
 
 // readyQueue is the dispatcher's min-heap of candidate transaction
@@ -171,7 +152,6 @@ const (
 	statusReady txnStatus = iota
 	statusAwaiting
 	statusTerminated
-	statusCommitted
 	// statusParked is inbox mode's blocked state: the txn waits in the
 	// decision inbox and is not dispatchable (finish never requeues it);
 	// the answer hook or the policy ticker transitions it back to
@@ -204,69 +184,22 @@ const (
 // GOMAXPROCS. The Policy field is ignored — goroutine scheduling
 // replaces the cooperative interleaving policies.
 func NewParallelScheduler(store storage.Backend, set *tgd.Set, cfg Config) *ParallelScheduler {
-	if cfg.Tracker == nil {
-		cfg.Tracker = Coarse{}
-	}
-	if cfg.MaxStepsPerUpdate == 0 {
-		cfg.MaxStepsPerUpdate = 100000
-	}
-	if cfg.MaxIdleRounds == 0 {
-		cfg.MaxIdleRounds = 10000
-	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
-	s := &ParallelScheduler{store: store, cfg: cfg}
+	s := &ParallelScheduler{}
+	s.init(store, set, cfg)
 	s.cond = sync.NewCond(&s.mu)
-	s.engine = chase.NewEngine(store, set)
-	s.engine.MaxStepsPerAttempt = cfg.MaxStepsPerUpdate
-	s.engine.SetReadObserver(s.onRead)
-	if h, ok := cfg.Tracker.(*Hybrid); ok && h.Attempts == nil {
-		h.Attempts = func(number int) int {
-			if t := s.txn(number); t != nil {
-				return t.Upd.Attempt
-			}
-			return 1
-		}
-	}
 	return s
 }
 
-// Txns returns the scheduler's transactions (after Run started).
-func (s *ParallelScheduler) Txns() []*Txn { return s.txns }
-
-// Metrics returns the metrics collected so far.
-func (s *ParallelScheduler) Metrics() Metrics {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.m
-}
-
-func (s *ParallelScheduler) txn(number int) *Txn {
-	if number < 1 || number > len(s.txns) {
-		return nil
-	}
-	return s.txns[number-1]
-}
-
-// onRead forwards each stored read to the tracker, as in the
-// cooperative scheduler. It runs in the phase that performed the read
-// (shared or exclusive), so the transaction's dependency set is only
-// ever written by its current worker and only ever read under the
-// exclusive lock.
-func (s *ParallelScheduler) onRead(u *chase.Update, q query.ReadQuery) {
-	if s.cfg.Mode == ModeFlag {
+// merge adds a worker's metrics delta under mu.
+func (s *ParallelScheduler) merge(d Metrics) {
+	if d == (Metrics{}) {
 		return
 	}
-	if t := s.txn(u.Number); t != nil {
-		s.cfg.Tracker.OnRead(s.store, t, q)
-	}
-}
-
-// bump applies a metrics delta under mu.
-func (s *ParallelScheduler) bump(f func(m *Metrics)) {
 	s.mu.Lock()
-	f(&s.m)
+	s.m.add(d)
 	s.mu.Unlock()
 }
 
@@ -275,36 +208,23 @@ func (s *ParallelScheduler) bump(f func(m *Metrics)) {
 // metrics; the error reports stalls (absent users), step-limit or
 // abort-limit overruns, or storage failures.
 func (s *ParallelScheduler) Run(ops []chase.Op) (Metrics, error) {
-	start := time.Now()
-	s.txns = make([]*Txn, len(ops))
-	s.status = make([]txnStatus, len(ops))
-	s.claimed = make([]bool, len(ops))
-	s.ready = make(readyQueue, 0, len(ops))
-	s.acks.init(s.cfg.Trace)
-	for i, op := range ops {
-		u := chase.NewUpdate(i+1, op)
-		s.txns[i] = &Txn{Upd: u, Number: i + 1, deps: make(map[int]bool)}
-		s.ready.push(i)
-		s.cfg.Trace.Note(i+1, "submit")
-	}
-	s.m.Submitted = len(ops)
+	s.begin(ops, nil)
 	n := len(ops)
-	if n == 0 {
-		n = 1
+	s.status = make([]txnStatus, n)
+	s.claimed = make([]bool, n)
+	s.ready = make(readyQueue, 0, n)
+	for i := range ops {
+		s.ready.push(i)
 	}
-	s.idleLimit = s.cfg.MaxIdleRounds * n
-	s.parkID = make([]int64, len(ops))
-	s.applied = make([]int, len(ops))
-	s.autoAnswer = make([]bool, len(ops))
-	s.cancelReq = make([]bool, len(ops))
+	s.idleLimit = s.cfg.MaxIdleRounds * max(n, 1)
+	s.autoAnswer = make([]bool, n)
+	s.cancelReq = make([]bool, n)
 	if s.cfg.Inbox != nil {
-		s.byPark = make(map[int64]int)
 		s.cfg.Inbox.SetOnAnswer(s.onAnswer)
 		s.tickStop = make(chan struct{})
 		go s.tickLoop()
 	}
 
-	syncs0 := s.store.SyncCount()
 	var wg sync.WaitGroup
 	for i := 0; i < s.cfg.Workers; i++ {
 		wg.Add(1)
@@ -317,23 +237,12 @@ func (s *ParallelScheduler) Run(ops []chase.Op) (Metrics, error) {
 	if s.tickStop != nil {
 		close(s.tickStop)
 	}
-	// Settle the commit pipeline: the workers may have finished with
-	// batch syncs still in flight, and nothing is acknowledged — Run
-	// included — until they land.
-	ackErr := s.acks.wait()
-
+	// The workers may have finished with batch syncs still in flight;
+	// end settles them.
 	s.mu.Lock()
-	if ackErr != nil && s.err == nil {
-		s.err = ackErr
-	}
-	s.m.CommitAckP50, s.m.CommitAckP99 = s.acks.percentiles()
-	s.m.WALSyncs = int(s.store.SyncCount() - syncs0)
-	s.m.Runs = s.m.Submitted + s.m.Aborts
-	s.m.WallTime = time.Since(start)
-	m := s.m
 	err := s.err
 	s.mu.Unlock()
-	return m, err
+	return s.end(err)
 }
 
 // workerLoop pulls and executes work items until the run completes or
@@ -498,7 +407,7 @@ func (s *ParallelScheduler) execStep(t *Txn, scratch *stepScratch) (bool, error)
 	if err != nil {
 		return true, err
 	}
-	s.bump(func(m *Metrics) { m.Steps++; m.Writes += len(res.Writes) })
+	s.merge(Metrics{Steps: 1, Writes: len(res.Writes)})
 	obsSteps.Inc()
 	obsWrites.Add(int64(len(res.Writes)))
 	s.cfg.Trace.Span(t.Number, "step", stepStart)
@@ -541,7 +450,7 @@ func (s *ParallelScheduler) processWritesDeferred(t *Txn, attempt int, writes []
 	s.gmu.RUnlock()
 	if len(marked) == 0 {
 		// Nothing to apply; ModeFlag and clean checks end here.
-		s.bumpConflictMetrics(delta)
+		s.merge(delta)
 		return nil
 	}
 
@@ -582,26 +491,13 @@ func (s *ParallelScheduler) processWritesDeferred(t *Txn, attempt int, writes []
 		}
 	}
 	err := executeAbortWave(s.store, &s.cfg, s.txns, victims, &delta, scratch, s.abortLocked)
-	s.bumpConflictMetrics(delta)
+	s.merge(delta)
 	return err
 }
 
-// bumpConflictMetrics merges a conflict-processing metrics delta.
-func (s *ParallelScheduler) bumpConflictMetrics(delta Metrics) {
-	if delta == (Metrics{}) {
-		return
-	}
-	s.bump(func(m *Metrics) {
-		m.DirectAbortRequests += delta.DirectAbortRequests
-		m.CascadingAbortRequests += delta.CascadingAbortRequests
-		m.RemovalAbortRequests += delta.RemovalAbortRequests
-		m.Flagged += delta.Flagged
-	})
-}
-
 // setStatusLocked updates a txn's dispatch mirror, maintaining the
-// parked count and resolving the txn's inbox entry when it reaches a
-// terminal state. Callers hold mu.
+// parked count and resolving the txn's inbox entry once it terminated.
+// Callers hold mu.
 func (s *ParallelScheduler) setStatusLocked(i int, st txnStatus) {
 	old := s.status[i]
 	if old == statusParked && st != statusParked {
@@ -610,27 +506,27 @@ func (s *ParallelScheduler) setStatusLocked(i int, st txnStatus) {
 		s.parked++
 	}
 	s.status[i] = st
-	if s.cfg.Inbox != nil && (st == statusTerminated || st == statusCommitted) {
-		if pid := s.parkID[i]; pid != 0 {
-			s.cfg.Inbox.Resolve(pid)
-			delete(s.byPark, pid)
-			s.parkID[i] = 0
-		}
+	if st == statusTerminated {
+		s.resolveEntryLocked(s.txns[i])
 	}
 }
 
-// dropEntryLocked aborts a txn's inbox entry (the txn restarted or was
-// cancelled; its question is void). Callers hold mu.
-func (s *ParallelScheduler) dropEntryLocked(i int) {
-	if s.cfg.Inbox == nil {
-		return
+// unparkLocked moves the txn parked under an inbox entry back into the
+// dispatchable set and wakes a worker, reporting the txn's index (false
+// when the entry's txn is not parked). Callers hold mu.
+func (s *ParallelScheduler) unparkLocked(id int64) (int, bool) {
+	t, ok := s.byPark[id]
+	if !ok || s.status[t.Number-1] != statusParked {
+		return 0, false
 	}
-	if pid := s.parkID[i]; pid != 0 {
-		s.cfg.Inbox.Abort(pid)
-		delete(s.byPark, pid)
-		s.parkID[i] = 0
-		s.applied[i] = 0
+	i := t.Number - 1
+	s.setStatusLocked(i, statusAwaiting)
+	if !s.claimed[i] {
+		s.ready.push(i)
 	}
+	s.parkedIdle = 0
+	s.cond.Broadcast()
+	return i, true
 }
 
 // onAnswer is the inbox's answer hook: an answer was recorded for a
@@ -638,14 +534,7 @@ func (s *ParallelScheduler) dropEntryLocked(i int) {
 // worker to consume it. Runs outside the box lock.
 func (s *ParallelScheduler) onAnswer(id int64) {
 	s.mu.Lock()
-	if i, ok := s.byPark[id]; ok && s.status[i] == statusParked {
-		s.setStatusLocked(i, statusAwaiting)
-		if !s.claimed[i] {
-			s.ready.push(i)
-		}
-		s.parkedIdle = 0
-		s.cond.Broadcast()
-	}
+	s.unparkLocked(id)
 	s.mu.Unlock()
 }
 
@@ -669,19 +558,13 @@ func (s *ParallelScheduler) tickLoop() {
 				continue // priority bump already applied by the box
 			}
 			s.mu.Lock()
-			if i, ok := s.byPark[d.ID]; ok && s.status[i] == statusParked {
+			if i, ok := s.unparkLocked(d.ID); ok {
 				switch d.Kind {
 				case inbox.DueAutoAnswer:
 					s.autoAnswer[i] = true
 				case inbox.DueAbort:
 					s.cancelReq[i] = true
 				}
-				s.setStatusLocked(i, statusAwaiting)
-				if !s.claimed[i] {
-					s.ready.push(i)
-				}
-				s.parkedIdle = 0
-				s.cond.Broadcast()
 			}
 			s.mu.Unlock()
 		}
@@ -698,262 +581,94 @@ func (s *ParallelScheduler) tickLoop() {
 }
 
 // execPoll offers one frontier decision opportunity to a blocked
-// transaction, under the shared phase lock (frontier operations only
-// plan writes; the planned writes are performed by the next step). In
-// inbox mode the opportunity consumes recorded answers instead of
-// polling the user live.
+// transaction. A deadline abort the ticker marked, or an inbox entry
+// aborted out from under the txn, cancels it under the exclusive phase
+// lock; everything else runs in pollShared.
 func (s *ParallelScheduler) execPoll(t *Txn) (bool, error) {
-	if s.cfg.Inbox != nil {
-		return s.execInboxPoll(t)
-	}
-	if s.cfg.User == nil {
-		return false, nil
-	}
-	s.gmu.RLock()
-	defer s.gmu.RUnlock()
-	if st := t.Upd.State(); st != chase.StateAwaitingUser {
-		// Stale dispatch; resync the mirror so the dispatcher stops
-		// offering poll opportunities to a transaction that moved on.
-		s.mu.Lock()
-		s.setStatusLocked(t.Number-1, mirrorOf(st))
-		s.mu.Unlock()
-		return false, nil
-	}
-	ok, err := pollFrontier(s.engine, t.Upd,
-		func(g *chase.FrontierGroup, opts []chase.Decision, ctx string) (chase.Decision, bool) {
-			s.userMu.Lock()
-			defer s.userMu.Unlock()
-			s.bump(func(m *Metrics) { m.UserPolls++ })
-			obsUserPolls.Inc()
-			return s.cfg.User.Decide(t.Upd, g, opts, ctx)
-		})
-	if ok {
-		s.mu.Lock()
-		s.m.FrontierOps++
-		s.setStatusLocked(t.Number-1, statusReady)
-		s.mu.Unlock()
-	}
-	return ok, err
-}
-
-// execInboxPoll is a blocked transaction's scheduling opportunity in
-// inbox mode: park on first block, consume recorded answers when woken,
-// execute deadline actions the ticker marked. Between answers the txn
-// sits in statusParked and costs zero polls.
-func (s *ParallelScheduler) execInboxPoll(t *Txn) (bool, error) {
 	i := t.Number - 1
 	s.mu.Lock()
 	doCancel, doAuto := s.cancelReq[i], s.autoAnswer[i]
 	s.cancelReq[i], s.autoAnswer[i] = false, false
-	pid := s.parkID[i]
 	s.mu.Unlock()
-
-	if doCancel {
-		return true, s.cancelTxn(t)
-	}
-
-	s.gmu.RLock()
-	defer s.gmu.RUnlock()
-	if st := t.Upd.State(); st != chase.StateAwaitingUser {
-		s.mu.Lock()
-		s.setStatusLocked(i, mirrorOf(st))
-		s.mu.Unlock()
-		return false, nil
-	}
-
-	if doAuto && s.cfg.User != nil {
-		// Deadline auto-answer: one live consultation of the configured
-		// (fallback) user, the graceful-degradation path.
-		ok, err := pollFrontier(s.engine, t.Upd,
-			func(g *chase.FrontierGroup, opts []chase.Decision, ctx string) (chase.Decision, bool) {
-				s.userMu.Lock()
-				defer s.userMu.Unlock()
-				s.bump(func(m *Metrics) { m.UserPolls++ })
-				obsUserPolls.Inc()
-				return s.cfg.User.Decide(t.Upd, g, opts, ctx)
-			})
-		if err != nil {
-			return false, err
+	if !doCancel {
+		ok, err := s.pollShared(t, doAuto)
+		if err != errEntryGone {
+			return ok, err
 		}
-		if ok {
-			s.mu.Lock()
-			s.m.FrontierOps++
-			s.setStatusLocked(i, statusReady)
-			s.mu.Unlock()
-			return true, nil
-		}
-		// The fallback had no answer either; fall through to re-park.
 	}
-
-	if pid == 0 {
-		id, ok := parkEntry(s.engine, s.cfg.Inbox, t.Upd, s.cfg.InboxPolicy)
-		if !ok {
-			return false, nil
-		}
-		obsParked.Inc()
-		if s.cfg.Trace.Enabled() {
-			s.cfg.Trace.NoteDetail(t.Number, "park", fmt.Sprintf("entry=%d", id))
-		}
-		s.mu.Lock()
-		s.parkID[i] = id
-		s.applied[i] = 0
-		s.byPark[id] = i
-		// An answer may have landed between Park and this registration
-		// (the hook found no byPark entry and could not wake us); only
-		// park if none did.
-		if e, ok := s.cfg.Inbox.Get(id); ok && len(e.Answers) == 0 {
-			if s.status[i] == statusAwaiting {
-				s.setStatusLocked(i, statusParked)
-			}
-		}
-		s.mu.Unlock()
-		return true, nil
-	}
-
-	e, ok := s.cfg.Inbox.Get(pid)
-	if !ok {
-		// The entry was aborted out from under the txn; cancel it.
-		return true, s.cancelTxn(t)
-	}
-	s.mu.Lock()
-	ap := s.applied[i]
-	s.mu.Unlock()
-	applied, err := consumeAnswers(s.engine, t.Upd, e.Answers, &ap)
-	s.mu.Lock()
-	s.applied[i] = ap
-	s.mu.Unlock()
-	if err != nil {
-		return false, fmt.Errorf("cc: update %d inbox answer: %w", t.Number, err)
-	}
-	if applied {
-		obsResumed.Inc()
-		if s.cfg.Trace.Enabled() {
-			s.cfg.Trace.NoteDetail(t.Number, "answer", fmt.Sprintf("entry=%d", pid))
-			s.cfg.Trace.Note(t.Number, "resume")
-		}
-		s.mu.Lock()
-		s.m.FrontierOps++
-		s.setStatusLocked(i, statusReady)
-		s.mu.Unlock()
-		return true, nil
-	}
-	// No applicable answer. Refresh the question if it went stale, then
-	// park again — unless yet another answer landed while we polled, in
-	// which case stay dispatchable to consume it.
-	reaskIfStale(s.engine, s.cfg.Inbox, t.Upd, pid, &e)
-	s.mu.Lock()
-	if cur, ok := s.cfg.Inbox.Get(pid); ok && s.applied[i] >= len(cur.Answers) &&
-		s.status[i] == statusAwaiting && !s.cancelReq[i] && !s.autoAnswer[i] {
-		s.setStatusLocked(i, statusParked)
-	}
-	s.mu.Unlock()
-	return false, nil
-}
-
-// cancelTxn aborts a parked update for good: its writes roll back, the
-// update becomes an empty terminated commit (preserving commit order),
-// and its inbox entry is dropped.
-func (s *ParallelScheduler) cancelTxn(t *Txn) error {
 	s.gmu.Lock()
-	if !t.committed && t.Upd.State() != chase.StateTerminated {
-		s.store.Abort(t.Number)
-		t.Upd.Cancel()
-	}
+	err := s.cancel(t)
 	s.gmu.Unlock()
 	s.mu.Lock()
-	i := t.Number - 1
-	s.dropEntryLocked(i)
 	s.setStatusLocked(i, statusTerminated)
-	s.m.Cancelled++
-	obsCancelled.Inc()
-	s.cfg.Trace.Note(t.Number, "cancel")
 	s.mu.Unlock()
-	return nil
+	return true, err
+}
+
+// pollShared runs a poll under the shared phase lock (frontier
+// operations only plan writes; the planned writes are performed by the
+// next step): a live user poll, or in inbox mode the consumption of
+// recorded answers — preceded, when the ticker marked a deadline
+// auto-answer, by one live consultation of the configured (fallback)
+// user, the graceful-degradation path. It then resyncs the dispatch
+// mirror and parks an inbox txn left with no answer to consume, so it
+// costs zero polls until the answer hook or the ticker wakes it.
+func (s *ParallelScheduler) pollShared(t *Txn, doAuto bool) (bool, error) {
+	s.gmu.RLock()
+	defer s.gmu.RUnlock()
+	var d Metrics
+	var ok bool
+	var err error
+	st := t.Upd.State()
+	if st == chase.StateAwaitingUser {
+		if s.cfg.Inbox == nil || doAuto {
+			ok, err = s.pollUser(t, &d)
+		}
+		if !ok && err == nil && s.cfg.Inbox != nil {
+			ok, err = s.inboxPoll(t, &d)
+		}
+		st = t.Upd.State()
+	}
+	i := t.Number - 1
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.m.add(d)
+	s.setStatusLocked(i, mirrorOf(st))
+	// A stale dispatch just resyncs the mirror. An inbox txn parks only
+	// with every recorded answer consumed: one that landed while we
+	// polled found it unparked and could not wake it.
+	if t.parkID != 0 && st == chase.StateAwaitingUser && !s.cancelReq[i] && !s.autoAnswer[i] {
+		if e, found := s.cfg.Inbox.Get(t.parkID); found && t.applied >= len(e.Answers) {
+			s.setStatusLocked(i, statusParked)
+		}
+	}
+	return ok, err
 }
 
 // execCommit advances the commit frontier under one exclusive
-// phase-lock acquisition: the whole terminated prefix is drained in
-// priority order through a single storage group commit, so N
-// back-to-back terminations cost one store-wide lock round instead of
-// N — and, on a durable store, one log append for the whole batch.
-// The append's fsync is pipelined: CommitBatchAsync returns once the
-// batch is in the log, the stripe and phase locks are released while
-// the disk works, and the ack tracker waits for the covering sync off
-// the critical path — which is what lets the frontier drain again
-// (and the log coalesce the syncs) while an earlier batch is still
-// syncing. The first non-terminated update stops the sweep.
+// phase-lock acquisition, so N back-to-back terminations cost one
+// store-wide lock round instead of N; the stripe and phase locks are
+// released while the batch's pipelined fsync is in flight, which is
+// what lets the frontier drain again (and the log coalesce the syncs)
+// while an earlier batch is still syncing.
 func (s *ParallelScheduler) execCommit() (bool, error) {
 	s.gmu.Lock()
 	defer s.gmu.Unlock()
-	var batch []*Txn
-	for _, t := range s.txns {
-		if t.committed {
-			continue
-		}
-		if t.Upd.State() != chase.StateTerminated {
-			break
-		}
-		batch = append(batch, t)
-	}
-	if len(batch) == 0 {
-		return false, nil
-	}
-	numbers := make([]int, len(batch))
-	for i, t := range batch {
-		numbers[i] = t.Number
-	}
-	ackStart := time.Now()
-	ack, err := s.store.CommitBatchAsync(numbers)
-	if err != nil {
-		return false, fmt.Errorf("cc: commit of updates %d..%d: %w",
-			numbers[0], numbers[len(numbers)-1], err)
-	}
-	if s.cfg.Trace.Enabled() {
-		for _, n := range numbers {
-			s.cfg.Trace.NoteDetail(n, "commit", fmt.Sprintf("batch_size=%d", len(numbers)))
-		}
-	}
-	s.acks.track(ackStart, ack, numbers)
-	fr := 0
-	for _, t := range batch {
-		t.committed = true
-		fr += t.Upd.Stats.FrontierRequests
-		// Released stored queries can no longer cause conflicts.
-		t.Upd.ReleaseReads()
-	}
-	forgetCommitted(s.cfg.User, batch)
-	obsCommitBatches.Inc()
-	obsUpdatesCommitted.Add(int64(len(batch)))
-	obsCommitBatchSize.Observe(int64(len(batch)))
-	s.mu.Lock()
-	s.m.FrontierRequests += fr
-	s.m.CommitBatches++
-	if len(batch) > s.m.MaxCommitBatch {
-		s.m.MaxCommitBatch = len(batch)
-	}
-	for _, t := range batch {
-		s.setStatusLocked(t.Number-1, statusCommitted)
-	}
-	s.committedUpTo += len(batch)
-	s.mu.Unlock()
-	return true, nil
+	n, err := s.commitReady()
+	return n > 0, err
 }
 
-// abortLocked rolls an update back via the shared rollbackTxn and
-// resyncs the dispatch mirror. Callers hold the exclusive phase lock;
+// abortLocked is the abort wave's rollback: the core's rollback, then a
+// resync of the dispatch mirror. Callers hold the exclusive phase lock;
 // bumping the attempt counter under it is what tells a concurrent
 // claimant to abandon its stale phase.
 func (s *ParallelScheduler) abortLocked(t *Txn) error {
 	var delta Metrics
-	err := rollbackTxn(s.store, &s.cfg, t, &delta)
+	err := s.rollback(t, &delta)
 	s.mu.Lock()
-	s.m.Aborts += delta.Aborts
-	s.m.FrontierRequests += delta.FrontierRequests
+	s.m.add(delta)
 	if err == nil {
 		i := t.Number - 1
-		// A parked victim's question is void — its attempt restarts from
-		// scratch — so the inbox entry goes with the rollback.
-		s.dropEntryLocked(i)
 		s.setStatusLocked(i, statusReady)
 		if !s.claimed[i] {
 			// The victim may belong to no worker right now; requeue it

@@ -7,50 +7,9 @@ import (
 	"youtopia/internal/chase"
 	"youtopia/internal/inbox"
 	"youtopia/internal/obs"
-	"youtopia/internal/query"
 	"youtopia/internal/storage"
 	"youtopia/internal/tgd"
 )
-
-// Txn is one update under concurrency control.
-type Txn struct {
-	// Upd is the underlying chase update; Upd.Number is the priority.
-	Upd *chase.Update
-	// Number duplicates the update's priority for convenience.
-	Number int
-
-	// deps are the lower-numbered uncommitted updates whose writes
-	// influenced this txn's read answers (§5.1).
-	deps map[int]bool
-	// committed is set once the txn terminated and every lower-numbered
-	// txn committed; committed txns can no longer abort and their
-	// stored queries are released.
-	committed bool
-	// aborts counts how many times this txn has aborted.
-	aborts int
-	// sc is the scratch of the goroutine stepping the txn, set by the
-	// scheduler before each step: the trackers' OnRead reaches that
-	// goroutine's checker and scan buffer through it.
-	sc *stepScratch
-}
-
-// Deps returns the recorded read dependencies, for inspection.
-func (t *Txn) Deps() map[int]bool { return t.deps }
-
-// Committed reports whether the txn has committed.
-func (t *Txn) Committed() bool { return t.committed }
-
-// Aborts returns how many times the txn has aborted so far.
-func (t *Txn) Aborts() int { return t.aborts }
-
-// addDep records a read dependency on a lower-numbered uncommitted
-// update.
-func (t *Txn) addDep(writer int) {
-	if writer == 0 || writer == t.Number || writer > t.Number {
-		return
-	}
-	t.deps[writer] = true
-}
 
 // Policy selects how the scheduler interleaves updates.
 type Policy uint8
@@ -231,73 +190,19 @@ func (m Metrics) PerUpdateTime() time.Duration {
 }
 
 // Scheduler drives a workload of updates to termination under
-// optimistic concurrency control (Algorithms 3 and 4).
+// optimistic concurrency control (Algorithms 3 and 4) on one goroutine:
+// it alternates commit-frontier drains with scheduling rounds that give
+// every unfinished update one opportunity, in priority order.
 type Scheduler struct {
-	store   storage.Backend
-	engine  *chase.Engine
-	cfg     Config
-	txns    []*Txn
-	m       Metrics
+	txnCore
 	scratch stepScratch
-	acks    ackTracker
-
-	// Inbox-mode bookkeeping, indexed like txns: the entry a blocked txn
-	// parked under (0 = not parked) and how many of its recorded answers
-	// were consumed.
-	parkID  []int64
-	applied []int
 }
 
 // NewScheduler builds a scheduler over a store and mapping set.
 func NewScheduler(store storage.Backend, set *tgd.Set, cfg Config) *Scheduler {
-	if cfg.Tracker == nil {
-		cfg.Tracker = Coarse{}
-	}
-	if cfg.MaxStepsPerUpdate == 0 {
-		cfg.MaxStepsPerUpdate = 100000
-	}
-	if cfg.MaxIdleRounds == 0 {
-		cfg.MaxIdleRounds = 10000
-	}
-	s := &Scheduler{store: store, cfg: cfg}
-	s.engine = chase.NewEngine(store, set)
-	s.engine.MaxStepsPerAttempt = cfg.MaxStepsPerUpdate
-	s.engine.SetReadObserver(s.onRead)
-	if h, ok := cfg.Tracker.(*Hybrid); ok && h.Attempts == nil {
-		h.Attempts = func(number int) int {
-			if t := s.txn(number); t != nil {
-				return t.Upd.Attempt
-			}
-			return 1
-		}
-	}
+	s := &Scheduler{}
+	s.init(store, set, cfg)
 	return s
-}
-
-// Txns returns the scheduler's transactions (after Run started).
-func (s *Scheduler) Txns() []*Txn { return s.txns }
-
-// Metrics returns the metrics collected so far.
-func (s *Scheduler) Metrics() Metrics { return s.m }
-
-func (s *Scheduler) txn(number int) *Txn {
-	if number < 1 || number > len(s.txns) {
-		return nil
-	}
-	return s.txns[number-1]
-}
-
-// onRead is the chase engine's read observer: it forwards each stored
-// read to the tracker for dependency computation (§5.1: dependencies
-// are determined when the read is issued). Flag mode never cascades,
-// so it skips dependency tracking entirely.
-func (s *Scheduler) onRead(u *chase.Update, q query.ReadQuery) {
-	if s.cfg.Mode == ModeFlag {
-		return
-	}
-	if t := s.txn(u.Number); t != nil {
-		s.cfg.Tracker.OnRead(s.store, t, q)
-	}
 }
 
 // Run executes the workload: ops[i] becomes update number i+1. It
@@ -307,136 +212,44 @@ func (s *Scheduler) onRead(u *chase.Update, q query.ReadQuery) {
 // because acknowledgment is pipelined (the run keeps chasing while
 // syncs are in flight and settles them before returning).
 func (s *Scheduler) Run(ops []chase.Op) (Metrics, error) {
-	start := time.Now()
-	defer func() { s.m.WallTime = time.Since(start) }()
-	syncs0 := s.store.SyncCount()
+	s.begin(ops, &s.scratch)
+	return s.end(s.loop())
+}
 
-	s.acks.init(s.cfg.Trace)
-	s.txns = make([]*Txn, len(ops))
-	for i, op := range ops {
-		u := chase.NewUpdate(i+1, op)
-		s.txns[i] = &Txn{Upd: u, Number: i + 1, deps: make(map[int]bool), sc: &s.scratch}
-		s.cfg.Trace.Note(i+1, "submit")
-	}
-	s.m.Submitted = len(ops)
-	s.parkID = make([]int64, len(ops))
-	s.applied = make([]int, len(ops))
-
+// loop runs drains and rounds until every txn committed or the run
+// fails.
+func (s *Scheduler) loop() error {
 	idle := 0
-	var runErr error
 	for {
-		done, err := s.commitReady()
-		if err != nil {
-			runErr = err
-			break
+		if _, err := s.commitReady(); err != nil {
+			return err
 		}
-		if done {
-			break
+		if s.committedUpTo == len(s.txns) {
+			return nil
 		}
 		progressed, err := s.round()
 		if err != nil {
-			runErr = err
-			break
+			return err
 		}
-		if progressed {
-			idle = 0
-			continue
-		}
-		if s.cfg.Inbox != nil && s.anyParked() {
+		if !progressed && len(s.byPark) > 0 {
 			// Parked updates wait on external answers or policy
 			// deadlines, not on scheduler rounds: advance the inbox
 			// clock, execute what came due, and pace the wait. The idle
 			// limit still applies, bounding a silent inbox with no
 			// deadline policy.
-			acted, err := s.inboxIdle()
-			if err != nil {
-				runErr = err
-				break
+			if progressed, err = s.inboxIdle(); err != nil {
+				return err
 			}
-			if acted {
-				idle = 0
-				continue
-			}
+		}
+		if progressed {
+			idle = 0
+			continue
 		}
 		idle++
 		if idle >= s.cfg.MaxIdleRounds {
-			runErr = fmt.Errorf("cc: no progress after %d idle rounds (users absent?)", idle)
-			break
+			return fmt.Errorf("cc: no progress after %d idle rounds (users absent?)", idle)
 		}
 	}
-	// Settle the commit pipeline: nothing is acknowledged until its
-	// covering sync landed.
-	if err := s.acks.wait(); err != nil && runErr == nil {
-		runErr = err
-	}
-	s.m.CommitAckP50, s.m.CommitAckP99 = s.acks.percentiles()
-	s.m.WALSyncs = int(s.store.SyncCount() - syncs0)
-	if runErr != nil {
-		return s.m, runErr
-	}
-	s.m.Runs = s.m.Submitted + s.m.Aborts
-	return s.m, nil
-}
-
-// commitReady advances the commit frontier — updates commit in
-// priority order once terminated (§5: a terminated update can still be
-// aborted until every lower-numbered update has terminated) — and
-// reports whether every txn has committed. Like the parallel
-// scheduler's frontier, it drains the whole terminated prefix through
-// one storage group commit per call — one log append on a durable
-// store, whose fsync is pipelined: the scheduler keeps running while
-// the sync is in flight and the ack tracker settles it before Run
-// returns, so back-to-back frontier drains can share one fsync.
-func (s *Scheduler) commitReady() (bool, error) {
-	var batch []*Txn
-	all := true
-	for _, t := range s.txns {
-		if t.committed {
-			continue
-		}
-		if t.Upd.State() != chase.StateTerminated {
-			all = false
-			break
-		}
-		batch = append(batch, t)
-	}
-	if len(batch) > 0 {
-		numbers := make([]int, len(batch))
-		for i, t := range batch {
-			numbers[i] = t.Number
-		}
-		ackStart := time.Now()
-		ack, err := s.store.CommitBatchAsync(numbers)
-		if err != nil {
-			return false, fmt.Errorf("cc: commit of updates %d..%d: %w",
-				numbers[0], numbers[len(numbers)-1], err)
-		}
-		if s.cfg.Trace.Enabled() {
-			for _, n := range numbers {
-				s.cfg.Trace.NoteDetail(n, "commit", fmt.Sprintf("batch_size=%d", len(numbers)))
-			}
-		}
-		s.acks.track(ackStart, ack, numbers)
-		for _, t := range batch {
-			t.committed = true
-			s.m.FrontierRequests += t.Upd.Stats.FrontierRequests
-			// Released stored queries can no longer cause conflicts.
-			t.Upd.ReleaseReads()
-			if pid := s.parkID[t.Number-1]; pid != 0 {
-				s.cfg.Inbox.Resolve(pid)
-				s.parkID[t.Number-1] = 0
-			}
-		}
-		forgetCommitted(s.cfg.User, batch)
-		s.m.CommitBatches++
-		obsCommitBatches.Inc()
-		obsUpdatesCommitted.Add(int64(len(batch)))
-		obsCommitBatchSize.Observe(int64(len(batch)))
-		if len(batch) > s.m.MaxCommitBatch {
-			s.m.MaxCommitBatch = len(batch)
-		}
-	}
-	return all, nil
 }
 
 // round performs one scheduler round: under round-robin policies every
@@ -463,13 +276,21 @@ func (s *Scheduler) round() (bool, error) {
 	return progressed, nil
 }
 
-// schedule gives one txn its opportunity.
+// schedule gives one txn its opportunity: a blocked txn is polled live,
+// or in inbox mode parks / consumes its recorded answers instead.
 func (s *Scheduler) schedule(t *Txn) (bool, error) {
 	switch t.Upd.State() {
 	case chase.StateReady:
 		return true, s.runSteps(t)
 	case chase.StateAwaitingUser:
-		return s.pollUser(t)
+		if s.cfg.Inbox == nil {
+			return s.pollUser(t, &s.m)
+		}
+		ok, err := s.inboxPoll(t, &s.m)
+		if err == errEntryGone {
+			return true, s.cancel(t)
+		}
+		return ok, err
 	default:
 		return false, nil
 	}
@@ -507,80 +328,6 @@ func (s *Scheduler) runSteps(t *Txn) error {
 	}
 }
 
-// pollUser offers one frontier decision opportunity to a blocked txn —
-// or, in inbox mode, parks it / consumes its recorded answers instead
-// of repolling.
-func (s *Scheduler) pollUser(t *Txn) (bool, error) {
-	if s.cfg.Inbox != nil {
-		return s.inboxPoll(t)
-	}
-	if s.cfg.User == nil {
-		return false, nil
-	}
-	ok, err := pollFrontier(s.engine, t.Upd,
-		func(g *chase.FrontierGroup, opts []chase.Decision, ctx string) (chase.Decision, bool) {
-			s.m.UserPolls++
-			obsUserPolls.Inc()
-			return s.cfg.User.Decide(t.Upd, g, opts, ctx)
-		})
-	if ok {
-		s.m.FrontierOps++
-	}
-	return ok, err
-}
-
-// inboxPoll is a blocked txn's scheduling opportunity in inbox mode:
-// park on first block, then consume recorded answers as they arrive —
-// never a live user poll, so waiting costs zero Decide calls.
-func (s *Scheduler) inboxPoll(t *Txn) (bool, error) {
-	i := t.Number - 1
-	if s.parkID[i] == 0 {
-		id, ok := parkEntry(s.engine, s.cfg.Inbox, t.Upd, s.cfg.InboxPolicy)
-		if !ok {
-			return false, nil
-		}
-		s.parkID[i] = id
-		s.applied[i] = 0
-		obsParked.Inc()
-		if s.cfg.Trace.Enabled() {
-			s.cfg.Trace.NoteDetail(t.Number, "park", fmt.Sprintf("entry=%d", id))
-		}
-		return true, nil
-	}
-	e, ok := s.cfg.Inbox.Get(s.parkID[i])
-	if !ok {
-		// The entry was aborted out from under the txn; cancel it.
-		return true, s.cancelTxn(t)
-	}
-	applied, err := consumeAnswers(s.engine, t.Upd, e.Answers, &s.applied[i])
-	if err != nil {
-		return false, fmt.Errorf("cc: update %d inbox answer: %w", t.Number, err)
-	}
-	if applied {
-		s.m.FrontierOps++
-		obsResumed.Inc()
-		if s.cfg.Trace.Enabled() {
-			s.cfg.Trace.NoteDetail(t.Number, "answer", fmt.Sprintf("entry=%d", e.ID))
-			s.cfg.Trace.Note(t.Number, "resume")
-		}
-		return true, nil
-	}
-	if t.Upd.State() == chase.StateAwaitingUser {
-		reaskIfStale(s.engine, s.cfg.Inbox, t.Upd, e.ID, &e)
-	}
-	return false, nil
-}
-
-// anyParked reports whether any live txn is parked in the inbox.
-func (s *Scheduler) anyParked() bool {
-	for i, t := range s.txns {
-		if s.parkID[i] != 0 && !t.committed {
-			return true
-		}
-	}
-	return false
-}
-
 // inboxIdle runs when a round made no progress and parked txns exist:
 // it advances the inbox clock one tick, executes due policy actions
 // (deadline auto-answers and aborts), and — when nothing was due —
@@ -589,31 +336,22 @@ func (s *Scheduler) anyParked() bool {
 func (s *Scheduler) inboxIdle() (bool, error) {
 	acted := false
 	for _, d := range s.cfg.Inbox.Tick(1) {
-		i := s.indexOfPark(d.ID)
-		if i < 0 {
+		t := s.byPark[d.ID]
+		if t == nil {
 			continue
 		}
-		t := s.txns[i]
 		switch d.Kind {
 		case inbox.DueAutoAnswer:
-			if s.cfg.User == nil || t.Upd.State() != chase.StateAwaitingUser {
+			if t.Upd.State() != chase.StateAwaitingUser {
 				continue
 			}
-			ok, err := pollFrontier(s.engine, t.Upd,
-				func(g *chase.FrontierGroup, opts []chase.Decision, ctx string) (chase.Decision, bool) {
-					s.m.UserPolls++
-					obsUserPolls.Inc()
-					return s.cfg.User.Decide(t.Upd, g, opts, ctx)
-				})
+			ok, err := s.pollUser(t, &s.m)
 			if err != nil {
 				return acted, err
 			}
-			if ok {
-				s.m.FrontierOps++
-				acted = true
-			}
+			acted = acted || ok
 		case inbox.DueAbort:
-			if err := s.cancelTxn(t); err != nil {
+			if err := s.cancel(t); err != nil {
 				return acted, err
 			}
 			acted = true
@@ -623,38 +361,6 @@ func (s *Scheduler) inboxIdle() (bool, error) {
 		time.Sleep(100 * time.Microsecond)
 	}
 	return acted, nil
-}
-
-// indexOfPark maps an inbox entry ID back to its txn index (-1 when
-// the entry is not one of ours or already resolved).
-func (s *Scheduler) indexOfPark(id int64) int {
-	for i := range s.parkID {
-		if s.parkID[i] == id {
-			return i
-		}
-	}
-	return -1
-}
-
-// cancelTxn aborts a parked update for good: its writes roll back, the
-// update becomes an empty terminated commit (preserving commit order),
-// and the inbox entry is dropped.
-func (s *Scheduler) cancelTxn(t *Txn) error {
-	if t.committed {
-		return fmt.Errorf("cc: cancel of committed update %d", t.Number)
-	}
-	if t.Upd.State() != chase.StateTerminated {
-		s.store.Abort(t.Number)
-		t.Upd.Cancel()
-	}
-	if pid := s.parkID[t.Number-1]; pid != 0 {
-		s.cfg.Inbox.Abort(pid)
-		s.parkID[t.Number-1] = 0
-	}
-	s.m.Cancelled++
-	obsCancelled.Inc()
-	s.cfg.Trace.Note(t.Number, "cancel")
-	return nil
 }
 
 // processWrites runs Algorithm 4's conflict processing on one step's
@@ -670,15 +376,6 @@ func (s *Scheduler) processWrites(writes []storage.WriteRec) error {
 		s.cfg.Trace.Span(writes[0].Writer, "conflict_check", checkStart)
 	}
 	return executeAbortWave(s.store, &s.cfg, s.txns, direct, &s.m, &s.scratch, func(t *Txn) error {
-		// A parked victim's question is void — its attempt restarts from
-		// scratch — so the inbox entry goes with the rollback.
-		if s.cfg.Inbox != nil {
-			if pid := s.parkID[t.Number-1]; pid != 0 {
-				s.cfg.Inbox.Abort(pid)
-				s.parkID[t.Number-1] = 0
-				s.applied[t.Number-1] = 0
-			}
-		}
-		return rollbackTxn(s.store, &s.cfg, t, &s.m)
+		return s.rollback(t, &s.m)
 	})
 }

@@ -318,6 +318,38 @@ func TestAbsentUserStalls(t *testing.T) {
 	}
 }
 
+// TestRunMetricsEpilogue: both schedulers' Run returns the run's wall
+// time and Runs = Submitted + Aborts, on success and when the run fails
+// (an absent user stalls it).
+func TestRunMetricsEpilogue(t *testing.T) {
+	for _, workers := range []int{0, 1} {
+		for _, stall := range []bool{false, true} {
+			st, set := travel(t)
+			cfg := cc.Config{Tracker: cc.Precise{}, User: &example31User{st: st, delay: 3}, Workers: workers}
+			if stall {
+				cfg.User, cfg.MaxIdleRounds = simuser.Silent(), 50
+			}
+			var m cc.Metrics
+			var err error
+			if workers > 0 {
+				m, err = cc.NewParallelScheduler(st, set, cfg).Run(example31Ops())
+			} else {
+				m, err = cc.NewScheduler(st, set, cfg).Run(example31Ops())
+			}
+			if (err != nil) != stall {
+				t.Fatalf("workers=%d stall=%v: err = %v", workers, stall, err)
+			}
+			if m.WallTime <= 0 {
+				t.Errorf("workers=%d stall=%v: WallTime = %v, want > 0", workers, stall, m.WallTime)
+			}
+			if m.Submitted != 2 || m.Runs != m.Submitted+m.Aborts {
+				t.Errorf("workers=%d stall=%v: Runs = %d, want Submitted %d + Aborts %d",
+					workers, stall, m.Runs, m.Submitted, m.Aborts)
+			}
+		}
+	}
+}
+
 func TestTrackerByName(t *testing.T) {
 	for _, name := range []string{"NAIVE", "COARSE", "PRECISE", "naive", "coarse", "precise"} {
 		tr, err := cc.TrackerByName(name)

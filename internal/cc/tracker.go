@@ -162,9 +162,6 @@ type Hybrid struct {
 	// PreciseFor selects the updates whose dependencies are computed
 	// precisely.
 	PreciseFor func(number int, attempt int) bool
-	// Attempts reports the current attempt count per update; the
-	// scheduler wires this up so predicates can escalate after aborts.
-	Attempts func(number int) int
 
 	coarse  Coarse
 	precise Precise
@@ -187,15 +184,10 @@ func (h *Hybrid) Cascade(st storage.Backend, aborted *Txn, active []*Txn) []*Txn
 	return depCascade(aborted, active)
 }
 
+// usePrecise asks the predicate with the update's current attempt; the
+// stepping goroutine that calls OnRead owns the counter.
 func (h *Hybrid) usePrecise(u *Txn) bool {
-	if h.PreciseFor == nil {
-		return false
-	}
-	attempt := 1
-	if h.Attempts != nil {
-		attempt = h.Attempts(u.Number)
-	}
-	return h.PreciseFor(u.Number, attempt)
+	return h.PreciseFor != nil && h.PreciseFor(u.Number, u.Upd.Attempt)
 }
 
 // EscalateAfter returns a Hybrid predicate that switches an update to

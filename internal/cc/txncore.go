@@ -1,0 +1,380 @@
+package cc
+
+import (
+	"errors"
+	"fmt"
+	"sync"
+	"time"
+
+	"youtopia/internal/chase"
+	"youtopia/internal/query"
+	"youtopia/internal/storage"
+	"youtopia/internal/tgd"
+)
+
+// Txn is one update under concurrency control.
+type Txn struct {
+	// Upd is the underlying chase update; Upd.Number is the priority.
+	Upd *chase.Update
+	// Number duplicates the update's priority for convenience.
+	Number int
+
+	// deps are the lower-numbered uncommitted updates whose writes
+	// influenced this txn's read answers (§5.1).
+	deps map[int]bool
+	// committed is set once the txn terminated and every lower-numbered
+	// txn committed; committed txns can no longer abort and their
+	// stored queries are released.
+	committed bool
+	// aborts counts how many times this txn has aborted.
+	aborts int
+	// sc is the scratch of the goroutine stepping the txn, set by the
+	// scheduler before each step: the trackers' OnRead reaches that
+	// goroutine's checker and scan buffer through it.
+	sc *stepScratch
+	// parkID is the inbox entry the txn is parked under (0 = not parked)
+	// and applied how many of the entry's recorded answers it consumed.
+	parkID  int64
+	applied int
+}
+
+// Deps returns the recorded read dependencies, for inspection.
+func (t *Txn) Deps() map[int]bool { return t.deps }
+
+// Committed reports whether the txn has committed.
+func (t *Txn) Committed() bool { return t.committed }
+
+// Aborts returns how many times the txn has aborted so far.
+func (t *Txn) Aborts() int { return t.aborts }
+
+// addDep records a read dependency on a lower-numbered uncommitted
+// update.
+func (t *Txn) addDep(writer int) {
+	if writer == 0 || writer == t.Number || writer > t.Number {
+		return
+	}
+	t.deps[writer] = true
+}
+
+// txnCore is the transaction lifecycle of Algorithms 3 and 4 that both
+// schedulers embed: submission, the read observer, the priority-ordered
+// commit frontier, live user polls, inbox park/consume/re-ask,
+// cancellation, rollback and the run epilogue. The schedulers differ
+// only in who picks the next step and under which lock: the cooperative
+// Scheduler calls the core from its one goroutine, the
+// ParallelScheduler from its workers under the phase lock (each method
+// names the phase it needs).
+type txnCore struct {
+	store  storage.Backend
+	engine *chase.Engine
+	cfg    Config
+	txns   []*Txn
+	acks   ackTracker
+
+	// userMu serializes chase.User calls: implementations (the simulated
+	// users included) are not required to be goroutine-safe.
+	userMu sync.Mutex
+
+	// mu guards m, committedUpTo and byPark wherever more than one
+	// goroutine runs; the parallel scheduler's dispatch state shares it.
+	// Metrics a caller accumulates outside mu arrive as a delta (the m
+	// parameters below) — the cooperative scheduler, whose one goroutine
+	// owns everything, passes &m itself.
+	mu            sync.Mutex
+	m             Metrics
+	committedUpTo int            // txns[:committedUpTo] have committed
+	byPark        map[int64]*Txn // inbox entry ID -> parked txn
+
+	start  time.Time
+	syncs0 int64
+}
+
+// init applies the Config defaults and builds the chase engine with the
+// read observer installed.
+func (c *txnCore) init(store storage.Backend, set *tgd.Set, cfg Config) {
+	if cfg.Tracker == nil {
+		cfg.Tracker = Coarse{}
+	}
+	if cfg.MaxStepsPerUpdate == 0 {
+		cfg.MaxStepsPerUpdate = 100000
+	}
+	if cfg.MaxIdleRounds == 0 {
+		cfg.MaxIdleRounds = 10000
+	}
+	c.store, c.cfg = store, cfg
+	c.engine = chase.NewEngine(store, set)
+	c.engine.MaxStepsPerAttempt = cfg.MaxStepsPerUpdate
+	c.engine.SetReadObserver(c.onRead)
+}
+
+// Txns returns the scheduler's transactions (after Run started).
+func (c *txnCore) Txns() []*Txn { return c.txns }
+
+// Metrics returns the metrics collected so far.
+func (c *txnCore) Metrics() Metrics {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.m
+}
+
+// onRead is the chase engine's read observer: it forwards each stored
+// read to the tracker for dependency computation (§5.1: dependencies
+// are determined when the read is issued). It runs in the phase that
+// performed the read, so a txn's dependency set is only ever written by
+// its stepping goroutine and only ever read under the exclusive phase
+// lock. Flag mode never cascades, so it skips dependency tracking.
+func (c *txnCore) onRead(u *chase.Update, q query.ReadQuery) {
+	if c.cfg.Mode == ModeFlag || u.Number < 1 || u.Number > len(c.txns) {
+		return
+	}
+	if t := c.txns[u.Number-1]; t != nil {
+		c.cfg.Tracker.OnRead(c.store, t, q)
+	}
+}
+
+// begin starts the run clock and submits the workload: ops[i] becomes
+// update number i+1, with sc as its conflict scratch (nil when the
+// stepping goroutine sets it per step).
+func (c *txnCore) begin(ops []chase.Op, sc *stepScratch) {
+	c.start = time.Now()
+	c.syncs0 = c.store.SyncCount()
+	c.acks.init(c.cfg.Trace)
+	c.txns = make([]*Txn, len(ops))
+	for i, op := range ops {
+		c.txns[i] = &Txn{Upd: chase.NewUpdate(i+1, op), Number: i + 1, deps: make(map[int]bool), sc: sc}
+		c.cfg.Trace.Note(i+1, "submit")
+	}
+	c.m.Submitted = len(ops)
+	if c.cfg.Inbox != nil {
+		c.byPark = make(map[int64]*Txn)
+	}
+}
+
+// end settles the commit pipeline — nothing is acknowledged, Run
+// included, until its covering sync landed — and completes the run's
+// metrics. runErr is the run's own failure; a failed sync is reported
+// when there is none.
+func (c *txnCore) end(runErr error) (Metrics, error) {
+	if err := c.acks.wait(); err != nil && runErr == nil {
+		runErr = err
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.m.CommitAckP50, c.m.CommitAckP99 = c.acks.percentiles()
+	c.m.WALSyncs = int(c.store.SyncCount() - c.syncs0)
+	c.m.Runs = c.m.Submitted + c.m.Aborts
+	c.m.WallTime = time.Since(c.start)
+	return c.m, runErr
+}
+
+// commitReady advances the commit frontier — updates commit in priority
+// order once terminated (§5: a terminated update can still be aborted
+// until every lower-numbered update has terminated) — and returns how
+// many txns it committed. The whole terminated prefix above
+// committedUpTo drains through one storage group commit: on a durable
+// store one log append, whose fsync is pipelined — CommitBatchAsync
+// returns once the batch is in the log, the scheduler keeps running
+// while the disk works, and the ack tracker settles the sync before Run
+// returns, so back-to-back drains can share one fsync. The parallel
+// scheduler calls it under the exclusive phase lock.
+func (c *txnCore) commitReady() (int, error) {
+	batch := c.txns[c.committedUpTo:]
+	for i, t := range batch {
+		if t.Upd.State() != chase.StateTerminated {
+			batch = batch[:i]
+			break
+		}
+	}
+	if len(batch) == 0 {
+		return 0, nil
+	}
+	numbers := make([]int, len(batch))
+	for i, t := range batch {
+		numbers[i] = t.Number
+	}
+	ackStart := time.Now()
+	ack, err := c.store.CommitBatchAsync(numbers)
+	if err != nil {
+		return 0, fmt.Errorf("cc: commit of updates %d..%d: %w",
+			numbers[0], numbers[len(numbers)-1], err)
+	}
+	if c.cfg.Trace.Enabled() {
+		for _, n := range numbers {
+			c.cfg.Trace.NoteDetail(n, "commit", fmt.Sprintf("batch_size=%d", len(numbers)))
+		}
+	}
+	c.acks.track(ackStart, ack, numbers)
+	fr := 0
+	for _, t := range batch {
+		t.committed = true
+		fr += t.Upd.Stats.FrontierRequests
+		// Released stored queries can no longer cause conflicts.
+		t.Upd.ReleaseReads()
+	}
+	forgetCommitted(c.cfg.User, batch)
+	obsCommitBatches.Inc()
+	obsUpdatesCommitted.Add(int64(len(batch)))
+	obsCommitBatchSize.Observe(int64(len(batch)))
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.m.FrontierRequests += fr
+	c.m.CommitBatches++
+	c.m.MaxCommitBatch = max(c.m.MaxCommitBatch, len(batch))
+	for _, t := range batch {
+		c.resolveEntryLocked(t)
+	}
+	c.committedUpTo += len(batch)
+	return len(batch), nil
+}
+
+// pollUser offers a blocked txn one live frontier decision: it walks the
+// open groups, enumerates each group's options, and applies the first
+// decision the user supplies, reporting whether it applied one. Decide
+// calls are serialized across goroutines and counted into m with the
+// applied operation. The parallel scheduler calls it under the shared
+// phase lock (frontier operations only plan writes).
+func (c *txnCore) pollUser(t *Txn, m *Metrics) (bool, error) {
+	if c.cfg.User == nil {
+		return false, nil
+	}
+	u := t.Upd
+	for _, g := range append([]*chase.FrontierGroup(nil), u.Groups()...) {
+		opts := c.engine.Options(u, g)
+		if len(opts) == 0 {
+			continue
+		}
+		ctx := c.engine.DecisionContext(u, g)
+		c.userMu.Lock()
+		m.UserPolls++
+		obsUserPolls.Inc()
+		d, ok := c.cfg.User.Decide(u, g, opts, ctx)
+		c.userMu.Unlock()
+		if !ok {
+			continue
+		}
+		if err := c.engine.Apply(u, g.ID, d); err != nil {
+			return false, fmt.Errorf("cc: update %d frontier op: %w", u.Number, err)
+		}
+		m.FrontierOps++
+		return true, nil
+	}
+	return false, nil
+}
+
+// errEntryGone reports a parked txn whose inbox entry was aborted out
+// from under it; the caller cancels the txn under its exclusive lock.
+var errEntryGone = errors.New("cc: inbox entry aborted")
+
+// inboxPoll is a blocked txn's scheduling opportunity in inbox mode:
+// park on first block, then consume recorded answers as they arrive —
+// never a live user poll, so waiting costs zero Decide calls — and
+// re-ask when the entry no longer shows the question the update blocks
+// on. It reports whether it parked the txn or applied an answer, which
+// counts into m. The parallel scheduler calls it under the shared phase
+// lock.
+func (c *txnCore) inboxPoll(t *Txn, m *Metrics) (bool, error) {
+	if t.parkID == 0 {
+		id, ok := parkEntry(c.engine, c.cfg.Inbox, t.Upd, c.cfg.InboxPolicy)
+		if !ok {
+			return false, nil
+		}
+		c.mu.Lock()
+		t.parkID, t.applied = id, 0
+		c.byPark[id] = t
+		c.mu.Unlock()
+		obsParked.Inc()
+		if c.cfg.Trace.Enabled() {
+			c.cfg.Trace.NoteDetail(t.Number, "park", fmt.Sprintf("entry=%d", id))
+		}
+		return true, nil
+	}
+	e, ok := c.cfg.Inbox.Get(t.parkID)
+	if !ok {
+		return false, errEntryGone
+	}
+	applied, err := consumeAnswers(c.engine, t.Upd, e.Answers, &t.applied)
+	if err != nil {
+		return false, fmt.Errorf("cc: update %d inbox answer: %w", t.Number, err)
+	}
+	if !applied {
+		reaskIfStale(c.engine, c.cfg.Inbox, t.Upd, e.ID, &e)
+		return false, nil
+	}
+	m.FrontierOps++
+	obsResumed.Inc()
+	if c.cfg.Trace.Enabled() {
+		c.cfg.Trace.NoteDetail(t.Number, "answer", fmt.Sprintf("entry=%d", e.ID))
+		c.cfg.Trace.Note(t.Number, "resume")
+	}
+	return true, nil
+}
+
+// cancel aborts an update for good: its writes roll back, the update
+// becomes an empty terminated commit (preserving commit order), and its
+// inbox entry is dropped. The parallel scheduler calls it under the
+// exclusive phase lock.
+func (c *txnCore) cancel(t *Txn) error {
+	if t.committed {
+		return fmt.Errorf("cc: cancel of committed update %d", t.Number)
+	}
+	if t.Upd.State() != chase.StateTerminated {
+		c.store.Abort(t.Number)
+		t.Upd.Cancel()
+	}
+	c.mu.Lock()
+	c.dropEntryLocked(t)
+	c.m.Cancelled++
+	c.mu.Unlock()
+	obsCancelled.Inc()
+	c.cfg.Trace.Note(t.Number, "cancel")
+	return nil
+}
+
+// rollback is the abort wave's rollback of one victim: rollbackTxn's
+// storage-level abort and restart, then the victim's inbox entry goes —
+// a parked victim's question is void, its attempt restarts from
+// scratch. Aborts count into m. The parallel scheduler calls it under
+// the exclusive phase lock.
+func (c *txnCore) rollback(t *Txn, m *Metrics) error {
+	if err := rollbackTxn(c.store, &c.cfg, t, m); err != nil {
+		return err
+	}
+	c.mu.Lock()
+	c.dropEntryLocked(t)
+	c.mu.Unlock()
+	return nil
+}
+
+// resolveEntryLocked removes a finished txn's inbox entry. Callers hold
+// mu.
+func (c *txnCore) resolveEntryLocked(t *Txn) {
+	if t.parkID != 0 {
+		c.cfg.Inbox.Resolve(t.parkID)
+		delete(c.byPark, t.parkID)
+		t.parkID = 0
+	}
+}
+
+// dropEntryLocked aborts the inbox entry of a txn that restarted or was
+// cancelled: its question is void. Callers hold mu.
+func (c *txnCore) dropEntryLocked(t *Txn) {
+	if t.parkID != 0 {
+		c.cfg.Inbox.Abort(t.parkID)
+		delete(c.byPark, t.parkID)
+		t.parkID, t.applied = 0, 0
+	}
+}
+
+// add merges a delta of the counters callers accumulate outside mu.
+func (m *Metrics) add(d Metrics) {
+	m.Aborts += d.Aborts
+	m.DirectAbortRequests += d.DirectAbortRequests
+	m.CascadingAbortRequests += d.CascadingAbortRequests
+	m.RemovalAbortRequests += d.RemovalAbortRequests
+	m.Flagged += d.Flagged
+	m.Steps += d.Steps
+	m.Writes += d.Writes
+	m.FrontierRequests += d.FrontierRequests
+	m.FrontierOps += d.FrontierOps
+	m.UserPolls += d.UserPolls
+}
