@@ -1,6 +1,8 @@
 package chase
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 
 	"youtopia/internal/model"
@@ -122,5 +124,36 @@ func TestReadLogHashCollision(t *testing.T) {
 	u.Reset()
 	if !u.addReadHashed(probeRead(3), h) {
 		t.Fatal("Reset kept the dedupe index")
+	}
+}
+
+// TestReadDedupAcrossCollection: the read log is keyed by identity
+// hashes, and a constant hashes by the address of its canonical copy,
+// which identifies it only while some Value holds the copy. The log
+// retains the reads it hashed, so across forced collections the
+// constant stays alive, re-minting it from a fresh string yields the
+// same copy and hash, and the repeated read is still recognized.
+func TestReadDedupAcrossCollection(t *testing.T) {
+	read := func() query.ReadQuery {
+		return &query.ContentRead{
+			Rel:      "R",
+			Vals:     []model.Value{model.Const(fmt.Sprint("dedup-across-gc-", 7)), model.Null(3)},
+			ReaderNo: 1,
+		}
+	}
+	u := NewUpdate(1, Op{})
+	if !u.addRead(read()) {
+		t.Fatal("first read reported as a duplicate")
+	}
+	h := query.ReadHash(u.StoredReads()[0])
+	for i := 0; i < 3; i++ {
+		runtime.GC()
+	}
+	again := read()
+	if query.ReadHash(again) != h {
+		t.Fatal("re-minted constant hashes differently while the read log holds it")
+	}
+	if u.addRead(again) {
+		t.Fatal("a read repeated after a collection was stored twice")
 	}
 }

@@ -165,7 +165,10 @@ type Update struct {
 	// readIdx is the dedupe index over reads: identity hash
 	// (query.ReadHash) to position in reads. Two different reads with
 	// one hash probe linearly — the second lives under hash+1 — which
-	// is sound because entries are only ever removed all at once.
+	// is sound because entries are only ever removed all at once. A
+	// constant hashes by its canonical copy's address, an identity only
+	// while the constant is alive (model.Value.Hash); reads holds every
+	// read a key was hashed from, and both are dropped together.
 	// Guarded by readsMu; nil until the first read after a Reset or
 	// ReleaseReads.
 	readIdx map[uint64]int32

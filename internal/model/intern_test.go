@@ -2,9 +2,46 @@ package model
 
 import (
 	"fmt"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 )
+
+// liveSymbols counts the table's entries whose canonical copy is still
+// alive.
+func liveSymbols() int {
+	symbols.mu.Lock()
+	defer symbols.mu.Unlock()
+	t := symbols.tab.Load()
+	n := 0
+	for i := range t.slots {
+		if t.slots[i].key.Load() != 0 && t.slots[i].w.Value() != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// alive reports whether s has a live canonical copy.
+func alive(s string) bool {
+	h, key := symHash(s)
+	p, _ := symbols.tab.Load().lookup(s, h, key)
+	return p != nil
+}
+
+// collectUntil runs collections until done reports true, at most a
+// bounded number of times, and reports whether it did.
+func collectUntil(done func() bool) bool {
+	for i := 0; i < 20; i++ {
+		runtime.GC()
+		if done() {
+			return true
+		}
+	}
+	return false
+}
 
 func TestInternRoundTrip(t *testing.T) {
 	if got := Const("Ithaca").ConstValue(); got != "Ithaca" {
@@ -23,10 +60,82 @@ func TestInternRoundTrip(t *testing.T) {
 	if !zero.IsConst() || zero.ConstValue() != "" {
 		t.Fatal("zero Value does not behave as the empty constant")
 	}
+	if Null(0) == Const("") || !Null(0).IsNull() {
+		t.Fatal("Null(0) is indistinguishable from Const(\"\")")
+	}
+	if got := unsafe.Sizeof(Value{}); got != 16 {
+		t.Fatalf("Value is %d bytes, want two words", got)
+	}
+	// The canonical copy is the constant's own: interning a slice of a
+	// larger string does not keep the larger string alive.
+	src := strings.Repeat("y", 1<<16)
+	if v := Const(src[:5]); unsafe.StringData(v.ConstValue()) == unsafe.StringData(src) {
+		t.Fatal("a constant shares the bytes of the string it was interned from")
+	}
 }
 
-// TestInternGrowth pushes the symbol table through several probe-table
-// regrowths and verifies every symbol survives with its identity.
+// TestSymbolReclamation: constants nothing refers to any more leave
+// the table, and the table is rebuilt at a size proportional to what is
+// alive instead of growing with every constant ever minted.
+func TestSymbolReclamation(t *testing.T) {
+	const fresh = 10000
+	runtime.GC()
+	base := liveSymbols()
+	// The fresh constants are 16 bytes or longer: shorter copies come
+	// from the tiny allocator, which may keep a dead one alive with a
+	// live neighbour in its block (see weak.Pointer).
+	name := func(round, i int) string { return fmt.Sprintf("reclaim-round-%d-constant-%d", round, i) }
+	hold := func(round int) {
+		vals := make([]Value, fresh)
+		for i := range vals {
+			vals[i] = Const(name(round, i))
+		}
+		for i := range vals {
+			if !alive(name(round, i)) {
+				t.Fatalf("round %d: held constant %d has no live copy", round, i)
+			}
+		}
+		runtime.KeepAlive(vals)
+	}
+	for round := 0; round < 5; round++ {
+		hold(round)
+		if !collectUntil(func() bool { return liveSymbols() <= base }) {
+			t.Fatalf("round %d: %d symbols still live after dropping every fresh constant, baseline %d", round, liveSymbols(), base)
+		}
+		symbols.mu.Lock()
+		size := len(symbols.tab.Load().slots)
+		symbols.mu.Unlock()
+		if limit := max(4*(base+fresh+1), minSymSlots); size > limit {
+			t.Fatalf("round %d: table has %d slots, more than %d", round, size, limit)
+		}
+	}
+}
+
+// TestSymbolIdentityAcrossCollections: while one Value of a constant
+// is alive, re-interning its string yields the same Value; once every
+// Value is gone the canonical copy is collected, and the string minted
+// anew still round-trips.
+func TestSymbolIdentityAcrossCollections(t *testing.T) {
+	held := Const("identity-held")
+	Const("identity-dropped")
+	if !collectUntil(func() bool { return !alive("identity-dropped") }) {
+		t.Fatal("an unreferenced constant was never collected")
+	}
+	if again := Const("identity-held"); again != held || again.Hash() != held.Hash() {
+		t.Fatal("a live constant changed identity across a collection")
+	}
+	remint := Const("identity-dropped")
+	if remint.ConstValue() != "identity-dropped" || remint.String() != "identity-dropped" {
+		t.Fatalf("re-minted constant renders as %q", remint.ConstValue())
+	}
+	if remint != Const("identity-dropped") || remint == held {
+		t.Fatal("re-minted constant is not canonical")
+	}
+	runtime.KeepAlive(held)
+}
+
+// TestInternGrowth pushes the symbol table past several rebuilds with
+// every symbol held and verifies each survives with its identity.
 func TestInternGrowth(t *testing.T) {
 	vals := make([]Value, 3000)
 	for i := range vals {
@@ -43,42 +152,69 @@ func TestInternGrowth(t *testing.T) {
 	}
 }
 
-// TestInternConcurrent hammers the table from many goroutines with
-// overlapping key sets (run under -race): lock-free readers racing
-// inserters and regrowth must always agree on symbol identity.
+// TestInternConcurrent interns overlapping key sets from several
+// goroutines while another keeps collecting, so copies die and are
+// re-minted while readers look them up (run under -race -count=10):
+// every goroutine holding a Value of a string must agree with every
+// other on it.
 func TestInternConcurrent(t *testing.T) {
-	const goroutines = 8
-	const keys = 500
-	var wg sync.WaitGroup
+	const goroutines, keys, rounds, period = 8, 300, 20, 5
+	stop := make(chan struct{})
+	collected := make(chan struct{})
+	go func() {
+		defer close(collected)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				runtime.GC()
+			}
+		}
+	}()
 	results := make([][]Value, goroutines)
+	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			out := make([]Value, keys)
-			for i := 0; i < keys; i++ {
-				out[i] = Const(fmt.Sprintf("conc-%d", i))
+			for r := 0; r < rounds; r++ {
+				out := make([]Value, keys)
+				for i := range out {
+					out[i] = Const(fmt.Sprintf("under-gc-%d-%d", r%period, i))
+				}
+				for i, v := range out {
+					key := fmt.Sprintf("under-gc-%d-%d", r%period, i)
+					if v.ConstValue() != key || Const(key) != v {
+						t.Errorf("goroutine %d: %s resolved to %q or changed identity while held", g, key, v.ConstValue())
+						return
+					}
+				}
+				// Each round drops its values and the key set comes back
+				// period rounds later, so copies die while other
+				// goroutines look them up and are minted again.
+				if r == rounds-1 {
+					results[g] = out
+				}
 			}
-			results[g] = out
 		}(g)
 	}
 	wg.Wait()
+	close(stop)
+	<-collected
+	if t.Failed() {
+		return
+	}
 	for g := 1; g < goroutines; g++ {
 		for i := 0; i < keys; i++ {
 			if results[g][i] != results[0][i] {
-				t.Fatalf("goroutine %d interned conc-%d differently", g, i)
+				t.Fatalf("goroutine %d holds a different copy of key %d of the last round", g, i)
 			}
-		}
-	}
-	for i := 0; i < keys; i++ {
-		want := fmt.Sprintf("conc-%d", i)
-		if got := results[0][i].ConstValue(); got != want {
-			t.Fatalf("conc-%d resolved to %q", i, got)
 		}
 	}
 }
 
-// TestInternHitPathAllocFree pins the wait-free read paths: interning
+// TestInternHitPathAllocFree pins the hit paths: interning
 // an already-known constant and resolving a symbol back to its string
 // must not allocate — Const and ConstValue sit under every value-index
 // probe and canonical rendering in the system.

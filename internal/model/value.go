@@ -16,6 +16,7 @@ import (
 	"strconv"
 	"strings"
 	"sync/atomic"
+	"unsafe"
 )
 
 // ValueKind discriminates constants from labeled nulls.
@@ -31,81 +32,103 @@ const (
 // Value is a single attribute value: either a constant or a labeled
 // null. Value is comparable and can be used as a map key.
 //
-// Constants are interned: the payload is a symbol id into the
-// process-wide string table (intern.go), so a Value is two words,
-// equality is integer comparison, and hashing a Value — the storage
-// layer's value indexes and the query engine's binding comparisons
-// both live on it — never touches string bytes. The zero Value is
-// Const("") because symbol 0 is pre-seeded as the empty string.
+// A constant points at the canonical copy of its string (intern.go)
+// and carries its length; a null carries its identifier beside a
+// sentinel pointer. So a Value is two words, equality is word
+// comparison, and hashing a Value — the storage layer's value indexes
+// and the query engine's binding comparisons both live on it — never
+// touches string bytes. The zero Value is Const(""), whose pointer is
+// nil.
 type Value struct {
-	kind ValueKind
-	id   int64 // constant symbol id, or null identifier
+	p *byte // constant: its canonical copy, nil for ""; null: &nullMark
+	n int64 // constant: its length; null: its identifier
 }
 
-// Const returns a constant value, interning the payload on first
-// sight. Hot paths that reuse a constant should intern once and keep
-// the Value (the query planner bakes mapping constants into compiled
-// plans for exactly this reason).
-func Const(s string) Value { return Value{kind: KindConst, id: intern(s)} }
+// nullMark marks nulls, so that Null(0) differs from the zero Value.
+var nullMark byte
+
+// Const returns a constant value, interning the payload if no live
+// Value holds it. Hot paths that reuse a constant should intern once
+// and keep the Value (compiled plans and mapping terms hold theirs).
+func Const(s string) Value { return Value{p: intern(s), n: int64(len(s))} }
 
 // Null returns the labeled null with the given identifier.
-func Null(id int64) Value { return Value{kind: KindNull, id: id} }
+func Null(id int64) Value { return Value{p: &nullMark, n: id} }
 
 // Kind reports whether v is a constant or a labeled null.
-func (v Value) Kind() ValueKind { return v.kind }
+func (v Value) Kind() ValueKind {
+	if v.IsNull() {
+		return KindNull
+	}
+	return KindConst
+}
 
 // IsNull reports whether v is a labeled null.
-func (v Value) IsNull() bool { return v.kind == KindNull }
+func (v Value) IsNull() bool { return v.p == &nullMark }
 
 // IsConst reports whether v is a constant.
-func (v Value) IsConst() bool { return v.kind == KindConst }
+func (v Value) IsConst() bool { return !v.IsNull() }
 
 // ConstValue returns the constant payload. It panics if v is a null.
 func (v Value) ConstValue() string {
-	if v.kind != KindConst {
+	if v.IsNull() {
 		panic("model: ConstValue called on labeled null " + v.String())
 	}
-	return symString(v.id)
+	return unsafe.String(v.p, v.n)
 }
 
 // NullID returns the identifier of a labeled null. It panics if v is a
 // constant.
 func (v Value) NullID() int64 {
-	if v.kind != KindNull {
+	if !v.IsNull() {
 		panic("model: NullID called on constant " + v.String())
 	}
-	return v.id
+	return v.n
 }
 
-// Hash folds the value's two words into one, for callers that hash
-// composite keys containing values (the chase's read-log identity)
-// without rendering them. Equal values hash equal; distinct values
-// collide only when their ids differ in bit 63 alone.
-func (v Value) Hash() uint64 { return uint64(v.id)<<1 | uint64(v.kind) }
+// Hash folds the value into one word, for callers that hash composite
+// keys containing values (the storage indexes, the chase's read-log
+// identity) without rendering them: a constant's address
+// shifted left, or id<<1|1 for a null. Distinct live values hash
+// distinct, except nulls whose identifiers differ in bit 63 alone.
+//
+// A constant's hash is an identity only while the value is alive: once
+// no Value refers to a canonical copy it can be collected, and a later
+// Const of the same string — or of another — may mint a copy at the
+// same address. A structure keyed by a derived hash must therefore
+// retain the values it hashed for as long as the key can be probed
+// (the storage indexes keep the versions their keys were computed
+// from, the read log the reads).
+func (v Value) Hash() uint64 {
+	if v.IsNull() {
+		return uint64(v.n)<<1 | 1
+	}
+	return uint64(uintptr(unsafe.Pointer(v.p))) << 1
+}
 
 // String renders the value in the paper's notation: constants appear
 // verbatim, labeled nulls as x<id>.
 func (v Value) String() string {
-	if v.kind == KindNull {
-		return "x" + strconv.FormatInt(v.id, 10)
+	if v.IsNull() {
+		return "x" + strconv.FormatInt(v.n, 10)
 	}
-	return symString(v.id)
+	return unsafe.String(v.p, v.n)
 }
 
 // GoString renders the value unambiguously for debugging.
 func (v Value) GoString() string {
-	if v.kind == KindNull {
-		return fmt.Sprintf("Null(%d)", v.id)
+	if v.IsNull() {
+		return fmt.Sprintf("Null(%d)", v.n)
 	}
-	return fmt.Sprintf("Const(%q)", symString(v.id))
+	return fmt.Sprintf("Const(%q)", unsafe.String(v.p, v.n))
 }
 
 // encode writes a collision-free encoding of v used in tuple keys.
 func (v Value) encode() string {
-	if v.kind == KindNull {
-		return "n" + strconv.FormatInt(v.id, 10)
+	if v.IsNull() {
+		return "n" + strconv.FormatInt(v.n, 10)
 	}
-	return "c" + escapeKeySep(symString(v.id))
+	return "c" + escapeKeySep(unsafe.String(v.p, v.n))
 }
 
 // escapeKeySep doubles the tuple-key separator byte, NUL, inside a key

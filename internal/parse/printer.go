@@ -28,7 +28,7 @@ func PrintTerm(t tgd.Term) string {
 	if t.IsVar {
 		return t.Var
 	}
-	return quote(t.Const)
+	return quote(t.Const.ConstValue())
 }
 
 // PrintAtom renders one atom.

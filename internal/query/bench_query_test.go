@@ -2,6 +2,7 @@ package query
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"youtopia/internal/model"
@@ -124,6 +125,39 @@ func TestJoinBindingAllocBound(t *testing.T) {
 	})
 	if got > 3 {
 		t.Fatalf("steady-state interpreted join allocates %.1f times per op, want <= 3", got)
+	}
+}
+
+// TestInterpretedProbeAllocFreeAcrossCollections: the interpreted
+// engine probes the value index with an atom's constants. The atom
+// holds them interned, so a constant that no stored tuple carries is
+// not collected between probes and minted again by the next one: a
+// probe right after a collection allocates nothing.
+func TestInterpretedProbeAllocFreeAcrossCollections(t *testing.T) {
+	st, _ := benchWorld(&testing.B{}, 10)
+	atom := tgd.NewAtom("A", tgd.C(fmt.Sprint("never-stored-", 1)), tgd.V("y"))
+	e := NewInterpretedEngine(st.Snap(1))
+	// runtime.GC allocates itself, so the probe is measured alone. A
+	// finalizer the collection queued may still run, and allocate, in
+	// the measured window, so a few probes are allowed to count one; a
+	// probe that mints its constant anew allocates every time.
+	const probes = 20
+	var before, after runtime.MemStats
+	allocating := 0
+	for range probes {
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		ids := e.candidates(atom, nil)
+		runtime.ReadMemStats(&after)
+		if len(ids) != 0 {
+			t.Fatal("a constant no tuple carries has candidates")
+		}
+		if after.Mallocs != before.Mallocs {
+			allocating++
+		}
+	}
+	if allocating > probes/4 {
+		t.Fatalf("%d of %d probes after a collection allocate, want none", allocating, probes)
 	}
 }
 

@@ -237,7 +237,7 @@ func (e *Engine) joinAtomsUnifying(atoms []tgd.Atom, fn func(Binding, model.Subs
 					}
 					want = bound
 				} else {
-					want = model.Const(term.Const)
+					want = term.Const
 				}
 				u := unite(want, v)
 				if u == nil {

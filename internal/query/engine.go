@@ -382,7 +382,7 @@ func unifyValsAtom(vals []model.Value, a tgd.Atom, b Binding) (Binding, bool) {
 	for i, term := range a.Terms {
 		v := vals[i]
 		if !term.IsVar {
-			if !v.IsConst() || v.ConstValue() != term.Const {
+			if v != term.Const {
 				return nil, false
 			}
 			continue
@@ -428,7 +428,7 @@ func (e *Engine) candidates(a tgd.Atom, b Binding) []storage.TupleID {
 		var val model.Value
 		switch {
 		case !term.IsVar:
-			val = model.Const(term.Const)
+			val = term.Const
 		default:
 			bound, ok := b[term.Var]
 			if !ok {
@@ -462,7 +462,7 @@ func bindInPlace(vals []model.Value, a tgd.Atom, b Binding, added *[]string) boo
 	for i, term := range a.Terms {
 		v := vals[i]
 		if !term.IsVar {
-			if !v.IsConst() || v.ConstValue() != term.Const {
+			if v != term.Const {
 				undoBinds(b, *added)
 				return false
 			}
@@ -944,7 +944,7 @@ func InstantiateRHS(t *tgd.TGD, b Binding, fresh func() model.Value) ([]model.Tu
 			if term.IsVar {
 				vals[j] = ext[term.Var]
 			} else {
-				vals[j] = model.Const(term.Const)
+				vals[j] = term.Const
 			}
 		}
 		out[i] = model.Tuple{Rel: a.Rel, Vals: vals}

@@ -157,7 +157,7 @@ func compilePlan(t *tgd.TGD) *Plan {
 				if term.IsVar {
 					ts[j] = termDesc{slot: slot(term.Var)}
 				} else {
-					ts[j] = termDesc{slot: -1, cval: model.Const(term.Const)}
+					ts[j] = termDesc{slot: -1, cval: term.Const}
 				}
 			}
 			out[i] = planAtom{rel: a.Rel, terms: ts}

@@ -232,7 +232,7 @@ func unifiable(vals []model.Value, a tgd.Atom) bool {
 	}
 	for i, term := range a.Terms {
 		if !term.IsVar {
-			if !vals[i].IsConst() || vals[i].ConstValue() != term.Const {
+			if vals[i] != term.Const {
 				return false
 			}
 			continue
@@ -499,7 +499,9 @@ func hashVals(h uint64, vals []model.Value) uint64 {
 }
 
 // ReadHash hashes a read's identity: SameRead(a, b) implies
-// ReadHash(a) == ReadHash(b).
+// ReadHash(a) == ReadHash(b). Constants hash by address
+// (model.Value.Hash), so the hash identifies a read only while the read
+// is alive: a structure keyed by it must retain the reads it hashed.
 func ReadHash(q ReadQuery) uint64 {
 	h := uint64(q.Kind()) + 0x9e3779b97f4a7c15
 	switch r := q.(type) {

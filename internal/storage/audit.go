@@ -3,8 +3,6 @@ package storage
 import (
 	"fmt"
 	"slices"
-
-	"youtopia/internal/model"
 )
 
 // AuditIndexes checks the secondary indexes against the version chains
@@ -18,7 +16,7 @@ import (
 func (st *Store) AuditIndexes() error {
 	st.rlockAll()
 	defer st.runlockAll()
-	nulls := make(map[model.Value]*bucket)
+	nulls := make(map[uint64]*bucket)
 	for _, s := range st.byIdx {
 		ids := make([]TupleID, 0, len(s.tuples))
 		for id := range s.tuples {
@@ -29,9 +27,9 @@ func (st *Store) AuditIndexes() error {
 			return fmt.Errorf("storage: audit %s: member list %v, tuples %v", s.rel, s.ids.ids(), ids)
 		}
 		content := make(map[uint64]*bucket)
-		cols := make([]map[model.Value]*bucket, len(s.valIdx))
+		cols := make([]map[uint64]*bucket, len(s.valIdx))
 		for i := range cols {
-			cols[i] = make(map[model.Value]*bucket)
+			cols[i] = make(map[uint64]*bucket)
 		}
 		for _, id := range ids {
 			tr := s.tuples[id]
@@ -43,9 +41,9 @@ func (st *Store) AuditIndexes() error {
 					continue
 				}
 				for i, val := range v.vals {
-					post(cols[i], val, id)
+					post(cols[i], val.Hash(), id)
 					if val.IsNull() {
-						post(nulls, val, id)
+						post(nulls, val.Hash(), id)
 					}
 				}
 				post(content, st.contentHash(v.vals), id)

@@ -101,10 +101,11 @@ type relEpoch struct {
 	dead []bool          // aligned; true = committed tombstone
 	live int             // count of non-tombstone entries
 
-	// valIdx[col][value] lists the live tuple IDs (ascending) whose
-	// committed-visible value in col equals value — exact, unlike the
-	// live store's version-multiset index.
-	valIdx atomic.Pointer[[]map[model.Value][]TupleID]
+	// valIdx[col][value.Hash()] lists the live tuple IDs (ascending)
+	// whose committed-visible value in col equals value — exact, unlike
+	// the live store's version-multiset index: vals keeps every value a
+	// key was hashed from alive, so no two live values share a key.
+	valIdx atomic.Pointer[[]map[uint64][]TupleID]
 }
 
 // find binary-searches the record for a tuple ID.
@@ -140,20 +141,20 @@ func (e *relEpoch) scan(fn func(id TupleID, vals []model.Value) bool) {
 // publishing it on first use. Concurrent builders race benignly: the
 // first CAS wins and the record is immutable, so every build is
 // identical.
-func (e *relEpoch) valIndex() []map[model.Value][]TupleID {
+func (e *relEpoch) valIndex() []map[uint64][]TupleID {
 	if p := e.valIdx.Load(); p != nil {
 		return *p
 	}
-	idx := make([]map[model.Value][]TupleID, e.arity)
+	idx := make([]map[uint64][]TupleID, e.arity)
 	for c := range idx {
-		idx[c] = make(map[model.Value][]TupleID)
+		idx[c] = make(map[uint64][]TupleID)
 	}
 	for i, id := range e.ids {
 		if e.dead[i] {
 			continue
 		}
 		for c, v := range e.vals[i] {
-			idx[c][v] = append(idx[c][v], id)
+			idx[c][v.Hash()] = append(idx[c][v.Hash()], id)
 		}
 	}
 	e.valIdx.CompareAndSwap(nil, &idx)

@@ -463,7 +463,7 @@ func (sn *Snapshot) CandidatesByValue(rel string, col int, v model.Value) []Tupl
 		if e == nil || col < 0 || col >= e.arity {
 			return nil
 		}
-		return e.valIndex()[col][v]
+		return e.valIndex()[col][v.Hash()]
 	}
 	_, s := sn.stripeFor(rel)
 	if s == nil {
@@ -478,7 +478,7 @@ func (sn *Snapshot) candidatesByValueInStripe(s *stripe, col int, v model.Value)
 	if col < 0 || col >= len(s.valIdx) {
 		return nil
 	}
-	return s.valIdx[col][v].ids()
+	return s.valIdx[col][v.Hash()].ids()
 }
 
 // LookupContent returns the IDs of visible tuples whose content equals
@@ -523,7 +523,7 @@ func (sn *Snapshot) epochLookupContent(t model.Tuple) []TupleID {
 	if len(t.Vals) != e.arity {
 		return nil
 	}
-	for _, id := range e.valIndex()[0][t.Vals[0]] {
+	for _, id := range e.valIndex()[0][t.Vals[0].Hash()] {
 		if vals, ok := e.get(id); ok && (model.Tuple{Rel: t.Rel, Vals: vals}).Equal(t) {
 			out = append(out, id)
 		}
@@ -541,7 +541,7 @@ func (sn *Snapshot) ContainsContent(t model.Tuple) bool {
 func (st *Store) nullIDs(x model.Value) []TupleID {
 	st.nullMu.Lock()
 	defer st.nullMu.Unlock()
-	return st.nullIdx[x].ids()
+	return st.nullIdx[x.Hash()].ids()
 }
 
 // nullCandidates unions the partitions' null-index entries for x, in
@@ -647,7 +647,7 @@ func (sn *Snapshot) MoreSpecific(t model.Tuple) []TupleID {
 		if !v.IsConst() {
 			continue
 		}
-		size := len(s.valIdx[i][v].ids())
+		size := len(s.valIdx[i][v.Hash()].ids())
 		if bestCol == -1 || size < bestSize {
 			bestCol, bestSize = i, size
 		}
@@ -681,7 +681,7 @@ func (sn *Snapshot) epochMoreSpecific(t model.Tuple) []TupleID {
 	if e == nil {
 		return nil
 	}
-	var idx []map[model.Value][]TupleID
+	var idx []map[uint64][]TupleID
 	bestCol := -1
 	bestSize := -1
 	for i, v := range t.Vals {
@@ -691,7 +691,7 @@ func (sn *Snapshot) epochMoreSpecific(t model.Tuple) []TupleID {
 		if idx == nil {
 			idx = e.valIndex()
 		}
-		size := len(idx[i][v])
+		size := len(idx[i][v.Hash()])
 		if bestCol == -1 || size < bestSize {
 			bestCol, bestSize = i, size
 		}
@@ -703,7 +703,7 @@ func (sn *Snapshot) epochMoreSpecific(t model.Tuple) []TupleID {
 		}
 	}
 	if bestCol >= 0 {
-		for _, id := range idx[bestCol][t.Vals[bestCol]] {
+		for _, id := range idx[bestCol][t.Vals[bestCol].Hash()] {
 			if vals, ok := e.get(id); ok {
 				check(id, vals)
 			}

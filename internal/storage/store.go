@@ -170,15 +170,23 @@ type stripe struct {
 	tuples    map[TupleID]*tupleRec
 	ids       bucket // members of the relation, visible or not
 
-	// valIdx[col][value] lists the tuples with a version carrying that
-	// value in that column, contentIdx[contentHash(vals)] those with a
-	// version of that content or of one that hashes alike. Both
-	// over-approximate; readers verify against their snapshot.
-	valIdx     []map[model.Value]*bucket
+	// valIdx[col][value.Hash()] lists the tuples with a version
+	// carrying that value in that column, contentIdx[contentHash(vals)]
+	// those with a version of that content or of one that hashes alike.
+	// Both over-approximate; readers verify against their snapshot.
+	// Keys are hashes so that the maps hold no pointers for the
+	// collector to trace. A constant hashes by its address
+	// (model.Value.Hash), so a key stays sound only because it leaves
+	// the index with the last version carrying what it hashed
+	// (unindexVersion): an index never outlives the values it hashed,
+	// and while a value index key is present it names exactly one live
+	// value.
+	valIdx     []map[uint64]*bucket
 	contentIdx map[uint64]*bucket
 
-	logs       map[int][]WriteRec // this relation's writes per writer
-	relWriters map[int]int        // live write counts per uncommitted writer
+	// logs holds this relation's live writes per uncommitted writer;
+	// a writer's entry goes when it commits or aborts.
+	logs map[int][]WriteRec
 
 	// seq publishes the highest global sequence number applied in this
 	// stripe (monotone: assigned under mu). Concurrency control uses it
@@ -231,9 +239,9 @@ type Store struct {
 
 	// nullMu guards nullIdx; see the package comment for lock order.
 	nullMu sync.Mutex
-	// nullIdx[null] lists the tuples with a version containing the
-	// labeled null.
-	nullIdx map[model.Value]*bucket
+	// nullIdx[null.Hash()] lists the tuples with a version containing
+	// the labeled null.
+	nullIdx map[uint64]*bucket
 
 	// contentHash keys the stripes' content indexes. It is a field only
 	// so that a test can substitute a colliding hash.
@@ -243,7 +251,7 @@ type Store struct {
 	commitMu  sync.RWMutex
 	committed map[int]bool
 	// writerStripes[w] lists the stripe indexes uncommitted writer w has
-	// live writes in: a stripe joins when its relWriters[w] goes 0→1,
+	// live writes in: a stripe joins with w's first record in its logs,
 	// and the entry goes when w commits or aborts.
 	writerStripes map[int][]int
 
@@ -285,7 +293,7 @@ func NewStore(schema *model.Schema) *Store {
 		stripes:   make(map[string]*stripe, len(names)),
 		byIdx:     make([]*stripe, 0, len(names)),
 		relsByIdx: names,
-		nullIdx:   make(map[model.Value]*bucket),
+		nullIdx:   make(map[uint64]*bucket),
 		committed: map[int]bool{0: true},
 
 		contentHash: contentHash,
@@ -294,9 +302,9 @@ func NewStore(schema *model.Schema) *Store {
 	}
 	st.self = []*Store{st}
 	for i, name := range names {
-		cols := make([]map[model.Value]*bucket, schema.Arity(name))
+		cols := make([]map[uint64]*bucket, schema.Arity(name))
 		for j := range cols {
-			cols[j] = make(map[model.Value]*bucket)
+			cols[j] = make(map[uint64]*bucket)
 		}
 		s := &stripe{
 			rel:        name,
@@ -305,7 +313,6 @@ func NewStore(schema *model.Schema) *Store {
 			valIdx:     cols,
 			contentIdx: make(map[uint64]*bucket),
 			logs:       make(map[int][]WriteRec),
-			relWriters: make(map[int]int),
 		}
 		st.stripes[name] = s
 		st.byIdx = append(st.byIdx, s)
@@ -416,10 +423,10 @@ func (st *Store) indexVersion(s *stripe, id TupleID, vals []model.Value) {
 		return
 	}
 	for i, v := range vals {
-		post(s.valIdx[i], v, id)
+		post(s.valIdx[i], v.Hash(), id)
 		if v.IsNull() {
 			st.nullMu.Lock()
-			post(st.nullIdx, v, id)
+			post(st.nullIdx, v.Hash(), id)
 			st.nullMu.Unlock()
 		}
 	}
@@ -446,11 +453,11 @@ func (st *Store) unindexVersion(s *stripe, tr *tupleRec, vals []model.Value) {
 	}
 	for i, v := range vals {
 		if !tr.carries(func(w []model.Value) bool { return w[i] == v }) {
-			drop(s.valIdx[i], v, tr.id)
+			drop(s.valIdx[i], v.Hash(), tr.id)
 		}
 		if v.IsNull() && !tr.carries(func(w []model.Value) bool { return slices.Contains(w, v) }) {
 			st.nullMu.Lock()
-			drop(st.nullIdx, v, tr.id)
+			drop(st.nullIdx, v.Hash(), tr.id)
 			st.nullMu.Unlock()
 		}
 	}
@@ -494,17 +501,20 @@ func (st *Store) insertVersion(s *stripe, rec *tupleRec, v version) {
 
 // addVersion appends a version to a tuple's chain, keeping the chain
 // sorted by (writer, seq), and maintains indexes and logs. Callers
-// hold the stripe's write lock.
+// hold the stripe's write lock. Only uncommitted writers log: the one
+// writer that writes while committed is writer 0, the initial load,
+// which never commits through a batch and never aborts, so nothing
+// would read its log.
 func (st *Store) addVersion(s *stripe, rec *tupleRec, v version, logRec WriteRec) {
 	st.insertVersion(s, rec, v)
+	if st.isCommitted(v.writer) {
+		return
+	}
 	s.logs[v.writer] = append(s.logs[v.writer], logRec)
-	if !st.isCommitted(v.writer) {
-		s.relWriters[v.writer]++
-		if s.relWriters[v.writer] == 1 {
-			st.commitMu.Lock()
-			st.writerStripes[v.writer] = append(st.writerStripes[v.writer], s.idx)
-			st.commitMu.Unlock()
-		}
+	if len(s.logs[v.writer]) == 1 {
+		st.commitMu.Lock()
+		st.writerStripes[v.writer] = append(st.writerStripes[v.writer], s.idx)
+		st.commitMu.Unlock()
 	}
 }
 
@@ -800,7 +810,6 @@ func (st *Store) abortLocked(writer int, stripes []int) {
 			}
 		}
 		delete(s.logs, writer)
-		delete(s.relWriters, writer)
 	}
 }
 
@@ -891,7 +900,6 @@ func (st *Store) CommitBatchAsync(writers []int) (CommitAck, error) {
 	for _, si := range stripes {
 		s := st.byIdx[si]
 		for _, w := range writers {
-			delete(s.relWriters, w)
 			delete(s.logs, w)
 		}
 		// A refresher that rebuilt this stripe's record just before the
@@ -950,10 +958,8 @@ func (st *Store) appendLogs(dst []WriteRec, rel string, writer int) []WriteRec {
 			dst = append(dst, s.logs[writer]...)
 			continue
 		}
-		// relWriters holds exactly the uncommitted writers with live
-		// records in the stripe.
-		for w := range s.relWriters {
-			dst = append(dst, s.logs[w]...)
+		for _, log := range s.logs {
+			dst = append(dst, log...)
 		}
 	}
 	for _, s := range stripes {

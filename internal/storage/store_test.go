@@ -318,6 +318,26 @@ func TestCommitRetiresLogs(t *testing.T) {
 	}
 }
 
+// TestLoadKeepsNoLog: the initial load (writer 0) is committed as it
+// lands, so it leaves no write-log records behind in any stripe.
+func TestLoadKeepsNoLog(t *testing.T) {
+	st := NewStore(testSchema())
+	st.Load(tup("C", c("Ithaca")))
+	st.Load(tup("S", c("SYR"), n(7), c("Syracuse")))
+	st.Load(tup("R", n(7), c("k")))
+	if st.Stats().Tuples != 3 {
+		t.Fatalf("loaded %d tuples, want 3", st.Stats().Tuples)
+	}
+	for _, s := range st.byIdx {
+		if _, ok := s.logs[0]; ok {
+			t.Errorf("stripe %s holds a writer-0 log: %v", s.rel, s.logs[0])
+		}
+	}
+	if got := st.WritesOf(0); len(got) != 0 {
+		t.Fatalf("WritesOf(0) after load = %v", got)
+	}
+}
+
 func TestCommitBatchRetiresAllWriters(t *testing.T) {
 	st := NewStore(testSchema())
 	st.Insert(1, tup("C", c("a")))

@@ -25,25 +25,27 @@ import (
 )
 
 // Term is one argument position of an atom: either a variable (named)
-// or a constant.
+// or a constant. A constant is held interned, so a mapping keeps its
+// constants alive and every evaluation compares and probes with the
+// same Value.
 type Term struct {
 	IsVar bool
-	Var   string // variable name when IsVar
-	Const string // constant payload when !IsVar
+	Var   string      // variable name when IsVar
+	Const model.Value // constant when !IsVar
 }
 
 // V returns a variable term.
 func V(name string) Term { return Term{IsVar: true, Var: name} }
 
 // C returns a constant term.
-func C(val string) Term { return Term{Const: val} }
+func C(val string) Term { return Term{Const: model.Const(val)} }
 
 // String renders the term: variables bare, constants quoted.
 func (t Term) String() string {
 	if t.IsVar {
 		return t.Var
 	}
-	return fmt.Sprintf("%q", t.Const)
+	return fmt.Sprintf("%q", t.Const.ConstValue())
 }
 
 // Atom is a relational atom R(t1, ..., tk).
