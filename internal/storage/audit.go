@@ -10,12 +10,18 @@ import (
 // ascending tuple-ID order, and requires the live one to be identical:
 // a tuple is listed under a column value, a content hash or a labeled
 // null exactly when one of its versions carries it, every list is
-// strictly ascending, and no empty list is left behind. It holds every
-// stripe's read lock and costs a pass over the whole store, so it is for
-// tests and on-demand diagnosis, not for a hot path.
+// strictly ascending, and no empty list is left behind. It also checks
+// the horizon: a tuple holding committed garbage — a version below its
+// newest committed one, or a committed tombstone — must be on its
+// stripe's pending list, and with no uncommitted writer live every
+// pending list is empty, so every tuple has exactly one version and no
+// tombstone is left. It holds every stripe's read lock and costs a pass
+// over the whole store, so it is for tests and on-demand diagnosis, not
+// for a hot path.
 func (st *Store) AuditIndexes() error {
 	st.rlockAll()
 	defer st.runlockAll()
+	idle := st.horizon().idle()
 	nulls := make(map[uint64]*bucket)
 	for _, s := range st.byIdx {
 		ids := make([]TupleID, 0, len(s.tuples))
@@ -31,10 +37,16 @@ func (st *Store) AuditIndexes() error {
 		for i := range cols {
 			cols[i] = make(map[uint64]*bucket)
 		}
+		if idle && len(s.pending) > 0 && !st.noTrim {
+			return fmt.Errorf("storage: audit %s: no writer is live, yet trims of %v are pending", s.rel, s.pending)
+		}
 		for _, id := range ids {
 			tr := s.tuples[id]
 			if len(tr.versions) == 0 {
 				return fmt.Errorf("storage: audit %s: tuple %d has no version", s.rel, id)
+			}
+			if !st.noTrim && st.garbage(tr) && !slices.Contains(s.pending, id) {
+				return fmt.Errorf("storage: audit %s: tuple %d holds history the horizon may release (%d versions) and no trim is pending", s.rel, id, len(tr.versions))
 			}
 			for _, v := range tr.versions {
 				if v.vals == nil {

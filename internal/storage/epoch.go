@@ -101,6 +101,10 @@ type relEpoch struct {
 	dead []bool          // aligned; true = committed tombstone
 	live int             // count of non-tombstone entries
 
+	// idFloor is the stripe's tuple-ID counter at build time: at least
+	// every ID the record holds or held before a trim took it out.
+	idFloor int64
+
 	// valIdx[col][value.Hash()] lists the live tuple IDs (ascending)
 	// whose committed-visible value in col equals value — exact, unlike
 	// the live store's version-multiset index: vals keeps every value a
@@ -219,13 +223,29 @@ func (ep *CommittedEpoch) Serialize() ([]CommittedTuple, int64) {
 	return out, ep.store.nulls.Peek() - 1
 }
 
+// IDFloors returns, per relation in the schema's sorted name order,
+// the tuple-ID counter the epoch's record of it was built at. A
+// checkpoint carries them beside the null floor: trimming removes
+// deleted tuples from the committed instance, so the surviving IDs no
+// longer bound the ones already minted, and recovery must not mint a
+// deleted tuple's ID again (a parked delete-by-ID could then hit the
+// new tuple).
+func (ep *CommittedEpoch) IDFloors() []int64 {
+	out := make([]int64, len(ep.rels))
+	for i, e := range ep.rels {
+		out[i] = e.idFloor
+	}
+	return out
+}
+
 // buildRelEpoch snapshots one stripe's committed contents. Callers
 // hold the stripe's lock (read or write).
 func (st *Store) buildRelEpoch(s *stripe) *relEpoch {
 	e := &relEpoch{
-		mut:   s.commitMut.Load(),
-		rel:   s.rel,
-		arity: st.schema.Arity(s.rel),
+		mut:     s.commitMut.Load(),
+		rel:     s.rel,
+		arity:   st.schema.Arity(s.rel),
+		idFloor: s.nextLocal,
 	}
 	ids := s.ids.ids()
 	e.ids = make([]TupleID, 0, len(ids))

@@ -10,13 +10,14 @@ import (
 // TestStoreBytesPerTuple pins the store's memory layout: the live heap
 // a fresh Store holds per stored tuple after loading the initial
 // database of the §6 generator (2039 tuples over 100 relations of arity
-// 1–6, writer-0 loads, one version each). The bound is the 259 bytes
-// achieved (go1.24, amd64) plus 10%. Value indexes keyed by the Value
-// itself rather than its one-word hash took the same load to 311
-// bytes per tuple; a write-log record per loaded tuple as well, to 468;
-// a Go map per indexed value and a rendered content key on top, 1345.
+// 1–6, writer-0 loads, one version each). The bound is the 244 bytes
+// achieved (go1.24, amd64) plus 10%. A tuple record that repeated its
+// relation name took the same load to 259 bytes per tuple; value
+// indexes keyed by the Value itself rather than its one-word hash, to
+// 311; a write-log record per loaded tuple as well, to 468; a Go map
+// per indexed value and a rendered content key on top, 1345.
 func TestStoreBytesPerTuple(t *testing.T) {
-	const bound = 285
+	const bound = 268
 	cfg := workload.Default()
 	cfg.InitialTuples = 1000
 	u, err := workload.Build(cfg)

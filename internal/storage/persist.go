@@ -132,7 +132,7 @@ func (st *Store) CommitMergeProbe(writers []int) func() {
 	ws := sortedWriters(writers)
 	return func() {
 		st.batchMu.Lock()
-		stripes := st.lockBatch(ws)
+		stripes, _ := st.lockBatch(ws)
 		st.batchWrites(stripes, ws)
 		st.unlockStripes(stripes)
 		st.batchMu.Unlock()
@@ -146,8 +146,10 @@ func (st *Store) CommitMergeProbe(writers []int) func() {
 // records arrive sorted by (writer, seq), so collapsing the writers
 // onto the committed initial database preserves every tuple's visible
 // version while freeing the whole update-number space for the next
-// run. Not safe for concurrent use with live writers; recovery runs
-// before the store is shared.
+// run. No writer is live during recovery, so the horizon releases the
+// superseded version at once: a tuple keeps one version, and a deleted
+// one leaves the store. Not safe for concurrent use with live writers;
+// recovery runs before the store is shared.
 func (st *Store) ApplyRedo(rec WriteRec) error {
 	s := st.stripes[rec.Rel]
 	if s == nil {
@@ -160,33 +162,41 @@ func (st *Store) ApplyRedo(rec WriteRec) error {
 	st.noteNulls(rec.After)
 	s.lock()
 	defer s.unlock()
-	if local := int64(rec.ID) & (1<<localIDBits - 1); local > s.nextLocal {
-		s.nextLocal = local
-	}
-	seq := st.nextSeq.Add(1)
+	st.raiseIDFloor(s, rec.ID)
 	tr := s.tuples[rec.ID]
+	v := version{seq: st.nextSeq.Add(1)}
 	switch rec.Op {
 	case OpInsert:
 		if tr == nil {
-			tr = &tupleRec{id: rec.ID, rel: rec.Rel}
+			tr = &tupleRec{id: rec.ID}
 			s.tuples[rec.ID] = tr
 			s.ids.add(rec.ID)
 		}
-		st.insertVersion(s, tr, version{seq: seq, vals: append([]model.Value(nil), rec.After...)})
+		v.vals = append([]model.Value(nil), rec.After...)
 	case OpDelete:
 		if tr == nil {
 			return fmt.Errorf("storage: redo delete of unknown tuple %d in %s", rec.ID, rec.Rel)
 		}
-		st.insertVersion(s, tr, version{seq: seq, deleted: true})
+		v.deleted = true
 	case OpModify:
 		if tr == nil {
 			return fmt.Errorf("storage: redo modify of unknown tuple %d in %s", rec.ID, rec.Rel)
 		}
-		st.insertVersion(s, tr, version{seq: seq, vals: append([]model.Value(nil), rec.After...)})
+		v.vals = append([]model.Value(nil), rec.After...)
 	default:
 		return fmt.Errorf("storage: redo record with unknown op %d", rec.Op)
 	}
+	st.insertVersion(s, tr, v)
+	st.trimOrDefer(s, tr)
 	return nil
+}
+
+// raiseIDFloor makes sure the stripe never mints id again. Callers
+// hold the stripe's write lock.
+func (st *Store) raiseIDFloor(s *stripe, id TupleID) {
+	if local := int64(id) & (1<<localIDBits - 1); local > s.nextLocal {
+		s.nextLocal = local
+	}
 }
 
 // CommittedTuple is one tuple of the committed instance as a
@@ -207,16 +217,28 @@ type CommittedTuple struct {
 // anyone asked for, and the rendering itself takes no lock, so commits
 // proceed while it runs. Callers that need to pair the cut with
 // commit-batch bookkeeping match Epoch().Commits() against their own
-// batch counter (see wal.Manager.Checkpoint).
+// batch counter (see wal.Manager.Checkpoint), and take the tuple-ID
+// floors from the same epoch (CommittedEpoch.IDFloors).
 func (st *Store) CommittedSnapshot() ([]CommittedTuple, int64) {
 	return st.Epoch().Serialize()
 }
 
 // RestoreSnapshot loads a checkpointed committed instance into a fresh
-// store: every tuple becomes a single writer-0 version under its
+// store: every live tuple becomes a single writer-0 version under its
 // preserved ID, and the null factory floor is restored so fresh nulls
-// cannot collide with checkpointed ones. The store must be empty.
-func (st *Store) RestoreSnapshot(tuples []CommittedTuple, nullFloor int64) error {
+// cannot collide with checkpointed ones. A tombstone only raises its
+// relation's ID floor. idFloors, aligned with the schema's sorted
+// relation names (nil when the checkpoint carries none), raises each
+// relation's tuple-ID counter past IDs whose tuples were deleted and
+// trimmed before the checkpoint, so none is ever minted again. The
+// store must be empty.
+func (st *Store) RestoreSnapshot(tuples []CommittedTuple, nullFloor int64, idFloors []int64) error {
+	if len(idFloors) > len(st.byIdx) {
+		return fmt.Errorf("storage: checkpoint carries %d ID floors for %d relations", len(idFloors), len(st.byIdx))
+	}
+	for i, floor := range idFloors {
+		st.byIdx[i].nextLocal = max(st.byIdx[i].nextLocal, floor)
+	}
 	for _, ct := range tuples {
 		s := st.stripes[ct.Rel]
 		if s == nil {
@@ -230,18 +252,14 @@ func (st *Store) RestoreSnapshot(tuples []CommittedTuple, nullFloor int64) error
 			s.unlock()
 			return fmt.Errorf("storage: checkpoint declares tuple %d of %s twice", ct.ID, ct.Rel)
 		}
-		if local := int64(ct.ID) & (1<<localIDBits - 1); local > s.nextLocal {
-			s.nextLocal = local
-		}
-		st.noteNulls(ct.Vals)
-		tr := &tupleRec{id: ct.ID, rel: ct.Rel}
-		s.tuples[ct.ID] = tr
-		s.ids.add(ct.ID)
-		v := version{seq: st.nextSeq.Add(1), deleted: ct.Deleted}
+		st.raiseIDFloor(s, ct.ID)
 		if !ct.Deleted {
-			v.vals = append([]model.Value(nil), ct.Vals...)
+			st.noteNulls(ct.Vals)
+			tr := &tupleRec{id: ct.ID}
+			s.tuples[ct.ID] = tr
+			s.ids.add(ct.ID)
+			st.insertVersion(s, tr, version{seq: st.nextSeq.Add(1), vals: append([]model.Value(nil), ct.Vals...)})
 		}
-		st.insertVersion(s, tr, v)
 		s.unlock()
 	}
 	st.nulls.SetFloor(nullFloor)

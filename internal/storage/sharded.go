@@ -96,6 +96,7 @@ func NewShardedFromStores(stores []*Store) (*ShardedStore, error) {
 	}
 	for _, st := range stores {
 		st.adoptShared(ss.seq, ss.nulls)
+		st.peers = stores
 	}
 	return ss, nil
 }
@@ -270,6 +271,15 @@ func (ss *ShardedStore) Abort(writer int) {
 	for k, sh := range ss.shards {
 		sh.unlockStripes(written[k])
 	}
+	ss.settle()
+}
+
+// settle lets every shard drain its deferred trims once no writer is
+// live in any of them; see Store.settle.
+func (ss *ShardedStore) settle() {
+	for _, sh := range ss.shards {
+		sh.settle()
+	}
 }
 
 // Commit implements Backend.
@@ -311,6 +321,9 @@ func (ss *ShardedStore) CommitBatchAsync(writers []int) (CommitAck, error) {
 			acks = append(acks, ack)
 		}
 	}
+	// A shard that committed before the others still counted the
+	// batch's writers live there, so its trims may have been deferred.
+	ss.settle()
 	switch len(acks) {
 	case 0:
 		return nil, nil

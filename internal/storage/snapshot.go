@@ -247,12 +247,12 @@ func (sn *Snapshot) admits(v *version, rel string) bool {
 	return true
 }
 
-// versionOf returns the visible version of a tuple record, or nil.
-// Callers hold the owning stripe's lock.
-func (sn *Snapshot) versionOf(rec *tupleRec) *version {
+// versionOf returns the visible version of a tuple record of relation
+// rel, or nil. Callers hold the owning stripe's lock.
+func (sn *Snapshot) versionOf(rec *tupleRec, rel string) *version {
 	for i := len(rec.versions) - 1; i >= 0; i-- {
 		v := &rec.versions[i]
-		if sn.admits(v, rec.rel) {
+		if sn.admits(v, rel) {
 			return v
 		}
 	}
@@ -294,7 +294,7 @@ func (sn *Snapshot) getInStripe(s *stripe, id TupleID) ([]model.Value, bool) {
 	if !ok {
 		return nil, false
 	}
-	v := sn.versionOf(tr)
+	v := sn.versionOf(tr, s.rel)
 	if v == nil || v.deleted {
 		return nil, false
 	}

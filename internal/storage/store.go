@@ -14,7 +14,51 @@
 //
 // Writer 0 denotes the committed initial database. Aborting a writer
 // atomically removes every version it created and repairs all indexes;
-// committing a writer retires its write log.
+// committing a writer retires its write log and trims the history of
+// the tuples it wrote.
+//
+// # The version horizon
+//
+// Committed history that no reader can still see leaves the store at
+// commit (horizon.go). A committed version v that a newer committed
+// version v' of the same tuple supersedes is garbage once, for every
+// uncommitted writer u with live writes,
+//
+//   - u > v'.writer, so u's plain view already prefers v' to v, and
+//   - v'.seq < first(u) - 1, where first(u) is the sequence number of
+//     u's first live write (kept beside u's entry in writerStripes):
+//     a read vector u captured at CurrentSeq before that write lies at
+//     or above first(u) - 1, so a ceiling or a window built from it
+//     admits v' and never falls through to v.
+//
+// The minimum is taken over every partition a reader can span: a
+// ShardedStore's shards share one horizon. Trimming drops the versions
+// below the newest committed one together with their index entries
+// (unindexVersion) and deletes a tuple whose only version left is a
+// committed tombstone from the tuples, the member list and every index.
+// A commit batch trims the tuples in its writers' logs under the stripe
+// locks it already holds; what the horizon does not yet release goes on
+// the stripe's pending list, which a later batch drains (adding those
+// stripes to its ascending lock round) or the abort of the last live
+// writer settles.
+//
+// Why the rule is sound: the stored reads that consult history are the
+// ones with a ceiling or a window — ViolationRead and NullOccRead — and
+// the chase issues them only after the attempt's first write, so their
+// writer is live and bounds the horizon. A transaction with no live
+// write holds only ContentReads, whose re-checks are structural and do
+// not depend on history below the committed top. Masks hide one live
+// write of an uncommitted writer, which trimming never touches.
+//
+// The contract this changes: a Snap(r) taken while r has no live write
+// and r is below a committed writer whose history was trimmed sees the
+// trimmed state — the newest committed version, or nothing for a
+// deleted tuple — not the version the untrimmed chain held for it.
+// Nothing in production reads that way: every update's reads are at
+// or above the commit frontier, which commits in priority order.
+// Tuple IDs are never reused: each stripe's counter only rises, and a
+// checkpoint carries it (CommittedEpoch.IDFloors) because deleted
+// tuples no longer appear in it.
 //
 // # Locking
 //
@@ -147,10 +191,10 @@ type version struct {
 }
 
 // tupleRec is a logical tuple: an identity plus its version chain,
-// kept sorted ascending by (writer, seq).
+// kept sorted ascending by (writer, seq). Its relation is the owning
+// stripe's.
 type tupleRec struct {
 	id       TupleID
-	rel      string
 	versions []version
 }
 
@@ -194,9 +238,17 @@ type stripe struct {
 	// lock.
 	seq atomic.Int64
 
+	// pending lists tuples whose committed history the horizon did not
+	// yet release when a commit (or a writer-0 write) made it garbage; a
+	// later batch drains it. It may repeat an ID or name a tuple that is
+	// gone. The stripe is in Store.pendingIn exactly while it is
+	// non-empty. See horizon.go.
+	pending []TupleID
+
 	// commitMut counts committed-visible content changes: bumped under
-	// mu whenever a committed writer's version lands (insertVersion)
-	// and at commit time for every stripe the batch wrote to. It is
+	// mu whenever a committed writer's version lands (insertVersion),
+	// at commit time for every stripe the batch wrote to, and whenever
+	// deferred history is trimmed. It is
 	// all a commit does for committed-state readers: the epoch layer
 	// compares it against a record's build counter to detect staleness
 	// without locks and rebuilds when someone asks; see epoch.go.
@@ -247,13 +299,24 @@ type Store struct {
 	// so that a test can substitute a colliding hash.
 	contentHash func([]model.Value) uint64
 
-	// commitMu guards committed and writerStripes.
+	// commitMu guards committed, writerStripes and pendingIn.
 	commitMu  sync.RWMutex
 	committed map[int]bool
-	// writerStripes[w] lists the stripe indexes uncommitted writer w has
-	// live writes in: a stripe joins with w's first record in its logs,
-	// and the entry goes when w commits or aborts.
-	writerStripes map[int][]int
+	// writerStripes[w] describes uncommitted writer w's live writes in
+	// this store: the stripes they are in — a stripe joins with w's
+	// first record in its logs — and the sequence number of the first.
+	// The entry goes when w commits or aborts. The horizon is computed
+	// from these entries.
+	writerStripes map[int]liveWriter
+	// pendingIn lists the stripes with a non-empty pending list.
+	pendingIn []int
+
+	// peers is the partition list the horizon is taken over: the store
+	// itself, or every shard of the ShardedStore it belongs to, because
+	// a reader's snapshot spans all of them.
+	peers []*Store
+	// noTrim disables trimming; a test seam for differential checks.
+	noTrim bool
 
 	// commitHook, when non-nil, makes commits durable: CommitBatch
 	// hands it every batch's write records before marking the writers
@@ -298,9 +361,10 @@ func NewStore(schema *model.Schema) *Store {
 
 		contentHash: contentHash,
 
-		writerStripes: make(map[int][]int),
+		writerStripes: make(map[int]liveWriter),
 	}
 	st.self = []*Store{st}
+	st.peers = st.self
 	for i, name := range names {
 		cols := make([]map[uint64]*bucket, schema.Arity(name))
 		for j := range cols {
@@ -508,14 +572,26 @@ func (st *Store) insertVersion(s *stripe, rec *tupleRec, v version) {
 func (st *Store) addVersion(s *stripe, rec *tupleRec, v version, logRec WriteRec) {
 	st.insertVersion(s, rec, v)
 	if st.isCommitted(v.writer) {
+		st.trimOrDefer(s, rec)
 		return
 	}
 	s.logs[v.writer] = append(s.logs[v.writer], logRec)
 	if len(s.logs[v.writer]) == 1 {
 		st.commitMu.Lock()
-		st.writerStripes[v.writer] = append(st.writerStripes[v.writer], s.idx)
+		lw := st.writerStripes[v.writer]
+		if len(lw.stripes) == 0 {
+			lw.first = v.seq
+		}
+		lw.stripes = append(lw.stripes, s.idx)
+		st.writerStripes[v.writer] = lw
 		st.commitMu.Unlock()
 	}
+}
+
+// liveWriter is an uncommitted writer's entry in writerStripes.
+type liveWriter struct {
+	first   int64 // sequence number of the writer's first live write
+	stripes []int // stripes holding its live writes, in join order
 }
 
 // lockStripes write-locks the listed stripes, which must be in
@@ -577,7 +653,7 @@ func (st *Store) insertLocked(s *stripe, writer int, t model.Tuple) (id TupleID,
 	id = s.newID()
 	seq := st.nextSeq.Add(1)
 	vals := append([]model.Value(nil), t.Vals...)
-	tr := &tupleRec{id: id, rel: t.Rel}
+	tr := &tupleRec{id: id}
 	s.tuples[id] = tr
 	s.ids.add(id)
 	w := WriteRec{Writer: writer, Seq: seq, ID: id, Rel: t.Rel, Op: OpInsert, After: vals}
@@ -603,12 +679,12 @@ func (st *Store) deleteLocked(s *stripe, writer int, id TupleID) (rec WriteRec, 
 	if !exists {
 		return WriteRec{}, false, nil
 	}
-	v := st.snapLocked(writer).versionOf(tr)
+	v := st.snapLocked(writer).versionOf(tr, s.rel)
 	if v == nil || v.deleted {
 		return WriteRec{}, false, nil
 	}
 	seq := st.nextSeq.Add(1)
-	w := WriteRec{Writer: writer, Seq: seq, ID: id, Rel: tr.rel, Op: OpDelete, Before: v.vals}
+	w := WriteRec{Writer: writer, Seq: seq, ID: id, Rel: s.rel, Op: OpDelete, Before: v.vals}
 	st.addVersion(s, tr, version{writer: writer, seq: seq, deleted: true}, w)
 	return w, true, nil
 }
@@ -713,20 +789,20 @@ func replaceNullLocked(stores []*Store, writer int, x, to model.Value) []WriteRe
 			if dupID == h.id {
 				continue
 			}
-			if vals, ok := snap.getInStripe(s, dupID); ok && (model.Tuple{Rel: tr.rel, Vals: vals}).Equal(model.Tuple{Rel: tr.rel, Vals: newVals}) {
+			if vals, ok := snap.getInStripe(s, dupID); ok && (model.Tuple{Rel: s.rel, Vals: vals}).Equal(model.Tuple{Rel: s.rel, Vals: newVals}) {
 				collapsed = true
 				break
 			}
 		}
 		seq := owner.nextSeq.Add(1)
 		if collapsed {
-			w := WriteRec{Writer: writer, Seq: seq, ID: h.id, Rel: tr.rel, Op: OpDelete,
+			w := WriteRec{Writer: writer, Seq: seq, ID: h.id, Rel: s.rel, Op: OpDelete,
 				Before: h.vals}
 			owner.addVersion(s, tr, version{writer: writer, seq: seq, deleted: true}, w)
 			out = append(out, w)
 			continue
 		}
-		w := WriteRec{Writer: writer, Seq: seq, ID: h.id, Rel: tr.rel, Op: OpModify,
+		w := WriteRec{Writer: writer, Seq: seq, ID: h.id, Rel: s.rel, Op: OpModify,
 			Before: h.vals, After: newVals}
 		owner.addVersion(s, tr, version{writer: writer, seq: seq, vals: newVals}, w)
 		out = append(out, w)
@@ -767,15 +843,16 @@ func (st *Store) Abort(writer int) {
 		panic("storage: cannot abort the initial load")
 	}
 	stripes := st.lockWritten(writer)
-	defer st.unlockStripes(stripes)
 	st.abortLocked(writer, stripes)
+	st.unlockStripes(stripes)
+	st.settle()
 }
 
 // lockWritten detaches the writer's stripe set and write-locks it in
 // ascending order; the caller owns the returned slice.
 func (st *Store) lockWritten(writer int) []int {
 	st.commitMu.Lock()
-	stripes := st.writerStripes[writer]
+	stripes := st.writerStripes[writer].stripes
 	delete(st.writerStripes, writer)
 	st.commitMu.Unlock()
 	sort.Ints(stripes)
@@ -873,10 +950,10 @@ func (st *Store) CommitBatchAsync(writers []int) (CommitAck, error) {
 	}
 	st.batchMu.Lock()
 	defer st.batchMu.Unlock()
-	stripes := st.lockBatch(writers)
+	stripes, wrote := st.lockBatch(writers)
 	defer st.unlockStripes(stripes)
 	var ack CommitAck
-	if st.commitHook != nil && len(stripes) > 0 {
+	if st.commitHook != nil && wrote {
 		// A batch with no live writes in this store has nothing to make
 		// durable — recovery replays write records, not commit-status
 		// flips — so the log append is skipped. In a relation-partitioned
@@ -897,34 +974,38 @@ func (st *Store) CommitBatchAsync(writers []int) (CommitAck, error) {
 	if len(stripes) == 0 {
 		return ack, nil
 	}
+	h := st.horizon()
 	for _, si := range stripes {
 		s := st.byIdx[si]
-		for _, w := range writers {
-			delete(s.logs, w)
-		}
+		st.trimStripe(s, writers, h)
 		// A refresher that rebuilt this stripe's record just before the
 		// commit must not be able to pass it off as current afterwards.
 		s.commitMut.Add(1)
 	}
-	st.commits.Add(1)
+	if wrote {
+		st.commits.Add(1)
+	}
 	return ack, nil
 }
 
 // lockBatch write-locks, in ascending order, the stripes the batch's
-// writers wrote and returns their indexes in the store's reusable
-// buffer. Callers hold batchMu.
-func (st *Store) lockBatch(writers []int) []int {
-	stripes := st.stripeScratch[:0]
+// writers wrote together with the stripes holding deferred trims, and
+// returns their indexes in the store's reusable buffer; wrote reports
+// whether the batch has live writes here. Callers hold batchMu.
+func (st *Store) lockBatch(writers []int) (stripes []int, wrote bool) {
+	stripes = st.stripeScratch[:0]
 	st.commitMu.RLock()
 	for _, w := range writers {
-		stripes = append(stripes, st.writerStripes[w]...)
+		stripes = append(stripes, st.writerStripes[w].stripes...)
 	}
+	wrote = len(stripes) > 0
+	stripes = append(stripes, st.pendingIn...)
 	st.commitMu.RUnlock()
 	slices.Sort(stripes)
 	stripes = slices.Compact(stripes)
 	st.stripeScratch = stripes
 	st.lockStripes(stripes)
-	return stripes
+	return stripes, wrote
 }
 
 // Committed reports whether the writer has committed.
@@ -1058,7 +1139,7 @@ func (st *Store) Stats() Stats {
 		s.Tuples += len(sp.tuples)
 		for _, tr := range sp.tuples {
 			s.Versions += len(tr.versions)
-			if v := snap.versionOf(tr); v != nil && !v.deleted {
+			if v := snap.versionOf(tr, sp.rel); v != nil && !v.deleted {
 				s.Visible++
 			}
 		}

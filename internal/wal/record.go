@@ -32,7 +32,15 @@ import (
 //
 //	ckpt    := "YWALCKP1" | schemaHash u64le | frame
 //	payload := batchIdx uvarint | nullFloor uvarint | nTuples uvarint | tuple*
+//	         | parked | idFloors
 //	tuple   := id uvarint | relIdx uvarint | deleted u8 | vals
+//	idFloors:= nRels uvarint | floor uvarint *  (per relation index)
+//
+// idFloors is each relation's tuple-ID counter: deleted tuples leave
+// the committed instance, so the surviving IDs do not bound the minted
+// ones. It trails the parked section (see encodeCheckpoint); a
+// checkpoint without it kept its tombstones, whose IDs bound the
+// counter.
 //
 // Relations are encoded by index into the schema's sorted name list,
 // so recovery requires the same schema; schemaHash (FNV-64a over the
@@ -286,9 +294,10 @@ func decodeBatch(payload []byte, rels []string) (batchRecord, error) {
 
 // encodeCheckpoint renders a checkpoint frame payload. The parked
 // section — next park ID plus the live parked updates with their
-// recorded answers — trails the tuple section; decode tolerates its
-// absence, so pre-inbox checkpoints keep recovering.
-func (c *codec) encodeCheckpoint(batchIdx, nullFloor int64, tuples []storage.CommittedTuple, nextParkID int64, parked []ParkedUpdate) ([]byte, error) {
+// recorded answers — trails the tuple section, and the per-relation
+// tuple-ID floors trail that; decode tolerates the absence of either,
+// so older checkpoints keep recovering.
+func (c *codec) encodeCheckpoint(batchIdx, nullFloor int64, tuples []storage.CommittedTuple, idFloors []int64, nextParkID int64, parked []ParkedUpdate) ([]byte, error) {
 	var b bytes.Buffer
 	putUvarint(&b, uint64(batchIdx))
 	putUvarint(&b, uint64(nullFloor))
@@ -321,6 +330,10 @@ func (c *codec) encodeCheckpoint(batchIdx, nullFloor int64, tuples []storage.Com
 			putUvarint(&b, uint64(a.Option))
 		}
 	}
+	putUvarint(&b, uint64(len(idFloors)))
+	for _, f := range idFloors {
+		putUvarint(&b, uint64(f))
+	}
 	return b.Bytes(), nil
 }
 
@@ -329,6 +342,7 @@ type checkpointRecord struct {
 	idx        int64
 	nullFloor  int64
 	tuples     []storage.CommittedTuple
+	idFloors   []int64
 	nextParkID int64
 	parked     []ParkedUpdate
 }
@@ -423,6 +437,23 @@ func decodeCheckpoint(payload []byte, rels []string) (checkpointRecord, error) {
 				return checkpointRecord{}, err
 			}
 			p.Answers[j] = ParkedAnswer{Context: string(ctx), Option: int(opt)}
+		}
+	}
+	if len(r.b) > 0 {
+		nf, err := r.uvarint()
+		if err != nil {
+			return checkpointRecord{}, err
+		}
+		if rels != nil && int(nf) > len(rels) {
+			return checkpointRecord{}, fmt.Errorf("wal: %d ID floors for %d relations", nf, len(rels))
+		}
+		out.idFloors = make([]int64, nf)
+		for i := range out.idFloors {
+			f, err := r.uvarint()
+			if err != nil {
+				return checkpointRecord{}, err
+			}
+			out.idFloors[i] = int64(f)
 		}
 	}
 	if len(r.b) != 0 {

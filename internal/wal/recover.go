@@ -146,7 +146,7 @@ func recoverDir(fsys vfs.FS, dir string, schema *model.Schema) (*recovery, error
 		if ck.idx != ckpts[i].idx {
 			continue // name/content mismatch: not ours
 		}
-		if err := rec.st.RestoreSnapshot(ck.tuples, ck.nullFloor); err != nil {
+		if err := rec.st.RestoreSnapshot(ck.tuples, ck.nullFloor, ck.idFloors); err != nil {
 			return nil, fmt.Errorf("wal: restoring %s: %w", filepath.Base(ckpts[i].path), err)
 		}
 		ckptBatch = ck.idx

@@ -812,7 +812,7 @@ func (m *Manager) Checkpoint() error {
 		testCkptSerialize()
 	}
 	tuples, floor := ep.Serialize()
-	payload, err := m.cdc.encodeCheckpoint(k, floor, tuples, nextParkID, parkedSnap)
+	payload, err := m.cdc.encodeCheckpoint(k, floor, tuples, ep.IDFloors(), nextParkID, parkedSnap)
 	if err != nil {
 		return err
 	}
