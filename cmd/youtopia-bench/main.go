@@ -65,7 +65,7 @@ import (
 )
 
 func main() {
-	figure := flag.String("figure", "both", "which figure to reproduce: 3, 4, both, latency (the §5.2 user-latency extension study), parallel (serial vs goroutine-parallel throughput), sharded (relation-partition sweep over the sharded store), multicore (GOMAXPROCS sweep with epoch-snapshot readers beside the writers), query (compiled slot runtime vs interpreted engine on seeded violation queries), inbox (busy-repoll vs decision-inbox park/answer/resume), or chaos (the durable workload under randomized transient fault schedules, exiting nonzero on any durability-invariant violation)")
+	figure := flag.String("figure", "both", "which figure to reproduce: 3, 4, both, latency (the §5.2 user-latency extension study), parallel (serial vs goroutine-parallel throughput), sharded (relation-partition sweep over the sharded store), multicore (GOMAXPROCS sweep with epoch-snapshot readers beside the writers), inbox (busy-repoll vs decision-inbox park/answer/resume), or chaos (the durable workload under randomized transient fault schedules, exiting nonzero on any durability-invariant violation)")
 	chaosRuns := flag.Int("chaos-seeds", 10, "fault-schedule seeds the -figure chaos battery runs (each is a full workload + recovery check)")
 	chaosIntensity := flag.Int("chaos-intensity", 2, "fault bursts per operation class in each -figure chaos schedule")
 	inboxWorkers := flag.Int("inbox-workers", 4, "worker count the -figure inbox study runs both modes on (0 = cooperative serial)")
@@ -75,8 +75,6 @@ func main() {
 	shardWorkers := flag.Int("shard-workers", 4, "worker count the -figure sharded sweep runs each shard point on")
 	cpusFlag := flag.String("cpus", "", "comma-separated GOMAXPROCS caps for -figure multicore (default 1,2,4)")
 	cpuWorkers := flag.Int("cpu-workers", 4, "worker count every -figure multicore point runs on")
-	queryRows := flag.Int("query-rows", 1000, "rows per relation in the -figure query join world")
-	queryOps := flag.Int("query-ops", 2000, "seeded violation queries per -figure query measurement")
 	readers := flag.Int("readers", 4, "epoch-snapshot reader goroutines running beside the writers in -figure multicore")
 	dataDir := flag.String("data-dir", "", "back each -figure parallel/sharded run with a write-ahead log under this directory (one per shard for sharded stores); empty = in-memory, the unchanged default")
 	jsonPath := flag.String("json", "", "write the -figure parallel/sharded study as JSON to this file (the CI bench artifact)")
@@ -169,12 +167,10 @@ func main() {
 			fail(fmt.Errorf("bad -sweep: %w", err))
 		}
 	}
-	if *figure == "parallel" || *figure == "sharded" || *figure == "multicore" || *figure == "query" {
+	if *figure == "parallel" || *figure == "sharded" || *figure == "multicore" {
 		var points []experiments.ParallelPoint
 		var err error
 		switch {
-		case *figure == "query":
-			points, err = experiments.QueryStudy(*queryRows, *queryOps, *runs)
 		case *figure == "multicore":
 			var cpus []int
 			if *cpusFlag != "" {

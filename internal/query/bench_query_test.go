@@ -2,7 +2,6 @@ package query
 
 import (
 	"fmt"
-	"runtime"
 	"testing"
 
 	"youtopia/internal/model"
@@ -77,9 +76,7 @@ func BenchmarkRHSSatisfied(b *testing.B) {
 // file and witness scratch come from the engine's run pool, the bound
 // set is a stack bitmask, and the match callback is a package-level
 // function, so nothing escapes. The companion regression test
-// TestJoinBindingAllocBound turns the number into a gate; the
-// interpreted fallback engine keeps its historical 3 allocs/op bound
-// (recursion closure plus the escaping result binding).
+// TestJoinBindingAllocBound turns the number into a gate.
 func BenchmarkJoinBindingChurn(b *testing.B) {
 	st, m := benchWorld(b, 1000)
 	e := NewEngine(st.Snap(1))
@@ -99,9 +96,7 @@ func BenchmarkJoinBindingChurn(b *testing.B) {
 // TestJoinBindingAllocBound is the -benchmem guard in test form: the
 // steady-state early-stopping join on the compiled slot runtime must
 // not allocate at all. A regression here means binding, frame, or
-// closure churn crept back into the hottest loop of the system. The
-// interpreted fallback keeps its historical bound of 3 heap
-// allocations (closure + result binding header and buckets).
+// closure churn crept back into the hottest loop of the system.
 func TestJoinBindingAllocBound(t *testing.T) {
 	st, m := benchWorld(&testing.B{}, 1000)
 	e := NewEngine(st.Snap(1))
@@ -114,50 +109,6 @@ func TestJoinBindingAllocBound(t *testing.T) {
 	})
 	if got != 0 {
 		t.Fatalf("steady-state compiled join allocates %.1f times per op, want 0", got)
-	}
-
-	ie := NewInterpretedEngine(st.Snap(1))
-	if !ie.RHSSatisfied(m, bnd) {
-		t.Fatal("must be satisfied")
-	}
-	got = testing.AllocsPerRun(200, func() {
-		ie.RHSSatisfied(m, bnd)
-	})
-	if got > 3 {
-		t.Fatalf("steady-state interpreted join allocates %.1f times per op, want <= 3", got)
-	}
-}
-
-// TestInterpretedProbeAllocFreeAcrossCollections: the interpreted
-// engine probes the value index with an atom's constants. The atom
-// holds them interned, so a constant that no stored tuple carries is
-// not collected between probes and minted again by the next one: a
-// probe right after a collection allocates nothing.
-func TestInterpretedProbeAllocFreeAcrossCollections(t *testing.T) {
-	st, _ := benchWorld(&testing.B{}, 10)
-	atom := tgd.NewAtom("A", tgd.C(fmt.Sprint("never-stored-", 1)), tgd.V("y"))
-	e := NewInterpretedEngine(st.Snap(1))
-	// runtime.GC allocates itself, so the probe is measured alone. A
-	// finalizer the collection queued may still run, and allocate, in
-	// the measured window, so a few probes are allowed to count one; a
-	// probe that mints its constant anew allocates every time.
-	const probes = 20
-	var before, after runtime.MemStats
-	allocating := 0
-	for range probes {
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		ids := e.candidates(atom, nil)
-		runtime.ReadMemStats(&after)
-		if len(ids) != 0 {
-			t.Fatal("a constant no tuple carries has candidates")
-		}
-		if after.Mallocs != before.Mallocs {
-			allocating++
-		}
-	}
-	if allocating > probes/4 {
-		t.Fatalf("%d of %d probes after a collection allocate, want none", allocating, probes)
 	}
 }
 
@@ -195,6 +146,46 @@ func TestSeededQueryAllocFree(t *testing.T) {
 	})
 	if got != 0 {
 		t.Fatalf("steady-state seeded violation query allocates %.1f times per op, want 0", got)
+	}
+}
+
+// TestWideSeededQueryAllocFree: a mapping of 66 variables — a two-word
+// slot set — runs the warm seeded violation query that finds nothing
+// without allocating, like any narrow mapping.
+func TestWideSeededQueryAllocFree(t *testing.T) {
+	const width = 64 // private LHS variables beside x and y
+	terms := []tgd.Term{tgd.V("x"), tgd.V("y")}
+	for i := 0; i < width; i++ {
+		terms = append(terms, tgd.V(fmt.Sprintf("v%d", i)))
+	}
+	s := model.NewSchema()
+	s.MustAddRelation("W", fieldNames(len(terms))...)
+	s.MustAddRelation("R", "x", "y")
+	m := tgd.New("wide",
+		[]tgd.Atom{tgd.NewAtom("W", terms...)},
+		[]tgd.Atom{tgd.NewAtom("R", tgd.V("x"), tgd.V("y"))})
+	if n := len(PlanFor(m).Slots()); n != 66 {
+		t.Fatalf("plan has %d slots, want 66", n)
+	}
+	st := storage.NewStore(s)
+	vals := make([]model.Value, len(terms))
+	for i := 0; i < 50; i++ {
+		for j := range vals {
+			vals[j] = c(fmt.Sprintf("k%d", j))
+		}
+		vals[0], vals[1] = c(fmt.Sprintf("a%d", i)), c(fmt.Sprintf("b%d", i))
+		st.Load(model.NewTuple("W", vals...))
+		st.Load(model.NewTuple("R", vals[0], vals[1]))
+	}
+	e := NewEngine(st.Snap(1))
+	if vs := e.ViolationsSeeded(m, "W", vals, SeedLHS); len(vs) != 0 {
+		t.Fatalf("satisfied world reports %d violations", len(vs))
+	}
+	got := testing.AllocsPerRun(200, func() {
+		e.ViolationsSeeded(m, "W", vals, SeedLHS)
+	})
+	if got != 0 {
+		t.Fatalf("steady-state wide seeded violation query allocates %.1f times per op, want 0", got)
 	}
 }
 

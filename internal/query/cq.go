@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"youtopia/internal/model"
-	"youtopia/internal/storage"
 	"youtopia/internal/tgd"
 )
 
@@ -115,16 +114,19 @@ func dedupSort(rows []model.Tuple) []model.Tuple {
 // CertainAnswers returns the certain answers of the query on the
 // engine's snapshot: rows of constants that hold under every valuation
 // of the labeled nulls. For conjunctive queries these are exactly the
-// null-free rows of the naive evaluation.
+// null-free rows of the naive evaluation, which runs on a plan compiled
+// for this call. The plan is not cached on the query: one plan and
+// order per call costs less than keeping them alive between calls.
 func (e *Engine) CertainAnswers(q *CQ) []model.Tuple {
+	defer e.flushObs()
+	p := compileCQ(q)
+	r := e.getRun(p)
+	r.atoms = p.lhs
+	r.ord = p.computeOrder(e.snap, false, r.shape)
 	var rows []model.Tuple
-	e.joinAtoms(q.Body, Binding{}, func(b Binding, _ []storage.TupleID) bool {
-		row := q.project(b)
-		if row.IsGround() {
-			rows = append(rows, row)
-		}
-		return true
-	})
+	r.fn, r.rows = srCertainRow, &rows
+	r.rec(0, 0)
+	e.putRun(r)
 	return dedupSort(rows)
 }
 
@@ -263,4 +265,26 @@ func (e *Engine) joinAtomsUnifying(atoms []tgd.Atom, fn func(Binding, model.Subs
 		return true
 	}
 	return rec(n)
+}
+
+// boundTermCount counts how many argument positions of the atom are
+// determined under b (constants or bound variables).
+func boundTermCount(a tgd.Atom, b Binding) int {
+	n := 0
+	for _, term := range a.Terms {
+		if !term.IsVar {
+			n++
+			continue
+		}
+		if _, ok := b[term.Var]; ok {
+			n++
+		}
+	}
+	return n
+}
+
+func undoBinds(b Binding, added []string) {
+	for _, v := range added {
+		delete(b, v)
+	}
 }

@@ -1,15 +1,16 @@
 // Differential oracle for the compiled slot runtime: the interpreted
-// engine (which predates compilation and remains the fallback) is the
-// reference semantics; the compiled engine must agree with it on every
-// query surface — LHS match sets, RHS satisfaction, violation sets,
-// and §4.2 seeded violation queries — over randomized schemas,
-// mappings, duplicate-heavy data, and shared labeled nulls. CI runs
-// this under -race -shuffle=on, and the fuzz lane extends the same
+// reference engine (reference_test.go) is the semantics; the compiled
+// engine must agree with it on every query surface — LHS match sets,
+// RHS satisfaction, violation sets, §4.2 seeded violation queries and
+// certain answers — over randomized schemas, mappings (some wider than
+// 64 variables), duplicate-heavy data, and shared labeled nulls. CI
+// runs this under -race -shuffle=on, and the fuzz lane extends the same
 // property beyond the fixed seeds.
 package query
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"sort"
 	"strings"
@@ -31,11 +32,21 @@ type diffWorld struct {
 
 var diffVars = []string{"x", "y", "z", "w", "u"}
 
+// wideArity is the arity of the relation a wide world adds: three
+// joining columns plus 64 private variables, so a mapping over it has
+// more than 64 variables.
+const wideArity = 67
+
 // genWorld builds a random world. Constants come from a small pool so
 // joins hit and duplicates are common; a few shared labeled nulls run
-// through the data to exercise null equality in joins and keys.
+// through the data to exercise null equality in joins and keys. One
+// world in four adds a wide relation and a mapping over it.
 func genWorld(r *rand.Rand) *diffWorld {
 	s := model.NewSchema()
+	wide := r.Intn(4) == 0
+	if wide {
+		s.MustAddRelation("Wide", fieldNames(wideArity)...)
+	}
 	nRels := 2 + r.Intn(3)
 	arity := make([]int, nRels)
 	names := make([]string, nRels)
@@ -67,6 +78,19 @@ func genWorld(r *rand.Rand) *diffWorld {
 		st.Load(tp)
 		tuples = append(tuples, tp)
 	}
+	for i, n := 0, 3+r.Intn(6); wide && i < n; i++ {
+		vals := make([]model.Value, wideArity)
+		for j := range vals {
+			if j < 3 {
+				vals[j] = randVal()
+			} else {
+				vals[j] = model.Const(fmt.Sprintf("k%d", r.Intn(2)))
+			}
+		}
+		tp := model.NewTuple("Wide", vals...)
+		st.Load(tp)
+		tuples = append(tuples, tp)
+	}
 
 	randTerm := func() tgd.Term {
 		if r.Intn(5) == 0 {
@@ -90,6 +114,24 @@ func genWorld(r *rand.Rand) *diffWorld {
 	for i, n := 0, 1+r.Intn(3); i < n; i++ {
 		w.tgds = append(w.tgds,
 			tgd.New(fmt.Sprintf("m%d", i), randAtoms(1+r.Intn(3)), randAtoms(1+r.Intn(2))))
+	}
+	if wide {
+		// The wide atom joins through its first three columns; the rest
+		// are private variables, prefixed by side so an RHS wide atom
+		// brings 64 existentials.
+		wideAtom := func(prefix string) tgd.Atom {
+			terms := []tgd.Term{tgd.V(diffVars[r.Intn(len(diffVars))]), randTerm(), randTerm()}
+			for j := 3; j < wideArity; j++ {
+				terms = append(terms, tgd.V(fmt.Sprintf("%s%d", prefix, j)))
+			}
+			return tgd.NewAtom("Wide", terms...)
+		}
+		lhs := append([]tgd.Atom{wideAtom("v")}, randAtoms(r.Intn(2))...)
+		rhs := randAtoms(1)
+		if r.Intn(2) == 0 {
+			rhs = []tgd.Atom{wideAtom("e")}
+		}
+		w.tgds = append(w.tgds, tgd.New("wide", lhs, rhs))
 	}
 	return w
 }
@@ -117,14 +159,29 @@ func canonViols(vs []Violation) []string {
 
 func diffFatal(t *testing.T, what string, a, b []string) {
 	t.Helper()
-	t.Fatalf("%s diverged:\ncompiled:    %s\ninterpreted: %s",
+	t.Fatalf("%s diverged:\ncompiled:  %s\nreference: %s",
 		what, strings.Join(a, " ; "), strings.Join(b, " ; "))
 }
 
-// checkWorld runs every query surface through both engines and demands
-// identical results. The engines are parameters so the parallel
-// variant can hand each goroutine its own pair.
-func checkWorld(t *testing.T, r *rand.Rand, w *diffWorld, ce, ie *Engine) {
+// lhsVars lists the mapping's LHS variables in first-occurrence order.
+func lhsVars(m *tgd.TGD) []string {
+	var out []string
+	seen := map[string]bool{}
+	for _, a := range m.LHS {
+		for _, v := range a.Vars() {
+			if !seen[v] {
+				seen[v] = true
+				out = append(out, v)
+			}
+		}
+	}
+	return out
+}
+
+// checkWorld runs every query surface through the compiled engine and
+// the reference and demands identical results. The engines are
+// parameters so the parallel variant can hand each goroutine its own.
+func checkWorld(t *testing.T, r *rand.Rand, w *diffWorld, ce *Engine, ie refEngine) {
 	t.Helper()
 	randSeed := func(m *tgd.TGD) Binding {
 		b := Binding{}
@@ -134,9 +191,6 @@ func checkWorld(t *testing.T, r *rand.Rand, w *diffWorld, ce, ie *Engine) {
 				b[v] = model.Const(fmt.Sprintf("c%d", r.Intn(6)))
 			}
 		}
-		if r.Intn(6) == 0 {
-			b["foreign"] = model.Const("c0") // forces the fallback path
-		}
 		return b
 	}
 	for _, m := range w.tgds {
@@ -145,14 +199,22 @@ func checkWorld(t *testing.T, r *rand.Rand, w *diffWorld, ce, ie *Engine) {
 		}
 		for round := 0; round < 3; round++ {
 			seed := randSeed(m)
-			if cm, im := canonMatches(ce.LHSMatches(m, seed)), canonMatches(ie.LHSMatches(m, seed)); !equalStrs(cm, im) {
-				diffFatal(t, fmt.Sprintf("LHSMatches(%s, %v)", m.Name, seed), cm, im)
+			cseed := seed
+			if r.Intn(6) == 0 {
+				// A variable the mapping does not mention constrains
+				// nothing: the compiled engine drops it, and the
+				// reference never sees it.
+				cseed = maps.Clone(seed)
+				cseed["foreign"] = model.Const("c0")
 			}
-			if cs, is := ce.RHSSatisfied(m, seed), ie.RHSSatisfied(m, seed); cs != is {
-				t.Fatalf("RHSSatisfied(%s, %v): compiled %v, interpreted %v", m.Name, seed, cs, is)
+			if cm, im := canonMatches(ce.LHSMatches(m, cseed)), canonMatches(ie.LHSMatches(m, seed)); !equalStrs(cm, im) {
+				diffFatal(t, fmt.Sprintf("LHSMatches(%s, %v)", m.Name, cseed), cm, im)
 			}
-			if cv, iv := canonViols(ce.Violations(m, seed)), canonViols(ie.Violations(m, seed)); !equalStrs(cv, iv) {
-				diffFatal(t, fmt.Sprintf("Violations(%s, %v)", m.Name, seed), cv, iv)
+			if cs, is := ce.RHSSatisfied(m, cseed), ie.RHSSatisfied(m, seed); cs != is {
+				t.Fatalf("RHSSatisfied(%s, %v): compiled %v, reference %v", m.Name, cseed, cs, is)
+			}
+			if cv, iv := canonViols(ce.Violations(m, cseed)), canonViols(ie.Violations(m, seed)); !equalStrs(cv, iv) {
+				diffFatal(t, fmt.Sprintf("Violations(%s, %v)", m.Name, cseed), cv, iv)
 			}
 		}
 		for _, side := range []Side{SeedLHS, SeedRHS, SeedBoth} {
@@ -165,23 +227,28 @@ func checkWorld(t *testing.T, r *rand.Rand, w *diffWorld, ce, ie *Engine) {
 				}
 			}
 		}
-		// Signatures must agree too: both engines assign the same
-		// canonical identity to corresponding violations.
-		cv, iv := ce.Violations(m, Binding{}), ie.Violations(m, Binding{})
-		cs := make([]string, len(cv))
-		is := make([]string, len(iv))
-		for i := range cv {
-			cs[i] = ce.WitnessSig(&cv[i])
+		// Certain answers of the LHS as a conjunctive query, projected
+		// onto a random subset of its variables.
+		var head []string
+		for _, v := range lhsVars(m) {
+			if r.Intn(2) == 0 {
+				head = append(head, v)
+			}
 		}
-		for i := range iv {
-			is[i] = ie.WitnessSig(&iv[i])
-		}
-		sort.Strings(cs)
-		sort.Strings(is)
-		if !equalStrs(cs, is) {
-			diffFatal(t, "WitnessSig("+m.Name+")", cs, is)
+		q := &CQ{Name: "q_" + m.Name, Head: head, Body: m.LHS}
+		if cr, ir := rowKeys(ce.CertainAnswers(q)), rowKeys(ie.CertainAnswers(q)); !equalStrs(cr, ir) {
+			diffFatal(t, "CertainAnswers("+q.String()+")", cr, ir)
 		}
 	}
+}
+
+// rowKeys renders answer rows in their (already canonical) order.
+func rowKeys(rows []model.Tuple) []string {
+	out := make([]string, len(rows))
+	for i, row := range rows {
+		out[i] = row.Key()
+	}
+	return out
 }
 
 func equalStrs(a, b []string) bool {
@@ -205,9 +272,9 @@ func TestCompiledVsInterpreted(t *testing.T) {
 			r := rand.New(rand.NewSource(seed))
 			w := genWorld(r)
 			snap := w.st.Snap(1)
-			checkWorld(t, r, w, NewEngine(snap), NewInterpretedEngine(snap))
+			checkWorld(t, r, w, NewEngine(snap), refEngine{snap})
 			ep := w.st.EpochSnap()
-			checkWorld(t, r, w, NewEngine(ep), NewInterpretedEngine(ep))
+			checkWorld(t, r, w, NewEngine(ep), refEngine{ep})
 		})
 	}
 }
@@ -227,7 +294,7 @@ func TestCompiledVsInterpretedParallel(t *testing.T) {
 		go func(gseed int64) {
 			defer wg.Done()
 			gr := rand.New(rand.NewSource(gseed))
-			checkWorld(t, gr, w, NewEngine(snap), NewInterpretedEngine(snap))
+			checkWorld(t, gr, w, NewEngine(snap), refEngine{snap})
 		}(int64(g))
 	}
 	wg.Wait()
@@ -243,6 +310,6 @@ func FuzzCompiledVsInterpreted(f *testing.F) {
 		r := rand.New(rand.NewSource(seed))
 		w := genWorld(r)
 		snap := w.st.Snap(1)
-		checkWorld(t, r, w, NewEngine(snap), NewInterpretedEngine(snap))
+		checkWorld(t, r, w, NewEngine(snap), refEngine{snap})
 	})
 }

@@ -26,25 +26,6 @@ import (
 // Binding assigns values to mapping variables.
 type Binding map[string]model.Value
 
-// cloneSized copies a binding into a map sized for the given final
-// variable count, so growth reallocations never happen when the caller
-// knows how many variables the mapping can bind.
-func (b Binding) cloneSized(size int) Binding {
-	if size < len(b) {
-		size = len(b)
-	}
-	out := make(Binding, size)
-	for k, v := range b {
-		out[k] = v
-	}
-	return out
-}
-
-// clone copies a binding with headroom for a couple of extensions.
-func (b Binding) clone() Binding {
-	return b.cloneSized(len(b) + 2)
-}
-
 // Restrict returns the binding restricted to the given variables.
 func (b Binding) Restrict(vars []string) Binding {
 	out := make(Binding, len(vars))
@@ -86,13 +67,15 @@ func appendValue(dst []byte, v model.Value) []byte {
 
 // appendBindingOrdered renders a binding map in the plan's canonical
 // slot order, byte-identical to appendBindingSlots over the register
-// file. Variables outside the slot table — foreign seed variables a
-// caller carried through the interpreted path — follow in sorted
-// order, so keys stay total without ever sorting in the common case.
+// file.
 func appendBindingOrdered(dst []byte, p *Plan, b Binding) []byte {
 	dst = append(dst, '{')
 	first := true
-	emit := func(name string, val model.Value) {
+	for _, name := range p.slots {
+		val, ok := b[name]
+		if !ok {
+			continue
+		}
 		if !first {
 			dst = append(dst, ", "...)
 		}
@@ -100,25 +83,6 @@ func appendBindingOrdered(dst []byte, p *Plan, b Binding) []byte {
 		dst = append(dst, name...)
 		dst = append(dst, "->"...)
 		dst = appendValue(dst, val)
-	}
-	n := 0
-	for _, name := range p.slots {
-		if val, ok := b[name]; ok {
-			emit(name, val)
-			n++
-		}
-	}
-	if n < len(b) {
-		extra := make([]string, 0, len(b)-n)
-		for name := range b {
-			if _, inPlan := p.slotOf[name]; !inPlan {
-				extra = append(extra, name)
-			}
-		}
-		sort.Strings(extra)
-		for _, name := range extra {
-			emit(name, b[name])
-		}
 	}
 	return append(dst, '}')
 }
@@ -255,27 +219,16 @@ func (e *Engine) appendWitnessSig(dst []byte, v *Violation) []byte {
 }
 
 // Engine evaluates queries against one snapshot. It is not safe for
-// concurrent use: the join scratch (pooled working bindings reused
-// across evaluations — the match loop is the hottest code path in the
-// system, and per-join map churn shows up in every chase step) is
-// owned by one goroutine at a time, which is how every caller already
-// uses an engine.
+// concurrent use: the join scratch (pooled slot runs reused across
+// evaluations — the match loop is the hottest code path in the system)
+// is owned by one goroutine at a time, which is how every caller
+// already uses an engine.
 type Engine struct {
 	snap *storage.Snapshot
 
-	// forceInterpreted routes every evaluation through the interpreted
-	// join path even when a compiled plan fits; the differential oracle
-	// uses it to pit the two runtimes against each other.
-	forceInterpreted bool
-
-	// bindingPool holds cleared scratch maps; joins pop one for their
-	// working binding and push it back when the enumeration finishes.
-	// Nested joins (Satisfied's RHS probe inside an LHS enumeration)
-	// simply pop a second one. framePool does the same for the
-	// per-join bookkeeping slices, runPool for compiled slot runs.
-	bindingPool []Binding
-	framePool   []*joinFrame
-	runPool     []*slotRun
+	// runPool holds idle slot runs; a violation query pops two (the LHS
+	// enumeration and its nested RHS probe).
+	runPool []*slotRun
 
 	// Reusable buffers for violation keys, witness signatures and the
 	// signatures' null-renaming scratch; seen is the seeded-query dedup
@@ -285,12 +238,12 @@ type Engine struct {
 	renBuf []model.Value
 	seen   map[string]bool
 
-	// vout is the compiled violation-collection target. Collecting
-	// through an engine field instead of a stack variable keeps the
-	// no-violation steady state allocation-free: a local slice whose
-	// address reaches the run would be heap-moved even when it stays
-	// nil. Ownership of the backing array transfers to the caller at
-	// the end of each evaluation (the field is reset to nil).
+	// vout is the violation-collection target. Collecting through an
+	// engine field instead of a stack variable keeps the no-violation
+	// steady state allocation-free: a local slice whose address reaches
+	// the run would be heap-moved even when it stays nil. Ownership of
+	// the backing array transfers to the caller at the end of each
+	// evaluation (the field is reset to nil).
 	vout []Violation
 
 	// Locally accumulated join counters, flushed to the obs registry
@@ -299,366 +252,68 @@ type Engine struct {
 	pendSteps  int64
 }
 
-// joinFrame is the per-join bookkeeping: the witness under
-// construction, the processed-atom set, and the per-level undo lists.
-type joinFrame struct {
-	witness []storage.TupleID
-	done    []bool
-	undo    [][]string
-}
-
-// getFrame returns a join frame with capacity for n atoms, pooled.
-func (e *Engine) getFrame(n int) *joinFrame {
-	var f *joinFrame
-	if k := len(e.framePool); k > 0 {
-		f = e.framePool[k-1]
-		e.framePool = e.framePool[:k-1]
-	} else {
-		f = &joinFrame{}
-	}
-	if cap(f.witness) < n {
-		f.witness = make([]storage.TupleID, n)
-		f.done = make([]bool, n)
-		f.undo = make([][]string, n)
-	}
-	f.witness = f.witness[:n]
-	f.done = f.done[:n]
-	for i := range f.done {
-		f.done[i] = false
-	}
-	f.undo = f.undo[:n]
-	return f
-}
-
-func (e *Engine) putFrame(f *joinFrame) { e.framePool = append(e.framePool, f) }
-
-// getScratch returns a scratch binding pre-filled with b, drawing from
-// the pool when possible; sizeHint sizes a fresh allocation for the
-// join's full variable count.
-func (e *Engine) getScratch(b Binding, sizeHint int) Binding {
-	n := len(e.bindingPool)
-	if n == 0 {
-		return b.cloneSized(sizeHint)
-	}
-	out := e.bindingPool[n-1]
-	e.bindingPool = e.bindingPool[:n-1]
-	for k, v := range b {
-		out[k] = v
-	}
-	return out
-}
-
-// putScratch clears a scratch binding and returns it to the pool.
-func (e *Engine) putScratch(b Binding) {
-	clear(b)
-	e.bindingPool = append(e.bindingPool, b)
-}
-
 // NewEngine returns an engine reading through the given snapshot.
 func NewEngine(snap *storage.Snapshot) *Engine {
 	return &Engine{snap: snap}
 }
 
-// NewInterpretedEngine returns an engine that bypasses compiled plans
-// and evaluates every query through the interpreted join path — the
-// reference implementation the differential oracle compares the slot
-// runtime against.
-func NewInterpretedEngine(snap *storage.Snapshot) *Engine {
-	return &Engine{snap: snap, forceInterpreted: true}
-}
-
 // Snapshot returns the snapshot the engine reads through.
 func (e *Engine) Snapshot() *storage.Snapshot { return e.snap }
 
-// unifyValsAtom extends binding b by matching concrete values against
-// an atom's terms. It reports false when a constant clashes or a
-// variable is already bound to a different value.
-func unifyValsAtom(vals []model.Value, a tgd.Atom, b Binding) (Binding, bool) {
-	if len(vals) != len(a.Terms) {
-		return nil, false
-	}
-	out := b
-	copied := false
-	for i, term := range a.Terms {
-		v := vals[i]
-		if !term.IsVar {
-			if v != term.Const {
-				return nil, false
-			}
-			continue
-		}
-		if bound, ok := out[term.Var]; ok {
-			if bound != v {
-				return nil, false
-			}
-			continue
-		}
-		if !copied {
-			out = out.clone()
-			copied = true
-		}
-		out[term.Var] = v
-	}
-	return out, true
-}
-
-// boundTermCount counts how many argument positions of the atom are
-// determined under b (constants or bound variables).
-func boundTermCount(a tgd.Atom, b Binding) int {
-	n := 0
-	for _, term := range a.Terms {
-		if !term.IsVar {
-			n++
-			continue
-		}
-		if _, ok := b[term.Var]; ok {
-			n++
-		}
-	}
-	return n
-}
-
-// candidates returns tuple IDs that can possibly match the atom under
-// b, using the most selective determined position, or every visible
-// tuple of the relation when nothing is determined.
-func (e *Engine) candidates(a tgd.Atom, b Binding) []storage.TupleID {
-	bestCol := -1
-	var bestIDs []storage.TupleID
-	for i, term := range a.Terms {
-		var val model.Value
-		switch {
-		case !term.IsVar:
-			val = term.Const
-		default:
-			bound, ok := b[term.Var]
-			if !ok {
-				continue
-			}
-			val = bound
-		}
-		ids := e.snap.CandidatesByValue(a.Rel, i, val)
-		e.pendProbes++
-		if bestCol == -1 || len(ids) < len(bestIDs) {
-			bestCol, bestIDs = i, ids
-		}
-		if len(bestIDs) == 0 {
-			return nil
-		}
-	}
-	if bestCol >= 0 {
-		return bestIDs
-	}
-	// Unconstrained: every tuple of the relation is a candidate; the
-	// caller's Get filters visibility.
-	return e.snap.RelIDs(a.Rel)
-}
-
-// bindInPlace extends b by matching vals against the atom's terms,
-// mutating b and recording the newly bound variables in *added (for
-// undo). It reports false — with b already restored — when a constant
-// clashes or a variable is bound to a different value.
-func bindInPlace(vals []model.Value, a tgd.Atom, b Binding, added *[]string) bool {
-	*added = (*added)[:0]
-	for i, term := range a.Terms {
-		v := vals[i]
-		if !term.IsVar {
-			if v != term.Const {
-				undoBinds(b, *added)
-				return false
-			}
-			continue
-		}
-		if bound, ok := b[term.Var]; ok {
-			if bound != v {
-				undoBinds(b, *added)
-				return false
-			}
-			continue
-		}
-		b[term.Var] = v
-		*added = append(*added, term.Var)
-	}
-	return true
-}
-
-func undoBinds(b Binding, added []string) {
-	for _, v := range added {
-		delete(b, v)
-	}
-}
-
-// joinAtoms enumerates homomorphisms of the atom conjunction into the
-// snapshot, extending seed binding b. The witness records, for each
-// original atom position, the tuple matched to it. fn receives a
-// private copy of the binding; returning false stops the enumeration.
-// joinAtoms reports whether enumeration ran to completion.
-//
-// Bindings are extended in place with undo lists rather than cloned
-// per candidate, the working binding is drawn from the engine's pool,
-// and per-result copies are sized to their exact final variable count:
-// the join is the hottest code path of the whole system (every
-// violation query runs through it), so map churn here is workload-wide
-// allocation churn.
-func (e *Engine) joinAtoms(atoms []tgd.Atom, b Binding, fn func(Binding, []storage.TupleID) bool) bool {
-	n := len(atoms)
-	frame := e.getFrame(n)
-	defer e.putFrame(frame)
-	witness, done := frame.witness, frame.done
-	// Upper bound on the join's final variable count: every variable
-	// term of every atom could be distinct and unbound.
-	varCap := len(b)
-	for i := range atoms {
-		for _, term := range atoms[i].Terms {
-			if term.IsVar {
-				varCap++
-			}
-		}
-	}
-	scratch := e.getScratch(b, varCap)
-	defer e.putScratch(scratch)
-	undo := frame.undo
-	var rec func(remaining int) bool
-	rec = func(remaining int) bool {
-		if remaining == 0 {
-			w := make([]storage.TupleID, n)
-			copy(w, witness)
-			return fn(scratch.cloneSized(len(scratch)), w)
-		}
-		// Greedy: evaluate the most-bound unprocessed atom next.
-		best := -1
-		bestBound := -1
-		for i, a := range atoms {
-			if done[i] {
-				continue
-			}
-			if bc := boundTermCount(a, scratch); bc > bestBound {
-				best, bestBound = i, bc
-			}
-		}
-		a := atoms[best]
-		done[best] = true
-		defer func() { done[best] = false }()
-		level := &undo[n-remaining]
-		cands := e.candidates(a, scratch)
-		e.pendSteps += int64(len(cands))
-		for _, id := range cands {
-			vals, ok := e.snap.Get(id)
-			if !ok {
-				continue
-			}
-			if !bindInPlace(vals, a, scratch, level) {
-				continue
-			}
-			witness[best] = id
-			cont := rec(remaining - 1)
-			undoBinds(scratch, *level)
-			if !cont {
-				return false
-			}
-		}
-		return true
-	}
-	return rec(n)
-}
-
 // LHSMatches returns every homomorphism of the mapping's LHS into the
-// snapshot that extends the seed binding, in deterministic order.
+// snapshot that extends the seed binding, in deterministic order. Seed
+// variables the mapping does not mention constrain nothing.
 func (e *Engine) LHSMatches(t *tgd.TGD, seed Binding) []Match {
 	defer e.flushObs()
 	var out []Match
-	if p := PlanFor(t); e.useCompiled(p) {
-		r := e.getRun(p)
-		if mask, ok := p.seedMask(seed, r.regs); ok {
-			r.side(false, mask)
-			r.fn = srCollectMatch
-			r.mout = &out
-			r.rec(0, mask)
-			e.putRun(r)
-			return out
-		}
-		e.putRun(r)
-	}
-	if seed == nil {
-		seed = Binding{}
-	}
-	e.joinAtoms(t.LHS, seed, func(b Binding, w []storage.TupleID) bool {
-		out = append(out, Match{Binding: b, Witness: w})
-		return true
-	})
+	p := PlanFor(t)
+	r := e.getRun(p)
+	p.seedSet(seed, r.regs, r.shape)
+	r.side(false, r.shape)
+	r.fn = srCollectMatch
+	r.mout = &out
+	r.rec(0, 0)
+	e.putRun(r)
 	return out
 }
 
-// useCompiled reports whether evaluation should run on the slot
-// runtime.
-func (e *Engine) useCompiled(p *Plan) bool {
-	return p.ok && !e.forceInterpreted
-}
-
 // RHSSatisfied reports whether the mapping's RHS has a complete match
-// extending the binding (the existentially quantified variables bind
-// freely).
+// extending the binding's frontier variables (the existentially
+// quantified variables bind freely).
 func (e *Engine) RHSSatisfied(t *tgd.TGD, b Binding) bool {
 	defer e.flushObs()
-	if p := PlanFor(t); e.useCompiled(p) {
-		r := e.getRun(p)
-		mask := uint64(0)
-		ok := true
-		for _, v := range t.FrontierVars() {
-			val, bound := b[v]
-			if !bound {
-				continue
-			}
-			sl, known := p.slotOf[v]
-			if !known {
-				ok = false
-				break
-			}
+	p := PlanFor(t)
+	r := e.getRun(p)
+	for _, v := range t.FrontierVars() {
+		if val, bound := b[v]; bound {
+			sl := p.slotOf[v]
 			r.regs[sl] = val
-			mask |= uint64(1) << uint(sl)
+			r.shape.add(sl)
 		}
-		if ok {
-			r.side(true, mask)
-			r.fn = srExists
-			r.found = false
-			r.rec(0, mask)
-			found := r.found
-			e.putRun(r)
-			return found
-		}
-		e.putRun(r)
 	}
-	found := false
-	e.joinAtoms(t.RHS, b.Restrict(t.FrontierVars()), func(Binding, []storage.TupleID) bool {
-		found = true
-		return false
-	})
+	r.side(true, r.shape)
+	r.fn = srExists
+	r.found = false
+	r.rec(0, 0)
+	found := r.found
+	e.putRun(r)
 	return found
 }
 
 // Violations returns every violation of the mapping extending the seed
-// binding (Definition 2.1), in deterministic order.
+// binding (Definition 2.1), in deterministic order. Seed variables the
+// mapping does not mention constrain nothing.
 func (e *Engine) Violations(t *tgd.TGD, seed Binding) []Violation {
 	defer e.flushObs()
-	if p := PlanFor(t); e.useCompiled(p) {
-		lr, rr := e.getRun(p), e.getRun(p)
-		if mask, ok := p.seedMask(seed, lr.regs); ok {
-			lr.fn, lr.vout = srViolation, &e.vout
-			e.violationJoin(p, lr, rr, mask)
-			e.putRun(rr)
-			e.putRun(lr)
-			out := e.vout
-			e.vout = nil
-			return out
-		}
-		e.putRun(rr)
-		e.putRun(lr)
-	}
-	var out []Violation
-	for _, m := range e.LHSMatches(t, seed) {
-		if !e.RHSSatisfied(t, m.Binding) {
-			out = append(out, Violation{TGD: t, Binding: m.Binding, Witness: m.Witness})
-		}
-	}
+	p := PlanFor(t)
+	lr, rr := e.getRun(p), e.getRun(p)
+	p.seedSet(seed, lr.regs, lr.shape)
+	lr.fn, lr.vout = srViolation, &e.vout
+	e.violationJoin(p, lr, rr, lr.shape)
+	e.putRun(rr)
+	e.putRun(lr)
+	out := e.vout
+	e.vout = nil
 	return out
 }
 
@@ -669,13 +324,13 @@ func (e *Engine) Violations(t *tgd.TGD, seed Binding) []Violation {
 // nested RHS probe run rr (sharing lr's register file), and enumerates
 // the LHS matches extending the seed shape. It reports false when the
 // callback stopped the enumeration.
-func (e *Engine) violationJoin(p *Plan, lr, rr *slotRun, mask uint64) bool {
-	lr.side(false, mask)
+func (e *Engine) violationJoin(p *Plan, lr, rr *slotRun, shape slotSet) bool {
+	lr.side(false, shape)
 	rr.regs = lr.regs
-	rr.side(true, p.frontierMask)
+	rr.side(true, p.frontier)
 	rr.fn = srExists
 	lr.rhsRun = rr
-	return lr.rec(0, mask)
+	return lr.rec(0, 0)
 }
 
 // seededJoin runs violationJoin over the seed shapes of the §4.2
@@ -688,7 +343,8 @@ func (e *Engine) seededJoin(p *Plan, lr, rr *slotRun, rel string, vals []model.V
 			if p.lhs[i].rel != rel {
 				continue
 			}
-			if mask, ok := unifyRegs(vals, &p.lhs[i], lr.regs, 0); ok && !e.violationJoin(p, lr, rr, mask) {
+			clear(lr.shape)
+			if unifyRegs(vals, &p.lhs[i], lr.regs, lr.shape) && !e.violationJoin(p, lr, rr, lr.shape) {
 				return
 			}
 		}
@@ -698,7 +354,14 @@ func (e *Engine) seededJoin(p *Plan, lr, rr *slotRun, rel string, vals []model.V
 			if p.rhs[i].rel != rel {
 				continue
 			}
-			if mask, ok := unifyRegs(vals, &p.rhs[i], lr.regs, 0); ok && !e.violationJoin(p, lr, rr, mask&p.frontierMask) {
+			clear(lr.shape)
+			if !unifyRegs(vals, &p.rhs[i], lr.regs, lr.shape) {
+				continue
+			}
+			for w := range lr.shape {
+				lr.shape[w] &= p.frontier[w]
+			}
+			if !e.violationJoin(p, lr, rr, lr.shape) {
 				return
 			}
 		}
@@ -739,53 +402,15 @@ func (s Side) String() string {
 // whose LHS atoms over rel carry the written values (SeedLHS), and/or
 // violations whose frontier bindings flow from the written tuple
 // through an RHS atom over rel (SeedRHS). The result is deduplicated
-// and deterministic.
+// and deterministic. The written tuple's values unify straight into the
+// register file, each seed shape runs its static order, and duplicates
+// across seed atoms are rejected through the engine's reusable key
+// buffer — a steady-state call that finds no violation allocates
+// nothing.
 func (e *Engine) ViolationsSeeded(t *tgd.TGD, rel string, vals []model.Value, side Side) []Violation {
-	if p := PlanFor(t); e.useCompiled(p) {
-		return e.violationsSeededCompiled(p, rel, vals, side)
-	}
-	seen := make(map[string]bool)
-	var out []Violation
-	add := func(vs []Violation) {
-		for i := range vs {
-			v := vs[i]
-			if k := v.Key(); !seen[k] {
-				seen[k] = true
-				out = append(out, v)
-			}
-		}
-	}
-	if side == SeedLHS || side == SeedBoth {
-		for _, a := range t.LHS {
-			if a.Rel != rel {
-				continue
-			}
-			if b, ok := unifyValsAtom(vals, a, Binding{}); ok {
-				add(e.Violations(t, b))
-			}
-		}
-	}
-	if side == SeedRHS || side == SeedBoth {
-		for _, a := range t.RHS {
-			if a.Rel != rel {
-				continue
-			}
-			if b, ok := unifyValsAtom(vals, a, Binding{}); ok {
-				add(e.Violations(t, b.Restrict(t.FrontierVars())))
-			}
-		}
-	}
-	return out
-}
-
-// violationsSeededCompiled is the slot-runtime seeded violation query:
-// the written tuple's values unify straight into the register file,
-// each seed shape runs its static order, and duplicates across seed
-// atoms are rejected through the engine's reusable key buffer — a
-// steady-state call that finds no violation allocates nothing.
-func (e *Engine) violationsSeededCompiled(p *Plan, rel string, vals []model.Value, side Side) []Violation {
 	defer e.flushObs()
 	clear(e.seen)
+	p := PlanFor(t)
 	lr, rr := e.getRun(p), e.getRun(p)
 	lr.fn, lr.dedup, lr.vout = srViolation, true, &e.vout
 	e.seededJoin(p, lr, rr, rel, vals, side)
@@ -801,14 +426,13 @@ func (e *Engine) violationsSeededCompiled(p *Plan, rel string, vals []model.Valu
 // no more than the comparison needs: an empty Answer is an existence
 // probe that stops at the first violation, a single-violation Answer is
 // compared violation by violation in the key buffer, and only a
-// multi-violation Answer — or a mapping the slot runtime cannot hold —
-// is evaluated and rendered in full.
+// multi-violation Answer is evaluated and rendered in full.
 func (e *Engine) answerDiffers(q *ViolationRead) bool {
-	p := PlanFor(q.TGD)
-	if q.multi || !e.useCompiled(p) {
+	if q.multi {
 		return e.canonViolations(q.eval(e)) != q.Answer
 	}
 	defer e.flushObs()
+	p := PlanFor(q.TGD)
 	lr, rr := e.getRun(p), e.getRun(p)
 	lr.found = false
 	lr.fn = srFirstViolation
@@ -835,48 +459,26 @@ func (e *Engine) answerDiffers(q *ViolationRead) bool {
 // replaced by a freshly materialised map.
 func (e *Engine) Recheck(v *Violation) bool {
 	defer e.flushObs()
-	t := v.TGD
-	p := PlanFor(t)
-	if !e.useCompiled(p) {
-		b := Binding{}
-		for i, id := range v.Witness {
-			vals, ok := e.snap.Get(id)
-			if !ok {
-				return false
-			}
-			if b, ok = unifyValsAtom(vals, t.LHS[i], b); !ok {
-				return false
-			}
-		}
-		if e.RHSSatisfied(t, b) {
-			return false
-		}
-		v.Binding = b
-		return true
-	}
+	p := PlanFor(v.TGD)
 	lr, rr := e.getRun(p), e.getRun(p)
 	defer e.putRun(rr)
 	defer e.putRun(lr)
-	var mask uint64
 	for i, id := range v.Witness {
 		vals, ok := e.snap.Get(id)
-		if !ok {
-			return false
-		}
-		if mask, ok = unifyRegs(vals, &p.lhs[i], lr.regs, mask); !ok {
+		if !ok || !unifyRegs(vals, &p.lhs[i], lr.regs, lr.shape) {
 			return false
 		}
 	}
 	rr.regs = lr.regs
-	rr.side(true, p.frontierMask)
+	rr.side(true, p.frontier)
 	rr.fn = srExists
 	rr.found = false
-	rr.rec(0, mask&p.frontierMask)
+	rr.rec(0, 0)
 	if rr.found {
 		return false
 	}
-	if !p.bindingMatchesRegs(v.Binding, lr.regs, mask) {
-		v.Binding = p.bindingFromRegs(lr.regs, mask)
+	if !p.bindingMatchesRegs(v.Binding, lr.regs, lr.shape) {
+		v.Binding = p.bindingFromRegs(lr.regs, lr.shape)
 	}
 	return true
 }
@@ -896,24 +498,14 @@ func (e *Engine) AllViolations(set *tgd.Set) []Violation {
 func (e *Engine) Satisfied(set *tgd.Set) bool {
 	defer e.flushObs()
 	for _, t := range set.All() {
-		violated := false
-		if p := PlanFor(t); e.useCompiled(p) {
-			lr, rr := e.getRun(p), e.getRun(p)
-			lr.fn = srFirstViolation
-			lr.found = false
-			e.violationJoin(p, lr, rr, 0)
-			violated = lr.found
-			e.putRun(rr)
-			e.putRun(lr)
-		} else {
-			e.joinAtoms(t.LHS, Binding{}, func(b Binding, _ []storage.TupleID) bool {
-				if !e.RHSSatisfied(t, b) {
-					violated = true
-					return false
-				}
-				return true
-			})
-		}
+		p := PlanFor(t)
+		lr, rr := e.getRun(p), e.getRun(p)
+		lr.fn = srFirstViolation
+		lr.found = false
+		e.violationJoin(p, lr, rr, lr.shape)
+		violated := lr.found
+		e.putRun(rr)
+		e.putRun(lr)
 		if violated {
 			return false
 		}

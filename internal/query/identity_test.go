@@ -7,6 +7,7 @@ package query
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"testing"
 
@@ -15,43 +16,21 @@ import (
 	"youtopia/internal/tgd"
 )
 
-// refRecheck is the recheck the chase performed before Engine.Recheck
-// existed: unify the witness's current values atom by atom into a
-// fresh binding, then probe the RHS.
-func refRecheck(e *Engine, v *Violation) (bool, Binding) {
-	b := Binding{}
-	for i, id := range v.Witness {
-		vals, ok := e.snap.Get(id)
-		if !ok {
-			return false, nil
-		}
-		nb, ok := unifyValsAtom(vals, v.TGD.LHS[i], b)
-		if !ok {
-			return false, nil
-		}
-		b = nb
-	}
-	if e.RHSSatisfied(v.TGD, b) {
-		return false, nil
-	}
-	return true, b
-}
-
 func cloneViolation(v Violation) Violation {
-	return Violation{TGD: v.TGD, Binding: v.Binding.clone(), Witness: append([]storage.TupleID(nil), v.Witness...)}
+	return Violation{TGD: v.TGD, Binding: maps.Clone(v.Binding), Witness: append([]storage.TupleID(nil), v.Witness...)}
 }
 
 // TestRecheckMatchesReference: after random writes (null replacements,
-// deletes, inserts) by the reader, Recheck on the compiled and on the
-// interpreted engine reaches the reference verdict and leaves the
-// reference binding on every violation that still holds.
+// deletes, inserts) by the reader, Recheck reaches the reference
+// verdict and leaves the reference binding on every violation that
+// still holds.
 func TestRecheckMatchesReference(t *testing.T) {
 	rechecked, gone, rebound := 0, 0, 0
 	for seed := int64(0); seed < 100; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		w := genWorld(r)
 		snap := w.st.Snap(1)
-		ce, ie := NewEngine(snap), NewInterpretedEngine(snap)
+		ce, ie := NewEngine(snap), refEngine{snap}
 		var vs []Violation
 		for _, m := range w.tgds {
 			vs = append(vs, ce.Violations(m, Binding{})...)
@@ -76,18 +55,15 @@ func TestRecheckMatchesReference(t *testing.T) {
 			}
 		}
 		for i := range vs {
-			wantHolds, wantBinding := refRecheck(ie, &vs[i])
-			for name, e := range map[string]*Engine{"compiled": ce, "interpreted": ie} {
-				v := cloneViolation(vs[i])
-				if got := e.Recheck(&v); got != wantHolds {
-					t.Fatalf("seed %d %s: Recheck(%s) = %v, reference %v", seed, name, vs[i].Key(), got, wantHolds)
-				}
-				if !wantHolds {
-					continue
-				}
+			wantHolds, wantBinding := ie.Recheck(&vs[i])
+			v := cloneViolation(vs[i])
+			if got := ce.Recheck(&v); got != wantHolds {
+				t.Fatalf("seed %d: Recheck(%s) = %v, reference %v", seed, vs[i].Key(), got, wantHolds)
+			}
+			if wantHolds {
 				want := Violation{TGD: v.TGD, Binding: wantBinding, Witness: v.Witness}
 				if v.Key() != want.Key() {
-					t.Fatalf("seed %d %s: binding after Recheck %s, reference %s", seed, name, v.Key(), want.Key())
+					t.Fatalf("seed %d: binding after Recheck %s, reference %s", seed, v.Key(), want.Key())
 				}
 			}
 			rechecked++

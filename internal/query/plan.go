@@ -1,32 +1,35 @@
-// Compiled mapping plans. Every violation query, seeded check, and
-// correction probe of the chase interprets the same dozen mappings
-// millions of times; this file compiles each tgd.TGD once into a form
-// the slot runtime (slots.go) executes with no string hashing and no
-// per-call planning:
+// Compiled query plans. Every violation query, seeded check, and
+// correction probe of the chase evaluates the same dozen mappings
+// millions of times, and every certain-answer query is a conjunction of
+// the same kind of atoms; this file compiles both into a form the slot
+// runtime (slots.go) executes with no string hashing and no per-call
+// planning:
 //
 //   - a dense variable slot table — bindings become a register file
-//     ([]model.Value indexed by slot) plus one uint64 bound bitmask,
-//     replacing map[string]model.Value on the hot path;
+//     ([]model.Value indexed by slot), and sets of slots are
+//     plan-sized bitsets (slotSet), so a mapping of any width compiles;
 //   - per-atom term descriptors — each argument position is either an
 //     interned constant Value (baked in at compile time, so the join
 //     never re-interns a mapping constant) or a slot number;
-//   - a static join order per seed shape, chosen once from committed-
-//     epoch cardinality stats (storage.Snapshot.RelStats: live counts
-//     and per-column distinct fanout) and cached in the plan, so the
-//     runtime neither re-derives the greedy order per recursion level
-//     nor probes every determined column's index to find the most
-//     selective one — the probe column per step is precomputed.
+//   - a static join order per seed shape, chosen once from the live
+//     indexes' cardinality stats (storage.Snapshot.RelStats: tuple
+//     counts and per-column distinct fanout) and cached in the plan.
+//     Once an atom is placed all its variables are bound, so which
+//     slots are bound is fixed at every step of an order: the order
+//     carries each step's probe column and one bit per argument
+//     position saying whether the step binds it or compares against
+//     it, and the runtime tracks no bound set at all.
 //
-// Plans are immutable, cached on the TGD itself (one atomic load to
-// fetch), and shared by every engine and worker in the process. A
-// mapping with more than 64 variables does not fit the bitmask and
-// falls back to the interpreted engine, which remains intact both as
-// that fallback and as the reference implementation the differential
-// oracle checks the compiled runtime against.
+// Mapping plans are immutable, cached on the TGD itself (one atomic
+// load to fetch), and shared by every engine and worker in the process.
+// A conjunctive query compiles a fresh plan per call (CertainAnswers).
+// There is one runtime: the interpreted binding-map join survives only
+// in the tests, as the reference the differential oracle checks the
+// slot runtime against.
 package query
 
 import (
-	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -35,9 +38,12 @@ import (
 	"youtopia/internal/tgd"
 )
 
-// maxSlots is the slot runtime's variable budget: the bound-slot set
-// is one uint64 bitmask.
-const maxSlots = 64
+// slotSet is a set of slots, one bit per slot, sized to its plan.
+type slotSet []uint64
+
+func (s slotSet) has(i int32) bool { return s[i>>6]>>uint(i&63)&1 == 1 }
+
+func (s slotSet) add(i int32) { s[i>>6] |= 1 << uint(i&63) }
 
 // termDesc is one compiled argument position: an interned constant
 // (slot < 0) or a variable slot.
@@ -52,68 +58,54 @@ type planAtom struct {
 	terms []termDesc
 }
 
-// varsMask returns the atom's variable slots as a bitmask.
-func (a *planAtom) varsMask() uint64 {
-	var m uint64
-	for i := range a.terms {
-		if s := a.terms[i].slot; s >= 0 {
-			m |= uint64(1) << uint(s)
-		}
-	}
-	return m
+// joinStep places one atom: the index column to probe (-1 = full-
+// relation scan; the step has no determined position).
+type joinStep struct {
+	atom  int32
+	probe int32
 }
 
-// joinOrder is the static evaluation order for one (side, seed shape):
-// the atom visit sequence and, per step, the index column to probe
-// (-1 = full-relation scan; the step has no determined position).
+// joinOrder is the static evaluation order for one (side, seed shape).
+// Plans keep every order they computed for their lifetime, so the
+// layout is compact.
 type joinOrder struct {
-	seq   []int32
-	probe []int32
+	rhs   bool
+	shape slotSet // the seed shape: the slots bound before the first step
+	steps []joinStep
+	// binds holds one bit per argument position of the steps in order
+	// (step k's positions start after those of steps 0..k-1): set when
+	// the step binds the position's slot rather than comparing with
+	// it. Constant positions are never set.
+	binds slotSet
 }
 
-// orderKey identifies a cached join order: which side of the mapping
-// and which slots the seed binds.
-type orderKey struct {
-	rhs  bool
-	mask uint64
-}
-
-// orderEntry is one cached (shape, order) pair; the plan keeps them in
-// a copy-on-write slice behind an atomic pointer so the hit path is a
-// short linear scan with no locking and — unlike a sync.Map keyed by a
-// struct — no interface boxing, which would be one heap allocation per
-// join.
-type orderEntry struct {
-	key orderKey
-	ord *joinOrder
-}
-
-// Plan is a mapping compiled for the slot runtime. All fields are
-// immutable after compilePlan; the order cache grows behind its own
-// atomic pointer.
+// Plan is a mapping or conjunctive query compiled for the slot runtime.
+// All fields are immutable after compilation; the order cache grows
+// behind its own atomic pointer.
 type Plan struct {
-	t      *tgd.TGD
-	ok     bool // slot runtime usable (≤ maxSlots variables)
+	t      *tgd.TGD // nil for a conjunctive query
 	slots  []string
 	slotOf map[string]int32
 	lhs    []planAtom
 	rhs    []planAtom
 
-	lhsMask      uint64 // slots bound by a complete LHS match
-	frontierMask uint64 // slots of the frontier variables
-	rhsVarsMask  uint64 // slots any RHS atom can write
+	lhsVars  slotSet // slots bound by a complete LHS match
+	frontier slotSet // slots of the frontier variables
+	exist    slotSet // slots of the existential variables
+
+	// A conjunctive query's plan: the answer relation and the head
+	// variables' slots.
+	rowRel string
+	head   []int32
 
 	ordersMu sync.Mutex
-	orders   atomic.Pointer[[]orderEntry]
+	orders   atomic.Pointer[[]*joinOrder]
 }
 
 // Slots returns the plan's canonical variable order: LHS variables in
 // first-occurrence order, then RHS-only variables. Bindings, keys and
 // traces render in this order instead of sorting names per call.
 func (p *Plan) Slots() []string { return p.slots }
-
-// Compiled reports whether the mapping fits the slot runtime.
-func (p *Plan) Compiled() bool { return p.ok }
 
 // PlanFor returns the compiled plan for a mapping, compiling and
 // publishing it on the TGD on first use.
@@ -130,55 +122,68 @@ func PlanFor(t *tgd.TGD) *Plan {
 	return p
 }
 
-// maskBelow returns a bitmask with the low n bits set.
-func maskBelow(n int) uint64 {
-	if n >= 64 {
-		return ^uint64(0)
+// slot returns a variable's slot, assigning the next one on first use.
+func (p *Plan) slot(name string) int32 {
+	if s, ok := p.slotOf[name]; ok {
+		return s
 	}
-	return uint64(1)<<uint(n) - 1
+	s := int32(len(p.slots))
+	p.slots = append(p.slots, name)
+	p.slotOf[name] = s
+	return s
+}
+
+func (p *Plan) compileAtoms(atoms []tgd.Atom) []planAtom {
+	out := make([]planAtom, len(atoms))
+	for i, a := range atoms {
+		ts := make([]termDesc, len(a.Terms))
+		for j, term := range a.Terms {
+			if term.IsVar {
+				ts[j] = termDesc{slot: p.slot(term.Var)}
+			} else {
+				ts[j] = termDesc{slot: -1, cval: term.Const}
+			}
+		}
+		out[i] = planAtom{rel: a.Rel, terms: ts}
+	}
+	return out
 }
 
 func compilePlan(t *tgd.TGD) *Plan {
 	p := &Plan{t: t, slotOf: make(map[string]int32)}
-	slot := func(name string) int32 {
-		if s, ok := p.slotOf[name]; ok {
-			return s
-		}
-		s := int32(len(p.slots))
-		p.slots = append(p.slots, name)
-		p.slotOf[name] = s
-		return s
-	}
-	compileSide := func(atoms []tgd.Atom) []planAtom {
-		out := make([]planAtom, len(atoms))
-		for i, a := range atoms {
-			ts := make([]termDesc, len(a.Terms))
-			for j, term := range a.Terms {
-				if term.IsVar {
-					ts[j] = termDesc{slot: slot(term.Var)}
-				} else {
-					ts[j] = termDesc{slot: -1, cval: term.Const}
-				}
-			}
-			out[i] = planAtom{rel: a.Rel, terms: ts}
-		}
-		return out
-	}
-	p.lhs = compileSide(t.LHS)
+	p.lhs = p.compileAtoms(t.LHS)
 	nLHS := len(p.slots)
-	p.rhs = compileSide(t.RHS)
-	p.ok = len(p.slots) <= maxSlots
-	if p.ok {
-		p.lhsMask = maskBelow(nLHS)
-		for _, v := range t.FrontierVars() {
-			p.frontierMask |= uint64(1) << uint(p.slotOf[v])
-		}
-		for i := range p.rhs {
-			p.rhsVarsMask |= p.rhs[i].varsMask()
-		}
+	p.rhs = p.compileAtoms(t.RHS)
+	w := p.words()
+	sets := make(slotSet, 3*w)
+	p.lhsVars, p.frontier, p.exist = sets[:w:w], sets[w:2*w:2*w], sets[2*w:]
+	for s := range nLHS {
+		p.lhsVars.add(int32(s))
+	}
+	for _, v := range t.FrontierVars() {
+		p.frontier.add(p.slotOf[v])
+	}
+	for _, v := range t.ExistentialVars() {
+		p.exist.add(p.slotOf[v])
 	}
 	return p
 }
+
+// compileCQ compiles a conjunctive query: its body is the plan's LHS,
+// it has no RHS, and its head variables resolve to slots here rather
+// than per answer row.
+func compileCQ(q *CQ) *Plan {
+	p := &Plan{slotOf: make(map[string]int32), rowRel: q.Name}
+	p.lhs = p.compileAtoms(q.Body)
+	p.head = make([]int32, len(q.Head))
+	for i, h := range q.Head {
+		p.head[i] = p.slot(h)
+	}
+	return p
+}
+
+// words is the length of the plan's slot sets.
+func (p *Plan) words() int { return (len(p.slots) + 63) / 64 }
 
 // orderFor returns the join order for (side, seed shape), computing it
 // from the snapshot's cardinality stats on first use. The first
@@ -186,57 +191,64 @@ func compilePlan(t *tgd.TGD) *Plan {
 // every engine: any order enumerates the same homomorphism set, so
 // which snapshot's statistics won the race affects speed only — and
 // keeping it sticky means all workers enumerate identically.
-func (p *Plan) orderFor(snap *storage.Snapshot, rhs bool, mask uint64) *joinOrder {
-	key := orderKey{rhs: rhs, mask: mask}
-	if cached := p.orders.Load(); cached != nil {
-		for i := range *cached {
-			if (*cached)[i].key == key {
-				return (*cached)[i].ord
+func (p *Plan) orderFor(snap *storage.Snapshot, rhs bool, shape slotSet) *joinOrder {
+	find := func(c *[]*joinOrder) *joinOrder {
+		if c == nil {
+			return nil
+		}
+		for _, o := range *c {
+			if o.rhs == rhs && slices.Equal(o.shape, shape) {
+				return o
 			}
 		}
+		return nil
 	}
-	ord := p.computeOrder(snap, rhs, mask)
+	if ord := find(p.orders.Load()); ord != nil {
+		return ord
+	}
+	ord := p.computeOrder(snap, rhs, shape)
 	p.ordersMu.Lock()
 	defer p.ordersMu.Unlock()
-	var cur []orderEntry
-	if c := p.orders.Load(); c != nil {
-		cur = *c
-		for i := range cur {
-			if cur[i].key == key { // lost the compute race
-				return cur[i].ord
-			}
-		}
+	cur := p.orders.Load()
+	if won := find(cur); won != nil { // lost the compute race
+		return won
 	}
-	next := make([]orderEntry, len(cur)+1)
-	copy(next, cur)
-	next[len(cur)] = orderEntry{key: key, ord: ord}
+	var next []*joinOrder
+	if cur != nil {
+		next = slices.Clip(*cur)
+	}
+	next = append(next, ord)
 	p.orders.Store(&next)
 	return ord
 }
 
-// computeOrder runs the greedy simulation the interpreted engine does
-// per recursion level, once, statically: after an atom is placed, all
-// its variables are bound, so the bound-slot evolution is fully
-// determined by the seed shape. The greedy key is the interpreted
-// engine's — most determined argument positions first — with the
-// cardinality stats breaking ties by expected candidate count
-// (Live / fanout of the best probe column) and atom index breaking
-// exact ties, so plans on empty or statless databases degrade to the
-// interpreted engine's order exactly.
-func (p *Plan) computeOrder(snap *storage.Snapshot, rhs bool, mask uint64) *joinOrder {
+// computeOrder runs the greedy choice statically, once per seed shape:
+// most determined argument positions first, with the cardinality stats
+// breaking ties by expected candidate count (Live / fanout of the best
+// probe column) and atom index breaking exact ties. After an atom is
+// placed all its variables are bound, so the bound set evolves
+// deterministically and each step's bind bits follow from it.
+func (p *Plan) computeOrder(snap *storage.Snapshot, rhs bool, shape slotSet) *joinOrder {
 	atoms := p.lhs
 	if rhs {
 		atoms = p.rhs
 	}
 	n := len(atoms)
-	o := &joinOrder{seq: make([]int32, 0, n), probe: make([]int32, 0, n)}
-	done := make([]bool, n)
+	positions := 0
 	stats := make([]storage.RelStats, n)
 	for i := range atoms {
 		stats[i] = snap.RelStats(atoms[i].rel)
+		positions += len(atoms[i].terms)
 	}
-	bound := mask
-	for len(o.seq) < n {
+	// The shape and the bind bits share one allocation.
+	words := make(slotSet, len(shape)+(positions+63)/64)
+	copy(words, shape)
+	o := &joinOrder{rhs: rhs, shape: words[:len(shape):len(shape)], binds: words[len(shape):],
+		steps: make([]joinStep, 0, n)}
+	done := make([]bool, n)
+	bound := slices.Clone(shape)
+	pos := int32(0)
+	for len(o.steps) < n {
 		best := -1
 		bestBound := -1
 		bestCost := 0.0
@@ -251,9 +263,14 @@ func (p *Plan) computeOrder(snap *storage.Snapshot, rhs bool, mask uint64) *join
 			}
 		}
 		done[best] = true
-		o.seq = append(o.seq, int32(best))
-		o.probe = append(o.probe, bestProbe)
-		bound |= atoms[best].varsMask()
+		for _, td := range atoms[best].terms {
+			if td.slot >= 0 && !bound.has(td.slot) {
+				o.binds.add(pos)
+				bound.add(td.slot)
+			}
+			pos++
+		}
+		o.steps = append(o.steps, joinStep{atom: int32(best), probe: bestProbe})
 	}
 	return o
 }
@@ -262,13 +279,13 @@ func (p *Plan) computeOrder(snap *storage.Snapshot, rhs bool, mask uint64) *join
 // determined argument positions, the probe column (the determined
 // column with the highest distinct-value fanout — the smallest
 // expected index bucket), and the expected candidate count.
-func atomCost(a *planAtom, st storage.RelStats, bound uint64) (boundCount int, probe int32, cost float64) {
+func atomCost(a *planAtom, st storage.RelStats, bound slotSet) (boundCount int, probe int32, cost float64) {
 	probe = -1
 	cost = float64(st.Live)
 	bestFan := 0
 	for ci := range a.terms {
 		td := &a.terms[ci]
-		if td.slot >= 0 && bound>>uint(td.slot)&1 == 0 {
+		if td.slot >= 0 && !bound.has(td.slot) {
 			continue
 		}
 		boundCount++
@@ -285,75 +302,88 @@ func atomCost(a *planAtom, st storage.RelStats, bound uint64) (boundCount int, p
 	return boundCount, probe, cost
 }
 
-// seedMask converts an external seed binding into registers. ok is
-// false when the binding names a variable outside the plan's slot
-// table (a caller-carried foreign variable the register file cannot
-// represent) — the engine then falls back to the interpreted path.
-func (p *Plan) seedMask(seed Binding, regs []model.Value) (uint64, bool) {
-	var mask uint64
+// seedSet loads an external seed binding into registers and the seed
+// shape set. Variables the plan does not mention constrain nothing and
+// are dropped.
+func (p *Plan) seedSet(seed Binding, regs []model.Value, set slotSet) {
 	for name, val := range seed {
-		s, ok := p.slotOf[name]
-		if !ok {
-			return 0, false
+		if s, ok := p.slotOf[name]; ok {
+			regs[s] = val
+			set.add(s)
 		}
-		regs[s] = val
-		mask |= uint64(1) << uint(s)
 	}
-	return mask, true
 }
 
 // unifyRegs matches a tuple's values against a compiled atom, binding
-// slots into regs on top of the slots mask already holds — the
-// compiled form of unifyValsAtom. The §4.2 seeded violation queries
-// start from an empty mask; a recheck threads one mask through a
-// violation's whole witness.
-func unifyRegs(vals []model.Value, a *planAtom, regs []model.Value, mask uint64) (uint64, bool) {
+// into regs the slots set does not hold yet and adding them to it. The
+// §4.2 seeded violation queries start from an empty set; a recheck
+// threads one set through a violation's whole witness. On failure set
+// is left partly extended, and callers reset it before reuse.
+func unifyRegs(vals []model.Value, a *planAtom, regs []model.Value, set slotSet) bool {
 	if len(vals) != len(a.terms) {
-		return 0, false
+		return false
 	}
 	for i := range a.terms {
 		td := &a.terms[i]
 		v := vals[i]
-		if td.slot < 0 {
+		switch {
+		case td.slot < 0:
 			if v != td.cval {
-				return 0, false
+				return false
 			}
-			continue
-		}
-		if mask>>uint(td.slot)&1 == 1 {
+		case set.has(td.slot):
 			if regs[td.slot] != v {
-				return 0, false
+				return false
 			}
-			continue
+		default:
+			regs[td.slot] = v
+			set.add(td.slot)
 		}
-		regs[td.slot] = v
-		mask |= uint64(1) << uint(td.slot)
 	}
-	return mask, true
+	return true
 }
 
-// bindingFromRegs materializes a Binding map from the register file —
-// only at result boundaries (an actual match or violation), never
-// inside the join loop.
-func (p *Plan) bindingFromRegs(regs []model.Value, bound uint64) Binding {
-	b := make(Binding, bits.OnesCount64(bound))
+// matched reports whether a complete LHS match extending the seed
+// shape binds slot s: every LHS variable, plus whatever else the seed
+// bound.
+func (p *Plan) matched(shape slotSet, s int) bool {
+	return p.lhsVars.has(int32(s)) || shape.has(int32(s))
+}
+
+// matchedCount counts the slots a complete LHS match extending the
+// seed shape binds.
+func (p *Plan) matchedCount(shape slotSet) int {
+	n := 0
+	for s := range p.slots {
+		if p.matched(shape, s) {
+			n++
+		}
+	}
+	return n
+}
+
+// bindingFromRegs materializes the Binding map of a complete LHS match
+// extending the seed shape from the register file — only at result
+// boundaries (an actual match or violation), never inside the join
+// loop.
+func (p *Plan) bindingFromRegs(regs []model.Value, shape slotSet) Binding {
+	b := make(Binding, p.matchedCount(shape))
 	for s, name := range p.slots {
-		if bound>>uint(s)&1 == 1 {
+		if p.matched(shape, s) {
 			b[name] = regs[s]
 		}
 	}
 	return b
 }
 
-// bindingMatchesRegs reports whether b binds exactly the slots in bound
-// to the values the register file holds — whether materialising the
-// registers would reproduce b.
-func (p *Plan) bindingMatchesRegs(b Binding, regs []model.Value, bound uint64) bool {
-	if len(b) != bits.OnesCount64(bound) {
+// bindingMatchesRegs reports whether materialising the registers of a
+// complete LHS match extending the seed shape would reproduce b.
+func (p *Plan) bindingMatchesRegs(b Binding, regs []model.Value, shape slotSet) bool {
+	if len(b) != p.matchedCount(shape) {
 		return false
 	}
 	for s, name := range p.slots {
-		if bound>>uint(s)&1 == 1 {
+		if p.matched(shape, s) {
 			if val, ok := b[name]; !ok || val != regs[s] {
 				return false
 			}

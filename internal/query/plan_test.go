@@ -2,6 +2,7 @@ package query
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -21,9 +22,6 @@ func TestPlanSlotAssignment(t *testing.T) {
 		},
 		[]tgd.Atom{tgd.NewAtom("R", tgd.V("c"), tgd.V("z"))})
 	p := PlanFor(m)
-	if !p.Compiled() {
-		t.Fatal("plan must compile")
-	}
 	want := []string{"b", "a", "c", "z"}
 	if got := p.Slots(); len(got) != len(want) {
 		t.Fatalf("slots = %v, want %v", got, want)
@@ -35,11 +33,11 @@ func TestPlanSlotAssignment(t *testing.T) {
 		}
 	}
 	// b, a, c are LHS slots; c is the only frontier variable.
-	if p.lhsMask != 0b0111 {
-		t.Fatalf("lhsMask = %b, want 0111", p.lhsMask)
+	if !slices.Equal(p.lhsVars, slotSet{0b0111}) {
+		t.Fatalf("lhsVars = %b, want 0111", p.lhsVars)
 	}
-	if p.frontierMask != 0b0100 {
-		t.Fatalf("frontierMask = %b, want 0100", p.frontierMask)
+	if !slices.Equal(p.frontier, slotSet{0b0100}) {
+		t.Fatalf("frontier = %b, want 0100", p.frontier)
 	}
 	// The constant position carries the interned value, not a slot.
 	kd := p.lhs[0].terms[2]
@@ -61,37 +59,40 @@ func TestPlanCachedOnTGD(t *testing.T) {
 	}
 }
 
-// TestPlanTooManyVars: a mapping with more variables than the bound
-// bitmask holds must refuse the slot runtime and still answer
-// correctly through the interpreted fallback.
+// TestPlanTooManyVars: a mapping with more variables than one word of
+// slot set holds compiles like any other, and its violations match the
+// reference's.
 func TestPlanTooManyVars(t *testing.T) {
 	terms := make([]tgd.Term, 65)
-	fields := make([]string, 65)
 	for i := range terms {
 		terms[i] = tgd.V(fmt.Sprintf("v%d", i))
-		fields[i] = fmt.Sprintf("f%d", i)
 	}
 	m := tgd.New("wide",
 		[]tgd.Atom{tgd.NewAtom("Wide", terms...)},
-		[]tgd.Atom{tgd.NewAtom("Out", terms[0])})
+		[]tgd.Atom{tgd.NewAtom("Out", terms[0], terms[64])})
 	p := PlanFor(m)
-	if p.Compiled() {
-		t.Fatal("65-variable mapping must not compile")
+	if len(p.Slots()) != 65 || len(p.lhsVars) != 2 || !p.frontier.has(64) {
+		t.Fatalf("plan: %d slots, %d-word sets, frontier %b", len(p.Slots()), len(p.lhsVars), p.frontier)
 	}
 
 	s := model.NewSchema()
-	s.MustAddRelation("Wide", fields...)
-	s.MustAddRelation("Out", "x")
+	s.MustAddRelation("Wide", fieldNames(65)...)
+	s.MustAddRelation("Out", "x", "y")
 	st := storage.NewStore(s)
-	vals := make([]model.Value, 65)
-	for i := range vals {
-		vals[i] = c(fmt.Sprintf("c%d", i))
+	for k := 0; k < 3; k++ {
+		vals := make([]model.Value, 65)
+		for i := range vals {
+			vals[i] = c(fmt.Sprintf("c%d_%d", k, i))
+		}
+		st.Load(model.NewTuple("Wide", vals...))
+		if k == 1 {
+			st.Load(model.NewTuple("Out", vals[0], vals[64]))
+		}
 	}
-	st.Load(model.NewTuple("Wide", vals...))
-	e := NewEngine(st.Snap(1))
-	vs := e.Violations(m, Binding{})
-	if len(vs) != 1 {
-		t.Fatalf("fallback path found %d violations, want 1", len(vs))
+	snap := st.Snap(1)
+	got, want := canonViols(NewEngine(snap).Violations(m, Binding{})), canonViols(refEngine{snap}.Violations(m, Binding{}))
+	if len(got) != 2 || !equalStrs(got, want) {
+		t.Fatalf("violations %v, reference %v (want 2)", got, want)
 	}
 }
 
@@ -101,12 +102,12 @@ func TestOrderCachedPerShape(t *testing.T) {
 	st, m := benchWorld(&testing.B{}, 100)
 	p := PlanFor(m)
 	snap := st.Snap(1)
-	o1 := p.orderFor(snap, false, 0b01)
-	o2 := p.orderFor(snap, false, 0b01)
+	o1 := p.orderFor(snap, false, slotSet{0b01})
+	o2 := p.orderFor(snap, false, slotSet{0b01})
 	if o1 != o2 {
 		t.Fatal("same shape recomputed its order")
 	}
-	o3 := p.orderFor(snap, false, 0b10)
+	o3 := p.orderFor(snap, false, slotSet{0b10})
 	if o3 == o1 {
 		t.Fatal("distinct shapes share an order object")
 	}
@@ -137,30 +138,40 @@ func TestOrderPrefersSelectiveAtom(t *testing.T) {
 	// Seed binds x (slot 0): both atoms have one determined column, so
 	// the expected candidate count decides — Small (8/4 = 2 rows per
 	// bucket) before Big (200/4 = 50).
-	ord := p.orderFor(st.Snap(1), false, 0b001)
-	if ord.seq[0] != 1 || ord.seq[1] != 0 {
-		t.Fatalf("order = %v, want Small (atom 1) first", ord.seq)
+	ord := p.orderFor(st.Snap(1), false, slotSet{0b001})
+	if ord.steps[0].atom != 1 || ord.steps[1].atom != 0 {
+		t.Fatalf("order = %+v, want Small (atom 1) first", ord.steps)
 	}
-	// Both steps probe column 0, the only determined position.
-	if ord.probe[0] != 0 || ord.probe[1] != 0 {
-		t.Fatalf("probe columns = %v, want [0 0]", ord.probe)
+	// Both steps probe column 0, the only determined position; each
+	// compares its first column and binds its second.
+	if ord.steps[0].probe != 0 || ord.steps[1].probe != 0 || !slices.Equal(ord.binds, slotSet{0b1010}) {
+		t.Fatalf("steps %+v binds %b, want probe 0 twice and binds 1010", ord.steps, ord.binds)
 	}
 }
 
 // TestSeedMaskForeignVar: a seed binding naming a variable the mapping
-// does not mention cannot enter the register file.
+// does not mention constrains nothing — it is dropped on the way into
+// the register file, and the query answers as if it were absent.
 func TestSeedMaskForeignVar(t *testing.T) {
 	m := tgd.New("f",
 		[]tgd.Atom{tgd.NewAtom("A", tgd.V("x"))},
 		[]tgd.Atom{tgd.NewAtom("B", tgd.V("x"))})
 	p := PlanFor(m)
 	regs := make([]model.Value, len(p.Slots()))
-	if _, ok := p.seedMask(Binding{"nope": c("v")}, regs); ok {
-		t.Fatal("foreign variable accepted into the register file")
+	set := make(slotSet, p.words())
+	p.seedSet(Binding{"nope": c("v"), "x": c("v")}, regs, set)
+	if !slices.Equal(set, slotSet{1}) || regs[0] != c("v") {
+		t.Fatalf("seed set = %b, regs = %v", set, regs)
 	}
-	mask, ok := p.seedMask(Binding{"x": c("v")}, regs)
-	if !ok || mask != 1 || regs[0] != c("v") {
-		t.Fatalf("seedMask = (%b, %v), regs[0] = %v", mask, ok, regs[0])
+
+	s := model.NewSchema()
+	s.MustAddRelation("A", "x")
+	s.MustAddRelation("B", "x")
+	st := storage.NewStore(s)
+	st.Load(model.NewTuple("A", c("v")))
+	vs := NewEngine(st.Snap(1)).Violations(m, Binding{"nope": c("w")})
+	if len(vs) != 1 || len(vs[0].Binding) != 1 || vs[0].Binding["x"] != c("v") {
+		t.Fatalf("violations with a foreign seed variable = %v", vs)
 	}
 }
 

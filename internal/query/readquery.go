@@ -223,9 +223,9 @@ func mayTouch(t *tgd.TGD, rel string, vals []model.Value) bool {
 	return false
 }
 
-// unifiable is unifyValsAtom's verdict against an empty binding,
-// decided in place: constants match and a variable repeated within the
-// atom meets equal values.
+// unifiable reports whether values unify with an atom from an empty
+// binding, decided in place: constants match and a variable repeated
+// within the atom meets equal values.
 func unifiable(vals []model.Value, a tgd.Atom) bool {
 	if len(vals) != len(a.Terms) {
 		return false

@@ -1,14 +1,14 @@
 // The slot runtime: executes compiled plans (plan.go) against a
-// snapshot. The register file replaces the interpreted engine's
-// binding maps — a slot write is one slice store plus one bitmask OR,
-// and undoing a failed extension is dropping the local mask copy; no
-// undo lists, no map deletes, no string hashing. Candidate narrowing
-// probes exactly the one precomputed index column per join step.
+// snapshot. Bindings live in a register file — a slot write is one
+// slice store, and a failed or exhausted extension is simply left
+// behind: the join order fixes which slots are bound at every step, so
+// no step reads a register before the step that binds it has written
+// it. No undo lists, no map deletes, no string hashing, no bound set.
+// Candidate narrowing probes exactly the one precomputed index column
+// per join step.
 package query
 
 import (
-	"math/bits"
-
 	"youtopia/internal/model"
 	"youtopia/internal/storage"
 )
@@ -26,10 +26,14 @@ type slotRun struct {
 	regs    []model.Value
 	save    []model.Value
 	witness []storage.TupleID
+	// shape is scratch for the seed shape the caller builds before
+	// choosing an order.
+	shape slotSet
 
 	// fn receives each complete match; returning false stops the
-	// enumeration.
-	fn func(r *slotRun, bound uint64) bool
+	// enumeration. An LHS match binds the slots Plan.matched names for
+	// r.ord.shape.
+	fn func(r *slotRun) bool
 
 	// Callback state, valid for one evaluation:
 	found  bool     // srExists / srFirstViolation / srSameAnswer output
@@ -38,11 +42,12 @@ type slotRun struct {
 	rhsRun *slotRun // nested RHS existence probe, sharing regs
 	vout   *[]Violation
 	mout   *[]Match
+	rows   *[]model.Tuple
 }
 
-// getRun pops a pooled run shaped for the plan; witness and register
-// slices are reused across evaluations (the save area is sized on
-// demand, see rhsHolds).
+// getRun pops a pooled run shaped for the plan with an empty seed
+// shape; witness, register and shape slices are reused across
+// evaluations (the save area is sized on demand, see rhsHolds).
 func (e *Engine) getRun(p *Plan) *slotRun {
 	var r *slotRun
 	if k := len(e.runPool); k > 0 {
@@ -53,18 +58,20 @@ func (e *Engine) getRun(p *Plan) *slotRun {
 	}
 	r.e = e
 	r.p = p
-	if cap(r.regs) < len(p.slots) {
-		r.regs = make([]model.Value, len(p.slots))
-	}
-	r.regs = r.regs[:len(p.slots)]
-	n := len(p.lhs)
-	if len(p.rhs) > n {
-		n = len(p.rhs)
-	}
-	if cap(r.witness) < n {
-		r.witness = make([]storage.TupleID, n)
-	}
+	r.regs = resize(r.regs, len(p.slots))
+	r.witness = resize(r.witness, max(len(p.lhs), len(p.rhs)))
+	r.shape = resize(r.shape, p.words())
+	clear(r.shape)
 	return r
+}
+
+// resize returns s with length n, reallocating only when it lacks the
+// capacity.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // putRun returns a run to the pool, dropping callback state.
@@ -75,39 +82,38 @@ func (e *Engine) putRun(r *slotRun) {
 	r.rhsRun = nil
 	r.vout = nil
 	r.mout = nil
+	r.rows = nil
 	e.runPool = append(e.runPool, r)
 }
 
 // side selects the run's atom list and static order for a seed shape.
-func (r *slotRun) side(rhs bool, mask uint64) {
+func (r *slotRun) side(rhs bool, shape slotSet) {
 	if rhs {
 		r.atoms = r.p.rhs
 	} else {
 		r.atoms = r.p.lhs
 	}
 	r.witness = r.witness[:len(r.atoms)]
-	r.ord = r.p.orderFor(r.e.snap, rhs, mask)
+	r.ord = r.p.orderFor(r.e.snap, rhs, shape)
 }
 
-// rec enumerates matches of the remaining atoms. bound travels by
-// value: a failed extension or an exhausted branch abandons its mask
-// copy and the registers it wrote become unreachable garbage — the
-// slot runtime's whole undo mechanism.
-func (r *slotRun) rec(level int, bound uint64) bool {
-	if level == len(r.ord.seq) {
-		return r.fn(r, bound)
+// rec enumerates matches of the steps from level on; pos is the first
+// argument position of the step in the order's bind bits.
+func (r *slotRun) rec(level int, pos int32) bool {
+	if level == len(r.ord.steps) {
+		return r.fn(r)
 	}
-	ai := r.ord.seq[level]
-	a := &r.atoms[ai]
+	st := r.ord.steps[level]
+	a := &r.atoms[st.atom]
 	snap := r.e.snap
 	var cands []storage.TupleID
-	if pc := r.ord.probe[level]; pc >= 0 {
-		td := &a.terms[pc]
+	if st.probe >= 0 {
+		td := &a.terms[st.probe]
 		pv := td.cval
 		if td.slot >= 0 {
 			pv = r.regs[td.slot]
 		}
-		cands = snap.CandidatesByValue(a.rel, int(pc), pv)
+		cands = snap.CandidatesByValue(a.rel, int(st.probe), pv)
 		r.e.pendProbes++
 	} else {
 		cands = snap.RelIDs(a.rel)
@@ -115,34 +121,34 @@ func (r *slotRun) rec(level int, bound uint64) bool {
 	r.e.pendSteps += int64(len(cands))
 	for _, id := range cands {
 		vals, ok := snap.Get(id)
-		if !ok || len(vals) != len(a.terms) {
+		if !ok || !r.match(a.terms, pos, vals) {
 			continue
 		}
-		nb := bound
-		match := true
-		for ci := range a.terms {
-			td := &a.terms[ci]
-			v := vals[ci]
-			if td.slot < 0 {
-				if v != td.cval {
-					match = false
-					break
-				}
-			} else if nb>>uint(td.slot)&1 == 1 {
-				if r.regs[td.slot] != v {
-					match = false
-					break
-				}
-			} else {
-				r.regs[td.slot] = v
-				nb |= uint64(1) << uint(td.slot)
+		r.witness[st.atom] = id
+		if !r.rec(level+1, pos+int32(len(a.terms))) {
+			return false
+		}
+	}
+	return true
+}
+
+// match runs a candidate's values through a step's argument positions:
+// constants and already-bound slots must agree, the slots the step
+// binds are written.
+func (r *slotRun) match(terms []termDesc, pos int32, vals []model.Value) bool {
+	if len(vals) != len(terms) {
+		return false
+	}
+	for i := range terms {
+		td := &terms[i]
+		switch {
+		case td.slot < 0:
+			if vals[i] != td.cval {
+				return false
 			}
-		}
-		if !match {
-			continue
-		}
-		r.witness[ai] = id
-		if !r.rec(level+1, nb) {
+		case r.ord.binds.has(pos + int32(i)):
+			r.regs[td.slot] = vals[i]
+		case r.regs[td.slot] != vals[i]:
 			return false
 		}
 	}
@@ -150,17 +156,33 @@ func (r *slotRun) rec(level int, bound uint64) bool {
 }
 
 // srExists flags that the side has at least one complete match.
-func srExists(r *slotRun, _ uint64) bool {
+func srExists(r *slotRun) bool {
 	r.found = true
 	return false
 }
 
 // srCollectMatch materializes a Match from the registers.
-func srCollectMatch(r *slotRun, bound uint64) bool {
+func srCollectMatch(r *slotRun) bool {
 	*r.mout = append(*r.mout, Match{
-		Binding: r.p.bindingFromRegs(r.regs, bound),
+		Binding: r.p.bindingFromRegs(r.regs, r.ord.shape),
 		Witness: append([]storage.TupleID(nil), r.witness...),
 	})
+	return true
+}
+
+// srCertainRow projects a conjunctive query's match onto its head and
+// keeps the row when it is ground.
+func srCertainRow(r *slotRun) bool {
+	for _, s := range r.p.head {
+		if r.regs[s].IsNull() {
+			return true
+		}
+	}
+	vals := make([]model.Value, len(r.p.head))
+	for i, s := range r.p.head {
+		vals[i] = r.regs[s]
+	}
+	*r.rows = append(*r.rows, model.Tuple{Rel: r.p.rowRel, Vals: vals})
 	return true
 }
 
@@ -168,31 +190,29 @@ func srCollectMatch(r *slotRun, bound uint64) bool {
 // match. The nested run shares the parent's register file: the
 // frontier slots are bound, the existential slots bind freely, and
 // what the probe wrote is usually dead the moment it returns because
-// the parent's mask never includes it — the compiled replacement for
+// the parent never reads it — the compiled replacement for
 // Restrict-to-frontier plus a fresh binding map. The exception is a
-// seed that binds an existential variable: the parent's mask covers
-// that slot but (matching the interpreted Restrict-to-frontier
-// semantics) the probe must not be constrained by it and may overwrite
-// it, so those registers are saved around the probe and restored
-// before the parent renders its binding or dedup key.
-func rhsHolds(r *slotRun, bound uint64) bool {
+// seed that binds an existential variable: the parent's match covers
+// that slot but the probe must not be constrained by it and may
+// overwrite it, so the registers are saved around the probe and
+// restored before the parent renders its binding or dedup key.
+func rhsHolds(r *slotRun) bool {
 	rr := r.rhsRun
 	rr.found = false
-	clob := bound & r.p.rhsVarsMask &^ r.p.frontierMask
-	if clob != 0 && len(r.save) < len(r.regs) {
-		// Only a seed that binds an existential needs the save area;
-		// the chase's seeded queries never do.
-		r.save = make([]model.Value, len(r.regs))
+	clobbers := false
+	for w, bits := range r.ord.shape {
+		clobbers = clobbers || bits&r.p.exist[w] != 0
 	}
-	for m := clob; m != 0; m &= m - 1 {
-		s := bits.TrailingZeros64(m)
-		r.save[s] = r.regs[s]
+	if !clobbers {
+		rr.rec(0, 0)
+		return rr.found
 	}
-	rr.rec(0, bound&r.p.frontierMask)
-	for m := clob; m != 0; m &= m - 1 {
-		s := bits.TrailingZeros64(m)
-		r.regs[s] = r.save[s]
-	}
+	// Only a seed that binds an existential needs the save area; the
+	// chase's seeded queries never do.
+	r.save = resize(r.save, len(r.regs))
+	copy(r.save, r.regs)
+	rr.rec(0, 0)
+	copy(r.regs, r.save)
 	return rr.found
 }
 
@@ -201,13 +221,13 @@ func rhsHolds(r *slotRun, bound uint64) bool {
 // key is rendered into the engine's reusable buffer and checked
 // against the seen set without allocating; only a genuinely new
 // violation materializes a Binding, witness copy, and key string.
-func srViolation(r *slotRun, bound uint64) bool {
-	if rhsHolds(r, bound) {
+func srViolation(r *slotRun) bool {
+	if rhsHolds(r) {
 		return true
 	}
 	e := r.e
 	if r.dedup {
-		e.keyBuf = r.appendKey(e.keyBuf[:0], bound)
+		e.keyBuf = r.appendKey(e.keyBuf[:0])
 		if e.seen[string(e.keyBuf)] {
 			return true
 		}
@@ -218,7 +238,7 @@ func srViolation(r *slotRun, bound uint64) bool {
 	}
 	*r.vout = append(*r.vout, Violation{
 		TGD:     r.p.t,
-		Binding: r.p.bindingFromRegs(r.regs, bound),
+		Binding: r.p.bindingFromRegs(r.regs, r.ord.shape),
 		Witness: append([]storage.TupleID(nil), r.witness...),
 	})
 	return true
@@ -226,8 +246,8 @@ func srViolation(r *slotRun, bound uint64) bool {
 
 // srFirstViolation stops the enumeration at the first violation; the
 // compiled core of Satisfied and of the empty-answer conflict check.
-func srFirstViolation(r *slotRun, bound uint64) bool {
-	if rhsHolds(r, bound) {
+func srFirstViolation(r *slotRun) bool {
+	if rhsHolds(r) {
 		return true
 	}
 	r.found = true
@@ -239,32 +259,33 @@ func srFirstViolation(r *slotRun, bound uint64) bool {
 // whether the last violation was the recorded one (the same violation
 // reached through another seed atom matches again), and the first that
 // is not stops the enumeration.
-func srSameAnswer(r *slotRun, bound uint64) bool {
-	if rhsHolds(r, bound) {
+func srSameAnswer(r *slotRun) bool {
+	if rhsHolds(r) {
 		return true
 	}
 	e := r.e
-	e.keyBuf = r.appendKey(e.keyBuf[:0], bound)
+	e.keyBuf = r.appendKey(e.keyBuf[:0])
 	r.found = string(e.keyBuf) == r.answer
 	return r.found
 }
 
 // appendKey renders the current violation's key from the registers:
 // the bytes Violation.appendKey produces once it is materialised.
-func (r *slotRun) appendKey(dst []byte, bound uint64) []byte {
+func (r *slotRun) appendKey(dst []byte) []byte {
 	return appendKeyParts(dst, r.p, r.witness, func(dst []byte) []byte {
-		return appendBindingSlots(dst, r.p, r.regs, bound)
+		return appendBindingSlots(dst, r.p, r.regs, r.ord.shape)
 	})
 }
 
-// appendBindingSlots renders the bound registers in canonical slot
-// order — the same bytes Violation.appendKey produces from the
-// materialized Binding map, computed here without building the map.
-func appendBindingSlots(dst []byte, p *Plan, regs []model.Value, bound uint64) []byte {
+// appendBindingSlots renders the registers of a complete LHS match
+// extending the seed shape in canonical slot order — the same bytes
+// Violation.appendKey produces from the materialized Binding map,
+// computed here without building the map.
+func appendBindingSlots(dst []byte, p *Plan, regs []model.Value, shape slotSet) []byte {
 	dst = append(dst, '{')
 	first := true
 	for s, name := range p.slots {
-		if bound>>uint(s)&1 == 0 {
+		if !p.matched(shape, s) {
 			continue
 		}
 		if !first {

@@ -165,22 +165,6 @@ func (e *relEpoch) valIndex() []map[uint64][]TupleID {
 	return *e.valIdx.Load()
 }
 
-// stats summarizes the record for the query planner: the committed
-// live count plus each column's distinct-value fanout, read off the
-// lazy value index. Like every other epoch read it takes no stripe
-// lock (concurrent index builds race benignly behind the CAS).
-func (e *relEpoch) stats() RelStats {
-	st := RelStats{Live: e.live}
-	if e.arity > 0 && e.live > 0 {
-		idx := e.valIndex()
-		st.Distinct = make([]int, e.arity)
-		for c := range idx {
-			st.Distinct[c] = len(idx[c])
-		}
-	}
-	return st
-}
-
 // CommittedEpoch is a store-wide consistent committed snapshot: one
 // relEpoch per stripe plus the commit-batch count it reflects. It is
 // immutable; the store publishes successive epochs through one atomic
@@ -363,7 +347,8 @@ func (st *Store) refreshEpoch(ep *CommittedEpoch, all bool) *CommittedEpoch {
 // store's current epoch. Unlike Snap's live views it never changes
 // under the caller — later commits leave its records untouched — and
 // its reads acquire no stripe RWMutex; only minting the first one
-// after a commit read-locks the stripes that commit wrote.
+// after a commit read-locks the stripes that commit wrote, and the
+// planner's RelStats reads the live stripe.
 func (st *Store) EpochSnap() *Snapshot {
 	return &Snapshot{stores: st.self, reader: maxReader, epoch: st.Epoch().rels}
 }

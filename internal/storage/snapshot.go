@@ -64,8 +64,9 @@ type Snapshot struct {
 	noLock bool
 
 	// epoch, when non-nil, makes this a wait-free committed-state
-	// snapshot: every read is served from these immutable per-stripe
-	// records (aligned with the stripe index space) and takes no lock.
+	// snapshot: every read but the planner's RelStats is served from
+	// these immutable per-stripe records (aligned with the stripe index
+	// space) and takes no lock.
 	epoch []*relEpoch
 
 	masked     bool
@@ -418,39 +419,40 @@ func (sn *Snapshot) CountRel(rel string) int {
 	return n
 }
 
-// RelStats summarizes a relation for the query planner: an estimated
-// row count plus, per column, the distinct-value fanout of the
-// committed contents. Live / Distinct[c] estimates the candidate list
-// an equality probe on column c returns.
+// RelStats summarizes a relation for the query planner: a row count
+// plus, per column, the distinct-value fanout. Live / Distinct[c]
+// estimates the candidate list an equality probe on column c returns.
 type RelStats struct {
-	// Live is the committed non-tombstone tuple count.
+	// Live is the stripe's tuple count: every tuple it holds, whatever
+	// its visibility.
 	Live int
-	// Distinct[c] is the number of distinct committed values in column
-	// c; nil for empty or zero-arity relations.
+	// Distinct[c] is the number of distinct values in column c's index;
+	// nil for empty or zero-arity relations.
 	Distinct []int
 }
 
-// RelStats returns cardinality statistics for the relation. Epoch
-// snapshots answer from their own immutable records; live snapshots
-// answer from the owning store's current committed epoch. Either way
-// the read never touches a stripe RWMutex in steady state (the first
-// epoch read after a commit briefly read-locks the stripes it wrote), because
-// planning sits on the doorstep of the hottest query path and must
-// not contend with writers. The numbers describe committed state, not
-// the snapshot's exact visibility — they feed ordering heuristics,
+// RelStats returns cardinality statistics for the relation, counted
+// off its live stripe and value index under the stripe read lock. The
+// planner has this one source whatever the snapshot's flavor, so an
+// epoch snapshot's RelStats takes the lock too; a plan asks once per
+// join order it computes. The numbers describe what the stripe holds,
+// not the snapshot's exact visibility — they feed ordering heuristics,
 // never correctness.
 func (sn *Snapshot) RelStats(rel string) RelStats {
-	if sn.epoch != nil {
-		if e := sn.epochFor(rel); e != nil {
-			return e.stats()
-		}
-		return RelStats{}
-	}
-	st, s := sn.stripeFor(rel)
+	_, s := sn.stripeFor(rel)
 	if s == nil {
 		return RelStats{}
 	}
-	return st.Epoch().rels[s.idx].stats()
+	sn.rlock(s)
+	defer sn.runlock(s)
+	st := RelStats{Live: len(s.tuples)}
+	if st.Live > 0 && len(s.valIdx) > 0 {
+		st.Distinct = make([]int, len(s.valIdx))
+		for c := range s.valIdx {
+			st.Distinct[c] = len(s.valIdx[c])
+		}
+	}
+	return st
 }
 
 // CandidatesByValue returns, in ascending order, the IDs of tuples
