@@ -2,6 +2,8 @@ package model
 
 import (
 	"hash/maphash"
+	"math/bits"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -28,9 +30,21 @@ import (
 // reader needs only atomic loads of the current table and of the keys
 // it probes. Minting serializes on one mutex. A table is never grown in
 // place: when three quarters of its slots are filled, the minting
-// goroutine builds a new one from the entries still alive, at two to
-// four slots per entry, and publishes it. A reader still probing the
-// old table at worst misses and retries under the mutex.
+// goroutine builds a new one from the entries still alive, at two slots
+// per entry rounded up to a multiple of minSymSlots, and publishes it. A
+// reader still probing the old table at worst misses and retries under
+// the mutex.
+//
+// A live count is only as exact as the last collection: constants that
+// died since then still look alive. A table rebuilt while a closed
+// repository's constants await collection comes out up to twice too
+// big, so its size, and the heap, would depend on the collector's
+// timing. The table is therefore also resized after collections: a
+// cleanup that runs once per collection (armSymTick) recounts the live
+// entries when something was minted since it last looked, and rebuilds
+// a table more than a quarter larger than its live entries need. Sizes
+// go in steps of minSymSlots rather than powers of two, so that the size
+// a live count asks for does not jump twofold at a power of two.
 //
 // At most one live copy exists per string at any moment: a copy is
 // minted only under the mutex, after finding no live one. That is all
@@ -47,14 +61,15 @@ type symSlot struct {
 	w   weak.Pointer[byte] // the canonical copy's first byte
 }
 
-// symTable is one generation of the table.
+// symTable is one generation of the table. Its counters are guarded by
+// symbols.mu.
 type symTable struct {
-	mask  uint64
 	slots []symSlot
-	used  int // filled slots, live or dead; guarded by symbols.mu
+	used  int // filled slots, live or dead
+	seen  int // used when settleSymbols last recounted the table
 }
 
-// minSymSlots is the smallest table.
+// minSymSlots is the smallest table and the step its size grows in.
 const minSymSlots = 256
 
 // maxConstLen is the longest constant a slot key can describe.
@@ -68,7 +83,39 @@ var symbols struct {
 }
 
 func init() {
-	symbols.tab.Store(&symTable{mask: minSymSlots - 1, slots: make([]symSlot, minSymSlots)})
+	symbols.tab.Store(&symTable{slots: make([]symSlot, minSymSlots)})
+	armSymTick()
+}
+
+// symTick is garbage the moment it is made, so its cleanup runs after
+// the next collection. The pointer field keeps it out of the tiny
+// allocator, whose objects are not freed one by one.
+type symTick struct{ _ *symTick }
+
+// armSymTick has settleSymbols run after the next collection, and
+// itself again.
+func armSymTick() {
+	runtime.AddCleanup(&symTick{}, func(struct{}) {
+		settleSymbols()
+		armSymTick()
+	}, struct{}{})
+}
+
+// settleSymbols rebuilds the table when it is more than a quarter
+// larger than its live entries need. It recounts only when something
+// was minted since it last looked, since only a mint can have sized the
+// table from a stale count.
+func settleSymbols() {
+	symbols.mu.Lock()
+	defer symbols.mu.Unlock()
+	t := symbols.tab.Load()
+	if t.used == t.seen {
+		return
+	}
+	t.seen = t.used
+	if 4*len(t.slots) > 5*symSlotsFor(t.live()) {
+		symbols.tab.Store(t.rebuilt())
+	}
 }
 
 // symHash returns where the probe for a non-empty string starts and the
@@ -82,10 +129,18 @@ func symHash(s string) (h, key uint64) {
 	return h, uint64(len(s))<<24 | h>>40
 }
 
+// start returns the slot the probe for hash h starts at: the low 40
+// bits of h, which the slot key's tag does not repeat, scaled onto the
+// table by a multiply-shift.
+func (t *symTable) start(h uint64) int {
+	i, _ := bits.Mul64(h<<24, uint64(len(t.slots)))
+	return int(i)
+}
+
 // lookup returns the live canonical copy of s, or nil and the empty
 // slot its probe ended at.
 func (t *symTable) lookup(s string, h, key uint64) (*byte, *symSlot) {
-	for i := h & t.mask; ; i = (i + 1) & t.mask {
+	for i := t.start(h); ; i = t.next(i) {
 		sl := &t.slots[i]
 		switch k := sl.key.Load(); {
 		case k == 0:
@@ -134,20 +189,35 @@ func internSlow(s string, h, key uint64) *byte {
 	return p
 }
 
-// rebuilt returns a table holding the entries of t that are still
-// alive, at two to four slots per entry. Callers hold symbols.mu.
-func (t *symTable) rebuilt() *symTable {
+// next returns the slot a probe visits after slot i.
+func (t *symTable) next(i int) int {
+	if i++; i == len(t.slots) {
+		return 0
+	}
+	return i
+}
+
+// live counts the entries of t whose copy is still alive.
+func (t *symTable) live() int {
 	live := 0
 	for i := range t.slots {
 		if t.slots[i].key.Load() != 0 && t.slots[i].w.Value() != nil {
 			live++
 		}
 	}
-	n := minSymSlots
-	for n < 2*(live+1) {
-		n *= 2
-	}
-	nt := &symTable{mask: uint64(n - 1), slots: make([]symSlot, n)}
+	return live
+}
+
+// symSlotsFor returns the table size for live entries: two slots per
+// entry, rounded up to a multiple of minSymSlots.
+func symSlotsFor(live int) int {
+	return (2*(live+1) + minSymSlots - 1) / minSymSlots * minSymSlots
+}
+
+// rebuilt returns a table of symSlotsFor(live) slots holding the
+// entries of t that are still alive. Callers hold symbols.mu.
+func (t *symTable) rebuilt() *symTable {
+	nt := &symTable{slots: make([]symSlot, symSlotsFor(t.live()))}
 	for i := range t.slots {
 		sl := &t.slots[i]
 		key := sl.key.Load()
@@ -158,9 +228,9 @@ func (t *symTable) rebuilt() *symTable {
 		if p == nil {
 			continue
 		}
-		j := maphash.String(symSeed, unsafe.String(p, key>>24)) & nt.mask
+		j := nt.start(maphash.String(symSeed, unsafe.String(p, key>>24)))
 		for nt.slots[j].key.Load() != 0 {
-			j = (j + 1) & nt.mask
+			j = nt.next(j)
 		}
 		nt.slots[j].w = sl.w
 		nt.slots[j].key.Store(key)

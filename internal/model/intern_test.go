@@ -111,6 +111,36 @@ func TestSymbolReclamation(t *testing.T) {
 	}
 }
 
+// TestSymbolTableSettlesAfterCollection: a table sized while many dead
+// constants still looked alive shrinks, after the collections that
+// clear them, to the size its live entries ask for, without waiting
+// for the next rebuild a mint would trigger.
+func TestSymbolTableSettlesAfterCollection(t *testing.T) {
+	const dropped, kept = 10000, 1000
+	mint := func(prefix string, n int) []Value {
+		vals := make([]Value, n)
+		for i := range vals {
+			vals[i] = Const(fmt.Sprintf("settle-%s-constant-%d", prefix, i))
+		}
+		return vals
+	}
+	runtime.KeepAlive(mint("dropped", dropped))
+	held := mint("kept", kept) // something minted since the table was sized
+	settled := func() bool {
+		symbols.mu.Lock()
+		size := len(symbols.tab.Load().slots)
+		symbols.mu.Unlock()
+		return 4*size <= 5*symSlotsFor(liveSymbols())
+	}
+	if !collectUntil(settled) {
+		symbols.mu.Lock()
+		size := len(symbols.tab.Load().slots)
+		symbols.mu.Unlock()
+		t.Fatalf("table keeps %d slots for %d live constants", size, liveSymbols())
+	}
+	runtime.KeepAlive(held)
+}
+
 // TestSymbolIdentityAcrossCollections: while one Value of a constant
 // is alive, re-interning its string yields the same Value; once every
 // Value is gone the canonical copy is collected, and the string minted

@@ -66,7 +66,7 @@ func (r refEngine) candidates(a tgd.Atom, b Binding) []storage.TupleID {
 			}
 			val = bound
 		}
-		ids := r.snap.CandidatesByValue(a.Rel, i, val)
+		ids := r.snap.CandidatesByValue(a.Rel, i, val, new([1]storage.TupleID))
 		if !determined || len(ids) < len(best) {
 			best, determined = ids, true
 		}

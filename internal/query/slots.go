@@ -107,13 +107,14 @@ func (r *slotRun) rec(level int, pos int32) bool {
 	a := &r.atoms[st.atom]
 	snap := r.e.snap
 	var cands []storage.TupleID
+	var one [1]storage.TupleID // a single candidate, this level's own
 	if st.probe >= 0 {
 		td := &a.terms[st.probe]
 		pv := td.cval
 		if td.slot >= 0 {
 			pv = r.regs[td.slot]
 		}
-		cands = snap.CandidatesByValue(a.rel, int(st.probe), pv)
+		cands = snap.CandidatesByValue(a.rel, int(st.probe), pv, &one)
 		r.e.pendProbes++
 	} else {
 		cands = snap.RelIDs(a.rel)

@@ -22,21 +22,18 @@ func (st *Store) AuditIndexes() error {
 	st.rlockAll()
 	defer st.runlockAll()
 	idle := st.horizon().idle()
-	nulls := make(map[uint64]*bucket)
+	var nulls postings
 	for _, s := range st.byIdx {
 		ids := make([]TupleID, 0, len(s.tuples))
 		for id := range s.tuples {
 			ids = append(ids, id)
 		}
 		slices.Sort(ids)
-		if !slices.Equal(ids, s.ids.ids()) {
-			return fmt.Errorf("storage: audit %s: member list %v, tuples %v", s.rel, s.ids.ids(), ids)
+		if !slices.Equal(ids, s.ids) {
+			return fmt.Errorf("storage: audit %s: member list %v, tuples %v", s.rel, s.ids, ids)
 		}
-		content := make(map[uint64]*bucket)
-		cols := make([]map[uint64]*bucket, len(s.valIdx))
-		for i := range cols {
-			cols[i] = make(map[uint64]*bucket)
-		}
+		var content postings
+		cols := make([]postings, len(s.valIdx))
 		if idle && len(s.pending) > 0 && !st.noTrim {
 			return fmt.Errorf("storage: audit %s: no writer is live, yet trims of %v are pending", s.rel, s.pending)
 		}
@@ -53,40 +50,42 @@ func (st *Store) AuditIndexes() error {
 					continue
 				}
 				for i, val := range v.vals {
-					post(cols[i], val.Hash(), id)
+					cols[i].add(val.Hash(), id)
 					if val.IsNull() {
-						post(nulls, val.Hash(), id)
+						nulls.add(val.Hash(), id)
 					}
 				}
-				post(content, st.contentHash(v.vals), id)
+				content.add(st.contentHash(v.vals), id)
 			}
 		}
 		for i := range cols {
-			if err := sameIndex(cols[i], s.valIdx[i]); err != nil {
+			if err := sameIndex(&cols[i], &s.valIdx[i]); err != nil {
 				return fmt.Errorf("storage: audit %s column %d: %w", s.rel, i, err)
 			}
 		}
-		if err := sameIndex(content, s.contentIdx); err != nil {
+		if err := sameIndex(&content, &s.contentIdx); err != nil {
 			return fmt.Errorf("storage: audit %s content index: %w", s.rel, err)
 		}
 	}
 	st.nullMu.Lock()
 	defer st.nullMu.Unlock()
-	if err := sameIndex(nulls, st.nullIdx); err != nil {
+	if err := sameIndex(&nulls, &st.nullIdx); err != nil {
 		return fmt.Errorf("storage: audit null index: %w", err)
 	}
 	return nil
 }
 
-// sameIndex reports how a live index differs from its rebuild.
-func sameIndex[K comparable](want, got map[K]*bucket) error {
-	for k, g := range got {
-		if w := want[k]; !slices.Equal(w.ids(), g.ids()) || len(g.ids()) == 0 {
-			return fmt.Errorf("key %v lists %v, its versions give %v", k, g.ids(), w.ids())
+// sameIndex reports how a live index differs from its rebuild, or
+// breaks its layout.
+func sameIndex(want, got *postings) error {
+	var g1, w1 [1]TupleID
+	for k := range got.m {
+		if g, w := got.get(k, &g1), want.get(k, &w1); !slices.Equal(g, w) {
+			return fmt.Errorf("key %d lists %v, its versions give %v", k, g, w)
 		}
 	}
-	if len(got) != len(want) {
-		return fmt.Errorf("%d keys listed, the versions give %d", len(got), len(want))
+	if len(got.m) != len(want.m) {
+		return fmt.Errorf("%d keys listed, the versions give %d", len(got.m), len(want.m))
 	}
-	return nil
+	return got.checkLayout()
 }

@@ -7,7 +7,7 @@ import (
 	"youtopia/internal/model"
 )
 
-func benchStore(b *testing.B, nTuples int) *Store {
+func benchStore(b testing.TB, nTuples int) *Store {
 	b.Helper()
 	st := NewStore(testSchema())
 	for i := 0; i < nTuples; i++ {
@@ -45,12 +45,35 @@ func BenchmarkInsertDuplicateNoOp(b *testing.B) {
 func BenchmarkCandidatesByValue(b *testing.B) {
 	st := benchStore(b, 2000)
 	snap := st.Snap(1)
+	var one [1]TupleID
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ids := snap.CandidatesByValue("S", 0, c(fmt.Sprintf("code%d", i%50)))
+		ids := snap.CandidatesByValue("S", 0, c(fmt.Sprintf("code%d", i%50)), &one)
 		if len(ids) == 0 {
 			b.Fatal("no candidates")
 		}
+	}
+}
+
+// BenchmarkIndexProbe is a value probe of a key with one member and of
+// a key with a list of 40. Both must report 0 B/op under -benchmem.
+func BenchmarkIndexProbe(b *testing.B) {
+	st := benchStore(b, 2000)
+	snap := st.Snap(1)
+	for _, probe := range []struct {
+		name string
+		col  int
+		v    model.Value
+	}{{"one", 2, c("city7")}, {"list", 0, c("code7")}} {
+		b.Run(probe.name, func(b *testing.B) {
+			var one [1]TupleID
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if len(snap.CandidatesByValue("S", probe.col, probe.v, &one)) == 0 {
+					b.Fatal("no candidates")
+				}
+			}
+		})
 	}
 }
 
@@ -122,6 +145,7 @@ func BenchmarkStoreInsert(b *testing.B) {
 			c(fmt.Sprintf("loc%d", i%20)),
 			c(fmt.Sprintf("new%d", i)))
 	}
+	var one [1]TupleID
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -135,7 +159,7 @@ func BenchmarkStoreInsert(b *testing.B) {
 			b.Fatal("duplicate content inserted")
 		}
 		snap := st.Snap(w)
-		if len(snap.CandidatesByValue("S", 0, batch[0].Vals[0])) == 0 || len(snap.RelIDs("S")) == 0 {
+		if len(snap.CandidatesByValue("S", 0, batch[0].Vals[0], &one)) == 0 || len(snap.RelIDs("S")) == 0 {
 			b.Fatal("indexes lost the writer's tuples")
 		}
 		if i%4 == 3 {

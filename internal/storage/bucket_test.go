@@ -12,20 +12,23 @@ import (
 	"youtopia/internal/model"
 )
 
-// refBucket is the index bucket the posting list replaced: a Go map per
-// indexed value counting the versions of each member, sorted on demand.
-// It stays here as the reference the posting list is compared against.
+// refBucket is the index entry the posting lists replaced: a Go map
+// per indexed value counting the versions of each member, sorted on
+// demand. It stays here as the reference the posting maps are compared
+// against.
 type refBucket struct{ counts map[TupleID]int }
 
 func (b *refBucket) add(id TupleID) { b.counts[id]++ }
 
+// remove drops one version of id and reports whether it was the last.
 func (b *refBucket) remove(id TupleID) bool {
-	if c := b.counts[id]; c > 1 {
+	c := b.counts[id]
+	if c > 1 {
 		b.counts[id] = c - 1
 	} else {
 		delete(b.counts, id)
 	}
-	return len(b.counts) == 0
+	return c == 1
 }
 
 func (b *refBucket) ids() []TupleID {
@@ -67,54 +70,146 @@ func mustAudit(t testing.TB, st *Store) {
 	}
 }
 
-// TestPostingListMatchesMapMultiset drives a posting list and the old
-// map multiset with the same random streams of version adds and
-// removes — repeated members, descending IDs, IDs of several stripes,
-// removes of non-members — the way the store drives an index: the
-// member is added with every version and removed when its last version
-// goes. Members, size and the emptied verdict must agree after every
-// step, and every slice ids ever returned must still read as it did
-// when it was returned.
+// TestPostingListMatchesMapMultiset drives a posting map, key by key,
+// and a plain member list with the same random streams of version adds
+// and removes as the old map multisets — repeated members, descending
+// IDs, IDs of several stripes, removes of non-members — the way the
+// store drives an index: the member is added with every version and
+// removed when its last version goes. Members, counts and keys must
+// agree after every step, the map's layout must pass the audit, and
+// every slice ever returned must still read as it did when it was
+// returned. Keys keep going from empty to one member, to a list and
+// back, and the list table must never outgrow the most lists that were
+// alive at once: freed slots are reused.
 func TestPostingListMatchesMapMultiset(t *testing.T) {
+	const nkeys = 4
+	var shrinks, reuses int
 	for seed := int64(0); seed < 200; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		ref := &refBucket{counts: make(map[TupleID]int)}
-		var b bucket
+		refs := make([]*refBucket, nkeys+1) // the last drives the member list
+		for k := range refs {
+			refs[k] = &refBucket{counts: make(map[TupleID]int)}
+		}
+		var p postings
+		var list []TupleID
 		var kept []retainedIDs
 		pick := func() TupleID {
 			stripe, local := int64(rng.Intn(3)), int64(rng.Intn(12)+1)
 			return TupleID(stripe<<localIDBits | local)
 		}
 		next := TupleID(13) // ascending tail appends, stripe 0 first
-		for step := 0; step < 300; step++ {
+		peak := 0
+		for step := 0; step < 400; step++ {
+			k := rng.Intn(nkeys + 1)
+			ref := refs[k]
 			var id TupleID
 			switch r := rng.Intn(10); {
-			case r < 2:
-				id, next = next, next+1
+			case r < 5:
+				if r < 2 {
+					id, next = next, next+1
+				} else {
+					id = pick()
+				}
+				if k == nkeys {
+					list = addID(list, id)
+				} else {
+					if ref.counts[id] == 0 && len(ref.counts) == 1 && len(p.free) > 0 {
+						reuses++
+					}
+					p.add(uint64(k), id)
+				}
 				ref.add(id)
-				b.add(id)
-			case r < 6:
-				id = pick()
-				ref.add(id)
-				b.add(id)
 			default:
 				id = pick()
 				if rng.Intn(4) == 0 && len(ref.counts) > 0 {
 					id = ref.ids()[len(ref.counts)-1] // the tail
 				}
-				emptied := ref.remove(id)
-				if ref.counts[id] == 0 {
-					if got := b.remove(id); got != emptied {
-						t.Fatalf("seed %d step %d: remove(%d) emptied = %v, reference %v", seed, step, id, got, emptied)
+				if !ref.remove(id) {
+					break
+				}
+				if k == nkeys {
+					list = removeID(list, id)
+				} else {
+					if p.count(uint64(k)) == 2 {
+						shrinks++
 					}
+					p.remove(uint64(k), id)
 				}
 			}
-			if got, want := b.ids(), ref.ids(); !slices.Equal(got, want) {
-				t.Fatalf("seed %d step %d after %d: ids %v, reference %v", seed, step, id, got, want)
+			var want postings
+			lists := 0
+			for k, ref := range refs[:nkeys] {
+				ids := ref.ids()
+				for _, id := range ids {
+					want.add(uint64(k), id)
+				}
+				got := p.get(uint64(k), new([1]TupleID))
+				if !slices.Equal(got, ids) || p.count(uint64(k)) != len(ids) {
+					t.Fatalf("seed %d step %d after %d: key %d lists %v (count %d), reference %v", seed, step, id, k, got, p.count(uint64(k)), ids)
+				}
+				kept = append(kept, retain(got))
+				if len(ids) > 1 {
+					lists++
+				}
+			}
+			if err := sameIndex(&want, &p); err != nil {
+				t.Fatalf("seed %d step %d: %v", seed, step, err)
+			}
+			if want := refs[nkeys].ids(); !slices.Equal(list, want) {
+				t.Fatalf("seed %d step %d after %d: member list %v, reference %v", seed, step, id, list, want)
+			}
+			peak = max(peak, lists)
+			if len(p.lists) > peak {
+				t.Fatalf("seed %d step %d: %d list slots, at most %d lists were ever alive at once", seed, step, len(p.lists), peak)
 			}
 			checkRetained(t, kept)
-			kept = append(kept, retain(b.ids()))
+			kept = append(kept, retain(list))
 		}
+	}
+	if shrinks == 0 || reuses == 0 {
+		t.Fatalf("the streams never took a list back to one member (%d) or reused a freed slot (%d)", shrinks, reuses)
+	}
+}
+
+// TestPostingTransitions walks one key through every shape it can take
+// — empty, one member in the map slot, a list, one member again, empty
+// — and a second key through the list slot the first one freed.
+func TestPostingTransitions(t *testing.T) {
+	var p postings
+	var one [1]TupleID
+	check := func(k uint64, want []TupleID, inSlot bool) {
+		t.Helper()
+		if got := p.get(k, &one); !slices.Equal(got, want) || p.count(k) != len(want) {
+			t.Fatalf("key %d lists %v (count %d), want %v", k, got, p.count(k), want)
+		}
+		if v, ok := p.m[k]; ok != (len(want) > 0) || ok && (v > 0) != inSlot {
+			t.Fatalf("key %d maps to %d (present %v), want a member in the slot: %v", k, v, ok, inSlot)
+		}
+	}
+	check(1, nil, false)
+	p.add(1, 7)
+	check(1, []TupleID{7}, true)
+	p.add(1, 5)
+	check(1, []TupleID{5, 7}, false)
+	held := p.get(1, &one)
+	p.remove(1, 7)
+	check(1, []TupleID{5}, true)
+	if len(p.free) != 1 || p.lists[p.free[0]] != nil {
+		t.Fatalf("the list slot was not freed: lists %v, free %v", p.lists, p.free)
+	}
+	p.add(2, 9)
+	p.add(2, 3)
+	check(2, []TupleID{3, 9}, false)
+	if len(p.lists) != 1 || len(p.free) != 0 {
+		t.Fatalf("key 2 did not reuse the freed slot: lists %v, free %v", p.lists, p.free)
+	}
+	if !slices.Equal(held, []TupleID{5, 7}) {
+		t.Fatalf("a list held across demotion and slot reuse now reads %v", held)
+	}
+	p.remove(1, 5)
+	check(1, nil, false)
+	if len(p.m) != 1 {
+		t.Fatalf("%d keys, want 1", len(p.m))
 	}
 }
 
@@ -123,15 +218,21 @@ func TestPostingListMatchesMapMultiset(t *testing.T) {
 // CandidatesByValue and the null index returned, and goes on reading
 // them with no lock while a writer appends (Insert), inserts in the
 // middle (ReplaceNull rewrites old tuples onto a shared value and a
-// shared null) and removes (Abort). The slices must never change — and
-// a write into one would also be a data race the detector reports.
+// shared null) and removes (Abort). One key has a single member between
+// rounds; the writer promotes it to a list and aborts it back, while
+// the reader holds what it read in either shape. The slices must never
+// change — and a write into one would also be a data race the detector
+// reports.
 func TestRetainedIDsStayValid(t *testing.T) {
 	rounds := 300
 	if testing.Short() {
 		rounds = 60
 	}
 	st := NewStore(raceSchema())
-	shared, hub := model.Const("shared"), model.Null(1)
+	shared, hub, solo := model.Const("shared"), model.Null(1), model.Const("solo")
+	if _, err := st.Load(model.NewTuple("S", solo, solo, solo)); err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 4; i++ {
 		if _, err := st.Load(model.NewTuple("R", model.Const(fmt.Sprint("seed", i)), shared)); err != nil {
 			t.Fatal(err)
@@ -165,6 +266,12 @@ func TestRetainedIDsStayValid(t *testing.T) {
 				t.Error(err)
 				return
 			}
+			if i%2 == 0 { // aborted below: solo goes back to one member
+				if _, _, _, err := st.Insert(w, model.NewTuple("S", model.Const(fmt.Sprint("o", i)), solo, solo)); err != nil {
+					t.Error(err)
+					return
+				}
+			}
 			// The old R tuple joins valIdx[1][shared] below the tail, and
 			// (every third round) the hub null's list below the S tuples.
 			to := shared
@@ -189,11 +296,12 @@ func TestRetainedIDsStayValid(t *testing.T) {
 		snap := st.Snap(1 << 30)
 		for j, ids := range [][]TupleID{
 			snap.RelIDs("R"),
-			snap.CandidatesByValue("R", 1, shared),
-			snap.CandidatesByValue("S", 1, shared),
-			snap.nullCandidates(hub),
+			snap.CandidatesByValue("R", 1, shared, new([1]TupleID)),
+			snap.CandidatesByValue("S", 1, shared, new([1]TupleID)),
+			snap.CandidatesByValue("S", 1, solo, new([1]TupleID)),
+			snap.nullCandidates(hub, new([1]TupleID)),
 		} {
-			kept[(4*i+j)%len(kept)] = retain(ids)
+			kept[(5*i+j)%len(kept)] = retain(ids)
 		}
 		checkRetained(t, kept)
 	}
@@ -272,6 +380,48 @@ func TestContentIndexForcedCollision(t *testing.T) {
 		}
 		if dumps[0] != dumps[1] {
 			t.Fatalf("seed %d: colliding hash changed the outcome\ncolliding:\n%s\nreal hash:\n%s", seed, dumps[0], dumps[1])
+		}
+	}
+}
+
+// TestIndexProbeAllocFree pins that an index probe allocates nothing,
+// whether the key has one member (returned in the caller's buffer) or
+// a list (returned as itself): value candidates, the content lookup of
+// Insert's duplicate check, and the null index.
+func TestIndexProbeAllocFree(t *testing.T) {
+	st := benchStore(t, 200)
+	for i := 0; i < 4; i++ {
+		if _, err := st.Load(tup("R", n(1), c(fmt.Sprint("k", i)))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := st.Load(tup("R", n(2), c("lone"))); err != nil {
+		t.Fatal(err)
+	}
+	snap := st.Snap(1)
+	var one [1]TupleID
+	dup := tup("S", c("code7"), c("loc7"), c("city7"))
+	for _, probe := range []struct {
+		name string
+		want int // members the probe returns; 0 skips the check
+		fn   func() []TupleID
+	}{
+		{"value, one member", 1, func() []TupleID { return snap.CandidatesByValue("S", 2, c("city7"), &one) }},
+		{"value, list", 4, func() []TupleID { return snap.CandidatesByValue("S", 0, c("code7"), &one) }},
+		{"null, one member", 1, func() []TupleID { return snap.nullCandidates(n(2), &one) }},
+		{"null, list", 4, func() []TupleID { return snap.nullCandidates(n(1), &one) }},
+		{"content, duplicate insert", 0, func() []TupleID {
+			if _, _, inserted, err := st.Insert(1, dup); inserted || err != nil {
+				t.Fatalf("duplicate insert: inserted %v, %v", inserted, err)
+			}
+			return nil
+		}},
+	} {
+		if got := probe.fn(); probe.want > 0 && len(got) != probe.want {
+			t.Fatalf("%s: %d members, want %d", probe.name, len(got), probe.want)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { probe.fn() }); allocs != 0 {
+			t.Errorf("%s: %.1f allocations per probe, want 0", probe.name, allocs)
 		}
 	}
 }

@@ -184,8 +184,9 @@ func (ep *CommittedEpoch) Commits() int64 { return ep.commits }
 
 // Serialize renders the epoch as checkpoint tuples in deterministic
 // (stripe, tuple ID) order, together with the store's current
-// labeled-null floor. It reads only immutable records plus one atomic
-// counter, so it runs without any lock — commits proceed while a
+// labeled-null floor. Each tuple's Vals is the store's own immutable
+// value slice, not a copy. It reads only immutable records plus one
+// atomic counter, so it runs without any lock — commits proceed while a
 // checkpoint serializes. The floor is read live rather than at
 // capture time; it only ever grows, and any null inside the records
 // was minted before publication, so the floor always covers them.
@@ -197,11 +198,7 @@ func (ep *CommittedEpoch) Serialize() ([]CommittedTuple, int64) {
 	out := make([]CommittedTuple, 0, n)
 	for _, e := range ep.rels {
 		for i, id := range e.ids {
-			ct := CommittedTuple{ID: id, Rel: e.rel, Deleted: e.dead[i]}
-			if !e.dead[i] {
-				ct.Vals = append([]model.Value(nil), e.vals[i]...)
-			}
-			out = append(out, ct)
+			out = append(out, CommittedTuple{ID: id, Rel: e.rel, Deleted: e.dead[i], Vals: e.vals[i]})
 		}
 	}
 	return out, ep.store.nulls.Peek() - 1
@@ -231,7 +228,7 @@ func (st *Store) buildRelEpoch(s *stripe) *relEpoch {
 		arity:   st.schema.Arity(s.rel),
 		idFloor: s.nextLocal,
 	}
-	ids := s.ids.ids()
+	ids := s.ids
 	e.ids = make([]TupleID, 0, len(ids))
 	e.vals = make([][]model.Value, 0, len(ids))
 	e.dead = make([]bool, 0, len(ids))

@@ -95,7 +95,7 @@ func TestSnapshotReadLockFree(t *testing.T) {
 		if n != 2 || sn.CountRel("A") != 2 {
 			t.Fatalf("ScanRel saw %d, CountRel %d, want 2", n, sn.CountRel("A"))
 		}
-		if got := sn.CandidatesByValue("A", 1, cv("b")); len(got) != 2 {
+		if got := sn.CandidatesByValue("A", 1, cv("b"), new([1]TupleID)); len(got) != 2 {
 			t.Fatalf("CandidatesByValue = %v, want 2 hits", got)
 		}
 		if !sn.ContainsContent(model.NewTuple("B", cv("one"))) {
@@ -196,7 +196,7 @@ func TestCommittedSnapshotMatchesLockedOracle(t *testing.T) {
 	var want []CommittedTuple
 	st.rlockAll()
 	for _, s := range st.byIdx {
-		for _, id := range s.ids.ids() {
+		for _, id := range s.ids {
 			tr := s.tuples[id]
 			for i := len(tr.versions) - 1; i >= 0; i-- {
 				v := &tr.versions[i]
@@ -373,7 +373,7 @@ func TestEpochConsistentCutUnderCommits(t *testing.T) {
 							sn := &Snapshot{stores: st.self, reader: maxReader, epoch: ep.rels}
 							for g, p := range pairs {
 								key := cv(fmt.Sprintf("g%d", g))
-								if a, z := len(sn.CandidatesByValue(p[0], 0, key)), len(sn.CandidatesByValue(p[1], 0, key)); a != z {
+								if a, z := len(sn.CandidatesByValue(p[0], 0, key, new([1]TupleID))), len(sn.CandidatesByValue(p[1], 0, key, new([1]TupleID))); a != z {
 									t.Errorf("torn epoch: writer %d has %d keys in %s but %d in %s", g, a, p[0], z, p[1])
 									return
 								}

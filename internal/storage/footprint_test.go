@@ -1,8 +1,10 @@
 package storage_test
 
 import (
+	"math"
 	"runtime"
 	"testing"
+	"time"
 
 	"youtopia/internal/workload"
 )
@@ -10,24 +12,37 @@ import (
 // TestStoreBytesPerTuple pins the store's memory layout: the live heap
 // a fresh Store holds per stored tuple after loading the initial
 // database of the §6 generator (2039 tuples over 100 relations of arity
-// 1–6, writer-0 loads, one version each). The bound is the 244 bytes
-// achieved (go1.24, amd64) plus 10%. A tuple record that repeated its
-// relation name took the same load to 259 bytes per tuple; value
-// indexes keyed by the Value itself rather than its one-word hash, to
-// 311; a write-log record per loaded tuple as well, to 468; a Go map
-// per indexed value and a rendered content key on top, 1345.
+// 1–6, writer-0 loads, one version each). The bound is the 114 bytes
+// achieved (go1.24, amd64) plus 10%. A 32-byte bucket object per index
+// key, and a tuple record repeating its ID, took the same load to 236
+// bytes per tuple; a record that also repeated its relation name, to
+// 259; value indexes keyed by the Value itself rather than its one-word
+// hash, to 311; a write-log record per loaded tuple as well, to 468; a
+// Go map per indexed value and a rendered content key on top, 1345.
 func TestStoreBytesPerTuple(t *testing.T) {
-	const bound = 268
+	const bound = 126
 	cfg := workload.Default()
 	cfg.InitialTuples = 1000
 	u, err := workload.Build(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The heap that survives collections once it stops shrinking: the
+	// symbol table is resized on the cleanup goroutine after a collection
+	// that follows mints (model.settleSymbols), and the table it
+	// replaces goes with the next collection.
 	liveHeap := func() uint64 {
-		runtime.GC()
 		var m runtime.MemStats
-		runtime.ReadMemStats(&m)
+		prev := uint64(math.MaxUint64)
+		for range 10 {
+			runtime.GC()
+			runtime.ReadMemStats(&m)
+			if m.HeapAlloc >= prev {
+				break
+			}
+			prev = m.HeapAlloc
+			time.Sleep(2 * time.Millisecond)
+		}
 		return m.HeapAlloc
 	}
 	before := liveHeap()

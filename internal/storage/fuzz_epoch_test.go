@@ -142,8 +142,8 @@ func FuzzEpochSnapshot(f *testing.F) {
 						if c := sn.CountRel(rel); c != n {
 							t.Errorf("epoch CountRel(%s) = %d, scan saw %d", rel, c, n)
 						}
-						sn.CandidatesByValue(rel, 0, model.Const("v1"))
-						if p, q := len(sn.CandidatesByValue(rel, 1, model.Const("p"))), sn.CountRel(partners[i]); p != q {
+						sn.CandidatesByValue(rel, 0, model.Const("v1"), new([1]TupleID))
+						if p, q := len(sn.CandidatesByValue(rel, 1, model.Const("p"), new([1]TupleID))), sn.CountRel(partners[i]); p != q {
 							t.Errorf("torn epoch: %s holds %d paired keys, %s holds %d", rel, p, partners[i], q)
 						}
 					}

@@ -63,13 +63,13 @@ func (st *Store) garbage(tr *tupleRec) bool {
 	return top > 0 || (top == 0 && tr.versions[0].deleted)
 }
 
-// trim drops the history of tr that h releases: every version below
-// the newest committed one, each taken out of the indexes as it goes,
-// and then the tuple itself when all that is left is a committed
-// tombstone. It reports whether garbage the horizon did not release
-// remains, which the caller puts on the stripe's pending list. Callers
-// hold the stripe's write lock.
-func (st *Store) trim(s *stripe, tr *tupleRec, h horizon) bool {
+// trim drops the history of tuple id, tr, that h releases: every
+// version below the newest committed one, each taken out of the indexes
+// as it goes, and then the tuple itself when all that is left is a
+// committed tombstone. It reports whether garbage the horizon did not
+// release remains, which the caller puts on the stripe's pending list.
+// Callers hold the stripe's write lock.
+func (st *Store) trim(s *stripe, id TupleID, tr *tupleRec, h horizon) bool {
 	if st.noTrim {
 		return false
 	}
@@ -83,7 +83,7 @@ func (st *Store) trim(s *stripe, tr *tupleRec, h horizon) bool {
 	for ; top > 0; top-- {
 		vals := tr.versions[0].vals
 		tr.versions = slices.Delete(tr.versions, 0, 1)
-		st.unindexVersion(s, tr, vals)
+		st.unindexVersion(s, id, tr, vals)
 	}
 	if !tr.versions[0].deleted {
 		return false
@@ -91,21 +91,21 @@ func (st *Store) trim(s *stripe, tr *tupleRec, h horizon) bool {
 	if len(tr.versions) > 1 {
 		return true // uncommitted writes above a tombstone
 	}
-	delete(s.tuples, tr.id)
-	s.ids.remove(tr.id)
+	delete(s.tuples, id)
+	s.ids = removeID(s.ids, id)
 	return false
 }
 
-// trimOrDefer trims one tuple that a committed write has just touched,
-// computing the horizon only when there is garbage. Callers hold the
-// stripe's write lock.
-func (st *Store) trimOrDefer(s *stripe, tr *tupleRec) {
+// trimOrDefer trims tuple id, tr, which a committed write has just
+// touched, computing the horizon only when there is garbage. Callers
+// hold the stripe's write lock.
+func (st *Store) trimOrDefer(s *stripe, id TupleID, tr *tupleRec) {
 	if st.noTrim || !st.garbage(tr) {
 		return
 	}
-	if st.trim(s, tr, st.horizon()) {
+	if st.trim(s, id, tr, st.horizon()) {
 		had := len(s.pending) > 0
-		s.pending = append(s.pending, tr.id)
+		s.pending = append(s.pending, id)
 		st.notePending(s, had)
 	}
 }
@@ -119,14 +119,15 @@ func (st *Store) trimStripe(s *stripe, writers []int, h horizon) {
 	had := len(s.pending) > 0
 	kept := s.pending[:0]
 	for _, id := range s.pending {
-		if tr := s.tuples[id]; tr != nil && st.trim(s, tr, h) {
+		if tr := s.tuples[id]; tr != nil && st.trim(s, id, tr, h) {
 			kept = append(kept, id)
 		}
 	}
 	for _, w := range writers {
 		for i := range s.logs[w] {
-			if tr := s.tuples[s.logs[w][i].ID]; tr != nil && st.trim(s, tr, h) {
-				kept = append(kept, tr.id)
+			id := s.logs[w][i].ID
+			if tr := s.tuples[id]; tr != nil && st.trim(s, id, tr, h) {
+				kept = append(kept, id)
 			}
 		}
 		delete(s.logs, w)

@@ -37,10 +37,11 @@ func TestCommitTrimsHistory(t *testing.T) {
 	}
 	mustAudit(t, st)
 	sn := st.Snap(maxReader)
-	if ids := sn.TuplesWithNull(x); len(ids) != 0 || len(st.nullIDs(x)) != 0 {
-		t.Fatalf("replaced null still indexed: %v", st.nullIDs(x))
+	var one [1]TupleID
+	if ids := sn.TuplesWithNull(x); len(ids) != 0 || len(st.nullIDs(x, &one)) != 0 {
+		t.Fatalf("replaced null still indexed: %v", st.nullIDs(x, &one))
 	}
-	if ids := sn.CandidatesByValue("R", 0, model.Const("g")); len(ids) != 0 {
+	if ids := sn.CandidatesByValue("R", 0, model.Const("g"), &one); len(ids) != 0 {
 		t.Fatalf("deleted tuple still indexed: %v", ids)
 	}
 	if vals, ok := sn.Get(keep); !ok || vals[1] != model.Const("c") {
@@ -200,7 +201,7 @@ func FuzzHorizonTrim(f *testing.F) {
 			// Deletes by ID pick from the untrimmed store's members, which
 			// include every ID the trimming store dropped.
 			var id TupleID
-			if ids := full.stripes[rel].ids.ids(); len(ids) > 0 {
+			if ids := full.stripes[rel].ids; len(ids) > 0 {
 				id = ids[int(b1>>1)%len(ids)]
 			}
 			if w == next && b0&7 <= 3 {
@@ -346,7 +347,7 @@ func render(sn *Snapshot) string {
 	}
 	for c := 0; c < 4; c++ {
 		v := model.Const(fmt.Sprintf("c%d", c))
-		cands := slices.DeleteFunc(slices.Clone(sn.CandidatesByValue("A", 0, v)), func(id TupleID) bool {
+		cands := slices.DeleteFunc(slices.Clone(sn.CandidatesByValue("A", 0, v, new([1]TupleID))), func(id TupleID) bool {
 			vals, ok := sn.Get(id)
 			return !ok || vals[0] != v
 		})

@@ -168,9 +168,9 @@ func (st *Store) ApplyRedo(rec WriteRec) error {
 	switch rec.Op {
 	case OpInsert:
 		if tr == nil {
-			tr = &tupleRec{id: rec.ID}
+			tr = new(tupleRec)
 			s.tuples[rec.ID] = tr
-			s.ids.add(rec.ID)
+			s.ids = addID(s.ids, rec.ID)
 		}
 		v.vals = append([]model.Value(nil), rec.After...)
 	case OpDelete:
@@ -186,8 +186,8 @@ func (st *Store) ApplyRedo(rec WriteRec) error {
 	default:
 		return fmt.Errorf("storage: redo record with unknown op %d", rec.Op)
 	}
-	st.insertVersion(s, tr, v)
-	st.trimOrDefer(s, tr)
+	st.insertVersion(s, rec.ID, tr, v)
+	st.trimOrDefer(s, rec.ID, tr)
 	return nil
 }
 
@@ -206,7 +206,10 @@ type CommittedTuple struct {
 	ID      TupleID
 	Rel     string
 	Deleted bool
-	Vals    []model.Value // nil when Deleted
+	// Vals is nil when Deleted. From CommittedSnapshot it is shared with
+	// the store, which never changes a value slice: read it, do not
+	// modify it.
+	Vals []model.Value
 }
 
 // CommittedSnapshot extracts the committed instance — for every tuple,
@@ -255,10 +258,10 @@ func (st *Store) RestoreSnapshot(tuples []CommittedTuple, nullFloor int64, idFlo
 		st.raiseIDFloor(s, ct.ID)
 		if !ct.Deleted {
 			st.noteNulls(ct.Vals)
-			tr := &tupleRec{id: ct.ID}
+			tr := new(tupleRec)
 			s.tuples[ct.ID] = tr
-			s.ids.add(ct.ID)
-			st.insertVersion(s, tr, version{seq: st.nextSeq.Add(1), vals: append([]model.Value(nil), ct.Vals...)})
+			s.ids = addID(s.ids, ct.ID)
+			st.insertVersion(s, ct.ID, tr, version{seq: st.nextSeq.Add(1), vals: append([]model.Value(nil), ct.Vals...)})
 		}
 		s.unlock()
 	}

@@ -373,7 +373,7 @@ func (sn *Snapshot) RelIDs(rel string) []TupleID {
 	}
 	sn.rlock(s)
 	defer sn.runlock(s)
-	return s.ids.ids()
+	return s.ids
 }
 
 // ScanRel calls fn for every visible tuple of the relation in tuple-ID
@@ -396,7 +396,7 @@ func (sn *Snapshot) ScanRel(rel string, fn func(id TupleID, vals []model.Value) 
 }
 
 func (sn *Snapshot) scanStripe(s *stripe, fn func(id TupleID, vals []model.Value) bool) {
-	for _, id := range s.ids.ids() {
+	for _, id := range s.ids {
 		if vals, ok := sn.getInStripe(s, id); ok {
 			if !fn(id, vals) {
 				return
@@ -449,7 +449,7 @@ func (sn *Snapshot) RelStats(rel string) RelStats {
 	if st.Live > 0 && len(s.valIdx) > 0 {
 		st.Distinct = make([]int, len(s.valIdx))
 		for c := range s.valIdx {
-			st.Distinct[c] = len(s.valIdx[c])
+			st.Distinct[c] = len(s.valIdx[c].m)
 		}
 	}
 	return st
@@ -458,8 +458,10 @@ func (sn *Snapshot) RelStats(rel string) RelStats {
 // CandidatesByValue returns, in ascending order, the IDs of tuples
 // that have some version with value v in column col of rel. Callers
 // must verify candidates against the snapshot via Get; the index
-// over-approximates across versions.
-func (sn *Snapshot) CandidatesByValue(rel string, col int, v model.Value) []TupleID {
+// over-approximates across versions. A single candidate is returned in
+// one, the caller's buffer, so the probe allocates nothing; callers
+// must not modify the result.
+func (sn *Snapshot) CandidatesByValue(rel string, col int, v model.Value, one *[1]TupleID) []TupleID {
 	if sn.epoch != nil {
 		e := sn.epochFor(rel)
 		if e == nil || col < 0 || col >= e.arity {
@@ -473,14 +475,14 @@ func (sn *Snapshot) CandidatesByValue(rel string, col int, v model.Value) []Tupl
 	}
 	sn.rlock(s)
 	defer sn.runlock(s)
-	return sn.candidatesByValueInStripe(s, col, v)
+	return sn.candidatesByValueInStripe(s, col, v, one)
 }
 
-func (sn *Snapshot) candidatesByValueInStripe(s *stripe, col int, v model.Value) []TupleID {
+func (sn *Snapshot) candidatesByValueInStripe(s *stripe, col int, v model.Value, one *[1]TupleID) []TupleID {
 	if col < 0 || col >= len(s.valIdx) {
 		return nil
 	}
-	return s.valIdx[col][v.Hash()].ids()
+	return s.valIdx[col].get(v.Hash(), one)
 }
 
 // LookupContent returns the IDs of visible tuples whose content equals
@@ -497,7 +499,8 @@ func (sn *Snapshot) LookupContent(t model.Tuple) []TupleID {
 	sn.rlock(s)
 	defer sn.runlock(s)
 	var out []TupleID
-	for _, id := range s.contentIdx[st.contentHash(t.Vals)].ids() {
+	var one [1]TupleID
+	for _, id := range s.contentIdx.get(st.contentHash(t.Vals), &one) {
 		if vals, ok := sn.getInStripe(s, id); ok && (model.Tuple{Rel: t.Rel, Vals: vals}).Equal(t) {
 			out = append(out, id)
 		}
@@ -539,22 +542,23 @@ func (sn *Snapshot) ContainsContent(t model.Tuple) bool {
 	return len(sn.LookupContent(t)) > 0
 }
 
-// nullIDs returns the null index's list for x.
-func (st *Store) nullIDs(x model.Value) []TupleID {
+// nullIDs returns the null index's members for x, a single one in one.
+func (st *Store) nullIDs(x model.Value, one *[1]TupleID) []TupleID {
 	st.nullMu.Lock()
 	defer st.nullMu.Unlock()
-	return st.nullIdx[x.Hash()].ids()
+	return st.nullIdx.get(x.Hash(), one)
 }
 
 // nullCandidates unions the partitions' null-index entries for x, in
-// ascending tuple-ID order (which clusters IDs by stripe).
-func (sn *Snapshot) nullCandidates(x model.Value) []TupleID {
+// ascending tuple-ID order (which clusters IDs by stripe); a single
+// entry of a single partition is returned in one.
+func (sn *Snapshot) nullCandidates(x model.Value, one *[1]TupleID) []TupleID {
 	if len(sn.stores) == 1 {
-		return sn.stores[0].nullIDs(x)
+		return sn.stores[0].nullIDs(x, one)
 	}
 	var cands []TupleID
 	for _, st := range sn.stores {
-		cands = append(cands, st.nullIDs(x)...)
+		cands = append(cands, st.nullIDs(x, one)...)
 	}
 	slices.Sort(cands)
 	return cands
@@ -585,19 +589,16 @@ func (sn *Snapshot) TuplesWithNull(x model.Value) []TupleID {
 		}
 		return out
 	}
-	return sn.filterNullCands(x, sn.nullCandidates(x))
+	return sn.liveTuplesWithNull(x)
 }
 
-// tuplesWithNullLocked is TuplesWithNull for callers holding every
-// stripe lock (ReplaceNull).
-func (sn *Snapshot) tuplesWithNullLocked(x model.Value) []TupleID {
-	return sn.filterNullCands(x, sn.nullCandidates(x))
-}
-
-func (sn *Snapshot) filterNullCands(x model.Value, cands []TupleID) []TupleID {
+// liveTuplesWithNull is TuplesWithNull over the live stripes; ReplaceNull
+// calls it through a snapshot minted under every stripe lock.
+func (sn *Snapshot) liveTuplesWithNull(x model.Value) []TupleID {
+	var one [1]TupleID
 	var out []TupleID
 	var cur *stripe
-	for _, id := range cands {
+	for _, id := range sn.nullCandidates(x, &one) {
 		_, s := sn.stripeForID(id)
 		if s == nil {
 			continue
@@ -649,7 +650,7 @@ func (sn *Snapshot) MoreSpecific(t model.Tuple) []TupleID {
 		if !v.IsConst() {
 			continue
 		}
-		size := len(s.valIdx[i][v.Hash()].ids())
+		size := s.valIdx[i].count(v.Hash())
 		if bestCol == -1 || size < bestSize {
 			bestCol, bestSize = i, size
 		}
@@ -661,7 +662,8 @@ func (sn *Snapshot) MoreSpecific(t model.Tuple) []TupleID {
 		}
 	}
 	if bestCol >= 0 {
-		for _, id := range sn.candidatesByValueInStripe(s, bestCol, t.Vals[bestCol]) {
+		var one [1]TupleID
+		for _, id := range sn.candidatesByValueInStripe(s, bestCol, t.Vals[bestCol], &one) {
 			if vals, ok := sn.getInStripe(s, id); ok {
 				check(id, vals)
 			}

@@ -55,11 +55,12 @@ func TestSnapshotCandidatesByValue(t *testing.T) {
 	st := NewStore(testSchema())
 	id1, _ := st.Load(tup("S", c("SYR"), c("Syracuse"), c("Ithaca")))
 	st.Load(tup("S", c("JFK"), c("NYC"), c("NYC")))
-	got := st.Snap(0).CandidatesByValue("S", 0, c("SYR"))
+	var one [1]TupleID
+	got := st.Snap(0).CandidatesByValue("S", 0, c("SYR"), &one)
 	if len(got) != 1 || got[0] != id1 {
 		t.Fatalf("candidates = %v", got)
 	}
-	if got := st.Snap(0).CandidatesByValue("S", 7, c("SYR")); got != nil {
+	if got := st.Snap(0).CandidatesByValue("S", 7, c("SYR"), &one); got != nil {
 		t.Fatalf("out-of-range column returned %v", got)
 	}
 }

@@ -190,11 +190,10 @@ type version struct {
 	deleted bool
 }
 
-// tupleRec is a logical tuple: an identity plus its version chain,
-// kept sorted ascending by (writer, seq). Its relation is the owning
-// stripe's.
+// tupleRec is a logical tuple's version chain, kept sorted ascending
+// by (writer, seq). Its ID is its key in the owning stripe's tuples map,
+// and its relation is that stripe's.
 type tupleRec struct {
-	id       TupleID
 	versions []version
 }
 
@@ -212,7 +211,7 @@ type stripe struct {
 
 	nextLocal int64
 	tuples    map[TupleID]*tupleRec
-	ids       bucket // members of the relation, visible or not
+	ids       []TupleID // members of the relation, visible or not; see postings
 
 	// valIdx[col][value.Hash()] lists the tuples with a version
 	// carrying that value in that column, contentIdx[contentHash(vals)]
@@ -225,8 +224,8 @@ type stripe struct {
 	// (unindexVersion): an index never outlives the values it hashed,
 	// and while a value index key is present it names exactly one live
 	// value.
-	valIdx     []map[uint64]*bucket
-	contentIdx map[uint64]*bucket
+	valIdx     []postings
+	contentIdx postings
 
 	// logs holds this relation's live writes per uncommitted writer;
 	// a writer's entry goes when it commits or aborts.
@@ -293,7 +292,7 @@ type Store struct {
 	nullMu sync.Mutex
 	// nullIdx[null.Hash()] lists the tuples with a version containing
 	// the labeled null.
-	nullIdx map[uint64]*bucket
+	nullIdx postings
 
 	// contentHash keys the stripes' content indexes. It is a field only
 	// so that a test can substitute a colliding hash.
@@ -356,7 +355,6 @@ func NewStore(schema *model.Schema) *Store {
 		stripes:   make(map[string]*stripe, len(names)),
 		byIdx:     make([]*stripe, 0, len(names)),
 		relsByIdx: names,
-		nullIdx:   make(map[uint64]*bucket),
 		committed: map[int]bool{0: true},
 
 		contentHash: contentHash,
@@ -366,17 +364,12 @@ func NewStore(schema *model.Schema) *Store {
 	st.self = []*Store{st}
 	st.peers = st.self
 	for i, name := range names {
-		cols := make([]map[uint64]*bucket, schema.Arity(name))
-		for j := range cols {
-			cols[j] = make(map[uint64]*bucket)
-		}
 		s := &stripe{
-			rel:        name,
-			idx:        i,
-			tuples:     make(map[TupleID]*tupleRec),
-			valIdx:     cols,
-			contentIdx: make(map[uint64]*bucket),
-			logs:       make(map[int][]WriteRec),
+			rel:    name,
+			idx:    i,
+			tuples: make(map[TupleID]*tupleRec),
+			valIdx: make([]postings, schema.Arity(name)),
+			logs:   make(map[int][]WriteRec),
 		}
 		st.stripes[name] = s
 		st.byIdx = append(st.byIdx, s)
@@ -461,24 +454,6 @@ func contentHash(vals []model.Value) uint64 {
 	return h
 }
 
-// post adds id to the posting list under key k of an index, creating
-// the list on first use; drop removes it and deletes a list that
-// empties. Callers hold the lock guarding m.
-func post[K comparable](m map[K]*bucket, k K, id TupleID) {
-	b := m[k]
-	if b == nil {
-		b = new(bucket)
-		m[k] = b
-	}
-	b.add(id)
-}
-
-func drop[K comparable](m map[K]*bucket, k K, id TupleID) {
-	if b := m[k]; b != nil && b.remove(id) {
-		delete(m, k)
-	}
-}
-
 // indexVersion enters one version's values into the stripe's secondary
 // indexes and the global null index. Callers hold the stripe's write
 // lock; nullMu is a leaf below it.
@@ -487,14 +462,14 @@ func (st *Store) indexVersion(s *stripe, id TupleID, vals []model.Value) {
 		return
 	}
 	for i, v := range vals {
-		post(s.valIdx[i], v.Hash(), id)
+		s.valIdx[i].add(v.Hash(), id)
 		if v.IsNull() {
 			st.nullMu.Lock()
-			post(st.nullIdx, v.Hash(), id)
+			st.nullIdx.add(v.Hash(), id)
 			st.nullMu.Unlock()
 		}
 	}
-	post(s.contentIdx, st.contentHash(vals), id)
+	s.contentIdx.add(st.contentHash(vals), id)
 }
 
 // carries reports whether some version of the tuple has values that
@@ -509,26 +484,26 @@ func (tr *tupleRec) carries(has func(vals []model.Value) bool) bool {
 }
 
 // unindexVersion takes out of the indexes what a version that has just
-// left tr's chain put there and no remaining version of the tuple still
-// carries. Callers hold the stripe's write lock.
-func (st *Store) unindexVersion(s *stripe, tr *tupleRec, vals []model.Value) {
+// left the chain of tuple id, tr, put there and no remaining version of
+// the tuple still carries. Callers hold the stripe's write lock.
+func (st *Store) unindexVersion(s *stripe, id TupleID, tr *tupleRec, vals []model.Value) {
 	if vals == nil {
 		return
 	}
 	for i, v := range vals {
 		if !tr.carries(func(w []model.Value) bool { return w[i] == v }) {
-			drop(s.valIdx[i], v.Hash(), tr.id)
+			s.valIdx[i].remove(v.Hash(), id)
 		}
 		if v.IsNull() && !tr.carries(func(w []model.Value) bool { return slices.Contains(w, v) }) {
 			st.nullMu.Lock()
-			drop(st.nullIdx, v.Hash(), tr.id)
+			st.nullIdx.remove(v.Hash(), id)
 			st.nullMu.Unlock()
 		}
 	}
 	// Keyed by hash, so it is the hash another version has to share.
 	h := st.contentHash(vals)
 	if !tr.carries(func(w []model.Value) bool { return st.contentHash(w) == h }) {
-		drop(s.contentIdx, h, tr.id)
+		s.contentIdx.remove(h, id)
 	}
 }
 
@@ -540,12 +515,12 @@ func (st *Store) isCommitted(writer int) bool {
 	return st.committed[writer]
 }
 
-// insertVersion splices a version into a tuple's chain, keeping the
-// chain sorted by (writer, seq), and maintains the stripe indexes and
-// published sequence number. Callers hold the stripe's write lock.
+// insertVersion splices a version into the chain of tuple id, keeping
+// the chain sorted by (writer, seq), and maintains the stripe indexes
+// and published sequence number. Callers hold the stripe's write lock.
 // Logging and writer accounting are the caller's concern: live writes
 // go through addVersion, recovery replay applies versions directly.
-func (st *Store) insertVersion(s *stripe, rec *tupleRec, v version) {
+func (st *Store) insertVersion(s *stripe, id TupleID, rec *tupleRec, v version) {
 	i := sort.Search(len(rec.versions), func(i int) bool {
 		w := rec.versions[i]
 		return w.writer > v.writer || (w.writer == v.writer && w.seq > v.seq)
@@ -553,7 +528,7 @@ func (st *Store) insertVersion(s *stripe, rec *tupleRec, v version) {
 	rec.versions = append(rec.versions, version{})
 	copy(rec.versions[i+1:], rec.versions[i:])
 	rec.versions[i] = v
-	st.indexVersion(s, rec.id, v.vals)
+	st.indexVersion(s, id, v.vals)
 	s.seq.Store(v.seq)
 	// A version that is committed-visible the moment it lands — live
 	// writer-0 writes, recovery replay, checkpoint restore — makes
@@ -570,9 +545,9 @@ func (st *Store) insertVersion(s *stripe, rec *tupleRec, v version) {
 // which never commits through a batch and never aborts, so nothing
 // would read its log.
 func (st *Store) addVersion(s *stripe, rec *tupleRec, v version, logRec WriteRec) {
-	st.insertVersion(s, rec, v)
+	st.insertVersion(s, logRec.ID, rec, v)
 	if st.isCommitted(v.writer) {
-		st.trimOrDefer(s, rec)
+		st.trimOrDefer(s, logRec.ID, rec)
 		return
 	}
 	s.logs[v.writer] = append(s.logs[v.writer], logRec)
@@ -645,7 +620,8 @@ func (st *Store) Insert(writer int, t model.Tuple) (id TupleID, rec WriteRec, in
 func (st *Store) insertLocked(s *stripe, writer int, t model.Tuple) (id TupleID, rec WriteRec, inserted bool, err error) {
 	// Visible-duplicate check.
 	snap := st.snapLocked(writer)
-	for _, dupID := range s.contentIdx[st.contentHash(t.Vals)].ids() {
+	var one [1]TupleID
+	for _, dupID := range s.contentIdx.get(st.contentHash(t.Vals), &one) {
 		if vals, ok := snap.getInStripe(s, dupID); ok && (model.Tuple{Rel: t.Rel, Vals: vals}).Equal(t) {
 			return dupID, WriteRec{}, false, nil
 		}
@@ -653,9 +629,9 @@ func (st *Store) insertLocked(s *stripe, writer int, t model.Tuple) (id TupleID,
 	id = s.newID()
 	seq := st.nextSeq.Add(1)
 	vals := append([]model.Value(nil), t.Vals...)
-	tr := &tupleRec{id: id}
+	tr := new(tupleRec)
 	s.tuples[id] = tr
-	s.ids.add(id)
+	s.ids = addID(s.ids, id)
 	w := WriteRec{Writer: writer, Seq: seq, ID: id, Rel: t.Rel, Op: OpInsert, After: vals}
 	st.addVersion(s, tr, version{writer: writer, seq: seq, vals: vals}, w)
 	return id, w, true, nil
@@ -702,7 +678,8 @@ func (st *Store) DeleteContent(writer int, t model.Tuple) ([]WriteRec, error) {
 	defer s.unlock()
 	snap := st.snapLocked(writer)
 	var ids []TupleID
-	for _, id := range s.contentIdx[st.contentHash(t.Vals)].ids() {
+	var one [1]TupleID
+	for _, id := range s.contentIdx.get(st.contentHash(t.Vals), &one) {
 		if vals, ok := snap.getInStripe(s, id); ok && (model.Tuple{Rel: t.Rel, Vals: vals}).Equal(t) {
 			ids = append(ids, id)
 		}
@@ -766,7 +743,7 @@ func replaceNullLocked(stores []*Store, writer int, x, to model.Value) []WriteRe
 		vals []model.Value
 	}
 	var hits []hit
-	for _, id := range snap.tuplesWithNullLocked(x) {
+	for _, id := range snap.liveTuplesWithNull(x) {
 		vals, ok := snap.getLocked(id)
 		if !ok {
 			continue
@@ -775,6 +752,7 @@ func replaceNullLocked(stores []*Store, writer int, x, to model.Value) []WriteRe
 	}
 	sub := model.Subst{x: to}
 	out := make([]WriteRec, 0, len(hits))
+	var one [1]TupleID
 	for _, h := range hits {
 		owner, s := snap.stripeForID(h.id)
 		tr := s.tuples[h.id]
@@ -785,7 +763,7 @@ func replaceNullLocked(stores []*Store, writer int, x, to model.Value) []WriteRe
 		// check runs against the live store so that two tuples rewritten
 		// to the same content within one replacement also collapse.
 		collapsed := false
-		for _, dupID := range s.contentIdx[owner.contentHash(newVals)].ids() {
+		for _, dupID := range s.contentIdx.get(owner.contentHash(newVals), &one) {
 			if dupID == h.id {
 				continue
 			}
@@ -877,13 +855,13 @@ func (st *Store) abortLocked(writer int, stripes []int) {
 				v := tr.versions[j]
 				if v.writer == writer && v.seq == rec.Seq {
 					tr.versions = append(tr.versions[:j], tr.versions[j+1:]...)
-					st.unindexVersion(s, tr, v.vals)
+					st.unindexVersion(s, rec.ID, tr, v.vals)
 					break
 				}
 			}
 			if len(tr.versions) == 0 {
-				delete(s.tuples, tr.id)
-				s.ids.remove(tr.id)
+				delete(s.tuples, rec.ID)
+				s.ids = removeID(s.ids, rec.ID)
 			}
 		}
 		delete(s.logs, writer)
