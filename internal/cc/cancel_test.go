@@ -1,0 +1,240 @@
+package cc
+
+import (
+	"testing"
+
+	"youtopia/internal/chase"
+	"youtopia/internal/model"
+	"youtopia/internal/storage"
+	"youtopia/internal/tgd"
+)
+
+// A cancelled update stays uncommitted until every lower-numbered
+// update commits. These tests drive the case where a lower-numbered
+// update writes, in that window, into what the cancelled update read:
+// the cancelled update must not be rolled back and re-run.
+//
+//	hold: H(x) -> exists z: K(x, z) & L(z)
+//	look: J(x) & K(x, y) -> exists w: M(x, w) & N(w)
+//
+// K(h, k), K(g, k) and M(h, m) are loaded, so update 1 (insert H(h)),
+// update 2 (insert J(h)) and update 3 (insert H(g)) each stop at a
+// positive frontier. Update 2 has read look's violations through
+// K(h, k); update 1 then expands K(h, z), which adds a second one. When
+// update 2 is cancelled, nothing may abort. When update 3 is, update 2
+// is a true victim, and NAIVE's cascade from it reaches update 3.
+
+var cancelOps = []chase.Op{
+	chase.Insert(model.NewTuple("H", model.Const("h"))),
+	chase.Insert(model.NewTuple("J", model.Const("h"))),
+	chase.Insert(model.NewTuple("H", model.Const("g"))),
+}
+
+// cancelCases name the update each run cancels.
+var cancelCases = []struct {
+	name      string
+	cancelled int
+}{
+	{"read-victim", 2},
+	{"cascade-victim", 3},
+}
+
+func cancelFixture(t *testing.T) (*storage.Store, *tgd.Set) {
+	t.Helper()
+	schema := model.NewSchema()
+	schema.MustAddRelation("H", "x")
+	schema.MustAddRelation("K", "x", "z")
+	schema.MustAddRelation("L", "z")
+	schema.MustAddRelation("J", "x")
+	schema.MustAddRelation("M", "x", "w")
+	schema.MustAddRelation("N", "w")
+	set := tgd.MustNewSet(
+		tgd.New("hold",
+			[]tgd.Atom{tgd.NewAtom("H", tgd.V("x"))},
+			[]tgd.Atom{tgd.NewAtom("K", tgd.V("x"), tgd.V("z")), tgd.NewAtom("L", tgd.V("z"))}),
+		tgd.New("look",
+			[]tgd.Atom{tgd.NewAtom("J", tgd.V("x")), tgd.NewAtom("K", tgd.V("x"), tgd.V("y"))},
+			[]tgd.Atom{tgd.NewAtom("M", tgd.V("x"), tgd.V("w")), tgd.NewAtom("N", tgd.V("w"))}),
+	)
+	if err := set.Validate(schema); err != nil {
+		t.Fatal(err)
+	}
+	st := storage.NewStore(schema)
+	for _, tu := range []model.Tuple{
+		model.NewTuple("K", model.Const("h"), model.Const("k")),
+		model.NewTuple("K", model.Const("g"), model.Const("k")),
+		model.NewTuple("M", model.Const("h"), model.Const("m")),
+	} {
+		if _, err := st.Load(tu); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return st, set
+}
+
+// expandFor answers only the updates whose flag is set, always with the
+// first expansion.
+func expandFor(allow map[int]bool) chase.User {
+	return chase.UserFunc(func(u *chase.Update, _ *chase.FrontierGroup, opts []chase.Decision, _ string) (chase.Decision, bool) {
+		if !allow[u.Number] {
+			return chase.Decision{}, false
+		}
+		for _, d := range opts {
+			if d.Kind == chase.DecideExpand {
+				return d, true
+			}
+		}
+		return chase.Decision{}, false
+	})
+}
+
+// allAwaiting reports whether every txn stopped at a frontier.
+func allAwaiting(txns []*Txn) bool {
+	for _, tx := range txns {
+		if tx.Upd.State() != chase.StateAwaitingUser {
+			return false
+		}
+	}
+	return true
+}
+
+// cancelWatch records the txns' abort counts when one is cancelled.
+type cancelWatch struct {
+	cancelled int
+	attempt   int
+	aborts    []int
+}
+
+func watchCancel(txns []*Txn, cancelled int) cancelWatch {
+	w := cancelWatch{cancelled: cancelled, attempt: txns[cancelled-1].Upd.Attempt}
+	for _, tx := range txns {
+		w.aborts = append(w.aborts, tx.aborts)
+	}
+	return w
+}
+
+// check checks that the cancelled txn was never rolled back after its
+// cancellation, that its insert is gone for good, and that every txn
+// committed. When update 3 is the one cancelled, update 2 must have
+// been aborted after the cancellation, so the wave did run past it.
+func (w cancelWatch) check(t *testing.T, st *storage.Store, txns []*Txn) {
+	t.Helper()
+	tc := txns[w.cancelled-1]
+	if tc.Upd.Attempt != w.attempt || tc.aborts != w.aborts[w.cancelled-1] {
+		t.Fatalf("the cancelled update was rolled back: attempt %d -> %d", w.attempt, tc.Upd.Attempt)
+	}
+	if w.cancelled == 3 && txns[1].aborts == w.aborts[1] {
+		t.Fatal("update 2 was not aborted after update 3's cancellation: the case is not exercised")
+	}
+	for _, tx := range txns {
+		if tx.Upd.State() != chase.StateTerminated || !tx.committed {
+			t.Fatalf("update %d is %s, committed %v", tx.Number, tx.Upd.State(), tx.committed)
+		}
+	}
+	rel, want := "J", 0
+	if w.cancelled == 3 {
+		rel, want = "H", 1
+	}
+	if n := st.Snap(1 << 30).CountRel(rel); n != want {
+		t.Fatalf("%s holds %d tuples, want %d: the cancelled insert came back", rel, n, want)
+	}
+}
+
+func TestCancelledUpdateIsNoConflictVictim(t *testing.T) {
+	for _, tr := range []Tracker{Naive{}, Coarse{}, Precise{}} {
+		for _, tc := range cancelCases {
+			t.Run(tr.Name()+"/"+tc.name, func(t *testing.T) {
+				st, set := cancelFixture(t)
+				allow := map[int]bool{}
+				s := NewScheduler(st, set, Config{Tracker: tr, Policy: PolicyRoundRobinStep, User: expandFor(allow)})
+				s.begin(cancelOps, &s.scratch)
+				for round := 0; !allAwaiting(s.txns); round++ {
+					if round == 5 {
+						t.Fatal("the updates did not all reach a frontier")
+					}
+					if _, err := s.round(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				victim := s.txns[tc.cancelled-1]
+				if !victim.Upd.HasReads() {
+					t.Fatalf("update %d published no reads", tc.cancelled)
+				}
+				w := watchCancel(s.txns, tc.cancelled)
+				if err := s.cancel(victim); err != nil {
+					t.Fatal(err)
+				}
+				allow[1], allow[2], allow[3] = true, true, true
+				_, err := s.end(s.loop())
+				if victim.Upd.Attempt != w.attempt {
+					t.Fatalf("the cancelled update was rolled back and re-run (attempt %d -> %d, run error %v)", w.attempt, victim.Upd.Attempt, err)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				w.check(t, st, s.txns)
+			})
+		}
+	}
+}
+
+func TestParallelCancelledUpdateIsNoConflictVictim(t *testing.T) {
+	for _, tr := range []Tracker{Naive{}, Coarse{}, Precise{}} {
+		for _, tc := range cancelCases {
+			t.Run(tr.Name()+"/"+tc.name, func(t *testing.T) {
+				st, set := cancelFixture(t)
+				allow := map[int]bool{}
+				s := NewParallelScheduler(st, set, Config{Tracker: tr, Workers: 1, User: expandFor(allow)})
+				s.submit(cancelOps)
+				var scratch stepScratch
+				for _, tx := range s.txns {
+					tx.sc = &scratch
+				}
+				// The work items a worker would run, in a fixed order: the
+				// updates step to their frontiers, a deadline abort cancels
+				// one, and the others get their answers and step.
+				for round := 0; !allAwaiting(s.txns); round++ {
+					if round == 5 {
+						t.Fatal("the updates did not all reach a frontier")
+					}
+					for _, tx := range s.txns {
+						if _, err := s.execStep(tx, &scratch); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				victim := s.txns[tc.cancelled-1]
+				w := watchCancel(s.txns, tc.cancelled)
+				s.cancelReq[tc.cancelled-1] = true
+				if _, err := s.execPoll(victim); err != nil {
+					t.Fatal(err)
+				}
+				allow[1], allow[2], allow[3] = true, true, true
+				for moved := true; moved; {
+					moved = false
+					for _, tx := range s.txns {
+						var err error
+						switch tx.Upd.State() {
+						case chase.StateReady:
+							_, err = s.execStep(tx, &scratch)
+							moved = true
+						case chase.StateAwaitingUser:
+							_, err = s.execPoll(tx)
+							moved = true
+						}
+						if err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				if _, err := s.execCommit(); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := s.end(nil); err != nil {
+					t.Fatal(err)
+				}
+				w.check(t, st, s.txns)
+			})
+		}
+	}
+}

@@ -21,10 +21,10 @@ import (
 //
 //  1. snapshotCandidatesInto freezes, at write time, each potential
 //     victim's published read-prefix record — an immutable
-//     (attempt, epoch, reads) pointer the update republishes on every
-//     change — into a reusable scratch slice; in steady state the
-//     collection performs zero heap allocations (no per-candidate
-//     locking, no slice copies);
+//     (attempt, epoch, reads) pointer the update republishes at the end
+//     of every engine call that stored reads — into a reusable scratch
+//     slice; in steady state the collection performs zero heap
+//     allocations (no per-candidate locking, no slice copies);
 //  2. directConflicts runs the AffectedBy checks of Algorithm 4 over
 //     those frozen candidates — safe under a shared lock, because the
 //     records are immutable and a bumped attempt counter marks a
@@ -194,7 +194,7 @@ func executeAbortWave(store storage.Backend, cfg *Config, txns []*Txn, direct []
 	marked := make(map[int]bool, len(direct))
 	var queue []int
 	enqueue := func(t *Txn) {
-		if t.committed || marked[t.Number] {
+		if t.committed || t.cancelled || marked[t.Number] {
 			return
 		}
 		marked[t.Number] = true

@@ -50,11 +50,15 @@ import (
 // frozen prefix (and is checked), or was performed after the writes
 // landed — in which case its answer already reflects the writes and no
 // retroactive conflict exists; the tracker records the dependency
-// instead. Each read phase observes the store exactly as if it ran
-// between two steps of the serial interleaving, which is the paper's
-// execution model; Theorem 4.4's serializability argument therefore
-// carries over unchanged, and the committed final instance is
-// equivalent to the serial execution of the same workload.
+// instead. Publishing once per engine call, at its end, keeps this
+// intact: candidate snapshots are taken under the exclusive lock, which
+// never overlaps a step half or a poll, so every read a finished call
+// performed is in the frozen prefix, and every other read was performed
+// after the writes. Each read phase observes the store exactly as if it
+// ran between two steps of the serial interleaving, which is the
+// paper's execution model; Theorem 4.4's serializability argument
+// therefore carries over unchanged, and the committed final instance
+// is equivalent to the serial execution of the same workload.
 //
 // Updates commit strictly in priority order once terminated, through
 // the transaction core shared with the cooperative scheduler: one
@@ -208,17 +212,7 @@ func (s *ParallelScheduler) merge(d Metrics) {
 // metrics; the error reports stalls (absent users), step-limit or
 // abort-limit overruns, or storage failures.
 func (s *ParallelScheduler) Run(ops []chase.Op) (Metrics, error) {
-	s.begin(ops, nil)
-	n := len(ops)
-	s.status = make([]txnStatus, n)
-	s.claimed = make([]bool, n)
-	s.ready = make(readyQueue, 0, n)
-	for i := range ops {
-		s.ready.push(i)
-	}
-	s.idleLimit = s.cfg.MaxIdleRounds * max(n, 1)
-	s.autoAnswer = make([]bool, n)
-	s.cancelReq = make([]bool, n)
+	s.submit(ops)
 	if s.cfg.Inbox != nil {
 		s.cfg.Inbox.SetOnAnswer(s.onAnswer)
 		s.tickStop = make(chan struct{})
@@ -243,6 +237,22 @@ func (s *ParallelScheduler) Run(ops []chase.Op) (Metrics, error) {
 	err := s.err
 	s.mu.Unlock()
 	return s.end(err)
+}
+
+// submit submits the workload and sets up the dispatch state, every
+// txn ready.
+func (s *ParallelScheduler) submit(ops []chase.Op) {
+	s.begin(ops, nil)
+	n := len(ops)
+	s.status = make([]txnStatus, n)
+	s.claimed = make([]bool, n)
+	s.ready = make(readyQueue, 0, n)
+	for i := range ops {
+		s.ready.push(i)
+	}
+	s.idleLimit = s.cfg.MaxIdleRounds * max(n, 1)
+	s.autoAnswer = make([]bool, n)
+	s.cancelReq = make([]bool, n)
 }
 
 // workerLoop pulls and executes work items until the run completes or

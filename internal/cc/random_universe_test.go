@@ -213,15 +213,11 @@ func TestParallelCheckersPerWorker(t *testing.T) {
 	}
 }
 
-// TestParallelEquivalenceOnDuplicateHeavySeeds regresses a conflict
-// hole the striped-store PR fixed: pool-constant seed batches carry
-// many content-identical inserts, and a successful insert that a
-// lower-priority update later duplicates must abort and rerun as a
-// no-op (the serial execution would have no-op'ed) — which requires
-// real inserts to store their content probe, not just no-op inserts.
-// Without that read, the parallel final state diverged from serial
-// beyond null renaming on exactly this workload shape.
-func TestParallelEquivalenceOnDuplicateHeavySeeds(t *testing.T) {
+// duplicateHeavySeeds is the pool-constant seed batch of the
+// striped-store and sharded-store serializability regressions: pure
+// inserts of pool constants, with heavy duplication.
+func duplicateHeavySeeds(t *testing.T) (*workload.Universe, []chase.Op) {
+	t.Helper()
 	cfg := workload.Config{
 		Relations:       10,
 		MinArity:        1,
@@ -255,6 +251,19 @@ func TestParallelEquivalenceOnDuplicateHeavySeeds(t *testing.T) {
 		}
 		ops = append(ops, chase.Insert(model.NewTuple(rel, vals...)))
 	}
+	return u, ops
+}
+
+// TestParallelEquivalenceOnDuplicateHeavySeeds regresses a conflict
+// hole the striped-store PR fixed: pool-constant seed batches carry
+// many content-identical inserts, and a successful insert that a
+// lower-priority update later duplicates must abort and rerun as a
+// no-op (the serial execution would have no-op'ed) — which requires
+// real inserts to store their content probe, not just no-op inserts.
+// Without that read, the parallel final state diverged from serial
+// beyond null renaming on exactly this workload shape.
+func TestParallelEquivalenceOnDuplicateHeavySeeds(t *testing.T) {
+	u, ops := duplicateHeavySeeds(t)
 
 	stSerial, err := u.NewStore()
 	if err != nil {

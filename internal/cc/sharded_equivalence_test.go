@@ -2,11 +2,9 @@ package cc_test
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
 
 	"youtopia/internal/cc"
-	"youtopia/internal/chase"
 	"youtopia/internal/model"
 	"youtopia/internal/query"
 	"youtopia/internal/serial"
@@ -142,38 +140,7 @@ func TestShardedSerialEquivalenceOnRandomUniverses(t *testing.T) {
 // the abort-removal drift hole (see abortdrift_test.go), so it doubles
 // as its end-to-end regression on the sharded deployment.
 func TestShardedParallelEquivalenceOnDuplicateHeavySeeds(t *testing.T) {
-	cfg := workload.Config{
-		Relations:       10,
-		MinArity:        1,
-		MaxArity:        4,
-		Constants:       12,
-		Mappings:        12,
-		MaxAtomsPerSide: 3,
-		InitialTuples:   1,
-		Updates:         0,
-		InsertPct:       100,
-		Seed:            1,
-	}
-	u, err := workload.Build(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(42))
-	rels := u.Schema.Names()
-	var ops []chase.Op
-	n := 120
-	if testing.Short() {
-		n = 40
-	}
-	for i := 0; i < n; i++ {
-		rel := rels[rng.Intn(len(rels))]
-		arity := u.Schema.Arity(rel)
-		vals := make([]model.Value, arity)
-		for j := range vals {
-			vals[j] = u.Pool[rng.Intn(len(u.Pool))]
-		}
-		ops = append(ops, chase.Insert(model.NewTuple(rel, vals...)))
-	}
+	u, ops := duplicateHeavySeeds(t)
 
 	stSerial, err := u.NewStore()
 	if err != nil {

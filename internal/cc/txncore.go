@@ -26,6 +26,9 @@ type Txn struct {
 	// txn committed; committed txns can no longer abort and their
 	// stored queries are released.
 	committed bool
+	// cancelled is set when cancel dropped the txn's chase: like a
+	// committed txn it can no longer abort.
+	cancelled bool
 	// aborts counts how many times this txn has aborted.
 	aborts int
 	// sc is the scratch of the goroutine stepping the txn, set by the
@@ -311,8 +314,12 @@ func (c *txnCore) inboxPoll(t *Txn, m *Metrics) (bool, error) {
 
 // cancel aborts an update for good: its writes roll back, the update
 // becomes an empty terminated commit (preserving commit order), and its
-// inbox entry is dropped. The parallel scheduler calls it under the
-// exclusive phase lock.
+// inbox entry is dropped. Until that commit the update stays in the
+// txn list, so cancel also takes it out of conflict processing: its
+// reads are released, as at commit, and the abort wave skips it. An
+// empty commit depends on nothing, and rolling it back would re-plan
+// the initial operation the deadline policy dropped. The parallel
+// scheduler calls it under the exclusive phase lock.
 func (c *txnCore) cancel(t *Txn) error {
 	if t.committed {
 		return fmt.Errorf("cc: cancel of committed update %d", t.Number)
@@ -320,6 +327,9 @@ func (c *txnCore) cancel(t *Txn) error {
 	if t.Upd.State() != chase.StateTerminated {
 		c.store.Abort(t.Number)
 		t.Upd.Cancel()
+		t.Upd.ReleaseReads()
+		clear(t.deps)
+		t.cancelled = true
 	}
 	c.mu.Lock()
 	c.dropEntryLocked(t)

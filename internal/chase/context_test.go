@@ -10,11 +10,12 @@ import (
 	"youtopia/internal/tgd"
 )
 
-// These tests pin the per-attempt query context: one snapshot and one
-// query engine per update attempt, created at the attempt's first
-// query, shared by every query site of the attempt, and dropped when
-// the attempt ends — plus the allocation budget of a step that runs on
-// a warm context.
+// These tests pin the recycled query context: an attempt runs on one
+// context from its first query until it gives the context back
+// (termination, Cancel, Reset), a context taken again reads at its new
+// update's number, and an engine builds no more contexts than the peak
+// number of attempts holding one — plus the allocation budget of a
+// step that runs on a warm context.
 
 // stepFixture is a store with three mappings that between them exercise
 // the step shapes the budget pins:
@@ -178,8 +179,10 @@ func BenchmarkChaseStep(b *testing.B) {
 	}
 }
 
-// TestQueryContextLifetime: nil before the first query, one engine for
-// the whole attempt, nil again after termination, Cancel and Reset.
+// TestQueryContextLifetime: nil before the first query, one context for
+// the whole attempt, given back at termination, Reset and Cancel, and
+// taken again by the next attempt at that attempt's own update number.
+// The engine builds one context for the whole test.
 func TestQueryContextLifetime(t *testing.T) {
 	f := newStepFixture(t)
 	contexts := obsQueryContexts.Value()
@@ -192,12 +195,12 @@ func TestQueryContextLifetime(t *testing.T) {
 	if err != nil || res.State != StateReady {
 		t.Fatalf("step 1: %v, %v", res.State, err)
 	}
-	qe := u.qctx
-	if qe == nil {
+	c := u.qctx
+	if c == nil {
 		t.Fatal("no context after the attempt's first queries")
 	}
-	if qe.Snapshot().Reader() != u.Number {
-		t.Fatalf("context reads as %d, update is %d", qe.Snapshot().Reader(), u.Number)
+	if got := c.qe.Snapshot().Reader(); got != u.Number {
+		t.Fatalf("context reads as %d, update is %d", got, u.Number)
 	}
 	res, err = f.eng.Step(u)
 	if err != nil || res.State != StateTerminated {
@@ -206,48 +209,147 @@ func TestQueryContextLifetime(t *testing.T) {
 	if u.qctx != nil {
 		t.Fatal("terminated update still holds its context")
 	}
-	if got := obsQueryContexts.Value() - contexts; got != 1 {
-		t.Fatalf("a two-step attempt created %d contexts, want 1", got)
+	if len(f.eng.idle) != 1 || f.eng.idle[0] != c {
+		t.Fatal("termination did not give the context back")
 	}
 
-	// Reset: the next attempt starts without one and builds its own.
-	u = f.warmAttempt(t)
-	old := u.qctx
-	f.st.Abort(u.Number)
-	u.Reset()
-	if u.qctx != nil {
-		t.Fatal("Reset kept the previous attempt's context")
-	}
-	for u.State() != StateAwaitingUser {
-		if _, err := f.eng.Step(u); err != nil {
-			t.Fatal(err)
+	// takeAgain steps v to its frontier and checks it runs on c, re-pointed
+	// at v's number.
+	takeAgain := func(v *Update, what string) {
+		t.Helper()
+		for v.State() == StateReady {
+			if _, err := f.eng.Step(v); err != nil {
+				t.Fatal(err)
+			}
+			if v.qctx != nil && v.qctx != c {
+				t.Fatalf("%s: the attempt runs on a new context", what)
+			}
+		}
+		if v.qctx != c {
+			t.Fatalf("%s: the attempt did not take the idle context", what)
+		}
+		if got := c.qe.Snapshot().Reader(); got != v.Number {
+			t.Fatalf("%s: context reads as %d, update is %d", what, got, v.Number)
 		}
 	}
-	if u.qctx == nil || u.qctx == old {
-		t.Fatal("the new attempt did not build a context of its own")
-	}
+
+	// Another update takes the same context and reads at its own number.
+	u = NewUpdate(2, Insert(model.NewTuple("H", model.Const("h"))))
+	takeAgain(u, "update 2")
 
 	// Options and DecisionContext are query sites of the same attempt.
-	qe = u.qctx
 	g := u.Groups()[0]
 	if opts := f.eng.Options(u, g); len(opts) != 2 {
 		t.Fatalf("options = %v, want expand + one unify", opts)
 	}
 	f.eng.DecisionContext(u, g)
-	if u.qctx != qe {
+	if u.qctx != c {
 		t.Fatal("a frontier query replaced the attempt's context")
 	}
 
-	// Cancel.
+	// Reset gives it back; the next attempt takes it again.
+	f.st.Abort(u.Number)
+	u.Reset()
+	if u.qctx != nil || len(f.eng.idle) != 1 {
+		t.Fatal("Reset kept the previous attempt's context")
+	}
+	takeAgain(u, "update 2, attempt 2")
+
+	// Cancel gives it back too.
 	f.st.Abort(u.Number)
 	u.Cancel()
-	if u.qctx != nil {
+	if u.qctx != nil || len(f.eng.idle) != 1 {
 		t.Fatal("Cancel kept the context")
+	}
+	takeAgain(NewUpdate(3, Insert(model.NewTuple("H", model.Const("h")))), "update 3")
+
+	if got := obsQueryContexts.Value() - contexts; got != 1 {
+		t.Fatalf("one attempt at a time created %d contexts, want 1", got)
+	}
+}
+
+// TestQueryContextsBoundedByAttemptsInFlight interleaves attempts the
+// way a cooperative scheduler does — some parked at frontiers, some
+// terminating, some cancelled — and checks that the engine never builds
+// more contexts than the peak number of attempts holding one at once,
+// and that no two attempts ever hold the same context.
+func TestQueryContextsBoundedByAttemptsInFlight(t *testing.T) {
+	f := newStepFixture(t)
+	contexts := obsQueryContexts.Value()
+	peak := 0
+	var live []*Update
+	checkOwners := func() {
+		t.Helper()
+		owners := make(map[*queryContext]int)
+		held := 0
+		for _, v := range live {
+			if v.qctx == nil {
+				continue
+			}
+			held++
+			if w, dup := owners[v.qctx]; dup {
+				t.Fatalf("updates %d and %d hold one context", w, v.Number)
+			}
+			owners[v.qctx] = v.Number
+			if got := v.qctx.qe.Snapshot().Reader(); got != v.Number {
+				t.Fatalf("update %d's context reads as %d", v.Number, got)
+			}
+		}
+		peak = max(peak, held)
+	}
+	n := 0
+	for wave := 0; wave < 4; wave++ {
+		// Each wave adds two attempts that park at a frontier (their K
+		// target is loaded first) and three that terminate, stepped
+		// round-robin.
+		for i := 0; i < 5; i++ {
+			n++
+			val := model.Const(fmt.Sprintf("w%d", n))
+			rel := "A"
+			if i < 2 {
+				rel = "H"
+				if _, err := f.st.Load(model.NewTuple("K", val, model.Const("k"))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			live = append(live, NewUpdate(n, Insert(model.NewTuple(rel, val))))
+		}
+		for moved := true; moved; {
+			moved = false
+			for _, v := range live {
+				if v.State() != StateReady {
+					continue
+				}
+				if _, err := f.eng.Step(v); err != nil {
+					t.Fatal(err)
+				}
+				moved = true
+				checkOwners()
+			}
+		}
+		// Cancel the oldest parked attempt; the next wave reuses its context.
+		for _, v := range live {
+			if v.State() == StateAwaitingUser {
+				f.st.Abort(v.Number)
+				v.Cancel()
+				break
+			}
+		}
+		checkOwners()
+	}
+	created := obsQueryContexts.Value() - contexts
+	t.Logf("%d attempts, peak %d holding a context, %d contexts created", n, peak, created)
+	if created > int64(peak) {
+		t.Fatalf("%d contexts created, peak attempts holding one %d", created, peak)
+	}
+	if int(created) >= n {
+		t.Fatalf("%d contexts for %d attempts: nothing was recycled", created, n)
 	}
 }
 
 // TestWideMappingStepsThroughSharedContext: a mapping with more than 64
-// variables steps on the same per-attempt context as everything else.
+// variables steps on the same context as everything else, from the
+// attempt's first query until it gives the context back.
 func TestWideMappingStepsThroughSharedContext(t *testing.T) {
 	const width = 65 // RHS existentials; 66 variables with x
 	schema := model.NewSchema()
@@ -269,33 +371,41 @@ func TestWideMappingStepsThroughSharedContext(t *testing.T) {
 	eng := NewEngine(st, tgd.MustNewSet(wide))
 	contexts := obsQueryContexts.Value()
 
-	u := NewUpdate(1, Insert(model.NewTuple("A", model.Const("a"))))
-	var qe *query.Engine
-	for step := 1; ; step++ {
-		res, err := eng.Step(u)
-		if err != nil {
+	var c *queryContext
+	for number, val := range []string{"a", "b"} {
+		u := NewUpdate(number+1, Insert(model.NewTuple("A", model.Const(val))))
+		for step := 1; ; step++ {
+			res, err := eng.Step(u)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.State == StateTerminated {
+				break
+			}
+			if res.State != StateReady || step > 3 {
+				t.Fatalf("step %d ended %s", step, res.State)
+			}
+			if c == nil {
+				c = u.qctx
+			}
+			if u.qctx == nil || u.qctx != c {
+				t.Fatalf("update %d step %d ran on a different context", u.Number, step)
+			}
+		}
+		if u.qctx != nil {
+			t.Fatalf("update %d kept its context after terminating", u.Number)
+		}
+		if err := st.Commit(u.Number); err != nil {
 			t.Fatal(err)
-		}
-		if res.State == StateTerminated {
-			break
-		}
-		if res.State != StateReady || step > 3 {
-			t.Fatalf("step %d ended %s", step, res.State)
-		}
-		if qe == nil {
-			qe = u.qctx
-		}
-		if u.qctx == nil || u.qctx != qe {
-			t.Fatalf("step %d ran on a different context", step)
 		}
 	}
 	if got := obsQueryContexts.Value() - contexts; got != 1 {
-		t.Fatalf("the wide mapping's attempt created %d contexts, want 1", got)
+		t.Fatalf("two wide-mapping attempts created %d contexts, want 1", got)
 	}
-	if n := st.Snap(u.Number).CountRel("W"); n != 1 {
-		t.Fatalf("W holds %d tuples after the repair, want 1", n)
+	if n := st.Snap(2).CountRel("W"); n != 2 {
+		t.Fatalf("W holds %d tuples after the repairs, want 2", n)
 	}
-	if vs := query.NewEngine(st.Snap(u.Number)).AllViolations(eng.Mappings()); len(vs) != 0 {
+	if vs := query.NewEngine(st.Snap(2)).AllViolations(eng.Mappings()); len(vs) != 0 {
 		t.Fatalf("%d violations survive", len(vs))
 	}
 }

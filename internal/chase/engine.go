@@ -2,6 +2,7 @@ package chase
 
 import (
 	"fmt"
+	"sync"
 
 	"youtopia/internal/model"
 	"youtopia/internal/query"
@@ -11,7 +12,10 @@ import (
 
 // ReadObserver is notified of every read query an update performs, at
 // the moment it is performed. Concurrency control installs an observer
-// to compute read dependencies (§5.1) as reads happen.
+// to compute read dependencies (§5.1) as reads happen. An engine keeps
+// read logs only while an observer is installed: the logs exist for
+// Algorithm 4's conflict checks, and without concurrency control
+// nothing ever checks them.
 type ReadObserver func(u *Update, q query.ReadQuery)
 
 // Engine executes chase steps against a store and a mapping set. It
@@ -25,6 +29,12 @@ type Engine struct {
 	// MaxStepsPerAttempt guards against runaway chases (cyclic mappings
 	// with users who always expand). Zero means no limit.
 	MaxStepsPerAttempt int
+
+	// idle holds the query contexts no attempt owns (queryContext),
+	// guarded by idleMu. It is a plain list rather than a sync.Pool,
+	// which drains at every collection and would hand out cold pools.
+	idleMu sync.Mutex
+	idle   []*queryContext
 }
 
 // NewEngine creates a chase engine.
@@ -41,37 +51,90 @@ func (e *Engine) Store() storage.Backend { return e.store }
 // Mappings returns the mapping set.
 func (e *Engine) Mappings() *tgd.Set { return e.tgds }
 
+// logsReads reports whether the engine keeps read logs, i.e. whether
+// an observer is installed. Read sites test it before building a read.
+func (e *Engine) logsReads() bool { return e.observer != nil }
+
 // record logs a read query on the update and notifies the observer.
-// Re-performing an identical intensional read is not re-logged: the
-// stored copy already guards its answer, and any write that would have
-// shifted the answer in between triggered a conflict on it.
+// Callers have checked logsReads. Re-performing an identical
+// intensional read is not re-logged: the stored copy already guards
+// its answer, and any write that would have shifted the answer in
+// between triggered a conflict on it. The log grows without being
+// published; publish makes the call's reads visible at its end.
 func (e *Engine) record(u *Update, q query.ReadQuery) {
-	if !u.addRead(q) {
-		return
-	}
-	if e.observer != nil {
+	if u.addRead(q) {
 		e.observer(u, q)
 	}
 }
 
-// queryContext returns the update attempt's query context — one live
-// snapshot at the update's reader priority and one query engine whose
-// pools (slot runs, key and signature buffers) every query of the
-// attempt then finds warm — creating it on first use. The snapshot is
-// a stateless view over live store state, so it stays valid across the
-// attempt's own writes. The context belongs to the goroutine currently
-// stepping the update (query.Engine is not safe for concurrent use):
-// every caller is a step or frontier operation on u itself, never a
-// conflict check on u's behalf, which runs on other goroutines and
-// builds its own engine (query.ViolationRead.AffectedBy). It is
-// dropped when the attempt ends — termination, Cancel, Reset — so a
-// finished update pins no pools.
+// publish makes the reads the engine call recorded visible to conflict
+// checks as one ReadPrefix. Every engine entry point that records reads
+// (StepWrites, StepReads, Options, Apply) calls it before returning,
+// so the publication happens inside the caller's phase lock.
+func (e *Engine) publish(u *Update) {
+	if e.logsReads() {
+		u.publishReads()
+	}
+}
+
+// queryContext is the query context of one update attempt: one live
+// snapshot at the update's reader priority and one query engine over
+// it, whose pools (slot runs, key and signature buffers) the attempt's
+// queries find warm. The snapshot is a stateless view over live store
+// state, so it stays valid across the attempt's own writes.
+//
+// Contexts are recycled through the engine's idle list. An attempt
+// takes one at its first query (Engine.queryContext), which re-points
+// the snapshot at the attempt's update number in place
+// (Backend.SnapInto), and gives it back when the attempt ends: at
+// termination, Cancel and Reset (Update.releaseContext). Between the
+// two, the context belongs to that attempt alone and is used by one
+// goroutine at a time — query.Engine is not safe for concurrent use.
+// Every user is a step or frontier operation on the owning update;
+// conflict checks on its behalf run on other goroutines' checkers
+// (query.Checker) and never borrow it.
+//
+// Under the parallel scheduler an abort wave gives a victim's context
+// back through Reset while another worker may hold the victim's claim.
+// That worker cannot still be using the context: the wave runs under
+// the exclusive phase lock, so no shared phase is in progress, and the
+// victim's worker re-checks the attempt counter (bumped by Reset) at
+// its next lock acquisition before it touches the update again. A
+// poll that acquires the lock later sees a ready update and does not
+// query. The context may therefore go to another attempt at once.
+type queryContext struct {
+	qe   *query.Engine
+	snap storage.Snapshot
+	home *Engine
+}
+
+// queryContext returns the attempt's query engine, taking a context
+// from the idle list, or building one, at the attempt's first query.
 func (e *Engine) queryContext(u *Update) *query.Engine {
 	if u.qctx == nil {
-		u.qctx = query.NewEngine(e.store.Snap(u.Number))
-		obsQueryContexts.Inc()
+		e.idleMu.Lock()
+		if n := len(e.idle); n > 0 {
+			u.qctx = e.idle[n-1]
+			e.idle[n-1] = nil
+			e.idle = e.idle[:n-1]
+		}
+		e.idleMu.Unlock()
+		if u.qctx == nil {
+			c := &queryContext{home: e}
+			c.qe = query.NewEngine(&c.snap)
+			u.qctx = c
+			obsQueryContexts.Inc()
+		}
+		e.store.SnapInto(&u.qctx.snap, u.Number)
 	}
-	return u.qctx
+	return u.qctx.qe
+}
+
+// giveBack returns a context to the idle list.
+func (e *Engine) giveBack(c *queryContext) {
+	e.idleMu.Lock()
+	e.idle = append(e.idle, c)
+	e.idleMu.Unlock()
 }
 
 // StepResult reports what one chase step did.
@@ -123,6 +186,7 @@ func (e *Engine) StepWrites(u *Update) (StepResult, error) {
 	obsSteps.Inc()
 
 	writes, err := e.performWrites(u)
+	e.publish(u)
 	if err != nil {
 		return StepResult{Writes: writes, State: u.state}, err
 	}
@@ -138,6 +202,7 @@ func (e *Engine) StepWrites(u *Update) (StepResult, error) {
 // It only reads the store — new writes are merely planned into the
 // update's write set — and mutates nothing but the update itself.
 func (e *Engine) StepReads(u *Update, writes []storage.WriteRec) (StepResult, error) {
+	defer e.publish(u)
 	qe := e.queryContext(u)
 
 	// Phase 2: discover new violations caused by the writes.
@@ -166,7 +231,7 @@ func (e *Engine) StepReads(u *Update, writes []storage.WriteRec) (StepResult, er
 		u.state = StateReady
 	case len(u.queue) == 0:
 		u.state = StateTerminated
-		u.qctx = nil
+		u.releaseContext()
 	default:
 		u.state = StateAwaitingUser
 	}
@@ -194,8 +259,10 @@ func (e *Engine) performWrites(u *Update) ([]storage.WriteRec, error) {
 			// update later writes the same fact, the serial execution
 			// would have no-op'ed here, so the stored probe must exist
 			// for Algorithm 4 to abort and rerun this update.
-			e.record(u, &query.ContentRead{Rel: op.Tuple.Rel,
-				Vals: contentVals(op.Tuple.Vals, rec.After), ReaderNo: u.Number})
+			if e.logsReads() {
+				e.record(u, &query.ContentRead{Rel: op.Tuple.Rel,
+					Vals: contentVals(op.Tuple.Vals, rec.After), ReaderNo: u.Number})
+			}
 			if inserted {
 				out = append(out, rec)
 			}
@@ -205,12 +272,14 @@ func (e *Engine) performWrites(u *Update) ([]storage.WriteRec, error) {
 				return out, err
 			}
 			// The set of copies removed is a content read.
-			var removed []model.Value
-			if len(recs) > 0 {
-				removed = recs[0].Before
+			if e.logsReads() {
+				var removed []model.Value
+				if len(recs) > 0 {
+					removed = recs[0].Before
+				}
+				e.record(u, &query.ContentRead{Rel: op.Tuple.Rel,
+					Vals: contentVals(op.Tuple.Vals, removed), ReaderNo: u.Number})
 			}
-			e.record(u, &query.ContentRead{Rel: op.Tuple.Rel,
-				Vals: contentVals(op.Tuple.Vals, removed), ReaderNo: u.Number})
 			out = append(out, recs...)
 		case OpDeleteID:
 			rec, ok, err := e.store.Delete(u.Number, op.ID)
@@ -222,7 +291,9 @@ func (e *Engine) performWrites(u *Update) ([]storage.WriteRec, error) {
 			}
 		case OpReplaceNull:
 			// The set of rewritten tuples is the null-occurrence read.
-			e.record(u, &query.NullOccRead{Null: op.Null, ReaderNo: u.Number})
+			if e.logsReads() {
+				e.record(u, &query.NullOccRead{Null: op.Null, ReaderNo: u.Number})
+			}
 			recs, err := e.store.ReplaceNull(u.Number, op.Null, op.With)
 			if err != nil {
 				return out, err
@@ -266,6 +337,8 @@ func (e *Engine) discoverViolations(u *Update, qe *query.Engine, w *storage.Writ
 
 // seedAndEnqueue runs, logs and harvests the violation query of every
 // mapping a write of vals into rel can violate on the given side.
+// Without a read log the query is evaluated bare: no read object, read
+// vector or canonical answer is built.
 func (e *Engine) seedAndEnqueue(u *Update, qe *query.Engine, rel string, vals []model.Value, side query.Side) {
 	if vals == nil {
 		return
@@ -275,8 +348,14 @@ func (e *Engine) seedAndEnqueue(u *Update, qe *query.Engine, rel string, vals []
 		mappings = e.tgds.WithRHSRelation(rel)
 	}
 	for _, t := range mappings {
-		rq, vs := query.NewViolationRead(qe, t, rel, vals, side)
-		e.record(u, rq)
+		var vs []query.Violation
+		if e.logsReads() {
+			var rq query.ReadQuery
+			rq, vs = query.NewViolationRead(qe, t, rel, vals, side)
+			e.record(u, rq)
+		} else {
+			vs = qe.ViolationsSeeded(t, rel, vals, side)
+		}
 		for i := range vs {
 			enqueue(u, qe, vs[i], side == query.SeedLHS)
 		}
@@ -369,7 +448,9 @@ func (e *Engine) planForward(u *Update, qv *queuedViolation) error {
 	for _, t := range tuples {
 		// The generated tuple's values are never modified in place
 		// (substitutions copy), so the stored pattern shares them.
-		e.record(u, &query.MoreSpecificRead{Rel: t.Rel, Pattern: t.Vals, ReaderNo: u.Number})
+		if e.logsReads() {
+			e.record(u, &query.MoreSpecificRead{Rel: t.Rel, Pattern: t.Vals, ReaderNo: u.Number})
+		}
 		if len(snap.MoreSpecific(t)) > 0 {
 			frontier = append(frontier, t)
 		} else {

@@ -95,10 +95,13 @@ var (
 // explicit-intent extension operation — but Apply accepts it.
 func (e *Engine) Options(u *Update, g *FrontierGroup) []Decision {
 	if g.Positive {
+		defer e.publish(u)
 		var out []Decision
 		snap := e.queryContext(u).Snapshot()
 		for idx, t := range g.Tuples {
-			e.record(u, &query.MoreSpecificRead{Rel: t.Rel, Pattern: t.Vals, ReaderNo: u.Number})
+			if e.logsReads() {
+				e.record(u, &query.MoreSpecificRead{Rel: t.Rel, Pattern: t.Vals, ReaderNo: u.Number})
+			}
 			targets := snap.MoreSpecific(t)
 			out = slices.Grow(out, 1+len(targets))
 			out = append(out, Decision{Kind: DecideExpand, TupleIdx: idx})
@@ -202,6 +205,7 @@ func (e *Engine) Apply(u *Update, groupID int, d Decision) error {
 	if !ok {
 		return fmt.Errorf("%w: no open group %d on update %d", ErrStaleDecision, groupID, u.Number)
 	}
+	defer e.publish(u)
 	var err error
 	switch d.Kind {
 	case DecideExpand:
@@ -320,7 +324,9 @@ func (e *Engine) applyUnify(u *Update, g *FrontierGroup, d Decision) error {
 			// Never escaped: provably absent from the database.
 			continue
 		}
-		e.record(u, &query.NullOccRead{Null: k, ReaderNo: u.Number})
+		if e.logsReads() {
+			e.record(u, &query.NullOccRead{Null: k, ReaderNo: u.Number})
+		}
 		if len(snap.TuplesWithNull(k)) > 0 {
 			op := ReplaceNull(k, sub[k])
 			op.Cause = "frontier unification for " + g.Viol.TGD.Name

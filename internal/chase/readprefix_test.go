@@ -25,8 +25,8 @@ func probeRead(n int) query.ReadQuery {
 func TestReadPrefixPublication(t *testing.T) {
 	u := NewUpdate(1, Op{})
 	p0 := u.PublishedReads()
-	if len(p0.Reads) != 0 || p0.Attempt != 1 {
-		t.Fatalf("fresh update published %d reads at attempt %d", len(p0.Reads), p0.Attempt)
+	if len(p0.Reads) != 0 || p0.Epoch != 0 {
+		t.Fatalf("fresh update published %d reads at epoch %d, want nothing published", len(p0.Reads), p0.Epoch)
 	}
 	if u.HasReads() {
 		t.Fatal("fresh update claims reads")
@@ -118,7 +118,7 @@ func TestReadLogHashCollision(t *testing.T) {
 	if !u.addReadHashed(probeRead(5), h+2) || u.addReadHashed(probeRead(5), h+2) {
 		t.Fatal("a read hashing into the collision chain was mis-deduplicated")
 	}
-	if got := len(u.StoredReads()); got != 6 {
+	if got := len(u.reads); got != 6 {
 		t.Fatalf("log holds %d reads, want 6", got)
 	}
 	u.Reset()
@@ -145,7 +145,7 @@ func TestReadDedupAcrossCollection(t *testing.T) {
 	if !u.addRead(read()) {
 		t.Fatal("first read reported as a duplicate")
 	}
-	h := query.ReadHash(u.StoredReads()[0])
+	h := query.ReadHash(u.reads[0])
 	for i := 0; i < 3; i++ {
 		runtime.GC()
 	}

@@ -149,15 +149,17 @@ type Update struct {
 
 	// reads are the stored read queries of the current attempt, in the
 	// order performed; concurrency control checks writes against them.
-	// Identical queries are stored once (they denote the same
-	// intensional read). The slice is guarded by readsMu; every change
-	// additionally publishes an immutable ReadPrefix record through
-	// the atomic published pointer, which is how conflict checkers
-	// snapshot the prefix without a lock or a copy — entries are
-	// immutable once published, so a loaded record stays valid after
-	// later appends, a Reset, or a ReleaseReads. Unexported so the
-	// unsynchronized access pattern of the pre-striping schedulers
-	// cannot compile.
+	// The engine keeps them only while a read observer is installed
+	// (Engine.logsReads). Identical queries are stored once (they
+	// denote the same intensional read). The slice is guarded by
+	// readsMu. Appends are published at the end of the engine call that
+	// made them, as one immutable ReadPrefix record behind the atomic
+	// published pointer (publishReads); a Reset or ReleaseReads
+	// publishes at once. That record is how conflict checkers snapshot
+	// the prefix without a lock or a copy — entries are immutable once
+	// published, so a loaded record stays valid after later appends, a
+	// Reset, or a ReleaseReads. Unexported so the unsynchronized access
+	// pattern of the pre-striping schedulers cannot compile.
 	reads     []query.ReadQuery
 	readsMu   sync.Mutex
 	published atomic.Pointer[ReadPrefix]
@@ -174,9 +176,9 @@ type Update struct {
 	readIdx map[uint64]int32
 
 	// qctx is the attempt's query context (Engine.queryContext): nil
-	// until the attempt's first query and again once the attempt ends.
-	// Touched only by the goroutine stepping the update.
-	qctx *query.Engine
+	// until the attempt's first query and again once the attempt gave
+	// it back. Touched only by the goroutine stepping the update.
+	qctx *queryContext
 
 	// Trace records every performed write with its provenance cause,
 	// in execution order — the derivation a user interface can show
@@ -210,12 +212,17 @@ func (u *Update) Reset() {
 	u.queue = nil
 	u.groups = nil
 	u.nextGID = 0
-	u.qctx = nil
+	u.releaseContext()
 	u.Attempt++
 	u.readsMu.Lock()
 	u.reads = nil
 	u.readIdx = nil
-	u.publishLocked()
+	if u.published.Load() != nil {
+		// Retract the earlier attempt's record. An update that never
+		// published (every update of an engine without a read log)
+		// keeps reading as emptyPrefix.
+		u.publishLocked()
+	}
 	u.readsMu.Unlock()
 	u.Trace = nil
 	u.Stats = Stats{}
@@ -232,7 +239,17 @@ func (u *Update) Cancel() {
 	u.writeSet = nil
 	u.queue = nil
 	u.groups = nil
-	u.qctx = nil
+	u.releaseContext()
+}
+
+// releaseContext gives the attempt's query context back to the engine
+// it came from (see Engine.queryContext for why this is safe from any
+// caller holding the update).
+func (u *Update) releaseContext() {
+	if c := u.qctx; c != nil {
+		u.qctx = nil
+		c.home.giveBack(c)
+	}
 }
 
 // TraceEntry pairs a performed write with the reason the chase
@@ -248,20 +265,21 @@ func (t TraceEntry) String() string {
 }
 
 // ReadPrefix is the immutable conflict-check record an update
-// publishes whenever its stored reads change: the read prefix as a
-// capacity-clamped slice, the attempt that performed those reads, and
-// a monotone publication epoch. Records are never mutated after
-// publication — later appends publish a longer record, a Reset or
-// ReleaseReads publishes an empty one — so a loaded pointer can be
-// checked lock- and copy-free, and revalidated later by comparing its
-// Attempt against the live counter exactly as the storage layer's
-// per-stripe sequence numbers are compared: an unchanged attempt
-// proves the frozen reads are still the update's reads. Epoch is the
-// finer counter — it moves on every publication, appends included, so
-// it versions individual records (an unchanged epoch means the loaded
-// pointer IS the current record) but is deliberately not what
-// conflict revalidation compares: a grown prefix does not invalidate
-// verdicts computed on its frozen predecessor.
+// publishes at the end of every engine call that stored reads, at
+// every ReleaseReads, and at a Reset once it has published: the read
+// prefix as a capacity-clamped slice, the attempt that performed those
+// reads, and a monotone publication epoch. Records are never mutated after publication —
+// later appends publish a longer record, a Reset or ReleaseReads
+// publishes an empty one — so a loaded pointer can be checked lock- and
+// copy-free, and revalidated later by comparing its Attempt against the
+// live counter exactly as the storage layer's per-stripe sequence
+// numbers are compared: an unchanged attempt proves the frozen reads
+// are still the update's reads. Epoch is the finer counter — it moves
+// on every publication, appends included, so it versions individual
+// records (an unchanged epoch means the loaded pointer IS the current
+// record) but is deliberately not what conflict revalidation compares:
+// a grown prefix does not invalidate verdicts computed on its frozen
+// predecessor.
 type ReadPrefix struct {
 	// Attempt is the update attempt the reads belong to; a candidate
 	// whose live attempt moved past it restarted after the snapshot.
@@ -272,7 +290,8 @@ type ReadPrefix struct {
 	Reads []query.ReadQuery
 }
 
-// emptyPrefix backs PublishedReads before the first publication.
+// emptyPrefix backs PublishedReads before the first publication. Its
+// Attempt, 0, matches no attempt, and it holds no reads.
 var emptyPrefix = &ReadPrefix{}
 
 // publishLocked publishes the current reads as a fresh immutable
@@ -286,9 +305,19 @@ func (u *Update) publishLocked() {
 	})
 }
 
+// publishReads publishes the reads appended since the last
+// publication, if there are any.
+func (u *Update) publishReads() {
+	u.readsMu.Lock()
+	defer u.readsMu.Unlock()
+	if len(u.reads) != len(u.PublishedReads().Reads) {
+		u.publishLocked()
+	}
+}
+
 // addRead stores a read query, deduplicating identical ones
-// (query.SameRead), and publishes the grown prefix. It reports whether
-// the query was new.
+// (query.SameRead). It reports whether the query was new. The grown
+// log is not published; see publishReads.
 func (u *Update) addRead(q query.ReadQuery) bool {
 	return u.addReadHashed(q, query.ReadHash(q))
 }
@@ -313,7 +342,6 @@ func (u *Update) addReadHashed(q query.ReadQuery, h uint64) bool {
 	}
 	u.readIdx[h] = int32(len(u.reads))
 	u.reads = append(u.reads, q)
-	u.publishLocked()
 	obsReadsRecorded.Inc()
 	return true
 }
@@ -336,10 +364,14 @@ func (u *Update) PublishedReads() *ReadPrefix {
 	return emptyPrefix
 }
 
-// PublishRead stores a read query as if the engine had performed it —
-// the external publication point for tests and custom drivers. It
-// reports whether the query was new.
-func (u *Update) PublishRead(q query.ReadQuery) bool { return u.addRead(q) }
+// PublishRead stores and publishes a read query as if an engine call
+// had performed it — the external publication point for tests and
+// custom drivers. It reports whether the query was new.
+func (u *Update) PublishRead(q query.ReadQuery) bool {
+	added := u.addRead(q)
+	u.publishReads()
+	return added
+}
 
 // StoredReads returns a stable snapshot of the reads published so far:
 // later appends reallocate or extend past the returned length and

@@ -167,6 +167,7 @@ func (r *Repository) resumeLocked(id int64, user chase.User) (bool, error) {
 	park := func() (bool, error) {
 		question, options, kinds, ctx, positive, ok := r.renderQuestion(u)
 		r.store.Abort(number)
+		u.Cancel() // gives the attempt's query context back
 		if canRewind {
 			rew.RewindNulls(mark)
 		}
@@ -184,6 +185,7 @@ func (r *Repository) resumeLocked(id int64, user chase.User) (bool, error) {
 	}
 	fail := func(err error) (bool, error) {
 		r.store.Abort(number)
+		u.Cancel()
 		if canRewind {
 			rew.RewindNulls(mark)
 		}

@@ -1,0 +1,162 @@
+package core
+
+import (
+	"errors"
+	"fmt"
+	"testing"
+
+	"youtopia/internal/chase"
+	"youtopia/internal/model"
+	"youtopia/internal/obs"
+	"youtopia/internal/simuser"
+	"youtopia/internal/tgd"
+)
+
+var (
+	queryContexts = obs.Default.Counter("chase_query_contexts_total")
+	readsRecorded = obs.Default.Counter("chase_reads_recorded_total")
+	readsDeduped  = obs.Default.Counter("chase_reads_deduped_total")
+)
+
+// TestRepositoryRecyclesOneQueryContext: a repository runs every
+// update on one query context — inline updates with frontier
+// operations, parks, resumes that re-park and then commit, and failed
+// updates all give it back. No Apply keeps a read log.
+func TestRepositoryRecyclesOneQueryContext(t *testing.T) {
+	r, _, err := Open(durableDoc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	contexts, recorded, deduped := queryContexts.Value(), readsRecorded.Value(), readsDeduped.Value()
+	frontierOps := 0
+	for i, city := range []string{"Albany", "Utica", "Geneva"} {
+		stats, err := r.Apply(chase.Insert(model.NewTuple("C", model.Const(city))), simuser.New(uint64(i+1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		frontierOps += stats.FrontierOps
+	}
+	if frontierOps == 0 {
+		t.Fatal("no inline update took a frontier operation")
+	}
+	// A park exit, a resume that expands and so parks again, and a
+	// resume that commits.
+	id := mustPark(t, r)
+	e, _ := r.InboxEntry(id)
+	expand := -1
+	for i, k := range e.OptionKinds {
+		if k == chase.DecideExpand {
+			expand = i
+			break
+		}
+	}
+	if resolved, err := r.AnswerInbox(id, expand); err != nil || resolved {
+		t.Fatalf("expanding resume: resolved %v, %v; want it parked again", resolved, err)
+	}
+	answerLikeUnifyFirst(t, r, id)
+	// An error exit: no user to ask.
+	if _, err := r.Apply(chase.Insert(model.NewTuple("C", model.Const("Rome"))), nil); !errors.Is(err, chase.ErrNoDecision) {
+		t.Fatalf("Apply with no user returned %v", err)
+	}
+	if _, err := r.Apply(chase.Insert(model.NewTuple("C", model.Const("Troy"))), simuser.New(9)); err != nil {
+		t.Fatal(err)
+	}
+	if got := queryContexts.Value() - contexts; got != 1 {
+		t.Fatalf("the repository created %d query contexts, want 1", got)
+	}
+	if r, d := readsRecorded.Value()-recorded, readsDeduped.Value()-deduped; r != 0 || d != 0 {
+		t.Fatalf("serial Apply recorded %d reads and deduped %d, want none", r, d)
+	}
+}
+
+// applyFixture is a repository over two mappings: an R insert joins
+// nothing, an A insert is repaired by one B insert.
+func applyFixture(tb testing.TB) *Repository {
+	tb.Helper()
+	schema := model.NewSchema()
+	schema.MustAddRelation("R", "x", "y")
+	schema.MustAddRelation("S", "y")
+	schema.MustAddRelation("T", "x")
+	schema.MustAddRelation("A", "x")
+	schema.MustAddRelation("B", "x", "z")
+	r, err := New(schema, tgd.MustNewSet(
+		tgd.New("quiet",
+			[]tgd.Atom{tgd.NewAtom("R", tgd.V("x"), tgd.V("y")), tgd.NewAtom("S", tgd.V("y"))},
+			[]tgd.Atom{tgd.NewAtom("T", tgd.V("x"))}),
+		tgd.New("copy",
+			[]tgd.Atom{tgd.NewAtom("A", tgd.V("x"))},
+			[]tgd.Atom{tgd.NewAtom("B", tgd.V("x"), tgd.V("z"))}),
+	))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return r
+}
+
+// TestApplyAllocBudget pins what a warm Repository.Apply allocates —
+// chase, commit and store included — for an insert that violates
+// nothing and for one repaired by a single forward step. The bounds are
+// the numbers achieved (10 and 33 allocations) plus 10%.
+func TestApplyAllocBudget(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		rel   string
+		bound float64
+	}{
+		{"no-violation insert", "R", 11.0},
+		{"one-mapping forward repair", "A", 36.3},
+	} {
+		r := applyFixture(t)
+		const runs = 200
+		ops := make([]chase.Op, runs+11) // 10 warm-up updates; AllocsPerRun adds one
+		for i := range ops {
+			vals := []model.Value{model.Const(fmt.Sprintf("%s%d", c.rel, i))}
+			if c.rel == "R" {
+				vals = append(vals, model.Const("nowhere"))
+			}
+			ops[i] = chase.Insert(model.Tuple{Rel: c.rel, Vals: vals})
+		}
+		apply := func() {
+			if _, err := r.Apply(ops[0], nil); err != nil {
+				t.Fatal(err)
+			}
+			ops = ops[1:]
+		}
+		for range 10 {
+			apply()
+		}
+		got := testing.AllocsPerRun(runs, apply)
+		t.Logf("%s: %.1f allocs", c.name, got)
+		if got > c.bound {
+			t.Errorf("%s: %.1f allocs per Apply, budget %.1f", c.name, got, c.bound)
+		}
+	}
+}
+
+// BenchmarkRepositoryApply times the two budgeted Apply shapes on a
+// warm repository; run with -benchmem for B/op and allocs/op.
+func BenchmarkRepositoryApply(b *testing.B) {
+	for _, c := range []struct{ name, rel string }{
+		{"insert", "R"},
+		{"forward-repair", "A"},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			r := applyFixture(b)
+			ops := make([]chase.Op, b.N)
+			for i := range ops {
+				vals := []model.Value{model.Const(fmt.Sprintf("%s%d", c.rel, i))}
+				if c.rel == "R" {
+					vals = append(vals, model.Const("nowhere"))
+				}
+				ops[i] = chase.Insert(model.Tuple{Rel: c.rel, Vals: vals})
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for _, op := range ops {
+				if _, err := r.Apply(op, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

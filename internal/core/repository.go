@@ -392,6 +392,7 @@ func (r *Repository) ApplyTraced(op chase.Op, user chase.User) (chase.Stats, []c
 	if errors.Is(err, errNoAnswer) {
 		id, perr := r.parkLocked(u, op)
 		r.store.Abort(number)
+		u.Cancel() // gives the attempt's query context back
 		if canRewind {
 			// The attempt's writes are gone; returning its minted null
 			// IDs keeps the resumed replay byte-identical to an inline
@@ -409,6 +410,7 @@ func (r *Repository) ApplyTraced(op chase.Op, user chase.User) (chase.Stats, []c
 	}
 	if err != nil {
 		r.store.Abort(number)
+		u.Cancel()
 		return stats, u.Trace, err
 	}
 	r.trace.Note(number, "commit")
