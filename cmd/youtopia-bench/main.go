@@ -10,17 +10,13 @@
 // sweep of worker counts, reporting wall time and committed-update
 // throughput; with -data-dir the runs execute against a write-ahead-
 // logged store (one fsync per commit batch), measuring durable
-// throughput and the group-commit sync amortization. -figure sharded
-// sweeps the relation-partition count of the sharded store instead
-// (fixed workers, per-shard WAL directories under -data-dir),
-// reporting the aggregated commit batches, WAL syncs, and commit-ack
-// percentiles per shard count. -figure multicore sweeps GOMAXPROCS
-// caps at a fixed worker count with epoch-snapshot reader goroutines
-// running beside the writers, reporting update and wait-free read
-// throughput per cpu count (the CI cpu-matrix artifact). -figure chaos
-// runs the durable workload under randomized transient fault schedules
-// and exits nonzero unless every run stays healthy, loses no acked
-// commit and recovers byte-identically.
+// throughput and the group-commit sync amortization. -figure multicore
+// sweeps GOMAXPROCS caps at a fixed worker count with epoch-snapshot
+// reader goroutines running beside the writers, reporting update and
+// wait-free read throughput per cpu count (the CI cpu-matrix
+// artifact). -figure chaos runs the durable workload under randomized
+// transient fault schedules and exits nonzero unless every run stays
+// healthy, loses no acked commit and recovers byte-identically.
 //
 // Usage:
 //
@@ -28,7 +24,6 @@
 //	youtopia-bench -figure chaos -preset quick -chaos-seeds 10
 //	youtopia-bench -figure parallel -preset quick -workers 0,2,4
 //	youtopia-bench -figure parallel -preset quick -data-dir /tmp/ybench
-//	youtopia-bench -figure sharded -preset quick -shards 1,2,4 -data-dir /tmp/yshard
 //	youtopia-bench -figure multicore -preset quick -cpus 1,2,4 -data-dir /tmp/ymc
 //
 // Observability riders work with every figure: -debug-addr serves
@@ -65,20 +60,18 @@ import (
 )
 
 func main() {
-	figure := flag.String("figure", "both", "which figure to reproduce: 3, 4, both, latency (the §5.2 user-latency extension study), parallel (serial vs goroutine-parallel throughput), sharded (relation-partition sweep over the sharded store), multicore (GOMAXPROCS sweep with epoch-snapshot readers beside the writers), inbox (busy-repoll vs decision-inbox park/answer/resume), or chaos (the durable workload under randomized transient fault schedules, exiting nonzero on any durability-invariant violation)")
+	figure := flag.String("figure", "both", "which figure to reproduce: 3, 4, both, latency (the §5.2 user-latency extension study), parallel (serial vs goroutine-parallel throughput), multicore (GOMAXPROCS sweep with epoch-snapshot readers beside the writers), inbox (busy-repoll vs decision-inbox park/answer/resume), or chaos (the durable workload under randomized transient fault schedules, exiting nonzero on any durability-invariant violation)")
 	chaosRuns := flag.Int("chaos-seeds", 10, "fault-schedule seeds the -figure chaos battery runs (each is a full workload + recovery check)")
 	chaosIntensity := flag.Int("chaos-intensity", 2, "fault bursts per operation class in each -figure chaos schedule")
 	inboxWorkers := flag.Int("inbox-workers", 4, "worker count the -figure inbox study runs both modes on (0 = cooperative serial)")
 	inboxLatency := flag.Int("inbox-latency", 200, "per-answer think time of the -figure inbox asynchronous answerer, in microseconds")
 	workersFlag := flag.String("workers", "", "comma-separated worker counts for -figure parallel (0 = serial reference; default 0,1,2,4,8)")
-	shardsFlag := flag.String("shards", "", "shard counts: a comma-separated sweep for -figure sharded (default 1,2,4), or a single relation-partition count every -figure parallel run uses")
-	shardWorkers := flag.Int("shard-workers", 4, "worker count the -figure sharded sweep runs each shard point on")
 	cpusFlag := flag.String("cpus", "", "comma-separated GOMAXPROCS caps for -figure multicore (default 1,2,4)")
 	cpuWorkers := flag.Int("cpu-workers", 4, "worker count every -figure multicore point runs on")
 	readers := flag.Int("readers", 4, "epoch-snapshot reader goroutines running beside the writers in -figure multicore")
-	dataDir := flag.String("data-dir", "", "back each -figure parallel/sharded run with a write-ahead log under this directory (one per shard for sharded stores); empty = in-memory, the unchanged default")
-	jsonPath := flag.String("json", "", "write the -figure parallel/sharded study as JSON to this file (the CI bench artifact)")
-	baseline := flag.String("baseline", "", "compare the -figure parallel/sharded study against this committed JSON baseline and exit nonzero on regression")
+	dataDir := flag.String("data-dir", "", "back each -figure parallel run with a write-ahead log under this directory; empty = in-memory, the unchanged default")
+	jsonPath := flag.String("json", "", "write the -figure parallel study as JSON to this file (the CI bench artifact)")
+	baseline := flag.String("baseline", "", "compare the -figure parallel study against this committed JSON baseline and exit nonzero on regression")
 	regressPct := flag.Float64("regress", 20, "tolerated throughput regression vs -baseline, in percent")
 	preset := flag.String("preset", "moderate", "parameter preset: quick, moderate or paper")
 	runs := flag.Int("runs", 3, "runs averaged per data point (paper: 100)")
@@ -167,54 +160,25 @@ func main() {
 			fail(fmt.Errorf("bad -sweep: %w", err))
 		}
 	}
-	if *figure == "parallel" || *figure == "sharded" || *figure == "multicore" {
+	if *figure == "parallel" || *figure == "multicore" {
 		var points []experiments.ParallelPoint
 		var err error
-		switch {
-		case *figure == "multicore":
+		if *figure == "multicore" {
 			var cpus []int
 			if *cpusFlag != "" {
 				if cpus, err = parseInts(*cpusFlag, 1); err != nil {
 					fail(fmt.Errorf("bad -cpus: %w", err))
 				}
 			}
-			if *shardsFlag != "" {
-				sc, err := parseInts(*shardsFlag, 1)
-				if err != nil {
-					fail(fmt.Errorf("bad -shards: %w", err))
-				}
-				if len(sc) != 1 {
-					fail(fmt.Errorf("-figure multicore takes a single -shards value"))
-				}
-				base.Shards = sc[0]
-			}
 			points, err = experiments.MulticoreStudy(base, cpus, *cpuWorkers, *readers, *runs, *dataDir)
-		case *figure == "parallel":
+		} else {
 			var workers []int
 			if *workersFlag != "" {
 				if workers, err = parseInts(*workersFlag, 0); err != nil {
 					fail(fmt.Errorf("bad -workers: %w", err))
 				}
 			}
-			if *shardsFlag != "" {
-				sc, err := parseInts(*shardsFlag, 1)
-				if err != nil {
-					fail(fmt.Errorf("bad -shards: %w", err))
-				}
-				if len(sc) != 1 {
-					fail(fmt.Errorf("-figure parallel takes a single -shards value (use -figure sharded for a sweep)"))
-				}
-				base.Shards = sc[0]
-			}
 			points, err = experiments.ParallelStudy(base, workers, *runs, *dataDir)
-		default:
-			var shardCounts []int
-			if *shardsFlag != "" {
-				if shardCounts, err = parseInts(*shardsFlag, 1); err != nil {
-					fail(fmt.Errorf("bad -shards: %w", err))
-				}
-			}
-			points, err = experiments.ShardStudy(base, shardCounts, *shardWorkers, *runs, *dataDir)
 		}
 		if err != nil {
 			fail(err)

@@ -19,10 +19,6 @@
 //	-data-dir dir  durable repository: recover committed state from
 //	               dir's write-ahead log on boot and log every commit
 //	               (empty = in-memory)
-//	-shards n      partition the relations across n independent store
-//	               shards, each with its own write-ahead log under
-//	               data-dir/shard-<k> (0 or 1 = single store; a data
-//	               directory remembers its shard count)
 //	-dump          print the full repository contents at the end
 //	-skip-ops      load the repository but do not run its operations
 //	-debug-addr a  serve the observability endpoints (/metrics in
@@ -78,7 +74,6 @@ func main() {
 	auto := flag.Uint64("auto", 0, "answer frontier operations automatically (seed)")
 	analyze := flag.Bool("analyze", false, "print mapping analyses")
 	dataDir := flag.String("data-dir", "", "durable repository: write-ahead log + checkpoints under this directory (empty = in-memory)")
-	shards := flag.Int("shards", 0, "partition relations across this many store shards, one WAL directory per shard under -data-dir (0 or 1 = single store)")
 	dump := flag.Bool("dump", false, "print repository contents at the end")
 	skipOps := flag.Bool("skip-ops", false, "do not run the document's operations")
 	trace := flag.Bool("trace", false, "print each update's write provenance")
@@ -111,7 +106,7 @@ func main() {
 		defer srv.Close()
 		fmt.Printf("debug server on http://%s (/metrics, /healthz, /debug/vars, /debug/pprof)\n", srv.Addr)
 	}
-	ropts := youtopia.Options{DataDir: *dataDir, Shards: *shards}
+	ropts := youtopia.Options{DataDir: *dataDir}
 	if *faultRate > 0 {
 		ffs := vfs.NewFaultFS(vfs.OS, *faultSeed)
 		ffs.Probability(vfs.OpWrite, *faultRate, vfs.TransientIO)

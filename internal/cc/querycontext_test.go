@@ -165,7 +165,7 @@ func TestQueryContextsPassBetweenWorkers(t *testing.T) {
 
 // TestMappingRelationsNotMutated: tgd.TGD.Relations hands every caller
 // the same slice; the trackers (relation-granularity dependencies, log
-// shard selection) and the query layer (read vectors) only read it.
+// stripe selection) and the query layer (read vectors) only read it.
 func TestMappingRelationsNotMutated(t *testing.T) {
 	u := randomUniverse(t, 2)
 	ops := u.GenOpsSeeded(502)

@@ -214,8 +214,8 @@ func TestParallelCheckersPerWorker(t *testing.T) {
 }
 
 // duplicateHeavySeeds is the pool-constant seed batch of the
-// striped-store and sharded-store serializability regressions: pure
-// inserts of pool constants, with heavy duplication.
+// striped-store serializability regressions: pure inserts of pool
+// constants, with heavy duplication.
 func duplicateHeavySeeds(t *testing.T) (*workload.Universe, []chase.Op) {
 	t.Helper()
 	cfg := workload.Config{

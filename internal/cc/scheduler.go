@@ -101,14 +101,6 @@ type Config struct {
 	// as timestamped events (the -trace CLI flag). Nil disables
 	// tracing at the cost of one branch per site.
 	Trace *obs.Tracer
-	// Shards is the relation-partition count of the storage backend
-	// the workload should run against (0 or 1 = one store). The
-	// schedulers themselves are backend-agnostic — they drive whatever
-	// Backend they were built over — so this knob is read by the
-	// harnesses that construct the store from the config (workload
-	// setup, experiments, the benches), keeping one configuration
-	// struct across the stack.
-	Shards int
 }
 
 // Metrics aggregates a run's outcome — the quantities of §6.

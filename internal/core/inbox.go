@@ -156,11 +156,7 @@ func (r *Repository) resumeLocked(id int64, user chase.User) (bool, error) {
 		r.trace.NoteDetail(number, "resume", fmt.Sprintf("entry=%d", id))
 	}
 	obsResumes.Inc()
-	var mark int64
-	rew, canRewind := r.store.(nullRewinder)
-	if canRewind {
-		mark = rew.NullMark()
-	}
+	mark := r.store.NullMark()
 	u := chase.NewUpdate(number, e.Op)
 	consumed := make([]bool, len(e.Answers))
 
@@ -168,9 +164,7 @@ func (r *Repository) resumeLocked(id int64, user chase.User) (bool, error) {
 		question, options, kinds, ctx, positive, ok := r.renderQuestion(u)
 		r.store.Abort(number)
 		u.Cancel() // gives the attempt's query context back
-		if canRewind {
-			rew.RewindNulls(mark)
-		}
+		r.store.RewindNulls(mark)
 		if !ok {
 			return false, chase.ErrNoDecision
 		}
@@ -186,9 +180,7 @@ func (r *Repository) resumeLocked(id int64, user chase.User) (bool, error) {
 	fail := func(err error) (bool, error) {
 		r.store.Abort(number)
 		u.Cancel()
-		if canRewind {
-			rew.RewindNulls(mark)
-		}
+		r.store.RewindNulls(mark)
 		return false, err
 	}
 

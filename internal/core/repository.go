@@ -42,15 +42,6 @@ type Options struct {
 	// defaults). Ignored when DataDir is empty.
 	CheckpointBytes int64
 	SegmentBytes    int64
-	// Shards partitions the repository's relations across this many
-	// fully independent store partitions (0 or 1 keeps the single
-	// store — the pre-sharding behaviour). Each partition owns its own
-	// stripe set and group-commit frontier; with DataDir set, each
-	// additionally owns its own write-ahead log under
-	// DataDir/shard-<k>. A data directory remembers its partition
-	// count: reopening with a different Shards value is refused, since
-	// the relation assignment would change.
-	Shards int
 	// FS overrides the filesystem the write-ahead log runs on (nil =
 	// the real one). Fault-injection harnesses pass a vfs.FaultFS here
 	// to exercise the log's retry and degradation machinery. Ignored
@@ -58,40 +49,14 @@ type Options struct {
 	FS vfs.FS
 }
 
-// durableBacking is the slice of the write-ahead-log surface the
-// repository drives: one wal.Manager, or a wal.ShardGroup holding one
-// manager per store partition. The control-record methods persist the
-// decision inbox (parks, answers, resumes).
-type durableBacking interface {
-	Close() error
-	Checkpoint() error
-	Fresh() bool
-	Recovery() wal.RecoveryInfo
-	Health() wal.Health
-	Resume() error
-	AppendPark(op chase.Op) (int64, error)
-	AppendAnswer(id int64, ctx string, option int) error
-	AppendResume(id int64, aborted bool) error
-	Parked() []wal.ParkedUpdate
-}
-
-// nullRewinder is the null-counter capture/restore surface both
-// storage backends provide; the park path uses it so a rolled-back
-// parked attempt does not consume null IDs (which would make the
-// resumed replay mint different nulls than an inline execution).
-type nullRewinder interface {
-	NullMark() int64
-	RewindNulls(mark int64)
-}
-
 // Repository is a Youtopia repository.
 type Repository struct {
 	mu       sync.Mutex
 	schema   *model.Schema
 	mappings *tgd.Set
-	store    storage.Backend
+	store    *storage.Store
 	engine   *chase.Engine
-	wal      durableBacking // nil for in-memory repositories
+	wal      *wal.Manager // nil for in-memory repositories
 
 	nextUpdate int
 	protected  map[string]bool
@@ -144,19 +109,9 @@ func NewWithOptions(schema *model.Schema, mappings *tgd.Set, opts Options) (*Rep
 		SegmentBytes:    opts.SegmentBytes,
 		FS:              opts.FS,
 	}
-	switch {
-	case opts.DataDir == "" && opts.Shards > 1:
-		r.store = storage.NewSharded(schema, opts.Shards)
-	case opts.DataDir == "":
+	if opts.DataDir == "" {
 		r.store = storage.NewStore(schema)
-	case opts.Shards > 1:
-		grp, st, err := wal.OpenSharded(opts.DataDir, schema, opts.Shards, wopts)
-		if err != nil {
-			return nil, err
-		}
-		r.wal = grp
-		r.store = st
-	default:
+	} else {
 		mgr, st, err := wal.Open(opts.DataDir, schema, wopts)
 		if err != nil {
 			return nil, err
@@ -280,10 +235,7 @@ func (r *Repository) Checkpoint() error {
 func (r *Repository) Durable() bool { return r.wal != nil }
 
 // Health reports the durable backing's failure state. In-memory
-// repositories are always healthy (the zero Health). With shards, one
-// degraded or poisoned shard dominates: the whole repository rejects
-// updates, since a commit batch may span shards and partial durability
-// would break batch atomicity.
+// repositories are always healthy (the zero Health).
 func (r *Repository) Health() wal.Health {
 	if r.wal == nil {
 		return wal.Health{}
@@ -320,8 +272,7 @@ func (r *Repository) Schema() *model.Schema { return r.schema }
 func (r *Repository) Mappings() *tgd.Set { return r.mappings }
 
 // Store exposes the underlying versioned storage backend (read-mostly
-// use): a single store, or the relation-partitioned sharded router
-// when Options.Shards asked for one.
+// use).
 func (r *Repository) Store() storage.Backend { return r.store }
 
 // FreshNull mints a labeled null unused in the repository.
@@ -382,23 +333,17 @@ func (r *Repository) ApplyTraced(op chase.Op, user chase.User) (chase.Stats, []c
 	number := r.nextUpdate
 	r.nextUpdate++
 	r.trace.Note(number, "submit")
-	var mark int64
-	rew, canRewind := r.store.(nullRewinder)
-	if canRewind {
-		mark = rew.NullMark()
-	}
+	mark := r.store.NullMark()
 	u := chase.NewUpdate(number, op)
 	stats, err := r.runSingle(u, user)
 	if errors.Is(err, errNoAnswer) {
 		id, perr := r.parkLocked(u, op)
 		r.store.Abort(number)
 		u.Cancel() // gives the attempt's query context back
-		if canRewind {
-			// The attempt's writes are gone; returning its minted null
-			// IDs keeps the resumed replay byte-identical to an inline
-			// execution.
-			rew.RewindNulls(mark)
-		}
+		// The attempt's writes are gone; returning its minted null IDs
+		// keeps the resumed replay byte-identical to an inline
+		// execution.
+		r.store.RewindNulls(mark)
 		if perr != nil {
 			return stats, u.Trace, perr
 		}

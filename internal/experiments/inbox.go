@@ -102,14 +102,14 @@ func measureInboxPoint(u *workload.Universe, base workload.Config, p *InboxPoint
 	var updates float64
 	resumes := obs.NewLatencyHistogram()
 	for r := 0; r < runs; r++ {
-		var st storage.Backend
-		var backing workload.DurableBacking
+		var st *storage.Store
+		var mgr *wal.Manager
 		var err error
 		if dataDir == "" {
-			st, err = u.NewBackend()
+			st, err = u.NewStore()
 		} else {
 			dir := filepath.Join(dataDir, fmt.Sprintf("%s-w%d-r%d", p.Mode, p.Workers, r))
-			st, backing, err = u.OpenDurableBackend(dir, wal.Options{})
+			st, mgr, err = u.OpenDurableStore(dir, wal.Options{})
 		}
 		if err != nil {
 			return err
@@ -134,8 +134,8 @@ func measureInboxPoint(u *workload.Universe, base workload.Config, p *InboxPoint
 		if answerer != nil {
 			answerer.Stop()
 		}
-		if backing != nil {
-			if cerr := backing.Close(); cerr != nil && err == nil {
+		if mgr != nil {
+			if cerr := mgr.Close(); cerr != nil && err == nil {
 				err = cerr
 			}
 		}

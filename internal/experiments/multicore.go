@@ -43,12 +43,12 @@ func MulticoreStudy(base workload.Config, cpus []int, workers, readers, runs int
 	if err != nil {
 		return nil, err
 	}
-	points := []ParallelPoint{{Workers: 0, Cpus: 1, Readers: readers, Shards: base.Shards}}
+	points := []ParallelPoint{{Workers: 0, Cpus: 1, Readers: readers}}
 	for _, c := range cpus {
 		if c < 1 {
 			return nil, fmt.Errorf("experiments: cpu count %d out of range", c)
 		}
-		points = append(points, ParallelPoint{Workers: workers, Cpus: c, Readers: readers, Shards: base.Shards})
+		points = append(points, ParallelPoint{Workers: workers, Cpus: c, Readers: readers})
 	}
 	var out []ParallelPoint
 	for _, p := range points {

@@ -58,11 +58,7 @@ func RunMode(st storage.Backend, set *tgd.Set, cfg cc.Config, ops []chase.Op) (c
 type ParallelPoint struct {
 	// Workers is the goroutine count; 0 denotes the serial reference
 	// execution (PolicySerial on the cooperative scheduler).
-	Workers int
-	// Shards is the relation-partition count of the storage backend
-	// the point ran against (0 and 1 both mean the single store; the
-	// zero value keeps pre-sharding artifacts comparable).
-	Shards     int `json:",omitempty"`
+	Workers    int
 	Runs       int
 	Aborts     float64
 	WallMillis float64
@@ -92,7 +88,7 @@ type ParallelPoint struct {
 	CommitMergeAllocsPerOp float64 `json:"CommitMergeAllocsPerOp"`
 	// Cpus is the GOMAXPROCS cap the point was pinned to; 0 means the
 	// point ran at the process default (pre-multicore artifacts and the
-	// plain worker/shard studies). CheckRegression treats 0 and 1 as
+	// plain worker study). CheckRegression treats 0 and 1 as
 	// the same mode so old baselines keep matching.
 	Cpus int `json:",omitempty"`
 	// NumCPU and GoMaxProcs record the hardware the point actually ran
@@ -108,13 +104,10 @@ type ParallelPoint struct {
 	ReadsPerSec float64 `json:",omitempty"`
 }
 
-// Label names the point's execution mode, including the partition
-// count when the point ran sharded.
+// Label names the point's execution mode, including the GOMAXPROCS
+// cap when the point was pinned to one.
 func (p ParallelPoint) Label() string {
 	label := ModeLabel(p.Workers)
-	if p.Shards > 1 {
-		label = fmt.Sprintf("shards=%d,%s", p.Shards, label)
-	}
 	if p.Cpus > 0 {
 		label = fmt.Sprintf("%s,cpus=%d", label, p.Cpus)
 	}
@@ -133,10 +126,6 @@ func (p ParallelPoint) Label() string {
 // batch), so the study measures durable throughput; the wall time
 // includes the syncs but not the one-off seed build. Empty keeps the
 // pre-durability in-memory measurement.
-//
-// base.Shards selects the storage backend every point runs against: 0
-// or 1 is the single store, N > 1 the relation-partitioned sharded
-// store (durable runs then keep one WAL directory per shard).
 func ParallelStudy(base workload.Config, workers []int, runs int, dataDir string) ([]ParallelPoint, error) {
 	if len(workers) == 0 {
 		workers = []int{0, 1, 2, 4, 8}
@@ -154,7 +143,7 @@ func ParallelStudy(base workload.Config, workers []int, runs int, dataDir string
 	}
 	var out []ParallelPoint
 	for _, w := range workers {
-		p := ParallelPoint{Workers: w, Shards: base.Shards, Runs: runs,
+		p := ParallelPoint{Workers: w, Runs: runs,
 			SnapshotAllocsPerOp: snapAllocs, CommitMergeAllocsPerOp: mergeAllocs}
 		if err := measurePoint(u, base, &p, runs, dataDir); err != nil {
 			return nil, err
@@ -164,59 +153,11 @@ func ParallelStudy(base workload.Config, workers []int, runs int, dataDir string
 	return out, nil
 }
 
-// ShardStudy sweeps the relation-partition count on a fixed worker
-// count: the scaling axis the sharded store adds. The first point is
-// the serial single-store reference (workers 0, one shard), so the
-// regression gate can normalize the sharded points by the run's own
-// serial throughput exactly as the worker study does; each sharded
-// point then reports the aggregated commit batches, WAL syncs, and
-// commit-ack percentiles across its shards. With a dataDir every run
-// is durable with one WAL directory per shard.
-func ShardStudy(base workload.Config, shards []int, workers, runs int, dataDir string) ([]ParallelPoint, error) {
-	if len(shards) == 0 {
-		shards = []int{1, 2, 4}
-	}
-	if workers <= 0 {
-		workers = 4
-	}
-	if runs <= 0 {
-		runs = 3
-	}
-	u, err := workload.Build(base)
-	if err != nil {
-		return nil, err
-	}
-	snapAllocs, mergeAllocs, err := MeasureHotPathAllocs(u)
-	if err != nil {
-		return nil, err
-	}
-	points := []ParallelPoint{{Workers: 0, Shards: 1}}
-	for _, s := range shards {
-		if s < 1 {
-			return nil, fmt.Errorf("experiments: shard count %d out of range", s)
-		}
-		points = append(points, ParallelPoint{Workers: workers, Shards: s})
-	}
-	var out []ParallelPoint
-	for _, p := range points {
-		p.Runs = runs
-		p.SnapshotAllocsPerOp = snapAllocs
-		p.CommitMergeAllocsPerOp = mergeAllocs
-		if err := measurePoint(u, base, &p, runs, dataDir); err != nil {
-			return nil, err
-		}
-		out = append(out, p)
-	}
-	return out, nil
-}
-
-// measurePoint runs one study point — a (workers, shards) mode — runs
+// measurePoint runs one study point — a (workers, cpus) mode — runs
 // times and folds the means into p. The universe is shared across
-// points; each run gets a fresh backend (and, durable, a fresh WAL
-// directory tree).
+// points; each run gets a fresh store (and, durable, a fresh WAL
+// directory).
 func measurePoint(u *workload.Universe, base workload.Config, p *ParallelPoint, runs int, dataDir string) error {
-	shardedU := *u
-	shardedU.Config.Shards = p.Shards
 	p.NumCPU = runtime.NumCPU()
 	if p.Cpus > 0 {
 		prev := runtime.GOMAXPROCS(p.Cpus)
@@ -226,14 +167,14 @@ func measurePoint(u *workload.Universe, base workload.Config, p *ParallelPoint, 
 	rels := u.Schema.SortedNames()
 	var updates, readPasses float64
 	for r := 0; r < runs; r++ {
-		var st storage.Backend
-		var backing workload.DurableBacking
+		var st *storage.Store
+		var mgr *wal.Manager
 		var err error
 		if dataDir == "" {
-			st, err = shardedU.NewBackend()
+			st, err = u.NewStore()
 		} else {
-			dir := filepath.Join(dataDir, fmt.Sprintf("s%d-w%d-c%d-r%d", p.Shards, p.Workers, p.Cpus, r))
-			st, backing, err = shardedU.OpenDurableBackend(dir, wal.Options{})
+			dir := filepath.Join(dataDir, fmt.Sprintf("w%d-c%d-r%d", p.Workers, p.Cpus, r))
+			st, mgr, err = u.OpenDurableStore(dir, wal.Options{})
 		}
 		if err != nil {
 			return err
@@ -243,7 +184,6 @@ func measurePoint(u *workload.Universe, base workload.Config, p *ParallelPoint, 
 			User:               simuser.New(uint64(base.Seed)*31 + uint64(r)),
 			MaxAbortsPerUpdate: 10000,
 			Workers:            p.Workers,
-			Shards:             p.Shards,
 		}
 		ops := u.GenOpsSeeded(base.Seed*6151 + int64(r))
 		// The read-heavy side: p.Readers goroutines loop wait-free
@@ -279,8 +219,8 @@ func measurePoint(u *workload.Universe, base workload.Config, p *ParallelPoint, 
 			close(stopReaders)
 			readerWG.Wait()
 		}
-		if backing != nil {
-			if cerr := backing.Close(); cerr != nil && err == nil {
+		if mgr != nil {
+			if cerr := mgr.Close(); cerr != nil && err == nil {
 				err = cerr
 			}
 		}
@@ -316,7 +256,7 @@ func measurePoint(u *workload.Universe, base workload.Config, p *ParallelPoint, 
 // operation of the two hottest coordination steps the ISSUE-4 rework
 // made allocation-free: conflict-candidate collection (published
 // read-prefix records into a reusable scratch) and the commit-batch
-// merge (per-writer log shards into the store's scratch buffer). The
+// merge (per-writer log slices into the store's scratch buffer). The
 // numbers ride along in every study point so the CI regression gate
 // catches allocation churn creeping back into either step.
 func MeasureHotPathAllocs(u *workload.Universe) (snapshot, merge float64, err error) {
@@ -384,31 +324,24 @@ func LoadParallelJSON(path string) ([]ParallelPoint, error) {
 // what keeps a zero-allocation baseline meaningful: 0 -> 0.4 passes,
 // 0 -> 1 fails).
 func CheckRegression(current, baseline []ParallelPoint, tolerancePct float64) error {
-	// A mode is a (workers, shards, cpus) triple; shard and cpu counts
-	// 0 and 1 both mean "single store" / "default cap", so pre-sharding
-	// and pre-multicore baselines keep matching.
-	shardsOf := func(p ParallelPoint) int {
-		if p.Shards < 1 {
-			return 1
-		}
-		return p.Shards
-	}
+	// A mode is a (workers, cpus) pair; cpu counts 0 and 1 both mean
+	// "default cap", so pre-multicore baselines keep matching.
 	cpusOf := func(p ParallelPoint) int {
 		if p.Cpus < 1 {
 			return 1
 		}
 		return p.Cpus
 	}
-	findMode := func(points []ParallelPoint, workers, shards, cpus int) (ParallelPoint, bool) {
+	findMode := func(points []ParallelPoint, workers, cpus int) (ParallelPoint, bool) {
 		for _, p := range points {
-			if p.Workers == workers && shardsOf(p) == shards && cpusOf(p) == cpus {
+			if p.Workers == workers && cpusOf(p) == cpus {
 				return p, true
 			}
 		}
 		return ParallelPoint{}, false
 	}
 	// The serial reference is matched on workers alone: a study carries
-	// at most one, whatever backend or cpu cap it ran against.
+	// at most one, whatever cpu cap it ran against.
 	find := func(points []ParallelPoint, workers int) (ParallelPoint, bool) {
 		for _, p := range points {
 			if p.Workers == workers {
@@ -423,7 +356,7 @@ func CheckRegression(current, baseline []ParallelPoint, tolerancePct float64) er
 	readNormalized := cs && bs && curSerial.ReadsPerSec > 0 && baseSerial.ReadsPerSec > 0
 	var failures []string
 	for _, bp := range baseline {
-		cp, ok := findMode(current, bp.Workers, shardsOf(bp), cpusOf(bp))
+		cp, ok := findMode(current, bp.Workers, cpusOf(bp))
 		if !ok {
 			continue
 		}
@@ -490,10 +423,10 @@ func CheckRegression(current, baseline []ParallelPoint, tolerancePct float64) er
 // ParallelCSV renders the study as CSV, one row per point.
 func ParallelCSV(points []ParallelPoint) string {
 	var b strings.Builder
-	b.WriteString("mode,workers,shards,cpus,runs,aborts,wall_ms,upd_per_sec,reads_per_sec,wal_syncs,commit_batches,ack_p50_ms,ack_p99_ms,snapshot_allocs,commit_merge_allocs\n")
+	b.WriteString("mode,workers,cpus,runs,aborts,wall_ms,upd_per_sec,reads_per_sec,wal_syncs,commit_batches,ack_p50_ms,ack_p99_ms,snapshot_allocs,commit_merge_allocs\n")
 	for _, p := range points {
-		fmt.Fprintf(&b, "%s,%d,%d,%d,%d,%.2f,%.2f,%.2f,%.2f,%.1f,%.1f,%.3f,%.3f,%.2f,%.2f\n",
-			p.Label(), p.Workers, max(p.Shards, 1), max(p.Cpus, 1), p.Runs, p.Aborts, p.WallMillis,
+		fmt.Fprintf(&b, "%s,%d,%d,%d,%.2f,%.2f,%.2f,%.2f,%.1f,%.1f,%.3f,%.3f,%.2f,%.2f\n",
+			p.Label(), p.Workers, max(p.Cpus, 1), p.Runs, p.Aborts, p.WallMillis,
 			p.UpdatesPerSec, p.ReadsPerSec,
 			p.WALSyncs, p.CommitBatches, p.AckP50Millis, p.AckP99Millis,
 			p.SnapshotAllocsPerOp, p.CommitMergeAllocsPerOp)

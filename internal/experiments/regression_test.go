@@ -53,7 +53,7 @@ func TestCheckRegressionRawFallback(t *testing.T) {
 }
 
 func TestCheckRegressionCpusDimension(t *testing.T) {
-	// Two matrix points share (workers, shards) and differ only in the
+	// Two matrix points share a worker count and differ only in the
 	// cpu cap; the mode key must keep them apart.
 	baseline := []ParallelPoint{
 		{Workers: 0, Cpus: 1, UpdatesPerSec: 100},
@@ -136,4 +136,58 @@ func TestParallelJSONRoundTrip(t *testing.T) {
 	if _, err := LoadParallelJSON(filepath.Join(t.TempDir(), "missing.json")); err == nil {
 		t.Fatal("missing baseline must error")
 	}
+}
+
+// TestCommittedBaselinesLoadAndGate: every baseline the CI bench jobs
+// gate against still loads, keys each point to a distinct
+// (workers, cpus) mode, passes against itself, and flags a collapse of
+// its parallel points.
+func TestCommittedBaselinesLoadAndGate(t *testing.T) {
+	for _, name := range []string{"parallel", "wal", "multicore"} {
+		t.Run(name, func(t *testing.T) {
+			base, err := LoadParallelJSON(filepath.Join("..", "..", "bench", "BENCH_baseline_"+name+".json"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			type mode struct{ workers, cpus int }
+			seen := make(map[mode]bool)
+			for _, p := range base {
+				m := mode{p.Workers, max(p.Cpus, 1)}
+				if seen[m] && p.Workers != 0 {
+					t.Fatalf("two baseline points share mode %s", p.Label())
+				}
+				seen[m] = true
+			}
+			if err := CheckRegression(base, base, 20); err != nil {
+				t.Fatalf("baseline fails against itself: %v", err)
+			}
+			collapsed := append([]ParallelPoint(nil), base...)
+			for i := range collapsed {
+				if collapsed[i].Workers > 0 {
+					collapsed[i].UpdatesPerSec /= 2
+				}
+			}
+			if err := CheckRegression(collapsed, base, 20); err == nil {
+				t.Fatal("halved parallel throughput not flagged")
+			}
+		})
+	}
+	t.Run("inbox", func(t *testing.T) {
+		base, err := LoadInboxJSON(filepath.Join("..", "..", "bench", "BENCH_baseline_inbox.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := CheckInboxRegression(base, base, 20); err != nil {
+			t.Fatalf("baseline fails against itself: %v", err)
+		}
+		collapsed := append([]InboxPoint(nil), base...)
+		for i := range collapsed {
+			if collapsed[i].Mode == "inbox" {
+				collapsed[i].UpdatesPerSec /= 2
+			}
+		}
+		if err := CheckInboxRegression(collapsed, base, 20); err == nil {
+			t.Fatal("halved inbox throughput not flagged")
+		}
+	})
 }

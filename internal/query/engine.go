@@ -163,8 +163,8 @@ func (v *Violation) String() string {
 // identity) assign equal signatures to corresponding violations. The
 // chase orders its violation processing by signature, which is what
 // keeps the frontier — the order repairs are planned and decision
-// contexts reach users — identical across serial, parallel, and
-// sharded executions: tuple IDs are minted in schedule order and would
+// contexts reach users — identical across serial and parallel
+// executions: tuple IDs are minted in schedule order and would
 // otherwise leak the interleaving into repair order and, through it,
 // into the final instance.
 func (e *Engine) WitnessSig(v *Violation) string {

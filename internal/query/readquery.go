@@ -89,9 +89,8 @@ type ReadQuery interface {
 // even after the reader's own repairs have moved the current answer
 // on. The vector replaces an earlier single global read sequence: a
 // read's validity boundary is judged per stripe, which stays exact
-// when stripes advance independently (relation-partitioned backends,
-// or any evaluation that observed different stripes at different
-// moments).
+// when stripes advance independently (any evaluation that observed
+// different stripes at different moments).
 type ViolationRead struct {
 	TGD      *tgd.TGD
 	SeedRel  string
@@ -281,7 +280,7 @@ func (q *ViolationRead) eval(e *Engine) []Violation {
 // including w, in any relation, by writers other than the reader (the
 // reader's own later repairs must not hide the change; the global
 // upper bound is meaningful because sequence numbers are totally
-// ordered backend-wide, shards included). For a write at or below its
+// ordered backend-wide). For a write at or below its
 // relation's boundary (the dependency direction of §5.1), the
 // read-time state is re-evaluated with that single write masked.
 // Either way a difference from the recorded answer means the write

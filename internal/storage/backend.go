@@ -7,20 +7,18 @@ import (
 // Backend is the storage surface the update-exchange engine consumes:
 // everything chase execution, concurrency control, stored read
 // queries, and the repository layer need from a store, and nothing
-// they don't. Two implementations exist — *Store, the single
-// multiversion partition, and *ShardedStore, a router that partitions
-// the relations across several independent Stores — and the engine
-// layers are written against this interface so the two are
-// interchangeable (the backend conformance suite holds them to that).
+// they don't. *Store implements it; the engine layers are written
+// against the interface so that a decorator (a tracing wrapper, say)
+// can stand in for the store.
 //
 // The contract, beyond the method comments on *Store:
 //
 //   - Every method is individually atomic and safe for concurrent use
 //     (multi-operation protocols need the concurrency-control layer's
-//     phase locking on top, as with *Store).
-//   - Sequence numbers are totally ordered across the whole backend
-//     (sharded deployments share one counter), per-relation sequences
-//     are monotone, and labeled nulls are unique backend-wide.
+//     phase locking on top).
+//   - Sequence numbers are totally ordered across the whole backend,
+//     per-relation sequences are monotone, and labeled nulls are
+//     unique backend-wide.
 //   - CommitBatchAsync hands the durability hook only batches with at
 //     least one write record; commits of write-free updates are
 //     memory-only state flips that recovery does not need.
@@ -37,10 +35,7 @@ type Backend interface {
 	// EpochSnap returns a committed-state snapshot: a frozen view of
 	// the backend's current commit epoch whose reads acquire no stripe
 	// lock and never change under the caller. Commits build nothing for
-	// it; the first call after one rebuilds the stripes it wrote. On a
-	// sharded backend each shard's slice of the view is internally
-	// consistent; the cross-shard assembly is per-shard atomic only,
-	// the same relaxation live cross-shard reads have.
+	// it; the first call after one rebuilds the stripes it wrote.
 	EpochSnap() *Snapshot
 
 	// Insert, Delete, DeleteContent and ReplaceNull are the write
@@ -60,11 +55,10 @@ type Backend interface {
 	CommitBatchAsync(writers []int) (CommitAck, error)
 	Committed(writer int) bool
 
-	// SetCommitHook installs the durability hook (on every partition of
-	// a sharded backend, each partition passing its own slice of the
-	// batch); it must be called before the backend sees concurrent use.
-	// Persistent reports whether a hook is installed anywhere, and
-	// SyncCount the backend's aggregate fsync count.
+	// SetCommitHook installs the durability hook; it must be called
+	// before the backend sees concurrent use. Persistent reports
+	// whether a hook is installed, and SyncCount the backend's fsync
+	// count.
 	SetCommitHook(h CommitHook)
 	Persistent() bool
 	SyncCount() int64
@@ -86,13 +80,9 @@ type Backend interface {
 	UncommittedWritersOf(rel string) []int
 
 	// Stats and Dump summarize contents for diagnostics and golden
-	// tests; Dump output is identical across partition layouts.
+	// tests.
 	Stats() Stats
 	Dump(reader int) string
 }
 
-// Both implementations are held to the interface at compile time.
-var (
-	_ Backend = (*Store)(nil)
-	_ Backend = (*ShardedStore)(nil)
-)
+var _ Backend = (*Store)(nil)

@@ -299,7 +299,7 @@ func TestRetainedIDsStayValid(t *testing.T) {
 			snap.CandidatesByValue("R", 1, shared, new([1]TupleID)),
 			snap.CandidatesByValue("S", 1, shared, new([1]TupleID)),
 			snap.CandidatesByValue("S", 1, solo, new([1]TupleID)),
-			snap.nullCandidates(hub, new([1]TupleID)),
+			st.nullIDs(hub, new([1]TupleID)),
 		} {
 			kept[(5*i+j)%len(kept)] = retain(ids)
 		}
@@ -408,8 +408,8 @@ func TestIndexProbeAllocFree(t *testing.T) {
 	}{
 		{"value, one member", 1, func() []TupleID { return snap.CandidatesByValue("S", 2, c("city7"), &one) }},
 		{"value, list", 4, func() []TupleID { return snap.CandidatesByValue("S", 0, c("code7"), &one) }},
-		{"null, one member", 1, func() []TupleID { return snap.nullCandidates(n(2), &one) }},
-		{"null, list", 4, func() []TupleID { return snap.nullCandidates(n(1), &one) }},
+		{"null, one member", 1, func() []TupleID { return st.nullIDs(n(2), &one) }},
+		{"null, list", 4, func() []TupleID { return st.nullIDs(n(1), &one) }},
 		{"content, duplicate insert", 0, func() []TupleID {
 			if _, _, inserted, err := st.Insert(1, dup); inserted || err != nil {
 				t.Fatalf("duplicate insert: inserted %v, %v", inserted, err)

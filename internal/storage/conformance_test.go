@@ -9,15 +9,12 @@ import (
 	"youtopia/internal/model"
 )
 
-// The backend conformance suite: one shared table of storage-contract
-// tests run against every Backend implementation — the single *Store,
-// the one-shard ShardedStore (which must be behaviorally identical to
-// it), and a multi-shard ShardedStore. The interface cannot drift from
-// the store's semantics without a case here failing on one
-// implementation and passing on another.
+// The backend conformance suite: the storage contract the engine
+// layers rely on, exercised through the Backend interface on a fresh
+// *Store.
 
-// confSchema declares enough relations that a 3-way shard split puts
-// at least two relations in the same shard and at least one alone.
+// confSchema declares five relations of mixed arity, so cross-relation
+// operations span several stripes.
 func confSchema() *model.Schema {
 	s := model.NewSchema()
 	s.MustAddRelation("A", "x", "y")
@@ -28,27 +25,11 @@ func confSchema() *model.Schema {
 	return s
 }
 
-// backendCase builds one Backend implementation under test.
-type backendCase struct {
-	name  string
-	build func(*model.Schema) Backend
-}
-
-func backendCases() []backendCase {
-	return []backendCase{
-		{"store", func(s *model.Schema) Backend { return NewStore(s) }},
-		{"sharded-1", func(s *model.Schema) Backend { return NewSharded(s, 1) }},
-		{"sharded-3", func(s *model.Schema) Backend { return NewSharded(s, 3) }},
-	}
-}
-
-func forEachBackend(t *testing.T, fn func(t *testing.T, b Backend)) {
+// onStore runs a contract case as the "store" subtest on a fresh
+// store over confSchema.
+func onStore(t *testing.T, fn func(t *testing.T, b Backend)) {
 	t.Helper()
-	for _, bc := range backendCases() {
-		t.Run(bc.name, func(t *testing.T) {
-			fn(t, bc.build(confSchema()))
-		})
-	}
+	t.Run("store", func(t *testing.T) { fn(t, NewStore(confSchema())) })
 }
 
 func cv(s string) model.Value { return model.Const(s) }
@@ -69,7 +50,7 @@ func mustInsert(t *testing.T, b Backend, writer int, rel string, vals ...model.V
 // versions are invisible to lower-numbered readers; the maximal
 // visible version in (writer, seq) order wins.
 func TestConformanceSnapshotIsolation(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, b Backend) {
+	onStore(t, func(t *testing.T, b Backend) {
 		id3, _ := mustInsert(t, b, 3, "A", cv("u"), cv("v"))
 		if _, ok := b.Snap(2).Get(id3); ok {
 			t.Fatal("writer 3's tuple visible to reader 2")
@@ -91,10 +72,10 @@ func TestConformanceSnapshotIsolation(t *testing.T) {
 }
 
 // TestConformanceAbortVisibility: aborting a writer removes every one
-// of its versions atomically, across relations (and shards), and
+// of its versions atomically, across relations, and
 // repairs the indexes.
 func TestConformanceAbortVisibility(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, b Backend) {
+	onStore(t, func(t *testing.T, b Backend) {
 		idA, _ := mustInsert(t, b, 2, "A", cv("a"), cv("b"))
 		idB, _ := mustInsert(t, b, 2, "B", cv("a"))
 		idD, _ := mustInsert(t, b, 2, "D", cv("d"))
@@ -125,7 +106,7 @@ func TestConformanceAbortVisibility(t *testing.T) {
 // committed, retires their logs everywhere, and leaves their versions
 // in place; sequence numbers stay totally ordered across relations.
 func TestConformanceCommitOrdering(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, b Backend) {
+	onStore(t, func(t *testing.T, b Backend) {
 		var lastSeq int64
 		for i, rel := range []string{"A", "E", "C"} {
 			vals := make([]model.Value, b.Schema().Arity(rel))
@@ -161,14 +142,13 @@ func TestConformanceCommitOrdering(t *testing.T) {
 	})
 }
 
-// TestConformanceHookMergeOrder: the durability hook receives, per
-// partition, ascending writers and write records merged in
-// (writer, seq) order; batches with no records in a partition are
-// skipped entirely.
+// TestConformanceHookMergeOrder: the durability hook receives one call
+// per batch with ascending writers and the write records merged in
+// (writer, seq) order; batches with no records skip it entirely.
 func TestConformanceHookMergeOrder(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, b Backend) {
+	onStore(t, func(t *testing.T, b Backend) {
 		// Interleave two writers across relations so the per-writer
-		// shard merge has real work.
+		// log merge has real work.
 		mustInsert(t, b, 2, "A", cv("w2a"), cv("x"))
 		mustInsert(t, b, 1, "A", cv("w1a"), cv("x"))
 		mustInsert(t, b, 2, "B", cv("w2b"))
@@ -190,8 +170,8 @@ func TestConformanceHookMergeOrder(t *testing.T) {
 		if err := b.CommitBatch([]int{2, 1}); err != nil {
 			t.Fatal(err)
 		}
-		if len(calls) == 0 {
-			t.Fatal("hook never called")
+		if len(calls) != 1 {
+			t.Fatalf("hook called %d times for one batch", len(calls))
 		}
 		total := 0
 		for _, recs := range calls {
@@ -223,7 +203,7 @@ func TestConformanceHookMergeOrder(t *testing.T) {
 // TestConformanceHookVeto: a hook error vetoes the commit — the
 // writers stay uncommitted, their logs stay live.
 func TestConformanceHookVeto(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, b Backend) {
+	onStore(t, func(t *testing.T, b Backend) {
 		mustInsert(t, b, 1, "A", cv("v"), cv("v"))
 		b.SetCommitHook(func([]int, []WriteRec) (CommitAck, error) {
 			return nil, fmt.Errorf("disk on fire")
@@ -240,11 +220,11 @@ func TestConformanceHookVeto(t *testing.T) {
 	})
 }
 
-// TestConformanceReplaceNullSpansShards: a null replacement rewrites
-// every occurrence across relations in one atomic operation, with
-// set-semantics collapse, identically on every backend.
-func TestConformanceReplaceNullSpansShards(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, b Backend) {
+// TestConformanceReplaceNullSpansRelations: a null replacement
+// rewrites every occurrence across relations — and therefore across
+// stripes — in one atomic operation, with set-semantics collapse.
+func TestConformanceReplaceNullSpansRelations(t *testing.T) {
+	onStore(t, func(t *testing.T, b Backend) {
 		x := b.FreshNull()
 		mustInsert(t, b, 1, "A", x, cv("k"))
 		mustInsert(t, b, 1, "B", x)
@@ -273,11 +253,10 @@ func TestConformanceReplaceNullSpansShards(t *testing.T) {
 	})
 }
 
-// TestConformanceSnapshotFilters: per-relation ceilings and windows
-// behave identically across backends — the reconstruction machinery
-// the conflict checks rely on.
+// TestConformanceSnapshotFilters: per-relation ceilings and windows —
+// the reconstruction machinery the conflict checks rely on.
 func TestConformanceSnapshotFilters(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, b Backend) {
+	onStore(t, func(t *testing.T, b Backend) {
 		idA, _ := mustInsert(t, b, 1, "A", cv("early"), cv("x"))
 		ceils := []RelSeq{{Rel: "A", Seq: b.RelSeq("A")}, {Rel: "B", Seq: b.RelSeq("B")}}
 		idB, recB := mustInsert(t, b, 2, "B", cv("late"))
@@ -308,38 +287,34 @@ func TestConformanceSnapshotFilters(t *testing.T) {
 	})
 }
 
-// TestConformanceDumpIdentity: the same operation sequence leaves a
-// byte-identical Dump on every backend, including after aborts and
-// replacements — the behavioral-identity oracle.
+// TestConformanceDumpIdentity: after aborts, a cross-relation
+// replacement and a batch commit, Dump renders exactly the surviving
+// committed facts — the rendering recovery and the goldens compare.
 func TestConformanceDumpIdentity(t *testing.T) {
-	run := func(b Backend) string {
-		x := b.FreshNull()
-		if _, err := b.Load(model.NewTuple("A", cv("base"), cv("b"))); err != nil {
-			panic(err)
-		}
-		mustInsertP(b, 1, "A", cv("one"), cv("b"))
-		mustInsertP(b, 1, "B", cv("one"))
-		mustInsertP(b, 2, "C", x, cv("c"), cv("d"))
-		mustInsertP(b, 2, "E", x, cv("e"))
-		mustInsertP(b, 3, "D", cv("gone"))
-		if _, err := b.ReplaceNull(2, x, cv("fix")); err != nil {
-			panic(err)
-		}
-		b.Abort(3)
-		if err := b.CommitBatch([]int{1, 2}); err != nil {
-			panic(err)
-		}
-		return b.Dump(1 << 30)
+	b := NewStore(confSchema())
+	x := b.FreshNull()
+	if _, err := b.Load(model.NewTuple("A", cv("base"), cv("b"))); err != nil {
+		t.Fatal(err)
 	}
-	var dumps []string
-	for _, bc := range backendCases() {
-		dumps = append(dumps, run(bc.build(confSchema())))
+	mustInsertP(b, 1, "A", cv("one"), cv("b"))
+	mustInsertP(b, 1, "B", cv("one"))
+	mustInsertP(b, 2, "C", x, cv("c"), cv("d"))
+	mustInsertP(b, 2, "E", x, cv("e"))
+	mustInsertP(b, 3, "D", cv("gone"))
+	if _, err := b.ReplaceNull(2, x, cv("fix")); err != nil {
+		t.Fatal(err)
 	}
-	for i := 1; i < len(dumps); i++ {
-		if dumps[i] != dumps[0] {
-			t.Fatalf("%s dump differs from %s:\n%s\nvs\n%s",
-				backendCases()[i].name, backendCases()[0].name, dumps[i], dumps[0])
-		}
+	b.Abort(3)
+	if err := b.CommitBatch([]int{1, 2}); err != nil {
+		t.Fatal(err)
+	}
+	const want = `A(base, b)
+A(one, b)
+B(one)
+C(fix, c, d)
+E(fix, e)`
+	if got := b.Dump(1 << 30); got != want {
+		t.Fatalf("dump:\n%s\nwant:\n%s", got, want)
 	}
 }
 
@@ -351,9 +326,9 @@ func mustInsertP(b Backend, writer int, rel string, vals ...model.Value) {
 
 // TestConformanceEpochCommittedView: an epoch snapshot serves exactly
 // the committed instance — the state an identical backend shows after
-// aborting every uncommitted writer — identically on every backend.
+// aborting every uncommitted writer.
 func TestConformanceEpochCommittedView(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, b Backend) {
+	onStore(t, func(t *testing.T, b Backend) {
 		seedCommitted(t, b)
 		oracle := NewStore(confSchema())
 		seedCommitted(t, oracle)
@@ -384,16 +359,14 @@ func canonFacts(m map[string][]model.Tuple) map[string][]string {
 	return out
 }
 
-// TestConformanceEpochDumpIdentity: serializing each backend's epoch
-// (the checkpoint path) yields byte-identical content across partition
-// layouts, exactly like Dump — the recovery-identity guarantee the
-// wait-free checkpoint inherits.
+// TestConformanceEpochDumpIdentity: serializing the epoch (the
+// checkpoint path) yields byte-identical content, tuple IDs included,
+// to a live scan of the committed state — the recovery-identity
+// guarantee the wait-free checkpoint inherits.
 func TestConformanceEpochDumpIdentity(t *testing.T) {
-	render := func(b Backend) string {
-		seedCommitted(t, b)
+	render := func(sn *Snapshot) string {
 		var out string
-		sn := b.EpochSnap()
-		for _, rel := range b.Schema().SortedNames() {
+		for _, rel := range confSchema().SortedNames() {
 			sn.ScanRel(rel, func(id TupleID, vals []model.Value) bool {
 				out += fmt.Sprintf("%s/%d%v\n", rel, id, vals)
 				return true
@@ -401,53 +374,13 @@ func TestConformanceEpochDumpIdentity(t *testing.T) {
 		}
 		return out
 	}
-	var dumps []string
-	for _, bc := range backendCases() {
-		dumps = append(dumps, render(bc.build(confSchema())))
+	b := NewStore(confSchema())
+	seedCommitted(t, b)
+	oracle := NewStore(confSchema())
+	seedCommitted(t, oracle)
+	oracle.Abort(9)
+	got, want := render(b.EpochSnap()), render(oracle.Snap(1<<30))
+	if got == "" || got != want {
+		t.Fatalf("epoch dump differs from the committed live scan:\n%s\nvs\n%s", got, want)
 	}
-	for i := 1; i < len(dumps); i++ {
-		if dumps[i] != dumps[0] {
-			t.Fatalf("%s epoch dump differs from %s:\n%s\nvs\n%s",
-				backendCases()[i].name, backendCases()[0].name, dumps[i], dumps[0])
-		}
-	}
-}
-
-// TestConformanceShardRouting pins the shard assignment contract: a
-// relation's shard is its schema stripe index modulo the shard count,
-// stable across instances, and tuple IDs resolve to the same shard as
-// their relation.
-func TestConformanceShardRouting(t *testing.T) {
-	schema := confSchema()
-	ss := NewSharded(schema, 3)
-	ss2 := NewSharded(schema, 3)
-	seen := map[int]bool{}
-	for _, rel := range schema.SortedNames() {
-		k := ss.ShardForRelation(rel)
-		if k < 0 || k >= 3 {
-			t.Fatalf("ShardForRelation(%s) = %d", rel, k)
-		}
-		if k != ss2.ShardForRelation(rel) {
-			t.Fatalf("shard assignment for %s not stable across instances", rel)
-		}
-		seen[k] = true
-		id, _ := mustInsert(t, ss, 1, rel, makeVals(schema, rel)...)
-		if got := ss.shardForID(id); got != ss.shards[k] {
-			t.Fatalf("tuple ID of %s routed to a different shard than its relation", rel)
-		}
-	}
-	if len(seen) != 3 {
-		t.Fatalf("5 relations over 3 shards hit only shards %v", seen)
-	}
-	if ss.ShardForRelation("nope") != -1 {
-		t.Fatal("undeclared relation got a shard")
-	}
-}
-
-func makeVals(schema *model.Schema, rel string) []model.Value {
-	vals := make([]model.Value, schema.Arity(rel))
-	for i := range vals {
-		vals[i] = cv(fmt.Sprintf("%s%d", rel, i))
-	}
-	return vals
 }

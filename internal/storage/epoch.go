@@ -347,23 +347,7 @@ func (st *Store) refreshEpoch(ep *CommittedEpoch, all bool) *CommittedEpoch {
 // after a commit read-locks the stripes that commit wrote, and the
 // planner's RelStats reads the live stripe.
 func (st *Store) EpochSnap() *Snapshot {
-	return &Snapshot{stores: st.self, reader: maxReader, epoch: st.Epoch().rels}
-}
-
-// EpochSnap implements Backend for the sharded store: each stripe's
-// record is taken from its owning shard's epoch. Every shard's epoch
-// is internally consistent; the cross-shard assembly is per-shard
-// atomic only, the same relaxation live cross-shard reads have.
-func (ss *ShardedStore) EpochSnap() *Snapshot {
-	n := len(ss.shards[0].byIdx)
-	rels := make([]*relEpoch, n)
-	for k, sh := range ss.shards {
-		ep := sh.Epoch()
-		for i := k; i < n; i += len(ss.shards) {
-			rels[i] = ep.rels[i]
-		}
-	}
-	return &Snapshot{stores: ss.shards, reader: maxReader, epoch: rels}
+	return &Snapshot{store: st, reader: maxReader, epoch: st.Epoch().rels}
 }
 
 // Lock probe: test instrumentation pinning the wait-free contract.

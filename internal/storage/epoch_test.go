@@ -43,7 +43,7 @@ func seedCommitted(t *testing.T, b Backend) (x model.Value, deleted TupleID) {
 // structural, not statistical. The live-snapshot phase at the end
 // proves the probe actually counts.
 func TestSnapshotReadLockFree(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, b Backend) {
+	onStore(t, func(t *testing.T, b Backend) {
 		x, deleted := seedCommitted(t, b)
 		// Nobody has read committed state yet, so the first snapshot
 		// builds every stripe the load and the batch touched.
@@ -135,7 +135,7 @@ func TestSnapshotReadLockFree(t *testing.T) {
 // commits publish new epochs without changing it — while a fresh
 // snapshot sees the new state.
 func TestEpochSnapshotFrozen(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, b Backend) {
+	onStore(t, func(t *testing.T, b Backend) {
 		seedCommitted(t, b)
 		old := b.EpochSnap()
 		oldA := old.CountRel("A")
@@ -262,7 +262,7 @@ func TestEpochCommitCounterPairsWithHook(t *testing.T) {
 // recovery replay) dirty stripes without publishing; the next Epoch
 // call must repair the published record on demand.
 func TestEpochRefreshAfterLoad(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, b Backend) {
+	onStore(t, func(t *testing.T, b Backend) {
 		if _, err := b.Load(model.NewTuple("A", cv("l1"), cv("x"))); err != nil {
 			t.Fatal(err)
 		}
@@ -313,16 +313,14 @@ func TestNoReaderNoRebuild(t *testing.T) {
 // must be a cut no batch straddles (each writer goroutine's keys appear
 // equally often in both relations of its pair), must pair exactly with
 // its batch count (four live tuples per counted batch), and Commits
-// must never run backwards for one reader. A ShardedStore promises this
-// per shard, so its pairs sit inside one shard and each shard's epoch is
-// checked on its own.
+// must never run backwards for one reader.
 func TestEpochConsistentCutUnderCommits(t *testing.T) {
 	schema := model.NewSchema()
 	for i := 0; i < 6; i++ {
 		schema.MustAddRelation(fmt.Sprintf("P%d", i), "g", "k")
 	}
-	// Same-parity pairs share a shard under two shards; they overlap, so
-	// commits contend with each other as well as with the readers.
+	// The pairs overlap, so commits contend with each other as well as
+	// with the readers.
 	pairs := [][2]string{{"P0", "P2"}, {"P2", "P4"}, {"P1", "P3"}, {"P3", "P5"}, {"P0", "P4"}}
 	// Each writer commits at least minBatches batches, and keeps going
 	// (up to a cap that only bounds a broken run) until the readers have
@@ -333,94 +331,81 @@ func TestEpochConsistentCutUnderCommits(t *testing.T) {
 		minBatches, wantEpochs = 50, 20
 	}
 	maxBatches := 100 * minBatches
-	for _, tc := range []struct {
-		name  string
-		build func() (Backend, []*Store)
-	}{
-		{"store", func() (Backend, []*Store) { st := NewStore(schema); return st, []*Store{st} }},
-		{"sharded-2", func() (Backend, []*Store) { ss := NewSharded(schema, 2); return ss, ss.Shards() }},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			b, cuts := tc.build()
-			var stop atomic.Bool
-			var distinct atomic.Int64  // epochs readers saw Commits advance in
-			var committed atomic.Int64 // batches the writers committed
-			var readers, writers sync.WaitGroup
-			for r := 0; r < 3; r++ {
-				readers.Add(1)
-				go func() {
-					defer readers.Done()
-					last := make([]int64, len(cuts))
-					for !stop.Load() {
-						for c, st := range cuts {
-							ep := st.Epoch()
-							if ep.Commits() < last[c] {
-								t.Errorf("Commits ran backwards: %d after %d", ep.Commits(), last[c])
-								return
-							}
-							if ep.Commits() > last[c] {
-								distinct.Add(1)
-							}
-							last[c] = ep.Commits()
-							live := 0
-							for _, e := range ep.rels {
-								live += e.live
-							}
-							if int64(live) != 4*ep.Commits() {
-								t.Errorf("epoch holds %d tuples but counts %d batches of 4", live, ep.Commits())
-								return
-							}
-							sn := &Snapshot{stores: st.self, reader: maxReader, epoch: ep.rels}
-							for g, p := range pairs {
-								key := cv(fmt.Sprintf("g%d", g))
-								if a, z := len(sn.CandidatesByValue(p[0], 0, key, new([1]TupleID))), len(sn.CandidatesByValue(p[1], 0, key, new([1]TupleID))); a != z {
-									t.Errorf("torn epoch: writer %d has %d keys in %s but %d in %s", g, a, p[0], z, p[1])
-									return
-								}
-							}
-						}
-						runtime.Gosched() // few cores: let a writer in between passes
+	t.Run("store", func(t *testing.T) {
+		st := NewStore(schema)
+		var stop atomic.Bool
+		var distinct atomic.Int64  // epochs readers saw Commits advance in
+		var committed atomic.Int64 // batches the writers committed
+		var readers, writers sync.WaitGroup
+		for r := 0; r < 3; r++ {
+			readers.Add(1)
+			go func() {
+				defer readers.Done()
+				var last int64
+				for !stop.Load() {
+					ep := st.Epoch()
+					if ep.Commits() < last {
+						t.Errorf("Commits ran backwards: %d after %d", ep.Commits(), last)
+						return
 					}
-				}()
-			}
-			for g, p := range pairs {
-				writers.Add(1)
-				go func(g int, p [2]string) {
-					defer writers.Done()
-					for i := 0; i < maxBatches && (i < minBatches || distinct.Load() < wantEpochs); i++ {
-						batch := []int{1 + 2*(g+len(pairs)*i), 2 + 2*(g+len(pairs)*i)}
-						for j, w := range batch {
-							vals := []model.Value{cv(fmt.Sprintf("g%d", g)), cv(fmt.Sprintf("%d-%d", i, j))}
-							for _, rel := range p {
-								if _, _, _, err := b.Insert(w, model.NewTuple(rel, vals...)); err != nil {
-									t.Error(err)
-									return
-								}
-							}
-						}
-						if err := b.CommitBatch(batch); err != nil {
-							t.Error(err)
+					if ep.Commits() > last {
+						distinct.Add(1)
+					}
+					last = ep.Commits()
+					live := 0
+					for _, e := range ep.rels {
+						live += e.live
+					}
+					if int64(live) != 4*ep.Commits() {
+						t.Errorf("epoch holds %d tuples but counts %d batches of 4", live, ep.Commits())
+						return
+					}
+					sn := &Snapshot{store: st, reader: maxReader, epoch: ep.rels}
+					for g, p := range pairs {
+						key := cv(fmt.Sprintf("g%d", g))
+						if a, z := len(sn.CandidatesByValue(p[0], 0, key, new([1]TupleID))), len(sn.CandidatesByValue(p[1], 0, key, new([1]TupleID))); a != z {
+							t.Errorf("torn epoch: writer %d has %d keys in %s but %d in %s", g, a, p[0], z, p[1])
 							return
 						}
-						committed.Add(1)
 					}
-				}(g, p)
-			}
-			writers.Wait()
-			stop.Store(true)
-			readers.Wait()
-			total := int64(0)
-			for _, st := range cuts {
-				total += st.Epoch().Commits()
-			}
-			if total != committed.Load() {
-				t.Fatalf("final epochs count %d batches, writers committed %d", total, committed.Load())
-			}
-			if distinct.Load() < wantEpochs {
-				t.Fatalf("readers checked only %d distinct epochs across %d batches", distinct.Load(), total)
-			}
-		})
-	}
+					runtime.Gosched() // few cores: let a writer in between passes
+				}
+			}()
+		}
+		for g, p := range pairs {
+			writers.Add(1)
+			go func(g int, p [2]string) {
+				defer writers.Done()
+				for i := 0; i < maxBatches && (i < minBatches || distinct.Load() < wantEpochs); i++ {
+					batch := []int{1 + 2*(g+len(pairs)*i), 2 + 2*(g+len(pairs)*i)}
+					for j, w := range batch {
+						vals := []model.Value{cv(fmt.Sprintf("g%d", g)), cv(fmt.Sprintf("%d-%d", i, j))}
+						for _, rel := range p {
+							if _, _, _, err := st.Insert(w, model.NewTuple(rel, vals...)); err != nil {
+								t.Error(err)
+								return
+							}
+						}
+					}
+					if err := st.CommitBatch(batch); err != nil {
+						t.Error(err)
+						return
+					}
+					committed.Add(1)
+				}
+			}(g, p)
+		}
+		writers.Wait()
+		stop.Store(true)
+		readers.Wait()
+		total := st.Epoch().Commits()
+		if total != committed.Load() {
+			t.Fatalf("final epochs count %d batches, writers committed %d", total, committed.Load())
+		}
+		if distinct.Load() < wantEpochs {
+			t.Fatalf("readers checked only %d distinct epochs across %d batches", distinct.Load(), total)
+		}
+	})
 }
 
 // TestEpochRefreshFallback: a refresh that keeps losing its validation

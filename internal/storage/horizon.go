@@ -28,19 +28,15 @@ func (h horizon) releases(v *version) bool {
 // idle reports whether no uncommitted writer has a live write.
 func (h horizon) idle() bool { return h.writer == math.MaxInt }
 
-// horizon computes the store's horizon over all of its peers: a reader
-// of one partition may hold read vectors into every other. Safe under
-// any stripe lock; each peer's commitMu is taken on its own.
+// horizon computes the store's horizon. Safe under any stripe lock.
 func (st *Store) horizon() horizon {
 	h := horizon{writer: math.MaxInt, seq: math.MaxInt64}
-	for _, p := range st.peers {
-		p.commitMu.RLock()
-		for w, lw := range p.writerStripes {
-			h.writer = min(h.writer, w)
-			h.seq = min(h.seq, lw.first-1)
-		}
-		p.commitMu.RUnlock()
+	st.commitMu.RLock()
+	for w, lw := range st.writerStripes {
+		h.writer = min(h.writer, w)
+		h.seq = min(h.seq, lw.first-1)
 	}
+	st.commitMu.RUnlock()
 	return h
 }
 
@@ -155,7 +151,7 @@ func (st *Store) notePending(s *stripe, had bool) {
 	}
 }
 
-// settle drains the pending lists once no writer is live anywhere,
+// settle drains the pending lists once no writer is live,
 // so that history whose last holder aborted does not wait for the next
 // commit. It locks the stripes with pending entries in ascending order,
 // as a commit batch would.

@@ -6,8 +6,7 @@ import "youtopia/internal/obs"
 // uncontended lock path stays one try-acquire (a CAS, same cost class
 // as the plain acquire it replaces) plus the probe load — timing only
 // starts once a lock actually blocks, so the zero-alloc and lock-free
-// gates are unaffected. The sharded store's shards are plain Stores,
-// so their stripes report through the same handles.
+// gates are unaffected.
 var (
 	obsLockContended  = obs.Default.Counter("storage_stripe_lock_contended_total")
 	obsRLockContended = obs.Default.Counter("storage_stripe_rlock_contended_total")

@@ -89,7 +89,7 @@ func sortedWriters(writers []int) []int {
 // batchWrites merges the live write logs of a commit batch's writers
 // across the stripes they wrote, sorted by (writer, seq) — the order
 // recovery replays them in. The result reuses the store's commit
-// scratch buffer (sized exactly from the per-writer shard lengths, so
+// scratch buffer (sized exactly from the per-writer log lengths, so
 // steady-state batches allocate nothing) and is valid only until the
 // next batch; CommitBatch hands it to the hook under that contract.
 // Callers hold those stripes' locks and batchMu, which is what

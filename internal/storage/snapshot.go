@@ -1,10 +1,6 @@
 package storage
 
-import (
-	"slices"
-
-	"youtopia/internal/model"
-)
+import "youtopia/internal/model"
 
 // RelSeq pairs a relation with a stripe sequence number: one entry of
 // a per-relation read vector. Conflict checks capture such vectors at
@@ -35,14 +31,12 @@ func seqOf(vec []RelSeq, rel string) (int64, bool) {
 // uses masks to compare query answers with and without a single write.
 //
 // Snapshots are cheap descriptors over live store state, not frozen
-// copies: results reflect the store at call time. A snapshot routes
-// over the backend's partition list — a single store, or every shard
-// of a ShardedStore — resolving each relation (or tuple ID) to its
-// owning partition. Single-relation methods take that relation's
-// stripe read lock for their own duration, so individual calls are
-// atomic and safe to issue from any goroutine; methods that span
-// relations (TuplesWithNull, VisibleFacts) lock stripe-by-stripe and
-// are atomic per relation only. Two successive calls may observe
+// copies: results reflect the store at call time. Single-relation
+// methods take that relation's stripe read lock for their own
+// duration, so individual calls are atomic and safe to issue from any
+// goroutine; methods that span relations (TuplesWithNull,
+// VisibleFacts) lock stripe-by-stripe and are atomic per relation
+// only. Two successive calls may observe
 // different store states if a writer runs in between — multi-call
 // protocols need external phase locking.
 //
@@ -52,10 +46,7 @@ func seqOf(vec []RelSeq, rel string) (int64, bool) {
 // never change under the caller. They see committed state only, so
 // the visibility filters below do not apply to them.
 type Snapshot struct {
-	// stores is the partition list: relation (stripe) index i lives in
-	// stores[i % len(stores)]. A plain store's snapshots carry its own
-	// one-element list.
-	stores []*Store
+	store  *Store
 	reader int
 
 	// noLock marks snapshots handed out by store code that already
@@ -95,17 +86,6 @@ type Snapshot struct {
 	relCeils   []RelSeq
 }
 
-// stripeFor resolves a relation to its owning partition and stripe
-// over the snapshot's partition list.
-func (sn *Snapshot) stripeFor(rel string) (*Store, *stripe) {
-	return partitionForRel(sn.stores, rel)
-}
-
-// stripeForID resolves a tuple ID to its owning partition and stripe.
-func (sn *Snapshot) stripeForID(id TupleID) (*Store, *stripe) {
-	return partitionForID(sn.stores, id)
-}
-
 // rlock acquires a stripe's read lock unless this snapshot was minted
 // under already-held locks.
 func (sn *Snapshot) rlock(s *stripe) {
@@ -123,7 +103,7 @@ func (sn *Snapshot) runlock(s *stripe) {
 // epochFor resolves a relation to its epoch record, or nil for an
 // unknown relation. Only called when sn.epoch is non-nil.
 func (sn *Snapshot) epochFor(rel string) *relEpoch {
-	s, ok := sn.stores[0].stripes[rel]
+	s, ok := sn.store.stripes[rel]
 	if !ok {
 		return nil
 	}
@@ -148,7 +128,7 @@ func (sn *Snapshot) Reader() int { return sn.reader }
 // an undeclared relation). Readers that hold only a snapshot capture
 // their per-relation read vectors through it.
 func (sn *Snapshot) RelSeq(rel string) int64 {
-	_, s := sn.stripeFor(rel)
+	s := sn.store.stripes[rel]
 	if s == nil {
 		return 0
 	}
@@ -271,7 +251,7 @@ func (sn *Snapshot) Get(id TupleID) ([]model.Value, bool) {
 		}
 		return e.get(id)
 	}
-	_, s := sn.stripeForID(id)
+	s := sn.store.stripeOf(id)
 	if s == nil {
 		return nil, false
 	}
@@ -283,7 +263,7 @@ func (sn *Snapshot) Get(id TupleID) ([]model.Value, bool) {
 // getLocked resolves a tuple under already-held locks (the caller
 // holds the owning stripe's lock, directly or via lockAll).
 func (sn *Snapshot) getLocked(id TupleID) ([]model.Value, bool) {
-	_, s := sn.stripeForID(id)
+	s := sn.store.stripeOf(id)
 	if s == nil {
 		return nil, false
 	}
@@ -315,7 +295,7 @@ func (sn *Snapshot) GetTuple(id TupleID) (model.Tuple, bool) {
 		}
 		return model.Tuple{Rel: e.rel, Vals: vals}, true
 	}
-	_, s := sn.stripeForID(id)
+	s := sn.store.stripeOf(id)
 	if s == nil {
 		return model.Tuple{}, false
 	}
@@ -341,7 +321,7 @@ func (sn *Snapshot) Rel(id TupleID) (string, bool) {
 		}
 		return e.rel, true
 	}
-	_, s := sn.stripeForID(id)
+	s := sn.store.stripeOf(id)
 	if s == nil {
 		return "", false
 	}
@@ -367,7 +347,7 @@ func (sn *Snapshot) RelIDs(rel string) []TupleID {
 		}
 		return e.ids
 	}
-	_, s := sn.stripeFor(rel)
+	s := sn.store.stripes[rel]
 	if s == nil {
 		return nil
 	}
@@ -386,7 +366,7 @@ func (sn *Snapshot) ScanRel(rel string, fn func(id TupleID, vals []model.Value) 
 		}
 		return
 	}
-	_, s := sn.stripeFor(rel)
+	s := sn.store.stripes[rel]
 	if s == nil {
 		return
 	}
@@ -439,7 +419,7 @@ type RelStats struct {
 // not the snapshot's exact visibility — they feed ordering heuristics,
 // never correctness.
 func (sn *Snapshot) RelStats(rel string) RelStats {
-	_, s := sn.stripeFor(rel)
+	s := sn.store.stripes[rel]
 	if s == nil {
 		return RelStats{}
 	}
@@ -469,7 +449,7 @@ func (sn *Snapshot) CandidatesByValue(rel string, col int, v model.Value, one *[
 		}
 		return e.valIndex()[col][v.Hash()]
 	}
-	_, s := sn.stripeFor(rel)
+	s := sn.store.stripes[rel]
 	if s == nil {
 		return nil
 	}
@@ -492,7 +472,7 @@ func (sn *Snapshot) LookupContent(t model.Tuple) []TupleID {
 	if sn.epoch != nil {
 		return sn.epochLookupContent(t)
 	}
-	st, s := sn.stripeFor(t.Rel)
+	s := sn.store.stripes[t.Rel]
 	if s == nil {
 		return nil
 	}
@@ -500,7 +480,7 @@ func (sn *Snapshot) LookupContent(t model.Tuple) []TupleID {
 	defer sn.runlock(s)
 	var out []TupleID
 	var one [1]TupleID
-	for _, id := range s.contentIdx.get(st.contentHash(t.Vals), &one) {
+	for _, id := range s.contentIdx.get(sn.store.contentHash(t.Vals), &one) {
 		if vals, ok := sn.getInStripe(s, id); ok && (model.Tuple{Rel: t.Rel, Vals: vals}).Equal(t) {
 			out = append(out, id)
 		}
@@ -549,24 +529,9 @@ func (st *Store) nullIDs(x model.Value, one *[1]TupleID) []TupleID {
 	return st.nullIdx.get(x.Hash(), one)
 }
 
-// nullCandidates unions the partitions' null-index entries for x, in
-// ascending tuple-ID order (which clusters IDs by stripe); a single
-// entry of a single partition is returned in one.
-func (sn *Snapshot) nullCandidates(x model.Value, one *[1]TupleID) []TupleID {
-	if len(sn.stores) == 1 {
-		return sn.stores[0].nullIDs(x, one)
-	}
-	var cands []TupleID
-	for _, st := range sn.stores {
-		cands = append(cands, st.nullIDs(x, one)...)
-	}
-	slices.Sort(cands)
-	return cands
-}
-
 // TuplesWithNull returns, in ascending order, the IDs of visible
 // tuples containing the labeled null x. The null index spans
-// relations (and partitions), so visibility is verified
+// relations, so visibility is verified
 // stripe-by-stripe; consecutive hits cluster by stripe and share one
 // lock acquisition.
 func (sn *Snapshot) TuplesWithNull(x model.Value) []TupleID {
@@ -598,8 +563,8 @@ func (sn *Snapshot) liveTuplesWithNull(x model.Value) []TupleID {
 	var one [1]TupleID
 	var out []TupleID
 	var cur *stripe
-	for _, id := range sn.nullCandidates(x, &one) {
-		_, s := sn.stripeForID(id)
+	for _, id := range sn.store.nullIDs(x, &one) {
+		s := sn.store.stripeOf(id)
 		if s == nil {
 			continue
 		}
@@ -638,7 +603,7 @@ func (sn *Snapshot) MoreSpecific(t model.Tuple) []TupleID {
 	if sn.epoch != nil {
 		return sn.epochMoreSpecific(t)
 	}
-	_, s := sn.stripeFor(t.Rel)
+	s := sn.store.stripes[t.Rel]
 	if s == nil {
 		return nil
 	}
@@ -745,8 +710,8 @@ func (sn *Snapshot) VisibleFacts() map[string][]model.Tuple {
 		return out
 	}
 	out := make(map[string][]model.Tuple)
-	for _, rel := range sn.stores[0].relsByIdx {
-		_, s := sn.stripeFor(rel)
+	for _, rel := range sn.store.relsByIdx {
+		s := sn.store.stripes[rel]
 		seen := make(map[string]bool)
 		var ts []model.Tuple
 		sn.rlock(s)

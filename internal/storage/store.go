@@ -31,16 +31,14 @@
 //     or above first(u) - 1, so a ceiling or a window built from it
 //     admits v' and never falls through to v.
 //
-// The minimum is taken over every partition a reader can span: a
-// ShardedStore's shards share one horizon. Trimming drops the versions
-// below the newest committed one together with their index entries
-// (unindexVersion) and deletes a tuple whose only version left is a
-// committed tombstone from the tuples, the member list and every index.
-// A commit batch trims the tuples in its writers' logs under the stripe
-// locks it already holds; what the horizon does not yet release goes on
-// the stripe's pending list, which a later batch drains (adding those
-// stripes to its ascending lock round) or the abort of the last live
-// writer settles.
+// Trimming drops the versions below the newest committed one together
+// with their index entries (unindexVersion) and deletes a tuple whose
+// only version left is a committed tombstone from the tuples, the
+// member list and every index. A commit batch trims the tuples in its
+// writers' logs under the stripe locks it already holds; what the
+// horizon does not yet release goes on the stripe's pending list, which
+// a later batch drains (adding those stripes to its ascending lock
+// round) or the abort of the last live writer settles.
 //
 // Why the rule is sound: the stored reads that consult history are the
 // ones with a ceiling or a window — ViolationRead and NullOccRead — and
@@ -63,7 +61,8 @@
 // # Locking
 //
 // The store's write lock is striped by relation: each relation owns a
-// stripe holding its tuples, indexes, per-writer log shard, and an
+// stripe holding its tuples, indexes, its slice of the per-writer
+// logs, and an
 // RWMutex, so mutators of disjoint relations proceed truly
 // concurrently and readers only contend on the stripes they touch.
 // Three pieces of state span stripes and have their own coordination:
@@ -197,7 +196,7 @@ type tupleRec struct {
 	versions []version
 }
 
-// stripe is the per-relation shard of the store: one relation's
+// stripe is the per-relation slice of the store: one relation's
 // tuples, secondary indexes, and slice of the per-writer logs, guarded
 // by its own RWMutex.
 type stripe struct {
@@ -260,33 +259,22 @@ func (s *stripe) newID() TupleID {
 	return TupleID(int64(s.idx)<<localIDBits | s.nextLocal)
 }
 
-// Store is the versioned repository storage: the single-partition
-// Backend implementation. A ShardedStore composes several of these
-// into a relation-partitioned deployment; in that composition every
-// partition shares one sequence counter and one null factory (see
-// adoptShared), so sequence numbers and labeled nulls stay globally
-// unique and comparable across partitions.
+// Store is the versioned repository storage, the Backend
+// implementation.
 type Store struct {
 	schema *model.Schema
-	// nulls is shared across the partitions of a sharded deployment: a
-	// null minted in one partition can reach tuples of another through
-	// chase repairs, so uniqueness must be global.
-	nulls *model.NullFactory
+	nulls  model.NullFactory
 
-	// nextSeq is likewise shared across partitions, which keeps
+	// nextSeq numbers every write of every relation, which keeps
 	// sequence numbers totally ordered store-wide — the property the
 	// cross-relation interference windows of the conflict checks rely
 	// on (see query.ViolationRead.AffectedBy).
-	nextSeq *atomic.Int64
+	nextSeq atomic.Int64
 
 	// stripes is fixed at construction: one per schema relation.
 	stripes   map[string]*stripe
 	byIdx     []*stripe
 	relsByIdx []string // sorted relation names, aligned with byIdx
-
-	// self is the one-element partition list this store's snapshots
-	// route over; a ShardedStore's snapshots carry the full list.
-	self []*Store
 
 	// nullMu guards nullIdx; see the package comment for lock order.
 	nullMu sync.Mutex
@@ -310,10 +298,6 @@ type Store struct {
 	// pendingIn lists the stripes with a non-empty pending list.
 	pendingIn []int
 
-	// peers is the partition list the horizon is taken over: the store
-	// itself, or every shard of the ShardedStore it belongs to, because
-	// a reader's snapshot spans all of them.
-	peers []*Store
 	// noTrim disables trimming; a test seam for differential checks.
 	noTrim bool
 
@@ -350,8 +334,6 @@ func NewStore(schema *model.Schema) *Store {
 	names := schema.SortedNames()
 	st := &Store{
 		schema:    schema,
-		nulls:     new(model.NullFactory),
-		nextSeq:   new(atomic.Int64),
 		stripes:   make(map[string]*stripe, len(names)),
 		byIdx:     make([]*stripe, 0, len(names)),
 		relsByIdx: names,
@@ -361,8 +343,6 @@ func NewStore(schema *model.Schema) *Store {
 
 		writerStripes: make(map[int]liveWriter),
 	}
-	st.self = []*Store{st}
-	st.peers = st.self
 	for i, name := range names {
 		s := &stripe{
 			rel:    name,
@@ -706,38 +686,20 @@ func (st *Store) DeleteContent(writer int, t model.Tuple) ([]WriteRec, error) {
 // The replacement spans relations, so it holds every stripe lock for
 // its duration — the one mutator that still serializes store-wide.
 func (st *Store) ReplaceNull(writer int, x, to model.Value) ([]WriteRec, error) {
-	if err := checkReplaceNull(x, to); err != nil {
-		return nil, err
+	if !x.IsNull() {
+		return nil, fmt.Errorf("storage: ReplaceNull target %s is not a labeled null", x)
+	}
+	if x == to {
+		return nil, fmt.Errorf("storage: ReplaceNull of %s with itself", x)
 	}
 	if to.IsNull() {
 		st.nulls.SetFloor(to.NullID())
 	}
 	st.lockAll()
 	defer st.unlockAll()
-	return replaceNullLocked(st.self, writer, x, to), nil
-}
-
-// checkReplaceNull validates a null-replacement's arguments.
-func checkReplaceNull(x, to model.Value) error {
-	if !x.IsNull() {
-		return fmt.Errorf("storage: ReplaceNull target %s is not a labeled null", x)
-	}
-	if x == to {
-		return fmt.Errorf("storage: ReplaceNull of %s with itself", x)
-	}
-	return nil
-}
-
-// replaceNullLocked is ReplaceNull's body, generalized over a
-// partition list so a ShardedStore can run one replacement across all
-// of its shards. Callers hold every stripe lock of every listed store;
-// hits are processed in ascending tuple-ID order, which is identical
-// whatever the partition count — the partition of a stripe never
-// changes its IDs — so executions are byte-for-byte reproducible
-// across shard layouts.
-func replaceNullLocked(stores []*Store, writer int, x, to model.Value) []WriteRec {
-	snap := &Snapshot{stores: stores, reader: writer, noLock: true}
-	// Collect affected tuples first: rewriting mutates the null index.
+	snap := st.snapLocked(writer)
+	// Collect affected tuples first, in ascending tuple-ID order:
+	// rewriting mutates the null index.
 	type hit struct {
 		id   TupleID
 		vals []model.Value
@@ -754,7 +716,7 @@ func replaceNullLocked(stores []*Store, writer int, x, to model.Value) []WriteRe
 	out := make([]WriteRec, 0, len(hits))
 	var one [1]TupleID
 	for _, h := range hits {
-		owner, s := snap.stripeForID(h.id)
+		s := st.stripeOf(h.id)
 		tr := s.tuples[h.id]
 		newVals := sub.Apply(h.vals)
 		// Set-semantics collapse (§2.2 "collapsed into one"): if the
@@ -763,7 +725,7 @@ func replaceNullLocked(stores []*Store, writer int, x, to model.Value) []WriteRe
 		// check runs against the live store so that two tuples rewritten
 		// to the same content within one replacement also collapse.
 		collapsed := false
-		for _, dupID := range s.contentIdx.get(owner.contentHash(newVals), &one) {
+		for _, dupID := range s.contentIdx.get(st.contentHash(newVals), &one) {
 			if dupID == h.id {
 				continue
 			}
@@ -772,20 +734,20 @@ func replaceNullLocked(stores []*Store, writer int, x, to model.Value) []WriteRe
 				break
 			}
 		}
-		seq := owner.nextSeq.Add(1)
+		seq := st.nextSeq.Add(1)
 		if collapsed {
 			w := WriteRec{Writer: writer, Seq: seq, ID: h.id, Rel: s.rel, Op: OpDelete,
 				Before: h.vals}
-			owner.addVersion(s, tr, version{writer: writer, seq: seq, deleted: true}, w)
+			st.addVersion(s, tr, version{writer: writer, seq: seq, deleted: true}, w)
 			out = append(out, w)
 			continue
 		}
 		w := WriteRec{Writer: writer, Seq: seq, ID: h.id, Rel: s.rel, Op: OpModify,
 			Before: h.vals, After: newVals}
-		owner.addVersion(s, tr, version{writer: writer, seq: seq, vals: newVals}, w)
+		st.addVersion(s, tr, version{writer: writer, seq: seq, vals: newVals}, w)
 		out = append(out, w)
 	}
-	return out
+	return out, nil
 }
 
 // Load inserts a tuple as part of the committed initial database
@@ -793,23 +755,6 @@ func replaceNullLocked(stores []*Store, writer int, x, to model.Value) []WriteRe
 func (st *Store) Load(t model.Tuple) (TupleID, error) {
 	id, _, _, err := st.Insert(0, t)
 	return id, err
-}
-
-// adoptShared repoints the store at a shared sequence counter and
-// null factory — the cross-partition identity a ShardedStore needs.
-// It must run before the store is shared between goroutines; both
-// replacements carry the store's current floor forward, so values
-// already minted stay unique under the shared allocators.
-func (st *Store) adoptShared(seq *atomic.Int64, nulls *model.NullFactory) {
-	for {
-		cur := seq.Load()
-		if have := st.nextSeq.Load(); have <= cur || seq.CompareAndSwap(cur, have) {
-			break
-		}
-	}
-	nulls.SetFloor(st.nulls.Peek() - 1)
-	st.nextSeq = seq
-	st.nulls = nulls
 }
 
 // Abort removes every version written by the given writer, restoring
@@ -820,28 +765,14 @@ func (st *Store) Abort(writer int) {
 	if writer == 0 {
 		panic("storage: cannot abort the initial load")
 	}
-	stripes := st.lockWritten(writer)
-	st.abortLocked(writer, stripes)
-	st.unlockStripes(stripes)
-	st.settle()
-}
-
-// lockWritten detaches the writer's stripe set and write-locks it in
-// ascending order; the caller owns the returned slice.
-func (st *Store) lockWritten(writer int) []int {
+	// Detach the writer's stripe set and write-lock it in ascending
+	// order.
 	st.commitMu.Lock()
 	stripes := st.writerStripes[writer].stripes
 	delete(st.writerStripes, writer)
 	st.commitMu.Unlock()
 	sort.Ints(stripes)
 	st.lockStripes(stripes)
-	return stripes
-}
-
-// abortLocked is Abort's body over the stripes the writer wrote, all
-// of which the caller holds (a ShardedStore holds them in every
-// partition so the abort is atomic across shards).
-func (st *Store) abortLocked(writer int, stripes []int) {
 	for _, si := range stripes {
 		s := st.byIdx[si]
 		log := s.logs[writer]
@@ -866,6 +797,8 @@ func (st *Store) abortLocked(writer int, stripes []int) {
 		}
 		delete(s.logs, writer)
 	}
+	st.unlockStripes(stripes)
+	st.settle()
 }
 
 // Commit marks a writer's versions as permanent and retires its write
@@ -934,9 +867,7 @@ func (st *Store) CommitBatchAsync(writers []int) (CommitAck, error) {
 	if st.commitHook != nil && wrote {
 		// A batch with no live writes in this store has nothing to make
 		// durable — recovery replays write records, not commit-status
-		// flips — so the log append is skipped. In a relation-partitioned
-		// deployment this is what keeps a commit out of the logs of
-		// partitions the batch never wrote to.
+		// flips — so the log append is skipped.
 		a, err := st.commitHook(sortedWriters(writers), st.batchWrites(stripes, writers))
 		if err != nil {
 			return nil, err
@@ -1084,19 +1015,19 @@ func (st *Store) UncommittedWritersOf(rel string) []int {
 // The snapshot locks internally per call and is safe for concurrent
 // use.
 func (st *Store) Snap(reader int) *Snapshot {
-	return &Snapshot{stores: st.self, reader: reader}
+	return &Snapshot{store: st, reader: reader}
 }
 
 // SnapInto implements Backend.
 func (st *Store) SnapInto(dst *Snapshot, reader int) {
-	*dst = Snapshot{stores: st.self, reader: reader}
+	*dst = Snapshot{store: st, reader: reader}
 }
 
 // snapLocked returns a read view for use by code already holding the
 // locks its calls will need (a single stripe for relation-local use,
 // or every stripe for cross-relation operations).
 func (st *Store) snapLocked(reader int) *Snapshot {
-	return &Snapshot{stores: st.self, reader: reader, noLock: true}
+	return &Snapshot{store: st, reader: reader, noLock: true}
 }
 
 // Stats summarizes store contents for diagnostics.

@@ -410,23 +410,3 @@ func (m *Manager) appendControlLocked(payload []byte) error {
 	}
 	return nil
 }
-
-// AppendPark forwards to shard 0: control records describe whole
-// updates, not per-relation writes, so they live in one log. Replay
-// order against other shards' batches does not matter — resume is a
-// deterministic re-run from the initial operation, idempotent against
-// whatever batch prefix each shard recovered.
-func (g *ShardGroup) AppendPark(op chase.Op) (int64, error) { return g.mgrs[0].AppendPark(op) }
-
-// AppendAnswer forwards to shard 0 (see AppendPark).
-func (g *ShardGroup) AppendAnswer(id int64, ctx string, option int) error {
-	return g.mgrs[0].AppendAnswer(id, ctx, option)
-}
-
-// AppendResume forwards to shard 0 (see AppendPark).
-func (g *ShardGroup) AppendResume(id int64, aborted bool) error {
-	return g.mgrs[0].AppendResume(id, aborted)
-}
-
-// Parked forwards to shard 0 (see AppendPark).
-func (g *ShardGroup) Parked() []ParkedUpdate { return g.mgrs[0].Parked() }

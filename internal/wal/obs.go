@@ -9,10 +9,9 @@ import "youtopia/internal/obs"
 // lock — rotation, close, and checkpoint syncs are counted but not
 // timed, since they hold m.mu and their latency is not the commit
 // path the histogram exists to explain.
-// The health-machine metrics are process-wide: sharded deployments
-// run one manager per shard against the same gauges, so repo_health
-// reads as "the worst recent transition" rather than a per-shard
-// vector — the per-shard truth is ShardGroup.Health.
+// The health-machine gauges are process-wide: every open log sets
+// them, so with several logs in one process repo_health reads as the
+// most recent transition — Manager.Health is the per-log truth.
 var (
 	obsAppends      = obs.Default.Counter("wal_appends_total")
 	obsAppendBytes  = obs.Default.Counter("wal_append_bytes_total")

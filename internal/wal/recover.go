@@ -96,6 +96,33 @@ func scanDir(fsys vfs.FS, dir string) ([]ckptFile, []segFile, error) {
 	return ckpts, segs, nil
 }
 
+// ErrShardedLayout reports a data directory holding shard-<k>
+// subdirectories: the per-partition log layout of the retired
+// relation-sharded store. Its committed data lives in those
+// subdirectories, so Open and Recover refuse the directory rather
+// than boot an empty instance beside it.
+var ErrShardedLayout = errors.New("wal: directory holds a sharded log layout, which cannot be opened")
+
+// checkLayout validates a data directory before anything touches it:
+// it fails with ErrShardedLayout, naming the directory, when dir holds
+// a shard-<k> subdirectory. An absent directory passes.
+func checkLayout(fsys vfs.FS, dir string) error {
+	entries, err := fsys.ReadDir(dir)
+	if err != nil {
+		if errors.Is(err, os.ErrNotExist) {
+			return nil
+		}
+		return fmt.Errorf("wal: %w", err)
+	}
+	for _, e := range entries {
+		k, ok := strings.CutPrefix(e.Name(), "shard-")
+		if _, err := strconv.Atoi(k); ok && err == nil && e.IsDir() {
+			return fmt.Errorf("%w: %s has subdirectory %s", ErrShardedLayout, dir, e.Name())
+		}
+	}
+	return nil
+}
+
 // Recover rebuilds the committed instance a WAL directory holds into
 // a fresh store over the schema: the newest decodable checkpoint,
 // then every complete commit batch the segments carry beyond it, in
@@ -104,14 +131,8 @@ func scanDir(fsys vfs.FS, dir string) ([]ckptFile, []segFile, error) {
 // tail. An empty or absent directory recovers to an empty store with
 // Fresh set.
 func Recover(dir string, schema *model.Schema) (*storage.Store, RecoveryInfo, error) {
-	// A sharded deployment must be inspected shard-aware: with no
-	// top-level segments this scan would otherwise report an empty
-	// fresh instance beside the committed shard data.
-	if existing, _, err := scanShardDirs(vfs.OS, dir); err != nil {
+	if err := checkLayout(vfs.OS, dir); err != nil {
 		return nil, RecoveryInfo{}, err
-	} else if len(existing) > 0 {
-		return nil, RecoveryInfo{}, fmt.Errorf("wal: %s holds a sharded log (%d shard subdirectories); use RecoverSharded with the matching shard count",
-			dir, len(existing))
 	}
 	rec, err := recoverDir(vfs.OS, dir, schema)
 	if err != nil {

@@ -270,14 +270,8 @@ func ckptName(batch int64) string {
 // use; Close releases the log.
 func Open(dir string, schema *model.Schema, opts Options) (*Manager, *storage.Store, error) {
 	o := opts.withDefaults()
-	// A directory holding shard subdirectories is a sharded deployment
-	// (OpenSharded); opening it as a single store would silently boot
-	// an empty repository beside the committed shard data.
-	if existing, _, err := scanShardDirs(o.FS, dir); err != nil {
+	if err := checkLayout(o.FS, dir); err != nil {
 		return nil, nil, err
-	} else if len(existing) > 0 {
-		return nil, nil, fmt.Errorf("wal: %s holds a sharded log (%d shard subdirectories); open it with the matching shard count",
-			dir, len(existing))
 	}
 	if err := o.FS.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("wal: %w", err)

@@ -50,15 +50,6 @@ type Config struct {
 	// instead of fresh constants. The paper's wording admits both
 	// readings; fresh constants are the default.
 	FreshNulls bool
-	// Shards is the relation-partition count of the storage backend
-	// runs are built over: 0 or 1 keeps the single store, N > 1
-	// partitions the relations across N independent stores, each with
-	// its own stripe set, group-commit frontier and (for durable runs)
-	// write-ahead log directory. The generated universe is identical
-	// whatever the value — sharded execution is serializable and the
-	// extracted facts are canonicalized — so the knob is purely a
-	// deployment axis.
-	Shards int
 	// SetupWorkers selects how the initial database is generated: 0
 	// (the default) runs the seed batch through the parallel scheduler
 	// on GOMAXPROCS workers, a positive value on that many workers, and
@@ -369,7 +360,7 @@ func usesAny(atoms []tgd.Atom, vars []string) bool {
 // returned for loading into fresh stores as the committed writer-0
 // state.
 func genInitialDB(rng *rand.Rand, cfg Config, u *Universe) ([]model.Tuple, error) {
-	st := newBackend(u.Schema, cfg.Shards)
+	st := storage.NewStore(u.Schema)
 	ops := make([]chase.Op, 0, cfg.InitialTuples)
 	rels := u.Schema.Names()
 	for i := 0; i < cfg.InitialTuples; i++ {
@@ -574,17 +565,8 @@ func canonicalizeNulls(facts []model.Tuple) []model.Tuple {
 	return out
 }
 
-// newBackend builds an empty backend over the schema with the given
-// relation-partition count.
-func newBackend(schema *model.Schema, shards int) storage.Backend {
-	if shards > 1 {
-		return storage.NewSharded(schema, shards)
-	}
-	return storage.NewStore(schema)
-}
-
-// NewStore loads the universe's initial database into a fresh
-// single-partition store as committed (writer 0) state.
+// NewStore loads the universe's initial database into a fresh store
+// as committed (writer 0) state.
 func (u *Universe) NewStore() (*storage.Store, error) {
 	st := storage.NewStore(u.Schema)
 	for _, t := range u.Initial {
@@ -595,15 +577,11 @@ func (u *Universe) NewStore() (*storage.Store, error) {
 	return st, nil
 }
 
-// NewBackend is NewStore honoring Config.Shards: the initial database
-// loaded into a fresh backend with the configured relation-partition
-// count. The committed contents are identical whatever the count.
+// NewBackend is NewStore returned as a storage.Backend (nil on error).
 func (u *Universe) NewBackend() (storage.Backend, error) {
-	st := newBackend(u.Schema, u.Config.Shards)
-	for _, t := range u.Initial {
-		if _, err := st.Load(t); err != nil {
-			return nil, err
-		}
+	st, err := u.NewStore()
+	if err != nil {
+		return nil, err
 	}
 	return st, nil
 }
@@ -634,48 +612,6 @@ func (u *Universe) OpenDurableStore(dir string, opts wal.Options) (*storage.Stor
 		}
 	}
 	return st, mgr, nil
-}
-
-// DurableBacking is the write-ahead-log handle a durable backend build
-// returns: one wal.Manager, or a wal.ShardGroup of one manager per
-// partition. Callers own closing it.
-type DurableBacking interface {
-	Close() error
-	Checkpoint() error
-	Fresh() bool
-}
-
-// OpenDurableBackend is OpenDurableStore honoring Config.Shards: with
-// a partition count above 1, each shard recovers from (and logs to)
-// its own directory under dir/shard-<k>, and on a fresh directory the
-// initial database is loaded through the router — each tuple into its
-// owning shard — and made durable with per-shard bootstrap
-// checkpoints. The caller owns closing the returned backing.
-func (u *Universe) OpenDurableBackend(dir string, opts wal.Options) (storage.Backend, DurableBacking, error) {
-	if u.Config.Shards <= 1 {
-		st, mgr, err := u.OpenDurableStore(dir, opts)
-		if err != nil {
-			return nil, nil, err
-		}
-		return st, mgr, nil
-	}
-	grp, st, err := wal.OpenSharded(dir, u.Schema, u.Config.Shards, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	if grp.Fresh() {
-		for _, t := range u.Initial {
-			if _, err := st.Load(t); err != nil {
-				grp.Close()
-				return nil, nil, fmt.Errorf("workload: durable seed load: %w", err)
-			}
-		}
-		if err := grp.Checkpoint(); err != nil {
-			grp.Close()
-			return nil, nil, fmt.Errorf("workload: bootstrap checkpoint: %w", err)
-		}
-	}
-	return st, grp, nil
 }
 
 // GenOpsSeeded is GenOps with a fresh PRNG from the given seed.

@@ -153,19 +153,9 @@ func ReplaceNull(x, with Value) Op { return chase.ReplaceNull(x, with) }
 // appended and synced before it takes effect (the group-commit
 // frontier makes that one fsync for a whole batch of updates), and
 // reopening the directory recovers the committed instance exactly —
-// a crash at any point loses at most un-committed work, never part of
-// a committed batch. Options.Shards additionally partitions the
-// relations across that many independent store shards, each with its
-// own stripe set, group-commit frontier, and (durable) write-ahead
-// log under DataDir/shard-<k>; a data directory remembers its shard
-// count. One qualification on sharded durability: a commit batch
-// spanning several shards is appended to their logs one shard at a
-// time, so a crash between those appends recovers the batch
-// per-shard-prefix — each shard is exactly consistent with its own
-// log, but the batch is not all-or-nothing across shards (the
-// acknowledgment, which is what callers may rely on, still only
-// resolves once every involved shard is durable). Call
-// Repository.Close when done with a durable repository.
+// a crash at any point loses at most un-committed work, and a
+// committed batch is recovered all-or-nothing. Call Repository.Close
+// when done with a durable repository.
 type (
 	// Options selects how a repository is backed; the zero value is
 	// the in-memory default.
@@ -212,7 +202,8 @@ const (
 	StatePoisoned = wal.StatePoisoned
 )
 
-// Failure sentinels, matched with errors.Is against rejected updates.
+// Failure sentinels, matched with errors.Is against rejected updates
+// and refused opens.
 var (
 	// ErrReadOnly marks updates rejected while the log is degraded.
 	ErrReadOnly = wal.ErrReadOnly
@@ -221,6 +212,9 @@ var (
 	// ErrRetrying marks operations bounced while a transient-failure
 	// retry is in flight (callers may simply retry).
 	ErrRetrying = wal.ErrRetrying
+	// ErrShardedLayout marks an Open refused because the data
+	// directory holds the shard-<k> log layout of an older release.
+	ErrShardedLayout = wal.ErrShardedLayout
 )
 
 // New creates an in-memory repository from a schema and mappings.
