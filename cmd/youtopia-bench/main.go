@@ -11,10 +11,9 @@
 // throughput; with -data-dir the runs execute against a write-ahead-
 // logged store (one fsync per commit batch), measuring durable
 // throughput and the group-commit sync amortization. -figure multicore
-// sweeps GOMAXPROCS caps at a fixed worker count with epoch-snapshot
-// reader goroutines running beside the writers, reporting update and
-// wait-free read throughput per cpu count (the CI cpu-matrix
-// artifact). -figure chaos runs the durable workload under randomized
+// sweeps GOMAXPROCS caps at a fixed worker count, reporting committed-
+// update throughput per cpu count (the CI cpu-matrix artifact).
+// -figure chaos runs the durable workload under randomized
 // transient fault schedules and exits nonzero unless every run stays
 // healthy, loses no acked commit and recovers byte-identically.
 //
@@ -60,7 +59,7 @@ import (
 )
 
 func main() {
-	figure := flag.String("figure", "both", "which figure to reproduce: 3, 4, both, latency (the §5.2 user-latency extension study), parallel (serial vs goroutine-parallel throughput), multicore (GOMAXPROCS sweep with epoch-snapshot readers beside the writers), inbox (busy-repoll vs decision-inbox park/answer/resume), or chaos (the durable workload under randomized transient fault schedules, exiting nonzero on any durability-invariant violation)")
+	figure := flag.String("figure", "both", "which figure to reproduce: 3, 4, both, latency (the §5.2 user-latency extension study), parallel (serial vs goroutine-parallel throughput), multicore (GOMAXPROCS sweep of the parallel scheduler at a fixed worker count), inbox (busy-repoll vs decision-inbox park/answer/resume), or chaos (the durable workload under randomized transient fault schedules, exiting nonzero on any durability-invariant violation)")
 	chaosRuns := flag.Int("chaos-seeds", 10, "fault-schedule seeds the -figure chaos battery runs (each is a full workload + recovery check)")
 	chaosIntensity := flag.Int("chaos-intensity", 2, "fault bursts per operation class in each -figure chaos schedule")
 	inboxWorkers := flag.Int("inbox-workers", 4, "worker count the -figure inbox study runs both modes on (0 = cooperative serial)")
@@ -68,7 +67,6 @@ func main() {
 	workersFlag := flag.String("workers", "", "comma-separated worker counts for -figure parallel (0 = serial reference; default 0,1,2,4,8)")
 	cpusFlag := flag.String("cpus", "", "comma-separated GOMAXPROCS caps for -figure multicore (default 1,2,4)")
 	cpuWorkers := flag.Int("cpu-workers", 4, "worker count every -figure multicore point runs on")
-	readers := flag.Int("readers", 4, "epoch-snapshot reader goroutines running beside the writers in -figure multicore")
 	dataDir := flag.String("data-dir", "", "back each -figure parallel run with a write-ahead log under this directory; empty = in-memory, the unchanged default")
 	jsonPath := flag.String("json", "", "write the -figure parallel study as JSON to this file (the CI bench artifact)")
 	baseline := flag.String("baseline", "", "compare the -figure parallel study against this committed JSON baseline and exit nonzero on regression")
@@ -170,7 +168,7 @@ func main() {
 					fail(fmt.Errorf("bad -cpus: %w", err))
 				}
 			}
-			points, err = experiments.MulticoreStudy(base, cpus, *cpuWorkers, *readers, *runs, *dataDir)
+			points, err = experiments.MulticoreStudy(base, cpus, *cpuWorkers, *runs, *dataDir)
 		} else {
 			var workers []int
 			if *workersFlag != "" {

@@ -7,8 +7,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -96,12 +94,6 @@ type ParallelPoint struct {
 	// artifacts are attributable to a runner generation.
 	NumCPU     int `json:",omitempty"`
 	GoMaxProcs int `json:",omitempty"`
-	// Readers is the count of concurrent epoch-snapshot reader
-	// goroutines the point ran beside the writers; ReadsPerSec is their
-	// aggregate full-database read-pass throughput. Both zero outside
-	// the multicore study.
-	Readers     int     `json:",omitempty"`
-	ReadsPerSec float64 `json:",omitempty"`
 }
 
 // Label names the point's execution mode, including the GOMAXPROCS
@@ -164,8 +156,7 @@ func measurePoint(u *workload.Universe, base workload.Config, p *ParallelPoint, 
 		defer runtime.GOMAXPROCS(prev)
 	}
 	p.GoMaxProcs = runtime.GOMAXPROCS(0)
-	rels := u.Schema.SortedNames()
-	var updates, readPasses float64
+	var updates float64
 	for r := 0; r < runs; r++ {
 		var st *storage.Store
 		var mgr *wal.Manager
@@ -186,39 +177,7 @@ func measurePoint(u *workload.Universe, base workload.Config, p *ParallelPoint, 
 			Workers:            p.Workers,
 		}
 		ops := u.GenOpsSeeded(base.Seed*6151 + int64(r))
-		// The read-heavy side: p.Readers goroutines loop wait-free
-		// epoch-snapshot passes over the whole database while the
-		// writers run, counting completed passes. Their throughput is
-		// the quantity the multicore study expects to scale with cores.
-		var passes atomic.Int64
-		var stopReaders chan struct{}
-		var readerWG sync.WaitGroup
-		if p.Readers > 0 {
-			stopReaders = make(chan struct{})
-			for i := 0; i < p.Readers; i++ {
-				readerWG.Add(1)
-				go func() {
-					defer readerWG.Done()
-					for {
-						select {
-						case <-stopReaders:
-							return
-						default:
-						}
-						sn := st.EpochSnap()
-						for _, rel := range rels {
-							sn.CountRel(rel)
-						}
-						passes.Add(1)
-					}
-				}()
-			}
-		}
 		m, elapsed, err := RunMode(st, u.Mappings, cfg, ops)
-		if stopReaders != nil {
-			close(stopReaders)
-			readerWG.Wait()
-		}
 		if mgr != nil {
 			if cerr := mgr.Close(); cerr != nil && err == nil {
 				err = cerr
@@ -235,7 +194,6 @@ func measurePoint(u *workload.Universe, base workload.Config, p *ParallelPoint, 
 		p.AckP99Millis += float64(m.CommitAckP99) / float64(time.Millisecond)
 		if secs := elapsed.Seconds(); secs > 0 {
 			updates += float64(m.Submitted) / secs
-			readPasses += float64(passes.Load()) / secs
 		}
 	}
 	n := float64(runs)
@@ -246,9 +204,6 @@ func measurePoint(u *workload.Universe, base workload.Config, p *ParallelPoint, 
 	p.AckP50Millis /= n
 	p.AckP99Millis /= n
 	p.UpdatesPerSec = updates / n
-	if p.Readers > 0 {
-		p.ReadsPerSec = readPasses / n
-	}
 	return nil
 }
 
@@ -353,7 +308,6 @@ func CheckRegression(current, baseline []ParallelPoint, tolerancePct float64) er
 	curSerial, cs := find(current, 0)
 	baseSerial, bs := find(baseline, 0)
 	normalized := cs && bs && curSerial.UpdatesPerSec > 0 && baseSerial.UpdatesPerSec > 0
-	readNormalized := cs && bs && curSerial.ReadsPerSec > 0 && baseSerial.ReadsPerSec > 0
 	var failures []string
 	for _, bp := range baseline {
 		cp, ok := findMode(current, bp.Workers, cpusOf(bp))
@@ -367,25 +321,6 @@ func CheckRegression(current, baseline []ParallelPoint, tolerancePct float64) er
 				cur /= curSerial.UpdatesPerSec
 				base /= baseSerial.UpdatesPerSec
 				metric = "speedup-vs-serial"
-			}
-			if cur < base*(1-tolerancePct/100) {
-				failures = append(failures, fmt.Sprintf(
-					"%s: %s %.2f vs baseline %.2f (-%.1f%%, tolerance %.0f%%)",
-					cp.Label(), metric, cur, base, 100*(1-cur/base), tolerancePct))
-			}
-		}
-		// Read throughput is gated exactly like update throughput:
-		// normalized by the run's own serial reader rate when both
-		// sides carry one, raw otherwise. The gate is one-sided (only
-		// a drop below baseline fails), so a baseline generated on a
-		// smaller machine is a safe floor for a bigger runner.
-		if bp.ReadsPerSec > 0 && cp.ReadsPerSec > 0 && !(readNormalized && bp.Workers == 0) {
-			cur, base := cp.ReadsPerSec, bp.ReadsPerSec
-			metric := "reads/s"
-			if readNormalized {
-				cur /= curSerial.ReadsPerSec
-				base /= baseSerial.ReadsPerSec
-				metric = "read-speedup-vs-serial"
 			}
 			if cur < base*(1-tolerancePct/100) {
 				failures = append(failures, fmt.Sprintf(
@@ -423,11 +358,11 @@ func CheckRegression(current, baseline []ParallelPoint, tolerancePct float64) er
 // ParallelCSV renders the study as CSV, one row per point.
 func ParallelCSV(points []ParallelPoint) string {
 	var b strings.Builder
-	b.WriteString("mode,workers,cpus,runs,aborts,wall_ms,upd_per_sec,reads_per_sec,wal_syncs,commit_batches,ack_p50_ms,ack_p99_ms,snapshot_allocs,commit_merge_allocs\n")
+	b.WriteString("mode,workers,cpus,runs,aborts,wall_ms,upd_per_sec,wal_syncs,commit_batches,ack_p50_ms,ack_p99_ms,snapshot_allocs,commit_merge_allocs\n")
 	for _, p := range points {
-		fmt.Fprintf(&b, "%s,%d,%d,%d,%.2f,%.2f,%.2f,%.2f,%.1f,%.1f,%.3f,%.3f,%.2f,%.2f\n",
+		fmt.Fprintf(&b, "%s,%d,%d,%d,%.2f,%.2f,%.2f,%.1f,%.1f,%.3f,%.3f,%.2f,%.2f\n",
 			p.Label(), p.Workers, max(p.Cpus, 1), p.Runs, p.Aborts, p.WallMillis,
-			p.UpdatesPerSec, p.ReadsPerSec,
+			p.UpdatesPerSec,
 			p.WALSyncs, p.CommitBatches, p.AckP50Millis, p.AckP99Millis,
 			p.SnapshotAllocsPerOp, p.CommitMergeAllocsPerOp)
 	}
@@ -440,28 +375,19 @@ func ParallelCSV(points []ParallelPoint) string {
 func RenderParallel(points []ParallelPoint) string {
 	var b strings.Builder
 	b.WriteString("parallel-runtime study (COARSE tracker, same seeded workload)\n")
-	durable, reads := false, false
+	durable := false
 	for _, p := range points {
 		if p.WALSyncs > 0 {
 			durable = true
 		}
-		if p.Readers > 0 {
-			reads = true
-		}
 	}
 	fmt.Fprintf(&b, "%-20s%10s%12s%12s", "mode", "aborts", "wall(ms)", "upd/s")
-	if reads {
-		fmt.Fprintf(&b, "%12s", "reads/s")
-	}
 	if durable {
 		fmt.Fprintf(&b, "%12s%10s%12s%12s", "wal syncs", "batches", "ack-p50(ms)", "ack-p99(ms)")
 	}
 	b.WriteByte('\n')
 	for _, p := range points {
 		fmt.Fprintf(&b, "%-20s%10.1f%12.1f%12.1f", p.Label(), p.Aborts, p.WallMillis, p.UpdatesPerSec)
-		if reads {
-			fmt.Fprintf(&b, "%12.1f", p.ReadsPerSec)
-		}
 		if durable {
 			fmt.Fprintf(&b, "%12.1f%10.1f%12.3f%12.3f", p.WALSyncs, p.CommitBatches, p.AckP50Millis, p.AckP99Millis)
 		}

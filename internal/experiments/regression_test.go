@@ -87,32 +87,6 @@ func TestCheckRegressionCpusDimension(t *testing.T) {
 	}
 }
 
-func TestCheckRegressionReadThroughput(t *testing.T) {
-	mk := func(serialReads, parReads float64) []ParallelPoint {
-		return []ParallelPoint{
-			{Workers: 0, Cpus: 1, Readers: 4, UpdatesPerSec: 100, ReadsPerSec: serialReads},
-			{Workers: 4, Cpus: 4, Readers: 4, UpdatesPerSec: 300, ReadsPerSec: parReads},
-		}
-	}
-	// Baseline read scaling 3x; current machine slower but same ratio.
-	baseline := mk(1000, 3000)
-	if err := CheckRegression(mk(500, 1500), baseline, 20); err != nil {
-		t.Fatalf("proportional read slowdown flagged: %v", err)
-	}
-	// Read scaling collapses to 1x while update throughput holds.
-	err := CheckRegression(mk(500, 500), baseline, 20)
-	if err == nil {
-		t.Fatal("collapsed read scaling not flagged")
-	}
-	if !strings.Contains(err.Error(), "read-speedup-vs-serial") {
-		t.Fatalf("expected normalized read comparison, got: %v", err)
-	}
-	// Baselines without read numbers gate nothing on the read axis.
-	if err := CheckRegression(mk(500, 500), pts(0, 100, 4, 300), 20); err != nil {
-		t.Fatalf("read gate fired against a readless baseline: %v", err)
-	}
-}
-
 func TestParallelJSONRoundTrip(t *testing.T) {
 	points := []ParallelPoint{
 		{Workers: 0, Runs: 2, Aborts: 1.5, WallMillis: 12.5, UpdatesPerSec: 80},

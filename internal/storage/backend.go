@@ -32,10 +32,10 @@ type Backend interface {
 	// checker re-derives its view per check without allocating.
 	Snap(reader int) *Snapshot
 	SnapInto(dst *Snapshot, reader int)
-	// EpochSnap returns a committed-state snapshot: a frozen view of
-	// the backend's current commit epoch whose reads acquire no stripe
-	// lock and never change under the caller. Commits build nothing for
-	// it; the first call after one rebuilds the stripes it wrote.
+	// EpochSnap returns a committed-state snapshot: a live view, like
+	// Snap's, that admits only versions of committed writers. It is
+	// neither frozen nor lock-free; each read takes the stripe read
+	// locks it needs.
 	EpochSnap() *Snapshot
 
 	// Insert, Delete, DeleteContent and ReplaceNull are the write

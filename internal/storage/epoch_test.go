@@ -34,43 +34,12 @@ func seedCommitted(t *testing.T, b Backend) (x model.Value, deleted TupleID) {
 	return x, id
 }
 
-// TestSnapshotReadLockFree pins the epoch layer's lock contract. The
-// first snapshot minted after a commit read-locks exactly the stripes
-// that commit wrote — never a write lock, never an unwritten stripe —
-// and from then until the next commit, minting a snapshot and serving
-// every read method from it acquires zero stripe mutexes. The probe
-// counts every acquisition in the package, so the assertions are
-// structural, not statistical. The live-snapshot phase at the end
-// proves the probe actually counts.
-func TestSnapshotReadLockFree(t *testing.T) {
+// TestEpochSnapReadSurface: every read method of a committed-state
+// snapshot answers from committed versions only — writer 0 and the
+// committed batch in, the tombstone and uncommitted writer 9 out.
+func TestEpochSnapReadSurface(t *testing.T) {
 	onStore(t, func(t *testing.T, b Backend) {
 		x, deleted := seedCommitted(t, b)
-		// Nobody has read committed state yet, so the first snapshot
-		// builds every stripe the load and the batch touched.
-		warm := b.EpochSnap()
-		if warm.CountRel("A") != 2 {
-			t.Fatalf("warm epoch CountRel(A) = %d, want 2", warm.CountRel("A"))
-		}
-
-		// A commit that wrote two of the five stripes: the next snapshot
-		// takes those two read locks and nothing else.
-		mustInsert(t, b, 3, "B", cv("three"))
-		mustInsert(t, b, 3, "D", cv("three"))
-		if err := b.Commit(3); err != nil {
-			t.Fatal(err)
-		}
-		LockProbeArm()
-		after := b.EpochSnap()
-		writes := LockProbeWriteLocks()
-		if got := LockProbeDisarm(); got != 2 || writes != 0 {
-			t.Fatalf("first snapshot after a two-stripe commit took %d stripe locks (%d write), want 2 read locks", got, writes)
-		}
-		if after.CountRel("B") != 2 || after.CountRel("D") != 1 || warm.CountRel("B") != 1 {
-			t.Fatalf("post-commit epoch: B=%d D=%d (before: B=%d), want 2, 1 (1)",
-				after.CountRel("B"), after.CountRel("D"), warm.CountRel("B"))
-		}
-
-		LockProbeArm()
 		sn := b.EpochSnap()
 		ids := sn.RelIDs("A")
 		if len(ids) != 2 {
@@ -101,6 +70,9 @@ func TestSnapshotReadLockFree(t *testing.T) {
 		if !sn.ContainsContent(model.NewTuple("B", cv("one"))) {
 			t.Fatal("LookupContent missed a committed tuple")
 		}
+		if sn.ContainsContent(model.NewTuple("E", cv("pending"), cv("p"))) {
+			t.Fatal("LookupContent found an uncommitted tuple")
+		}
 		if got := sn.TuplesWithNull(x); len(got) != 1 {
 			t.Fatalf("TuplesWithNull = %v, want 1 hit", got)
 		}
@@ -114,85 +86,20 @@ func TestSnapshotReadLockFree(t *testing.T) {
 		if len(facts["A"]) != 2 || len(facts["E"]) != 0 {
 			t.Fatalf("VisibleFacts = %v", facts)
 		}
-		if got := LockProbeDisarm(); got != 0 {
-			t.Fatalf("epoch snapshot reads acquired %d stripe mutexes, want 0", got)
-		}
-
-		// Control: the same reads through a live snapshot must trip the
-		// probe, or the zero above proves nothing.
-		LockProbeArm()
-		live := b.Snap(1 << 30)
-		if live.CountRel("A") != 2 {
-			t.Fatal("live snapshot lost data")
-		}
-		if got := LockProbeDisarm(); got == 0 {
-			t.Fatal("lock probe counted nothing on the live read path")
-		}
 	})
 }
 
-// TestEpochSnapshotFrozen: an epoch snapshot is a frozen view — later
-// commits publish new epochs without changing it — while a fresh
-// snapshot sees the new state.
-func TestEpochSnapshotFrozen(t *testing.T) {
-	onStore(t, func(t *testing.T, b Backend) {
-		seedCommitted(t, b)
-		old := b.EpochSnap()
-		oldA := old.CountRel("A")
-
-		mustInsert(t, b, 11, "A", cv("newer"), cv("n"))
-		if err := b.CommitBatch([]int{11}); err != nil {
-			t.Fatal(err)
-		}
-		if got := old.CountRel("A"); got != oldA {
-			t.Fatalf("frozen snapshot changed: CountRel(A) %d -> %d", oldA, got)
-		}
-		if old.ContainsContent(model.NewTuple("A", cv("newer"), cv("n"))) {
-			t.Fatal("post-snapshot commit visible in the frozen view")
-		}
-		fresh := b.EpochSnap()
-		if got := fresh.CountRel("A"); got != oldA+1 {
-			t.Fatalf("fresh epoch CountRel(A) = %d, want %d", got, oldA+1)
-		}
-	})
-}
-
-// TestEpochSnapshotFilterPanics: the visibility filter builders are
-// live-snapshot machinery; on an epoch snapshot they must fail loudly
-// instead of silently returning committed-only answers.
-func TestEpochSnapshotFilterPanics(t *testing.T) {
-	b := NewStore(confSchema())
-	sn := b.EpochSnap()
-	for name, fn := range map[string]func(){
-		"SetMask":        func() { sn.SetMask(1, 1) },
-		"WithCeiling":    func() { sn.WithCeiling(1) },
-		"WithWindow":     func() { sn.WithWindow(1, 2) },
-		"SetRelCeilings": func() { sn.SetRelCeilings(nil) },
-		"SetRelWindow":   func() { sn.SetRelWindow(nil, 1) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("%s on an epoch snapshot did not panic", name)
-				}
-			}()
-			fn()
-		}()
-	}
-}
-
-// TestCommittedSnapshotMatchesLockedOracle: the epoch-serialized
-// checkpoint extraction must stay byte-identical to the locked
-// version-chain walk it replaced — same tuples, same order, same
-// tombstones, same null floor.
+// TestCommittedSnapshotMatchesLockedOracle: the serialized committed
+// cut must stay identical to a locked version-chain walk — same
+// tuples, same order, same tombstones, same null floor.
 func TestCommittedSnapshotMatchesLockedOracle(t *testing.T) {
 	st := NewStore(confSchema())
 	seedCommitted(t, st)
 
-	got, gotFloor := st.CommittedSnapshot()
+	got, gotFloor := st.Epoch().Serialize()
 
-	// The oracle re-derives the committed instance the pre-epoch way:
-	// every stripe's tuples in ID order, topmost committed version.
+	// The oracle re-derives the committed instance: every stripe's
+	// tuples in ID order, topmost committed version.
 	var want []CommittedTuple
 	st.rlockAll()
 	for _, s := range st.byIdx {
@@ -216,7 +123,7 @@ func TestCommittedSnapshotMatchesLockedOracle(t *testing.T) {
 	wantFloor := st.nulls.Peek() - 1
 
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("CommittedSnapshot diverged from locked oracle:\n%v\nvs\n%v", got, want)
+		t.Fatalf("committed cut diverged from locked oracle:\n%v\nvs\n%v", got, want)
 	}
 	if gotFloor != wantFloor {
 		t.Fatalf("null floor = %d, want %d", gotFloor, wantFloor)
@@ -259,8 +166,8 @@ func TestEpochCommitCounterPairsWithHook(t *testing.T) {
 }
 
 // TestEpochRefreshAfterLoad: writer-0 mutations (bootstrap loads,
-// recovery replay) dirty stripes without publishing; the next Epoch
-// call must repair the published record on demand.
+// recovery replay) are committed the moment they land, so a
+// committed-state snapshot sees them with no commit batch.
 func TestEpochRefreshAfterLoad(t *testing.T) {
 	onStore(t, func(t *testing.T, b Backend) {
 		if _, err := b.Load(model.NewTuple("A", cv("l1"), cv("x"))); err != nil {
@@ -276,44 +183,13 @@ func TestEpochRefreshAfterLoad(t *testing.T) {
 	})
 }
 
-// TestNoReaderNoRebuild: commits build nothing for readers. N commits
-// with no Epoch call leave the rebuild and publication counters where
-// they were; the one read that follows rebuilds only the stripes those
-// commits wrote, once, however many commits there were.
-func TestNoReaderNoRebuild(t *testing.T) {
-	st := NewStore(confSchema())
-	st.Epoch() // settle the fresh store
-	rebuilds, publishes := obsEpochRebuilds.Value(), obsEpochPublish.Value()
-	for w := 1; w <= 20; w++ {
-		mustInsert(t, st, w, "A", cv(fmt.Sprint(w)), cv("v"))
-		mustInsert(t, st, w, "C", cv(fmt.Sprint(w)), cv("v"), cv("w"))
-		if err := st.Commit(w); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if r, p := obsEpochRebuilds.Value()-rebuilds, obsEpochPublish.Value()-publishes; r != 0 || p != 0 {
-		t.Fatalf("20 unread commits rebuilt %d stripe records and published %d epochs, want 0 and 0", r, p)
-	}
-	ep := st.Epoch()
-	if r, p := obsEpochRebuilds.Value()-rebuilds, obsEpochPublish.Value()-publishes; r != 2 || p != 1 {
-		t.Fatalf("first read rebuilt %d stripe records and published %d epochs, want 2 and 1", r, p)
-	}
-	if ep.Commits() != 20 || ep.rels[st.stripes["A"].idx].live != 20 || ep.rels[st.stripes["C"].idx].live != 20 {
-		t.Fatalf("epoch after 20 commits: Commits=%d", ep.Commits())
-	}
-	if st.Epoch() != ep {
-		t.Fatal("a second read with no commit in between built a new epoch")
-	}
-}
-
-// TestEpochConsistentCutUnderCommits is the epoch contract under fire.
+// TestEpochConsistentCutUnderCommits is the cut contract under fire.
 // Writers commit two-writer batches, each writer inserting one key into
-// BOTH relations of a pair, while readers spin on Epoch. Every epoch a
-// reader gets, from the optimistic path or the lock-everything fallback,
-// must be a cut no batch straddles (each writer goroutine's keys appear
-// equally often in both relations of its pair), must pair exactly with
-// its batch count (four live tuples per counted batch), and Commits
-// must never run backwards for one reader.
+// BOTH relations of a pair, while readers spin on Epoch. The records of
+// every cut a reader gets must be a cut no batch straddles (each writer
+// goroutine's keys appear equally often in both relations of its
+// pair), must pair exactly with its batch count (four tuples per
+// counted batch), and Commits must never run backwards for one reader.
 func TestEpochConsistentCutUnderCommits(t *testing.T) {
 	schema := model.NewSchema()
 	for i := 0; i < 6; i++ {
@@ -352,19 +228,19 @@ func TestEpochConsistentCutUnderCommits(t *testing.T) {
 						distinct.Add(1)
 					}
 					last = ep.Commits()
-					live := 0
-					for _, e := range ep.rels {
-						live += e.live
-					}
-					if int64(live) != 4*ep.Commits() {
-						t.Errorf("epoch holds %d tuples but counts %d batches of 4", live, ep.Commits())
+					tuples, _ := ep.Serialize()
+					if int64(len(tuples)) != 4*ep.Commits() {
+						t.Errorf("cut holds %d tuples but counts %d batches of 4", len(tuples), ep.Commits())
 						return
 					}
-					sn := &Snapshot{store: st, reader: maxReader, epoch: ep.rels}
+					keys := make(map[[2]string]int) // (relation, writer key) -> tuples
+					for _, ct := range tuples {
+						keys[[2]string{ct.Rel, ct.Vals[0].String()}]++
+					}
 					for g, p := range pairs {
-						key := cv(fmt.Sprintf("g%d", g))
-						if a, z := len(sn.CandidatesByValue(p[0], 0, key, new([1]TupleID))), len(sn.CandidatesByValue(p[1], 0, key, new([1]TupleID))); a != z {
-							t.Errorf("torn epoch: writer %d has %d keys in %s but %d in %s", g, a, p[0], z, p[1])
+						key := cv(fmt.Sprintf("g%d", g)).String()
+						if a, z := keys[[2]string{p[0], key}], keys[[2]string{p[1], key}]; a != z {
+							t.Errorf("torn cut: writer %d has %d keys in %s but %d in %s", g, a, p[0], z, p[1])
 							return
 						}
 					}
@@ -406,26 +282,4 @@ func TestEpochConsistentCutUnderCommits(t *testing.T) {
 			t.Fatalf("readers checked only %d distinct epochs across %d batches", distinct.Load(), total)
 		}
 	})
-}
-
-// TestEpochRefreshFallback: a refresh that keeps losing its validation
-// to commits on stripes it did not lock gives up being optimistic and
-// read-locks every stripe. Forced here by asking refreshEpoch for the
-// fallback directly; the result must equal the optimistic one.
-func TestEpochRefreshFallback(t *testing.T) {
-	st := NewStore(confSchema())
-	seedCommitted(t, st)
-	cached := st.epoch.Load()
-	LockProbeArm()
-	all := st.refreshEpoch(cached, true)
-	writes := LockProbeWriteLocks()
-	if got := LockProbeDisarm(); got != int64(len(st.byIdx)) || writes != 0 {
-		t.Fatalf("fallback refresh took %d stripe locks (%d write), want %d read locks", got, writes, len(st.byIdx))
-	}
-	opt := st.Epoch()
-	gotT, gotFloor := all.Serialize()
-	wantT, wantFloor := opt.Serialize()
-	if !reflect.DeepEqual(gotT, wantT) || gotFloor != wantFloor || all.Commits() != opt.Commits() {
-		t.Fatalf("fallback epoch differs from optimistic epoch:\n%v (%d)\nvs\n%v (%d)", gotT, all.Commits(), wantT, opt.Commits())
-	}
 }

@@ -9,22 +9,23 @@ import (
 	"youtopia/internal/model"
 )
 
-// FuzzEpochSnapshot hammers the wait-free read path: per-relation
+// FuzzEpochSnapshot hammers the committed read paths: per-relation
 // mutator goroutines apply fuzz-decoded operation streams (inserts,
 // content deletes, paired inserts that put one key into the stream's
 // relation AND its partner relation, commits of batch-numbered writer
 // generations — multi-stripe batches once a generation holds a paired
-// insert) while reader goroutines continuously mint epoch snapshots
-// and read through every lock-free method. Every snapshot must be a
-// cut no batch straddles: a relation holds exactly as many paired keys
-// as its partner holds tuples. Under -race this is the memory-safety
-// proof for the refresh/CAS protocol; the final-state check proves no
-// interleaving can build a wrong epoch — after quiescing and aborting
-// the uncommitted writers, the last epoch's contents must equal a
-// serial locked oracle that applied the same streams.
+// insert) while reader goroutines continuously take committed cuts and
+// read through a committed-state snapshot. The records of every cut
+// must be a cut no batch straddles: a relation holds exactly as many
+// paired keys as its partner holds tuples. Under -race this is the
+// memory-safety proof for both read paths; the final-state check
+// proves no interleaving leaves a wrong committed view — after
+// quiescing and aborting the uncommitted writers, the committed-state
+// snapshot must equal a serial locked oracle that applied the same
+// streams.
 //
 // Writers are (relation index + 1) + 100*generation, a fresh writer
-// per commit so committed data accretes across the run and epochs have
+// per commit so committed data accretes across the run and cuts have
 // real churn to track.
 func FuzzEpochSnapshot(f *testing.F) {
 	f.Add([]byte{0x00})
@@ -94,8 +95,8 @@ func FuzzEpochSnapshot(f *testing.F) {
 					return err
 				}
 			}
-			// Leave the last generation uncommitted: the epoch must
-			// exclude it, the oracle aborts it.
+			// Leave the last generation uncommitted: the committed view
+			// must exclude it, the oracle aborts it.
 			return nil
 		}
 
@@ -114,38 +115,48 @@ func FuzzEpochSnapshot(f *testing.F) {
 		conc := NewStore(schema)
 		var stop atomic.Bool
 		var wg sync.WaitGroup
-		// Readers: mint epoch snapshots and read through the lock-free
-		// methods the whole time the mutators run. Every result must be
-		// internally consistent; -race checks the rest.
+		// Readers: take committed cuts and check them, and read the live
+		// stores through a committed-state snapshot the whole time the
+		// mutators run; -race checks the rest.
+		pconst := model.Const("p")
 		for r := 0; r < 2; r++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
 				commits := int64(0)
 				for !stop.Load() {
-					if c := conc.Epoch().Commits(); c < commits {
-						t.Errorf("epoch Commits ran backwards: %d after %d", c, commits)
+					ep := conc.Epoch()
+					if c := ep.Commits(); c < commits {
+						t.Errorf("cut Commits ran backwards: %d after %d", c, commits)
 					} else {
 						commits = c
 					}
+					tuples, _ := ep.Serialize()
+					live := make(map[string]int)   // relation -> live tuples
+					paired := make(map[string]int) // relation -> live paired keys
+					for _, ct := range tuples {
+						if ct.Deleted {
+							continue
+						}
+						live[ct.Rel]++
+						if ct.Vals[1] == pconst {
+							paired[ct.Rel]++
+						}
+					}
 					sn := conc.EpochSnap()
 					for i, rel := range rels {
-						n := 0
+						if p, q := paired[rel], live[partners[i]]; p != q {
+							t.Errorf("torn cut: %s holds %d paired keys, %s holds %d", rel, p, partners[i], q)
+						}
 						sn.ScanRel(rel, func(id TupleID, vals []model.Value) bool {
-							if got, ok := sn.Get(id); !ok || len(got) != 2 {
-								t.Errorf("epoch Get(%d) inconsistent with ScanRel", id)
+							if len(vals) != 2 {
+								t.Errorf("committed-state scan of %s: tuple %d has %d values", rel, id, len(vals))
 								return false
 							}
-							n++
 							return true
 						})
-						if c := sn.CountRel(rel); c != n {
-							t.Errorf("epoch CountRel(%s) = %d, scan saw %d", rel, c, n)
-						}
+						sn.CountRel(rel)
 						sn.CandidatesByValue(rel, 0, model.Const("v1"), new([1]TupleID))
-						if p, q := len(sn.CandidatesByValue(rel, 1, model.Const("p"), new([1]TupleID))), sn.CountRel(partners[i]); p != q {
-							t.Errorf("torn epoch: %s holds %d paired keys, %s holds %d", rel, p, partners[i], q)
-						}
 					}
 					sn.VisibleFacts()
 				}
@@ -176,14 +187,14 @@ func FuzzEpochSnapshot(f *testing.F) {
 			}
 		}
 
-		// The final epoch (tails still uncommitted) must equal the
-		// oracle's committed instance with its tails aborted — committed
-		// content only, regardless of interleaving.
+		// The final committed view (tails still uncommitted) must equal
+		// the oracle's committed instance with its tails aborted —
+		// committed content only, regardless of interleaving.
 		abortTails(serial)
 		got := conc.EpochSnap().VisibleFacts()
 		want := serial.Snap(1 << 30).VisibleFacts()
 		if len(got) != len(want) {
-			t.Fatalf("epoch relations %d, oracle %d\n%v\nvs\n%v", len(got), len(want), got, want)
+			t.Fatalf("committed view relations %d, oracle %d\n%v\nvs\n%v", len(got), len(want), got, want)
 		}
 		for rel, ts := range want {
 			seen := make(map[string]bool, len(got[rel]))
@@ -191,11 +202,11 @@ func FuzzEpochSnapshot(f *testing.F) {
 				seen[tu.Key()] = true
 			}
 			if len(got[rel]) != len(ts) {
-				t.Fatalf("relation %s: epoch %d tuples, oracle %d", rel, len(got[rel]), len(ts))
+				t.Fatalf("relation %s: committed view %d tuples, oracle %d", rel, len(got[rel]), len(ts))
 			}
 			for _, tu := range ts {
 				if !seen[tu.Key()] {
-					t.Fatalf("relation %s: oracle tuple %s missing from epoch", rel, tu.Key())
+					t.Fatalf("relation %s: oracle tuple %s missing from committed view", rel, tu.Key())
 				}
 			}
 		}

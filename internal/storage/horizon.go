@@ -167,8 +167,6 @@ func (st *Store) settle() {
 	defer st.unlockStripes(stripes)
 	h := st.horizon()
 	for _, si := range stripes {
-		s := st.byIdx[si]
-		st.trimStripe(s, nil, h)
-		s.commitMut.Add(1)
+		st.trimStripe(st.byIdx[si], nil, h)
 	}
 }

@@ -48,8 +48,8 @@ func (st *Store) SetCommitHook(h CommitHook) { st.commitHook = h }
 // CommitGuard is a fast pre-commit admission check: a non-nil return
 // rejects the commit before any stripe lock is taken, with the store
 // unchanged. Durability backends install one so a log that degraded
-// to read-only rejects new submissions cheaply while epoch-snapshot
-// reads keep serving. The guard runs outside every store lock and
+// to read-only rejects new submissions cheaply while reads keep
+// serving. The guard runs outside every store lock and
 // must not call back into the store; it is advisory — the commit hook
 // remains the authoritative veto.
 type CommitGuard func() error
@@ -206,24 +206,10 @@ type CommittedTuple struct {
 	ID      TupleID
 	Rel     string
 	Deleted bool
-	// Vals is nil when Deleted. From CommittedSnapshot it is shared with
-	// the store, which never changes a value slice: read it, do not
-	// modify it.
+	// Vals is nil when Deleted. From CommittedEpoch.Serialize it is
+	// shared with the store, which never changes a value slice: read it,
+	// do not modify it.
 	Vals []model.Value
-}
-
-// CommittedSnapshot extracts the committed instance — for every tuple,
-// the maximal version in (writer, seq) order among committed writers —
-// together with the labeled-null floor, in deterministic (stripe,
-// tuple ID) order. It serializes the store's current commit epoch:
-// Epoch read-locks only the stripes committed to since the last epoch
-// anyone asked for, and the rendering itself takes no lock, so commits
-// proceed while it runs. Callers that need to pair the cut with
-// commit-batch bookkeeping match Epoch().Commits() against their own
-// batch counter (see wal.Manager.Checkpoint), and take the tuple-ID
-// floors from the same epoch (CommittedEpoch.IDFloors).
-func (st *Store) CommittedSnapshot() ([]CommittedTuple, int64) {
-	return st.Epoch().Serialize()
 }
 
 // RestoreSnapshot loads a checkpointed committed instance into a fresh

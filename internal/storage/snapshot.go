@@ -40,11 +40,8 @@ func seqOf(vec []RelSeq, rel string) (int64, bool) {
 // different store states if a writer runs in between — multi-call
 // protocols need external phase locking.
 //
-// Epoch snapshots (Backend.EpochSnap) are the exception to all of the
-// above: they carry a frozen committed epoch, serve every read from
-// its immutable records without acquiring any stripe RWMutex, and
-// never change under the caller. They see committed state only, so
-// the visibility filters below do not apply to them.
+// A committed-state snapshot (Backend.EpochSnap) is the same live view
+// with one more filter: it admits only versions of committed writers.
 type Snapshot struct {
 	store  *Store
 	reader int
@@ -54,11 +51,9 @@ type Snapshot struct {
 	// re-lock.
 	noLock bool
 
-	// epoch, when non-nil, makes this a wait-free committed-state
-	// snapshot: every read but the planner's RelStats is served from
-	// these immutable per-stripe records (aligned with the stripe index
-	// space) and takes no lock.
-	epoch []*relEpoch
+	// committedOnly hides versions of uncommitted writers; writer 0,
+	// the initial load, counts as committed.
+	committedOnly bool
 
 	masked     bool
 	maskWriter int
@@ -100,26 +95,6 @@ func (sn *Snapshot) runlock(s *stripe) {
 	}
 }
 
-// epochFor resolves a relation to its epoch record, or nil for an
-// unknown relation. Only called when sn.epoch is non-nil.
-func (sn *Snapshot) epochFor(rel string) *relEpoch {
-	s, ok := sn.store.stripes[rel]
-	if !ok {
-		return nil
-	}
-	return sn.epoch[s.idx]
-}
-
-// epochForID resolves a tuple ID to its epoch record, or nil for an
-// ID outside the schema's stripe space.
-func (sn *Snapshot) epochForID(id TupleID) *relEpoch {
-	idx := int(int64(id) >> localIDBits)
-	if idx < 0 || idx >= len(sn.epoch) {
-		return nil
-	}
-	return sn.epoch[idx]
-}
-
 // Reader returns the snapshot's reader priority.
 func (sn *Snapshot) Reader() int { return sn.reader }
 
@@ -141,7 +116,6 @@ func (sn *Snapshot) RelSeq(rel string) int64 {
 // each check's view into one reused value; a caller that must keep the
 // wider view narrows a copy of the Snapshot value.
 func (sn *Snapshot) SetMask(writer int, seq int64) {
-	sn.requireLive("SetMask")
 	sn.masked, sn.maskWriter, sn.maskSeq = true, writer, seq
 }
 
@@ -149,7 +123,6 @@ func (sn *Snapshot) SetMask(writer int, seq int64) {
 // numbers at most seq: the state as of that moment (modulo versions
 // since removed by aborts, whose readers are cascaded independently).
 func (sn *Snapshot) WithCeiling(seq int64) *Snapshot {
-	sn.requireLive("WithCeiling")
 	out := *sn
 	out.hasCeil = true
 	out.ceilSeq = seq
@@ -160,7 +133,6 @@ func (sn *Snapshot) WithCeiling(seq int64) *Snapshot {
 // augmented with the writes that other writers performed in
 // (ceil, upto] — the reader's own post-ceiling writes stay hidden.
 func (sn *Snapshot) WithWindow(ceil, upto int64) *Snapshot {
-	sn.requireLive("WithWindow")
 	out := *sn
 	out.hasCeil = true
 	out.ceilSeq = ceil
@@ -175,7 +147,6 @@ func (sn *Snapshot) WithWindow(ceil, upto int64) *Snapshot {
 // unrestricted. The caller must keep the vector immutable for the
 // snapshot's lifetime.
 func (sn *Snapshot) SetRelCeilings(ceils []RelSeq) {
-	sn.requireLive("SetRelCeilings")
 	sn.hasRelCeil, sn.relCeils = true, ceils
 }
 
@@ -185,19 +156,8 @@ func (sn *Snapshot) SetRelCeilings(ceils []RelSeq) {
 // post-ceiling writes stay hidden. It is WithWindow with the read
 // boundary judged per stripe, applied in place.
 func (sn *Snapshot) SetRelWindow(ceils []RelSeq, upto int64) {
-	sn.requireLive("SetRelWindow")
 	sn.hasRelCeil, sn.relCeils = true, ceils
 	sn.hasWindow, sn.windowSeq = true, upto
-}
-
-// requireLive panics when a visibility filter is requested on an epoch
-// snapshot: epoch records collapse version history to the committed
-// top, so mask/ceiling semantics cannot be honored there. Dependency
-// analysis and conflict checks always run on live snapshots.
-func (sn *Snapshot) requireLive(op string) {
-	if sn.epoch != nil {
-		panic("storage: " + op + " on an epoch snapshot")
-	}
 }
 
 // admits reports whether a version of a tuple in rel is visible under
@@ -207,6 +167,9 @@ func (sn *Snapshot) admits(v *version, rel string) bool {
 		return false
 	}
 	if sn.masked && v.writer == sn.maskWriter && v.seq == sn.maskSeq {
+		return false
+	}
+	if sn.committedOnly && v.writer != 0 && !sn.store.isCommitted(v.writer) {
 		return false
 	}
 	ceil, haveCeil := int64(0), false
@@ -244,13 +207,6 @@ func (sn *Snapshot) versionOf(rec *tupleRec, rel string) *version {
 // ok == false when the tuple does not exist, is not yet visible, or is
 // deleted. The returned slice is shared; callers must not modify it.
 func (sn *Snapshot) Get(id TupleID) ([]model.Value, bool) {
-	if sn.epoch != nil {
-		e := sn.epochForID(id)
-		if e == nil {
-			return nil, false
-		}
-		return e.get(id)
-	}
 	s := sn.store.stripeOf(id)
 	if s == nil {
 		return nil, false
@@ -284,17 +240,6 @@ func (sn *Snapshot) getInStripe(s *stripe, id TupleID) ([]model.Value, bool) {
 
 // GetTuple is Get returning a model.Tuple.
 func (sn *Snapshot) GetTuple(id TupleID) (model.Tuple, bool) {
-	if sn.epoch != nil {
-		e := sn.epochForID(id)
-		if e == nil {
-			return model.Tuple{}, false
-		}
-		vals, ok := e.get(id)
-		if !ok {
-			return model.Tuple{}, false
-		}
-		return model.Tuple{Rel: e.rel, Vals: vals}, true
-	}
 	s := sn.store.stripeOf(id)
 	if s == nil {
 		return model.Tuple{}, false
@@ -311,16 +256,6 @@ func (sn *Snapshot) GetTuple(id TupleID) (model.Tuple, bool) {
 // Rel returns the relation a tuple ID belongs to, regardless of
 // visibility.
 func (sn *Snapshot) Rel(id TupleID) (string, bool) {
-	if sn.epoch != nil {
-		e := sn.epochForID(id)
-		if e == nil {
-			return "", false
-		}
-		if _, ok := e.find(id); !ok {
-			return "", false
-		}
-		return e.rel, true
-	}
 	s := sn.store.stripeOf(id)
 	if s == nil {
 		return "", false
@@ -336,17 +271,8 @@ func (sn *Snapshot) Rel(id TupleID) (string, bool) {
 // RelIDs returns the IDs of every tuple of the relation (visible or
 // not) in ascending order. Callers must verify visibility via Get and
 // must not modify the slice; it is the cheapest candidate source for
-// unconstrained scans. On an epoch snapshot the slice covers only
-// tuples with some committed version — exactly the ones any epoch
-// read could resolve.
+// unconstrained scans, whatever the snapshot's filters.
 func (sn *Snapshot) RelIDs(rel string) []TupleID {
-	if sn.epoch != nil {
-		e := sn.epochFor(rel)
-		if e == nil {
-			return nil
-		}
-		return e.ids
-	}
 	s := sn.store.stripes[rel]
 	if s == nil {
 		return nil
@@ -360,12 +286,6 @@ func (sn *Snapshot) RelIDs(rel string) []TupleID {
 // order; fn returning false stops the scan. The stripe's read lock is
 // held across the whole scan, so fn must not call back into the store.
 func (sn *Snapshot) ScanRel(rel string, fn func(id TupleID, vals []model.Value) bool) {
-	if sn.epoch != nil {
-		if e := sn.epochFor(rel); e != nil {
-			e.scan(fn)
-		}
-		return
-	}
 	s := sn.store.stripes[rel]
 	if s == nil {
 		return
@@ -385,15 +305,9 @@ func (sn *Snapshot) scanStripe(s *stripe, fn func(id TupleID, vals []model.Value
 	}
 }
 
-// CountRel returns the number of visible tuples in the relation. On
-// an epoch snapshot this is O(1): the record carries its live count.
+// CountRel returns the number of visible tuples in the relation: a
+// scan of the relation under its stripe read lock.
 func (sn *Snapshot) CountRel(rel string) int {
-	if sn.epoch != nil {
-		if e := sn.epochFor(rel); e != nil {
-			return e.live
-		}
-		return 0
-	}
 	n := 0
 	sn.ScanRel(rel, func(TupleID, []model.Value) bool { n++; return true })
 	return n
@@ -412,12 +326,10 @@ type RelStats struct {
 }
 
 // RelStats returns cardinality statistics for the relation, counted
-// off its live stripe and value index under the stripe read lock. The
-// planner has this one source whatever the snapshot's flavor, so an
-// epoch snapshot's RelStats takes the lock too; a plan asks once per
-// join order it computes. The numbers describe what the stripe holds,
-// not the snapshot's exact visibility — they feed ordering heuristics,
-// never correctness.
+// off its live stripe and value index under the stripe read lock; a
+// plan asks once per join order it computes. The numbers describe what
+// the stripe holds, not the snapshot's visibility — they feed ordering
+// heuristics, never correctness.
 func (sn *Snapshot) RelStats(rel string) RelStats {
 	s := sn.store.stripes[rel]
 	if s == nil {
@@ -442,13 +354,6 @@ func (sn *Snapshot) RelStats(rel string) RelStats {
 // one, the caller's buffer, so the probe allocates nothing; callers
 // must not modify the result.
 func (sn *Snapshot) CandidatesByValue(rel string, col int, v model.Value, one *[1]TupleID) []TupleID {
-	if sn.epoch != nil {
-		e := sn.epochFor(rel)
-		if e == nil || col < 0 || col >= e.arity {
-			return nil
-		}
-		return e.valIndex()[col][v.Hash()]
-	}
 	s := sn.store.stripes[rel]
 	if s == nil {
 		return nil
@@ -469,9 +374,6 @@ func (sn *Snapshot) candidatesByValueInStripe(s *stripe, col int, v model.Value,
 // t, in ascending order (at most one unless duplicate content slipped
 // in through concurrent writers).
 func (sn *Snapshot) LookupContent(t model.Tuple) []TupleID {
-	if sn.epoch != nil {
-		return sn.epochLookupContent(t)
-	}
 	s := sn.store.stripes[t.Rel]
 	if s == nil {
 		return nil
@@ -482,34 +384,6 @@ func (sn *Snapshot) LookupContent(t model.Tuple) []TupleID {
 	var one [1]TupleID
 	for _, id := range s.contentIdx.get(sn.store.contentHash(t.Vals), &one) {
 		if vals, ok := sn.getInStripe(s, id); ok && (model.Tuple{Rel: t.Rel, Vals: vals}).Equal(t) {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
-// epochLookupContent resolves content lookups against the epoch's
-// value index, narrowing by the first column (every column of an
-// exact-content match constrains equally) and falling back to a live
-// scan only for zero-arity relations.
-func (sn *Snapshot) epochLookupContent(t model.Tuple) []TupleID {
-	e := sn.epochFor(t.Rel)
-	if e == nil {
-		return nil
-	}
-	var out []TupleID
-	if e.arity == 0 {
-		e.scan(func(id TupleID, _ []model.Value) bool {
-			out = append(out, id)
-			return true
-		})
-		return out
-	}
-	if len(t.Vals) != e.arity {
-		return nil
-	}
-	for _, id := range e.valIndex()[0][t.Vals[0].Hash()] {
-		if vals, ok := e.get(id); ok && (model.Tuple{Rel: t.Rel, Vals: vals}).Equal(t) {
 			out = append(out, id)
 		}
 	}
@@ -533,33 +407,9 @@ func (st *Store) nullIDs(x model.Value, one *[1]TupleID) []TupleID {
 // tuples containing the labeled null x. The null index spans
 // relations, so visibility is verified
 // stripe-by-stripe; consecutive hits cluster by stripe and share one
-// lock acquisition.
+// lock acquisition. ReplaceNull calls it through a snapshot minted
+// under every stripe lock.
 func (sn *Snapshot) TuplesWithNull(x model.Value) []TupleID {
-	if sn.epoch != nil {
-		// Epoch records are in stripe order and each record's IDs are
-		// ascending, and stripe index occupies a TupleID's high bits —
-		// so a record-order scan yields globally ascending IDs with no
-		// lock at all (the live path's null index has a leaf mutex).
-		var out []TupleID
-		for _, e := range sn.epoch {
-			e.scan(func(id TupleID, vals []model.Value) bool {
-				for _, v := range vals {
-					if v == x {
-						out = append(out, id)
-						break
-					}
-				}
-				return true
-			})
-		}
-		return out
-	}
-	return sn.liveTuplesWithNull(x)
-}
-
-// liveTuplesWithNull is TuplesWithNull over the live stripes; ReplaceNull
-// calls it through a snapshot minted under every stripe lock.
-func (sn *Snapshot) liveTuplesWithNull(x model.Value) []TupleID {
 	var one [1]TupleID
 	var out []TupleID
 	var cur *stripe
@@ -600,9 +450,6 @@ func (sn *Snapshot) liveTuplesWithNull(x model.Value) []TupleID {
 // Candidate narrowing uses the most selective constant position of t;
 // if t has no constants the relation is scanned.
 func (sn *Snapshot) MoreSpecific(t model.Tuple) []TupleID {
-	if sn.epoch != nil {
-		return sn.epochMoreSpecific(t)
-	}
 	s := sn.store.stripes[t.Rel]
 	if s == nil {
 		return nil
@@ -642,73 +489,10 @@ func (sn *Snapshot) MoreSpecific(t model.Tuple) []TupleID {
 	return out
 }
 
-// epochMoreSpecific mirrors MoreSpecific over an epoch record: narrow
-// by the most selective constant column of t via the exact committed
-// value index, or scan the record when t has no constants.
-func (sn *Snapshot) epochMoreSpecific(t model.Tuple) []TupleID {
-	e := sn.epochFor(t.Rel)
-	if e == nil {
-		return nil
-	}
-	var idx []map[uint64][]TupleID
-	bestCol := -1
-	bestSize := -1
-	for i, v := range t.Vals {
-		if !v.IsConst() {
-			continue
-		}
-		if idx == nil {
-			idx = e.valIndex()
-		}
-		size := len(idx[i][v.Hash()])
-		if bestCol == -1 || size < bestSize {
-			bestCol, bestSize = i, size
-		}
-	}
-	var out []TupleID
-	check := func(id TupleID, vals []model.Value) {
-		if model.MoreSpecificVals(vals, t.Vals) && !(model.Tuple{Rel: t.Rel, Vals: vals}).Equal(t) {
-			out = append(out, id)
-		}
-	}
-	if bestCol >= 0 {
-		for _, id := range idx[bestCol][t.Vals[bestCol].Hash()] {
-			if vals, ok := e.get(id); ok {
-				check(id, vals)
-			}
-		}
-		return out
-	}
-	e.scan(func(id TupleID, vals []model.Value) bool {
-		check(id, vals)
-		return true
-	})
-	return out
-}
-
 // VisibleFacts returns the distinct visible tuple contents of every
 // relation, as canonical sets keyed by relation name. The
 // serializability checker compares these across executions.
 func (sn *Snapshot) VisibleFacts() map[string][]model.Tuple {
-	if sn.epoch != nil {
-		out := make(map[string][]model.Tuple)
-		for _, e := range sn.epoch {
-			seen := make(map[string]bool)
-			var ts []model.Tuple
-			e.scan(func(id TupleID, vals []model.Value) bool {
-				t := model.Tuple{Rel: e.rel, Vals: append([]model.Value(nil), vals...)}
-				if k := t.Key(); !seen[k] {
-					seen[k] = true
-					ts = append(ts, t)
-				}
-				return true
-			})
-			if len(ts) > 0 {
-				out[e.rel] = ts
-			}
-		}
-		return out
-	}
 	out := make(map[string][]model.Tuple)
 	for _, rel := range sn.store.relsByIdx {
 		s := sn.store.stripes[rel]

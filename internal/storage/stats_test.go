@@ -9,8 +9,9 @@ import (
 
 // TestRelStats checks the planner statistics: live counts and
 // per-column distinct fanout, read off the live stripe for both
-// snapshot flavors — an epoch snapshot reports what the stripe holds,
-// uncommitted tuples included, because the planner has one source.
+// snapshot flavors — a committed-state snapshot reports what the
+// stripe holds, uncommitted tuples included, because the planner has
+// one source.
 func TestRelStats(t *testing.T) {
 	s := model.NewSchema()
 	s.MustAddRelation("A", "x", "y")

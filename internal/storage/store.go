@@ -81,8 +81,8 @@
 //     coordination. Commit batches additionally serialize among
 //     themselves on batchMu, taken before any stripe lock.
 //   - the remaining cross-relation operations (ReplaceNull, the
-//     write-log scan over every relation, Stats, Dump) acquire every
-//     stripe lock in ascending stripe order. Every multi-stripe
+//     write-log scan over every relation, Epoch, Stats, Dump) acquire
+//     every stripe lock in ascending stripe order. Every multi-stripe
 //     acquisition in the package is ascending, which makes these
 //     operations atomic against all single-stripe operations and
 //     against each other without a global mutex on the hot paths.
@@ -242,15 +242,6 @@ type stripe struct {
 	// gone. The stripe is in Store.pendingIn exactly while it is
 	// non-empty. See horizon.go.
 	pending []TupleID
-
-	// commitMut counts committed-visible content changes: bumped under
-	// mu whenever a committed writer's version lands (insertVersion),
-	// at commit time for every stripe the batch wrote to, and whenever
-	// deferred history is trimmed. It is
-	// all a commit does for committed-state readers: the epoch layer
-	// compares it against a record's build counter to detect staleness
-	// without locks and rebuilds when someone asks; see epoch.go.
-	commitMut atomic.Int64
 }
 
 // newID mints the next tuple ID of the stripe. Callers hold s.mu.
@@ -319,14 +310,9 @@ type Store struct {
 	commitScratch []WriteRec
 	// commits counts the batches with writes committed so far — on a
 	// durable store exactly the batches the hook accepted. A batch
-	// advances it while still holding its stripes' write locks, after
-	// bumping their commitMut; Epoch depends on that order.
+	// advances it while still holding its stripes' write locks, so a cut
+	// taken under every stripe read lock pairs with it (epoch.go).
 	commits atomic.Int64
-
-	// epoch caches the last committed-state snapshot a reader asked
-	// for. Writers never touch it; Epoch rebuilds the stripes whose
-	// commitMut moved and republishes by CAS. See epoch.go.
-	epoch atomic.Pointer[CommittedEpoch]
 }
 
 // NewStore creates an empty store over a schema.
@@ -354,7 +340,6 @@ func NewStore(schema *model.Schema) *Store {
 		st.stripes[name] = s
 		st.byIdx = append(st.byIdx, s)
 	}
-	st.initEpoch()
 	return st
 }
 
@@ -510,12 +495,6 @@ func (st *Store) insertVersion(s *stripe, id TupleID, rec *tupleRec, v version) 
 	rec.versions[i] = v
 	st.indexVersion(s, id, v.vals)
 	s.seq.Store(v.seq)
-	// A version that is committed-visible the moment it lands — live
-	// writer-0 writes, recovery replay, checkpoint restore — makes
-	// the stripe's cached epoch record stale.
-	if v.writer == 0 || st.isCommitted(v.writer) {
-		s.commitMut.Add(1)
-	}
 }
 
 // addVersion appends a version to a tuple's chain, keeping the chain
@@ -705,7 +684,7 @@ func (st *Store) ReplaceNull(writer int, x, to model.Value) ([]WriteRec, error) 
 		vals []model.Value
 	}
 	var hits []hit
-	for _, id := range snap.liveTuplesWithNull(x) {
+	for _, id := range snap.TuplesWithNull(x) {
 		vals, ok := snap.getLocked(id)
 		if !ok {
 			continue
@@ -842,9 +821,8 @@ func (st *Store) CommitBatch(writers []int) error {
 // takes effect in memory unconditionally; only acknowledgment waits
 // for the disk.
 //
-// The commit builds nothing for committed-state readers. It bumps the
-// written stripes' commitMut and then the batch count, and the next
-// Epoch call rebuilds those stripes if anyone makes one.
+// The commit builds nothing for committed-state readers; it advances
+// the batch count, which Epoch pairs its cut with.
 func (st *Store) CommitBatchAsync(writers []int) (CommitAck, error) {
 	if len(writers) == 0 {
 		return nil, nil
@@ -885,11 +863,7 @@ func (st *Store) CommitBatchAsync(writers []int) (CommitAck, error) {
 	}
 	h := st.horizon()
 	for _, si := range stripes {
-		s := st.byIdx[si]
-		st.trimStripe(s, writers, h)
-		// A refresher that rebuilt this stripe's record just before the
-		// commit must not be able to pass it off as current afterwards.
-		s.commitMut.Add(1)
+		st.trimStripe(st.byIdx[si], writers, h)
 	}
 	if wrote {
 		st.commits.Add(1)
@@ -1043,7 +1017,7 @@ func (st *Store) Stats() Stats {
 	st.rlockAll()
 	defer st.runlockAll()
 	var s Stats
-	snap := st.snapLocked(int(^uint(0) >> 1))
+	snap := st.snapLocked(maxReader)
 	for _, sp := range st.byIdx {
 		s.Tuples += len(sp.tuples)
 		for _, tr := range sp.tuples {

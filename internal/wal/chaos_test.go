@@ -161,8 +161,7 @@ func TestChaosNoSpaceWorkload(t *testing.T) {
 	if h.State != wal.StateDegraded || !h.NoSpace {
 		t.Fatalf("health = %+v, want degraded with NoSpace", h)
 	}
-	// Epoch-snapshot reads are wait-free and keep serving while the
-	// log is read-only.
+	// Committed-state reads keep serving while the log is read-only.
 	if facts := st.EpochSnap().VisibleFacts(); len(facts) == 0 {
 		t.Fatal("degraded epoch snapshot serves nothing")
 	}
@@ -195,10 +194,10 @@ func TestChaosNoSpaceWorkload(t *testing.T) {
 	}
 }
 
-// committedDump renders a store's committed instance (its epoch
-// serialization) as sorted text, ignoring uncommitted writer logs.
+// committedDump renders a store's committed instance (its serialized
+// committed cut) as sorted text, ignoring uncommitted writer logs.
 func committedDump(st *storage.Store) string {
-	tuples, _ := st.CommittedSnapshot()
+	tuples, _ := st.Epoch().Serialize()
 	var lines []string
 	for _, ct := range tuples {
 		if ct.Deleted {

@@ -162,7 +162,7 @@ type Manager struct {
 	f         vfs.File // active segment (nil until the first append)
 	size      int64    // bytes written to the active segment
 	batches   int64    // index of the last appended commit batch
-	batchBase int64    // batches value at Open; the store's epoch Commits counter starts at 0 there
+	batchBase int64    // batches value at Open; the store's Commits counter starts at 0 there
 	lastCkpt  int64    // batch index of the last durable checkpoint
 	sinceCkpt int64    // log bytes since the last durable checkpoint
 	syncs     int64    // fsyncs that covered appended batches
@@ -754,28 +754,28 @@ func (m *Manager) checkpointLoop(ch <-chan struct{}) {
 	}
 }
 
-// testCkptSerialize, when non-nil, runs after the checkpoint's epoch
-// is paired with its batch index and before serialization. Tests use
-// it to hold a checkpoint mid-flight and prove commits proceed.
+// testCkptSerialize, when non-nil, runs after the checkpoint's
+// committed cut is paired with its batch index and before
+// serialization. Tests use it to hold a checkpoint mid-flight and
+// prove commits proceed.
 var testCkptSerialize func()
 
 // Checkpoint serializes the committed instance, installs it with a
 // temp-file rename, and deletes segments (and older checkpoints) the
-// new checkpoint wholly covers. It never stalls commits: the instance
-// is the store's commit epoch — built on demand under read locks of
-// only the stripes committed to since the last one — serialized
-// entirely outside both the manager's mutex and the store's stripe
-// locks. The epoch is paired with the exact batch index it reflects by
-// matching its Commits counter against the manager's batch counter.
-// The store runs batches one at a time and advances the count in the
-// same critical section as the hook's log append, and an epoch with
-// Commits == c contains exactly the first c of them: observing it
-// implies the first batchBase+c appends are complete, and a batch
-// counter still at batchBase+c implies no further append has started,
-// so the epoch is the committed instance as of exactly batch
-// k = batchBase+c. A mismatch means a commit is in flight between its
-// append and its count advance, or landed after the epoch was built;
-// the loop yields and asks the store again.
+// new checkpoint wholly covers. It never stalls commits beyond the
+// copy: the instance is a committed cut the store copies under its
+// stripe read locks (storage.Store.Epoch), then encoded and written
+// entirely outside both the manager's mutex and the store's locks. The
+// cut is paired with the exact batch index it reflects by matching its
+// Commits counter against the manager's batch counter. The store runs
+// batches one at a time and advances the count in the same critical
+// section as the hook's log append, and a cut with Commits == c
+// contains exactly the first c of them: observing it implies the first
+// batchBase+c appends are complete, and a batch counter still at
+// batchBase+c implies no further append has started, so the cut is the
+// committed instance as of exactly batch k = batchBase+c. A mismatch
+// means a commit landed after the cut was taken; the loop yields and
+// takes another.
 func (m *Manager) Checkpoint() error {
 	m.ckptMu.Lock()
 	defer m.ckptMu.Unlock()
