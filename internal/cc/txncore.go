@@ -144,7 +144,9 @@ func (c *txnCore) begin(ops []chase.Op, sc *stepScratch) {
 	c.acks.init(c.cfg.Trace)
 	c.txns = make([]*Txn, len(ops))
 	for i, op := range ops {
-		c.txns[i] = &Txn{Upd: chase.NewUpdate(i+1, op), Number: i + 1, deps: make(map[int]bool), sc: sc}
+		u := chase.NewUpdate(i+1, op)
+		u.NoTrace = true
+		c.txns[i] = &Txn{Upd: u, Number: i + 1, deps: make(map[int]bool), sc: sc}
 		c.cfg.Trace.Note(i+1, "submit")
 	}
 	c.m.Submitted = len(ops)
@@ -241,7 +243,9 @@ func (c *txnCore) pollUser(t *Txn, m *Metrics) (bool, error) {
 		return false, nil
 	}
 	u := t.Upd
-	for _, g := range append([]*chase.FrontierGroup(nil), u.Groups()...) {
+	// The live group list needs no copy: Apply, which changes it, ends
+	// the loop.
+	for _, g := range u.Groups() {
 		opts := c.engine.Options(u, g)
 		if len(opts) == 0 {
 			continue

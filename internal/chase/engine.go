@@ -106,6 +106,13 @@ type queryContext struct {
 	qe   *query.Engine
 	snap storage.Snapshot
 	home *Engine
+
+	// Canonical renderings of Options and DecisionContext, reused
+	// across the attempt's frontier questions.
+	canon   []byte
+	spans   []targetSpan
+	tuples  []model.Tuple
+	scratch model.CanonScratch
 }
 
 // queryContext returns the attempt's query engine, taking a context
@@ -242,7 +249,12 @@ func (e *Engine) StepReads(u *Update, writes []storage.WriteRec) (StepResult, er
 // and null-occurrence reads those writes imply.
 func (e *Engine) performWrites(u *Update) ([]storage.WriteRec, error) {
 	ops := u.writeSet
-	u.writeSet = nil
+	// The next write set is planned into the same array once these
+	// writes are performed; the store keeps copies, never an op.
+	defer func() {
+		clear(ops)
+		u.writeSet = ops[:0]
+	}()
 	out := make([]storage.WriteRec, 0, len(ops))
 	for i := range ops {
 		op := &ops[i]

@@ -1,12 +1,12 @@
 package chase
 
 import (
+	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
-	"math/bits"
 	"slices"
 	"sort"
-	"strings"
 
 	"youtopia/internal/model"
 	"youtopia/internal/query"
@@ -98,6 +98,7 @@ func (e *Engine) Options(u *Update, g *FrontierGroup) []Decision {
 		defer e.publish(u)
 		var out []Decision
 		snap := e.queryContext(u).Snapshot()
+		c := u.qctx
 		for idx, t := range g.Tuples {
 			if e.logsReads() {
 				e.record(u, &query.MoreSpecificRead{Rel: t.Rel, Pattern: t.Vals, ReaderNo: u.Number})
@@ -112,49 +113,67 @@ func (e *Engine) Options(u *Update, g *FrontierGroup) []Decision {
 				}
 				continue
 			}
-			type cand struct {
-				id    storage.TupleID
-				canon string
-			}
-			cands := make([]cand, 0, len(targets))
-			for _, id := range targets {
-				tv, ok := snap.GetTuple(id)
-				if !ok {
-					continue
-				}
-				cands = append(cands, cand{id, model.CanonTuple(tv)})
-			}
-			sort.Slice(cands, func(i, j int) bool {
-				if cands[i].canon != cands[j].canon {
-					return cands[i].canon < cands[j].canon
-				}
-				return cands[i].id < cands[j].id
-			})
-			for _, cd := range cands {
-				out = append(out, Decision{Kind: DecideUnify, TupleIdx: idx, Target: cd.id})
+			for _, sp := range c.sortTargets(snap, targets) {
+				out = append(out, Decision{Kind: DecideUnify, TupleIdx: idx, Target: sp.id})
 			}
 		}
 		return out
 	}
 	k := len(g.Candidates)
 	if k <= 6 {
+		// Mask m's subset has popcount(m) members; the 2^k-1 subsets
+		// hold k*2^(k-1) in all, carved from one array.
 		out := make([]Decision, 0, 1<<k-1)
+		ids := make([]storage.TupleID, 0, k<<(k-1))
 		for mask := 1; mask < 1<<k; mask++ {
-			subset := make([]storage.TupleID, 0, bits.OnesCount(uint(mask)))
+			lo := len(ids)
 			for i := 0; i < k; i++ {
 				if mask&(1<<i) != 0 {
-					subset = append(subset, g.Candidates[i])
+					ids = append(ids, g.Candidates[i])
 				}
 			}
-			out = append(out, Decision{Kind: DecideDelete, Subset: subset})
+			out = append(out, Decision{Kind: DecideDelete, Subset: ids[lo:len(ids):len(ids)]})
 		}
 		return out
 	}
 	out := make([]Decision, 0, k)
-	for _, id := range g.Candidates {
-		out = append(out, Decision{Kind: DecideDelete, Subset: []storage.TupleID{id}})
+	ids := slices.Clone(g.Candidates)
+	for i := range ids {
+		out = append(out, Decision{Kind: DecideDelete, Subset: ids[i : i+1 : i+1]})
 	}
 	return out
+}
+
+// targetSpan locates one unify target's canonical rendering in
+// queryContext.canon.
+type targetSpan struct {
+	id     storage.TupleID
+	lo, hi int
+}
+
+// sortTargets orders unify targets by their canonical renderings
+// (model.CanonTuple's bytes), ties by tuple ID, rendering into the
+// context's reused arena. Targets no longer visible are dropped. The
+// returned spans are valid until the context's next rendering.
+func (c *queryContext) sortTargets(snap *storage.Snapshot, targets []storage.TupleID) []targetSpan {
+	buf, spans := c.canon[:0], c.spans[:0]
+	for _, id := range targets {
+		tv, ok := snap.GetTuple(id)
+		if !ok {
+			continue
+		}
+		lo := len(buf)
+		buf = model.AppendCanonTuple(buf, tv)
+		spans = append(spans, targetSpan{id, lo, len(buf)})
+	}
+	slices.SortFunc(spans, func(a, b targetSpan) int {
+		if r := bytes.Compare(buf[a.lo:a.hi], buf[b.lo:b.hi]); r != 0 {
+			return r
+		}
+		return cmp.Compare(a.id, b.id)
+	})
+	c.canon, c.spans = buf, spans
+	return spans
 }
 
 // DecisionContext renders a canonical description of the choice a
@@ -162,10 +181,12 @@ func (e *Engine) Options(u *Update, g *FrontierGroup) []Decision {
 // invariant) contents of the witness and the remaining frontier
 // tuples. Deterministic simulated users key their choices on this, so
 // replays after aborts — and serial reference executions — decide
-// identically.
+// identically. The rendering reuses the attempt's buffers; only the
+// returned string is allocated.
 func (e *Engine) DecisionContext(u *Update, g *FrontierGroup) string {
 	snap := e.queryContext(u).Snapshot()
-	var ts []model.Tuple
+	c := u.qctx
+	ts := c.tuples[:0]
 	for _, id := range g.Viol.Witness {
 		if tv, ok := snap.GetTuple(id); ok {
 			ts = append(ts, tv)
@@ -180,16 +201,16 @@ func (e *Engine) DecisionContext(u *Update, g *FrontierGroup) string {
 			}
 		}
 	}
-	var b strings.Builder
-	b.WriteString(g.Viol.TGD.Name)
-	b.WriteByte('|')
+	buf := append(c.canon[:0], g.Viol.TGD.Name...)
 	if g.Positive {
-		b.WriteString("positive|")
+		buf = append(buf, "|positive|"...)
 	} else {
-		b.WriteString("negative|")
+		buf = append(buf, "|negative|"...)
 	}
-	b.WriteString(model.CanonTuples(ts))
-	return b.String()
+	buf = model.AppendCanonTuples(buf, ts, &c.scratch)
+	clear(ts)
+	c.tuples, c.canon = ts[:0], buf
+	return string(buf)
 }
 
 // Apply performs a frontier operation on one of the update's open

@@ -86,10 +86,11 @@ func RunStandard(e *Engine, u *Update) (Stats, error) {
 }
 
 // decideOne asks the user for one frontier operation on any open
-// group (Algorithm 1 resumes on the first operation received).
+// group (Algorithm 1 resumes on the first operation received). It
+// walks the live group list without a copy: Apply, the one call that
+// changes the list, is the last thing the loop does.
 func (r *Runner) decideOne(u *Update) error {
-	groups := append([]*FrontierGroup(nil), u.Groups()...)
-	for _, g := range groups {
+	for _, g := range u.Groups() {
 		opts := r.Engine.Options(u, g)
 		if len(opts) == 0 {
 			continue

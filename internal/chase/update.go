@@ -182,8 +182,13 @@ type Update struct {
 
 	// Trace records every performed write with its provenance cause,
 	// in execution order — the derivation a user interface can show
-	// alongside frontier tuples (§2.2).
+	// alongside frontier tuples (§2.2). It is not kept under NoTrace.
 	Trace []TraceEntry
+	// NoTrace turns the recording of Trace off. Repository.Apply and
+	// the concurrent schedulers set it, since nothing on their paths
+	// reads a trace; Repository.ApplyTraced does not. It survives
+	// Reset and is cleared by Renew.
+	NoTrace bool
 
 	// Stats for the current attempt.
 	Stats Stats
@@ -201,16 +206,32 @@ func NewUpdate(number int, initial Op) *Update {
 	return u
 }
 
+// Renew turns the update into the one NewUpdate(number, initial) would
+// build, keeping its buffers. The caller must own the update outright:
+// no scheduler, inbox entry or user may still hold it. A trace handed
+// out earlier is dropped, never truncated, so it is not written again.
+func (u *Update) Renew(number int, initial Op) {
+	if number <= 0 {
+		panic("chase: update numbers start at 1")
+	}
+	u.Number, u.Initial, u.Attempt = number, initial, 0
+	u.NoTrace = false
+	u.readsMu.Lock()
+	u.published.Store(nil)
+	u.epoch = 0
+	u.readsMu.Unlock()
+	u.Reset()
+}
+
 // Reset prepares the update for a (re-)run: pending state is
 // discarded and the initial operation is planned again. Storage-level
 // rollback of a previous attempt is the caller's responsibility.
 func (u *Update) Reset() {
 	u.state = StateReady
+	u.dropPending()
 	initial := u.Initial
 	initial.Cause = "initial operation"
-	u.writeSet = []Op{initial}
-	u.queue = nil
-	u.groups = nil
+	u.writeSet = append(u.writeSet, initial)
 	u.nextGID = 0
 	u.releaseContext()
 	u.Attempt++
@@ -236,10 +257,18 @@ func (u *Update) Reset() {
 // empty commit (the deadline-abort path of the decision inbox).
 func (u *Update) Cancel() {
 	u.state = StateTerminated
-	u.writeSet = nil
-	u.queue = nil
-	u.groups = nil
+	u.dropPending()
 	u.releaseContext()
+}
+
+// dropPending empties the write set, the queue and the groups. Their
+// backing arrays stay for the next attempt, cleared to full capacity
+// so that no dropped entry is kept alive.
+func (u *Update) dropPending() {
+	clear(u.writeSet[:cap(u.writeSet)])
+	clear(u.queue[:cap(u.queue)])
+	clear(u.groups[:cap(u.groups)])
+	u.writeSet, u.queue, u.groups = u.writeSet[:0], u.queue[:0], u.groups[:0]
 }
 
 // releaseContext gives the attempt's query context back to the engine
@@ -459,8 +488,11 @@ func (u *Update) findQueued(v *query.Violation) *queuedViolation {
 }
 
 // trace appends the performed writes of one operation to the
-// provenance trace.
+// provenance trace, unless the update keeps none.
 func (u *Update) trace(recs []storage.WriteRec, cause string) {
+	if u.NoTrace {
+		return
+	}
 	for i := range recs {
 		u.Trace = append(u.Trace, TraceEntry{Write: recs[i], Cause: cause})
 	}

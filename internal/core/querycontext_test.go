@@ -69,8 +69,10 @@ func TestRepositoryRecyclesOneQueryContext(t *testing.T) {
 	}
 }
 
-// applyFixture is a repository over two mappings: an R insert joins
-// nothing, an A insert is repaired by one B insert.
+// applyFixture is a repository over three mappings: an R insert joins
+// nothing, an A insert is repaired by one B insert, and an F insert of
+// a value loaded by loadChoices opens a positive frontier whose G tuple
+// has two unify targets.
 func applyFixture(tb testing.TB) *Repository {
 	tb.Helper()
 	schema := model.NewSchema()
@@ -79,6 +81,9 @@ func applyFixture(tb testing.TB) *Repository {
 	schema.MustAddRelation("T", "x")
 	schema.MustAddRelation("A", "x")
 	schema.MustAddRelation("B", "x", "z")
+	schema.MustAddRelation("F", "x")
+	schema.MustAddRelation("G", "x", "z")
+	schema.MustAddRelation("H", "x", "z")
 	r, err := New(schema, tgd.MustNewSet(
 		tgd.New("quiet",
 			[]tgd.Atom{tgd.NewAtom("R", tgd.V("x"), tgd.V("y")), tgd.NewAtom("S", tgd.V("y"))},
@@ -86,6 +91,9 @@ func applyFixture(tb testing.TB) *Repository {
 		tgd.New("copy",
 			[]tgd.Atom{tgd.NewAtom("A", tgd.V("x"))},
 			[]tgd.Atom{tgd.NewAtom("B", tgd.V("x"), tgd.V("z"))}),
+		tgd.New("choose",
+			[]tgd.Atom{tgd.NewAtom("F", tgd.V("x"))},
+			[]tgd.Atom{tgd.NewAtom("G", tgd.V("x"), tgd.V("z")), tgd.NewAtom("H", tgd.V("x"), tgd.V("z"))}),
 	))
 	if err != nil {
 		tb.Fatal(err)
@@ -93,18 +101,38 @@ func applyFixture(tb testing.TB) *Repository {
 	return r
 }
 
+// loadChoices loads G(x, "k1") and G(x, "k2") for every F insert in
+// ops: each insert's generated G(x, z) then has both as unify targets,
+// while its H(x, z) has none and is inserted at once.
+func loadChoices(tb testing.TB, r *Repository, ops []chase.Op) {
+	tb.Helper()
+	for _, op := range ops {
+		if op.Tuple.Rel != "F" {
+			continue
+		}
+		for _, k := range []string{"k1", "k2"} {
+			if _, err := r.Store().Load(model.NewTuple("G", op.Tuple.Vals[0], model.Const(k))); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}
+}
+
 // TestApplyAllocBudget pins what a warm Repository.Apply allocates —
 // chase, commit and store included — for an insert that violates
-// nothing and for one repaired by a single forward step. The bounds are
-// the numbers achieved (10 and 33 allocations) plus 10%.
+// nothing, for one repaired by a single forward step, and for one whose
+// positive frontier a simulated user answers among an expansion and two
+// unifications (Options and DecisionContext included). The bounds are
+// the numbers achieved (6, 26 and 49 allocations) plus 10%.
 func TestApplyAllocBudget(t *testing.T) {
 	for _, c := range []struct {
 		name  string
 		rel   string
 		bound float64
 	}{
-		{"no-violation insert", "R", 11.0},
-		{"one-mapping forward repair", "A", 36.3},
+		{"no-violation insert", "R", 6.6},
+		{"one-mapping forward repair", "A", 28.6},
+		{"two-target frontier answered by a simulated user", "F", 53.9},
 	} {
 		r := applyFixture(t)
 		const runs = 200
@@ -116,10 +144,25 @@ func TestApplyAllocBudget(t *testing.T) {
 			}
 			ops[i] = chase.Insert(model.Tuple{Rel: c.rel, Vals: vals})
 		}
+		loadChoices(t, r, ops)
+		var user chase.User
+		asked := 0
+		if c.rel == "F" {
+			sim := simuser.New(1)
+			user = chase.UserFunc(func(u *chase.Update, g *chase.FrontierGroup, opts []chase.Decision, ctx string) (chase.Decision, bool) {
+				if g.Positive && len(opts) == 3 {
+					asked++
+				}
+				return sim.Decide(u, g, opts, ctx)
+			})
+		}
+		frontierOps := 0
 		apply := func() {
-			if _, err := r.Apply(ops[0], nil); err != nil {
+			stats, err := r.Apply(ops[0], user)
+			if err != nil {
 				t.Fatal(err)
 			}
+			frontierOps += stats.FrontierOps
 			ops = ops[1:]
 		}
 		for range 10 {
@@ -127,6 +170,10 @@ func TestApplyAllocBudget(t *testing.T) {
 		}
 		got := testing.AllocsPerRun(runs, apply)
 		t.Logf("%s: %.1f allocs", c.name, got)
+		if c.rel == "F" && (frontierOps < runs || asked < runs) {
+			t.Errorf("%s: %d frontier operations and %d three-option questions in %d updates",
+				c.name, frontierOps, asked, runs)
+		}
 		if got > c.bound {
 			t.Errorf("%s: %.1f allocs per Apply, budget %.1f", c.name, got, c.bound)
 		}

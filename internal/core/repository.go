@@ -61,6 +61,10 @@ type Repository struct {
 	nextUpdate int
 	protected  map[string]bool
 
+	// spare is the update Apply renews for its next call. Every
+	// inline update that ends without parking is given back here.
+	spare *chase.Update
+
 	// Decision-inbox state: the shared box of parked frontier
 	// questions, the default policy stamped on new entries, and the
 	// fallback user deadline auto-answers consult.
@@ -300,15 +304,17 @@ var ErrProtectedCascade = errors.New("core: deletion cascades into a protected r
 // chase that is driven to completion, consulting user for frontier
 // operations, and commits. On failure — including a cascade into a
 // protected relation — the update is rolled back entirely and the
-// repository is unchanged.
+// repository is unchanged. The *chase.Update user is shown is renewed
+// for a later call once Apply returns, so user must not keep it.
 func (r *Repository) Apply(op chase.Op, user chase.User) (chase.Stats, error) {
-	stats, _, err := r.ApplyTraced(op, user)
+	stats, _, err := r.apply(op, user, false)
 	return stats, err
 }
 
 // ApplyTraced is Apply returning, additionally, the update's write
 // provenance trace: every performed write paired with the violation
-// repair or frontier operation that caused it.
+// repair or frontier operation that caused it. Only ApplyTraced
+// records a trace; Apply and the concurrent schedulers do not.
 //
 // When the chase blocks and the (non-nil) user has no answer yet —
 // the "caller retries later" half of the chase.User contract — the
@@ -320,6 +326,11 @@ func (r *Repository) Apply(op chase.Op, user chase.User) (chase.Stats, error) {
 // fail-fast behaviour: there is no one to retry, so the update rolls
 // back with chase.ErrNoDecision.
 func (r *Repository) ApplyTraced(op chase.Op, user chase.User) (chase.Stats, []chase.TraceEntry, error) {
+	return r.apply(op, user, true)
+}
+
+// apply is Apply and ApplyTraced.
+func (r *Repository) apply(op chase.Op, user chase.User, traced bool) (chase.Stats, []chase.TraceEntry, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	// Fast-reject before minting an update number: a degraded or
@@ -334,7 +345,8 @@ func (r *Repository) ApplyTraced(op chase.Op, user chase.User) (chase.Stats, []c
 	r.nextUpdate++
 	r.trace.Note(number, "submit")
 	mark := r.store.NullMark()
-	u := chase.NewUpdate(number, op)
+	u := r.renewSpare(number, op)
+	u.NoTrace = !traced
 	stats, err := r.runSingle(u, user)
 	if errors.Is(err, errNoAnswer) {
 		id, perr := r.parkLocked(u, op)
@@ -353,6 +365,8 @@ func (r *Repository) ApplyTraced(op chase.Op, user chase.User) (chase.Stats, []c
 		obsParked.Inc()
 		return stats, u.Trace, &ParkedError{ID: id}
 	}
+	// Not parked: the update is the repository's alone again.
+	r.spare = u
 	if err != nil {
 		r.store.Abort(number)
 		u.Cancel()
@@ -381,6 +395,19 @@ func (r *Repository) ApplyTraced(op chase.Op, user chase.User) (chase.Stats, []c
 	r.trace.Note(number, "ack")
 	obsApplied.Inc()
 	return stats, u.Trace, nil
+}
+
+// renewSpare returns the spare update renewed for number and op, or a
+// new update when there is none. A parked update is never given back,
+// so it is never renewed.
+func (r *Repository) renewSpare(number int, op chase.Op) *chase.Update {
+	u := r.spare
+	if u == nil {
+		return chase.NewUpdate(number, op)
+	}
+	r.spare = nil
+	u.Renew(number, op)
+	return u
 }
 
 // runSingle drives one update to completion, enforcing the protected
@@ -415,13 +442,14 @@ func (r *Repository) runSingle(u *chase.Update, user chase.User) (chase.Stats, e
 // parking is how the synchronous path keeps that promise.
 var errNoAnswer = errors.New("core: user has no frontier answer yet")
 
-// decideOne obtains one frontier operation from the user.
+// decideOne obtains one frontier operation from the user. Like
+// chase.Runner's, it walks the live group list: Apply, which changes
+// it, ends the loop.
 func (r *Repository) decideOne(u *chase.Update, user chase.User) error {
 	if user == nil {
 		return chase.ErrNoDecision
 	}
-	groups := append([]*chase.FrontierGroup(nil), u.Groups()...)
-	for _, g := range groups {
+	for _, g := range u.Groups() {
 		opts := r.engine.Options(u, g)
 		if len(opts) == 0 {
 			continue

@@ -83,3 +83,106 @@ func TestCanonHashDeterministic(t *testing.T) {
 		t.Fatal("suspicious hash collision on test inputs")
 	}
 }
+
+// TestCanonSeparatorsInConstantsAreEscaped regresses ambiguous
+// renderings: constants holding a separator byte used to render like
+// differently split tuples or sets. Constants without one render as
+// before.
+func TestCanonSeparatorsInConstantsAreEscaped(t *testing.T) {
+	a := NewTuple("R", Const("a\x01c:b"), Const("x"))
+	b := NewTuple("R", Const("a"), Const("b\x01c:x"))
+	if CanonTuple(a) == CanonTuple(b) {
+		t.Fatalf("%v and %v both render %q", a, b, CanonTuple(a))
+	}
+	if got := string(AppendCanonTuple(nil, a)); got != CanonTuple(a) {
+		t.Fatalf("append form %q, string form %q", got, CanonTuple(a))
+	}
+	one := []Tuple{NewTuple("R", Const("a\x03R\x02c:b"))}
+	two := []Tuple{NewTuple("R", Const("a")), NewTuple("R", Const("b"))}
+	if CanonTuples(one) == CanonTuples(two) {
+		t.Fatalf("%v and %v both render %q", one, two, CanonTuples(one))
+	}
+	if got, want := CanonTuple(NewTuple("R", Const("a\x02"), Null(4))), "R\x02c:a\x02\x02\x01?0"; got != want {
+		t.Fatalf("escaped rendering %q, want %q", got, want)
+	}
+	plain := NewTuple("R", Null(7), Const("k"), Null(7), Null(2))
+	if got, want := CanonTuple(plain), "R\x02?0\x01c:k\x01?0\x01?1"; got != want {
+		t.Fatalf("plain rendering %q, want %q", got, want)
+	}
+}
+
+// canonFuzzRels are the fuzzed relations and their arities.
+var canonFuzzRels = []struct {
+	name  string
+	arity int
+}{{"R", 2}, {"S", 1}, {"T", 3}}
+
+// canonFuzzConsts are the fuzzed constants, separators included.
+var canonFuzzConsts = []string{"a", "b", "", "a\x01c:b", "x\x02", "\x03", "?0", "c:"}
+
+// decodeCanonFuzz turns fuzz input into up to 40 tuples over three
+// relations drawing on six nulls, so that tuples share nulls and many
+// renderings tie.
+func decodeCanonFuzz(data []byte) []Tuple {
+	next := func() int {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return int(b)
+	}
+	ts := make([]Tuple, next()%41)
+	for i := range ts {
+		rel := canonFuzzRels[next()%len(canonFuzzRels)]
+		vals := make([]Value, rel.arity)
+		for j := range vals {
+			if b := next(); b&1 == 1 {
+				vals[j] = Null(int64(b>>1) % 6)
+			} else {
+				vals[j] = Const(canonFuzzConsts[(b>>1)%len(canonFuzzConsts)])
+			}
+		}
+		ts[i] = Tuple{Rel: rel.name, Vals: vals}
+	}
+	return ts
+}
+
+// FuzzCanonAppend checks the append forms against the string forms:
+// AppendCanonTuple against CanonTuple for every tuple, and
+// AppendCanonTuples, on one scratch reused across calls, against
+// CanonTuples for the whole set and for its first half. Sets beyond
+// twelve tuples pass pdqsort's insertion-sort cutoff, where the order
+// of tied renderings, and with it the shared renaming, depends on the
+// sorting algorithm itself.
+//
+// Run with: go test -fuzz FuzzCanonAppend ./internal/model
+func FuzzCanonAppend(f *testing.F) {
+	f.Add([]byte{3, 0, 1, 3, 1, 3, 5, 2, 1, 7, 9, 11})
+	tied := []byte{40}
+	for i := 0; i < 40; i++ {
+		// Forty R(null, null) tuples over six nulls: every rendering is
+		// "R\x02?0\x01?1" or "R\x02?0\x01?0".
+		tied = append(tied, 0, byte(2*(i%6)+1), byte(2*((i*5+1)%6)+1))
+	}
+	f.Add(tied)
+	mixed := []byte{40}
+	for i := 0; i < 40; i++ {
+		mixed = append(mixed, byte(i), byte(i*7), byte(i*3+1), byte(i*11))
+	}
+	f.Add(mixed)
+	var s CanonScratch
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ts := decodeCanonFuzz(data)
+		for _, tp := range ts {
+			if got, want := string(AppendCanonTuple([]byte("p"), tp)), "p"+CanonTuple(tp); got != want {
+				t.Fatalf("AppendCanonTuple(%v) = %q, want %q", tp, got, want)
+			}
+		}
+		for _, set := range [][]Tuple{ts, ts[:len(ts)/2], ts} {
+			if got, want := string(AppendCanonTuples([]byte("p"), set, &s)), "p"+CanonTuples(set); got != want {
+				t.Fatalf("AppendCanonTuples(%v) =\n%q, want\n%q", set, got, want)
+			}
+		}
+	})
+}

@@ -517,29 +517,41 @@ func (e *Engine) Satisfied(set *tgd.Set) bool {
 // repair a violation: each RHS atom instantiated under the binding,
 // with one fresh labeled null per existential variable drawn from
 // fresh. It returns the tuples aligned with the RHS atoms and the
-// set of freshly minted nulls.
+// set of freshly minted nulls (nil when the mapping has no existential
+// variable).
 func InstantiateRHS(t *tgd.TGD, b Binding, fresh func() model.Value) ([]model.Tuple, map[model.Value]bool) {
-	ext := make(Binding, len(b)+len(t.ExistentialVars()))
-	for k, v := range b {
-		ext[k] = v
+	exist := t.ExistentialVars()
+	var small [4]model.Value
+	nulls := small[:0]
+	var freshNulls map[model.Value]bool
+	if len(exist) > 0 {
+		freshNulls = make(map[model.Value]bool, len(exist))
 	}
-	freshNulls := make(map[model.Value]bool)
-	for _, z := range t.ExistentialVars() {
+	for range exist {
 		nv := fresh()
-		ext[z] = nv
+		nulls = append(nulls, nv)
 		freshNulls[nv] = true
 	}
+	n := 0
+	for _, a := range t.RHS {
+		n += len(a.Terms)
+	}
+	all := make([]model.Value, 0, n)
 	out := make([]model.Tuple, len(t.RHS))
 	for i, a := range t.RHS {
-		vals := make([]model.Value, len(a.Terms))
-		for j, term := range a.Terms {
+		lo := len(all)
+		for _, term := range a.Terms {
+			v := term.Const
 			if term.IsVar {
-				vals[j] = ext[term.Var]
-			} else {
-				vals[j] = term.Const
+				if k := slices.Index(exist, term.Var); k >= 0 {
+					v = nulls[k]
+				} else {
+					v = b[term.Var]
+				}
 			}
+			all = append(all, v)
 		}
-		out[i] = model.Tuple{Rel: a.Rel, Vals: vals}
+		out[i] = model.Tuple{Rel: a.Rel, Vals: all[lo:len(all):len(all)]}
 	}
 	return out, freshNulls
 }
