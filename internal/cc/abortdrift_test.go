@@ -67,7 +67,7 @@ func driftFixture(t *testing.T) (storage.Backend, *Config, []*Txn, *query.Violat
 	if len(vs) != 0 {
 		t.Fatalf("fixture expects no initial violation, got %v", vs)
 	}
-	txns[8].Upd.PublishRead(q)
+	txns[8].Upd.RecordRead(q)
 
 	// Update 3 deletes A(a); the write-side check honestly passes (a
 	// missing A cannot complete the join).

@@ -157,8 +157,8 @@ func TestCancelledUpdateIsNoConflictVictim(t *testing.T) {
 					}
 				}
 				victim := s.txns[tc.cancelled-1]
-				if !victim.Upd.HasReads() {
-					t.Fatalf("update %d published no reads", tc.cancelled)
+				if len(victim.Upd.StoredReads()) == 0 {
+					t.Fatalf("update %d stored no reads", tc.cancelled)
 				}
 				w := watchCancel(s.txns, tc.cancelled)
 				if err := s.cancel(victim); err != nil {

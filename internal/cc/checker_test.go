@@ -122,8 +122,8 @@ func BenchmarkConflictCheck(b *testing.B) {
 			var sc stepScratch
 			var m Metrics
 			reader := &Txn{Upd: chase.NewUpdate(5, chase.Op{}), Number: 5, deps: make(map[int]bool)}
-			reader.Upd.PublishRead(bc.q)
-			sc.cands = snapshotCandidatesInto(sc.cands[:0], []*Txn{reader}, 2)
+			reader.Upd.RecordRead(bc.q)
+			sc.cands = candidatesInto(sc.cands[:0], []*Txn{reader}, 2)
 			check := func() {
 				if len(directConflicts(f.st, cfg, &sc.chk, sc.cands, writes, &m)) != 0 {
 					b.Fatal("fixture write must not conflict")
@@ -141,7 +141,7 @@ func BenchmarkConflictCheck(b *testing.B) {
 		var sc stepScratch
 		var m Metrics
 		reader := &Txn{Upd: chase.NewUpdate(5, chase.Op{}), Number: 5, deps: make(map[int]bool)}
-		reader.Upd.PublishRead(f.single)
+		reader.Upd.RecordRead(f.single)
 		sc.removal = removalCandidatesInto(sc.removal[:0], cfg, []*Txn{reader}, nil)
 		removed := f.st.WritesOf(2)
 		check := func() {

@@ -10,10 +10,9 @@ import (
 	"youtopia/internal/tgd"
 )
 
-// These tests pin the Algorithm-4 detection split: writes to relation
-// sets disjoint from a reader's stored queries never mark it, writes
-// to overlapping sets do, and the frozen-candidate machinery skips
-// victims whose attempt counter moved on.
+// These tests pin Algorithm 4's detection: writes to relation sets
+// disjoint from a reader's stored queries never mark it, and writes to
+// overlapping sets do.
 
 func conflictSchema() *model.Schema {
 	s := model.NewSchema()
@@ -23,12 +22,12 @@ func conflictSchema() *model.Schema {
 	return s
 }
 
-// mkTxn builds a txn whose update has the given stored reads
-// published, as if recorded by a prior read phase.
+// mkTxn builds a txn whose update has the given stored reads, as if
+// recorded by a prior read phase.
 func mkTxn(number int, reads ...query.ReadQuery) *Txn {
 	u := chase.NewUpdate(number, chase.Insert(model.NewTuple("T", model.Const("x"))))
 	for _, q := range reads {
-		u.PublishRead(q)
+		u.RecordRead(q)
 	}
 	return &Txn{Upd: u, Number: number, deps: make(map[int]bool)}
 }
@@ -49,7 +48,7 @@ func TestDirectConflictsDisjointRelations(t *testing.T) {
 	}
 
 	var m Metrics
-	cands := snapshotCandidatesInto(nil, []*Txn{reader}, 1)
+	cands := candidatesInto(nil, []*Txn{reader}, 1)
 	if len(cands) != 1 {
 		t.Fatalf("candidates = %d, want 1", len(cands))
 	}
@@ -76,9 +75,9 @@ func TestDirectConflictsOverlappingRelations(t *testing.T) {
 	}
 
 	var m Metrics
-	cands := snapshotCandidatesInto(nil, []*Txn{reader}, 1)
+	cands := candidatesInto(nil, []*Txn{reader}, 1)
 	marked := directConflicts(st, cfg, new(query.Checker), cands, []storage.WriteRec{w}, &m)
-	if len(marked) != 1 || marked[0].t.Number != 2 {
+	if len(marked) != 1 || marked[0].Number != 2 {
 		t.Fatalf("overlapping write marked %v, want txn 2", marked)
 	}
 	if m.DirectAbortRequests != 1 {
@@ -100,39 +99,14 @@ func TestDirectConflictsInvisibleWriter(t *testing.T) {
 		t.Fatal(err)
 	}
 	var m Metrics
-	// snapshotCandidates already filters by priority; check the query
+	// candidatesInto already filters by priority; check the query
 	// layer agrees if forced through.
-	cands := []conflictCandidate{{t: reader, prefix: reader.Upd.PublishedReads()}}
+	cands := []*Txn{reader}
 	if marked := directConflicts(st, cfg, new(query.Checker), cands, []storage.WriteRec{w}, &m); len(marked) != 0 {
 		t.Fatalf("invisible write marked %v", marked)
 	}
-	if got := snapshotCandidatesInto(nil, []*Txn{reader}, 3); len(got) != 0 {
-		t.Fatalf("snapshotCandidates included lower-numbered txn: %v", got)
-	}
-}
-
-func TestDirectConflictsSkipsRestartedAttempt(t *testing.T) {
-	st := storage.NewStore(conflictSchema())
-	cfg := &Config{Tracker: Coarse{}}
-
-	reader := mkTxn(2,
-		&query.ContentRead{Rel: "S", Vals: []model.Value{model.Const("v")}, ReaderNo: 2},
-	)
-	_, w, _, err := st.Insert(1, model.NewTuple("S", model.Const("v")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cands := snapshotCandidatesInto(nil, []*Txn{reader}, 1)
-	// The reader restarts between the snapshot and the check (as a
-	// concurrent abort wave would cause): its frozen reads predate the
-	// new attempt and must be ignored.
-	reader.Upd.Reset()
-	var m Metrics
-	if marked := directConflicts(st, cfg, new(query.Checker), cands, []storage.WriteRec{w}, &m); len(marked) != 0 {
-		t.Fatalf("restarted attempt still marked: %v", marked)
-	}
-	if m.DirectAbortRequests != 0 {
-		t.Fatalf("restarted attempt counted %d requests", m.DirectAbortRequests)
+	if got := candidatesInto(nil, []*Txn{reader}, 3); len(got) != 0 {
+		t.Fatalf("candidatesInto included lower-numbered txn: %v", got)
 	}
 }
 
@@ -154,7 +128,7 @@ func TestDirectConflictsViolationReadRelations(t *testing.T) {
 	seed := []model.Value{model.Const("a"), model.Const("b")}
 	rq, _ := query.NewViolationRead(query.NewEngine(st.Snap(2)), m1, "R", seed, query.SeedLHS)
 	reader := mkTxn(2, rq)
-	cands := snapshotCandidatesInto(nil, []*Txn{reader}, 1)
+	cands := candidatesInto(nil, []*Txn{reader}, 1)
 
 	// Disjoint: writer 1 writes T.
 	_, wT, _, err := st.Insert(1, model.NewTuple("T", model.Const("a")))

@@ -18,55 +18,33 @@ import (
 // runnable transactions and execute chase steps through the two-phase
 // engine API, synchronized by a single phase lock:
 //
-//   - The write half of a step (performing the planned writes) runs
-//     under the exclusive phase lock, together with a cheap snapshot
-//     of the conflict-check candidates: every higher-numbered
-//     uncommitted txn's attempt counter and published read prefix,
-//     plus the per-stripe sequence numbers of the written relations.
-//   - The expensive part of Algorithm 4's conflict processing — the
-//     AffectedBy re-evaluations against those frozen read prefixes —
-//     runs under the SHARED phase lock, overlapping other updates'
-//     read phases. This is safe because store state never changes
-//     during shared phases and the frozen prefixes are immutable.
-//   - If the checks mark victims, the exclusive lock is re-acquired to
-//     apply them: each verdict is revalidated (victims whose attempt
-//     counter moved on restarted after the writes and are dropped),
-//     and if the per-stripe sequence numbers of the written relations
-//     advanced in the interim — other writers landed in the same
-//     stripes between the phases — the direct check is redone under
-//     the exclusive lock, restoring the original atomic semantics for
-//     exactly the overlapping-relation case. Writes to relation sets
-//     disjoint from all interim writers keep their shared-phase
-//     verdicts. The cascade closure and the rollbacks always run under
-//     the exclusive lock, where dependency sets are stable.
+//   - The write half of a step runs under the exclusive phase lock,
+//     and Algorithm 4's conflict processing of its writes — detection,
+//     cascade, rollbacks — runs in the same section, as on the
+//     cooperative scheduler (txnCore.processWrites). The check happens
+//     where the write lands, against read logs that are complete:
+//     every engine call runs under the phase lock, so none is in
+//     flight.
 //   - The read half (violation discovery, queue recheck, repair
 //     planning) and frontier-operation polling run under the shared
 //     phase lock, so the read-dominated bulk of chase work proceeds in
-//     parallel across updates.
+//     parallel across updates. Reads are logged only inside such a
+//     phase, on the update's own log.
 //
-// This preserves the closure of the classical OCC validation race: a
-// read query is published (under the update's read lock) during a
-// shared phase, so at candidate-snapshot time it either is in the
-// frozen prefix (and is checked), or was performed after the writes
-// landed — in which case its answer already reflects the writes and no
-// retroactive conflict exists; the tracker records the dependency
-// instead. Publishing once per engine call, at its end, keeps this
-// intact: candidate snapshots are taken under the exclusive lock, which
-// never overlaps a step half or a poll, so every read a finished call
-// performed is in the frozen prefix, and every other read was performed
-// after the writes. Each read phase observes the store exactly as if it
-// ran between two steps of the serial interleaving, which is the
-// paper's execution model; Theorem 4.4's serializability argument
-// therefore carries over unchanged, and the committed final instance
-// is equivalent to the serial execution of the same workload.
+// A read is therefore either in its reader's log when a write is
+// checked, or was performed after the write landed, and its answer
+// already reflects the write; the tracker records the dependency. Each
+// read phase observes the store exactly as if it ran between two steps
+// of the serial interleaving, which is the paper's execution model;
+// Theorem 4.4's serializability argument carries over unchanged.
 //
 // Updates commit strictly in priority order once terminated, through
 // the transaction core shared with the cooperative scheduler: one
 // exclusive-lock acquisition drains the whole terminated prefix through
-// a single storage group commit. Aborts decided during
-// conflict processing are executed under the exclusive lock; a worker
-// that had claimed the aborted transaction notices the bumped attempt
-// counter at its next lock acquisition and abandons the stale phase.
+// a single storage group commit. A worker that had claimed a
+// transaction aborted by another step's conflict wave notices the
+// bumped attempt counter at its next lock acquisition and abandons the
+// stale phase.
 type ParallelScheduler struct {
 	txnCore
 
@@ -188,7 +166,7 @@ const (
 // GOMAXPROCS. The Policy field is ignored — goroutine scheduling
 // replaces the cooperative interleaving policies.
 func NewParallelScheduler(store storage.Backend, set *tgd.Set, cfg Config) *ParallelScheduler {
-	if cfg.Workers <= 0 {
+	if cfg.Workers == 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
 	s := &ParallelScheduler{}
@@ -212,6 +190,9 @@ func (s *ParallelScheduler) merge(d Metrics) {
 // metrics; the error reports stalls (absent users), step-limit or
 // abort-limit overruns, or storage failures.
 func (s *ParallelScheduler) Run(ops []chase.Op) (Metrics, error) {
+	if err := s.cfg.Validate(); err != nil {
+		return Metrics{}, err
+	}
 	s.submit(ops)
 	if s.cfg.Inbox != nil {
 		s.cfg.Inbox.SetOnAnswer(s.onAnswer)
@@ -376,14 +357,11 @@ func (s *ParallelScheduler) finish(kind workKind, t *Txn, progressed bool, err e
 }
 
 // execStep runs one chase step for a claimed transaction: the write
-// half under the exclusive phase lock (plus an allocation-free
-// candidate snapshot off the published read-prefix records), the
-// direct conflict checks under the shared lock, abort application
-// back under the exclusive lock, and finally the read half under the
-// shared lock. If the transaction was aborted between any of the
-// phases (by a lower-priority writer's conflict wave), the remaining
-// phases are abandoned — the storage rollback already happened and
-// the dispatcher will rerun the fresh attempt.
+// half and the conflict processing of its writes under the exclusive
+// phase lock, then the read half under the shared lock. If the
+// transaction was aborted in between (by an abort wave), the read half
+// is abandoned — the storage rollback already happened and the
+// dispatcher will rerun the fresh attempt.
 func (s *ParallelScheduler) execStep(t *Txn, scratch *stepScratch) (bool, error) {
 	var stepStart time.Time
 	if s.cfg.Trace.Enabled() {
@@ -399,33 +377,19 @@ func (s *ParallelScheduler) execStep(t *Txn, scratch *stepScratch) (bool, error)
 	}
 	attempt := t.Upd.Attempt
 	res, err := s.engine.StepWrites(t.Upd)
-	var cands []conflictCandidate
-	var relSeqs []relSeq
 	if err != nil {
-		err = fmt.Errorf("cc: update %d: %w", t.Number, err)
-	} else if len(res.Writes) > 0 {
-		// Freeze the victims-to-check and the written stripes' sequence
-		// numbers while still exclusive; the expensive AffectedBy
-		// evaluations then run under the shared lock. Both collections
-		// reuse the worker's scratch — zero allocations in steady state.
-		cands = snapshotCandidatesInto(scratch.cands[:0], s.txns, t.Number)
-		scratch.cands = cands
-		relSeqs = writtenRelSeqsInto(scratch.rels[:0], s.store, res.Writes)
-		scratch.rels = relSeqs
+		s.gmu.Unlock()
+		return true, fmt.Errorf("cc: update %d: %w", t.Number, err)
 	}
-	s.gmu.Unlock()
-	if err != nil {
-		return true, err
-	}
-	s.merge(Metrics{Steps: 1, Writes: len(res.Writes)})
+	delta := Metrics{Steps: 1, Writes: len(res.Writes)}
 	obsSteps.Inc()
 	obsWrites.Add(int64(len(res.Writes)))
 	s.cfg.Trace.Span(t.Number, "step", stepStart)
-
-	if len(cands) > 0 {
-		if err := s.processWritesDeferred(t, attempt, res.Writes, cands, relSeqs, scratch); err != nil {
-			return true, err
-		}
+	err = s.processWrites(res.Writes, &delta, scratch, s.abortLocked)
+	s.gmu.Unlock()
+	s.merge(delta)
+	if err != nil {
+		return true, err
 	}
 
 	s.gmu.RLock()
@@ -441,68 +405,6 @@ func (s *ParallelScheduler) execStep(t *Txn, scratch *stepScratch) (bool, error)
 	}
 	s.gmu.RUnlock()
 	return true, nil
-}
-
-// processWritesDeferred is the out-of-lock half of Algorithm 4's
-// conflict processing: the direct AffectedBy checks run under the
-// shared phase lock against the frozen candidates, and only if victims
-// were marked (never in ModeFlag) is the exclusive lock taken to
-// revalidate and execute the abort wave.
-func (s *ParallelScheduler) processWritesDeferred(t *Txn, attempt int, writes []storage.WriteRec, cands []conflictCandidate, relSeqs []relSeq, scratch *stepScratch) error {
-	var delta Metrics
-	var marked []conflictCandidate
-	s.gmu.RLock()
-	if t.Upd.Attempt == attempt {
-		// Our writes are still in place (a rolled-back batch cannot
-		// retroactively change anyone's answers).
-		marked = directConflicts(s.store, &s.cfg, &scratch.chk, cands, writes, &delta)
-	}
-	s.gmu.RUnlock()
-	if len(marked) == 0 {
-		// Nothing to apply; ModeFlag and clean checks end here.
-		s.merge(delta)
-		return nil
-	}
-
-	s.gmu.Lock()
-	defer s.gmu.Unlock()
-	if t.Upd.Attempt != attempt {
-		// The writer itself was aborted in the interim: its writes are
-		// gone, and the conflicts died with them.
-		return nil
-	}
-	// Per-stripe sequence validation: if other writers landed in the
-	// written relations between the phases, redo the direct check here
-	// under the exclusive lock — the conservative original semantics.
-	// Disjoint-relation interim writers leave the seqs untouched and
-	// the shared-phase verdicts stand.
-	stale := false
-	for _, rs := range relSeqs {
-		if s.store.RelSeq(rs.rel) != rs.seq {
-			stale = true
-			break
-		}
-	}
-	if stale {
-		delta = Metrics{}
-		scratch.redo = snapshotCandidatesInto(scratch.redo[:0], s.txns, t.Number)
-		marked = directConflicts(s.store, &s.cfg, &scratch.chk, scratch.redo, writes, &delta)
-	}
-	// Revalidate: a victim whose attempt counter moved on (or that
-	// committed) restarted after our writes, so its fresh reads already
-	// reflect them and the verdict no longer applies. The prefix
-	// record's attempt is compared against the live counter the same
-	// way the per-stripe seqs were compared above — an unchanged value
-	// proves the frozen reads are still the victim's reads.
-	victims := make([]*Txn, 0, len(marked))
-	for _, c := range marked {
-		if c.t.Upd.Attempt == c.prefix.Attempt && !c.t.committed {
-			victims = append(victims, c.t)
-		}
-	}
-	err := executeAbortWave(s.store, &s.cfg, s.txns, victims, &delta, scratch, s.abortLocked)
-	s.merge(delta)
-	return err
 }
 
 // setStatusLocked updates a txn's dispatch mirror, maintaining the

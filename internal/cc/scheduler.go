@@ -103,6 +103,28 @@ type Config struct {
 	Trace *obs.Tracer
 }
 
+// Validate rejects a configuration no scheduler runs as written: a
+// negative limit or worker count, or a Policy or Mode outside the
+// declared constants. Both Run methods and core.Repository.RunConcurrent
+// call it before any update is numbered or any write is made.
+func (c Config) Validate() error {
+	switch {
+	case c.MaxStepsPerUpdate < 0:
+		return fmt.Errorf("cc: negative MaxStepsPerUpdate %d", c.MaxStepsPerUpdate)
+	case c.MaxIdleRounds < 0:
+		return fmt.Errorf("cc: negative MaxIdleRounds %d", c.MaxIdleRounds)
+	case c.MaxAbortsPerUpdate < 0:
+		return fmt.Errorf("cc: negative MaxAbortsPerUpdate %d", c.MaxAbortsPerUpdate)
+	case c.Workers < 0:
+		return fmt.Errorf("cc: negative Workers %d", c.Workers)
+	case c.Policy > PolicySerial:
+		return fmt.Errorf("cc: unknown %s", c.Policy)
+	case c.Mode > ModeFlag:
+		return fmt.Errorf("cc: unknown mode(%d)", uint8(c.Mode))
+	}
+	return nil
+}
+
 // Metrics aggregates a run's outcome — the quantities of §6.
 type Metrics struct {
 	// Submitted is the number of updates in the workload.
@@ -204,6 +226,9 @@ func NewScheduler(store storage.Backend, set *tgd.Set, cfg Config) *Scheduler {
 // because acknowledgment is pipelined (the run keeps chasing while
 // syncs are in flight and settles them before returning).
 func (s *Scheduler) Run(ops []chase.Op) (Metrics, error) {
+	if err := s.cfg.Validate(); err != nil {
+		return Metrics{}, err
+	}
 	s.begin(ops, &s.scratch)
 	return s.end(s.loop())
 }
@@ -306,9 +331,10 @@ func (s *Scheduler) runSteps(t *Txn) error {
 		obsSteps.Inc()
 		obsWrites.Add(int64(len(res.Writes)))
 		s.cfg.Trace.Span(t.Number, "step", stepStart)
-		// Conflicts only ever abort higher-numbered txns than the
-		// writer, so t itself is never caught in the wave it causes.
-		if err := s.processWrites(res.Writes); err != nil {
+		err = s.processWrites(res.Writes, &s.m, &s.scratch, func(v *Txn) error {
+			return s.rollback(v, &s.m)
+		})
+		if err != nil {
 			return err
 		}
 		if s.cfg.Policy == PolicyRoundRobinStep {
@@ -353,21 +379,4 @@ func (s *Scheduler) inboxIdle() (bool, error) {
 		time.Sleep(100 * time.Microsecond)
 	}
 	return acted, nil
-}
-
-// processWrites runs Algorithm 4's conflict processing on one step's
-// writes: direct detection (collectDirect) followed by the abort wave
-// — dependency cascade, rollbacks, and abort-side drift rechecks.
-func (s *Scheduler) processWrites(writes []storage.WriteRec) error {
-	var checkStart time.Time
-	if s.cfg.Trace.Enabled() && len(writes) > 0 {
-		checkStart = time.Now()
-	}
-	direct := collectDirect(s.store, &s.cfg, s.txns, writes, &s.m, &s.scratch)
-	if s.cfg.Trace.Enabled() && len(writes) > 0 {
-		s.cfg.Trace.Span(writes[0].Writer, "conflict_check", checkStart)
-	}
-	return executeAbortWave(s.store, &s.cfg, s.txns, direct, &s.m, &s.scratch, func(t *Txn) error {
-		return s.rollback(t, &s.m)
-	})
 }

@@ -264,25 +264,6 @@ func TestStratumPolicy(t *testing.T) {
 	}
 }
 
-func TestHybridTracker(t *testing.T) {
-	st, set := travel(t)
-	h := &cc.Hybrid{PreciseFor: cc.EscalateAfter(1)}
-	sched := cc.NewScheduler(st, set, cc.Config{
-		Tracker: h,
-		User:    &example31User{st: st, delay: 3},
-	})
-	if h.Name() != "HYBRID" {
-		t.Fatal("name")
-	}
-	m, err := sched.Run(example31Ops())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Aborts == 0 {
-		t.Fatalf("expected the Example 3.1 abort: %+v", m)
-	}
-}
-
 func TestCommitOrder(t *testing.T) {
 	st, set := travel(t)
 	sched := cc.NewScheduler(st, set, cc.Config{Tracker: cc.Coarse{}, User: simuser.New(1)})
@@ -396,4 +377,57 @@ func newRand(seed int64) *smallRand {
 func (r *smallRand) Intn(n int) int {
 	r.state = r.state*6364136223846793005 + 1442695040888963407
 	return int((r.state >> 33) % uint64(n))
+}
+
+// TestConfigValidate: negative limits and worker counts, and a Policy
+// or Mode outside the declared constants, are rejected by Validate and
+// by both Run methods before any update is numbered or any write made.
+func TestConfigValidate(t *testing.T) {
+	if err := (cc.Config{}).Validate(); err != nil {
+		t.Fatalf("zero config rejected: %v", err)
+	}
+	ops := []chase.Op{chase.Insert(tup("C", c("Boston")))}
+	for _, tc := range []struct {
+		name string
+		cfg  cc.Config
+	}{
+		{"negative MaxStepsPerUpdate", cc.Config{MaxStepsPerUpdate: -1}},
+		{"negative MaxIdleRounds", cc.Config{MaxIdleRounds: -1}},
+		{"negative MaxAbortsPerUpdate", cc.Config{MaxAbortsPerUpdate: -1}},
+		{"negative Workers", cc.Config{Workers: -1}},
+		{"unknown Policy", cc.Config{Policy: cc.PolicySerial + 1}},
+		{"unknown Mode", cc.Config{Mode: cc.ModeFlag + 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.cfg.Validate() == nil {
+				t.Fatal("Validate accepted the config")
+			}
+			cfg := tc.cfg
+			cfg.User = simuser.New(1)
+			for _, parallel := range []bool{false, true} {
+				st, set := travel(t)
+				before := st.Dump(1 << 30)
+				var err error
+				var txns []*cc.Txn
+				if parallel {
+					s := cc.NewParallelScheduler(st, set, cfg)
+					_, err = s.Run(ops)
+					txns = s.Txns()
+				} else {
+					s := cc.NewScheduler(st, set, cfg)
+					_, err = s.Run(ops)
+					txns = s.Txns()
+				}
+				if err == nil {
+					t.Fatalf("parallel=%v: Run accepted the config", parallel)
+				}
+				if len(txns) != 0 {
+					t.Fatalf("parallel=%v: Run numbered %d updates", parallel, len(txns))
+				}
+				if after := st.Dump(1 << 30); after != before {
+					t.Fatalf("parallel=%v: Run wrote before rejecting the config", parallel)
+				}
+			}
+		})
+	}
 }

@@ -2,8 +2,7 @@
 // (§4–§5 of the paper): the chase scheduler of Algorithm 3, the
 // optimistic conflict-detection template of Algorithm 4 built on tuple
 // versioning and stored read queries, and the three cascading-abort
-// algorithms of §5.1 — NAIVE, COARSE and PRECISE — plus the per-update
-// HYBRID policy sketched in §6.
+// algorithms of §5.1 — NAIVE, COARSE and PRECISE.
 //
 // Updates carry priority numbers (lower number = higher priority,
 // §3); the store's multiversioning makes writes of higher-numbered
@@ -151,49 +150,6 @@ func depCascade(aborted *Txn, active []*Txn) []*Txn {
 		}
 	}
 	return out
-}
-
-// Hybrid applies PRECISE to a chosen subset of updates and COARSE to
-// the rest — the per-update mixing policy the paper suggests in §6 for
-// updates that must not abort spuriously (for example because they
-// already aborted several times). PreciseFor decides per update
-// number; a nil predicate behaves like COARSE.
-type Hybrid struct {
-	// PreciseFor selects the updates whose dependencies are computed
-	// precisely.
-	PreciseFor func(number int, attempt int) bool
-
-	coarse  Coarse
-	precise Precise
-}
-
-// Name implements Tracker.
-func (h *Hybrid) Name() string { return "HYBRID" }
-
-// OnRead implements Tracker.
-func (h *Hybrid) OnRead(st storage.Backend, u *Txn, q query.ReadQuery) {
-	if h.usePrecise(u) {
-		h.precise.OnRead(st, u, q)
-		return
-	}
-	h.coarse.OnRead(st, u, q)
-}
-
-// Cascade implements Tracker.
-func (h *Hybrid) Cascade(st storage.Backend, aborted *Txn, active []*Txn) []*Txn {
-	return depCascade(aborted, active)
-}
-
-// usePrecise asks the predicate with the update's current attempt; the
-// stepping goroutine that calls OnRead owns the counter.
-func (h *Hybrid) usePrecise(u *Txn) bool {
-	return h.PreciseFor != nil && h.PreciseFor(u.Number, u.Upd.Attempt)
-}
-
-// EscalateAfter returns a Hybrid predicate that switches an update to
-// PRECISE once it has aborted at least k times (attempt > k).
-func EscalateAfter(k int) func(number, attempt int) bool {
-	return func(_, attempt int) bool { return attempt > k }
 }
 
 // TrackerByName builds a tracker from its experiment name.

@@ -80,32 +80,6 @@ func TestPreciseRejectsFalseDependency(t *testing.T) {
 	}
 }
 
-func TestHybridSwitchesAfterAborts(t *testing.T) {
-	// EscalateAfter(k) applies PRECISE once attempt > k.
-	pred := cc.EscalateAfter(2)
-	if pred(7, 1) || pred(7, 2) {
-		t.Fatal("escalated too early")
-	}
-	if !pred(7, 3) {
-		t.Fatal("did not escalate")
-	}
-	h := &cc.Hybrid{}
-	if h.Name() != "HYBRID" {
-		t.Fatal("name")
-	}
-	// Nil predicate behaves like COARSE (no panic).
-	st, set := travel(t)
-	sched := cc.NewScheduler(st, set, cc.Config{
-		Tracker: h,
-		User:    simuser.New(2),
-	})
-	if _, err := sched.Run([]chase.Op{
-		chase.Insert(tup("C", c("Boston"))),
-	}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestDepsNeverIncludeInvalidWriters(t *testing.T) {
 	st, set := travel(t)
 	sched := cc.NewScheduler(st, set, cc.Config{

@@ -232,40 +232,31 @@ func (c *txnCore) commitReady() (int, error) {
 	return len(batch), nil
 }
 
-// pollUser offers a blocked txn one live frontier decision: it walks the
-// open groups, enumerates each group's options, and applies the first
-// decision the user supplies, reporting whether it applied one. Decide
-// calls are serialized across goroutines and counted into m with the
-// applied operation. The parallel scheduler calls it under the shared
-// phase lock (frontier operations only plan writes).
+// pollUser offers a blocked txn one live frontier decision
+// (Engine.DecideOne), reporting whether it applied one. Decide calls
+// are serialized across goroutines and counted into m with the applied
+// operation. The parallel scheduler calls it under the shared phase
+// lock (frontier operations only plan writes).
 func (c *txnCore) pollUser(t *Txn, m *Metrics) (bool, error) {
 	if c.cfg.User == nil {
 		return false, nil
 	}
 	u := t.Upd
-	// The live group list needs no copy: Apply, which changes it, ends
-	// the loop.
-	for _, g := range u.Groups() {
-		opts := c.engine.Options(u, g)
-		if len(opts) == 0 {
-			continue
-		}
-		ctx := c.engine.DecisionContext(u, g)
+	ok, err := c.engine.DecideOne(u, func(g *chase.FrontierGroup, opts []chase.Decision, ctx string) (chase.Decision, bool, error) {
 		c.userMu.Lock()
+		defer c.userMu.Unlock()
 		m.UserPolls++
 		obsUserPolls.Inc()
 		d, ok := c.cfg.User.Decide(u, g, opts, ctx)
-		c.userMu.Unlock()
-		if !ok {
-			continue
-		}
-		if err := c.engine.Apply(u, g.ID, d); err != nil {
-			return false, fmt.Errorf("cc: update %d frontier op: %w", u.Number, err)
-		}
-		m.FrontierOps++
-		return true, nil
+		return d, ok, nil
+	})
+	if err != nil {
+		return false, fmt.Errorf("cc: update %d frontier op: %w", u.Number, err)
 	}
-	return false, nil
+	if ok {
+		m.FrontierOps++
+	}
+	return ok, nil
 }
 
 // errEntryGone reports a parked txn whose inbox entry was aborted out
@@ -342,6 +333,29 @@ func (c *txnCore) cancel(t *Txn) error {
 	obsCancelled.Inc()
 	c.cfg.Trace.Note(t.Number, "cancel")
 	return nil
+}
+
+// processWrites is Algorithm 4's conflict processing of one step's
+// writes, for both schedulers: direct detection against the stored
+// reads of higher-numbered uncommitted updates, then the abort wave —
+// dependency cascade, rollbacks through rollback, and abort-side drift
+// rechecks. Counters accumulate into m; the checks run on sc. It must
+// run where the writes land, before any other engine call: on the
+// cooperative scheduler's goroutine, or in the parallel scheduler's
+// exclusive phase section of the step that wrote. Conflicts only abort
+// updates numbered above the writer; an abort-side drift check may
+// still restart the writer itself.
+func (c *txnCore) processWrites(writes []storage.WriteRec, m *Metrics, sc *stepScratch, rollback func(*Txn) error) error {
+	if len(writes) == 0 {
+		return nil
+	}
+	var checkStart time.Time
+	if c.cfg.Trace.Enabled() {
+		checkStart = time.Now()
+	}
+	direct := collectDirect(c.store, &c.cfg, c.txns, writes, m, sc)
+	c.cfg.Trace.Span(writes[0].Writer, "conflict_check", checkStart)
+	return executeAbortWave(c.store, &c.cfg, c.txns, direct, m, sc, rollback)
 }
 
 // rollback is the abort wave's rollback of one victim: rollbackTxn's

@@ -59,21 +59,10 @@ func (e *Engine) logsReads() bool { return e.observer != nil }
 // Callers have checked logsReads. Re-performing an identical
 // intensional read is not re-logged: the stored copy already guards
 // its answer, and any write that would have shifted the answer in
-// between triggered a conflict on it. The log grows without being
-// published; publish makes the call's reads visible at its end.
+// between triggered a conflict on it.
 func (e *Engine) record(u *Update, q query.ReadQuery) {
 	if u.addRead(q) {
 		e.observer(u, q)
-	}
-}
-
-// publish makes the reads the engine call recorded visible to conflict
-// checks as one ReadPrefix. Every engine entry point that records reads
-// (StepWrites, StepReads, Options, Apply) calls it before returning,
-// so the publication happens inside the caller's phase lock.
-func (e *Engine) publish(u *Update) {
-	if e.logsReads() {
-		u.publishReads()
 	}
 }
 
@@ -193,7 +182,6 @@ func (e *Engine) StepWrites(u *Update) (StepResult, error) {
 	obsSteps.Inc()
 
 	writes, err := e.performWrites(u)
-	e.publish(u)
 	if err != nil {
 		return StepResult{Writes: writes, State: u.state}, err
 	}
@@ -209,7 +197,6 @@ func (e *Engine) StepWrites(u *Update) (StepResult, error) {
 // It only reads the store — new writes are merely planned into the
 // update's write set — and mutates nothing but the update itself.
 func (e *Engine) StepReads(u *Update, writes []storage.WriteRec) (StepResult, error) {
-	defer e.publish(u)
 	qe := e.queryContext(u)
 
 	// Phase 2: discover new violations caused by the writes.

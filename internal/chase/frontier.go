@@ -95,7 +95,6 @@ var (
 // explicit-intent extension operation — but Apply accepts it.
 func (e *Engine) Options(u *Update, g *FrontierGroup) []Decision {
 	if g.Positive {
-		defer e.publish(u)
 		var out []Decision
 		snap := e.queryContext(u).Snapshot()
 		c := u.qctx
@@ -226,7 +225,6 @@ func (e *Engine) Apply(u *Update, groupID int, d Decision) error {
 	if !ok {
 		return fmt.Errorf("%w: no open group %d on update %d", ErrStaleDecision, groupID, u.Number)
 	}
-	defer e.publish(u)
 	var err error
 	switch d.Kind {
 	case DecideExpand:

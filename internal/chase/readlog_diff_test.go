@@ -117,7 +117,7 @@ func TestIdentityDedupeStoresWhatStringDedupeStored(t *testing.T) {
 			log := chase.NewUpdate(i+1, b.ops[i])
 			var ref stringLog
 			for j, q := range stream {
-				if got, want := log.PublishRead(q), ref.add(q); got != want {
+				if got, want := log.RecordRead(q), ref.add(q); got != want {
 					t.Fatalf("%s, update %d, read %d %s: identity log took it = %v, string log = %v",
 						b.name, i+1, j, q, got, want)
 				}

@@ -9,75 +9,11 @@ import (
 	"youtopia/internal/query"
 )
 
-// These tests pin the epoch-published read-prefix contract the
-// conflict check depends on: every change publishes a fresh immutable
-// record with a bumped epoch, and previously loaded records are never
-// disturbed by later appends, releases, or resets.
-
 func probeRead(n int) query.ReadQuery {
 	return &query.ContentRead{
 		Rel:      "R",
 		Vals:     []model.Value{model.Const(string(rune('a' + n)))},
 		ReaderNo: 1,
-	}
-}
-
-func TestReadPrefixPublication(t *testing.T) {
-	u := NewUpdate(1, Op{})
-	p0 := u.PublishedReads()
-	if len(p0.Reads) != 0 || p0.Epoch != 0 {
-		t.Fatalf("fresh update published %d reads at epoch %d, want nothing published", len(p0.Reads), p0.Epoch)
-	}
-	if u.HasReads() {
-		t.Fatal("fresh update claims reads")
-	}
-
-	u.PublishRead(probeRead(0))
-	u.PublishRead(probeRead(1))
-	p2 := u.PublishedReads()
-	if len(p2.Reads) != 2 || p2.Attempt != 1 {
-		t.Fatalf("published = %d reads at attempt %d, want 2 at 1", len(p2.Reads), p2.Attempt)
-	}
-	if p2.Epoch <= p0.Epoch {
-		t.Fatalf("epoch did not advance: %d -> %d", p0.Epoch, p2.Epoch)
-	}
-
-	// A loaded record is immutable: later appends must not disturb it.
-	u.PublishRead(probeRead(2))
-	if len(p2.Reads) != 2 {
-		t.Fatalf("snapshot grew to %d reads after a later append", len(p2.Reads))
-	}
-	if len(u.PublishedReads().Reads) != 3 {
-		t.Fatalf("live prefix = %d reads, want 3", len(u.PublishedReads().Reads))
-	}
-
-	// Deduplicated publication does not spend an epoch.
-	before := u.PublishedReads().Epoch
-	if u.PublishRead(probeRead(2)) {
-		t.Fatal("duplicate read reported as new")
-	}
-	if got := u.PublishedReads().Epoch; got != before {
-		t.Fatalf("duplicate publication bumped epoch %d -> %d", before, got)
-	}
-
-	// ReleaseReads empties the live record; the old snapshot survives.
-	u.ReleaseReads()
-	if u.HasReads() || len(u.PublishedReads().Reads) != 0 {
-		t.Fatal("release left reads published")
-	}
-	if len(p2.Reads) != 2 {
-		t.Fatal("release disturbed an earlier snapshot")
-	}
-
-	// Reset publishes the new attempt, so a stale record is detectable
-	// by its attempt exactly as a restarted victim is today.
-	u.Reset()
-	p := u.PublishedReads()
-	if p.Attempt != u.Attempt || p.Attempt != 2 {
-		t.Fatalf("reset published attempt %d, update at %d", p.Attempt, u.Attempt)
-	}
-	if p.Epoch <= p2.Epoch {
-		t.Fatalf("reset did not advance the epoch: %d -> %d", p2.Epoch, p.Epoch)
 	}
 }
 
@@ -88,15 +24,15 @@ func TestReadPrefixPublication(t *testing.T) {
 // entry in nil map".
 func TestPublishAfterReleaseReads(t *testing.T) {
 	u := NewUpdate(1, Op{})
-	u.PublishRead(probeRead(0))
+	u.RecordRead(probeRead(0))
 	u.ReleaseReads()
-	if !u.PublishRead(probeRead(0)) {
+	if !u.RecordRead(probeRead(0)) {
 		t.Fatal("a read repeated after the release was dropped: the release kept the dedupe index")
 	}
-	if u.PublishRead(probeRead(0)) {
+	if u.RecordRead(probeRead(0)) {
 		t.Fatal("duplicate after the release reported as new")
 	}
-	if !u.PublishRead(probeRead(1)) || len(u.StoredReads()) != 2 {
+	if !u.RecordRead(probeRead(1)) || len(u.StoredReads()) != 2 {
 		t.Fatalf("log holds %d reads after release + 2 distinct reads", len(u.StoredReads()))
 	}
 }

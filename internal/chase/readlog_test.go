@@ -71,8 +71,8 @@ func TestNoReadLogWithoutObserver(t *testing.T) {
 			t.Fatalf("universe %d: %d reads recorded, %d deduped without an observer", i, r, d)
 		}
 		for _, up := range ups {
-			if up.PublishedReads().Epoch != 0 {
-				t.Fatalf("universe %d, update %d: reads published without an observer", i, up.Number)
+			if len(up.StoredReads()) != 0 {
+				t.Fatalf("universe %d, update %d: reads stored without an observer", i, up.Number)
 			}
 		}
 		r0 = recorded.Value()
@@ -86,10 +86,9 @@ func TestNoReadLogWithoutObserver(t *testing.T) {
 	}
 }
 
-// TestPublishedPrefixIsObservedReads: with an observer installed, an
-// engine call publishes its reads once, at its end — an observed read is
-// not yet visible to conflict checks while the call runs — and after
-// every call the published prefix holds exactly the reads the observer
+// TestPublishedPrefixIsObservedReads: with an observer installed, a
+// read is in the update's log before the observer is told of it, and
+// after every engine call the log holds exactly the reads the observer
 // saw, one to one and in order.
 func TestPublishedPrefixIsObservedReads(t *testing.T) {
 	applies := 0
@@ -103,22 +102,22 @@ func TestPublishedPrefixIsObservedReads(t *testing.T) {
 		var observed []query.ReadQuery
 		eng.SetReadObserver(func(up *chase.Update, q query.ReadQuery) {
 			observed = append(observed, q)
-			if n := len(up.PublishedReads().Reads); n >= len(observed) {
-				t.Fatalf("universe %d, update %d: read %d was published before its call ended", i, up.Number, n)
+			if log := up.StoredReads(); len(log) != len(observed) || log[len(log)-1] != q {
+				t.Fatalf("universe %d, update %d: observed read %d is not the last of %d logged", i, up.Number, len(observed), len(log))
 			}
 		})
 		calls := 0
 		check := func(up *chase.Update, call string) {
 			t.Helper()
 			calls++
-			got := up.PublishedReads().Reads
+			got := up.StoredReads()
 			if len(got) != len(observed) {
-				t.Fatalf("universe %d, update %d, after %s: %d reads published, %d observed",
+				t.Fatalf("universe %d, update %d, after %s: %d reads logged, %d observed",
 					i, up.Number, call, len(got), len(observed))
 			}
 			for j := range got {
 				if got[j] != observed[j] {
-					t.Fatalf("universe %d, update %d, after %s: published read %d is %s, observed %s",
+					t.Fatalf("universe %d, update %d, after %s: logged read %d is %s, observed %s",
 						i, up.Number, call, j, got[j], observed[j])
 				}
 			}

@@ -55,8 +55,12 @@ func (r *Runner) Run(u *Update) (Stats, error) {
 		case StateTerminated:
 			return u.Stats, nil
 		case StateAwaitingUser:
-			if err := r.decideOne(u); err != nil {
+			ok, err := r.Engine.AskUser(u, r.User)
+			if err != nil {
 				return u.Stats, err
+			}
+			if !ok {
+				return u.Stats, ErrNoDecision
 			}
 		}
 	}
@@ -85,22 +89,34 @@ func RunStandard(e *Engine, u *Update) (Stats, error) {
 	return r.Run(u)
 }
 
-// decideOne asks the user for one frontier operation on any open
-// group (Algorithm 1 resumes on the first operation received). It
-// walks the live group list without a copy: Apply, the one call that
-// changes the list, is the last thing the loop does.
-func (r *Runner) decideOne(u *Update) error {
+// DecideOne obtains one frontier operation for a blocked update
+// (Algorithm 1 resumes on the first operation received): it walks the
+// open groups in order, enumerates each group's options, renders its
+// decision context and calls decide, then applies the first decision
+// decide supplies. It reports whether one was applied; an error from
+// decide ends the walk before anything is applied. The live group list
+// needs no copy: Apply, the one call that changes it, ends the loop.
+func (e *Engine) DecideOne(u *Update, decide func(g *FrontierGroup, opts []Decision, ctx string) (Decision, bool, error)) (bool, error) {
 	for _, g := range u.Groups() {
-		opts := r.Engine.Options(u, g)
+		opts := e.Options(u, g)
 		if len(opts) == 0 {
 			continue
 		}
-		ctx := r.Engine.DecisionContext(u, g)
-		d, ok := r.User.Decide(u, g, opts, ctx)
-		if !ok {
-			continue
+		d, ok, err := decide(g, opts, e.DecisionContext(u, g))
+		if err != nil {
+			return false, err
 		}
-		return r.Engine.Apply(u, g.ID, d)
+		if ok {
+			return true, e.Apply(u, g.ID, d)
+		}
 	}
-	return ErrNoDecision
+	return false, nil
+}
+
+// AskUser is DecideOne with user's Decide as the decide call.
+func (e *Engine) AskUser(u *Update, user User) (bool, error) {
+	return e.DecideOne(u, func(g *FrontierGroup, opts []Decision, ctx string) (Decision, bool, error) {
+		d, ok := user.Decide(u, g, opts, ctx)
+		return d, ok, nil
+	})
 }

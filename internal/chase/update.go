@@ -2,8 +2,6 @@ package chase
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"youtopia/internal/model"
 	"youtopia/internal/query"
@@ -151,28 +149,19 @@ type Update struct {
 	// order performed; concurrency control checks writes against them.
 	// The engine keeps them only while a read observer is installed
 	// (Engine.logsReads). Identical queries are stored once (they
-	// denote the same intensional read). The slice is guarded by
-	// readsMu. Appends are published at the end of the engine call that
-	// made them, as one immutable ReadPrefix record behind the atomic
-	// published pointer (publishReads); a Reset or ReleaseReads
-	// publishes at once. That record is how conflict checkers snapshot
-	// the prefix without a lock or a copy — entries are immutable once
-	// published, so a loaded record stays valid after later appends, a
-	// Reset, or a ReleaseReads. Unexported so the unsynchronized access
-	// pattern of the pre-striping schedulers cannot compile.
-	reads     []query.ReadQuery
-	readsMu   sync.Mutex
-	published atomic.Pointer[ReadPrefix]
-	epoch     uint64 // publication counter; guarded by readsMu
+	// denote the same intensional read). The log takes no lock: every
+	// reader runs either on the goroutine that steps the update, or
+	// under the parallel scheduler's exclusive phase lock, while no
+	// engine call is in flight.
+	reads []query.ReadQuery
 	// readIdx is the dedupe index over reads: identity hash
 	// (query.ReadHash) to position in reads. Two different reads with
 	// one hash probe linearly — the second lives under hash+1 — which
 	// is sound because entries are only ever removed all at once. A
 	// constant hashes by its canonical copy's address, an identity only
 	// while the constant is alive (model.Value.Hash); reads holds every
-	// read a key was hashed from, and both are dropped together.
-	// Guarded by readsMu; nil until the first read after a Reset or
-	// ReleaseReads.
+	// read a key was hashed from, and both are dropped together. Nil
+	// until the first read after a Reset or ReleaseReads.
 	readIdx map[uint64]int32
 
 	// qctx is the attempt's query context (Engine.queryContext): nil
@@ -216,10 +205,6 @@ func (u *Update) Renew(number int, initial Op) {
 	}
 	u.Number, u.Initial, u.Attempt = number, initial, 0
 	u.NoTrace = false
-	u.readsMu.Lock()
-	u.published.Store(nil)
-	u.epoch = 0
-	u.readsMu.Unlock()
 	u.Reset()
 }
 
@@ -235,16 +220,8 @@ func (u *Update) Reset() {
 	u.nextGID = 0
 	u.releaseContext()
 	u.Attempt++
-	u.readsMu.Lock()
 	u.reads = nil
 	u.readIdx = nil
-	if u.published.Load() != nil {
-		// Retract the earlier attempt's record. An update that never
-		// published (every update of an engine without a read log)
-		// keeps reading as emptyPrefix.
-		u.publishLocked()
-	}
-	u.readsMu.Unlock()
 	u.Trace = nil
 	u.Stats = Stats{}
 }
@@ -293,60 +270,8 @@ func (t TraceEntry) String() string {
 	return t.Write.String() + "  <- " + t.Cause
 }
 
-// ReadPrefix is the immutable conflict-check record an update
-// publishes at the end of every engine call that stored reads, at
-// every ReleaseReads, and at a Reset once it has published: the read
-// prefix as a capacity-clamped slice, the attempt that performed those
-// reads, and a monotone publication epoch. Records are never mutated after publication —
-// later appends publish a longer record, a Reset or ReleaseReads
-// publishes an empty one — so a loaded pointer can be checked lock- and
-// copy-free, and revalidated later by comparing its Attempt against the
-// live counter exactly as the storage layer's per-stripe sequence
-// numbers are compared: an unchanged attempt proves the frozen reads
-// are still the update's reads. Epoch is the finer counter — it moves
-// on every publication, appends included, so it versions individual
-// records (an unchanged epoch means the loaded pointer IS the current
-// record) but is deliberately not what conflict revalidation compares:
-// a grown prefix does not invalidate verdicts computed on its frozen
-// predecessor.
-type ReadPrefix struct {
-	// Attempt is the update attempt the reads belong to; a candidate
-	// whose live attempt moved past it restarted after the snapshot.
-	Attempt int
-	// Epoch counts publications, monotone over the update's lifetime.
-	Epoch uint64
-	// Reads is the immutable prefix (nil when none are stored).
-	Reads []query.ReadQuery
-}
-
-// emptyPrefix backs PublishedReads before the first publication. Its
-// Attempt, 0, matches no attempt, and it holds no reads.
-var emptyPrefix = &ReadPrefix{}
-
-// publishLocked publishes the current reads as a fresh immutable
-// record. Callers hold readsMu.
-func (u *Update) publishLocked() {
-	u.epoch++
-	u.published.Store(&ReadPrefix{
-		Attempt: u.Attempt,
-		Epoch:   u.epoch,
-		Reads:   u.reads[:len(u.reads):len(u.reads)],
-	})
-}
-
-// publishReads publishes the reads appended since the last
-// publication, if there are any.
-func (u *Update) publishReads() {
-	u.readsMu.Lock()
-	defer u.readsMu.Unlock()
-	if len(u.reads) != len(u.PublishedReads().Reads) {
-		u.publishLocked()
-	}
-}
-
 // addRead stores a read query, deduplicating identical ones
-// (query.SameRead). It reports whether the query was new. The grown
-// log is not published; see publishReads.
+// (query.SameRead). It reports whether the query was new.
 func (u *Update) addRead(q query.ReadQuery) bool {
 	return u.addReadHashed(q, query.ReadHash(q))
 }
@@ -354,8 +279,6 @@ func (u *Update) addRead(q query.ReadQuery) bool {
 // addReadHashed is addRead with the identity hash supplied by the
 // caller (tests force collisions through it).
 func (u *Update) addReadHashed(q query.ReadQuery, h uint64) bool {
-	u.readsMu.Lock()
-	defer u.readsMu.Unlock()
 	for ; ; h++ {
 		i, taken := u.readIdx[h]
 		if !taken {
@@ -375,49 +298,20 @@ func (u *Update) addReadHashed(q query.ReadQuery, h uint64) bool {
 	return true
 }
 
-// HasReads reports, without locking, whether any reads are published.
-// Conflict-candidate snapshots use it to skip the common
-// not-yet-started transaction.
-func (u *Update) HasReads() bool {
-	p := u.published.Load()
-	return p != nil && len(p.Reads) > 0
-}
+// RecordRead stores a read query as if an engine call had performed
+// it, for tests and probes. It reports whether the query was new.
+func (u *Update) RecordRead(q query.ReadQuery) bool { return u.addRead(q) }
 
-// PublishedReads returns the current read-prefix record without
-// locking or copying — the allocation-free snapshot the conflict
-// check iterates. It never returns nil.
-func (u *Update) PublishedReads() *ReadPrefix {
-	if p := u.published.Load(); p != nil {
-		return p
-	}
-	return emptyPrefix
-}
-
-// PublishRead stores and publishes a read query as if an engine call
-// had performed it — the external publication point for tests and
-// custom drivers. It reports whether the query was new.
-func (u *Update) PublishRead(q query.ReadQuery) bool {
-	added := u.addRead(q)
-	u.publishReads()
-	return added
-}
-
-// StoredReads returns a stable snapshot of the reads published so far:
-// later appends reallocate or extend past the returned length and
-// never disturb it, so callers may iterate without further locking.
-func (u *Update) StoredReads() []query.ReadQuery {
-	return u.PublishedReads().Reads
-}
+// StoredReads returns the live read log of the current attempt (see
+// Update.reads for who may call it).
+func (u *Update) StoredReads() []query.ReadQuery { return u.reads }
 
 // ReleaseReads drops the stored read queries — the commit-time release
 // of Algorithm 4 (a committed update's reads can no longer cause
-// conflicts). Previously loaded prefix records stay valid.
+// conflicts).
 func (u *Update) ReleaseReads() {
-	u.readsMu.Lock()
-	defer u.readsMu.Unlock()
 	u.reads = nil
 	u.readIdx = nil
-	u.publishLocked()
 }
 
 // State returns the update's current lifecycle state.

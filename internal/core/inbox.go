@@ -274,28 +274,18 @@ func (r *Repository) resumeLocked(id int64, user chase.User) (bool, error) {
 // applies without a record; see the package comment for why that is
 // safe). ok reports whether an operation was applied.
 func (r *Repository) consultLocked(u *chase.Update, user chase.User, id int64) (bool, error) {
-	groups := append([]*chase.FrontierGroup(nil), u.Groups()...)
-	for _, g := range groups {
-		opts := r.engine.Options(u, g)
-		if len(opts) == 0 {
-			continue
-		}
-		ctx := r.engine.DecisionContext(u, g)
+	return r.engine.DecideOne(u, func(g *chase.FrontierGroup, opts []chase.Decision, ctx string) (chase.Decision, bool, error) {
 		d, ok := user.Decide(u, g, opts, ctx)
 		if !ok {
-			continue
+			return d, false, nil
 		}
 		if idx := decisionIndex(opts, d); idx >= 0 && r.wal != nil {
 			if err := r.wal.AppendAnswer(id, ctx, idx); err != nil {
-				return false, err
+				return d, false, err
 			}
 		}
-		if err := r.engine.Apply(u, g.ID, d); err != nil {
-			return false, err
-		}
-		return true, nil
-	}
-	return false, nil
+		return d, true, nil
+	})
 }
 
 // decisionIndex locates a decision in an options enumeration (-1 when

@@ -428,8 +428,15 @@ func (r *Repository) runSingle(u *chase.Update, user chase.User) (chase.Stats, e
 		case chase.StateTerminated:
 			return u.Stats, nil
 		case chase.StateAwaitingUser:
-			if err := r.decideOne(u, user); err != nil {
+			if user == nil {
+				return u.Stats, chase.ErrNoDecision
+			}
+			ok, err := r.engine.AskUser(u, user)
+			if err != nil {
 				return u.Stats, err
+			}
+			if !ok {
+				return u.Stats, errNoAnswer
 			}
 		}
 	}
@@ -442,28 +449,6 @@ func (r *Repository) runSingle(u *chase.Update, user chase.User) (chase.Stats, e
 // parking is how the synchronous path keeps that promise.
 var errNoAnswer = errors.New("core: user has no frontier answer yet")
 
-// decideOne obtains one frontier operation from the user. Like
-// chase.Runner's, it walks the live group list: Apply, which changes
-// it, ends the loop.
-func (r *Repository) decideOne(u *chase.Update, user chase.User) error {
-	if user == nil {
-		return chase.ErrNoDecision
-	}
-	for _, g := range u.Groups() {
-		opts := r.engine.Options(u, g)
-		if len(opts) == 0 {
-			continue
-		}
-		ctx := r.engine.DecisionContext(u, g)
-		d, ok := user.Decide(u, g, opts, ctx)
-		if !ok {
-			continue
-		}
-		return r.engine.Apply(u, g.ID, d)
-	}
-	return errNoAnswer
-}
-
 // RunConcurrent executes a workload of updates under the optimistic
 // scheduler. The configuration's Tracker, Policy, Mode and User fields
 // select the algorithm variant (Algorithm 4, §5.1, §3); zero values
@@ -475,6 +460,9 @@ func (r *Repository) decideOne(u *chase.Update, user chase.User) error {
 // convention the benches and experiments.RunMode use; Workers of zero
 // keeps the cooperative single-goroutine scheduler.
 func (r *Repository) RunConcurrent(ops []chase.Op, cfg cc.Config) (cc.Metrics, error) {
+	if err := cfg.Validate(); err != nil {
+		return cc.Metrics{}, err
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	// The scheduler numbers updates 1..n; to compose with single-user

@@ -177,6 +177,27 @@ func TestRunConcurrent(t *testing.T) {
 	}
 }
 
+// TestRunConcurrentValidatesConfig: an invalid configuration is
+// rejected before any update number is minted, so the repository still
+// takes a workload afterwards.
+func TestRunConcurrentValidatesConfig(t *testing.T) {
+	r := travelRepo(t)
+	ops := []chase.Op{chase.Insert(tup("C", c("Boston")))}
+	before := r.Dump()
+	for _, cfg := range []cc.Config{{MaxIdleRounds: -1}, {MaxStepsPerUpdate: -1, Workers: 2}} {
+		cfg.User = simuser.New(5)
+		if _, err := r.RunConcurrent(ops, cfg); err == nil {
+			t.Fatalf("RunConcurrent accepted %+v", cfg)
+		}
+	}
+	if r.Dump() != before {
+		t.Fatal("a rejected workload wrote")
+	}
+	if _, err := r.RunConcurrent(ops, cc.Config{User: simuser.New(5)}); err != nil {
+		t.Fatalf("a rejected workload used up the numbering: %v", err)
+	}
+}
+
 // TestRunConcurrentParallel drives RunConcurrent through the
 // goroutine-parallel scheduler (Workers > 1) and checks it leaves the
 // same facts as the cooperative path on the same workload.

@@ -208,10 +208,10 @@ func measurePoint(u *workload.Universe, base workload.Config, p *ParallelPoint, 
 }
 
 // MeasureHotPathAllocs measures the steady-state heap allocations per
-// operation of the two hottest coordination steps the ISSUE-4 rework
-// made allocation-free: conflict-candidate collection (published
-// read-prefix records into a reusable scratch) and the commit-batch
-// merge (per-writer log slices into the store's scratch buffer). The
+// operation of the two hottest coordination steps, both kept
+// allocation-free: conflict-candidate collection (candidate txns into
+// a reusable scratch) and the commit-batch merge (per-writer log
+// slices into the store's scratch buffer). The
 // numbers ride along in every study point so the CI regression gate
 // catches allocation churn creeping back into either step.
 func MeasureHotPathAllocs(u *workload.Universe) (snapshot, merge float64, err error) {

@@ -64,7 +64,7 @@ type Backend interface {
 	SyncCount() int64
 
 	// CurrentSeq is the backend-wide sequence high-water mark; RelSeq
-	// the per-relation one concurrency control validates against.
+	// the per-relation one (Snapshot.RelSeq reads the same counter).
 	CurrentSeq() int64
 	RelSeq(rel string) int64
 

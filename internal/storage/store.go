@@ -549,9 +549,7 @@ func (st *Store) CurrentSeq() int64 {
 }
 
 // RelSeq returns the highest sequence number applied in the relation's
-// stripe (0 when the relation is unknown or untouched). Concurrency
-// control captures it at write time and re-reads it later to detect
-// whether other writers have since landed in the same stripes.
+// stripe (0 when the relation is unknown or untouched).
 func (st *Store) RelSeq(rel string) int64 {
 	s := st.stripes[rel]
 	if s == nil {
