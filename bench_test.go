@@ -49,8 +49,9 @@ func benchBase(insertPct int) workload.Config {
 
 var benchSweep = []int{8, 16, 24, 32, 40}
 
-// universes caches built universes per insert mix; building one (the
-// initial database runs ~1500 chases) dominates setup time.
+// universes caches built universes per insert mix, so only the first
+// benchmark of a process pays for one: chasing the 3,000 seed inserts
+// to completion and canonicalizing the facts they leave.
 var universes = map[int]*workload.Universe{}
 
 func universe(b *testing.B, insertPct int) *workload.Universe {

@@ -63,10 +63,9 @@ type Backend interface {
 	Persistent() bool
 	SyncCount() int64
 
-	// CurrentSeq is the backend-wide sequence high-water mark; RelSeq
-	// the per-relation one (Snapshot.RelSeq reads the same counter).
+	// CurrentSeq is the backend-wide sequence high-water mark;
+	// Snapshot.RelSeq reads the per-relation one.
 	CurrentSeq() int64
-	RelSeq(rel string) int64
 
 	// AppendUncommittedWrites is the one scan of the live write log the
 	// dependency trackers of §5.1 read: every uncommitted write into rel

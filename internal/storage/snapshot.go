@@ -98,10 +98,10 @@ func (sn *Snapshot) runlock(s *stripe) {
 // Reader returns the snapshot's reader priority.
 func (sn *Snapshot) Reader() int { return sn.reader }
 
-// RelSeq returns the relation's live stripe sequence number, exactly
-// as Backend.RelSeq on the backend the snapshot was taken from (0 for
-// an undeclared relation). Readers that hold only a snapshot capture
-// their per-relation read vectors through it.
+// RelSeq returns the highest sequence number applied in the relation's
+// stripe of the live store the snapshot was taken from, whatever the
+// snapshot's filters (0 for an undeclared or untouched relation).
+// Readers capture their per-relation read vectors through it.
 func (sn *Snapshot) RelSeq(rel string) int64 {
 	s := sn.store.stripes[rel]
 	if s == nil {

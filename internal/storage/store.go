@@ -548,16 +548,6 @@ func (st *Store) CurrentSeq() int64 {
 	return st.nextSeq.Load()
 }
 
-// RelSeq returns the highest sequence number applied in the relation's
-// stripe (0 when the relation is unknown or untouched).
-func (st *Store) RelSeq(rel string) int64 {
-	s := st.stripes[rel]
-	if s == nil {
-		return 0
-	}
-	return s.seq.Load()
-}
-
 // Insert inserts a tuple on behalf of writer. Set semantics apply: if
 // a tuple with identical content is already visible to the writer, the
 // insert is a no-op and the existing tuple's ID is returned with

@@ -22,8 +22,10 @@ func initialDigest(u *Universe) string {
 // benchmark runs over, byte for byte: every count the benchmark reports
 // (executions per update, chase steps, aborts) depends on them, so a
 // change to the generator or to canonicalizeNulls — its tie-breaks, its
-// string order, how many refinement rounds it runs — must show up here
-// rather than as an unexplained shift in those counts.
+// string order, the round whose colors it ends on — must show up here
+// rather than as an unexplained shift in those counts. That round is the
+// effective one, |nulls|: rounds skipped because the color vector
+// repeats leave these digests alone (TestCanonicalizeRounds pins those).
 func TestInitialDBGolden(t *testing.T) {
 	bench := func(seed int64) Config {
 		cfg := Default()
@@ -55,6 +57,48 @@ func TestInitialDBGolden(t *testing.T) {
 			if got := initialDigest(u); len(u.Initial) != tc.n || got != tc.want {
 				t.Fatalf("initial database changed: %d tuples, sha256 %s; want %d, %s",
 					len(u.Initial), got, tc.n, tc.want)
+			}
+		})
+	}
+}
+
+// TestCanonicalizeRounds pins how many refinement rounds the
+// canonicalization runs on the universes the repository measures. All
+// three cycle or settle early: benchmark universe 1 (1,043 nulls)
+// repeats round 1's colors at round 171 and would run 1,044 rounds
+// without the jump, Quick() (307 nulls) repeats round 2's at round 110
+// and would run 308, and universe 2 (937 nulls) is unchanged by round 2.
+// Refinement never reads null identities, so the canonical facts take
+// as many rounds as the facts they were renamed from.
+func TestCanonicalizeRounds(t *testing.T) {
+	bench := func(seed int64) Config {
+		cfg := Default()
+		cfg.InitialTuples = 1000
+		cfg.SetupWorkers = -1
+		cfg.Seed = seed
+		return cfg
+	}
+	quick := Quick()
+	quick.SetupWorkers = -1
+	for _, tc := range []struct {
+		name   string
+		cfg    Config
+		rounds int
+	}{
+		{"benchmark-seed1", bench(1), 194},
+		{"benchmark-seed2", bench(2), 3},
+		{"quick", quick, 200},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if testing.Short() && tc.cfg.Relations == 100 {
+				t.Skip("paper-scale universe")
+			}
+			u, err := Build(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, rounds := refineNullColors(u.Initial); rounds != tc.rounds {
+				t.Fatalf("refinement ran %d rounds, want %d", rounds, tc.rounds)
 			}
 		})
 	}

@@ -10,6 +10,8 @@ package workload
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -147,6 +149,8 @@ func validate(cfg Config) error {
 		return fmt.Errorf("workload: bad mapping parameters")
 	case cfg.InsertPct < 0 || cfg.InsertPct > 100:
 		return fmt.Errorf("workload: InsertPct must be within [0, 100]")
+	case cfg.InitialTuples < 0 || cfg.Updates < 0:
+		return fmt.Errorf("workload: InitialTuples and Updates must not be negative")
 	}
 	return nil
 }
@@ -405,19 +409,72 @@ func genInitialDB(rng *rand.Rand, cfg Config, u *Universe) ([]model.Tuple, error
 // Per-tuple canonical renderings alone cannot order nulls that appear
 // in identically-shaped tuples but differ in how they are shared
 // across tuples, so nulls are first distinguished by bounded color
-// refinement: each null's color is iteratively recomputed from the
-// canonical renderings of the tuples containing it (with current
-// colors substituted), exactly the 1-dimensional Weisfeiler–Lehman
-// refinement on the fact/null incidence graph. Nulls still tied after
-// refinement occupy genuinely symmetric positions, where any
-// assignment yields the same set up to automorphism.
+// refinement (refineNullColors). Nulls still tied after refinement
+// occupy genuinely symmetric positions, where any assignment yields
+// the same set up to automorphism.
 func canonicalizeNulls(facts []model.Tuple) []model.Tuple {
-	// Nulls get dense indexes in first-occurrence order. The refinement
-	// below runs up to |nulls|+1 rounds and on the benchmark's universe
-	// really does run them all (the partition is discrete after one
-	// round but the color numbers keep permuting), so everything a round
-	// needs is laid out once here: which facts carry nulls, each such
-	// fact's rendering split around its nulls, and where each null
+	color, _ := refineNullColors(facts)
+	render := func(t model.Tuple) string {
+		b := []byte(t.Rel)
+		for _, v := range t.Vals {
+			b = append(b, '\x02')
+			if v.IsNull() {
+				b = strconv.AppendInt(append(b, '?'), int64(color[v]), 10)
+			} else {
+				b = append(append(b, "c:"...), v.ConstValue()...)
+			}
+		}
+		return string(b)
+	}
+	idx := make([]int, len(facts))
+	final := make([]string, len(facts))
+	for i, t := range facts {
+		idx[i] = i
+		final[i] = render(t)
+	}
+	sort.Slice(idx, func(a, b int) bool { return final[idx[a]] < final[idx[b]] })
+	ren := model.Subst{}
+	var next int64
+	out := make([]model.Tuple, len(facts))
+	for pos, j := range idx {
+		t := facts[j]
+		// Within a tuple, tied colors are broken positionally; across
+		// tuples, by the sorted order — both canonical.
+		for _, v := range t.Vals {
+			if v.IsNull() {
+				if _, ok := ren[v]; !ok {
+					next++
+					ren[v] = model.Null(next)
+				}
+			}
+		}
+		out[pos] = ren.ApplyTuple(t)
+	}
+	return out
+}
+
+// refineNullColors is the color refinement canonicalizeNulls orders
+// nulls by, exactly the 1-dimensional Weisfeiler–Lehman refinement on
+// the fact/null incidence graph: each round recomputes every null's
+// color as the rank of the canonical renderings of the tuples
+// containing it, current colors substituted. It returns each null's
+// color after round |nulls| (rounds are numbered from 0) and how many
+// rounds it actually ran to learn them.
+//
+// A round is a pure function of the color vector and reads no null
+// identity, so the colors (and the round count) depend only on the
+// fact set up to null renaming. Within |nulls| rounds the partition
+// into color classes stops refining, but the color numbers need not
+// stop changing: on the benchmark's universe they cycle with period
+// 170 from round 1 on. So the loop records a digest of each round's
+// vector, and when round r reproduces the vector of round j, the
+// vector after any later round l is the one after round
+// r + (l-r) mod (r-j); it runs just that far. Colors that stop
+// changing are the period-1 case.
+func refineNullColors(facts []model.Tuple) (map[model.Value]int, int) {
+	// Nulls get dense indexes in first-occurrence order. Everything a
+	// round needs is laid out once here: which facts carry nulls, each
+	// such fact's rendering split around its nulls, and where each null
 	// occurs. A round then only appends bytes into reused buffers.
 	index := make(map[model.Value]int)
 	type occurrence struct{ slot, pos int }
@@ -456,7 +513,7 @@ func canonicalizeNulls(facts []model.Tuple) []model.Tuple {
 
 	// keyBuf[keyOff[slot]:keyOff[slot+1]] is a fact's key this round,
 	// joinBuf[joinOff[k]:joinOff[k+1]] a null's joined signature.
-	var keyBuf, sigBuf, joinBuf []byte
+	var keyBuf, sigBuf, joinBuf, digestBuf []byte
 	keyOff := make([]int, len(tmpls)+1)
 	joinOff := make([]int, len(occs)+1)
 	key := func(slot int) []byte { return keyBuf[keyOff[slot]:keyOff[slot+1]] }
@@ -467,10 +524,12 @@ func canonicalizeNulls(facts []model.Tuple) []model.Tuple {
 	for k := range order {
 		order[k] = k
 	}
-	// Refinement strictly grows the color partition until it reaches a
-	// fixpoint, so |nulls| rounds always suffice; chain-shaped sharing
-	// graphs genuinely need O(|nulls|) of them.
-	for round := 0; round <= len(occs); round++ {
+	// seen maps each vector's digest to the round that produced it, until
+	// a repeat fixes the last round (nil from then on).
+	seen := make(map[[sha256.Size]byte]int)
+	last := len(occs)
+	round := 0
+	for ; round <= last; round++ {
 		// Each null-bearing fact's key: its rendering with the current
 		// colors standing in for its nulls.
 		keyBuf = keyBuf[:0]
@@ -510,59 +569,32 @@ func canonicalizeNulls(facts []model.Tuple) []model.Tuple {
 		// A null's new color is the rank of its signature among the
 		// distinct signatures.
 		slices.SortFunc(order, func(a, b int) int { return bytes.Compare(joined(a), joined(b)) })
-		changed := false
 		rank := 0
 		for i, k := range order {
 			if i == 0 || !bytes.Equal(joined(k), joined(order[i-1])) {
 				rank++
 			}
-			if color[k] != rank {
-				color[k] = rank
-				changed = true
-			}
+			color[k] = rank
 		}
-		if !changed {
-			break
+		if seen == nil {
+			continue
 		}
-	}
-
-	render := func(t model.Tuple) string {
-		b := []byte(t.Rel)
-		for _, v := range t.Vals {
-			b = append(b, '\x02')
-			if v.IsNull() {
-				b = strconv.AppendInt(append(b, '?'), int64(color[index[v]]), 10)
-			} else {
-				b = append(append(b, "c:"...), v.ConstValue()...)
-			}
+		digestBuf = digestBuf[:0]
+		for _, c := range color {
+			digestBuf = binary.AppendUvarint(digestBuf, uint64(c))
 		}
-		return string(b)
-	}
-	idx := make([]int, len(facts))
-	final := make([]string, len(facts))
-	for i, t := range facts {
-		idx[i] = i
-		final[i] = render(t)
-	}
-	sort.Slice(idx, func(a, b int) bool { return final[idx[a]] < final[idx[b]] })
-	ren := model.Subst{}
-	var next int64
-	out := make([]model.Tuple, len(facts))
-	for pos, j := range idx {
-		t := facts[j]
-		// Within a tuple, tied colors are broken positionally; across
-		// tuples, by the sorted order — both canonical.
-		for _, v := range t.Vals {
-			if v.IsNull() {
-				if _, ok := ren[v]; !ok {
-					next++
-					ren[v] = model.Null(next)
-				}
-			}
+		d := sha256.Sum256(digestBuf)
+		if j, ok := seen[d]; ok {
+			last = round + (last-round)%(round-j)
+			seen = nil
+			continue
 		}
-		out[pos] = ren.ApplyTuple(t)
+		seen[d] = round
 	}
-	return out
+	for v, k := range index {
+		index[v] = color[k]
+	}
+	return index, round
 }
 
 // NewStore loads the universe's initial database into a fresh store

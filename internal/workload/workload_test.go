@@ -244,6 +244,8 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.Constants = 0 },
 		func(c *Config) { c.InsertPct = 101 },
 		func(c *Config) { c.MaxAtomsPerSide = 0 },
+		func(c *Config) { c.InitialTuples = -1 },
+		func(c *Config) { c.Updates = -1 },
 	}
 	for i, mutate := range bad {
 		cfg := Quick()
