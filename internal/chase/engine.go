@@ -2,6 +2,7 @@ package chase
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"youtopia/internal/model"
@@ -96,8 +97,10 @@ type queryContext struct {
 	snap storage.Snapshot
 	home *Engine
 
-	// Canonical renderings of Options and DecisionContext, reused
-	// across the attempt's frontier questions.
+	// Canonical renderings of Options and DecisionContext, and the
+	// decisions scratchOptions enumerates, reused across the attempt's
+	// frontier questions.
+	opts    []Decision
 	canon   []byte
 	spans   []targetSpan
 	tuples  []model.Tuple
@@ -126,16 +129,27 @@ func (e *Engine) queryContext(u *Update) *query.Engine {
 	return u.qctx.qe
 }
 
-// giveBack returns a context to the idle list.
+// giveBack returns a context to the idle list. A decision array
+// longer than maxIdleOptions is dropped rather than kept idle: one
+// wide frontier would otherwise stay reachable for the context's
+// lifetime.
 func (e *Engine) giveBack(c *queryContext) {
+	if cap(c.opts) > maxIdleOptions {
+		c.opts = nil
+	}
 	e.idleMu.Lock()
 	e.idle = append(e.idle, c)
 	e.idleMu.Unlock()
 }
 
+// maxIdleOptions bounds the decision array an idle context keeps.
+const maxIdleOptions = 64
+
 // StepResult reports what one chase step did.
 type StepResult struct {
-	// Writes are the storage writes the step performed.
+	// Writes are the storage writes the step performed. The slice is
+	// the update's reused buffer: it is valid until the update's next
+	// StepWrites or Reset, and callers must not keep it longer.
 	Writes []storage.WriteRec
 	// State is the update's state after the step.
 	State State
@@ -236,13 +250,15 @@ func (e *Engine) StepReads(u *Update, writes []storage.WriteRec) (StepResult, er
 // and null-occurrence reads those writes imply.
 func (e *Engine) performWrites(u *Update) ([]storage.WriteRec, error) {
 	ops := u.writeSet
+	clear(u.writes)
+	out := u.writes[:0]
 	// The next write set is planned into the same array once these
-	// writes are performed; the store keeps copies, never an op.
+	// writes are performed; the store keeps copies, never an op. The
+	// records go out in the update's buffer (StepResult.Writes).
 	defer func() {
 		clear(ops)
-		u.writeSet = ops[:0]
+		u.writeSet, u.writes = ops[:0], out
 	}()
-	out := make([]storage.WriteRec, 0, len(ops))
 	for i := range ops {
 		op := &ops[i]
 		done := len(out)
@@ -299,7 +315,7 @@ func (e *Engine) performWrites(u *Update) ([]storage.WriteRec, error) {
 			}
 			out = append(out, recs...)
 		}
-		u.trace(out[done:], op.Cause)
+		u.trace(out[done:], op)
 	}
 	return out, nil
 }
@@ -440,43 +456,48 @@ func (e *Engine) planRepair(u *Update, qv *queuedViolation) error {
 // tuples with one become positive frontier tuples and stop their path
 // awaiting a frontier operation.
 func (e *Engine) planForward(u *Update, qv *queuedViolation) error {
-	tuples, fresh := query.InstantiateRHS(qv.v.TGD, qv.v.Binding, e.store.FreshNull)
+	tuples, minted := query.InstantiateRHS(qv.v.TGD, qv.v.Binding, e.store.FreshNull, u.generated[:0], u.minted[:0])
+	u.generated, u.minted = tuples, minted
 	snap := e.queryContext(u).Snapshot()
-	var frontier []model.Tuple
-	var inserts []model.Tuple
+	frontier := u.frontier[:0]
+	planned := len(u.writeSet)
 	for _, t := range tuples {
 		// The generated tuple's values are never modified in place
 		// (substitutions copy), so the stored pattern shares them.
 		if e.logsReads() {
 			e.record(u, &query.MoreSpecificRead{Rel: t.Rel, Pattern: t.Vals, ReaderNo: u.Number})
 		}
-		if len(snap.MoreSpecific(t)) > 0 {
+		if snap.AnyMoreSpecific(t) {
 			frontier = append(frontier, t)
 		} else {
-			inserts = append(inserts, t)
+			u.writeSet = append(u.writeSet, Insert(t).because(causeForward, qv.v.TGD.Name))
 		}
 	}
-	for _, t := range inserts {
-		op := Insert(t)
-		op.Cause = "forward repair of " + qv.v.TGD.Name
-		u.writeSet = append(u.writeSet, op)
-		// Fresh nulls reaching the database through these inserts are no
-		// longer private to the frontier group.
-		for _, v := range t.Nulls() {
-			delete(fresh, v)
-		}
-	}
+	clear(tuples)
 	if len(frontier) == 0 {
 		qv.state = ViolRepairing
 		return nil
+	}
+	// Fresh nulls reaching the database through the planned inserts are
+	// no longer private to the frontier group.
+	var fresh map[model.Value]bool
+	if len(minted) > 0 {
+		fresh = make(map[model.Value]bool, len(minted))
+	}
+	for _, v := range minted {
+		if !slices.ContainsFunc(u.writeSet[planned:], func(op Op) bool { return op.Tuple.HasNull(v) }) {
+			fresh[v] = true
+		}
 	}
 	g := &FrontierGroup{
 		ID:         u.nextGID,
 		Positive:   true,
 		Viol:       qv.v,
-		Tuples:     frontier,
+		Tuples:     slices.Clone(frontier),
 		FreshNulls: fresh,
 	}
+	clear(frontier)
+	u.frontier = frontier[:0]
 	u.nextGID++
 	u.groups = append(u.groups, g)
 	qv.state = ViolAwaitingUser
@@ -492,18 +513,17 @@ func (e *Engine) planForward(u *Update, qv *queuedViolation) error {
 // tuples and a user selects the subset to delete. No further reads are
 // performed — the witness was already read.
 func (e *Engine) planBackward(u *Update, qv *queuedViolation) error {
-	seen := make(map[storage.TupleID]bool)
-	var candidates []storage.TupleID
+	// A witness has one tuple per atom, so a linear membership test
+	// deduplicates it.
+	candidates := u.candidates[:0]
 	for _, id := range qv.v.Witness {
-		if !seen[id] {
-			seen[id] = true
+		if !slices.Contains(candidates, id) {
 			candidates = append(candidates, id)
 		}
 	}
+	u.candidates = candidates
 	if len(candidates) == 1 {
-		op := DeleteID(candidates[0])
-		op.Cause = "backward repair of " + qv.v.TGD.Name
-		u.writeSet = append(u.writeSet, op)
+		u.writeSet = append(u.writeSet, DeleteID(candidates[0]).because(causeBackward, qv.v.TGD.Name))
 		qv.state = ViolRepairing
 		return nil
 	}
@@ -511,7 +531,7 @@ func (e *Engine) planBackward(u *Update, qv *queuedViolation) error {
 		ID:         u.nextGID,
 		Positive:   false,
 		Viol:       qv.v,
-		Candidates: candidates,
+		Candidates: slices.Clone(candidates),
 	}
 	u.nextGID++
 	u.groups = append(u.groups, g)

@@ -95,29 +95,51 @@ var (
 // explicit-intent extension operation — but Apply accepts it.
 func (e *Engine) Options(u *Update, g *FrontierGroup) []Decision {
 	if g.Positive {
-		var out []Decision
-		snap := e.queryContext(u).Snapshot()
-		c := u.qctx
-		for idx, t := range g.Tuples {
-			if e.logsReads() {
-				e.record(u, &query.MoreSpecificRead{Rel: t.Rel, Pattern: t.Vals, ReaderNo: u.Number})
-			}
-			targets := snap.MoreSpecific(t)
-			out = slices.Grow(out, 1+len(targets))
-			out = append(out, Decision{Kind: DecideExpand, TupleIdx: idx})
-			if len(targets) < 2 {
-				// One target or none: nothing to order canonically.
-				for _, id := range targets {
-					out = append(out, Decision{Kind: DecideUnify, TupleIdx: idx, Target: id})
-				}
-				continue
-			}
-			for _, sp := range c.sortTargets(snap, targets) {
-				out = append(out, Decision{Kind: DecideUnify, TupleIdx: idx, Target: sp.id})
-			}
-		}
-		return out
+		return e.positiveOptions(u, g, nil)
 	}
+	return negativeOptions(g)
+}
+
+// scratchOptions is Options enumerating a positive group's decisions
+// into the attempt's query context: the result is valid until the
+// context's next enumeration, so callers use it within one call.
+func (e *Engine) scratchOptions(u *Update, g *FrontierGroup) []Decision {
+	if !g.Positive {
+		return negativeOptions(g)
+	}
+	e.queryContext(u)
+	c := u.qctx
+	c.opts = e.positiveOptions(u, g, c.opts[:0])
+	return c.opts
+}
+
+// positiveOptions appends a positive group's decisions to out.
+func (e *Engine) positiveOptions(u *Update, g *FrontierGroup, out []Decision) []Decision {
+	snap := e.queryContext(u).Snapshot()
+	c := u.qctx
+	for idx, t := range g.Tuples {
+		if e.logsReads() {
+			e.record(u, &query.MoreSpecificRead{Rel: t.Rel, Pattern: t.Vals, ReaderNo: u.Number})
+		}
+		targets := snap.MoreSpecific(t)
+		out = slices.Grow(out, 1+len(targets))
+		out = append(out, Decision{Kind: DecideExpand, TupleIdx: idx})
+		if len(targets) < 2 {
+			// One target or none: nothing to order canonically.
+			for _, id := range targets {
+				out = append(out, Decision{Kind: DecideUnify, TupleIdx: idx, Target: id})
+			}
+			continue
+		}
+		for _, sp := range c.sortTargets(snap, targets) {
+			out = append(out, Decision{Kind: DecideUnify, TupleIdx: idx, Target: sp.id})
+		}
+	}
+	return out
+}
+
+// negativeOptions enumerates a negative group's decisions.
+func negativeOptions(g *FrontierGroup) []Decision {
 	k := len(g.Candidates)
 	if k <= 6 {
 		// Mask m's subset has popcount(m) members; the 2^k-1 subsets
@@ -255,7 +277,7 @@ func (e *Engine) Apply(u *Update, groupID int, d Decision) error {
 // range means the database changed under the recorded answer and the
 // decision is stale.
 func (e *Engine) ApplyOption(u *Update, g *FrontierGroup, idx int) error {
-	opts := e.Options(u, g)
+	opts := e.scratchOptions(u, g)
 	if idx < 0 || idx >= len(opts) {
 		return fmt.Errorf("%w: option %d of %d on group %d", ErrStaleDecision, idx, len(opts), g.ID)
 	}
@@ -290,9 +312,7 @@ func (e *Engine) applyExpand(u *Update, g *FrontierGroup, d Decision) error {
 		return fmt.Errorf("%w: tuple index %d out of range", ErrStaleDecision, d.TupleIdx)
 	}
 	t := g.Tuples[d.TupleIdx]
-	op := Insert(t)
-	op.Cause = "frontier expansion for " + g.Viol.TGD.Name
-	u.writeSet = append(u.writeSet, op)
+	u.writeSet = append(u.writeSet, Insert(t).because(causeExpansion, g.Viol.TGD.Name))
 	// The tuple's fresh nulls are now headed for the database; they are
 	// no longer private to the group.
 	for _, v := range t.Nulls() {
@@ -347,9 +367,7 @@ func (e *Engine) applyUnify(u *Update, g *FrontierGroup, d Decision) error {
 			e.record(u, &query.NullOccRead{Null: k, ReaderNo: u.Number})
 		}
 		if len(snap.TuplesWithNull(k)) > 0 {
-			op := ReplaceNull(k, sub[k])
-			op.Cause = "frontier unification for " + g.Viol.TGD.Name
-			u.writeSet = append(u.writeSet, op)
+			u.writeSet = append(u.writeSet, ReplaceNull(k, sub[k]).because(causeUnification, g.Viol.TGD.Name))
 		}
 	}
 	for _, k := range nulls {
@@ -388,9 +406,7 @@ func (e *Engine) applyDelete(u *Update, g *FrontierGroup, d Decision) error {
 	subset := append([]storage.TupleID(nil), d.Subset...)
 	sort.Slice(subset, func(i, j int) bool { return subset[i] < subset[j] })
 	for _, id := range subset {
-		op := DeleteID(id)
-		op.Cause = "frontier deletion choice for " + g.Viol.TGD.Name
-		u.writeSet = append(u.writeSet, op)
+		u.writeSet = append(u.writeSet, DeleteID(id).because(causeDeletionChoice, g.Viol.TGD.Name))
 	}
 	u.Stats.DeletionChoices++
 	u.closeGroup(g)
@@ -431,9 +447,7 @@ func (e *Engine) applyReconfirm(u *Update, g *FrontierGroup, d Decision) error {
 	g.Candidates = rest
 	u.Stats.Reconfirmations++
 	if len(rest) == 1 {
-		op := DeleteID(rest[0])
-		op.Cause = "backward repair of " + g.Viol.TGD.Name + " after reconfirmation"
-		u.writeSet = append(u.writeSet, op)
+		u.writeSet = append(u.writeSet, DeleteID(rest[0]).because(causeReconfirmation, g.Viol.TGD.Name))
 		u.Stats.DeletionChoices++
 		u.closeGroup(g)
 	}

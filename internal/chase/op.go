@@ -58,18 +58,65 @@ func (k OpKind) String() string {
 // corrective write planned by the chase.
 type Op struct {
 	Kind OpKind
+	// cause records why the chase planned this write, and mapping
+	// through which mapping; Cause renders the two. The rendering is
+	// left to its one reader, a trace that records the write. cause
+	// sits in Kind's padding, so Op is no larger than with a rendered
+	// string.
+	cause causeKind
 	// Tuple is the inserted tuple (OpInsert) or the fact to remove
 	// (OpDelete).
 	Tuple model.Tuple
 	// ID is the tuple to tombstone (OpDeleteID).
 	ID storage.TupleID
 	// Null and With describe a null-replacement (OpReplaceNull).
-	Null model.Value
-	With model.Value
-	// Cause records why the chase planned this write — provenance for
-	// users inspecting the cascade ("initial operation", "forward
-	// repair of sigma3", "unification on sigma1", ...).
-	Cause string
+	Null    model.Value
+	With    model.Value
+	mapping string // see cause
+}
+
+// causeKind names the reason a write was planned (Op.Cause).
+type causeKind uint8
+
+const (
+	causeInitial causeKind = iota + 1
+	causeForward
+	causeBackward
+	causeExpansion
+	causeUnification
+	causeDeletionChoice
+	causeReconfirmation
+)
+
+// because returns the operation with its cause set.
+func (o Op) because(k causeKind, mapping string) Op {
+	o.cause, o.mapping = k, mapping
+	return o
+}
+
+// Cause renders why the chase planned this write — provenance for
+// users inspecting the cascade ("initial operation", "forward repair
+// of sigma3", "frontier unification for sigma1", ...). It is empty for
+// an operation the chase did not plan.
+func (o Op) Cause() string {
+	switch o.cause {
+	case causeInitial:
+		return "initial operation"
+	case causeForward:
+		return "forward repair of " + o.mapping
+	case causeBackward:
+		return "backward repair of " + o.mapping
+	case causeExpansion:
+		return "frontier expansion for " + o.mapping
+	case causeUnification:
+		return "frontier unification for " + o.mapping
+	case causeDeletionChoice:
+		return "frontier deletion choice for " + o.mapping
+	case causeReconfirmation:
+		return "backward repair of " + o.mapping + " after reconfirmation"
+	default:
+		return ""
+	}
 }
 
 // Insert returns an insert operation.

@@ -96,9 +96,10 @@ func RunStandard(e *Engine, u *Update) (Stats, error) {
 // decide supplies. It reports whether one was applied; an error from
 // decide ends the walk before anything is applied. The live group list
 // needs no copy: Apply, the one call that changes it, ends the loop.
+// opts is valid only during the decide call that receives it.
 func (e *Engine) DecideOne(u *Update, decide func(g *FrontierGroup, opts []Decision, ctx string) (Decision, bool, error)) (bool, error) {
 	for _, g := range u.Groups() {
-		opts := e.Options(u, g)
+		opts := e.scratchOptions(u, g)
 		if len(opts) == 0 {
 			continue
 		}

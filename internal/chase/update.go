@@ -181,6 +181,16 @@ type Update struct {
 
 	// Stats for the current attempt.
 	Stats Stats
+
+	// Buffers the update reuses across steps, attempts and Renew: the
+	// performed writes a step hands out as StepResult.Writes (valid
+	// until the next StepWrites or Reset), and the planning scratch of
+	// planForward and planBackward, which no call leaves anything in.
+	writes     []storage.WriteRec
+	generated  []model.Tuple
+	minted     []model.Value
+	frontier   []model.Tuple
+	candidates []storage.TupleID
 }
 
 // NewUpdate creates an update for an initial operation with the given
@@ -214,10 +224,10 @@ func (u *Update) Renew(number int, initial Op) {
 func (u *Update) Reset() {
 	u.state = StateReady
 	u.dropPending()
-	initial := u.Initial
-	initial.Cause = "initial operation"
-	u.writeSet = append(u.writeSet, initial)
+	u.writeSet = append(u.writeSet, u.Initial.because(causeInitial, ""))
 	u.nextGID = 0
+	clear(u.writes)
+	u.writes = u.writes[:0]
 	u.releaseContext()
 	u.Attempt++
 	u.reads = nil
@@ -383,10 +393,11 @@ func (u *Update) findQueued(v *query.Violation) *queuedViolation {
 
 // trace appends the performed writes of one operation to the
 // provenance trace, unless the update keeps none.
-func (u *Update) trace(recs []storage.WriteRec, cause string) {
-	if u.NoTrace {
+func (u *Update) trace(recs []storage.WriteRec, op *Op) {
+	if u.NoTrace || len(recs) == 0 {
 		return
 	}
+	cause := op.Cause()
 	for i := range recs {
 		u.Trace = append(u.Trace, TraceEntry{Write: recs[i], Cause: cause})
 	}

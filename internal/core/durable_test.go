@@ -1,12 +1,16 @@
 package core
 
 import (
+	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"youtopia/internal/cc"
 	"youtopia/internal/chase"
 	"youtopia/internal/model"
 	"youtopia/internal/simuser"
+	"youtopia/internal/wal"
 )
 
 func concurrentConfig(workers int) cc.Config {
@@ -150,5 +154,49 @@ insert C("Elmira")
 	}
 	if m.WALSyncs != 0 {
 		t.Fatalf("WALSyncs = %d on an in-memory store", m.WALSyncs)
+	}
+}
+
+// TestOptionsValidation: NewWithOptions refuses a negative SegmentBytes
+// (which used to write one segment file per commit) and a Durability
+// naming no sync policy (which used to report itself as "always") with
+// an *OptionsError, before it creates the data directory; a negative
+// CheckpointBytes keeps its meaning, no background checkpoints.
+func TestOptionsValidation(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		opts  Options
+		field string // "" = accepted
+	}{
+		{"defaults", Options{}, ""},
+		{"never sync", Options{Durability: wal.SyncNever}, ""},
+		{"no background checkpoints", Options{CheckpointBytes: -1}, ""},
+		{"explicit sizes", Options{SegmentBytes: 1 << 14, CheckpointBytes: 1 << 16}, ""},
+		{"negative segment size", Options{SegmentBytes: -1}, "SegmentBytes"},
+		{"unknown sync policy", Options{Durability: wal.SyncPolicy(7)}, "Durability"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if err := c.opts.Validate(); (err == nil) != (c.field == "") {
+				t.Fatalf("Validate() = %v", err)
+			}
+			c.opts.DataDir = filepath.Join(t.TempDir(), "data")
+			r, _, err := OpenWithOptions(durableDoc, c.opts)
+			if c.field == "" {
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := r.Close(); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			var oe *OptionsError
+			if !errors.As(err, &oe) || oe.Field != c.field {
+				t.Fatalf("err = %v, want an *OptionsError on %s", err, c.field)
+			}
+			if _, err := os.Stat(c.opts.DataDir); !errors.Is(err, os.ErrNotExist) {
+				t.Fatalf("refused options touched the data directory: %v", err)
+			}
+		})
 	}
 }

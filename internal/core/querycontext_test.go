@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"youtopia/internal/chase"
@@ -122,21 +123,24 @@ func loadChoices(tb testing.TB, r *Repository, ops []chase.Op) {
 // chase, commit and store included — for an insert that violates
 // nothing, for one repaired by a single forward step, and for one whose
 // positive frontier a simulated user answers among an expansion and two
-// unifications (Options and DecisionContext included). The bounds are
-// the numbers achieved (6, 26 and 49 allocations) plus 10%.
+// unifications (Options and DecisionContext included): allocations
+// and bytes (the TotalAlloc delta) per Apply over the same 200 warm
+// updates. The bounds are the numbers achieved (4, 16 and 34
+// allocations; 331, 1204 and 2367 bytes) plus 10%.
 func TestApplyAllocBudget(t *testing.T) {
 	for _, c := range []struct {
-		name  string
-		rel   string
-		bound float64
+		name       string
+		rel        string
+		bound      float64
+		bytesBound float64
 	}{
-		{"no-violation insert", "R", 6.6},
-		{"one-mapping forward repair", "A", 28.6},
-		{"two-target frontier answered by a simulated user", "F", 53.9},
+		{"no-violation insert", "R", 4.4, 364},
+		{"one-mapping forward repair", "A", 17.6, 1324},
+		{"two-target frontier answered by a simulated user", "F", 37.4, 2604},
 	} {
 		r := applyFixture(t)
 		const runs = 200
-		ops := make([]chase.Op, runs+11) // 10 warm-up updates; AllocsPerRun adds one
+		ops := make([]chase.Op, runs+11) // 11 warm-up updates
 		for i := range ops {
 			vals := []model.Value{model.Const(fmt.Sprintf("%s%d", c.rel, i))}
 			if c.rel == "R" {
@@ -165,11 +169,11 @@ func TestApplyAllocBudget(t *testing.T) {
 			frontierOps += stats.FrontierOps
 			ops = ops[1:]
 		}
-		for range 10 {
+		for range 11 {
 			apply()
 		}
-		got := testing.AllocsPerRun(runs, apply)
-		t.Logf("%s: %.1f allocs", c.name, got)
+		got, bytes := allocsPerApply(runs, apply)
+		t.Logf("%s: %.1f allocs, %.0f bytes", c.name, got, bytes)
 		if c.rel == "F" && (frontierOps < runs || asked < runs) {
 			t.Errorf("%s: %d frontier operations and %d three-option questions in %d updates",
 				c.name, frontierOps, asked, runs)
@@ -177,7 +181,25 @@ func TestApplyAllocBudget(t *testing.T) {
 		if got > c.bound {
 			t.Errorf("%s: %.1f allocs per Apply, budget %.1f", c.name, got, c.bound)
 		}
+		if bytes > c.bytesBound {
+			t.Errorf("%s: %.0f bytes per Apply, budget %.0f", c.name, bytes, c.bytesBound)
+		}
 	}
+}
+
+// allocsPerApply is testing.AllocsPerRun without its warm-up call,
+// reporting bytes beside the allocation count: over runs calls of
+// apply on one P, the allocations per call, truncated as AllocsPerRun
+// truncates them, and the mean allocated bytes.
+func allocsPerApply(runs int, apply func()) (allocs, bytes float64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for range runs {
+		apply()
+	}
+	runtime.ReadMemStats(&m1)
+	return float64((m1.Mallocs - m0.Mallocs) / uint64(runs)), float64(m1.TotalAlloc-m0.TotalAlloc) / float64(runs)
 }
 
 // BenchmarkRepositoryApply times the two budgeted Apply shapes on a

@@ -49,6 +49,36 @@ type Options struct {
 	FS vfs.FS
 }
 
+// OptionsError reports an Options field that NewWithOptions refuses.
+type OptionsError struct {
+	Field  string // the Options field, e.g. "SegmentBytes"
+	Reason string
+}
+
+// Error renders the refusal.
+func (e *OptionsError) Error() string {
+	return "core: invalid option " + e.Field + ": " + e.Reason
+}
+
+// Validate reports, as an *OptionsError, the first field that holds a
+// value no backing accepts: a negative SegmentBytes (0 selects the
+// default size) or a Durability that names no sync policy. A negative
+// CheckpointBytes is valid: it turns background checkpoints off.
+// NewWithOptions calls it before it touches any file.
+func (o Options) Validate() error {
+	if o.SegmentBytes < 0 {
+		return &OptionsError{Field: "SegmentBytes",
+			Reason: fmt.Sprintf("%d is negative (0 selects the default)", o.SegmentBytes)}
+	}
+	switch o.Durability {
+	case wal.SyncAlways, wal.SyncNever:
+	default:
+		return &OptionsError{Field: "Durability",
+			Reason: fmt.Sprintf("%d names no sync policy", uint8(o.Durability))}
+	}
+	return nil
+}
+
 // Repository is a Youtopia repository.
 type Repository struct {
 	mu       sync.Mutex
@@ -71,6 +101,12 @@ type Repository struct {
 	box         *inbox.Box
 	inboxPolicy inbox.Policy
 	fallback    chase.User
+
+	// qsnap and qe answer Certain and BestEffort under mu: one query
+	// engine, re-pointed at each query's reader, whose pools and answer
+	// dedup arena stay warm across queries.
+	qsnap storage.Snapshot
+	qe    *query.Engine
 
 	// trace, when set, records update-lifecycle events (submit, park,
 	// answer, resume, commit, ack). Nil — the default — disables
@@ -98,6 +134,9 @@ func New(schema *model.Schema, mappings *tgd.Set) (*Repository, error) {
 // set, the store is recovered from (and logged to) that directory.
 // Durable repositories should be Closed when done.
 func NewWithOptions(schema *model.Schema, mappings *tgd.Set, opts Options) (*Repository, error) {
+	if err := opts.Validate(); err != nil {
+		return nil, err
+	}
 	if err := mappings.Validate(schema); err != nil {
 		return nil, err
 	}
@@ -524,8 +563,7 @@ func (r *Repository) Certain(q *query.CQ) ([]model.Tuple, error) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	e := query.NewEngine(r.store.Snap(r.nextUpdate))
-	return e.CertainAnswers(q), nil
+	return r.queryEngine().CertainAnswers(q), nil
 }
 
 // BestEffort evaluates a conjunctive query under the best-effort
@@ -538,8 +576,17 @@ func (r *Repository) BestEffort(q *query.CQ) ([]model.Tuple, error) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	e := query.NewEngine(r.store.Snap(r.nextUpdate))
-	return e.BestEffortAnswers(q), nil
+	return r.queryEngine().BestEffortAnswers(q), nil
+}
+
+// queryEngine returns the repository's query engine reading at the
+// next update's priority. Callers hold r.mu.
+func (r *Repository) queryEngine() *query.Engine {
+	r.store.SnapInto(&r.qsnap, r.nextUpdate)
+	if r.qe == nil {
+		r.qe = query.NewEngine(&r.qsnap)
+	}
+	return r.qe
 }
 
 // Analyze renders the static mapping analyses: dependency cycles and

@@ -23,7 +23,7 @@ import (
 // A rendering separates values with \x01, a relation name from its
 // values with \x02 and the tuples of a set with \x03. A constant
 // containing one of these bytes renders it doubled, the way tuple keys
-// double NUL (escapeKeySep): a separator is never followed by its own
+// double NUL (appendKeyPart): a separator is never followed by its own
 // byte, so a doubled byte can only be a constant's. Relation names are
 // identifiers and render as they are.
 //

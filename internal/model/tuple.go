@@ -47,13 +47,18 @@ func (t Tuple) Equal(u Tuple) bool {
 // as a map key. Two tuples have equal keys iff Equal reports true: the
 // parts are joined by NUL and a NUL inside a part is doubled.
 func (t Tuple) Key() string {
-	var b strings.Builder
-	b.WriteString(escapeKeySep(t.Rel))
+	var buf [64]byte
+	return string(t.AppendKey(buf[:0]))
+}
+
+// AppendKey appends Key's bytes to dst and returns the extended slice.
+func (t Tuple) AppendKey(dst []byte) []byte {
+	dst = appendKeyPart(dst, t.Rel)
 	for _, v := range t.Vals {
-		b.WriteByte(0)
-		b.WriteString(v.encode())
+		dst = append(dst, 0)
+		dst = v.appendEncoded(dst)
 	}
-	return b.String()
+	return dst
 }
 
 // String renders the tuple in the paper's notation, e.g.

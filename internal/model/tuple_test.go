@@ -82,6 +82,35 @@ func TestTupleKeyUniqueness(t *testing.T) {
 	}
 }
 
+// TestTupleAppendKeyMatchesKey: AppendKey writes Key's bytes, for
+// random tuples mixing nulls, empty constants and constants and
+// relation names holding the separator byte, after whatever dst holds.
+func TestTupleAppendKeyMatchesKey(t *testing.T) {
+	parts := []string{"", "a", "\x00", "\x00\x00", "a\x00", "\x00b", "a\x00\x00b", "ab"}
+	r := rand.New(rand.NewSource(1))
+	var buf []byte
+	for i := 0; i < 2000; i++ {
+		vals := make([]Value, r.Intn(5))
+		for j := range vals {
+			switch r.Intn(3) {
+			case 0:
+				vals[j] = Null(r.Int63n(1 << 40))
+			default:
+				vals[j] = Const(parts[r.Intn(len(parts))] + parts[r.Intn(len(parts))])
+			}
+		}
+		tp := tupleOf(parts[r.Intn(len(parts))]+"R", vals...)
+		if got := string(tp.AppendKey(nil)); got != tp.Key() {
+			t.Fatalf("AppendKey(nil) of %q = %q, Key = %q", tp, got, tp.Key())
+		}
+		prefix := len(buf)
+		buf = tp.AppendKey(buf)
+		if string(buf[prefix:]) != tp.Key() {
+			t.Fatalf("AppendKey after %d bytes of %q = %q, Key = %q", prefix, tp, buf[prefix:], tp.Key())
+		}
+	}
+}
+
 func TestMoreSpecificExamplesFromPaper(t *testing.T) {
 	// From §2.2: C(NYC) is more specific than C(x4).
 	nyc := tupleOf("C", Const("NYC"))

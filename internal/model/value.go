@@ -123,19 +123,29 @@ func (v Value) GoString() string {
 	return fmt.Sprintf("Const(%q)", unsafe.String(v.p, v.n))
 }
 
-// encode writes a collision-free encoding of v used in tuple keys.
-func (v Value) encode() string {
+// appendEncoded appends v's collision-free encoding in tuple keys to
+// dst: 'n' and the identifier of a null, 'c' and the escaped payload
+// of a constant.
+func (v Value) appendEncoded(dst []byte) []byte {
 	if v.IsNull() {
-		return "n" + strconv.FormatInt(v.n, 10)
+		return strconv.AppendInt(append(dst, 'n'), v.n, 10)
 	}
-	return "c" + escapeKeySep(unsafe.String(v.p, v.n))
+	return appendKeyPart(append(dst, 'c'), unsafe.String(v.p, v.n))
 }
 
-// escapeKeySep doubles the tuple-key separator byte, NUL, inside a key
-// part, so that no part can render a separator followed by what looks
-// like the next part. A part without NUL is returned as it is.
-func escapeKeySep(s string) string {
-	return strings.ReplaceAll(s, "\x00", "\x00\x00")
+// appendKeyPart appends s to dst with the tuple-key separator byte,
+// NUL, doubled, so that no part can render a separator followed by
+// what looks like the next part.
+func appendKeyPart(dst []byte, s string) []byte {
+	for {
+		i := strings.IndexByte(s, 0)
+		if i < 0 {
+			return append(dst, s...)
+		}
+		dst = append(dst, s[:i+1]...)
+		dst = append(dst, 0)
+		s = s[i+1:]
+	}
 }
 
 // NullFactory mints fresh labeled nulls. It is safe for concurrent

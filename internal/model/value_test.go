@@ -78,7 +78,7 @@ func TestValueEncodeCollisionFree(t *testing.T) {
 		{Const("c"), Const("")},
 	}
 	for _, p := range pairs {
-		if p[0].encode() == p[1].encode() {
+		if string(p[0].appendEncoded(nil)) == string(p[1].appendEncoded(nil)) {
 			t.Errorf("encode collision: %#v vs %#v", p[0], p[1])
 		}
 	}

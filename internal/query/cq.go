@@ -1,6 +1,7 @@
 package query
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
 	"strings"
@@ -93,23 +94,58 @@ func (q *CQ) project(b Binding) model.Tuple {
 // dedupSort removes duplicate rows and orders them canonically, by
 // Tuple.Key, rendering each row's key once.
 func dedupSort(rows []model.Tuple) []model.Tuple {
-	type keyed struct {
-		key string
-		row model.Tuple
+	var a keyArena
+	return a.dedupSort(rows)
+}
+
+// keyArena is dedupSort's reusable scratch: the rows' keys
+// (Tuple.AppendKey) back to back in buf, one span per row.
+type keyArena struct {
+	buf   []byte
+	spans []keySpan
+}
+
+// keySpan locates one row's key in keyArena.buf.
+type keySpan struct {
+	lo, hi int
+	row    model.Tuple
+}
+
+// dedupSort is the package-level dedupSort rendering into the arena;
+// the rows are reordered in place.
+func (a *keyArena) dedupSort(rows []model.Tuple) []model.Tuple {
+	buf, spans := a.buf[:0], a.spans[:0]
+	for _, r := range rows {
+		lo := len(buf)
+		buf = r.AppendKey(buf)
+		spans = append(spans, keySpan{lo, len(buf), r})
 	}
-	ks := make([]keyed, len(rows))
-	for i, r := range rows {
-		ks[i] = keyed{r.Key(), r}
-	}
-	slices.SortFunc(ks, func(a, b keyed) int { return strings.Compare(a.key, b.key) })
+	key := func(sp keySpan) []byte { return buf[sp.lo:sp.hi] }
+	slices.SortFunc(spans, func(x, y keySpan) int { return bytes.Compare(key(x), key(y)) })
 	out := rows[:0]
-	for i, k := range ks {
-		if i == 0 || k.key != ks[i-1].key {
-			out = append(out, k.row)
+	for i, sp := range spans {
+		if i == 0 || !bytes.Equal(key(sp), key(spans[i-1])) {
+			out = append(out, sp.row)
 		}
+	}
+	// The arena must not keep the rows alive, nor, on an engine that
+	// outlives the query, the buffers of an answer larger than the
+	// bounds. An answer that outgrew the kept spans left rows in them
+	// before append moved on.
+	clear(spans)
+	if cap(spans) <= maxArenaRows && cap(buf) <= maxArenaBytes {
+		a.buf, a.spans = buf, spans[:0]
+	} else {
+		clear(a.spans[:cap(a.spans)])
 	}
 	return out
 }
+
+// Bounds of the buffers a keyArena keeps between answers.
+const (
+	maxArenaRows  = 64
+	maxArenaBytes = 4 << 10
+)
 
 // CertainAnswers returns the certain answers of the query on the
 // engine's snapshot: rows of constants that hold under every valuation
@@ -127,7 +163,7 @@ func (e *Engine) CertainAnswers(q *CQ) []model.Tuple {
 	r.fn, r.rows = srCertainRow, &rows
 	r.rec(0, 0)
 	e.putRun(r)
-	return dedupSort(rows)
+	return e.keys.dedupSort(rows)
 }
 
 // BestEffortAnswers returns the best-effort answers: every row
@@ -143,7 +179,7 @@ func (e *Engine) BestEffortAnswers(q *CQ) []model.Tuple {
 		rows = append(rows, row)
 		return true
 	})
-	return dedupSort(rows)
+	return e.keys.dedupSort(rows)
 }
 
 // joinAtomsUnifying enumerates matches of the atom conjunction under

@@ -246,6 +246,9 @@ type Engine struct {
 	// evaluation (the field is reset to nil).
 	vout []Violation
 
+	// keys is the certain and best-effort answers' dedup arena.
+	keys keyArena
+
 	// Locally accumulated join counters, flushed to the obs registry
 	// once per top-level evaluation (flushObs).
 	pendProbes int64
@@ -516,29 +519,22 @@ func (e *Engine) Satisfied(set *tgd.Set) bool {
 // InstantiateRHS builds the tuples the standard chase would insert to
 // repair a violation: each RHS atom instantiated under the binding,
 // with one fresh labeled null per existential variable drawn from
-// fresh. It returns the tuples aligned with the RHS atoms and the
-// set of freshly minted nulls (nil when the mapping has no existential
-// variable).
-func InstantiateRHS(t *tgd.TGD, b Binding, fresh func() model.Value) ([]model.Tuple, map[model.Value]bool) {
+// fresh. It returns tuples with the instantiated tuples appended,
+// aligned with the RHS atoms, and minted with the freshly minted nulls
+// appended in minting order. The tuples' values are freshly allocated.
+func InstantiateRHS(t *tgd.TGD, b Binding, fresh func() model.Value, tuples []model.Tuple, minted []model.Value) ([]model.Tuple, []model.Value) {
 	exist := t.ExistentialVars()
-	var small [4]model.Value
-	nulls := small[:0]
-	var freshNulls map[model.Value]bool
-	if len(exist) > 0 {
-		freshNulls = make(map[model.Value]bool, len(exist))
-	}
+	first := len(minted)
 	for range exist {
-		nv := fresh()
-		nulls = append(nulls, nv)
-		freshNulls[nv] = true
+		minted = append(minted, fresh())
 	}
+	nulls := minted[first:]
 	n := 0
 	for _, a := range t.RHS {
 		n += len(a.Terms)
 	}
 	all := make([]model.Value, 0, n)
-	out := make([]model.Tuple, len(t.RHS))
-	for i, a := range t.RHS {
+	for _, a := range t.RHS {
 		lo := len(all)
 		for _, term := range a.Terms {
 			v := term.Const
@@ -551,7 +547,7 @@ func InstantiateRHS(t *tgd.TGD, b Binding, fresh func() model.Value) ([]model.Tu
 			}
 			all = append(all, v)
 		}
-		out[i] = model.Tuple{Rel: a.Rel, Vals: all[lo:len(all):len(all)]}
+		tuples = append(tuples, model.Tuple{Rel: a.Rel, Vals: all[lo:len(all):len(all)]})
 	}
-	return out, freshNulls
+	return tuples, minted
 }

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"slices"
 	"testing"
 
 	"youtopia/internal/model"
@@ -258,7 +259,7 @@ func TestInstantiateRHS(t *testing.T) {
 	sigma1, _ := set.ByName("sigma1")
 	var nf model.NullFactory
 	nf.SetFloor(100)
-	tuples, fresh := InstantiateRHS(sigma1, Binding{"c": c("NYC")}, nf.Fresh)
+	tuples, minted := InstantiateRHS(sigma1, Binding{"c": c("NYC")}, nf.Fresh, nil, nil)
 	if len(tuples) != 1 {
 		t.Fatalf("tuples = %v", tuples)
 	}
@@ -269,8 +270,8 @@ func TestInstantiateRHS(t *testing.T) {
 	if !got.Vals[0].IsNull() || !got.Vals[1].IsNull() || got.Vals[0] == got.Vals[1] {
 		t.Fatalf("existentials must be distinct fresh nulls: %s", got)
 	}
-	if len(fresh) != 2 || !fresh[got.Vals[0]] || !fresh[got.Vals[1]] {
-		t.Fatalf("fresh set = %v", fresh)
+	if len(minted) != 2 || !slices.Contains(minted, got.Vals[0]) || !slices.Contains(minted, got.Vals[1]) {
+		t.Fatalf("minted nulls = %v", minted)
 	}
 	_ = st
 }
@@ -286,7 +287,7 @@ func TestInstantiateRHSSharedExistentials(t *testing.T) {
 		[]tgd.Atom{tgd.NewAtom("Father", tgd.V("x"), tgd.V("y")),
 			tgd.NewAtom("Person", tgd.V("y"))})
 	var nf model.NullFactory
-	tuples, _ := InstantiateRHS(gen, Binding{"x": c("John")}, nf.Fresh)
+	tuples, _ := InstantiateRHS(gen, Binding{"x": c("John")}, nf.Fresh, nil, nil)
 	if len(tuples) != 2 {
 		t.Fatalf("tuples = %v", tuples)
 	}

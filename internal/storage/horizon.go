@@ -108,9 +108,10 @@ func (st *Store) trimOrDefer(s *stripe, id TupleID, tr *tupleRec) {
 
 // trimStripe is a commit's trimming of one locked stripe: it drains
 // the pending list and trims every tuple the committing writers logged
-// there, keeping on the list what h does not release, then retires the
-// writers' logs there. Callers hold the stripe's write lock and have
-// already marked the writers committed.
+// there, keeping on the list what h does not release. The writers'
+// logs stay for the caller to retire (Store.retireLogs). Callers hold
+// the stripe's write lock and have already marked the writers
+// committed.
 func (st *Store) trimStripe(s *stripe, writers []int, h horizon) {
 	had := len(s.pending) > 0
 	kept := s.pending[:0]
@@ -126,7 +127,6 @@ func (st *Store) trimStripe(s *stripe, writers []int, h horizon) {
 				kept = append(kept, id)
 			}
 		}
-		delete(s.logs, w)
 	}
 	if len(kept) > 1 {
 		slices.Sort(kept)

@@ -450,9 +450,31 @@ func (sn *Snapshot) TuplesWithNull(x model.Value) []TupleID {
 // Candidate narrowing uses the most selective constant position of t;
 // if t has no constants the relation is scanned.
 func (sn *Snapshot) MoreSpecific(t model.Tuple) []TupleID {
+	var out []TupleID
+	sn.walkMoreSpecific(t, func(id TupleID) bool {
+		out = append(out, id)
+		return true
+	})
+	return out
+}
+
+// AnyMoreSpecific reports whether MoreSpecific(t) is non-empty: the
+// same walk, stopped at the first hit.
+func (sn *Snapshot) AnyMoreSpecific(t model.Tuple) bool {
+	found := false
+	sn.walkMoreSpecific(t, func(TupleID) bool {
+		found = true
+		return false
+	})
+	return found
+}
+
+// walkMoreSpecific calls fn, in ascending ID order, for every tuple
+// MoreSpecific(t) returns, until fn returns false.
+func (sn *Snapshot) walkMoreSpecific(t model.Tuple, fn func(TupleID) bool) {
 	s := sn.store.stripes[t.Rel]
 	if s == nil {
-		return nil
+		return
 	}
 	sn.rlock(s)
 	defer sn.runlock(s)
@@ -467,26 +489,22 @@ func (sn *Snapshot) MoreSpecific(t model.Tuple) []TupleID {
 			bestCol, bestSize = i, size
 		}
 	}
-	var out []TupleID
-	check := func(id TupleID, vals []model.Value) {
+	check := func(id TupleID, vals []model.Value) bool {
 		if model.MoreSpecificVals(vals, t.Vals) && !(model.Tuple{Rel: t.Rel, Vals: vals}).Equal(t) {
-			out = append(out, id)
+			return fn(id)
 		}
+		return true
 	}
 	if bestCol >= 0 {
 		var one [1]TupleID
 		for _, id := range sn.candidatesByValueInStripe(s, bestCol, t.Vals[bestCol], &one) {
-			if vals, ok := sn.getInStripe(s, id); ok {
-				check(id, vals)
+			if vals, ok := sn.getInStripe(s, id); ok && !check(id, vals) {
+				return
 			}
 		}
-		return out
+		return
 	}
-	sn.scanStripe(s, func(id TupleID, vals []model.Value) bool {
-		check(id, vals)
-		return true
-	})
-	return out
+	sn.scanStripe(s, check)
 }
 
 // VisibleFacts returns the distinct visible tuple contents of every

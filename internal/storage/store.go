@@ -277,7 +277,7 @@ type Store struct {
 	// so that a test can substitute a colliding hash.
 	contentHash func([]model.Value) uint64
 
-	// commitMu guards committed, writerStripes and pendingIn.
+	// commitMu guards committed, writerStripes, pendingIn and logFree.
 	commitMu  sync.RWMutex
 	committed map[int]bool
 	// writerStripes[w] describes uncommitted writer w's live writes in
@@ -288,6 +288,15 @@ type Store struct {
 	writerStripes map[int]liveWriter
 	// pendingIn lists the stripes with a non-empty pending list.
 	pendingIn []int
+	// logFree holds cleared write-log arrays for writers' first writes
+	// into a stripe (addVersion pops, retireLogs pushes). An array may
+	// be handed to another writer as soon as it is pushed because no
+	// reader keeps one: appendLogs and batchWrites copy the records out
+	// under the stripe lock, and every other reader of a log holds that
+	// stripe's write lock. The list is bounded by count (maxFreeLogs)
+	// and by array capacity (maxFreeLogCap), so a burst of long logs
+	// does not stay reachable.
+	logFree [][]WriteRec
 
 	// noTrim disables trimming; a test seam for differential checks.
 	noTrim bool
@@ -509,9 +518,14 @@ func (st *Store) addVersion(s *stripe, rec *tupleRec, v version, logRec WriteRec
 		st.trimOrDefer(s, logRec.ID, rec)
 		return
 	}
-	s.logs[v.writer] = append(s.logs[v.writer], logRec)
-	if len(s.logs[v.writer]) == 1 {
+	log := s.logs[v.writer]
+	if len(log) == 0 {
 		st.commitMu.Lock()
+		if n := len(st.logFree); n > 0 {
+			log = st.logFree[n-1]
+			st.logFree[n-1] = nil
+			st.logFree = st.logFree[:n-1]
+		}
 		lw := st.writerStripes[v.writer]
 		if len(lw.stripes) == 0 {
 			lw.first = v.seq
@@ -519,6 +533,35 @@ func (st *Store) addVersion(s *stripe, rec *tupleRec, v version, logRec WriteRec
 		lw.stripes = append(lw.stripes, s.idx)
 		st.writerStripes[v.writer] = lw
 		st.commitMu.Unlock()
+	}
+	s.logs[v.writer] = append(log, logRec)
+}
+
+// Bounds of the store's free list of write-log arrays (Store.logFree).
+const (
+	maxFreeLogs   = 16
+	maxFreeLogCap = 8
+)
+
+// retireLogs drops the writers' logs from the locked stripes, keeping
+// their arrays, cleared, on the free list within its bounds. Callers
+// hold the stripes' write locks and are done reading the logs.
+func (st *Store) retireLogs(stripes, writers []int) {
+	st.commitMu.Lock()
+	defer st.commitMu.Unlock()
+	for _, si := range stripes {
+		s := st.byIdx[si]
+		for _, w := range writers {
+			log, ok := s.logs[w]
+			if !ok {
+				continue
+			}
+			delete(s.logs, w)
+			if len(st.logFree) < maxFreeLogs && cap(log) <= maxFreeLogCap {
+				clear(log)
+				st.logFree = append(st.logFree, log[:0])
+			}
+		}
 	}
 }
 
@@ -762,8 +805,8 @@ func (st *Store) Abort(writer int) {
 				s.ids = removeID(s.ids, rec.ID)
 			}
 		}
-		delete(s.logs, writer)
 	}
+	st.retireLogs(stripes, []int{writer})
 	st.unlockStripes(stripes)
 	st.settle()
 }
@@ -854,6 +897,7 @@ func (st *Store) CommitBatchAsync(writers []int) (CommitAck, error) {
 		st.trimStripe(st.byIdx[si], writers, h)
 	}
 	if wrote {
+		st.retireLogs(stripes, writers)
 		st.commits.Add(1)
 	}
 	return ack, nil

@@ -338,3 +338,7 @@ var ErrParked = core.ErrParked
 // ParkedError reports that Apply parked its update; answer the entry
 // with Repository.AnswerInbox.
 type ParkedError = core.ParkedError
+
+// OptionsError reports an Options field the repository constructors
+// refuse (Options.Validate).
+type OptionsError = core.OptionsError
