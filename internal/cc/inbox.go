@@ -1,8 +1,6 @@
 package cc
 
 import (
-	"errors"
-
 	"youtopia/internal/chase"
 	"youtopia/internal/inbox"
 )
@@ -17,83 +15,13 @@ import (
 // asynchronous answerer, a curator, or a deadline auto-answer — wake
 // the transaction; deadline aborts cancel it.
 
-// parkEntry renders a blocked update's first answerable frontier group
-// as an inbox entry and parks it. ok is false when no open group has
-// enumerable options (nothing a curator could answer).
-func parkEntry(e *chase.Engine, box *inbox.Box, u *chase.Update, pol inbox.Policy) (int64, bool) {
-	question, options, kinds, ctx, positive, ok := renderFrontier(e, u)
-	if !ok {
-		return 0, false
-	}
-	id := box.Park(inbox.Entry{
-		Update:      u.Number,
-		Op:          u.Initial,
-		Question:    question,
-		Options:     options,
-		OptionKinds: kinds,
-		Context:     ctx,
-		Positive:    positive,
-		FrontierOps: u.Stats.FrontierOps,
-		Policy:      pol,
-	})
-	return id, true
-}
-
-// renderFrontier renders the first answerable frontier group of a
-// blocked update as inbox-entry fields.
-func renderFrontier(e *chase.Engine, u *chase.Update) (question string, options []string, kinds []chase.DecisionKind, ctx string, positive bool, ok bool) {
-	for _, g := range u.Groups() {
-		opts := e.Options(u, g)
-		if len(opts) == 0 {
-			continue
-		}
-		options = make([]string, len(opts))
-		kinds = make([]chase.DecisionKind, len(opts))
-		for i, d := range opts {
-			options[i] = d.String()
-			kinds[i] = d.Kind
-		}
-		return g.String(), options, kinds, e.DecisionContext(u, g), g.Positive, true
-	}
-	return "", nil, nil, "", false, false
-}
-
-// consumeAnswers applies the first applicable recorded answer past
-// *applied to one of u's open groups, advancing *applied over everything
-// it inspected. Stale answers (context no longer open, or the option
-// enumeration moved on) are skipped — the question will be re-asked.
-// It reports whether a frontier operation was applied.
-func consumeAnswers(e *chase.Engine, u *chase.Update, answers []inbox.Answer, applied *int) (bool, error) {
-	for *applied < len(answers) {
-		a := answers[*applied]
-		*applied++
-		g := groupByContext(e, u, a.Context)
-		if g == nil {
-			continue
-		}
-		if err := e.ApplyOption(u, g, a.Option); err != nil {
-			if errors.Is(err, chase.ErrStaleDecision) {
-				continue
-			}
-			return false, err
-		}
-		return true, nil
-	}
-	return false, nil
-}
-
-// groupByContext finds the open frontier group whose canonical decision
-// context matches, or nil.
-func groupByContext(e *chase.Engine, u *chase.Update, ctx string) *chase.FrontierGroup {
-	for _, g := range u.Groups() {
-		if len(e.Options(u, g)) == 0 {
-			continue
-		}
-		if e.DecisionContext(u, g) == ctx {
-			return g
-		}
-	}
-	return nil
+// parkState is a txn's inbox state while it waits on an entry: the entry
+// ID, which of the entry's recorded answers were consumed, and how many
+// answers the last replay was offered.
+type parkState struct {
+	id      int64
+	used    []bool
+	offered int
 }
 
 // reaskIfStale refreshes a parked entry's question when the update
@@ -101,15 +29,12 @@ func groupByContext(e *chase.Engine, u *chase.Update, ctx string) *chase.Frontie
 // an abort/restart, or after a consumed answer led somewhere new), so
 // curators always see an answerable question. Answer history is
 // preserved by Requeue.
-func reaskIfStale(e *chase.Engine, box *inbox.Box, u *chase.Update, id int64, cur *inbox.Entry) {
-	question, options, kinds, ctx, positive, ok := renderFrontier(e, u)
-	if !ok {
+func reaskIfStale(e *chase.Engine, box *inbox.Box, u *chase.Update, cur *inbox.Entry) {
+	q, ok := inbox.Ask(e, u)
+	if !ok || (cur.Status != inbox.Answered && cur.Context == q.Context) {
 		return
 	}
-	if cur.Status != inbox.Answered && cur.Context == ctx {
-		return
-	}
-	_ = box.Requeue(id, question, options, kinds, ctx, positive, u.Stats.FrontierOps)
+	_ = box.Requeue(cur.ID, q)
 }
 
 // forgetCommitted drops a Forgetter user's per-update bookkeeping for a

@@ -1,6 +1,7 @@
 package cc_test
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -298,5 +299,91 @@ func TestParallelDeadlineAbort(t *testing.T) {
 	}
 	if box.Len() != 0 {
 		t.Fatalf("%d entries left after abort deadlines", box.Len())
+	}
+}
+
+// TestUnmatchedAnswerKeepsTxnParked: the first answer on every entry
+// names a context that is not open. Under inbox.Replay's rule it stays
+// unused, so it must not wake its transaction for good: the parallel
+// scheduler parks the transaction again once the replay was offered
+// every answer (a transaction that kept being dispatched would exhaust
+// its small idle budget long before the matching answer, sent 50 ms
+// later, arrives). No live user is polled, and the run ends on the
+// matching answers with the serial instance.
+func TestUnmatchedAnswerKeepsTxnParked(t *testing.T) {
+	for _, workers := range []int{0, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			st, set := genealogyFixture(t)
+			box := inbox.NewBox()
+			cfg := cc.Config{
+				Tracker:            cc.Coarse{},
+				User:               inboxTestUser(),
+				Inbox:              box,
+				Workers:            workers,
+				MaxAbortsPerUpdate: 10000,
+			}
+			if workers > 0 {
+				cfg.MaxIdleRounds = 300
+			}
+			stop, done := make(chan struct{}), make(chan struct{})
+			go func() {
+				defer close(done)
+				unmatched := map[int64]time.Time{}
+				for {
+					select {
+					case <-stop:
+						return
+					case <-time.After(200 * time.Microsecond):
+					}
+					for _, e := range box.List() {
+						if e.Status == inbox.Answered {
+							continue
+						}
+						at, ok := unmatched[e.ID]
+						if !ok {
+							unmatched[e.ID] = time.Now()
+							_ = box.Answer(e.ID, inbox.Answer{Context: "no such context", Option: 0})
+							continue
+						}
+						if time.Since(at) < 50*time.Millisecond {
+							continue
+						}
+						opt := simuser.ChooseOption(inboxTestSeed, e.Update, e.FrontierOps, e.Context,
+							e.OptionKinds, e.FrontierOps, 4, e.Positive)
+						_ = box.Answer(e.ID, inbox.Answer{Context: e.Context, Option: opt})
+					}
+				}
+			}()
+			var m cc.Metrics
+			var err error
+			if workers > 0 {
+				m, err = cc.NewParallelScheduler(st, set, cfg).Run(genealogyOps()[:1])
+			} else {
+				m, err = cc.NewScheduler(st, set, cfg).Run(genealogyOps()[:1])
+			}
+			close(stop)
+			<-done
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m.UserPolls != 0 {
+				t.Fatalf("%d live user polls, want 0", m.UserPolls)
+			}
+			if box.Len() != 0 {
+				t.Fatalf("%d entries left after the run", box.Len())
+			}
+			st2, set2 := genealogyFixture(t)
+			if _, err := serial.Execute(st2, set2, genealogyOps()[:1], inboxTestUser()); err != nil {
+				t.Fatal(err)
+			}
+			eq, err := serial.Equivalent(st.Snap(1<<30).VisibleFacts(), st2.Snap(1<<30).VisibleFacts())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !eq {
+				t.Fatalf("instance differs from the serial run:\n%s",
+					serial.Explain(st.Snap(1<<30).VisibleFacts(), st2.Snap(1<<30).VisibleFacts()))
+			}
+		})
 	}
 }

@@ -547,10 +547,10 @@ func (s *ParallelScheduler) pollShared(t *Txn, doAuto bool) (bool, error) {
 	s.m.add(d)
 	s.setStatusLocked(i, mirrorOf(st))
 	// A stale dispatch just resyncs the mirror. An inbox txn parks only
-	// with every recorded answer consumed: one that landed while we
-	// polled found it unparked and could not wake it.
-	if t.parkID != 0 && st == chase.StateAwaitingUser && !s.cancelReq[i] && !s.autoAnswer[i] {
-		if e, found := s.cfg.Inbox.Get(t.parkID); found && t.applied >= len(e.Answers) {
+	// once its last replay was offered every recorded answer: one that
+	// landed while we polled found it unparked and could not wake it.
+	if p := t.park; p != nil && st == chase.StateAwaitingUser && !s.cancelReq[i] && !s.autoAnswer[i] {
+		if e, found := s.cfg.Inbox.Get(p.id); found && p.offered >= len(e.Answers) {
 			s.setStatusLocked(i, statusParked)
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"youtopia/internal/chase"
+	"youtopia/internal/inbox"
 	"youtopia/internal/query"
 	"youtopia/internal/storage"
 	"youtopia/internal/tgd"
@@ -35,10 +36,9 @@ type Txn struct {
 	// scheduler before each step: the trackers' OnRead reaches that
 	// goroutine's checker and scan buffer through it.
 	sc *stepScratch
-	// parkID is the inbox entry the txn is parked under (0 = not parked)
-	// and applied how many of the entry's recorded answers it consumed.
-	parkID  int64
-	applied int
+	// park is the inbox entry the txn is parked under (nil = not
+	// parked).
+	park *parkState
 }
 
 // Deps returns the recorded read dependencies, for inspection.
@@ -264,20 +264,22 @@ func (c *txnCore) pollUser(t *Txn, m *Metrics) (bool, error) {
 var errEntryGone = errors.New("cc: inbox entry aborted")
 
 // inboxPoll is a blocked txn's scheduling opportunity in inbox mode:
-// park on first block, then consume recorded answers as they arrive —
-// never a live user poll, so waiting costs zero Decide calls — and
-// re-ask when the entry no longer shows the question the update blocks
-// on. It reports whether it parked the txn or applied an answer, which
-// counts into m. The parallel scheduler calls it under the shared phase
-// lock.
+// park on first block, then replay recorded answers as they arrive
+// (inbox.Replay) — never a live user poll, so waiting costs zero
+// Decide calls — and re-ask when the entry no longer shows the
+// question the update blocks on. It reports whether it parked the txn
+// or applied an answer, which counts into m. The parallel scheduler
+// calls it under the shared phase lock.
 func (c *txnCore) inboxPoll(t *Txn, m *Metrics) (bool, error) {
-	if t.parkID == 0 {
-		id, ok := parkEntry(c.engine, c.cfg.Inbox, t.Upd, c.cfg.InboxPolicy)
+	if t.park == nil {
+		q, ok := inbox.Ask(c.engine, t.Upd)
 		if !ok {
 			return false, nil
 		}
+		q.Policy = c.cfg.InboxPolicy
+		id := c.cfg.Inbox.Park(q)
 		c.mu.Lock()
-		t.parkID, t.applied = id, 0
+		t.park = &parkState{id: id}
 		c.byPark[id] = t
 		c.mu.Unlock()
 		obsParked.Inc()
@@ -286,16 +288,19 @@ func (c *txnCore) inboxPoll(t *Txn, m *Metrics) (bool, error) {
 		}
 		return true, nil
 	}
-	e, ok := c.cfg.Inbox.Get(t.parkID)
+	p := t.park
+	e, ok := c.cfg.Inbox.Get(p.id)
 	if !ok {
 		return false, errEntryGone
 	}
-	applied, err := consumeAnswers(c.engine, t.Upd, e.Answers, &t.applied)
+	p.used = append(p.used, make([]bool, len(e.Answers)-len(p.used))...)
+	p.offered = len(e.Answers)
+	applied, err := inbox.Replay(c.engine, t.Upd, e.Answers, p.used)
 	if err != nil {
 		return false, fmt.Errorf("cc: update %d inbox answer: %w", t.Number, err)
 	}
 	if !applied {
-		reaskIfStale(c.engine, c.cfg.Inbox, t.Upd, e.ID, &e)
+		reaskIfStale(c.engine, c.cfg.Inbox, t.Upd, &e)
 		return false, nil
 	}
 	m.FrontierOps++
@@ -376,20 +381,20 @@ func (c *txnCore) rollback(t *Txn, m *Metrics) error {
 // resolveEntryLocked removes a finished txn's inbox entry. Callers hold
 // mu.
 func (c *txnCore) resolveEntryLocked(t *Txn) {
-	if t.parkID != 0 {
-		c.cfg.Inbox.Resolve(t.parkID)
-		delete(c.byPark, t.parkID)
-		t.parkID = 0
+	if t.park != nil {
+		c.cfg.Inbox.Resolve(t.park.id)
+		delete(c.byPark, t.park.id)
+		t.park = nil
 	}
 }
 
 // dropEntryLocked aborts the inbox entry of a txn that restarted or was
 // cancelled: its question is void. Callers hold mu.
 func (c *txnCore) dropEntryLocked(t *Txn) {
-	if t.parkID != 0 {
-		c.cfg.Inbox.Abort(t.parkID)
-		delete(c.byPark, t.parkID)
-		t.parkID, t.applied = 0, 0
+	if t.park != nil {
+		c.cfg.Inbox.Abort(t.park.id)
+		delete(c.byPark, t.park.id)
+		t.park = nil
 	}
 }
 

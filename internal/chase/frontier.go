@@ -269,21 +269,6 @@ func (e *Engine) Apply(u *Update, groupID int, d Decision) error {
 	return nil
 }
 
-// ApplyOption applies the idx-th of the group's currently enumerable
-// frontier operations. Recorded answers address decisions as (context,
-// option index) pairs — the enumeration of Options is deterministic and
-// keyed on canonical content, so an index chosen against one
-// enumeration re-resolves against a replayed one. An index out of
-// range means the database changed under the recorded answer and the
-// decision is stale.
-func (e *Engine) ApplyOption(u *Update, g *FrontierGroup, idx int) error {
-	opts := e.scratchOptions(u, g)
-	if idx < 0 || idx >= len(opts) {
-		return fmt.Errorf("%w: option %d of %d on group %d", ErrStaleDecision, idx, len(opts), g.ID)
-	}
-	return e.Apply(u, g.ID, opts[idx])
-}
-
 // queuedFor finds the queue entry a group belongs to.
 func (u *Update) queuedFor(g *FrontierGroup) *queuedViolation {
 	for _, qv := range u.queue {

@@ -3,11 +3,9 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"youtopia/internal/chase"
 	"youtopia/internal/inbox"
-	"youtopia/internal/storage"
 )
 
 // This file is the repository half of the decision inbox: parking a
@@ -18,13 +16,13 @@ import (
 // back at park time and only the initial operation plus the ordered
 // answers are retained (durably, with a data directory). Resuming
 // re-runs the chase from the initial operation under a fresh update
-// number and consumes the recorded answers: the enumeration of
-// frontier options and the canonical decision contexts are
-// deterministic functions of database content, so each recorded
-// (context, option) pair re-resolves exactly where it was given. The
-// re-run also makes crash recovery self-healing: replaying a resumed
-// update whose commit already landed finds a fully-chased instance,
-// performs no writes, and terminates immediately.
+// number and replays the recorded answers under inbox.Replay's rule:
+// the enumeration of frontier options and the canonical decision
+// contexts are deterministic functions of database content, so each
+// recorded (context, option) pair re-resolves exactly where it was
+// given. The re-run also makes crash recovery self-healing: replaying
+// a resumed update whose commit already landed finds a fully-chased
+// instance, performs no writes, and terminates immediately.
 
 // ErrParked matches (via errors.Is) the *ParkedError Apply returns
 // when it parks an update in the decision inbox.
@@ -50,58 +48,47 @@ func (e *ParkedError) Is(target error) bool {
 	return target == ErrParked || target == chase.ErrNoDecision
 }
 
-// renderQuestion renders the first answerable frontier group of a
-// blocked update as inbox-entry fields. It must run before the
-// update's writes are rolled back (options and contexts read the
-// update's own snapshot). ok is false when no group has options.
-func (r *Repository) renderQuestion(u *chase.Update) (question string, options []string, kinds []chase.DecisionKind, ctx string, positive bool, ok bool) {
-	for _, g := range u.Groups() {
-		opts := r.engine.Options(u, g)
-		if len(opts) == 0 {
-			continue
-		}
-		options = make([]string, len(opts))
-		kinds = make([]chase.DecisionKind, len(opts))
-		for i, d := range opts {
-			options[i] = d.String()
-			kinds[i] = d.Kind
-		}
-		return g.String(), options, kinds, r.engine.DecisionContext(u, g), g.Positive, true
-	}
-	return "", nil, nil, "", false, false
-}
-
-// parkLocked files a blocked update in the inbox (durably first, so a
+// parkLocked files a blocked update's question in the inbox and rolls
+// the update back: as a new entry when id is 0 (durably first, so a
 // crash between the two leaves at worst a WAL entry the next open
-// re-parks). Callers hold r.mu and roll the update's writes back
-// afterwards.
-func (r *Repository) parkLocked(u *chase.Update, op chase.Op) (int64, error) {
-	question, options, kinds, ctx, positive, ok := r.renderQuestion(u)
+// re-parks), otherwise as the requeue of entry id. It returns the
+// entry's ID. Callers hold r.mu.
+func (r *Repository) parkLocked(u *chase.Update, mark, id int64) (int64, error) {
+	q, ok := inbox.Ask(r.engine, u) // reads the update's own writes
+	r.rollbackLocked(u, mark)
 	if !ok {
 		// Blocked with no enumerable options anywhere: nothing a curator
 		// could answer; fail like the historical path.
 		return 0, chase.ErrNoDecision
 	}
-	var id int64
-	if r.wal != nil {
-		var err error
-		if id, err = r.wal.AppendPark(op); err != nil {
-			return 0, fmt.Errorf("core: parking update %d: %w", u.Number, err)
+	detail := "entry=%d requeued"
+	if id == 0 {
+		if r.wal != nil {
+			var err error
+			if q.ID, err = r.wal.AppendPark(q.Op); err != nil {
+				return 0, fmt.Errorf("core: parking update %d: %w", u.Number, err)
+			}
 		}
+		q.Policy = r.inboxPolicy
+		id, detail = r.box.Park(q), "entry=%d"
+	} else if err := r.box.Requeue(id, q); err != nil {
+		return 0, err
 	}
-	id = r.box.Park(inbox.Entry{
-		ID:          id,
-		Update:      u.Number,
-		Op:          op,
-		Question:    question,
-		Options:     options,
-		OptionKinds: kinds,
-		Context:     ctx,
-		Positive:    positive,
-		FrontierOps: u.Stats.FrontierOps,
-		Policy:      r.inboxPolicy,
-	})
+	if r.trace.Enabled() {
+		r.trace.NoteDetail(u.Number, "park", fmt.Sprintf(detail, id))
+	}
+	obsParked.Inc()
 	return id, nil
+}
+
+// rollbackLocked discards an unfinished update: its writes, its
+// attempt's query context, and the null IDs it minted — so a resumed
+// replay stays byte-identical to an inline execution. Callers hold
+// r.mu.
+func (r *Repository) rollbackLocked(u *chase.Update, mark int64) {
+	r.store.Abort(u.Number)
+	u.Cancel()
+	r.store.RewindNulls(mark)
 }
 
 // recoverParked re-parks every durably parked update found at open and
@@ -112,19 +99,8 @@ func (r *Repository) parkLocked(u *chase.Update, op chase.Op) (int64, error) {
 // against the recovered instance and wait in the inbox. Runs during
 // construction, before the repository is shared.
 func (r *Repository) recoverParked() error {
-	parked := r.wal.Parked()
-	sort.Slice(parked, func(i, j int) bool { return parked[i].ID < parked[j].ID })
-	for _, p := range parked {
-		answers := make([]inbox.Answer, len(p.Answers))
-		for i, a := range p.Answers {
-			answers[i] = inbox.Answer{Context: a.Context, Option: a.Option}
-		}
-		r.box.Park(inbox.Entry{
-			ID:      p.ID,
-			Op:      p.Op,
-			Answers: answers,
-			Policy:  r.inboxPolicy,
-		})
+	for _, p := range r.wal.Parked() {
+		r.box.Park(inbox.Entry{ID: p.ID, Op: p.Op, Answers: p.Answers, Policy: r.inboxPolicy})
 		if _, err := r.resumeLocked(p.ID, nil); err != nil {
 			return fmt.Errorf("core: resuming parked update %d: %w", p.ID, err)
 		}
@@ -132,20 +108,22 @@ func (r *Repository) recoverParked() error {
 	return nil
 }
 
-// resumeLocked re-runs a parked update's chase, consuming its recorded
-// answers; when they run out it consults user (nil = no one), durably
-// recording any fresh answer. It returns resolved == true when the
-// update terminated and committed (the entry leaves the inbox); false
-// when it is still parked — the question was regenerated against the
-// current instance and the entry waits for more answers. Callers hold
-// r.mu.
+// resumeLocked re-runs a parked update's chase, replaying its recorded
+// answers (inbox.Replay); when none applies it consults user (nil = no
+// one), durably recording any fresh answer. It returns resolved ==
+// true when the update terminated and committed (the entry leaves the
+// inbox); false when it is still parked — the question was regenerated
+// against the current instance and the entry waits for more answers.
+// Callers hold r.mu.
 func (r *Repository) resumeLocked(id int64, user chase.User) (bool, error) {
 	e, ok := r.box.Get(id)
 	if !ok {
 		return false, fmt.Errorf("core: no inbox entry %d", id)
 	}
-	number := r.nextUpdate
-	r.nextUpdate++
+	number, err := r.numberLocked()
+	if err != nil {
+		return false, err
+	}
 	if r.trace.Enabled() {
 		if e.Update > 0 {
 			// Fold the replay's fresh update number into the original
@@ -158,114 +136,40 @@ func (r *Repository) resumeLocked(id int64, user chase.User) (bool, error) {
 	obsResumes.Inc()
 	mark := r.store.NullMark()
 	u := chase.NewUpdate(number, e.Op)
-	consumed := make([]bool, len(e.Answers))
-
-	park := func() (bool, error) {
-		question, options, kinds, ctx, positive, ok := r.renderQuestion(u)
-		r.store.Abort(number)
-		u.Cancel() // gives the attempt's query context back
-		r.store.RewindNulls(mark)
-		if !ok {
-			return false, chase.ErrNoDecision
+	used := make([]bool, len(e.Answers))
+	_, err = r.runSingle(u, func(u *chase.Update) (bool, error) {
+		if ok, err := inbox.Replay(r.engine, u, e.Answers, used); ok || err != nil {
+			return ok, err
 		}
-		if err := r.box.Requeue(id, question, options, kinds, ctx, positive, u.Stats.FrontierOps); err != nil {
-			return false, err
+		// Out of matching recorded answers: consult the live user,
+		// recording anything it supplies so a crash mid-resume
+		// replays it.
+		if user == nil {
+			return false, nil
 		}
-		if r.trace.Enabled() {
-			r.trace.NoteDetail(number, "park", fmt.Sprintf("entry=%d requeued", id))
-		}
-		obsParked.Inc()
-		return false, nil
-	}
-	fail := func(err error) (bool, error) {
-		r.store.Abort(number)
-		u.Cancel()
-		r.store.RewindNulls(mark)
+		return r.consultLocked(u, user, id)
+	})
+	switch {
+	case errors.Is(err, errNoAnswer):
+		_, err = r.parkLocked(u, mark, id)
+		return false, err
+	case err != nil:
+		r.rollbackLocked(u, mark)
 		return false, err
 	}
-
-	for {
-		res, err := r.engine.Step(u)
-		if err != nil {
-			return fail(err)
-		}
-		for _, w := range res.Writes {
-			if w.Op == storage.OpDelete && r.protected[w.Rel] {
-				return fail(fmt.Errorf("%w: delete of %s from protected %s",
-					ErrProtectedCascade, w.Rel, w.Rel))
-			}
-		}
-		switch res.State {
-		case chase.StateTerminated:
-			r.trace.Note(number, "commit")
-			ack, err := r.store.CommitBatchAsync([]int{number})
-			if err != nil {
-				r.store.Abort(number)
-				return false, fmt.Errorf("core: durable commit of resumed update %d: %w", number, err)
-			}
-			if ack != nil {
-				if err := ack(); err != nil {
-					return false, fmt.Errorf("core: durable commit of resumed update %d: %w", number, err)
-				}
-			}
-			if r.wal != nil {
-				if err := r.wal.AppendResume(id, false); err != nil {
-					return false, err
-				}
-			}
-			r.trace.Note(number, "ack")
-			obsApplied.Inc()
-			r.box.Resolve(id)
-			if f, ok := user.(chase.Forgetter); ok {
-				f.Forget(number)
-			}
-			return true, nil
-		case chase.StateAwaitingUser:
-			applied := false
-			groups := append([]*chase.FrontierGroup(nil), u.Groups()...)
-			for _, g := range groups {
-				opts := r.engine.Options(u, g)
-				if len(opts) == 0 {
-					continue
-				}
-				ctx := r.engine.DecisionContext(u, g)
-				for i, a := range e.Answers {
-					if consumed[i] || a.Context != ctx {
-						continue
-					}
-					consumed[i] = true
-					if err := r.engine.ApplyOption(u, g, a.Option); err != nil {
-						if errors.Is(err, chase.ErrStaleDecision) {
-							// The instance changed under the recorded
-							// answer; skip it and let the question be
-							// asked again.
-							continue
-						}
-						return fail(err)
-					}
-					applied = true
-					break
-				}
-				if applied {
-					break
-				}
-			}
-			if applied {
-				continue
-			}
-			// Out of matching recorded answers: consult the live user,
-			// recording anything it supplies so a crash mid-resume
-			// replays it.
-			if user != nil {
-				if ok, err := r.consultLocked(u, user, id); err != nil {
-					return fail(err)
-				} else if ok {
-					continue
-				}
-			}
-			return park()
+	if err := r.commitLocked(number); err != nil {
+		return false, err
+	}
+	if r.wal != nil {
+		if err := r.wal.AppendResume(id, false); err != nil {
+			return false, err
 		}
 	}
+	r.box.Resolve(id)
+	if f, ok := user.(chase.Forgetter); ok {
+		f.Forget(number)
+	}
+	return true, nil
 }
 
 // consultLocked asks user for one frontier operation during a resume,

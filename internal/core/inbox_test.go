@@ -8,6 +8,7 @@ import (
 	"youtopia/internal/inbox"
 	"youtopia/internal/model"
 	"youtopia/internal/simuser"
+	"youtopia/internal/vfs"
 	"youtopia/internal/wal"
 )
 
@@ -381,5 +382,138 @@ func TestInboxEscalationRaisesPriority(t *testing.T) {
 	}
 	if e.Priority != 3 {
 		t.Fatalf("priority = %d after 6 ticks at EscalateEvery 2, want 3", e.Priority)
+	}
+}
+
+// scriptedUser answers the i-th question of an update with option
+// script[i] and has no answer once the script runs out.
+func scriptedUser(script ...int) chase.User {
+	asked := 0
+	return chase.UserFunc(func(_ *chase.Update, _ *chase.FrontierGroup, opts []chase.Decision, _ string) (chase.Decision, bool) {
+		if asked >= len(script) {
+			return chase.Decision{}, false
+		}
+		asked++
+		return opts[script[asked-1]], true
+	})
+}
+
+// TestResumeReplaysAnswersByContext pins inbox.Replay's rule on the
+// repository's resume. The update parks on its second question (the
+// first was answered live, so no answer is recorded for it), and the
+// curator answers that question with its last option. The resume then
+// meets the first question again: the recorded answer's context is not
+// open, so the entry is requeued with the first question and the
+// answer stays unused. Answering the first question resolves the
+// update without asking the second again — unless, in between, an
+// update deleted a unification target, so that the recorded option is
+// out of range: it is then dropped as stale and the second question is
+// asked once more.
+func TestResumeReplaysAnswersByContext(t *testing.T) {
+	doc := durableDoc + `
+tuple C("Albany")
+tuple S("ALB", "Albany", "Albany")
+`
+	albany := chase.Delete(model.NewTuple("S", model.Const("ALB"), model.Const("Albany"), model.Const("Albany")))
+	for _, stale := range []bool{false, true} {
+		r, _, err := Open(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = r.Apply(parkOp(), scriptedUser(0))
+		var parked *ParkedError
+		if !errors.As(err, &parked) {
+			t.Fatalf("Apply returned %v, want *ParkedError", err)
+		}
+		id := parked.ID
+		second, _ := r.InboxEntry(id)
+		last := len(second.Options) - 1
+		if resolved, err := r.AnswerInbox(id, last); err != nil || resolved {
+			t.Fatalf("answer to the second question: resolved=%v err=%v, want a requeue", resolved, err)
+		}
+		first, _ := r.InboxEntry(id)
+		if first.Context == second.Context || first.Status != inbox.Pending || len(first.Answers) != 1 {
+			t.Fatalf("after the first resume the entry shows %q (status %v, %d answers), want the first question pending",
+				first.Context, first.Status, len(first.Answers))
+		}
+		if stale {
+			if _, err := r.Apply(albany, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		resolved, err := r.AnswerInbox(id, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := []int{0, last}
+		if stale {
+			if resolved {
+				t.Fatal("an out-of-range recorded option was applied")
+			}
+			again, _ := r.InboxEntry(id)
+			if again.Context != second.Context || len(again.Options) != last {
+				t.Fatalf("stale answer: entry asks %q with %d options, want the second question with %d",
+					again.Context, len(again.Options), last)
+			}
+			if resolved, err = r.AnswerInbox(id, 1); err != nil {
+				t.Fatal(err)
+			}
+			want = []int{0, 1}
+		}
+		if !resolved {
+			t.Fatalf("stale=%v: the recorded answer to the second question was not reused", stale)
+		}
+
+		twin, _, err := Open(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stale {
+			if _, err := twin.Apply(albany, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := twin.Apply(parkOp(), scriptedUser(want...)); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := r.Dump(), twin.Dump(); got != want {
+			t.Fatalf("stale=%v: resumed execution differs from inline:\n got:\n%s\nwant:\n%s", stale, got, want)
+		}
+	}
+}
+
+// TestResumeOnDegradedLogIsRejected: a deadline auto-answer on a log
+// that degraded on ENOSPC is rejected before the resume takes an update
+// number or runs a chase, and the entry stays parked.
+func TestResumeOnDegradedLogIsRejected(t *testing.T) {
+	ffs := vfs.NewFaultFS(vfs.OS, 1)
+	r, _, err := OpenWithOptions(durableDoc, Options{DataDir: t.TempDir(), FS: ffs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	r.SetInboxPolicy(inbox.Policy{Deadline: 1, OnDeadline: inbox.DeadlineAutoAnswer})
+	r.SetFallbackUser(simuser.UnifyFirst())
+	id := mustPark(t, r)
+
+	ffs.Script(vfs.Rule{Op: vfs.OpWrite, Path: "wal-", Err: vfs.NoSpace()})
+	ffs.SetFreeBytes(0)
+	insert := chase.Insert(model.NewTuple("S", model.Const("ITH"), model.Const("Ithaca"), model.Const("Ithaca")))
+	if _, err := r.Apply(insert, nil); !errors.Is(err, wal.ErrReadOnly) {
+		t.Fatalf("commit on a full disk returned %v, want ErrReadOnly", err)
+	}
+	if h := r.Health(); h.State != wal.StateDegraded {
+		t.Fatalf("health = %+v, want degraded", h)
+	}
+
+	next := r.nextUpdate
+	if err := r.InboxTick(1); !errors.Is(err, wal.ErrReadOnly) {
+		t.Fatalf("auto-answer on a degraded log returned %v, want ErrReadOnly", err)
+	}
+	if r.nextUpdate != next {
+		t.Fatalf("the rejected resume took update numbers %d..%d", next, r.nextUpdate-1)
+	}
+	if _, ok := r.InboxEntry(id); !ok {
+		t.Fatal("the rejected resume dropped the entry")
 	}
 }

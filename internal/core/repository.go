@@ -372,36 +372,25 @@ func (r *Repository) ApplyTraced(op chase.Op, user chase.User) (chase.Stats, []c
 func (r *Repository) apply(op chase.Op, user chase.User, traced bool) (chase.Stats, []chase.TraceEntry, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	// Fast-reject before minting an update number: a degraded or
-	// poisoned log would veto the commit anyway, but failing here keeps
-	// the rejected update out of the numbering sequence and the trace.
-	if r.wal != nil {
-		if h := r.wal.Health(); h.State != wal.StateHealthy {
-			return chase.Stats{}, nil, fmt.Errorf("core: update rejected: %w", h.Err())
-		}
+	number, err := r.numberLocked()
+	if err != nil {
+		return chase.Stats{}, nil, err
 	}
-	number := r.nextUpdate
-	r.nextUpdate++
 	r.trace.Note(number, "submit")
 	mark := r.store.NullMark()
 	u := r.renewSpare(number, op)
 	u.NoTrace = !traced
-	stats, err := r.runSingle(u, user)
+	stats, err := r.runSingle(u, func(u *chase.Update) (bool, error) {
+		if user == nil {
+			return false, chase.ErrNoDecision
+		}
+		return r.engine.AskUser(u, user)
+	})
 	if errors.Is(err, errNoAnswer) {
-		id, perr := r.parkLocked(u, op)
-		r.store.Abort(number)
-		u.Cancel() // gives the attempt's query context back
-		// The attempt's writes are gone; returning its minted null IDs
-		// keeps the resumed replay byte-identical to an inline
-		// execution.
-		r.store.RewindNulls(mark)
-		if perr != nil {
-			return stats, u.Trace, perr
+		id, err := r.parkLocked(u, mark, 0)
+		if err != nil {
+			return stats, u.Trace, err
 		}
-		if r.trace.Enabled() {
-			r.trace.NoteDetail(number, "park", fmt.Sprintf("entry=%d", id))
-		}
-		obsParked.Inc()
 		return stats, u.Trace, &ParkedError{ID: id}
 	}
 	// Not parked: the update is the repository's alone again.
@@ -411,29 +400,50 @@ func (r *Repository) apply(op chase.Op, user chase.User, traced bool) (chase.Sta
 		u.Cancel()
 		return stats, u.Trace, err
 	}
+	return stats, u.Trace, r.commitLocked(number)
+}
+
+// numberLocked assigns the next update number. It fast-rejects first:
+// a degraded or poisoned log would veto the commit anyway, but failing
+// here keeps the rejected update out of the numbering sequence and the
+// trace. Callers hold r.mu.
+func (r *Repository) numberLocked() (int, error) {
+	if r.wal != nil {
+		if h := r.wal.Health(); h.State != wal.StateHealthy {
+			return 0, fmt.Errorf("core: update rejected: %w", h.Err())
+		}
+	}
+	r.nextUpdate++
+	return r.nextUpdate - 1, nil
+}
+
+// commitLocked commits a terminated update and waits for its
+// acknowledgment. Callers hold r.mu.
+func (r *Repository) commitLocked(number int) error {
 	r.trace.Note(number, "commit")
 	ack, err := r.store.CommitBatchAsync([]int{number})
 	if err != nil {
 		// The log vetoed the append: nothing was committed anywhere;
 		// roll back so the in-memory state matches the log.
 		r.store.Abort(number)
-		return stats, u.Trace, fmt.Errorf("core: durable commit of update %d: %w", number, err)
+		return fmt.Errorf("core: durable commit of update %d: %w", number, err)
 	}
 	if ack != nil {
-		// Apply is synchronous, so its return IS the acknowledgment:
-		// block until the covering log sync lands. On failure the
-		// update is committed in memory but its durability is unknown
-		// — the log refuses further commits until the directory is
-		// reopened (which recovers exactly the durable prefix), so the
-		// error is surfaced without a rollback (the write log was
-		// already retired; aborting a committed writer is impossible).
+		// The caller is synchronous, so its return IS the
+		// acknowledgment: block until the covering log sync lands. On
+		// failure the update is committed in memory but its durability
+		// is unknown — the log refuses further commits until the
+		// directory is reopened (which recovers exactly the durable
+		// prefix), so the error is surfaced without a rollback (the
+		// write log was already retired; aborting a committed writer is
+		// impossible).
 		if err := ack(); err != nil {
-			return stats, u.Trace, fmt.Errorf("core: durable commit of update %d: %w", number, err)
+			return fmt.Errorf("core: durable commit of update %d: %w", number, err)
 		}
 	}
 	r.trace.Note(number, "ack")
 	obsApplied.Inc()
-	return stats, u.Trace, nil
+	return nil
 }
 
 // renewSpare returns the spare update renewed for number and op, or a
@@ -450,8 +460,10 @@ func (r *Repository) renewSpare(number int, op chase.Op) *chase.Update {
 }
 
 // runSingle drives one update to completion, enforcing the protected
-// relation guard on every performed write.
-func (r *Repository) runSingle(u *chase.Update, user chase.User) (chase.Stats, error) {
+// relation guard on every performed write. When the chase blocks, ask
+// supplies one frontier operation; when it has none, runSingle returns
+// errNoAnswer.
+func (r *Repository) runSingle(u *chase.Update, ask func(*chase.Update) (bool, error)) (chase.Stats, error) {
 	for {
 		res, err := r.engine.Step(u)
 		if err != nil {
@@ -467,10 +479,7 @@ func (r *Repository) runSingle(u *chase.Update, user chase.User) (chase.Stats, e
 		case chase.StateTerminated:
 			return u.Stats, nil
 		case chase.StateAwaitingUser:
-			if user == nil {
-				return u.Stats, chase.ErrNoDecision
-			}
-			ok, err := r.engine.AskUser(u, user)
+			ok, err := ask(u)
 			if err != nil {
 				return u.Stats, err
 			}

@@ -18,6 +18,7 @@ package inbox
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -287,10 +288,11 @@ func (b *Box) Answer(id int64, a Answer) error {
 }
 
 // Requeue returns an answered entry to Pending with a fresh question:
-// the resumed chase consumed the answer(s) and blocked again. The
-// answer history is preserved — answers recorded concurrently with the
-// requeue stay visible to the resuming consumer.
-func (b *Box) Requeue(id int64, question string, options []string, kinds []chase.DecisionKind, context string, positive bool, frontierOps int) error {
+// the resumed chase consumed the answer(s) and blocked again. Only q's
+// question fields (those Ask fills) are taken. The answer history is
+// preserved — answers recorded concurrently with the requeue stay
+// visible to the resuming consumer.
+func (b *Box) Requeue(id int64, q Entry) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	e, ok := b.entries[id]
@@ -299,12 +301,12 @@ func (b *Box) Requeue(id int64, question string, options []string, kinds []chase
 	}
 	e.Status = Pending
 	e.Claimant = ""
-	e.Question = question
-	e.Options = options
-	e.OptionKinds = kinds
-	e.Context = context
-	e.Positive = positive
-	e.FrontierOps = frontierOps
+	e.Question = q.Question
+	e.Options = q.Options
+	e.OptionKinds = q.OptionKinds
+	e.Context = q.Context
+	e.Positive = q.Positive
+	e.FrontierOps = q.FrontierOps
 	e.ParkedAt = b.now
 	e.deadlineDone = false
 	return nil
@@ -403,4 +405,71 @@ func (b *Box) ResumeHistogram() *obs.Histogram {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.resume
+}
+
+// Ask renders the first answerable frontier group of a blocked update
+// as an entry to park or requeue: the update's number and initial
+// operation plus the question fields. It must run before the update's
+// writes are rolled back (options and contexts read the update's own
+// snapshot). ok is false when no open group has enumerable options —
+// nothing a curator could answer.
+func Ask(e *chase.Engine, u *chase.Update) (Entry, bool) {
+	for _, g := range u.Groups() {
+		opts := e.Options(u, g)
+		if len(opts) == 0 {
+			continue
+		}
+		q := Entry{
+			Update:      u.Number,
+			Op:          u.Initial,
+			Question:    g.String(),
+			Options:     make([]string, len(opts)),
+			OptionKinds: make([]chase.DecisionKind, len(opts)),
+			Context:     e.DecisionContext(u, g),
+			Positive:    g.Positive,
+			FrontierOps: u.Stats.FrontierOps,
+		}
+		for i, d := range opts {
+			q.Options[i] = d.String()
+			q.OptionKinds[i] = d.Kind
+		}
+		return q, true
+	}
+	return Entry{}, false
+}
+
+// Replay applies one recorded answer to a blocked update through
+// chase.Engine.DecideOne and reports whether it applied one. It is the
+// one replay rule of the decision inbox, shared by the repository's
+// resume and the schedulers' inbox mode:
+//
+//   - each open group, in order, takes the first unused answer
+//     recorded against its canonical decision context; the option
+//     enumeration and the context are deterministic functions of
+//     database content, so the (context, option index) pair
+//     re-resolves exactly where it was given;
+//   - an option index out of range of the group's current enumeration
+//     means the instance changed under the answer: the answer counts
+//     as used and stale, and the group tries its next matching answer;
+//   - an answer whose context is not open stays unused, so it can
+//     answer a later question without the curator being asked again.
+//
+// used[i] records whether answers[i] was consumed; used must be at
+// least as long as answers.
+func Replay(e *chase.Engine, u *chase.Update, answers []Answer, used []bool) (bool, error) {
+	if !slices.Contains(used[:len(answers)], false) {
+		return false, nil
+	}
+	return e.DecideOne(u, func(_ *chase.FrontierGroup, opts []chase.Decision, ctx string) (chase.Decision, bool, error) {
+		for i, a := range answers {
+			if used[i] || a.Context != ctx {
+				continue
+			}
+			used[i] = true
+			if a.Option >= 0 && a.Option < len(opts) {
+				return opts[a.Option], true, nil
+			}
+		}
+		return chase.Decision{}, false, nil
+	})
 }

@@ -49,7 +49,7 @@ func TestLifecycle(t *testing.T) {
 
 	// Requeue returns the entry to Pending with a fresh question but
 	// keeps the answer history (a concurrent answer must not be lost).
-	if err := b.Requeue(id1, "q1'", []string{"x"}, nil, "ctx2", true, 3); err != nil {
+	if err := b.Requeue(id1, Entry{Question: "q1'", Options: []string{"x"}, Context: "ctx2", Positive: true, FrontierOps: 3}); err != nil {
 		t.Fatal(err)
 	}
 	e, _ = b.Get(id1)
@@ -138,7 +138,7 @@ func TestTickPolicies(t *testing.T) {
 			}
 		}
 	}
-	if err := b.Requeue(auto, "again", []string{"o"}, nil, "c2", true, 1); err != nil {
+	if err := b.Requeue(auto, Entry{Question: "again", Options: []string{"o"}, Context: "c2", Positive: true, FrontierOps: 1}); err != nil {
 		t.Fatal(err)
 	}
 	fired := false

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"youtopia/internal/chase"
+	"youtopia/internal/inbox"
 	"youtopia/internal/model"
 	"youtopia/internal/storage"
 	"youtopia/internal/vfs"
@@ -36,10 +37,11 @@ import (
 //
 // A parked update's storage writes are rolled back at park time — only
 // the initial operation and the ordered answers are durable. Resume
-// re-runs the chase from the initial operation, consuming the recorded
-// answers in order; the enumeration of frontier options is a
-// deterministic function of database content, so the (context, option
-// index) pairs re-resolve exactly. That replay design is also why a
+// re-runs the chase from the initial operation and matches the
+// recorded answers to its questions by decision context, under the
+// rule stated on inbox.Replay; the enumeration of frontier options is
+// a deterministic function of database content, so the (context,
+// option index) pairs re-resolve exactly. That replay design is also why a
 // resume frame can be appended after the commit batch it concludes:
 // re-running a resumed update whose batch already committed finds no
 // violations (the committed instance is fully chased and initial
@@ -57,26 +59,18 @@ const (
 	kindResume = 4
 )
 
-// ParkedAnswer is one recorded frontier answer of a parked update: the
-// canonical decision context it addressed and the index into that
-// context's deterministic option enumeration.
-type ParkedAnswer struct {
-	Context string
-	Option  int
-}
-
 // ParkedUpdate is a durably parked update: the initial operation to
-// replay plus the answers recorded so far, in the order they must be
-// consumed.
+// replay plus the answers recorded so far, oldest first (inbox.Replay
+// states how a resume consumes them).
 type ParkedUpdate struct {
 	ID      int64
 	Op      chase.Op
-	Answers []ParkedAnswer
+	Answers []inbox.Answer
 }
 
 func (p *ParkedUpdate) clone() ParkedUpdate {
 	return ParkedUpdate{ID: p.ID, Op: p.Op,
-		Answers: append([]ParkedAnswer(nil), p.Answers...)}
+		Answers: append([]inbox.Answer(nil), p.Answers...)}
 }
 
 // encodeOp renders an initial operation. Cause is presentation-only
@@ -252,7 +246,7 @@ func (ps *parkedSet) applyControl(payload []byte, rels []string) error {
 			return fmt.Errorf("wal: %d trailing bytes in answer record", len(r.b))
 		}
 		if e, ok := ps.entries[id]; ok && int(ord) == len(e.Answers) {
-			e.Answers = append(e.Answers, ParkedAnswer{Context: string(ctx), Option: int(opt)})
+			e.Answers = append(e.Answers, inbox.Answer{Context: string(ctx), Option: int(opt)})
 		}
 	case kindResume:
 		if _, err := r.byte(); err != nil {
@@ -311,7 +305,7 @@ func (m *Manager) AppendAnswer(id int64, ctx string, option int) error {
 	if err := m.appendControlLocked(payload); err != nil {
 		return err
 	}
-	e.Answers = append(e.Answers, ParkedAnswer{Context: ctx, Option: option})
+	e.Answers = append(e.Answers, inbox.Answer{Context: ctx, Option: option})
 	return nil
 }
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"youtopia/internal/chase"
+	"youtopia/internal/inbox"
 	"youtopia/internal/model"
 )
 
@@ -83,7 +84,7 @@ func TestControlRecordsRoundTrip(t *testing.T) {
 	if !sameOp(parked[0].Op, ops[0]) || !sameOp(parked[1].Op, ops[2]) {
 		t.Fatalf("recovered ops differ: %+v", parked)
 	}
-	want := []ParkedAnswer{{Context: "ctx-one", Option: 2}, {Context: "ctx-two", Option: 0}}
+	want := []inbox.Answer{{Context: "ctx-one", Option: 2}, {Context: "ctx-two", Option: 0}}
 	if len(parked[0].Answers) != len(want) {
 		t.Fatalf("answers = %+v, want %+v", parked[0].Answers, want)
 	}
@@ -153,7 +154,7 @@ func TestCheckpointCarriesParkedSet(t *testing.T) {
 	if len(parked) != 1 || parked[0].ID != id {
 		t.Fatalf("recovered parked set = %+v, want only entry %d", parked, id)
 	}
-	want := []ParkedAnswer{{Context: "before-ckpt", Option: 1}, {Context: "after-ckpt", Option: 0}}
+	want := []inbox.Answer{{Context: "before-ckpt", Option: 1}, {Context: "after-ckpt", Option: 0}}
 	if len(parked[0].Answers) != len(want) {
 		t.Fatalf("answers = %+v, want %+v", parked[0].Answers, want)
 	}

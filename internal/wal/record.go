@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"hash/fnv"
 
+	"youtopia/internal/inbox"
 	"youtopia/internal/model"
 	"youtopia/internal/storage"
 )
@@ -422,7 +423,7 @@ func decodeCheckpoint(payload []byte, rels []string) (checkpointRecord, error) {
 		if err != nil {
 			return checkpointRecord{}, err
 		}
-		p.Answers = make([]ParkedAnswer, na)
+		p.Answers = make([]inbox.Answer, na)
 		for j := range p.Answers {
 			cl, err := r.uvarint()
 			if err != nil {
@@ -436,7 +437,7 @@ func decodeCheckpoint(payload []byte, rels []string) (checkpointRecord, error) {
 			if err != nil {
 				return checkpointRecord{}, err
 			}
-			p.Answers[j] = ParkedAnswer{Context: string(ctx), Option: int(opt)}
+			p.Answers[j] = inbox.Answer{Context: string(ctx), Option: int(opt)}
 		}
 	}
 	if len(r.b) > 0 {

@@ -633,9 +633,13 @@ func (m *Manager) syncPending() {
 // budget marks the segment suspect and degrades; a failure anywhere
 // in creating the next segment leaves nothing referenced — the
 // partial file is removed and, for persistent failures, the log
-// degrades with everything already appended still intact.
+// degrades with everything already appended still intact. A segment
+// that holds no commit batch yet (only control frames) is not rotated:
+// segments are named by their first batch, so its successor would
+// take its name.
 func (m *Manager) ensureSegmentLocked(frameLen int64) error {
-	if m.f != nil && m.size > headerLen && m.size+frameLen > m.opts.SegmentBytes {
+	if m.f != nil && m.size > headerLen && m.size+frameLen > m.opts.SegmentBytes &&
+		filepath.Base(m.f.Name()) != segName(m.batches+1) {
 		for m.syncing {
 			m.syncCond.Wait()
 		}

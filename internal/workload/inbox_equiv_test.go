@@ -15,7 +15,8 @@ import (
 // inbox and answered asynchronously, converges on the same committed
 // instance — the Answerer and the inline user share
 // simuser.ChooseOption keyed on (update, frontier ordinal, context),
-// and canonicalizeNulls erases the null-allocation differences.
+// and canonicalizeNulls erases the null-allocation differences. The
+// inbox runs once under each scheduler (Workers 0 and 2).
 func TestInboxRunMatchesInline(t *testing.T) {
 	cfg := Quick()
 	cfg.InitialTuples = 60
@@ -26,7 +27,7 @@ func TestInboxRunMatchesInline(t *testing.T) {
 	}
 	ops := u.GenOpsSeeded(99)
 
-	run := func(withInbox bool) ([]model.Tuple, cc.Metrics) {
+	run := func(withInbox bool, workers int) ([]model.Tuple, cc.Metrics) {
 		st, err := u.NewStore()
 		if err != nil {
 			t.Fatal(err)
@@ -34,6 +35,7 @@ func TestInboxRunMatchesInline(t *testing.T) {
 		ccCfg := cc.Config{
 			Tracker:            cc.Coarse{},
 			User:               simuser.New(7),
+			Workers:            workers,
 			MaxAbortsPerUpdate: 10000,
 		}
 		var ans *Answerer
@@ -42,7 +44,12 @@ func TestInboxRunMatchesInline(t *testing.T) {
 			ans = &Answerer{Box: ccCfg.Inbox, Seed: 7, ForceUnifyAfter: 64}
 			ans.Start()
 		}
-		m, err := cc.NewScheduler(st, u.Mappings, ccCfg).Run(ops)
+		var m cc.Metrics
+		if workers > 0 {
+			m, err = cc.NewParallelScheduler(st, u.Mappings, ccCfg).Run(ops)
+		} else {
+			m, err = cc.NewScheduler(st, u.Mappings, ccCfg).Run(ops)
+		}
 		if ans != nil {
 			ans.Stop()
 		}
@@ -57,12 +64,14 @@ func TestInboxRunMatchesInline(t *testing.T) {
 		return canonicalizeNulls(out), m
 	}
 
-	inline, _ := run(false)
-	parked, m := run(true)
-	if m.UserPolls != 0 {
-		t.Fatalf("inbox run made %d live user polls, want 0", m.UserPolls)
-	}
-	if got, want := model.CanonTuples(parked), model.CanonTuples(inline); got != want {
-		t.Fatalf("inbox-driven workload diverged from inline:\n got:\n%s\nwant:\n%s", got, want)
+	inline, _ := run(false, 0)
+	for _, workers := range []int{0, 2} {
+		parked, m := run(true, workers)
+		if m.UserPolls != 0 {
+			t.Fatalf("workers=%d: inbox run made %d live user polls, want 0", workers, m.UserPolls)
+		}
+		if got, want := model.CanonTuples(parked), model.CanonTuples(inline); got != want {
+			t.Fatalf("workers=%d: inbox-driven workload diverged from inline:\n got:\n%s\nwant:\n%s", workers, got, want)
+		}
 	}
 }
