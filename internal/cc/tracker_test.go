@@ -6,7 +6,6 @@ import (
 	"youtopia/internal/cc"
 	"youtopia/internal/chase"
 	"youtopia/internal/model"
-	"youtopia/internal/query"
 	"youtopia/internal/simuser"
 )
 
@@ -105,5 +104,4 @@ func TestDepsNeverIncludeInvalidWriters(t *testing.T) {
 		}
 	}
 	_ = model.Value{}
-	_ = query.Binding{}
 }

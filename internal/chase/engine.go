@@ -391,7 +391,7 @@ func enqueue(u *Update, qe *query.Engine, v query.Violation, isLHS bool) {
 // recheckQueue removes queue entries whose violation no longer holds —
 // "violQueue.remove(violations just corrected)" in Algorithm 1 — and
 // reactivates entries whose planned repair did not stick. Entries that
-// still hold carry the binding of their witness's current values
+// still hold carry their witness's current values
 // (query.Engine.Recheck).
 func recheckQueue(u *Update, qe *query.Engine) {
 	kept := u.queue[:0]
@@ -456,7 +456,7 @@ func (e *Engine) planRepair(u *Update, qv *queuedViolation) error {
 // tuples with one become positive frontier tuples and stop their path
 // awaiting a frontier operation.
 func (e *Engine) planForward(u *Update, qv *queuedViolation) error {
-	tuples, minted := query.InstantiateRHS(qv.v.TGD, qv.v.Binding, e.store.FreshNull, u.generated[:0], u.minted[:0])
+	tuples, minted := query.InstantiateRHS(qv.v.TGD, qv.v.Vals, e.store.FreshNull, u.generated[:0], u.minted[:0])
 	u.generated, u.minted = tuples, minted
 	snap := e.queryContext(u).Snapshot()
 	frontier := u.frontier[:0]

@@ -232,5 +232,4 @@ func TestEnqueueDeduplicates(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustSatisfied(t, st, set, 1)
-	_ = query.Binding{}
 }

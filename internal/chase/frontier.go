@@ -339,7 +339,7 @@ func (e *Engine) applyUnify(u *Update, g *FrontierGroup, d Decision) error {
 	}
 	sort.Slice(nulls, func(i, j int) bool { return nulls[i].NullID() < nulls[j].NullID() })
 
-	// First rewrite the update's pending state (groups, queue bindings,
+	// First rewrite the update's pending state (groups, queued values,
 	// planned writes); the replacement ops appended afterwards must not
 	// be rewritten by their own substitution.
 	u.applySubst(sub)

@@ -351,18 +351,18 @@ func (u *Update) String() string {
 	return fmt.Sprintf("update %d [%s, attempt %d]: %s", u.Number, u.state, u.Attempt, u.Initial)
 }
 
-// applySubst rewrites the update's pending state — queued violation
-// bindings, frontier tuples, and planned writes — under a null
+// applySubst rewrites the update's pending state — queued violations'
+// values, frontier tuples, and planned writes — under a null
 // substitution produced by a unification.
 func (u *Update) applySubst(s model.Subst) {
 	for i := range u.writeSet {
 		u.writeSet[i] = u.writeSet[i].applySubst(s)
 	}
 	for _, qv := range u.queue {
-		for k, v := range qv.v.Binding {
+		for k, v := range qv.v.Vals {
 			if v.IsNull() {
 				if r, ok := s[v]; ok {
-					qv.v.Binding[k] = r
+					qv.v.Vals[k] = r
 				}
 			}
 		}

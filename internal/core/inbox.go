@@ -173,8 +173,9 @@ func (r *Repository) resumeLocked(id int64, user chase.User) (bool, error) {
 }
 
 // consultLocked asks user for one frontier operation during a resume,
-// durably recording the answer (when it is one of the enumerable
-// options — a free-form decision such as an explicit reconfirmation
+// recording the answer — durably, and in the entry's answer history, so
+// a re-park does not ask it again — when it is one of the enumerable
+// options (a free-form decision such as an explicit reconfirmation
 // applies without a record; see the package comment for why that is
 // safe). ok reports whether an operation was applied.
 func (r *Repository) consultLocked(u *chase.Update, user chase.User, id int64) (bool, error) {
@@ -183,11 +184,16 @@ func (r *Repository) consultLocked(u *chase.Update, user chase.User, id int64) (
 		if !ok {
 			return d, false, nil
 		}
-		if idx := decisionIndex(opts, d); idx >= 0 && r.wal != nil {
+		idx := decisionIndex(opts, d)
+		if idx < 0 {
+			return d, true, nil
+		}
+		if r.wal != nil {
 			if err := r.wal.AppendAnswer(id, ctx, idx); err != nil {
 				return d, false, err
 			}
 		}
+		r.box.Record(id, inbox.Answer{Context: ctx, Option: idx})
 		return d, true, nil
 	})
 }

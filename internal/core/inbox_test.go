@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"youtopia/internal/chase"
@@ -478,6 +479,67 @@ tuple S("ALB", "Albany", "Albany")
 		}
 		if got, want := r.Dump(), twin.Dump(); got != want {
 			t.Fatalf("stale=%v: resumed execution differs from inline:\n got:\n%s\nwant:\n%s", stale, got, want)
+		}
+	}
+}
+
+// TestFallbackAnswerJoinsEntryHistory: a deadline auto-answer's
+// fallback answers the first question and has none for the second, so
+// the resume parks the update again. The fallback's answer must be in
+// the entry's history just as the log holds it — a reopen recovers the
+// same answers — and answering the second question must then commit
+// without asking the first again.
+func TestFallbackAnswerJoinsEntryHistory(t *testing.T) {
+	for _, reopen := range []bool{false, true} {
+		dir := t.TempDir()
+		r, _, err := OpenWithOptions(durableDoc, Options{DataDir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.SetInboxPolicy(inbox.Policy{Deadline: 1, OnDeadline: inbox.DeadlineAutoAnswer})
+		r.SetFallbackUser(scriptedUser(0))
+		id := mustPark(t, r)
+		first, _ := r.InboxEntry(id)
+		if err := r.InboxTick(1); err != nil {
+			t.Fatal(err)
+		}
+		second, ok := r.InboxEntry(id)
+		if !ok || second.Status != inbox.Pending || second.Context == first.Context {
+			t.Fatalf("reopen=%v: after the auto-answer the entry is %+v, want the second question pending", reopen, second)
+		}
+		want := []inbox.Answer{{Context: first.Context, Option: 0}}
+		if !slices.Equal(second.Answers, want) {
+			t.Fatalf("reopen=%v: entry answers %v, want the fallback's %v", reopen, second.Answers, want)
+		}
+		if reopen {
+			if err := r.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if r, _, err = OpenWithOptions(durableDoc, Options{DataDir: dir}); err != nil {
+				t.Fatal(err)
+			}
+			if got, _ := r.InboxEntry(id); !slices.Equal(got.Answers, second.Answers) {
+				t.Fatalf("reopen recovers answers %v, the live entry held %v", got.Answers, second.Answers)
+			}
+		}
+		last := len(second.Options) - 1
+		resolved, err := r.AnswerInbox(id, last)
+		if err != nil || !resolved {
+			t.Fatalf("reopen=%v: answering the second question: resolved=%v err=%v, want a commit", reopen, resolved, err)
+		}
+		got := r.Dump()
+		if err := r.Close(); err != nil {
+			t.Fatal(err)
+		}
+		twin, _, err := Open(durableDoc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := twin.Apply(parkOp(), scriptedUser(0, last)); err != nil {
+			t.Fatal(err)
+		}
+		if want := twin.Dump(); got != want {
+			t.Fatalf("reopen=%v: resumed execution differs from inline:\n got:\n%s\nwant:\n%s", reopen, got, want)
 		}
 	}
 }

@@ -125,8 +125,8 @@ func loadChoices(tb testing.TB, r *Repository, ops []chase.Op) {
 // positive frontier a simulated user answers among an expansion and two
 // unifications (Options and DecisionContext included): allocations
 // and bytes (the TotalAlloc delta) per Apply over the same 200 warm
-// updates. The bounds are the numbers achieved (4, 16 and 34
-// allocations; 331, 1204 and 2367 bytes) plus 10%.
+// updates. The bounds are the numbers achieved (4, 15 and 33
+// allocations; 331, 916 and 2095 bytes) plus 10%.
 func TestApplyAllocBudget(t *testing.T) {
 	for _, c := range []struct {
 		name       string
@@ -135,8 +135,8 @@ func TestApplyAllocBudget(t *testing.T) {
 		bytesBound float64
 	}{
 		{"no-violation insert", "R", 4.4, 364},
-		{"one-mapping forward repair", "A", 17.6, 1324},
-		{"two-target frontier answered by a simulated user", "F", 37.4, 2604},
+		{"one-mapping forward repair", "A", 16.5, 1008},
+		{"two-target frontier answered by a simulated user", "F", 36.3, 2305},
 	} {
 		r := applyFixture(t)
 		const runs = 200

@@ -287,6 +287,18 @@ func (b *Box) Answer(id int64, a Answer) error {
 	return nil
 }
 
+// Record appends an answer a live user gave while the entry's update
+// was being resumed to its answer history. The status is the resuming
+// owner's to settle (Requeue or Resolve), so Record changes nothing
+// else and runs no hook.
+func (b *Box) Record(id int64, a Answer) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if e, ok := b.entries[id]; ok {
+		e.Answers = append(e.Answers, a)
+	}
+}
+
 // Requeue returns an answered entry to Pending with a fresh question:
 // the resumed chase consumed the answer(s) and blocked again. Only q's
 // question fields (those Ask fills) are taken. The answer history is

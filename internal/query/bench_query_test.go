@@ -35,19 +35,6 @@ func benchWorld(b *testing.B, rows int) (*storage.Store, *tgd.TGD) {
 	return st, m
 }
 
-func BenchmarkLHSMatchesSeeded(b *testing.B) {
-	st, m := benchWorld(b, 1000)
-	e := NewEngine(st.Snap(1))
-	seed := Binding{"y": c("j7")}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ms := e.LHSMatches(m, seed)
-		if len(ms) == 0 {
-			b.Fatal("no matches")
-		}
-	}
-}
-
 func BenchmarkViolationsSeeded(b *testing.B) {
 	st, m := benchWorld(b, 1000)
 	e := NewEngine(st.Snap(1))
@@ -58,37 +45,38 @@ func BenchmarkViolationsSeeded(b *testing.B) {
 	}
 }
 
-func BenchmarkRHSSatisfied(b *testing.B) {
-	st, m := benchWorld(b, 1000)
-	e := NewEngine(st.Snap(1))
-	bnd := Binding{"x": c("a10"), "z": c("z10")}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if !e.RHSSatisfied(m, bnd) {
-			b.Fatal("must be satisfied")
-		}
-	}
+// satisfiedMatch returns the LHS match A(a10, j10) ⋈ T(j10, z10) of
+// benchWorld's mapping as a violation to recheck: R(a10, z10) exists,
+// so its RHS probe succeeds and Recheck reports it gone.
+func satisfiedMatch(tb testing.TB, st *storage.Store, m *tgd.TGD) *Violation {
+	tb.Helper()
+	snap := st.Snap(1)
+	var one [1]storage.TupleID
+	a := snap.CandidatesByValue("A", 0, c("a10"), &one)[0]
+	z := snap.CandidatesByValue("T", 1, c("z10"), &one)[0]
+	return &Violation{TGD: m, Witness: []storage.TupleID{a, z}}
 }
 
 // BenchmarkJoinBindingChurn pins the allocation behaviour of the
 // match hot loop (run with -benchmem): on the compiled slot runtime a
-// steady-state early-stopping join costs 0 allocs/op — the register
-// file and witness scratch come from the engine's run pool, the bound
-// set is a stack bitmask, and the match callback is a package-level
-// function, so nothing escapes. The companion regression test
-// TestJoinBindingAllocBound turns the number into a gate.
+// steady-state early-stopping join — here the RHS existence probe of a
+// warm Recheck — costs 0 allocs/op: the register file and witness
+// scratch come from the engine's run pool, the bound set is a bitmask,
+// and the match callback is a package-level function, so nothing
+// escapes. The companion regression test TestJoinBindingAllocBound
+// turns the number into a gate.
 func BenchmarkJoinBindingChurn(b *testing.B) {
 	st, m := benchWorld(b, 1000)
 	e := NewEngine(st.Snap(1))
-	bnd := Binding{"x": c("a10"), "z": c("z10")}
-	if !e.RHSSatisfied(m, bnd) { // warm the pools
-		b.Fatal("must be satisfied")
+	v := satisfiedMatch(b, st, m)
+	if e.Recheck(v) { // warm the pools
+		b.Fatal("RHS must be satisfied")
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if !e.RHSSatisfied(m, bnd) {
-			b.Fatal("must be satisfied")
+		if e.Recheck(v) {
+			b.Fatal("RHS must be satisfied")
 		}
 	}
 }
@@ -100,12 +88,12 @@ func BenchmarkJoinBindingChurn(b *testing.B) {
 func TestJoinBindingAllocBound(t *testing.T) {
 	st, m := benchWorld(&testing.B{}, 1000)
 	e := NewEngine(st.Snap(1))
-	bnd := Binding{"x": c("a10"), "z": c("z10")}
-	if !e.RHSSatisfied(m, bnd) { // warm the pools
-		t.Fatal("must be satisfied")
+	v := satisfiedMatch(t, st, m)
+	if e.Recheck(v) { // warm the pools
+		t.Fatal("RHS must be satisfied")
 	}
 	got := testing.AllocsPerRun(200, func() {
-		e.RHSSatisfied(m, bnd)
+		e.Recheck(v)
 	})
 	if got != 0 {
 		t.Fatalf("steady-state compiled join allocates %.1f times per op, want 0", got)

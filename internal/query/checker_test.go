@@ -13,7 +13,7 @@ import (
 // This file holds the checker to the conflict check it replaced: a
 // cold engine per verdict on heap-derived snapshots, the answer
 // rendered in full and compared as a string (answerCanon), behind the
-// Binding-building mayTouch prefilter.
+// binding-building mayTouch prefilter.
 
 // refMayTouch is the prefilter as it was: unifyValsAtom against a
 // fresh binding.
@@ -23,7 +23,7 @@ func refMayTouch(t *tgd.TGD, rel string, vals []model.Value) bool {
 	}
 	for _, a := range append(append([]tgd.Atom(nil), t.LHS...), t.RHS...) {
 		if a.Rel == rel {
-			if _, ok := unifyValsAtom(vals, a, Binding{}); ok {
+			if _, ok := unifyValsAtom(vals, a, refBinding{}); ok {
 				return true
 			}
 		}

@@ -83,7 +83,7 @@ func (q *CQ) String() string {
 }
 
 // project builds the answer row for a binding.
-func (q *CQ) project(b Binding) model.Tuple {
+func (q *CQ) project(b map[string]model.Value) model.Tuple {
 	vals := make([]model.Value, len(q.Head))
 	for i, h := range q.Head {
 		vals[i] = b[h]
@@ -173,7 +173,7 @@ func (e *Engine) CertainAnswers(q *CQ) []model.Tuple {
 // incorrect in completions that resolve the nulls differently.
 func (e *Engine) BestEffortAnswers(q *CQ) []model.Tuple {
 	var rows []model.Tuple
-	e.joinAtomsUnifying(q.Body, func(b Binding, sub model.Subst) bool {
+	e.joinAtomsUnifying(q.Body, func(b map[string]model.Value, sub model.Subst) bool {
 		row := q.project(b)
 		row = model.Tuple{Rel: row.Rel, Vals: sub.Apply(row.Vals)}
 		rows = append(rows, row)
@@ -187,10 +187,10 @@ func (e *Engine) BestEffortAnswers(q *CQ) []model.Tuple {
 // or other value, with all identifications collected in a per-match
 // substitution. fn receives the binding and the substitution; both are
 // private copies.
-func (e *Engine) joinAtomsUnifying(atoms []tgd.Atom, fn func(Binding, model.Subst) bool) bool {
+func (e *Engine) joinAtomsUnifying(atoms []tgd.Atom, fn func(map[string]model.Value, model.Subst) bool) bool {
 	n := len(atoms)
 	done := make([]bool, n)
-	scratch := Binding{}
+	scratch := map[string]model.Value{}
 	sub := model.Subst{}
 
 	// resolve follows the substitution chain to a representative.
@@ -229,7 +229,7 @@ func (e *Engine) joinAtomsUnifying(atoms []tgd.Atom, fn func(Binding, model.Subs
 		if remaining == 0 {
 			// Copy binding with the substitution applied and a frozen
 			// copy of the substitution itself.
-			outB := make(Binding, len(scratch))
+			outB := make(map[string]model.Value, len(scratch))
 			for k, v := range scratch {
 				outB[k] = resolve(v)
 			}
@@ -305,7 +305,7 @@ func (e *Engine) joinAtomsUnifying(atoms []tgd.Atom, fn func(Binding, model.Subs
 
 // boundTermCount counts how many argument positions of the atom are
 // determined under b (constants or bound variables).
-func boundTermCount(a tgd.Atom, b Binding) int {
+func boundTermCount(a tgd.Atom, b map[string]model.Value) int {
 	n := 0
 	for _, term := range a.Terms {
 		if !term.IsVar {
@@ -319,7 +319,7 @@ func boundTermCount(a tgd.Atom, b Binding) int {
 	return n
 }
 
-func undoBinds(b Binding, added []string) {
+func undoBinds(b map[string]model.Value, added []string) {
 	for _, v := range added {
 		delete(b, v)
 	}

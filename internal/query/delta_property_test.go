@@ -83,7 +83,7 @@ func TestSeededViolationsSoundAndComplete(t *testing.T) {
 			continue
 		}
 
-		full := e.Violations(m, nil)
+		full := e.Violations(m)
 		fullKeys := make(map[string]bool, len(full))
 		for i := range full {
 			fullKeys[full[i].Key()] = true

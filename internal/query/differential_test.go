@@ -1,8 +1,8 @@
 // Differential oracle for the compiled slot runtime: the interpreted
 // reference engine (reference_test.go) is the semantics; the compiled
-// engine must agree with it on every query surface — LHS match sets,
-// RHS satisfaction, violation sets, §4.2 seeded violation queries and
-// certain answers — over randomized schemas, mappings (some wider than
+// engine must agree with it on every query surface — violation sets
+// (keys and values), §4.2 seeded violation queries and certain
+// answers — over randomized schemas, mappings (some wider than
 // 64 variables), duplicate-heavy data, and shared labeled nulls. CI
 // runs this under -race -shuffle=on, and the fuzz lane extends the same
 // property beyond the fixed seeds.
@@ -10,7 +10,6 @@ package query
 
 import (
 	"fmt"
-	"maps"
 	"math/rand"
 	"sort"
 	"strings"
@@ -136,18 +135,8 @@ func genWorld(r *rand.Rand) *diffWorld {
 	return w
 }
 
-// canonMatches renders a match set order-independently.
-func canonMatches(ms []Match) []string {
-	out := make([]string, len(ms))
-	for i := range ms {
-		out[i] = fmt.Sprintf("%s @ %v", ms[i].Binding.String(), ms[i].Witness)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // canonViols renders a violation set order-independently, by the same
-// Key the chase dedups with (mapping, witness IDs, binding).
+// Key the chase dedups with (mapping, witness IDs, values).
 func canonViols(vs []Violation) []string {
 	out := make([]string, len(vs))
 	for i := range vs {
@@ -155,6 +144,49 @@ func canonViols(vs []Violation) []string {
 	}
 	sort.Strings(out)
 	return out
+}
+
+// canonRefViols renders the reference's violation set the same way.
+func canonRefViols(vs []refViolation) []string {
+	out := make([]string, len(vs))
+	for i := range vs {
+		out[i] = vs[i].key()
+	}
+	sort.Strings(out)
+	return out
+}
+
+// checkViols demands that the compiled violations render the
+// reference's keys byte for byte, and that each compiled violation's
+// Vals are its reference binding's values in slot order.
+func checkViols(t *testing.T, what string, cv []Violation, rv []refViolation) {
+	t.Helper()
+	if ck, rk := canonViols(cv), canonRefViols(rv); !equalStrs(ck, rk) {
+		diffFatal(t, what, ck, rk)
+	}
+	byKey := make(map[string]refBinding, len(rv))
+	for _, v := range rv {
+		byKey[v.key()] = v.Binding
+	}
+	for i := range cv {
+		if !valsMatch(PlanFor(cv[i].TGD), cv[i].Vals, byKey[cv[i].Key()]) {
+			t.Fatalf("%s: %s carries values %v, reference binding %v", what, cv[i].Key(), cv[i].Vals, byKey[cv[i].Key()])
+		}
+	}
+}
+
+// valsMatch reports whether vals are exactly b's values in the plan's
+// slot order.
+func valsMatch(p *Plan, vals []model.Value, b refBinding) bool {
+	if len(vals) != len(b) {
+		return false
+	}
+	for s, val := range vals {
+		if bv, ok := b[p.Slots()[s]]; !ok || bv != val {
+			return false
+		}
+	}
+	return true
 }
 
 func diffFatal(t *testing.T, what string, a, b []string) {
@@ -183,48 +215,13 @@ func lhsVars(m *tgd.TGD) []string {
 // parameters so the parallel variant can hand each goroutine its own.
 func checkWorld(t *testing.T, r *rand.Rand, w *diffWorld, ce *Engine, ie refEngine) {
 	t.Helper()
-	randSeed := func(m *tgd.TGD) Binding {
-		b := Binding{}
-		vars := append(m.FrontierVars(), m.ExistentialVars()...)
-		for _, v := range vars {
-			if r.Intn(3) == 0 {
-				b[v] = model.Const(fmt.Sprintf("c%d", r.Intn(6)))
-			}
-		}
-		return b
-	}
 	for _, m := range w.tgds {
-		if cv, iv := canonViols(ce.Violations(m, Binding{})), canonViols(ie.Violations(m, Binding{})); !equalStrs(cv, iv) {
-			diffFatal(t, "Violations("+m.Name+")", cv, iv)
-		}
-		for round := 0; round < 3; round++ {
-			seed := randSeed(m)
-			cseed := seed
-			if r.Intn(6) == 0 {
-				// A variable the mapping does not mention constrains
-				// nothing: the compiled engine drops it, and the
-				// reference never sees it.
-				cseed = maps.Clone(seed)
-				cseed["foreign"] = model.Const("c0")
-			}
-			if cm, im := canonMatches(ce.LHSMatches(m, cseed)), canonMatches(ie.LHSMatches(m, seed)); !equalStrs(cm, im) {
-				diffFatal(t, fmt.Sprintf("LHSMatches(%s, %v)", m.Name, cseed), cm, im)
-			}
-			if cs, is := ce.RHSSatisfied(m, cseed), ie.RHSSatisfied(m, seed); cs != is {
-				t.Fatalf("RHSSatisfied(%s, %v): compiled %v, reference %v", m.Name, cseed, cs, is)
-			}
-			if cv, iv := canonViols(ce.Violations(m, cseed)), canonViols(ie.Violations(m, seed)); !equalStrs(cv, iv) {
-				diffFatal(t, fmt.Sprintf("Violations(%s, %v)", m.Name, cseed), cv, iv)
-			}
-		}
+		checkViols(t, "Violations("+m.Name+")", ce.Violations(m), ie.Violations(m))
 		for _, side := range []Side{SeedLHS, SeedRHS, SeedBoth} {
 			for round := 0; round < 4; round++ {
 				tp := w.tuples[r.Intn(len(w.tuples))]
-				cv := canonViols(ce.ViolationsSeeded(m, tp.Rel, tp.Vals, side))
-				iv := canonViols(ie.ViolationsSeeded(m, tp.Rel, tp.Vals, side))
-				if !equalStrs(cv, iv) {
-					diffFatal(t, fmt.Sprintf("ViolationsSeeded(%s, %s, side %d)", m.Name, tp.Rel, side), cv, iv)
-				}
+				checkViols(t, fmt.Sprintf("ViolationsSeeded(%s, %s, side %d)", m.Name, tp.Rel, side),
+					ce.ViolationsSeeded(m, tp.Rel, tp.Vals, side), ie.ViolationsSeeded(m, tp.Rel, tp.Vals, side))
 			}
 		}
 		// Certain answers of the LHS as a conjunctive query, projected

@@ -12,48 +12,13 @@
 package query
 
 import (
-	"maps"
 	"slices"
-	"sort"
 	"strconv"
-	"strings"
 
 	"youtopia/internal/model"
 	"youtopia/internal/storage"
 	"youtopia/internal/tgd"
 )
-
-// Binding assigns values to mapping variables.
-type Binding map[string]model.Value
-
-// Restrict returns the binding restricted to the given variables.
-func (b Binding) Restrict(vars []string) Binding {
-	out := make(Binding, len(vars))
-	for _, v := range vars {
-		if val, ok := b[v]; ok {
-			out[v] = val
-		}
-	}
-	return out
-}
-
-// String renders the binding deterministically, e.g. {c->Ithaca, n->x3}.
-// With no mapping in hand it must sort the variable names; everything
-// on a hot path (Violation.Key, Violation.String, the seeded-query
-// dedup) renders through the compiled plan's canonical slot order
-// instead and never sorts — keep this for plan-less diagnostics only.
-func (b Binding) String() string {
-	keys := make([]string, 0, len(b))
-	for k := range b {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	parts := make([]string, len(keys))
-	for i, k := range keys {
-		parts[i] = k + "->" + b[k].String()
-	}
-	return "{" + strings.Join(parts, ", ") + "}"
-}
 
 // appendValue renders a value exactly as model.Value.String does,
 // into dst.
@@ -65,79 +30,56 @@ func appendValue(dst []byte, v model.Value) []byte {
 	return append(dst, v.ConstValue()...)
 }
 
-// appendBindingOrdered renders a binding map in the plan's canonical
-// slot order, byte-identical to appendBindingSlots over the register
-// file.
-func appendBindingOrdered(dst []byte, p *Plan, b Binding) []byte {
+// appendVals renders the values of a violation's LHS variables in the
+// plan's slot order, e.g. {c->Ithaca, n->x3}.
+func appendVals(dst []byte, p *Plan, vals []model.Value) []byte {
 	dst = append(dst, '{')
-	first := true
-	for _, name := range p.slots {
-		val, ok := b[name]
-		if !ok {
-			continue
-		}
-		if !first {
+	for s, val := range vals {
+		if s > 0 {
 			dst = append(dst, ", "...)
 		}
-		first = false
-		dst = append(dst, name...)
+		dst = append(dst, p.slots[s]...)
 		dst = append(dst, "->"...)
 		dst = appendValue(dst, val)
 	}
 	return append(dst, '}')
 }
 
-// Match is one homomorphism of a mapping's LHS into the database: the
-// variable assignment plus the witness tuples, aligned positionally
-// with the mapping's LHS atoms (Witness[i] matched LHS[i]).
-type Match struct {
-	Binding Binding
-	Witness []storage.TupleID
-}
-
 // Violation is a mapping violation (Definition 2.1): an LHS match with
-// no corresponding RHS match. Witness is aligned with the mapping's
-// LHS atoms.
+// no corresponding RHS match. Vals holds the values of the mapping's
+// LHS variables in PlanFor(TGD).Slots() order (LHS variables take the
+// first slots); Witness is aligned with the mapping's LHS atoms.
 type Violation struct {
 	TGD     *tgd.TGD
-	Binding Binding
+	Vals    []model.Value
 	Witness []storage.TupleID
 }
 
 // Key identifies the violation within a run: mapping name, witness
-// tuple IDs in atom order, and the full binding rendered in the
-// compiled plan's canonical slot order (no per-call sorting). Keys are
-// comparable only within one store instance (tuple IDs are
+// tuple IDs in atom order, and the values rendered in slot order. Keys
+// are comparable only within one store instance (tuple IDs are
 // store-scoped).
 func (v *Violation) Key() string {
-	return string(v.appendKey(nil))
-}
-
-// appendKey renders the key into dst; the seeded-query dedup calls it
-// with the engine's reusable buffer so steady-state evaluations never
-// allocate for keys.
-func (v *Violation) appendKey(dst []byte) []byte {
-	p := PlanFor(v.TGD)
-	return appendKeyParts(dst, p, v.Witness, func(dst []byte) []byte {
-		return appendBindingOrdered(dst, p, v.Binding)
-	})
+	return string(v.AppendKey(nil))
 }
 
 // AppendKey renders the key into a caller-owned buffer, allocation-
 // free once the buffer has capacity; for callers (benches, the chase's
 // own dedup) that re-render keys in a loop.
-func (v *Violation) AppendKey(dst []byte) []byte { return v.appendKey(dst) }
+func (v *Violation) AppendKey(dst []byte) []byte {
+	return appendKey(dst, PlanFor(v.TGD), v.Witness, v.Vals)
+}
 
 // Same reports whether v and o are the same violation — same mapping,
-// same witness tuples, same binding — which is exactly when their Keys
+// same witness tuples, same values — which is exactly when their Keys
 // are equal, decided on the parts themselves without rendering either
 // key. The chase's queue dedup asks this on every enqueue.
 func (v *Violation) Same(o *Violation) bool {
-	return v.TGD == o.TGD && slices.Equal(v.Witness, o.Witness) && maps.Equal(v.Binding, o.Binding)
+	return v.TGD == o.TGD && slices.Equal(v.Witness, o.Witness) && slices.Equal(v.Vals, o.Vals)
 }
 
-// appendKeyParts is the shared key layout: name | witness IDs | binding.
-func appendKeyParts(dst []byte, p *Plan, witness []storage.TupleID, binding func([]byte) []byte) []byte {
+// appendKey is the key layout: name | witness IDs | values.
+func appendKey(dst []byte, p *Plan, witness []storage.TupleID, vals []model.Value) []byte {
 	dst = append(dst, p.t.Name...)
 	dst = append(dst, '|')
 	for _, id := range witness {
@@ -145,14 +87,13 @@ func appendKeyParts(dst []byte, p *Plan, witness []storage.TupleID, binding func
 		dst = append(dst, ',')
 	}
 	dst = append(dst, '|')
-	return binding(dst)
+	return appendVals(dst, p, vals)
 }
 
-// String renders the violation for diagnostics, binding in canonical
-// slot order.
+// String renders the violation for diagnostics, values in slot order.
 func (v *Violation) String() string {
 	out := []byte("violation of " + v.TGD.Name + " at ")
-	return string(appendBindingOrdered(out, PlanFor(v.TGD), v.Binding))
+	return string(appendVals(out, PlanFor(v.TGD), v.Vals))
 }
 
 // WitnessSig renders a violation's identity canonically: the mapping
@@ -263,54 +204,12 @@ func NewEngine(snap *storage.Snapshot) *Engine {
 // Snapshot returns the snapshot the engine reads through.
 func (e *Engine) Snapshot() *storage.Snapshot { return e.snap }
 
-// LHSMatches returns every homomorphism of the mapping's LHS into the
-// snapshot that extends the seed binding, in deterministic order. Seed
-// variables the mapping does not mention constrain nothing.
-func (e *Engine) LHSMatches(t *tgd.TGD, seed Binding) []Match {
-	defer e.flushObs()
-	var out []Match
-	p := PlanFor(t)
-	r := e.getRun(p)
-	p.seedSet(seed, r.regs, r.shape)
-	r.side(false, r.shape)
-	r.fn = srCollectMatch
-	r.mout = &out
-	r.rec(0, 0)
-	e.putRun(r)
-	return out
-}
-
-// RHSSatisfied reports whether the mapping's RHS has a complete match
-// extending the binding's frontier variables (the existentially
-// quantified variables bind freely).
-func (e *Engine) RHSSatisfied(t *tgd.TGD, b Binding) bool {
-	defer e.flushObs()
-	p := PlanFor(t)
-	r := e.getRun(p)
-	for _, v := range t.FrontierVars() {
-		if val, bound := b[v]; bound {
-			sl := p.slotOf[v]
-			r.regs[sl] = val
-			r.shape.add(sl)
-		}
-	}
-	r.side(true, r.shape)
-	r.fn = srExists
-	r.found = false
-	r.rec(0, 0)
-	found := r.found
-	e.putRun(r)
-	return found
-}
-
-// Violations returns every violation of the mapping extending the seed
-// binding (Definition 2.1), in deterministic order. Seed variables the
-// mapping does not mention constrain nothing.
-func (e *Engine) Violations(t *tgd.TGD, seed Binding) []Violation {
+// Violations returns every violation of the mapping (Definition 2.1),
+// in deterministic order.
+func (e *Engine) Violations(t *tgd.TGD) []Violation {
 	defer e.flushObs()
 	p := PlanFor(t)
 	lr, rr := e.getRun(p), e.getRun(p)
-	p.seedSet(seed, lr.regs, lr.shape)
 	lr.fn, lr.vout = srViolation, &e.vout
 	e.violationJoin(p, lr, rr, lr.shape)
 	e.putRun(rr)
@@ -458,8 +357,9 @@ func (e *Engine) answerDiffers(q *ViolationRead) bool {
 // whether the violation still holds. The witness is re-unified into a
 // pooled register file, so a recheck that finds the witness unchanged
 // — every recheck but the one right after a unification — allocates
-// nothing; only when a witness value actually moved is v.Binding
-// replaced by a freshly materialised map.
+// nothing. When a witness value moved, v.Vals is replaced by a fresh
+// slice, never written in place: other holders of the violation (a
+// frontier group) share the old one.
 func (e *Engine) Recheck(v *Violation) bool {
 	defer e.flushObs()
 	p := PlanFor(v.TGD)
@@ -480,8 +380,8 @@ func (e *Engine) Recheck(v *Violation) bool {
 	if rr.found {
 		return false
 	}
-	if !p.bindingMatchesRegs(v.Binding, lr.regs, lr.shape) {
-		v.Binding = p.bindingFromRegs(lr.regs, lr.shape)
+	if vals := lr.regs[:p.nLHS]; !slices.Equal(v.Vals, vals) {
+		v.Vals = slices.Clone(vals)
 	}
 	return true
 }
@@ -492,7 +392,7 @@ func (e *Engine) Recheck(v *Violation) bool {
 func (e *Engine) AllViolations(set *tgd.Set) []Violation {
 	var out []Violation
 	for _, t := range set.All() {
-		out = append(out, e.Violations(t, nil)...)
+		out = append(out, e.Violations(t)...)
 	}
 	return out
 }
@@ -517,37 +417,40 @@ func (e *Engine) Satisfied(set *tgd.Set) bool {
 }
 
 // InstantiateRHS builds the tuples the standard chase would insert to
-// repair a violation: each RHS atom instantiated under the binding,
-// with one fresh labeled null per existential variable drawn from
-// fresh. It returns tuples with the instantiated tuples appended,
-// aligned with the RHS atoms, and minted with the freshly minted nulls
-// appended in minting order. The tuples' values are freshly allocated.
-func InstantiateRHS(t *tgd.TGD, b Binding, fresh func() model.Value, tuples []model.Tuple, minted []model.Value) ([]model.Tuple, []model.Value) {
-	exist := t.ExistentialVars()
+// repair a violation: each RHS atom instantiated under the violation's
+// values (Violation.Vals), with one fresh labeled null per existential
+// variable drawn from fresh in t.ExistentialVars() order. It returns
+// tuples with the instantiated tuples appended, aligned with the RHS
+// atoms, and minted with the freshly minted nulls appended in minting
+// order. The tuples' values are freshly allocated.
+func InstantiateRHS(t *tgd.TGD, vals []model.Value, fresh func() model.Value, tuples []model.Tuple, minted []model.Value) ([]model.Tuple, []model.Value) {
+	p := PlanFor(t)
 	first := len(minted)
-	for range exist {
+	for range t.ExistentialVars() {
 		minted = append(minted, fresh())
 	}
+	// The existentials take the slots after the LHS variables, in the
+	// first-occurrence order ExistentialVars lists them in.
 	nulls := minted[first:]
 	n := 0
-	for _, a := range t.RHS {
-		n += len(a.Terms)
+	for i := range p.rhs {
+		n += len(p.rhs[i].terms)
 	}
 	all := make([]model.Value, 0, n)
-	for _, a := range t.RHS {
+	for i := range p.rhs {
+		a := &p.rhs[i]
 		lo := len(all)
-		for _, term := range a.Terms {
-			v := term.Const
-			if term.IsVar {
-				if k := slices.Index(exist, term.Var); k >= 0 {
-					v = nulls[k]
-				} else {
-					v = b[term.Var]
-				}
+		for _, td := range a.terms {
+			switch {
+			case td.slot < 0:
+				all = append(all, td.cval)
+			case int(td.slot) < p.nLHS:
+				all = append(all, vals[td.slot])
+			default:
+				all = append(all, nulls[int(td.slot)-p.nLHS])
 			}
-			all = append(all, v)
 		}
-		tuples = append(tuples, model.Tuple{Rel: a.Rel, Vals: all[lo:len(all):len(all)]})
+		tuples = append(tuples, model.Tuple{Rel: a.rel, Vals: all[lo:len(all):len(all)]})
 	}
 	return tuples, minted
 }

@@ -84,64 +84,82 @@ func TestFigure2InitiallySatisfied(t *testing.T) {
 	}
 }
 
-func TestLHSMatches(t *testing.T) {
+// val returns the value a violation carries for one LHS variable.
+func val(v Violation, name string) model.Value {
+	return v.Vals[slices.Index(PlanFor(v.TGD).Slots(), name)]
+}
+
+// noReviews returns an engine over the Figure 2 data with both R tuples
+// deleted, so that every LHS match of sigma3 is a violation, and sigma3.
+func noReviews(t *testing.T) (*Engine, *tgd.TGD) {
+	t.Helper()
 	st, set := fig2(t)
-	e := engineAt(st, 0)
-	sigma3, _ := set.ByName("sigma3")
-	ms := e.LHSMatches(sigma3, nil)
-	// Two A⋈T pairs exist: Geneva Winery/XYZ and Niagara Falls/x1.
-	if len(ms) != 2 {
-		t.Fatalf("LHSMatches = %d, want 2: %v", len(ms), ms)
+	for _, r := range []model.Tuple{
+		tup("R", c("XYZ"), c("Geneva Winery"), c("Great!")),
+		tup("R", n(1), c("Niagara Falls"), n(2)),
+	} {
+		if recs, err := st.DeleteContent(1, r); err != nil || len(recs) != 1 {
+			t.Fatalf("delete %s: %v %v", r, recs, err)
+		}
 	}
-	for _, m := range ms {
-		if len(m.Witness) != 2 {
-			t.Fatalf("witness size = %d", len(m.Witness))
+	sigma3, _ := set.ByName("sigma3")
+	return engineAt(st, 1), sigma3
+}
+
+func TestLHSMatches(t *testing.T) {
+	e, sigma3 := noReviews(t)
+	vs := e.Violations(sigma3)
+	// Two A⋈T pairs exist: Geneva Winery/XYZ and Niagara Falls/x1.
+	if len(vs) != 2 {
+		t.Fatalf("violations = %d, want 2: %v", len(vs), vs)
+	}
+	names := map[model.Value]bool{}
+	for _, v := range vs {
+		if len(v.Witness) != 2 || len(v.Vals) != 4 {
+			t.Fatalf("witness %v, values %v: want 2 and 4", v.Witness, v.Vals)
 		}
-		if _, ok := m.Binding["n"]; !ok {
-			t.Fatalf("binding incomplete: %v", m.Binding)
-		}
+		names[val(v, "n")] = true
+	}
+	if !names[c("Geneva Winery")] || !names[c("Niagara Falls")] {
+		t.Fatalf("violations = %v", vs)
 	}
 }
 
 func TestLHSMatchesSeeded(t *testing.T) {
-	st, set := fig2(t)
-	e := engineAt(st, 0)
-	sigma3, _ := set.ByName("sigma3")
-	ms := e.LHSMatches(sigma3, Binding{"co": c("XYZ")})
-	if len(ms) != 1 {
-		t.Fatalf("seeded matches = %v", ms)
-	}
-	if ms[0].Binding["n"] != c("Geneva Winery") {
-		t.Fatalf("binding = %v", ms[0].Binding)
+	e, sigma3 := noReviews(t)
+	vs := e.ViolationsSeeded(sigma3, "T", []model.Value{c("Geneva Winery"), c("XYZ"), c("Syracuse")}, SeedLHS)
+	if len(vs) != 1 || val(vs[0], "n") != c("Geneva Winery") || val(vs[0], "l") != c("Geneva") {
+		t.Fatalf("seeded violations = %v", vs)
 	}
 }
 
 func TestLHSMatchesNullsAreValues(t *testing.T) {
-	st, set := fig2(t)
-	e := engineAt(st, 0)
-	sigma3, _ := set.ByName("sigma3")
-	// Labeled null x1 is a regular value: seeding co = x1 matches the
-	// Niagara Falls row only.
-	ms := e.LHSMatches(sigma3, Binding{"co": n(1)})
-	if len(ms) != 1 || ms[0].Binding["n"] != c("Niagara Falls") {
-		t.Fatalf("null-seeded matches = %v", ms)
+	e, sigma3 := noReviews(t)
+	// Labeled null x1 is a regular value: a seed carrying co = x1
+	// matches the Niagara Falls row.
+	vs := e.ViolationsSeeded(sigma3, "T", []model.Value{c("Niagara Falls"), n(1), c("Toronto")}, SeedLHS)
+	if len(vs) != 1 || val(vs[0], "co") != n(1) || val(vs[0], "n") != c("Niagara Falls") {
+		t.Fatalf("null-seeded violations = %v", vs)
 	}
 	// A constant "x1" does not match the null x1.
-	ms = e.LHSMatches(sigma3, Binding{"co": c("x1")})
-	if len(ms) != 0 {
-		t.Fatalf("constant must not match null: %v", ms)
+	vs = e.ViolationsSeeded(sigma3, "T", []model.Value{c("Niagara Falls"), c("x1"), c("Toronto")}, SeedLHS)
+	if len(vs) != 0 {
+		t.Fatalf("constant must not match null: %v", vs)
 	}
 }
 
 func TestRHSSatisfied(t *testing.T) {
 	st, set := fig2(t)
-	e := engineAt(st, 0)
 	sigma1, _ := set.ByName("sigma1")
-	if !e.RHSSatisfied(sigma1, Binding{"c": c("Ithaca")}) {
-		t.Fatal("Ithaca has a suggested airport")
+	if _, _, _, err := st.Insert(1, tup("C", c("Boston"))); err != nil {
+		t.Fatal(err)
 	}
-	if e.RHSSatisfied(sigma1, Binding{"c": c("Boston")}) {
-		t.Fatal("Boston must have no airport")
+	e := engineAt(st, 1)
+	if vs := e.ViolationsSeeded(sigma1, "C", []model.Value{c("Ithaca")}, SeedLHS); len(vs) != 0 {
+		t.Fatalf("Ithaca has a suggested airport: %v", vs)
+	}
+	if vs := e.ViolationsSeeded(sigma1, "C", []model.Value{c("Boston")}, SeedLHS); len(vs) != 1 {
+		t.Fatalf("Boston must have no airport: %v", vs)
 	}
 }
 
@@ -160,8 +178,8 @@ func TestViolationInsertExample11(t *testing.T) {
 		t.Fatalf("violations = %v", vs)
 	}
 	v := vs[0]
-	if v.Binding["co"] != c("ABC Tours") || v.Binding["n"] != c("Niagara Falls") {
-		t.Fatalf("binding = %v", v.Binding)
+	if val(v, "co") != c("ABC Tours") || val(v, "n") != c("Niagara Falls") {
+		t.Fatalf("values = %v", v)
 	}
 	// Reader 0 must not see the violation.
 	if vs := engineAt(st, 0).ViolationsSeeded(sigma3, w.Rel, w.After, SeedLHS); len(vs) != 0 {
@@ -232,9 +250,10 @@ func TestSelfJoinMatching(t *testing.T) {
 	st := storage.NewStore(s)
 	st.Load(tup("S", c("SYR"), c("Syracuse"), c("Syracuse")))
 	st.Load(tup("S", c("JFK"), c("NYC"), c("Ithaca")))
-	ms := engineAt(st, 0).LHSMatches(m, nil)
-	if len(ms) != 1 || ms[0].Binding["x"] != c("Syracuse") {
-		t.Fatalf("matches = %v", ms)
+	// C is empty, so every LHS match is a violation.
+	vs := engineAt(st, 0).Violations(m)
+	if len(vs) != 1 || val(vs[0], "x") != c("Syracuse") {
+		t.Fatalf("matches = %v", vs)
 	}
 }
 
@@ -248,8 +267,8 @@ func TestConstantInAtom(t *testing.T) {
 	st := storage.NewStore(s)
 	st.Load(tup("T", c("Winery"), c("XYZ"), c("Syracuse")))
 	st.Load(tup("T", c("Falls"), c("ABC"), c("Toronto")))
-	vs := engineAt(st, 0).Violations(m, nil)
-	if len(vs) != 1 || vs[0].Binding["s"] != c("Syracuse") {
+	vs := engineAt(st, 0).Violations(m)
+	if len(vs) != 1 || val(vs[0], "s") != c("Syracuse") {
 		t.Fatalf("violations = %v", vs)
 	}
 }
@@ -259,7 +278,7 @@ func TestInstantiateRHS(t *testing.T) {
 	sigma1, _ := set.ByName("sigma1")
 	var nf model.NullFactory
 	nf.SetFloor(100)
-	tuples, minted := InstantiateRHS(sigma1, Binding{"c": c("NYC")}, nf.Fresh, nil, nil)
+	tuples, minted := InstantiateRHS(sigma1, []model.Value{c("NYC")}, nf.Fresh, nil, nil)
 	if len(tuples) != 1 {
 		t.Fatalf("tuples = %v", tuples)
 	}
@@ -287,7 +306,7 @@ func TestInstantiateRHSSharedExistentials(t *testing.T) {
 		[]tgd.Atom{tgd.NewAtom("Father", tgd.V("x"), tgd.V("y")),
 			tgd.NewAtom("Person", tgd.V("y"))})
 	var nf model.NullFactory
-	tuples, _ := InstantiateRHS(gen, Binding{"x": c("John")}, nf.Fresh, nil, nil)
+	tuples, _ := InstantiateRHS(gen, []model.Value{c("John")}, nf.Fresh, nil, nil)
 	if len(tuples) != 2 {
 		t.Fatalf("tuples = %v", tuples)
 	}
@@ -299,23 +318,12 @@ func TestInstantiateRHSSharedExistentials(t *testing.T) {
 	}
 }
 
-func TestBindingHelpers(t *testing.T) {
-	b := Binding{"a": c("1"), "b": n(2)}
-	r := b.Restrict([]string{"a", "zz"})
-	if len(r) != 1 || r["a"] != c("1") {
-		t.Fatalf("Restrict = %v", r)
-	}
-	if got := b.String(); got != "{a->1, b->x2}" {
-		t.Fatalf("String = %q", got)
-	}
-}
-
 func TestViolationKeyStable(t *testing.T) {
 	st, set := fig2(t)
 	st.DeleteContent(1, tup("R", c("XYZ"), c("Geneva Winery"), c("Great!")))
 	sigma3, _ := set.ByName("sigma3")
-	a := engineAt(st, 1).Violations(sigma3, nil)
-	b := engineAt(st, 1).Violations(sigma3, nil)
+	a := engineAt(st, 1).Violations(sigma3)
+	b := engineAt(st, 1).Violations(sigma3)
 	if len(a) != 1 || len(b) != 1 || a[0].Key() != b[0].Key() {
 		t.Fatalf("keys unstable: %v vs %v", a, b)
 	}

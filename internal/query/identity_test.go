@@ -1,14 +1,14 @@
 // The chase's step used to identify stored reads and queued violations
 // by rendering them (ReadQuery.String, Violation.Key) and to recheck a
-// violation by rebuilding its binding map from scratch. Those
+// violation by rebuilding its binding from scratch. Those
 // renderings are now the reference: the structural identities and the
 // register-file recheck must agree with them on randomized worlds.
 package query
 
 import (
 	"fmt"
-	"maps"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"youtopia/internal/model"
@@ -17,13 +17,13 @@ import (
 )
 
 func cloneViolation(v Violation) Violation {
-	return Violation{TGD: v.TGD, Binding: maps.Clone(v.Binding), Witness: append([]storage.TupleID(nil), v.Witness...)}
+	return Violation{TGD: v.TGD, Vals: slices.Clone(v.Vals), Witness: slices.Clone(v.Witness)}
 }
 
 // TestRecheckMatchesReference: after random writes (null replacements,
 // deletes, inserts) by the reader, Recheck reaches the reference
-// verdict and leaves the reference binding on every violation that
-// still holds.
+// verdict and leaves the reference binding's values on every
+// violation that still holds, without writing the old values in place.
 func TestRecheckMatchesReference(t *testing.T) {
 	rechecked, gone, rebound := 0, 0, 0
 	for seed := int64(0); seed < 100; seed++ {
@@ -33,7 +33,7 @@ func TestRecheckMatchesReference(t *testing.T) {
 		ce, ie := NewEngine(snap), refEngine{snap}
 		var vs []Violation
 		for _, m := range w.tgds {
-			vs = append(vs, ce.Violations(m, Binding{})...)
+			vs = append(vs, ce.Violations(m)...)
 		}
 		for i, n := 0, 1+r.Intn(4); i < n; i++ {
 			tp := w.tuples[r.Intn(len(w.tuples))]
@@ -56,20 +56,22 @@ func TestRecheckMatchesReference(t *testing.T) {
 		}
 		for i := range vs {
 			wantHolds, wantBinding := ie.Recheck(&vs[i])
-			v := cloneViolation(vs[i])
+			v := vs[i] // shares Vals, as a frontier group does
+			old := slices.Clone(vs[i].Vals)
 			if got := ce.Recheck(&v); got != wantHolds {
 				t.Fatalf("seed %d: Recheck(%s) = %v, reference %v", seed, vs[i].Key(), got, wantHolds)
 			}
-			if wantHolds {
-				want := Violation{TGD: v.TGD, Binding: wantBinding, Witness: v.Witness}
-				if v.Key() != want.Key() {
-					t.Fatalf("seed %d: binding after Recheck %s, reference %s", seed, v.Key(), want.Key())
-				}
+			if !slices.Equal(vs[i].Vals, old) {
+				t.Fatalf("seed %d: Recheck(%s) wrote the shared values in place", seed, vs[i].Key())
+			}
+			want := refViolation{TGD: v.TGD, Binding: wantBinding, Witness: v.Witness}
+			if wantHolds && (v.Key() != want.key() || !valsMatch(PlanFor(v.TGD), v.Vals, wantBinding)) {
+				t.Fatalf("seed %d: values after Recheck %s, reference %s", seed, v.Key(), want.key())
 			}
 			rechecked++
 			if !wantHolds {
 				gone++
-			} else if (&Violation{TGD: vs[i].TGD, Binding: wantBinding, Witness: vs[i].Witness}).Key() != vs[i].Key() {
+			} else if want.key() != vs[i].Key() {
 				rebound++
 			}
 		}
@@ -82,7 +84,7 @@ func TestRecheckMatchesReference(t *testing.T) {
 
 // TestRecheckUnchangedWitnessAllocFree: the steady-state recheck — the
 // witness still stands and nothing moved — allocates nothing and keeps
-// the violation's binding map.
+// the violation's values slice.
 func TestRecheckUnchangedWitnessAllocFree(t *testing.T) {
 	st, set := fig2(t)
 	sigma3, _ := set.ByName("sigma3")
@@ -91,20 +93,20 @@ func TestRecheckUnchangedWitnessAllocFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := NewEngine(st.Snap(2))
-	vs := e.Violations(sigma3, nil)
+	vs := e.Violations(sigma3)
 	if len(vs) == 0 {
 		t.Fatal("fixture has no sigma3 violation")
 	}
 	v := &vs[0]
-	before := fmt.Sprintf("%p", v.Binding)
+	before := &v.Vals[0]
 	if !e.Recheck(v) { // warm the run pool
 		t.Fatal("violation does not hold")
 	}
 	if allocs := testing.AllocsPerRun(100, func() { e.Recheck(v) }); allocs != 0 {
 		t.Fatalf("Recheck of an unchanged witness: %.0f allocs, want 0", allocs)
 	}
-	if after := fmt.Sprintf("%p", v.Binding); after != before {
-		t.Fatal("Recheck replaced an unchanged binding")
+	if &v.Vals[0] != before {
+		t.Fatal("Recheck replaced unchanged values")
 	}
 }
 
@@ -117,14 +119,13 @@ func TestViolationSameMatchesKey(t *testing.T) {
 		e := NewEngine(w.st.Snap(1))
 		var vs []Violation
 		for _, m := range w.tgds {
-			for _, v := range e.Violations(m, Binding{}) {
+			for _, v := range e.Violations(m) {
 				vs = append(vs, v, cloneViolation(v))
 				p := cloneViolation(v) // same witness, one value moved
-				for name := range p.Binding {
-					p.Binding[name] = model.Const("elsewhere")
-					break
+				if len(p.Vals) > 0 {
+					p.Vals[0] = model.Const("elsewhere")
 				}
-				q := cloneViolation(v) // same binding, one witness moved
+				q := cloneViolation(v) // same values, one witness moved
 				q.Witness[0]++
 				vs = append(vs, p, q)
 			}

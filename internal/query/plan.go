@@ -5,8 +5,8 @@
 // runtime (slots.go) executes with no string hashing and no per-call
 // planning:
 //
-//   - a dense variable slot table — bindings become a register file
-//     ([]model.Value indexed by slot), and sets of slots are
+//   - a dense variable slot table — a variable assignment is a register
+//     file ([]model.Value indexed by slot), and sets of slots are
 //     plan-sized bitsets (slotSet), so a mapping of any width compiles;
 //   - per-atom term descriptors — each argument position is either an
 //     interned constant Value (baked in at compile time, so the join
@@ -89,9 +89,8 @@ type Plan struct {
 	lhs    []planAtom
 	rhs    []planAtom
 
-	lhsVars  slotSet // slots bound by a complete LHS match
+	nLHS     int     // LHS variables take slots [0, nLHS)
 	frontier slotSet // slots of the frontier variables
-	exist    slotSet // slots of the existential variables
 
 	// A conjunctive query's plan: the answer relation and the head
 	// variables' slots.
@@ -103,8 +102,9 @@ type Plan struct {
 }
 
 // Slots returns the plan's canonical variable order: LHS variables in
-// first-occurrence order, then RHS-only variables. Bindings, keys and
-// traces render in this order instead of sorting names per call.
+// first-occurrence order, then RHS-only variables. Violation.Vals
+// holds the LHS variables' values in this order, and keys and traces
+// render in it instead of sorting names per call.
 func (p *Plan) Slots() []string { return p.slots }
 
 // PlanFor returns the compiled plan for a mapping, compiling and
@@ -152,19 +152,11 @@ func (p *Plan) compileAtoms(atoms []tgd.Atom) []planAtom {
 func compilePlan(t *tgd.TGD) *Plan {
 	p := &Plan{t: t, slotOf: make(map[string]int32)}
 	p.lhs = p.compileAtoms(t.LHS)
-	nLHS := len(p.slots)
+	p.nLHS = len(p.slots)
 	p.rhs = p.compileAtoms(t.RHS)
-	w := p.words()
-	sets := make(slotSet, 3*w)
-	p.lhsVars, p.frontier, p.exist = sets[:w:w], sets[w:2*w:2*w], sets[2*w:]
-	for s := range nLHS {
-		p.lhsVars.add(int32(s))
-	}
+	p.frontier = make(slotSet, p.words())
 	for _, v := range t.FrontierVars() {
 		p.frontier.add(p.slotOf[v])
-	}
-	for _, v := range t.ExistentialVars() {
-		p.exist.add(p.slotOf[v])
 	}
 	return p
 }
@@ -302,18 +294,6 @@ func atomCost(a *planAtom, st storage.RelStats, bound slotSet) (boundCount int, 
 	return boundCount, probe, cost
 }
 
-// seedSet loads an external seed binding into registers and the seed
-// shape set. Variables the plan does not mention constrain nothing and
-// are dropped.
-func (p *Plan) seedSet(seed Binding, regs []model.Value, set slotSet) {
-	for name, val := range seed {
-		if s, ok := p.slotOf[name]; ok {
-			regs[s] = val
-			set.add(s)
-		}
-	}
-}
-
 // unifyRegs matches a tuple's values against a compiled atom, binding
 // into regs the slots set does not hold yet and adding them to it. The
 // §4.2 seeded violation queries start from an empty set; a recheck
@@ -338,55 +318,6 @@ func unifyRegs(vals []model.Value, a *planAtom, regs []model.Value, set slotSet)
 		default:
 			regs[td.slot] = v
 			set.add(td.slot)
-		}
-	}
-	return true
-}
-
-// matched reports whether a complete LHS match extending the seed
-// shape binds slot s: every LHS variable, plus whatever else the seed
-// bound.
-func (p *Plan) matched(shape slotSet, s int) bool {
-	return p.lhsVars.has(int32(s)) || shape.has(int32(s))
-}
-
-// matchedCount counts the slots a complete LHS match extending the
-// seed shape binds.
-func (p *Plan) matchedCount(shape slotSet) int {
-	n := 0
-	for s := range p.slots {
-		if p.matched(shape, s) {
-			n++
-		}
-	}
-	return n
-}
-
-// bindingFromRegs materializes the Binding map of a complete LHS match
-// extending the seed shape from the register file — only at result
-// boundaries (an actual match or violation), never inside the join
-// loop.
-func (p *Plan) bindingFromRegs(regs []model.Value, shape slotSet) Binding {
-	b := make(Binding, p.matchedCount(shape))
-	for s, name := range p.slots {
-		if p.matched(shape, s) {
-			b[name] = regs[s]
-		}
-	}
-	return b
-}
-
-// bindingMatchesRegs reports whether materialising the registers of a
-// complete LHS match extending the seed shape would reproduce b.
-func (p *Plan) bindingMatchesRegs(b Binding, regs []model.Value, shape slotSet) bool {
-	if len(b) != p.matchedCount(shape) {
-		return false
-	}
-	for s, name := range p.slots {
-		if p.matched(shape, s) {
-			if val, ok := b[name]; !ok || val != regs[s] {
-				return false
-			}
 		}
 	}
 	return true

@@ -165,12 +165,12 @@ func (e *Engine) canonViolations(vs []Violation) string {
 	case 0:
 		return ""
 	case 1:
-		e.keyBuf = vs[0].appendKey(e.keyBuf[:0])
+		e.keyBuf = vs[0].AppendKey(e.keyBuf[:0])
 		return string(e.keyBuf)
 	}
 	keys := make([]string, len(vs))
 	for i := range vs {
-		e.keyBuf = vs[i].appendKey(e.keyBuf[:0])
+		e.keyBuf = vs[i].AppendKey(e.keyBuf[:0])
 		keys[i] = string(e.keyBuf)
 	}
 	sort.Strings(keys)

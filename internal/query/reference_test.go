@@ -1,6 +1,8 @@
 // The interpreted reference engine: the binding-map join the slot
 // runtime replaced, kept as the semantics the differential oracle, the
-// recheck identity and the checker battery hold the runtime to. It is
+// recheck identity and the checker battery hold the runtime to. Its
+// violations carry name-to-value maps and render them through the
+// map renderer the compiled Violation.Vals format replaced. It is
 // deliberately plain — a fresh binding per extension, the greedy
 // most-bound atom chosen at every level, the most selective determined
 // column probed — so that it is evidently right by reading.
@@ -9,6 +11,7 @@ package query
 import (
 	"maps"
 	"slices"
+	"strconv"
 
 	"youtopia/internal/model"
 	"youtopia/internal/storage"
@@ -16,14 +19,70 @@ import (
 )
 
 // refEngine evaluates queries by interpreting the mapping's atoms over
-// Binding maps.
+// refBinding maps.
 type refEngine struct{ snap *storage.Snapshot }
+
+// refBinding is the reference's variable assignment: variable name to
+// value.
+type refBinding map[string]model.Value
+
+// restrict returns the binding restricted to the given variables.
+func (b refBinding) restrict(vars []string) refBinding {
+	out := make(refBinding, len(vars))
+	for _, v := range vars {
+		if val, ok := b[v]; ok {
+			out[v] = val
+		}
+	}
+	return out
+}
+
+// refViolation is a violation as the reference finds it: the binding
+// of the mapping's LHS variables and the witness.
+type refViolation struct {
+	TGD     *tgd.TGD
+	Binding refBinding
+	Witness []storage.TupleID
+}
+
+// key renders the violation in Violation.Key's layout, the binding map
+// in the plan's slot order.
+func (v refViolation) key() string {
+	dst := append([]byte(v.TGD.Name), '|')
+	for _, id := range v.Witness {
+		dst = strconv.AppendUint(dst, uint64(id), 10)
+		dst = append(dst, ',')
+	}
+	dst = append(dst, '|')
+	return string(appendBindingOrdered(dst, PlanFor(v.TGD), v.Binding))
+}
+
+// appendBindingOrdered renders a binding map in the plan's canonical
+// slot order, skipping unbound slots.
+func appendBindingOrdered(dst []byte, p *Plan, b refBinding) []byte {
+	dst = append(dst, '{')
+	first := true
+	for _, name := range p.slots {
+		val, ok := b[name]
+		if !ok {
+			continue
+		}
+		if !first {
+			dst = append(dst, ", "...)
+		}
+		first = false
+		dst = append(dst, name...)
+		dst = append(dst, "->"...)
+		dst = appendValue(dst, val)
+	}
+	return append(dst, '}')
+}
 
 // unifyValsAtom extends binding b by matching concrete values against
 // an atom's terms. It reports false when a constant clashes or a
 // variable is already bound to a different value; b itself is never
 // modified.
-func unifyValsAtom(vals []model.Value, a tgd.Atom, b Binding) (Binding, bool) {
+func unifyValsAtom(vals []model.Value, a tgd.Atom, b refBinding) (refBinding, bool) {
 	if len(vals) != len(a.Terms) {
 		return nil, false
 	}
@@ -43,7 +102,7 @@ func unifyValsAtom(vals []model.Value, a tgd.Atom, b Binding) (Binding, bool) {
 			continue
 		}
 		if !copied {
-			out, copied = make(Binding, len(b)+len(a.Terms)), true
+			out, copied = make(refBinding, len(b)+len(a.Terms)), true
 			maps.Copy(out, b)
 		}
 		out[term.Var] = v
@@ -54,7 +113,7 @@ func unifyValsAtom(vals []model.Value, a tgd.Atom, b Binding) (Binding, bool) {
 // candidates returns the tuple IDs that can match the atom under b: the
 // smallest index bucket of a determined position, or the whole
 // relation when nothing is determined.
-func (r refEngine) candidates(a tgd.Atom, b Binding) []storage.TupleID {
+func (r refEngine) candidates(a tgd.Atom, b refBinding) []storage.TupleID {
 	var best []storage.TupleID
 	determined := false
 	for i, term := range a.Terms {
@@ -80,11 +139,11 @@ func (r refEngine) candidates(a tgd.Atom, b Binding) []storage.TupleID {
 // join enumerates homomorphisms of the atoms into the snapshot that
 // extend b; fn receives each binding and a witness aligned with atoms,
 // and returning false stops the enumeration.
-func (r refEngine) join(atoms []tgd.Atom, b Binding, fn func(Binding, []storage.TupleID) bool) bool {
+func (r refEngine) join(atoms []tgd.Atom, b refBinding, fn func(refBinding, []storage.TupleID) bool) bool {
 	witness := make([]storage.TupleID, len(atoms))
 	done := make([]bool, len(atoms))
-	var rec func(b Binding, remaining int) bool
-	rec = func(b Binding, remaining int) bool {
+	var rec func(b refBinding, remaining int) bool
+	rec = func(b refBinding, remaining int) bool {
 		if remaining == 0 {
 			return fn(b, slices.Clone(witness))
 		}
@@ -116,56 +175,51 @@ func (r refEngine) join(atoms []tgd.Atom, b Binding, fn func(Binding, []storage.
 		return true
 	}
 	if b == nil {
-		b = Binding{}
+		b = refBinding{}
 	}
 	return rec(b, len(atoms))
 }
 
-func (r refEngine) LHSMatches(t *tgd.TGD, seed Binding) []Match {
-	var out []Match
-	r.join(t.LHS, seed, func(b Binding, w []storage.TupleID) bool {
-		out = append(out, Match{Binding: b, Witness: w})
-		return true
-	})
-	return out
-}
-
-func (r refEngine) RHSSatisfied(t *tgd.TGD, b Binding) bool {
+func (r refEngine) rhsSatisfied(t *tgd.TGD, b refBinding) bool {
 	found := false
-	r.join(t.RHS, b.Restrict(t.FrontierVars()), func(Binding, []storage.TupleID) bool {
+	r.join(t.RHS, b.restrict(t.FrontierVars()), func(refBinding, []storage.TupleID) bool {
 		found = true
 		return false
 	})
 	return found
 }
 
-func (r refEngine) Violations(t *tgd.TGD, seed Binding) []Violation {
-	var out []Violation
-	for _, m := range r.LHSMatches(t, seed) {
-		if !r.RHSSatisfied(t, m.Binding) {
-			out = append(out, Violation{TGD: t, Binding: m.Binding, Witness: m.Witness})
+// violations returns the violations whose LHS match extends seed.
+func (r refEngine) violations(t *tgd.TGD, seed refBinding) []refViolation {
+	var out []refViolation
+	r.join(t.LHS, seed, func(b refBinding, w []storage.TupleID) bool {
+		if !r.rhsSatisfied(t, b) {
+			out = append(out, refViolation{TGD: t, Binding: b, Witness: w})
 		}
-	}
+		return true
+	})
 	return out
 }
 
-func (r refEngine) ViolationsSeeded(t *tgd.TGD, rel string, vals []model.Value, side Side) []Violation {
+func (r refEngine) Violations(t *tgd.TGD) []refViolation { return r.violations(t, nil) }
+
+func (r refEngine) ViolationsSeeded(t *tgd.TGD, rel string, vals []model.Value, side Side) []refViolation {
 	seen := make(map[string]bool)
-	var out []Violation
+	var out []refViolation
 	seedFrom := func(atoms []tgd.Atom, restrict bool) {
 		for _, a := range atoms {
 			if a.Rel != rel {
 				continue
 			}
-			b, ok := unifyValsAtom(vals, a, Binding{})
+			b, ok := unifyValsAtom(vals, a, refBinding{})
 			if !ok {
 				continue
 			}
 			if restrict {
-				b = b.Restrict(t.FrontierVars())
+				b = b.restrict(t.FrontierVars())
 			}
-			for _, v := range r.Violations(t, b) {
-				if k := v.Key(); !seen[k] {
+			for _, v := range r.violations(t, b) {
+				if k := v.key(); !seen[k] {
 					seen[k] = true
 					out = append(out, v)
 				}
@@ -184,8 +238,8 @@ func (r refEngine) ViolationsSeeded(t *tgd.TGD, rel string, vals []model.Value, 
 // Recheck unifies the witness's current values atom by atom into a
 // fresh binding, then probes the RHS. It reports whether the violation
 // still holds, and its binding if so.
-func (r refEngine) Recheck(v *Violation) (bool, Binding) {
-	b := Binding{}
+func (r refEngine) Recheck(v *Violation) (bool, refBinding) {
+	b := refBinding{}
 	for i, id := range v.Witness {
 		vals, ok := r.snap.Get(id)
 		if !ok {
@@ -195,7 +249,7 @@ func (r refEngine) Recheck(v *Violation) (bool, Binding) {
 			return false, nil
 		}
 	}
-	if r.RHSSatisfied(v.TGD, b) {
+	if r.rhsSatisfied(v.TGD, b) {
 		return false, nil
 	}
 	return true, b
@@ -203,7 +257,7 @@ func (r refEngine) Recheck(v *Violation) (bool, Binding) {
 
 func (r refEngine) CertainAnswers(q *CQ) []model.Tuple {
 	var rows []model.Tuple
-	r.join(q.Body, nil, func(b Binding, _ []storage.TupleID) bool {
+	r.join(q.Body, nil, func(b refBinding, _ []storage.TupleID) bool {
 		if row := q.project(b); row.IsGround() {
 			rows = append(rows, row)
 		}

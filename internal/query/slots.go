@@ -1,14 +1,18 @@
 // The slot runtime: executes compiled plans (plan.go) against a
-// snapshot. Bindings live in a register file — a slot write is one
-// slice store, and a failed or exhausted extension is simply left
-// behind: the join order fixes which slots are bound at every step, so
-// no step reads a register before the step that binds it has written
-// it. No undo lists, no map deletes, no string hashing, no bound set.
-// Candidate narrowing probes exactly the one precomputed index column
-// per join step.
+// snapshot. Variable assignments live in a register file — a slot
+// write is one slice store, and a failed or exhausted extension is
+// simply left behind: the join order fixes which slots are bound at
+// every step, so no step reads a register before the step that binds
+// it has written it. No undo lists, no map deletes, no string hashing,
+// no bound set. Candidate narrowing probes exactly the one precomputed
+// index column per join step. A violation's values are the register
+// file's LHS prefix, regs[:nLHS], copied out as Violation.Vals in the
+// same slot order; keys render from either with one function.
 package query
 
 import (
+	"slices"
+
 	"youtopia/internal/model"
 	"youtopia/internal/storage"
 )
@@ -24,15 +28,13 @@ type slotRun struct {
 	atoms   []planAtom
 	ord     *joinOrder
 	regs    []model.Value
-	save    []model.Value
 	witness []storage.TupleID
 	// shape is scratch for the seed shape the caller builds before
 	// choosing an order.
 	shape slotSet
 
 	// fn receives each complete match; returning false stops the
-	// enumeration. An LHS match binds the slots Plan.matched names for
-	// r.ord.shape.
+	// enumeration. A complete LHS match binds regs[:p.nLHS].
 	fn func(r *slotRun) bool
 
 	// Callback state, valid for one evaluation:
@@ -41,13 +43,12 @@ type slotRun struct {
 	answer string   // srSameAnswer: the recorded single-violation key
 	rhsRun *slotRun // nested RHS existence probe, sharing regs
 	vout   *[]Violation
-	mout   *[]Match
 	rows   *[]model.Tuple
 }
 
 // getRun pops a pooled run shaped for the plan with an empty seed
 // shape; witness, register and shape slices are reused across
-// evaluations (the save area is sized on demand, see rhsHolds).
+// evaluations.
 func (e *Engine) getRun(p *Plan) *slotRun {
 	var r *slotRun
 	if k := len(e.runPool); k > 0 {
@@ -81,7 +82,6 @@ func (e *Engine) putRun(r *slotRun) {
 	r.answer = ""
 	r.rhsRun = nil
 	r.vout = nil
-	r.mout = nil
 	r.rows = nil
 	e.runPool = append(e.runPool, r)
 }
@@ -162,15 +162,6 @@ func srExists(r *slotRun) bool {
 	return false
 }
 
-// srCollectMatch materializes a Match from the registers.
-func srCollectMatch(r *slotRun) bool {
-	*r.mout = append(*r.mout, Match{
-		Binding: r.p.bindingFromRegs(r.regs, r.ord.shape),
-		Witness: append([]storage.TupleID(nil), r.witness...),
-	})
-	return true
-}
-
 // srCertainRow projects a conjunctive query's match onto its head and
 // keeps the row when it is ground.
 func srCertainRow(r *slotRun) bool {
@@ -189,31 +180,13 @@ func srCertainRow(r *slotRun) bool {
 
 // rhsHolds runs the nested RHS existence probe for a complete LHS
 // match. The nested run shares the parent's register file: the
-// frontier slots are bound, the existential slots bind freely, and
-// what the probe wrote is usually dead the moment it returns because
-// the parent never reads it — the compiled replacement for
-// Restrict-to-frontier plus a fresh binding map. The exception is a
-// seed that binds an existential variable: the parent's match covers
-// that slot but the probe must not be constrained by it and may
-// overwrite it, so the registers are saved around the probe and
-// restored before the parent renders its binding or dedup key.
+// frontier slots are bound, and the probe writes only the existential
+// slots, which lie past the LHS variables' and which the parent never
+// reads.
 func rhsHolds(r *slotRun) bool {
 	rr := r.rhsRun
 	rr.found = false
-	clobbers := false
-	for w, bits := range r.ord.shape {
-		clobbers = clobbers || bits&r.p.exist[w] != 0
-	}
-	if !clobbers {
-		rr.rec(0, 0)
-		return rr.found
-	}
-	// Only a seed that binds an existential needs the save area; the
-	// chase's seeded queries never do.
-	r.save = resize(r.save, len(r.regs))
-	copy(r.save, r.regs)
 	rr.rec(0, 0)
-	copy(r.regs, r.save)
 	return rr.found
 }
 
@@ -221,7 +194,7 @@ func rhsHolds(r *slotRun) bool {
 // complete LHS match with no RHS support is a violation. The dedup
 // key is rendered into the engine's reusable buffer and checked
 // against the seen set without allocating; only a genuinely new
-// violation materializes a Binding, witness copy, and key string.
+// violation copies out its values, witness and key string.
 func srViolation(r *slotRun) bool {
 	if rhsHolds(r) {
 		return true
@@ -239,8 +212,8 @@ func srViolation(r *slotRun) bool {
 	}
 	*r.vout = append(*r.vout, Violation{
 		TGD:     r.p.t,
-		Binding: r.p.bindingFromRegs(r.regs, r.ord.shape),
-		Witness: append([]storage.TupleID(nil), r.witness...),
+		Vals:    slices.Clone(r.regs[:r.p.nLHS]),
+		Witness: slices.Clone(r.witness),
 	})
 	return true
 }
@@ -271,31 +244,7 @@ func srSameAnswer(r *slotRun) bool {
 }
 
 // appendKey renders the current violation's key from the registers:
-// the bytes Violation.appendKey produces once it is materialised.
+// the bytes Violation.AppendKey produces once it is copied out.
 func (r *slotRun) appendKey(dst []byte) []byte {
-	return appendKeyParts(dst, r.p, r.witness, func(dst []byte) []byte {
-		return appendBindingSlots(dst, r.p, r.regs, r.ord.shape)
-	})
-}
-
-// appendBindingSlots renders the registers of a complete LHS match
-// extending the seed shape in canonical slot order — the same bytes
-// Violation.appendKey produces from the materialized Binding map,
-// computed here without building the map.
-func appendBindingSlots(dst []byte, p *Plan, regs []model.Value, shape slotSet) []byte {
-	dst = append(dst, '{')
-	first := true
-	for s, name := range p.slots {
-		if !p.matched(shape, s) {
-			continue
-		}
-		if !first {
-			dst = append(dst, ", "...)
-		}
-		first = false
-		dst = append(dst, name...)
-		dst = append(dst, "->"...)
-		dst = appendValue(dst, regs[s])
-	}
-	return append(dst, '}')
+	return appendKey(dst, r.p, r.witness, r.regs[:r.p.nLHS])
 }
