@@ -13,14 +13,10 @@
 // throughput and the group-commit sync amortization. -figure multicore
 // sweeps GOMAXPROCS caps at a fixed worker count, reporting committed-
 // update throughput per cpu count (the CI cpu-matrix artifact).
-// -figure chaos runs the durable workload under randomized
-// transient fault schedules and exits nonzero unless every run stays
-// healthy, loses no acked commit and recovers byte-identically.
 //
 // Usage:
 //
 //	youtopia-bench -figure both -preset paper -runs 3
-//	youtopia-bench -figure chaos -preset quick -chaos-seeds 10
 //	youtopia-bench -figure parallel -preset quick -workers 0,2,4
 //	youtopia-bench -figure parallel -preset quick -data-dir /tmp/ybench
 //	youtopia-bench -figure multicore -preset quick -cpus 1,2,4 -data-dir /tmp/ymc
@@ -59,9 +55,7 @@ import (
 )
 
 func main() {
-	figure := flag.String("figure", "both", "which figure to reproduce: 3, 4, both, latency (the §5.2 user-latency extension study), parallel (serial vs goroutine-parallel throughput), multicore (GOMAXPROCS sweep of the parallel scheduler at a fixed worker count), inbox (busy-repoll vs decision-inbox park/answer/resume), or chaos (the durable workload under randomized transient fault schedules, exiting nonzero on any durability-invariant violation)")
-	chaosRuns := flag.Int("chaos-seeds", 10, "fault-schedule seeds the -figure chaos battery runs (each is a full workload + recovery check)")
-	chaosIntensity := flag.Int("chaos-intensity", 2, "fault bursts per operation class in each -figure chaos schedule")
+	figure := flag.String("figure", "both", "which figure to reproduce: 3, 4, both, latency (the §5.2 user-latency extension study), parallel (serial vs goroutine-parallel throughput), multicore (GOMAXPROCS sweep of the parallel scheduler at a fixed worker count), or inbox (busy-repoll vs decision-inbox park/answer/resume)")
 	inboxWorkers := flag.Int("inbox-workers", 4, "worker count the -figure inbox study runs both modes on (0 = cooperative serial)")
 	inboxLatency := flag.Int("inbox-latency", 200, "per-answer think time of the -figure inbox asynchronous answerer, in microseconds")
 	workersFlag := flag.String("workers", "", "comma-separated worker counts for -figure parallel (0 = serial reference; default 0,1,2,4,8)")
@@ -208,15 +202,6 @@ func main() {
 			}
 			fmt.Fprintf(os.Stderr, "throughput within %.0f%% of %s\n", *regressPct, *baseline)
 		}
-		return
-	}
-	if *figure == "chaos" {
-		points, err := runChaos(base, *chaosRuns, *seed, *chaosIntensity, *dataDir)
-		if err != nil {
-			fmt.Print(renderChaos(points))
-			fail(err)
-		}
-		fmt.Print(renderChaos(points))
 		return
 	}
 	if *figure == "inbox" {

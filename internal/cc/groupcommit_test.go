@@ -48,7 +48,7 @@ func TestGroupCommitDrainsTerminatedPrefix(t *testing.T) {
 		t.Fatalf("execCommit on a terminated prefix: ok=%v err=%v", ok, err)
 	}
 	for i := 1; i <= n; i++ {
-		if !s.store.Committed(i) {
+		if !s.store.EpochSnap().ContainsContent(model.NewTuple("R", model.Const(string(rune('a'+i-1))))) {
 			t.Fatalf("update %d not committed by the drain", i)
 		}
 		if !s.txns[i-1].Committed() {

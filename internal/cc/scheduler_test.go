@@ -1,6 +1,7 @@
 package cc_test
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -279,8 +280,13 @@ func TestCommitOrder(t *testing.T) {
 			t.Fatalf("txn %d not committed", txn.Number)
 		}
 	}
-	if !st.Committed(1) || !st.Committed(2) {
-		t.Fatal("store commit flags missing")
+	for _, op := range ops {
+		if !st.EpochSnap().ContainsContent(op.Tuple) {
+			t.Fatalf("%v missing from the committed state", op.Tuple)
+		}
+	}
+	if uw := st.UncommittedWrites(); len(uw) != 0 {
+		t.Fatalf("uncommitted writes survive the run: %v", uw)
 	}
 }
 
@@ -326,6 +332,21 @@ func TestRunMetricsEpilogue(t *testing.T) {
 			if m.Submitted != 2 || m.Runs != m.Submitted+m.Aborts {
 				t.Errorf("workers=%d stall=%v: Runs = %d, want Submitted %d + Aborts %d",
 					workers, stall, m.Runs, m.Submitted, m.Aborts)
+			}
+			if !stall {
+				continue
+			}
+			// A stalled update never commits: its writes stay live, and
+			// the committed state shows none of them.
+			uw := st.UncommittedWrites()
+			if len(uw) == 0 {
+				t.Errorf("workers=%d: the stalled run left no uncommitted writes", workers)
+			}
+			for _, w := range uw {
+				vals, ok := st.EpochSnap().Get(w.ID)
+				if shown := ok == (w.Op != storage.OpDelete) && slices.Equal(vals, w.After); shown {
+					t.Errorf("workers=%d: the committed state shows the stalled write %v", workers, w)
+				}
 			}
 		}
 	}

@@ -167,12 +167,19 @@ func TestAffectedByAgreesWithRecomputation(t *testing.T) {
 
 		got := q.AffectedBy(new(Checker), st, w2)
 		// Brute force: answer as of read time + interference window,
-		// with the read time expressed as one global ceiling captured
-		// independently of the query's per-relation vector. This
+		// with the read time expressed as one ceiling for every schema
+		// relation, captured independently of the query's per-relation
+		// vector. This
 		// execution is single-threaded, so the two reconstructions must
 		// agree — which checks the vector capture and the structural
 		// prefilters at once.
-		want := q.answerCanon(st.Snap(5).WithWindow(readSeq, w2.Seq)) != q.Answer
+		var vec []storage.RelSeq
+		for _, rel := range st.Schema().SortedNames() {
+			vec = append(vec, storage.RelSeq{Rel: rel, Seq: readSeq})
+		}
+		win := st.Snap(5)
+		win.SetRelWindow(vec, w2.Seq)
+		want := q.answerCanon(win) != q.Answer
 		if got != want {
 			t.Fatalf("seed %d: AffectedBy = %v, brute force = %v (write %v)", seed, got, want, w2)
 		}

@@ -20,8 +20,8 @@ import (
 //     per-relation sequences are monotone, and labeled nulls are
 //     unique backend-wide.
 //   - CommitBatchAsync hands the durability hook only batches with at
-//     least one write record; commits of write-free updates are
-//     memory-only state flips that recovery does not need.
+//     least one write record; a commit of a write-free update leaves
+//     nothing in the store that recovery needs.
 type Backend interface {
 	// Schema returns the schema the backend was created over.
 	Schema() *model.Schema
@@ -53,7 +53,6 @@ type Backend interface {
 	Commit(writer int) error
 	CommitBatch(writers []int) error
 	CommitBatchAsync(writers []int) (CommitAck, error)
-	Committed(writer int) bool
 
 	// SetCommitHook installs the durability hook; it must be called
 	// before the backend sees concurrent use. Persistent reports

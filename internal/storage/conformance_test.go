@@ -108,12 +108,14 @@ func TestConformanceAbortVisibility(t *testing.T) {
 func TestConformanceCommitOrdering(t *testing.T) {
 	onStore(t, func(t *testing.T, b Backend) {
 		var lastSeq int64
+		var ids []TupleID
 		for i, rel := range []string{"A", "E", "C"} {
 			vals := make([]model.Value, b.Schema().Arity(rel))
 			for j := range vals {
 				vals[j] = cv(fmt.Sprintf("w%d-%d", i, j))
 			}
-			_, rec := mustInsert(t, b, i+1, rel, vals...)
+			id, rec := mustInsert(t, b, i+1, rel, vals...)
+			ids = append(ids, id)
 			if rec.Seq <= lastSeq {
 				t.Fatalf("sequence not increasing across relations: %d after %d", rec.Seq, lastSeq)
 			}
@@ -128,9 +130,9 @@ func TestConformanceCommitOrdering(t *testing.T) {
 		if err := b.CommitBatch([]int{1, 2, 3}); err != nil {
 			t.Fatal(err)
 		}
-		for w := 1; w <= 3; w++ {
-			if !b.Committed(w) {
-				t.Fatalf("writer %d not committed", w)
+		for i, id := range ids {
+			if _, ok := b.EpochSnap().Get(id); !ok {
+				t.Fatalf("writer %d not committed", i+1)
 			}
 		}
 		if uw := b.UncommittedWrites(); len(uw) != 0 {
@@ -194,9 +196,6 @@ func TestConformanceHookMergeOrder(t *testing.T) {
 		if len(calls) != 0 {
 			t.Fatal("write-free commit reached the durability hook")
 		}
-		if !b.Committed(7) {
-			t.Fatal("write-free commit did not mark the writer committed")
-		}
 	})
 }
 
@@ -204,15 +203,15 @@ func TestConformanceHookMergeOrder(t *testing.T) {
 // writers stay uncommitted, their logs stay live.
 func TestConformanceHookVeto(t *testing.T) {
 	onStore(t, func(t *testing.T, b Backend) {
-		mustInsert(t, b, 1, "A", cv("v"), cv("v"))
+		id, _ := mustInsert(t, b, 1, "A", cv("v"), cv("v"))
 		b.SetCommitHook(func([]int, []WriteRec) (CommitAck, error) {
 			return nil, fmt.Errorf("disk on fire")
 		})
 		if err := b.Commit(1); err == nil {
 			t.Fatal("vetoed commit reported success")
 		}
-		if b.Committed(1) {
-			t.Fatal("vetoed writer marked committed")
+		if _, ok := b.EpochSnap().Get(id); ok {
+			t.Fatal("vetoed writer's insert is in the committed state")
 		}
 		if len(b.UncommittedWritesOf("A")) != 1 {
 			t.Fatal("vetoed writer's log was retired")

@@ -76,7 +76,7 @@ func TestTrimWaitsForLiveReaders(t *testing.T) {
 			}
 			// Writer 2 wrote before the delete: its view as of then
 			// still holds the tuple.
-			if _, ok := st.Snap(2).WithCeiling(ceil).Get(id); !ok {
+			if _, ok := ceiled(st.Snap(2), ceil).Get(id); !ok {
 				t.Fatal("trimmed history a live writer can read")
 			}
 			mustAudit(t, st)
@@ -299,8 +299,8 @@ func compareReaders(t *testing.T, trimmed, full *Store, readers []int, knob byte
 	for _, r := range readers {
 		views := map[string]func(sn *Snapshot) *Snapshot{
 			"plain":   func(sn *Snapshot) *Snapshot { return sn },
-			"ceiling": func(sn *Snapshot) *Snapshot { return sn.WithCeiling(ceil) },
-			"window":  func(sn *Snapshot) *Snapshot { return sn.WithWindow(low, cur) },
+			"ceiling": func(sn *Snapshot) *Snapshot { return ceiled(sn, ceil) },
+			"window":  func(sn *Snapshot) *Snapshot { return windowed(sn, low, cur) },
 			"relceil": func(sn *Snapshot) *Snapshot {
 				sn.SetRelCeilings([]RelSeq{{"A", ceil}, {"B", low}})
 				return sn
@@ -313,7 +313,7 @@ func compareReaders(t *testing.T, trimmed, full *Store, readers []int, knob byte
 		if len(logs) > 0 {
 			m := logs[int(knob)%len(logs)]
 			views["mask"] = func(sn *Snapshot) *Snapshot {
-				sn = sn.WithCeiling(ceil)
+				sn = ceiled(sn, ceil)
 				sn.SetMask(m.Writer, m.Seq)
 				return sn
 			}

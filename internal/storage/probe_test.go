@@ -106,7 +106,7 @@ func FuzzMoreSpecificProbe(f *testing.F) {
 		var views []*Snapshot
 		for _, reader := range append([]int{0, next}, slots[:]...) {
 			plain := st.Snap(reader)
-			views = append(views, plain, plain.WithCeiling(seq/2), plain.WithWindow(seq/3, 2*seq/3))
+			views = append(views, plain, ceiled(plain, seq/2), windowed(plain, seq/3, 2*seq/3))
 			if recs := st.WritesOf(reader); len(recs) > 0 {
 				masked := *plain
 				masked.SetMask(reader, recs[len(recs)/2].Seq)

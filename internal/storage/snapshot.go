@@ -59,26 +59,20 @@ type Snapshot struct {
 	maskWriter int
 	maskSeq    int64
 
-	// hasCeil restricts visibility to versions with seq <= ceilSeq,
-	// reconstructing the state as of a past read. hasWindow further
-	// admits versions in (ceilSeq, windowSeq] written by writers other
-	// than the reader — "the interference that landed after my read,
-	// excluding my own later repairs" (used by the as-of-read-time
-	// conflict check of Algorithm 4).
-	hasCeil   bool
-	ceilSeq   int64
-	hasWindow bool
-	windowSeq int64
-
-	// relCeils, when hasRelCeil is set, replaces the single global
-	// ceiling with a per-relation vector: a version in relation R is
-	// within the ceiling iff its seq is at most the vector's entry for
-	// R. Relations absent from the vector are unconstrained — a read
+	// relCeils, when set, restricts visibility per relation to
+	// versions with seq at most the vector's entry for the version's
+	// relation, reconstructing the state as of a past read.
+	// Relations absent from the vector are unconstrained — a read
 	// vector always covers every relation its query ranges over, so
 	// missing entries can only belong to relations the query ignores.
-	// The window semantics compose exactly as with the global ceiling.
-	hasRelCeil bool
-	relCeils   []RelSeq
+	// hasWindow further admits versions past the ceiling up to
+	// windowSeq written by writers other than the reader — "the
+	// interference that landed after my read, excluding my own later
+	// repairs" (used by the as-of-read-time conflict check of
+	// Algorithm 4).
+	relCeils  []RelSeq
+	hasWindow bool
+	windowSeq int64
 }
 
 // rlock acquires a stripe's read lock unless this snapshot was minted
@@ -119,44 +113,21 @@ func (sn *Snapshot) SetMask(writer int, seq int64) {
 	sn.masked, sn.maskWriter, sn.maskSeq = true, writer, seq
 }
 
-// WithCeiling returns a snapshot restricted to versions with sequence
-// numbers at most seq: the state as of that moment (modulo versions
-// since removed by aborts, whose readers are cascaded independently).
-func (sn *Snapshot) WithCeiling(seq int64) *Snapshot {
-	out := *sn
-	out.hasCeil = true
-	out.ceilSeq = seq
-	return &out
-}
-
-// WithWindow returns a snapshot of the state as of sequence ceil,
-// augmented with the writes that other writers performed in
-// (ceil, upto] — the reader's own post-ceiling writes stay hidden.
-func (sn *Snapshot) WithWindow(ceil, upto int64) *Snapshot {
-	out := *sn
-	out.hasCeil = true
-	out.ceilSeq = ceil
-	out.hasWindow = true
-	out.windowSeq = upto
-	return &out
-}
-
 // SetRelCeilings restricts sn, per relation, to versions with sequence
 // numbers at most the vector's entry — the state a read observed
 // judged stripe by stripe. Relations absent from the vector are
 // unrestricted. The caller must keep the vector immutable for the
 // snapshot's lifetime.
 func (sn *Snapshot) SetRelCeilings(ceils []RelSeq) {
-	sn.hasRelCeil, sn.relCeils = true, ceils
+	sn.relCeils = ceils
 }
 
 // SetRelWindow narrows sn to the state as of the per-relation ceiling
 // vector, augmented with the writes other writers performed past their
 // relation's ceiling up to sequence upto — the reader's own
-// post-ceiling writes stay hidden. It is WithWindow with the read
-// boundary judged per stripe, applied in place.
+// post-ceiling writes stay hidden.
 func (sn *Snapshot) SetRelWindow(ceils []RelSeq, upto int64) {
-	sn.hasRelCeil, sn.relCeils = true, ceils
+	sn.relCeils = ceils
 	sn.hasWindow, sn.windowSeq = true, upto
 }
 
@@ -169,18 +140,10 @@ func (sn *Snapshot) admits(v *version, rel string) bool {
 	if sn.masked && v.writer == sn.maskWriter && v.seq == sn.maskSeq {
 		return false
 	}
-	if sn.committedOnly && v.writer != 0 && !sn.store.isCommitted(v.writer) {
+	if sn.committedOnly && !sn.store.isCommitted(v.writer) {
 		return false
 	}
-	ceil, haveCeil := int64(0), false
-	if sn.hasRelCeil {
-		if c, ok := seqOf(sn.relCeils, rel); ok {
-			ceil, haveCeil = c, true
-		}
-	} else if sn.hasCeil {
-		ceil, haveCeil = sn.ceilSeq, true
-	}
-	if haveCeil && v.seq > ceil {
+	if ceil, ok := seqOf(sn.relCeils, rel); ok && v.seq > ceil {
 		if !sn.hasWindow {
 			return false
 		}

@@ -70,9 +70,8 @@
 //   - nullIdx (labeled-null occurrences cross relations) is guarded by
 //     nullMu, a leaf lock acquired while holding a stripe lock; no
 //     stripe lock is ever acquired while holding nullMu.
-//   - the committed-writer set, and the set of stripes each
-//     uncommitted writer has written, are guarded by commitMu, a leaf
-//     lock below the stripe locks.
+//   - the set of stripes each uncommitted writer has written is
+//     guarded by commitMu, a leaf lock below the stripe locks.
 //   - Abort and CommitBatch lock exactly the stripes their writers
 //     wrote — that write set, not the schema, bounds their lock round
 //     and their scan — in ascending stripe order. A writer's own
@@ -277,9 +276,8 @@ type Store struct {
 	// so that a test can substitute a colliding hash.
 	contentHash func([]model.Value) uint64
 
-	// commitMu guards committed, writerStripes, pendingIn and logFree.
-	commitMu  sync.RWMutex
-	committed map[int]bool
+	// commitMu guards writerStripes, pendingIn and logFree.
+	commitMu sync.RWMutex
 	// writerStripes[w] describes uncommitted writer w's live writes in
 	// this store: the stripes they are in — a stripe joins with w's
 	// first record in its logs — and the sequence number of the first.
@@ -332,7 +330,6 @@ func NewStore(schema *model.Schema) *Store {
 		stripes:   make(map[string]*stripe, len(names)),
 		byIdx:     make([]*stripe, 0, len(names)),
 		relsByIdx: names,
-		committed: map[int]bool{0: true},
 
 		contentHash: contentHash,
 
@@ -481,12 +478,24 @@ func (st *Store) unindexVersion(s *stripe, id TupleID, tr *tupleRec, vals []mode
 	}
 }
 
-// isCommitted reports a writer's commit status. Safe under any stripe
+// isCommitted reports whether a version's writer has committed: the
+// store keeps no commit status, so a writer counts as committed iff it
+// is writer 0, the initial load, or has no writerStripes entry. A
+// writer with live writes has an entry from its first write on (made
+// under that write's stripe lock), a commit deletes it under the write
+// locks of the writer's stripes, and an abort deletes it only once it
+// holds those locks too. So a reader holding a stripe lock sees every
+// version of a live or aborting writer as uncommitted: an abort's
+// versions are gone before the stripe unlocks. Safe under any stripe
 // lock (commitMu is a leaf).
 func (st *Store) isCommitted(writer int) bool {
+	if writer == 0 {
+		return true
+	}
 	st.commitMu.RLock()
-	defer st.commitMu.RUnlock()
-	return st.committed[writer]
+	_, live := st.writerStripes[writer]
+	st.commitMu.RUnlock()
+	return !live
 }
 
 // insertVersion splices a version into the chain of tuple id, keeping
@@ -508,13 +517,12 @@ func (st *Store) insertVersion(s *stripe, id TupleID, rec *tupleRec, v version) 
 
 // addVersion appends a version to a tuple's chain, keeping the chain
 // sorted by (writer, seq), and maintains indexes and logs. Callers
-// hold the stripe's write lock. Only uncommitted writers log: the one
-// writer that writes while committed is writer 0, the initial load,
-// which never commits through a batch and never aborts, so nothing
-// would read its log.
+// hold the stripe's write lock. Every writer but writer 0, the initial
+// load, logs: writer 0 never commits through a batch and never aborts,
+// so nothing would read its log.
 func (st *Store) addVersion(s *stripe, rec *tupleRec, v version, logRec WriteRec) {
 	st.insertVersion(s, logRec.ID, rec, v)
-	if st.isCommitted(v.writer) {
+	if v.writer == 0 {
 		st.trimOrDefer(s, logRec.ID, rec)
 		return
 	}
@@ -775,14 +783,17 @@ func (st *Store) Abort(writer int) {
 	if writer == 0 {
 		panic("storage: cannot abort the initial load")
 	}
-	// Detach the writer's stripe set and write-lock it in ascending
-	// order.
+	// Write-lock the writer's stripes in ascending order, and only then
+	// drop its entry: the versions must leave before anyone under a
+	// stripe lock counts them committed (see isCommitted).
 	st.commitMu.Lock()
 	stripes := st.writerStripes[writer].stripes
+	sort.Ints(stripes)
+	st.commitMu.Unlock()
+	st.lockStripes(stripes)
+	st.commitMu.Lock()
 	delete(st.writerStripes, writer)
 	st.commitMu.Unlock()
-	sort.Ints(stripes)
-	st.lockStripes(stripes)
 	for _, si := range stripes {
 		s := st.byIdx[si]
 		log := s.logs[writer]
@@ -875,8 +886,8 @@ func (st *Store) CommitBatchAsync(writers []int) (CommitAck, error) {
 	var ack CommitAck
 	if st.commitHook != nil && wrote {
 		// A batch with no live writes in this store has nothing to make
-		// durable — recovery replays write records, not commit-status
-		// flips — so the log append is skipped.
+		// durable — recovery replays write records only — so the log
+		// append is skipped.
 		a, err := st.commitHook(sortedWriters(writers), st.batchWrites(stripes, writers))
 		if err != nil {
 			return nil, err
@@ -885,7 +896,6 @@ func (st *Store) CommitBatchAsync(writers []int) (CommitAck, error) {
 	}
 	st.commitMu.Lock()
 	for _, w := range writers {
-		st.committed[w] = true
 		delete(st.writerStripes, w)
 	}
 	st.commitMu.Unlock()
@@ -921,11 +931,6 @@ func (st *Store) lockBatch(writers []int) (stripes []int, wrote bool) {
 	st.stripeScratch = stripes
 	st.lockStripes(stripes)
 	return stripes, wrote
-}
-
-// Committed reports whether the writer has committed.
-func (st *Store) Committed(writer int) bool {
-	return st.isCommitted(writer)
 }
 
 // anyWriter makes appendLogs scan every uncommitted writer's log.

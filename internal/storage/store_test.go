@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
 
 	"youtopia/internal/model"
 )
@@ -297,6 +298,47 @@ func TestAbortInitialLoadPanics(t *testing.T) {
 	st.Abort(0)
 }
 
+// TestAbortKeepsWriterLiveUntilLocked: a writer's live-writer entry is
+// what marks its versions uncommitted, so Abort may drop it only once
+// it holds the write locks of the writer's stripes. A committed-state
+// scan parks on the stripe's first tuple while an Abort of the writer
+// of a later tuple waits for the scan's read lock; the rest of the
+// scan must still hide that writer's tuple. The callback waits until
+// the entry is gone or the abort is queued on the lock (a read
+// try-lock fails once a writer waits), and never calls back into the
+// store's stripe locks, which the waiting writer now holds off.
+func TestAbortKeepsWriterLiveUntilLocked(t *testing.T) {
+	st := NewStore(testSchema())
+	st.Load(tup("C", c("a")))
+	st.Insert(1, tup("C", c("b")))
+	s := st.stripes["C"]
+	var seen []model.Value
+	aborted := make(chan struct{})
+	st.EpochSnap().ScanRel("C", func(_ TupleID, vals []model.Value) bool {
+		if len(seen) == 0 {
+			go func() { st.Abort(1); close(aborted) }()
+			for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+				if st.isCommitted(1) {
+					break
+				}
+				if !s.mu.TryRLock() {
+					break
+				}
+				s.mu.RUnlock()
+			}
+		}
+		seen = append(seen, vals[0])
+		return true
+	})
+	<-aborted
+	if len(seen) != 1 || seen[0] != c("a") {
+		t.Fatalf("committed scan during an abort yielded %v, want only [a]", seen)
+	}
+	if got := st.EpochSnap().CountRel("C"); got != 1 {
+		t.Fatalf("committed tuples after the abort = %d, want 1", got)
+	}
+}
+
 func TestCommitRetiresLogs(t *testing.T) {
 	st := NewStore(testSchema())
 	st.Insert(1, tup("C", c("a")))
@@ -307,8 +349,8 @@ func TestCommitRetiresLogs(t *testing.T) {
 		t.Fatalf("UncommittedWrites = %v", got)
 	}
 	st.Commit(1)
-	if !st.Committed(1) {
-		t.Fatal("Committed(1) false")
+	if !st.EpochSnap().ContainsContent(tup("C", c("a"))) {
+		t.Fatal("committed insert missing from the committed state")
 	}
 	if got := st.UncommittedWritersOf("C"); len(got) != 0 {
 		t.Fatalf("writers after commit: %v", got)
@@ -340,15 +382,16 @@ func TestLoadKeepsNoLog(t *testing.T) {
 
 func TestCommitBatchRetiresAllWriters(t *testing.T) {
 	st := NewStore(testSchema())
-	st.Insert(1, tup("C", c("a")))
-	st.Insert(2, tup("S", c("x"), c("y"), c("z")))
-	st.Insert(3, tup("R", c("p"), c("q")))
+	written := []model.Tuple{tup("C", c("a")), tup("S", c("x"), c("y"), c("z")), tup("R", c("p"), c("q"))}
+	for i, tu := range written {
+		st.Insert(i+1, tu)
+	}
 	if got := len(st.UncommittedWrites()); got != 3 {
 		t.Fatalf("uncommitted before batch = %d, want 3", got)
 	}
 	st.CommitBatch([]int{1, 2, 3})
 	for w := 1; w <= 3; w++ {
-		if !st.Committed(w) {
+		if !st.EpochSnap().ContainsContent(written[w-1]) {
 			t.Fatalf("writer %d not committed by batch", w)
 		}
 		if logs := st.WritesOf(w); len(logs) != 0 {

@@ -9,6 +9,30 @@ import (
 // The ceiling/window filters reconstruct read-time state for the
 // conflict checks of Algorithm 4; these tests pin their semantics.
 
+// ceiled returns a copy of sn whose read vector names every schema
+// relation at seq: the whole store as of that sequence number.
+func ceiled(sn *Snapshot, seq int64) *Snapshot {
+	out := *sn
+	out.SetRelCeilings(everyRel(sn, seq))
+	return &out
+}
+
+// windowed returns a copy of sn as of ceil in every schema relation,
+// widened by the writes other writers performed up to upto.
+func windowed(sn *Snapshot, ceil, upto int64) *Snapshot {
+	out := *sn
+	out.SetRelWindow(everyRel(sn, ceil), upto)
+	return &out
+}
+
+func everyRel(sn *Snapshot, seq int64) []RelSeq {
+	vec := make([]RelSeq, len(sn.store.relsByIdx))
+	for i, rel := range sn.store.relsByIdx {
+		vec[i] = RelSeq{Rel: rel, Seq: seq}
+	}
+	return vec
+}
+
 func TestWithCeilingReconstructsPast(t *testing.T) {
 	st := NewStore(testSchema())
 	id, _ := st.Load(tup("C", c("v1")))
@@ -22,7 +46,7 @@ func TestWithCeilingReconstructsPast(t *testing.T) {
 	if _, ok := snap.Get(id); ok {
 		t.Fatal("current state must show the delete")
 	}
-	past := snap.WithCeiling(seqAfterLoad)
+	past := ceiled(snap, seqAfterLoad)
 	if vals, ok := past.Get(id); !ok || vals[0] != c("v1") {
 		t.Fatalf("ceiling must expose the pre-delete state, got %v %v", vals, ok)
 	}
@@ -39,13 +63,13 @@ func TestWithWindowAdmitsOthersWrites(t *testing.T) {
 
 	reader := st.Snap(2)
 	// Pure ceiling: neither write visible.
-	past := reader.WithCeiling(readSeq)
+	past := ceiled(reader, readSeq)
 	if past.ContainsContent(tup("C", c("mine"))) || past.ContainsContent(tup("C", c("theirs"))) {
 		t.Fatal("ceiling leaked post-read writes")
 	}
 	// Window up to w1: the other writer's insert is admitted, the
 	// reader's own later write stays hidden.
-	win := reader.WithWindow(readSeq, w1.Seq)
+	win := windowed(reader, readSeq, w1.Seq)
 	if !win.ContainsContent(tup("C", c("theirs"))) {
 		t.Fatal("window must admit the other writer's write")
 	}
@@ -62,7 +86,7 @@ func TestWithWindowRespectsUpperBound(t *testing.T) {
 	_, wA, _, _ := st.Insert(1, tup("C", c("a")))
 	_, wB, _, _ := st.Insert(1, tup("C", c("b")))
 
-	win := st.Snap(5).WithWindow(readSeq, wA.Seq)
+	win := windowed(st.Snap(5), readSeq, wA.Seq)
 	if !win.ContainsContent(tup("C", c("a"))) {
 		t.Fatal("wA inside window")
 	}
@@ -77,7 +101,7 @@ func TestWindowStillRespectsPriorities(t *testing.T) {
 	readSeq := st.CurrentSeq()
 	_, w9, _, _ := st.Insert(9, tup("C", c("hi")))
 	// Reader 5's window never admits writer 9.
-	win := st.Snap(5).WithWindow(readSeq, w9.Seq)
+	win := windowed(st.Snap(5), readSeq, w9.Seq)
 	if win.ContainsContent(tup("C", c("hi"))) {
 		t.Fatal("priority visibility violated inside window")
 	}
@@ -89,7 +113,7 @@ func TestMaskComposesWithCeiling(t *testing.T) {
 	recs, _ := st.ReplaceNull(1, model.Null(1), c("done"))
 	seqNow := st.CurrentSeq()
 
-	snap := st.Snap(5).WithCeiling(seqNow)
+	snap := ceiled(st.Snap(5), seqNow)
 	snap.SetMask(1, recs[0].Seq)
 	if vals, ok := snap.Get(id); !ok || vals[0] != model.Null(1) {
 		t.Fatalf("mask within ceiling must expose prior version, got %v %v", vals, ok)

@@ -11,8 +11,8 @@
 //     a run under it must degrade to read-only (never poison), keep
 //     serving reads, and re-arm once the schedule is cleared.
 //
-// The package is a normal (non-test) package so both the test harness
-// and the youtopia-bench chaos lane can import it.
+// The package is a normal (non-test) package so the wal package's chaos
+// tests can import it.
 package chaostest
 
 import (

@@ -463,11 +463,11 @@ func TestAppendFailurePoisonsLog(t *testing.T) {
 	m.f.Close()
 	m.mu.Unlock()
 
-	mustInsert(t, st, 2, tup("C", c("b")))
+	id := mustInsert(t, st, 2, tup("C", c("b")))
 	if err := st.CommitBatch([]int{2}); err == nil {
 		t.Fatal("commit over a dead segment succeeded")
 	}
-	if st.Committed(2) {
+	if _, ok := st.EpochSnap().Get(id); ok {
 		t.Fatal("writer 2 committed although the append failed")
 	}
 	// The log is poisoned: even a commit that could physically succeed

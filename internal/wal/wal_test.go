@@ -93,12 +93,21 @@ func TestAppendRecoverRoundTrip(t *testing.T) {
 
 	// Recovered stores accept new writers numbered from 1: everything
 	// recovered was collapsed onto writer 0.
-	if !st2.Committed(0) || st2.Committed(1) {
-		t.Fatal("recovered store has live non-zero writers")
+	if uw := st2.UncommittedWrites(); len(uw) != 0 {
+		t.Fatalf("recovered store has live writes: %v", uw)
 	}
-	mustInsert(t, st2, 1, tup("C", c("Trumansburg")))
+	nid := mustInsert(t, st2, 1, tup("C", c("Trumansburg")))
+	if got := len(st2.WritesOf(1)); got != 1 {
+		t.Fatalf("new writer 1 logs %d writes, want 1 (live, not committed)", got)
+	}
+	if _, ok := st2.EpochSnap().Get(nid); ok {
+		t.Fatal("new writer 1's insert is committed before its commit")
+	}
 	if err := st2.Commit(1); err != nil {
 		t.Fatal(err)
+	}
+	if _, ok := st2.EpochSnap().Get(nid); !ok {
+		t.Fatal("new writer 1's insert is not committed after its commit")
 	}
 }
 
@@ -325,13 +334,13 @@ func TestCommitVetoOnAppendFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mustInsert(t, st, 1, tup("C", c("x")))
+	id := mustInsert(t, st, 1, tup("C", c("x")))
 	m.Close() // closing the log makes the next append fail
 	if err := st.CommitBatch([]int{1}); err == nil {
 		t.Fatal("commit after log close succeeded")
 	}
-	if st.Committed(1) {
-		t.Fatal("writer marked committed although the append failed")
+	if _, ok := st.EpochSnap().Get(id); ok {
+		t.Fatal("writer committed although the append failed")
 	}
 }
 
