@@ -88,17 +88,21 @@ func expandFor(allow map[int]bool) chase.User {
 	})
 }
 
-// allAwaiting reports whether every txn stopped at a frontier.
+// allAwaiting reports whether every txn has started and stopped at a
+// frontier.
 func allAwaiting(txns []*Txn) bool {
 	for _, tx := range txns {
-		if tx.Upd.State() != chase.StateAwaitingUser {
+		if tx.Upd == nil || tx.Upd.State() != chase.StateAwaitingUser {
 			return false
 		}
 	}
 	return true
 }
 
-// cancelWatch records the txns' abort counts when one is cancelled.
+// cancelWatch records the txns' abort counts when one is cancelled, and
+// the cancelled txn's attempt: its update is released at commit, so
+// the check reads the attempt recorded here, and an attempt can only
+// move through an abort.
 type cancelWatch struct {
 	cancelled int
 	attempt   int
@@ -115,20 +119,21 @@ func watchCancel(txns []*Txn, cancelled int) cancelWatch {
 
 // check checks that the cancelled txn was never rolled back after its
 // cancellation, that its insert is gone for good, and that every txn
-// committed. When update 3 is the one cancelled, update 2 must have
-// been aborted after the cancellation, so the wave did run past it.
+// committed — only a terminated txn commits — and gave its update
+// back. When update 3 is the one cancelled, update 2 must have been
+// aborted after the cancellation, so the wave did run past it.
 func (w cancelWatch) check(t *testing.T, st *storage.Store, txns []*Txn) {
 	t.Helper()
 	tc := txns[w.cancelled-1]
-	if tc.Upd.Attempt != w.attempt || tc.aborts != w.aborts[w.cancelled-1] {
-		t.Fatalf("the cancelled update was rolled back: attempt %d -> %d", w.attempt, tc.Upd.Attempt)
+	if tc.aborts != w.aborts[w.cancelled-1] {
+		t.Fatalf("the cancelled update was rolled back: attempt %d, aborts %d -> %d", w.attempt, w.aborts[w.cancelled-1], tc.aborts)
 	}
 	if w.cancelled == 3 && txns[1].aborts == w.aborts[1] {
 		t.Fatal("update 2 was not aborted after update 3's cancellation: the case is not exercised")
 	}
 	for _, tx := range txns {
-		if tx.Upd.State() != chase.StateTerminated || !tx.committed {
-			t.Fatalf("update %d is %s, committed %v", tx.Number, tx.Upd.State(), tx.committed)
+		if !tx.Committed() || tx.Upd != nil {
+			t.Fatalf("update %d: committed %v, update released %v", tx.Number, tx.Committed(), tx.Upd == nil)
 		}
 	}
 	rel, want := "J", 0
@@ -166,8 +171,8 @@ func TestCancelledUpdateIsNoConflictVictim(t *testing.T) {
 				}
 				allow[1], allow[2], allow[3] = true, true, true
 				_, err := s.end(s.loop())
-				if victim.Upd.Attempt != w.attempt {
-					t.Fatalf("the cancelled update was rolled back and re-run (attempt %d -> %d, run error %v)", w.attempt, victim.Upd.Attempt, err)
+				if victim.aborts != w.aborts[tc.cancelled-1] {
+					t.Fatalf("the cancelled update was rolled back and re-run (attempt %d, aborts %d -> %d, run error %v)", w.attempt, w.aborts[tc.cancelled-1], victim.aborts, err)
 				}
 				if err != nil {
 					t.Fatal(err)

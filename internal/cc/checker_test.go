@@ -123,7 +123,7 @@ func BenchmarkConflictCheck(b *testing.B) {
 			var m Metrics
 			reader := &Txn{Upd: chase.NewUpdate(5, chase.Op{}), Number: 5, deps: make(map[int]bool)}
 			reader.Upd.RecordRead(bc.q)
-			sc.cands = candidatesInto(sc.cands[:0], []*Txn{reader}, 2)
+			sc.cands = candidatesInto(sc.cands[:0], above([]*Txn{reader}, 2))
 			check := func() {
 				if len(directConflicts(f.st, cfg, &sc.chk, sc.cands, writes, &m)) != 0 {
 					b.Fatal("fixture write must not conflict")

@@ -2,6 +2,7 @@ package cc
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"youtopia/internal/query"
@@ -14,15 +15,25 @@ import (
 // it where the writes land — the cooperative scheduler on its one
 // goroutine, the parallel scheduler in the exclusive phase section of
 // the step that wrote — so every candidate's read log is complete and
-// no engine call is in flight (txnCore.processWrites).
+// no engine call is in flight (txnCore.processWrites). Every walk
+// covers only the live window, or a part of it (txnCore.top says why
+// that misses no victim); live stands for such a window below, a run of
+// consecutively numbered txns.
 
-// candidatesInto appends every uncommitted txn numbered above the
-// writer that has stored reads to dst (a scratch buffer reset by the
-// caller) and returns the extended slice; with a warm scratch it
-// allocates nothing.
-func candidatesInto(dst []*Txn, txns []*Txn, writer int) []*Txn {
-	for _, t := range txns {
-		if t.Number > writer && !t.committed && len(t.Upd.StoredReads()) > 0 {
+// above returns the txns of a live window numbered above the writer.
+func above(live []*Txn, writer int) []*Txn {
+	if len(live) == 0 {
+		return nil
+	}
+	return live[min(max(writer-live[0].Number+1, 0), len(live)):]
+}
+
+// candidatesInto appends to dst (a scratch buffer reset by the caller)
+// the txns of a window slice that have stored reads, and returns the
+// extended slice; with a warm scratch it allocates nothing.
+func candidatesInto(dst []*Txn, live []*Txn) []*Txn {
+	for _, t := range live {
+		if t.Upd != nil && len(t.Upd.StoredReads()) > 0 {
 			dst = append(dst, t)
 		}
 	}
@@ -62,19 +73,19 @@ func directConflicts(store storage.Backend, cfg *Config, chk *query.Checker, can
 }
 
 // removalCandidatesInto appends to dst (a scratch buffer reset by the
-// caller) the uncommitted transactions outside the current wave that
-// have stored a violation read. This one filter feeds both the
+// caller) the live transactions outside the current wave that have
+// stored a violation read. This one filter feeds both the
 // should-we-snapshot-the-log decision and the drift checks themselves,
 // so the two can never drift apart. Empty in ModeFlag (nothing aborts
 // there). Only violation queries matter:
 // structural queries are covered by their state-independent
 // write-side checks and the dependencies the trackers record.
-func removalCandidatesInto(dst []*Txn, cfg *Config, txns []*Txn, marked map[int]bool) []*Txn {
+func removalCandidatesInto(dst []*Txn, cfg *Config, live []*Txn, marked map[int]bool) []*Txn {
 	if cfg.Mode == ModeFlag {
 		return dst
 	}
-	for _, t := range txns {
-		if t.committed || marked[t.Number] {
+	for _, t := range live {
+		if t.Upd == nil || marked[t.Number] {
 			continue
 		}
 		for _, q := range t.Upd.StoredReads() {
@@ -125,46 +136,41 @@ func abortConflicts(store storage.Backend, chk *query.Checker, cands []*Txn, rem
 // callback performs the actual rollback plus any scheduler-specific
 // bookkeeping; callers hold the exclusive phase lock, where dependency
 // sets and read logs are stable between rollbacks. The drift checks
-// run on sc's checker and collect into sc's candidate buffer.
-func executeAbortWave(store storage.Backend, cfg *Config, txns []*Txn, direct []*Txn, m *Metrics, sc *stepScratch, rollback func(*Txn) error) error {
+// run on sc's checker and collect into sc's candidate buffer; the
+// cascade and the drift checks walk the live window.
+func executeAbortWave(store storage.Backend, cfg *Config, live []*Txn, direct []*Txn, m *Metrics, sc *stepScratch, rollback func(*Txn) error) error {
 	if len(direct) == 0 {
 		return nil
 	}
 	marked := make(map[int]bool, len(direct))
-	var queue []int
+	var queue []*Txn
 	enqueue := func(t *Txn) {
 		if t.committed || t.cancelled || marked[t.Number] {
 			return
 		}
 		marked[t.Number] = true
-		i := sort.SearchInts(queue, t.Number)
-		queue = append(queue, 0)
-		copy(queue[i+1:], queue[i:])
-		queue[i] = t.Number
+		i := sort.Search(len(queue), func(i int) bool { return queue[i].Number > t.Number })
+		queue = slices.Insert(queue, i, t)
 	}
 	for _, t := range direct {
 		enqueue(t)
 	}
 	for len(queue) > 0 {
-		n := queue[0]
+		t := queue[0]
 		queue = queue[1:]
-		if n < 1 || n > len(txns) {
-			continue
-		}
-		t := txns[n-1]
 		// One level of dependency cascade; transitivity comes from the
 		// wave (cascaded victims enqueue and cascade in turn).
-		for _, v := range cfg.Tracker.Cascade(store, t, txns) {
+		for _, v := range cfg.Tracker.Cascade(store, t, live) {
 			m.CascadingAbortRequests++
 			obsConflictCascading.Inc()
 			enqueue(v)
 		}
 		// The victim's log is only worth snapshotting (a store-wide
 		// read-lock round) when some surviving read log could act on it.
-		sc.removal = removalCandidatesInto(sc.removal[:0], cfg, txns, marked)
+		sc.removal = removalCandidatesInto(sc.removal[:0], cfg, live, marked)
 		var removed []storage.WriteRec
 		if len(sc.removal) > 0 {
-			removed = store.WritesOf(n)
+			removed = store.WritesOf(t.Number)
 		}
 		if err := rollback(t); err != nil {
 			return err
@@ -191,14 +197,14 @@ type stepScratch struct {
 }
 
 // collectDirect checks one batch of writes against the stored read
-// queries of higher-numbered uncommitted updates and returns the
+// queries of the live updates numbered above the writer and returns the
 // directly affected victims (Algorithm 4's detection half), collecting
 // the candidates into the scratch.
-func collectDirect(store storage.Backend, cfg *Config, txns []*Txn, writes []storage.WriteRec, m *Metrics, scratch *stepScratch) []*Txn {
+func collectDirect(store storage.Backend, cfg *Config, live []*Txn, writes []storage.WriteRec, m *Metrics, scratch *stepScratch) []*Txn {
 	if len(writes) == 0 {
 		return nil
 	}
-	scratch.cands = candidatesInto(scratch.cands[:0], txns, writes[0].Writer)
+	scratch.cands = candidatesInto(scratch.cands[:0], above(live, writes[0].Writer))
 	return directConflicts(store, cfg, &scratch.chk, scratch.cands, writes, m)
 }
 

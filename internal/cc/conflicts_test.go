@@ -48,7 +48,7 @@ func TestDirectConflictsDisjointRelations(t *testing.T) {
 	}
 
 	var m Metrics
-	cands := candidatesInto(nil, []*Txn{reader}, 1)
+	cands := candidatesInto(nil, above([]*Txn{reader}, 1))
 	if len(cands) != 1 {
 		t.Fatalf("candidates = %d, want 1", len(cands))
 	}
@@ -75,7 +75,7 @@ func TestDirectConflictsOverlappingRelations(t *testing.T) {
 	}
 
 	var m Metrics
-	cands := candidatesInto(nil, []*Txn{reader}, 1)
+	cands := candidatesInto(nil, above([]*Txn{reader}, 1))
 	marked := directConflicts(st, cfg, new(query.Checker), cands, []storage.WriteRec{w}, &m)
 	if len(marked) != 1 || marked[0].Number != 2 {
 		t.Fatalf("overlapping write marked %v, want txn 2", marked)
@@ -99,13 +99,13 @@ func TestDirectConflictsInvisibleWriter(t *testing.T) {
 		t.Fatal(err)
 	}
 	var m Metrics
-	// candidatesInto already filters by priority; check the query
+	// The window is cut at the writer (above); check the query
 	// layer agrees if forced through.
 	cands := []*Txn{reader}
 	if marked := directConflicts(st, cfg, new(query.Checker), cands, []storage.WriteRec{w}, &m); len(marked) != 0 {
 		t.Fatalf("invisible write marked %v", marked)
 	}
-	if got := candidatesInto(nil, []*Txn{reader}, 3); len(got) != 0 {
+	if got := candidatesInto(nil, above([]*Txn{reader}, 3)); len(got) != 0 {
 		t.Fatalf("candidatesInto included lower-numbered txn: %v", got)
 	}
 }
@@ -128,7 +128,7 @@ func TestDirectConflictsViolationReadRelations(t *testing.T) {
 	seed := []model.Value{model.Const("a"), model.Const("b")}
 	rq, _ := query.NewViolationRead(query.NewEngine(st.Snap(2)), m1, "R", seed, query.SeedLHS)
 	reader := mkTxn(2, rq)
-	cands := candidatesInto(nil, []*Txn{reader}, 1)
+	cands := candidatesInto(nil, above([]*Txn{reader}, 1))
 
 	// Disjoint: writer 1 writes T.
 	_, wT, _, err := st.Insert(1, model.NewTuple("T", model.Const("a")))

@@ -19,13 +19,17 @@ func groupCommitScheduler(t *testing.T, n int) *ParallelScheduler {
 	schema.MustAddRelation("R", "a")
 	st := storage.NewStore(schema)
 	s := NewParallelScheduler(st, tgd.MustNewSet(), Config{Workers: 1})
-	s.txns = make([]*Txn, n)
-	s.status = make([]txnStatus, n)
-	s.claimed = make([]bool, n)
-	// Drive each update to termination through the engine (no mappings:
-	// the initial insert is the whole chase).
-	for i := 0; i < n; i++ {
-		u := chase.NewUpdate(i+1, chase.Insert(model.NewTuple("R", model.Const(string(rune('a'+i))))))
+	ops := make([]chase.Op, n)
+	for i := range ops {
+		ops[i] = chase.Insert(model.NewTuple("R", model.Const(string(rune('a'+i)))))
+	}
+	s.submit(ops)
+	// Start each txn and drive its update to termination through the
+	// engine (no mappings: the initial insert is the whole chase).
+	var scratch stepScratch
+	for i, tx := range s.txns {
+		tx.sc = &scratch
+		u := s.start(tx)
 		if _, err := s.engine.Step(u); err != nil {
 			t.Fatal(err)
 		}
@@ -35,7 +39,6 @@ func groupCommitScheduler(t *testing.T, n int) *ParallelScheduler {
 		if u.State() != chase.StateTerminated {
 			t.Fatalf("update %d state = %v, want terminated", i+1, u.State())
 		}
-		s.txns[i] = &Txn{Upd: u, Number: i + 1, deps: make(map[int]bool)}
 		s.status[i] = statusTerminated
 	}
 	return s

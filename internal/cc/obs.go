@@ -36,8 +36,8 @@ var (
 // counter bumps of the step path and the histogram observations of
 // the commit path — against live handles. TestInstrumentationAllocFree
 // runs it under testing.AllocsPerRun to pin the instrumentation at
-// zero heap allocations per operation, riding the same pattern as
-// CandidateProbe.
+// zero heap allocations per operation, as CandidateProbe pins the
+// live window's candidate collection.
 func InstrumentationProbe() func() {
 	perRun := obs.NewLatencyHistogram() // the ackTracker's per-run histogram
 	return func() {

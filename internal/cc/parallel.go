@@ -358,25 +358,27 @@ func (s *ParallelScheduler) finish(kind workKind, t *Txn, progressed bool, err e
 
 // execStep runs one chase step for a claimed transaction: the write
 // half and the conflict processing of its writes under the exclusive
-// phase lock, then the read half under the shared lock. If the
-// transaction was aborted in between (by an abort wave), the read half
-// is abandoned — the storage rollback already happened and the
-// dispatcher will rerun the fresh attempt.
+// phase lock, then the read half under the shared lock. A txn's first
+// step starts it under the exclusive lock, where the live window's top
+// moves. If the transaction was aborted in between (by an abort wave),
+// the read half is abandoned — the storage rollback already happened
+// and the dispatcher will rerun the fresh attempt.
 func (s *ParallelScheduler) execStep(t *Txn, scratch *stepScratch) (bool, error) {
 	var stepStart time.Time
 	if s.cfg.Trace.Enabled() {
 		stepStart = time.Now()
 	}
 	s.gmu.Lock()
-	if st := t.Upd.State(); st != chase.StateReady {
+	u := s.start(t)
+	if st := u.State(); st != chase.StateReady {
 		s.mu.Lock()
 		s.setStatusLocked(t.Number-1, mirrorOf(st))
 		s.mu.Unlock()
 		s.gmu.Unlock()
 		return false, nil
 	}
-	attempt := t.Upd.Attempt
-	res, err := s.engine.StepWrites(t.Upd)
+	attempt := u.Attempt
+	res, err := s.engine.StepWrites(u)
 	if err != nil {
 		s.gmu.Unlock()
 		return true, fmt.Errorf("cc: update %d: %w", t.Number, err)
@@ -393,12 +395,12 @@ func (s *ParallelScheduler) execStep(t *Txn, scratch *stepScratch) (bool, error)
 	}
 
 	s.gmu.RLock()
-	if t.Upd.Attempt == attempt {
-		if _, rerr := s.engine.StepReads(t.Upd, res.Writes); rerr != nil {
+	if u.Attempt == attempt {
+		if _, rerr := s.engine.StepReads(u, res.Writes); rerr != nil {
 			s.gmu.RUnlock()
 			return true, fmt.Errorf("cc: update %d: %w", t.Number, rerr)
 		}
-		st := t.Upd.State()
+		st := u.State()
 		s.mu.Lock()
 		s.setStatusLocked(t.Number-1, mirrorOf(st))
 		s.mu.Unlock()

@@ -270,14 +270,14 @@ func (s *Scheduler) loop() error {
 }
 
 // round performs one scheduler round: under round-robin policies every
-// txn gets one scheduling opportunity (a chase step, a whole stratum,
-// or a frontier-operation poll); under the serial policy only the
-// lowest unfinished txn runs. It reports whether any txn made
-// progress.
+// uncommitted txn gets one scheduling opportunity (a chase step, a
+// whole stratum, or a frontier-operation poll), and a txn's first one
+// starts it; under the serial policy only the lowest unfinished txn
+// runs. It reports whether any txn made progress.
 func (s *Scheduler) round() (bool, error) {
 	progressed := false
-	for _, t := range s.txns {
-		if t.committed || t.Upd.State() == chase.StateTerminated {
+	for _, t := range s.txns[s.committedUpTo:] {
+		if t.Upd != nil && t.Upd.State() == chase.StateTerminated {
 			continue
 		}
 		p, err := s.schedule(t)
@@ -294,9 +294,10 @@ func (s *Scheduler) round() (bool, error) {
 }
 
 // schedule gives one txn its opportunity: a blocked txn is polled live,
-// or in inbox mode parks / consumes its recorded answers instead.
+// or in inbox mode parks / consumes its recorded answers instead. A txn
+// without an update gets one here, before its first step.
 func (s *Scheduler) schedule(t *Txn) (bool, error) {
-	switch t.Upd.State() {
+	switch s.start(t).State() {
 	case chase.StateReady:
 		return true, s.runSteps(t)
 	case chase.StateAwaitingUser:

@@ -27,15 +27,16 @@ type Tracker interface {
 	// OnRead is invoked when txn u performs read query q; the tracker
 	// records u's dependencies on uncommitted lower-numbered writers.
 	OnRead(st storage.Backend, u *Txn, q query.ReadQuery)
-	// Cascade returns, among active, the txns that must abort because
-	// they (transitively directly) read from the aborted txn. The
-	// scheduler computes the transitive closure; Cascade returns one
-	// level.
-	Cascade(st storage.Backend, aborted *Txn, active []*Txn) []*Txn
+	// Cascade returns, among the live window, the txns that must abort
+	// because they (transitively directly) read from the aborted txn.
+	// The scheduler computes the transitive closure; Cascade returns
+	// one level.
+	Cascade(st storage.Backend, aborted *Txn, live []*Txn) []*Txn
 }
 
-// Naive is the strawman of §5.1: when update i aborts, every active
-// update numbered above i is assumed to have read from it.
+// Naive is the strawman of §5.1: when update i aborts, every live
+// update numbered above i is assumed to have read from it. A txn in the
+// window that has not stepped yet has read nothing and is left alone.
 type Naive struct{}
 
 // Name implements Tracker.
@@ -45,10 +46,10 @@ func (Naive) Name() string { return "NAIVE" }
 func (Naive) OnRead(storage.Backend, *Txn, query.ReadQuery) {}
 
 // Cascade implements Tracker.
-func (Naive) Cascade(_ storage.Backend, aborted *Txn, active []*Txn) []*Txn {
+func (Naive) Cascade(_ storage.Backend, aborted *Txn, live []*Txn) []*Txn {
 	var out []*Txn
-	for _, t := range active {
-		if t.Number > aborted.Number && !t.committed {
+	for _, t := range above(live, aborted.Number) {
+		if t.Upd != nil {
 			out = append(out, t)
 		}
 	}
@@ -105,8 +106,8 @@ func appendRelevant(dst []storage.WriteRec, st storage.Backend, q query.ReadQuer
 
 // Cascade implements Tracker: txns whose recorded dependencies include
 // the aborted update.
-func (Coarse) Cascade(_ storage.Backend, aborted *Txn, active []*Txn) []*Txn {
-	return depCascade(aborted, active)
+func (Coarse) Cascade(_ storage.Backend, aborted *Txn, live []*Txn) []*Txn {
+	return depCascade(aborted, live)
 }
 
 // Precise is the exact tracker of §5.1.1: for every read query it
@@ -138,14 +139,16 @@ func (Precise) OnRead(st storage.Backend, u *Txn, q query.ReadQuery) {
 }
 
 // Cascade implements Tracker.
-func (Precise) Cascade(_ storage.Backend, aborted *Txn, active []*Txn) []*Txn {
-	return depCascade(aborted, active)
+func (Precise) Cascade(_ storage.Backend, aborted *Txn, live []*Txn) []*Txn {
+	return depCascade(aborted, live)
 }
 
-func depCascade(aborted *Txn, active []*Txn) []*Txn {
+// depCascade returns the live txns whose recorded dependencies include
+// the aborted update; only a higher-numbered txn can record one.
+func depCascade(aborted *Txn, live []*Txn) []*Txn {
 	var out []*Txn
-	for _, t := range active {
-		if !t.committed && t.deps[aborted.Number] {
+	for _, t := range above(live, aborted.Number) {
+		if t.deps[aborted.Number] {
 			out = append(out, t)
 		}
 	}

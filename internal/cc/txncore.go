@@ -13,15 +13,21 @@ import (
 	"youtopia/internal/tgd"
 )
 
-// Txn is one update under concurrency control.
+// Txn is one update under concurrency control. The record lasts for
+// the whole run, so Txns and Deps still answer after Run returns.
 type Txn struct {
-	// Upd is the underlying chase update; Upd.Number is the priority.
+	// Upd is the chase update while the txn is live: nil until the
+	// scheduler gives the txn its first step, and nil again once it
+	// commits, when the update goes back to the run's free list and is
+	// renewed for a later txn's first step (txnCore.start). Upd.Number
+	// is the priority.
 	Upd *chase.Update
-	// Number duplicates the update's priority for convenience.
+	// Number is the update's priority; it outlives Upd.
 	Number int
 
 	// deps are the lower-numbered uncommitted updates whose writes
-	// influenced this txn's read answers (§5.1).
+	// influenced this txn's read answers (§5.1); nil until the first
+	// dependency.
 	deps map[int]bool
 	// committed is set once the txn terminated and every lower-numbered
 	// txn committed; committed txns can no longer abort and their
@@ -56,6 +62,9 @@ func (t *Txn) addDep(writer int) {
 	if writer == 0 || writer == t.Number || writer > t.Number {
 		return
 	}
+	if t.deps == nil {
+		t.deps = make(map[int]bool)
+	}
 	t.deps[writer] = true
 }
 
@@ -71,8 +80,26 @@ type txnCore struct {
 	store  storage.Backend
 	engine *chase.Engine
 	cfg    Config
+	ops    []chase.Op
 	txns   []*Txn
 	acks   ackTracker
+
+	// The live window, txns[committedUpTo:top]: top is the highest
+	// number start has given a chase.Update. Algorithm 4 checks a write
+	// only against the stored reads of uncommitted updates numbered
+	// above the writer, and cascades only through reads. A txn below
+	// the window has committed and released its reads; a txn above it,
+	// or inside it without an update (the parallel scheduler starts
+	// txns out of order), has never stepped, so it has no stored reads
+	// and no dependencies. Conflict processing therefore walks only the
+	// window (live) and misses no victim. top is written and read only
+	// where conflict processing runs: on the cooperative scheduler's
+	// goroutine, or under the parallel scheduler's exclusive phase lock,
+	// where committedUpTo also only changes.
+	top int
+	// free holds committed txns' updates for start to renew; commitReady
+	// fills it.
+	free []*chase.Update
 
 	// userMu serializes chase.User calls: implementations (the simulated
 	// users included) are not required to be goroutine-safe.
@@ -88,8 +115,8 @@ type txnCore struct {
 	committedUpTo int            // txns[:committedUpTo] have committed
 	byPark        map[int64]*Txn // inbox entry ID -> parked txn
 
-	start  time.Time
-	syncs0 int64
+	started time.Time
+	syncs0  int64
 }
 
 // init applies the Config defaults and builds the chase engine with the
@@ -136,17 +163,18 @@ func (c *txnCore) onRead(u *chase.Update, q query.ReadQuery) {
 }
 
 // begin starts the run clock and submits the workload: ops[i] becomes
-// update number i+1, with sc as its conflict scratch (nil when the
-// stepping goroutine sets it per step).
+// txn number i+1, with sc as its conflict scratch (nil when the
+// stepping goroutine sets it per step). No txn has an update yet.
 func (c *txnCore) begin(ops []chase.Op, sc *stepScratch) {
-	c.start = time.Now()
+	c.started = time.Now()
 	c.syncs0 = c.store.SyncCount()
 	c.acks.init(c.cfg.Trace)
+	c.ops = ops
+	recs := make([]Txn, len(ops))
 	c.txns = make([]*Txn, len(ops))
-	for i, op := range ops {
-		u := chase.NewUpdate(i+1, op)
-		u.NoTrace = true
-		c.txns[i] = &Txn{Upd: u, Number: i + 1, deps: make(map[int]bool), sc: sc}
+	for i := range recs {
+		recs[i] = Txn{Number: i + 1, sc: sc}
+		c.txns[i] = &recs[i]
 		c.cfg.Trace.Note(i+1, "submit")
 	}
 	c.m.Submitted = len(ops)
@@ -154,6 +182,33 @@ func (c *txnCore) begin(ops []chase.Op, sc *stepScratch) {
 		c.byPark = make(map[int64]*Txn)
 	}
 }
+
+// start returns a txn's update. At the txn's first step it gives it
+// one, extending the live window: a committed txn's update from the
+// free list, renewed, or a new one. It runs where top may be written
+// (see top).
+func (c *txnCore) start(t *Txn) *chase.Update {
+	if t.Upd != nil {
+		return t.Upd
+	}
+	op := c.ops[t.Number-1]
+	var u *chase.Update
+	if n := len(c.free); n > 0 {
+		u = c.free[n-1]
+		c.free[n-1] = nil
+		c.free = c.free[:n-1]
+		u.Renew(t.Number, op)
+	} else {
+		u = chase.NewUpdate(t.Number, op)
+	}
+	u.NoTrace = true
+	t.Upd = u
+	c.top = max(c.top, t.Number)
+	return u
+}
+
+// live returns the live window (see top).
+func (c *txnCore) live() []*Txn { return c.txns[c.committedUpTo:c.top] }
 
 // end settles the commit pipeline — nothing is acknowledged, Run
 // included, until its covering sync landed — and completes the run's
@@ -168,7 +223,7 @@ func (c *txnCore) end(runErr error) (Metrics, error) {
 	c.m.CommitAckP50, c.m.CommitAckP99 = c.acks.percentiles()
 	c.m.WALSyncs = int(c.store.SyncCount() - c.syncs0)
 	c.m.Runs = c.m.Submitted + c.m.Aborts
-	c.m.WallTime = time.Since(c.start)
+	c.m.WallTime = time.Since(c.started)
 	return c.m, runErr
 }
 
@@ -185,7 +240,7 @@ func (c *txnCore) end(runErr error) (Metrics, error) {
 func (c *txnCore) commitReady() (int, error) {
 	batch := c.txns[c.committedUpTo:]
 	for i, t := range batch {
-		if t.Upd.State() != chase.StateTerminated {
+		if t.Upd == nil || t.Upd.State() != chase.StateTerminated {
 			batch = batch[:i]
 			break
 		}
@@ -213,8 +268,11 @@ func (c *txnCore) commitReady() (int, error) {
 	for _, t := range batch {
 		t.committed = true
 		fr += t.Upd.Stats.FrontierRequests
-		// Released stored queries can no longer cause conflicts.
+		// Released stored queries can no longer cause conflicts, and
+		// the update leaves the window for the next txn's start.
 		t.Upd.ReleaseReads()
+		c.free = append(c.free, t.Upd)
+		t.Upd = nil
 	}
 	forgetCommitted(c.cfg.User, batch)
 	obsCommitBatches.Inc()
@@ -341,10 +399,10 @@ func (c *txnCore) cancel(t *Txn) error {
 }
 
 // processWrites is Algorithm 4's conflict processing of one step's
-// writes, for both schedulers: direct detection against the stored
-// reads of higher-numbered uncommitted updates, then the abort wave —
-// dependency cascade, rollbacks through rollback, and abort-side drift
-// rechecks. Counters accumulate into m; the checks run on sc. It must
+// writes, for both schedulers, over the live window: direct detection
+// against the stored reads of the updates numbered above the writer,
+// then the abort wave — dependency cascade, rollbacks through rollback,
+// and abort-side drift rechecks. Counters accumulate into m; the checks run on sc. It must
 // run where the writes land, before any other engine call: on the
 // cooperative scheduler's goroutine, or in the parallel scheduler's
 // exclusive phase section of the step that wrote. Conflicts only abort
@@ -358,9 +416,10 @@ func (c *txnCore) processWrites(writes []storage.WriteRec, m *Metrics, sc *stepS
 	if c.cfg.Trace.Enabled() {
 		checkStart = time.Now()
 	}
-	direct := collectDirect(c.store, &c.cfg, c.txns, writes, m, sc)
+	live := c.live()
+	direct := collectDirect(c.store, &c.cfg, live, writes, m, sc)
 	c.cfg.Trace.Span(writes[0].Writer, "conflict_check", checkStart)
-	return executeAbortWave(c.store, &c.cfg, c.txns, direct, m, sc, rollback)
+	return executeAbortWave(c.store, &c.cfg, live, direct, m, sc, rollback)
 }
 
 // rollback is the abort wave's rollback of one victim: rollbackTxn's

@@ -1,0 +1,201 @@
+package cc
+
+import (
+	"fmt"
+	"runtime"
+	"slices"
+	"testing"
+
+	"youtopia/internal/chase"
+	"youtopia/internal/model"
+	"youtopia/internal/query"
+	"youtopia/internal/storage"
+	"youtopia/internal/tgd"
+)
+
+// fullCandidates is the walk the live window replaced, kept as the
+// reference: every uncommitted txn numbered above the writer that has
+// stored reads.
+func fullCandidates(txns []*Txn, writer int) []*Txn {
+	var out []*Txn
+	for _, t := range txns {
+		if t.Number > writer && !t.committed && t.Upd != nil && len(t.Upd.StoredReads()) > 0 {
+			out = append(out, t)
+		}
+	}
+	return out
+}
+
+// fullRemovalCandidates is the reference walk of removalCandidatesInto
+// outside any wave: every uncommitted txn with a stored violation read,
+// none in ModeFlag.
+func fullRemovalCandidates(cfg *Config, txns []*Txn) []*Txn {
+	if cfg.Mode == ModeFlag {
+		return nil
+	}
+	var out []*Txn
+	for _, t := range txns {
+		if t.committed || t.Upd == nil {
+			continue
+		}
+		if slices.ContainsFunc(t.Upd.StoredReads(), func(q query.ReadQuery) bool {
+			_, ok := q.(*query.ViolationRead)
+			return ok
+		}) {
+			out = append(out, t)
+		}
+	}
+	return out
+}
+
+// WindowWatch is a store decorator for the external batteries. Before
+// each write lands, it checks the live window of the scheduler it is
+// attached to against the full walk of every txn: the direct
+// candidates above the writer and the removal candidates must be the
+// same txns, and no txn outside the window, nor one inside it that has
+// not started, may hold an update, stored reads or a dependency. The
+// check runs where the writes land — under the parallel scheduler's
+// exclusive phase lock — so under the race detector it also guards the
+// window top's lock discipline.
+type WindowWatch struct {
+	storage.Backend
+	tb testing.TB
+	c  *txnCore
+
+	// Writes counts the checked writes, Candidates the direct
+	// candidates they found, Removal the removal candidates, and
+	// Narrowed the writes whose window left some txn out.
+	Writes, Candidates, Removal, Narrowed int
+}
+
+// WatchWindow decorates st; Attach names the scheduler to watch.
+func WatchWindow(tb testing.TB, st storage.Backend) *WindowWatch {
+	return &WindowWatch{Backend: st, tb: tb}
+}
+
+// Attach starts watching a scheduler built over the decorated store.
+func (w *WindowWatch) Attach(s interface{ core() *txnCore }) { w.c = s.core() }
+
+func (c *txnCore) core() *txnCore { return c }
+
+func (w *WindowWatch) check(writer int) {
+	c := w.c
+	if c == nil {
+		return
+	}
+	w.Writes++
+	got := candidatesInto(nil, above(c.live(), writer))
+	want := fullCandidates(c.txns, writer)
+	if !slices.Equal(got, want) {
+		w.tb.Errorf("write by %d: window [%d:%d] candidates %v, full walk %v",
+			writer, c.committedUpTo, c.top, numbers(got), numbers(want))
+	}
+	w.Candidates += len(want)
+	gotR := removalCandidatesInto(nil, &c.cfg, c.live(), nil)
+	wantR := fullRemovalCandidates(&c.cfg, c.txns)
+	if !slices.Equal(gotR, wantR) {
+		w.tb.Errorf("write by %d: window [%d:%d] removal candidates %v, full walk %v",
+			writer, c.committedUpTo, c.top, numbers(gotR), numbers(wantR))
+	}
+	w.Removal += len(wantR)
+	if c.top-c.committedUpTo < len(c.txns) {
+		w.Narrowed++
+	}
+	for i, t := range c.txns {
+		inWindow := i >= c.committedUpTo && i < c.top
+		if (!inWindow && t.Upd != nil) || (t.Upd == nil && !t.committed && len(t.deps) > 0) {
+			w.tb.Errorf("write by %d: txn %d outside window [%d:%d] or not started holds an update or dependencies",
+				writer, t.Number, c.committedUpTo, c.top)
+		}
+	}
+}
+
+func numbers(txns []*Txn) []int {
+	out := make([]int, len(txns))
+	for i, t := range txns {
+		out[i] = t.Number
+	}
+	return out
+}
+
+// Insert implements storage.Backend.
+func (w *WindowWatch) Insert(writer int, t model.Tuple) (storage.TupleID, storage.WriteRec, bool, error) {
+	w.check(writer)
+	return w.Backend.Insert(writer, t)
+}
+
+// Delete implements storage.Backend.
+func (w *WindowWatch) Delete(writer int, id storage.TupleID) (storage.WriteRec, bool, error) {
+	w.check(writer)
+	return w.Backend.Delete(writer, id)
+}
+
+// DeleteContent implements storage.Backend.
+func (w *WindowWatch) DeleteContent(writer int, t model.Tuple) ([]storage.WriteRec, error) {
+	w.check(writer)
+	return w.Backend.DeleteContent(writer, t)
+}
+
+// ReplaceNull implements storage.Backend.
+func (w *WindowWatch) ReplaceNull(writer int, x, to model.Value) ([]storage.WriteRec, error) {
+	w.check(writer)
+	return w.Backend.ReplaceNull(writer, x, to)
+}
+
+// TestSchedulerAllocBudget is the schedulers' twin of
+// core.TestApplyAllocBudget: a one-worker parallel run of all-insert
+// updates, each a forward repair through A(x) -> B(x), allocates at
+// most its pinned bytes per update, and creates no more chase.Update
+// values than the peak number of live txns holding one — a committed
+// txn's update is renewed for the next txn's first step.
+func TestSchedulerAllocBudget(t *testing.T) {
+	const n = 400
+	const bytesBound = 1300 // 1183 measured, plus 10%
+	schema := model.NewSchema()
+	schema.MustAddRelation("A", "x")
+	schema.MustAddRelation("B", "x")
+	set := tgd.MustNewSet(tgd.New("m",
+		[]tgd.Atom{tgd.NewAtom("A", tgd.V("x"))},
+		[]tgd.Atom{tgd.NewAtom("B", tgd.V("x"))}))
+	if err := set.Validate(schema); err != nil {
+		t.Fatal(err)
+	}
+	ops := make([]chase.Op, n)
+	for i := range ops {
+		ops[i] = chase.Insert(model.NewTuple("A", model.Const(fmt.Sprint("a", i))))
+	}
+	s := NewParallelScheduler(storage.NewStore(schema), set, Config{Workers: 1})
+	// One worker steps and commits every txn, so the read observer may
+	// look at every txn's update.
+	seen := map[*chase.Update]bool{}
+	peak := 0
+	s.engine.SetReadObserver(func(u *chase.Update, q query.ReadQuery) {
+		seen[u] = true
+		live := 0
+		for _, tx := range s.txns {
+			if tx.Upd != nil && !tx.committed {
+				live++
+			}
+		}
+		peak = max(peak, live)
+		s.onRead(u, q)
+	})
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	m, err := s.Run(ops)
+	runtime.ReadMemStats(&m1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Runs != n {
+		t.Fatalf("%d runs of %d updates: the workload is not conflict-free", m.Runs, n)
+	}
+	bytes := float64(m1.TotalAlloc-m0.TotalAlloc) / n
+	t.Logf("%.0f bytes per update; %d updates created, peak %d live", bytes, len(seen), peak)
+	if bytes > bytesBound {
+		t.Errorf("%.0f bytes per update, budget %d", bytes, bytesBound)
+	}
+	if len(seen) > peak {
+		t.Errorf("the run created %d updates for a peak of %d live txns", len(seen), peak)
+	}
+}

@@ -37,6 +37,28 @@ func TestPublishAfterReleaseReads(t *testing.T) {
 	}
 }
 
+// TestReleaseReadsKeepsCapacity: a release and a Reset empty the log
+// and its index but keep their storage for the next attempt, and the
+// kept array holds no dropped read.
+func TestReleaseReadsKeepsCapacity(t *testing.T) {
+	u := NewUpdate(1, Op{})
+	for _, release := range []func(){u.ReleaseReads, u.Reset} {
+		for i := 0; i < 5; i++ {
+			u.RecordRead(probeRead(i))
+		}
+		c := cap(u.reads)
+		release()
+		if len(u.reads) != 0 || len(u.readIdx) != 0 || cap(u.reads) != c || u.readIdx == nil {
+			t.Fatalf("after release: %d reads, %d index entries, capacity %d of %d", len(u.reads), len(u.readIdx), cap(u.reads), c)
+		}
+		for _, q := range u.reads[:c] {
+			if q != nil {
+				t.Fatal("the kept array still holds a dropped read")
+			}
+		}
+	}
+}
+
 // TestReadLogHashCollision: reads whose identity hashes collide are
 // told apart by structural equality — each distinct one is stored,
 // each repeat dropped — and a Reset forgets the whole chain.

@@ -160,8 +160,9 @@ type Update struct {
 	// is sound because entries are only ever removed all at once. A
 	// constant hashes by its canonical copy's address, an identity only
 	// while the constant is alive (model.Value.Hash); reads holds every
-	// read a key was hashed from, and both are dropped together. Nil
-	// until the first read after a Reset or ReleaseReads.
+	// read a key was hashed from, and both are emptied together. Nil
+	// until the update's first read; Reset and ReleaseReads empty it
+	// and keep its buckets, as they keep the log's array.
 	readIdx map[uint64]int32
 
 	// qctx is the attempt's query context (Engine.queryContext): nil
@@ -230,8 +231,7 @@ func (u *Update) Reset() {
 	u.writes = u.writes[:0]
 	u.releaseContext()
 	u.Attempt++
-	u.reads = nil
-	u.readIdx = nil
+	u.ReleaseReads()
 	u.Trace = nil
 	u.Stats = Stats{}
 }
@@ -318,10 +318,13 @@ func (u *Update) StoredReads() []query.ReadQuery { return u.reads }
 
 // ReleaseReads drops the stored read queries — the commit-time release
 // of Algorithm 4 (a committed update's reads can no longer cause
-// conflicts).
+// conflicts). The log's array and its index stay for the next attempt
+// or Renew, cleared to full capacity as dropPending clears the write
+// set, so that no dropped read is kept alive.
 func (u *Update) ReleaseReads() {
-	u.reads = nil
-	u.readIdx = nil
+	clear(u.reads[:cap(u.reads)])
+	u.reads = u.reads[:0]
+	clear(u.readIdx)
 }
 
 // State returns the update's current lifecycle state.
