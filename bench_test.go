@@ -178,7 +178,7 @@ func nowSeconds() float64 {
 // --- Parallel runtime: serial vs goroutine-parallel execution ---
 
 // BenchmarkSchedulerWorkers runs the same seeded workload under the
-// serial reference scheduler (PolicySerial) and the goroutine-parallel
+// serial reference execution (serial.Execute) and the goroutine-parallel
 // scheduler at several worker counts, reporting wall time and
 // committed-update throughput. Two workload shapes are measured:
 //

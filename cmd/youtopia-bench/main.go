@@ -56,7 +56,7 @@ import (
 
 func main() {
 	figure := flag.String("figure", "both", "which figure to reproduce: 3, 4, both, latency (the §5.2 user-latency extension study), parallel (serial vs goroutine-parallel throughput), multicore (GOMAXPROCS sweep of the parallel scheduler at a fixed worker count), or inbox (busy-repoll vs decision-inbox park/answer/resume)")
-	inboxWorkers := flag.Int("inbox-workers", 4, "worker count the -figure inbox study runs both modes on (0 = cooperative serial)")
+	inboxWorkers := flag.Int("inbox-workers", 4, "worker count the -figure inbox study runs both modes on (at least 1)")
 	inboxLatency := flag.Int("inbox-latency", 200, "per-answer think time of the -figure inbox asynchronous answerer, in microseconds")
 	workersFlag := flag.String("workers", "", "comma-separated worker counts for -figure parallel (0 = serial reference; default 0,1,2,4,8)")
 	cpusFlag := flag.String("cpus", "", "comma-separated GOMAXPROCS caps for -figure multicore (default 1,2,4)")
@@ -81,6 +81,11 @@ func main() {
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the study to this file")
 	traceOut := flag.String("trace-out", "", "record per-update lifecycle spans during the study and write the timelines to this JSON file")
 	flag.Parse()
+	if *inboxWorkers < 1 {
+		// Workers 0 is the serial reference execution, which cannot park
+		// an update in the inbox.
+		fail(fmt.Errorf("bad -inbox-workers %d: the inbox study needs at least 1 worker", *inboxWorkers))
+	}
 
 	// Observability riders around whichever study runs below. They are
 	// torn down by defers because every -figure branch returns from

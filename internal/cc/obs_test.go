@@ -62,7 +62,7 @@ func TestSchedulerTraceChain(t *testing.T) {
 		chase.Insert(model.NewTuple("V", model.Const("Syracuse"), model.Const("Math Conf"))),
 	}
 	s := NewScheduler(st, set, Config{
-		Tracker: Coarse{}, Policy: PolicySerial, User: simuser.New(1), Trace: tr,
+		Tracker: Coarse{}, User: simuser.New(1), Trace: tr,
 	})
 	if _, err := s.Run(ops); err != nil {
 		t.Fatal(err)

@@ -21,9 +21,6 @@ const (
 	// PolicyRoundRobinStratum lets an update run a whole deterministic
 	// stratum before the scheduler regains control (§4.1).
 	PolicyRoundRobinStratum
-	// PolicySerial runs updates one at a time in priority order — the
-	// serial reference execution used to validate serializability.
-	PolicySerial
 )
 
 // String names the policy.
@@ -33,8 +30,6 @@ func (p Policy) String() string {
 		return "round-robin-step"
 	case PolicyRoundRobinStratum:
 		return "round-robin-stratum"
-	case PolicySerial:
-		return "serial"
 	default:
 		return fmt.Sprintf("policy(%d)", uint8(p))
 	}
@@ -83,7 +78,8 @@ type Config struct {
 	// convention (core.Repository.RunConcurrent, experiments.RunMode,
 	// the benches): Workers >= 1 drives the workload through
 	// ParallelScheduler on that many worker goroutines, Workers == 0
-	// keeps the cooperative single-goroutine execution. Only when
+	// keeps a single-goroutine execution (the cooperative Scheduler;
+	// experiments.RunMode's serial reference, outside cc). Only when
 	// constructing a ParallelScheduler directly does 0 default to
 	// GOMAXPROCS. The cooperative Scheduler itself ignores the field.
 	Workers int
@@ -117,7 +113,7 @@ func (c Config) Validate() error {
 		return fmt.Errorf("cc: negative MaxAbortsPerUpdate %d", c.MaxAbortsPerUpdate)
 	case c.Workers < 0:
 		return fmt.Errorf("cc: negative Workers %d", c.Workers)
-	case c.Policy > PolicySerial:
+	case c.Policy > PolicyRoundRobinStratum:
 		return fmt.Errorf("cc: unknown %s", c.Policy)
 	case c.Mode > ModeFlag:
 		return fmt.Errorf("cc: unknown mode(%d)", uint8(c.Mode))
@@ -269,11 +265,10 @@ func (s *Scheduler) loop() error {
 	}
 }
 
-// round performs one scheduler round: under round-robin policies every
-// uncommitted txn gets one scheduling opportunity (a chase step, a
-// whole stratum, or a frontier-operation poll), and a txn's first one
-// starts it; under the serial policy only the lowest unfinished txn
-// runs. It reports whether any txn made progress.
+// round performs one scheduler round: every uncommitted txn gets one
+// scheduling opportunity (a chase step, a whole stratum, or a
+// frontier-operation poll), and a txn's first one starts it. It
+// reports whether any txn made progress.
 func (s *Scheduler) round() (bool, error) {
 	progressed := false
 	for _, t := range s.txns[s.committedUpTo:] {
@@ -285,10 +280,6 @@ func (s *Scheduler) round() (bool, error) {
 			return progressed, err
 		}
 		progressed = progressed || p
-		if s.cfg.Policy == PolicySerial {
-			// Strictly one unfinished txn at a time.
-			return progressed, nil
-		}
 	}
 	return progressed, nil
 }
@@ -315,7 +306,7 @@ func (s *Scheduler) schedule(t *Txn) (bool, error) {
 }
 
 // runSteps executes one chase step (step policy) or a full
-// deterministic stratum (stratum and serial policies), then applies
+// deterministic stratum (stratum policy), then applies
 // Algorithm 4's conflict processing to the writes performed.
 func (s *Scheduler) runSteps(t *Txn) error {
 	for {

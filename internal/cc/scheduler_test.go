@@ -366,8 +366,7 @@ func TestTrackerByName(t *testing.T) {
 
 func TestPolicyAndModeStrings(t *testing.T) {
 	if cc.PolicyRoundRobinStep.String() != "round-robin-step" ||
-		cc.PolicyRoundRobinStratum.String() != "round-robin-stratum" ||
-		cc.PolicySerial.String() != "serial" {
+		cc.PolicyRoundRobinStratum.String() != "round-robin-stratum" {
 		t.Fatal("policy strings")
 	}
 	if cc.ModePrevent.String() != "prevent" || cc.ModeFlag.String() != "flag" {
@@ -416,7 +415,7 @@ func TestConfigValidate(t *testing.T) {
 		{"negative MaxIdleRounds", cc.Config{MaxIdleRounds: -1}},
 		{"negative MaxAbortsPerUpdate", cc.Config{MaxAbortsPerUpdate: -1}},
 		{"negative Workers", cc.Config{Workers: -1}},
-		{"unknown Policy", cc.Config{Policy: cc.PolicySerial + 1}},
+		{"unknown Policy", cc.Config{Policy: cc.PolicyRoundRobinStratum + 1}},
 		{"unknown Mode", cc.Config{Mode: cc.ModeFlag + 1}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

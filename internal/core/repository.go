@@ -506,7 +506,8 @@ var errNoAnswer = errors.New("core: user has no frontier answer yet")
 // With Workers >= 1 the workload runs on that many goroutines through
 // cc.ParallelScheduler (the Policy field is then ignored) — the same
 // convention the benches and experiments.RunMode use; Workers of zero
-// keeps the cooperative single-goroutine scheduler.
+// keeps the cooperative single-goroutine scheduler (where RunMode runs
+// the serial reference execution instead).
 func (r *Repository) RunConcurrent(ops []chase.Op, cfg cc.Config) (cc.Metrics, error) {
 	if err := cfg.Validate(); err != nil {
 		return cc.Metrics{}, err

@@ -4,6 +4,9 @@ import (
 	"strings"
 	"testing"
 
+	"youtopia/internal/cc"
+	"youtopia/internal/inbox"
+	"youtopia/internal/simuser"
 	"youtopia/internal/workload"
 )
 
@@ -108,5 +111,44 @@ func TestLatencyStudy(t *testing.T) {
 	}
 	if _, err := LatencyStudy(cfg, nil, 0); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRunModeSerialRejectsInbox: the serial reference point cannot park
+// an update, so RunMode refuses Workers 0 with an Inbox before the
+// store sees a write; without one it runs and commits every update
+// once.
+func TestRunModeSerialRejectsInbox(t *testing.T) {
+	u, err := workload.Build(tinyBase())
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := u.NewStore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := u.GenOpsSeeded(1)
+	seq, dump := st.CurrentSeq(), st.Dump(1<<30)
+	box := inbox.NewBox()
+	cfg := cc.Config{User: simuser.New(1), Inbox: box}
+	if _, _, err := RunMode(st, u.Mappings, cfg, ops); err == nil {
+		t.Fatal("Workers 0 with an inbox accepted")
+	}
+	if st.CurrentSeq() != seq || st.Dump(1<<30) != dump {
+		t.Fatal("the rejected run touched the store")
+	}
+	if parked, _, _, _, _ := box.Counters(); parked != 0 {
+		t.Fatalf("the rejected run parked %d updates", parked)
+	}
+	cfg.Inbox = nil
+	m, _, err := RunMode(st, u.Mappings, cfg, ops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Submitted != len(ops) || m.Runs != len(ops) || m.Aborts != 0 || m.CommitBatches != len(ops) {
+		t.Fatalf("serial point metrics %+v for %d updates", m, len(ops))
+	}
+	if st.CurrentSeq() == seq {
+		t.Fatal("the serial run wrote nothing")
 	}
 }

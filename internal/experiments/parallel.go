@@ -13,6 +13,7 @@ import (
 	"youtopia/internal/cc"
 	"youtopia/internal/chase"
 	"youtopia/internal/model"
+	"youtopia/internal/serial"
 	"youtopia/internal/simuser"
 	"youtopia/internal/storage"
 	"youtopia/internal/tgd"
@@ -21,7 +22,8 @@ import (
 )
 
 // ModeLabel names an execution mode by its worker count: 0 is the
-// serial reference, anything positive the goroutine-parallel runtime.
+// serial reference execution (serial.Execute), anything positive the
+// goroutine-parallel runtime.
 func ModeLabel(workers int) string {
 	if workers == 0 {
 		return "serial"
@@ -30,32 +32,45 @@ func ModeLabel(workers int) string {
 }
 
 // RunMode executes one workload under the study's execution
-// convention: cfg.Workers == 0 selects the serial reference
-// (PolicySerial on the cooperative scheduler), any positive count
-// runs cc.ParallelScheduler on that many goroutines. It returns the
-// metrics together with the scheduler's wall time (setup excluded).
-// The benches and examples share it so the serial-vs-parallel
-// comparison stays on one convention.
+// convention: cfg.Workers == 0 selects the serial reference execution
+// (serial.Execute with cfg.User, no concurrency control; the rest of
+// cfg does not apply), any positive count runs cc.ParallelScheduler on
+// that many goroutines. It returns the metrics together with the run's
+// wall time (setup excluded). The serial reference cannot park an
+// update, so Workers == 0 with an Inbox is an error, returned before
+// the store is touched. The benches and examples share RunMode so the
+// serial-vs-parallel comparison stays on one convention.
 func RunMode(st storage.Backend, set *tgd.Set, cfg cc.Config, ops []chase.Op) (cc.Metrics, time.Duration, error) {
-	if cfg.Trace == nil {
-		cfg.Trace = studyTrace
+	if cfg.Workers > 0 {
+		if cfg.Trace == nil {
+			cfg.Trace = studyTrace
+		}
+		start := time.Now()
+		m, err := cc.NewParallelScheduler(st, set, cfg).Run(ops)
+		return m, time.Since(start), err
+	}
+	if cfg.Inbox != nil {
+		return cc.Metrics{}, 0, fmt.Errorf("experiments: the serial reference (Workers 0) cannot park updates in an inbox")
 	}
 	start := time.Now()
-	var m cc.Metrics
-	var err error
-	if cfg.Workers == 0 {
-		cfg.Policy = cc.PolicySerial
-		m, err = cc.NewScheduler(st, set, cfg).Run(ops)
-	} else {
-		m, err = cc.NewParallelScheduler(st, set, cfg).Run(ops)
-	}
-	return m, time.Since(start), err
+	syncs := st.SyncCount()
+	s, err := serial.Execute(st, set, ops, cfg.User)
+	wall := time.Since(start)
+	n := len(ops)
+	return cc.Metrics{
+		Submitted: n, Runs: n,
+		Steps: s.Steps, Writes: s.Writes,
+		FrontierRequests: s.FrontierRequests, FrontierOps: s.FrontierOps,
+		CommitBatches: n, MaxCommitBatch: min(n, 1),
+		WALSyncs: int(st.SyncCount() - syncs),
+		WallTime: wall,
+	}, wall, err
 }
 
 // ParallelPoint is one measurement of the parallel-runtime study.
 type ParallelPoint struct {
 	// Workers is the goroutine count; 0 denotes the serial reference
-	// execution (PolicySerial on the cooperative scheduler).
+	// execution (serial.Execute, no concurrency control).
 	Workers    int
 	Runs       int
 	Aborts     float64

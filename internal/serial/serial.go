@@ -1,9 +1,11 @@
 // Package serial provides the machinery to validate Theorem 4.4
-// empirically: a serial reference executor (updates run one at a time
-// in priority order) and a database-equivalence checker that compares
-// final states up to a bijective renaming of labeled nulls — chases
-// mint fresh nulls nondeterministically, so two equivalent executions
-// generally disagree on null identities.
+// empirically: the serial execution of Definition 3.4 (updates chased
+// one at a time in priority order, with no concurrency control — it
+// shares no code with the cc package it judges) and a
+// database-equivalence checker that compares final states up to a
+// bijective renaming of labeled nulls — chases mint fresh nulls from a
+// store-wide counter, so two equivalent executions generally disagree
+// on null identities.
 package serial
 
 import (
@@ -11,23 +13,72 @@ import (
 	"sort"
 	"strings"
 
-	"youtopia/internal/cc"
 	"youtopia/internal/chase"
 	"youtopia/internal/model"
 	"youtopia/internal/storage"
 	"youtopia/internal/tgd"
 )
 
-// Execute runs the workload serially — update 1 to termination, then
-// update 2, and so on — against the given store. It is the reference
-// execution that Definition 3.4 compares against.
-func Execute(st storage.Backend, set *tgd.Set, ops []chase.Op, user chase.User) (cc.Metrics, error) {
-	sched := cc.NewScheduler(st, set, cc.Config{
-		Policy:  cc.PolicySerial,
-		Tracker: cc.Precise{},
-		User:    user,
-	})
-	return sched.Run(ops)
+// Execute runs the workload serially against the given store: update 1
+// is chased to termination by chase.Runner and committed, then update
+// 2, and so on. It is the reference execution Definition 3.4 compares
+// against. A committed update is forgotten by a stateful user
+// (chase.Forgetter), and Execute returns only once every commit is
+// acknowledged, the durability point the schedulers' runs share. It
+// returns the chase work summed over the updates.
+func Execute(st storage.Backend, set *tgd.Set, ops []chase.Op, user chase.User) (chase.Stats, error) {
+	e := chase.NewEngine(st, set)
+	e.MaxStepsPerAttempt = 100000
+	r := chase.Runner{Engine: e, User: user}
+	forget, _ := user.(chase.Forgetter)
+	var total chase.Stats
+	var acks []storage.CommitAck
+	err := func() error {
+		var u *chase.Update
+		for i, op := range ops {
+			n := i + 1
+			if u == nil {
+				u = chase.NewUpdate(n, op)
+			} else {
+				u.Renew(n, op)
+			}
+			u.NoTrace = true
+			s, err := r.Run(u)
+			addStats(&total, s)
+			if err != nil {
+				return fmt.Errorf("serial: update %d: %w", n, err)
+			}
+			ack, err := st.CommitBatchAsync([]int{n})
+			if err != nil {
+				return fmt.Errorf("serial: commit of update %d: %w", n, err)
+			}
+			if ack != nil {
+				acks = append(acks, ack)
+			}
+			if forget != nil {
+				forget.Forget(n)
+			}
+		}
+		return nil
+	}()
+	for _, ack := range acks {
+		if aerr := ack(); aerr != nil && err == nil {
+			err = fmt.Errorf("serial: commit acknowledgment: %w", aerr)
+		}
+	}
+	return total, err
+}
+
+// addStats adds one update's chase statistics to a total.
+func addStats(dst *chase.Stats, s chase.Stats) {
+	dst.Steps += s.Steps
+	dst.Writes += s.Writes
+	dst.FrontierRequests += s.FrontierRequests
+	dst.FrontierOps += s.FrontierOps
+	dst.Expansions += s.Expansions
+	dst.Unifications += s.Unifications
+	dst.DeletionChoices += s.DeletionChoices
+	dst.Reconfirmations += s.Reconfirmations
 }
 
 // fact is a flattened tuple for matching.

@@ -16,6 +16,7 @@ import (
 
 	"youtopia/internal/cc"
 	"youtopia/internal/model"
+	"youtopia/internal/serial"
 	"youtopia/internal/simuser"
 	"youtopia/internal/storage"
 	"youtopia/internal/wal"
@@ -242,11 +243,8 @@ func TestDurableSeedBuildResumes(t *testing.T) {
 		t.Fatal("first open not fresh")
 	}
 	seeded := st.Dump(allSeeing)
-	// Commit a workload on top through the serial scheduler.
-	sch := cc.NewScheduler(st, u.Mappings, cc.Config{
-		Policy: cc.PolicySerial, User: simuser.New(3), MaxAbortsPerUpdate: 10000,
-	})
-	if _, err := sch.Run(u.GenOpsSeeded(4)); err != nil {
+	// Commit a workload on top through the serial execution.
+	if _, err := serial.Execute(st, u.Mappings, u.GenOpsSeeded(4), simuser.New(3)); err != nil {
 		t.Fatal(err)
 	}
 	want := st.Dump(allSeeing)

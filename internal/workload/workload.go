@@ -21,6 +21,7 @@ import (
 	"youtopia/internal/cc"
 	"youtopia/internal/chase"
 	"youtopia/internal/model"
+	"youtopia/internal/serial"
 	"youtopia/internal/simuser"
 	"youtopia/internal/storage"
 	"youtopia/internal/tgd"
@@ -55,8 +56,8 @@ type Config struct {
 	// SetupWorkers selects how the initial database is generated: 0
 	// (the default) runs the seed batch through the parallel scheduler
 	// on GOMAXPROCS workers, a positive value on that many workers, and
-	// a negative value through the serial reference scheduler
-	// (PolicySerial) — the pre-parallel behaviour, kept for equivalence
+	// a negative value through the serial reference execution
+	// (serial.Execute) — the pre-parallel behaviour, kept for equivalence
 	// tests. All modes produce the same initial database: the parallel
 	// runtime is serializable and the simulated user's decisions are
 	// order-independent, and the extracted facts are canonicalized (see
@@ -381,9 +382,7 @@ func genInitialDB(rng *rand.Rand, cfg Config, u *Universe) ([]model.Tuple, error
 	}
 	var err error
 	if cfg.SetupWorkers < 0 {
-		ccCfg.Policy = cc.PolicySerial
-		ccCfg.Tracker = cc.Naive{}
-		_, err = cc.NewScheduler(st, u.Mappings, ccCfg).Run(ops)
+		_, err = serial.Execute(st, u.Mappings, ops, ccCfg.User)
 	} else {
 		ccCfg.Workers = cfg.SetupWorkers // 0 = GOMAXPROCS
 		ccCfg.Tracker = cc.Coarse{}
