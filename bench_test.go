@@ -51,7 +51,7 @@ var benchSweep = []int{8, 16, 24, 32, 40}
 
 // universes caches built universes per insert mix, so only the first
 // benchmark of a process pays for one: chasing the 3,000 seed inserts
-// to completion and canonicalizing the facts they leave.
+// to completion, one at a time.
 var universes = map[int]*workload.Universe{}
 
 func universe(b *testing.B, insertPct int) *workload.Universe {

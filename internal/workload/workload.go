@@ -9,16 +9,9 @@
 package workload
 
 import (
-	"bytes"
-	"crypto/sha256"
-	"encoding/binary"
 	"fmt"
 	"math/rand"
-	"slices"
-	"sort"
-	"strconv"
 
-	"youtopia/internal/cc"
 	"youtopia/internal/chase"
 	"youtopia/internal/model"
 	"youtopia/internal/serial"
@@ -53,15 +46,10 @@ type Config struct {
 	// instead of fresh constants. The paper's wording admits both
 	// readings; fresh constants are the default.
 	FreshNulls bool
-	// SetupWorkers selects how the initial database is generated: 0
-	// (the default) runs the seed batch through the parallel scheduler
-	// on GOMAXPROCS workers, a positive value on that many workers, and
-	// a negative value through the serial reference execution
-	// (serial.Execute) — the pre-parallel behaviour, kept for equivalence
-	// tests. All modes produce the same initial database: the parallel
-	// runtime is serializable and the simulated user's decisions are
-	// order-independent, and the extracted facts are canonicalized (see
-	// genInitialDB).
+	// SetupWorkers once chose a parallel build of the initial
+	// database; it is always built serially now (see genInitialDB).
+	//
+	// Deprecated: ignored.
 	SetupWorkers int
 	// Seed drives all generation.
 	Seed int64
@@ -352,18 +340,11 @@ func usesAny(atoms []tgd.Atom, vars []string) bool {
 
 // genInitialDB produces the initial database: InitialTuples seed
 // tuples (relation uniform, values from the pool) inserted one at a
-// time, each chased to completion with a simulated user, under the
-// full mapping set. By default the seed batch runs through the
-// parallel scheduler — the execution is serializable and the simulated
-// user's decisions are keyed on canonical contexts, so the committed
-// instance matches the serial reference's up to renaming of the fresh
-// labeled nulls the chase mints; the extracted facts are then
-// canonicalized (nulls renumbered in canonical order) so the universe
-// is identical whichever execution mode built it. This cuts setup
-// time on multicore machines and doubles as a standing
-// serial-vs-parallel equivalence check. The resulting facts are
-// returned for loading into fresh stores as the committed writer-0
-// state.
+// time, each chased to completion with a simulated user under the full
+// mapping set, through the serial execution (serial.Execute). That
+// execution is deterministic, so the facts are too: they come out in
+// SortedNames order, with the null IDs the chase minted, for loading
+// into fresh stores as the committed writer-0 state.
 func genInitialDB(rng *rand.Rand, cfg Config, u *Universe) ([]model.Tuple, error) {
 	st := storage.NewStore(u.Schema)
 	ops := make([]chase.Op, 0, cfg.InitialTuples)
@@ -377,18 +358,8 @@ func genInitialDB(rng *rand.Rand, cfg Config, u *Universe) ([]model.Tuple, error
 		}
 		ops = append(ops, chase.Insert(model.NewTuple(rel, vals...)))
 	}
-	ccCfg := cc.Config{
-		User: simuser.New(uint64(cfg.Seed) ^ 0x9e3779b97f4a7c15),
-	}
-	var err error
-	if cfg.SetupWorkers < 0 {
-		_, err = serial.Execute(st, u.Mappings, ops, ccCfg.User)
-	} else {
-		ccCfg.Workers = cfg.SetupWorkers // 0 = GOMAXPROCS
-		ccCfg.Tracker = cc.Coarse{}
-		_, err = cc.NewParallelScheduler(st, u.Mappings, ccCfg).Run(ops)
-	}
-	if err != nil {
+	user := simuser.New(uint64(cfg.Seed) ^ 0x9e3779b97f4a7c15)
+	if _, err := serial.Execute(st, u.Mappings, ops, user); err != nil {
 		return nil, fmt.Errorf("workload: initial database generation: %w", err)
 	}
 	facts := st.Snap(1 << 30).VisibleFacts()
@@ -396,204 +367,7 @@ func genInitialDB(rng *rand.Rand, cfg Config, u *Universe) ([]model.Tuple, error
 	for _, rel := range u.Schema.SortedNames() {
 		out = append(out, facts[rel]...)
 	}
-	return canonicalizeNulls(out), nil
-}
-
-// canonicalizeNulls renumbers the labeled nulls of a fact set to 1..k
-// in a canonical order, preserving cross-tuple null sharing.
-// Executions that differ only in null allocation order (serial vs
-// parallel initial-database builds) thereby extract byte-identical
-// universes.
-//
-// Per-tuple canonical renderings alone cannot order nulls that appear
-// in identically-shaped tuples but differ in how they are shared
-// across tuples, so nulls are first distinguished by bounded color
-// refinement (refineNullColors). Nulls still tied after refinement
-// occupy genuinely symmetric positions, where any assignment yields
-// the same set up to automorphism.
-func canonicalizeNulls(facts []model.Tuple) []model.Tuple {
-	color, _ := refineNullColors(facts)
-	render := func(t model.Tuple) string {
-		b := []byte(t.Rel)
-		for _, v := range t.Vals {
-			b = append(b, '\x02')
-			if v.IsNull() {
-				b = strconv.AppendInt(append(b, '?'), int64(color[v]), 10)
-			} else {
-				b = append(append(b, "c:"...), v.ConstValue()...)
-			}
-		}
-		return string(b)
-	}
-	idx := make([]int, len(facts))
-	final := make([]string, len(facts))
-	for i, t := range facts {
-		idx[i] = i
-		final[i] = render(t)
-	}
-	sort.Slice(idx, func(a, b int) bool { return final[idx[a]] < final[idx[b]] })
-	ren := model.Subst{}
-	var next int64
-	out := make([]model.Tuple, len(facts))
-	for pos, j := range idx {
-		t := facts[j]
-		// Within a tuple, tied colors are broken positionally; across
-		// tuples, by the sorted order — both canonical.
-		for _, v := range t.Vals {
-			if v.IsNull() {
-				if _, ok := ren[v]; !ok {
-					next++
-					ren[v] = model.Null(next)
-				}
-			}
-		}
-		out[pos] = ren.ApplyTuple(t)
-	}
-	return out
-}
-
-// refineNullColors is the color refinement canonicalizeNulls orders
-// nulls by, exactly the 1-dimensional Weisfeiler–Lehman refinement on
-// the fact/null incidence graph: each round recomputes every null's
-// color as the rank of the canonical renderings of the tuples
-// containing it, current colors substituted. It returns each null's
-// color after round |nulls| (rounds are numbered from 0) and how many
-// rounds it actually ran to learn them.
-//
-// A round is a pure function of the color vector and reads no null
-// identity, so the colors (and the round count) depend only on the
-// fact set up to null renaming. Within |nulls| rounds the partition
-// into color classes stops refining, but the color numbers need not
-// stop changing: on the benchmark's universe they cycle with period
-// 170 from round 1 on. So the loop records a digest of each round's
-// vector, and when round r reproduces the vector of round j, the
-// vector after any later round l is the one after round
-// r + (l-r) mod (r-j); it runs just that far. Colors that stop
-// changing are the period-1 case.
-func refineNullColors(facts []model.Tuple) (map[model.Value]int, int) {
-	// Nulls get dense indexes in first-occurrence order. Everything a
-	// round needs is laid out once here: which facts carry nulls, each
-	// such fact's rendering split around its nulls, and where each null
-	// occurs. A round then only appends bytes into reused buffers.
-	index := make(map[model.Value]int)
-	type occurrence struct{ slot, pos int }
-	type template struct {
-		pieces [][]byte // len(nulls)+1 literal runs, a color between each
-		nulls  []int
-	}
-	var occs [][]occurrence // per null
-	var tmpls []template    // per null-bearing fact, its slot
-	for _, t := range facts {
-		var tm template
-		piece := []byte(t.Rel)
-		for pos, v := range t.Vals {
-			piece = append(piece, '\x02')
-			if !v.IsNull() {
-				piece = append(append(piece, "c:"...), v.ConstValue()...)
-				continue
-			}
-			k, ok := index[v]
-			if !ok {
-				k = len(occs)
-				index[v] = k
-				occs = append(occs, nil)
-			}
-			occs[k] = append(occs[k], occurrence{len(tmpls), pos})
-			tm.pieces = append(tm.pieces, append(piece, '?'))
-			tm.nulls = append(tm.nulls, k)
-			piece = nil
-		}
-		if tm.nulls != nil {
-			tm.pieces = append(tm.pieces, piece)
-			tmpls = append(tmpls, tm)
-		}
-	}
-	color := make([]int, len(occs))
-
-	// keyBuf[keyOff[slot]:keyOff[slot+1]] is a fact's key this round,
-	// joinBuf[joinOff[k]:joinOff[k+1]] a null's joined signature.
-	var keyBuf, sigBuf, joinBuf, digestBuf []byte
-	keyOff := make([]int, len(tmpls)+1)
-	joinOff := make([]int, len(occs)+1)
-	key := func(slot int) []byte { return keyBuf[keyOff[slot]:keyOff[slot+1]] }
-	joined := func(k int) []byte { return joinBuf[joinOff[k]:joinOff[k+1]] }
-	var sigs [][]byte
-	var sigEnd []int
-	order := make([]int, len(occs))
-	for k := range order {
-		order[k] = k
-	}
-	// seen maps each vector's digest to the round that produced it, until
-	// a repeat fixes the last round (nil from then on).
-	seen := make(map[[sha256.Size]byte]int)
-	last := len(occs)
-	round := 0
-	for ; round <= last; round++ {
-		// Each null-bearing fact's key: its rendering with the current
-		// colors standing in for its nulls.
-		keyBuf = keyBuf[:0]
-		for slot, tm := range tmpls {
-			for i, k := range tm.nulls {
-				keyBuf = append(keyBuf, tm.pieces[i]...)
-				keyBuf = strconv.AppendInt(keyBuf, int64(color[k]), 10)
-			}
-			keyBuf = append(keyBuf, tm.pieces[len(tm.nulls)]...)
-			keyOff[slot+1] = len(keyBuf)
-		}
-		// Each null's signature: the sorted "key@position" of its
-		// occurrences, joined.
-		joinBuf = joinBuf[:0]
-		for k, os := range occs {
-			sigBuf, sigEnd, sigs = sigBuf[:0], sigEnd[:0], sigs[:0]
-			for _, o := range os {
-				sigBuf = append(append(sigBuf, key(o.slot)...), '@')
-				sigBuf = strconv.AppendInt(sigBuf, int64(o.pos), 10)
-				sigEnd = append(sigEnd, len(sigBuf))
-			}
-			// Sliced only now: sigBuf may have moved while it grew.
-			from := 0
-			for _, to := range sigEnd {
-				sigs = append(sigs, sigBuf[from:to])
-				from = to
-			}
-			slices.SortFunc(sigs, bytes.Compare)
-			for i, sig := range sigs {
-				if i > 0 {
-					joinBuf = append(joinBuf, '\x01')
-				}
-				joinBuf = append(joinBuf, sig...)
-			}
-			joinOff[k+1] = len(joinBuf)
-		}
-		// A null's new color is the rank of its signature among the
-		// distinct signatures.
-		slices.SortFunc(order, func(a, b int) int { return bytes.Compare(joined(a), joined(b)) })
-		rank := 0
-		for i, k := range order {
-			if i == 0 || !bytes.Equal(joined(k), joined(order[i-1])) {
-				rank++
-			}
-			color[k] = rank
-		}
-		if seen == nil {
-			continue
-		}
-		digestBuf = digestBuf[:0]
-		for _, c := range color {
-			digestBuf = binary.AppendUvarint(digestBuf, uint64(c))
-		}
-		d := sha256.Sum256(digestBuf)
-		if j, ok := seen[d]; ok {
-			last = round + (last-round)%(round-j)
-			seen = nil
-			continue
-		}
-		seen[d] = round
-	}
-	for v, k := range index {
-		index[v] = color[k]
-	}
-	return index, round
+	return out, nil
 }
 
 // NewStore loads the universe's initial database into a fresh store
@@ -671,12 +445,23 @@ func (u *Universe) GenOps(rng *rand.Rand) []chase.Op {
 		byRel[t.Rel] = append(byRel[t.Rel], t)
 	}
 
+	// Fresh nulls are numbered from one past the largest null of the
+	// initial data, so none names an initial null.
+	var lastNull int64
+	if cfg.FreshNulls {
+		for _, t := range u.Initial {
+			for _, v := range t.Vals {
+				if v.IsNull() {
+					lastNull = max(lastNull, v.NullID())
+				}
+			}
+		}
+	}
 	freshCount := 0
 	freshVal := func() model.Value {
 		freshCount++
 		if cfg.FreshNulls {
-			// High IDs avoid collision with nulls in the initial data.
-			return model.Null(int64(1_000_000 + freshCount))
+			return model.Null(lastNull + int64(freshCount))
 		}
 		return model.Const(fmt.Sprintf("fresh_%d_%d", rng.Int63n(1<<30), freshCount))
 	}
