@@ -92,13 +92,15 @@ func (v Value) NullID() int64 {
 // shifted left, or id<<1|1 for a null. Distinct live values hash
 // distinct, except nulls whose identifiers differ in bit 63 alone.
 //
-// A constant's hash is an identity only while the value is alive: once
-// no Value refers to a canonical copy it can be collected, and a later
+// A constant's hash is stable only while the value is alive: once no
+// Value refers to a canonical copy it can be collected, and a later
 // Const of the same string — or of another — may mint a copy at the
 // same address. A structure keyed by a derived hash must therefore
 // retain the values it hashed for as long as the key can be probed
 // (the storage indexes keep the versions their keys were computed
-// from, the read log the reads).
+// from, the read log the reads). The storage indexes fold the word
+// further into 32-bit keys that several values may share, and check
+// every candidate against the values themselves.
 func (v Value) Hash() uint64 {
 	if v.IsNull() {
 		return uint64(v.n)<<1 | 1

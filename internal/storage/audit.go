@@ -8,8 +8,8 @@ import (
 // AuditIndexes checks the secondary indexes against the version chains
 // they are derived from. It rebuilds every index from the chains, in
 // ascending tuple-ID order, and requires the live one to be identical:
-// a tuple is listed under a column value, a content hash or a labeled
-// null exactly when one of its versions carries it, every list is
+// a tuple is listed under a column value's key, a content key or a
+// labeled null exactly when one of its versions carries it, every list is
 // strictly ascending, and no empty list is left behind. It also checks
 // the horizon: a tuple holding committed garbage — a version below its
 // newest committed one, or a committed tombstone — must be on its
@@ -22,7 +22,7 @@ func (st *Store) AuditIndexes() error {
 	st.rlockAll()
 	defer st.runlockAll()
 	idle := st.horizon().idle()
-	var nulls postings
+	var nulls postings[uint64]
 	for _, s := range st.byIdx {
 		ids := make([]TupleID, 0, len(s.tuples))
 		for id := range s.tuples {
@@ -32,8 +32,11 @@ func (st *Store) AuditIndexes() error {
 		if !slices.Equal(ids, s.ids) {
 			return fmt.Errorf("storage: audit %s: member list %v, tuples %v", s.rel, s.ids, ids)
 		}
-		var content postings
-		cols := make([]postings, len(s.valIdx))
+		content := postings[uint32]{base: s.base()}
+		cols := make([]postings[uint32], len(s.valIdx))
+		for i := range cols {
+			cols[i].base = s.base()
+		}
 		if idle && len(s.pending) > 0 && !st.noTrim {
 			return fmt.Errorf("storage: audit %s: no writer is live, yet trims of %v are pending", s.rel, s.pending)
 		}
@@ -50,12 +53,12 @@ func (st *Store) AuditIndexes() error {
 					continue
 				}
 				for i, val := range v.vals {
-					cols[i].add(val.Hash(), id)
+					cols[i].add(st.key(val.Hash()), id)
 					if val.IsNull() {
 						nulls.add(val.Hash(), id)
 					}
 				}
-				content.add(st.contentHash(v.vals), id)
+				content.add(st.contentKey(v.vals), id)
 			}
 		}
 		for i := range cols {
@@ -77,7 +80,7 @@ func (st *Store) AuditIndexes() error {
 
 // sameIndex reports how a live index differs from its rebuild, or
 // breaks its layout.
-func sameIndex(want, got *postings) error {
+func sameIndex[W uint32 | uint64](want, got *postings[W]) error {
 	var g1, w1 [1]TupleID
 	for k := range got.m {
 		if g, w := got.get(k, &g1), want.get(k, &w1); !slices.Equal(g, w) {

@@ -5,21 +5,29 @@ import (
 	"slices"
 )
 
-// postings is a secondary index: for each key (a column value's Hash, a
-// content hash, a labeled null's Hash) the set of tuples indexed under
-// it, as a strictly ascending list of IDs. A tuple belongs while at
-// least one of its versions carries the key; the store adds it with
+// postings is a secondary index: for each key the set of tuples indexed
+// under it, as a strictly ascending list of IDs. A tuple belongs while
+// at least one of its versions carries the key; the store adds it with
 // every such version and removes it when an abort or a trim takes the
 // last one away (unindexVersion decides that from the version chain, so
 // nothing is counted here).
 //
+// W is the width of a key and of a map slot. The stripe indexes
+// (stripe.valIdx, stripe.contentIdx) are postings[uint32]: a key is the
+// 32-bit fold of a value's Hash or a content hash (Store.key), so one
+// key may stand for several values, and a slot holds a member's
+// stripe-local counter, base (the stripe's bits) added back on the way
+// out. The cross-stripe null index is postings[uint64]: keys are a
+// null's full Hash, slots full TupleIDs, base 0.
+//
 // The map holds no pointers, so the collector never scans it, and no
 // key owns an object of its own. Most keys have one member, and their
-// map value is that member's ID. A key with more members maps to a
-// tagged reference into lists: TupleIDs are positive, so the negative
-// value ^i names lists[i]. A slot that a list leaves (its key emptied
-// or went back to one member) is put on free and reused by the next
-// list; the array it held is dropped, never written again.
+// map slot is that member, as its ID less base. A key with more members
+// maps to a tagged reference into lists: no member's slot has W's top
+// bit set, so the slot listTag|i names lists[i]. A slot that a list
+// leaves (its key emptied or went back to one member) is put on free
+// and reused by the next list; the array it held is dropped, never
+// written again.
 //
 // get returns a single member in a buffer the caller owns, and a list
 // as itself — no copy, no lock — and callers keep reading a list after
@@ -40,72 +48,80 @@ import (
 //     removing any other member (aborts and trims) gets a fresh array.
 //
 // Mutators hold the write lock that guards the index. The zero value is
-// an empty index.
-type postings struct {
-	m     map[uint64]TupleID
+// an empty index with base 0.
+type postings[W uint32 | uint64] struct {
+	m     map[W]W
 	lists [][]TupleID
 	free  []int
+	base  TupleID
 }
+
+// listTag is the top bit of W, set in a slot that names a list.
+func listTag[W uint32 | uint64]() W { return ^(^W(0) >> 1) }
 
 // get returns the members under k in ascending order: nil, one[:] with
 // the single member written to one, or the shared list, which callers
 // must not modify and may keep.
-func (p *postings) get(k uint64, one *[1]TupleID) []TupleID {
+func (p *postings[W]) get(k W, one *[1]TupleID) []TupleID {
 	v, ok := p.m[k]
 	switch {
 	case !ok:
 		return nil
-	case v > 0:
-		one[0] = v
+	case v&listTag[W]() == 0:
+		one[0] = p.base + TupleID(v)
 		return one[:]
 	}
-	return p.lists[^v]
+	return p.lists[v&^listTag[W]()]
 }
 
 // count returns the number of members under k.
-func (p *postings) count(k uint64) int {
+func (p *postings[W]) count(k W) int {
 	v, ok := p.m[k]
 	switch {
 	case !ok:
 		return 0
-	case v > 0:
+	case v&listTag[W]() == 0:
 		return 1
 	}
-	return len(p.lists[^v])
+	return len(p.lists[v&^listTag[W]()])
 }
 
 // add makes id a member under k; adding a member again changes nothing.
-func (p *postings) add(k uint64, id TupleID) {
+func (p *postings[W]) add(k W, id TupleID) {
 	if p.m == nil {
-		p.m = make(map[uint64]TupleID)
+		p.m = make(map[W]W)
 	}
+	slot := W(id - p.base)
 	v, ok := p.m[k]
 	switch {
 	case !ok:
-		p.m[k] = id
-	case v == id:
-	case v > 0:
-		p.m[k] = p.newList([]TupleID{min(v, id), max(v, id)})
+		p.m[k] = slot
+	case v == slot:
+	case v&listTag[W]() == 0:
+		old := p.base + TupleID(v)
+		p.m[k] = p.newList([]TupleID{min(old, id), max(old, id)})
 	default:
-		p.lists[^v] = addID(p.lists[^v], id)
+		i := v &^ listTag[W]()
+		p.lists[i] = addID(p.lists[i], id)
 	}
 }
 
 // remove drops id from the members under k, if it is one.
-func (p *postings) remove(k uint64, id TupleID) {
+func (p *postings[W]) remove(k W, id TupleID) {
+	slot := W(id - p.base)
 	v, ok := p.m[k]
 	switch {
-	case !ok || v > 0 && v != id:
-	case v == id:
+	case !ok || v&listTag[W]() == 0 && v != slot:
+	case v == slot:
 		delete(p.m, k)
 	default:
-		i := int(^v)
+		i := int(v &^ listTag[W]())
 		list := removeID(p.lists[i], id)
 		if len(list) > 1 {
 			p.lists[i] = list
 			return
 		}
-		p.m[k] = list[0]
+		p.m[k] = W(list[0] - p.base)
 		p.lists[i] = nil
 		p.free = append(p.free, i)
 	}
@@ -113,29 +129,31 @@ func (p *postings) remove(k uint64, id TupleID) {
 
 // newList stores a list of two or more members in a free slot and
 // returns the reference the map holds for it.
-func (p *postings) newList(list []TupleID) TupleID {
+func (p *postings[W]) newList(list []TupleID) W {
 	if n := len(p.free); n > 0 {
 		i := p.free[n-1]
 		p.free = p.free[:n-1]
 		p.lists[i] = list
-		return ^TupleID(i)
+		return listTag[W]() | W(i)
 	}
 	p.lists = append(p.lists, list)
-	return ^TupleID(len(p.lists) - 1)
+	return listTag[W]() | W(len(p.lists)-1)
 }
 
 // checkLayout reports the first breach of the layout: a key naming a
 // table slot that holds fewer than two members or that another key
 // names, or a slot neither named by a key nor free and empty.
-func (p *postings) checkLayout() error {
+func (p *postings[W]) checkLayout() error {
 	named := make([]bool, len(p.lists))
 	for k, v := range p.m {
-		if v < 0 {
-			if len(p.lists[^v]) < 2 || named[^v] {
-				return fmt.Errorf("key %d names table slot %d holding %v, which is not its own list of two or more", k, ^v, p.lists[^v])
-			}
-			named[^v] = true
+		if v&listTag[W]() == 0 {
+			continue
 		}
+		i := v &^ listTag[W]()
+		if len(p.lists[i]) < 2 || named[i] {
+			return fmt.Errorf("key %d names table slot %d holding %v, which is not its own list of two or more", k, i, p.lists[i])
+		}
+		named[i] = true
 	}
 	for _, i := range p.free {
 		if named[i] || p.lists[i] != nil {

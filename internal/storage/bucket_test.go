@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -80,8 +81,18 @@ func mustAudit(t testing.TB, st *Store) {
 // every slice ever returned must still read as it did when it was
 // returned. Keys keep going from empty to one member, to a list and
 // back, and the list table must never outgrow the most lists that were
-// alive at once: freed slots are reused.
+// alive at once: freed slots are reused. Both widths run: the
+// full-width map of the null index over IDs of three stripes, and a
+// stripe index, whose slots hold counters, over the IDs of its stripe.
 func TestPostingListMatchesMapMultiset(t *testing.T) {
+	t.Run("full-width", func(t *testing.T) { postingsMatchMultiset(t, postings[uint64]{}, 3) })
+	t.Run("stripe", func(t *testing.T) { postingsMatchMultiset(t, postings[uint32]{base: 2 << localIDBits}, 1) })
+}
+
+// postingsMatchMultiset is TestPostingListMatchesMapMultiset for an
+// empty index with the given base and members in that many stripes
+// from it on.
+func postingsMatchMultiset[W uint32 | uint64](t *testing.T, empty postings[W], stripes int) {
 	const nkeys = 4
 	var shrinks, reuses int
 	for seed := int64(0); seed < 200; seed++ {
@@ -90,14 +101,14 @@ func TestPostingListMatchesMapMultiset(t *testing.T) {
 		for k := range refs {
 			refs[k] = &refBucket{counts: make(map[TupleID]int)}
 		}
-		var p postings
+		p := empty
 		var list []TupleID
 		var kept []retainedIDs
 		pick := func() TupleID {
-			stripe, local := int64(rng.Intn(3)), int64(rng.Intn(12)+1)
-			return TupleID(stripe<<localIDBits | local)
+			stripe, local := TupleID(rng.Intn(stripes)), TupleID(rng.Intn(12)+1)
+			return p.base + stripe<<localIDBits + local
 		}
-		next := TupleID(13) // ascending tail appends, stripe 0 first
+		next := p.base + 13 // ascending tail appends, first stripe first
 		peak := 0
 		for step := 0; step < 400; step++ {
 			k := rng.Intn(nkeys + 1)
@@ -116,7 +127,7 @@ func TestPostingListMatchesMapMultiset(t *testing.T) {
 					if ref.counts[id] == 0 && len(ref.counts) == 1 && len(p.free) > 0 {
 						reuses++
 					}
-					p.add(uint64(k), id)
+					p.add(W(k), id)
 				}
 				ref.add(id)
 			default:
@@ -130,22 +141,22 @@ func TestPostingListMatchesMapMultiset(t *testing.T) {
 				if k == nkeys {
 					list = removeID(list, id)
 				} else {
-					if p.count(uint64(k)) == 2 {
+					if p.count(W(k)) == 2 {
 						shrinks++
 					}
-					p.remove(uint64(k), id)
+					p.remove(W(k), id)
 				}
 			}
-			var want postings
+			want := postings[W]{base: p.base}
 			lists := 0
 			for k, ref := range refs[:nkeys] {
 				ids := ref.ids()
 				for _, id := range ids {
-					want.add(uint64(k), id)
+					want.add(W(k), id)
 				}
-				got := p.get(uint64(k), new([1]TupleID))
-				if !slices.Equal(got, ids) || p.count(uint64(k)) != len(ids) {
-					t.Fatalf("seed %d step %d after %d: key %d lists %v (count %d), reference %v", seed, step, id, k, got, p.count(uint64(k)), ids)
+				got := p.get(W(k), new([1]TupleID))
+				if !slices.Equal(got, ids) || p.count(W(k)) != len(ids) {
+					t.Fatalf("seed %d step %d after %d: key %d lists %v (count %d), reference %v", seed, step, id, k, got, p.count(W(k)), ids)
 				}
 				kept = append(kept, retain(got))
 				if len(ids) > 1 {
@@ -171,42 +182,48 @@ func TestPostingListMatchesMapMultiset(t *testing.T) {
 	}
 }
 
-// TestPostingTransitions walks one key through every shape it can take
-// — empty, one member in the map slot, a list, one member again, empty
-// — and a second key through the list slot the first one freed.
+// TestPostingTransitions walks one key of a stripe index through every
+// shape it can take — empty, one member in the map slot as its
+// stripe-local counter, a list of full IDs, one member again, empty —
+// and a second key through the list slot the first one freed.
 func TestPostingTransitions(t *testing.T) {
-	var p postings
+	const base = 5 << localIDBits
+	p := postings[uint32]{base: base}
 	var one [1]TupleID
-	check := func(k uint64, want []TupleID, inSlot bool) {
+	check := func(k uint32, want []TupleID, inSlot bool) {
 		t.Helper()
 		if got := p.get(k, &one); !slices.Equal(got, want) || p.count(k) != len(want) {
 			t.Fatalf("key %d lists %v (count %d), want %v", k, got, p.count(k), want)
 		}
-		if v, ok := p.m[k]; ok != (len(want) > 0) || ok && (v > 0) != inSlot {
-			t.Fatalf("key %d maps to %d (present %v), want a member in the slot: %v", k, v, ok, inSlot)
+		v, ok := p.m[k]
+		if ok != (len(want) > 0) || ok && (v&listTag[uint32]() == 0) != inSlot {
+			t.Fatalf("key %d maps to %#x (present %v), want a member in the slot: %v", k, v, ok, inSlot)
+		}
+		if inSlot && TupleID(v) != want[0]-base {
+			t.Fatalf("key %d holds %d in its slot, want the counter %d", k, v, want[0]-base)
 		}
 	}
 	check(1, nil, false)
-	p.add(1, 7)
-	check(1, []TupleID{7}, true)
-	p.add(1, 5)
-	check(1, []TupleID{5, 7}, false)
+	p.add(1, base+7)
+	check(1, []TupleID{base + 7}, true)
+	p.add(1, base+5)
+	check(1, []TupleID{base + 5, base + 7}, false)
 	held := p.get(1, &one)
-	p.remove(1, 7)
-	check(1, []TupleID{5}, true)
+	p.remove(1, base+7)
+	check(1, []TupleID{base + 5}, true)
 	if len(p.free) != 1 || p.lists[p.free[0]] != nil {
 		t.Fatalf("the list slot was not freed: lists %v, free %v", p.lists, p.free)
 	}
-	p.add(2, 9)
-	p.add(2, 3)
-	check(2, []TupleID{3, 9}, false)
+	p.add(2, base+9)
+	p.add(2, base+3)
+	check(2, []TupleID{base + 3, base + 9}, false)
 	if len(p.lists) != 1 || len(p.free) != 0 {
 		t.Fatalf("key 2 did not reuse the freed slot: lists %v, free %v", p.lists, p.free)
 	}
-	if !slices.Equal(held, []TupleID{5, 7}) {
+	if !slices.Equal(held, []TupleID{base + 5, base + 7}) {
 		t.Fatalf("a list held across demotion and slot reuse now reads %v", held)
 	}
-	p.remove(1, 5)
+	p.remove(1, base+5)
 	check(1, nil, false)
 	if len(p.m) != 1 {
 		t.Fatalf("%d keys, want 1", len(p.m))
@@ -312,19 +329,19 @@ func TestRetainedIDsStayValid(t *testing.T) {
 
 // TestContentIndexForcedCollision runs one random workload — inserts of
 // few distinct contents, content deletes, null-replacements that
-// collapse duplicates, aborts — on a store whose content hash sends
-// every content to the same key and on a store with the real hash.
-// Colliding contents only lengthen the candidate lists: set semantics,
-// DeleteContent, LookupContent and the collapse of ReplaceNull must
-// come out the same, every lookup must return exactly the visible
-// tuples whose rendered key (the old index key) matches, and an abort
-// must keep a tuple listed while another version of it still hashes
-// alike.
+// collapse duplicates, aborts, and commits that trim history — on a
+// store whose stripe index keys all fold to one constant and on a store
+// with the real fold. Colliding keys only lengthen the candidate lists:
+// set semantics, DeleteContent, LookupContent, the collapse of
+// ReplaceNull, value probes and MoreSpecific must come out the same,
+// every lookup must return exactly the visible tuples whose rendered
+// key (the old content index key) matches, and an abort or a trim must
+// keep a tuple listed while another version of it still has the key.
 func TestContentIndexForcedCollision(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		colliding, plain := NewStore(raceSchema()), NewStore(raceSchema())
-		colliding.contentHash = func([]model.Value) uint64 { return 7 }
-		var dumps [2]string
+		colliding.collideKeys = true
+		var dumps, probes [2]string
 		for k, st := range []*Store{colliding, plain} {
 			rng := rand.New(rand.NewSource(seed))
 			val := func() model.Value {
@@ -333,11 +350,12 @@ func TestContentIndexForcedCollision(t *testing.T) {
 				}
 				return model.Const(string(rune('a' + rng.Intn(3))))
 			}
+			next := 1 // writers commit in priority order, so each is above the last commit
 			for step := 0; step < 120; step++ {
-				w := rng.Intn(3) + 1
+				w := next + rng.Intn(3)
 				tup := model.NewTuple("R", val(), val())
 				var err error
-				switch rng.Intn(8) {
+				switch rng.Intn(9) {
 				case 0, 1, 2, 3:
 					var id TupleID
 					id, _, _, err = st.Insert(w, tup)
@@ -356,30 +374,54 @@ func TestContentIndexForcedCollision(t *testing.T) {
 					}
 				case 7:
 					st.Abort(w)
+				case 8:
+					err = st.Commit(next)
+					next++
 				}
 				if err != nil {
 					t.Fatalf("seed %d step %d: %v", seed, step, err)
 				}
 				mustAudit(t, st)
 			}
-			// Every visible tuple is found under its own content only.
+			// Every visible tuple is found under its own content only, and
+			// under each of its values with the tuples carrying that value.
 			snap := st.Snap(1 << 30)
 			byKey := make(map[string][]TupleID)
 			snap.ScanRel("R", func(id TupleID, vals []model.Value) bool {
 				byKey[refContentKey(vals)] = append(byKey[refContentKey(vals)], id)
 				return true
 			})
+			var answers strings.Builder
 			for _, id := range snap.RelIDs("R") {
-				if tup, ok := snap.GetTuple(id); ok {
-					if got, want := snap.LookupContent(tup), byKey[refContentKey(tup.Vals)]; !slices.Equal(got, want) {
-						t.Fatalf("seed %d: LookupContent(%s) = %v, rendered-key reference %v", seed, tup, got, want)
-					}
+				tup, ok := snap.GetTuple(id)
+				if !ok {
+					continue
 				}
+				if got, want := snap.LookupContent(tup), byKey[refContentKey(tup.Vals)]; !slices.Equal(got, want) {
+					t.Fatalf("seed %d: LookupContent(%s) = %v, rendered-key reference %v", seed, tup, got, want)
+				}
+				for col, v := range tup.Vals {
+					var one [1]TupleID
+					var carriers []TupleID
+					for _, cand := range snap.CandidatesByValue("R", col, v, &one) {
+						if vals, ok := snap.Get(cand); ok && vals[col] == v {
+							carriers = append(carriers, cand)
+						}
+					}
+					if !slices.Contains(carriers, id) {
+						t.Fatalf("seed %d: %s is no candidate for its value %s in column %d", seed, tup, v, col)
+					}
+					fmt.Fprintf(&answers, "%d col %d: %v\n", id, col, carriers)
+				}
+				fmt.Fprintf(&answers, "%d more specific: %v\n", id, snap.MoreSpecific(tup))
 			}
-			dumps[k] = st.Dump(1 << 30)
+			dumps[k], probes[k] = st.Dump(1<<30), answers.String()
 		}
 		if dumps[0] != dumps[1] {
-			t.Fatalf("seed %d: colliding hash changed the outcome\ncolliding:\n%s\nreal hash:\n%s", seed, dumps[0], dumps[1])
+			t.Fatalf("seed %d: colliding keys changed the outcome\ncolliding:\n%s\nreal fold:\n%s", seed, dumps[0], dumps[1])
+		}
+		if probes[0] != probes[1] {
+			t.Fatalf("seed %d: colliding keys changed probe answers\ncolliding:\n%s\nreal fold:\n%s", seed, probes[0], probes[1])
 		}
 	}
 }

@@ -29,7 +29,7 @@ func confSchema() *model.Schema {
 // store over confSchema.
 func onStore(t *testing.T, fn func(t *testing.T, b Backend)) {
 	t.Helper()
-	t.Run("store", func(t *testing.T) { fn(t, NewStore(confSchema())) })
+	t.Run("store", func(t *testing.T) { fn(t, testStore(confSchema())) })
 }
 
 func cv(s string) model.Value { return model.Const(s) }
@@ -291,7 +291,7 @@ func TestConformanceSnapshotFilters(t *testing.T) {
 // replacement and a batch commit, Dump renders exactly the surviving
 // committed facts — the rendering recovery and the goldens compare.
 func TestConformanceDumpIdentity(t *testing.T) {
-	b := NewStore(confSchema())
+	b := testStore(confSchema())
 	x := b.FreshNull()
 	if _, err := b.Load(model.NewTuple("A", cv("base"), cv("b"))); err != nil {
 		t.Fatal(err)
@@ -330,7 +330,7 @@ func mustInsertP(b Backend, writer int, rel string, vals ...model.Value) {
 func TestConformanceEpochCommittedView(t *testing.T) {
 	onStore(t, func(t *testing.T, b Backend) {
 		seedCommitted(t, b)
-		oracle := NewStore(confSchema())
+		oracle := testStore(confSchema())
 		seedCommitted(t, oracle)
 		oracle.Abort(9)
 
@@ -374,9 +374,9 @@ func TestConformanceEpochDumpIdentity(t *testing.T) {
 		}
 		return out
 	}
-	b := NewStore(confSchema())
+	b := testStore(confSchema())
 	seedCommitted(t, b)
-	oracle := NewStore(confSchema())
+	oracle := testStore(confSchema())
 	seedCommitted(t, oracle)
 	oracle.Abort(9)
 	got, want := render(b.EpochSnap()), render(oracle.Snap(1<<30))

@@ -12,15 +12,18 @@ import (
 // TestStoreBytesPerTuple pins the store's memory layout: the live heap
 // a fresh Store holds per stored tuple after loading the initial
 // database of the §6 generator (2039 tuples over 100 relations of arity
-// 1–6, writer-0 loads, one version each). The bound is the 114 bytes
-// achieved (go1.24, amd64) plus 10%. A 32-byte bucket object per index
-// key, and a tuple record repeating its ID, took the same load to 236
-// bytes per tuple; a record that also repeated its relation name, to
-// 259; value indexes keyed by the Value itself rather than its one-word
-// hash, to 311; a write-log record per loaded tuple as well, to 468; a
-// Go map per indexed value and a rendered content key on top, 1345.
+// 1–6, writer-0 loads, one version each). The bound is the 43 bytes
+// achieved (go1.24, amd64) plus 10%; the figure only ever came down.
+// Stripe indexes keyed by 64-bit hashes with full TupleID slots
+// (map[uint64]TupleID) rather than 32-bit folds with stripe-local
+// counters took the same load to 97–100 bytes per tuple; a 32-byte
+// bucket object per index key, and a tuple record repeating its ID, to
+// 236; a record that also repeated its relation name, to 259; value
+// indexes keyed by the Value itself rather than its one-word hash, to
+// 311; a write-log record per loaded tuple as well, to 468; a Go map
+// per indexed value and a rendered content key on top, 1345.
 func TestStoreBytesPerTuple(t *testing.T) {
-	const bound = 126
+	const bound = 48
 	cfg := workload.Default()
 	cfg.InitialTuples = 1000
 	u, err := workload.Build(cfg)

@@ -23,18 +23,22 @@ import (
 // keep the two executions' nulls identical). Writers are per relation
 // (relation index + 1); at the end even-indexed relations' writers
 // commit and odd ones abort, exercising CommitBatch and Abort across
-// stripes.
+// stripes. With collide set both stores fold every stripe index key to
+// one constant, so every probe and every index removal goes through
+// keys that other values share.
 func FuzzStoreStripes(f *testing.F) {
-	f.Add([]byte{0x00})
-	f.Add([]byte{0x13, 0x57, 0x9b, 0xdf})
-	f.Add([]byte{0x01, 0x42, 0x83, 0xc4, 0x05, 0x46, 0x87, 0xc8, 0x09, 0x4a})
 	seed := make([]byte, 64)
 	for i := range seed {
 		seed[i] = byte(i*37 + 11)
 	}
-	f.Add(seed)
+	for _, collide := range []bool{false, true} {
+		f.Add([]byte{0x00}, collide)
+		f.Add([]byte{0x13, 0x57, 0x9b, 0xdf}, collide)
+		f.Add([]byte{0x01, 0x42, 0x83, 0xc4, 0x05, 0x46, 0x87, 0xc8, 0x09, 0x4a}, collide)
+		f.Add(seed, collide)
+	}
 
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Fuzz(func(t *testing.T, data []byte, collide bool) {
 		const nRels = 4
 		schema := model.NewSchema()
 		for i := 0; i < nRels; i++ {
@@ -88,6 +92,7 @@ func FuzzStoreStripes(f *testing.F) {
 
 		// Concurrent execution: one mutator goroutine per relation.
 		conc := NewStore(schema)
+		conc.collideKeys = collide
 		var wg sync.WaitGroup
 		errs := make([]error, nRels)
 		for rel := 0; rel < nRels; rel++ {
@@ -107,6 +112,7 @@ func FuzzStoreStripes(f *testing.F) {
 
 		// Serial oracle: the same streams, one relation at a time.
 		serial := NewStore(schema)
+		serial.collideKeys = collide
 		for rel := 0; rel < nRels; rel++ {
 			if err := apply(serial, rel, streams[rel]); err != nil {
 				t.Fatalf("serial relation %d: %v", rel, err)

@@ -158,6 +158,9 @@ func (st *Store) ApplyRedo(rec WriteRec) error {
 	if got := st.stripeOf(rec.ID); got != s {
 		return fmt.Errorf("storage: redo record for %s carries tuple ID %d of another stripe", rec.Rel, rec.ID)
 	}
+	if err := checkLocalID(rec.Rel, rec.ID); err != nil {
+		return err
+	}
 	st.noteNulls(rec.Before)
 	st.noteNulls(rec.After)
 	s.lock()
@@ -219,14 +222,17 @@ type CommittedTuple struct {
 // relation's ID floor. idFloors, aligned with the schema's sorted
 // relation names (nil when the checkpoint carries none), raises each
 // relation's tuple-ID counter past IDs whose tuples were deleted and
-// trimmed before the checkpoint, so none is ever minted again. The
-// store must be empty.
+// trimmed before the checkpoint, so none is ever minted again. A floor
+// or tuple ID past the ID space fails with ErrIDSpaceExhausted before
+// anything is loaded. The store must be empty.
 func (st *Store) RestoreSnapshot(tuples []CommittedTuple, nullFloor int64, idFloors []int64) error {
 	if len(idFloors) > len(st.byIdx) {
 		return fmt.Errorf("storage: checkpoint carries %d ID floors for %d relations", len(idFloors), len(st.byIdx))
 	}
 	for i, floor := range idFloors {
-		st.byIdx[i].nextLocal = max(st.byIdx[i].nextLocal, floor)
+		if floor > maxLocalID {
+			return fmt.Errorf("%w: checkpoint floor %d of %s is above %d", ErrIDSpaceExhausted, floor, st.byIdx[i].rel, maxLocalID)
+		}
 	}
 	for _, ct := range tuples {
 		s := st.stripes[ct.Rel]
@@ -236,6 +242,15 @@ func (st *Store) RestoreSnapshot(tuples []CommittedTuple, nullFloor int64, idFlo
 		if got := st.stripeOf(ct.ID); got != s {
 			return fmt.Errorf("storage: checkpoint tuple for %s carries ID %d of another stripe", ct.Rel, ct.ID)
 		}
+		if err := checkLocalID(ct.Rel, ct.ID); err != nil {
+			return err
+		}
+	}
+	for i, floor := range idFloors {
+		st.byIdx[i].nextLocal = max(st.byIdx[i].nextLocal, floor)
+	}
+	for _, ct := range tuples {
+		s := st.stripes[ct.Rel]
 		s.lock()
 		if _, dup := s.tuples[ct.ID]; dup {
 			s.unlock()

@@ -283,8 +283,9 @@ type RelStats struct {
 	// Live is the stripe's tuple count: every tuple it holds, whatever
 	// its visibility.
 	Live int
-	// Distinct[c] is the number of distinct values in column c's index;
-	// nil for empty or zero-arity relations.
+	// Distinct[c] is the number of keys in column c's index, which is
+	// the number of distinct values unless two share a key; nil for
+	// empty or zero-arity relations.
 	Distinct []int
 }
 
@@ -330,7 +331,7 @@ func (sn *Snapshot) candidatesByValueInStripe(s *stripe, col int, v model.Value,
 	if col < 0 || col >= len(s.valIdx) {
 		return nil
 	}
-	return s.valIdx[col].get(v.Hash(), one)
+	return s.valIdx[col].get(sn.store.key(v.Hash()), one)
 }
 
 // LookupContent returns the IDs of visible tuples whose content equals
@@ -345,7 +346,7 @@ func (sn *Snapshot) LookupContent(t model.Tuple) []TupleID {
 	defer sn.runlock(s)
 	var out []TupleID
 	var one [1]TupleID
-	for _, id := range s.contentIdx.get(sn.store.contentHash(t.Vals), &one) {
+	for _, id := range s.contentIdx.get(sn.store.contentKey(t.Vals), &one) {
 		if vals, ok := sn.getInStripe(s, id); ok && (model.Tuple{Rel: t.Rel, Vals: vals}).Equal(t) {
 			out = append(out, id)
 		}
@@ -447,7 +448,7 @@ func (sn *Snapshot) walkMoreSpecific(t model.Tuple, fn func(TupleID) bool) {
 		if !v.IsConst() {
 			continue
 		}
-		size := s.valIdx[i].count(v.Hash())
+		size := s.valIdx[i].count(sn.store.key(v.Hash()))
 		if bestCol == -1 || size < bestSize {
 			bestCol, bestSize = i, size
 		}

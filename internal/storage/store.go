@@ -56,7 +56,10 @@
 // or above the commit frontier, which commits in priority order.
 // Tuple IDs are never reused: each stripe's counter only rises, and a
 // checkpoint carries it (CommittedEpoch.IDFloors) because deleted
-// tuples no longer appear in it.
+// tuples no longer appear in it. So a relation mints at most maxLocalID
+// (2^31-1) IDs over its life, the most a stripe index's 32-bit slot
+// can name; past that, Insert, redo replay and a checkpoint restore fail
+// with ErrIDSpaceExhausted and change nothing.
 //
 // # Locking
 //
@@ -105,6 +108,7 @@ package storage
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -119,11 +123,30 @@ import (
 // bits carry the stripe (relation) index, the low localIDBits the
 // per-stripe allocation counter, so the owning stripe is recoverable
 // from the ID alone and IDs within one relation ascend in creation
-// order.
+// order. The counter runs from 1 to maxLocalID.
 type TupleID int64
 
 // localIDBits is the width of the per-stripe counter inside a TupleID.
 const localIDBits = 40
+
+// maxLocalID is the largest per-stripe counter: a stripe index stores a
+// single member as its counter in a uint32 slot whose top bit is the
+// list tag (postings).
+const maxLocalID = 1<<31 - 1
+
+// ErrIDSpaceExhausted is returned, wrapped, by a write, redo record or
+// checkpoint that would take a relation's tuple-ID counter past
+// maxLocalID; the store is left unchanged.
+var ErrIDSpaceExhausted = errors.New("storage: tuple-ID space exhausted")
+
+// checkLocalID fails with ErrIDSpaceExhausted when id's per-stripe
+// counter lies beyond maxLocalID.
+func checkLocalID(rel string, id TupleID) error {
+	if local := int64(id) & (1<<localIDBits - 1); local > maxLocalID {
+		return fmt.Errorf("%w: tuple ID %d of %s has counter %d, above %d", ErrIDSpaceExhausted, id, rel, local, maxLocalID)
+	}
+	return nil
+}
 
 // Op classifies a write.
 type Op uint8
@@ -211,19 +234,19 @@ type stripe struct {
 	tuples    map[TupleID]*tupleRec
 	ids       []TupleID // members of the relation, visible or not; see postings
 
-	// valIdx[col][value.Hash()] lists the tuples with a version
-	// carrying that value in that column, contentIdx[contentHash(vals)]
-	// those with a version of that content or of one that hashes alike.
-	// Both over-approximate; readers verify against their snapshot.
-	// Keys are hashes so that the maps hold no pointers for the
-	// collector to trace. A constant hashes by its address
-	// (model.Value.Hash), so a key stays sound only because it leaves
-	// the index with the last version carrying what it hashed
-	// (unindexVersion): an index never outlives the values it hashed,
-	// and while a value index key is present it names exactly one live
-	// value.
-	valIdx     []postings
-	contentIdx postings
+	// valIdx[col][key(value.Hash())] lists the tuples with a version
+	// carrying, in that column, a value whose key is that one;
+	// contentIdx[key(contentHash(vals))] those with a version whose
+	// content has that key. A key is a 32-bit fold, so several values or
+	// contents may share it: both indexes over-approximate, and readers
+	// verify candidates against the values themselves. Keys are hashes so
+	// that the maps hold no pointers for the collector to trace. A
+	// constant hashes by its address (model.Value.Hash), so a tuple stays
+	// listed under a key exactly while one of its versions carries a
+	// value with that key, hashed from the value the version holds
+	// (unindexVersion): an index never outlives the values it hashed.
+	valIdx     []postings[uint32]
+	contentIdx postings[uint32]
 
 	// logs holds this relation's live writes per uncommitted writer;
 	// a writer's entry goes when it commits or aborts.
@@ -243,10 +266,18 @@ type stripe struct {
 	pending []TupleID
 }
 
-// newID mints the next tuple ID of the stripe. Callers hold s.mu.
-func (s *stripe) newID() TupleID {
+// base is the stripe's bits of every TupleID it mints.
+func (s *stripe) base() TupleID { return TupleID(s.idx) << localIDBits }
+
+// newID mints the next tuple ID of the stripe, or fails with
+// ErrIDSpaceExhausted, changing nothing, once the counter is at
+// maxLocalID. Callers hold s.mu.
+func (s *stripe) newID() (TupleID, error) {
+	if s.nextLocal >= maxLocalID {
+		return 0, fmt.Errorf("%w: %s has minted %d tuple IDs", ErrIDSpaceExhausted, s.rel, s.nextLocal)
+	}
 	s.nextLocal++
-	return TupleID(int64(s.idx)<<localIDBits | s.nextLocal)
+	return s.base() | TupleID(s.nextLocal), nil
 }
 
 // Store is the versioned repository storage, the Backend
@@ -270,11 +301,11 @@ type Store struct {
 	nullMu sync.Mutex
 	// nullIdx[null.Hash()] lists the tuples with a version containing
 	// the labeled null.
-	nullIdx postings
+	nullIdx postings[uint64]
 
-	// contentHash keys the stripes' content indexes. It is a field only
-	// so that a test can substitute a colliding hash.
-	contentHash func([]model.Value) uint64
+	// collideKeys folds every stripe index key to 0; a test seam that
+	// turns each probe into a scan of the candidates' values.
+	collideKeys bool
 
 	// commitMu guards writerStripes, pendingIn and logFree.
 	commitMu sync.RWMutex
@@ -331,8 +362,6 @@ func NewStore(schema *model.Schema) *Store {
 		byIdx:     make([]*stripe, 0, len(names)),
 		relsByIdx: names,
 
-		contentHash: contentHash,
-
 		writerStripes: make(map[int]liveWriter),
 	}
 	for i, name := range names {
@@ -340,8 +369,12 @@ func NewStore(schema *model.Schema) *Store {
 			rel:    name,
 			idx:    i,
 			tuples: make(map[TupleID]*tupleRec),
-			valIdx: make([]postings, schema.Arity(name)),
+			valIdx: make([]postings[uint32], schema.Arity(name)),
 			logs:   make(map[int][]WriteRec),
+		}
+		s.contentIdx.base = s.base()
+		for c := range s.valIdx {
+			s.valIdx[c].base = s.base()
 		}
 		st.stripes[name] = s
 		st.byIdx = append(st.byIdx, s)
@@ -414,8 +447,9 @@ func (st *Store) noteNulls(vals []model.Value) {
 	}
 }
 
-// contentHash folds a tuple's values into the key of the content
-// index (multiply-xorshift per word; the constant is splitmix64's).
+// contentHash folds a tuple's values into one word, which key folds
+// into the content index's key (multiply-xorshift per word; the
+// constant is splitmix64's).
 func contentHash(vals []model.Value) uint64 {
 	h := uint64(len(vals))
 	for _, v := range vals {
@@ -425,6 +459,19 @@ func contentHash(vals []model.Value) uint64 {
 	return h
 }
 
+// key folds a value's Hash or a contentHash into the key of a stripe
+// index: the high half of its product with 2^64 over the golden ratio,
+// which every bit of h reaches.
+func (st *Store) key(h uint64) uint32 {
+	if st.collideKeys {
+		return 0
+	}
+	return uint32(h * 0x9e3779b97f4a7c15 >> 32)
+}
+
+// contentKey is the content index's key of a tuple's values.
+func (st *Store) contentKey(vals []model.Value) uint32 { return st.key(contentHash(vals)) }
+
 // indexVersion enters one version's values into the stripe's secondary
 // indexes and the global null index. Callers hold the stripe's write
 // lock; nullMu is a leaf below it.
@@ -433,14 +480,14 @@ func (st *Store) indexVersion(s *stripe, id TupleID, vals []model.Value) {
 		return
 	}
 	for i, v := range vals {
-		s.valIdx[i].add(v.Hash(), id)
+		s.valIdx[i].add(st.key(v.Hash()), id)
 		if v.IsNull() {
 			st.nullMu.Lock()
 			st.nullIdx.add(v.Hash(), id)
 			st.nullMu.Unlock()
 		}
 	}
-	s.contentIdx.add(st.contentHash(vals), id)
+	s.contentIdx.add(st.contentKey(vals), id)
 }
 
 // carries reports whether some version of the tuple has values that
@@ -456,14 +503,17 @@ func (tr *tupleRec) carries(has func(vals []model.Value) bool) bool {
 
 // unindexVersion takes out of the indexes what a version that has just
 // left the chain of tuple id, tr, put there and no remaining version of
-// the tuple still carries. Callers hold the stripe's write lock.
+// the tuple still carries. The stripe indexes are keyed by folds that
+// several values share, so there it is the key another version has to
+// share, not the value. Callers hold the stripe's write lock.
 func (st *Store) unindexVersion(s *stripe, id TupleID, tr *tupleRec, vals []model.Value) {
 	if vals == nil {
 		return
 	}
 	for i, v := range vals {
-		if !tr.carries(func(w []model.Value) bool { return w[i] == v }) {
-			s.valIdx[i].remove(v.Hash(), id)
+		k := st.key(v.Hash())
+		if !tr.carries(func(w []model.Value) bool { return st.key(w[i].Hash()) == k }) {
+			s.valIdx[i].remove(k, id)
 		}
 		if v.IsNull() && !tr.carries(func(w []model.Value) bool { return slices.Contains(w, v) }) {
 			st.nullMu.Lock()
@@ -471,10 +521,9 @@ func (st *Store) unindexVersion(s *stripe, id TupleID, tr *tupleRec, vals []mode
 			st.nullMu.Unlock()
 		}
 	}
-	// Keyed by hash, so it is the hash another version has to share.
-	h := st.contentHash(vals)
-	if !tr.carries(func(w []model.Value) bool { return st.contentHash(w) == h }) {
-		s.contentIdx.remove(h, id)
+	k := st.contentKey(vals)
+	if !tr.carries(func(w []model.Value) bool { return st.contentKey(w) == k }) {
+		s.contentIdx.remove(k, id)
 	}
 }
 
@@ -603,12 +652,12 @@ func (st *Store) CurrentSeq() int64 {
 // a tuple with identical content is already visible to the writer, the
 // insert is a no-op and the existing tuple's ID is returned with
 // inserted == false. The returned WriteRec is meaningful only when
-// inserted is true.
+// inserted is true. A new tuple past its relation's tuple-ID space
+// fails with ErrIDSpaceExhausted.
 func (st *Store) Insert(writer int, t model.Tuple) (id TupleID, rec WriteRec, inserted bool, err error) {
 	if err := st.schema.CheckTuple(t); err != nil {
 		return 0, WriteRec{}, false, err
 	}
-	st.noteNulls(t.Vals)
 	s := st.stripes[t.Rel]
 	s.lock()
 	defer s.unlock()
@@ -619,12 +668,15 @@ func (st *Store) insertLocked(s *stripe, writer int, t model.Tuple) (id TupleID,
 	// Visible-duplicate check.
 	snap := st.snapLocked(writer)
 	var one [1]TupleID
-	for _, dupID := range s.contentIdx.get(st.contentHash(t.Vals), &one) {
+	for _, dupID := range s.contentIdx.get(st.contentKey(t.Vals), &one) {
 		if vals, ok := snap.getInStripe(s, dupID); ok && (model.Tuple{Rel: t.Rel, Vals: vals}).Equal(t) {
 			return dupID, WriteRec{}, false, nil
 		}
 	}
-	id = s.newID()
+	if id, err = s.newID(); err != nil {
+		return 0, WriteRec{}, false, err
+	}
+	st.noteNulls(t.Vals)
 	seq := st.nextSeq.Add(1)
 	vals := append([]model.Value(nil), t.Vals...)
 	tr := new(tupleRec)
@@ -677,7 +729,7 @@ func (st *Store) DeleteContent(writer int, t model.Tuple) ([]WriteRec, error) {
 	snap := st.snapLocked(writer)
 	var ids []TupleID
 	var one [1]TupleID
-	for _, id := range s.contentIdx.get(st.contentHash(t.Vals), &one) {
+	for _, id := range s.contentIdx.get(st.contentKey(t.Vals), &one) {
 		if vals, ok := snap.getInStripe(s, id); ok && (model.Tuple{Rel: t.Rel, Vals: vals}).Equal(t) {
 			ids = append(ids, id)
 		}
@@ -743,7 +795,7 @@ func (st *Store) ReplaceNull(writer int, x, to model.Value) ([]WriteRec, error) 
 		// check runs against the live store so that two tuples rewritten
 		// to the same content within one replacement also collapse.
 		collapsed := false
-		for _, dupID := range s.contentIdx.get(st.contentHash(newVals), &one) {
+		for _, dupID := range s.contentIdx.get(st.contentKey(newVals), &one) {
 			if dupID == h.id {
 				continue
 			}

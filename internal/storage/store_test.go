@@ -1,7 +1,9 @@
 package storage
 
 import (
+	"errors"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -214,7 +216,7 @@ func TestFreshNullAvoidsLoadedNulls(t *testing.T) {
 }
 
 func TestAbortRestoresState(t *testing.T) {
-	st := NewStore(testSchema())
+	st := testStore(testSchema())
 	st.Load(tup("C", c("Ithaca")))
 	idS, _ := st.Load(tup("S", c("SYR"), c("Syracuse"), n(3)))
 	before := st.Dump(1000)
@@ -247,7 +249,7 @@ func TestAbortRandomizedInverse(t *testing.T) {
 	for seed := int64(0); seed < 30; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		run := func(include2 bool) string {
-			st := NewStore(testSchema())
+			st := testStore(testSchema())
 			st.Load(tup("R", c("a"), c("b")))
 			st.Load(tup("R", n(1), c("k")))
 			local := rand.New(rand.NewSource(seed + 1000))
@@ -481,4 +483,91 @@ func TestOpString(t *testing.T) {
 	if Op(99).String() != "op(99)" {
 		t.Fatal("unknown op rendering wrong")
 	}
+}
+
+// TestIDSpaceExhausted: a relation mints at most maxLocalID tuple IDs,
+// the most a stripe index slot can name. With the counter set just
+// below the cap, the last IDs are minted and indexed like any other —
+// a single member in its slot, a list, an abort back to one member —
+// and then a new tuple, a redo record or a checkpoint past the cap
+// fails with ErrIDSpaceExhausted and leaves the store as it was, null
+// floor included, with its indexes still matching its versions.
+func TestIDSpaceExhausted(t *testing.T) {
+	exhausted := func(t *testing.T, err error) {
+		t.Helper()
+		if !errors.Is(err, ErrIDSpaceExhausted) {
+			t.Fatalf("got %v, want ErrIDSpaceExhausted", err)
+		}
+	}
+	t.Run("insert", func(t *testing.T) {
+		st := NewStore(testSchema())
+		s := st.stripes["R"]
+		s.nextLocal = maxLocalID - 2
+		low, err := st.Load(tup("R", c("a"), c("b")))
+		if err != nil {
+			t.Fatal(err)
+		}
+		top, _, _, err := st.Insert(1, tup("R", c("a"), c("c")))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if top != s.base()|maxLocalID {
+			t.Fatalf("last ID %#x, want counter %d in stripe %d", top, maxLocalID, s.idx)
+		}
+		var one [1]TupleID
+		snap := st.Snap(1)
+		if got := snap.CandidatesByValue("R", 0, c("a"), &one); !slices.Equal(got, []TupleID{low, top}) {
+			t.Fatalf("candidates for a: %v, want [%d %d]", got, low, top)
+		}
+		if got := snap.CandidatesByValue("R", 1, c("c"), &one); !slices.Equal(got, []TupleID{top}) {
+			t.Fatalf("candidates for c: %v, want [%d]", got, top)
+		}
+		before, fresh := st.Dump(1), st.NullMark()
+		_, _, _, err = st.Insert(1, tup("R", c("d"), n(fresh+100)))
+		exhausted(t, err)
+		if got := st.Dump(1); got != before || st.NullMark() != fresh || s.nextLocal != maxLocalID || len(st.WritesOf(1)) != 1 {
+			t.Fatalf("a refused insert changed the store: dump\n%s\nnull mark %d (was %d), counter %d, log %v", got, st.NullMark(), fresh, s.nextLocal, st.WritesOf(1))
+		}
+		if id, _, inserted, err := st.Insert(1, tup("R", c("a"), c("c"))); err != nil || inserted || id != top {
+			t.Fatalf("duplicate at the cap: %d %v %v, want the existing %d", id, inserted, err, top)
+		}
+		mustAudit(t, st)
+		st.Abort(1)
+		if got := st.Snap(1).CandidatesByValue("R", 0, c("a"), &one); !slices.Equal(got, []TupleID{low}) {
+			t.Fatalf("candidates for a after the abort: %v, want [%d]", got, low)
+		}
+		mustAudit(t, st)
+		_, err = st.Load(tup("R", c("e"), c("f")))
+		exhausted(t, err)
+	})
+	t.Run("redo", func(t *testing.T) {
+		st := NewStore(testSchema())
+		s := st.stripes["R"]
+		mark := st.NullMark()
+		exhausted(t, st.ApplyRedo(WriteRec{ID: s.base() | (maxLocalID + 1), Rel: "R", Op: OpInsert, After: []model.Value{c("a"), n(mark + 50)}}))
+		if st.Stats().Tuples != 0 || s.nextLocal != 0 || st.NullMark() != mark {
+			t.Fatalf("a refused redo changed the store: %+v, counter %d, null mark %d (was %d)", st.Stats(), s.nextLocal, st.NullMark(), mark)
+		}
+		if err := st.ApplyRedo(WriteRec{ID: s.base() | maxLocalID, Rel: "R", Op: OpInsert, After: []model.Value{c("a"), c("b")}}); err != nil {
+			t.Fatal(err)
+		}
+		mustAudit(t, st)
+	})
+	t.Run("checkpoint", func(t *testing.T) {
+		st := NewStore(testSchema())
+		s := st.stripes["R"]
+		ok := CommittedTuple{ID: s.base() | 1, Rel: "R", Vals: []model.Value{c("a"), c("b")}}
+		over := CommittedTuple{ID: s.base() | (maxLocalID + 1), Rel: "R", Vals: []model.Value{c("c"), c("d")}}
+		exhausted(t, st.RestoreSnapshot(nil, 0, []int64{0, maxLocalID + 1, 0}))
+		exhausted(t, st.RestoreSnapshot([]CommittedTuple{ok, over}, 0, nil))
+		if st.Stats().Tuples != 0 || s.nextLocal != 0 {
+			t.Fatalf("a refused checkpoint changed the store: %+v, counter %d", st.Stats(), s.nextLocal)
+		}
+		if err := st.RestoreSnapshot([]CommittedTuple{ok}, 0, []int64{0, maxLocalID, 0}); err != nil {
+			t.Fatal(err)
+		}
+		_, err := st.Load(tup("R", c("e"), c("f")))
+		exhausted(t, err)
+		mustAudit(t, st)
+	})
 }

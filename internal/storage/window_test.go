@@ -124,7 +124,7 @@ func TestReplaceNullCollapsesDuplicates(t *testing.T) {
 	// §2.2: unification collapses tuples; a replacement that makes a
 	// tuple identical to an existing one must tombstone it rather than
 	// keep duplicate content.
-	st := NewStore(testSchema())
+	st := testStore(testSchema())
 	st.Load(tup("C", c("Ithaca")))
 	st.Load(tup("C", n(4)))
 	recs, err := st.ReplaceNull(1, n(4), c("Ithaca"))
@@ -144,13 +144,13 @@ func TestReplaceNullCollapsesDuplicates(t *testing.T) {
 func TestReplaceNullCollapsesWithinBatch(t *testing.T) {
 	// Two tuples that become identical through the same replacement
 	// must collapse onto each other.
-	st := NewStore(testSchema())
+	st := testStore(testSchema())
 	st.Load(tup("R", n(7), c("v")))
 	st.Load(tup("R", n(7), c("v")))
 	// Deduplication at load prevents the above from being two rows;
 	// construct the collision differently: R(x7, v) and R(x8, v), then
 	// unify x8 with x7 first.
-	st2 := NewStore(testSchema())
+	st2 := testStore(testSchema())
 	st2.Load(tup("R", n(7), c("v")))
 	st2.Load(tup("R", n(8), c("v")))
 	recs, err := st2.ReplaceNull(1, n(8), n(7))
