@@ -363,7 +363,11 @@ func genInitialDB(rng *rand.Rand, cfg Config, u *Universe) ([]model.Tuple, error
 		return nil, fmt.Errorf("workload: initial database generation: %w", err)
 	}
 	facts := st.Snap(1 << 30).VisibleFacts()
-	var out []model.Tuple
+	n := 0
+	for _, ts := range facts {
+		n += len(ts)
+	}
+	out := make([]model.Tuple, 0, n)
 	for _, rel := range u.Schema.SortedNames() {
 		out = append(out, facts[rel]...)
 	}
