@@ -5,8 +5,9 @@ import (
 	"slices"
 )
 
-// AuditIndexes checks the secondary indexes against the version chains
-// they are derived from. It rebuilds every index from the chains, in
+// AuditIndexes checks each stripe's tuple table (checkTable) and the
+// secondary indexes against the version chains they are derived from.
+// It rebuilds every index from the chains, in
 // ascending tuple-ID order, and requires the live one to be identical:
 // a tuple is listed under a column value's key, a content key or a
 // labeled null exactly when one of its versions carries it, every list is
@@ -24,13 +25,8 @@ func (st *Store) AuditIndexes() error {
 	idle := st.horizon().idle()
 	var nulls postings[uint64]
 	for _, s := range st.byIdx {
-		ids := make([]TupleID, 0, len(s.tuples))
-		for id := range s.tuples {
-			ids = append(ids, id)
-		}
-		slices.Sort(ids)
-		if !slices.Equal(ids, s.ids) {
-			return fmt.Errorf("storage: audit %s: member list %v, tuples %v", s.rel, s.ids, ids)
+		if err := s.checkTable(); err != nil {
+			return fmt.Errorf("storage: audit %s: %w", s.rel, err)
 		}
 		content := postings[uint32]{base: s.base()}
 		cols := make([]postings[uint32], len(s.valIdx))
@@ -40,25 +36,23 @@ func (st *Store) AuditIndexes() error {
 		if idle && len(s.pending) > 0 && !st.noTrim {
 			return fmt.Errorf("storage: audit %s: no writer is live, yet trims of %v are pending", s.rel, s.pending)
 		}
-		for _, id := range ids {
-			tr := s.tuples[id]
-			if len(tr.versions) == 0 {
-				return fmt.Errorf("storage: audit %s: tuple %d has no version", s.rel, id)
+		for p, id := range s.ids {
+			vs := s.chain(p)
+			if !st.noTrim && st.garbage(vs) && !slices.Contains(s.pending, id) {
+				return fmt.Errorf("storage: audit %s: tuple %d holds history the horizon may release (%d versions) and no trim is pending", s.rel, id, len(vs))
 			}
-			if !st.noTrim && st.garbage(tr) && !slices.Contains(s.pending, id) {
-				return fmt.Errorf("storage: audit %s: tuple %d holds history the horizon may release (%d versions) and no trim is pending", s.rel, id, len(tr.versions))
-			}
-			for _, v := range tr.versions {
-				if v.vals == nil {
+			for j := range vs {
+				vals := s.valsOf(&vs[j])
+				if vals == nil {
 					continue
 				}
-				for i, val := range v.vals {
+				for i, val := range vals {
 					cols[i].add(st.key(val.Hash()), id)
 					if val.IsNull() {
 						nulls.add(val.Hash(), id)
 					}
 				}
-				content.add(st.contentKey(v.vals), id)
+				content.add(st.contentKey(vals), id)
 			}
 		}
 		for i := range cols {
@@ -91,4 +85,38 @@ func sameIndex[W uint32 | uint64](want, got *postings[W]) error {
 		return fmt.Errorf("%d keys listed, the versions give %d", len(got.m), len(want.m))
 	}
 	return got.checkLayout()
+}
+
+// checkTable reports the first breach of the tuple table's layout: a
+// member list that is not strictly ascending, a record table of another
+// length, a marker without a chain of two or more versions, a chain
+// without a marker or out of (writer, seq) order. Callers hold the
+// stripe's lock.
+func (s *stripe) checkTable() error {
+	if len(s.recs) != len(s.ids) {
+		return fmt.Errorf("%d records for %d members", len(s.recs), len(s.ids))
+	}
+	markers := 0
+	for i, id := range s.ids {
+		if i > 0 && id <= s.ids[i-1] {
+			return fmt.Errorf("member list %v is not strictly ascending", s.ids)
+		}
+		if s.recs[i].writer != chained {
+			continue
+		}
+		markers++
+		vs, ok := s.chains[id]
+		if !ok || len(vs) < 2 {
+			return fmt.Errorf("tuple %d is marked chained but has the chain %v", id, vs)
+		}
+		for j := 1; j < len(vs); j++ {
+			if a, b := vs[j-1], vs[j]; a.writer > b.writer || a.writer == b.writer && a.seq >= b.seq {
+				return fmt.Errorf("chain of tuple %d is out of (writer, seq) order", id)
+			}
+		}
+	}
+	if markers != len(s.chains) {
+		return fmt.Errorf("%d chains for %d marked members", len(s.chains), markers)
+	}
+	return nil
 }

@@ -77,6 +77,38 @@ func BenchmarkIndexProbe(b *testing.B) {
 	}
 }
 
+// BenchmarkSnapshotGet is a point Get by tuple ID, a search of the
+// member list, on a relation of 2000 loaded tuples ("dense") and on one
+// whose every third tuple was then deleted and trimmed ("gapped"), which
+// widens the window find searches to a third of the list. Both must
+// report 0 B/op under -benchmem.
+func BenchmarkSnapshotGet(b *testing.B) {
+	for _, gapped := range []bool{false, true} {
+		name := "dense"
+		st := benchStore(b, 2000)
+		if gapped {
+			name = "gapped"
+			for i, id := range st.Snap(0).RelIDs("S") {
+				if i%3 == 2 {
+					if _, ok, err := st.Delete(0, id); !ok || err != nil {
+						b.Fatal("delete failed", err)
+					}
+				}
+			}
+		}
+		b.Run(name, func(b *testing.B) {
+			snap := st.Snap(1)
+			ids := snap.RelIDs("S")
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, ok := snap.Get(ids[i*7919%len(ids)]); !ok {
+					b.Fatal("tuple not visible")
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkScanRel(b *testing.B) {
 	st := benchStore(b, 2000)
 	snap := st.Snap(1)

@@ -86,13 +86,11 @@ func (st *Store) Epoch() *CommittedEpoch {
 	ep.tuples = make([]CommittedTuple, 0, n)
 	for i, s := range st.byIdx {
 		ep.idFloors[i] = s.nextLocal
-		for _, id := range s.ids {
-			tr := s.tuples[id]
-			for j := len(tr.versions) - 1; j >= 0; j-- {
-				if v := &tr.versions[j]; st.isCommitted(v.writer) {
-					ep.tuples = append(ep.tuples, CommittedTuple{ID: id, Rel: s.rel, Deleted: v.deleted, Vals: v.vals})
-					break
-				}
+		for i, id := range s.ids {
+			vs := s.chain(i)
+			if j := st.newestCommitted(vs); j >= 0 {
+				v := &vs[j]
+				ep.tuples = append(ep.tuples, CommittedTuple{ID: id, Rel: s.rel, Deleted: v.vals == nil, Vals: s.valsOf(v)})
 			}
 		}
 	}

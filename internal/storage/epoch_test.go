@@ -103,16 +103,16 @@ func TestCommittedSnapshotMatchesLockedOracle(t *testing.T) {
 	var want []CommittedTuple
 	st.rlockAll()
 	for _, s := range st.byIdx {
-		for _, id := range s.ids {
-			tr := s.tuples[id]
-			for i := len(tr.versions) - 1; i >= 0; i-- {
-				v := &tr.versions[i]
+		for p, id := range s.ids {
+			vs := s.chain(p)
+			for i := len(vs) - 1; i >= 0; i-- {
+				v := &vs[i]
 				if !st.isCommitted(v.writer) {
 					continue
 				}
-				ct := CommittedTuple{ID: id, Rel: s.rel, Deleted: v.deleted}
-				if !v.deleted {
-					ct.Vals = append([]model.Value(nil), v.vals...)
+				ct := CommittedTuple{ID: id, Rel: s.rel, Deleted: v.vals == nil}
+				if v.vals != nil {
+					ct.Vals = append([]model.Value(nil), s.valsOf(v)...)
 				}
 				want = append(want, ct)
 				break

@@ -40,66 +40,74 @@ func (st *Store) horizon() horizon {
 	return h
 }
 
-// newestCommitted returns the index of the newest committed version of
-// tr, or -1.
-func (st *Store) newestCommitted(tr *tupleRec) int {
-	for i := len(tr.versions) - 1; i >= 0; i-- {
-		if st.isCommitted(tr.versions[i].writer) {
+// newestCommitted returns the index of the newest committed version in
+// the chain vs, or -1.
+func (st *Store) newestCommitted(vs []version) int {
+	for i := len(vs) - 1; i >= 0; i-- {
+		if st.isCommitted(vs[i].writer) {
 			return i
 		}
 	}
 	return -1
 }
 
-// garbage reports whether tr holds history some horizon may release:
-// versions below its newest committed one, or that version being a
-// tombstone.
-func (st *Store) garbage(tr *tupleRec) bool {
-	top := st.newestCommitted(tr)
-	return top > 0 || (top == 0 && tr.versions[0].deleted)
+// garbage reports whether the chain vs holds history some horizon may
+// release: versions below its newest committed one, or that version
+// being a tombstone.
+func (st *Store) garbage(vs []version) bool {
+	top := st.newestCommitted(vs)
+	return top > 0 || (top == 0 && vs[0].vals == nil)
 }
 
-// trim drops the history of tuple id, tr, that h releases: every
-// version below the newest committed one, each taken out of the indexes
-// as it goes, and then the tuple itself when all that is left is a
-// committed tombstone. It reports whether garbage the horizon did not
-// release remains, which the caller puts on the stripe's pending list.
-// Callers hold the stripe's write lock.
-func (st *Store) trim(s *stripe, id TupleID, tr *tupleRec, h horizon) bool {
+// trim drops the history of tuple id that h releases: every version
+// below the newest committed one, each taken out of the indexes, and
+// then the tuple itself when all that is left is a committed tombstone.
+// It reports whether garbage the horizon did not release remains, which
+// the caller puts on the stripe's pending list. A tuple that is not a
+// member has none. Callers hold the stripe's write lock.
+func (st *Store) trim(s *stripe, id TupleID, h horizon) bool {
 	if st.noTrim {
 		return false
 	}
-	top := st.newestCommitted(tr)
+	i, ok := s.find(id)
+	if !ok {
+		return false
+	}
+	vs := s.chain(i)
+	top := st.newestCommitted(vs)
 	if top < 0 {
 		return false
 	}
-	if !h.releases(&tr.versions[top]) {
-		return top > 0 || tr.versions[0].deleted
+	rest := vs[top:]
+	if !h.releases(&rest[0]) {
+		return top > 0 || vs[0].vals == nil
 	}
-	for ; top > 0; top-- {
-		vals := tr.versions[0].vals
-		tr.versions = slices.Delete(tr.versions, 0, 1)
-		st.unindexVersion(s, id, tr, vals)
+	for j := range top {
+		st.unindexVersion(s, id, rest, s.valsOf(&vs[j]))
 	}
-	if !tr.versions[0].deleted {
+	// A tombstone under uncommitted writes stays until they settle.
+	tomb := rest[0].vals == nil
+	switch {
+	case tomb && len(rest) == 1:
+		s.removeMember(i)
 		return false
+	case top > 0:
+		s.setChain(i, slices.Delete(vs, 0, top))
 	}
-	if len(tr.versions) > 1 {
-		return true // uncommitted writes above a tombstone
-	}
-	delete(s.tuples, id)
-	s.ids = removeID(s.ids, id)
-	return false
+	return tomb
 }
 
-// trimOrDefer trims tuple id, tr, which a committed write has just
-// touched, computing the horizon only when there is garbage. Callers
-// hold the stripe's write lock.
-func (st *Store) trimOrDefer(s *stripe, id TupleID, tr *tupleRec) {
-	if st.noTrim || !st.garbage(tr) {
+// trimOrDefer trims tuple id, which a committed write has just touched,
+// computing the horizon only when there is garbage. Callers hold the
+// stripe's write lock.
+func (st *Store) trimOrDefer(s *stripe, id TupleID) {
+	if st.noTrim {
 		return
 	}
-	if st.trim(s, id, tr, st.horizon()) {
+	if i, ok := s.find(id); !ok || !st.garbage(s.chain(i)) {
+		return
+	}
+	if st.trim(s, id, st.horizon()) {
 		had := len(s.pending) > 0
 		s.pending = append(s.pending, id)
 		st.notePending(s, had)
@@ -116,14 +124,14 @@ func (st *Store) trimStripe(s *stripe, writers []int, h horizon) {
 	had := len(s.pending) > 0
 	kept := s.pending[:0]
 	for _, id := range s.pending {
-		if tr := s.tuples[id]; tr != nil && st.trim(s, id, tr, h) {
+		if st.trim(s, id, h) {
 			kept = append(kept, id)
 		}
 	}
 	for _, w := range writers {
 		for i := range s.logs[w] {
 			id := s.logs[w][i].ID
-			if tr := s.tuples[id]; tr != nil && st.trim(s, id, tr, h) {
+			if st.trim(s, id, h) {
 				kept = append(kept, id)
 			}
 		}

@@ -91,7 +91,7 @@ func TestTrimWaitsForLiveReaders(t *testing.T) {
 				st.Abort(2)
 			}
 			mustAudit(t, st)
-			if _, ok := st.byIdx[0].tuples[id]; ok || len(st.pendingIn) != 0 {
+			if _, ok := st.byIdx[0].find(id); ok || len(st.pendingIn) != 0 {
 				t.Fatalf("tuple survived the %s of the last live writer (pending in %v)", finish, st.pendingIn)
 			}
 		})

@@ -161,36 +161,27 @@ func (st *Store) ApplyRedo(rec WriteRec) error {
 	if err := checkLocalID(rec.Rel, rec.ID); err != nil {
 		return err
 	}
+	var vals []model.Value
+	switch rec.Op {
+	case OpDelete:
+	case OpInsert, OpModify:
+		if len(rec.After) != len(s.valIdx) {
+			return fmt.Errorf("storage: redo %s of tuple %d in %s carries %d values for arity %d", rec.Op, rec.ID, rec.Rel, len(rec.After), len(s.valIdx))
+		}
+		vals = append([]model.Value(nil), rec.After...)
+	default:
+		return fmt.Errorf("storage: redo record with unknown op %d", rec.Op)
+	}
 	st.noteNulls(rec.Before)
 	st.noteNulls(rec.After)
 	s.lock()
 	defer s.unlock()
 	st.raiseIDFloor(s, rec.ID)
-	tr := s.tuples[rec.ID]
-	v := version{seq: st.nextSeq.Add(1)}
-	switch rec.Op {
-	case OpInsert:
-		if tr == nil {
-			tr = new(tupleRec)
-			s.tuples[rec.ID] = tr
-			s.ids = addID(s.ids, rec.ID)
-		}
-		v.vals = append([]model.Value(nil), rec.After...)
-	case OpDelete:
-		if tr == nil {
-			return fmt.Errorf("storage: redo delete of unknown tuple %d in %s", rec.ID, rec.Rel)
-		}
-		v.deleted = true
-	case OpModify:
-		if tr == nil {
-			return fmt.Errorf("storage: redo modify of unknown tuple %d in %s", rec.ID, rec.Rel)
-		}
-		v.vals = append([]model.Value(nil), rec.After...)
-	default:
-		return fmt.Errorf("storage: redo record with unknown op %d", rec.Op)
+	if _, known := s.find(rec.ID); !known && rec.Op != OpInsert {
+		return fmt.Errorf("storage: redo %s of unknown tuple %d in %s", rec.Op, rec.ID, rec.Rel)
 	}
-	st.insertVersion(s, rec.ID, tr, v)
-	st.trimOrDefer(s, rec.ID, tr)
+	st.insertVersion(s, rec.ID, newVersion(0, st.nextSeq.Add(1), vals))
+	st.trimOrDefer(s, rec.ID)
 	return nil
 }
 
@@ -245,6 +236,9 @@ func (st *Store) RestoreSnapshot(tuples []CommittedTuple, nullFloor int64, idFlo
 		if err := checkLocalID(ct.Rel, ct.ID); err != nil {
 			return err
 		}
+		if !ct.Deleted && len(ct.Vals) != len(s.valIdx) {
+			return fmt.Errorf("storage: checkpoint tuple %d of %s carries %d values for arity %d", ct.ID, ct.Rel, len(ct.Vals), len(s.valIdx))
+		}
 	}
 	for i, floor := range idFloors {
 		st.byIdx[i].nextLocal = max(st.byIdx[i].nextLocal, floor)
@@ -252,17 +246,14 @@ func (st *Store) RestoreSnapshot(tuples []CommittedTuple, nullFloor int64, idFlo
 	for _, ct := range tuples {
 		s := st.stripes[ct.Rel]
 		s.lock()
-		if _, dup := s.tuples[ct.ID]; dup {
+		if _, dup := s.find(ct.ID); dup {
 			s.unlock()
 			return fmt.Errorf("storage: checkpoint declares tuple %d of %s twice", ct.ID, ct.Rel)
 		}
 		st.raiseIDFloor(s, ct.ID)
 		if !ct.Deleted {
 			st.noteNulls(ct.Vals)
-			tr := new(tupleRec)
-			s.tuples[ct.ID] = tr
-			s.ids = addID(s.ids, ct.ID)
-			st.insertVersion(s, ct.ID, tr, version{seq: st.nextSeq.Add(1), vals: append([]model.Value(nil), ct.Vals...)})
+			st.insertVersion(s, ct.ID, newVersion(0, st.nextSeq.Add(1), append([]model.Value(nil), ct.Vals...)))
 		}
 		s.unlock()
 	}

@@ -154,11 +154,11 @@ func (sn *Snapshot) admits(v *version, rel string) bool {
 	return true
 }
 
-// versionOf returns the visible version of a tuple record of relation
-// rel, or nil. Callers hold the owning stripe's lock.
-func (sn *Snapshot) versionOf(rec *tupleRec, rel string) *version {
-	for i := len(rec.versions) - 1; i >= 0; i-- {
-		v := &rec.versions[i]
+// versionOf returns the visible version in the chain vs of a tuple of
+// relation rel, or nil. Callers hold the owning stripe's lock.
+func (sn *Snapshot) versionOf(vs []version, rel string) *version {
+	for i := len(vs) - 1; i >= 0; i-- {
+		v := &vs[i]
 		if sn.admits(v, rel) {
 			return v
 		}
@@ -190,15 +190,21 @@ func (sn *Snapshot) getLocked(id TupleID) ([]model.Value, bool) {
 }
 
 func (sn *Snapshot) getInStripe(s *stripe, id TupleID) ([]model.Value, bool) {
-	tr, ok := s.tuples[id]
+	i, ok := s.find(id)
 	if !ok {
 		return nil, false
 	}
-	v := sn.versionOf(tr, s.rel)
-	if v == nil || v.deleted {
+	return sn.visibleAt(s, i)
+}
+
+// visibleAt returns the values of the member at position i visible to
+// this snapshot, or ok == false when none is or it is a tombstone.
+func (sn *Snapshot) visibleAt(s *stripe, i int) ([]model.Value, bool) {
+	v := sn.versionOf(s.chain(i), s.rel)
+	if v == nil || v.vals == nil {
 		return nil, false
 	}
-	return v.vals, true
+	return s.valsOf(v), true
 }
 
 // GetTuple is Get returning a model.Tuple.
@@ -225,7 +231,7 @@ func (sn *Snapshot) Rel(id TupleID) (string, bool) {
 	}
 	sn.rlock(s)
 	defer sn.runlock(s)
-	if _, ok := s.tuples[id]; !ok {
+	if _, ok := s.find(id); !ok {
 		return "", false
 	}
 	return s.rel, true
@@ -259,8 +265,8 @@ func (sn *Snapshot) ScanRel(rel string, fn func(id TupleID, vals []model.Value) 
 }
 
 func (sn *Snapshot) scanStripe(s *stripe, fn func(id TupleID, vals []model.Value) bool) {
-	for _, id := range s.ids {
-		if vals, ok := sn.getInStripe(s, id); ok {
+	for i, id := range s.ids {
+		if vals, ok := sn.visibleAt(s, i); ok {
 			if !fn(id, vals) {
 				return
 			}
@@ -301,7 +307,7 @@ func (sn *Snapshot) RelStats(rel string) RelStats {
 	}
 	sn.rlock(s)
 	defer sn.runlock(s)
-	st := RelStats{Live: len(s.tuples)}
+	st := RelStats{Live: len(s.ids)}
 	if st.Live > 0 && len(s.valIdx) > 0 {
 		st.Distinct = make([]int, len(s.valIdx))
 		for c := range s.valIdx {

@@ -115,6 +115,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"youtopia/internal/model"
 )
@@ -203,24 +204,43 @@ func (w WriteRec) String() string {
 	}
 }
 
-// version is one entry of a tuple's version chain.
+// version is one entry of a tuple's version chain: three words. vals
+// points at the first of the tuple's values, whose number is the
+// relation's arity (stripe.valsOf); nil marks a tombstone, which no
+// live version can be, as every relation has at least one attribute.
+// A value array is never changed once a version points at it.
 type version struct {
-	writer  int
-	seq     int64
-	vals    []model.Value // nil when deleted
-	deleted bool
+	writer int
+	seq    int64
+	vals   *model.Value
 }
 
-// tupleRec is a logical tuple's version chain, kept sorted ascending
-// by (writer, seq). Its ID is its key in the owning stripe's tuples map,
-// and its relation is that stripe's.
-type tupleRec struct {
-	versions []version
+// newVersion returns writer's version seq of a tuple with values vals,
+// which hold exactly the relation's arity of values; nil makes a
+// tombstone.
+func newVersion(writer int, seq int64, vals []model.Value) version {
+	return version{writer: writer, seq: seq, vals: unsafe.SliceData(vals)}
 }
+
+// chained is the writer of the marker a member's recs slot holds while
+// its chain has two or more versions; the chain is then in
+// stripe.chains.
+const chained = -1
 
 // stripe is the per-relation slice of the store: one relation's
 // tuples, secondary indexes, and slice of the per-writer logs, guarded
 // by its own RWMutex.
+//
+// The member list ids is the tuple table. recs runs parallel to it:
+// recs[i] is the only version of tuple ids[i], or, when that tuple has
+// two or more, a marker (writer chained) whose chain, sorted ascending
+// by (writer, seq), is chains[ids[i]]. A chain that a commit, a trim or
+// an abort brings back to one version returns to its slot. Readers find
+// a tuple by binary search over ids. ids keeps the rule of postings for
+// the readers who share it; recs and chains are changed in place under
+// the write lock, so a pointer into either, or a position in ids, does
+// not outlive a mutation of the stripe: code looks the tuple up again
+// by ID after any insert, removal or trim.
 type stripe struct {
 	rel string
 	idx int
@@ -231,8 +251,9 @@ type stripe struct {
 	mu sync.RWMutex
 
 	nextLocal int64
-	tuples    map[TupleID]*tupleRec
 	ids       []TupleID // members of the relation, visible or not; see postings
+	recs      []version // aligned with ids
+	chains    map[TupleID][]version
 
 	// valIdx[col][key(value.Hash())] lists the tuples with a version
 	// carrying, in that column, a value whose key is that one;
@@ -278,6 +299,80 @@ func (s *stripe) newID() (TupleID, error) {
 	}
 	s.nextLocal++
 	return s.base() | TupleID(s.nextLocal), nil
+}
+
+// find returns the position of tuple id, an ID of this stripe, in the
+// member list, or where it would go, and whether it is a member. Members
+// hold distinct counters in [0, nextLocal], so the one with counter L
+// sits at most at position L and at least at L less the number of those
+// counters that are not members: the binary search runs over that
+// window, which stays a few entries wide while the stripe holds most of
+// the IDs it minted. Callers hold s.mu.
+func (s *stripe) find(id TupleID) (int, bool) {
+	local := int64(id) & (1<<localIDBits - 1)
+	if local > s.nextLocal {
+		return len(s.ids), false
+	}
+	absent := s.nextLocal + 1 - int64(len(s.ids))
+	lo, hi := max(0, int(local-absent)), min(int(local)+1, len(s.ids))
+	i, ok := slices.BinarySearch(s.ids[lo:hi], id)
+	return lo + i, ok
+}
+
+// chain returns the versions of the member at position i, ascending by
+// (writer, seq). The slice aliases recs or chains: callers read it
+// under s.mu and drop it before the stripe next changes.
+func (s *stripe) chain(i int) []version {
+	if s.recs[i].writer == chained {
+		return s.chains[s.ids[i]]
+	}
+	return s.recs[i : i+1]
+}
+
+// setChain makes vs, of one version or more, the chain of the member at
+// position i: a single version goes into its slot, a longer chain into
+// chains behind a marker. Callers hold the write lock.
+func (s *stripe) setChain(i int, vs []version) {
+	id := s.ids[i]
+	if len(vs) == 1 {
+		if s.recs[i].writer == chained {
+			delete(s.chains, id)
+		}
+		s.recs[i] = vs[0]
+		return
+	}
+	if s.chains == nil {
+		s.chains = make(map[TupleID][]version)
+	}
+	s.recs[i] = version{writer: chained}
+	s.chains[id] = vs
+}
+
+// addMember makes id, which is not a member and would sit at position
+// i, one with the single version v. Callers hold the write lock.
+func (s *stripe) addMember(i int, id TupleID, v version) {
+	s.ids = addID(s.ids, id)
+	s.recs = slices.Insert(s.recs, i, v)
+}
+
+// removeMember takes the member at position i out of the stripe, with
+// its chain. Callers hold the write lock.
+func (s *stripe) removeMember(i int) {
+	if s.recs[i].writer == chained {
+		delete(s.chains, s.ids[i])
+	}
+	s.ids = removeID(s.ids, s.ids[i])
+	s.recs = slices.Delete(s.recs, i, i+1)
+}
+
+// valsOf returns a version's values, nil for a tombstone. The slice is
+// the version's own immutable array: it stays valid after the stripe
+// changes, and callers must not modify it.
+func (s *stripe) valsOf(v *version) []model.Value {
+	if v.vals == nil {
+		return nil
+	}
+	return unsafe.Slice(v.vals, len(s.valIdx))
 }
 
 // Store is the versioned repository storage, the Backend
@@ -368,7 +463,6 @@ func NewStore(schema *model.Schema) *Store {
 		s := &stripe{
 			rel:    name,
 			idx:    i,
-			tuples: make(map[TupleID]*tupleRec),
 			valIdx: make([]postings[uint32], schema.Arity(name)),
 			logs:   make(map[int][]WriteRec),
 		}
@@ -490,11 +584,11 @@ func (st *Store) indexVersion(s *stripe, id TupleID, vals []model.Value) {
 	s.contentIdx.add(st.contentKey(vals), id)
 }
 
-// carries reports whether some version of the tuple has values that
-// satisfy has.
-func (tr *tupleRec) carries(has func(vals []model.Value) bool) bool {
-	for i := range tr.versions {
-		if vals := tr.versions[i].vals; vals != nil && has(vals) {
+// carries reports whether one of the versions vs of a tuple in s has
+// values that satisfy has.
+func (s *stripe) carries(vs []version, has func(vals []model.Value) bool) bool {
+	for i := range vs {
+		if vals := s.valsOf(&vs[i]); vals != nil && has(vals) {
 			return true
 		}
 	}
@@ -502,29 +596,45 @@ func (tr *tupleRec) carries(has func(vals []model.Value) bool) bool {
 }
 
 // unindexVersion takes out of the indexes what a version that has just
-// left the chain of tuple id, tr, put there and no remaining version of
-// the tuple still carries. The stripe indexes are keyed by folds that
-// several values share, so there it is the key another version has to
-// share, not the value. Callers hold the stripe's write lock.
-func (st *Store) unindexVersion(s *stripe, id TupleID, tr *tupleRec, vals []model.Value) {
+// left the chain of tuple id put there and none of rest, the versions
+// the tuple still has, carries. The stripe indexes are keyed by folds
+// that several values share, so there it is the key another version has
+// to share, not the value. Callers hold the stripe's write lock.
+func (st *Store) unindexVersion(s *stripe, id TupleID, rest []version, vals []model.Value) {
 	if vals == nil {
 		return
 	}
 	for i, v := range vals {
 		k := st.key(v.Hash())
-		if !tr.carries(func(w []model.Value) bool { return st.key(w[i].Hash()) == k }) {
+		if !s.carries(rest, func(w []model.Value) bool { return st.key(w[i].Hash()) == k }) {
 			s.valIdx[i].remove(k, id)
 		}
-		if v.IsNull() && !tr.carries(func(w []model.Value) bool { return slices.Contains(w, v) }) {
+		if v.IsNull() && !s.carries(rest, func(w []model.Value) bool { return slices.Contains(w, v) }) {
 			st.nullMu.Lock()
 			st.nullIdx.remove(v.Hash(), id)
 			st.nullMu.Unlock()
 		}
 	}
 	k := st.contentKey(vals)
-	if !tr.carries(func(w []model.Value) bool { return st.contentKey(w) == k }) {
+	if !s.carries(rest, func(w []model.Value) bool { return st.contentKey(w) == k }) {
 		s.contentIdx.remove(k, id)
 	}
+}
+
+// dropVersion takes the j-th version of the member at position i out of
+// its chain and out of the indexes, and the member out of the stripe
+// with its last version. Callers hold the stripe's write lock.
+func (st *Store) dropVersion(s *stripe, i, j int) {
+	id, vs := s.ids[i], s.chain(i)
+	vals := s.valsOf(&vs[j])
+	if len(vs) == 1 {
+		s.removeMember(i)
+		st.unindexVersion(s, id, nil, vals)
+		return
+	}
+	rest := slices.Delete(vs, j, j+1)
+	s.setChain(i, rest)
+	st.unindexVersion(s, id, rest, vals)
 }
 
 // isCommitted reports whether a version's writer has committed: the
@@ -548,31 +658,39 @@ func (st *Store) isCommitted(writer int) bool {
 }
 
 // insertVersion splices a version into the chain of tuple id, keeping
-// the chain sorted by (writer, seq), and maintains the stripe indexes
-// and published sequence number. Callers hold the stripe's write lock.
-// Logging and writer accounting are the caller's concern: live writes
-// go through addVersion, recovery replay applies versions directly.
-func (st *Store) insertVersion(s *stripe, id TupleID, rec *tupleRec, v version) {
-	i := sort.Search(len(rec.versions), func(i int) bool {
-		w := rec.versions[i]
-		return w.writer > v.writer || (w.writer == v.writer && w.seq > v.seq)
-	})
-	rec.versions = append(rec.versions, version{})
-	copy(rec.versions[i+1:], rec.versions[i:])
-	rec.versions[i] = v
-	st.indexVersion(s, id, v.vals)
+// the chain sorted by (writer, seq) and making id a member if it is not
+// one, and maintains the stripe indexes and published sequence number.
+// Callers hold the stripe's write lock. Logging and writer accounting
+// are the caller's concern: live writes go through addVersion, recovery
+// replay applies versions directly.
+func (st *Store) insertVersion(s *stripe, id TupleID, v version) {
+	if i, ok := s.find(id); !ok {
+		s.addMember(i, id, v)
+	} else {
+		vs := s.chain(i)
+		j := sort.Search(len(vs), func(j int) bool {
+			w := vs[j]
+			return w.writer > v.writer || (w.writer == v.writer && w.seq > v.seq)
+		})
+		if len(vs) == 1 {
+			// The slot's version moves into a chain of its own.
+			vs = append(make([]version, 0, 2), vs[0])
+		}
+		s.setChain(i, slices.Insert(vs, j, v))
+	}
+	st.indexVersion(s, id, s.valsOf(&v))
 	s.seq.Store(v.seq)
 }
 
-// addVersion appends a version to a tuple's chain, keeping the chain
-// sorted by (writer, seq), and maintains indexes and logs. Callers
-// hold the stripe's write lock. Every writer but writer 0, the initial
-// load, logs: writer 0 never commits through a batch and never aborts,
-// so nothing would read its log.
-func (st *Store) addVersion(s *stripe, rec *tupleRec, v version, logRec WriteRec) {
-	st.insertVersion(s, logRec.ID, rec, v)
+// addVersion adds a version to the chain of the tuple logRec names, as
+// insertVersion does, and maintains indexes and logs. Callers hold the
+// stripe's write lock. Every writer but writer 0, the initial load,
+// logs: writer 0 never commits through a batch and never aborts, so
+// nothing would read its log.
+func (st *Store) addVersion(s *stripe, v version, logRec WriteRec) {
+	st.insertVersion(s, logRec.ID, v)
 	if v.writer == 0 {
-		st.trimOrDefer(s, logRec.ID, rec)
+		st.trimOrDefer(s, logRec.ID)
 		return
 	}
 	log := s.logs[v.writer]
@@ -679,11 +797,8 @@ func (st *Store) insertLocked(s *stripe, writer int, t model.Tuple) (id TupleID,
 	st.noteNulls(t.Vals)
 	seq := st.nextSeq.Add(1)
 	vals := append([]model.Value(nil), t.Vals...)
-	tr := new(tupleRec)
-	s.tuples[id] = tr
-	s.ids = addID(s.ids, id)
 	w := WriteRec{Writer: writer, Seq: seq, ID: id, Rel: t.Rel, Op: OpInsert, After: vals}
-	st.addVersion(s, tr, version{writer: writer, seq: seq, vals: vals}, w)
+	st.addVersion(s, newVersion(writer, seq, vals), w)
 	return id, w, true, nil
 }
 
@@ -701,17 +816,13 @@ func (st *Store) Delete(writer int, id TupleID) (rec WriteRec, ok bool, err erro
 }
 
 func (st *Store) deleteLocked(s *stripe, writer int, id TupleID) (rec WriteRec, ok bool, err error) {
-	tr, exists := s.tuples[id]
-	if !exists {
-		return WriteRec{}, false, nil
-	}
-	v := st.snapLocked(writer).versionOf(tr, s.rel)
-	if v == nil || v.deleted {
+	before, ok := st.snapLocked(writer).getInStripe(s, id)
+	if !ok {
 		return WriteRec{}, false, nil
 	}
 	seq := st.nextSeq.Add(1)
-	w := WriteRec{Writer: writer, Seq: seq, ID: id, Rel: s.rel, Op: OpDelete, Before: v.vals}
-	st.addVersion(s, tr, version{writer: writer, seq: seq, deleted: true}, w)
+	w := WriteRec{Writer: writer, Seq: seq, ID: id, Rel: s.rel, Op: OpDelete, Before: before}
+	st.addVersion(s, newVersion(writer, seq, nil), w)
 	return w, true, nil
 }
 
@@ -787,7 +898,6 @@ func (st *Store) ReplaceNull(writer int, x, to model.Value) ([]WriteRec, error) 
 	var one [1]TupleID
 	for _, h := range hits {
 		s := st.stripeOf(h.id)
-		tr := s.tuples[h.id]
 		newVals := sub.Apply(h.vals)
 		// Set-semantics collapse (§2.2 "collapsed into one"): if the
 		// rewritten content is already carried by another visible tuple,
@@ -808,13 +918,13 @@ func (st *Store) ReplaceNull(writer int, x, to model.Value) ([]WriteRec, error) 
 		if collapsed {
 			w := WriteRec{Writer: writer, Seq: seq, ID: h.id, Rel: s.rel, Op: OpDelete,
 				Before: h.vals}
-			st.addVersion(s, tr, version{writer: writer, seq: seq, deleted: true}, w)
+			st.addVersion(s, newVersion(writer, seq, nil), w)
 			out = append(out, w)
 			continue
 		}
 		w := WriteRec{Writer: writer, Seq: seq, ID: h.id, Rel: s.rel, Op: OpModify,
 			Before: h.vals, After: newVals}
-		st.addVersion(s, tr, version{writer: writer, seq: seq, vals: newVals}, w)
+		st.addVersion(s, newVersion(writer, seq, newVals), w)
 		out = append(out, w)
 	}
 	return out, nil
@@ -851,21 +961,16 @@ func (st *Store) Abort(writer int) {
 		log := s.logs[writer]
 		for i := len(log) - 1; i >= 0; i-- {
 			rec := log[i]
-			tr, ok := s.tuples[rec.ID]
+			p, ok := s.find(rec.ID)
 			if !ok {
 				continue
 			}
-			for j := len(tr.versions) - 1; j >= 0; j-- {
-				v := tr.versions[j]
-				if v.writer == writer && v.seq == rec.Seq {
-					tr.versions = append(tr.versions[:j], tr.versions[j+1:]...)
-					st.unindexVersion(s, rec.ID, tr, v.vals)
+			vs := s.chain(p)
+			for j := len(vs) - 1; j >= 0; j-- {
+				if vs[j].writer == writer && vs[j].seq == rec.Seq {
+					st.dropVersion(s, p, j)
 					break
 				}
-			}
-			if len(tr.versions) == 0 {
-				delete(s.tuples, rec.ID)
-				s.ids = removeID(s.ids, rec.ID)
 			}
 		}
 	}
@@ -1108,10 +1213,11 @@ func (st *Store) Stats() Stats {
 	var s Stats
 	snap := st.snapLocked(maxReader)
 	for _, sp := range st.byIdx {
-		s.Tuples += len(sp.tuples)
-		for _, tr := range sp.tuples {
-			s.Versions += len(tr.versions)
-			if v := snap.versionOf(tr, sp.rel); v != nil && !v.deleted {
+		s.Tuples += len(sp.ids)
+		for i := range sp.ids {
+			vs := sp.chain(i)
+			s.Versions += len(vs)
+			if v := snap.versionOf(vs, sp.rel); v != nil && v.vals != nil {
 				s.Visible++
 			}
 		}
