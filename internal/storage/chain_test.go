@@ -223,3 +223,36 @@ func observe(st *Store, id TupleID) string {
 	}
 	return out
 }
+
+// TestRedoAndRestoreCheckArity: a version finds its values' length in
+// its relation's arity, so a redo record or a checkpoint tuple carrying
+// another number of values is refused before it changes anything.
+func TestRedoAndRestoreCheckArity(t *testing.T) {
+	st := NewStore(chainSchema())
+	s, mark := st.byIdx[0], st.NullMark()
+	for _, rec := range []WriteRec{
+		{ID: 1, Rel: "R", Op: OpInsert, After: []model.Value{c("a")}},
+		{ID: 1, Rel: "R", Op: OpInsert, After: []model.Value{c("a"), c("b"), n(mark + 50)}},
+		{ID: 1, Rel: "R", Op: OpModify},
+	} {
+		if err := st.ApplyRedo(rec); err == nil {
+			t.Fatalf("redo %v of %d values accepted for arity 2", rec, len(rec.After))
+		}
+	}
+	if st.Stats().Tuples != 0 || s.nextLocal != 0 || st.NullMark() != mark {
+		t.Fatalf("a refused redo changed the store: %+v, counter %d, null mark %d (was %d)", st.Stats(), s.nextLocal, st.NullMark(), mark)
+	}
+	good := CommittedTuple{ID: 1, Rel: "R", Vals: []model.Value{c("a"), c("b")}}
+	short := CommittedTuple{ID: 2, Rel: "R", Vals: []model.Value{c("a")}}
+	if err := st.RestoreSnapshot([]CommittedTuple{good, short}, 0, nil); err == nil {
+		t.Fatal("checkpoint tuple of 1 value accepted for arity 2")
+	}
+	if st.Stats().Tuples != 0 || s.nextLocal != 0 {
+		t.Fatalf("a refused checkpoint changed the store: %+v, counter %d", st.Stats(), s.nextLocal)
+	}
+	tomb := CommittedTuple{ID: 3, Rel: "R", Deleted: true}
+	if err := st.RestoreSnapshot([]CommittedTuple{good, tomb}, 0, nil); err != nil {
+		t.Fatal(err)
+	}
+	mustAudit(t, st)
+}

@@ -18,8 +18,10 @@ import (
 // the store's own. The bounds are the figures achieved (go1.24, amd64)
 // plus about 10%; the figures only ever came down.
 //
-// A map from ID to a record owning a version array of 48-byte versions
-// holds 324 bytes and 4.8 objects. Earlier figures were read without
+// A record table of one three-word version per member, parallel to the
+// member list, holds 253 bytes and 2.65 objects per tuple; a map from ID
+// to a record owning an array of 48-byte versions held 324 bytes and
+// 4.78 objects. Earlier figures were read without
 // keeping the universe alive, so the universe's own heap, collected
 // between the readings, was subtracted from them: 43 bytes with the
 // stripe indexes' 32-bit folded keys and stripe-local slots, 97–100
@@ -31,8 +33,8 @@ import (
 // value and a rendered content key on top, 1345.
 func TestStoreBytesPerTuple(t *testing.T) {
 	const (
-		boundBytes   = 356
-		boundObjects = 5.3
+		boundBytes   = 278
+		boundObjects = 2.9
 	)
 	cfg := workload.Default()
 	cfg.InitialTuples = 1000

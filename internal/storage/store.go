@@ -17,6 +17,21 @@
 // committing a writer retires its write log and trims the history of
 // the tuples it wrote.
 //
+// # The tuple table
+//
+// A relation's stripe keeps its tuples in two parallel arrays: ids, the
+// member list in ascending ID order, and recs, whose i-th entry is the
+// only version of ids[i]. A version is three words — writer, sequence
+// number and a pointer to the tuple's values, as many as the relation's
+// arity — and a nil pointer is a tombstone. At rest almost every tuple
+// has one version and costs its value array and its two array entries;
+// a tuple with more holds a marker in its slot and its chain in the
+// stripe's overflow map, and goes back to its slot when a commit, trim
+// or abort leaves it one version. A lookup by ID is a binary search of
+// ids. recs and the overflow map change in place under the stripe's
+// write lock, so no pointer into them outlives a mutation of the
+// stripe; the value arrays never change.
+//
 // # The version horizon
 //
 // Committed history that no reader can still see leaves the store at
@@ -33,12 +48,12 @@
 //
 // Trimming drops the versions below the newest committed one together
 // with their index entries (unindexVersion) and deletes a tuple whose
-// only version left is a committed tombstone from the tuples, the
-// member list and every index. A commit batch trims the tuples in its
-// writers' logs under the stripe locks it already holds; what the
-// horizon does not yet release goes on the stripe's pending list, which
-// a later batch drains (adding those stripes to its ascending lock
-// round) or the abort of the last live writer settles.
+// only version left is a committed tombstone from the tuple table and
+// every index. A commit batch trims the tuples in its writers' logs
+// under the stripe locks it already holds; what the horizon does not
+// yet release goes on the stripe's pending list, which a later batch
+// drains (adding those stripes to its ascending lock round) or the
+// abort of the last live writer settles.
 //
 // Why the rule is sound: the stored reads that consult history are the
 // ones with a ceiling or a window — ViolationRead and NullOccRead — and
