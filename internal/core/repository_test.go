@@ -274,6 +274,31 @@ query abc(a): T(a, "ABC Tours", s)
 	}
 }
 
+// TestCertainAnswersAllocs pins Repository.Certain on a warm repository:
+// validating the query allocates nothing, so a non-empty answer costs
+// its rows and one array of their values, and an empty answer nothing.
+func TestCertainAnswersAllocs(t *testing.T) {
+	r := travelRepo(t)
+	doc, err := parseQueries(`
+query reviews(co, a): R(co, a, r)
+query abc(a): T(a, "ABC Tours", s)
+`, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, bound := range []float64{2, 0} {
+		cq := doc[i]
+		certain := func() {
+			if _, err := r.Certain(cq); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if a := testing.AllocsPerRun(100, certain); a > bound {
+			t.Errorf("Certain(%s): %.1f allocs, want at most %.0f", cq, a, bound)
+		}
+	}
+}
+
 // parseQueries parses query statements against the repository schema.
 func parseQueries(body string, r *Repository) ([]*query.CQ, error) {
 	src := ""

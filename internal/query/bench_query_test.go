@@ -81,6 +81,28 @@ func BenchmarkJoinBindingChurn(b *testing.B) {
 	}
 }
 
+// BenchmarkCertainAnswers runs a warm three-atom certain-answer query
+// of 100 rows (run with -benchmem): the plan, join order, packed rows
+// and sort permutation are engine scratch, so each answer costs two
+// allocations — its rows and one array of their values.
+// TestCertainAnswersAllocs is the gate.
+func BenchmarkCertainAnswers(b *testing.B) {
+	st, _ := benchWorld(b, 200)
+	e := NewEngine(st.Snap(1))
+	cq := &CQ{Name: "covered", Head: []string{"x", "z"}, Body: []tgd.Atom{
+		tgd.NewAtom("A", tgd.V("x"), tgd.V("y")),
+		tgd.NewAtom("T", tgd.V("y"), tgd.V("z")),
+		tgd.NewAtom("R", tgd.V("x"), tgd.V("z"))}}
+	if rows := e.CertainAnswers(cq); len(rows) != 100 {
+		b.Fatalf("%d rows, want 100", len(rows))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.CertainAnswers(cq)
+	}
+}
+
 // TestJoinBindingAllocBound is the -benchmem guard in test form: the
 // steady-state early-stopping join on the compiled slot runtime must
 // not allocate at all. A regression here means binding, frame, or

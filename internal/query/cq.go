@@ -1,9 +1,10 @@
 package query
 
 import (
-	"bytes"
+	"cmp"
 	"fmt"
 	"slices"
+	"strconv"
 	"strings"
 
 	"youtopia/internal/model"
@@ -37,7 +38,7 @@ type CQ struct {
 
 // Validate checks the query against a schema: body atoms must match
 // declared relations and arities, and every head variable must occur
-// in the body (safety).
+// in the body (safety). A valid query is checked without allocating.
 func (q *CQ) Validate(schema *model.Schema) error {
 	if q.Name == "" {
 		return fmt.Errorf("query: unnamed query")
@@ -45,7 +46,6 @@ func (q *CQ) Validate(schema *model.Schema) error {
 	if len(q.Body) == 0 {
 		return fmt.Errorf("query %s: empty body", q.Name)
 	}
-	bodyVars := make(map[string]bool)
 	for _, a := range q.Body {
 		ar := schema.Arity(a.Rel)
 		if ar < 0 {
@@ -55,21 +55,28 @@ func (q *CQ) Validate(schema *model.Schema) error {
 			return fmt.Errorf("query %s: atom %s has arity %d, relation %s has arity %d",
 				q.Name, a, len(a.Terms), a.Rel, ar)
 		}
-		for _, v := range a.Vars() {
-			bodyVars[v] = true
-		}
 	}
-	seen := make(map[string]bool)
-	for _, h := range q.Head {
-		if !bodyVars[h] {
+	for i, h := range q.Head {
+		if !q.bodyHas(h) {
 			return fmt.Errorf("query %s: head variable %s does not occur in the body", q.Name, h)
 		}
-		if seen[h] {
+		if slices.Contains(q.Head[:i], h) {
 			return fmt.Errorf("query %s: head variable %s repeated", q.Name, h)
 		}
-		seen[h] = true
 	}
 	return nil
+}
+
+// bodyHas reports whether variable v occurs in the body.
+func (q *CQ) bodyHas(v string) bool {
+	for _, a := range q.Body {
+		for _, term := range a.Terms {
+			if term.IsVar && term.Var == v {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // String renders the query, e.g. q(x, y) <- A(x, z), T(z, y).
@@ -91,86 +98,176 @@ func (q *CQ) project(b map[string]model.Value) model.Tuple {
 	return model.Tuple{Rel: q.Name, Vals: vals}
 }
 
-// dedupSort removes duplicate rows and orders them canonically, by
-// Tuple.Key, rendering each row's key once.
-func dedupSort(rows []model.Tuple) []model.Tuple {
-	var a keyArena
-	return a.dedupSort(rows)
-}
-
-// keyArena is dedupSort's reusable scratch: the rows' keys
-// (Tuple.AppendKey) back to back in buf, one span per row.
-type keyArena struct {
-	buf   []byte
-	spans []keySpan
-}
-
-// keySpan locates one row's key in keyArena.buf.
-type keySpan struct {
-	lo, hi int
-	row    model.Tuple
-}
-
-// dedupSort is the package-level dedupSort rendering into the arena;
-// the rows are reordered in place.
-func (a *keyArena) dedupSort(rows []model.Tuple) []model.Tuple {
-	buf, spans := a.buf[:0], a.spans[:0]
-	for _, r := range rows {
-		lo := len(buf)
-		buf = r.AppendKey(buf)
-		spans = append(spans, keySpan{lo, len(buf), r})
+// compareRows orders two rows exactly as bytes.Compare orders their
+// Tuple.Keys, without rendering either key. It is the one row order of
+// both answer semantics.
+func compareRows(a, b model.Tuple) int {
+	if a.Rel != b.Rel {
+		return comparePart(a.Rel, b.Rel, len(a.Vals) > 0, len(b.Vals) > 0)
 	}
-	key := func(sp keySpan) []byte { return buf[sp.lo:sp.hi] }
-	slices.SortFunc(spans, func(x, y keySpan) int { return bytes.Compare(key(x), key(y)) })
-	out := rows[:0]
-	for i, sp := range spans {
-		if i == 0 || !bytes.Equal(key(sp), key(spans[i-1])) {
-			out = append(out, sp.row)
+	return compareVals(a.Vals, b.Vals)
+}
+
+// compareVals orders two rows of one relation by their values, as
+// bytes.Compare orders the rows' keys. A key renders each value after a
+// NUL separator: a constant as 'c' and its payload with every NUL
+// doubled, a null as 'n' and its identifier in decimal. So a constant
+// sorts before every null, and a row that is a prefix of another sorts
+// first.
+func compareVals(a, b []model.Value) int {
+	for i := 0; i < len(a) && i < len(b); i++ {
+		u, v := a[i], b[i]
+		if u == v {
+			continue
+		}
+		moreA, moreB := i+1 < len(a), i+1 < len(b)
+		var c int
+		switch un, vn := u.IsNull(), v.IsNull(); {
+		case un != vn:
+			if un {
+				return 1
+			}
+			return -1
+		case un:
+			var bu, bv [20]byte
+			c = comparePart(strconv.AppendInt(bu[:0], u.NullID(), 10),
+				strconv.AppendInt(bv[:0], v.NullID(), 10), moreA, moreB)
+		default:
+			c = comparePart(u.ConstValue(), v.ConstValue(), moreA, moreB)
+		}
+		if c != 0 {
+			return c
 		}
 	}
-	// The arena must not keep the rows alive, nor, on an engine that
-	// outlives the query, the buffers of an answer larger than the
-	// bounds. An answer that outgrew the kept spans left rows in them
-	// before append moved on.
-	clear(spans)
-	if cap(spans) <= maxArenaRows && cap(buf) <= maxArenaBytes {
-		a.buf, a.spans = buf, spans[:0]
-	} else {
-		clear(a.spans[:cap(a.spans)])
-	}
-	return out
+	return cmp.Compare(len(a), len(b))
 }
 
-// Bounds of the buffers a keyArena keeps between answers.
+// comparePart compares two key parts s and t as bytes.Compare compares
+// the keys they start: more says whether the key goes on after the
+// part, always with a NUL and then a nonzero byte. NUL escaping keeps
+// the first differing byte of the parts the first differing byte of
+// the keys. When one part is a prefix of the other, the longer part's
+// next byte meets the shorter key's end or separator, and a NUL there
+// is escaped to two, which sort after a separator's NUL and kind byte.
+func comparePart[S string | []byte](s, t S, moreS, moreT bool) int {
+	n := min(len(s), len(t))
+	for i := 0; i < n; i++ {
+		if s[i] != t[i] {
+			return cmp.Compare(s[i], t[i])
+		}
+	}
+	switch {
+	case len(s) == len(t):
+		return 0
+	case len(s) < len(t):
+		if moreS && t[n] == 0 {
+			return 1
+		}
+		return -1
+	default:
+		if moreT && s[n] == 0 {
+			return -1
+		}
+		return 1
+	}
+}
+
+// cqScratch is the working memory of CertainAnswers, owned by the
+// engine and reused across calls: the query's plan and join order,
+// recompiled in place, the ground rows of the current answer packed
+// head-width values apiece, and their sort permutation.
+type cqScratch struct {
+	plan Plan
+	ord  joinOrder
+	osc  orderScratch
+	vals []model.Value
+	rows int
+	perm []int32
+}
+
+// Bounds of the row buffers an engine keeps between answers, 8 KiB of
+// values and 2 KiB of permutation: a larger answer's buffers are
+// dropped, so a long-lived engine keeps no more than the answers most
+// queries return need.
 const (
-	maxArenaRows  = 64
-	maxArenaBytes = 4 << 10
+	maxKeptVals = 512
+	maxKeptRows = 512
 )
 
 // CertainAnswers returns the certain answers of the query on the
 // engine's snapshot: rows of constants that hold under every valuation
 // of the labeled nulls. For conjunctive queries these are exactly the
-// null-free rows of the naive evaluation, which runs on a plan compiled
-// for this call. The plan is not cached on the query: one plan and
-// order per call costs less than keeping them alive between calls.
+// null-free rows of the naive evaluation, which runs on a plan and
+// join order compiled into the engine's scratch, in place; none is
+// cached on the query, which would keep a plan alive per query ever
+// asked. The matches' ground head projections are packed into one scratch slice and ordered
+// through a row permutation, so a warm engine allocates only the answer
+// it returns: the rows, and one array holding all their values.
 func (e *Engine) CertainAnswers(q *CQ) []model.Tuple {
 	defer e.flushObs()
-	p := compileCQ(q)
+	if e.cq == nil {
+		e.cq = new(cqScratch)
+	}
+	sc := e.cq
+	p := &sc.plan
+	p.compileCQ(q)
 	r := e.getRun(p)
 	r.atoms = p.lhs
-	r.ord = p.computeOrder(e.snap, false, r.shape)
-	var rows []model.Tuple
-	r.fn, r.rows = srCertainRow, &rows
+	p.computeOrder(&sc.ord, &sc.osc, e.snap, false, r.shape)
+	r.ord = &sc.ord
+	sc.vals, sc.rows = sc.vals[:0], 0
+	r.fn = srCertainRow
 	r.rec(0, 0)
 	e.putRun(r)
-	return e.keys.dedupSort(rows)
+	return sc.answer(p.rowRel, len(p.head))
+}
+
+// answer sorts and deduplicates the packed rows, h values each, and
+// copies the distinct ones out as rows of rel. Each row's Vals is
+// capacity-capped, so appending to one never writes into the next.
+func (sc *cqScratch) answer(rel string, h int) []model.Tuple {
+	if sc.rows == 0 {
+		return nil
+	}
+	vals := sc.vals
+	row := func(i int32) []model.Value { return vals[int(i)*h : int(i)*h+h] }
+	perm := resize(sc.perm, sc.rows)
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	slices.SortFunc(perm, func(a, b int32) int { return compareVals(row(a), row(b)) })
+	k := 1
+	for _, i := range perm[1:] {
+		if compareVals(row(perm[k-1]), row(i)) != 0 {
+			perm[k] = i
+			k++
+		}
+	}
+	out := make([]model.Tuple, k)
+	packed := make([]model.Value, k*h)
+	for j, i := range perm[:k] {
+		dst := packed[j*h : j*h+h : j*h+h]
+		copy(dst, row(i))
+		out[j] = model.Tuple{Rel: rel, Vals: dst}
+	}
+	// Keep no value of the answer, and no buffer past the bounds.
+	clear(vals)
+	sc.vals, sc.perm = vals[:0], perm[:0]
+	if cap(vals) > maxKeptVals {
+		sc.vals = nil
+	}
+	if cap(perm) > maxKeptRows {
+		sc.perm = nil
+	}
+	return out
 }
 
 // BestEffortAnswers returns the best-effort answers: every row
 // derivable when labeled nulls are allowed to unify — consistently
 // within the row — with constants and with each other. Rows may
 // contain nulls (facts known to exist with unknown values) and may be
-// incorrect in completions that resolve the nulls differently.
+// incorrect in completions that resolve the nulls differently. They
+// come in the certain answers' order.
 func (e *Engine) BestEffortAnswers(q *CQ) []model.Tuple {
 	var rows []model.Tuple
 	e.joinAtomsUnifying(q.Body, func(b map[string]model.Value, sub model.Subst) bool {
@@ -179,7 +276,8 @@ func (e *Engine) BestEffortAnswers(q *CQ) []model.Tuple {
 		rows = append(rows, row)
 		return true
 	})
-	return e.keys.dedupSort(rows)
+	slices.SortFunc(rows, compareRows)
+	return slices.CompactFunc(rows, func(a, b model.Tuple) bool { return compareRows(a, b) == 0 })
 }
 
 // joinAtomsUnifying enumerates matches of the atom conjunction under

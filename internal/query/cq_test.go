@@ -1,7 +1,6 @@
 package query
 
 import (
-	"fmt"
 	"sort"
 	"testing"
 
@@ -225,49 +224,6 @@ func TestDedupSortOrderAndDistinctRows(t *testing.T) {
 	for i := range got {
 		if !got[i].Equal(want[i]) {
 			t.Fatalf("row %d is %s, want %s", i, got[i], want[i])
-		}
-	}
-}
-
-// TestDedupSortWarmEngineAllocFree pins the answers' dedup on a warm
-// engine at zero allocations: keys render into the engine's arena, and
-// the rows are reordered in place.
-func TestDedupSortWarmEngineAllocFree(t *testing.T) {
-	st, _ := fig2(t)
-	e := engineAt(st, 0)
-	rows := []model.Tuple{
-		tup("q", c("b"), n(2)),
-		tup("q", c("a\x00cb"), c("x")),
-		tup("q", c("a"), c("b")),
-		tup("q", c(""), n(12345)),
-		tup("q", c("b"), n(2)),
-		tup("q", c("a"), c("b")),
-	}
-	buf := make([]model.Tuple, 0, len(rows))
-	run := func() {
-		if got := e.keys.dedupSort(append(buf[:0], rows...)); len(got) != 4 {
-			t.Fatalf("dedupSort kept %d rows, want 4: %v", len(got), got)
-		}
-	}
-	run()
-	if a := testing.AllocsPerRun(100, run); a != 0 {
-		t.Fatalf("dedupSort on a warm engine: %.1f allocs, want 0", a)
-	}
-}
-
-// TestKeyArenaKeepsNoRows: after an answer too large for the arena's
-// bounds, the spans the arena keeps hold no row of it.
-func TestKeyArenaKeepsNoRows(t *testing.T) {
-	var a keyArena
-	a.dedupSort([]model.Tuple{tup("q", c("a")), tup("q", c("b"))})
-	big := make([]model.Tuple, maxArenaRows+1)
-	for i := range big {
-		big[i] = tup("q", c(fmt.Sprint(i)))
-	}
-	a.dedupSort(big)
-	for i, sp := range a.spans[:cap(a.spans)] {
-		if sp.row.Vals != nil {
-			t.Fatalf("kept span %d holds row %s", i, sp.row)
 		}
 	}
 }

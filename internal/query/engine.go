@@ -187,8 +187,10 @@ type Engine struct {
 	// evaluation (the field is reset to nil).
 	vout []Violation
 
-	// keys is the certain and best-effort answers' dedup arena.
-	keys keyArena
+	// cq is CertainAnswers' plan and row scratch, allocated by the
+	// first certain-answer query: engines that answer none, like the
+	// chase's query contexts, do not carry it.
+	cq *cqScratch
 
 	// Locally accumulated join counters, flushed to the obs registry
 	// once per top-level evaluation (flushObs).

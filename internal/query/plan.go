@@ -22,7 +22,9 @@
 //
 // Mapping plans are immutable, cached on the TGD itself (one atomic
 // load to fetch), and shared by every engine and worker in the process.
-// A conjunctive query compiles a fresh plan per call (CertainAnswers).
+// A conjunctive query is not cached: CertainAnswers recompiles it, plan
+// and join order, into one Plan and joinOrder its engine owns, in place
+// and without allocating once their arrays have grown to the query.
 // There is one runtime: the interpreted binding-map join survives only
 // in the tests, as the reference the differential oracle checks the
 // slot runtime against.
@@ -80,8 +82,9 @@ type joinOrder struct {
 }
 
 // Plan is a mapping or conjunctive query compiled for the slot runtime.
-// All fields are immutable after compilation; the order cache grows
-// behind its own atomic pointer.
+// A mapping plan's fields are immutable after compilation, and its
+// order cache grows behind its own atomic pointer. A conjunctive
+// query's plan is engine scratch, recompiled per query (compileCQ).
 type Plan struct {
 	t      *tgd.TGD // nil for a conjunctive query
 	slots  []string
@@ -133,27 +136,29 @@ func (p *Plan) slot(name string) int32 {
 	return s
 }
 
-func (p *Plan) compileAtoms(atoms []tgd.Atom) []planAtom {
-	out := make([]planAtom, len(atoms))
-	for i, a := range atoms {
-		ts := make([]termDesc, len(a.Terms))
-		for j, term := range a.Terms {
+// appendAtoms compiles atoms onto dst, reusing the term arrays of dst's
+// spare capacity.
+func (p *Plan) appendAtoms(dst []planAtom, atoms []tgd.Atom) []planAtom {
+	dst = slices.Grow(dst, len(atoms))
+	for _, a := range atoms {
+		ts := slices.Grow(dst[:len(dst)+1][len(dst)].terms[:0], len(a.Terms))
+		for _, term := range a.Terms {
 			if term.IsVar {
-				ts[j] = termDesc{slot: p.slot(term.Var)}
+				ts = append(ts, termDesc{slot: p.slot(term.Var)})
 			} else {
-				ts[j] = termDesc{slot: -1, cval: term.Const}
+				ts = append(ts, termDesc{slot: -1, cval: term.Const})
 			}
 		}
-		out[i] = planAtom{rel: a.Rel, terms: ts}
+		dst = append(dst, planAtom{rel: a.Rel, terms: ts})
 	}
-	return out
+	return dst
 }
 
 func compilePlan(t *tgd.TGD) *Plan {
 	p := &Plan{t: t, slotOf: make(map[string]int32)}
-	p.lhs = p.compileAtoms(t.LHS)
+	p.lhs = p.appendAtoms(nil, t.LHS)
 	p.nLHS = len(p.slots)
-	p.rhs = p.compileAtoms(t.RHS)
+	p.rhs = p.appendAtoms(nil, t.RHS)
 	p.frontier = make(slotSet, p.words())
 	for _, v := range t.FrontierVars() {
 		p.frontier.add(p.slotOf[v])
@@ -161,17 +166,22 @@ func compilePlan(t *tgd.TGD) *Plan {
 	return p
 }
 
-// compileCQ compiles a conjunctive query: its body is the plan's LHS,
-// it has no RHS, and its head variables resolve to slots here rather
-// than per answer row.
-func compileCQ(q *CQ) *Plan {
-	p := &Plan{slotOf: make(map[string]int32), rowRel: q.Name}
-	p.lhs = p.compileAtoms(q.Body)
-	p.head = make([]int32, len(q.Head))
-	for i, h := range q.Head {
-		p.head[i] = p.slot(h)
+// compileCQ recompiles p in place as a conjunctive query's plan: the
+// body is the LHS, there is no RHS, and the head variables resolve to
+// slots here rather than per answer row. p reuses the arrays of the
+// last query it held, so a warm recompile allocates nothing.
+func (p *Plan) compileCQ(q *CQ) {
+	if p.slotOf == nil {
+		p.slotOf = make(map[string]int32)
 	}
-	return p
+	clear(p.slotOf)
+	p.slots = p.slots[:0]
+	p.rowRel = q.Name
+	p.lhs = p.appendAtoms(p.lhs[:0], q.Body)
+	p.head = p.head[:0]
+	for _, h := range q.Head {
+		p.head = append(p.head, p.slot(h))
+	}
 }
 
 // words is the length of the plan's slot sets.
@@ -198,7 +208,8 @@ func (p *Plan) orderFor(snap *storage.Snapshot, rhs bool, shape slotSet) *joinOr
 	if ord := find(p.orders.Load()); ord != nil {
 		return ord
 	}
-	ord := p.computeOrder(snap, rhs, shape)
+	ord := new(joinOrder)
+	p.computeOrder(ord, new(orderScratch), snap, rhs, shape)
 	p.ordersMu.Lock()
 	defer p.ordersMu.Unlock()
 	cur := p.orders.Load()
@@ -214,31 +225,44 @@ func (p *Plan) orderFor(snap *storage.Snapshot, rhs bool, shape slotSet) *joinOr
 	return ord
 }
 
+// orderScratch is the working memory of one order computation.
+type orderScratch struct {
+	stats []storage.RelStats
+	done  []bool
+	bound slotSet
+}
+
 // computeOrder runs the greedy choice statically, once per seed shape:
 // most determined argument positions first, with the cardinality stats
 // breaking ties by expected candidate count (Live / fanout of the best
 // probe column) and atom index breaking exact ties. After an atom is
 // placed all its variables are bound, so the bound set evolves
-// deterministically and each step's bind bits follow from it.
-func (p *Plan) computeOrder(snap *storage.Snapshot, rhs bool, shape slotSet) *joinOrder {
+// deterministically and each step's bind bits follow from it. The
+// order is written into o, working in sc; both keep their arrays, so a
+// conjunctive query recomputes its order in place per call.
+func (p *Plan) computeOrder(o *joinOrder, sc *orderScratch, snap *storage.Snapshot, rhs bool, shape slotSet) {
 	atoms := p.lhs
 	if rhs {
 		atoms = p.rhs
 	}
 	n := len(atoms)
 	positions := 0
-	stats := make([]storage.RelStats, n)
+	sc.stats = resize(sc.stats, n)
 	for i := range atoms {
-		stats[i] = snap.RelStats(atoms[i].rel)
+		snap.RelStatsInto(atoms[i].rel, &sc.stats[i])
 		positions += len(atoms[i].terms)
 	}
-	// The shape and the bind bits share one allocation.
-	words := make(slotSet, len(shape)+(positions+63)/64)
+	// The shape and the bind bits share one array.
+	words := resize(o.shape[:cap(o.shape)], len(shape)+(positions+63)/64)
+	clear(words)
 	copy(words, shape)
-	o := &joinOrder{rhs: rhs, shape: words[:len(shape):len(shape)], binds: words[len(shape):],
-		steps: make([]joinStep, 0, n)}
-	done := make([]bool, n)
-	bound := slices.Clone(shape)
+	o.rhs = rhs
+	o.shape, o.binds = words[:len(shape)], words[len(shape):]
+	o.steps = resize(o.steps, n)[:0]
+	done := resize(sc.done, n)
+	clear(done)
+	bound := append(sc.bound[:0], shape...)
+	sc.done, sc.bound = done, bound
 	pos := int32(0)
 	for len(o.steps) < n {
 		best := -1
@@ -249,7 +273,7 @@ func (p *Plan) computeOrder(snap *storage.Snapshot, rhs bool, shape slotSet) *jo
 			if done[i] {
 				continue
 			}
-			bc, probe, cost := atomCost(&atoms[i], stats[i], bound)
+			bc, probe, cost := atomCost(&atoms[i], sc.stats[i], bound)
 			if bc > bestBound || (bc == bestBound && cost < bestCost) {
 				best, bestBound, bestCost, bestProbe = i, bc, cost, probe
 			}
@@ -264,7 +288,6 @@ func (p *Plan) computeOrder(snap *storage.Snapshot, rhs bool, shape slotSet) *jo
 		}
 		o.steps = append(o.steps, joinStep{atom: int32(best), probe: bestProbe})
 	}
-	return o
 }
 
 // atomCost scores an atom under a bound-slot set: the number of

@@ -12,6 +12,7 @@ import (
 	"maps"
 	"slices"
 	"strconv"
+	"strings"
 
 	"youtopia/internal/model"
 	"youtopia/internal/storage"
@@ -264,4 +265,27 @@ func (r refEngine) CertainAnswers(q *CQ) []model.Tuple {
 		return true
 	})
 	return dedupSort(rows)
+}
+
+// dedupSort is the reference's row canonicalizer: it renders each row's
+// Tuple.Key, orders the rows by their keys and keeps the first of each
+// run of equal keys. The engine orders rows structurally (compareRows)
+// and is held to this.
+func dedupSort(rows []model.Tuple) []model.Tuple {
+	type keyed struct {
+		key string
+		row model.Tuple
+	}
+	ks := make([]keyed, len(rows))
+	for i, r := range rows {
+		ks[i] = keyed{r.Key(), r}
+	}
+	slices.SortFunc(ks, func(a, b keyed) int { return strings.Compare(a.key, b.key) })
+	out := rows[:0]
+	for i, k := range ks {
+		if i == 0 || k.key != ks[i-1].key {
+			out = append(out, k.row)
+		}
+	}
+	return out
 }

@@ -43,7 +43,6 @@ type slotRun struct {
 	answer string   // srSameAnswer: the recorded single-violation key
 	rhsRun *slotRun // nested RHS existence probe, sharing regs
 	vout   *[]Violation
-	rows   *[]model.Tuple
 }
 
 // getRun pops a pooled run shaped for the plan with an empty seed
@@ -82,7 +81,6 @@ func (e *Engine) putRun(r *slotRun) {
 	r.answer = ""
 	r.rhsRun = nil
 	r.vout = nil
-	r.rows = nil
 	e.runPool = append(e.runPool, r)
 }
 
@@ -162,19 +160,20 @@ func srExists(r *slotRun) bool {
 	return false
 }
 
-// srCertainRow projects a conjunctive query's match onto its head and
-// keeps the row when it is ground.
+// srCertainRow appends a conjunctive query's match, projected onto its
+// head, to the engine's packed answer rows when the projection is
+// ground.
 func srCertainRow(r *slotRun) bool {
 	for _, s := range r.p.head {
 		if r.regs[s].IsNull() {
 			return true
 		}
 	}
-	vals := make([]model.Value, len(r.p.head))
-	for i, s := range r.p.head {
-		vals[i] = r.regs[s]
+	sc := r.e.cq
+	for _, s := range r.p.head {
+		sc.vals = append(sc.vals, r.regs[s])
 	}
-	*r.rows = append(*r.rows, model.Tuple{Rel: r.p.rowRel, Vals: vals})
+	sc.rows++
 	return true
 }
 

@@ -1,6 +1,10 @@
 package storage
 
-import "youtopia/internal/model"
+import (
+	"slices"
+
+	"youtopia/internal/model"
+)
 
 // RelSeq pairs a relation with a stripe sequence number: one entry of
 // a per-relation read vector. Conflict checks capture such vectors at
@@ -301,20 +305,29 @@ type RelStats struct {
 // the stripe holds, not the snapshot's visibility — they feed ordering
 // heuristics, never correctness.
 func (sn *Snapshot) RelStats(rel string) RelStats {
+	var st RelStats
+	sn.RelStatsInto(rel, &st)
+	return st
+}
+
+// RelStatsInto is RelStats writing into st and reusing the array of
+// st.Distinct, so a caller that keeps st computes statistics without
+// allocating once the array is large enough.
+func (sn *Snapshot) RelStatsInto(rel string, st *RelStats) {
+	*st = RelStats{Distinct: st.Distinct[:0]}
 	s := sn.store.stripes[rel]
 	if s == nil {
-		return RelStats{}
+		return
 	}
 	sn.rlock(s)
 	defer sn.runlock(s)
-	st := RelStats{Live: len(s.ids)}
-	if st.Live > 0 && len(s.valIdx) > 0 {
-		st.Distinct = make([]int, len(s.valIdx))
+	st.Live = len(s.ids)
+	if st.Live > 0 {
+		st.Distinct = slices.Grow(st.Distinct, len(s.valIdx))
 		for c := range s.valIdx {
-			st.Distinct[c] = len(s.valIdx[c].m)
+			st.Distinct = append(st.Distinct, len(s.valIdx[c].m))
 		}
 	}
-	return st
 }
 
 // CandidatesByValue returns, in ascending order, the IDs of tuples
