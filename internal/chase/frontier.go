@@ -173,7 +173,7 @@ type targetSpan struct {
 }
 
 // sortTargets orders unify targets by their canonical renderings
-// (model.CanonTuple's bytes), ties by tuple ID, rendering into the
+// (model.AppendCanonTuple's bytes), ties by tuple ID, rendering into the
 // context's reused arena. Targets no longer visible are dropped. The
 // returned spans are valid until the context's next rendering.
 func (c *queryContext) sortTargets(snap *storage.Snapshot, targets []storage.TupleID) []targetSpan {

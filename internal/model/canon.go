@@ -4,9 +4,7 @@ import (
 	"bytes"
 	"hash/fnv"
 	"slices"
-	"sort"
 	"strconv"
-	"strings"
 )
 
 // Canonicalization renames labeled nulls to position-of-first-use
@@ -27,66 +25,15 @@ import (
 // byte, so a doubled byte can only be a constant's. Relation names are
 // identifiers and render as they are.
 //
-// Canonical order is byte order of these renderings. The string forms
-// (CanonVals, CanonTuple, CanonTuples) define them; the append forms
-// (AppendCanonTuple, AppendCanonTuples) write the same bytes into
-// reused buffers for the chase's hot paths.
+// Canonical order is byte order of these renderings. They are written
+// only by appending into caller-owned buffers (AppendCanonTuple,
+// AppendCanonTuples), which the chase reuses on its hot paths; a
+// caller that keeps a rendering converts the bytes to a string.
 
-// CanonVals renders vals with nulls renamed to ?0, ?1, ... in order of
-// first occurrence, extending the supplied renaming map (which may be
-// nil for a self-contained rendering).
-func CanonVals(vals []Value, ren map[Value]int) string {
-	local := ren
-	if local == nil {
-		local = make(map[Value]int)
-	}
-	parts := make([]string, len(vals))
-	for i, v := range vals {
-		if v.IsConst() {
-			parts[i] = "c:" + escapeCanonSep(v.ConstValue())
-			continue
-		}
-		idx, ok := local[v]
-		if !ok {
-			idx = len(local)
-			local[v] = idx
-		}
-		parts[i] = "?" + strconv.Itoa(idx)
-	}
-	return strings.Join(parts, "\x01")
-}
-
-// CanonTuple renders a tuple canonically (self-contained renaming).
-func CanonTuple(t Tuple) string {
-	return t.Rel + "\x02" + CanonVals(t.Vals, nil)
-}
-
-// CanonTuples renders a set of tuples canonically and
-// order-insensitively. The tuples are first rendered with
-// self-contained renamings, sorted, and then re-rendered with a shared
-// renaming in sorted order, which makes the result stable under both
-// permutation of the set and renaming of nulls shared across tuples.
-func CanonTuples(ts []Tuple) string {
-	idx := make([]int, len(ts))
-	for i := range idx {
-		idx[i] = i
-	}
-	solo := make([]string, len(ts))
-	for i, t := range ts {
-		solo[i] = CanonTuple(t)
-	}
-	sort.Slice(idx, func(a, b int) bool { return solo[idx[a]] < solo[idx[b]] })
-	ren := make(map[Value]int)
-	parts := make([]string, len(ts))
-	for i, j := range idx {
-		parts[i] = ts[j].Rel + "\x02" + CanonVals(ts[j].Vals, ren)
-	}
-	return strings.Join(parts, "\x03")
-}
-
-// AppendCanonTuple appends CanonTuple(t)'s bytes to dst. Nulls are
-// renamed by a linear scan over the tuple's earlier nulls; nothing is
-// allocated beyond dst's growth.
+// AppendCanonTuple appends t's canonical rendering to dst, its nulls
+// renamed within the tuple alone. Nulls are renamed by a linear scan
+// over the tuple's earlier nulls; nothing is allocated beyond dst's
+// growth.
 func AppendCanonTuple(dst []byte, t Tuple) []byte {
 	var seen [8]Value
 	dst = append(dst, t.Rel...)
@@ -108,11 +55,14 @@ type canonSpan struct {
 	i, lo, hi int
 }
 
-// AppendCanonTuples appends CanonTuples(ts)'s bytes to dst. The
-// self-contained renderings are written into s and sorted with the
-// same pattern-defeating quicksort CanonTuples' sort.Slice runs, so
-// tuples whose renderings tie land in the same order and the shared
-// renaming numbers their nulls alike.
+// AppendCanonTuples appends the canonical rendering of the set ts to
+// dst, stable under both permutation of the set and renaming of nulls
+// shared across tuples: the tuples' self-contained renderings are
+// written into s and sorted, and the tuples are then rendered again in
+// that order under one renaming shared by the set. The sort is the
+// pattern-defeating quicksort sort.Slice also runs, so tuples whose
+// renderings tie land in one fixed order and the shared renaming
+// numbers their nulls alike.
 func AppendCanonTuples(dst []byte, ts []Tuple, s *CanonScratch) []byte {
 	s.solo, s.spans = s.solo[:0], s.spans[:0]
 	for i, t := range ts {
@@ -136,9 +86,9 @@ func AppendCanonTuples(dst []byte, ts []Tuple, s *CanonScratch) []byte {
 	return dst
 }
 
-// appendCanonVals appends CanonVals' rendering of vals under the
-// renaming ren, a null's index being its position there; nulls seen
-// for the first time are appended to ren.
+// appendCanonVals appends the rendering of vals under the renaming
+// ren: a constant as "c:" and its payload, a null as "?" and its
+// position in ren; nulls seen for the first time are appended to ren.
 func appendCanonVals(dst []byte, vals []Value, ren []Value) ([]byte, []Value) {
 	for i, v := range vals {
 		if i > 0 {
@@ -158,15 +108,6 @@ func appendCanonVals(dst []byte, vals []Value, ren []Value) ([]byte, []Value) {
 		dst = strconv.AppendInt(dst, int64(idx), 10)
 	}
 	return dst, ren
-}
-
-// escapeCanonSep doubles the canonical separators inside a constant.
-// A constant without them is returned as it is.
-func escapeCanonSep(s string) string {
-	if !strings.ContainsAny(s, "\x01\x02\x03") {
-		return s
-	}
-	return string(appendCanonConst(nil, s))
 }
 
 // appendCanonConst appends a constant with its separators doubled.

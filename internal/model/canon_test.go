@@ -2,9 +2,77 @@ package model
 
 import (
 	"math/rand"
+	"sort"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 )
+
+// The string forms of the canonical renderings, built part by part
+// with maps and joins: the reference FuzzCanonAppend holds the append
+// forms to.
+
+// CanonVals renders vals with nulls renamed to ?0, ?1, ... in order of
+// first occurrence, extending the supplied renaming map (which may be
+// nil for a self-contained rendering).
+func CanonVals(vals []Value, ren map[Value]int) string {
+	local := ren
+	if local == nil {
+		local = make(map[Value]int)
+	}
+	parts := make([]string, len(vals))
+	for i, v := range vals {
+		if v.IsConst() {
+			parts[i] = "c:" + escapeCanonSep(v.ConstValue())
+			continue
+		}
+		idx, ok := local[v]
+		if !ok {
+			idx = len(local)
+			local[v] = idx
+		}
+		parts[i] = "?" + strconv.Itoa(idx)
+	}
+	return strings.Join(parts, "\x01")
+}
+
+// CanonTuple renders a tuple canonically (self-contained renaming).
+func CanonTuple(t Tuple) string {
+	return t.Rel + "\x02" + CanonVals(t.Vals, nil)
+}
+
+// CanonTuples renders a set of tuples canonically and
+// order-insensitively. The tuples are first rendered with
+// self-contained renamings, sorted, and then re-rendered with a shared
+// renaming in sorted order, which makes the result stable under both
+// permutation of the set and renaming of nulls shared across tuples.
+func CanonTuples(ts []Tuple) string {
+	idx := make([]int, len(ts))
+	for i := range idx {
+		idx[i] = i
+	}
+	solo := make([]string, len(ts))
+	for i, t := range ts {
+		solo[i] = CanonTuple(t)
+	}
+	sort.Slice(idx, func(a, b int) bool { return solo[idx[a]] < solo[idx[b]] })
+	ren := make(map[Value]int)
+	parts := make([]string, len(ts))
+	for i, j := range idx {
+		parts[i] = ts[j].Rel + "\x02" + CanonVals(ts[j].Vals, ren)
+	}
+	return strings.Join(parts, "\x03")
+}
+
+// escapeCanonSep doubles the canonical separators inside a constant.
+// A constant without them is returned as it is.
+func escapeCanonSep(s string) string {
+	if !strings.ContainsAny(s, "\x01\x02\x03") {
+		return s
+	}
+	return string(appendCanonConst(nil, s))
+}
 
 func TestCanonTupleRenamingInvariance(t *testing.T) {
 	a := NewTuple("R", Null(1), Const("k"), Null(1), Null(2))
@@ -148,7 +216,8 @@ func decodeCanonFuzz(data []byte) []Tuple {
 	return ts
 }
 
-// FuzzCanonAppend checks the append forms against the string forms:
+// FuzzCanonAppend checks the append forms against the string forms
+// above:
 // AppendCanonTuple against CanonTuple for every tuple, and
 // AppendCanonTuples, on one scratch reused across calls, against
 // CanonTuples for the whole set and for its first half. Sets beyond

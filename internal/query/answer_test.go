@@ -28,6 +28,17 @@ func decodeRow(spec string) model.Tuple {
 	return row
 }
 
+// compareRows orders two rows exactly as bytes.Compare orders their
+// Tuple.Keys, without rendering either key: the relations as comparePart
+// compares key parts, then the values as the engine's answers order
+// them (compareVals).
+func compareRows(a, b model.Tuple) int {
+	if a.Rel != b.Rel {
+		return comparePart(a.Rel, b.Rel, len(a.Vals) > 0, len(b.Vals) > 0)
+	}
+	return compareVals(a.Vals, b.Vals)
+}
+
 // FuzzRowOrder holds the structural row order to the order of the rows'
 // rendered keys: compareRows must agree in sign with strings.Compare of
 // the two Tuple.Keys, whatever the relations, widths, NUL bytes and
@@ -132,10 +143,12 @@ func scratchQueries() []*CQ {
 }
 
 // TestCertainAnswersScratchReuse runs queries of every shape through
-// one warm engine, in several orders, and holds each answer to the
-// reference's. Rows of an answer share one array but not capacity, and
-// an answer larger than the kept-buffer bounds leaves the engine
-// keeping none of its buffers and no value of it.
+// one warm engine, in several orders and interleaving certain with
+// best-effort answers, and holds each answer to the reference's. Every
+// answer leaves the unification trail empty and keeps none of its
+// values. Rows of an answer share one array but not capacity, and an
+// answer larger than the kept-buffer bounds leaves the engine keeping
+// none of its buffers and no value of it.
 func TestCertainAnswersScratchReuse(t *testing.T) {
 	st, _ := scratchWorld(t)
 	snap := st.Snap(1)
@@ -143,17 +156,39 @@ func TestCertainAnswersScratchReuse(t *testing.T) {
 	qs := scratchQueries()
 	order := slices.Clone(qs)
 	slices.Reverse(order)
+	type semantics struct {
+		name     string
+		got, ref func(*CQ) []model.Tuple
+	}
+	certain := semantics{"certain", e.CertainAnswers, ref.CertainAnswers}
+	best := semantics{"best-effort", e.BestEffortAnswers, ref.BestEffortAnswers}
 	for round, list := range [][]*CQ{qs, order, qs} {
-		for _, qq := range list {
-			got, want := e.CertainAnswers(qq), ref.CertainAnswers(qq)
-			if g, w := rowKeys(got), rowKeys(want); !equalStrs(g, w) {
-				t.Fatalf("round %d, %s: engine %q, reference %q", round, qq, g, w)
+		for i, qq := range list {
+			sems := []semantics{certain, best}
+			if (round+i)%2 == 1 {
+				sems[0], sems[1] = best, certain
+			}
+			for _, sem := range sems {
+				if g, w := rowKeys(sem.got(qq)), rowKeys(sem.ref(qq)); !equalStrs(g, w) {
+					t.Fatalf("round %d, %s %s: engine %q, reference %q", round, sem.name, qq, g, w)
+				}
+				if len(e.cq.trail) != 0 {
+					t.Fatalf("round %d, %s %s: trail holds %d pairs after the answer", round, sem.name, qq, len(e.cq.trail))
+				}
+				for j, u := range e.cq.trail[:cap(e.cq.trail)] {
+					if u != (nullRep{}) {
+						t.Fatalf("round %d, %s %s: kept trail pair %d is %v", round, sem.name, qq, j, u)
+					}
+				}
 			}
 		}
 	}
 	for _, empty := range qs[4:6] {
 		if got := e.CertainAnswers(empty); got != nil {
 			t.Errorf("%s: answer %v, want nil", empty, got)
+		}
+		if got := e.BestEffortAnswers(empty); got != nil {
+			t.Errorf("%s: best-effort answer %v, want nil", empty, got)
 		}
 	}
 
@@ -185,7 +220,13 @@ func TestCertainAnswersScratchReuse(t *testing.T) {
 		}
 	}
 	keptClear("after a small answer")
+	e.BestEffortAnswers(qs[3])
+	keptClear("after a small best-effort answer")
 	big := q("big", []string{"x", "y"}, tgd.NewAtom("Big", tgd.V("x"), tgd.V("y")))
+	if got := e.BestEffortAnswers(big); len(got) != 1100 {
+		t.Fatalf("big best-effort: %d rows, want 1100", len(got))
+	}
+	keptClear("after a 1,100-row best-effort answer")
 	if got := e.CertainAnswers(big); len(got) != 1100 {
 		t.Fatalf("big: %d rows, want 1100", len(got))
 	}
@@ -200,15 +241,17 @@ func TestCertainAnswersScratchReuse(t *testing.T) {
 }
 
 // TestCertainAnswersAllocs pins what a warm engine allocates for a
-// certain answer: the rows and one array of their values, and nothing
-// at all for an empty answer — the plan, join order, packed rows and
-// sort permutation are engine scratch.
+// certain or best-effort answer: the rows and one array of their
+// values, and nothing at all for an empty answer — the plan, join
+// order, unification trail, packed rows and sort permutation are
+// engine scratch.
 func TestCertainAnswersAllocs(t *testing.T) {
 	st, schema := scratchWorld(t)
 	e := NewEngine(st.Snap(1))
 	qs := scratchQueries()
 	for _, qq := range qs { // warm the scratch on every shape
 		e.CertainAnswers(qq)
+		e.BestEffortAnswers(qq)
 	}
 	for _, tc := range []struct {
 		q     *CQ
@@ -222,6 +265,9 @@ func TestCertainAnswersAllocs(t *testing.T) {
 	} {
 		if a := testing.AllocsPerRun(100, func() { e.CertainAnswers(tc.q) }); a > tc.bound {
 			t.Errorf("%s: %.1f allocs per answer, want at most %.0f", tc.q, a, tc.bound)
+		}
+		if a := testing.AllocsPerRun(100, func() { e.BestEffortAnswers(tc.q) }); a > tc.bound {
+			t.Errorf("%s: %.1f allocs per best-effort answer, want at most %.0f", tc.q, a, tc.bound)
 		}
 	}
 	valid := qs[3]

@@ -103,6 +103,30 @@ func BenchmarkCertainAnswers(b *testing.B) {
 	}
 }
 
+// BenchmarkBestEffortAnswers runs BenchmarkCertainAnswers' query under
+// best-effort semantics (run with -benchmem). Unification lets a null
+// match any value, so every step scans its relation instead of probing
+// an index; the plan, join order, unification trail, packed rows and
+// sort permutation are engine scratch, so each answer costs the same
+// two allocations as a certain answer. TestCertainAnswersAllocs is the
+// gate.
+func BenchmarkBestEffortAnswers(b *testing.B) {
+	st, _ := benchWorld(b, 200)
+	e := NewEngine(st.Snap(1))
+	cq := &CQ{Name: "covered", Head: []string{"x", "z"}, Body: []tgd.Atom{
+		tgd.NewAtom("A", tgd.V("x"), tgd.V("y")),
+		tgd.NewAtom("T", tgd.V("y"), tgd.V("z")),
+		tgd.NewAtom("R", tgd.V("x"), tgd.V("z"))}}
+	if rows := e.BestEffortAnswers(cq); len(rows) != 100 {
+		b.Fatalf("%d rows, want 100", len(rows))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.BestEffortAnswers(cq)
+	}
+}
+
 // TestJoinBindingAllocBound is the -benchmem guard in test form: the
 // steady-state early-stopping join on the compiled slot runtime must
 // not allocate at all. A regression here means binding, frame, or

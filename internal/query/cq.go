@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"youtopia/internal/model"
+	"youtopia/internal/storage"
 	"youtopia/internal/tgd"
 )
 
@@ -27,6 +28,14 @@ import (
 //     other null), consistently within each result row — every answer
 //     that holds in at least one completion of the nulls reachable by
 //     per-row unification.
+//
+// Both run on the compiled plan and slot runtime (plan.go, slots.go).
+// A best-effort match unifies through a trail of (null, representative)
+// pairs: uniting a with b maps a's representative to b's when it is a
+// null, and otherwise b's to a's. When two nulls unify, the order the
+// atoms are matched in decides which one a row shows, so that order
+// must not depend on the data: it is chosen without statistics, and
+// the same facts give the same answer whatever the relations' sizes.
 
 // CQ is a conjunctive query: distinguished head variables over a body
 // of relational atoms, written q(x, y) <- A(x, z), T(z, y).
@@ -87,25 +96,6 @@ func (q *CQ) String() string {
 	}
 	return fmt.Sprintf("%s(%s) <- %s", q.Name, strings.Join(q.Head, ", "),
 		strings.Join(atoms, ", "))
-}
-
-// project builds the answer row for a binding.
-func (q *CQ) project(b map[string]model.Value) model.Tuple {
-	vals := make([]model.Value, len(q.Head))
-	for i, h := range q.Head {
-		vals[i] = b[h]
-	}
-	return model.Tuple{Rel: q.Name, Vals: vals}
-}
-
-// compareRows orders two rows exactly as bytes.Compare orders their
-// Tuple.Keys, without rendering either key. It is the one row order of
-// both answer semantics.
-func compareRows(a, b model.Tuple) int {
-	if a.Rel != b.Rel {
-		return comparePart(a.Rel, b.Rel, len(a.Vals) > 0, len(b.Vals) > 0)
-	}
-	return compareVals(a.Vals, b.Vals)
 }
 
 // compareVals orders two rows of one relation by their values, as
@@ -172,18 +162,24 @@ func comparePart[S string | []byte](s, t S, moreS, moreT bool) int {
 	}
 }
 
-// cqScratch is the working memory of CertainAnswers, owned by the
-// engine and reused across calls: the query's plan and join order,
-// recompiled in place, the ground rows of the current answer packed
-// head-width values apiece, and their sort permutation.
+// cqScratch is the working memory of both answer semantics, owned by
+// the engine and reused across calls: the query's plan and join order,
+// recompiled in place, the rows of the current answer packed head-width
+// values apiece, their sort permutation, and the best-effort join's
+// unification trail.
 type cqScratch struct {
-	plan Plan
-	ord  joinOrder
-	osc  orderScratch
-	vals []model.Value
-	rows int
-	perm []int32
+	plan  Plan
+	ord   joinOrder
+	osc   orderScratch
+	vals  []model.Value
+	rows  int
+	perm  []int32
+	trail []nullRep
 }
+
+// nullRep is one unification on the trail: null now resolves through
+// rep.
+type nullRep struct{ null, rep model.Value }
 
 // Bounds of the row buffers an engine keeps between answers, 8 KiB of
 // values and 2 KiB of permutation: a larger answer's buffers are
@@ -205,6 +201,17 @@ const (
 // it returns: the rows, and one array holding all their values.
 func (e *Engine) CertainAnswers(q *CQ) []model.Tuple {
 	defer e.flushObs()
+	r := e.cqRun(q, e.snap)
+	r.fn = srCertainRow
+	r.rec(0, 0)
+	e.putRun(r)
+	return e.cq.answer(q.Name, len(q.Head))
+}
+
+// cqRun compiles q into the engine's scratch and returns a pooled run
+// over its body, in the join order stats' cardinalities choose; a nil
+// stats chooses it without statistics.
+func (e *Engine) cqRun(q *CQ, stats *storage.Snapshot) *slotRun {
 	if e.cq == nil {
 		e.cq = new(cqScratch)
 	}
@@ -213,13 +220,10 @@ func (e *Engine) CertainAnswers(q *CQ) []model.Tuple {
 	p.compileCQ(q)
 	r := e.getRun(p)
 	r.atoms = p.lhs
-	p.computeOrder(&sc.ord, &sc.osc, e.snap, false, r.shape)
+	p.computeOrder(&sc.ord, &sc.osc, stats, false, r.shape)
 	r.ord = &sc.ord
 	sc.vals, sc.rows = sc.vals[:0], 0
-	r.fn = srCertainRow
-	r.rec(0, 0)
-	e.putRun(r)
-	return sc.answer(p.rowRel, len(p.head))
+	return r
 }
 
 // answer sorts and deduplicates the packed rows, h values each, and
@@ -266,159 +270,102 @@ func (sc *cqScratch) answer(rel string, h int) []model.Tuple {
 // derivable when labeled nulls are allowed to unify — consistently
 // within the row — with constants and with each other. Rows may
 // contain nulls (facts known to exist with unknown values) and may be
-// incorrect in completions that resolve the nulls differently. They
-// come in the certain answers' order.
+// incorrect in completions that resolve the nulls differently. A row
+// shows each head variable's representative: uniting a with b maps
+// a's representative to b's when it is a null, and otherwise b's to
+// a's. Which of two unified nulls a row shows thus depends on the join
+// order, so the order is chosen without statistics — most determined
+// atom first, the lowest index on ties — and the answer does not
+// change with the relations' sizes. Rows come in the certain answers'
+// order, and a warm engine allocates only the answer, as for those.
 func (e *Engine) BestEffortAnswers(q *CQ) []model.Tuple {
-	var rows []model.Tuple
-	e.joinAtomsUnifying(q.Body, func(b map[string]model.Value, sub model.Subst) bool {
-		row := q.project(b)
-		row = model.Tuple{Rel: row.Rel, Vals: sub.Apply(row.Vals)}
-		rows = append(rows, row)
-		return true
-	})
-	slices.SortFunc(rows, compareRows)
-	return slices.CompactFunc(rows, func(a, b model.Tuple) bool { return compareRows(a, b) == 0 })
+	defer e.flushObs()
+	r := e.cqRun(q, nil)
+	r.recUnifying(0, 0)
+	e.putRun(r)
+	sc := e.cq
+	clear(sc.trail[:cap(sc.trail)]) // keep no value of the answer
+	return sc.answer(q.Name, len(q.Head))
 }
 
-// joinAtomsUnifying enumerates matches of the atom conjunction under
-// unification semantics: a database null may match any query constant
-// or other value, with all identifications collected in a per-match
-// substitution. fn receives the binding and the substitution; both are
-// private copies.
-func (e *Engine) joinAtomsUnifying(atoms []tgd.Atom, fn func(map[string]model.Value, model.Subst) bool) bool {
-	n := len(atoms)
-	done := make([]bool, n)
-	scratch := map[string]model.Value{}
-	sub := model.Subst{}
-
-	// resolve follows the substitution chain to a representative.
-	resolve := func(v model.Value) model.Value {
-		for v.IsNull() {
-			next, ok := sub[v]
-			if !ok {
-				return v
-			}
-			v = next
+// recUnifying enumerates the best-effort matches of the steps from
+// level on; pos is the first argument position of the step in the
+// order's bind bits. A null may match any value, so an index probe by
+// value would miss candidates: every step scans its relation. Each
+// candidate's unifications are taken back off the trail before the
+// next.
+func (r *slotRun) recUnifying(level int, pos int32) {
+	sc := r.e.cq
+	if level == len(r.ord.steps) {
+		for _, s := range r.p.head {
+			sc.vals = append(sc.vals, sc.resolve(r.regs[s]))
 		}
-		return v
+		sc.rows++
+		return
 	}
-	// unite makes two values equal under the substitution, preferring
-	// constants as representatives. It returns an undo closure, or nil
-	// when impossible.
-	unite := func(a, b model.Value) func() {
-		ra, rb := resolve(a), resolve(b)
-		if ra == rb {
-			return func() {}
+	a := &r.atoms[r.ord.steps[level].atom]
+	snap := r.e.snap
+	ids := snap.RelIDs(a.rel)
+	r.e.pendSteps += int64(len(ids))
+	mark := len(sc.trail)
+	for _, id := range ids {
+		if vals, ok := snap.Get(id); ok && r.matchUnifying(a.terms, pos, vals) {
+			r.recUnifying(level+1, pos+int32(len(a.terms)))
 		}
-		switch {
-		case ra.IsNull():
-			sub[ra] = rb
-			return func() { delete(sub, ra) }
-		case rb.IsNull():
-			sub[rb] = ra
-			return func() { delete(sub, rb) }
-		default:
-			return nil // two distinct constants
-		}
+		sc.trail = sc.trail[:mark]
 	}
+}
 
-	var rec func(remaining int) bool
-	rec = func(remaining int) bool {
-		if remaining == 0 {
-			// Copy binding with the substitution applied and a frozen
-			// copy of the substitution itself.
-			outB := make(map[string]model.Value, len(scratch))
-			for k, v := range scratch {
-				outB[k] = resolve(v)
-			}
-			outS := make(model.Subst, len(sub))
-			for k, v := range sub {
-				outS[k] = resolve(v)
-			}
-			return fn(outB, outS)
-		}
-		best := -1
-		bestBound := -1
-		for i, a := range atoms {
-			if done[i] {
+// matchUnifying is match under unification: the slots the step binds
+// are written, and every other position unites its constant or bound
+// value with the candidate's.
+func (r *slotRun) matchUnifying(terms []termDesc, pos int32, vals []model.Value) bool {
+	if len(vals) != len(terms) {
+		return false
+	}
+	sc := r.e.cq
+	for i := range terms {
+		td := &terms[i]
+		want := td.cval
+		if td.slot >= 0 {
+			if r.ord.binds.has(pos + int32(i)) {
+				r.regs[td.slot] = vals[i]
 				continue
 			}
-			if bc := boundTermCount(a, scratch); bc > bestBound {
-				best, bestBound = i, bc
-			}
+			want = r.regs[td.slot]
 		}
-		a := atoms[best]
-		done[best] = true
-		defer func() { done[best] = false }()
-		// Unification can cross constants, so index narrowing by bound
-		// constants would be unsound (a null in that column matches
-		// too); scan the relation.
-		for _, id := range e.snap.RelIDs(a.Rel) {
-			vals, ok := e.snap.Get(id)
-			if !ok {
-				continue
-			}
-			var undos []func()
-			var added []string
-			ok = true
-			for i, term := range a.Terms {
-				v := vals[i]
-				var want model.Value
-				if term.IsVar {
-					bound, isBound := scratch[term.Var]
-					if !isBound {
-						scratch[term.Var] = v
-						added = append(added, term.Var)
-						continue
-					}
-					want = bound
-				} else {
-					want = term.Const
-				}
-				u := unite(want, v)
-				if u == nil {
-					ok = false
-					break
-				}
-				undos = append(undos, u)
-			}
-			if ok {
-				if !rec(remaining - 1) {
-					for i := len(undos) - 1; i >= 0; i-- {
-						undos[i]()
-					}
-					undoBinds(scratch, added)
-					return false
-				}
-			}
-			for i := len(undos) - 1; i >= 0; i-- {
-				undos[i]()
-			}
-			undoBinds(scratch, added)
+		if !sc.unite(want, vals[i]) {
+			return false
 		}
-		return true
 	}
-	return rec(n)
+	return true
 }
 
-// boundTermCount counts how many argument positions of the atom are
-// determined under b (constants or bound variables).
-func boundTermCount(a tgd.Atom, b map[string]model.Value) int {
-	n := 0
-	for _, term := range a.Terms {
-		if !term.IsVar {
-			n++
-			continue
-		}
-		if _, ok := b[term.Var]; ok {
-			n++
-		}
+// unite makes a and b equal on the trail: a's representative maps to
+// b's when it is a null, otherwise b's maps to a's. Two distinct
+// constants do not unify.
+func (sc *cqScratch) unite(a, b model.Value) bool {
+	ra, rb := sc.resolve(a), sc.resolve(b)
+	switch {
+	case ra == rb:
+	case ra.IsNull():
+		sc.trail = append(sc.trail, nullRep{ra, rb})
+	case rb.IsNull():
+		sc.trail = append(sc.trail, nullRep{rb, ra})
+	default:
+		return false
 	}
-	return n
+	return true
 }
 
-func undoBinds(b map[string]model.Value, added []string) {
-	for _, v := range added {
-		delete(b, v)
+// resolve returns v's representative. Only a representative is ever
+// mapped, and its own representative is mapped only by a later pair, so
+// one pass over the trail follows the whole chain.
+func (sc *cqScratch) resolve(v model.Value) model.Value {
+	for _, u := range sc.trail {
+		if u.null == v {
+			v = u.rep
+		}
 	}
+	return v
 }

@@ -1,8 +1,9 @@
 // Differential oracle for the compiled slot runtime: the interpreted
 // reference engine (reference_test.go) is the semantics; the compiled
 // engine must agree with it on every query surface — violation sets
-// (keys and values), §4.2 seeded violation queries and certain
-// answers — over randomized schemas, mappings (some wider than
+// (keys and values), §4.2 seeded violation queries, certain answers and
+// best-effort answers, row for row, which null each row shows included
+// — over randomized schemas, mappings (some wider than
 // 64 variables), duplicate-heavy data, and shared labeled nulls. CI
 // runs this under -race -shuffle=on, and the fuzz lane extends the same
 // property beyond the fixed seeds.
@@ -235,6 +236,9 @@ func checkWorld(t *testing.T, r *rand.Rand, w *diffWorld, ce *Engine, ie refEngi
 		q := &CQ{Name: "q_" + m.Name, Head: head, Body: m.LHS}
 		if cr, ir := rowKeys(ce.CertainAnswers(q)), rowKeys(ie.CertainAnswers(q)); !equalStrs(cr, ir) {
 			diffFatal(t, "CertainAnswers("+q.String()+")", cr, ir)
+		}
+		if cr, ir := rowKeys(ce.BestEffortAnswers(q)), rowKeys(ie.BestEffortAnswers(q)); !equalStrs(cr, ir) {
+			diffFatal(t, "BestEffortAnswers("+q.String()+")", cr, ir)
 		}
 	}
 }

@@ -113,12 +113,6 @@ func (e *Engine) WitnessSig(v *Violation) string {
 	return string(e.sigBuf)
 }
 
-// AppendWitnessSig renders the signature into a caller-owned buffer,
-// allocation-free once buffer and renaming scratch are warm.
-func (e *Engine) AppendWitnessSig(dst []byte, v *Violation) []byte {
-	return e.appendWitnessSig(dst, v)
-}
-
 // appendWitnessSig renders the signature into dst with the engine's
 // pooled null-renaming scratch: building a signature allocates nothing
 // beyond the final string the caller keeps.

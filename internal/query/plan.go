@@ -22,12 +22,15 @@
 //
 // Mapping plans are immutable, cached on the TGD itself (one atomic
 // load to fetch), and shared by every engine and worker in the process.
-// A conjunctive query is not cached: CertainAnswers recompiles it, plan
-// and join order, into one Plan and joinOrder its engine owns, in place
-// and without allocating once their arrays have grown to the query.
-// There is one runtime: the interpreted binding-map join survives only
-// in the tests, as the reference the differential oracle checks the
-// slot runtime against.
+// A conjunctive query is not cached: each certain or best-effort
+// answer recompiles it, plan and join order, into one Plan and
+// joinOrder its engine owns, in place and without allocating once their
+// arrays have grown to the query. A best-effort answer orders the
+// atoms without statistics and matches under unification (cq.go), on
+// the same plan, order and registers.
+// There is one runtime: the interpreted binding-map joins, the naive
+// and the unifying one, survive only in the tests, as the reference the
+// differential oracle checks the slot runtime against.
 package query
 
 import (
@@ -95,10 +98,8 @@ type Plan struct {
 	nLHS     int     // LHS variables take slots [0, nLHS)
 	frontier slotSet // slots of the frontier variables
 
-	// A conjunctive query's plan: the answer relation and the head
-	// variables' slots.
-	rowRel string
-	head   []int32
+	// A conjunctive query's plan: the head variables' slots.
+	head []int32
 
 	ordersMu sync.Mutex
 	orders   atomic.Pointer[[]*joinOrder]
@@ -176,7 +177,6 @@ func (p *Plan) compileCQ(q *CQ) {
 	}
 	clear(p.slotOf)
 	p.slots = p.slots[:0]
-	p.rowRel = q.Name
 	p.lhs = p.appendAtoms(p.lhs[:0], q.Body)
 	p.head = p.head[:0]
 	for _, h := range q.Head {
@@ -237,9 +237,11 @@ type orderScratch struct {
 // breaking ties by expected candidate count (Live / fanout of the best
 // probe column) and atom index breaking exact ties. After an atom is
 // placed all its variables are bound, so the bound set evolves
-// deterministically and each step's bind bits follow from it. The
-// order is written into o, working in sc; both keep their arrays, so a
-// conjunctive query recomputes its order in place per call.
+// deterministically and each step's bind bits follow from it. A nil
+// snap gives every atom zero stats, so every cost ties and the order
+// depends on the query alone. The order is written into o, working in
+// sc; both keep their arrays, so a conjunctive query recomputes its
+// order in place per call.
 func (p *Plan) computeOrder(o *joinOrder, sc *orderScratch, snap *storage.Snapshot, rhs bool, shape slotSet) {
 	atoms := p.lhs
 	if rhs {
@@ -249,7 +251,11 @@ func (p *Plan) computeOrder(o *joinOrder, sc *orderScratch, snap *storage.Snapsh
 	positions := 0
 	sc.stats = resize(sc.stats, n)
 	for i := range atoms {
-		snap.RelStatsInto(atoms[i].rel, &sc.stats[i])
+		if snap != nil {
+			snap.RelStatsInto(atoms[i].rel, &sc.stats[i])
+		} else {
+			sc.stats[i] = storage.RelStats{Distinct: sc.stats[i].Distinct[:0]}
+		}
 		positions += len(atoms[i].terms)
 	}
 	// The shape and the bind bits share one array.

@@ -1,11 +1,13 @@
-// The interpreted reference engine: the binding-map join the slot
+// The interpreted reference engine: the binding-map joins the slot
 // runtime replaced, kept as the semantics the differential oracle, the
 // recheck identity and the checker battery hold the runtime to. Its
 // violations carry name-to-value maps and render them through the
 // map renderer the compiled Violation.Vals format replaced. It is
 // deliberately plain — a fresh binding per extension, the greedy
 // most-bound atom chosen at every level, the most selective determined
-// column probed — so that it is evidently right by reading.
+// column probed — so that it is evidently right by reading. Its
+// best-effort join unifies through a substitution map with undo
+// closures and scans every relation in full.
 package query
 
 import (
@@ -269,7 +271,7 @@ func (r refEngine) CertainAnswers(q *CQ) []model.Tuple {
 
 // dedupSort is the reference's row canonicalizer: it renders each row's
 // Tuple.Key, orders the rows by their keys and keeps the first of each
-// run of equal keys. The engine orders rows structurally (compareRows)
+// run of equal keys. The engine orders rows structurally (compareVals)
 // and is held to this.
 func dedupSort(rows []model.Tuple) []model.Tuple {
 	type keyed struct {
@@ -288,4 +290,170 @@ func dedupSort(rows []model.Tuple) []model.Tuple {
 		}
 	}
 	return out
+}
+
+// project builds the answer row for a binding.
+func (q *CQ) project(b map[string]model.Value) model.Tuple {
+	vals := make([]model.Value, len(q.Head))
+	for i, h := range q.Head {
+		vals[i] = b[h]
+	}
+	return model.Tuple{Rel: q.Name, Vals: vals}
+}
+
+// BestEffortAnswers returns the best-effort answers: every row
+// derivable when labeled nulls are allowed to unify — consistently
+// within the row — with constants and with each other.
+func (r refEngine) BestEffortAnswers(q *CQ) []model.Tuple {
+	var rows []model.Tuple
+	r.joinAtomsUnifying(q.Body, func(b map[string]model.Value, sub model.Subst) bool {
+		row := q.project(b)
+		row = model.Tuple{Rel: row.Rel, Vals: sub.Apply(row.Vals)}
+		rows = append(rows, row)
+		return true
+	})
+	return dedupSort(rows)
+}
+
+// joinAtomsUnifying enumerates matches of the atom conjunction under
+// unification semantics: a database null may match any query constant
+// or other value, with all identifications collected in a per-match
+// substitution. fn receives the binding and the substitution; both are
+// private copies.
+func (r refEngine) joinAtomsUnifying(atoms []tgd.Atom, fn func(map[string]model.Value, model.Subst) bool) bool {
+	n := len(atoms)
+	done := make([]bool, n)
+	scratch := map[string]model.Value{}
+	sub := model.Subst{}
+
+	// resolve follows the substitution chain to a representative.
+	resolve := func(v model.Value) model.Value {
+		for v.IsNull() {
+			next, ok := sub[v]
+			if !ok {
+				return v
+			}
+			v = next
+		}
+		return v
+	}
+	// unite makes two values equal under the substitution, preferring
+	// constants as representatives. It returns an undo closure, or nil
+	// when impossible.
+	unite := func(a, b model.Value) func() {
+		ra, rb := resolve(a), resolve(b)
+		if ra == rb {
+			return func() {}
+		}
+		switch {
+		case ra.IsNull():
+			sub[ra] = rb
+			return func() { delete(sub, ra) }
+		case rb.IsNull():
+			sub[rb] = ra
+			return func() { delete(sub, rb) }
+		default:
+			return nil // two distinct constants
+		}
+	}
+
+	var rec func(remaining int) bool
+	rec = func(remaining int) bool {
+		if remaining == 0 {
+			// Copy binding with the substitution applied and a frozen
+			// copy of the substitution itself.
+			outB := make(map[string]model.Value, len(scratch))
+			for k, v := range scratch {
+				outB[k] = resolve(v)
+			}
+			outS := make(model.Subst, len(sub))
+			for k, v := range sub {
+				outS[k] = resolve(v)
+			}
+			return fn(outB, outS)
+		}
+		best := -1
+		bestBound := -1
+		for i, a := range atoms {
+			if done[i] {
+				continue
+			}
+			if bc := boundTermCount(a, scratch); bc > bestBound {
+				best, bestBound = i, bc
+			}
+		}
+		a := atoms[best]
+		done[best] = true
+		defer func() { done[best] = false }()
+		// Unification can cross constants, so index narrowing by bound
+		// constants would be unsound (a null in that column matches
+		// too); scan the relation.
+		for _, id := range r.snap.RelIDs(a.Rel) {
+			vals, ok := r.snap.Get(id)
+			if !ok {
+				continue
+			}
+			var undos []func()
+			var added []string
+			ok = true
+			for i, term := range a.Terms {
+				v := vals[i]
+				var want model.Value
+				if term.IsVar {
+					bound, isBound := scratch[term.Var]
+					if !isBound {
+						scratch[term.Var] = v
+						added = append(added, term.Var)
+						continue
+					}
+					want = bound
+				} else {
+					want = term.Const
+				}
+				u := unite(want, v)
+				if u == nil {
+					ok = false
+					break
+				}
+				undos = append(undos, u)
+			}
+			if ok {
+				if !rec(remaining - 1) {
+					for i := len(undos) - 1; i >= 0; i-- {
+						undos[i]()
+					}
+					undoBinds(scratch, added)
+					return false
+				}
+			}
+			for i := len(undos) - 1; i >= 0; i-- {
+				undos[i]()
+			}
+			undoBinds(scratch, added)
+		}
+		return true
+	}
+	return rec(n)
+}
+
+// boundTermCount counts how many argument positions of the atom are
+// determined under b (constants or bound variables).
+func boundTermCount(a tgd.Atom, b map[string]model.Value) int {
+	n := 0
+	for _, term := range a.Terms {
+		if !term.IsVar {
+			n++
+			continue
+		}
+		if _, ok := b[term.Var]; ok {
+			n++
+		}
+	}
+	return n
+}
+
+func undoBinds(b map[string]model.Value, added []string) {
+	for _, v := range added {
+		delete(b, v)
+	}
 }

@@ -105,7 +105,7 @@ func flatten(db map[string][]model.Tuple) []fact {
 				continue
 			}
 			seen[key] = true
-			out = append(out, fact{rel: rel, vals: t.Vals, canon: model.CanonTuple(t)})
+			out = append(out, fact{rel: rel, vals: t.Vals, canon: string(model.AppendCanonTuple(nil, t))})
 		}
 	}
 	return out

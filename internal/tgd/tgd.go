@@ -181,9 +181,6 @@ func (t *TGD) FrontierVars() []string { return t.frontier }
 // variables, in first-occurrence order.
 func (t *TGD) ExistentialVars() []string { return t.existVars }
 
-// LHSVars reports whether v occurs on the LHS.
-func (t *TGD) LHSVars(v string) bool { return t.lhsVars[v] }
-
 // IsExistential reports whether v is existentially quantified.
 func (t *TGD) IsExistential(v string) bool { return t.rhsVars[v] && !t.lhsVars[v] }
 
