@@ -140,7 +140,7 @@ func (w cancelWatch) check(t *testing.T, st *storage.Store, txns []*Txn) {
 	if w.cancelled == 3 {
 		rel, want = "H", 1
 	}
-	if n := st.Snap(1 << 30).CountRel(rel); n != want {
+	if n := countRel(st.Snap(1<<30), rel); n != want {
 		t.Fatalf("%s holds %d tuples, want %d: the cancelled insert came back", rel, n, want)
 	}
 }
@@ -242,4 +242,10 @@ func TestParallelCancelledUpdateIsNoConflictVictim(t *testing.T) {
 			})
 		}
 	}
+}
+
+// countRel returns the number of tuples of rel visible in sn.
+func countRel(sn *storage.Snapshot, rel string) int {
+	rows, _ := sn.ProbeRows(rel, -1, model.Value{}, nil, nil)
+	return len(rows)
 }

@@ -1,6 +1,7 @@
 package chase_test
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -106,7 +107,7 @@ func TestSection22CycleStopsAtFrontier(t *testing.T) {
 		t.Fatalf("frontier tuples = %v", g.Tuples)
 	}
 	// C(NYC) must have been inserted along the way.
-	if !st.Snap(1).ContainsContent(tup("C", c("NYC"))) {
+	if !contains(st.Snap(1), tup("C", c("NYC"))) {
 		t.Fatalf("C(NYC) missing:\n%s", st.Dump(1))
 	}
 
@@ -170,10 +171,10 @@ func TestExample23BackwardChaseFrontier(t *testing.T) {
 		t.Fatal(err)
 	}
 	runToCompletion(t, e, u, simuser.Silent())
-	if st.Snap(1).ContainsContent(tup("T", c("Geneva Winery"), c("XYZ"), c("Syracuse"))) {
+	if contains(st.Snap(1), tup("T", c("Geneva Winery"), c("XYZ"), c("Syracuse"))) {
 		t.Fatal("T tuple still present")
 	}
-	if !st.Snap(1).ContainsContent(tup("A", c("Geneva"), c("Geneva Winery"))) {
+	if !contains(st.Snap(1), tup("A", c("Geneva"), c("Geneva Winery"))) {
 		t.Fatal("A tuple must survive")
 	}
 	mustSatisfied(t, st, set, 1)
@@ -203,7 +204,7 @@ func TestDeletionCascades(t *testing.T) {
 		})
 		runToCompletion(t, e, u, user)
 		mustSatisfied(t, st, set, 1)
-		if st.Snap(1).ContainsContent(tup("E", c("Science Conf"), c("Geneva Winery"))) {
+		if contains(st.Snap(1), tup("E", c("Science Conf"), c("Geneva Winery"))) {
 			t.Fatalf("pick=%s: deleted fact reappeared", pick)
 		}
 	}
@@ -220,7 +221,7 @@ func TestNullReplacementPropagates(t *testing.T) {
 		t.Fatalf("null replacement must not need frontier help, got %d requests", stats.FrontierRequests)
 	}
 	snap := st.Snap(1)
-	if !snap.ContainsContent(tup("T", c("Niagara Falls"), c("ABC Tours"), c("Toronto"))) {
+	if !contains(snap, tup("T", c("Niagara Falls"), c("ABC Tours"), c("Toronto"))) {
 		t.Fatalf("T not rewritten:\n%s", st.Dump(1))
 	}
 	if got := snap.TuplesWithNull(n(1)); len(got) != 0 {
@@ -250,7 +251,7 @@ func TestGenealogyControlledNontermination(t *testing.T) {
 		t.Fatalf("unexpected error: %v", err)
 	}
 	// Ancestors accumulated.
-	if got := st.Snap(1).CountRel("Father"); got < 3 {
+	if got := countRel(st.Snap(1), "Father"); got < 3 {
 		t.Fatalf("expected an ancestor chain, Father has %d rows:\n%s", got, st.Dump(1))
 	}
 
@@ -339,10 +340,10 @@ func TestReconfirmOperation(t *testing.T) {
 		t.Fatalf("stats = %+v", u.Stats)
 	}
 	runToCompletion(t, e, u, simuser.Silent())
-	if !st.Snap(1).ContainsContent(tup("A", c("Geneva"), c("Geneva Winery"))) {
+	if !contains(st.Snap(1), tup("A", c("Geneva"), c("Geneva Winery"))) {
 		t.Fatal("reconfirmed tuple was deleted")
 	}
-	if st.Snap(1).ContainsContent(tup("T", c("Geneva Winery"), c("XYZ"), c("Syracuse"))) {
+	if contains(st.Snap(1), tup("T", c("Geneva Winery"), c("XYZ"), c("Syracuse"))) {
 		t.Fatal("unprotected candidate must be deleted")
 	}
 	mustSatisfied(t, st, set, 1)
@@ -511,7 +512,22 @@ func TestMultiAtomRHSSharedNulls(t *testing.T) {
 	})
 	runToCompletion(t, e, u, user)
 	mustSatisfied(t, st, set, 1)
-	if !st.Snap(1).ContainsContent(tup("Father", c("John"), c("Mary"))) {
+	if !contains(st.Snap(1), tup("Father", c("John"), c("Mary"))) {
 		t.Fatalf("escaped fresh null not rewritten:\n%s", st.Dump(1))
 	}
+}
+
+// contains reports whether a tuple with t's content is visible in sn.
+func contains(sn *storage.Snapshot, t model.Tuple) bool {
+	rows, _ := sn.ProbeRows(t.Rel, -1, model.Value{}, nil, func(vals []model.Value) (bool, bool) {
+		eq := slices.Equal(vals, t.Vals)
+		return eq, eq
+	})
+	return len(rows) > 0
+}
+
+// countRel returns the number of tuples of rel visible in sn.
+func countRel(sn *storage.Snapshot, rel string) int {
+	rows, _ := sn.ProbeRows(rel, -1, model.Value{}, nil, nil)
+	return len(rows)
 }

@@ -124,8 +124,9 @@ func (f *stepFixture) stepInsert(tb testing.TB, u *Update, t model.Tuple) int {
 // records and the posting lists of fresh values are the storage
 // layer's). The no-violation bound is 12 achieved plus one for the
 // growth of the attempt's logs (reads, dedupe index, trace); it now
-// achieves 3. The forward repair's is the 14 achieved since violations
-// carry their values as a slice instead of a map, plus 10%. With a Go
+// achieves 1. The forward repair's is the 14 achieved since violations
+// carry their values as a slice instead of a map, plus 10%; it now
+// achieves 10, since index lists change in place. With a Go
 // map per indexed value and a rendered content key in the store the
 // same inserts cost 27 and 71; before the per-attempt query context,
 // 66 and 157.
@@ -404,10 +405,35 @@ func TestWideMappingStepsThroughSharedContext(t *testing.T) {
 	if got := obsQueryContexts.Value() - contexts; got != 1 {
 		t.Fatalf("two wide-mapping attempts created %d contexts, want 1", got)
 	}
-	if n := st.Snap(2).CountRel("W"); n != 2 {
+	if n := countRel(st.Snap(2), "W"); n != 2 {
 		t.Fatalf("W holds %d tuples after the repairs, want 2", n)
 	}
 	if vs := query.NewEngine(st.Snap(2)).AllViolations(eng.Mappings()); len(vs) != 0 {
 		t.Fatalf("%d violations survive", len(vs))
+	}
+}
+
+// countRel returns the number of tuples of rel visible in sn.
+func countRel(sn *storage.Snapshot, rel string) int {
+	rows, _ := sn.ProbeRows(rel, -1, model.Value{}, nil, nil)
+	return len(rows)
+}
+
+// TestScratchOptionsAllocFree pins that a warm positiveOptions over a
+// tuple with two unify targets allocates nothing: the targets, their
+// canonical renderings and the decisions all go into the attempt's
+// query context.
+func TestScratchOptionsAllocFree(t *testing.T) {
+	f := newStepFixture(t)
+	if _, err := f.st.Load(model.NewTuple("K", model.Const("h"), model.Const("k2"))); err != nil {
+		t.Fatal(err)
+	}
+	u := f.warmAttempt(t)
+	g := u.Groups()[0]
+	if opts := f.eng.scratchOptions(u, g); len(opts) != 3 {
+		t.Fatalf("options = %v, want expand + two unifies", opts)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { f.eng.scratchOptions(u, g) }); allocs != 0 {
+		t.Errorf("%.1f allocations per warm enumeration, want 0", allocs)
 	}
 }

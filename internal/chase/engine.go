@@ -97,10 +97,12 @@ type queryContext struct {
 	snap storage.Snapshot
 	home *Engine
 
-	// Canonical renderings of Options and DecisionContext, and the
-	// decisions scratchOptions enumerates, reused across the attempt's
-	// frontier questions.
+	// Canonical renderings of Options and DecisionContext, the
+	// decisions scratchOptions enumerates and the unify targets of the
+	// tuple it asks about, reused across the attempt's frontier
+	// questions.
 	opts    []Decision
+	targets []storage.TupleID
 	canon   []byte
 	spans   []targetSpan
 	tuples  []model.Tuple
@@ -129,13 +131,16 @@ func (e *Engine) queryContext(u *Update) *query.Engine {
 	return u.qctx.qe
 }
 
-// giveBack returns a context to the idle list. A decision array
-// longer than maxIdleOptions is dropped rather than kept idle: one
-// wide frontier would otherwise stay reachable for the context's
+// giveBack returns a context to the idle list. A decision or target
+// array longer than maxIdleOptions is dropped rather than kept idle:
+// one wide frontier would otherwise stay reachable for the context's
 // lifetime.
 func (e *Engine) giveBack(c *queryContext) {
 	if cap(c.opts) > maxIdleOptions {
 		c.opts = nil
+	}
+	if cap(c.targets) > maxIdleOptions {
+		c.targets = nil
 	}
 	e.idleMu.Lock()
 	e.idle = append(e.idle, c)
@@ -392,8 +397,10 @@ func enqueue(u *Update, qe *query.Engine, v query.Violation, isLHS bool) {
 // "violQueue.remove(violations just corrected)" in Algorithm 1 — and
 // reactivates entries whose planned repair did not stick. Entries that
 // still hold carry their witness's current values
-// (query.Engine.Recheck).
+// (query.Engine.Recheck). Every entry is rechecked, counted with one
+// add per step.
 func recheckQueue(u *Update, qe *query.Engine) {
+	obsRechecks.Add(int64(len(u.queue)))
 	kept := u.queue[:0]
 	for _, qv := range u.queue {
 		if !qe.Recheck(&qv.v) {

@@ -173,7 +173,7 @@ func TestPositiveUpdateNeverDeletes(t *testing.T) {
 			if w.Op == storage.OpDelete && w.Before != nil {
 				// Collapse tombstones are allowed; they carry content
 				// that still exists via another tuple.
-				if !st.Snap(u.Number).ContainsContent(model.Tuple{Rel: w.Rel, Vals: w.Before}) {
+				if !contains(st.Snap(u.Number), model.Tuple{Rel: w.Rel, Vals: w.Before}) {
 					sawDeleteOfDistinctContent = true
 				}
 			}

@@ -121,7 +121,8 @@ func (e *Engine) positiveOptions(u *Update, g *FrontierGroup, out []Decision) []
 		if e.logsReads() {
 			e.record(u, &query.MoreSpecificRead{Rel: t.Rel, Pattern: t.Vals, ReaderNo: u.Number})
 		}
-		targets := snap.MoreSpecific(t)
+		c.targets = snap.MoreSpecificInto(t, c.targets[:0])
+		targets := c.targets
 		out = slices.Grow(out, 1+len(targets))
 		out = append(out, Decision{Kind: DecideExpand, TupleIdx: idx})
 		if len(targets) < 2 {

@@ -13,6 +13,7 @@ var (
 	obsViolations       = obs.Default.Counter("chase_violations_total")
 	obsFrontierRequests = obs.Default.Counter("chase_frontier_requests_total")
 	obsFrontierOps      = obs.Default.Counter("chase_frontier_ops_total")
+	obsRechecks         = obs.Default.Counter("chase_rechecks_total")
 
 	// The query seam: contexts created (one per update attempt that
 	// issues a query — contexts ÷ attempts is the "one context per

@@ -3,7 +3,9 @@ package fixtures
 import (
 	"testing"
 
+	"youtopia/internal/model"
 	"youtopia/internal/query"
+	"youtopia/internal/storage"
 )
 
 func TestTravelSatisfiesMappings(t *testing.T) {
@@ -15,7 +17,7 @@ func TestTravelSatisfiesMappings(t *testing.T) {
 	if vs := e.AllViolations(set); len(vs) != 0 {
 		t.Fatalf("Figure 2 instance violates its mappings: %v", vs)
 	}
-	if st.Snap(0).CountRel("C") != 2 || st.Snap(0).CountRel("S") != 2 {
+	if countRel(st.Snap(0), "C") != 2 || countRel(st.Snap(0), "S") != 2 {
 		t.Fatalf("unexpected instance:\n%s", st.Dump(0))
 	}
 }
@@ -52,7 +54,13 @@ func TestGenealogy(t *testing.T) {
 	if set.Len() != 1 {
 		t.Fatalf("mappings = %d", set.Len())
 	}
-	if st.Snap(0).CountRel("Person") != 0 {
+	if countRel(st.Snap(0), "Person") != 0 {
 		t.Fatal("genealogy must start empty")
 	}
+}
+
+// countRel returns the number of tuples of rel visible in sn.
+func countRel(sn *storage.Snapshot, rel string) int {
+	rows, _ := sn.ProbeRows(rel, -1, model.Value{}, nil, nil)
+	return len(rows)
 }

@@ -51,9 +51,8 @@ func BenchmarkViolationsSeeded(b *testing.B) {
 func satisfiedMatch(tb testing.TB, st *storage.Store, m *tgd.TGD) *Violation {
 	tb.Helper()
 	snap := st.Snap(1)
-	var one [1]storage.TupleID
-	a := snap.CandidatesByValue("A", 0, c("a10"), &one)[0]
-	z := snap.CandidatesByValue("T", 1, c("z10"), &one)[0]
+	a := rowIDs(snap, "A", 0, c("a10"))[0]
+	z := rowIDs(snap, "T", 1, c("z10"))[0]
 	return &Violation{TGD: m, Witness: []storage.TupleID{a, z}}
 }
 

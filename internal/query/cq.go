@@ -291,9 +291,10 @@ func (e *Engine) BestEffortAnswers(q *CQ) []model.Tuple {
 // recUnifying enumerates the best-effort matches of the steps from
 // level on; pos is the first argument position of the step in the
 // order's bind bits. A null may match any value, so an index probe by
-// value would miss candidates: every step scans its relation. Each
-// candidate's unifications are taken back off the trail before the
-// next.
+// value would miss candidates: every step scans its relation, keeping
+// on the engine's row stack the rows that unify. A candidate's
+// unifications are taken back off the trail before the next, both when
+// the scan tests it and when the level walks it.
 func (r *slotRun) recUnifying(level int, pos int32) {
 	sc := r.e.cq
 	if level == len(r.ord.steps) {
@@ -304,16 +305,24 @@ func (r *slotRun) recUnifying(level int, pos int32) {
 		return
 	}
 	a := &r.atoms[r.ord.steps[level].atom]
-	snap := r.e.snap
-	ids := snap.RelIDs(a.rel)
-	r.e.pendSteps += int64(len(ids))
+	e := r.e
 	mark := len(sc.trail)
-	for _, id := range ids {
-		if vals, ok := snap.Get(id); ok && r.matchUnifying(a.terms, pos, vals) {
-			r.recUnifying(level+1, pos+int32(len(a.terms)))
-		}
+	base := len(e.rows)
+	rows, n := e.snap.ProbeRows(a.rel, -1, model.Value{}, e.rows, func(vals []model.Value) (bool, bool) {
+		ok := r.matchUnifying(a.terms, pos, vals)
+		sc.trail = sc.trail[:mark]
+		return ok, false
+	})
+	e.rows = rows
+	top := len(rows)
+	e.pendSteps += int64(n)
+	e.pendMatched += int64(top - base)
+	for i := base; i < top; i++ {
+		r.matchUnifying(a.terms, pos, e.rows[i].Vals)
+		r.recUnifying(level+1, pos+int32(len(a.terms)))
 		sc.trail = sc.trail[:mark]
 	}
+	e.popRows(base)
 }
 
 // matchUnifying is match under unification: the slots the step binds

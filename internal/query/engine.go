@@ -181,15 +181,24 @@ type Engine struct {
 	// evaluation (the field is reset to nil).
 	vout []Violation
 
+	// rows is the join's row stack: each level of an enumeration pushes
+	// the rows its probe kept and walks its own range [base, top) while
+	// the levels below push and pop above it (popRows). Nested runs, like
+	// a violation's RHS probe, stack on the same array.
+	rows []storage.Row
+
 	// cq is CertainAnswers' plan and row scratch, allocated by the
 	// first certain-answer query: engines that answer none, like the
 	// chase's query contexts, do not carry it.
 	cq *cqScratch
 
 	// Locally accumulated join counters, flushed to the obs registry
-	// once per top-level evaluation (flushObs).
-	pendProbes int64
-	pendSteps  int64
+	// once per top-level evaluation (flushObs): index probes, candidates
+	// examined, and matching rows the enumeration walked (a step's probe
+	// may keep more, when the enumeration stops early).
+	pendProbes  int64
+	pendSteps   int64
+	pendMatched int64
 }
 
 // NewEngine returns an engine reading through the given snapshot.
@@ -226,7 +235,7 @@ func (e *Engine) violationJoin(p *Plan, lr, rr *slotRun, shape slotSet) bool {
 	lr.side(false, shape)
 	rr.regs = lr.regs
 	rr.side(true, p.frontier)
-	rr.fn = srExists
+	rr.fn, rr.first = srExists, true
 	lr.rhsRun = rr
 	return lr.rec(0, 0)
 }
@@ -370,7 +379,7 @@ func (e *Engine) Recheck(v *Violation) bool {
 	}
 	rr.regs = lr.regs
 	rr.side(true, p.frontier)
-	rr.fn = srExists
+	rr.fn, rr.first = srExists, true
 	rr.found = false
 	rr.rec(0, 0)
 	if rr.found {
@@ -391,25 +400,6 @@ func (e *Engine) AllViolations(set *tgd.Set) []Violation {
 		out = append(out, e.Violations(t)...)
 	}
 	return out
-}
-
-// Satisfied reports whether the snapshot satisfies every mapping.
-func (e *Engine) Satisfied(set *tgd.Set) bool {
-	defer e.flushObs()
-	for _, t := range set.All() {
-		p := PlanFor(t)
-		lr, rr := e.getRun(p), e.getRun(p)
-		lr.fn = srFirstViolation
-		lr.found = false
-		e.violationJoin(p, lr, rr, lr.shape)
-		violated := lr.found
-		e.putRun(rr)
-		e.putRun(lr)
-		if violated {
-			return false
-		}
-	}
-	return true
 }
 
 // InstantiateRHS builds the tuples the standard chase would insert to

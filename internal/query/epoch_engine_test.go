@@ -3,6 +3,8 @@ package query
 import (
 	"sort"
 	"testing"
+
+	"youtopia/internal/model"
 )
 
 // TestEngineOnEpochSnapshot runs the violation-discovery engine over a
@@ -60,7 +62,7 @@ func TestEngineOnEpochSnapshot(t *testing.T) {
 	if vs := engineAt(st, 2).AllViolations(set); len(vs) <= len(want) {
 		t.Fatalf("writer 2 must also see its own sigma1 violation, got %v", vs)
 	}
-	if n := epoch.Snapshot().CountRel("C"); n != 2 {
+	if n := len(rowIDs(epoch.Snapshot(), "C", -1, model.Value{})); n != 2 {
 		t.Fatalf("epoch C count = %d, want the 2 committed cities", n)
 	}
 }

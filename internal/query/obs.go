@@ -13,6 +13,7 @@ var (
 	obsPlanCacheHits = obs.Default.Counter("query_plan_cache_hits")
 	obsIndexProbes   = obs.Default.Counter("query_index_probes_total")
 	obsJoinSteps     = obs.Default.Counter("query_join_steps_total")
+	obsRowsMatched   = obs.Default.Counter("query_rows_matched_total")
 )
 
 // flushObs publishes the engine's locally accumulated join counters.
@@ -24,5 +25,9 @@ func (e *Engine) flushObs() {
 	if e.pendSteps != 0 {
 		obsJoinSteps.Add(e.pendSteps)
 		e.pendSteps = 0
+	}
+	if e.pendMatched != 0 {
+		obsRowsMatched.Add(e.pendMatched)
+		e.pendMatched = 0
 	}
 }

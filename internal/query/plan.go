@@ -12,7 +12,7 @@
 //     interned constant Value (baked in at compile time, so the join
 //     never re-interns a mapping constant) or a slot number;
 //   - a static join order per seed shape, chosen once from the live
-//     indexes' cardinality stats (storage.Snapshot.RelStats: tuple
+//     indexes' cardinality stats (storage.Snapshot.RelStatsInto: tuple
 //     counts and per-column distinct fanout) and cached in the plan.
 //     Once an atom is placed all its variables are bound, so which
 //     slots are bound is fixed at every step of an order: the order

@@ -128,7 +128,7 @@ func (r refEngine) candidates(a tgd.Atom, b refBinding) []storage.TupleID {
 			}
 			val = bound
 		}
-		ids := r.snap.CandidatesByValue(a.Rel, i, val, new([1]storage.TupleID))
+		ids := rowIDs(r.snap, a.Rel, i, val)
 		if !determined || len(ids) < len(best) {
 			best, determined = ids, true
 		}
@@ -136,7 +136,18 @@ func (r refEngine) candidates(a tgd.Atom, b refBinding) []storage.TupleID {
 	if determined {
 		return best
 	}
-	return r.snap.RelIDs(a.Rel)
+	return rowIDs(r.snap, a.Rel, -1, model.Value{})
+}
+
+// rowIDs returns the IDs of the visible tuples of rel whose column col
+// holds v, of all of them when col < 0.
+func rowIDs(snap *storage.Snapshot, rel string, col int, v model.Value) []storage.TupleID {
+	rows, _ := snap.ProbeRows(rel, col, v, nil, nil)
+	ids := make([]storage.TupleID, len(rows))
+	for i, row := range rows {
+		ids[i] = row.ID
+	}
+	return ids
 }
 
 // join enumerates homomorphisms of the atoms into the snapshot that
@@ -388,7 +399,7 @@ func (r refEngine) joinAtomsUnifying(atoms []tgd.Atom, fn func(map[string]model.
 		// Unification can cross constants, so index narrowing by bound
 		// constants would be unsound (a null in that column matches
 		// too); scan the relation.
-		for _, id := range r.snap.RelIDs(a.Rel) {
+		for _, id := range rowIDs(r.snap, a.Rel, -1, model.Value{}) {
 			vals, ok := r.snap.Get(id)
 			if !ok {
 				continue

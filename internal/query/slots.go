@@ -37,6 +37,10 @@ type slotRun struct {
 	// enumeration. A complete LHS match binds regs[:p.nLHS].
 	fn func(r *slotRun) bool
 
+	// first marks a run that stops at its first complete match
+	// (srExists): its last step keeps one row.
+	first bool
+
 	// Callback state, valid for one evaluation:
 	found  bool     // srExists / srFirstViolation / srSameAnswer output
 	dedup  bool     // srViolation: dedup through e.seen
@@ -77,6 +81,7 @@ func resize[T any](s []T, n int) []T {
 // putRun returns a run to the pool, dropping callback state.
 func (e *Engine) putRun(r *slotRun) {
 	r.fn = nil
+	r.first = false
 	r.dedup = false
 	r.answer = ""
 	r.rhsRun = nil
@@ -96,39 +101,60 @@ func (r *slotRun) side(rhs bool, shape slotSet) {
 }
 
 // rec enumerates matches of the steps from level on; pos is the first
-// argument position of the step in the order's bind bits.
+// argument position of the step in the order's bind bits. The step's
+// probe copies the candidates that match onto the engine's row stack
+// under one stripe lock, and the level walks its own range of the
+// stack, re-matching each row to bind its slots, before popping it.
 func (r *slotRun) rec(level int, pos int32) bool {
 	if level == len(r.ord.steps) {
 		return r.fn(r)
 	}
 	st := r.ord.steps[level]
 	a := &r.atoms[st.atom]
-	snap := r.e.snap
-	var cands []storage.TupleID
-	var one [1]storage.TupleID // a single candidate, this level's own
+	e := r.e
+	col, pv := -1, model.Value{}
 	if st.probe >= 0 {
 		td := &a.terms[st.probe]
-		pv := td.cval
+		col, pv = int(st.probe), td.cval
 		if td.slot >= 0 {
 			pv = r.regs[td.slot]
 		}
-		cands = snap.CandidatesByValue(a.rel, int(st.probe), pv, &one)
-		r.e.pendProbes++
-	} else {
-		cands = snap.RelIDs(a.rel)
+		e.pendProbes++
 	}
-	r.e.pendSteps += int64(len(cands))
-	for _, id := range cands {
-		vals, ok := snap.Get(id)
-		if !ok || !r.match(a.terms, pos, vals) {
-			continue
-		}
-		r.witness[st.atom] = id
-		if !r.rec(level+1, pos+int32(len(a.terms))) {
-			return false
-		}
+	last := r.first && level == len(r.ord.steps)-1
+	base := len(e.rows)
+	rows, n := e.snap.ProbeRows(a.rel, col, pv, e.rows, func(vals []model.Value) (bool, bool) {
+		ok := r.match(a.terms, pos, vals)
+		return ok, ok && last
+	})
+	e.rows = rows
+	top := len(rows)
+	e.pendSteps += int64(n)
+	more := true
+	for i := base; i < top && more; i++ {
+		row := e.rows[i]
+		e.pendMatched++
+		r.match(a.terms, pos, row.Vals)
+		r.witness[st.atom] = row.ID
+		more = r.rec(level+1, pos+int32(len(a.terms)))
 	}
-	return true
+	e.popRows(base)
+	return more
+}
+
+// maxStackRows bounds the row stack an engine keeps between
+// enumerations, 16 KiB: the bottom level drops an array grown past it,
+// so one outsized scan does not stay with a long-lived engine.
+const maxStackRows = 512
+
+// popRows pops the row stack down to base, clearing the popped rows so
+// that an idle stack keeps no value array alive.
+func (e *Engine) popRows(base int) {
+	clear(e.rows[base:])
+	e.rows = e.rows[:base]
+	if base == 0 && cap(e.rows) > maxStackRows {
+		e.rows = nil
+	}
 }
 
 // match runs a candidate's values through a step's argument positions:
@@ -218,7 +244,7 @@ func srViolation(r *slotRun) bool {
 }
 
 // srFirstViolation stops the enumeration at the first violation; the
-// compiled core of Satisfied and of the empty-answer conflict check.
+// compiled core of the empty-answer conflict check.
 func srFirstViolation(r *slotRun) bool {
 	if rhsHolds(r) {
 		return true

@@ -42,21 +42,9 @@ func BenchmarkInsertDuplicateNoOp(b *testing.B) {
 	}
 }
 
-func BenchmarkCandidatesByValue(b *testing.B) {
-	st := benchStore(b, 2000)
-	snap := st.Snap(1)
-	var one [1]TupleID
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ids := snap.CandidatesByValue("S", 0, c(fmt.Sprintf("code%d", i%50)), &one)
-		if len(ids) == 0 {
-			b.Fatal("no candidates")
-		}
-	}
-}
-
-// BenchmarkIndexProbe is a value probe of a key with one member and of
-// a key with a list of 40. Both must report 0 B/op under -benchmem.
+// BenchmarkIndexProbe is a value probe, through ProbeRows into a warm
+// row buffer, of a key with one member and of a key with a list of 40.
+// Both must report 0 B/op under -benchmem.
 func BenchmarkIndexProbe(b *testing.B) {
 	st := benchStore(b, 2000)
 	snap := st.Snap(1)
@@ -66,11 +54,11 @@ func BenchmarkIndexProbe(b *testing.B) {
 		v    model.Value
 	}{{"one", 2, c("city7")}, {"list", 0, c("code7")}} {
 		b.Run(probe.name, func(b *testing.B) {
-			var one [1]TupleID
+			var rows []Row
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if len(snap.CandidatesByValue("S", probe.col, probe.v, &one)) == 0 {
-					b.Fatal("no candidates")
+				if rows, _ = snap.ProbeRows("S", probe.col, probe.v, rows[:0], nil); len(rows) == 0 {
+					b.Fatal("no rows")
 				}
 			}
 		})
@@ -88,7 +76,7 @@ func BenchmarkSnapshotGet(b *testing.B) {
 		st := benchStore(b, 2000)
 		if gapped {
 			name = "gapped"
-			for i, id := range st.Snap(0).RelIDs("S") {
+			for i, id := range rowIDs(st.Snap(0), "S", -1, model.Value{}) {
 				if i%3 == 2 {
 					if _, ok, err := st.Delete(0, id); !ok || err != nil {
 						b.Fatal("delete failed", err)
@@ -98,7 +86,7 @@ func BenchmarkSnapshotGet(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			snap := st.Snap(1)
-			ids := snap.RelIDs("S")
+			ids := rowIDs(snap, "S", -1, model.Value{})
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, ok := snap.Get(ids[i*7919%len(ids)]); !ok {
@@ -128,7 +116,7 @@ func BenchmarkMoreSpecific(b *testing.B) {
 	pattern := tup("S", n(1), n(2), c("city7"))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		snap.MoreSpecific(pattern)
+		snap.MoreSpecificInto(pattern, nil)
 	}
 }
 
@@ -165,7 +153,7 @@ func BenchmarkAbort(b *testing.B) {
 // value columns, the content index, values shared with the loaded
 // tuples), inserts one of them again (the set-semantics duplicate
 // check), reads what it wrote the way a violation query does (a value
-// probe and the relation's member list) and then commits or, every
+// probe) and then commits or, every
 // fourth writer, aborts, which takes its tuples out of the indexes
 // again. Run with -benchmem.
 func BenchmarkStoreInsert(b *testing.B) {
@@ -177,7 +165,7 @@ func BenchmarkStoreInsert(b *testing.B) {
 			c(fmt.Sprintf("loc%d", i%20)),
 			c(fmt.Sprintf("new%d", i)))
 	}
-	var one [1]TupleID
+	var rows []Row
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -191,7 +179,7 @@ func BenchmarkStoreInsert(b *testing.B) {
 			b.Fatal("duplicate content inserted")
 		}
 		snap := st.Snap(w)
-		if len(snap.CandidatesByValue("S", 0, batch[0].Vals[0], &one)) == 0 || len(snap.RelIDs("S")) == 0 {
+		if rows, _ = snap.ProbeRows("S", 0, batch[0].Vals[0], rows[:0], nil); len(rows) == 0 {
 			b.Fatal("indexes lost the writer's tuples")
 		}
 		if i%4 == 3 {

@@ -26,26 +26,16 @@ import (
 // maps to a tagged reference into lists: no member's slot has W's top
 // bit set, so the slot listTag|i names lists[i]. A slot that a list
 // leaves (its key emptied or went back to one member) is put on free
-// and reused by the next list; the array it held is dropped, never
-// written again.
+// and reused by the next list; the array it held is dropped.
 //
-// get returns a single member in a buffer the caller owns, and a list
-// as itself — no copy, no lock — and callers keep reading a list after
-// they release the lock guarding the index (CandidatesByValue, the null
-// index). The member list of a relation (stripe.ids, RelIDs) is a plain
-// list under the same rule, the one that keeps a returned slice valid
-// for ever: elements below a list's length are never overwritten.
-//
-//   - A member larger than the last one is appended in place. IDs are
-//     minted ascending per stripe, so every fresh insert is this case;
-//     it writes only past the length a reader holds, and append copies
-//     when capacity runs out.
-//   - Any other new member (ReplaceNull giving an old tuple a new value,
-//     the cross-stripe null index, replay), and every key that grows
-//     from one member to two, gets a fresh array.
-//   - Removing the last member reslices with the capacity clamped to the
-//     new length, so the next append copies instead of reusing the slot;
-//     removing any other member (aborts and trims) gets a fresh array.
+// Index lists are the store's own. Mutators change them in place under
+// the write lock that guards the index — a member inserted or removed
+// in the middle shifts the array, which reallocates only when full —
+// and no reader keeps a list past the read lock it read it under:
+// readers receive copies, in buffers they own, taken under that lock
+// (Snapshot.ProbeRows copies rows, Store.appendNullIDs the null
+// index's IDs). The member list of a relation (stripe.ids) follows the
+// same rule.
 //
 // Mutators hold the write lock that guards the index. The zero value is
 // an empty index with base 0.
@@ -60,8 +50,9 @@ type postings[W uint32 | uint64] struct {
 func listTag[W uint32 | uint64]() W { return ^(^W(0) >> 1) }
 
 // get returns the members under k in ascending order: nil, one[:] with
-// the single member written to one, or the shared list, which callers
-// must not modify and may keep.
+// the single member written to one, or the index's own list, which
+// callers must not modify and must not keep past the lock they read it
+// under.
 func (p *postings[W]) get(k W, one *[1]TupleID) []TupleID {
 	v, ok := p.m[k]
 	switch {
@@ -167,29 +158,22 @@ func (p *postings[W]) checkLayout() error {
 	return nil
 }
 
-// addID returns the ascending list with id a member, under the rule in
-// the type comment.
+// addID returns the ascending list with id a member, changed in place:
+// it reallocates only when the array is full.
 func addID(list []TupleID, id TupleID) []TupleID {
-	n := len(list)
-	if n == 0 || id > list[n-1] {
+	if n := len(list); n == 0 || id > list[n-1] {
 		return append(list, id)
 	}
 	if i, found := slices.BinarySearch(list, id); !found {
-		return slices.Concat(list[:i], []TupleID{id}, list[i:])
+		return slices.Insert(list, i, id)
 	}
 	return list
 }
 
-// removeID returns the ascending list without id, under the rule in the
-// type comment.
+// removeID returns the ascending list without id, changed in place.
 func removeID(list []TupleID, id TupleID) []TupleID {
-	i, found := slices.BinarySearch(list, id)
-	switch last := len(list) - 1; {
-	case !found:
-		return list
-	case i == last:
-		return list[:last:last]
-	default:
-		return slices.Concat(list[:i], list[i+1:])
+	if i, found := slices.BinarySearch(list, id); found {
+		return slices.Delete(list, i, i+1)
 	}
+	return list
 }

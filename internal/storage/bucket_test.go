@@ -47,21 +47,6 @@ func refContentKey(vals []model.Value) string {
 	return model.Tuple{Vals: vals}.Key()
 }
 
-// retainedIDs is a slice an index read returned, kept with what it read
-// as at that moment; by the rule in bucket.go the two never differ.
-type retainedIDs struct{ live, copy []TupleID }
-
-func retain(ids []TupleID) retainedIDs { return retainedIDs{ids, slices.Clone(ids)} }
-
-func checkRetained(t *testing.T, kept []retainedIDs) {
-	t.Helper()
-	for _, k := range kept {
-		if !slices.Equal(k.live, k.copy) {
-			t.Fatalf("a returned slice changed from %v to %v", k.copy, k.live)
-		}
-	}
-}
-
 // mustAudit fails the test when the store's indexes have drifted from
 // its version chains.
 func mustAudit(t testing.TB, st *Store) {
@@ -77,9 +62,8 @@ func mustAudit(t testing.TB, st *Store) {
 // IDs, IDs of several stripes, removes of non-members — the way the
 // store drives an index: the member is added with every version and
 // removed when its last version goes. Members, counts and keys must
-// agree after every step, the map's layout must pass the audit, and
-// every slice ever returned must still read as it did when it was
-// returned. Keys keep going from empty to one member, to a list and
+// agree after every step, and the map's layout must pass the audit.
+// Keys keep going from empty to one member, to a list and
 // back, and the list table must never outgrow the most lists that were
 // alive at once: freed slots are reused. Both widths run: the
 // full-width map of the null index over IDs of three stripes, and a
@@ -103,7 +87,6 @@ func postingsMatchMultiset[W uint32 | uint64](t *testing.T, empty postings[W], s
 		}
 		p := empty
 		var list []TupleID
-		var kept []retainedIDs
 		pick := func() TupleID {
 			stripe, local := TupleID(rng.Intn(stripes)), TupleID(rng.Intn(12)+1)
 			return p.base + stripe<<localIDBits + local
@@ -158,7 +141,6 @@ func postingsMatchMultiset[W uint32 | uint64](t *testing.T, empty postings[W], s
 				if !slices.Equal(got, ids) || p.count(W(k)) != len(ids) {
 					t.Fatalf("seed %d step %d after %d: key %d lists %v (count %d), reference %v", seed, step, id, k, got, p.count(W(k)), ids)
 				}
-				kept = append(kept, retain(got))
 				if len(ids) > 1 {
 					lists++
 				}
@@ -173,8 +155,6 @@ func postingsMatchMultiset[W uint32 | uint64](t *testing.T, empty postings[W], s
 			if len(p.lists) > peak {
 				t.Fatalf("seed %d step %d: %d list slots, at most %d lists were ever alive at once", seed, step, len(p.lists), peak)
 			}
-			checkRetained(t, kept)
-			kept = append(kept, retain(list))
 		}
 	}
 	if shrinks == 0 || reuses == 0 {
@@ -208,7 +188,6 @@ func TestPostingTransitions(t *testing.T) {
 	check(1, []TupleID{base + 7}, true)
 	p.add(1, base+5)
 	check(1, []TupleID{base + 5, base + 7}, false)
-	held := p.get(1, &one)
 	p.remove(1, base+7)
 	check(1, []TupleID{base + 5}, true)
 	if len(p.free) != 1 || p.lists[p.free[0]] != nil {
@@ -220,9 +199,6 @@ func TestPostingTransitions(t *testing.T) {
 	if len(p.lists) != 1 || len(p.free) != 0 {
 		t.Fatalf("key 2 did not reuse the freed slot: lists %v, free %v", p.lists, p.free)
 	}
-	if !slices.Equal(held, []TupleID{base + 5, base + 7}) {
-		t.Fatalf("a list held across demotion and slot reuse now reads %v", held)
-	}
 	p.remove(1, base+5)
 	check(1, nil, false)
 	if len(p.m) != 1 {
@@ -230,33 +206,72 @@ func TestPostingTransitions(t *testing.T) {
 	}
 }
 
-// TestRetainedIDsStayValid is the retained-slice rule of bucket.go
-// under the race detector: a reader keeps the slices RelIDs,
-// CandidatesByValue and the null index returned, and goes on reading
-// them with no lock while a writer appends (Insert), inserts in the
-// middle (ReplaceNull rewrites old tuples onto a shared value and a
-// shared null) and removes (Abort). One key has a single member between
-// rounds; the writer promotes it to a list and aborts it back, while
-// the reader holds what it read in either shape. The slices must never
-// change — and a write into one would also be a data race the detector
-// reports.
-func TestRetainedIDsStayValid(t *testing.T) {
+// TestProbeRowsDuringInPlaceWrites runs probes and scans of two
+// stripes, and the null index, while a writer changes their lists in
+// place: it appends (Insert), inserts in the middle (ReplaceNull
+// rewrites old tuples onto a shared value and a shared null), removes
+// from the middle (Abort), and takes one key from one member to two and
+// back (an aborted insert of solo). Every write, with what it made, is
+// recorded in the writes history under a test lock the writer holds
+// around it.
+//
+//   - A locked reader probes under that lock, so nothing moves while it
+//     checks: the rows must be exactly the visible ones the probe asks
+//     for, found by a separate scan (ScanRel), with their values.
+//   - Unlocked readers probe while the writer runs, then take the lock
+//     and check that every row is an (ID, values) pair the history
+//     holds — a write made it, and no row pairs one tuple's ID with
+//     another's values — and that the rows they kept from earlier
+//     probes still read as they did.
+//
+// Under the race detector a reader still reading an index list the
+// writer shifts fails too.
+func TestProbeRowsDuringInPlaceWrites(t *testing.T) {
 	rounds := 300
 	if testing.Short() {
 		rounds = 60
 	}
 	st := NewStore(raceSchema())
 	shared, hub, solo := model.Const("shared"), model.Null(1), model.Const("solo")
-	if _, err := st.Load(model.NewTuple("S", solo, solo, solo)); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		if _, err := st.Load(model.NewTuple("R", model.Const(fmt.Sprint("seed", i)), shared)); err != nil {
-			t.Fatal(err)
+
+	var mu sync.RWMutex // held by the writer around each write
+	history := make(map[TupleID]map[string]bool)
+	record := func(id TupleID, vals []model.Value) {
+		if vals == nil {
+			return
 		}
+		if history[id] == nil {
+			history[id] = make(map[string]bool)
+		}
+		history[id][refContentKey(vals)] = true
 	}
-	if _, err := st.Load(model.NewTuple("S", shared, shared, hub)); err != nil {
-		t.Fatal(err)
+	write := func(op func() ([]WriteRec, error)) bool {
+		mu.Lock()
+		defer mu.Unlock()
+		recs, err := op()
+		for _, w := range recs {
+			record(w.ID, w.After)
+		}
+		if err != nil {
+			t.Error(err)
+		}
+		return err == nil
+	}
+	insert := func(w int, tup model.Tuple) bool {
+		return write(func() ([]WriteRec, error) {
+			_, rec, _, err := st.Insert(w, tup)
+			return []WriteRec{rec}, err
+		})
+	}
+	for _, tup := range []model.Tuple{
+		model.NewTuple("S", solo, solo, solo),
+		model.NewTuple("R", model.Const("seed0"), shared), model.NewTuple("R", model.Const("seed1"), shared),
+		model.NewTuple("R", model.Const("seed2"), shared), model.NewTuple("R", model.Const("seed3"), shared),
+		model.NewTuple("S", shared, shared, hub),
+	} {
+		if !insert(0, tup) {
+			return
+		}
 	}
 
 	var done atomic.Bool
@@ -269,25 +284,19 @@ func TestRetainedIDsStayValid(t *testing.T) {
 			w := i + 1
 			x := st.FreshNull()
 			// Low IDs first, then a run of tail appends past them.
-			if _, _, _, err := st.Insert(w, model.NewTuple("R", model.Const(fmt.Sprint("k", i)), x)); err != nil {
-				t.Error(err)
+			if !insert(w, model.NewTuple("R", model.Const(fmt.Sprint("k", i)), x)) {
 				return
 			}
 			for j := 0; j < 3; j++ {
-				if _, _, _, err := st.Insert(w, model.NewTuple("R", model.Const(fmt.Sprint("t", i, j)), shared)); err != nil {
-					t.Error(err)
+				if !insert(w, model.NewTuple("R", model.Const(fmt.Sprint("t", i, j)), shared)) {
 					return
 				}
 			}
-			if _, _, _, err := st.Insert(w, model.NewTuple("S", model.Const(fmt.Sprint("s", i)), shared, hub)); err != nil {
-				t.Error(err)
+			if !insert(w, model.NewTuple("S", model.Const(fmt.Sprint("s", i)), shared, hub)) {
 				return
 			}
-			if i%2 == 0 { // aborted below: solo goes back to one member
-				if _, _, _, err := st.Insert(w, model.NewTuple("S", model.Const(fmt.Sprint("o", i)), solo, solo)); err != nil {
-					t.Error(err)
-					return
-				}
+			if i%2 == 0 && !insert(w, model.NewTuple("S", model.Const(fmt.Sprint("o", i)), solo, solo)) {
+				return // aborted below: solo goes back to one member
 			}
 			// The old R tuple joins valIdx[1][shared] below the tail, and
 			// (every third round) the hub null's list below the S tuples.
@@ -295,35 +304,118 @@ func TestRetainedIDsStayValid(t *testing.T) {
 			if i%3 == 0 {
 				to = hub
 			}
-			if _, err := st.ReplaceNull(w, x, to); err != nil {
-				t.Error(err)
+			if !write(func() ([]WriteRec, error) { return st.ReplaceNull(w, x, to) }) {
 				return
 			}
-			if i%2 == 0 {
-				st.Abort(w)
-			} else if err := st.Commit(w); err != nil {
-				t.Error(err)
+			if !write(func() ([]WriteRec, error) {
+				if i%2 == 0 {
+					st.Abort(w)
+					return nil, nil
+				}
+				return nil, st.Commit(w)
+			}) {
 				return
 			}
 		}
 	}()
 
-	kept := make([]retainedIDs, 256) // the last few hundred slices handed out
-	for i := 0; !done.Load(); i++ {
-		snap := st.Snap(1 << 30)
-		for j, ids := range [][]TupleID{
-			snap.RelIDs("R"),
-			snap.CandidatesByValue("R", 1, shared, new([1]TupleID)),
-			snap.CandidatesByValue("S", 1, shared, new([1]TupleID)),
-			snap.CandidatesByValue("S", 1, solo, new([1]TupleID)),
-			st.nullIDs(hub, new([1]TupleID)),
-		} {
-			kept[(5*i+j)%len(kept)] = retain(ids)
+	type probe struct {
+		rel string
+		col int
+		v   model.Value
+	}
+	probes := []probe{{"R", 1, shared}, {"S", 1, shared}, {"S", 1, solo}, {"S", 2, hub}, {"R", -1, model.Value{}}, {"S", -1, model.Value{}}}
+	wants := func(sn *Snapshot, p probe) []Row {
+		var want []Row
+		sn.ScanRel(p.rel, func(id TupleID, vals []model.Value) bool {
+			if p.col < 0 || vals[p.col] == p.v {
+				want = append(want, Row{id, vals})
+			}
+			return true
+		})
+		return want
+	}
+	sameRows := func(a, b []Row) bool {
+		return slices.EqualFunc(a, b, func(x, y Row) bool { return x.ID == y.ID && slices.Equal(x.Vals, y.Vals) })
+	}
+
+	// The locked reader.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		var rows []Row
+		for !done.Load() {
+			mu.RLock()
+			sn := st.Snap(1 << 30)
+			for _, p := range probes {
+				rows, _ = sn.ProbeRows(p.rel, p.col, p.v, rows[:0], nil)
+				if want := wants(sn, p); !sameRows(rows, want) {
+					t.Errorf("probe %v gives %v, the scan %v", p, rows, want)
+				}
+			}
+			ids := sn.TuplesWithNull(hub)
+			var want []TupleID // R's IDs sort below S's
+			for _, rel := range []string{"R", "S"} {
+				sn.ScanRel(rel, func(id TupleID, vals []model.Value) bool {
+					if slices.Contains(vals, hub) {
+						want = append(want, id)
+					}
+					return true
+				})
+			}
+			if !slices.Equal(ids, want) {
+				t.Errorf("TuplesWithNull(%s) = %v, the scan %v", hub, ids, want)
+			}
+			mu.RUnlock()
+			if t.Failed() {
+				return
+			}
 		}
-		checkRetained(t, kept)
+	}()
+
+	// The unlocked readers.
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			type keptRow struct {
+				row Row
+				key string
+			}
+			var rows []Row
+			var kept []keptRow
+			for i := 0; !done.Load(); i++ {
+				p := probes[(i+r)%len(probes)]
+				rows, _ = st.Snap(1<<30).ProbeRows(p.rel, p.col, p.v, rows[:0], nil)
+				nulls := st.appendNullIDs(nil, hub)
+				mu.RLock()
+				for _, row := range rows {
+					if !history[row.ID][refContentKey(row.Vals)] || p.col >= 0 && row.Vals[p.col] != p.v {
+						t.Errorf("probe %v gives row %d %v, which no write made", p, row.ID, row.Vals)
+					}
+				}
+				for _, id := range nulls {
+					if len(history[id]) == 0 {
+						t.Errorf("the null index lists %d, which no write made", id)
+					}
+				}
+				mu.RUnlock()
+				for _, k := range kept {
+					if refContentKey(k.row.Vals) != k.key {
+						t.Errorf("row %d changed from %s to %v", k.row.ID, k.key, k.row.Vals)
+					}
+				}
+				if len(rows) > 0 {
+					row := rows[i%len(rows)]
+					kept = append(kept[:min(len(kept), 63)], keptRow{row, refContentKey(row.Vals)})
+				}
+				if t.Failed() {
+					return
+				}
+			}
+		}()
 	}
 	wg.Wait()
-	checkRetained(t, kept)
 	mustAudit(t, st)
 }
 
@@ -332,7 +424,7 @@ func TestRetainedIDsStayValid(t *testing.T) {
 // collapse duplicates, aborts, and commits that trim history — on a
 // store whose stripe index keys all fold to one constant and on a store
 // with the real fold. Colliding keys only lengthen the candidate lists:
-// set semantics, DeleteContent, LookupContent, the collapse of
+// set semantics, DeleteContent, the content lookup, the collapse of
 // ReplaceNull, value probes and MoreSpecific must come out the same,
 // every lookup must return exactly the visible tuples whose rendered
 // key (the old content index key) matches, and an abort or a trim must
@@ -359,12 +451,12 @@ func TestContentIndexForcedCollision(t *testing.T) {
 				case 0, 1, 2, 3:
 					var id TupleID
 					id, _, _, err = st.Insert(w, tup)
-					if got := st.Snap(w).LookupContent(tup); err == nil && !slices.Contains(got, id) {
-						t.Fatalf("seed %d step %d: Insert(%s) = %d, LookupContent gives %v", seed, step, tup, id, got)
+					if got := lookupContent(st.Snap(w), tup); err == nil && !slices.Contains(got, id) {
+						t.Fatalf("seed %d step %d: Insert(%s) = %d, the content lookup gives %v", seed, step, tup, id, got)
 					}
 				case 4:
 					_, err = st.DeleteContent(w, tup)
-					if got := st.Snap(w).LookupContent(tup); err == nil && len(got) != 0 {
+					if got := lookupContent(st.Snap(w), tup); err == nil && len(got) != 0 {
 						t.Fatalf("seed %d step %d: %s still found as %v after DeleteContent", seed, step, tup, got)
 					}
 				case 5, 6:
@@ -392,28 +484,22 @@ func TestContentIndexForcedCollision(t *testing.T) {
 				return true
 			})
 			var answers strings.Builder
-			for _, id := range snap.RelIDs("R") {
+			for _, id := range rowIDs(snap, "R", -1, model.Value{}) {
 				tup, ok := snap.GetTuple(id)
 				if !ok {
 					continue
 				}
-				if got, want := snap.LookupContent(tup), byKey[refContentKey(tup.Vals)]; !slices.Equal(got, want) {
-					t.Fatalf("seed %d: LookupContent(%s) = %v, rendered-key reference %v", seed, tup, got, want)
+				if got, want := lookupContent(snap, tup), byKey[refContentKey(tup.Vals)]; !slices.Equal(got, want) {
+					t.Fatalf("seed %d: content lookup of %s = %v, rendered-key reference %v", seed, tup, got, want)
 				}
 				for col, v := range tup.Vals {
-					var one [1]TupleID
-					var carriers []TupleID
-					for _, cand := range snap.CandidatesByValue("R", col, v, &one) {
-						if vals, ok := snap.Get(cand); ok && vals[col] == v {
-							carriers = append(carriers, cand)
-						}
-					}
+					carriers := rowIDs(snap, "R", col, v)
 					if !slices.Contains(carriers, id) {
 						t.Fatalf("seed %d: %s is no candidate for its value %s in column %d", seed, tup, v, col)
 					}
 					fmt.Fprintf(&answers, "%d col %d: %v\n", id, col, carriers)
 				}
-				fmt.Fprintf(&answers, "%d more specific: %v\n", id, snap.MoreSpecific(tup))
+				fmt.Fprintf(&answers, "%d more specific: %v\n", id, snap.MoreSpecificInto(tup, nil))
 			}
 			dumps[k], probes[k] = st.Dump(1<<30), answers.String()
 		}
@@ -426,10 +512,11 @@ func TestContentIndexForcedCollision(t *testing.T) {
 	}
 }
 
-// TestIndexProbeAllocFree pins that an index probe allocates nothing,
-// whether the key has one member (returned in the caller's buffer) or
-// a list (returned as itself): value candidates, the content lookup of
-// Insert's duplicate check, and the null index.
+// TestIndexProbeAllocFree pins that a warm probe allocates nothing: a
+// value probe of a key with one member and of a key with a list, a scan,
+// each copying its rows into a warm buffer; the null index's members
+// copied into a warm buffer, one and a list; and the content lookup of
+// Insert's duplicate check.
 func TestIndexProbeAllocFree(t *testing.T) {
 	st := benchStore(t, 200)
 	for i := 0; i < 4; i++ {
@@ -441,29 +528,66 @@ func TestIndexProbeAllocFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := st.Snap(1)
-	var one [1]TupleID
+	var rows []Row
+	var ids []TupleID
+	probeRows := func(rel string, col int, v model.Value) int {
+		rows, _ = snap.ProbeRows(rel, col, v, rows[:0], nil)
+		return len(rows)
+	}
+	nullIDs := func(x model.Value) int {
+		ids = st.appendNullIDs(ids[:0], x)
+		return len(ids)
+	}
 	dup := tup("S", c("code7"), c("loc7"), c("city7"))
 	for _, probe := range []struct {
 		name string
-		want int // members the probe returns; 0 skips the check
-		fn   func() []TupleID
+		want int // members the probe returns; -1 skips the check
+		fn   func() int
 	}{
-		{"value, one member", 1, func() []TupleID { return snap.CandidatesByValue("S", 2, c("city7"), &one) }},
-		{"value, list", 4, func() []TupleID { return snap.CandidatesByValue("S", 0, c("code7"), &one) }},
-		{"null, one member", 1, func() []TupleID { return st.nullIDs(n(2), &one) }},
-		{"null, list", 4, func() []TupleID { return st.nullIDs(n(1), &one) }},
-		{"content, duplicate insert", 0, func() []TupleID {
+		{"value, one member", 1, func() int { return probeRows("S", 2, c("city7")) }},
+		{"value, list", 4, func() int { return probeRows("S", 0, c("code7")) }},
+		{"scan", 200, func() int { return probeRows("S", -1, model.Value{}) }},
+		{"null, one member", 1, func() int { return nullIDs(n(2)) }},
+		{"null, list", 4, func() int { return nullIDs(n(1)) }},
+		{"content, duplicate insert", -1, func() int {
 			if _, _, inserted, err := st.Insert(1, dup); inserted || err != nil {
 				t.Fatalf("duplicate insert: inserted %v, %v", inserted, err)
 			}
-			return nil
+			return -1
 		}},
 	} {
-		if got := probe.fn(); probe.want > 0 && len(got) != probe.want {
-			t.Fatalf("%s: %d members, want %d", probe.name, len(got), probe.want)
+		if got := probe.fn(); got != probe.want {
+			t.Fatalf("%s: %d members, want %d", probe.name, got, probe.want)
 		}
 		if allocs := testing.AllocsPerRun(100, func() { probe.fn() }); allocs != 0 {
 			t.Errorf("%s: %.1f allocations per probe, want 0", probe.name, allocs)
 		}
+	}
+}
+
+// TestInPlaceListChangesAllocFree pins that an index list with spare
+// capacity takes a member in its middle, and gives it back, without
+// allocating: a plain ascending list and a posting key's list.
+func TestInPlaceListChangesAllocFree(t *testing.T) {
+	list := append(make([]TupleID, 0, 8), 1, 3, 5, 7)
+	if allocs := testing.AllocsPerRun(100, func() {
+		list = addID(list, 4)
+		list = removeID(list, 4)
+	}); allocs != 0 || !slices.Equal(list, []TupleID{1, 3, 5, 7}) {
+		t.Errorf("list %v: %.1f allocations per middle insert and removal, want 0", list, allocs)
+	}
+	var p postings[uint32]
+	for _, id := range []TupleID{1, 3, 5, 7, 9} {
+		p.add(1, id)
+	}
+	p.remove(1, 9) // leaves spare capacity
+	if allocs := testing.AllocsPerRun(100, func() {
+		p.add(1, 4)
+		p.remove(1, 4)
+	}); allocs != 0 {
+		t.Errorf("posting list: %.1f allocations per middle insert and removal, want 0", allocs)
+	}
+	if got := p.get(1, new([1]TupleID)); !slices.Equal(got, []TupleID{1, 3, 5, 7}) {
+		t.Errorf("posting list reads %v after the changes", got)
 	}
 }

@@ -158,7 +158,7 @@ func TestChainRepresentation(t *testing.T) {
 						t.Fatalf("%s: stores disagree:\n%s\nvs\n%s", step, got, seen)
 					}
 				}
-				ps, cs := plain.Snap(maxReader).RelStats("R"), collided.Snap(maxReader).RelStats("R")
+				ps, cs := relStats(plain.Snap(maxReader), "R"), relStats(collided.Snap(maxReader), "R")
 				if cs.Live != ps.Live || fmt.Sprint(cs.Distinct) != "[1 1]" {
 					t.Fatalf("%s: RelStats %+v with colliding keys, %+v without", step, cs, ps)
 				}
@@ -201,7 +201,7 @@ func checkChain(t *testing.T, step string, st *Store, id TupleID, want int) {
 	if want < 2 && len(s.chains) != 0 {
 		t.Fatalf("%s: chains %v left behind", step, s.chains)
 	}
-	if live := st.Snap(maxReader).RelStats("R").Live; live != len(s.ids) {
+	if live := relStats(st.Snap(maxReader), "R").Live; live != len(s.ids) {
 		t.Fatalf("%s: RelStats counts %d members of %d", step, live, len(s.ids))
 	}
 	mustAudit(t, st)

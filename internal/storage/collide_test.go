@@ -95,12 +95,11 @@ func versionsSharingAKey(t *testing.T) {
 				}
 				mustAudit(t, st)
 				snap := st.Snap(maxReader)
-				var one [1]TupleID
-				cands := snap.CandidatesByValue("R", 0, left.Vals[0], &one)
+				cands := indexIDs(st, "R", 0, left.Vals[0])
 				if len(cands) != 1 || cands[0] != id {
 					t.Fatalf("collide %v: probe for %s gives %v, want [%d]", collide, left.Vals[0], cands, id)
 				}
-				answers[i] = fmt.Sprint(cands, snap.LookupContent(left), snap.MoreSpecific(model.NewTuple("R", left.Vals[0], model.Null(9))), st.Dump(maxReader))
+				answers[i] = fmt.Sprint(cands, lookupContent(snap, left), snap.MoreSpecificInto(model.NewTuple("R", left.Vals[0], model.Null(9)), nil), st.Dump(maxReader))
 			}
 			if answers[0] != answers[1] {
 				t.Fatalf("colliding keys answer %s, the real fold %s", answers[0], answers[1])

@@ -246,7 +246,7 @@ func TestConformanceReplaceNullSpansRelations(t *testing.T) {
 		if ids := snap.TuplesWithNull(x); len(ids) != 0 {
 			t.Fatalf("null %s survives in %v", x, ids)
 		}
-		if !snap.ContainsContent(model.NewTuple("B", cv("c"))) {
+		if !contains(snap, model.NewTuple("B", cv("c"))) {
 			t.Fatal("B-occurrence not rewritten")
 		}
 	})

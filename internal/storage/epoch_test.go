@@ -41,19 +41,16 @@ func TestEpochSnapReadSurface(t *testing.T) {
 	onStore(t, func(t *testing.T, b Backend) {
 		x, deleted := seedCommitted(t, b)
 		sn := b.EpochSnap()
-		ids := sn.RelIDs("A")
+		ids := rowIDs(sn, "A", -1, model.Value{})
 		if len(ids) != 2 {
-			t.Fatalf("RelIDs(A) = %v, want 2 IDs", ids)
+			t.Fatalf("scan of A = %v, want 2 IDs", ids)
 		}
 		for _, id := range ids {
 			if _, ok := sn.Get(id); !ok {
 				t.Fatalf("committed tuple %d invisible to epoch snapshot", id)
 			}
-			if _, ok := sn.GetTuple(id); !ok {
-				t.Fatalf("GetTuple(%d) failed", id)
-			}
-			if rel, ok := sn.Rel(id); !ok || rel != "A" {
-				t.Fatalf("Rel(%d) = %q, %v", id, rel, ok)
+			if tp, ok := sn.GetTuple(id); !ok || tp.Rel != "A" {
+				t.Fatalf("GetTuple(%d) = %v, %v", id, tp, ok)
 			}
 		}
 		if _, ok := sn.Get(deleted); ok {
@@ -61,25 +58,25 @@ func TestEpochSnapReadSurface(t *testing.T) {
 		}
 		n := 0
 		sn.ScanRel("A", func(TupleID, []model.Value) bool { n++; return true })
-		if n != 2 || sn.CountRel("A") != 2 {
-			t.Fatalf("ScanRel saw %d, CountRel %d, want 2", n, sn.CountRel("A"))
+		if n != 2 || countRel(sn, "A") != 2 {
+			t.Fatalf("ScanRel saw %d, ProbeRows %d, want 2", n, countRel(sn, "A"))
 		}
-		if got := sn.CandidatesByValue("A", 1, cv("b"), new([1]TupleID)); len(got) != 2 {
-			t.Fatalf("CandidatesByValue = %v, want 2 hits", got)
+		if got := rowIDs(sn, "A", 1, cv("b")); len(got) != 2 {
+			t.Fatalf("value probe = %v, want 2 hits", got)
 		}
-		if !sn.ContainsContent(model.NewTuple("B", cv("one"))) {
-			t.Fatal("LookupContent missed a committed tuple")
+		if !contains(sn, model.NewTuple("B", cv("one"))) {
+			t.Fatal("content lookup missed a committed tuple")
 		}
-		if sn.ContainsContent(model.NewTuple("E", cv("pending"), cv("p"))) {
-			t.Fatal("LookupContent found an uncommitted tuple")
+		if contains(sn, model.NewTuple("E", cv("pending"), cv("p"))) {
+			t.Fatal("content lookup found an uncommitted tuple")
 		}
 		if got := sn.TuplesWithNull(x); len(got) != 1 {
 			t.Fatalf("TuplesWithNull = %v, want 1 hit", got)
 		}
-		if got := sn.MoreSpecific(model.NewTuple("C", b.FreshNull(), cv("c"), cv("d"))); len(got) != 1 {
-			t.Fatalf("MoreSpecific = %v, want 1 hit", got)
+		if got := sn.MoreSpecificInto(model.NewTuple("C", b.FreshNull(), cv("c"), cv("d")), nil); len(got) != 1 {
+			t.Fatalf("MoreSpecificInto = %v, want 1 hit", got)
 		}
-		if sn.CountRel("E") != 0 {
+		if countRel(sn, "E") != 0 {
 			t.Fatal("uncommitted write visible to epoch snapshot")
 		}
 		facts := sn.VisibleFacts()
@@ -177,8 +174,8 @@ func TestEpochRefreshAfterLoad(t *testing.T) {
 			t.Fatal(err)
 		}
 		sn := b.EpochSnap()
-		if sn.CountRel("A") != 1 || sn.CountRel("B") != 1 {
-			t.Fatalf("epoch missed writer-0 loads: A=%d B=%d", sn.CountRel("A"), sn.CountRel("B"))
+		if countRel(sn, "A") != 1 || countRel(sn, "B") != 1 {
+			t.Fatalf("epoch missed writer-0 loads: A=%d B=%d", countRel(sn, "A"), countRel(sn, "B"))
 		}
 	})
 }

@@ -155,8 +155,8 @@ func FuzzEpochSnapshot(f *testing.F) {
 							}
 							return true
 						})
-						sn.CountRel(rel)
-						sn.CandidatesByValue(rel, 0, model.Const("v1"), new([1]TupleID))
+						countRel(sn, rel)
+						sn.ProbeRows(rel, 0, model.Const("v1"), nil, nil)
 					}
 					sn.VisibleFacts()
 				}

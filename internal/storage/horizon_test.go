@@ -37,18 +37,17 @@ func TestCommitTrimsHistory(t *testing.T) {
 	}
 	mustAudit(t, st)
 	sn := st.Snap(maxReader)
-	var one [1]TupleID
-	if ids := sn.TuplesWithNull(x); len(ids) != 0 || len(st.nullIDs(x, &one)) != 0 {
-		t.Fatalf("replaced null still indexed: %v", st.nullIDs(x, &one))
+	if ids := sn.TuplesWithNull(x); len(ids) != 0 || len(st.appendNullIDs(nil, x)) != 0 {
+		t.Fatalf("replaced null still indexed: %v", st.appendNullIDs(nil, x))
 	}
-	if ids := sn.CandidatesByValue("R", 0, model.Const("g"), &one); slices.Contains(ids, gone) {
+	if ids := indexIDs(st, "R", 0, model.Const("g")); slices.Contains(ids, gone) {
 		t.Fatalf("deleted tuple still indexed: %v", ids)
 	}
 	if vals, ok := sn.Get(keep); !ok || vals[1] != model.Const("c") {
 		t.Fatalf("kept tuple reads %v, %v", vals, ok)
 	}
-	if _, ok := sn.Rel(gone); ok {
-		t.Fatal("deleted tuple still resolves to its relation")
+	if _, ok := st.stripeOf(gone).find(gone); ok {
+		t.Fatal("deleted tuple is still a member of its relation")
 	}
 }
 
@@ -335,8 +334,8 @@ func render(sn *Snapshot) string {
 	for _, rel := range []string{"A", "B"} {
 		sn.ScanRel(rel, func(id TupleID, vals []model.Value) bool {
 			t := model.Tuple{Rel: rel, Vals: vals}
-			fmt.Fprintf(&b, "%d %s lookup=%v more=%v\n", id, t, sn.LookupContent(t),
-				sn.MoreSpecific(model.NewTuple(rel, vals[0], model.Null(99))))
+			fmt.Fprintf(&b, "%d %s lookup=%v more=%v\n", id, t, lookupContent(sn, t),
+				sn.MoreSpecificInto(model.NewTuple(rel, vals[0], model.Null(99)), nil))
 			return true
 		})
 	}
@@ -347,11 +346,7 @@ func render(sn *Snapshot) string {
 	}
 	for c := 0; c < 4; c++ {
 		v := model.Const(fmt.Sprintf("c%d", c))
-		cands := slices.DeleteFunc(slices.Clone(sn.CandidatesByValue("A", 0, v, new([1]TupleID))), func(id TupleID) bool {
-			vals, ok := sn.Get(id)
-			return !ok || vals[0] != v
-		})
-		fmt.Fprintf(&b, "A.x=%s %v\n", v, cands)
+		fmt.Fprintf(&b, "A.x=%s %v\n", v, rowIDs(sn, "A", 0, v))
 	}
 	return b.String()
 }

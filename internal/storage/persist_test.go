@@ -86,7 +86,7 @@ func TestCommitHookVetoLeavesStoreUnchanged(t *testing.T) {
 	if err := st.CommitBatch([]int{1}); !errors.Is(err, veto) {
 		t.Fatalf("CommitBatch = %v, want the veto", err)
 	}
-	if st.EpochSnap().ContainsContent(model.NewTuple("A", model.Const("x"))) {
+	if contains(st.EpochSnap(), model.NewTuple("A", model.Const("x"))) {
 		t.Fatal("vetoed writer's insert is in the committed state")
 	}
 	if got := len(st.WritesOf(1)); got != 1 {
@@ -107,7 +107,7 @@ func TestCommitBatchAsyncAckContract(t *testing.T) {
 	if ack != nil {
 		t.Fatal("in-memory commit returned an ack")
 	}
-	if !st.EpochSnap().ContainsContent(model.NewTuple("A", model.Const("x"))) {
+	if !contains(st.EpochSnap(), model.NewTuple("A", model.Const("x"))) {
 		t.Fatal("async commit did not commit")
 	}
 
@@ -131,7 +131,7 @@ func TestCommitBatchAsyncAckContract(t *testing.T) {
 	// The ack failure does NOT roll back the in-memory commit: the
 	// batch is committed but unacknowledged (callers surface the
 	// error; the backend refuses further commits).
-	if !st2.EpochSnap().ContainsContent(model.NewTuple("A", model.Const("x"))) {
+	if !contains(st2.EpochSnap(), model.NewTuple("A", model.Const("x"))) {
 		t.Fatal("ack failure rolled back the in-memory commit")
 	}
 }

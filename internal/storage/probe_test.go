@@ -9,8 +9,8 @@ import (
 
 // FuzzMoreSpecificProbe checks the forward chase's existence probe
 // against the list it stands in for: AnyMoreSpecific(t) must equal
-// len(MoreSpecific(t)) > 0, and MoreSpecific must equal a scan of the
-// relation, on every view a random store offers.
+// len(MoreSpecificInto(t, nil)) > 0, and MoreSpecificInto must equal a
+// scan of the relation, on every view a random store offers.
 //
 // Two bytes decode to one operation of one of four writer slots over
 // two relations of arity 3: inserts and content deletes of tuples over
@@ -141,12 +141,12 @@ func FuzzMoreSpecificProbe(f *testing.F) {
 							want = append(want, r.id)
 						}
 					}
-					got := sn.MoreSpecific(pt)
+					got := sn.MoreSpecificInto(pt, nil)
 					if !slices.Equal(got, want) {
-						t.Fatalf("reader %d: MoreSpecific(%s) = %v, scan finds %v", sn.Reader(), pt, got, want)
+						t.Fatalf("reader %d: MoreSpecificInto(%s) = %v, scan finds %v", sn.Reader(), pt, got, want)
 					}
 					if exists := sn.AnyMoreSpecific(pt); exists != (len(got) > 0) {
-						t.Fatalf("reader %d: AnyMoreSpecific(%s) = %v, MoreSpecific = %v", sn.Reader(), pt, exists, got)
+						t.Fatalf("reader %d: AnyMoreSpecific(%s) = %v, MoreSpecificInto = %v", sn.Reader(), pt, exists, got)
 					}
 				}
 			}

@@ -83,14 +83,17 @@ func TestStoreConcurrentStress(t *testing.T) {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
+			var rows []Row
 			for i := 0; i < iters; i++ {
 				snap := st.Snap(r * 3)
-				snap.CountRel("R")
+				countRel(snap, "R")
 				snap.VisibleFacts()
-				snap.MoreSpecific(model.NewTuple("R", model.Const("w1-0"), st.FreshNull()))
-				for _, id := range snap.RelIDs("S") {
-					snap.Get(id)
-					snap.GetTuple(id)
+				snap.MoreSpecificInto(model.NewTuple("R", model.Const("w1-0"), st.FreshNull()), nil)
+				rows, _ = snap.ProbeRows("R", 1, model.Const("seed"), rows[:0], nil)
+				rows, _ = snap.ProbeRows("S", -1, model.Value{}, rows[:0], nil)
+				for _, row := range rows {
+					snap.Get(row.ID)
+					snap.GetTuple(row.ID)
 				}
 				st.UncommittedWrites()
 				st.UncommittedWritersOf("R")
@@ -105,10 +108,10 @@ func TestStoreConcurrentStress(t *testing.T) {
 	wg.Wait()
 
 	// All writers aborted: only the committed initial load survives.
-	if got := st.Snap(1 << 30).CountRel("R"); got != 10 {
+	if got := countRel(st.Snap(1<<30), "R"); got != 10 {
 		t.Fatalf("R count after all aborts = %d, want 10", got)
 	}
-	if got := st.Snap(1 << 30).CountRel("S"); got != 0 {
+	if got := countRel(st.Snap(1<<30), "S"); got != 0 {
 		t.Fatalf("S count after all aborts = %d, want 0", got)
 	}
 	if ws := st.UncommittedWrites(); len(ws) != 0 {
@@ -155,7 +158,7 @@ func TestStoreConcurrentCommitAbort(t *testing.T) {
 	}()
 	wg.Wait()
 	want := 3 * rounds // the even writers committed one tuple each
-	if got := st.Snap(1 << 30).CountRel("R"); got != want {
+	if got := countRel(st.Snap(1<<30), "R"); got != want {
 		t.Fatalf("committed R count = %d, want %d", got, want)
 	}
 	mustAudit(t, st)

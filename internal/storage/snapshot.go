@@ -183,16 +183,6 @@ func (sn *Snapshot) Get(id TupleID) ([]model.Value, bool) {
 	return sn.getInStripe(s, id)
 }
 
-// getLocked resolves a tuple under already-held locks (the caller
-// holds the owning stripe's lock, directly or via lockAll).
-func (sn *Snapshot) getLocked(id TupleID) ([]model.Value, bool) {
-	s := sn.store.stripeOf(id)
-	if s == nil {
-		return nil, false
-	}
-	return sn.getInStripe(s, id)
-}
-
 func (sn *Snapshot) getInStripe(s *stripe, id TupleID) ([]model.Value, bool) {
 	i, ok := s.find(id)
 	if !ok {
@@ -226,33 +216,63 @@ func (sn *Snapshot) GetTuple(id TupleID) (model.Tuple, bool) {
 	return model.Tuple{Rel: s.rel, Vals: vals}, true
 }
 
-// Rel returns the relation a tuple ID belongs to, regardless of
-// visibility.
-func (sn *Snapshot) Rel(id TupleID) (string, bool) {
-	s := sn.store.stripeOf(id)
-	if s == nil {
-		return "", false
-	}
-	sn.rlock(s)
-	defer sn.runlock(s)
-	if _, ok := s.find(id); !ok {
-		return "", false
-	}
-	return s.rel, true
+// Row is a visible tuple as a probe returns it: its ID and its values,
+// the version's own immutable array, which callers must not modify.
+type Row struct {
+	ID   TupleID
+	Vals []model.Value
 }
 
-// RelIDs returns the IDs of every tuple of the relation (visible or
-// not) in ascending order. Callers must verify visibility via Get and
-// must not modify the slice; it is the cheapest candidate source for
-// unconstrained scans, whatever the snapshot's filters.
-func (sn *Snapshot) RelIDs(rel string) []TupleID {
+// ProbeRows appends to dst, in ascending ID order, the visible tuples of
+// rel whose column col holds v — every visible tuple when col < 0 —
+// that keep takes, and returns dst with the number of candidates the
+// probe had: the members the column's index lists under v's key, or
+// all the relation's members for a scan, visible or not. keep reports
+// whether to take a row and whether the probe stops there; a nil keep
+// takes every row. One stripe read lock covers the whole probe and keep
+// runs under it, so keep must not call back into the store: a join
+// step passes its match, and only rows that can match are copied.
+func (sn *Snapshot) ProbeRows(rel string, col int, v model.Value, dst []Row, keep func(vals []model.Value) (take, stop bool)) ([]Row, int) {
 	s := sn.store.stripes[rel]
-	if s == nil {
-		return nil
+	if s == nil || col >= len(s.valIdx) {
+		return dst, 0
 	}
 	sn.rlock(s)
 	defer sn.runlock(s)
-	return s.ids
+	stop := false
+	if col < 0 {
+		for i, id := range s.ids {
+			if vals, ok := sn.visibleAt(s, i); ok {
+				if dst, stop = probeRow(dst, id, vals, keep); stop {
+					break
+				}
+			}
+		}
+		return dst, len(s.ids)
+	}
+	var one [1]TupleID
+	cands := s.valIdx[col].get(sn.store.key(v.Hash()), &one)
+	for _, id := range cands {
+		if vals, ok := sn.getInStripe(s, id); ok && vals[col] == v {
+			if dst, stop = probeRow(dst, id, vals, keep); stop {
+				break
+			}
+		}
+	}
+	return dst, len(cands)
+}
+
+// probeRow appends the row (id, vals) to dst when keep takes it, and
+// reports whether keep stops the probe.
+func probeRow(dst []Row, id TupleID, vals []model.Value, keep func([]model.Value) (take, stop bool)) ([]Row, bool) {
+	take, stop := true, false
+	if keep != nil {
+		take, stop = keep(vals)
+	}
+	if take {
+		dst = append(dst, Row{id, vals})
+	}
+	return dst, stop
 }
 
 // ScanRel calls fn for every visible tuple of the relation in tuple-ID
@@ -278,14 +298,6 @@ func (sn *Snapshot) scanStripe(s *stripe, fn func(id TupleID, vals []model.Value
 	}
 }
 
-// CountRel returns the number of visible tuples in the relation: a
-// scan of the relation under its stripe read lock.
-func (sn *Snapshot) CountRel(rel string) int {
-	n := 0
-	sn.ScanRel(rel, func(TupleID, []model.Value) bool { n++; return true })
-	return n
-}
-
 // RelStats summarizes a relation for the query planner: a row count
 // plus, per column, the distinct-value fanout. Live / Distinct[c]
 // estimates the candidate list an equality probe on column c returns.
@@ -299,18 +311,11 @@ type RelStats struct {
 	Distinct []int
 }
 
-// RelStats returns cardinality statistics for the relation, counted
-// off its live stripe and value index under the stripe read lock; a
-// plan asks once per join order it computes. The numbers describe what
-// the stripe holds, not the snapshot's visibility — they feed ordering
-// heuristics, never correctness.
-func (sn *Snapshot) RelStats(rel string) RelStats {
-	var st RelStats
-	sn.RelStatsInto(rel, &st)
-	return st
-}
-
-// RelStatsInto is RelStats writing into st and reusing the array of
+// RelStatsInto writes cardinality statistics for the relation into st,
+// counted off its live stripe and value index under the stripe read
+// lock; a plan asks once per join order it computes. The numbers
+// describe what the stripe holds, not the snapshot's visibility — they
+// feed ordering heuristics, never correctness. It reuses the array of
 // st.Distinct, so a caller that keeps st computes statistics without
 // allocating once the array is large enough.
 func (sn *Snapshot) RelStatsInto(rel string, st *RelStats) {
@@ -330,60 +335,13 @@ func (sn *Snapshot) RelStatsInto(rel string, st *RelStats) {
 	}
 }
 
-// CandidatesByValue returns, in ascending order, the IDs of tuples
-// that have some version with value v in column col of rel. Callers
-// must verify candidates against the snapshot via Get; the index
-// over-approximates across versions. A single candidate is returned in
-// one, the caller's buffer, so the probe allocates nothing; callers
-// must not modify the result.
-func (sn *Snapshot) CandidatesByValue(rel string, col int, v model.Value, one *[1]TupleID) []TupleID {
-	s := sn.store.stripes[rel]
-	if s == nil {
-		return nil
-	}
-	sn.rlock(s)
-	defer sn.runlock(s)
-	return sn.candidatesByValueInStripe(s, col, v, one)
-}
-
-func (sn *Snapshot) candidatesByValueInStripe(s *stripe, col int, v model.Value, one *[1]TupleID) []TupleID {
-	if col < 0 || col >= len(s.valIdx) {
-		return nil
-	}
-	return s.valIdx[col].get(sn.store.key(v.Hash()), one)
-}
-
-// LookupContent returns the IDs of visible tuples whose content equals
-// t, in ascending order (at most one unless duplicate content slipped
-// in through concurrent writers).
-func (sn *Snapshot) LookupContent(t model.Tuple) []TupleID {
-	s := sn.store.stripes[t.Rel]
-	if s == nil {
-		return nil
-	}
-	sn.rlock(s)
-	defer sn.runlock(s)
-	var out []TupleID
-	var one [1]TupleID
-	for _, id := range s.contentIdx.get(sn.store.contentKey(t.Vals), &one) {
-		if vals, ok := sn.getInStripe(s, id); ok && (model.Tuple{Rel: t.Rel, Vals: vals}).Equal(t) {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
-// ContainsContent reports whether a visible tuple with content t
-// exists.
-func (sn *Snapshot) ContainsContent(t model.Tuple) bool {
-	return len(sn.LookupContent(t)) > 0
-}
-
-// nullIDs returns the null index's members for x, a single one in one.
-func (st *Store) nullIDs(x model.Value, one *[1]TupleID) []TupleID {
+// appendNullIDs appends to dst the null index's members for x: a copy
+// taken under nullMu, as writers change the index's lists in place.
+func (st *Store) appendNullIDs(dst []TupleID, x model.Value) []TupleID {
 	st.nullMu.Lock()
 	defer st.nullMu.Unlock()
-	return st.nullIdx.get(x.Hash(), one)
+	var one [1]TupleID
+	return append(dst, st.nullIdx.get(x.Hash(), &one)...)
 }
 
 // TuplesWithNull returns, in ascending order, the IDs of visible
@@ -393,10 +351,10 @@ func (st *Store) nullIDs(x model.Value, one *[1]TupleID) []TupleID {
 // lock acquisition. ReplaceNull calls it through a snapshot minted
 // under every stripe lock.
 func (sn *Snapshot) TuplesWithNull(x model.Value) []TupleID {
-	var one [1]TupleID
-	var out []TupleID
+	ids := sn.store.appendNullIDs(nil, x)
+	out := ids[:0] // filtered in place
 	var cur *stripe
-	for _, id := range sn.store.nullIDs(x, &one) {
+	for _, id := range ids {
 		s := sn.store.stripeOf(id)
 		if s == nil {
 			continue
@@ -425,23 +383,23 @@ func (sn *Snapshot) TuplesWithNull(x model.Value) []TupleID {
 	return out
 }
 
-// MoreSpecific returns the visible tuples of t's relation that are
-// more specific than t (Definition 2.4), excluding exact duplicates of
-// t, in ascending ID order. This is the correction query the forward
-// chase asks for each generated tuple (§4.2).
+// MoreSpecificInto appends to dst the visible tuples of t's relation
+// that are more specific than t (Definition 2.4), excluding exact
+// duplicates of t, in ascending ID order, and returns dst. This is the
+// correction query the forward chase asks for each generated tuple
+// (§4.2); a caller that reuses dst asks it without allocating.
 //
 // Candidate narrowing uses the most selective constant position of t;
 // if t has no constants the relation is scanned.
-func (sn *Snapshot) MoreSpecific(t model.Tuple) []TupleID {
-	var out []TupleID
+func (sn *Snapshot) MoreSpecificInto(t model.Tuple, dst []TupleID) []TupleID {
 	sn.walkMoreSpecific(t, func(id TupleID) bool {
-		out = append(out, id)
+		dst = append(dst, id)
 		return true
 	})
-	return out
+	return dst
 }
 
-// AnyMoreSpecific reports whether MoreSpecific(t) is non-empty: the
+// AnyMoreSpecific reports whether MoreSpecificInto finds a tuple: the
 // same walk, stopped at the first hit.
 func (sn *Snapshot) AnyMoreSpecific(t model.Tuple) bool {
 	found := false
@@ -453,7 +411,7 @@ func (sn *Snapshot) AnyMoreSpecific(t model.Tuple) bool {
 }
 
 // walkMoreSpecific calls fn, in ascending ID order, for every tuple
-// MoreSpecific(t) returns, until fn returns false.
+// MoreSpecificInto(t) appends, until fn returns false.
 func (sn *Snapshot) walkMoreSpecific(t model.Tuple, fn func(TupleID) bool) {
 	s := sn.store.stripes[t.Rel]
 	if s == nil {
@@ -480,7 +438,7 @@ func (sn *Snapshot) walkMoreSpecific(t model.Tuple, fn func(TupleID) bool) {
 	}
 	if bestCol >= 0 {
 		var one [1]TupleID
-		for _, id := range sn.candidatesByValueInStripe(s, bestCol, t.Vals[bestCol], &one) {
+		for _, id := range s.valIdx[bestCol].get(sn.store.key(t.Vals[bestCol].Hash()), &one) {
 			if vals, ok := sn.getInStripe(s, id); ok && !check(id, vals) {
 				return
 			}

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"slices"
 	"testing"
 
 	"youtopia/internal/model"
@@ -38,30 +39,106 @@ func TestSnapshotScanRelDeterministic(t *testing.T) {
 	}
 }
 
+// rowIDs returns the IDs of the rows ProbeRows gives for (rel, col, v)
+// with no filter: the visible tuples whose column col holds v, every
+// visible tuple when col < 0.
+func rowIDs(sn *Snapshot, rel string, col int, v model.Value) []TupleID {
+	rows, _ := sn.ProbeRows(rel, col, v, nil, nil)
+	var ids []TupleID
+	for _, row := range rows {
+		ids = append(ids, row.ID)
+	}
+	return ids
+}
+
+// countRel returns the number of tuples of rel visible in sn.
+func countRel(sn *Snapshot, rel string) int { return len(rowIDs(sn, rel, -1, model.Value{})) }
+
+// lookupContent returns the IDs of the visible tuples whose content
+// equals t: a scan that keeps the equal rows.
+func lookupContent(sn *Snapshot, t model.Tuple) []TupleID {
+	rows, _ := sn.ProbeRows(t.Rel, -1, model.Value{}, nil, func(vals []model.Value) (bool, bool) {
+		return slices.Equal(vals, t.Vals), false
+	})
+	var ids []TupleID
+	for _, row := range rows {
+		ids = append(ids, row.ID)
+	}
+	return ids
+}
+
+// contains reports whether a tuple with t's content is visible in sn.
+func contains(sn *Snapshot, t model.Tuple) bool { return len(lookupContent(sn, t)) > 0 }
+
+// indexIDs returns a copy of the members the stripe index of rel's
+// column col lists under v's key, visible or not: what the index
+// holds, which the probes then check against the versions.
+func indexIDs(st *Store, rel string, col int, v model.Value) []TupleID {
+	s := st.stripes[rel]
+	s.rlock()
+	defer s.runlock()
+	var one [1]TupleID
+	return slices.Clone(s.valIdx[col].get(st.key(v.Hash()), &one))
+}
+
 func TestSnapshotCountRel(t *testing.T) {
 	st := NewStore(testSchema())
 	st.Load(tup("C", c("a")))
 	st.Load(tup("C", c("b")))
 	st.DeleteContent(3, tup("C", c("a")))
-	if got := st.Snap(0).CountRel("C"); got != 2 {
-		t.Fatalf("CountRel(0) = %d", got)
+	if got := countRel(st.Snap(0), "C"); got != 2 {
+		t.Fatalf("count at reader 0 = %d", got)
 	}
-	if got := st.Snap(3).CountRel("C"); got != 1 {
-		t.Fatalf("CountRel(3) = %d", got)
+	if got := countRel(st.Snap(3), "C"); got != 1 {
+		t.Fatalf("count at reader 3 = %d", got)
 	}
 }
 
-func TestSnapshotCandidatesByValue(t *testing.T) {
+// TestSnapshotProbeRows checks a probe's rows and its count of
+// candidates examined: by value, by a value the index folds onto a
+// colliding key, as a scan, filtered by keep, on an out-of-range
+// column and an undeclared relation.
+func TestSnapshotProbeRows(t *testing.T) {
 	st := NewStore(testSchema())
 	id1, _ := st.Load(tup("S", c("SYR"), c("Syracuse"), c("Ithaca")))
-	st.Load(tup("S", c("JFK"), c("NYC"), c("NYC")))
-	var one [1]TupleID
-	got := st.Snap(0).CandidatesByValue("S", 0, c("SYR"), &one)
-	if len(got) != 1 || got[0] != id1 {
-		t.Fatalf("candidates = %v", got)
+	id2, _ := st.Load(tup("S", c("JFK"), c("NYC"), c("NYC")))
+	st.DeleteContent(3, tup("S", c("JFK"), c("NYC"), c("NYC")))
+	snap := st.Snap(0)
+	rows, n := snap.ProbeRows("S", 0, c("SYR"), nil, nil)
+	if len(rows) != 1 || rows[0].ID != id1 || !slices.Equal(rows[0].Vals, []model.Value{c("SYR"), c("Syracuse"), c("Ithaca")}) || n != 1 {
+		t.Fatalf("probe rows = %v, %d examined", rows, n)
 	}
-	if got := st.Snap(0).CandidatesByValue("S", 7, c("SYR"), &one); got != nil {
-		t.Fatalf("out-of-range column returned %v", got)
+	rows, n = snap.ProbeRows("S", -1, model.Value{}, rows[:0], nil)
+	if len(rows) != 2 || rows[0].ID != id1 || rows[1].ID != id2 || n != 2 {
+		t.Fatalf("scan rows = %v, %d examined", rows, n)
+	}
+	// Reader 3 deleted JFK: the scan still examines it, and drops it.
+	if rows, n := st.Snap(3).ProbeRows("S", -1, model.Value{}, nil, nil); len(rows) != 1 || n != 2 {
+		t.Fatalf("scan at reader 3 = %v, %d examined", rows, n)
+	}
+	keepNYC := func(vals []model.Value) (bool, bool) { return vals[2] == c("NYC"), false }
+	if rows, n := snap.ProbeRows("S", -1, model.Value{}, nil, keepNYC); len(rows) != 1 || rows[0].ID != id2 || n != 2 {
+		t.Fatalf("filtered scan = %v, %d examined", rows, n)
+	}
+	stopFirst := func([]model.Value) (bool, bool) { return true, true }
+	if rows, n := snap.ProbeRows("S", -1, model.Value{}, nil, stopFirst); len(rows) != 1 || rows[0].ID != id1 || n != 2 {
+		t.Fatalf("scan stopped at its first row = %v, %d examined", rows, n)
+	}
+	if rows, n := snap.ProbeRows("S", 7, c("SYR"), nil, nil); rows != nil || n != 0 {
+		t.Fatalf("out-of-range column returned %v, %d examined", rows, n)
+	}
+	if rows, n := snap.ProbeRows("Nope", -1, model.Value{}, nil, nil); rows != nil || n != 0 {
+		t.Fatalf("undeclared relation returned %v, %d examined", rows, n)
+	}
+
+	// Every value folds onto one key: the index lists both tuples under
+	// SYR's, and the probe returns only the one that holds it.
+	collide := NewStore(testSchema())
+	collide.collideKeys = true
+	syr, _ := collide.Load(tup("S", c("SYR"), c("Syracuse"), c("Ithaca")))
+	collide.Load(tup("S", c("JFK"), c("NYC"), c("NYC")))
+	if rows, n := collide.Snap(0).ProbeRows("S", 0, c("SYR"), nil, nil); len(rows) != 1 || rows[0].ID != syr || n != 2 {
+		t.Fatalf("probe under a colliding key = %v, %d examined", rows, n)
 	}
 }
 
@@ -72,15 +149,8 @@ func TestSnapshotGetTupleAndRel(t *testing.T) {
 	if !ok || tp.String() != "C(a)" {
 		t.Fatalf("GetTuple = %v %v", tp, ok)
 	}
-	rel, ok := st.Snap(0).Rel(id)
-	if !ok || rel != "C" {
-		t.Fatalf("Rel = %v %v", rel, ok)
-	}
 	if _, ok := st.Snap(0).GetTuple(999); ok {
 		t.Fatal("GetTuple on unknown id")
-	}
-	if _, ok := st.Snap(0).Rel(999); ok {
-		t.Fatal("Rel on unknown id")
 	}
 }
 
@@ -93,13 +163,13 @@ func TestSnapshotMoreSpecific(t *testing.T) {
 	// Pattern with a constant: S(x9, x10, NYC) — matches both NYC
 	// tuples (one ground, one with nulls), but not itself duplicates.
 	pattern := tup("S", n(9), n(10), c("NYC"))
-	got := st.Snap(0).MoreSpecific(pattern)
+	got := st.Snap(0).MoreSpecificInto(pattern, nil)
 	if len(got) != 2 || got[0] != idNYC || got[1] != idNull {
 		t.Fatalf("MoreSpecific = %v, want [%d %d]", got, idNYC, idNull)
 	}
 
 	// The exact same content is excluded.
-	got = st.Snap(0).MoreSpecific(tup("S", n(1), n(2), c("NYC")))
+	got = st.Snap(0).MoreSpecificInto(tup("S", n(1), n(2), c("NYC")), nil)
 	if len(got) != 1 || got[0] != idNYC {
 		t.Fatalf("MoreSpecific excluding self = %v", got)
 	}
@@ -109,7 +179,7 @@ func TestSnapshotMoreSpecificNoConstants(t *testing.T) {
 	st := NewStore(testSchema())
 	idA, _ := st.Load(tup("C", c("a")))
 	idN, _ := st.Load(tup("C", n(5)))
-	got := st.Snap(0).MoreSpecific(tup("C", n(9)))
+	got := st.Snap(0).MoreSpecificInto(tup("C", n(9)), nil)
 	if len(got) != 2 || got[0] != idA || got[1] != idN {
 		t.Fatalf("MoreSpecific full scan = %v", got)
 	}
@@ -120,7 +190,7 @@ func TestSnapshotMoreSpecificRepeatedNullConstraint(t *testing.T) {
 	idAA, _ := st.Load(tup("R", c("a"), c("a")))
 	st.Load(tup("R", c("a"), c("b")))
 	// R(x1, x1) demands equal values positionwise.
-	got := st.Snap(0).MoreSpecific(tup("R", n(1), n(1)))
+	got := st.Snap(0).MoreSpecificInto(tup("R", n(1), n(1)), nil)
 	if len(got) != 1 || got[0] != idAA {
 		t.Fatalf("MoreSpecific = %v", got)
 	}
@@ -179,11 +249,11 @@ func TestVisibleFacts(t *testing.T) {
 func TestLookupContent(t *testing.T) {
 	st := NewStore(testSchema())
 	id, _ := st.Load(tup("C", c("a")))
-	got := st.Snap(0).LookupContent(tup("C", c("a")))
+	got := lookupContent(st.Snap(0), tup("C", c("a")))
 	if len(got) != 1 || got[0] != id {
-		t.Fatalf("LookupContent = %v", got)
+		t.Fatalf("lookup = %v", got)
 	}
-	if got := st.Snap(0).LookupContent(tup("C", c("zzz"))); len(got) != 0 {
-		t.Fatalf("LookupContent miss = %v", got)
+	if got := lookupContent(st.Snap(0), tup("C", c("zzz"))); len(got) != 0 {
+		t.Fatalf("lookup miss = %v", got)
 	}
 }

@@ -7,6 +7,13 @@ import (
 	"youtopia/internal/model"
 )
 
+// relStats returns RelStatsInto's statistics for rel.
+func relStats(sn *Snapshot, rel string) RelStats {
+	var st RelStats
+	sn.RelStatsInto(rel, &st)
+	return st
+}
+
 // TestRelStats checks the planner statistics: live counts and
 // per-column distinct fanout, read off the live stripe for both
 // snapshot flavors — a committed-state snapshot reports what the
@@ -24,17 +31,17 @@ func TestRelStats(t *testing.T) {
 
 	check := func(name string, sn *Snapshot, live, distinct0 int) {
 		t.Helper()
-		got := sn.RelStats("A")
+		got := relStats(sn, "A")
 		if got.Live != live {
 			t.Fatalf("%s: Live = %d, want %d", name, got.Live, live)
 		}
 		if len(got.Distinct) != 2 || got.Distinct[0] != distinct0 || got.Distinct[1] != 3 {
 			t.Fatalf("%s: Distinct = %v, want [%d 3]", name, got.Distinct, distinct0)
 		}
-		if e := sn.RelStats("Empty"); e.Live != 0 || e.Distinct != nil {
+		if e := relStats(sn, "Empty"); e.Live != 0 || e.Distinct != nil {
 			t.Fatalf("%s: empty relation stats = %+v", name, e)
 		}
-		if u := sn.RelStats("NoSuchRel"); u.Live != 0 {
+		if u := relStats(sn, "NoSuchRel"); u.Live != 0 {
 			t.Fatalf("%s: unknown relation stats = %+v", name, u)
 		}
 	}

@@ -87,7 +87,10 @@
 //
 //   - nullIdx (labeled-null occurrences cross relations) is guarded by
 //     nullMu, a leaf lock acquired while holding a stripe lock; no
-//     stripe lock is ever acquired while holding nullMu.
+//     stripe lock is ever acquired while holding nullMu. Writers change
+//     its lists in place, so a reader copies the IDs it needs into its
+//     own buffer under nullMu (appendNullIDs) and checks them against
+//     the stripes only after releasing it.
 //   - the set of stripes each uncommitted writer has written is
 //     guarded by commitMu, a leaf lock below the stripe locks.
 //   - Abort and CommitBatch lock exactly the stripes their writers
@@ -251,11 +254,11 @@ const chained = -1
 // two or more, a marker (writer chained) whose chain, sorted ascending
 // by (writer, seq), is chains[ids[i]]. A chain that a commit, a trim or
 // an abort brings back to one version returns to its slot. Readers find
-// a tuple by binary search over ids. ids keeps the rule of postings for
-// the readers who share it; recs and chains are changed in place under
-// the write lock, so a pointer into either, or a position in ids, does
-// not outlive a mutation of the stripe: code looks the tuple up again
-// by ID after any insert, removal or trim.
+// a tuple by binary search over ids. ids, recs and chains are changed
+// in place under the write lock, as the index lists are (see postings),
+// so a slice of ids, a pointer into recs or chains, or a position in
+// ids does not outlive the lock it was read under: code looks the tuple
+// up again by ID after any insert, removal or trim.
 type stripe struct {
 	rel string
 	idx int
@@ -266,7 +269,7 @@ type stripe struct {
 	mu sync.RWMutex
 
 	nextLocal int64
-	ids       []TupleID // members of the relation, visible or not; see postings
+	ids       []TupleID // members of the relation, visible or not
 	recs      []version // aligned with ids
 	chains    map[TupleID][]version
 
@@ -366,7 +369,7 @@ func (s *stripe) setChain(i int, vs []version) {
 // addMember makes id, which is not a member and would sit at position
 // i, one with the single version v. Callers hold the write lock.
 func (s *stripe) addMember(i int, id TupleID, v version) {
-	s.ids = addID(s.ids, id)
+	s.ids = slices.Insert(s.ids, i, id)
 	s.recs = slices.Insert(s.recs, i, v)
 }
 
@@ -376,7 +379,7 @@ func (s *stripe) removeMember(i int) {
 	if s.recs[i].writer == chained {
 		delete(s.chains, s.ids[i])
 	}
-	s.ids = removeID(s.ids, s.ids[i])
+	s.ids = slices.Delete(s.ids, i, i+1)
 	s.recs = slices.Delete(s.recs, i, i+1)
 }
 
@@ -902,7 +905,7 @@ func (st *Store) ReplaceNull(writer int, x, to model.Value) ([]WriteRec, error) 
 	}
 	var hits []hit
 	for _, id := range snap.TuplesWithNull(x) {
-		vals, ok := snap.getLocked(id)
+		vals, ok := snap.getInStripe(st.stripeOf(id), id)
 		if !ok {
 			continue
 		}

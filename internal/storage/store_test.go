@@ -141,7 +141,7 @@ func TestDeleteContent(t *testing.T) {
 	if err != nil || len(recs) != 1 {
 		t.Fatalf("DeleteContent: %v %v", recs, err)
 	}
-	if st.Snap(1).ContainsContent(tup("C", c("Ithaca"))) {
+	if contains(st.Snap(1), tup("C", c("Ithaca"))) {
 		t.Fatal("content still present")
 	}
 	// Absent content deletes nothing.
@@ -336,7 +336,7 @@ func TestAbortKeepsWriterLiveUntilLocked(t *testing.T) {
 	if len(seen) != 1 || seen[0] != c("a") {
 		t.Fatalf("committed scan during an abort yielded %v, want only [a]", seen)
 	}
-	if got := st.EpochSnap().CountRel("C"); got != 1 {
+	if got := countRel(st.EpochSnap(), "C"); got != 1 {
 		t.Fatalf("committed tuples after the abort = %d, want 1", got)
 	}
 }
@@ -351,7 +351,7 @@ func TestCommitRetiresLogs(t *testing.T) {
 		t.Fatalf("UncommittedWrites = %v", got)
 	}
 	st.Commit(1)
-	if !st.EpochSnap().ContainsContent(tup("C", c("a"))) {
+	if !contains(st.EpochSnap(), tup("C", c("a"))) {
 		t.Fatal("committed insert missing from the committed state")
 	}
 	if got := st.UncommittedWritersOf("C"); len(got) != 0 {
@@ -393,7 +393,7 @@ func TestCommitBatchRetiresAllWriters(t *testing.T) {
 	}
 	st.CommitBatch([]int{1, 2, 3})
 	for w := 1; w <= 3; w++ {
-		if !st.EpochSnap().ContainsContent(written[w-1]) {
+		if !contains(st.EpochSnap(), written[w-1]) {
 			t.Fatalf("writer %d not committed by batch", w)
 		}
 		if logs := st.WritesOf(w); len(logs) != 0 {
@@ -514,12 +514,10 @@ func TestIDSpaceExhausted(t *testing.T) {
 		if top != s.base()|maxLocalID {
 			t.Fatalf("last ID %#x, want counter %d in stripe %d", top, maxLocalID, s.idx)
 		}
-		var one [1]TupleID
-		snap := st.Snap(1)
-		if got := snap.CandidatesByValue("R", 0, c("a"), &one); !slices.Equal(got, []TupleID{low, top}) {
+		if got := indexIDs(st, "R", 0, c("a")); !slices.Equal(got, []TupleID{low, top}) {
 			t.Fatalf("candidates for a: %v, want [%d %d]", got, low, top)
 		}
-		if got := snap.CandidatesByValue("R", 1, c("c"), &one); !slices.Equal(got, []TupleID{top}) {
+		if got := indexIDs(st, "R", 1, c("c")); !slices.Equal(got, []TupleID{top}) {
 			t.Fatalf("candidates for c: %v, want [%d]", got, top)
 		}
 		before, fresh := st.Dump(1), st.NullMark()
@@ -533,7 +531,7 @@ func TestIDSpaceExhausted(t *testing.T) {
 		}
 		mustAudit(t, st)
 		st.Abort(1)
-		if got := st.Snap(1).CandidatesByValue("R", 0, c("a"), &one); !slices.Equal(got, []TupleID{low}) {
+		if got := indexIDs(st, "R", 0, c("a")); !slices.Equal(got, []TupleID{low}) {
 			t.Fatalf("candidates for a after the abort: %v, want [%d]", got, low)
 		}
 		mustAudit(t, st)

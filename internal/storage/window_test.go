@@ -64,16 +64,16 @@ func TestWithWindowAdmitsOthersWrites(t *testing.T) {
 	reader := st.Snap(2)
 	// Pure ceiling: neither write visible.
 	past := ceiled(reader, readSeq)
-	if past.ContainsContent(tup("C", c("mine"))) || past.ContainsContent(tup("C", c("theirs"))) {
+	if contains(past, tup("C", c("mine"))) || contains(past, tup("C", c("theirs"))) {
 		t.Fatal("ceiling leaked post-read writes")
 	}
 	// Window up to w1: the other writer's insert is admitted, the
 	// reader's own later write stays hidden.
 	win := windowed(reader, readSeq, w1.Seq)
-	if !win.ContainsContent(tup("C", c("theirs"))) {
+	if !contains(win, tup("C", c("theirs"))) {
 		t.Fatal("window must admit the other writer's write")
 	}
-	if win.ContainsContent(tup("C", c("mine"))) {
+	if contains(win, tup("C", c("mine"))) {
 		t.Fatal("window must hide the reader's own post-read write")
 	}
 	_ = w2
@@ -87,10 +87,10 @@ func TestWithWindowRespectsUpperBound(t *testing.T) {
 	_, wB, _, _ := st.Insert(1, tup("C", c("b")))
 
 	win := windowed(st.Snap(5), readSeq, wA.Seq)
-	if !win.ContainsContent(tup("C", c("a"))) {
+	if !contains(win, tup("C", c("a"))) {
 		t.Fatal("wA inside window")
 	}
-	if win.ContainsContent(tup("C", c("b"))) {
+	if contains(win, tup("C", c("b"))) {
 		t.Fatal("wB beyond window must be hidden")
 	}
 	_ = wB
@@ -102,7 +102,7 @@ func TestWindowStillRespectsPriorities(t *testing.T) {
 	_, w9, _, _ := st.Insert(9, tup("C", c("hi")))
 	// Reader 5's window never admits writer 9.
 	win := windowed(st.Snap(5), readSeq, w9.Seq)
-	if win.ContainsContent(tup("C", c("hi"))) {
+	if contains(win, tup("C", c("hi"))) {
 		t.Fatal("priority visibility violated inside window")
 	}
 }
@@ -135,7 +135,7 @@ func TestReplaceNullCollapsesDuplicates(t *testing.T) {
 		t.Fatalf("expected a collapse tombstone, got %v", recs)
 	}
 	snap := st.Snap(1)
-	if got := snap.LookupContent(tup("C", c("Ithaca"))); len(got) != 1 {
+	if got := lookupContent(snap, tup("C", c("Ithaca"))); len(got) != 1 {
 		t.Fatalf("duplicate content after collapse: %v", got)
 	}
 	mustAudit(t, st)
@@ -160,7 +160,7 @@ func TestReplaceNullCollapsesWithinBatch(t *testing.T) {
 	if len(recs) != 1 || recs[0].Op != OpDelete {
 		t.Fatalf("expected collapse, got %v", recs)
 	}
-	if got := st2.Snap(1).LookupContent(tup("R", n(7), c("v"))); len(got) != 1 {
+	if got := lookupContent(st2.Snap(1), tup("R", n(7), c("v"))); len(got) != 1 {
 		t.Fatalf("copies = %v", got)
 	}
 	mustAudit(t, st2)

@@ -239,7 +239,7 @@ func TestCheckpointUnderCommitsThenCrash(t *testing.T) {
 	}
 	sn := st2.Snap(allSeeing)
 	for _, key := range acked {
-		if !sn.ContainsContent(tup("C", c(key))) || !sn.ContainsContent(tup("S", c(key), c("loc"), c(key))) {
+		if !contains(sn, tup("C", c(key))) || !contains(sn, tup("S", c(key), c("loc"), c(key))) {
 			t.Fatalf("acknowledged key %s lost in recovery", key)
 		}
 	}

@@ -163,7 +163,7 @@ func TestCheckpointCarriesParkedSet(t *testing.T) {
 			t.Fatalf("answer %d = %+v, want %+v", i, a, want[i])
 		}
 	}
-	if !st2.Snap(allSeeing).ContainsContent(tup("R", c("p"), c("q"))) {
+	if !contains(st2.Snap(allSeeing), tup("R", c("p"), c("q"))) {
 		t.Fatal("checkpointed batch lost")
 	}
 	// The resolved entry must not come back, and its ID stays burned.

@@ -2,9 +2,11 @@ package wal
 
 import (
 	"os"
-	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+
+	"path/filepath"
 
 	"youtopia/internal/model"
 	"youtopia/internal/storage"
@@ -378,4 +380,13 @@ func TestClonePrefix(t *testing.T) {
 			t.Fatalf("clone upTo %d: got %q, want %q", k, got, want)
 		}
 	}
+}
+
+// contains reports whether a tuple with t's content is visible in sn.
+func contains(sn *storage.Snapshot, t model.Tuple) bool {
+	rows, _ := sn.ProbeRows(t.Rel, -1, model.Value{}, nil, func(vals []model.Value) (bool, bool) {
+		eq := slices.Equal(vals, t.Vals)
+		return eq, eq
+	})
+	return len(rows) > 0
 }

@@ -1,0 +1,66 @@
+package workload
+
+import (
+	"fmt"
+	"testing"
+
+	"youtopia/internal/obs"
+)
+
+// scalingCounts is the chase's work while building one universe, read
+// off the process-wide counters: chase steps, queue rechecks, join
+// candidates examined, and candidates that matched their join step.
+type scalingCounts struct {
+	Steps, Rechecks, Candidates, Matched int64
+}
+
+func (c scalingCounts) String() string {
+	per := func(n int64) float64 { return float64(n) / float64(max(c.Steps, 1)) }
+	return fmt.Sprintf("%d steps, %d rechecks (%.1f/step), %d candidates (%.1f/step), %d matched (%.1f/step)",
+		c.Steps, c.Rechecks, per(c.Rechecks), c.Candidates, per(c.Candidates), c.Matched, per(c.Matched))
+}
+
+// scalingWant pins the counts of building Default() at each initial
+// size. They measure a defect: per chase step, rechecks and candidates
+// grow with the database (the chase is superlinear in its size), where
+// they should stay near flat. A change may lower these figures with the
+// mechanism named; raising one needs a stated reason.
+var scalingWant = map[int]scalingCounts{
+	5000:  {9943, 15125, 194516, 29151},
+	10000: {22322, 57041, 1108686, 91008},
+	20000: {55625, 407796, 15149972, 392617},
+}
+
+// TestChaseScalingCounts builds the §6 universe at 5k, 10k and 20k
+// initial tuples and pins the chase's work per size exactly: the serial
+// build is deterministic, so the counts are too. It is the scaling
+// gate for the work a chase step does as the database grows.
+func TestChaseScalingCounts(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds paper-scale universes")
+	}
+	if raceEnabled {
+		t.Skip("deterministic serial build; its counts need no race detector")
+	}
+	counter := func(name string) int64 { return obs.Default.Counter(name).Value() }
+	read := func() scalingCounts {
+		return scalingCounts{counter("chase_steps_total"), counter("chase_rechecks_total"),
+			counter("query_join_steps_total"), counter("query_rows_matched_total")}
+	}
+	for _, n := range []int{5000, 10000, 20000} {
+		cfg := Default()
+		cfg.InitialTuples = n
+		before := read()
+		if _, err := Build(cfg); err != nil {
+			t.Fatal(err)
+		}
+		after := read()
+		got := scalingCounts{after.Steps - before.Steps, after.Rechecks - before.Rechecks,
+			after.Candidates - before.Candidates, after.Matched - before.Matched}
+		t.Logf("%d initial tuples: %v", n, got)
+		if want := scalingWant[n]; got != want {
+			t.Errorf("%d initial tuples: got %d: {%d, %d, %d, %d}; want %v",
+				n, n, got.Steps, got.Rechecks, got.Candidates, got.Matched, want)
+		}
+	}
+}
