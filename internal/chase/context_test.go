@@ -2,6 +2,7 @@ package chase
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"youtopia/internal/model"
@@ -126,10 +127,15 @@ func (f *stepFixture) stepInsert(tb testing.TB, u *Update, t model.Tuple) int {
 // growth of the attempt's logs (reads, dedupe index, trace); it now
 // achieves 1. The forward repair's is the 14 achieved since violations
 // carry their values as a slice instead of a map, plus 10%; it now
-// achieves 10, since index lists change in place. With a Go
-// map per indexed value and a rendered content key in the store the
-// same inserts cost 27 and 71; before the per-attempt query context,
-// 66 and 157.
+// achieves 6: index lists change in place, and the queue entry, its
+// witness signature, the seeded query's result array and its dedup
+// key come from reused storage. With a Go map per indexed value and a
+// rendered content key in the store the same inserts cost 27 and 71;
+// before the per-attempt query context, 66 and 157.
+//
+// The read half of the violating insert alone — discovery, enqueue,
+// recheck, plan — may allocate only the violation's own Vals and
+// Witness copies and the planned tuple's values: 3.
 func TestStepAllocBudget(t *testing.T) {
 	for _, c := range []struct {
 		name  string
@@ -160,6 +166,44 @@ func TestStepAllocBudget(t *testing.T) {
 			t.Errorf("%s: %.1f allocs per insert, budget %.1f", c.name, got, c.bound)
 		}
 	}
+	got := violatingStepReadsAllocs(t)
+	t.Logf("violating step reads: %.2f allocs", got)
+	if got > 3 {
+		t.Errorf("violating step reads: %.2f allocs, budget 3 (Vals, Witness, planned tuple)", got)
+	}
+}
+
+// violatingStepReadsAllocs returns what the read half of a step whose
+// insert violates the copy mapping allocates on a warm attempt:
+// discovery, enqueue, the queue recheck and the repair plan.
+func violatingStepReadsAllocs(t *testing.T) float64 {
+	f := newStepFixture(t)
+	u := f.warmAttempt(t)
+	const runs = 200
+	tuples := f.freshTuples("A", runs+1)
+	var before, after runtime.MemStats
+	var mallocs uint64
+	for i, tu := range tuples {
+		u.writeSet = append(u.writeSet, Insert(tu))
+		u.state = StateReady
+		res, err := f.eng.StepWrites(u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&before)
+		res, err = f.eng.StepReads(u, res.Writes)
+		runtime.ReadMemStats(&after)
+		if err != nil || res.State != StateReady || u.QueueLen() != 2 {
+			t.Fatalf("violating step ended %s with %d queued (%v), want the copy repair planned", res.State, u.QueueLen(), err)
+		}
+		if i > 0 { // the first run warms the mapping's plan
+			mallocs += after.Mallocs - before.Mallocs
+		}
+		if res, err = f.eng.Step(u); err != nil || res.State != StateAwaitingUser {
+			t.Fatalf("repair step ended %s (%v)", res.State, err)
+		}
+	}
+	return float64(mallocs) / runs
 }
 
 // BenchmarkChaseStep times the two budgeted step shapes on a warm
@@ -435,5 +479,43 @@ func TestScratchOptionsAllocFree(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, func() { f.eng.scratchOptions(u, g) }); allocs != 0 {
 		t.Errorf("%.1f allocations per warm enumeration, want 0", allocs)
+	}
+}
+
+// TestScratchOptionsWideAllocFree: a group with more than
+// maxIdleOptions decisions enumerates without allocating after its
+// context went idle and was taken again. The idle context gives its
+// wide decision array to the engine, and the enumeration borrows it
+// back instead of regrowing one.
+func TestScratchOptionsWideAllocFree(t *testing.T) {
+	f := newStepFixture(t)
+	// hold's repair generates K(h, z) and L(z): every K(h, k*) and every
+	// L(l*) is a unify target, and no K(h, k*) meets an L(k*).
+	for i := 0; i < 40; i++ {
+		for _, tu := range []model.Tuple{
+			model.NewTuple("K", model.Const("h"), model.Const(fmt.Sprintf("k%d", i))),
+			model.NewTuple("L", model.Const(fmt.Sprintf("l%d", i))),
+		} {
+			if _, err := f.st.Load(tu); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	u := f.warmAttempt(t)
+	g := u.Groups()[0]
+	if opts := f.eng.scratchOptions(u, g); len(opts) <= maxIdleOptions {
+		t.Fatalf("%d options, want more than %d", len(opts), maxIdleOptions)
+	}
+	c := u.qctx
+	allocs := testing.AllocsPerRun(20, func() {
+		u.releaseContext()
+		f.eng.queryContext(u)
+		f.eng.scratchOptions(u, g)
+	})
+	if u.qctx != c {
+		t.Fatal("the attempt took a new context")
+	}
+	if allocs != 0 {
+		t.Errorf("%.1f allocations per enumeration on a context taken again, want 0", allocs)
 	}
 }

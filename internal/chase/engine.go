@@ -1,6 +1,7 @@
 package chase
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
 	"sync"
@@ -36,6 +37,12 @@ type Engine struct {
 	// which drains at every collection and would hand out cold pools.
 	idleMu sync.Mutex
 	idle   []*queryContext
+	// wideOpts is the one decision array wider than maxIdleOptions
+	// the engine keeps, guarded by idleMu: an idle context gives its
+	// wide array up (giveBack), and the next enumeration to outgrow
+	// its own borrows it (lendOptions), so many contexts do not each
+	// keep one and a wide frontier does not regrow one per attempt.
+	wideOpts []Decision
 }
 
 // NewEngine creates a chase engine.
@@ -107,6 +114,37 @@ type queryContext struct {
 	spans   []targetSpan
 	tuples  []model.Tuple
 	scratch model.CanonScratch
+
+	// The violation queue's storage, kept warm for the next attempt:
+	// spare entries for enqueue to reuse, the arena the queued
+	// entries' witness signatures are rendered into (compacted by the
+	// recheck, emptied with the queue), and the seeded queries' result
+	// array.
+	spare []*queuedViolation
+	sigs  []byte
+	viols []query.Violation
+}
+
+// entry returns a zeroed queue entry, reusing a spare one.
+func (c *queryContext) entry() *queuedViolation {
+	if n := len(c.spare); n > 0 {
+		qv := c.spare[n-1]
+		c.spare[n-1] = nil
+		c.spare = c.spare[:n-1]
+		return qv
+	}
+	return new(queuedViolation)
+}
+
+// recycle takes back an entry that left the queue.
+func (c *queryContext) recycle(qv *queuedViolation) {
+	*qv = queuedViolation{}
+	c.spare = append(c.spare, qv)
+}
+
+// sig returns a queued entry's witness signature.
+func (c *queryContext) sig(qv *queuedViolation) []byte {
+	return c.sigs[qv.sig.lo:qv.sig.hi]
 }
 
 // queryContext returns the attempt's query engine, taking a context
@@ -131,24 +169,64 @@ func (e *Engine) queryContext(u *Update) *query.Engine {
 	return u.qctx.qe
 }
 
-// giveBack returns a context to the idle list. A decision or target
-// array longer than maxIdleOptions is dropped rather than kept idle:
-// one wide frontier would otherwise stay reachable for the context's
-// lifetime.
+// giveBack returns a context to the idle list. A decision array
+// longer than maxIdleOptions goes to the engine's one wide slot (the
+// wider of two is kept). A longer target array, more spare queue
+// entries or seeded results than maxIdleEntries, or a signature arena
+// past maxIdleSigs is dropped: one wide frontier or long queue would
+// otherwise stay reachable for the context's lifetime.
 func (e *Engine) giveBack(c *queryContext) {
-	if cap(c.opts) > maxIdleOptions {
-		c.opts = nil
-	}
 	if cap(c.targets) > maxIdleOptions {
 		c.targets = nil
 	}
+	if len(c.spare) > maxIdleEntries {
+		clear(c.spare[maxIdleEntries:])
+		c.spare = c.spare[:maxIdleEntries]
+	}
+	if cap(c.viols) > maxIdleEntries {
+		c.viols = nil
+	}
+	if cap(c.sigs) > maxIdleSigs {
+		c.sigs = nil
+	}
 	e.idleMu.Lock()
+	if cap(c.opts) > maxIdleOptions {
+		if cap(c.opts) > cap(e.wideOpts) {
+			e.wideOpts = c.opts[:0]
+		}
+		c.opts = nil
+	}
 	e.idle = append(e.idle, c)
 	e.idleMu.Unlock()
 }
 
-// maxIdleOptions bounds the decision array an idle context keeps.
-const maxIdleOptions = 64
+// lendOptions returns out with room for need more decisions, moving
+// its contents into the engine's wide array when that is wide enough
+// and out is not; the array then stays with the context until giveBack.
+func (e *Engine) lendOptions(out []Decision, need int) []Decision {
+	if cap(out)-len(out) >= need {
+		return out
+	}
+	e.idleMu.Lock()
+	wide := e.wideOpts
+	if cap(wide) >= len(out)+need {
+		e.wideOpts = nil
+	}
+	e.idleMu.Unlock()
+	if cap(wide) < len(out)+need {
+		return out
+	}
+	return append(wide, out...)
+}
+
+// Bounds on what an idle context keeps: decisions and unify targets
+// (a wider decision array goes to Engine.wideOpts), spare queue
+// entries and seeded results, and signature arena bytes.
+const (
+	maxIdleOptions = 64
+	maxIdleEntries = 64
+	maxIdleSigs    = 4 << 10
+)
 
 // StepResult reports what one chase step did.
 type StepResult struct {
@@ -217,6 +295,12 @@ func (e *Engine) StepWrites(u *Update) (StepResult, error) {
 // update's write set — and mutates nothing but the update itself.
 func (e *Engine) StepReads(u *Update, writes []storage.WriteRec) (StepResult, error) {
 	qe := e.queryContext(u)
+	// Entries queued before this step; the rest are discovered on the
+	// state the recheck reads.
+	old := len(u.queue)
+	seq := e.store.CurrentSeq()
+	foreign := seq-u.checkedSeq != int64(len(writes))
+	u.checkedSeq = seq
 
 	// Phase 2: discover new violations caused by the writes.
 	for i := range writes {
@@ -224,7 +308,11 @@ func (e *Engine) StepReads(u *Update, writes []storage.WriteRec) (StepResult, er
 	}
 
 	// Phase 3: recheck the queue — remove violations just corrected.
-	recheckQueue(u, qe)
+	if testRecheck != nil {
+		testRecheck(u, qe, func() int { return recheckQueue(u, writes, old, foreign) })
+	} else {
+		recheckQueue(u, writes, old, foreign)
+	}
 
 	// Phase 4: process pending violations until writes are planned or
 	// all pending violations turn into frontier requests.
@@ -367,6 +455,7 @@ func (e *Engine) seedAndEnqueue(u *Update, qe *query.Engine, rel string, vals []
 	if side == query.SeedRHS {
 		mappings = e.tgds.WithRHSRelation(rel)
 	}
+	c := u.qctx
 	for _, t := range mappings {
 		var vs []query.Violation
 		if e.logsReads() {
@@ -374,50 +463,112 @@ func (e *Engine) seedAndEnqueue(u *Update, qe *query.Engine, rel string, vals []
 			rq, vs = query.NewViolationRead(qe, t, rel, vals, side)
 			e.record(u, rq)
 		} else {
-			vs = qe.ViolationsSeeded(t, rel, vals, side)
+			vs = qe.AppendViolationsSeeded(c.viols[:0], t, rel, vals, side)
+			c.viols = vs
 		}
 		for i := range vs {
-			enqueue(u, qe, vs[i], side == query.SeedLHS)
+			c.enqueue(u, vs[i], side == query.SeedLHS)
 		}
 	}
+	clear(c.viols)
 }
 
 // enqueue adds a violation to the update's queue unless the same
-// violation is already present, recording its canonical witness
-// signature for content-ordered processing (see nextPending).
-func enqueue(u *Update, qe *query.Engine, v query.Violation, isLHS bool) {
+// violation is already present, rendering its canonical witness
+// signature into the arena for content-ordered processing (see
+// nextPending).
+func (c *queryContext) enqueue(u *Update, v query.Violation, isLHS bool) {
 	if u.findQueued(&v) != nil {
 		return
 	}
-	u.queue = append(u.queue, &queuedViolation{v: v, isLHS: isLHS, sig: qe.WitnessSig(&v)})
+	lo := len(c.sigs)
+	c.sigs = c.qe.AppendWitnessSig(c.sigs, &v)
+	qv := c.entry()
+	*qv = queuedViolation{v: v, isLHS: isLHS, sig: sigSpan{int32(lo), int32(len(c.sigs))}}
+	u.queue = append(u.queue, qv)
 	obsViolations.Inc()
 }
+
+// testRecheck, when non-nil, runs every step's queue recheck (the
+// recheck argument) in its place, so that tests can compare the queue
+// with a full recheck's.
+var testRecheck func(u *Update, qe *query.Engine, recheck func() int)
 
 // recheckQueue removes queue entries whose violation no longer holds —
 // "violQueue.remove(violations just corrected)" in Algorithm 1 — and
 // reactivates entries whose planned repair did not stick. Entries that
 // still hold carry their witness's current values
-// (query.Engine.Recheck). Every entry is rechecked, counted with one
-// add per step.
-func recheckQueue(u *Update, qe *query.Engine) {
-	obsRechecks.Add(int64(len(u.queue)))
+// (query.Engine.Recheck).
+//
+// Only an entry queued before this step (queue[:old]) that something
+// since its last check may have changed is re-evaluated: a write of
+// this step on a witness tuple, an insert or modify that could give it
+// RHS support (query.Violation.CouldSupport), or a frontier
+// substitution of its values (dirty). Deletes can only take support
+// away, and only the witness determines the values. When another
+// update wrote or aborted since the last recheck (foreign) every old
+// entry is re-evaluated. An entry not re-evaluated keeps the verdict
+// and values a re-evaluation would give; entries discovered in this
+// step were found on the state the recheck would read. It returns the
+// number of re-evaluations, which it counts with one add per step.
+func recheckQueue(u *Update, writes []storage.WriteRec, old int, foreign bool) int {
+	c := u.qctx
+	n, live := 0, 0
 	kept := u.queue[:0]
-	for _, qv := range u.queue {
-		if !qe.Recheck(&qv.v) {
-			if qv.group != nil {
-				u.removeGroup(qv.group)
-				qv.group = nil
+	for i, qv := range u.queue {
+		if i < old && (foreign || qv.dirty || touched(&qv.v, writes)) {
+			n++
+			qv.dirty = false
+			if !c.qe.Recheck(&qv.v) {
+				if qv.group != nil {
+					u.removeGroup(qv.group)
+				}
+				c.recycle(qv)
+				continue
 			}
-			continue
 		}
 		if qv.state == ViolRepairing {
 			// The deterministic repair should have corrected it; if it
 			// is still here the repair raced with something — retry.
 			qv.state = ViolPending
 		}
+		live += int(qv.sig.hi - qv.sig.lo)
 		kept = append(kept, qv)
 	}
+	clear(u.queue[len(kept):])
 	u.queue = kept
+	if len(c.sigs) > 2*live {
+		c.compactSigs(kept)
+	}
+	obsRechecks.Add(int64(n))
+	return n
+}
+
+// compactSigs moves the queued entries' signatures to the front of the
+// arena, dropping those of entries that left the queue, so that the
+// arena of a long attempt stays within twice its live bytes. Queue
+// order is enqueue order, so the spans ascend and each moves down.
+func (c *queryContext) compactSigs(queue []*queuedViolation) {
+	w := int32(0)
+	for _, qv := range queue {
+		n := qv.sig.hi - qv.sig.lo
+		copy(c.sigs[w:], c.sigs[qv.sig.lo:qv.sig.hi])
+		qv.sig = sigSpan{w, w + n}
+		w += n
+	}
+	c.sigs = c.sigs[:w]
+}
+
+// touched reports whether one of a step's writes may change a queued
+// violation's Recheck verdict or values (see recheckQueue).
+func touched(v *query.Violation, writes []storage.WriteRec) bool {
+	for i := range writes {
+		w := &writes[i]
+		if slices.Contains(v.Witness, w.ID) || w.After != nil && v.CouldSupport(w.Rel, w.After) {
+			return true
+		}
+	}
+	return false
 }
 
 // nextPending returns the pending violation with the smallest
@@ -432,12 +583,13 @@ func recheckQueue(u *Update, qe *query.Engine) {
 // chase converges to. Processing by signature pins that choice to
 // content, which the serial-equivalence batteries rely on.
 func (e *Engine) nextPending(u *Update) *queuedViolation {
+	c := u.qctx
 	var best *queuedViolation
 	for _, qv := range u.queue {
 		if qv.state != ViolPending {
 			continue
 		}
-		if best == nil || qv.sig < best.sig {
+		if best == nil || bytes.Compare(c.sig(qv), c.sig(best)) < 0 {
 			best = qv
 		}
 	}

@@ -95,7 +95,7 @@ var (
 // explicit-intent extension operation — but Apply accepts it.
 func (e *Engine) Options(u *Update, g *FrontierGroup) []Decision {
 	if g.Positive {
-		return e.positiveOptions(u, g, nil)
+		return e.positiveOptions(u, g, nil, false)
 	}
 	return negativeOptions(g)
 }
@@ -109,12 +109,13 @@ func (e *Engine) scratchOptions(u *Update, g *FrontierGroup) []Decision {
 	}
 	e.queryContext(u)
 	c := u.qctx
-	c.opts = e.positiveOptions(u, g, c.opts[:0])
+	c.opts = e.positiveOptions(u, g, c.opts[:0], true)
 	return c.opts
 }
 
-// positiveOptions appends a positive group's decisions to out.
-func (e *Engine) positiveOptions(u *Update, g *FrontierGroup, out []Decision) []Decision {
+// positiveOptions appends a positive group's decisions to out; lend
+// grows out through the engine's wide array (lendOptions).
+func (e *Engine) positiveOptions(u *Update, g *FrontierGroup, out []Decision, lend bool) []Decision {
 	snap := e.queryContext(u).Snapshot()
 	c := u.qctx
 	for idx, t := range g.Tuples {
@@ -123,6 +124,9 @@ func (e *Engine) positiveOptions(u *Update, g *FrontierGroup, out []Decision) []
 		}
 		c.targets = snap.MoreSpecificInto(t, c.targets[:0])
 		targets := c.targets
+		if lend {
+			out = e.lendOptions(out, 1+len(targets))
+		}
 		out = slices.Grow(out, 1+len(targets))
 		out = append(out, Decision{Kind: DecideExpand, TupleIdx: idx})
 		if len(targets) < 2 {

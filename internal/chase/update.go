@@ -21,21 +21,31 @@ const (
 	ViolAwaitingUser
 )
 
-// queuedViolation is a violation queue entry (Algorithm 1).
+// queuedViolation is a violation queue entry (Algorithm 1). Entries
+// are recycled through the attempt's query context (queryContext.entry
+// and recycle), never kept by anything but the queue.
 type queuedViolation struct {
 	v     query.Violation
 	state ViolState
 	// isLHS records the repair direction: LHS-violations chase forward,
 	// RHS-violations backward (§2.1).
 	isLHS bool
-	// sig is the violation's canonical witness signature at enqueue
-	// time (query.Engine.WitnessSig): pending violations are processed
-	// in ascending signature order, so repair order — and with it the
+	// dirty marks an entry whose values a frontier substitution
+	// rewrote since its last check (applySubst): the next recheck
+	// must re-evaluate it (see recheckQueue).
+	dirty bool
+	// sig locates the violation's canonical witness signature at
+	// enqueue time (query.Engine.AppendWitnessSig) in the query
+	// context's signature arena: pending violations are processed in
+	// ascending signature order, so repair order — and with it the
 	// frontier contexts users see — is a function of database content,
 	// not of the physical tuple IDs the execution schedule minted.
-	sig   string
+	sig   sigSpan
 	group *FrontierGroup // open frontier group, if any
 }
+
+// sigSpan is a signature's byte range [lo, hi) in queryContext.sigs.
+type sigSpan struct{ lo, hi int32 }
 
 // FrontierGroup is the set of frontier tuples produced for one
 // violation. For a forward chase these are the positive frontier
@@ -144,6 +154,11 @@ type Update struct {
 	queue    []*queuedViolation
 	groups   []*FrontierGroup
 	nextGID  int
+	// checkedSeq is the store's CurrentSeq when the queue was last
+	// rechecked: if it moved by more than the update's own writes
+	// since, another update wrote or aborted in between, and the next
+	// recheck re-evaluates every entry (recheckQueue).
+	checkedSeq int64
 
 	// reads are the stored read queries of the current attempt, in the
 	// order performed; concurrency control checks writes against them.
@@ -250,8 +265,15 @@ func (u *Update) Cancel() {
 
 // dropPending empties the write set, the queue and the groups. Their
 // backing arrays stay for the next attempt, cleared to full capacity
-// so that no dropped entry is kept alive.
+// so that no dropped entry is kept alive; the queue's entries go back
+// to the query context they came from.
 func (u *Update) dropPending() {
+	if c := u.qctx; c != nil {
+		for _, qv := range u.queue {
+			c.recycle(qv)
+		}
+		c.sigs = c.sigs[:0]
+	}
 	clear(u.writeSet[:cap(u.writeSet)])
 	clear(u.queue[:cap(u.queue)])
 	clear(u.groups[:cap(u.groups)])
@@ -366,6 +388,7 @@ func (u *Update) applySubst(s model.Subst) {
 			if v.IsNull() {
 				if r, ok := s[v]; ok {
 					qv.v.Vals[k] = r
+					qv.dirty = true
 				}
 			}
 		}
@@ -403,20 +426,6 @@ func (u *Update) trace(recs []storage.WriteRec, op *Op) {
 	cause := op.Cause()
 	for i := range recs {
 		u.Trace = append(u.Trace, TraceEntry{Write: recs[i], Cause: cause})
-	}
-}
-
-// removeQueued drops a queue entry and its group.
-func (u *Update) removeQueued(target *queuedViolation) {
-	for i, qv := range u.queue {
-		if qv == target {
-			u.queue = append(u.queue[:i], u.queue[i+1:]...)
-			break
-		}
-	}
-	if target.group != nil {
-		u.removeGroup(target.group)
-		target.group = nil
 	}
 }
 

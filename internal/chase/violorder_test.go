@@ -112,7 +112,7 @@ func TestWitnessSigInvariantUnderIDsAndNullNames(t *testing.T) {
 		}
 		out := make(map[string]bool)
 		for _, qv := range u.queue {
-			out[qv.sig] = true
+			out[string(u.qctx.sig(qv))] = true
 		}
 		return out
 	}

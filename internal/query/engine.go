@@ -96,27 +96,22 @@ func (v *Violation) String() string {
 	return string(appendVals(out, PlanFor(v.TGD), v.Vals))
 }
 
-// WitnessSig renders a violation's identity canonically: the mapping
-// name plus the witness tuples' current contents in atom order, with
-// labeled nulls numbered by first occurrence across the whole
-// sequence. Unlike Key it contains no tuple IDs, so two executions in
-// equivalent states (equal up to null renaming and physical tuple
-// identity) assign equal signatures to corresponding violations. The
+// AppendWitnessSig appends a violation's canonical signature to dst:
+// the mapping name plus the witness tuples' current contents in atom
+// order, with labeled nulls numbered by first occurrence across the
+// whole sequence. Unlike Key it contains no tuple IDs, so two
+// executions in equivalent states (equal up to null renaming and
+// physical tuple identity) assign equal signatures to corresponding
+// violations. The
 // chase orders its violation processing by signature, which is what
 // keeps the frontier — the order repairs are planned and decision
 // contexts reach users — identical across serial and parallel
 // executions: tuple IDs are minted in schedule order and would
 // otherwise leak the interleaving into repair order and, through it,
-// into the final instance.
-func (e *Engine) WitnessSig(v *Violation) string {
-	e.sigBuf = e.appendWitnessSig(e.sigBuf[:0], v)
-	return string(e.sigBuf)
-}
-
-// appendWitnessSig renders the signature into dst with the engine's
-// pooled null-renaming scratch: building a signature allocates nothing
-// beyond the final string the caller keeps.
-func (e *Engine) appendWitnessSig(dst []byte, v *Violation) []byte {
+// into the final instance. It renders with the engine's pooled
+// null-renaming scratch, allocation-free once dst has capacity: the
+// chase renders its queued violations' signatures into one arena.
+func (e *Engine) AppendWitnessSig(dst []byte, v *Violation) []byte {
 	dst = append(dst, v.TGD.Name...)
 	ren := e.renBuf[:0]
 	for _, id := range v.Witness {
@@ -165,13 +160,13 @@ type Engine struct {
 	// enumeration and its nested RHS probe).
 	runPool []*slotRun
 
-	// Reusable buffers for violation keys, witness signatures and the
-	// signatures' null-renaming scratch; seen is the seeded-query dedup
-	// set, allocated on first violation and cleared per query.
+	// Reusable buffers for violation keys and the witness signatures'
+	// null-renaming scratch; seen is the seeded-query dedup index
+	// (srViolation), allocated on first violation and cleared per
+	// query.
 	keyBuf []byte
-	sigBuf []byte
 	renBuf []model.Value
-	seen   map[string]bool
+	seen   map[uint64]int32
 
 	// vout is the violation-collection target. Collecting through an
 	// engine field instead of a stack variable keeps the no-violation
@@ -311,15 +306,23 @@ func (s Side) String() string {
 // through an RHS atom over rel (SeedRHS). The result is deduplicated
 // and deterministic. The written tuple's values unify straight into the
 // register file, each seed shape runs its static order, and duplicates
-// across seed atoms are rejected through the engine's reusable key
-// buffer — a steady-state call that finds no violation allocates
+// across seed atoms are rejected through the engine's reusable dedup
+// index — a steady-state call that finds no violation allocates
 // nothing.
 func (e *Engine) ViolationsSeeded(t *tgd.TGD, rel string, vals []model.Value, side Side) []Violation {
+	return e.AppendViolationsSeeded(nil, t, rel, vals, side)
+}
+
+// AppendViolationsSeeded is ViolationsSeeded appending to dst, so that
+// a caller that consumes the violations at once reuses one array: each
+// violation found then allocates only its own Vals and Witness.
+func (e *Engine) AppendViolationsSeeded(dst []Violation, t *tgd.TGD, rel string, vals []model.Value, side Side) []Violation {
 	defer e.flushObs()
 	clear(e.seen)
 	p := PlanFor(t)
 	lr, rr := e.getRun(p), e.getRun(p)
 	lr.fn, lr.dedup, lr.vout = srViolation, true, &e.vout
+	e.vout = dst
 	e.seededJoin(p, lr, rr, rel, vals, side)
 	e.putRun(rr)
 	e.putRun(lr)
@@ -353,6 +356,43 @@ func (e *Engine) answerDiffers(q *ViolationRead) bool {
 	e.putRun(rr)
 	e.putRun(lr)
 	return differs
+}
+
+// CouldSupport reports whether a tuple written into rel with vals
+// agrees with one of the mapping's RHS atoms on the atom's constants
+// and on the violation's values at its LHS-variable positions. Only
+// such a tuple can complete an RHS match for the violation: the write
+// that completes one supplies one of its atoms, and an existential
+// position agrees with anything.
+func (v *Violation) CouldSupport(rel string, vals []model.Value) bool {
+	p := PlanFor(v.TGD)
+	for i := range p.rhs {
+		a := &p.rhs[i]
+		if a.rel == rel && len(a.terms) == len(vals) && agreesOn(a.terms, vals, v.Vals) {
+			return true
+		}
+	}
+	return false
+}
+
+// agreesOn reports whether vals agree with an atom's constants and,
+// at LHS-variable positions, with the given LHS values; positions of
+// other slots agree with anything.
+func agreesOn(terms []termDesc, vals, lhs []model.Value) bool {
+	for i := range terms {
+		td := &terms[i]
+		switch {
+		case td.slot < 0:
+			if vals[i] != td.cval {
+				return false
+			}
+		case int(td.slot) < len(lhs):
+			if vals[i] != lhs[td.slot] {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // Recheck re-evaluates one recorded violation against the snapshot: its

@@ -238,6 +238,27 @@ func TestViolationsSeededDedup(t *testing.T) {
 	}
 }
 
+// TestViolationsSeededDedupAllocFree: the sigma2 query of
+// TestViolationsSeededDedup finds S(SYR, Syracuse, Syracuse) through
+// both RHS atoms. Warm, appending into a reused array, it allocates
+// each of its two violations' Vals and Witness and nothing for
+// rejecting the duplicate.
+func TestViolationsSeededDedupAllocFree(t *testing.T) {
+	st, set := fig2(t)
+	sigma2, _ := set.ByName("sigma2")
+	recs, _ := st.DeleteContent(1, tup("C", c("Syracuse")))
+	e := engineAt(st, 1)
+	var vs []Violation
+	run := func() { vs = e.AppendViolationsSeeded(vs[:0], sigma2, recs[0].Rel, recs[0].Before, SeedRHS) }
+	run()
+	if len(vs) != 2 {
+		t.Fatalf("violations = %v", vs)
+	}
+	if got := testing.AllocsPerRun(100, run); got != 4 {
+		t.Errorf("%.1f allocations per warm query, want 4 (two violations' Vals and Witness)", got)
+	}
+}
+
 func TestSelfJoinMatching(t *testing.T) {
 	// Mapping with a repeated variable: S(a, x, x) requires
 	// location == city_served.

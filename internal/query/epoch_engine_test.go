@@ -33,7 +33,7 @@ func TestEngineOnEpochSnapshot(t *testing.T) {
 		vs := e.AllViolations(set)
 		out := make([]string, len(vs))
 		for i := range vs {
-			out[i] = e.WitnessSig(&vs[i])
+			out[i] = string(e.AppendWitnessSig(nil, &vs[i]))
 		}
 		sort.Strings(out)
 		return out

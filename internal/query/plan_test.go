@@ -179,9 +179,9 @@ func TestViolationRenderSlotOrder(t *testing.T) {
 }
 
 // TestSigAndKeyBuildersAllocFree pins the pooled builders behind
-// Violation.Key and Engine.WitnessSig: rendering into a warmed buffer
-// allocates nothing, so the only steady-state cost of keys and
-// signatures is the final string the caller keeps.
+// Violation.Key and Engine.AppendWitnessSig: rendering into a warmed
+// buffer allocates nothing, so the only steady-state cost of a key is
+// the final string the caller keeps, and a signature has none.
 func TestSigAndKeyBuildersAllocFree(t *testing.T) {
 	st, m := benchWorld(&testing.B{}, 100)
 	e := NewEngine(st.Snap(1))
@@ -190,13 +190,13 @@ func TestSigAndKeyBuildersAllocFree(t *testing.T) {
 		t.Fatal("need a violation to render")
 	}
 	v := &vs[0]
-	e.WitnessSig(v) // warm sigBuf and renBuf
+	sig := e.AppendWitnessSig(nil, v) // warm the buffer and renBuf
 	buf := v.AppendKey(nil)
 	got := testing.AllocsPerRun(200, func() {
-		e.sigBuf = e.appendWitnessSig(e.sigBuf[:0], v)
+		sig = e.AppendWitnessSig(sig[:0], v)
 	})
 	if got != 0 {
-		t.Fatalf("appendWitnessSig allocates %.1f times per op, want 0", got)
+		t.Fatalf("AppendWitnessSig allocates %.1f times per op, want 0", got)
 	}
 	got = testing.AllocsPerRun(200, func() {
 		buf = v.AppendKey(buf[:0])

@@ -216,24 +216,34 @@ func rhsHolds(r *slotRun) bool {
 }
 
 // srViolation is the seeded violation query's match callback: a
-// complete LHS match with no RHS support is a violation. The dedup
-// key is rendered into the engine's reusable buffer and checked
-// against the seen set without allocating; only a genuinely new
-// violation copies out its values, witness and key string.
+// complete LHS match with no RHS support is a violation. Dedup hashes
+// the witness into the engine's reused index (witness hash to position
+// in *r.vout; two witnesses with one hash probe linearly, the second
+// under hash+1) and compares against the violation already emitted
+// there, so a duplicate allocates nothing and only a genuinely new
+// violation copies out its values and witness. The values are a
+// function of the witness, and are compared anyway.
 func srViolation(r *slotRun) bool {
 	if rhsHolds(r) {
 		return true
 	}
 	e := r.e
 	if r.dedup {
-		e.keyBuf = r.appendKey(e.keyBuf[:0])
-		if e.seen[string(e.keyBuf)] {
-			return true
+		vals := r.regs[:r.p.nLHS]
+		h := witnessHash(r.witness)
+		for ; ; h++ {
+			i, taken := e.seen[h]
+			if !taken {
+				break
+			}
+			if v := &(*r.vout)[i]; v.TGD == r.p.t && slices.Equal(v.Witness, r.witness) && slices.Equal(v.Vals, vals) {
+				return true
+			}
 		}
 		if e.seen == nil {
-			e.seen = make(map[string]bool)
+			e.seen = make(map[uint64]int32)
 		}
-		e.seen[string(e.keyBuf)] = true
+		e.seen[h] = int32(len(*r.vout))
 	}
 	*r.vout = append(*r.vout, Violation{
 		TGD:     r.p.t,
@@ -241,6 +251,16 @@ func srViolation(r *slotRun) bool {
 		Witness: slices.Clone(r.witness),
 	})
 	return true
+}
+
+// witnessHash is FNV-1a over a witness's tuple IDs.
+func witnessHash(w []storage.TupleID) uint64 {
+	h := uint64(14695981039346656037)
+	for _, id := range w {
+		h ^= uint64(id)
+		h *= 1099511628211
+	}
+	return h
 }
 
 // srFirstViolation stops the enumeration at the first violation; the

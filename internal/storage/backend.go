@@ -62,8 +62,10 @@ type Backend interface {
 	Persistent() bool
 	SyncCount() int64
 
-	// CurrentSeq is the backend-wide sequence high-water mark;
-	// Snapshot.RelSeq reads the per-relation one.
+	// CurrentSeq is the backend-wide sequence high-water mark, which
+	// every write and every Abort that removes versions advances: while
+	// it stands still, no live snapshot's view changes. Snapshot.RelSeq
+	// reads the per-relation one.
 	CurrentSeq() int64
 
 	// AppendUncommittedWrites is the one scan of the live write log the

@@ -778,8 +778,9 @@ func (st *Store) unlockStripes(idxs []int) {
 	}
 }
 
-// CurrentSeq returns the sequence number of the most recent write;
-// reads record it so conflict checks can reconstruct read-time state.
+// CurrentSeq returns the sequence number of the most recent write or
+// abort; reads record it so conflict checks can reconstruct read-time
+// state.
 func (st *Store) CurrentSeq() int64 {
 	return st.nextSeq.Load()
 }
@@ -957,8 +958,10 @@ func (st *Store) Load(t model.Tuple) (TupleID, error) {
 
 // Abort removes every version written by the given writer, restoring
 // the store to the state it would have without that writer, and
-// discards its log. Cascading aborts of updates that read the
-// writer's data are the concurrency-control layer's responsibility.
+// discards its log. An abort that removes versions advances the
+// sequence once (CurrentSeq), as a write does: it changes what live
+// snapshots see. Cascading aborts of updates that read the writer's
+// data are the concurrency-control layer's responsibility.
 func (st *Store) Abort(writer int) {
 	if writer == 0 {
 		panic("storage: cannot abort the initial load")
@@ -993,6 +996,9 @@ func (st *Store) Abort(writer int) {
 		}
 	}
 	st.retireLogs(stripes, []int{writer})
+	if len(stripes) > 0 {
+		st.nextSeq.Add(1)
+	}
 	st.unlockStripes(stripes)
 	st.settle()
 }
