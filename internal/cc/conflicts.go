@@ -184,16 +184,24 @@ func executeAbortWave(store storage.Backend, cfg *Config, live []*Txn, direct []
 
 // stepScratch holds the reusable state of one conflict-processing
 // pipeline: the direct and drift candidate collections, the trackers'
-// write-log scan buffer, and the checker every conflict check of the
-// goroutine runs on. Each scheduler goroutine owns one, so
-// steady-state steps (no conflicts) allocate nothing on the
-// coordination path. The checker is never pooled and never an update
-// attempt's query context.
+// write-log and writer scan buffers, the structural matcher, and the
+// checker every conflict check of the goroutine runs on. Each
+// scheduler goroutine owns one, so steady-state steps (no conflicts)
+// allocate nothing on the coordination path. The checker is never
+// pooled and never an update attempt's query context.
 type stepScratch struct {
 	cands   []*Txn
 	removal []*Txn
 	log     []storage.WriteRec
+	writers []int
 	chk     query.Checker
+
+	// match is structuralWriters' matcher, built at its first use: it
+	// accepts a write of a writer other than matchReader that changes
+	// matchQ's answer, both set for the duration of one scan.
+	match       func(*storage.WriteRec) bool
+	matchQ      query.ReadQuery
+	matchReader int
 }
 
 // collectDirect checks one batch of writes against the stored read

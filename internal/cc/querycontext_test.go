@@ -17,18 +17,19 @@ import (
 
 // chaseSeam reads the chase's query-seam counters off the process-wide
 // registry by name — the way /metrics and the benchmark see them.
-type chaseSeam struct{ contexts, recorded, deduped int64 }
+type chaseSeam struct{ contexts, engines, recorded, deduped int64 }
 
 func readChaseSeam() chaseSeam {
 	return chaseSeam{
 		contexts: obs.Default.Counter("chase_query_contexts_total").Value(),
+		engines:  obs.Default.Counter("chase_query_engines_total").Value(),
 		recorded: obs.Default.Counter("chase_reads_recorded_total").Value(),
 		deduped:  obs.Default.Counter("chase_reads_deduped_total").Value(),
 	}
 }
 
 func (a chaseSeam) since(b chaseSeam) chaseSeam {
-	return chaseSeam{a.contexts - b.contexts, a.recorded - b.recorded, a.deduped - b.deduped}
+	return chaseSeam{a.contexts - b.contexts, a.engines - b.engines, a.recorded - b.recorded, a.deduped - b.deduped}
 }
 
 func randomUniverse(t *testing.T, seed int64) *workload.Universe {
@@ -44,11 +45,13 @@ func randomUniverse(t *testing.T, seed int64) *workload.Universe {
 }
 
 // TestOneQueryContextPerAttempt: an attempt holds one query context
-// from its first query until it ends, and contexts are recycled, so an
-// execution builds no more of them than the peak number of attempts
-// holding one — one for the serial reference execution, at most one per
-// worker for disjoint updates under the parallel scheduler. Only the
-// concurrent path keeps read logs.
+// from its first query or logged read until it ends, and contexts are
+// recycled, so an execution builds no more of them than the peak number
+// of attempts holding one — one for the serial reference execution, at
+// most one per worker for disjoint updates under the parallel
+// scheduler. Query engines are borrowed per step, so each execution
+// builds no more of them than steps in flight. Only the concurrent path
+// keeps read logs.
 func TestOneQueryContextPerAttempt(t *testing.T) {
 	t.Run("serial.Execute", func(t *testing.T) {
 		u := randomUniverse(t, 1)
@@ -62,8 +65,8 @@ func TestOneQueryContextPerAttempt(t *testing.T) {
 			t.Fatal(err)
 		}
 		d := readChaseSeam().since(before)
-		if d.contexts != 1 {
-			t.Fatalf("%d query contexts for %d updates run one at a time, want 1", d.contexts, len(ops))
+		if d.contexts != 1 || d.engines != 1 {
+			t.Fatalf("%d query contexts and %d engines for %d updates run one at a time, want 1 each", d.contexts, d.engines, len(ops))
 		}
 		if d.recorded != 0 {
 			t.Fatalf("the serial execution recorded %d reads, want none", d.recorded)
@@ -105,6 +108,9 @@ func TestOneQueryContextPerAttempt(t *testing.T) {
 		}
 		if d.contexts < 1 || d.contexts > workers {
 			t.Fatalf("%d query contexts for %d attempts on %d workers, want 1..%d", d.contexts, m.Runs, workers, workers)
+		}
+		if d.engines < 1 || d.engines > workers {
+			t.Fatalf("%d query engines for %d attempts on %d workers, want 1..%d", d.engines, m.Runs, workers, workers)
 		}
 		if d.recorded == 0 {
 			t.Fatal("the parallel scheduler recorded no reads")
@@ -171,6 +177,9 @@ func TestQueryContextsPassBetweenWorkers(t *testing.T) {
 		t.Logf("round %d: %d attempts (%d aborts), %d query contexts", round, m.Runs, m.Aborts, d.contexts)
 		if d.contexts >= int64(m.Runs) || d.contexts > int64(len(ops)) {
 			t.Fatalf("round %d: %d query contexts for %d attempts of %d updates", round, d.contexts, m.Runs, len(ops))
+		}
+		if d.engines < 1 || d.engines > 8 {
+			t.Fatalf("round %d: %d query engines on 8 workers", round, d.engines)
 		}
 		checkAgainstSerial(t, st, u, want, fmt.Sprintf("context recycling round %d", round))
 	}

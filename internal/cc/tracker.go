@@ -61,7 +61,9 @@ func (Naive) Cascade(_ storage.Backend, aborted *Txn, live []*Txn) []*Txn {
 // lower-numbered update that has written into one of the query's
 // relations is conservatively assumed to influence the answer.
 // Correction (and content) queries are resolved exactly against the
-// in-memory write log, which needs no database access.
+// in-memory write log, which needs no database access. Either way the
+// dependencies come from a scan of the log's writers
+// (Backend.AppendUncommittedWriters); no write record is copied.
 type Coarse struct{}
 
 // Name implements Tracker.
@@ -72,33 +74,59 @@ func (Coarse) Name() string { return "COARSE" }
 // on exactly the writers whose writes change its answer.
 func (Coarse) OnRead(st storage.Backend, u *Txn, q query.ReadQuery) {
 	sc := u.sc
-	sc.log = appendRelevant(sc.log[:0], st, q)
-	violation := q.Kind() == query.KindViolation
-	for _, w := range sc.log {
-		if violation || (w.Writer != u.Number && q.AffectedBy(&sc.chk, st, w)) {
-			u.addDep(w.Writer)
-		}
+	sc.writers = sc.coarseWriters(sc.writers[:0], st, u.Number, q)
+	for _, w := range sc.writers {
+		u.addDep(w)
 	}
 }
 
-// appendRelevant appends to dst, through the one write-log scan, the
-// uncommitted writes a read query's AffectedBy could possibly match:
-// writes into the query's relation (content, more-specific) or its
-// mapping's relations (violation), or every write for the
-// relation-less null-occurrence query. Order is irrelevant — the
-// trackers derive a dependency set.
-func appendRelevant(dst []storage.WriteRec, st storage.Backend, q query.ReadQuery) []storage.WriteRec {
+// coarseWriters appends to dst the writers COARSE charges a read of
+// reader with: every uncommitted writer into a violation query's
+// relations, or for a structural query (content, more-specific,
+// null-occurrence) the writers structuralWriters finds. Writers may
+// repeat, and the reader itself or higher-numbered writers may appear
+// for a violation query: Txn.addDep drops those.
+func (sc *stepScratch) coarseWriters(dst []int, st storage.Backend, reader int, q query.ReadQuery) []int {
+	vq, ok := q.(*query.ViolationRead)
+	if !ok {
+		return sc.structuralWriters(dst, st, reader, q)
+	}
+	for _, rel := range vq.TGD.Relations() {
+		dst = st.AppendUncommittedWriters(dst, rel, nil)
+	}
+	return dst
+}
+
+// structuralWriters appends to dst the uncommitted writers other than
+// reader with a write that changes a structural query's answer. The
+// query's AffectedBy is store-free, so it runs as the scan's matcher,
+// under the stripe read locks; the matcher is built once per scratch
+// and reads the query being charged from the scratch.
+func (sc *stepScratch) structuralWriters(dst []int, st storage.Backend, reader int, q query.ReadQuery) []int {
+	rel := "" // a null-occurrence query ranges over every relation
 	switch r := q.(type) {
 	case *query.ContentRead:
-		return st.AppendUncommittedWrites(dst, r.Rel)
+		rel = r.Rel
 	case *query.MoreSpecificRead:
-		return st.AppendUncommittedWrites(dst, r.Rel)
+		rel = r.Rel
 	}
-	rels := q.Relations()
-	if rels == nil {
-		return st.AppendUncommittedWrites(dst, "")
+	if sc.match == nil {
+		sc.match = func(w *storage.WriteRec) bool {
+			return w.Writer != sc.matchReader && sc.matchQ.AffectedBy(nil, nil, *w)
+		}
 	}
-	for _, rel := range rels {
+	sc.matchQ, sc.matchReader = q, reader
+	dst = st.AppendUncommittedWriters(dst, rel, sc.match)
+	sc.matchQ = nil
+	return dst
+}
+
+// appendRelevant appends to dst, through the write-log scan, the
+// uncommitted writes into a violation query's relations: the writes
+// PRECISE evaluates the query against. Order is irrelevant — the
+// tracker derives a dependency set.
+func appendRelevant(dst []storage.WriteRec, st storage.Backend, q *query.ViolationRead) []storage.WriteRec {
+	for _, rel := range q.TGD.Relations() {
 		dst = st.AppendUncommittedWrites(dst, rel)
 	}
 	return dst
@@ -120,11 +148,17 @@ type Precise struct{}
 // Name implements Tracker.
 func (Precise) Name() string { return "PRECISE" }
 
-// OnRead implements Tracker. Violation queries are checked on the
-// stepping goroutine's checker.
+// OnRead implements Tracker. Structural queries are charged as COARSE
+// charges them, which is already exact; violation queries are checked
+// write by write on the stepping goroutine's checker.
 func (Precise) OnRead(st storage.Backend, u *Txn, q query.ReadQuery) {
+	vq, ok := q.(*query.ViolationRead)
+	if !ok {
+		Coarse{}.OnRead(st, u, q)
+		return
+	}
 	sc := u.sc
-	sc.log = appendRelevant(sc.log[:0], st, q)
+	sc.log = appendRelevant(sc.log[:0], st, vq)
 	for _, w := range sc.log {
 		if w.Writer == u.Number {
 			continue
@@ -132,7 +166,7 @@ func (Precise) OnRead(st storage.Backend, u *Txn, q query.ReadQuery) {
 		if u.deps[w.Writer] {
 			continue // already dependent; skip the expensive check
 		}
-		if q.AffectedBy(&sc.chk, st, w) {
+		if vq.AffectedBy(&sc.chk, st, w) {
 			u.addDep(w.Writer)
 		}
 	}

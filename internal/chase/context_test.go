@@ -15,8 +15,10 @@ import (
 // context from its first query until it gives the context back
 // (termination, Cancel, Reset), a context taken again reads at its new
 // update's number, and an engine builds no more contexts than the peak
-// number of attempts holding one — plus the allocation budget of a
-// step that runs on a warm context.
+// number of attempts holding one. Query engines are borrowed per
+// StepReads and returned on exit, so attempts stepped one at a time
+// share one. Plus the allocation budget of a step that runs on a warm
+// context and a warm engine.
 
 // stepFixture is a store with three mappings that between them exercise
 // the step shapes the budget pins:
@@ -173,6 +175,36 @@ func TestStepAllocBudget(t *testing.T) {
 	}
 }
 
+// TestLoggedViolationReadAllocs pins what logging a violation read
+// with an empty answer allocates on a warm attempt and a warm engine:
+// the read and its read vector, 2 objects. The answer goes into the
+// context's result array, and the log's array and dedup index grow
+// amortized.
+func TestLoggedViolationReadAllocs(t *testing.T) {
+	f := newStepFixture(t)
+	logged := 0
+	f.eng.SetReadObserver(func(*Update, query.ReadQuery) { logged++ })
+	u := f.warmAttempt(t)
+	c := u.qctx
+	qe := f.eng.borrowEngine(&c.snap)
+	defer f.eng.returnEngine(qe)
+	const runs = 200
+	tuples := f.freshTuples("R", runs+1) // quiet's seeded query: R(v, nowhere) joins no S
+	queued, before := u.QueueLen(), logged
+	allocs := testing.AllocsPerRun(runs, func() {
+		tu := tuples[0]
+		tuples = tuples[1:]
+		f.eng.seedAndEnqueue(u, qe, tu.Rel, tu.Vals, query.SeedLHS)
+	})
+	if got := logged - before; got != runs+1 || u.QueueLen() != queued {
+		t.Fatalf("%d reads logged, queue %d → %d; want %d new reads and no violation", got, queued, u.QueueLen(), runs+1)
+	}
+	t.Logf("logged empty violation read: %.1f allocs", allocs)
+	if allocs > 2 {
+		t.Errorf("%.1f allocations per logged empty violation read, want at most 2 (the read, its read vector)", allocs)
+	}
+}
+
 // violatingStepReadsAllocs returns what the read half of a step whose
 // insert violates the copy mapping allocates on a warm attempt:
 // discovery, enqueue, the queue recheck and the repair plan.
@@ -229,10 +261,17 @@ func BenchmarkChaseStep(b *testing.B) {
 // TestQueryContextLifetime: nil before the first query, one context for
 // the whole attempt, given back at termination, Reset and Cancel, and
 // taken again by the next attempt at that attempt's own update number.
-// The engine builds one context for the whole test.
+// The engine builds one context and one query engine for the whole
+// test, and no step keeps the query engine it borrowed.
 func TestQueryContextLifetime(t *testing.T) {
 	f := newStepFixture(t)
-	contexts := obsQueryContexts.Value()
+	contexts, engines := obsQueryContexts.Value(), obsQueryEngines.Value()
+	returned := func(what string) {
+		t.Helper()
+		if len(f.eng.engines) != 1 || f.eng.engines[0].Snapshot() != nil {
+			t.Fatalf("%s: %d idle query engines, want the one borrowed, returned unpointed", what, len(f.eng.engines))
+		}
+	}
 
 	u := NewUpdate(1, Insert(model.NewTuple("A", model.Const("a"))))
 	if u.qctx != nil {
@@ -246,9 +285,10 @@ func TestQueryContextLifetime(t *testing.T) {
 	if c == nil {
 		t.Fatal("no context after the attempt's first queries")
 	}
-	if got := c.qe.Snapshot().Reader(); got != u.Number {
+	if got := c.snap.Reader(); got != u.Number {
 		t.Fatalf("context reads as %d, update is %d", got, u.Number)
 	}
+	returned("step 1")
 	res, err = f.eng.Step(u)
 	if err != nil || res.State != StateTerminated {
 		t.Fatalf("step 2: %v, %v", res.State, err)
@@ -271,11 +311,12 @@ func TestQueryContextLifetime(t *testing.T) {
 			if v.qctx != nil && v.qctx != c {
 				t.Fatalf("%s: the attempt runs on a new context", what)
 			}
+			returned(what)
 		}
 		if v.qctx != c {
 			t.Fatalf("%s: the attempt did not take the idle context", what)
 		}
-		if got := c.qe.Snapshot().Reader(); got != v.Number {
+		if got := c.snap.Reader(); got != v.Number {
 			t.Fatalf("%s: context reads as %d, update is %d", what, got, v.Number)
 		}
 	}
@@ -313,16 +354,20 @@ func TestQueryContextLifetime(t *testing.T) {
 	if got := obsQueryContexts.Value() - contexts; got != 1 {
 		t.Fatalf("one attempt at a time created %d contexts, want 1", got)
 	}
+	if got := obsQueryEngines.Value() - engines; got != 1 {
+		t.Fatalf("one attempt at a time created %d query engines, want 1", got)
+	}
 }
 
 // TestQueryContextsBoundedByAttemptsInFlight interleaves attempts the
 // way a cooperative scheduler does — some parked at frontiers, some
 // terminating, some cancelled — and checks that the engine never builds
 // more contexts than the peak number of attempts holding one at once,
-// and that no two attempts ever hold the same context.
+// that no two attempts ever hold the same context, and that all of
+// them step on one query engine.
 func TestQueryContextsBoundedByAttemptsInFlight(t *testing.T) {
 	f := newStepFixture(t)
-	contexts := obsQueryContexts.Value()
+	contexts, engines := obsQueryContexts.Value(), obsQueryEngines.Value()
 	peak := 0
 	var live []*Update
 	checkOwners := func() {
@@ -338,7 +383,7 @@ func TestQueryContextsBoundedByAttemptsInFlight(t *testing.T) {
 				t.Fatalf("updates %d and %d hold one context", w, v.Number)
 			}
 			owners[v.qctx] = v.Number
-			if got := v.qctx.qe.Snapshot().Reader(); got != v.Number {
+			if got := v.qctx.snap.Reader(); got != v.Number {
 				t.Fatalf("update %d's context reads as %d", v.Number, got)
 			}
 		}
@@ -391,6 +436,9 @@ func TestQueryContextsBoundedByAttemptsInFlight(t *testing.T) {
 	}
 	if int(created) >= n {
 		t.Fatalf("%d contexts for %d attempts: nothing was recycled", created, n)
+	}
+	if got := obsQueryEngines.Value() - engines; got != 1 || len(f.eng.engines) != 1 {
+		t.Fatalf("%d query engines created, %d idle; want one, idle between steps", got, len(f.eng.engines))
 	}
 }
 

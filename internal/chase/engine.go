@@ -32,11 +32,14 @@ type Engine struct {
 	// with users who always expand). Zero means no limit.
 	MaxStepsPerAttempt int
 
-	// idle holds the query contexts no attempt owns (queryContext),
-	// guarded by idleMu. It is a plain list rather than a sync.Pool,
-	// which drains at every collection and would hand out cold pools.
-	idleMu sync.Mutex
-	idle   []*queryContext
+	// idle holds the query contexts no attempt owns (queryContext), and
+	// engines the query engines no StepReads runs on (borrowEngine),
+	// both guarded by idleMu. They are plain lists rather than
+	// sync.Pools, which drain at every collection and would hand out
+	// cold pools.
+	idleMu  sync.Mutex
+	idle    []*queryContext
+	engines []*query.Engine
 	// wideOpts is the one decision array wider than maxIdleOptions
 	// the engine keeps, guarded by idleMu: an idle context gives its
 	// wide array up (giveBack), and the next enumeration to outgrow
@@ -63,46 +66,55 @@ func (e *Engine) Mappings() *tgd.Set { return e.tgds }
 // an observer is installed. Read sites test it before building a read.
 func (e *Engine) logsReads() bool { return e.observer != nil }
 
-// record logs a read query on the update and notifies the observer.
+// record logs a read query on the update's read log, through the
+// dedup index of the attempt's context c, and notifies the observer.
 // Callers have checked logsReads. Re-performing an identical
 // intensional read is not re-logged: the stored copy already guards
 // its answer, and any write that would have shifted the answer in
 // between triggered a conflict on it.
-func (e *Engine) record(u *Update, q query.ReadQuery) {
-	if u.addRead(q) {
+func (e *Engine) record(c *queryContext, u *Update, q query.ReadQuery) {
+	if c.addRead(u, q) {
 		e.observer(u, q)
 	}
 }
 
-// queryContext is the query context of one update attempt: one live
-// snapshot at the update's reader priority and one query engine over
-// it, whose pools (slot runs, key and signature buffers) the attempt's
-// queries find warm. The snapshot is a stateless view over live store
-// state, so it stays valid across the attempt's own writes.
+// queryContext is the state of one update attempt that outlives a
+// single call: one live snapshot at the update's reader priority, the
+// violation queue's storage, the read log's dedup index and the
+// frontier questions' scratch. The snapshot is a stateless view over
+// live store state, so it stays valid across the attempt's own writes.
+// It holds no query engine: StepReads borrows one per call
+// (Engine.borrowEngine) and re-points it at the context's snapshot.
 //
 // Contexts are recycled through the engine's idle list. An attempt
-// takes one at its first query (Engine.queryContext), which re-points
-// the snapshot at the attempt's update number in place
+// takes one at its first query or logged read (Engine.queryContext),
+// which re-points the snapshot at the attempt's update number in place
 // (Backend.SnapInto), and gives it back when the attempt ends: at
 // termination, Cancel and Reset (Update.releaseContext). Between the
 // two, the context belongs to that attempt alone and is used by one
-// goroutine at a time — query.Engine is not safe for concurrent use.
-// Every user is a step or frontier operation on the owning update;
-// conflict checks on its behalf run on other goroutines' checkers
-// (query.Checker) and never borrow it.
-//
-// Under the parallel scheduler an abort wave gives a victim's context
-// back through Reset while another worker may hold the victim's claim.
-// That worker cannot still be using the context: the wave runs under
-// the exclusive phase lock, so no shared phase is in progress, and the
-// victim's worker re-checks the attempt counter (bumped by Reset) at
-// its next lock acquisition before it touches the update again. A
-// poll that acquires the lock later sees a ready update and does not
-// query. The context may therefore go to another attempt at once.
+// goroutine at a time. Every user is a step or frontier operation on
+// the owning update; conflict checks on its behalf run on other
+// goroutines' checkers (query.Checker) and never borrow it. Under the
+// parallel scheduler an abort wave may give a victim's context back
+// through Reset while another worker holds the victim's claim: the
+// wave runs under the exclusive phase lock, outside every call that
+// uses the context, and the claim's worker re-checks the attempt
+// counter before it touches the update again.
 type queryContext struct {
-	qe   *query.Engine
 	snap storage.Snapshot
 	home *Engine
+
+	// readIdx is the dedup index over the owning update's read log
+	// (Update.reads): identity hash (query.ReadHash) to position in the
+	// log. Two different reads with one hash probe linearly — the
+	// second lives under hash+1 — which is sound because entries are
+	// only ever removed all at once. A constant hashes by its canonical
+	// copy's address, an identity only while the constant is alive
+	// (model.Value.Hash); the log holds every read a key was hashed
+	// from, and giveBack and Update.ReleaseReads empty the index no
+	// later than the log. The log itself stays on the update, which
+	// concurrency control checks until commit.
+	readIdx map[uint64]int32
 
 	// Canonical renderings of Options and DecisionContext, the
 	// decisions scratchOptions enumerates and the unify targets of the
@@ -147,9 +159,9 @@ func (c *queryContext) sig(qv *queuedViolation) []byte {
 	return c.sigs[qv.sig.lo:qv.sig.hi]
 }
 
-// queryContext returns the attempt's query engine, taking a context
-// from the idle list, or building one, at the attempt's first query.
-func (e *Engine) queryContext(u *Update) *query.Engine {
+// queryContext returns the attempt's context, taking one from the
+// idle list, or building one, at the attempt's first query.
+func (e *Engine) queryContext(u *Update) *queryContext {
 	if u.qctx == nil {
 		e.idleMu.Lock()
 		if n := len(e.idle); n > 0 {
@@ -159,23 +171,54 @@ func (e *Engine) queryContext(u *Update) *query.Engine {
 		}
 		e.idleMu.Unlock()
 		if u.qctx == nil {
-			c := &queryContext{home: e}
-			c.qe = query.NewEngine(&c.snap)
-			u.qctx = c
+			u.qctx = &queryContext{home: e}
 			obsQueryContexts.Inc()
 		}
 		e.store.SnapInto(&u.qctx.snap, u.Number)
 	}
-	return u.qctx.qe
+	return u.qctx
 }
 
-// giveBack returns a context to the idle list. A decision array
-// longer than maxIdleOptions goes to the engine's one wide slot (the
-// wider of two is kept). A longer target array, more spare queue
-// entries or seeded results than maxIdleEntries, or a signature arena
-// past maxIdleSigs is dropped: one wide frontier or long queue would
-// otherwise stay reachable for the context's lifetime.
+// borrowEngine lends an idle query engine, or builds one, re-pointed
+// at snap; returnEngine takes it back. A query engine is not safe for
+// concurrent use, so each StepReads in flight borrows its own, and an
+// engine serves one attempt after another with its pools (slot runs,
+// row stack, key and signature buffers) warm: the cooperative
+// scheduler builds one, the parallel one at most one per worker.
+func (e *Engine) borrowEngine(snap *storage.Snapshot) *query.Engine {
+	var qe *query.Engine
+	e.idleMu.Lock()
+	if n := len(e.engines); n > 0 {
+		qe = e.engines[n-1]
+		e.engines[n-1] = nil
+		e.engines = e.engines[:n-1]
+	}
+	e.idleMu.Unlock()
+	if qe == nil {
+		obsQueryEngines.Inc()
+		return query.NewEngine(snap)
+	}
+	qe.SetSnapshot(snap)
+	return qe
+}
+
+// returnEngine puts a borrowed engine back on the idle list.
+func (e *Engine) returnEngine(qe *query.Engine) {
+	qe.SetSnapshot(nil)
+	e.idleMu.Lock()
+	e.engines = append(e.engines, qe)
+	e.idleMu.Unlock()
+}
+
+// giveBack returns a context to the idle list, its read dedup index
+// emptied. A decision array longer than maxIdleOptions goes to the
+// engine's one wide slot (the wider of two is kept). A longer target
+// array, more spare queue entries or seeded results than
+// maxIdleEntries, or a signature arena past maxIdleSigs is dropped:
+// one wide frontier or long queue would otherwise stay reachable for
+// the context's lifetime.
 func (e *Engine) giveBack(c *queryContext) {
+	clear(c.readIdx)
 	if cap(c.targets) > maxIdleOptions {
 		c.targets = nil
 	}
@@ -294,7 +337,9 @@ func (e *Engine) StepWrites(u *Update) (StepResult, error) {
 // It only reads the store — new writes are merely planned into the
 // update's write set — and mutates nothing but the update itself.
 func (e *Engine) StepReads(u *Update, writes []storage.WriteRec) (StepResult, error) {
-	qe := e.queryContext(u)
+	c := e.queryContext(u)
+	qe := e.borrowEngine(&c.snap)
+	defer e.returnEngine(qe)
 	// Entries queued before this step; the rest are discovered on the
 	// state the recheck reads.
 	old := len(u.queue)
@@ -309,9 +354,9 @@ func (e *Engine) StepReads(u *Update, writes []storage.WriteRec) (StepResult, er
 
 	// Phase 3: recheck the queue — remove violations just corrected.
 	if testRecheck != nil {
-		testRecheck(u, qe, func() int { return recheckQueue(u, writes, old, foreign) })
+		testRecheck(u, qe, func() int { return recheckQueue(u, qe, writes, old, foreign) })
 	} else {
-		recheckQueue(u, writes, old, foreign)
+		recheckQueue(u, qe, writes, old, foreign)
 	}
 
 	// Phase 4: process pending violations until writes are planned or
@@ -345,6 +390,10 @@ func (e *Engine) performWrites(u *Update) ([]storage.WriteRec, error) {
 	ops := u.writeSet
 	clear(u.writes)
 	out := u.writes[:0]
+	var c *queryContext
+	if e.logsReads() {
+		c = e.queryContext(u)
+	}
 	// The next write set is planned into the same array once these
 	// writes are performed; the store keeps copies, never an op. The
 	// records go out in the update's buffer (StepResult.Writes).
@@ -368,7 +417,7 @@ func (e *Engine) performWrites(u *Update) ([]storage.WriteRec, error) {
 			// would have no-op'ed here, so the stored probe must exist
 			// for Algorithm 4 to abort and rerun this update.
 			if e.logsReads() {
-				e.record(u, &query.ContentRead{Rel: op.Tuple.Rel,
+				e.record(c, u, &query.ContentRead{Rel: op.Tuple.Rel,
 					Vals: contentVals(op.Tuple.Vals, rec.After), ReaderNo: u.Number})
 			}
 			if inserted {
@@ -385,7 +434,7 @@ func (e *Engine) performWrites(u *Update) ([]storage.WriteRec, error) {
 				if len(recs) > 0 {
 					removed = recs[0].Before
 				}
-				e.record(u, &query.ContentRead{Rel: op.Tuple.Rel,
+				e.record(c, u, &query.ContentRead{Rel: op.Tuple.Rel,
 					Vals: contentVals(op.Tuple.Vals, removed), ReaderNo: u.Number})
 			}
 			out = append(out, recs...)
@@ -400,7 +449,7 @@ func (e *Engine) performWrites(u *Update) ([]storage.WriteRec, error) {
 		case OpReplaceNull:
 			// The set of rewritten tuples is the null-occurrence read.
 			if e.logsReads() {
-				e.record(u, &query.NullOccRead{Null: op.Null, ReaderNo: u.Number})
+				e.record(c, u, &query.NullOccRead{Null: op.Null, ReaderNo: u.Number})
 			}
 			recs, err := e.store.ReplaceNull(u.Number, op.Null, op.With)
 			if err != nil {
@@ -457,17 +506,17 @@ func (e *Engine) seedAndEnqueue(u *Update, qe *query.Engine, rel string, vals []
 	}
 	c := u.qctx
 	for _, t := range mappings {
-		var vs []query.Violation
+		vs := c.viols[:0]
 		if e.logsReads() {
 			var rq query.ReadQuery
-			rq, vs = query.NewViolationRead(qe, t, rel, vals, side)
-			e.record(u, rq)
+			rq, vs = query.AppendViolationRead(vs, qe, t, rel, vals, side)
+			e.record(c, u, rq)
 		} else {
-			vs = qe.AppendViolationsSeeded(c.viols[:0], t, rel, vals, side)
-			c.viols = vs
+			vs = qe.AppendViolationsSeeded(vs, t, rel, vals, side)
 		}
+		c.viols = vs
 		for i := range vs {
-			c.enqueue(u, vs[i], side == query.SeedLHS)
+			c.enqueue(u, qe, vs[i], side == query.SeedLHS)
 		}
 	}
 	clear(c.viols)
@@ -477,12 +526,12 @@ func (e *Engine) seedAndEnqueue(u *Update, qe *query.Engine, rel string, vals []
 // violation is already present, rendering its canonical witness
 // signature into the arena for content-ordered processing (see
 // nextPending).
-func (c *queryContext) enqueue(u *Update, v query.Violation, isLHS bool) {
+func (c *queryContext) enqueue(u *Update, qe *query.Engine, v query.Violation, isLHS bool) {
 	if u.findQueued(&v) != nil {
 		return
 	}
 	lo := len(c.sigs)
-	c.sigs = c.qe.AppendWitnessSig(c.sigs, &v)
+	c.sigs = qe.AppendWitnessSig(c.sigs, &v)
 	qv := c.entry()
 	*qv = queuedViolation{v: v, isLHS: isLHS, sig: sigSpan{int32(lo), int32(len(c.sigs))}}
 	u.queue = append(u.queue, qv)
@@ -511,7 +560,7 @@ var testRecheck func(u *Update, qe *query.Engine, recheck func() int)
 // and values a re-evaluation would give; entries discovered in this
 // step were found on the state the recheck would read. It returns the
 // number of re-evaluations, which it counts with one add per step.
-func recheckQueue(u *Update, writes []storage.WriteRec, old int, foreign bool) int {
+func recheckQueue(u *Update, qe *query.Engine, writes []storage.WriteRec, old int, foreign bool) int {
 	c := u.qctx
 	n, live := 0, 0
 	kept := u.queue[:0]
@@ -519,7 +568,7 @@ func recheckQueue(u *Update, writes []storage.WriteRec, old int, foreign bool) i
 		if i < old && (foreign || qv.dirty || touched(&qv.v, writes)) {
 			n++
 			qv.dirty = false
-			if !c.qe.Recheck(&qv.v) {
+			if !qe.Recheck(&qv.v) {
 				if qv.group != nil {
 					u.removeGroup(qv.group)
 				}
@@ -617,16 +666,16 @@ func (e *Engine) planRepair(u *Update, qv *queuedViolation) error {
 func (e *Engine) planForward(u *Update, qv *queuedViolation) error {
 	tuples, minted := query.InstantiateRHS(qv.v.TGD, qv.v.Vals, e.store.FreshNull, u.generated[:0], u.minted[:0])
 	u.generated, u.minted = tuples, minted
-	snap := e.queryContext(u).Snapshot()
+	c := e.queryContext(u)
 	frontier := u.frontier[:0]
 	planned := len(u.writeSet)
 	for _, t := range tuples {
 		// The generated tuple's values are never modified in place
 		// (substitutions copy), so the stored pattern shares them.
 		if e.logsReads() {
-			e.record(u, &query.MoreSpecificRead{Rel: t.Rel, Pattern: t.Vals, ReaderNo: u.Number})
+			e.record(c, u, &query.MoreSpecificRead{Rel: t.Rel, Pattern: t.Vals, ReaderNo: u.Number})
 		}
-		if snap.AnyMoreSpecific(t) {
+		if c.snap.AnyMoreSpecific(t) {
 			frontier = append(frontier, t)
 		} else {
 			u.writeSet = append(u.writeSet, Insert(t).because(causeForward, qv.v.TGD.Name))

@@ -107,8 +107,7 @@ func (e *Engine) scratchOptions(u *Update, g *FrontierGroup) []Decision {
 	if !g.Positive {
 		return negativeOptions(g)
 	}
-	e.queryContext(u)
-	c := u.qctx
+	c := e.queryContext(u)
 	c.opts = e.positiveOptions(u, g, c.opts[:0], true)
 	return c.opts
 }
@@ -116,11 +115,11 @@ func (e *Engine) scratchOptions(u *Update, g *FrontierGroup) []Decision {
 // positiveOptions appends a positive group's decisions to out; lend
 // grows out through the engine's wide array (lendOptions).
 func (e *Engine) positiveOptions(u *Update, g *FrontierGroup, out []Decision, lend bool) []Decision {
-	snap := e.queryContext(u).Snapshot()
-	c := u.qctx
+	c := e.queryContext(u)
+	snap := &c.snap
 	for idx, t := range g.Tuples {
 		if e.logsReads() {
-			e.record(u, &query.MoreSpecificRead{Rel: t.Rel, Pattern: t.Vals, ReaderNo: u.Number})
+			e.record(c, u, &query.MoreSpecificRead{Rel: t.Rel, Pattern: t.Vals, ReaderNo: u.Number})
 		}
 		c.targets = snap.MoreSpecificInto(t, c.targets[:0])
 		targets := c.targets
@@ -210,8 +209,8 @@ func (c *queryContext) sortTargets(snap *storage.Snapshot, targets []storage.Tup
 // identically. The rendering reuses the attempt's buffers; only the
 // returned string is allocated.
 func (e *Engine) DecisionContext(u *Update, g *FrontierGroup) string {
-	snap := e.queryContext(u).Snapshot()
-	c := u.qctx
+	c := e.queryContext(u)
+	snap := &c.snap
 	ts := c.tuples[:0]
 	for _, id := range g.Viol.Witness {
 		if tv, ok := snap.GetTuple(id); ok {
@@ -324,7 +323,8 @@ func (e *Engine) applyUnify(u *Update, g *FrontierGroup, d Decision) error {
 		return fmt.Errorf("%w: tuple index %d out of range", ErrStaleDecision, d.TupleIdx)
 	}
 	t := g.Tuples[d.TupleIdx]
-	snap := e.queryContext(u).Snapshot()
+	c := e.queryContext(u)
+	snap := &c.snap
 	target, ok := snap.GetTuple(d.Target)
 	if !ok {
 		return fmt.Errorf("%w: unify target #%d not visible", ErrStaleDecision, d.Target)
@@ -354,7 +354,7 @@ func (e *Engine) applyUnify(u *Update, g *FrontierGroup, d Decision) error {
 			continue
 		}
 		if e.logsReads() {
-			e.record(u, &query.NullOccRead{Null: k, ReaderNo: u.Number})
+			e.record(c, u, &query.NullOccRead{Null: k, ReaderNo: u.Number})
 		}
 		if len(snap.TuplesWithNull(k)) > 0 {
 			u.writeSet = append(u.writeSet, ReplaceNull(k, sub[k]).because(causeUnification, g.Viol.TGD.Name))

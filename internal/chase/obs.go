@@ -15,11 +15,12 @@ var (
 	obsFrontierOps      = obs.Default.Counter("chase_frontier_ops_total")
 	obsRechecks         = obs.Default.Counter("chase_rechecks_total")
 
-	// The query seam: contexts created (one per update attempt that
-	// issues a query — contexts ÷ attempts is the "one context per
-	// attempt" check), reads stored in read logs, and identical reads
-	// the logs dropped.
+	// The query seam: attempt contexts created (recycled, so at most
+	// one per attempt in flight), query engines created (borrowed per
+	// StepReads, so at most one per step in flight), reads stored in
+	// read logs, and identical reads the logs dropped.
 	obsQueryContexts = obs.Default.Counter("chase_query_contexts_total")
+	obsQueryEngines  = obs.Default.Counter("chase_query_engines_total")
 	obsReadsRecorded = obs.Default.Counter("chase_reads_recorded_total")
 	obsReadsDeduped  = obs.Default.Counter("chase_reads_deduped_total")
 )

@@ -38,49 +38,66 @@ func TestPublishAfterReleaseReads(t *testing.T) {
 }
 
 // TestReleaseReadsKeepsCapacity: a release and a Reset empty the log
-// and its index but keep their storage for the next attempt, and the
-// kept array holds no dropped read.
+// but keep its array for the next attempt, and the kept array holds no
+// dropped read. A release empties the dedup index of the context the
+// attempt holds and keeps its buckets; a Reset gives the context back,
+// emptied the same way.
 func TestReleaseReadsKeepsCapacity(t *testing.T) {
 	u := NewUpdate(1, Op{})
-	for _, release := range []func(){u.ReleaseReads, u.Reset} {
+	home := &Engine{}
+	for _, reset := range []bool{false, true} {
+		u.qctx = &queryContext{home: home}
 		for i := 0; i < 5; i++ {
 			u.RecordRead(probeRead(i))
 		}
-		c := cap(u.reads)
-		release()
-		if len(u.reads) != 0 || len(u.readIdx) != 0 || cap(u.reads) != c || u.readIdx == nil {
-			t.Fatalf("after release: %d reads, %d index entries, capacity %d of %d", len(u.reads), len(u.readIdx), cap(u.reads), c)
+		c, n := u.qctx, cap(u.reads)
+		if reset {
+			u.Reset()
+		} else {
+			u.ReleaseReads()
 		}
-		for _, q := range u.reads[:c] {
+		if len(u.reads) != 0 || len(c.readIdx) != 0 || cap(u.reads) != n || c.readIdx == nil {
+			t.Fatalf("after release: %d reads, %d index entries, capacity %d of %d", len(u.reads), len(c.readIdx), cap(u.reads), n)
+		}
+		if held := u.qctx == c; held == reset {
+			t.Fatalf("reset %v: the update holds its context: %v", reset, held)
+		}
+		for _, q := range u.reads[:n] {
 			if q != nil {
 				t.Fatal("the kept array still holds a dropped read")
 			}
 		}
 	}
+	if len(home.idle) != 1 {
+		t.Fatalf("%d idle contexts after one Reset, want 1", len(home.idle))
+	}
 }
 
 // TestReadLogHashCollision: reads whose identity hashes collide are
 // told apart by structural equality — each distinct one is stored,
-// each repeat dropped — and a Reset forgets the whole chain.
+// each repeat dropped — and a Reset, which gives the context back,
+// forgets the whole chain.
 func TestReadLogHashCollision(t *testing.T) {
 	u := NewUpdate(1, Op{})
+	c := &queryContext{home: &Engine{}}
+	u.qctx = c
 	const h = 42
 	for round := 0; round < 2; round++ {
 		for i := 0; i < 5; i++ {
-			if got, want := u.addReadHashed(probeRead(i), h), round == 0; got != want {
+			if got, want := c.addReadHashed(u, probeRead(i), h), round == 0; got != want {
 				t.Fatalf("round %d read %d under one hash: taken = %v, want %v", round, i, got, want)
 			}
 		}
 	}
 	// A neighbour hash already claimed by the chain still finds its own.
-	if !u.addReadHashed(probeRead(5), h+2) || u.addReadHashed(probeRead(5), h+2) {
+	if !c.addReadHashed(u, probeRead(5), h+2) || c.addReadHashed(u, probeRead(5), h+2) {
 		t.Fatal("a read hashing into the collision chain was mis-deduplicated")
 	}
 	if got := len(u.reads); got != 6 {
 		t.Fatalf("log holds %d reads, want 6", got)
 	}
 	u.Reset()
-	if !u.addReadHashed(probeRead(3), h) {
+	if !c.addReadHashed(u, probeRead(3), h) {
 		t.Fatal("Reset kept the dedupe index")
 	}
 }
@@ -100,7 +117,7 @@ func TestReadDedupAcrossCollection(t *testing.T) {
 		}
 	}
 	u := NewUpdate(1, Op{})
-	if !u.addRead(read()) {
+	if !u.RecordRead(read()) {
 		t.Fatal("first read reported as a duplicate")
 	}
 	h := query.ReadHash(u.reads[0])
@@ -111,7 +128,7 @@ func TestReadDedupAcrossCollection(t *testing.T) {
 	if query.ReadHash(again) != h {
 		t.Fatal("re-minted constant hashes differently while the read log holds it")
 	}
-	if u.addRead(again) {
+	if u.RecordRead(again) {
 		t.Fatal("a read repeated after a collection was stored twice")
 	}
 }

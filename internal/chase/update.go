@@ -161,24 +161,16 @@ type Update struct {
 	checkedSeq int64
 
 	// reads are the stored read queries of the current attempt, in the
-	// order performed; concurrency control checks writes against them.
-	// The engine keeps them only while a read observer is installed
-	// (Engine.logsReads). Identical queries are stored once (they
-	// denote the same intensional read). The log takes no lock: every
-	// reader runs either on the goroutine that steps the update, or
-	// under the parallel scheduler's exclusive phase lock, while no
-	// engine call is in flight.
+	// order performed; concurrency control checks writes against them
+	// until the update commits. The engine keeps them only while a read
+	// observer is installed (Engine.logsReads). Identical queries are
+	// stored once (they denote the same intensional read): the
+	// attempt's context holds the dedup index (queryContext.readIdx),
+	// and no read is logged once the attempt gave its context back.
+	// The log takes no lock: every reader runs either on the goroutine
+	// that steps the update, or under the parallel scheduler's
+	// exclusive phase lock, while no engine call is in flight.
 	reads []query.ReadQuery
-	// readIdx is the dedupe index over reads: identity hash
-	// (query.ReadHash) to position in reads. Two different reads with
-	// one hash probe linearly — the second lives under hash+1 — which
-	// is sound because entries are only ever removed all at once. A
-	// constant hashes by its canonical copy's address, an identity only
-	// while the constant is alive (model.Value.Hash); reads holds every
-	// read a key was hashed from, and both are emptied together. Nil
-	// until the update's first read; Reset and ReleaseReads empty it
-	// and keep its buckets, as they keep the log's array.
-	readIdx map[uint64]int32
 
 	// qctx is the attempt's query context (Engine.queryContext): nil
 	// until the attempt's first query and again once the attempt gave
@@ -281,12 +273,14 @@ func (u *Update) dropPending() {
 }
 
 // releaseContext gives the attempt's query context back to the engine
-// it came from (see Engine.queryContext for why this is safe from any
-// caller holding the update).
+// it came from (see queryContext for why this is safe from any caller
+// holding the update). A detached context (RecordRead) is dropped.
 func (u *Update) releaseContext() {
 	if c := u.qctx; c != nil {
 		u.qctx = nil
-		c.home.giveBack(c)
+		if c.home != nil {
+			c.home.giveBack(c)
+		}
 	}
 }
 
@@ -302,17 +296,18 @@ func (t TraceEntry) String() string {
 	return t.Write.String() + "  <- " + t.Cause
 }
 
-// addRead stores a read query, deduplicating identical ones
-// (query.SameRead). It reports whether the query was new.
-func (u *Update) addRead(q query.ReadQuery) bool {
-	return u.addReadHashed(q, query.ReadHash(q))
+// addRead stores a read query in the read log of u, the context's
+// owner, deduplicating identical ones (query.SameRead). It reports
+// whether the query was new.
+func (c *queryContext) addRead(u *Update, q query.ReadQuery) bool {
+	return c.addReadHashed(u, q, query.ReadHash(q))
 }
 
 // addReadHashed is addRead with the identity hash supplied by the
 // caller (tests force collisions through it).
-func (u *Update) addReadHashed(q query.ReadQuery, h uint64) bool {
+func (c *queryContext) addReadHashed(u *Update, q query.ReadQuery, h uint64) bool {
 	for ; ; h++ {
-		i, taken := u.readIdx[h]
+		i, taken := c.readIdx[h]
 		if !taken {
 			break
 		}
@@ -321,18 +316,26 @@ func (u *Update) addReadHashed(q query.ReadQuery, h uint64) bool {
 			return false
 		}
 	}
-	if u.readIdx == nil {
-		u.readIdx = make(map[uint64]int32)
+	if c.readIdx == nil {
+		c.readIdx = make(map[uint64]int32)
 	}
-	u.readIdx[h] = int32(len(u.reads))
+	c.readIdx[h] = int32(len(u.reads))
 	u.reads = append(u.reads, q)
 	obsReadsRecorded.Inc()
 	return true
 }
 
 // RecordRead stores a read query as if an engine call had performed
-// it, for tests and probes. It reports whether the query was new.
-func (u *Update) RecordRead(q query.ReadQuery) bool { return u.addRead(q) }
+// it, for tests and probes. It reports whether the query was new. An
+// update without a context dedups through a detached one, which no
+// engine lent and which Reset or Cancel drops: it is meant for
+// updates no engine steps.
+func (u *Update) RecordRead(q query.ReadQuery) bool {
+	if u.qctx == nil {
+		u.qctx = new(queryContext)
+	}
+	return u.qctx.addRead(u, q)
+}
 
 // StoredReads returns the live read log of the current attempt (see
 // Update.reads for who may call it).
@@ -340,13 +343,16 @@ func (u *Update) StoredReads() []query.ReadQuery { return u.reads }
 
 // ReleaseReads drops the stored read queries — the commit-time release
 // of Algorithm 4 (a committed update's reads can no longer cause
-// conflicts). The log's array and its index stay for the next attempt
-// or Renew, cleared to full capacity as dropPending clears the write
-// set, so that no dropped read is kept alive.
+// conflicts) — and empties the dedup index of a context the attempt
+// still holds. The log's array stays for the next attempt or Renew,
+// cleared to full capacity as dropPending clears the write set, so
+// that no dropped read is kept alive.
 func (u *Update) ReleaseReads() {
 	clear(u.reads[:cap(u.reads)])
 	u.reads = u.reads[:0]
-	clear(u.readIdx)
+	if c := u.qctx; c != nil {
+		clear(c.readIdx)
+	}
 }
 
 // State returns the update's current lifecycle state.

@@ -45,9 +45,9 @@ func refAffectedBy(q *ViolationRead, st storage.Backend, w storage.WriteRec) boo
 	}
 	snap := st.Snap(q.ReaderNo)
 	if w.Seq > q.readCeil(w.Rel) {
-		snap.SetRelWindow(q.ReadSeqs, w.Seq)
+		snap.SetRelWindow(q.TGD.Relations(), q.ReadSeqs, w.Seq)
 	} else {
-		snap.SetRelCeilings(q.ReadSeqs)
+		snap.SetRelCeilings(q.TGD.Relations(), q.ReadSeqs)
 		snap.SetMask(w.Writer, w.Seq)
 	}
 	return q.answerCanon(snap) != q.Answer
@@ -64,7 +64,7 @@ func refAffectedByRemoval(q *ViolationRead, st storage.Backend, removed []storag
 		return false
 	}
 	snap := st.Snap(q.ReaderNo)
-	snap.SetRelWindow(q.ReadSeqs, st.CurrentSeq())
+	snap.SetRelWindow(q.TGD.Relations(), q.ReadSeqs, st.CurrentSeq())
 	return q.answerCanon(snap) != q.Answer
 }
 

@@ -173,12 +173,13 @@ func TestAffectedByAgreesWithRecomputation(t *testing.T) {
 		// execution is single-threaded, so the two reconstructions must
 		// agree — which checks the vector capture and the structural
 		// prefilters at once.
-		var vec []storage.RelSeq
-		for _, rel := range st.Schema().SortedNames() {
-			vec = append(vec, storage.RelSeq{Rel: rel, Seq: readSeq})
+		names := st.Schema().SortedNames()
+		vec := make([]int64, len(names))
+		for i := range vec {
+			vec[i] = readSeq
 		}
 		win := st.Snap(5)
-		win.SetRelWindow(vec, w2.Seq)
+		win.SetRelWindow(names, vec, w2.Seq)
 		want := q.answerCanon(win) != q.Answer
 		if got != want {
 			t.Fatalf("seed %d: AffectedBy = %v, brute force = %v (write %v)", seed, got, want, w2)

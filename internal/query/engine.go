@@ -204,6 +204,11 @@ func NewEngine(snap *storage.Snapshot) *Engine {
 // Snapshot returns the snapshot the engine reads through.
 func (e *Engine) Snapshot() *storage.Snapshot { return e.snap }
 
+// SetSnapshot re-points the engine at another snapshot, keeping its
+// pools warm: a caller that lends one engine to many readers re-points
+// it per use.
+func (e *Engine) SetSnapshot(snap *storage.Snapshot) { e.snap = snap }
+
 // Violations returns every violation of the mapping (Definition 2.1),
 // in deterministic order.
 func (e *Engine) Violations(t *tgd.TGD) []Violation {

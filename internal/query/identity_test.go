@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"youtopia/internal/model"
-	"youtopia/internal/storage"
 	"youtopia/internal/tgd"
 )
 
@@ -149,14 +148,8 @@ func TestReadIdentityMatchesString(t *testing.T) {
 	_, set := fig2(t)
 	sigma3, _ := set.ByName("sigma3")
 	other := tgd.New("other", sigma3.LHS, sigma3.RHS)
-	seqs := func(s ...int64) []storage.RelSeq {
-		out := make([]storage.RelSeq, len(s))
-		for i, rel := range sigma3.Relations() {
-			out[i] = storage.RelSeq{Rel: rel, Seq: s[i]}
-		}
-		return out
-	}
-	viol := func(m *tgd.TGD, side Side, rel string, vals []model.Value, rs []storage.RelSeq) ReadQuery {
+	seqs := func(s ...int64) []int64 { return s }
+	viol := func(m *tgd.TGD, side Side, rel string, vals []model.Value, rs []int64) ReadQuery {
 		return &ViolationRead{TGD: m, SeedSide: side, SeedRel: rel, SeedVals: vals, ReadSeqs: rs, ReaderNo: 1}
 	}
 	var reads []ReadQuery

@@ -83,8 +83,8 @@ type ReadQuery interface {
 // ViolationRead stores a seeded violation query: "which violations of
 // TGD did the write of SeedVals into SeedRel create?" (Example 4.1).
 // Besides the intensional query it records the canonical answer and a
-// per-relation read vector — each of the mapping's relations paired
-// with its stripe sequence number at read time — so conflict checks
+// per-relation read vector — the stripe sequence number of each of the
+// mapping's relations at read time — so conflict checks
 // can ask whether a later write retroactively changes what was read,
 // even after the reader's own repairs have moved the current answer
 // on. The vector replaces an earlier single global read sequence: a
@@ -104,33 +104,40 @@ type ViolationRead struct {
 	// conflict check compares by rendering rather than in place.
 	Answer string
 	multi  bool
-	// ReadSeqs is the per-relation read vector: for every relation the
-	// mapping ranges over, the relation's stripe sequence number when
-	// the read happened. Two reads of the same seeded query with equal
+	// ReadSeqs is the per-relation read vector, aligned with
+	// TGD.Relations(): each relation's stripe sequence number when the
+	// read happened. Two reads of the same seeded query with equal
 	// vectors observed identical relevant state (the answer depends on
 	// no other relations), so the vector doubles as the read's identity
 	// in String.
-	ReadSeqs []storage.RelSeq
+	ReadSeqs []int64
 }
 
 // NewViolationRead evaluates the seeded violation query on the
-// reader's engine — the update attempt's one query context, so the
-// evaluation runs on warm pools — and returns both the stored read
-// descriptor and the violations it found. The reader is the engine's
-// snapshot reader. The read vector is captured before the evaluation:
-// per stripe, everything at or below the captured sequence is already
-// applied (stripe sequences publish under the stripe lock), so the
-// vector lower-bounds what the evaluation saw in each relation and is
-// exact whenever no writer runs during the read — which the
-// schedulers' phase locking guarantees.
+// reader's engine and returns both the stored read descriptor and the
+// violations it found. The reader is the engine's snapshot reader. The
+// read vector is captured before the evaluation: per stripe, everything
+// at or below the captured sequence is already applied (stripe
+// sequences publish under the stripe lock), so the vector lower-bounds
+// what the evaluation saw in each relation and is exact whenever no
+// writer runs during the read — which the schedulers' phase locking
+// guarantees.
 //
 // seedVals is retained, not copied: callers pass a write record's
 // immutable value slice.
 func NewViolationRead(e *Engine, t *tgd.TGD, seedRel string, seedVals []model.Value, side Side) (*ViolationRead, []Violation) {
+	return AppendViolationRead(nil, e, t, seedRel, seedVals, side)
+}
+
+// AppendViolationRead is NewViolationRead appending the violations to
+// dst, so that a caller consuming them at once reuses one array: the
+// read then allocates only itself and its read vector, and each
+// violation found its own Vals and Witness.
+func AppendViolationRead(dst []Violation, e *Engine, t *tgd.TGD, seedRel string, seedVals []model.Value, side Side) (*ViolationRead, []Violation) {
 	rels := t.Relations()
-	seqs := make([]storage.RelSeq, len(rels))
+	seqs := make([]int64, len(rels))
 	for i, rel := range rels {
-		seqs[i] = storage.RelSeq{Rel: rel, Seq: e.snap.RelSeq(rel)}
+		seqs[i] = e.snap.RelSeq(rel)
 	}
 	q := &ViolationRead{
 		TGD:      t,
@@ -140,17 +147,18 @@ func NewViolationRead(e *Engine, t *tgd.TGD, seedRel string, seedVals []model.Va
 		ReaderNo: e.snap.Reader(),
 		ReadSeqs: seqs,
 	}
-	vs := q.eval(e)
+	out := e.AppendViolationsSeeded(dst, t, seedRel, seedVals, side)
+	vs := out[len(dst):]
 	q.Answer, q.multi = e.canonViolations(vs), len(vs) > 1
-	return q, vs
+	return q, out
 }
 
 // readCeil returns the read vector's boundary for a relation (0 when
 // the relation is outside the mapping, which callers pre-filter).
 func (q *ViolationRead) readCeil(rel string) int64 {
-	for i := range q.ReadSeqs {
-		if q.ReadSeqs[i].Rel == rel {
-			return q.ReadSeqs[i].Seq
+	for i, r := range q.TGD.Relations() {
+		if r == rel {
+			return q.ReadSeqs[i]
 		}
 	}
 	return 0
@@ -200,7 +208,7 @@ func (q *ViolationRead) String() string {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		fmt.Fprintf(&b, "%d", q.ReadSeqs[i].Seq)
+		fmt.Fprintf(&b, "%d", q.ReadSeqs[i])
 	}
 	b.WriteByte(']')
 	return b.String()
@@ -261,7 +269,7 @@ type Checker struct {
 // of st and returns that view for the caller to narrow in place.
 func (c *Checker) view(st storage.Backend, reader int) *storage.Snapshot {
 	st.SnapInto(&c.snap, reader)
-	c.eng.snap = &c.snap
+	c.eng.SetSnapshot(&c.snap)
 	return &c.snap
 }
 
@@ -301,9 +309,9 @@ func (q *ViolationRead) AffectedBy(c *Checker, st storage.Backend, w storage.Wri
 	}
 	snap := c.view(st, q.ReaderNo)
 	if w.Seq > q.readCeil(w.Rel) {
-		snap.SetRelWindow(q.ReadSeqs, w.Seq)
+		snap.SetRelWindow(q.TGD.Relations(), q.ReadSeqs, w.Seq)
 	} else {
-		snap.SetRelCeilings(q.ReadSeqs)
+		snap.SetRelCeilings(q.TGD.Relations(), q.ReadSeqs)
 		snap.SetMask(w.Writer, w.Seq)
 	}
 	return c.eng.answerDiffers(q)
@@ -348,7 +356,7 @@ func (q *ViolationRead) AffectedByRemoval(c *Checker, st storage.Backend, remove
 	if !relevant {
 		return false
 	}
-	c.view(st, q.ReaderNo).SetRelWindow(q.ReadSeqs, st.CurrentSeq())
+	c.view(st, q.ReaderNo).SetRelWindow(q.TGD.Relations(), q.ReadSeqs, st.CurrentSeq())
 	return c.eng.answerDiffers(q)
 }
 
@@ -509,8 +517,8 @@ func ReadHash(q ReadQuery) uint64 {
 		h = hashWord(h, uint64(r.SeedSide))
 		h = hashString(h, r.SeedRel)
 		h = hashVals(h, r.SeedVals)
-		for i := range r.ReadSeqs {
-			h = hashWord(h, uint64(r.ReadSeqs[i].Seq))
+		for _, seq := range r.ReadSeqs {
+			h = hashWord(h, uint64(seq))
 		}
 	case *MoreSpecificRead:
 		h = hashVals(hashString(h, r.Rel), r.Pattern)
@@ -531,18 +539,10 @@ func SameRead(a, b ReadQuery) bool {
 	switch x := a.(type) {
 	case *ViolationRead:
 		y, ok := b.(*ViolationRead)
-		if !ok || x.TGD != y.TGD || x.SeedSide != y.SeedSide || x.SeedRel != y.SeedRel ||
-			!slices.Equal(x.SeedVals, y.SeedVals) || len(x.ReadSeqs) != len(y.ReadSeqs) {
-			return false
-		}
-		// Same mapping, so the vectors list the same relations in the
-		// same order; only the sequence numbers can differ.
-		for i := range x.ReadSeqs {
-			if x.ReadSeqs[i].Seq != y.ReadSeqs[i].Seq {
-				return false
-			}
-		}
-		return true
+		// Same mapping, so the vectors align with the same relations;
+		// only the sequence numbers can differ.
+		return ok && x.TGD == y.TGD && x.SeedSide == y.SeedSide && x.SeedRel == y.SeedRel &&
+			slices.Equal(x.SeedVals, y.SeedVals) && slices.Equal(x.ReadSeqs, y.ReadSeqs)
 	case *MoreSpecificRead:
 		y, ok := b.(*MoreSpecificRead)
 		return ok && x.Rel == y.Rel && slices.Equal(x.Pattern, y.Pattern)

@@ -68,12 +68,22 @@ type Backend interface {
 	// reads the per-relation one.
 	CurrentSeq() int64
 
-	// AppendUncommittedWrites is the one scan of the live write log the
-	// dependency trackers of §5.1 read: every uncommitted write into rel
-	// ("" = every relation), appended to dst in no particular order.
-	// WritesOf, UncommittedWrites, UncommittedWritesOf and
-	// UncommittedWritersOf are seq-sorted views over the same scan.
+	// AppendUncommittedWrites is the one scan of the live write log:
+	// every uncommitted write into rel ("" = every relation), appended
+	// to dst in no particular order; PRECISE reads it for the violation
+	// queries it evaluates against the database. WritesOf,
+	// UncommittedWrites and UncommittedWritesOf are seq-sorted views
+	// over it.
+	//
+	// AppendUncommittedWriters is the same scan over writers instead of
+	// records: every uncommitted writer into rel, or only those with a
+	// write match accepts (match runs under the stripe read locks and
+	// must not call the backend), appended in no particular order and
+	// possibly repeated. It is what COARSE charges its dependencies
+	// from (§5.1.1); UncommittedWritersOf is its sorted, compacted
+	// view.
 	AppendUncommittedWrites(dst []WriteRec, rel string) []WriteRec
+	AppendUncommittedWriters(dst []int, rel string, match func(*WriteRec) bool) []int
 	WritesOf(writer int) []WriteRec
 	UncommittedWrites() []WriteRec
 	UncommittedWritesOf(rel string) []WriteRec

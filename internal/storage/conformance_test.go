@@ -258,12 +258,12 @@ func TestConformanceSnapshotFilters(t *testing.T) {
 	onStore(t, func(t *testing.T, b Backend) {
 		idA, _ := mustInsert(t, b, 1, "A", cv("early"), cv("x"))
 		live := b.Snap(1 << 30)
-		ceils := []RelSeq{{Rel: "A", Seq: live.RelSeq("A")}, {Rel: "B", Seq: live.RelSeq("B")}}
+		rels, ceils := []string{"A", "B"}, []int64{live.RelSeq("A"), live.RelSeq("B")}
 		idB, recB := mustInsert(t, b, 2, "B", cv("late"))
 		idA2, _ := mustInsert(t, b, 2, "A", cv("later"), cv("y"))
 
 		past := b.Snap(1 << 30)
-		past.SetRelCeilings(ceils)
+		past.SetRelCeilings(rels, ceils)
 		if _, ok := past.Get(idA); !ok {
 			t.Fatal("ceiling hides a pre-ceiling version")
 		}
@@ -277,7 +277,7 @@ func TestConformanceSnapshotFilters(t *testing.T) {
 		// The window admits other writers' post-ceiling writes up to the
 		// bound, in every relation, but never the reader's own.
 		reader3 := b.Snap(3)
-		reader3.SetRelWindow(ceils, recB.Seq)
+		reader3.SetRelWindow(rels, ceils, recB.Seq)
 		if _, ok := reader3.Get(idB); !ok {
 			t.Fatal("window excludes an admitted interference write")
 		}

@@ -301,11 +301,11 @@ func compareReaders(t *testing.T, trimmed, full *Store, readers []int, knob byte
 			"ceiling": func(sn *Snapshot) *Snapshot { return ceiled(sn, ceil) },
 			"window":  func(sn *Snapshot) *Snapshot { return windowed(sn, low, cur) },
 			"relceil": func(sn *Snapshot) *Snapshot {
-				sn.SetRelCeilings([]RelSeq{{"A", ceil}, {"B", low}})
+				sn.SetRelCeilings([]string{"A", "B"}, []int64{ceil, low})
 				return sn
 			},
 			"relwindow": func(sn *Snapshot) *Snapshot {
-				sn.SetRelWindow([]RelSeq{{"A", low}, {"B", ceil}}, cur)
+				sn.SetRelWindow([]string{"A", "B"}, []int64{low, ceil}, cur)
 				return sn
 			},
 		}

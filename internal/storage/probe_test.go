@@ -113,8 +113,8 @@ func FuzzMoreSpecificProbe(f *testing.F) {
 				views = append(views, &masked)
 			}
 			ceiled, windowed := *plain, *plain
-			ceiled.SetRelCeilings([]RelSeq{{Rel: "R", Seq: seq / 2}})
-			windowed.SetRelWindow([]RelSeq{{Rel: "S", Seq: seq / 3}}, seq)
+			ceiled.SetRelCeilings([]string{"R"}, []int64{seq / 2})
+			windowed.SetRelWindow([]string{"S"}, []int64{seq / 3}, seq)
 			views = append(views, &ceiled, &windowed)
 		}
 

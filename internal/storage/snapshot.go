@@ -6,23 +6,14 @@ import (
 	"youtopia/internal/model"
 )
 
-// RelSeq pairs a relation with a stripe sequence number: one entry of
-// a per-relation read vector. Conflict checks capture such vectors at
-// read time and snapshots replay them as per-relation visibility
-// ceilings, so a read's validity window is judged stripe by stripe
-// instead of against one global sequence number.
-type RelSeq struct {
-	Rel string
-	Seq int64
-}
-
-// seqOf returns the vector's entry for rel, or ok == false when the
+// ceilingOf returns the ceiling a read vector sets for rel: the
+// sequence number aligned with rel in rels, or ok == false when the
 // relation is not part of the vector. Vectors are tiny (a mapping's
 // relation set), so lookup is a linear scan without allocation.
-func seqOf(vec []RelSeq, rel string) (int64, bool) {
-	for i := range vec {
-		if vec[i].Rel == rel {
-			return vec[i].Seq, true
+func ceilingOf(rels []string, seqs []int64, rel string) (int64, bool) {
+	for i := range rels {
+		if rels[i] == rel {
+			return seqs[i], true
 		}
 	}
 	return 0, false
@@ -63,9 +54,10 @@ type Snapshot struct {
 	maskWriter int
 	maskSeq    int64
 
-	// relCeils, when set, restricts visibility per relation to
-	// versions with seq at most the vector's entry for the version's
-	// relation, reconstructing the state as of a past read.
+	// ceilRels and ceils, when set, are a per-relation read vector:
+	// they restrict visibility per relation to versions with seq at
+	// most the ceiling aligned with the version's relation,
+	// reconstructing the state as of a past read.
 	// Relations absent from the vector are unconstrained — a read
 	// vector always covers every relation its query ranges over, so
 	// missing entries can only belong to relations the query ignores.
@@ -74,7 +66,8 @@ type Snapshot struct {
 	// interference that landed after my read, excluding my own later
 	// repairs" (used by the as-of-read-time conflict check of
 	// Algorithm 4).
-	relCeils  []RelSeq
+	ceilRels  []string
+	ceils     []int64
 	hasWindow bool
 	windowSeq int64
 }
@@ -118,20 +111,21 @@ func (sn *Snapshot) SetMask(writer int, seq int64) {
 }
 
 // SetRelCeilings restricts sn, per relation, to versions with sequence
-// numbers at most the vector's entry — the state a read observed
-// judged stripe by stripe. Relations absent from the vector are
-// unrestricted. The caller must keep the vector immutable for the
-// snapshot's lifetime.
-func (sn *Snapshot) SetRelCeilings(ceils []RelSeq) {
-	sn.relCeils = ceils
+// numbers at most the relation's ceiling — the state a read observed
+// judged stripe by stripe. The read vector is two aligned slices: the
+// relations (a mapping's relation list) and their ceilings. Relations
+// absent from it are unrestricted. The caller must keep both slices
+// immutable for the snapshot's lifetime.
+func (sn *Snapshot) SetRelCeilings(rels []string, seqs []int64) {
+	sn.ceilRels, sn.ceils = rels, seqs
 }
 
-// SetRelWindow narrows sn to the state as of the per-relation ceiling
-// vector, augmented with the writes other writers performed past their
+// SetRelWindow narrows sn to the state as of the per-relation ceilings,
+// augmented with the writes other writers performed past their
 // relation's ceiling up to sequence upto — the reader's own
 // post-ceiling writes stay hidden.
-func (sn *Snapshot) SetRelWindow(ceils []RelSeq, upto int64) {
-	sn.relCeils = ceils
+func (sn *Snapshot) SetRelWindow(rels []string, seqs []int64, upto int64) {
+	sn.ceilRels, sn.ceils = rels, seqs
 	sn.hasWindow, sn.windowSeq = true, upto
 }
 
@@ -147,7 +141,7 @@ func (sn *Snapshot) admits(v *version, rel string) bool {
 	if sn.committedOnly && !sn.store.isCommitted(v.writer) {
 		return false
 	}
-	if ceil, ok := seqOf(sn.relCeils, rel); ok && v.seq > ceil {
+	if ceil, ok := ceilingOf(sn.ceilRels, sn.ceils, rel); ok && v.seq > ceil {
 		if !sn.hasWindow {
 			return false
 		}

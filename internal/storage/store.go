@@ -1159,6 +1159,49 @@ func (st *Store) AppendUncommittedWrites(dst []WriteRec, rel string) []WriteRec 
 	return st.appendLogs(dst, rel, anyWriter)
 }
 
+// AppendUncommittedWriters appends to dst the uncommitted writers with
+// live writes into rel — into every relation when rel is "" — and
+// returns the extended slice. With a nil match every such writer is
+// appended; otherwise only a writer one of whose writes match accepts.
+// A writer may appear more than once and order is unspecified: the
+// dependency trackers (§5.1) charge each one as a set member. The
+// stripes are read-locked as in appendLogs, and match runs under those
+// locks, so it must not call into the store.
+func (st *Store) AppendUncommittedWriters(dst []int, rel string, match func(*WriteRec) bool) []int {
+	stripes := st.byIdx
+	if rel != "" {
+		s := st.stripes[rel]
+		if s == nil {
+			return dst
+		}
+		stripes = st.byIdx[s.idx : s.idx+1]
+	}
+	for _, s := range stripes {
+		s.rlock()
+	}
+	for _, s := range stripes {
+		for w, log := range s.logs {
+			if match == nil || anyMatch(log, match) {
+				dst = append(dst, w)
+			}
+		}
+	}
+	for _, s := range stripes {
+		s.runlock()
+	}
+	return dst
+}
+
+// anyMatch reports whether match accepts one of the records.
+func anyMatch(log []WriteRec, match func(*WriteRec) bool) bool {
+	for i := range log {
+		if match(&log[i]) {
+			return true
+		}
+	}
+	return false
+}
+
 // bySeq orders write records by sequence number.
 func bySeq(a, b WriteRec) int { return cmp.Compare(a.Seq, b.Seq) }
 
@@ -1166,16 +1209,6 @@ func bySeq(a, b WriteRec) int { return cmp.Compare(a.Seq, b.Seq) }
 func sortedBySeq(recs []WriteRec) []WriteRec {
 	slices.SortFunc(recs, bySeq)
 	return recs
-}
-
-// writersIn returns the distinct writers of recs, ascending.
-func writersIn(recs []WriteRec) []int {
-	out := make([]int, len(recs))
-	for i := range recs {
-		out[i] = recs[i].Writer
-	}
-	slices.Sort(out)
-	return slices.Compact(out)
 }
 
 // WritesOf returns the write log of an uncommitted writer in sequence
@@ -1200,7 +1233,9 @@ func (st *Store) UncommittedWritesOf(rel string) []WriteRec {
 // writes into rel, sorted ascending — the set COARSE charges a
 // violation-query read dependency against (§5.1.1).
 func (st *Store) UncommittedWritersOf(rel string) []int {
-	return writersIn(st.appendLogs(nil, rel, anyWriter))
+	out := st.AppendUncommittedWriters(nil, rel, nil)
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // Snap returns a read view of the store at the given reader priority.

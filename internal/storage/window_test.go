@@ -13,7 +13,7 @@ import (
 // relation at seq: the whole store as of that sequence number.
 func ceiled(sn *Snapshot, seq int64) *Snapshot {
 	out := *sn
-	out.SetRelCeilings(everyRel(sn, seq))
+	out.SetRelCeilings(sn.store.relsByIdx, everyRel(sn, seq))
 	return &out
 }
 
@@ -21,14 +21,16 @@ func ceiled(sn *Snapshot, seq int64) *Snapshot {
 // widened by the writes other writers performed up to upto.
 func windowed(sn *Snapshot, ceil, upto int64) *Snapshot {
 	out := *sn
-	out.SetRelWindow(everyRel(sn, ceil), upto)
+	out.SetRelWindow(sn.store.relsByIdx, everyRel(sn, ceil), upto)
 	return &out
 }
 
-func everyRel(sn *Snapshot, seq int64) []RelSeq {
-	vec := make([]RelSeq, len(sn.store.relsByIdx))
-	for i, rel := range sn.store.relsByIdx {
-		vec[i] = RelSeq{Rel: rel, Seq: seq}
+// everyRel returns a ceiling vector aligned with the store's relation
+// list that sets every relation's ceiling at seq.
+func everyRel(sn *Snapshot, seq int64) []int64 {
+	vec := make([]int64, len(sn.store.relsByIdx))
+	for i := range vec {
+		vec[i] = seq
 	}
 	return vec
 }
