@@ -168,14 +168,16 @@ func executeAbortWave(store storage.Backend, cfg *Config, live []*Txn, direct []
 		// The victim's log is only worth snapshotting (a store-wide
 		// read-lock round) when some surviving read log could act on it.
 		sc.removal = removalCandidatesInto(sc.removal[:0], cfg, live, marked)
-		var removed []storage.WriteRec
+		sc.removed = sc.removed[:0]
 		if len(sc.removal) > 0 {
-			removed = store.WritesOf(t.Number)
+			sc.removed = store.AppendWritesOf(sc.removed, t.Number)
 		}
 		if err := rollback(t); err != nil {
 			return err
 		}
-		for _, v := range abortConflicts(store, &sc.chk, sc.removal, removed, m) {
+		victims := abortConflicts(store, &sc.chk, sc.removal, sc.removed, m)
+		clear(sc.removed)
+		for _, v := range victims {
 			enqueue(v)
 		}
 	}
@@ -183,15 +185,17 @@ func executeAbortWave(store storage.Backend, cfg *Config, live []*Txn, direct []
 }
 
 // stepScratch holds the reusable state of one conflict-processing
-// pipeline: the direct and drift candidate collections, the trackers'
-// write-log and writer scan buffers, the structural matcher, and the
-// checker every conflict check of the goroutine runs on. Each
+// pipeline: the direct and drift candidate collections, an abort
+// victim's removed writes, the trackers' write-log and writer scan
+// buffers, the structural matcher, and the checker every conflict
+// check of the goroutine runs on. Each
 // scheduler goroutine owns one, so steady-state steps (no conflicts)
 // allocate nothing on the coordination path. The checker is never
 // pooled and never an update attempt's query context.
 type stepScratch struct {
 	cands   []*Txn
 	removal []*Txn
+	removed []storage.WriteRec
 	log     []storage.WriteRec
 	writers []int
 	chk     query.Checker

@@ -99,13 +99,8 @@ func TestExample31InterferencePrevented(t *testing.T) {
 	if _, err := serial.Execute(st2, set2, example31Ops(), &example31User{st: st2}); err != nil {
 		t.Fatal(err)
 	}
-	eq, err := serial.Equivalent(st.Snap(1000).VisibleFacts(), st2.Snap(1000).VisibleFacts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !eq {
-		t.Fatalf("concurrent final state differs from serial:\n%s",
-			serial.Explain(st.Snap(1000).VisibleFacts(), st2.Snap(1000).VisibleFacts()))
+	if got, want := st.Dump(1000), st2.Dump(1000); got != want {
+		t.Fatalf("concurrent final state differs from serial:\n got:\n%s\nwant:\n%s", got, want)
 	}
 }
 
@@ -194,7 +189,8 @@ func TestConcurrentEqualsSerial(t *testing.T) {
 	// Theorem 4.4, empirically: for a battery of seeded random
 	// workloads over the travel repository, the conflict-serializable
 	// concurrent execution produces the same final database as the
-	// serial execution, up to null renaming — for every tracker.
+	// serial execution, byte for byte — for every tracker, under both
+	// schedulers.
 	workload := func(seed int64) []chase.Op {
 		// Deterministic small mixed workload.
 		rng := newRand(seed)
@@ -223,27 +219,31 @@ func TestConcurrentEqualsSerial(t *testing.T) {
 		if _, err := serial.Execute(stSerial, setSerial, ops, simuser.New(uint64(seed))); err != nil {
 			t.Fatalf("seed %d serial: %v", seed, err)
 		}
-		want := stSerial.Snap(1 << 30).VisibleFacts()
+		want := stSerial.Dump(1 << 30)
 
 		for _, tr := range trackers {
-			st, set := travel(t)
-			sched := cc.NewScheduler(st, set, cc.Config{
-				Tracker:            tr,
-				Policy:             cc.PolicyRoundRobinStep,
-				User:               simuser.New(uint64(seed)),
-				MaxAbortsPerUpdate: 200,
-			})
-			if _, err := sched.Run(ops); err != nil {
-				t.Fatalf("seed %d %s: %v", seed, tr.Name(), err)
-			}
-			got := st.Snap(1 << 30).VisibleFacts()
-			eq, err := serial.Equivalent(got, want)
-			if err != nil {
-				t.Fatalf("seed %d %s: %v", seed, tr.Name(), err)
-			}
-			if !eq {
-				t.Fatalf("seed %d %s: concurrent != serial\n%s", seed, tr.Name(),
-					serial.Explain(got, want))
+			for _, workers := range []int{0, 2} {
+				st, set := travel(t)
+				cfg := cc.Config{
+					Tracker:            tr,
+					Policy:             cc.PolicyRoundRobinStep,
+					User:               simuser.New(uint64(seed)),
+					MaxAbortsPerUpdate: 200,
+					Workers:            workers,
+				}
+				var err error
+				if workers > 0 {
+					_, err = cc.NewParallelScheduler(st, set, cfg).Run(ops)
+				} else {
+					_, err = cc.NewScheduler(st, set, cfg).Run(ops)
+				}
+				if err != nil {
+					t.Fatalf("seed %d %s workers %d: %v", seed, tr.Name(), workers, err)
+				}
+				if got := st.Dump(1 << 30); got != want {
+					t.Fatalf("seed %d %s workers %d: concurrent != serial\n got:\n%s\nwant:\n%s",
+						seed, tr.Name(), workers, got, want)
+				}
 			}
 		}
 	}

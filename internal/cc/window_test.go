@@ -199,3 +199,48 @@ func TestSchedulerAllocBudget(t *testing.T) {
 		t.Errorf("the run created %d updates for a peak of %d live txns", len(seen), peak)
 	}
 }
+
+// TestAbortWaveReadsRemovedLogWarm pins where an abort wave reads a
+// victim's removed writes for the drift checks: into the step
+// scratch's reused buffer, cleared after the checks, so that a warm
+// wave allocates only its marked set and its queue.
+func TestAbortWaveReadsRemovedLogWarm(t *testing.T) {
+	schema := model.NewSchema()
+	schema.MustAddRelation("A", "x")
+	schema.MustAddRelation("B", "x")
+	schema.MustAddRelation("C", "x")
+	m := tgd.New("m",
+		[]tgd.Atom{tgd.NewAtom("A", tgd.V("x"))},
+		[]tgd.Atom{tgd.NewAtom("B", tgd.V("x"))})
+	set := tgd.MustNewSet(m)
+	if err := set.Validate(schema); err != nil {
+		t.Fatal(err)
+	}
+	st := storage.NewStore(schema)
+	for _, v := range []string{"c1", "c2"} {
+		if _, _, _, err := st.Insert(1, model.NewTuple("C", model.Const(v))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	victim := &Txn{Number: 1, Upd: chase.NewUpdate(1, chase.Op{})}
+	reader := &Txn{Number: 2, Upd: chase.NewUpdate(2, chase.Op{})}
+	reader.Upd.RecordRead(&query.ViolationRead{TGD: m, SeedRel: "A", ReaderNo: 2, ReadSeqs: make([]int64, len(m.Relations()))})
+	cfg := Config{Tracker: Coarse{}}
+	sc := new(stepScratch)
+	var metrics Metrics
+	wave := func() {
+		// The rollback leaves the victim's writes in place, so every
+		// wave reads the same two records.
+		err := executeAbortWave(st, &cfg, []*Txn{victim, reader}, []*Txn{victim}, &metrics, sc, func(*Txn) error { return nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	wave()
+	if len(sc.removed) != 2 || sc.removed[0].After != nil || sc.removed[1].After != nil {
+		t.Fatalf("the wave read the removed writes into %v, want two cleared records", sc.removed)
+	}
+	if allocs := testing.AllocsPerRun(100, wave); allocs > 2 {
+		t.Fatalf("a warm abort wave allocates %.0f times, want at most 2 (marked set, queue)", allocs)
+	}
+}

@@ -26,6 +26,9 @@ type ReadObserver func(u *Update, q query.ReadQuery)
 type Engine struct {
 	store storage.Backend
 	tgds  *tgd.Set
+	// space names the engine's minted nulls; see mint.
+	space     int64
+	spaceOnce sync.Once
 	// observer may be nil.
 	observer ReadObserver
 	// MaxStepsPerAttempt guards against runaway chases (cyclic mappings
@@ -664,8 +667,13 @@ func (e *Engine) planRepair(u *Update, qv *queuedViolation) error {
 // tuples with one become positive frontier tuples and stop their path
 // awaiting a frontier operation.
 func (e *Engine) planForward(u *Update, qv *queuedViolation) error {
-	tuples, minted := query.InstantiateRHS(qv.v.TGD, qv.v.Vals, e.store.FreshNull, u.generated[:0], u.minted[:0])
-	u.generated, u.minted = tuples, minted
+	minted, err := e.mint(u, u.minted[:0], len(qv.v.TGD.ExistentialVars()))
+	u.minted = minted
+	if err != nil {
+		return err
+	}
+	tuples := query.InstantiateRHS(qv.v.TGD, qv.v.Vals, minted, u.generated[:0])
+	u.generated = tuples
 	c := e.queryContext(u)
 	frontier := u.frontier[:0]
 	planned := len(u.writeSet)
@@ -713,6 +721,44 @@ func (e *Engine) planForward(u *Update, qv *queuedViolation) error {
 	u.Stats.FrontierRequests++
 	obsFrontierRequests.Inc()
 	return nil
+}
+
+// mint appends n labeled nulls to dst, named (e.space, update,
+// ordinal) by model.MintedNull with u's next ordinals: the one place
+// the chase creates nulls. A name says where a null was minted, never
+// when, and that makes Theorem 4.4's serial equivalence byte equality.
+// A committed attempt of update k read exactly what the serial
+// execution (Definition 3.4) would have, since concurrency control
+// aborts every attempt whose reads a lower-numbered update's writes
+// changed; its step order is a function of content (nextPending) and a
+// deterministic user decides by (seed, update, frontier ordinal,
+// context); so it mints the serial run's nulls in the serial run's
+// order, in the namespace a store loaded alike reserves alike.
+//
+// Names never collide. Counter nulls (FreshNull, parsed, loaded) have
+// their own range. Engines on one store reserve distinct namespaces,
+// past the namespace of every null loaded or recovered before their
+// first mint. In one engine, a number names one update, and its
+// ordinals restart (Update.Reset) only after the attempt's writes were
+// rolled back with every update that read them. A caller running one
+// update at a time may name each by its place among the committed ones
+// instead (Update.NamedAs): only commits leave nulls behind. A field
+// that runs out fails the update with a *model.NullNameError.
+func (e *Engine) mint(u *Update, dst []model.Value, n int) ([]model.Value, error) {
+	e.spaceOnce.Do(func() { e.space = e.store.ReserveNullSpace() })
+	number := u.Number
+	if u.NamedAs > 0 {
+		number = u.NamedAs
+	}
+	for range n {
+		v, err := model.MintedNull(e.space, number, u.ordinal)
+		if err != nil {
+			return dst, fmt.Errorf("chase: update %d: %w", u.Number, err)
+		}
+		u.ordinal++
+		dst = append(dst, v)
+	}
+	return dst, nil
 }
 
 // planBackward handles an RHS-violation (§2.3). The witness tuples are

@@ -148,12 +148,17 @@ type Update struct {
 	Initial Op
 	// Attempt counts executions: 1 on first run, +1 per abort restart.
 	Attempt int
+	// NamedAs, when positive, names the update's nulls instead of
+	// Number (Engine.mint). Renew clears it.
+	NamedAs int
 
 	state    State
 	writeSet []Op
 	queue    []*queuedViolation
 	groups   []*FrontierGroup
 	nextGID  int
+	// ordinal numbers the nulls the current attempt minted so far.
+	ordinal int
 	// checkedSeq is the store's CurrentSeq when the queue was last
 	// rechecked: if it moved by more than the update's own writes
 	// since, another update wrote or aborted in between, and the next
@@ -221,7 +226,7 @@ func (u *Update) Renew(number int, initial Op) {
 	if number <= 0 {
 		panic("chase: update numbers start at 1")
 	}
-	u.Number, u.Initial, u.Attempt = number, initial, 0
+	u.Number, u.Initial, u.Attempt, u.NamedAs = number, initial, 0, 0
 	u.NoTrace = false
 	u.Reset()
 }
@@ -233,7 +238,7 @@ func (u *Update) Reset() {
 	u.state = StateReady
 	u.dropPending()
 	u.writeSet = append(u.writeSet, u.Initial.because(causeInitial, ""))
-	u.nextGID = 0
+	u.nextGID, u.ordinal = 0, 0
 	clear(u.writes)
 	u.writes = u.writes[:0]
 	u.releaseContext()

@@ -33,13 +33,13 @@ func TestApplyTracedTravelTrace(t *testing.T) {
 	}{
 		{chase.Insert(tup("T", c("Niagara Falls"), c("ABC Tours"), c("Toronto"))), simuser.New(1), []string{
 			"[u1#13] insert T(Niagara Falls, ABC Tours, Toronto)  <- initial operation",
-			"[u1#14] insert R(ABC Tours, Niagara Falls, x3)  <- forward repair of sigma3",
+			"[u1#14] insert R(ABC Tours, Niagara Falls, x1.1.0)  <- forward repair of sigma3",
 		}},
 		{chase.Insert(tup("S", c("JFK"), c("NYC"), c("Ithaca"))), simuser.UnifyFirst(), []string{
 			"[u2#15] insert S(JFK, NYC, Ithaca)  <- initial operation",
 			"[u2#16] insert C(NYC)  <- forward repair of sigma2",
-			"[u2#17] insert S(x4, x5, NYC)  <- forward repair of sigma1",
-			"[u2#18] modify S(x4, x5, NYC) => S(x4, Ithaca, NYC)  <- frontier unification for sigma2",
+			"[u2#17] insert S(x1.2.0, x1.2.1, NYC)  <- forward repair of sigma1",
+			"[u2#18] modify S(x1.2.0, x1.2.1, NYC) => S(x1.2.0, Ithaca, NYC)  <- frontier unification for sigma2",
 		}},
 		{chase.Delete(tup("R", c("XYZ"), c("Geneva Winery"), c("Great!"))), simuser.New(1), []string{
 			"[u3#19] delete R(XYZ, Geneva Winery, Great!)  <- initial operation",

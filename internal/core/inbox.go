@@ -16,11 +16,12 @@ import (
 // back at park time and only the initial operation plus the ordered
 // answers are retained (durably, with a data directory). Resuming
 // re-runs the chase from the initial operation under a fresh update
-// number and replays the recorded answers under inbox.Replay's rule:
-// the enumeration of frontier options and the canonical decision
-// contexts are deterministic functions of database content, so each
-// recorded (context, option) pair re-resolves exactly where it was
-// given. The re-run also makes crash recovery self-healing: replaying
+// number, naming its nulls by its place among committed updates like
+// every update (Repository.committed), and replays the recorded
+// answers under inbox.Replay's rule: the enumeration of frontier
+// options and the canonical decision contexts are deterministic
+// functions of database content, so each recorded (context, option)
+// pair re-resolves exactly where it was given. The re-run also makes crash recovery self-healing: replaying
 // a resumed update whose commit already landed finds a fully-chased
 // instance, performs no writes, and terminates immediately.
 
@@ -53,9 +54,9 @@ func (e *ParkedError) Is(target error) bool {
 // crash between the two leaves at worst a WAL entry the next open
 // re-parks), otherwise as the requeue of entry id. It returns the
 // entry's ID. Callers hold r.mu.
-func (r *Repository) parkLocked(u *chase.Update, mark, id int64) (int64, error) {
+func (r *Repository) parkLocked(u *chase.Update, id int64) (int64, error) {
 	q, ok := inbox.Ask(r.engine, u) // reads the update's own writes
-	r.rollbackLocked(u, mark)
+	r.rollbackLocked(u)
 	if !ok {
 		// Blocked with no enumerable options anywhere: nothing a curator
 		// could answer; fail like the historical path.
@@ -81,14 +82,11 @@ func (r *Repository) parkLocked(u *chase.Update, mark, id int64) (int64, error) 
 	return id, nil
 }
 
-// rollbackLocked discards an unfinished update: its writes, its
-// attempt's query context, and the null IDs it minted — so a resumed
-// replay stays byte-identical to an inline execution. Callers hold
-// r.mu.
-func (r *Repository) rollbackLocked(u *chase.Update, mark int64) {
+// rollbackLocked discards an unfinished update: its writes and its
+// attempt's query context. Callers hold r.mu.
+func (r *Repository) rollbackLocked(u *chase.Update) {
 	r.store.Abort(u.Number)
 	u.Cancel()
-	r.store.RewindNulls(mark)
 }
 
 // recoverParked re-parks every durably parked update found at open and
@@ -134,8 +132,8 @@ func (r *Repository) resumeLocked(id int64, user chase.User) (bool, error) {
 		r.trace.NoteDetail(number, "resume", fmt.Sprintf("entry=%d", id))
 	}
 	obsResumes.Inc()
-	mark := r.store.NullMark()
 	u := chase.NewUpdate(number, e.Op)
+	u.NamedAs = r.committed + 1
 	used := make([]bool, len(e.Answers))
 	_, err = r.runSingle(u, func(u *chase.Update) (bool, error) {
 		if ok, err := inbox.Replay(r.engine, u, e.Answers, used); ok || err != nil {
@@ -151,10 +149,10 @@ func (r *Repository) resumeLocked(id int64, user chase.User) (bool, error) {
 	})
 	switch {
 	case errors.Is(err, errNoAnswer):
-		_, err = r.parkLocked(u, mark, id)
+		_, err = r.parkLocked(u, id)
 		return false, err
 	case err != nil:
-		r.rollbackLocked(u, mark)
+		r.rollbackLocked(u)
 		return false, err
 	}
 	if err := r.commitLocked(number); err != nil {

@@ -90,6 +90,11 @@ type Repository struct {
 
 	nextUpdate int
 	protected  map[string]bool
+	// committed counts the updates the repository's engine committed.
+	// An update names its nulls by committed+1 (chase.Update.NamedAs):
+	// a parked or failed update commits no null, so any history leaves
+	// the names its committed updates, applied inline, would leave.
+	committed int
 
 	// spare is the update Apply renews for its next call. Every
 	// inline update that ends without parking is given back here.
@@ -377,9 +382,8 @@ func (r *Repository) apply(op chase.Op, user chase.User, traced bool) (chase.Sta
 		return chase.Stats{}, nil, err
 	}
 	r.trace.Note(number, "submit")
-	mark := r.store.NullMark()
 	u := r.renewSpare(number, op)
-	u.NoTrace = !traced
+	u.NoTrace, u.NamedAs = !traced, r.committed+1
 	stats, err := r.runSingle(u, func(u *chase.Update) (bool, error) {
 		if user == nil {
 			return false, chase.ErrNoDecision
@@ -387,7 +391,7 @@ func (r *Repository) apply(op chase.Op, user chase.User, traced bool) (chase.Sta
 		return r.engine.AskUser(u, user)
 	})
 	if errors.Is(err, errNoAnswer) {
-		id, err := r.parkLocked(u, mark, 0)
+		id, err := r.parkLocked(u, 0)
 		if err != nil {
 			return stats, u.Trace, err
 		}
@@ -428,6 +432,7 @@ func (r *Repository) commitLocked(number int) error {
 		r.store.Abort(number)
 		return fmt.Errorf("core: durable commit of update %d: %w", number, err)
 	}
+	r.committed++
 	if ack != nil {
 		// The caller is synchronous, so its return IS the
 		// acknowledgment: block until the covering log sync lands. On

@@ -9,14 +9,13 @@ import (
 
 // Canonicalization renames labeled nulls to position-of-first-use
 // indices, producing representations that are invariant under any
-// bijective renaming of nulls. Two uses:
-//
-//   - the simulated user keys its decisions on canonical context
-//     strings, so that replays after an abort, and serial reference
-//     executions in tests, make the same choices even though fresh
-//     nulls carry different identifiers; and
-//   - the serializability checker compares databases up to null
-//     renaming.
+// bijective renaming of nulls. Its uses are the decision keys: the
+// simulated user keys its choices on canonical context strings, the
+// decision inbox records answers against them, and the chase orders
+// its violation queue by canonical witness signatures. Chase nulls are
+// named by (namespace, update, ordinal), so serial and concurrent runs
+// name them alike and compare byte for byte; the renaming stays so
+// that recorded decision keys do not change.
 //
 // A rendering separates values with \x01, a relation name from its
 // values with \x02 and the tuples of a set with \x03. A constant

@@ -109,12 +109,28 @@ func (v Value) Hash() uint64 {
 }
 
 // String renders the value in the paper's notation: constants appear
-// verbatim, labeled nulls as x<id>.
+// verbatim, counter nulls as x<id> and minted nulls as
+// x<namespace>.<update>.<ordinal>.
 func (v Value) String() string {
-	if v.IsNull() {
-		return "x" + strconv.FormatInt(v.n, 10)
+	if !v.IsNull() {
+		return unsafe.String(v.p, v.n)
 	}
-	return unsafe.String(v.p, v.n)
+	return string(v.AppendString(nil))
+}
+
+// AppendString appends String's rendering of v to dst; violation keys
+// are rendered with it (a minted name is shorter than its identifier).
+func (v Value) AppendString(dst []byte) []byte {
+	if !v.IsNull() {
+		return append(dst, unsafe.String(v.p, v.n)...)
+	}
+	space, update, ordinal, ok := mintedName(v.n)
+	if !ok {
+		return strconv.AppendInt(append(dst, 'x'), v.n, 10)
+	}
+	dst = strconv.AppendInt(append(dst, 'x'), space, 10)
+	dst = strconv.AppendInt(append(dst, '.'), update, 10)
+	return strconv.AppendInt(append(dst, '.'), ordinal, 10)
 }
 
 // GoString renders the value unambiguously for debugging.
@@ -150,40 +166,96 @@ func appendKeyPart(dst []byte, s string) []byte {
 	}
 }
 
-// NullFactory mints fresh labeled nulls. It is safe for concurrent
-// use. The zero value is ready to use and starts numbering at 1.
-type NullFactory struct {
-	next atomic.Int64
+// Counter nulls (parsed ?names, FreshNull, explicit Null(id) values)
+// are numbered 1, 2, ... by a NullFactory, below mintedBit. A null a
+// chase mints is named (namespace, update number, ordinal within the
+// attempt): mintedBit, then the fields from the most significant down,
+// so identifier order is name order, and below 2^62, where Hash tells
+// any two apart. Only this file knows the layout.
+const (
+	mintedBit   = 1 << 61
+	ordinalBits = 14
+	updateBits  = 27
+	spaceBits   = 61 - updateBits - ordinalBits
+)
+
+// NullNameError reports a chase null name with a field outside its
+// width; names never wrap into another field.
+type NullNameError struct {
+	Field string // "namespace", "update" or "ordinal"
+	Value int64
 }
 
-// Fresh returns a labeled null that has never been returned before by
-// this factory.
+// Error renders the refusal.
+func (e *NullNameError) Error() string {
+	return fmt.Sprintf("model: labeled null %s %d does not fit its field", e.Field, e.Value)
+}
+
+// MintedNull returns the labeled null a chase names (space, update,
+// ordinal), or a *NullNameError.
+func MintedNull(space int64, update, ordinal int) (Value, error) {
+	switch {
+	case uint64(space) >= 1<<spaceBits:
+		return Value{}, &NullNameError{"namespace", space}
+	case uint64(update) >= 1<<updateBits:
+		return Value{}, &NullNameError{"update", int64(update)}
+	case uint64(ordinal) >= 1<<ordinalBits:
+		return Value{}, &NullNameError{"ordinal", int64(ordinal)}
+	}
+	return Null(mintedBit | space<<(updateBits+ordinalBits) | int64(update)<<ordinalBits | int64(ordinal)), nil
+}
+
+// mintedName splits a minted null's identifier into its fields; ok is
+// false for counter nulls.
+func mintedName(id int64) (space, update, ordinal int64, ok bool) {
+	ok = id>>61 == 1
+	return id &^ mintedBit >> (updateBits + ordinalBits), id >> ordinalBits & (1<<updateBits - 1), id & (1<<ordinalBits - 1), ok
+}
+
+// NullFactory hands out counter nulls (Fresh) and chase namespaces
+// (Reserve), both from 1. The zero value is ready and safe for
+// concurrent use.
+type NullFactory struct {
+	next   atomic.Int64
+	spaces atomic.Int64
+}
+
+// Fresh returns a counter null this factory has never returned.
 func (f *NullFactory) Fresh() Value {
 	return Null(f.next.Add(1))
 }
 
-// Peek returns the identifier that the next call to Fresh would use,
-// without consuming it. It is intended for diagnostics and tests.
-func (f *NullFactory) Peek() int64 { return f.next.Load() + 1 }
+// Reserve returns a chase namespace that no earlier Reserve returned
+// and no noted null is named in.
+func (f *NullFactory) Reserve() int64 { return f.spaces.Add(1) }
 
-// Mark returns the counter value for a later Rewind.
-func (f *NullFactory) Mark() int64 { return f.next.Load() }
+// Floor returns the largest counter identifier returned or floored so
+// far, which a checkpoint carries for SetFloor.
+func (f *NullFactory) Floor() int64 { return f.next.Load() }
 
-// Rewind lowers the counter back to a previously captured Mark. It is
-// only sound when every null minted after the mark has been discarded
-// everywhere (a rolled-back update attempt whose writes were aborted);
-// callers must exclude concurrent minting for the capture/rewind span.
-func (f *NullFactory) Rewind(mark int64) { f.next.Store(mark) }
+// SetFloor ensures future counter identifiers are strictly greater
+// than id.
+func (f *NullFactory) SetFloor(id int64) { raise(&f.next, id) }
 
-// SetFloor ensures future identifiers are strictly greater than id.
-// It is used when loading a database that already contains nulls.
-func (f *NullFactory) SetFloor(id int64) {
+// Note keeps a loaded null's name from being handed out again: a
+// minted null raises the namespace counter past its namespace, a
+// counter null the identifier counter past its identifier.
+func (f *NullFactory) Note(v Value) {
+	if !v.IsNull() {
+		return
+	}
+	if space, _, _, ok := mintedName(v.n); ok {
+		raise(&f.spaces, space)
+	} else {
+		raise(&f.next, v.n)
+	}
+}
+
+// raise lifts c to at least v.
+func raise(c *atomic.Int64, v int64) {
 	for {
-		cur := f.next.Load()
-		if cur >= id {
-			return
-		}
-		if f.next.CompareAndSwap(cur, id) {
+		cur := c.Load()
+		if cur >= v || c.CompareAndSwap(cur, v) {
 			return
 		}
 	}

@@ -1,6 +1,7 @@
 package model
 
 import (
+	"errors"
 	"sync"
 	"testing"
 )
@@ -135,5 +136,46 @@ func TestNullFactoryConcurrent(t *testing.T) {
 	wg.Wait()
 	if len(seen) != workers*per {
 		t.Fatalf("got %d unique ids, want %d", len(seen), workers*per)
+	}
+}
+
+// TestMintedNullNames: a minted name packs its three fields in order
+// above every counter null and below 2^62, renders them, refuses a
+// field outside its width with a *NullNameError, and Note raises only
+// the counter its null came from.
+func TestMintedNullNames(t *testing.T) {
+	a, err := MintedNull(3, 7, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _ := MintedNull(3, 7, 1)
+	c, _ := MintedNull(3, 8, 0)
+	d, _ := MintedNull(4, 1, 0)
+	top, _ := MintedNull(1<<spaceBits-1, 1<<updateBits-1, 1<<ordinalBits-1)
+	if got := b.String(); got != "x3.7.1" {
+		t.Fatalf("String = %q, want x3.7.1", got)
+	}
+	if !(1<<61 <= a.NullID() && a.NullID() < b.NullID() && b.NullID() < c.NullID() && c.NullID() < d.NullID() && top.NullID() < 1<<62) {
+		t.Fatalf("names out of order or range: %d %d %d %d %d", a.NullID(), b.NullID(), c.NullID(), d.NullID(), top.NullID())
+	}
+	for _, bad := range []struct {
+		field                  string
+		space, update, ordinal int64
+	}{
+		{"namespace", 1 << spaceBits, 1, 0}, {"namespace", -1, 1, 0},
+		{"update", 1, 1 << updateBits, 0}, {"ordinal", 1, 1, 1 << ordinalBits},
+	} {
+		_, err := MintedNull(bad.space, int(bad.update), int(bad.ordinal))
+		var nameErr *NullNameError
+		if !errors.As(err, &nameErr) || nameErr.Field != bad.field {
+			t.Fatalf("MintedNull(%d, %d, %d) = %v, want a %s *NullNameError", bad.space, bad.update, bad.ordinal, err, bad.field)
+		}
+	}
+	var f NullFactory
+	f.Note(d)
+	f.Note(Null(41))
+	f.Note(Const("x"))
+	if space, fresh := f.Reserve(), f.Fresh(); space != 5 || fresh != Null(42) {
+		t.Fatalf("after noting x4.1.0 and x41: Reserve = %d, Fresh = %v; want 5, x42", space, fresh)
 	}
 }

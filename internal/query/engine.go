@@ -20,16 +20,6 @@ import (
 	"youtopia/internal/tgd"
 )
 
-// appendValue renders a value exactly as model.Value.String does,
-// into dst.
-func appendValue(dst []byte, v model.Value) []byte {
-	if v.IsNull() {
-		dst = append(dst, 'x')
-		return strconv.AppendInt(dst, v.NullID(), 10)
-	}
-	return append(dst, v.ConstValue()...)
-}
-
 // appendVals renders the values of a violation's LHS variables in the
 // plan's slot order, e.g. {c->Ithaca, n->x3}.
 func appendVals(dst []byte, p *Plan, vals []model.Value) []byte {
@@ -40,7 +30,7 @@ func appendVals(dst []byte, p *Plan, vals []model.Value) []byte {
 		}
 		dst = append(dst, p.slots[s]...)
 		dst = append(dst, "->"...)
-		dst = appendValue(dst, val)
+		dst = val.AppendString(dst)
 	}
 	return append(dst, '}')
 }
@@ -449,20 +439,12 @@ func (e *Engine) AllViolations(set *tgd.Set) []Violation {
 
 // InstantiateRHS builds the tuples the standard chase would insert to
 // repair a violation: each RHS atom instantiated under the violation's
-// values (Violation.Vals), with one fresh labeled null per existential
-// variable drawn from fresh in t.ExistentialVars() order. It returns
-// tuples with the instantiated tuples appended, aligned with the RHS
-// atoms, and minted with the freshly minted nulls appended in minting
-// order. The tuples' values are freshly allocated.
-func InstantiateRHS(t *tgd.TGD, vals []model.Value, fresh func() model.Value, tuples []model.Tuple, minted []model.Value) ([]model.Tuple, []model.Value) {
+// values (Violation.Vals), with nulls[i] for the i-th existential
+// variable in t.ExistentialVars() order. It returns tuples with the
+// instantiated tuples appended, aligned with the RHS atoms. The
+// tuples' values are freshly allocated.
+func InstantiateRHS(t *tgd.TGD, vals, nulls []model.Value, tuples []model.Tuple) []model.Tuple {
 	p := PlanFor(t)
-	first := len(minted)
-	for range t.ExistentialVars() {
-		minted = append(minted, fresh())
-	}
-	// The existentials take the slots after the LHS variables, in the
-	// first-occurrence order ExistentialVars lists them in.
-	nulls := minted[first:]
 	n := 0
 	for i := range p.rhs {
 		n += len(p.rhs[i].terms)
@@ -478,10 +460,12 @@ func InstantiateRHS(t *tgd.TGD, vals []model.Value, fresh func() model.Value, tu
 			case int(td.slot) < p.nLHS:
 				all = append(all, vals[td.slot])
 			default:
+				// The existentials take the slots after the LHS
+				// variables, in ExistentialVars order.
 				all = append(all, nulls[int(td.slot)-p.nLHS])
 			}
 		}
 		tuples = append(tuples, model.Tuple{Rel: a.rel, Vals: all[lo:len(all):len(all)]})
 	}
-	return tuples, minted
+	return tuples
 }

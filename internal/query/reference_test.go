@@ -76,7 +76,7 @@ func appendBindingOrdered(dst []byte, p *Plan, b refBinding) []byte {
 		first = false
 		dst = append(dst, name...)
 		dst = append(dst, "->"...)
-		dst = appendValue(dst, val)
+		dst = val.AppendString(dst)
 	}
 	return append(dst, '}')
 }

@@ -25,8 +25,10 @@ import (
 type Backend interface {
 	// Schema returns the schema the backend was created over.
 	Schema() *model.Schema
-	// FreshNull mints a labeled null unused anywhere in the backend.
+	// FreshNull mints a labeled null unused anywhere in the backend;
+	// ReserveNullSpace reserves a namespace for a chase's minted nulls.
 	FreshNull() model.Value
+	ReserveNullSpace() int64
 	// Snap returns a read view at the given reader priority; SnapInto
 	// writes the same view into a caller-owned value, so a conflict
 	// checker re-derives its view per check without allocating.
@@ -71,9 +73,10 @@ type Backend interface {
 	// AppendUncommittedWrites is the one scan of the live write log:
 	// every uncommitted write into rel ("" = every relation), appended
 	// to dst in no particular order; PRECISE reads it for the violation
-	// queries it evaluates against the database. WritesOf,
-	// UncommittedWrites and UncommittedWritesOf are seq-sorted views
-	// over it.
+	// queries it evaluates against the database. AppendWritesOf is the
+	// same scan over one writer's log, which an abort wave reads into a
+	// reused buffer. WritesOf, UncommittedWrites and UncommittedWritesOf
+	// are seq-sorted views over them.
 	//
 	// AppendUncommittedWriters is the same scan over writers instead of
 	// records: every uncommitted writer into rel, or only those with a
@@ -84,6 +87,7 @@ type Backend interface {
 	// view.
 	AppendUncommittedWrites(dst []WriteRec, rel string) []WriteRec
 	AppendUncommittedWriters(dst []int, rel string, match func(*WriteRec) bool) []int
+	AppendWritesOf(dst []WriteRec, writer int) []WriteRec
 	WritesOf(writer int) []WriteRec
 	UncommittedWrites() []WriteRec
 	UncommittedWritesOf(rel string) []WriteRec

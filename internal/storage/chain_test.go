@@ -229,7 +229,7 @@ func observe(st *Store, id TupleID) string {
 // another number of values is refused before it changes anything.
 func TestRedoAndRestoreCheckArity(t *testing.T) {
 	st := NewStore(chainSchema())
-	s, mark := st.byIdx[0], st.NullMark()
+	s, mark := st.byIdx[0], st.nulls.Floor()
 	for _, rec := range []WriteRec{
 		{ID: 1, Rel: "R", Op: OpInsert, After: []model.Value{c("a")}},
 		{ID: 1, Rel: "R", Op: OpInsert, After: []model.Value{c("a"), c("b"), n(mark + 50)}},
@@ -239,8 +239,8 @@ func TestRedoAndRestoreCheckArity(t *testing.T) {
 			t.Fatalf("redo %v of %d values accepted for arity 2", rec, len(rec.After))
 		}
 	}
-	if st.Stats().Tuples != 0 || s.nextLocal != 0 || st.NullMark() != mark {
-		t.Fatalf("a refused redo changed the store: %+v, counter %d, null mark %d (was %d)", st.Stats(), s.nextLocal, st.NullMark(), mark)
+	if st.Stats().Tuples != 0 || s.nextLocal != 0 || st.nulls.Floor() != mark {
+		t.Fatalf("a refused redo changed the store: %+v, counter %d, null floor %d (was %d)", st.Stats(), s.nextLocal, st.nulls.Floor(), mark)
 	}
 	good := CommittedTuple{ID: 1, Rel: "R", Vals: []model.Value{c("a"), c("b")}}
 	short := CommittedTuple{ID: 2, Rel: "R", Vals: []model.Value{c("a")}}

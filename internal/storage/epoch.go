@@ -55,12 +55,14 @@ func (ep *CommittedEpoch) Commits() int64 { return ep.commits }
 
 // Serialize returns the cut as checkpoint tuples in deterministic
 // (stripe, tuple ID) order, together with the store's current
-// labeled-null floor. Each tuple's Vals is the store's own immutable
-// value slice, not a copy. It takes no lock. The floor is read live
-// rather than at capture time; it only ever grows, and any null inside
-// the cut was minted before it, so the floor always covers them.
+// counter-null floor (model.NullFactory.Floor). Each tuple's Vals is
+// the store's own immutable value slice, not a copy. It takes no lock.
+// The floor is read live rather than at capture time; it only ever
+// grows, and any counter null inside the cut was minted before it, so
+// the floor always covers them. Minted nulls need no floor: recovery
+// notes their namespaces from the tuples themselves.
 func (ep *CommittedEpoch) Serialize() ([]CommittedTuple, int64) {
-	return ep.tuples, ep.store.nulls.Peek() - 1
+	return ep.tuples, ep.store.nulls.Floor()
 }
 
 // IDFloors returns, per relation in the schema's sorted name order,

@@ -117,7 +117,7 @@ func TestCommittedSnapshotMatchesLockedOracle(t *testing.T) {
 		}
 	}
 	st.runlockAll()
-	wantFloor := st.nulls.Peek() - 1
+	wantFloor := st.nulls.Floor()
 
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("committed cut diverged from locked oracle:\n%v\nvs\n%v", got, want)

@@ -539,23 +539,17 @@ func (st *Store) Schema() *model.Schema { return st.schema }
 // safe to call concurrently (the factory is atomic) and takes no lock.
 func (st *Store) FreshNull() model.Value { return st.nulls.Fresh() }
 
-// NullMark captures the null-factory counter for RewindNulls.
-func (st *Store) NullMark() int64 { return st.nulls.Mark() }
+// ReserveNullSpace returns a namespace for a chase's minted nulls
+// (model.MintedNull) that no earlier reservation returned and no null
+// in the store is named in. A reopened store reserves past the nulls
+// it recovered, the only ones a reused namespace could collide with.
+func (st *Store) ReserveNullSpace() int64 { return st.nulls.Reserve() }
 
-// RewindNulls lowers the null counter back to a NullMark capture. Only
-// sound when every null minted after the mark was rolled back with its
-// update attempt and no concurrent update is minting — the repository's
-// single-update mode under its own lock. It keeps a parked-and-resumed
-// update's replay minting the same null IDs the inline execution would.
-func (st *Store) RewindNulls(mark int64) { st.nulls.Rewind(mark) }
-
-// noteNulls raises the null-factory floor past any null in vals, so
-// loading data with explicit nulls cannot collide with fresh ones.
+// noteNulls raises the null factory past any null in vals, so loading
+// data with explicit or minted nulls cannot collide with fresh ones.
 func (st *Store) noteNulls(vals []model.Value) {
 	for _, v := range vals {
-		if v.IsNull() {
-			st.nulls.SetFloor(v.NullID())
-		}
+		st.nulls.Note(v)
 	}
 }
 
@@ -892,9 +886,7 @@ func (st *Store) ReplaceNull(writer int, x, to model.Value) ([]WriteRec, error) 
 	if x == to {
 		return nil, fmt.Errorf("storage: ReplaceNull of %s with itself", x)
 	}
-	if to.IsNull() {
-		st.nulls.SetFloor(to.NullID())
-	}
+	st.nulls.Note(to)
 	st.lockAll()
 	defer st.unlockAll()
 	snap := st.snapLocked(writer)
@@ -1211,10 +1203,16 @@ func sortedBySeq(recs []WriteRec) []WriteRec {
 	return recs
 }
 
+// AppendWritesOf appends the write log of an uncommitted writer to dst
+// in no particular order and returns the extended slice.
+func (st *Store) AppendWritesOf(dst []WriteRec, writer int) []WriteRec {
+	return st.appendLogs(dst, "", writer)
+}
+
 // WritesOf returns the write log of an uncommitted writer in sequence
 // order.
 func (st *Store) WritesOf(writer int) []WriteRec {
-	return sortedBySeq(st.appendLogs(nil, "", writer))
+	return sortedBySeq(st.AppendWritesOf(nil, writer))
 }
 
 // UncommittedWrites returns all writes by uncommitted writers, sorted

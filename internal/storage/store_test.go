@@ -520,11 +520,11 @@ func TestIDSpaceExhausted(t *testing.T) {
 		if got := indexIDs(st, "R", 1, c("c")); !slices.Equal(got, []TupleID{top}) {
 			t.Fatalf("candidates for c: %v, want [%d]", got, top)
 		}
-		before, fresh := st.Dump(1), st.NullMark()
+		before, fresh := st.Dump(1), st.nulls.Floor()
 		_, _, _, err = st.Insert(1, tup("R", c("d"), n(fresh+100)))
 		exhausted(t, err)
-		if got := st.Dump(1); got != before || st.NullMark() != fresh || s.nextLocal != maxLocalID || len(st.WritesOf(1)) != 1 {
-			t.Fatalf("a refused insert changed the store: dump\n%s\nnull mark %d (was %d), counter %d, log %v", got, st.NullMark(), fresh, s.nextLocal, st.WritesOf(1))
+		if got := st.Dump(1); got != before || st.nulls.Floor() != fresh || s.nextLocal != maxLocalID || len(st.WritesOf(1)) != 1 {
+			t.Fatalf("a refused insert changed the store: dump\n%s\nnull floor %d (was %d), counter %d, log %v", got, st.nulls.Floor(), fresh, s.nextLocal, st.WritesOf(1))
 		}
 		if id, _, inserted, err := st.Insert(1, tup("R", c("a"), c("c"))); err != nil || inserted || id != top {
 			t.Fatalf("duplicate at the cap: %d %v %v, want the existing %d", id, inserted, err, top)
@@ -541,10 +541,10 @@ func TestIDSpaceExhausted(t *testing.T) {
 	t.Run("redo", func(t *testing.T) {
 		st := NewStore(testSchema())
 		s := st.stripes["R"]
-		mark := st.NullMark()
+		mark := st.nulls.Floor()
 		exhausted(t, st.ApplyRedo(WriteRec{ID: s.base() | (maxLocalID + 1), Rel: "R", Op: OpInsert, After: []model.Value{c("a"), n(mark + 50)}}))
-		if st.Stats().Tuples != 0 || s.nextLocal != 0 || st.NullMark() != mark {
-			t.Fatalf("a refused redo changed the store: %+v, counter %d, null mark %d (was %d)", st.Stats(), s.nextLocal, st.NullMark(), mark)
+		if st.Stats().Tuples != 0 || s.nextLocal != 0 || st.nulls.Floor() != mark {
+			t.Fatalf("a refused redo changed the store: %+v, counter %d, null floor %d (was %d)", st.Stats(), s.nextLocal, st.nulls.Floor(), mark)
 		}
 		if err := st.ApplyRedo(WriteRec{ID: s.base() | maxLocalID, Rel: "R", Op: OpInsert, After: []model.Value{c("a"), c("b")}}); err != nil {
 			t.Fatal(err)

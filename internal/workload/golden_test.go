@@ -38,9 +38,9 @@ func TestInitialDBGolden(t *testing.T) {
 		n    int
 		want string
 	}{
-		{"benchmark-seed1", bench(1), 2039, "c4ada226de7a389900616b4bb3acb5ad95c69e9978114bf0e58a6decdd5090a0"},
-		{"benchmark-seed2", bench(2), 1960, "819759070041ffec2f5daa92919506a43412e2d03f859373923b3b451fe43c9c"},
-		{"quick", quick, 608, "adf808af3259838ac253896c368a6f21c81c1fb2b5b1c6f12c21ee8ac709f782"},
+		{"benchmark-seed1", bench(1), 2039, "6fad3546e828aab798668630c6386ea6289bf988e1724860f4db18bab97aa9e6"},
+		{"benchmark-seed2", bench(2), 1960, "987efd632d5e2b8bd7bc5d3afaa5b5f4f9aeaeb972969193fc9e75ce7db4e5b8"},
+		{"quick", quick, 608, "ba13bd9d5d950b79582dc07c084e602442c3be7e0444a982960310a5ba653063"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if testing.Short() && tc.cfg.Relations == 100 {

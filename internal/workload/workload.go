@@ -42,10 +42,6 @@ type Config struct {
 	// InsertPct is the percentage of inserts in the workload (100 for
 	// Figure 3, 80 for Figure 4).
 	InsertPct int
-	// FreshNulls, when true, makes "fresh" insert values labeled nulls
-	// instead of fresh constants. The paper's wording admits both
-	// readings; fresh constants are the default.
-	FreshNulls bool
 	// SetupWorkers once chose a parallel build of the initial
 	// database; it is always built serially now (see genInitialDB).
 	//
@@ -430,7 +426,8 @@ func (u *Universe) GenOpsSeeded(seed int64) []chase.Op {
 
 // GenOps generates one workload of cfg.Updates operations against the
 // universe: InsertPct percent inserts (values drawn with equal
-// probability from the pool or fresh) and the rest deletes (relation
+// probability from the pool or as fresh constants) and the rest
+// deletes (relation
 // uniform among nonempty ones, then a tuple uniform within it, as in
 // §6), with the combined order randomized. The rng should be derived
 // from the run index so repeated runs differ.
@@ -449,24 +446,9 @@ func (u *Universe) GenOps(rng *rand.Rand) []chase.Op {
 		byRel[t.Rel] = append(byRel[t.Rel], t)
 	}
 
-	// Fresh nulls are numbered from one past the largest null of the
-	// initial data, so none names an initial null.
-	var lastNull int64
-	if cfg.FreshNulls {
-		for _, t := range u.Initial {
-			for _, v := range t.Vals {
-				if v.IsNull() {
-					lastNull = max(lastNull, v.NullID())
-				}
-			}
-		}
-	}
 	freshCount := 0
 	freshVal := func() model.Value {
 		freshCount++
-		if cfg.FreshNulls {
-			return model.Null(lastNull + int64(freshCount))
-		}
 		return model.Const(fmt.Sprintf("fresh_%d_%d", rng.Int63n(1<<30), freshCount))
 	}
 

@@ -159,36 +159,6 @@ func TestGenOpsMixed(t *testing.T) {
 	}
 }
 
-func TestGenOpsFreshNulls(t *testing.T) {
-	u := quickUniverse(t, func(cfg *Config) { cfg.FreshNulls = true })
-	initial := map[model.Value]bool{}
-	for _, tp := range u.Initial {
-		for _, v := range tp.Vals {
-			if v.IsNull() {
-				initial[v] = true
-			}
-		}
-	}
-	if len(initial) == 0 {
-		t.Fatal("the initial database holds no nulls to collide with")
-	}
-	ops := u.GenOps(rand.New(rand.NewSource(3)))
-	foundNull := false
-	for _, op := range ops {
-		for _, v := range op.Tuple.Vals {
-			if v.IsNull() {
-				foundNull = true
-				if initial[v] {
-					t.Fatalf("fresh null %v names an initial null", v)
-				}
-			}
-		}
-	}
-	if !foundNull {
-		t.Fatal("FreshNulls workload contains no nulls")
-	}
-}
-
 func TestConfigValidation(t *testing.T) {
 	bad := []func(*Config){
 		func(c *Config) { c.Relations = 0 },
