@@ -184,8 +184,8 @@ func nowSeconds() float64 {
 //
 //	mapped    the §6 universe under a 24-mapping prefix — chases
 //	          interact through the mappings, so the win comes from
-//	          running conflict checks and read phases outside the
-//	          exclusive phase lock;
+//	          running the read halves of several updates at once,
+//	          between write phases;
 //	disjoint  the same universe with no mappings — every update is a
 //	          single insert into its own relation, the pure
 //	          lock-traffic case the striped store and group-commit

@@ -91,7 +91,7 @@ func main() {
 		fmt.Printf("%-12s %10d %10d %12s %12.0f\n",
 			experiments.ModeLabel(workers), m.Aborts, m.Runs, wall.Round(time.Millisecond), throughput)
 	}
-	fmt.Println("\nEvery mode commits a serializable final instance: workers race through")
-	fmt.Println("chase read phases in parallel while writes and conflict checks remain")
-	fmt.Println("atomic under the phase lock, and updates commit in priority order.")
+	fmt.Println("\nEvery mode commits a serializable final instance: workers run chase")
+	fmt.Println("read halves in parallel between write phases, where writes and conflict")
+	fmt.Println("checks run alone, and updates commit in priority order.")
 }

@@ -1,6 +1,7 @@
 package cc
 
 import (
+	"runtime"
 	"testing"
 
 	"youtopia/internal/chase"
@@ -170,7 +171,7 @@ func TestCancelledUpdateIsNoConflictVictim(t *testing.T) {
 					t.Fatal(err)
 				}
 				allow[1], allow[2], allow[3] = true, true, true
-				_, err := s.end(s.loop())
+				_, err := s.end(s.loop(s.round))
 				if victim.aborts != w.aborts[tc.cancelled-1] {
 					t.Fatalf("the cancelled update was rolled back and re-run (attempt %d, aborts %d -> %d, run error %v)", w.attempt, w.aborts[tc.cancelled-1], victim.aborts, err)
 				}
@@ -189,53 +190,31 @@ func TestParallelCancelledUpdateIsNoConflictVictim(t *testing.T) {
 			t.Run(tr.Name()+"/"+tc.name, func(t *testing.T) {
 				st, set := cancelFixture(t)
 				allow := map[int]bool{}
-				s := NewParallelScheduler(st, set, Config{Tracker: tr, Workers: 1, User: expandFor(allow)})
-				s.submit(cancelOps)
-				var scratch stepScratch
-				for _, tx := range s.txns {
-					tx.sc = &scratch
-				}
-				// The work items a worker would run, in a fixed order: the
-				// updates step to their frontiers, a deadline abort cancels
-				// one, and the others get their answers and step.
+				// One worker per update, so every round steps all three
+				// (the scheduler caps its workers at GOMAXPROCS).
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(len(cancelOps)))
+				s := NewParallelScheduler(st, set, Config{Tracker: tr, Workers: len(cancelOps), User: expandFor(allow)})
+				s.begin(cancelOps, &s.workers[0].scratch)
+				stop := s.startHelpers()
+				defer stop()
+				// The updates step to their frontiers in rounds, a deadline
+				// abort cancels one between rounds, as inboxIdle does, and
+				// the others get their answers and finish.
 				for round := 0; !allAwaiting(s.txns); round++ {
 					if round == 5 {
 						t.Fatal("the updates did not all reach a frontier")
 					}
-					for _, tx := range s.txns {
-						if _, err := s.execStep(tx, &scratch); err != nil {
-							t.Fatal(err)
-						}
+					if _, err := s.round(); err != nil {
+						t.Fatal(err)
 					}
 				}
 				victim := s.txns[tc.cancelled-1]
 				w := watchCancel(s.txns, tc.cancelled)
-				s.cancelReq[tc.cancelled-1] = true
-				if _, err := s.execPoll(victim); err != nil {
+				if err := s.cancel(victim); err != nil {
 					t.Fatal(err)
 				}
 				allow[1], allow[2], allow[3] = true, true, true
-				for moved := true; moved; {
-					moved = false
-					for _, tx := range s.txns {
-						var err error
-						switch tx.Upd.State() {
-						case chase.StateReady:
-							_, err = s.execStep(tx, &scratch)
-							moved = true
-						case chase.StateAwaitingUser:
-							_, err = s.execPoll(tx)
-							moved = true
-						}
-						if err != nil {
-							t.Fatal(err)
-						}
-					}
-				}
-				if _, err := s.execCommit(); err != nil {
-					t.Fatal(err)
-				}
-				if _, err := s.end(nil); err != nil {
+				if _, err := s.end(s.loop(s.round)); err != nil {
 					t.Fatal(err)
 				}
 				w.check(t, st, s.txns)

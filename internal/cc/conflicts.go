@@ -12,10 +12,9 @@ import (
 // This file holds Algorithm 4's conflict processing for both
 // schedulers: detection of the readers a write batch affects, the
 // cascade, the rollbacks and the abort-side drift checks. Callers run
-// it where the writes land — the cooperative scheduler on its one
-// goroutine, the parallel scheduler in the exclusive phase section of
-// the step that wrote — so every candidate's read log is complete and
-// no engine call is in flight (txnCore.processWrites). Every walk
+// it where the writes land, on the goroutine that called Run, with no
+// read half in flight — so every candidate's read log is complete
+// (txnCore.processWrites). Every walk
 // covers only the live window, or a part of it (txnCore.top says why
 // that misses no victim); live stands for such a window below, a run of
 // consecutively numbered txns.
@@ -134,8 +133,8 @@ func abortConflicts(store storage.Backend, chk *query.Checker, cands []*Txn, rem
 // rolled back in ascending priority order (the queue is kept sorted),
 // so executions are deterministic given the same wave. The rollback
 // callback performs the actual rollback plus any scheduler-specific
-// bookkeeping; callers hold the exclusive phase lock, where dependency
-// sets and read logs are stable between rollbacks. The drift checks
+// bookkeeping; callers run it where no read half is in flight, so
+// dependency sets and read logs are stable between rollbacks. The drift checks
 // run on sc's checker and collect into sc's candidate buffer; the
 // cascade and the drift checks walk the live window.
 func executeAbortWave(store storage.Backend, cfg *Config, live []*Txn, direct []*Txn, m *Metrics, sc *stepScratch, rollback func(*Txn) error) error {
@@ -224,9 +223,9 @@ func collectDirect(store storage.Backend, cfg *Config, live []*Txn, writes []sto
 // with the same priority number for a fresh attempt, enforcing the
 // abort limit. Aborts and FrontierRequests accumulate into m (the §6
 // metric charges an attempt's frontier requests when it dies or
-// commits). The parallel scheduler calls it under the exclusive phase
-// lock; bumping the attempt counter there is what tells a concurrent
-// claimant to abandon its stale phase.
+// commits). Bumping the attempt counter is what tells the parallel
+// scheduler's read phase to skip a victim whose write half already
+// ran.
 func rollbackTxn(store storage.Backend, cfg *Config, t *Txn, m *Metrics) error {
 	if t.committed {
 		return fmt.Errorf("cc: attempt to abort committed update %d", t.Number)

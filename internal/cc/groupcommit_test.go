@@ -10,9 +10,10 @@ import (
 	"youtopia/internal/tgd"
 )
 
-// These white-box tests pin the group-commit frontier: one exclusive
-// acquisition drains the whole terminated prefix, in priority order,
-// through a single storage CommitBatch.
+// These white-box tests pin the group-commit frontier: one drain
+// commits the whole terminated prefix, in priority order, through a
+// single storage CommitBatch. The frontier reads each update's own
+// state; no scheduler-side mirror of it exists.
 
 func groupCommitScheduler(t *testing.T, n int) *ParallelScheduler {
 	t.Helper()
@@ -24,12 +25,10 @@ func groupCommitScheduler(t *testing.T, n int) *ParallelScheduler {
 	for i := range ops {
 		ops[i] = chase.Insert(model.NewTuple("R", model.Const(string(rune('a'+i)))))
 	}
-	s.submit(ops)
+	s.begin(ops, &s.workers[0].scratch)
 	// Start each txn and drive its update to termination through the
 	// engine (no mappings: the initial insert is the whole chase).
-	var scratch stepScratch
 	for i, tx := range s.txns {
-		tx.sc = &scratch
 		u := s.start(tx)
 		if _, err := s.engine.Step(u); err != nil {
 			t.Fatal(err)
@@ -40,7 +39,6 @@ func groupCommitScheduler(t *testing.T, n int) *ParallelScheduler {
 		if u.State() != chase.StateTerminated {
 			t.Fatalf("update %d state = %v, want terminated", i+1, u.State())
 		}
-		s.status[i] = statusTerminated
 	}
 	return s
 }
@@ -48,8 +46,8 @@ func groupCommitScheduler(t *testing.T, n int) *ParallelScheduler {
 func TestGroupCommitDrainsTerminatedPrefix(t *testing.T) {
 	const n = 5
 	s := groupCommitScheduler(t, n)
-	if ok, err := s.execCommit(); err != nil || !ok {
-		t.Fatalf("execCommit on a terminated prefix: ok=%v err=%v", ok, err)
+	if k, err := s.commitReady(); err != nil || k == 0 {
+		t.Fatalf("commitReady on a terminated prefix: committed %d, err=%v", k, err)
 	}
 	for i := 1; i <= n; i++ {
 		if !contains(s.store.EpochSnap(), model.NewTuple("R", model.Const(string(rune('a'+i-1))))) {
@@ -73,8 +71,8 @@ func TestGroupCommitDrainsTerminatedPrefix(t *testing.T) {
 		t.Fatalf("committedUpTo = %d, want %d", upTo, n)
 	}
 	// A second drain finds nothing.
-	if ok, err := s.execCommit(); err != nil || ok {
-		t.Fatalf("second execCommit: ok=%v err=%v, want no progress", ok, err)
+	if k, err := s.commitReady(); err != nil || k != 0 {
+		t.Fatalf("second commitReady: committed %d, err=%v, want no progress", k, err)
 	}
 }
 
@@ -84,10 +82,9 @@ func TestGroupCommitStopsAtFirstUnterminated(t *testing.T) {
 	// Update 3 is still mid-chase: reset it to a fresh (ready) attempt.
 	s.store.Abort(3)
 	s.txns[2].Upd.Reset()
-	s.status[2] = statusReady
 
-	if ok, err := s.execCommit(); err != nil || !ok {
-		t.Fatalf("execCommit: ok=%v err=%v, want progress", ok, err)
+	if k, err := s.commitReady(); err != nil || k == 0 {
+		t.Fatalf("commitReady: committed %d, err=%v, want progress", k, err)
 	}
 	for i := 1; i <= 2; i++ {
 		if !s.txns[i-1].Committed() {
@@ -106,10 +103,9 @@ func TestGroupCommitStopsAtFirstUnterminated(t *testing.T) {
 }
 
 func TestParallelRunBatchesCommits(t *testing.T) {
-	// An end-to-end run on a conflict-free workload: with several
-	// workers racing ahead of the frontier, at least one drain must
-	// batch more than one update (the dispatcher only re-issues
-	// workCommit after the previous drain returned).
+	// An end-to-end run on a conflict-free workload: each round steps
+	// several updates, so the drain between rounds commits whatever
+	// prefix terminated, and every update commits.
 	schema := model.NewSchema()
 	schema.MustAddRelation("R", "a", "b")
 	st := storage.NewStore(schema)

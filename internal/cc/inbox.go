@@ -1,6 +1,8 @@
 package cc
 
 import (
+	"time"
+
 	"youtopia/internal/chase"
 	"youtopia/internal/inbox"
 )
@@ -16,12 +18,61 @@ import (
 // the transaction; deadline aborts cancel it.
 
 // parkState is a txn's inbox state while it waits on an entry: the entry
-// ID, which of the entry's recorded answers were consumed, and how many
-// answers the last replay was offered.
+// ID, which of the entry's recorded answers were consumed, how many
+// answers the last replay was offered, and the update's step count at
+// that replay.
 type parkState struct {
 	id      int64
 	used    []bool
 	offered int
+	steps   int
+}
+
+// pollable reports whether a poll can move a txn parked under p: its
+// entry is gone, holds an answer the last replay was not offered, or
+// the update stepped since that replay — it blocked again, perhaps on
+// a question the entry does not show yet.
+func (p *parkState) pollable(box *inbox.Box, u *chase.Update) bool {
+	if u.Stats.Steps != p.steps {
+		return true
+	}
+	e, ok := box.Get(p.id)
+	return !ok || len(e.Answers) > p.offered
+}
+
+// inboxIdle runs when a round made no progress and parked txns exist:
+// it advances the inbox clock one tick, executes due policy actions
+// (deadline auto-answers and aborts), and — when nothing was due —
+// briefly sleeps to pace the wait for external answers. It reports
+// whether a policy action made progress.
+func (c *txnCore) inboxIdle() (bool, error) {
+	acted := false
+	for _, d := range c.cfg.Inbox.Tick(1) {
+		t := c.byPark[d.ID]
+		if t == nil {
+			continue
+		}
+		switch d.Kind {
+		case inbox.DueAutoAnswer:
+			if t.Upd.State() != chase.StateAwaitingUser {
+				continue
+			}
+			ok, err := c.pollUser(t, &c.m)
+			if err != nil {
+				return acted, err
+			}
+			acted = acted || ok
+		case inbox.DueAbort:
+			if err := c.cancel(t); err != nil {
+				return acted, err
+			}
+			acted = true
+		}
+	}
+	if !acted {
+		time.Sleep(100 * time.Microsecond)
+	}
+	return acted, nil
 }
 
 // reaskIfStale refreshes a parked entry's question when the update

@@ -97,7 +97,7 @@ func runInlineMode(t *testing.T, latency int) (cc.Metrics, *storage.Store) {
 
 // TestInboxModeZeroRepolls pins the bounded-polls property: a txn
 // waiting in the inbox costs zero chase.User.Decide calls — every
-// decision arrives through the answer hook — while the legacy path
+// decision arrives as a recorded answer — while the legacy path
 // with a slow user repolls every scheduler round.
 func TestInboxModeZeroRepolls(t *testing.T) {
 	m, box, st := runInboxMode(t, 0)
@@ -295,11 +295,10 @@ func TestParallelDeadlineAbort(t *testing.T) {
 // TestUnmatchedAnswerKeepsTxnParked: the first answer on every entry
 // names a context that is not open. Under inbox.Replay's rule it stays
 // unused, so it must not wake its transaction for good: the parallel
-// scheduler parks the transaction again once the replay was offered
-// every answer (a transaction that kept being dispatched would exhaust
-// its small idle budget long before the matching answer, sent 50 ms
-// later, arrives). No live user is polled, and the run ends on the
-// matching answers with the serial instance.
+// scheduler selects the transaction again only once a poll can move it
+// (TestParkedTxnPollable pins that rule). No live user is polled, and
+// the run ends on the matching answers, sent 50 ms later, with the
+// serial instance.
 func TestUnmatchedAnswerKeepsTxnParked(t *testing.T) {
 	for _, workers := range []int{0, 2} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
@@ -311,9 +310,6 @@ func TestUnmatchedAnswerKeepsTxnParked(t *testing.T) {
 				Inbox:              box,
 				Workers:            workers,
 				MaxAbortsPerUpdate: 10000,
-			}
-			if workers > 0 {
-				cfg.MaxIdleRounds = 300
 			}
 			stop, done := make(chan struct{}), make(chan struct{})
 			go func() {

@@ -1,9 +1,12 @@
 package cc_test
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 
 	"youtopia/internal/cc"
+	"youtopia/internal/chase"
 	"youtopia/internal/query"
 	"youtopia/internal/simuser"
 	"youtopia/internal/workload"
@@ -16,28 +19,7 @@ import (
 // frontier. It is designed to be run under the race detector:
 // go test -race ./internal/cc/
 func TestParallelSchedulerStress(t *testing.T) {
-	cfg := workload.Config{
-		Relations:       14,
-		MinArity:        1,
-		MaxArity:        4,
-		Constants:       8,
-		Mappings:        16,
-		MaxAtomsPerSide: 2,
-		InitialTuples:   120,
-		Updates:         60,
-		InsertPct:       75,
-		Seed:            11,
-	}
-	if testing.Short() {
-		cfg.InitialTuples = 40
-		cfg.Updates = 16
-	}
-	u, err := workload.Build(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ops := u.GenOpsSeeded(4242)
-
+	u, ops := stressUniverse(t)
 	for _, tr := range []cc.Tracker{cc.Naive{}, cc.Coarse{}, cc.Precise{}} {
 		t.Run(tr.Name(), func(t *testing.T) {
 			st, err := u.NewStore()
@@ -64,6 +46,87 @@ func TestParallelSchedulerStress(t *testing.T) {
 				t.Fatalf("%d violations survive", len(vs))
 			}
 		})
+	}
+}
+
+// stressUniverse is the dense synthetic universe of the stress tests
+// and its seeded workload.
+func stressUniverse(t *testing.T) (*workload.Universe, []chase.Op) {
+	t.Helper()
+	cfg := workload.Config{
+		Relations:       14,
+		MinArity:        1,
+		MaxArity:        4,
+		Constants:       8,
+		Mappings:        16,
+		MaxAtomsPerSide: 2,
+		InitialTuples:   120,
+		Updates:         60,
+		InsertPct:       75,
+		Seed:            11,
+	}
+	if testing.Short() {
+		cfg.InitialTuples = 40
+		cfg.Updates = 16
+	}
+	u, err := workload.Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return u, u.GenOpsSeeded(4242)
+}
+
+// TestParallelRunIsDeterministic runs the stress universe ten times per
+// worker count and tracker: a parallel run is a function of its
+// workload, configuration, user and worker count, so every counter and
+// every dump must repeat exactly, whichever goroutine ran which read
+// half. GOMAXPROCS is raised to the worker count, which the scheduler
+// caps its workers at.
+func TestParallelRunIsDeterministic(t *testing.T) {
+	u, ops := stressUniverse(t)
+	// counts are the Metrics counters a run must repeat.
+	type counts struct {
+		Runs, Aborts, Direct, Cascading, Removal int
+		Steps, Writes, FrontierOps, UserPolls    int
+		CommitBatches                            int
+	}
+	for _, workers := range []int{2, 4, 8} {
+		for _, tr := range []cc.Tracker{cc.Naive{}, cc.Coarse{}, cc.Precise{}} {
+			t.Run(fmt.Sprintf("workers=%d/%s", workers, tr.Name()), func(t *testing.T) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
+				var first counts
+				var firstDump string
+				for run := 0; run < 10; run++ {
+					st, err := u.NewStore()
+					if err != nil {
+						t.Fatal(err)
+					}
+					m, err := cc.NewParallelScheduler(st, u.Mappings, cc.Config{
+						Tracker:            tr,
+						User:               simuser.New(99),
+						MaxAbortsPerUpdate: 5000,
+						Workers:            workers,
+					}).Run(ops)
+					if err != nil {
+						t.Fatal(err)
+					}
+					c := counts{m.Runs, m.Aborts, m.DirectAbortRequests, m.CascadingAbortRequests,
+						m.RemovalAbortRequests, m.Steps, m.Writes, m.FrontierOps, m.UserPolls, m.CommitBatches}
+					dump := st.Dump(1 << 30)
+					if run == 0 {
+						first, firstDump = c, dump
+						continue
+					}
+					if c != first {
+						t.Fatalf("run %d counted %+v, run 0 %+v", run, c, first)
+					}
+					if dump != firstDump {
+						t.Fatalf("run %d left a different dump than run 0:\n got:\n%s\nwant:\n%s", run, dump, firstDump)
+					}
+				}
+				t.Logf("%+v", first)
+			})
+		}
 	}
 }
 

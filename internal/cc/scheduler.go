@@ -77,18 +77,21 @@ type Config struct {
 	// Workers selects goroutine-level parallel execution. The shared
 	// convention (core.Repository.RunConcurrent, experiments.RunMode,
 	// the benches): Workers >= 1 drives the workload through
-	// ParallelScheduler on that many worker goroutines, Workers == 0
-	// keeps a single-goroutine execution (the cooperative Scheduler;
-	// experiments.RunMode's serial reference, outside cc). Only when
-	// constructing a ParallelScheduler directly does 0 default to
-	// GOMAXPROCS. The cooperative Scheduler itself ignores the field.
+	// ParallelScheduler, whose rounds select up to Workers updates and
+	// run their read halves on that many goroutines, both capped at
+	// GOMAXPROCS; Workers == 0 keeps a single-goroutine execution (the
+	// cooperative Scheduler; experiments.RunMode's serial reference,
+	// outside cc). Only when constructing a ParallelScheduler directly
+	// does 0 default to GOMAXPROCS. The cooperative Scheduler itself
+	// ignores the field.
 	Workers int
 	// Inbox switches the schedulers from busy-repolling blocked updates
 	// to parking them: a blocked update files its question in the box
-	// once and leaves the dispatchable set until an answer is recorded
-	// (by an asynchronous answerer, a curator, or a deadline policy).
-	// Nil keeps the legacy repoll behaviour, whose per-wait poll counts
-	// simuser.Latency relies on.
+	// once, and no user is polled on its behalf until an answer is
+	// recorded (by an asynchronous answerer, a curator, or a deadline
+	// policy the scheduler's idle rounds run). Nil keeps the legacy
+	// repoll behaviour, whose per-wait poll counts simuser.Latency
+	// relies on.
 	Inbox *inbox.Box
 	// InboxPolicy is stamped on every entry parked in inbox mode.
 	InboxPolicy inbox.Policy
@@ -201,8 +204,9 @@ func (m Metrics) PerUpdateTime() time.Duration {
 
 // Scheduler drives a workload of updates to termination under
 // optimistic concurrency control (Algorithms 3 and 4) on one goroutine:
-// it alternates commit-frontier drains with scheduling rounds that give
-// every unfinished update one opportunity, in priority order.
+// the core's loop alternates commit-frontier drains with its rounds,
+// which give every unfinished update one opportunity, in priority
+// order.
 type Scheduler struct {
 	txnCore
 	scratch stepScratch
@@ -226,43 +230,7 @@ func (s *Scheduler) Run(ops []chase.Op) (Metrics, error) {
 		return Metrics{}, err
 	}
 	s.begin(ops, &s.scratch)
-	return s.end(s.loop())
-}
-
-// loop runs drains and rounds until every txn committed or the run
-// fails.
-func (s *Scheduler) loop() error {
-	idle := 0
-	for {
-		if _, err := s.commitReady(); err != nil {
-			return err
-		}
-		if s.committedUpTo == len(s.txns) {
-			return nil
-		}
-		progressed, err := s.round()
-		if err != nil {
-			return err
-		}
-		if !progressed && len(s.byPark) > 0 {
-			// Parked updates wait on external answers or policy
-			// deadlines, not on scheduler rounds: advance the inbox
-			// clock, execute what came due, and pace the wait. The idle
-			// limit still applies, bounding a silent inbox with no
-			// deadline policy.
-			if progressed, err = s.inboxIdle(); err != nil {
-				return err
-			}
-		}
-		if progressed {
-			idle = 0
-			continue
-		}
-		idle++
-		if idle >= s.cfg.MaxIdleRounds {
-			return fmt.Errorf("cc: no progress after %d idle rounds (users absent?)", idle)
-		}
-	}
+	return s.end(s.loop(s.round))
 }
 
 // round performs one scheduler round: every uncommitted txn gets one
@@ -336,39 +304,4 @@ func (s *Scheduler) runSteps(t *Txn) error {
 			return nil
 		}
 	}
-}
-
-// inboxIdle runs when a round made no progress and parked txns exist:
-// it advances the inbox clock one tick, executes due policy actions
-// (deadline auto-answers and aborts), and — when nothing was due —
-// briefly sleeps to pace the wait for external answers. It reports
-// whether a policy action made progress.
-func (s *Scheduler) inboxIdle() (bool, error) {
-	acted := false
-	for _, d := range s.cfg.Inbox.Tick(1) {
-		t := s.byPark[d.ID]
-		if t == nil {
-			continue
-		}
-		switch d.Kind {
-		case inbox.DueAutoAnswer:
-			if t.Upd.State() != chase.StateAwaitingUser {
-				continue
-			}
-			ok, err := s.pollUser(t, &s.m)
-			if err != nil {
-				return acted, err
-			}
-			acted = acted || ok
-		case inbox.DueAbort:
-			if err := s.cancel(t); err != nil {
-				return acted, err
-			}
-			acted = true
-		}
-	}
-	if !acted {
-		time.Sleep(100 * time.Microsecond)
-	}
-	return acted, nil
 }

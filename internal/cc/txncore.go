@@ -69,13 +69,14 @@ func (t *Txn) addDep(writer int) {
 }
 
 // txnCore is the transaction lifecycle of Algorithms 3 and 4 that both
-// schedulers embed: submission, the read observer, the priority-ordered
-// commit frontier, live user polls, inbox park/consume/re-ask,
-// cancellation, rollback and the run epilogue. The schedulers differ
-// only in who picks the next step and under which lock: the cooperative
-// Scheduler calls the core from its one goroutine, the
-// ParallelScheduler from its workers under the phase lock (each method
-// names the phase it needs).
+// schedulers embed: submission, the read observer, the round loop with
+// its priority-ordered commit frontier, live user polls, inbox
+// park/consume/re-ask, cancellation, rollback and the run epilogue. The
+// schedulers differ only in their round: the cooperative Scheduler
+// steps every unfinished txn on its one goroutine, the
+// ParallelScheduler steps a few and fans their read halves out over
+// its workers. Everything but the read halves and polls runs on the
+// goroutine that called Run, with no read half in flight.
 type txnCore struct {
 	store  storage.Backend
 	engine *chase.Engine
@@ -88,14 +89,12 @@ type txnCore struct {
 	// number start has given a chase.Update. Algorithm 4 checks a write
 	// only against the stored reads of uncommitted updates numbered
 	// above the writer, and cascades only through reads. A txn below
-	// the window has committed and released its reads; a txn above it,
-	// or inside it without an update (the parallel scheduler starts
-	// txns out of order), has never stepped, so it has no stored reads
-	// and no dependencies. Conflict processing therefore walks only the
-	// window (live) and misses no victim. top is written and read only
-	// where conflict processing runs: on the cooperative scheduler's
-	// goroutine, or under the parallel scheduler's exclusive phase lock,
-	// where committedUpTo also only changes.
+	// the window has committed and released its reads; a txn above it
+	// has never stepped, so it has no stored reads and no dependencies.
+	// Conflict processing therefore walks only the window (live) and
+	// misses no victim. top is written and read only where conflict
+	// processing runs, on the goroutine that called Run, where
+	// committedUpTo also only changes.
 	top int
 	// free holds committed txns' updates for start to renew; commitReady
 	// fills it.
@@ -105,11 +104,12 @@ type txnCore struct {
 	// users included) are not required to be goroutine-safe.
 	userMu sync.Mutex
 
-	// mu guards m, committedUpTo and byPark wherever more than one
-	// goroutine runs; the parallel scheduler's dispatch state shares it.
-	// Metrics a caller accumulates outside mu arrive as a delta (the m
-	// parameters below) — the cooperative scheduler, whose one goroutine
-	// owns everything, passes &m itself.
+	// mu guards m, committedUpTo and byPark where another goroutine
+	// may touch them: the parallel scheduler's read-phase polls park
+	// txns, and Metrics may be called during a run. Metrics a worker
+	// accumulates arrive as a delta (the m parameters below); the
+	// goroutine that called Run passes &m itself where no read phase
+	// runs.
 	mu            sync.Mutex
 	m             Metrics
 	committedUpTo int            // txns[:committedUpTo] have committed
@@ -149,10 +149,11 @@ func (c *txnCore) Metrics() Metrics {
 
 // onRead is the chase engine's read observer: it forwards each stored
 // read to the tracker for dependency computation (§5.1: dependencies
-// are determined when the read is issued). It runs in the phase that
+// are determined when the read is issued). It runs in the half that
 // performed the read, so a txn's dependency set is only ever written by
-// its stepping goroutine and only ever read under the exclusive phase
-// lock. Flag mode never cascades, so it skips dependency tracking.
+// the goroutine stepping it and only ever read by conflict processing,
+// outside the read phase. Flag mode never cascades, so it skips
+// dependency tracking.
 func (c *txnCore) onRead(u *chase.Update, q query.ReadQuery) {
 	if c.cfg.Mode == ModeFlag || u.Number < 1 || u.Number > len(c.txns) {
 		return
@@ -210,6 +211,43 @@ func (c *txnCore) start(t *Txn) *chase.Update {
 // live returns the live window (see top).
 func (c *txnCore) live() []*Txn { return c.txns[c.committedUpTo:c.top] }
 
+// loop runs commit drains and rounds until every txn committed or the
+// run fails: round gives the unfinished txns their opportunities and
+// reports whether any made progress.
+func (c *txnCore) loop(round func() (bool, error)) error {
+	idle := 0
+	for {
+		if _, err := c.commitReady(); err != nil {
+			return err
+		}
+		if c.committedUpTo == len(c.txns) {
+			return nil
+		}
+		progressed, err := round()
+		if err != nil {
+			return err
+		}
+		if !progressed && len(c.byPark) > 0 {
+			// Parked updates wait on external answers or policy
+			// deadlines, not on scheduler rounds: advance the inbox
+			// clock, execute what came due, and pace the wait. The idle
+			// limit still applies, bounding a silent inbox with no
+			// deadline policy.
+			if progressed, err = c.inboxIdle(); err != nil {
+				return err
+			}
+		}
+		if progressed {
+			idle = 0
+			continue
+		}
+		idle++
+		if idle >= c.cfg.MaxIdleRounds {
+			return fmt.Errorf("cc: no progress after %d idle rounds (users absent?)", idle)
+		}
+	}
+}
+
 // end settles the commit pipeline — nothing is acknowledged, Run
 // included, until its covering sync landed — and completes the run's
 // metrics. runErr is the run's own failure; a failed sync is reported
@@ -235,8 +273,7 @@ func (c *txnCore) end(runErr error) (Metrics, error) {
 // store one log append, whose fsync is pipelined — CommitBatchAsync
 // returns once the batch is in the log, the scheduler keeps running
 // while the disk works, and the ack tracker settles the sync before Run
-// returns, so back-to-back drains can share one fsync. The parallel
-// scheduler calls it under the exclusive phase lock.
+// returns, so back-to-back drains can share one fsync.
 func (c *txnCore) commitReady() (int, error) {
 	batch := c.txns[c.committedUpTo:]
 	for i, t := range batch {
@@ -293,8 +330,8 @@ func (c *txnCore) commitReady() (int, error) {
 // pollUser offers a blocked txn one live frontier decision
 // (Engine.DecideOne), reporting whether it applied one. Decide calls
 // are serialized across goroutines and counted into m with the applied
-// operation. The parallel scheduler calls it under the shared phase
-// lock (frontier operations only plan writes).
+// operation. The parallel scheduler calls it in the read phase
+// (frontier operations only plan writes).
 func (c *txnCore) pollUser(t *Txn, m *Metrics) (bool, error) {
 	if c.cfg.User == nil {
 		return false, nil
@@ -318,7 +355,7 @@ func (c *txnCore) pollUser(t *Txn, m *Metrics) (bool, error) {
 }
 
 // errEntryGone reports a parked txn whose inbox entry was aborted out
-// from under it; the caller cancels the txn under its exclusive lock.
+// from under it; the scheduler cancels the txn outside the read phase.
 var errEntryGone = errors.New("cc: inbox entry aborted")
 
 // inboxPoll is a blocked txn's scheduling opportunity in inbox mode:
@@ -327,7 +364,7 @@ var errEntryGone = errors.New("cc: inbox entry aborted")
 // Decide calls — and re-ask when the entry no longer shows the
 // question the update blocks on. It reports whether it parked the txn
 // or applied an answer, which counts into m. The parallel scheduler
-// calls it under the shared phase lock.
+// calls it in the read phase.
 func (c *txnCore) inboxPoll(t *Txn, m *Metrics) (bool, error) {
 	if t.park == nil {
 		q, ok := inbox.Ask(c.engine, t.Upd)
@@ -337,7 +374,7 @@ func (c *txnCore) inboxPoll(t *Txn, m *Metrics) (bool, error) {
 		q.Policy = c.cfg.InboxPolicy
 		id := c.cfg.Inbox.Park(q)
 		c.mu.Lock()
-		t.park = &parkState{id: id}
+		t.park = &parkState{id: id, steps: t.Upd.Stats.Steps}
 		c.byPark[id] = t
 		c.mu.Unlock()
 		obsParked.Inc()
@@ -352,7 +389,7 @@ func (c *txnCore) inboxPoll(t *Txn, m *Metrics) (bool, error) {
 		return false, errEntryGone
 	}
 	p.used = append(p.used, make([]bool, len(e.Answers)-len(p.used))...)
-	p.offered = len(e.Answers)
+	p.offered, p.steps = len(e.Answers), t.Upd.Stats.Steps
 	applied, err := inbox.Replay(c.engine, t.Upd, e.Answers, p.used)
 	if err != nil {
 		return false, fmt.Errorf("cc: update %d inbox answer: %w", t.Number, err)
@@ -376,8 +413,7 @@ func (c *txnCore) inboxPoll(t *Txn, m *Metrics) (bool, error) {
 // txn list, so cancel also takes it out of conflict processing: its
 // reads are released, as at commit, and the abort wave skips it. An
 // empty commit depends on nothing, and rolling it back would re-plan
-// the initial operation the deadline policy dropped. The parallel
-// scheduler calls it under the exclusive phase lock.
+// the initial operation the deadline policy dropped.
 func (c *txnCore) cancel(t *Txn) error {
 	if t.committed {
 		return fmt.Errorf("cc: cancel of committed update %d", t.Number)
@@ -402,12 +438,11 @@ func (c *txnCore) cancel(t *Txn) error {
 // writes, for both schedulers, over the live window: direct detection
 // against the stored reads of the updates numbered above the writer,
 // then the abort wave — dependency cascade, rollbacks through rollback,
-// and abort-side drift rechecks. Counters accumulate into m; the checks run on sc. It must
-// run where the writes land, before any other engine call: on the
-// cooperative scheduler's goroutine, or in the parallel scheduler's
-// exclusive phase section of the step that wrote. Conflicts only abort
-// updates numbered above the writer; an abort-side drift check may
-// still restart the writer itself.
+// and abort-side drift rechecks. Counters accumulate into m; the checks
+// run on sc. It must run where the writes land, before any other engine
+// call, with no read half in flight. Conflicts only abort updates
+// numbered above the writer; an abort-side drift check may still
+// restart the writer itself.
 func (c *txnCore) processWrites(writes []storage.WriteRec, m *Metrics, sc *stepScratch, rollback func(*Txn) error) error {
 	if len(writes) == 0 {
 		return nil
@@ -425,8 +460,7 @@ func (c *txnCore) processWrites(writes []storage.WriteRec, m *Metrics, sc *stepS
 // rollback is the abort wave's rollback of one victim: rollbackTxn's
 // storage-level abort and restart, then the victim's inbox entry goes —
 // a parked victim's question is void, its attempt restarts from
-// scratch. Aborts count into m. The parallel scheduler calls it under
-// the exclusive phase lock.
+// scratch. Aborts count into m.
 func (c *txnCore) rollback(t *Txn, m *Metrics) error {
 	if err := rollbackTxn(c.store, &c.cfg, t, m); err != nil {
 		return err

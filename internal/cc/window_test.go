@@ -54,9 +54,9 @@ func fullRemovalCandidates(cfg *Config, txns []*Txn) []*Txn {
 // candidates above the writer and the removal candidates must be the
 // same txns, and no txn outside the window, nor one inside it that has
 // not started, may hold an update, stored reads or a dependency. The
-// check runs where the writes land — under the parallel scheduler's
-// exclusive phase lock — so under the race detector it also guards the
-// window top's lock discipline.
+// check runs where the writes land — in the parallel scheduler's write
+// phase, with no read half in flight — so under the race detector it
+// also guards that the window top moves only there.
 type WindowWatch struct {
 	storage.Backend
 	tb testing.TB

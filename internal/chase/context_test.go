@@ -3,6 +3,7 @@ package chase
 import (
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"youtopia/internal/model"
@@ -213,6 +214,13 @@ func violatingStepReadsAllocs(t *testing.T) float64 {
 	u := f.warmAttempt(t)
 	const runs = 200
 	tuples := f.freshTuples("A", runs+1)
+	// MemStats counts every goroutine's allocations, and the runtime's
+	// own work (a collection's workers and cleanups, the scavenger)
+	// allocates at times no test controls; a collection's assist can
+	// even park the test goroutine inside a measured step. With
+	// collection off and one P, none of it runs in a measured step.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var before, after runtime.MemStats
 	var mallocs uint64
 	for i, tu := range tuples {

@@ -99,10 +99,9 @@ func (e *Engine) record(c *queryContext, u *Update, q query.ReadQuery) {
 // the owning update; conflict checks on its behalf run on other
 // goroutines' checkers (query.Checker) and never borrow it. Under the
 // parallel scheduler an abort wave may give a victim's context back
-// through Reset while another worker holds the victim's claim: the
-// wave runs under the exclusive phase lock, outside every call that
-// uses the context, and the claim's worker re-checks the attempt
-// counter before it touches the update again.
+// through Reset after the victim's write half ran: the wave runs in
+// the write phase, outside every call that uses the context, and the
+// read phase skips an update whose attempt counter moved.
 type queryContext struct {
 	snap storage.Snapshot
 	home *Engine
@@ -295,9 +294,10 @@ var ErrStepLimit = fmt.Errorf("chase: step limit exceeded")
 // operation.
 //
 // Step is the composition of StepWrites and StepReads. Parallel
-// scheduling calls the two halves separately — the write half under an
-// exclusive phase lock (its effects must be validated against other
-// updates' stored reads atomically), the read half under a shared one.
+// scheduling calls the two halves separately — the write half while no
+// read half is in flight (its effects must be validated against other
+// updates' stored reads atomically), the read halves of several
+// updates at once.
 func (e *Engine) Step(u *Update) (StepResult, error) {
 	res, err := e.StepWrites(u)
 	if err != nil || res.State == StateTerminated || res.State == StateAborted {

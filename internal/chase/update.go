@@ -173,8 +173,8 @@ type Update struct {
 	// attempt's context holds the dedup index (queryContext.readIdx),
 	// and no read is logged once the attempt gave its context back.
 	// The log takes no lock: every reader runs either on the goroutine
-	// that steps the update, or under the parallel scheduler's
-	// exclusive phase lock, while no engine call is in flight.
+	// that steps the update, or in the parallel scheduler's write
+	// phase, while no read half is in flight.
 	reads []query.ReadQuery
 
 	// qctx is the attempt's query context (Engine.queryContext): nil

@@ -508,11 +508,12 @@ var errNoAnswer = errors.New("core: user has no frontier answer yet")
 // mean COARSE, round-robin step interleaving, prevention mode. Updates
 // are numbered from the repository's current update counter.
 //
-// With Workers >= 1 the workload runs on that many goroutines through
-// cc.ParallelScheduler (the Policy field is then ignored) — the same
-// convention the benches and experiments.RunMode use; Workers of zero
-// keeps the cooperative single-goroutine scheduler (where RunMode runs
-// the serial reference execution instead).
+// With Workers >= 1 the workload runs through cc.ParallelScheduler,
+// whose rounds fan their read halves out over that many goroutines
+// (the Policy field is then ignored) — the same convention the benches
+// and experiments.RunMode use; Workers of zero keeps the cooperative
+// single-goroutine scheduler (where RunMode runs the serial reference
+// execution instead).
 func (r *Repository) RunConcurrent(ops []chase.Op, cfg cc.Config) (cc.Metrics, error) {
 	if err := cfg.Validate(); err != nil {
 		return cc.Metrics{}, err

@@ -10,8 +10,8 @@
 // aborts the parked update, and periodic priority escalation (the
 // selfish-curator mitigation of the related mechanism-design work).
 //
-// Time is a logical tick counter advanced by the owner (the cc
-// ticker goroutine, or explicit Repository.InboxTick calls), so tests
+// Time is a logical tick counter advanced by the owner (a cc
+// scheduler's idle rounds, or explicit Repository.InboxTick calls), so tests
 // and deterministic replays control it exactly; wall-clock time is
 // recorded alongside purely for reporting (time-to-resume metrics).
 package inbox
@@ -157,10 +157,6 @@ type Box struct {
 	nextID  int64
 	now     int64
 
-	// onAnswer, when set, runs after every recorded answer (outside the
-	// box lock) — the scheduler's wake-up hook.
-	onAnswer func(id int64)
-
 	parked    int64
 	answered  int64
 	resolved  int64
@@ -177,10 +173,6 @@ func NewBox() *Box {
 		resume:  obs.NewLatencyHistogram(),
 	}
 }
-
-// SetOnAnswer installs the answer hook. It must be set before the box
-// sees concurrent use; the hook runs outside the box lock.
-func (b *Box) SetOnAnswer(fn func(id int64)) { b.onAnswer = fn }
 
 // Park files a new pending entry and returns its ID. A zero e.ID mints
 // the next local ID; a positive one (the WAL park ID) is kept, so
@@ -260,37 +252,31 @@ func (b *Box) Claim(id int64, who string) error {
 	return nil
 }
 
-// Answer records one answer on a pending or claimed entry and runs the
-// answer hook. The caller chooses the option index against the entry's
-// current Options enumeration; recording it against the canonical
-// Context is what lets the answer re-resolve after restarts.
+// Answer records one answer on a pending or claimed entry. The caller
+// chooses the option index against the entry's current Options
+// enumeration; recording it against the canonical Context is what lets
+// the answer re-resolve after restarts.
 func (b *Box) Answer(id int64, a Answer) error {
 	b.mu.Lock()
+	defer b.mu.Unlock()
 	e, ok := b.entries[id]
 	if !ok {
-		b.mu.Unlock()
 		return fmt.Errorf("inbox: no entry %d", id)
 	}
 	if e.Status == Answered {
-		b.mu.Unlock()
 		return fmt.Errorf("inbox: entry %d is already answered and resuming", id)
 	}
 	e.Status = Answered
 	e.Answers = append(e.Answers, a)
 	b.answered++
 	obsAnswered.Inc()
-	hook := b.onAnswer
-	b.mu.Unlock()
-	if hook != nil {
-		hook(id)
-	}
 	return nil
 }
 
 // Record appends an answer a live user gave while the entry's update
 // was being resumed to its answer history. The status is the resuming
 // owner's to settle (Requeue or Resolve), so Record changes nothing
-// else and runs no hook.
+// else.
 func (b *Box) Record(id int64, a Answer) {
 	b.mu.Lock()
 	defer b.mu.Unlock()

@@ -39,10 +39,12 @@ import (
 // died since then still look alive. A table rebuilt while a closed
 // repository's constants await collection comes out up to twice too
 // big, so its size, and the heap, would depend on the collector's
-// timing. The table is therefore also resized after collections: a
-// cleanup that runs once per collection (armSymTick) recounts the live
-// entries when something was minted since it last looked, and rebuilds
-// a table more than a quarter larger than its live entries need. Sizes
+// timing. The table is therefore also resized after collections: the
+// first mint after a settle arms a cleanup (armSymTick) that recounts
+// the live entries after the next collection, and rebuilds a table more
+// than a quarter larger than its live entries need. Only a mint can
+// have sized the table from a stale count, so a process that mints
+// nothing does no work, and allocates nothing, per collection. Sizes
 // go in steps of minSymSlots rather than powers of two, so that the size
 // a live count asks for does not jump twofold at a power of two.
 //
@@ -61,12 +63,11 @@ type symSlot struct {
 	w   weak.Pointer[byte] // the canonical copy's first byte
 }
 
-// symTable is one generation of the table. Its counters are guarded by
+// symTable is one generation of the table. Its counter is guarded by
 // symbols.mu.
 type symTable struct {
 	slots []symSlot
 	used  int // filled slots, live or dead
-	seen  int // used when settleSymbols last recounted the table
 }
 
 // minSymSlots is the smallest table and the step its size grows in.
@@ -80,11 +81,13 @@ var symSeed = maphash.MakeSeed()
 var symbols struct {
 	mu  sync.Mutex
 	tab atomic.Pointer[symTable]
+	// ticking is set from the mint that arms a tick to the settle the
+	// tick runs.
+	ticking bool
 }
 
 func init() {
 	symbols.tab.Store(&symTable{slots: make([]symSlot, minSymSlots)})
-	armSymTick()
 }
 
 // symTick is garbage the moment it is made, so its cleanup runs after
@@ -92,27 +95,20 @@ func init() {
 // allocator, whose objects are not freed one by one.
 type symTick struct{ _ *symTick }
 
-// armSymTick has settleSymbols run after the next collection, and
-// itself again.
+// armSymTick has settleSymbols run after the next collection. Callers
+// hold symbols.mu.
 func armSymTick() {
-	runtime.AddCleanup(&symTick{}, func(struct{}) {
-		settleSymbols()
-		armSymTick()
-	}, struct{}{})
+	symbols.ticking = true
+	runtime.AddCleanup(&symTick{}, func(struct{}) { settleSymbols() }, struct{}{})
 }
 
 // settleSymbols rebuilds the table when it is more than a quarter
-// larger than its live entries need. It recounts only when something
-// was minted since it last looked, since only a mint can have sized the
-// table from a stale count.
+// larger than its live entries need.
 func settleSymbols() {
 	symbols.mu.Lock()
 	defer symbols.mu.Unlock()
+	symbols.ticking = false
 	t := symbols.tab.Load()
-	if t.used == t.seen {
-		return
-	}
-	t.seen = t.used
 	if 4*len(t.slots) > 5*symSlotsFor(t.live()) {
 		symbols.tab.Store(t.rebuilt())
 	}
@@ -186,6 +182,9 @@ func internSlow(s string, h, key uint64) *byte {
 	free.w = weak.Make(p)
 	free.key.Store(key)
 	t.used++
+	if !symbols.ticking {
+		armSymTick()
+	}
 	return p
 }
 

@@ -205,6 +205,17 @@ func MintedNull(space int64, update, ordinal int) (Value, error) {
 	return Null(mintedBit | space<<(updateBits+ordinalBits) | int64(update)<<ordinalBits | int64(ordinal)), nil
 }
 
+// MintedName returns the name of a null a chase minted: its namespace,
+// update number and ordinal. ok is false for constants and counter
+// nulls.
+func (v Value) MintedName() (space int64, update, ordinal int, ok bool) {
+	if !v.IsNull() {
+		return 0, 0, 0, false
+	}
+	space, u, o, ok := mintedName(v.n)
+	return space, int(u), int(o), ok
+}
+
 // mintedName splits a minted null's identifier into its fields; ok is
 // false for counter nulls.
 func mintedName(id int64) (space, update, ordinal int64, ok bool) {

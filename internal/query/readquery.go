@@ -120,8 +120,8 @@ type ViolationRead struct {
 // at or below the captured sequence is already applied (stripe
 // sequences publish under the stripe lock), so the vector lower-bounds
 // what the evaluation saw in each relation and is exact whenever no
-// writer runs during the read — which the schedulers' phase locking
-// guarantees.
+// writer runs during the read — which the schedulers guarantee: no
+// write lands while a read half is in flight.
 //
 // seedVals is retained, not copied: callers pass a write record's
 // immutable value slice.

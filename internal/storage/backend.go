@@ -15,7 +15,7 @@ import (
 //
 //   - Every method is individually atomic and safe for concurrent use
 //     (multi-operation protocols need the concurrency-control layer's
-//     phase locking on top).
+//     write and read phases on top).
 //   - Sequence numbers are totally ordered across the whole backend,
 //     per-relation sequences are monotone, and labeled nulls are
 //     unique backend-wide.

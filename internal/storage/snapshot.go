@@ -33,7 +33,7 @@ func ceilingOf(rels []string, seqs []int64, rel string) (int64, bool) {
 // VisibleFacts) lock stripe-by-stripe and are atomic per relation
 // only. Two successive calls may observe
 // different store states if a writer runs in between — multi-call
-// protocols need external phase locking.
+// protocols need external phasing.
 //
 // A committed-state snapshot (Backend.EpochSnap) is the same live view
 // with one more filter: it admits only versions of committed writers.

@@ -115,8 +115,8 @@
 //
 // Each exported operation is individually atomic; multi-operation
 // protocols (a chase step's write-then-validate sequence) still need
-// the concurrency-control layer's phase locking on top, which is what
-// cc.ParallelScheduler provides. The one relaxation against the
+// the concurrency-control layer's phasing on top, which is what
+// cc.ParallelScheduler's write and read phases provide. The one relaxation against the
 // pre-striping store: snapshot reads that span relations
 // (TuplesWithNull, VisibleFacts) lock stripe-by-stripe, so under
 // concurrent mutators they may observe different relations at
@@ -292,9 +292,9 @@ type stripe struct {
 	logs map[int][]WriteRec
 
 	// seq publishes the highest global sequence number applied in this
-	// stripe (monotone: assigned under mu). Concurrency control uses it
-	// to validate conflict checks performed outside its exclusive phase
-	// lock.
+	// stripe (monotone: assigned under mu). A stored violation read
+	// records it per relation as its read vector, which conflict checks
+	// narrow their view to.
 	seq atomic.Int64
 
 	// pending lists tuples whose committed history the horizon did not

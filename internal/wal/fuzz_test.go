@@ -10,7 +10,8 @@ import (
 )
 
 // FuzzWALReplay drives a random sequence of commit batches (inserts,
-// deletes, null insertions and replacements, interleaved checkpoints)
+// deletes, counter and minted null insertions and replacements,
+// interleaved checkpoints)
 // through a real log, then injures the tail — truncating the last
 // segment at an arbitrary byte, or flipping a byte in its final
 // region — and asserts the invariant the subsystem promises: recovery
@@ -108,6 +109,14 @@ func FuzzWALReplay(f *testing.F) {
 			case b < 220:
 				begin()
 				x := st.FreshNull()
+				if b%2 == 1 {
+					// A null named the way a chase names it, which the
+					// log writes as its three fields.
+					var err error
+					if x, err = model.MintedNull(int64(b%3)+1, writer, len(nulls)); err != nil {
+						t.Fatal(err)
+					}
+				}
 				id, _, ins, err := st.Insert(writer, tup("R", x, c("k")))
 				if err != nil {
 					t.Fatal(err)

@@ -27,7 +27,13 @@ import (
 //	vals    := 0 uvarint                    (absent: nil slice)
 //	         | n+1 uvarint | value*n
 //	value   := 0 u8 | len uvarint | bytes   (constant)
-//	         | 1 u8 | nullID uvarint        (labeled null)
+//	         | 1 u8 | nullID uvarint        (counter null)
+//	         | 2 u8 | namespace uvarint | update uvarint | ordinal uvarint
+//	                                        (chase-minted null)
+//
+// A minted null's identifier packs its name into the high bits, so
+// its uvarint takes 9 bytes; its three fields take 3 to 5. Logs written
+// before kind 2 carry minted nulls as kind 1, which still decodes.
 //
 // A checkpoint file is a header followed by a single frame:
 //
@@ -58,6 +64,7 @@ const (
 	kindBatch   = 1
 	valConst    = 0
 	valNull     = 1
+	valMinted   = 2
 	ckptHdrLen  = 16 // magic + schemaHash; the frame follows
 	segSuffix   = ".seg"
 	ckptSuffix  = ".ckpt"
@@ -123,6 +130,13 @@ func (r *reader) bytes(n uint64) ([]byte, error) {
 }
 
 func encodeValue(b *bytes.Buffer, v model.Value) {
+	if space, update, ordinal, ok := v.MintedName(); ok {
+		b.WriteByte(valMinted)
+		putUvarint(b, uint64(space))
+		putUvarint(b, uint64(update))
+		putUvarint(b, uint64(ordinal))
+		return
+	}
 	if v.IsNull() {
 		b.WriteByte(valNull)
 		putUvarint(b, uint64(v.NullID()))
@@ -156,6 +170,18 @@ func (r *reader) value() (model.Value, error) {
 			return model.Value{}, err
 		}
 		return model.Null(int64(id)), nil
+	case valMinted:
+		var f [3]uint64
+		for i := range f {
+			if f[i], err = r.uvarint(); err != nil {
+				return model.Value{}, err
+			}
+		}
+		v, err := model.MintedNull(int64(f[0]), int(f[1]), int(f[2]))
+		if err != nil {
+			return model.Value{}, fmt.Errorf("wal: %w", err)
+		}
+		return v, nil
 	default:
 		return model.Value{}, fmt.Errorf("wal: unknown value kind %d", kind)
 	}

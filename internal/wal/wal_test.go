@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"os"
 	"slices"
 	"strings"
@@ -140,6 +141,42 @@ func TestRecoveredNullsKeepIdentity(t *testing.T) {
 	}
 	if fresh := st2.FreshNull(); fresh == x {
 		t.Fatalf("recovered store re-minted null %s", fresh)
+	}
+}
+
+// TestMintedNullsLogTheirName: a chase-minted null goes into the log as
+// its (namespace, update, ordinal) name rather than the 9-byte uvarint
+// of its identifier, a counter null as its identifier, and a minted
+// null a log wrote as an identifier still decodes to the same value.
+func TestMintedNullsLogTheirName(t *testing.T) {
+	minted, err := model.MintedNull(3, 1200, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		v    model.Value
+		size int
+	}{
+		{minted, 5}, // kind, 3, 1200 (two bytes), 7
+		{n(300), 3}, // kind, 300 (two bytes)
+		{c("NY"), 4},
+	} {
+		var b bytes.Buffer
+		encodeValue(&b, tc.v)
+		if b.Len() != tc.size {
+			t.Errorf("%v encodes to %d bytes, want %d", tc.v, b.Len(), tc.size)
+		}
+		r := reader{b.Bytes()}
+		if got, err := r.value(); err != nil || got != tc.v || len(r.b) != 0 {
+			t.Errorf("%v decodes to %v (%v), %d bytes left", tc.v, got, err, len(r.b))
+		}
+	}
+	var b bytes.Buffer
+	b.WriteByte(valNull)
+	putUvarint(&b, uint64(minted.NullID()))
+	r := reader{b.Bytes()}
+	if got, err := r.value(); err != nil || got != minted {
+		t.Errorf("an identifier-encoded minted null decodes to %v (%v), want %v", got, err, minted)
 	}
 }
 
