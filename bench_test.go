@@ -178,28 +178,26 @@ func nowSeconds() float64 {
 // --- Parallel runtime: serial vs goroutine-parallel execution ---
 
 // BenchmarkSchedulerWorkers runs the same seeded workload under the
-// serial reference execution (serial.Execute) and the goroutine-parallel
-// scheduler at several worker counts, reporting wall time and
-// committed-update throughput. Two workload shapes are measured:
+// serial reference execution (serial.Execute) and the scheduler at
+// several round widths, reporting wall time and committed-update
+// throughput. Two workload shapes are measured:
 //
 //	mapped    the §6 universe under a 24-mapping prefix — chases
-//	          interact through the mappings, so the win comes from
-//	          running the read halves of several updates at once,
-//	          between write phases;
+//	          interact through the mappings, so the width sets how
+//	          many updates conflict with each other;
 //	disjoint  the same universe with no mappings — every update is a
-//	          single insert into its own relation, the pure
-//	          lock-traffic case the striped store and group-commit
-//	          frontier target.
+//	          single insert into its own relation, the case the
+//	          group-commit frontier targets.
 //
-// On a multi-core machine the parallel series should beat serial; on
-// one core it quantifies the phase-lock overhead. The committed final
+// The series quantify what concurrency control costs over the serial
+// reference at each width. The committed final
 // instance is serializable at every point (asserted by the cc test
 // battery, not re-checked here).
 func BenchmarkSchedulerWorkers(b *testing.B) {
 	u := universe(b, 100)
 	// runOne times only the scheduler run; store loading and workload
 	// generation happen outside the benchmark clock so the serial vs
-	// parallel comparison is not diluted by identical setup cost.
+	// scheduler comparison is not diluted by identical setup cost.
 	runOne := func(b *testing.B, mappings, workers int, run int64) (cc.Metrics, time.Duration) {
 		b.Helper()
 		b.StopTimer()

@@ -6,20 +6,17 @@
 // execution-time slowdown of PRECISE over COARSE.
 //
 // Beyond the paper's figures, -figure parallel compares the serial
-// reference execution against the goroutine-parallel runtime across a
-// sweep of worker counts, reporting wall time and committed-update
-// throughput; with -data-dir the runs execute against a write-ahead-
-// logged store (one fsync per commit batch), measuring durable
-// throughput and the group-commit sync amortization. -figure multicore
-// sweeps GOMAXPROCS caps at a fixed worker count, reporting committed-
-// update throughput per cpu count (the CI cpu-matrix artifact).
+// reference execution against the concurrency-controlled scheduler
+// across a sweep of round widths (-workers), reporting wall time and
+// committed-update throughput; with -data-dir the runs execute against
+// a write-ahead-logged store (one fsync per commit batch), measuring
+// durable throughput and the group-commit sync amortization.
 //
 // Usage:
 //
 //	youtopia-bench -figure both -preset paper -runs 3
 //	youtopia-bench -figure parallel -preset quick -workers 0,2,4
 //	youtopia-bench -figure parallel -preset quick -data-dir /tmp/ybench
-//	youtopia-bench -figure multicore -preset quick -cpus 1,2,4 -data-dir /tmp/ymc
 //
 // Observability riders work with every figure: -debug-addr serves
 // /metrics (Prometheus text), /healthz, /debug/vars and /debug/pprof
@@ -49,18 +46,17 @@ import (
 	"strings"
 	"time"
 
+	"youtopia/internal/debugserver"
 	"youtopia/internal/experiments"
 	"youtopia/internal/obs"
 	"youtopia/internal/workload"
 )
 
 func main() {
-	figure := flag.String("figure", "both", "which figure to reproduce: 3, 4, both, latency (the §5.2 user-latency extension study), parallel (serial vs goroutine-parallel throughput), multicore (GOMAXPROCS sweep of the parallel scheduler at a fixed worker count), or inbox (busy-repoll vs decision-inbox park/answer/resume)")
+	figure := flag.String("figure", "both", "which figure to reproduce: 3, 4, both, latency (the §5.2 user-latency extension study), parallel (serial reference vs the scheduler's round widths), or inbox (busy-repoll vs decision-inbox park/answer/resume)")
 	inboxWorkers := flag.Int("inbox-workers", 4, "worker count the -figure inbox study runs both modes on (at least 1)")
 	inboxLatency := flag.Int("inbox-latency", 200, "per-answer think time of the -figure inbox asynchronous answerer, in microseconds")
-	workersFlag := flag.String("workers", "", "comma-separated worker counts for -figure parallel (0 = serial reference; default 0,1,2,4,8)")
-	cpusFlag := flag.String("cpus", "", "comma-separated GOMAXPROCS caps for -figure multicore (default 1,2,4)")
-	cpuWorkers := flag.Int("cpu-workers", 4, "worker count every -figure multicore point runs on")
+	workersFlag := flag.String("workers", "", "comma-separated round widths for -figure parallel (0 = serial reference; default 0,1,2,4,8)")
 	dataDir := flag.String("data-dir", "", "back each -figure parallel run with a write-ahead log under this directory; empty = in-memory, the unchanged default")
 	jsonPath := flag.String("json", "", "write the -figure parallel study as JSON to this file (the CI bench artifact)")
 	baseline := flag.String("baseline", "", "compare the -figure parallel study against this committed JSON baseline and exit nonzero on regression")
@@ -108,7 +104,7 @@ func main() {
 		}()
 	}
 	if *debugAddr != "" {
-		srv, err := obs.Serve(*debugAddr, obs.Default)
+		srv, err := debugserver.Serve(*debugAddr, obs.Default)
 		if err != nil {
 			fail(err)
 		}
@@ -157,26 +153,14 @@ func main() {
 			fail(fmt.Errorf("bad -sweep: %w", err))
 		}
 	}
-	if *figure == "parallel" || *figure == "multicore" {
-		var points []experiments.ParallelPoint
-		var err error
-		if *figure == "multicore" {
-			var cpus []int
-			if *cpusFlag != "" {
-				if cpus, err = parseInts(*cpusFlag, 1); err != nil {
-					fail(fmt.Errorf("bad -cpus: %w", err))
-				}
+	if *figure == "parallel" {
+		var workers []int
+		if *workersFlag != "" {
+			if workers, err = parseInts(*workersFlag, 0); err != nil {
+				fail(fmt.Errorf("bad -workers: %w", err))
 			}
-			points, err = experiments.MulticoreStudy(base, cpus, *cpuWorkers, *runs, *dataDir)
-		} else {
-			var workers []int
-			if *workersFlag != "" {
-				if workers, err = parseInts(*workersFlag, 0); err != nil {
-					fail(fmt.Errorf("bad -workers: %w", err))
-				}
-			}
-			points, err = experiments.ParallelStudy(base, workers, *runs, *dataDir)
 		}
+		points, err := experiments.ParallelStudy(base, workers, *runs, *dataDir)
 		if err != nil {
 			fail(err)
 		}
@@ -278,7 +262,7 @@ func main() {
 		figures = append(figures, fig)
 	}
 	if len(figures) == 0 {
-		fail(fmt.Errorf("unknown -figure %q (want 3, 4 or both)", *figure))
+		fail(fmt.Errorf("unknown -figure %q (want 3, 4, both, latency, parallel or inbox)", *figure))
 	}
 
 	var csv strings.Builder

@@ -65,6 +65,7 @@ import (
 
 	"youtopia"
 	"youtopia/internal/chase"
+	"youtopia/internal/debugserver"
 	"youtopia/internal/obs"
 	"youtopia/internal/parse"
 	"youtopia/internal/vfs"
@@ -99,7 +100,7 @@ func main() {
 		fail(err)
 	}
 	if *debugAddr != "" {
-		srv, err := obs.Serve(*debugAddr, obs.Default)
+		srv, err := debugserver.Serve(*debugAddr, obs.Default)
 		if err != nil {
 			fail(err)
 		}
@@ -119,7 +120,7 @@ func main() {
 		fail(err)
 	}
 	defer repo.Close()
-	obs.SetHealthProbe(func() (string, bool) {
+	debugserver.SetHealthProbe(func() (string, bool) {
 		h := repo.Health()
 		return h.State.String(), h.State == youtopia.StateHealthy
 	})

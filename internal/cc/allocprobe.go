@@ -7,8 +7,8 @@ import (
 )
 
 // CandidateProbe returns a closure performing one conflict-candidate
-// collection — the hot coordination step of both schedulers' write
-// phase — over a live window of n transactions with stored reads, for
+// collection — the hot coordination step of the scheduler's conflict
+// processing — over a live window of n transactions with stored reads, for
 // a write by its lowest-numbered one: the window's part above the
 // writer is taken and filtered exactly as collectDirect does. The
 // closure reuses a scratch buffer across calls, so after a warm-up
@@ -17,18 +17,18 @@ import (
 // as allocs/op into the bench artifacts CI gates
 // (experiments.ParallelStudy).
 func CandidateProbe(n int) func() {
-	c := &txnCore{txns: make([]*Txn, n), top: n}
-	for i := range c.txns {
+	s := &Scheduler{txns: make([]*Txn, n), top: n}
+	for i := range s.txns {
 		u := chase.NewUpdate(i+1, chase.Op{})
 		u.RecordRead(&query.ContentRead{
 			Rel:      "R",
 			Vals:     []model.Value{model.Const("probe")},
 			ReaderNo: i + 1,
 		})
-		c.txns[i] = &Txn{Upd: u, Number: i + 1}
+		s.txns[i] = &Txn{Upd: u, Number: i + 1}
 	}
 	var scratch []*Txn
 	return func() {
-		scratch = candidatesInto(scratch[:0], above(c.live(), 1))
+		scratch = candidatesInto(scratch[:0], above(s.live(), 1))
 	}
 }

@@ -1,7 +1,6 @@
 package cc
 
 import (
-	"runtime"
 	"testing"
 
 	"youtopia/internal/chase"
@@ -153,7 +152,7 @@ func TestCancelledUpdateIsNoConflictVictim(t *testing.T) {
 				st, set := cancelFixture(t)
 				allow := map[int]bool{}
 				s := NewScheduler(st, set, Config{Tracker: tr, Policy: PolicyRoundRobinStep, User: expandFor(allow)})
-				s.begin(cancelOps, &s.scratch)
+				s.begin(cancelOps)
 				for round := 0; !allAwaiting(s.txns); round++ {
 					if round == 5 {
 						t.Fatal("the updates did not all reach a frontier")
@@ -171,7 +170,7 @@ func TestCancelledUpdateIsNoConflictVictim(t *testing.T) {
 					t.Fatal(err)
 				}
 				allow[1], allow[2], allow[3] = true, true, true
-				_, err := s.end(s.loop(s.round))
+				_, err := s.end(s.loop())
 				if victim.aborts != w.aborts[tc.cancelled-1] {
 					t.Fatalf("the cancelled update was rolled back and re-run (attempt %d, aborts %d -> %d, run error %v)", w.attempt, w.aborts[tc.cancelled-1], victim.aborts, err)
 				}
@@ -190,13 +189,10 @@ func TestParallelCancelledUpdateIsNoConflictVictim(t *testing.T) {
 			t.Run(tr.Name()+"/"+tc.name, func(t *testing.T) {
 				st, set := cancelFixture(t)
 				allow := map[int]bool{}
-				// One worker per update, so every round steps all three
-				// (the scheduler caps its workers at GOMAXPROCS).
-				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(len(cancelOps)))
-				s := NewParallelScheduler(st, set, Config{Tracker: tr, Workers: len(cancelOps), User: expandFor(allow)})
-				s.begin(cancelOps, &s.workers[0].scratch)
-				stop := s.startHelpers()
-				defer stop()
+				// A round width of one per update, so every round steps
+				// all three.
+				s := NewScheduler(st, set, Config{Tracker: tr, Workers: len(cancelOps), User: expandFor(allow)})
+				s.begin(cancelOps)
 				// The updates step to their frontiers in rounds, a deadline
 				// abort cancels one between rounds, as inboxIdle does, and
 				// the others get their answers and finish.
@@ -214,7 +210,7 @@ func TestParallelCancelledUpdateIsNoConflictVictim(t *testing.T) {
 					t.Fatal(err)
 				}
 				allow[1], allow[2], allow[3] = true, true, true
-				if _, err := s.end(s.loop(s.round)); err != nil {
+				if _, err := s.end(s.loop()); err != nil {
 					t.Fatal(err)
 				}
 				w.check(t, st, s.txns)

@@ -9,15 +9,14 @@ import (
 	"youtopia/internal/storage"
 )
 
-// This file holds Algorithm 4's conflict processing for both
-// schedulers: detection of the readers a write batch affects, the
-// cascade, the rollbacks and the abort-side drift checks. Callers run
-// it where the writes land, on the goroutine that called Run, with no
-// read half in flight — so every candidate's read log is complete
-// (txnCore.processWrites). Every walk
-// covers only the live window, or a part of it (txnCore.top says why
-// that misses no victim); live stands for such a window below, a run of
-// consecutively numbered txns.
+// This file holds Algorithm 4's conflict processing: detection of the
+// readers a write batch affects, the cascade, the rollbacks and the
+// abort-side drift checks. The scheduler runs it right after the step
+// that performed the writes, on the goroutine that called Run, so
+// every candidate's read log is complete (Scheduler.processWrites).
+// Every walk covers only the live window, or a part of it
+// (Scheduler.top says why that misses no victim); live stands for such
+// a window below, a run of consecutively numbered txns.
 
 // above returns the txns of a live window numbered above the writer.
 func above(live []*Txn, writer int) []*Txn {
@@ -40,7 +39,7 @@ func candidatesInto(dst []*Txn, live []*Txn) []*Txn {
 }
 
 // directConflicts checks one batch of writes against the candidates'
-// stored reads on the calling goroutine's checker and returns the
+// stored reads on the given checker and returns the
 // directly affected candidates in candidate order (Algorithm 4's
 // detection). Counters accumulate into m; in ModeFlag conflicts are
 // only counted and nothing is returned.
@@ -100,7 +99,7 @@ func removalCandidatesInto(dst []*Txn, cfg *Config, live []*Txn, marked map[int]
 // abortConflicts is the abort-side half of conflict detection: after a
 // writer's rollback removed its writes, every candidate's violation
 // reads are re-checked for drift (ViolationRead.AffectedByRemoval) on
-// the calling goroutine's checker. A removal can flip verdicts that
+// the given checker. A removal can flip verdicts that
 // write-side checks delivered honestly — the check of a write
 // evaluates the interference that existed at that moment, and an abort
 // takes part of it back without any later write re-asking the question
@@ -132,9 +131,9 @@ func abortConflicts(store storage.Backend, chk *query.Checker, cands []*Txn, rem
 // abortConflicts, and newly marked txns join the wave. Victims are
 // rolled back in ascending priority order (the queue is kept sorted),
 // so executions are deterministic given the same wave. The rollback
-// callback performs the actual rollback plus any scheduler-specific
-// bookkeeping; callers run it where no read half is in flight, so
-// dependency sets and read logs are stable between rollbacks. The drift checks
+// callback performs the actual rollback plus the scheduler's inbox
+// bookkeeping; no step runs during the wave, so dependency sets and
+// read logs are stable between rollbacks. The drift checks
 // run on sc's checker and collect into sc's candidate buffer; the
 // cascade and the drift checks walk the live window.
 func executeAbortWave(store storage.Backend, cfg *Config, live []*Txn, direct []*Txn, m *Metrics, sc *stepScratch, rollback func(*Txn) error) error {
@@ -187,9 +186,8 @@ func executeAbortWave(store storage.Backend, cfg *Config, live []*Txn, direct []
 // pipeline: the direct and drift candidate collections, an abort
 // victim's removed writes, the trackers' write-log and writer scan
 // buffers, the structural matcher, and the checker every conflict
-// check of the goroutine runs on. Each
-// scheduler goroutine owns one, so steady-state steps (no conflicts)
-// allocate nothing on the coordination path. The checker is never
+// check runs on. The scheduler owns one, so steady-state steps (no
+// conflicts) allocate nothing on the coordination path. The checker is never
 // pooled and never an update attempt's query context.
 type stepScratch struct {
 	cands   []*Txn
@@ -223,9 +221,7 @@ func collectDirect(store storage.Backend, cfg *Config, live []*Txn, writes []sto
 // with the same priority number for a fresh attempt, enforcing the
 // abort limit. Aborts and FrontierRequests accumulate into m (the §6
 // metric charges an attempt's frontier requests when it dies or
-// commits). Bumping the attempt counter is what tells the parallel
-// scheduler's read phase to skip a victim whose write half already
-// ran.
+// commits).
 func rollbackTxn(store storage.Backend, cfg *Config, t *Txn, m *Metrics) error {
 	if t.committed {
 		return fmt.Errorf("cc: attempt to abort committed update %d", t.Number)

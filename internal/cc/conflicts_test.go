@@ -23,7 +23,7 @@ func conflictSchema() *model.Schema {
 }
 
 // mkTxn builds a txn whose update has the given stored reads, as if
-// recorded by a prior read phase.
+// recorded by a prior step.
 func mkTxn(number int, reads ...query.ReadQuery) *Txn {
 	u := chase.NewUpdate(number, chase.Insert(model.NewTuple("T", model.Const("x"))))
 	for _, q := range reads {

@@ -49,7 +49,7 @@ func (b noteWrites) ReplaceNull(w int, x, to model.Value) ([]storage.WriteRec, e
 	return recs, err
 }
 
-// TestConflictCheckSpanPerWritingStep: both schedulers trace Algorithm
+// TestConflictCheckSpanPerWritingStep: widths 0 and 2 trace Algorithm
 // 4's conflict processing the same way — exactly one conflict_check
 // span right after every chase step that wrote, and none after a step
 // that did not.
@@ -70,12 +70,7 @@ func TestConflictCheckSpanPerWritingStep(t *testing.T) {
 		tr := obs.NewTracer()
 		cfg := cc.Config{Tracker: cc.Coarse{}, User: simuser.New(2), MaxAbortsPerUpdate: 500, Workers: workers, Trace: tr}
 		backend := noteWrites{Backend: st, tr: tr}
-		if workers > 0 {
-			_, err = cc.NewParallelScheduler(backend, u.Mappings, cfg).Run(ops)
-		} else {
-			_, err = cc.NewScheduler(backend, u.Mappings, cfg).Run(ops)
-		}
-		if err != nil {
+		if _, err := cc.NewScheduler(backend, u.Mappings, cfg).Run(ops); err != nil {
 			t.Fatalf("workers %d: %v", workers, err)
 		}
 		checks := 0

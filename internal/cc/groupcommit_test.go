@@ -15,17 +15,17 @@ import (
 // single storage CommitBatch. The frontier reads each update's own
 // state; no scheduler-side mirror of it exists.
 
-func groupCommitScheduler(t *testing.T, n int) *ParallelScheduler {
+func groupCommitScheduler(t *testing.T, n int) *Scheduler {
 	t.Helper()
 	schema := model.NewSchema()
 	schema.MustAddRelation("R", "a")
 	st := storage.NewStore(schema)
-	s := NewParallelScheduler(st, tgd.MustNewSet(), Config{Workers: 1})
+	s := NewScheduler(st, tgd.MustNewSet(), Config{Workers: 1})
 	ops := make([]chase.Op, n)
 	for i := range ops {
 		ops[i] = chase.Insert(model.NewTuple("R", model.Const(string(rune('a'+i)))))
 	}
-	s.begin(ops, &s.workers[0].scratch)
+	s.begin(ops)
 	// Start each txn and drive its update to termination through the
 	// engine (no mappings: the initial insert is the whole chase).
 	for i, tx := range s.txns {
@@ -64,11 +64,8 @@ func TestGroupCommitDrainsTerminatedPrefix(t *testing.T) {
 	if m.MaxCommitBatch != n {
 		t.Fatalf("MaxCommitBatch = %d, want %d", m.MaxCommitBatch, n)
 	}
-	s.mu.Lock()
-	upTo := s.committedUpTo
-	s.mu.Unlock()
-	if upTo != n {
-		t.Fatalf("committedUpTo = %d, want %d", upTo, n)
+	if s.committedUpTo != n {
+		t.Fatalf("committedUpTo = %d, want %d", s.committedUpTo, n)
 	}
 	// A second drain finds nothing.
 	if k, err := s.commitReady(); err != nil || k != 0 {
@@ -103,9 +100,9 @@ func TestGroupCommitStopsAtFirstUnterminated(t *testing.T) {
 }
 
 func TestParallelRunBatchesCommits(t *testing.T) {
-	// An end-to-end run on a conflict-free workload: each round steps
-	// several updates, so the drain between rounds commits whatever
-	// prefix terminated, and every update commits.
+	// An end-to-end run on a conflict-free workload at width 4: each
+	// round steps several updates, so the drain between rounds commits
+	// whatever prefix terminated, and every update commits.
 	schema := model.NewSchema()
 	schema.MustAddRelation("R", "a", "b")
 	st := storage.NewStore(schema)
@@ -114,7 +111,7 @@ func TestParallelRunBatchesCommits(t *testing.T) {
 		ops = append(ops, chase.Insert(model.NewTuple("R",
 			model.Const(string(rune('a'+i%26))), model.Const(string(rune('a'+i/26))))))
 	}
-	s := NewParallelScheduler(st, tgd.MustNewSet(), Config{Workers: 4})
+	s := NewScheduler(st, tgd.MustNewSet(), Config{Workers: 4})
 	m, err := s.Run(ops)
 	if err != nil {
 		t.Fatal(err)

@@ -7,10 +7,10 @@ import (
 	"youtopia/internal/inbox"
 )
 
-// This file is the schedulers' half of the decision inbox. In inbox
+// This file is the scheduler's half of the decision inbox. In inbox
 // mode (Config.Inbox != nil) a transaction that blocks on a frontier
 // group is parked exactly once: its open question becomes an inbox
-// entry, the transaction leaves the dispatchable set, and NO user poll
+// entry, the transaction stops taking round opportunities, and NO user poll
 // runs on its behalf until an answer is recorded (the Metrics.UserPolls
 // counter stays put while it waits — the bounded-polls property the
 // legacy busy-repoll mode lacks). Answers recorded on the box — by an
@@ -45,10 +45,10 @@ func (p *parkState) pollable(box *inbox.Box, u *chase.Update) bool {
 // (deadline auto-answers and aborts), and — when nothing was due —
 // briefly sleeps to pace the wait for external answers. It reports
 // whether a policy action made progress.
-func (c *txnCore) inboxIdle() (bool, error) {
+func (s *Scheduler) inboxIdle() (bool, error) {
 	acted := false
-	for _, d := range c.cfg.Inbox.Tick(1) {
-		t := c.byPark[d.ID]
+	for _, d := range s.cfg.Inbox.Tick(1) {
+		t := s.byPark[d.ID]
 		if t == nil {
 			continue
 		}
@@ -57,13 +57,13 @@ func (c *txnCore) inboxIdle() (bool, error) {
 			if t.Upd.State() != chase.StateAwaitingUser {
 				continue
 			}
-			ok, err := c.pollUser(t, &c.m)
+			ok, err := s.pollUser(t)
 			if err != nil {
 				return acted, err
 			}
 			acted = acted || ok
 		case inbox.DueAbort:
-			if err := c.cancel(t); err != nil {
+			if err := s.cancel(t); err != nil {
 				return acted, err
 			}
 			acted = true

@@ -68,13 +68,7 @@ func runInboxMode(t *testing.T, workers int) (cc.Metrics, *inbox.Box, *storage.S
 	}
 	ans := &workload.Answerer{Box: box, Seed: inboxTestSeed, ForceUnifyAfter: 4}
 	ans.Start()
-	var m cc.Metrics
-	var err error
-	if workers >= 1 {
-		m, err = cc.NewParallelScheduler(st, set, cfg).Run(genealogyOps())
-	} else {
-		m, err = cc.NewScheduler(st, set, cfg).Run(genealogyOps())
-	}
+	m, err := cc.NewScheduler(st, set, cfg).Run(genealogyOps())
 	ans.Stop()
 	if err != nil {
 		t.Fatal(err)
@@ -132,7 +126,7 @@ func TestInboxModeZeroRepolls(t *testing.T) {
 func TestParallelInboxZeroRepolls(t *testing.T) {
 	m, box, st := runInboxMode(t, 4)
 	if m.UserPolls != 0 {
-		t.Fatalf("parallel inbox mode made %d live user polls, want 0", m.UserPolls)
+		t.Fatalf("width-4 inbox mode made %d live user polls, want 0", m.UserPolls)
 	}
 	parked, answered, resolved, _, _ := box.Counters()
 	if parked == 0 || answered == 0 || resolved == 0 {
@@ -149,7 +143,7 @@ func TestParallelInboxZeroRepolls(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got, want := st.Dump(1<<30), st2.Dump(1<<30); got != want {
-		t.Fatalf("parallel inbox instance not serializable:\n got:\n%s\nwant:\n%s", got, want)
+		t.Fatalf("width-4 inbox instance not serializable:\n got:\n%s\nwant:\n%s", got, want)
 	}
 }
 
@@ -193,7 +187,7 @@ func TestParallelDeadlineAutoAnswer(t *testing.T) {
 		Workers:            2,
 		MaxAbortsPerUpdate: 10000,
 	}
-	m, err := cc.NewParallelScheduler(st, set, cfg).Run(genealogyOps())
+	m, err := cc.NewScheduler(st, set, cfg).Run(genealogyOps())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +271,7 @@ func TestParallelDeadlineAbort(t *testing.T) {
 		Workers:            2,
 		MaxAbortsPerUpdate: 10000,
 	}
-	m, err := cc.NewParallelScheduler(st, set, cfg).Run(genealogyOps())
+	m, err := cc.NewScheduler(st, set, cfg).Run(genealogyOps())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,8 +288,8 @@ func TestParallelDeadlineAbort(t *testing.T) {
 
 // TestUnmatchedAnswerKeepsTxnParked: the first answer on every entry
 // names a context that is not open. Under inbox.Replay's rule it stays
-// unused, so it must not wake its transaction for good: the parallel
-// scheduler selects the transaction again only once a poll can move it
+// unused, so it must not wake its transaction for good: a round serves
+// the transaction again only once a poll can move it
 // (TestParkedTxnPollable pins that rule). No live user is polled, and
 // the run ends on the matching answers, sent 50 ms later, with the
 // serial instance.
@@ -340,13 +334,7 @@ func TestUnmatchedAnswerKeepsTxnParked(t *testing.T) {
 					}
 				}
 			}()
-			var m cc.Metrics
-			var err error
-			if workers > 0 {
-				m, err = cc.NewParallelScheduler(st, set, cfg).Run(genealogyOps()[:1])
-			} else {
-				m, err = cc.NewScheduler(st, set, cfg).Run(genealogyOps()[:1])
-			}
+			m, err := cc.NewScheduler(st, set, cfg).Run(genealogyOps()[:1])
 			close(stop)
 			<-done
 			if err != nil {

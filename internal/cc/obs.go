@@ -6,7 +6,7 @@ import (
 	"youtopia/internal/obs"
 )
 
-// Shared metric handles for both schedulers, resolved once against
+// Shared metric handles for the scheduler, resolved once against
 // obs.Default at package init so the hot path is plain atomic adds —
 // no registry lookups, no locks, and no heap allocations per step
 // (pinned by TestInstrumentationAllocFree). The counters mirror the

@@ -2,7 +2,6 @@ package cc_test
 
 import (
 	"fmt"
-	"runtime"
 	"testing"
 
 	"youtopia/internal/cc"
@@ -13,11 +12,11 @@ import (
 )
 
 // TestParallelSchedulerStress drives a denser synthetic universe
-// through the parallel runtime with more workers than cores, under
-// every tracker, to shake out races between chase steps, conflict
-// processing, frontier polling, cascading aborts, and the commit
-// frontier. It is designed to be run under the race detector:
-// go test -race ./internal/cc/
+// through rounds of width 8, under every tracker, to shake out
+// interactions between chase steps, conflict processing, frontier
+// polling, cascading aborts, and the commit frontier. The race
+// detector (go test -race ./internal/cc/) also covers the ack
+// tracker's goroutines.
 func TestParallelSchedulerStress(t *testing.T) {
 	u, ops := stressUniverse(t)
 	for _, tr := range []cc.Tracker{cc.Naive{}, cc.Coarse{}, cc.Precise{}} {
@@ -26,7 +25,7 @@ func TestParallelSchedulerStress(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sched := cc.NewParallelScheduler(st, u.Mappings, cc.Config{
+			sched := cc.NewScheduler(st, u.Mappings, cc.Config{
 				Tracker:            tr,
 				User:               simuser.New(99),
 				MaxAbortsPerUpdate: 5000,
@@ -77,11 +76,9 @@ func stressUniverse(t *testing.T) (*workload.Universe, []chase.Op) {
 }
 
 // TestParallelRunIsDeterministic runs the stress universe ten times per
-// worker count and tracker: a parallel run is a function of its
-// workload, configuration, user and worker count, so every counter and
-// every dump must repeat exactly, whichever goroutine ran which read
-// half. GOMAXPROCS is raised to the worker count, which the scheduler
-// caps its workers at.
+// round width and tracker: a run is a function of its workload,
+// configuration, user and width, so every counter and every dump must
+// repeat exactly.
 func TestParallelRunIsDeterministic(t *testing.T) {
 	u, ops := stressUniverse(t)
 	// counts are the Metrics counters a run must repeat.
@@ -93,7 +90,6 @@ func TestParallelRunIsDeterministic(t *testing.T) {
 	for _, workers := range []int{2, 4, 8} {
 		for _, tr := range []cc.Tracker{cc.Naive{}, cc.Coarse{}, cc.Precise{}} {
 			t.Run(fmt.Sprintf("workers=%d/%s", workers, tr.Name()), func(t *testing.T) {
-				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
 				var first counts
 				var firstDump string
 				for run := 0; run < 10; run++ {
@@ -101,7 +97,7 @@ func TestParallelRunIsDeterministic(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					m, err := cc.NewParallelScheduler(st, u.Mappings, cc.Config{
+					m, err := cc.NewScheduler(st, u.Mappings, cc.Config{
 						Tracker:            tr,
 						User:               simuser.New(99),
 						MaxAbortsPerUpdate: 5000,
@@ -132,7 +128,7 @@ func TestParallelRunIsDeterministic(t *testing.T) {
 
 // TestParallelSchedulerHighLatencyUsers checks liveness under slow
 // frontier responses: updates blocked on a high-latency user must not
-// stall the workers, and the run must still converge to a
+// stall a width-4 round, and the run must still converge to a
 // fully-repaired state.
 func TestParallelSchedulerHighLatencyUsers(t *testing.T) {
 	cfg := workload.Config{
@@ -161,7 +157,7 @@ func TestParallelSchedulerHighLatencyUsers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched := cc.NewParallelScheduler(st, u.Mappings, cc.Config{
+	sched := cc.NewScheduler(st, u.Mappings, cc.Config{
 		Tracker:            cc.Coarse{},
 		User:               user,
 		MaxAbortsPerUpdate: 5000,
@@ -181,7 +177,7 @@ func TestParallelSchedulerHighLatencyUsers(t *testing.T) {
 	}
 }
 
-// TestParallelSchedulerAbsentUser asserts the parallel scheduler
+// TestParallelSchedulerAbsentUser asserts a width-4 scheduler
 // reports a stall instead of hanging when a frontier decision is
 // needed and no user answers.
 func TestParallelSchedulerAbsentUser(t *testing.T) {
@@ -205,7 +201,7 @@ func TestParallelSchedulerAbsentUser(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched := cc.NewParallelScheduler(st, u.Mappings, cc.Config{
+	sched := cc.NewScheduler(st, u.Mappings, cc.Config{
 		Tracker:       cc.Coarse{},
 		User:          simuser.Silent(),
 		MaxIdleRounds: 50,
@@ -230,7 +226,7 @@ func TestParallelSchedulerEmptyWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched := cc.NewParallelScheduler(st, u.Mappings, cc.Config{Workers: 3})
+	sched := cc.NewScheduler(st, u.Mappings, cc.Config{Workers: 3})
 	m, err := sched.Run(nil)
 	if err != nil {
 		t.Fatal(err)

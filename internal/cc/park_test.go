@@ -8,7 +8,7 @@ import (
 	"youtopia/internal/model"
 )
 
-// TestParkedTxnPollable pins when the parallel scheduler selects a
+// TestParkedTxnPollable pins when a round serves a
 // parked txn: only once a poll can move it — its entry holds an answer
 // the last replay was not offered, the update stepped since that
 // replay, or the entry is gone. A parked txn is otherwise never polled.

@@ -48,10 +48,9 @@ func randomUniverse(t *testing.T, seed int64) *workload.Universe {
 // from its first query or logged read until it ends, and contexts are
 // recycled, so an execution builds no more of them than the peak number
 // of attempts holding one — one for the serial reference execution, at
-// most one per worker for disjoint updates under the parallel
-// scheduler. Query engines are borrowed per step, so each execution
-// builds no more of them than steps in flight. Only the concurrent path
-// keeps read logs.
+// most the round width for disjoint updates under the scheduler. Query
+// engines are borrowed per step, and steps run one at a time, so each
+// execution builds one. Only the concurrent path keeps read logs.
 func TestOneQueryContextPerAttempt(t *testing.T) {
 	t.Run("serial.Execute", func(t *testing.T) {
 		u := randomUniverse(t, 1)
@@ -74,9 +73,8 @@ func TestOneQueryContextPerAttempt(t *testing.T) {
 	})
 
 	// Every update writes a relation pair of its own, so no attempt is
-	// ever aborted. Dispatch is lowest-numbered first, so when a worker
-	// starts a fresh attempt every attempt holding a context is claimed
-	// by another worker: at most Workers attempts hold one at a time.
+	// ever aborted. A round serves the lowest-numbered eligible updates,
+	// so at most Workers attempts hold a context at a time.
 	t.Run("ParallelScheduler workers=2", func(t *testing.T) {
 		const n, workers = 40, 2
 		schema := model.NewSchema()
@@ -96,7 +94,7 @@ func TestOneQueryContextPerAttempt(t *testing.T) {
 			t.Fatal(err)
 		}
 		st := storage.NewStore(schema)
-		sched := cc.NewParallelScheduler(st, set, cc.Config{Tracker: cc.Coarse{}, Workers: workers})
+		sched := cc.NewScheduler(st, set, cc.Config{Tracker: cc.Coarse{}, Workers: workers})
 		before := readChaseSeam()
 		m, err := sched.Run(ops)
 		if err != nil {
@@ -107,13 +105,13 @@ func TestOneQueryContextPerAttempt(t *testing.T) {
 			t.Fatalf("disjoint updates ran %d attempts with %d aborts, want %d and 0", m.Runs, m.Aborts, n)
 		}
 		if d.contexts < 1 || d.contexts > workers {
-			t.Fatalf("%d query contexts for %d attempts on %d workers, want 1..%d", d.contexts, m.Runs, workers, workers)
+			t.Fatalf("%d query contexts for %d attempts at width %d, want 1..%d", d.contexts, m.Runs, workers, workers)
 		}
-		if d.engines < 1 || d.engines > workers {
-			t.Fatalf("%d query engines for %d attempts on %d workers, want 1..%d", d.engines, m.Runs, workers, workers)
+		if d.engines != 1 {
+			t.Fatalf("%d query engines for %d attempts at width %d, want 1", d.engines, m.Runs, workers)
 		}
 		if d.recorded == 0 {
-			t.Fatal("the parallel scheduler recorded no reads")
+			t.Fatal("the scheduler recorded no reads")
 		}
 		for _, txn := range sched.Txns() {
 			if !txn.Committed() {
@@ -129,7 +127,7 @@ func TestOneQueryContextPerAttempt(t *testing.T) {
 			t.Fatal(err)
 		}
 		before = readChaseSeam()
-		if _, err := cc.NewParallelScheduler(st, u.Mappings, cc.Config{
+		if _, err := cc.NewScheduler(st, u.Mappings, cc.Config{
 			Tracker: cc.Coarse{}, User: simuser.New(1), Workers: workers,
 		}).Run(u.GenOpsSeeded(501)); err != nil {
 			t.Fatal(err)
@@ -141,12 +139,12 @@ func TestOneQueryContextPerAttempt(t *testing.T) {
 }
 
 // TestQueryContextsPassBetweenWorkers runs the duplicate-heavy seed
-// batch — abort waves, cascades and reruns — on eight workers, where a
-// context given back by one worker's attempt, or by an abort wave's
-// Reset, is taken by whichever worker starts the next attempt. Run it
-// under the race detector. Contexts are recycled (fewer than attempts),
-// never more than the updates that can hold one at once, and the result
-// still equals the serial execution.
+// batch — abort waves, cascades and reruns — at round width 8, where a
+// context given back by one attempt, or by an abort wave's Reset, is
+// taken by whichever attempt starts next. Contexts are recycled (fewer
+// than attempts), never more than the updates that can hold one at
+// once, one query engine serves every step, and the result still
+// equals the serial execution.
 func TestQueryContextsPassBetweenWorkers(t *testing.T) {
 	u, ops := duplicateHeavySeeds(t)
 	stSerial, err := u.NewStore()
@@ -161,7 +159,7 @@ func TestQueryContextsPassBetweenWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sched := cc.NewParallelScheduler(st, u.Mappings, cc.Config{
+		sched := cc.NewScheduler(st, u.Mappings, cc.Config{
 			Tracker:            cc.Coarse{},
 			User:               simuser.New(7),
 			Workers:            8,
@@ -177,8 +175,8 @@ func TestQueryContextsPassBetweenWorkers(t *testing.T) {
 		if d.contexts >= int64(m.Runs) || d.contexts > int64(len(ops)) {
 			t.Fatalf("round %d: %d query contexts for %d attempts of %d updates", round, d.contexts, m.Runs, len(ops))
 		}
-		if d.engines < 1 || d.engines > 8 {
-			t.Fatalf("round %d: %d query engines on 8 workers", round, d.engines)
+		if d.engines != 1 {
+			t.Fatalf("round %d: %d query engines, want 1", round, d.engines)
 		}
 		checkAgainstSerial(t, st, u, stSerial, fmt.Sprintf("context recycling round %d", round))
 	}

@@ -90,11 +90,10 @@ func checkAgainstSerial(t *testing.T, st *storage.Store, u *workload.Universe, r
 }
 
 // TestParallelSerializabilityOnRandomUniverses runs the same random
-// universes through the goroutine-parallel scheduler at several worker
-// counts and under every tracker, asserting the committed final
-// instance equals the serial reference byte for byte — the headline
-// property of the parallel runtime: true goroutine concurrency must
-// not change the semantics of Theorem 4.4.
+// universes through the scheduler at several round widths and under
+// every tracker, asserting the committed final instance equals the
+// serial reference byte for byte: which updates share a round must not
+// change the semantics of Theorem 4.4.
 func TestParallelSerializabilityOnRandomUniverses(t *testing.T) {
 	seeds := []int64{1, 2, 3, 4, 5, 6}
 	if testing.Short() {
@@ -138,7 +137,7 @@ func TestParallelSerializabilityOnRandomUniverses(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				sched := cc.NewParallelScheduler(st, u.Mappings, cc.Config{
+				sched := cc.NewScheduler(st, u.Mappings, cc.Config{
 					Tracker:            tr,
 					User:               simuser.New(uint64(seed)),
 					MaxAbortsPerUpdate: 500,
@@ -160,11 +159,10 @@ func TestParallelSerializabilityOnRandomUniverses(t *testing.T) {
 	}
 }
 
-// TestParallelCheckersPerWorker: four workers, each stepping txns whose
-// reads — PRECISE's dependency checks included — run on the worker's
-// own checker, stay serial-equivalent (under -race, a checker shared
-// between workers is a reported race), and a run's txns name at most
-// one checker per worker.
+// TestParallelCheckersPerWorker: at round width 4, every txn's reads —
+// PRECISE's dependency checks included — run on the scheduler's one
+// checker, the run stays serial-equivalent, and its txns name exactly
+// that checker.
 func TestParallelCheckersPerWorker(t *testing.T) {
 	cfg := goldenUniverses[1].cfg
 	cfg.Seed = 2
@@ -186,21 +184,21 @@ func TestParallelCheckersPerWorker(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sched := cc.NewParallelScheduler(st, u.Mappings, cc.Config{
+		sched := cc.NewScheduler(st, u.Mappings, cc.Config{
 			Tracker: tr, User: simuser.New(2), MaxAbortsPerUpdate: 1000, Workers: workers,
 		})
 		if _, err := sched.Run(ops); err != nil {
 			t.Fatalf("%s: %v", tr.Name(), err)
 		}
-		checkAgainstSerial(t, st, u, stSerial, "4 workers "+tr.Name())
+		checkAgainstSerial(t, st, u, stSerial, "width 4 "+tr.Name())
 		checkers := map[*query.Checker]bool{}
 		for _, txn := range sched.Txns() {
 			if c := cc.CheckerOf(txn); c != nil {
 				checkers[c] = true
 			}
 		}
-		if len(checkers) == 0 || len(checkers) > workers {
-			t.Fatalf("%s: txns ran on %d checkers, want 1..%d", tr.Name(), len(checkers), workers)
+		if len(checkers) != 1 {
+			t.Fatalf("%s: txns ran on %d checkers, want 1", tr.Name(), len(checkers))
 		}
 	}
 }
@@ -274,7 +272,7 @@ func TestParallelEquivalenceOnDuplicateHeavySeeds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sched := cc.NewParallelScheduler(st, u.Mappings, cc.Config{
+		sched := cc.NewScheduler(st, u.Mappings, cc.Config{
 			Tracker:            cc.Coarse{},
 			User:               simuser.New(7),
 			Workers:            8,

@@ -7,8 +7,6 @@ import (
 	"youtopia/internal/chase"
 	"youtopia/internal/inbox"
 	"youtopia/internal/obs"
-	"youtopia/internal/storage"
-	"youtopia/internal/tgd"
 )
 
 // Policy selects how the scheduler interleaves updates.
@@ -74,18 +72,14 @@ type Config struct {
 	// MaxAbortsPerUpdate bounds restarts of one update (0 = unlimited);
 	// exceeding it is reported as an error.
 	MaxAbortsPerUpdate int
-	// Workers selects goroutine-level parallel execution. The shared
-	// convention (core.Repository.RunConcurrent, experiments.RunMode,
-	// the benches): Workers >= 1 drives the workload through
-	// ParallelScheduler, whose rounds select up to Workers updates and
-	// run their read halves on that many goroutines, both capped at
-	// GOMAXPROCS; Workers == 0 keeps a single-goroutine execution (the
-	// cooperative Scheduler; experiments.RunMode's serial reference,
-	// outside cc). Only when constructing a ParallelScheduler directly
-	// does 0 default to GOMAXPROCS. The cooperative Scheduler itself
-	// ignores the field.
+	// Workers is the round width: a round gives at most this many
+	// eligible updates, the lowest-numbered, one opportunity each. Zero
+	// serves every eligible update, the paper's round (Algorithm 3).
+	// Everything runs on the goroutine that called Run at any width.
+	// experiments.RunMode alone reads zero differently: as its serial
+	// reference execution, outside cc.
 	Workers int
-	// Inbox switches the schedulers from busy-repolling blocked updates
+	// Inbox switches the scheduler from busy-repolling blocked updates
 	// to parking them: a blocked update files its question in the box
 	// once, and no user is polled on its behalf until an answer is
 	// recorded (by an asynchronous answerer, a curator, or a deadline
@@ -104,7 +98,7 @@ type Config struct {
 
 // Validate rejects a configuration no scheduler runs as written: a
 // negative limit or worker count, or a Policy or Mode outside the
-// declared constants. Both Run methods and core.Repository.RunConcurrent
+// declared constants. Scheduler.Run and core.Repository.RunConcurrent
 // call it before any update is numbered or any write is made.
 func (c Config) Validate() error {
 	switch {
@@ -202,45 +196,30 @@ func (m Metrics) PerUpdateTime() time.Duration {
 	return m.WallTime / time.Duration(m.Runs)
 }
 
-// Scheduler drives a workload of updates to termination under
-// optimistic concurrency control (Algorithms 3 and 4) on one goroutine:
-// the core's loop alternates commit-frontier drains with its rounds,
-// which give every unfinished update one opportunity, in priority
-// order.
-type Scheduler struct {
-	txnCore
-	scratch stepScratch
-}
-
-// NewScheduler builds a scheduler over a store and mapping set.
-func NewScheduler(store storage.Backend, set *tgd.Set, cfg Config) *Scheduler {
-	s := &Scheduler{}
-	s.init(store, set, cfg)
-	return s
-}
-
 // Run executes the workload: ops[i] becomes update number i+1. It
 // returns the collected metrics; the error reports stalls (absent
-// users), step-limit overruns, or storage failures — including a
-// commit batch whose log sync failed, which is only surfaced here
-// because acknowledgment is pipelined (the run keeps chasing while
-// syncs are in flight and settles them before returning).
+// users), step-limit or abort-limit overruns, or storage failures —
+// including a commit batch whose log sync failed, which is only
+// surfaced here because acknowledgment is pipelined (the run keeps
+// chasing while syncs are in flight and settles them before
+// returning).
 func (s *Scheduler) Run(ops []chase.Op) (Metrics, error) {
 	if err := s.cfg.Validate(); err != nil {
 		return Metrics{}, err
 	}
-	s.begin(ops, &s.scratch)
-	return s.end(s.loop(s.round))
+	s.begin(ops)
+	return s.end(s.loop())
 }
 
-// round performs one scheduler round: every uncommitted txn gets one
-// scheduling opportunity (a chase step, a whole stratum, or a
-// frontier-operation poll), and a txn's first one starts it. It
+// round performs one scheduler round: the lowest-numbered eligible
+// txns, at most Config.Workers of them (all when it is zero), each get
+// one scheduling opportunity — a chase step, a whole stratum, or a
+// frontier-operation poll — and a txn's first one starts it. It
 // reports whether any txn made progress.
 func (s *Scheduler) round() (bool, error) {
-	progressed := false
+	progressed, served := false, 0
 	for _, t := range s.txns[s.committedUpTo:] {
-		if t.Upd != nil && t.Upd.State() == chase.StateTerminated {
+		if !s.eligible(t) {
 			continue
 		}
 		p, err := s.schedule(t)
@@ -248,8 +227,29 @@ func (s *Scheduler) round() (bool, error) {
 			return progressed, err
 		}
 		progressed = progressed || p
+		if served++; served == s.cfg.Workers {
+			break
+		}
 	}
 	return progressed, nil
+}
+
+// eligible reports whether a txn takes an opportunity in a round: it
+// has not started, is ready, or awaits a user. A txn parked in the
+// inbox awaits an answer instead, and is eligible only when a poll can
+// move it (parkState.pollable).
+func (s *Scheduler) eligible(t *Txn) bool {
+	if t.Upd == nil {
+		return true
+	}
+	switch t.Upd.State() {
+	case chase.StateReady:
+		return true
+	case chase.StateAwaitingUser:
+		return t.park == nil || t.park.pollable(s.cfg.Inbox, t.Upd)
+	default:
+		return false
+	}
 }
 
 // schedule gives one txn its opportunity: a blocked txn is polled live,
@@ -261,9 +261,9 @@ func (s *Scheduler) schedule(t *Txn) (bool, error) {
 		return true, s.runSteps(t)
 	case chase.StateAwaitingUser:
 		if s.cfg.Inbox == nil {
-			return s.pollUser(t, &s.m)
+			return s.pollUser(t)
 		}
-		ok, err := s.inboxPoll(t, &s.m)
+		ok, err := s.inboxPoll(t)
 		if err == errEntryGone {
 			return true, s.cancel(t)
 		}
@@ -291,16 +291,10 @@ func (s *Scheduler) runSteps(t *Txn) error {
 		obsSteps.Inc()
 		obsWrites.Add(int64(len(res.Writes)))
 		s.cfg.Trace.Span(t.Number, "step", stepStart)
-		err = s.processWrites(res.Writes, &s.m, &s.scratch, func(v *Txn) error {
-			return s.rollback(v, &s.m)
-		})
-		if err != nil {
+		if err := s.processWrites(res.Writes); err != nil {
 			return err
 		}
-		if s.cfg.Policy == PolicyRoundRobinStep {
-			return nil
-		}
-		if res.State != chase.StateReady {
+		if s.cfg.Policy == PolicyRoundRobinStep || res.State != chase.StateReady {
 			return nil
 		}
 	}

@@ -231,13 +231,7 @@ func TestConcurrentEqualsSerial(t *testing.T) {
 					MaxAbortsPerUpdate: 200,
 					Workers:            workers,
 				}
-				var err error
-				if workers > 0 {
-					_, err = cc.NewParallelScheduler(st, set, cfg).Run(ops)
-				} else {
-					_, err = cc.NewScheduler(st, set, cfg).Run(ops)
-				}
-				if err != nil {
+				if _, err := cc.NewScheduler(st, set, cfg).Run(ops); err != nil {
 					t.Fatalf("seed %d %s workers %d: %v", seed, tr.Name(), workers, err)
 				}
 				if got := st.Dump(1 << 30); got != want {
@@ -305,7 +299,7 @@ func TestAbsentUserStalls(t *testing.T) {
 	}
 }
 
-// TestRunMetricsEpilogue: both schedulers' Run returns the run's wall
+// TestRunMetricsEpilogue: Run returns the run's wall
 // time and Runs = Submitted + Aborts, on success and when the run fails
 // (an absent user stalls it).
 func TestRunMetricsEpilogue(t *testing.T) {
@@ -316,13 +310,7 @@ func TestRunMetricsEpilogue(t *testing.T) {
 			if stall {
 				cfg.User, cfg.MaxIdleRounds = simuser.Silent(), 50
 			}
-			var m cc.Metrics
-			var err error
-			if workers > 0 {
-				m, err = cc.NewParallelScheduler(st, set, cfg).Run(example31Ops())
-			} else {
-				m, err = cc.NewScheduler(st, set, cfg).Run(example31Ops())
-			}
+			m, err := cc.NewScheduler(st, set, cfg).Run(example31Ops())
 			if (err != nil) != stall {
 				t.Fatalf("workers=%d stall=%v: err = %v", workers, stall, err)
 			}
@@ -424,29 +412,17 @@ func TestConfigValidate(t *testing.T) {
 			}
 			cfg := tc.cfg
 			cfg.User = simuser.New(1)
-			for _, parallel := range []bool{false, true} {
-				st, set := travel(t)
-				before := st.Dump(1 << 30)
-				var err error
-				var txns []*cc.Txn
-				if parallel {
-					s := cc.NewParallelScheduler(st, set, cfg)
-					_, err = s.Run(ops)
-					txns = s.Txns()
-				} else {
-					s := cc.NewScheduler(st, set, cfg)
-					_, err = s.Run(ops)
-					txns = s.Txns()
-				}
-				if err == nil {
-					t.Fatalf("parallel=%v: Run accepted the config", parallel)
-				}
-				if len(txns) != 0 {
-					t.Fatalf("parallel=%v: Run numbered %d updates", parallel, len(txns))
-				}
-				if after := st.Dump(1 << 30); after != before {
-					t.Fatalf("parallel=%v: Run wrote before rejecting the config", parallel)
-				}
+			st, set := travel(t)
+			before := st.Dump(1 << 30)
+			s := cc.NewScheduler(st, set, cfg)
+			if _, err := s.Run(ops); err == nil {
+				t.Fatal("Run accepted the config")
+			}
+			if n := len(s.Txns()); n != 0 {
+				t.Fatalf("Run numbered %d updates", n)
+			}
+			if after := st.Dump(1 << 30); after != before {
+				t.Fatal("Run wrote before rejecting the config")
 			}
 		})
 	}

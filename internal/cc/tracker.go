@@ -150,7 +150,7 @@ func (Precise) Name() string { return "PRECISE" }
 
 // OnRead implements Tracker. Structural queries are charged as COARSE
 // charges them, which is already exact; violation queries are checked
-// write by write on the stepping goroutine's checker.
+// write by write on the scheduler's checker.
 func (Precise) OnRead(st storage.Backend, u *Txn, q query.ReadQuery) {
 	vq, ok := q.(*query.ViolationRead)
 	if !ok {

@@ -54,13 +54,12 @@ func fullRemovalCandidates(cfg *Config, txns []*Txn) []*Txn {
 // candidates above the writer and the removal candidates must be the
 // same txns, and no txn outside the window, nor one inside it that has
 // not started, may hold an update, stored reads or a dependency. The
-// check runs where the writes land — in the parallel scheduler's write
-// phase, with no read half in flight — so under the race detector it
-// also guards that the window top moves only there.
+// check runs where the writes land, inside the step that performs
+// them.
 type WindowWatch struct {
 	storage.Backend
 	tb testing.TB
-	c  *txnCore
+	c  *Scheduler
 
 	// Writes counts the checked writes, Candidates the direct
 	// candidates they found, Removal the removal candidates, and
@@ -74,9 +73,7 @@ func WatchWindow(tb testing.TB, st storage.Backend) *WindowWatch {
 }
 
 // Attach starts watching a scheduler built over the decorated store.
-func (w *WindowWatch) Attach(s interface{ core() *txnCore }) { w.c = s.core() }
-
-func (c *txnCore) core() *txnCore { return c }
+func (w *WindowWatch) Attach(s *Scheduler) { w.c = s }
 
 func (w *WindowWatch) check(writer int) {
 	c := w.c
@@ -142,8 +139,8 @@ func (w *WindowWatch) ReplaceNull(writer int, x, to model.Value) ([]storage.Writ
 	return w.Backend.ReplaceNull(writer, x, to)
 }
 
-// TestSchedulerAllocBudget is the schedulers' twin of
-// core.TestApplyAllocBudget: a one-worker parallel run of all-insert
+// TestSchedulerAllocBudget is the scheduler's twin of
+// core.TestApplyAllocBudget: a width-1 run of all-insert
 // updates, each a forward repair through A(x) -> B(x), allocates at
 // most its pinned bytes per update, and creates no more chase.Update
 // values than the peak number of live txns holding one — a committed
@@ -164,8 +161,8 @@ func TestSchedulerAllocBudget(t *testing.T) {
 	for i := range ops {
 		ops[i] = chase.Insert(model.NewTuple("A", model.Const(fmt.Sprint("a", i))))
 	}
-	s := NewParallelScheduler(storage.NewStore(schema), set, Config{Workers: 1})
-	// One worker steps and commits every txn, so the read observer may
+	s := NewScheduler(storage.NewStore(schema), set, Config{Workers: 1})
+	// Everything runs on the calling goroutine, so the read observer may
 	// look at every txn's update.
 	seen := map[*chase.Update]bool{}
 	peak := 0

@@ -62,7 +62,7 @@ func TestCoarseWriterSetsMatchLogScan(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			_, err = cc.NewParallelScheduler(st, b.u.Mappings, cc.Config{
+			_, err = cc.NewScheduler(st, b.u.Mappings, cc.Config{
 				Tracker: tr, User: simuser.New(b.seed), MaxAbortsPerUpdate: 1000, Workers: 2,
 			}).Run(b.ops)
 			return err
@@ -104,10 +104,10 @@ func runCooperative(tr cc.Tracker, u *workload.Universe, ops []chase.Op, seed ui
 }
 
 // TestOneQueryEnginePerScheduler: query engines are borrowed per chase
-// step, so a cooperative scheduler with a window of 100 updates in
-// flight — frontier parks, aborts and reruns included — builds exactly
-// one, and the parallel scheduler at most one per worker, however many
-// attempts hold a query context at once.
+// step, so a scheduler with a window of 100 updates in flight —
+// frontier parks, aborts and reruns included — builds exactly one, at
+// width 0 and at width 2, however many attempts hold a query context
+// at once.
 func TestOneQueryEnginePerScheduler(t *testing.T) {
 	engines := obs.Default.Counter("chase_query_engines_total")
 	u, err := workload.Build(workload.Config{
@@ -134,9 +134,9 @@ func TestOneQueryEnginePerScheduler(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := readChaseSeam().since(contexts)
-	t.Logf("cooperative: %d attempts (%d aborts), %d query contexts", m.Runs, m.Aborts, d.contexts)
+	t.Logf("width 0: %d attempts (%d aborts), %d query contexts", m.Runs, m.Aborts, d.contexts)
 	if got := engines.Value() - before; got != 1 {
-		t.Fatalf("the cooperative scheduler built %d query engines for %d attempts, want 1", got, m.Runs)
+		t.Fatalf("the width-0 scheduler built %d query engines for %d attempts, want 1", got, m.Runs)
 	}
 	if m.Aborts == 0 || d.contexts < 2 {
 		t.Fatalf("%d aborts and %d contexts: the window never held two attempts at once", m.Aborts, d.contexts)
@@ -148,13 +148,13 @@ func TestOneQueryEnginePerScheduler(t *testing.T) {
 		t.Fatal(err)
 	}
 	before = engines.Value()
-	m, err = cc.NewParallelScheduler(st, u.Mappings, cc.Config{
+	m, err = cc.NewScheduler(st, u.Mappings, cc.Config{
 		Tracker: cc.Coarse{}, User: simuser.New(2), MaxAbortsPerUpdate: 1000, Workers: workers,
 	}).Run(ops)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := engines.Value() - before; got < 1 || got > workers {
-		t.Fatalf("the parallel scheduler built %d query engines on %d workers for %d attempts, want 1..%d", got, workers, m.Runs, workers)
+	if got := engines.Value() - before; got != 1 {
+		t.Fatalf("the width-%d scheduler built %d query engines for %d attempts, want 1", workers, got, m.Runs)
 	}
 }

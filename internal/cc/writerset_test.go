@@ -65,9 +65,9 @@ func (a *WriterSetAudit) Mismatch() string {
 
 // AuditCoarse returns a COARSE tracker that, on every OnRead, also
 // compares the writer set it charges (before Txn.addDep filters it)
-// with logScanWriters', and the audit it reports into. It is safe
-// under the parallel scheduler: reads run in phases no write or commit
-// overlaps, so both scans see one write log.
+// with logScanWriters', and the audit it reports into. Reads run
+// inside a step, which no write or commit overlaps, so both scans see
+// one write log.
 func AuditCoarse() (Tracker, *WriterSetAudit) {
 	a := &WriterSetAudit{Reads: map[query.Kind]int{}, Charged: map[query.Kind]int{}}
 	return auditedCoarse{a}, a

@@ -16,8 +16,8 @@ import (
 // context from its first query until it gives the context back
 // (termination, Cancel, Reset), a context taken again reads at its new
 // update's number, and an engine builds no more contexts than the peak
-// number of attempts holding one. Query engines are borrowed per
-// StepReads and returned on exit, so attempts stepped one at a time
+// number of attempts holding one. Query engines are borrowed by each
+// step's read half and returned on exit, so attempts stepped one at a time
 // share one. Plus the allocation budget of a step that runs on a warm
 // context and a warm engine.
 
@@ -226,12 +226,12 @@ func violatingStepReadsAllocs(t *testing.T) float64 {
 	for i, tu := range tuples {
 		u.writeSet = append(u.writeSet, Insert(tu))
 		u.state = StateReady
-		res, err := f.eng.StepWrites(u)
+		res, err := f.eng.stepWrites(u)
 		if err != nil {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&before)
-		res, err = f.eng.StepReads(u, res.Writes)
+		res, err = f.eng.stepReads(u, res.Writes)
 		runtime.ReadMemStats(&after)
 		if err != nil || res.State != StateReady || u.QueueLen() != 2 {
 			t.Fatalf("violating step ended %s with %d queued (%v), want the copy repair planned", res.State, u.QueueLen(), err)

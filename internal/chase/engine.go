@@ -36,7 +36,7 @@ type Engine struct {
 	MaxStepsPerAttempt int
 
 	// idle holds the query contexts no attempt owns (queryContext), and
-	// engines the query engines no StepReads runs on (borrowEngine),
+	// engines the query engines no step runs on (borrowEngine),
 	// both guarded by idleMu. They are plain lists rather than
 	// sync.Pools, which drain at every collection and would hand out
 	// cold pools.
@@ -86,7 +86,7 @@ func (e *Engine) record(c *queryContext, u *Update, q query.ReadQuery) {
 // violation queue's storage, the read log's dedup index and the
 // frontier questions' scratch. The snapshot is a stateless view over
 // live store state, so it stays valid across the attempt's own writes.
-// It holds no query engine: StepReads borrows one per call
+// It holds no query engine: each step's read half borrows one
 // (Engine.borrowEngine) and re-points it at the context's snapshot.
 //
 // Contexts are recycled through the engine's idle list. An attempt
@@ -96,12 +96,10 @@ func (e *Engine) record(c *queryContext, u *Update, q query.ReadQuery) {
 // termination, Cancel and Reset (Update.releaseContext). Between the
 // two, the context belongs to that attempt alone and is used by one
 // goroutine at a time. Every user is a step or frontier operation on
-// the owning update; conflict checks on its behalf run on other
-// goroutines' checkers (query.Checker) and never borrow it. Under the
-// parallel scheduler an abort wave may give a victim's context back
-// through Reset after the victim's write half ran: the wave runs in
-// the write phase, outside every call that uses the context, and the
-// read phase skips an update whose attempt counter moved.
+// the owning update; conflict checks on its behalf run on the
+// scheduler's checker (query.Checker) and never borrow it. An abort
+// wave gives a victim's context back through Reset between steps,
+// outside every call that uses the context.
 type queryContext struct {
 	snap storage.Snapshot
 	home *Engine
@@ -183,10 +181,10 @@ func (e *Engine) queryContext(u *Update) *queryContext {
 
 // borrowEngine lends an idle query engine, or builds one, re-pointed
 // at snap; returnEngine takes it back. A query engine is not safe for
-// concurrent use, so each StepReads in flight borrows its own, and an
-// engine serves one attempt after another with its pools (slot runs,
-// row stack, key and signature buffers) warm: the cooperative
-// scheduler builds one, the parallel one at most one per worker.
+// concurrent use, so each step's read half in flight borrows its own,
+// and an engine serves one attempt after another with its pools (slot
+// runs, row stack, key and signature buffers) warm: a scheduler, which
+// steps one update at a time, builds one.
 func (e *Engine) borrowEngine(snap *storage.Snapshot) *query.Engine {
 	var qe *query.Engine
 	e.idleMu.Lock()
@@ -277,7 +275,7 @@ const (
 type StepResult struct {
 	// Writes are the storage writes the step performed. The slice is
 	// the update's reused buffer: it is valid until the update's next
-	// StepWrites or Reset, and callers must not keep it longer.
+	// step or Reset, and callers must not keep it longer.
 	Writes []storage.WriteRec
 	// State is the update's state after the step.
 	State State
@@ -293,25 +291,22 @@ var ErrStepLimit = fmt.Errorf("chase: step limit exceeded")
 // for the next step or every remaining violation awaits a frontier
 // operation.
 //
-// Step is the composition of StepWrites and StepReads. Parallel
-// scheduling calls the two halves separately — the write half while no
-// read half is in flight (its effects must be validated against other
-// updates' stored reads atomically), the read halves of several
-// updates at once.
+// Step is the composition of its mutating half, stepWrites, and its
+// read half, stepReads.
 func (e *Engine) Step(u *Update) (StepResult, error) {
-	res, err := e.StepWrites(u)
+	res, err := e.stepWrites(u)
 	if err != nil || res.State == StateTerminated || res.State == StateAborted {
 		return res, err
 	}
-	return e.StepReads(u, res.Writes)
+	return e.stepReads(u, res.Writes)
 }
 
-// StepWrites is the mutating half of one chase step: it performs the
+// stepWrites is the mutating half of one chase step: it performs the
 // pending write set against the store (phase 1 of Algorithm 2) and
 // returns the write records with the update's state unchanged. On a
 // terminated or aborted update it returns immediately without
 // touching the store, mirroring Step.
-func (e *Engine) StepWrites(u *Update) (StepResult, error) {
+func (e *Engine) stepWrites(u *Update) (StepResult, error) {
 	switch u.state {
 	case StateTerminated:
 		return StepResult{State: StateTerminated}, nil
@@ -333,13 +328,13 @@ func (e *Engine) StepWrites(u *Update) (StepResult, error) {
 	return StepResult{Writes: writes, State: u.state}, nil
 }
 
-// StepReads is the read-only half of one chase step: violation
+// stepReads is the read-only half of one chase step: violation
 // discovery for the performed writes, the queue recheck, and violation
 // processing until corrective writes are planned or every pending
 // violation awaits a frontier operation (phases 2–4 of Algorithm 2).
 // It only reads the store — new writes are merely planned into the
 // update's write set — and mutates nothing but the update itself.
-func (e *Engine) StepReads(u *Update, writes []storage.WriteRec) (StepResult, error) {
+func (e *Engine) stepReads(u *Update, writes []storage.WriteRec) (StepResult, error) {
 	c := e.queryContext(u)
 	qe := e.borrowEngine(&c.snap)
 	defer e.returnEngine(qe)

@@ -4,7 +4,7 @@ import "youtopia/internal/obs"
 
 // Process-wide chase counters on the shared registry, resolved once
 // at package init so the step loop pays one atomic add per event.
-// They aggregate across every engine in the process (both schedulers,
+// They aggregate across every engine in the process (the scheduler,
 // the repository, replays), which is the view the debug endpoint
 // wants; per-run figures stay in Update.Stats / cc.Metrics.
 var (
@@ -17,7 +17,7 @@ var (
 
 	// The query seam: attempt contexts created (recycled, so at most
 	// one per attempt in flight), query engines created (borrowed per
-	// StepReads, so at most one per step in flight), reads stored in
+	// step, so at most one per step in flight), reads stored in
 	// read logs, and identical reads the logs dropped.
 	obsQueryContexts = obs.Default.Counter("chase_query_contexts_total")
 	obsQueryEngines  = obs.Default.Counter("chase_query_engines_total")

@@ -15,8 +15,8 @@ import (
 // filtered queue recheck: after every chase step, the queue equals the
 // one a full recheck would leave (chase.CheckRechecks). It runs the
 // serial chase that builds each universe, then the universe's workload
-// serially, under the cooperative and the parallel scheduler with every
-// tracker, and under both schedulers in flag mode — on a §6 universe
+// serially, under the scheduler at round widths 0 and 2 with every
+// tracker, and at both widths in flag mode — on a §6 universe
 // (100 relations and mappings, a reduced initial database) and on the
 // random universes of the serializability battery, with 40 updates
 // each instead of 10. In these runs only flag mode has another
@@ -78,12 +78,12 @@ func TestRecheckFilterMatchesFullRecheck(t *testing.T) {
 					return err
 				})
 				cfg.User, cfg.Workers = user(), 2
-				run(fmt.Sprintf("parallel %s %s", mode, tr.Name()), func() error {
+				run(fmt.Sprintf("width 2 %s %s", mode, tr.Name()), func() error {
 					st, err := u.NewStore()
 					if err != nil {
 						return err
 					}
-					_, err = cc.NewParallelScheduler(st, u.Mappings, cfg).Run(ops)
+					_, err = cc.NewScheduler(st, u.Mappings, cfg).Run(ops)
 					return err
 				})
 			}

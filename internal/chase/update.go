@@ -172,9 +172,8 @@ type Update struct {
 	// stored once (they denote the same intensional read): the
 	// attempt's context holds the dedup index (queryContext.readIdx),
 	// and no read is logged once the attempt gave its context back.
-	// The log takes no lock: every reader runs either on the goroutine
-	// that steps the update, or in the parallel scheduler's write
-	// phase, while no read half is in flight.
+	// The log takes no lock: every reader runs on the goroutine that
+	// steps the update, between or inside its steps.
 	reads []query.ReadQuery
 
 	// qctx is the attempt's query context (Engine.queryContext): nil
@@ -187,7 +186,7 @@ type Update struct {
 	// alongside frontier tuples (§2.2). It is not kept under NoTrace.
 	Trace []TraceEntry
 	// NoTrace turns the recording of Trace off. Repository.Apply and
-	// the concurrent schedulers set it, since nothing on their paths
+	// the concurrent scheduler set it, since nothing on their paths
 	// reads a trace; Repository.ApplyTraced does not. It survives
 	// Reset and is cleared by Renew.
 	NoTrace bool
@@ -197,7 +196,7 @@ type Update struct {
 
 	// Buffers the update reuses across steps, attempts and Renew: the
 	// performed writes a step hands out as StepResult.Writes (valid
-	// until the next StepWrites or Reset), and the planning scratch of
+	// until the next step or Reset), and the planning scratch of
 	// planForward and planBackward, which no call leaves anything in.
 	writes     []storage.WriteRec
 	generated  []model.Tuple

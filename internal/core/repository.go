@@ -358,7 +358,7 @@ func (r *Repository) Apply(op chase.Op, user chase.User) (chase.Stats, error) {
 // ApplyTraced is Apply returning, additionally, the update's write
 // provenance trace: every performed write paired with the violation
 // repair or frontier operation that caused it. Only ApplyTraced
-// records a trace; Apply and the concurrent schedulers do not.
+// records a trace; Apply and the concurrent scheduler do not.
 //
 // When the chase blocks and the (non-nil) user has no answer yet —
 // the "caller retries later" half of the chase.User contract — the
@@ -508,12 +508,9 @@ var errNoAnswer = errors.New("core: user has no frontier answer yet")
 // mean COARSE, round-robin step interleaving, prevention mode. Updates
 // are numbered from the repository's current update counter.
 //
-// With Workers >= 1 the workload runs through cc.ParallelScheduler,
-// whose rounds fan their read halves out over that many goroutines
-// (the Policy field is then ignored) — the same convention the benches
-// and experiments.RunMode use; Workers of zero keeps the cooperative
-// single-goroutine scheduler (where RunMode runs the serial reference
-// execution instead).
+// Workers is the scheduler's round width: a round serves at most that
+// many updates, and zero serves every eligible one. The whole workload
+// runs on the calling goroutine.
 func (r *Repository) RunConcurrent(ops []chase.Op, cfg cc.Config) (cc.Metrics, error) {
 	if err := cfg.Validate(); err != nil {
 		return cc.Metrics{}, err
@@ -535,13 +532,7 @@ func (r *Repository) RunConcurrent(ops []chase.Op, cfg cc.Config) (cc.Metrics, e
 	if cfg.Trace == nil {
 		cfg.Trace = r.trace
 	}
-	var m cc.Metrics
-	var err error
-	if cfg.Workers >= 1 {
-		m, err = cc.NewParallelScheduler(r.store, r.mappings, cfg).Run(ops)
-	} else {
-		m, err = cc.NewScheduler(r.store, r.mappings, cfg).Run(ops)
-	}
+	m, err := cc.NewScheduler(r.store, r.mappings, cfg).Run(ops)
 	r.nextUpdate = len(ops) + 1
 	return m, err
 }

@@ -197,9 +197,8 @@ func TestRunConcurrentValidatesConfig(t *testing.T) {
 	}
 }
 
-// TestRunConcurrentParallel drives RunConcurrent through the
-// goroutine-parallel scheduler (Workers > 1) and checks it leaves the
-// same facts as the cooperative path on the same workload.
+// TestRunConcurrentParallel drives RunConcurrent at round width > 1
+// and checks it leaves the same facts as width 0 on the same workload.
 func TestRunConcurrentParallel(t *testing.T) {
 	ops := []chase.Op{
 		chase.Insert(tup("V", c("Ithaca"), c("ConfA"))),

@@ -1,4 +1,15 @@
-package obs
+// Package debugserver is the opt-in debug server of the CLIs (their
+// -debug-addr flag): a plain net/http server exposing
+//
+//	/metrics      Prometheus text exposition of an obs.Registry
+//	/healthz      liveness probe ("ok", or 503 + state via SetHealthProbe)
+//	/debug/vars   expvar JSON (includes the registry snapshot)
+//	/debug/pprof  the standard pprof handlers
+//
+// Everything is stdlib; nothing here runs unless Serve is called. It
+// lives apart from package obs so that only the binaries that serve it
+// link the HTTP stack, not every package that records a metric.
+package debugserver
 
 import (
 	"expvar"
@@ -9,17 +20,9 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-)
 
-// The debug server is opt-in (the -debug-addr flag on the CLIs): a
-// plain net/http server exposing
-//
-//	/metrics      Prometheus text exposition of a Registry
-//	/healthz      liveness probe ("ok", or 503 + state via SetHealthProbe)
-//	/debug/vars   expvar JSON (includes the registry snapshot)
-//	/debug/pprof  the standard pprof handlers
-//
-// Everything is stdlib; nothing here runs unless Serve is called.
+	"youtopia/internal/obs"
+)
 
 var publishOnce sync.Once
 
@@ -42,10 +45,10 @@ func SetHealthProbe(f func() (state string, healthy bool)) {
 	healthProbe.Store(&f)
 }
 
-// Handler builds the debug mux for reg (Default when nil).
-func Handler(reg *Registry) http.Handler {
+// Handler builds the debug mux for reg (obs.Default when nil).
+func Handler(reg *obs.Registry) http.Handler {
 	if reg == nil {
-		reg = Default
+		reg = obs.Default
 	}
 	// expvar.Publish panics on duplicate names, so the registry is
 	// published process-wide once, bound to the first handler's
@@ -89,13 +92,13 @@ type Server struct {
 }
 
 // Serve starts the debug server on addr (e.g. "127.0.0.1:9180" or
-// ":0" for an ephemeral port) serving reg (Default when nil). It
+// ":0" for an ephemeral port) serving reg (obs.Default when nil). It
 // returns once the listener is bound; requests are served in the
 // background until Close.
-func Serve(addr string, reg *Registry) (*Server, error) {
+func Serve(addr string, reg *obs.Registry) (*Server, error) {
 	lis, err := net.Listen("tcp", addr)
 	if err != nil {
-		return nil, fmt.Errorf("obs: listen %s: %w", addr, err)
+		return nil, fmt.Errorf("debugserver: listen %s: %w", addr, err)
 	}
 	srv := &http.Server{
 		Handler:           Handler(reg),

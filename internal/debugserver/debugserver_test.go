@@ -1,4 +1,4 @@
-package obs
+package debugserver
 
 import (
 	"encoding/json"
@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"youtopia/internal/obs"
 )
 
 func get(t *testing.T, srv *httptest.Server, path string) (int, string) {
@@ -25,7 +27,7 @@ func get(t *testing.T, srv *httptest.Server, path string) (int, string) {
 }
 
 func TestDebugHandlerEndpoints(t *testing.T) {
-	reg := NewRegistry()
+	reg := obs.NewRegistry()
 	reg.Counter("serve_test_total").Add(7)
 	reg.LatencyHistogram("serve_test_seconds").Observe(int64(time.Millisecond))
 	srv := httptest.NewServer(Handler(reg))
@@ -66,7 +68,7 @@ func TestDebugHandlerEndpoints(t *testing.T) {
 }
 
 func TestServeBindsAndCloses(t *testing.T) {
-	reg := NewRegistry()
+	reg := obs.NewRegistry()
 	reg.Counter("bind_test_total").Inc()
 	s, err := Serve("127.0.0.1:0", reg)
 	if err != nil {
@@ -94,7 +96,7 @@ func TestServeBindsAndCloses(t *testing.T) {
 // with the state name, healthy probes and a cleared probe answer 200
 // "ok".
 func TestHealthProbeDegrades(t *testing.T) {
-	srv := httptest.NewServer(Handler(NewRegistry()))
+	srv := httptest.NewServer(Handler(obs.NewRegistry()))
 	defer srv.Close()
 	defer SetHealthProbe(nil)
 

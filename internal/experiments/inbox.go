@@ -32,8 +32,8 @@ type InboxPoint struct {
 	// Mode is "inline" (legacy busy-repoll, the reference) or "inbox"
 	// (park/answer/resume through the decision inbox).
 	Mode string
-	// Workers is the parallel scheduler's goroutine count, at least 1:
-	// the serial reference (0) cannot park an update.
+	// Workers is the scheduler's round width, at least 1: the serial
+	// reference (0) cannot park an update.
 	Workers int
 	Runs    int
 	// LatencyMicros is the answerer's configured per-answer think time

@@ -23,7 +23,7 @@ import (
 
 // ModeLabel names an execution mode by its worker count: 0 is the
 // serial reference execution (serial.Execute), anything positive the
-// goroutine-parallel runtime.
+// scheduler at that round width.
 func ModeLabel(workers int) string {
 	if workers == 0 {
 		return "serial"
@@ -34,19 +34,19 @@ func ModeLabel(workers int) string {
 // RunMode executes one workload under the study's execution
 // convention: cfg.Workers == 0 selects the serial reference execution
 // (serial.Execute with cfg.User, no concurrency control; the rest of
-// cfg does not apply), any positive count runs cc.ParallelScheduler on
-// that many goroutines. It returns the metrics together with the run's
+// cfg does not apply), any positive count runs cc.Scheduler with that
+// round width. It returns the metrics together with the run's
 // wall time (setup excluded). The serial reference cannot park an
 // update, so Workers == 0 with an Inbox is an error, returned before
 // the store is touched. The benches and examples share RunMode so the
-// serial-vs-parallel comparison stays on one convention.
+// serial-vs-concurrent comparison stays on one convention.
 func RunMode(st storage.Backend, set *tgd.Set, cfg cc.Config, ops []chase.Op) (cc.Metrics, time.Duration, error) {
 	if cfg.Workers > 0 {
 		if cfg.Trace == nil {
 			cfg.Trace = studyTrace
 		}
 		start := time.Now()
-		m, err := cc.NewParallelScheduler(st, set, cfg).Run(ops)
+		m, err := cc.NewScheduler(st, set, cfg).Run(ops)
 		return m, time.Since(start), err
 	}
 	if cfg.Inbox != nil {
@@ -67,10 +67,10 @@ func RunMode(st storage.Backend, set *tgd.Set, cfg cc.Config, ops []chase.Op) (c
 	}, wall, err
 }
 
-// ParallelPoint is one measurement of the parallel-runtime study.
+// ParallelPoint is one measurement of the round-width study.
 type ParallelPoint struct {
-	// Workers is the goroutine count; 0 denotes the serial reference
-	// execution (serial.Execute, no concurrency control).
+	// Workers is the scheduler's round width; 0 denotes the serial
+	// reference execution (serial.Execute, no concurrency control).
 	Workers    int
 	Runs       int
 	Aborts     float64
@@ -99,11 +99,6 @@ type ParallelPoint struct {
 	// alongside throughput; both are expected to be zero.
 	SnapshotAllocsPerOp    float64 `json:"SnapshotAllocsPerOp"`
 	CommitMergeAllocsPerOp float64 `json:"CommitMergeAllocsPerOp"`
-	// Cpus is the GOMAXPROCS cap the point was pinned to; 0 means the
-	// point ran at the process default (pre-multicore artifacts and the
-	// plain worker study). CheckRegression treats 0 and 1 as
-	// the same mode so old baselines keep matching.
-	Cpus int `json:",omitempty"`
 	// NumCPU and GoMaxProcs record the hardware the point actually ran
 	// on — runtime.NumCPU and the effective GOMAXPROCS — so published
 	// artifacts are attributable to a runner generation.
@@ -111,22 +106,14 @@ type ParallelPoint struct {
 	GoMaxProcs int `json:",omitempty"`
 }
 
-// Label names the point's execution mode, including the GOMAXPROCS
-// cap when the point was pinned to one.
-func (p ParallelPoint) Label() string {
-	label := ModeLabel(p.Workers)
-	if p.Cpus > 0 {
-		label = fmt.Sprintf("%s,cpus=%d", label, p.Cpus)
-	}
-	return label
-}
+// Label names the point's execution mode.
+func (p ParallelPoint) Label() string { return ModeLabel(p.Workers) }
 
 // ParallelStudy compares the serial reference execution against the
-// goroutine-parallel scheduler across a sweep of worker counts on the
-// same seeded workload. Each point reports mean wall time and
-// throughput; on a multi-core machine the parallel points should beat
-// the serial one, and the committed final instance is serializable at
-// every point (the property the cc tests assert).
+// scheduler across a sweep of round widths on the same seeded
+// workload. Each point reports mean wall time and throughput, and the
+// committed final instance is serializable at every point (the
+// property the cc tests assert).
 //
 // With a non-empty dataDir every run executes against a write-ahead-
 // logged store rooted in a per-run subdirectory (one fsync per commit
@@ -160,16 +147,11 @@ func ParallelStudy(base workload.Config, workers []int, runs int, dataDir string
 	return out, nil
 }
 
-// measurePoint runs one study point — a (workers, cpus) mode — runs
-// times and folds the means into p. The universe is shared across
-// points; each run gets a fresh store (and, durable, a fresh WAL
-// directory).
+// measurePoint runs one study point runs times and folds the means
+// into p. The universe is shared across points; each run gets a fresh
+// store (and, durable, a fresh WAL directory).
 func measurePoint(u *workload.Universe, base workload.Config, p *ParallelPoint, runs int, dataDir string) error {
 	p.NumCPU = runtime.NumCPU()
-	if p.Cpus > 0 {
-		prev := runtime.GOMAXPROCS(p.Cpus)
-		defer runtime.GOMAXPROCS(prev)
-	}
 	p.GoMaxProcs = runtime.GOMAXPROCS(0)
 	var updates float64
 	for r := 0; r < runs; r++ {
@@ -179,7 +161,7 @@ func measurePoint(u *workload.Universe, base workload.Config, p *ParallelPoint, 
 		if dataDir == "" {
 			st, err = u.NewStore()
 		} else {
-			dir := filepath.Join(dataDir, fmt.Sprintf("w%d-c%d-r%d", p.Workers, p.Cpus, r))
+			dir := filepath.Join(dataDir, fmt.Sprintf("w%d-r%d", p.Workers, r))
 			st, mgr, err = u.OpenDurableStore(dir, wal.Options{})
 		}
 		if err != nil {
@@ -294,24 +276,7 @@ func LoadParallelJSON(path string) ([]ParallelPoint, error) {
 // what keeps a zero-allocation baseline meaningful: 0 -> 0.4 passes,
 // 0 -> 1 fails).
 func CheckRegression(current, baseline []ParallelPoint, tolerancePct float64) error {
-	// A mode is a (workers, cpus) pair; cpu counts 0 and 1 both mean
-	// "default cap", so pre-multicore baselines keep matching.
-	cpusOf := func(p ParallelPoint) int {
-		if p.Cpus < 1 {
-			return 1
-		}
-		return p.Cpus
-	}
-	findMode := func(points []ParallelPoint, workers, cpus int) (ParallelPoint, bool) {
-		for _, p := range points {
-			if p.Workers == workers && cpusOf(p) == cpus {
-				return p, true
-			}
-		}
-		return ParallelPoint{}, false
-	}
-	// The serial reference is matched on workers alone: a study carries
-	// at most one, whatever cpu cap it ran against.
+	// A mode is a worker count.
 	find := func(points []ParallelPoint, workers int) (ParallelPoint, bool) {
 		for _, p := range points {
 			if p.Workers == workers {
@@ -325,7 +290,7 @@ func CheckRegression(current, baseline []ParallelPoint, tolerancePct float64) er
 	normalized := cs && bs && curSerial.UpdatesPerSec > 0 && baseSerial.UpdatesPerSec > 0
 	var failures []string
 	for _, bp := range baseline {
-		cp, ok := findMode(current, bp.Workers, cpusOf(bp))
+		cp, ok := find(current, bp.Workers)
 		if !ok {
 			continue
 		}
@@ -373,10 +338,10 @@ func CheckRegression(current, baseline []ParallelPoint, tolerancePct float64) er
 // ParallelCSV renders the study as CSV, one row per point.
 func ParallelCSV(points []ParallelPoint) string {
 	var b strings.Builder
-	b.WriteString("mode,workers,cpus,runs,aborts,wall_ms,upd_per_sec,wal_syncs,commit_batches,ack_p50_ms,ack_p99_ms,snapshot_allocs,commit_merge_allocs\n")
+	b.WriteString("mode,workers,runs,aborts,wall_ms,upd_per_sec,wal_syncs,commit_batches,ack_p50_ms,ack_p99_ms,snapshot_allocs,commit_merge_allocs\n")
 	for _, p := range points {
-		fmt.Fprintf(&b, "%s,%d,%d,%d,%.2f,%.2f,%.2f,%.1f,%.1f,%.3f,%.3f,%.2f,%.2f\n",
-			p.Label(), p.Workers, max(p.Cpus, 1), p.Runs, p.Aborts, p.WallMillis,
+		fmt.Fprintf(&b, "%s,%d,%d,%.2f,%.2f,%.2f,%.1f,%.1f,%.3f,%.3f,%.2f,%.2f\n",
+			p.Label(), p.Workers, p.Runs, p.Aborts, p.WallMillis,
 			p.UpdatesPerSec,
 			p.WALSyncs, p.CommitBatches, p.AckP50Millis, p.AckP99Millis,
 			p.SnapshotAllocsPerOp, p.CommitMergeAllocsPerOp)
@@ -389,7 +354,7 @@ func ParallelCSV(points []ParallelPoint) string {
 // and the commit-ack latency percentiles.
 func RenderParallel(points []ParallelPoint) string {
 	var b strings.Builder
-	b.WriteString("parallel-runtime study (COARSE tracker, same seeded workload)\n")
+	b.WriteString("round-width study (COARSE tracker, same seeded workload)\n")
 	durable := false
 	for _, p := range points {
 		if p.WALSyncs > 0 {

@@ -52,41 +52,6 @@ func TestCheckRegressionRawFallback(t *testing.T) {
 	}
 }
 
-func TestCheckRegressionCpusDimension(t *testing.T) {
-	// Two matrix points share a worker count and differ only in the
-	// cpu cap; the mode key must keep them apart.
-	baseline := []ParallelPoint{
-		{Workers: 0, Cpus: 1, UpdatesPerSec: 100},
-		{Workers: 4, Cpus: 1, UpdatesPerSec: 120},
-		{Workers: 4, Cpus: 4, UpdatesPerSec: 360},
-	}
-	// The cpus=4 point collapsed to the cpus=1 rate. If cpus were not
-	// part of the key, the cpus=4 baseline row would happily match the
-	// healthy cpus=1 current row and the regression would pass.
-	current := []ParallelPoint{
-		{Workers: 0, Cpus: 1, UpdatesPerSec: 100},
-		{Workers: 4, Cpus: 1, UpdatesPerSec: 120},
-		{Workers: 4, Cpus: 4, UpdatesPerSec: 120},
-	}
-	err := CheckRegression(current, baseline, 20)
-	if err == nil {
-		t.Fatal("collapsed cpus=4 scaling not flagged")
-	}
-	if !strings.Contains(err.Error(), "cpus=4") {
-		t.Fatalf("failure not attributed to the cpus=4 mode: %v", err)
-	}
-	// Healthy scaling passes.
-	if err := CheckRegression(baseline, baseline, 20); err != nil {
-		t.Fatalf("self-comparison flagged: %v", err)
-	}
-	// Legacy baselines without a Cpus field (zero value) keep matching
-	// cpus=1 current points.
-	legacy := pts(0, 100, 4, 120)
-	if err := CheckRegression(current[:2], legacy, 20); err != nil {
-		t.Fatalf("legacy baseline no longer matches cpus=1 points: %v", err)
-	}
-}
-
 func TestParallelJSONRoundTrip(t *testing.T) {
 	points := []ParallelPoint{
 		{Workers: 0, Runs: 2, Aborts: 1.5, WallMillis: 12.5, UpdatesPerSec: 80},
@@ -113,24 +78,22 @@ func TestParallelJSONRoundTrip(t *testing.T) {
 }
 
 // TestCommittedBaselinesLoadAndGate: every baseline the CI bench jobs
-// gate against still loads, keys each point to a distinct
-// (workers, cpus) mode, passes against itself, and flags a collapse of
-// its parallel points.
+// gate against still loads, keys each point to a distinct worker
+// count, passes against itself, and flags a collapse of its parallel
+// points.
 func TestCommittedBaselinesLoadAndGate(t *testing.T) {
-	for _, name := range []string{"parallel", "wal", "multicore"} {
+	for _, name := range []string{"parallel", "wal"} {
 		t.Run(name, func(t *testing.T) {
 			base, err := LoadParallelJSON(filepath.Join("..", "..", "bench", "BENCH_baseline_"+name+".json"))
 			if err != nil {
 				t.Fatal(err)
 			}
-			type mode struct{ workers, cpus int }
-			seen := make(map[mode]bool)
+			seen := make(map[int]bool)
 			for _, p := range base {
-				m := mode{p.Workers, max(p.Cpus, 1)}
-				if seen[m] && p.Workers != 0 {
+				if seen[p.Workers] && p.Workers != 0 {
 					t.Fatalf("two baseline points share mode %s", p.Label())
 				}
-				seen[m] = true
+				seen[p.Workers] = true
 			}
 			if err := CheckRegression(base, base, 20); err != nil {
 				t.Fatalf("baseline fails against itself: %v", err)

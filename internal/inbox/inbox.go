@@ -5,7 +5,7 @@
 // list, claim, and answer later — possibly after a process restart
 // (the durability is the wal package's park/answer/resume records; the
 // Box here is the in-memory index both the repository and the
-// schedulers share). Per-entry policies cover the curator who never
+// scheduler share). Per-entry policies cover the curator who never
 // answers: a deadline that auto-answers through a fallback user or
 // aborts the parked update, and periodic priority escalation (the
 // selfish-curator mitigation of the related mechanism-design work).
@@ -439,7 +439,7 @@ func Ask(e *chase.Engine, u *chase.Update) (Entry, bool) {
 // Replay applies one recorded answer to a blocked update through
 // chase.Engine.DecideOne and reports whether it applied one. It is the
 // one replay rule of the decision inbox, shared by the repository's
-// resume and the schedulers' inbox mode:
+// resume and the scheduler's inbox mode:
 //
 //   - each open group, in order, takes the first unused answer
 //     recorded against its canonical decision context; the option

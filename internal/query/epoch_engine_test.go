@@ -11,9 +11,9 @@ import (
 // wait-free epoch snapshot and asserts it sees exactly the committed
 // state a locked committed-reader snapshot sees: the same violations
 // (by canonical witness signature), with uncommitted writers' tuples
-// invisible. Epoch snapshots feed read-heavy consumers (checkpointer,
-// the multicore study's reader goroutines), so the query layer has to
-// produce identical answers over them.
+// invisible. Epoch snapshots feed read-heavy consumers such as the
+// checkpointer, so the query layer has to produce identical answers
+// over them.
 func TestEngineOnEpochSnapshot(t *testing.T) {
 	st, set := fig2(t)
 

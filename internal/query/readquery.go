@@ -120,8 +120,8 @@ type ViolationRead struct {
 // at or below the captured sequence is already applied (stripe
 // sequences publish under the stripe lock), so the vector lower-bounds
 // what the evaluation saw in each relation and is exact whenever no
-// writer runs during the read — which the schedulers guarantee: no
-// write lands while a read half is in flight.
+// writer runs during the read — which the scheduler guarantees: it
+// runs one chase step at a time, so no write lands during a read.
 //
 // seedVals is retained, not copied: callers pass a write record's
 // immutable value slice.
@@ -257,8 +257,8 @@ func unifiable(vals []model.Value, a tgd.Atom) bool {
 // one engine, whose run pools, register files and key buffer stay warm
 // from check to check, and one snapshot value each check's view is
 // derived into — the reader's live view narrowed to the read vector and
-// the write's window or mask. A Checker belongs to one goroutine (the
-// cc schedulers keep one per scheduler goroutine) and is never an
+// the write's window or mask. A Checker belongs to one goroutine (a
+// cc.Scheduler keeps one) and is never an
 // update attempt's query context. The zero value is ready to use.
 type Checker struct {
 	eng  Engine

@@ -14,8 +14,8 @@ import (
 // The contract, beyond the method comments on *Store:
 //
 //   - Every method is individually atomic and safe for concurrent use
-//     (multi-operation protocols need the concurrency-control layer's
-//     write and read phases on top).
+//     (multi-operation protocols need the concurrency-control layer on
+//     top, which runs them one at a time).
 //   - Sequence numbers are totally ordered across the whole backend,
 //     per-relation sequences are monotone, and labeled nulls are
 //     unique backend-wide.

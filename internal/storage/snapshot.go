@@ -220,8 +220,9 @@ type Row struct {
 // ProbeRows appends to dst, in ascending ID order, the visible tuples of
 // rel whose column col holds v — every visible tuple when col < 0 —
 // that keep takes, and returns dst with the number of candidates the
-// probe had: the members the column's index lists under v's key, or
-// all the relation's members for a scan, visible or not. keep reports
+// probe examined: of the members the column's index lists under v's
+// key, or of all the relation's members for a scan, those up to and
+// including the one where keep stopped, visible or not. keep reports
 // whether to take a row and whether the probe stops there; a nil keep
 // takes every row. One stripe read lock covers the whole probe and keep
 // runs under it, so keep must not call back into the store: a join
@@ -238,7 +239,7 @@ func (sn *Snapshot) ProbeRows(rel string, col int, v model.Value, dst []Row, kee
 		for i, id := range s.ids {
 			if vals, ok := sn.visibleAt(s, i); ok {
 				if dst, stop = probeRow(dst, id, vals, keep); stop {
-					break
+					return dst, i + 1
 				}
 			}
 		}
@@ -246,10 +247,10 @@ func (sn *Snapshot) ProbeRows(rel string, col int, v model.Value, dst []Row, kee
 	}
 	var one [1]TupleID
 	cands := s.valIdx[col].get(sn.store.key(v.Hash()), &one)
-	for _, id := range cands {
+	for i, id := range cands {
 		if vals, ok := sn.getInStripe(s, id); ok && vals[col] == v {
 			if dst, stop = probeRow(dst, id, vals, keep); stop {
-				break
+				return dst, i + 1
 			}
 		}
 	}

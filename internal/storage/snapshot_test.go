@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 
@@ -94,6 +95,27 @@ func TestSnapshotCountRel(t *testing.T) {
 	}
 }
 
+// TestProbeRowsCountsOnlyExaminedCandidates: a keep that stops at the
+// first row of a 100-row scan, or of a probe listing 100 candidates,
+// leaves the other 99 unvisited, and the probe reports 1 examined.
+func TestProbeRowsCountsOnlyExaminedCandidates(t *testing.T) {
+	st := NewStore(testSchema())
+	for i := range 100 {
+		st.Load(tup("S", c(fmt.Sprint("code", i)), c("NYC"), c("NYC")))
+	}
+	snap := st.Snap(0)
+	stopFirst := func([]model.Value) (bool, bool) { return true, true }
+	if rows, n := snap.ProbeRows("S", -1, model.Value{}, nil, stopFirst); len(rows) != 1 || n != 1 {
+		t.Fatalf("stopped scan took %d rows, %d examined; want 1 and 1", len(rows), n)
+	}
+	if rows, n := snap.ProbeRows("S", 1, c("NYC"), nil, stopFirst); len(rows) != 1 || n != 1 {
+		t.Fatalf("stopped probe took %d rows, %d examined; want 1 and 1", len(rows), n)
+	}
+	if _, n := snap.ProbeRows("S", 1, c("NYC"), nil, nil); n != 100 {
+		t.Fatalf("full probe examined %d candidates, want 100", n)
+	}
+}
+
 // TestSnapshotProbeRows checks a probe's rows and its count of
 // candidates examined: by value, by a value the index folds onto a
 // colliding key, as a scan, filtered by keep, on an out-of-range
@@ -121,7 +143,7 @@ func TestSnapshotProbeRows(t *testing.T) {
 		t.Fatalf("filtered scan = %v, %d examined", rows, n)
 	}
 	stopFirst := func([]model.Value) (bool, bool) { return true, true }
-	if rows, n := snap.ProbeRows("S", -1, model.Value{}, nil, stopFirst); len(rows) != 1 || rows[0].ID != id1 || n != 2 {
+	if rows, n := snap.ProbeRows("S", -1, model.Value{}, nil, stopFirst); len(rows) != 1 || rows[0].ID != id1 || n != 1 {
 		t.Fatalf("scan stopped at its first row = %v, %d examined", rows, n)
 	}
 	if rows, n := snap.ProbeRows("S", 7, c("SYR"), nil, nil); rows != nil || n != 0 {

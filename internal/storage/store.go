@@ -97,7 +97,7 @@
 //     wrote — that write set, not the schema, bounds their lock round
 //     and their scan — in ascending stripe order. A writer's own
 //     operations (its writes, its commit, its abort) must be issued one
-//     at a time, which both schedulers do; different writers need no
+//     at a time, which the scheduler does; different writers need no
 //     coordination. Commit batches additionally serialize among
 //     themselves on batchMu, taken before any stripe lock.
 //   - the remaining cross-relation operations (ReplaceNull, the
@@ -114,13 +114,13 @@
 // ID to its relation requires no shared lookup structure.
 //
 // Each exported operation is individually atomic; multi-operation
-// protocols (a chase step's write-then-validate sequence) still need
-// the concurrency-control layer's phasing on top, which is what
-// cc.ParallelScheduler's write and read phases provide. The one relaxation against the
-// pre-striping store: snapshot reads that span relations
-// (TuplesWithNull, VisibleFacts) lock stripe-by-stripe, so under
-// concurrent mutators they may observe different relations at
-// different instants — the schedulers never read while a writer runs,
+// protocols (a chase step's write-then-validate sequence) rely on the
+// concurrency-control layer running them one at a time: cc.Scheduler
+// steps every update on the goroutine that called Run. The one
+// relaxation against the pre-striping store: snapshot reads that span
+// relations (TuplesWithNull, VisibleFacts) lock stripe-by-stripe, so
+// under concurrent mutators they may observe different relations at
+// different instants — the scheduler never reads while a writer runs,
 // and single-relation calls remain fully atomic.
 package storage
 

@@ -1,6 +1,6 @@
 // The acceptance test of the durability subsystem, in an external
 // test package so it can drive the real stack: a synthetic universe
-// seeded and updated through the goroutine-parallel scheduler over a
+// seeded and updated through the scheduler at round width > 1 over a
 // write-ahead-logged store, crash-killed at every commit-batch
 // boundary, must recover a byte-identical instance — checked against
 // an oracle maintained independently from the observed log batches.
@@ -149,7 +149,7 @@ func TestParallelCrashRecoveryAtEveryBatchBoundary(t *testing.T) {
 	}
 
 	ops := u.GenOpsSeeded(99)
-	sched := cc.NewParallelScheduler(st, u.Mappings, cc.Config{
+	sched := cc.NewScheduler(st, u.Mappings, cc.Config{
 		Workers:            4,
 		Tracker:            cc.Coarse{},
 		User:               simuser.New(5),

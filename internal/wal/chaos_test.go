@@ -83,7 +83,7 @@ func TestChaosDurableWorkload(t *testing.T) {
 			// repair path deliberately does not retry.
 			ffs.Script(chaostest.TransientSchedule(seed*7919+13, 2)...)
 
-			sched := cc.NewParallelScheduler(st, u.Mappings, cc.Config{
+			sched := cc.NewScheduler(st, u.Mappings, cc.Config{
 				Workers:            4,
 				Tracker:            cc.Coarse{},
 				User:               simuser.New(uint64(seed) + 1),
@@ -144,7 +144,7 @@ func TestChaosNoSpaceWorkload(t *testing.T) {
 	ffs.Script(chaostest.NoSpaceSchedule(0)...)
 	ffs.SetFreeBytes(0)
 
-	sched := cc.NewParallelScheduler(st, u.Mappings, cc.Config{
+	sched := cc.NewScheduler(st, u.Mappings, cc.Config{
 		Workers:            4,
 		Tracker:            cc.Coarse{},
 		User:               simuser.New(3),

@@ -42,12 +42,7 @@ func TestInboxRunMatchesInline(t *testing.T) {
 			ans = &Answerer{Box: ccCfg.Inbox, Seed: 7, ForceUnifyAfter: 64}
 			ans.Start()
 		}
-		var m cc.Metrics
-		if workers > 0 {
-			m, err = cc.NewParallelScheduler(st, u.Mappings, ccCfg).Run(ops)
-		} else {
-			m, err = cc.NewScheduler(st, u.Mappings, ccCfg).Run(ops)
-		}
+		m, err := cc.NewScheduler(st, u.Mappings, ccCfg).Run(ops)
 		if ans != nil {
 			ans.Stop()
 		}

@@ -16,11 +16,10 @@
 // higher-priority updates are checked against them, and conflicting
 // updates abort and restart, with cascading aborts determined by the
 // NAIVE, COARSE or PRECISE dependency algorithms of the paper.
-// Workloads execute either on the cooperative single-goroutine
-// interleaver of the paper's experiments or, with
-// SchedulerConfig.Workers >= 1, on a pool of worker goroutines that
-// chase independent updates truly in parallel over the
-// concurrency-safe store.
+// Workloads execute on the cooperative interleaver of the paper's
+// experiments, on the calling goroutine: each round gives the
+// unfinished updates one chase step each, and SchedulerConfig.Workers
+// bounds how many a round serves.
 //
 // Quick start:
 //
@@ -99,11 +98,10 @@ type (
 type (
 	// Tracker determines cascading aborts (NAIVE, COARSE, PRECISE).
 	Tracker = cc.Tracker
-	// SchedulerConfig parameterizes concurrent execution. Setting its
-	// Workers field to 1 or more makes Repository.RunConcurrent execute
-	// the workload on that many goroutines (cc.ParallelScheduler)
-	// instead of the cooperative single-goroutine interleaver; the
-	// committed final instance is serializable either way.
+	// SchedulerConfig parameterizes concurrent execution. Its Workers
+	// field is the round width: a round serves at most that many
+	// updates, and zero serves every unfinished one. The committed
+	// final instance is serializable at every width.
 	SchedulerConfig = cc.Config
 	// Metrics reports a concurrent run's outcome.
 	Metrics = cc.Metrics
@@ -305,7 +303,7 @@ type (
 	// InboxStatus is an entry's lifecycle state.
 	InboxStatus = inbox.Status
 	// InboxBox is the shared in-memory decision inbox; hand one to
-	// SchedulerConfig.Inbox to make the concurrent schedulers park
+	// SchedulerConfig.Inbox to make the concurrent scheduler park
 	// blocked updates instead of busy-repolling their users.
 	InboxBox = inbox.Box
 )
