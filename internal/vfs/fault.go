@@ -283,6 +283,8 @@ type faultFile struct {
 	fs *FaultFS
 }
 
+// Write passes p, or on a torn write its prefix, straight to the inner
+// file and keeps no reference to it, as File requires.
 func (f *faultFile) Write(p []byte) (int, error) {
 	if r := f.fs.fault(OpWrite, f.Name()); r != nil {
 		n := 0

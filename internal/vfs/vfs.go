@@ -21,6 +21,8 @@ import (
 // File is the open-file surface the write-ahead log drives: append
 // writes, fsync, tail truncation on failed appends, and close.
 type File interface {
+	// Write must not retain p after it returns: the log encodes every
+	// frame into one buffer it reuses for the next append.
 	io.Writer
 	// Sync flushes written data to stable storage (fsync).
 	Sync() error

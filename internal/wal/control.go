@@ -1,7 +1,7 @@
 package wal
 
 import (
-	"bytes"
+	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -76,25 +76,21 @@ func (p *ParkedUpdate) clone() ParkedUpdate {
 // encodeOp renders an initial operation. Cause is presentation-only
 // provenance (Update.Reset stamps "initial operation" on replay) and
 // is not persisted.
-func (c *codec) encodeOp(b *bytes.Buffer, op chase.Op) error {
-	b.WriteByte(byte(op.Kind))
+func (c *codec) encodeOp(dst []byte, op chase.Op) ([]byte, error) {
+	dst = append(dst, byte(op.Kind))
 	switch op.Kind {
 	case chase.OpInsert, chase.OpDelete:
 		ri, ok := c.idx[op.Tuple.Rel]
 		if !ok {
-			return fmt.Errorf("wal: parked operation on undeclared relation %s", op.Tuple.Rel)
+			return dst, fmt.Errorf("wal: parked operation on undeclared relation %s", op.Tuple.Rel)
 		}
-		putUvarint(b, uint64(ri))
-		encodeVals(b, op.Tuple.Vals)
+		return encodeVals(binary.AppendUvarint(dst, uint64(ri)), op.Tuple.Vals), nil
 	case chase.OpDeleteID:
-		putUvarint(b, uint64(op.ID))
+		return binary.AppendUvarint(dst, uint64(op.ID)), nil
 	case chase.OpReplaceNull:
-		encodeValue(b, op.Null)
-		encodeValue(b, op.With)
-	default:
-		return fmt.Errorf("wal: cannot persist operation kind %v", op.Kind)
+		return encodeValue(encodeValue(dst, op.Null), op.With), nil
 	}
-	return nil
+	return dst, fmt.Errorf("wal: cannot persist operation kind %v", op.Kind)
 }
 
 func (r *reader) op(rels []string) (chase.Op, error) {
@@ -141,37 +137,23 @@ func (r *reader) op(rels []string) (chase.Op, error) {
 	}
 }
 
-func (c *codec) encodePark(id int64, op chase.Op) ([]byte, error) {
-	var b bytes.Buffer
-	b.WriteByte(kindPark)
-	putUvarint(&b, uint64(id))
-	if err := c.encodeOp(&b, op); err != nil {
-		return nil, err
-	}
-	return b.Bytes(), nil
+func (c *codec) encodePark(dst []byte, id int64, op chase.Op) ([]byte, error) {
+	return c.encodeOp(binary.AppendUvarint(append(dst, kindPark), uint64(id)), op)
 }
 
-func encodeAnswer(id int64, ordinal int, ctx string, option int) []byte {
-	var b bytes.Buffer
-	b.WriteByte(kindAnswer)
-	putUvarint(&b, uint64(id))
-	putUvarint(&b, uint64(ordinal))
-	putUvarint(&b, uint64(len(ctx)))
-	b.WriteString(ctx)
-	putUvarint(&b, uint64(option))
-	return b.Bytes()
+func encodeAnswer(dst []byte, id int64, ordinal int, ctx string, option int) []byte {
+	dst = binary.AppendUvarint(append(dst, kindAnswer), uint64(id))
+	dst = binary.AppendUvarint(dst, uint64(ordinal))
+	dst = binary.AppendUvarint(dst, uint64(len(ctx)))
+	return binary.AppendUvarint(append(dst, ctx...), uint64(option))
 }
 
-func encodeResume(id int64, aborted bool) []byte {
-	var b bytes.Buffer
-	b.WriteByte(kindResume)
-	putUvarint(&b, uint64(id))
+func encodeResume(dst []byte, id int64, aborted bool) []byte {
+	var flag byte
 	if aborted {
-		b.WriteByte(1)
-	} else {
-		b.WriteByte(0)
+		flag = 1
 	}
-	return b.Bytes()
+	return append(binary.AppendUvarint(append(dst, kindResume), uint64(id)), flag)
 }
 
 // parkedSet is the mutable parked-update index the manager and the
@@ -280,11 +262,9 @@ func (m *Manager) AppendPark(op chase.Op) (int64, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	id := m.parked.nextID
-	payload, err := m.cdc.encodePark(id, op)
-	if err != nil {
-		return 0, err
-	}
-	if err := m.appendControlLocked(payload); err != nil {
+	if err := m.appendControlLocked(func(dst []byte) ([]byte, error) {
+		return m.cdc.encodePark(dst, id, op)
+	}); err != nil {
 		return 0, err
 	}
 	m.parked.nextID = id + 1
@@ -301,8 +281,10 @@ func (m *Manager) AppendAnswer(id int64, ctx string, option int) error {
 	if !ok {
 		return fmt.Errorf("wal: answer for unknown parked update %d", id)
 	}
-	payload := encodeAnswer(id, len(e.Answers), ctx, option)
-	if err := m.appendControlLocked(payload); err != nil {
+	ordinal := len(e.Answers)
+	if err := m.appendControlLocked(func(dst []byte) ([]byte, error) {
+		return encodeAnswer(dst, id, ordinal, ctx, option), nil
+	}); err != nil {
 		return err
 	}
 	e.Answers = append(e.Answers, inbox.Answer{Context: ctx, Option: option})
@@ -315,7 +297,9 @@ func (m *Manager) AppendAnswer(id int64, ctx string, option int) error {
 func (m *Manager) AppendResume(id int64, aborted bool) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if err := m.appendControlLocked(encodeResume(id, aborted)); err != nil {
+	if err := m.appendControlLocked(func(dst []byte) ([]byte, error) {
+		return encodeResume(dst, id, aborted), nil
+	}); err != nil {
 		return err
 	}
 	delete(m.parked.entries, id)
@@ -329,7 +313,8 @@ func (m *Manager) Parked() []ParkedUpdate {
 	return m.parked.snapshot()
 }
 
-// appendControlLocked appends one control frame and (under SyncAlways)
+// appendControlLocked appends one control frame, its payload encoded
+// in place in the manager's frame buffer, and (under SyncAlways)
 // fsyncs it synchronously before returning. Callers hold m.mu; the
 // fsync — being a covering sync of the active segment — advances the
 // synced frontier over every batch appended so far.
@@ -344,7 +329,7 @@ func (m *Manager) Parked() []ParkedUpdate {
 // interleaving with that sequence. The in-memory bookkeeping
 // (ctrlSeq, per-segment control watermarks, checkpoint pressure) only
 // advances once the frame is durable.
-func (m *Manager) appendControlLocked(payload []byte) error {
+func (m *Manager) appendControlLocked(encode func([]byte) ([]byte, error)) error {
 	for m.syncing {
 		m.syncCond.Wait()
 	}
@@ -361,7 +346,11 @@ func (m *Manager) appendControlLocked(payload []byte) error {
 	if m.syncRetrying || m.rescuing {
 		return fmt.Errorf("wal: the syncer is retrying a transient failure; retry the control append shortly: %w", ErrRetrying)
 	}
-	frame := appendFrame(nil, payload)
+	frame, err := appendFrame(m.takeFrameLocked(), encode)
+	defer m.putFrameLocked(frame)
+	if err != nil {
+		return err
+	}
 	if err := m.ensureSegmentLocked(int64(len(frame))); err != nil {
 		return err
 	}
@@ -376,7 +365,6 @@ func (m *Manager) appendControlLocked(payload []byte) error {
 		m.segCtrl[m.f.Name()] = m.ctrlSeq
 		return nil
 	}
-	var err error
 	for attempt := 0; ; attempt++ {
 		if err = m.f.Sync(); err == nil || !vfs.IsTransient(err) || attempt >= m.opts.RetryAttempts {
 			break

@@ -1,7 +1,6 @@
 package wal
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -60,7 +59,7 @@ const (
 	segMagic    = "YWALSEG1"
 	ckptMagic   = "YWALCKP1"
 	headerLen   = 24
-	frameMax    = 1 << 30 // sanity bound on payload length
+	frameHdrLen = 8 // payloadLen + crc
 	kindBatch   = 1
 	valConst    = 0
 	valNull     = 1
@@ -72,6 +71,30 @@ const (
 	ckptPrefix  = "ckpt-"
 	tmpCkptName = "ckpt.tmp"
 )
+
+// frameMax bounds a frame's payload length: recovery reads a longer
+// frame as a torn tail, so no writer may produce one. It is a variable
+// only so tests can reach the bound without building a 1 GiB frame.
+var frameMax = 1 << 30
+
+// FrameTooLargeError refuses a frame whose payload exceeds frameMax.
+// It is returned before any byte of the frame is written: the commit
+// batch is vetoed, or the checkpoint leaves the old lineage in place.
+type FrameTooLargeError struct {
+	Len, Max int
+}
+
+func (e *FrameTooLargeError) Error() string {
+	return fmt.Sprintf("wal: %d-byte frame payload exceeds the %d-byte bound recovery accepts", e.Len, e.Max)
+}
+
+// checkFrameLen validates a payload length against frameMax.
+func checkFrameLen(n int) error {
+	if n > frameMax {
+		return &FrameTooLargeError{Len: n, Max: frameMax}
+	}
+	return nil
+}
 
 // codec translates between storage records and their wire form for one
 // schema.
@@ -91,11 +114,6 @@ func newCodec(schema *model.Schema) *codec {
 	}
 	c.hash = h.Sum64()
 	return c
-}
-
-func putUvarint(b *bytes.Buffer, v uint64) {
-	var tmp [binary.MaxVarintLen64]byte
-	b.Write(tmp[:binary.PutUvarint(tmp[:], v)])
 }
 
 // reader decodes one payload; all take methods return an error on
@@ -129,23 +147,23 @@ func (r *reader) bytes(n uint64) ([]byte, error) {
 	return out, nil
 }
 
-func encodeValue(b *bytes.Buffer, v model.Value) {
+// The encoders below are append-style: each appends its wire form to
+// dst and returns the extended slice, so a frame is built in one
+// buffer (see appendFrame).
+
+func encodeValue(dst []byte, v model.Value) []byte {
 	if space, update, ordinal, ok := v.MintedName(); ok {
-		b.WriteByte(valMinted)
-		putUvarint(b, uint64(space))
-		putUvarint(b, uint64(update))
-		putUvarint(b, uint64(ordinal))
-		return
+		dst = append(dst, valMinted)
+		dst = binary.AppendUvarint(dst, uint64(space))
+		dst = binary.AppendUvarint(dst, uint64(update))
+		return binary.AppendUvarint(dst, uint64(ordinal))
 	}
 	if v.IsNull() {
-		b.WriteByte(valNull)
-		putUvarint(b, uint64(v.NullID()))
-		return
+		return binary.AppendUvarint(append(dst, valNull), uint64(v.NullID()))
 	}
-	b.WriteByte(valConst)
 	s := v.ConstValue()
-	putUvarint(b, uint64(len(s)))
-	b.WriteString(s)
+	dst = binary.AppendUvarint(append(dst, valConst), uint64(len(s)))
+	return append(dst, s...)
 }
 
 func (r *reader) value() (model.Value, error) {
@@ -187,15 +205,15 @@ func (r *reader) value() (model.Value, error) {
 	}
 }
 
-func encodeVals(b *bytes.Buffer, vals []model.Value) {
+func encodeVals(dst []byte, vals []model.Value) []byte {
 	if vals == nil {
-		putUvarint(b, 0)
-		return
+		return append(dst, 0)
 	}
-	putUvarint(b, uint64(len(vals))+1)
+	dst = binary.AppendUvarint(dst, uint64(len(vals))+1)
 	for _, v := range vals {
-		encodeValue(b, v)
+		dst = encodeValue(dst, v)
 	}
+	return dst
 }
 
 func (r *reader) vals() ([]model.Value, error) {
@@ -215,30 +233,29 @@ func (r *reader) vals() ([]model.Value, error) {
 	return out, nil
 }
 
-// encodeBatch renders one commit batch as a frame payload.
-func (c *codec) encodeBatch(batchIdx int64, writers []int, recs []storage.WriteRec) ([]byte, error) {
-	var b bytes.Buffer
-	b.WriteByte(kindBatch)
-	putUvarint(&b, uint64(batchIdx))
-	putUvarint(&b, uint64(len(writers)))
+// encodeBatch appends one commit batch's frame payload to dst.
+func (c *codec) encodeBatch(dst []byte, batchIdx int64, writers []int, recs []storage.WriteRec) ([]byte, error) {
+	dst = append(dst, kindBatch)
+	dst = binary.AppendUvarint(dst, uint64(batchIdx))
+	dst = binary.AppendUvarint(dst, uint64(len(writers)))
 	for _, w := range writers {
-		putUvarint(&b, uint64(w))
+		dst = binary.AppendUvarint(dst, uint64(w))
 	}
-	putUvarint(&b, uint64(len(recs)))
+	dst = binary.AppendUvarint(dst, uint64(len(recs)))
 	for _, rec := range recs {
 		ri, ok := c.idx[rec.Rel]
 		if !ok {
-			return nil, fmt.Errorf("wal: write record for undeclared relation %s", rec.Rel)
+			return dst, fmt.Errorf("wal: write record for undeclared relation %s", rec.Rel)
 		}
-		putUvarint(&b, uint64(rec.Writer))
-		putUvarint(&b, uint64(rec.Seq))
-		putUvarint(&b, uint64(rec.ID))
-		putUvarint(&b, uint64(ri))
-		b.WriteByte(byte(rec.Op))
-		encodeVals(&b, rec.Before)
-		encodeVals(&b, rec.After)
+		dst = binary.AppendUvarint(dst, uint64(rec.Writer))
+		dst = binary.AppendUvarint(dst, uint64(rec.Seq))
+		dst = binary.AppendUvarint(dst, uint64(rec.ID))
+		dst = binary.AppendUvarint(dst, uint64(ri))
+		dst = append(dst, byte(rec.Op))
+		dst = encodeVals(dst, rec.Before)
+		dst = encodeVals(dst, rec.After)
 	}
-	return b.Bytes(), nil
+	return dst, nil
 }
 
 // batchRecord is one decoded commit batch.
@@ -285,16 +302,16 @@ func decodeBatch(payload []byte, rels []string) (batchRecord, error) {
 	out.recs = make([]storage.WriteRec, nr)
 	for i := range out.recs {
 		rec := &out.recs[i]
-		fields := []*uint64{new(uint64), new(uint64), new(uint64), new(uint64)}
-		for _, f := range fields {
-			if *f, err = r.uvarint(); err != nil {
+		var f [4]uint64 // writer, seq, id, relIdx
+		for j := range f {
+			if f[j], err = r.uvarint(); err != nil {
 				return batchRecord{}, err
 			}
 		}
-		rec.Writer = int(*fields[0])
-		rec.Seq = int64(*fields[1])
-		rec.ID = storage.TupleID(*fields[2])
-		ri := int(*fields[3])
+		rec.Writer = int(f[0])
+		rec.Seq = int64(f[1])
+		rec.ID = storage.TupleID(f[2])
+		ri := int(f[3])
 		if rels != nil {
 			if ri < 0 || ri >= len(rels) {
 				return batchRecord{}, fmt.Errorf("wal: relation index %d out of range", ri)
@@ -319,49 +336,57 @@ func decodeBatch(payload []byte, rels []string) (batchRecord, error) {
 	return out, nil
 }
 
-// encodeCheckpoint renders a checkpoint frame payload. The parked
-// section — next park ID plus the live parked updates with their
-// recorded answers — trails the tuple section, and the per-relation
-// tuple-ID floors trail that; decode tolerates the absence of either,
-// so older checkpoints keep recovering.
-func (c *codec) encodeCheckpoint(batchIdx, nullFloor int64, tuples []storage.CommittedTuple, idFloors []int64, nextParkID int64, parked []ParkedUpdate) ([]byte, error) {
-	var b bytes.Buffer
-	putUvarint(&b, uint64(batchIdx))
-	putUvarint(&b, uint64(nullFloor))
-	putUvarint(&b, uint64(len(tuples)))
+// encodeCheckpoint appends a checkpoint frame payload to dst. The
+// parked section — next park ID plus the live parked updates with
+// their recorded answers — trails the tuple section, and the
+// per-relation tuple-ID floors trail that; decode tolerates the
+// absence of either, so older checkpoints keep recovering.
+func (c *codec) encodeCheckpoint(dst []byte, batchIdx, nullFloor int64, tuples []storage.CommittedTuple, idFloors []int64, nextParkID int64, parked []ParkedUpdate) ([]byte, error) {
+	dst = binary.AppendUvarint(dst, uint64(batchIdx))
+	dst = binary.AppendUvarint(dst, uint64(nullFloor))
+	dst = binary.AppendUvarint(dst, uint64(len(tuples)))
 	for _, t := range tuples {
 		ri, ok := c.idx[t.Rel]
 		if !ok {
-			return nil, fmt.Errorf("wal: checkpoint tuple for undeclared relation %s", t.Rel)
+			return dst, fmt.Errorf("wal: checkpoint tuple for undeclared relation %s", t.Rel)
 		}
-		putUvarint(&b, uint64(t.ID))
-		putUvarint(&b, uint64(ri))
+		dst = binary.AppendUvarint(dst, uint64(t.ID))
+		dst = binary.AppendUvarint(dst, uint64(ri))
+		var del byte
 		if t.Deleted {
-			b.WriteByte(1)
-		} else {
-			b.WriteByte(0)
+			del = 1
 		}
-		encodeVals(&b, t.Vals)
+		dst = encodeVals(append(dst, del), t.Vals)
 	}
-	putUvarint(&b, uint64(nextParkID))
-	putUvarint(&b, uint64(len(parked)))
+	dst = binary.AppendUvarint(dst, uint64(nextParkID))
+	dst = binary.AppendUvarint(dst, uint64(len(parked)))
 	for _, p := range parked {
-		putUvarint(&b, uint64(p.ID))
-		if err := c.encodeOp(&b, p.Op); err != nil {
-			return nil, err
+		dst = binary.AppendUvarint(dst, uint64(p.ID))
+		var err error
+		if dst, err = c.encodeOp(dst, p.Op); err != nil {
+			return dst, err
 		}
-		putUvarint(&b, uint64(len(p.Answers)))
+		dst = binary.AppendUvarint(dst, uint64(len(p.Answers)))
 		for _, a := range p.Answers {
-			putUvarint(&b, uint64(len(a.Context)))
-			b.WriteString(a.Context)
-			putUvarint(&b, uint64(a.Option))
+			dst = binary.AppendUvarint(dst, uint64(len(a.Context)))
+			dst = append(dst, a.Context...)
+			dst = binary.AppendUvarint(dst, uint64(a.Option))
 		}
 	}
-	putUvarint(&b, uint64(len(idFloors)))
+	dst = binary.AppendUvarint(dst, uint64(len(idFloors)))
 	for _, f := range idFloors {
-		putUvarint(&b, uint64(f))
+		dst = binary.AppendUvarint(dst, uint64(f))
 	}
-	return b.Bytes(), nil
+	return dst, nil
+}
+
+// checkpointFile renders a whole checkpoint file: magic, schema hash,
+// and one frame whose payload is encoded in place behind them.
+func (c *codec) checkpointFile(batchIdx, nullFloor int64, tuples []storage.CommittedTuple, idFloors []int64, nextParkID int64, parked []ParkedUpdate) ([]byte, error) {
+	buf := binary.LittleEndian.AppendUint64([]byte(ckptMagic), c.hash)
+	return appendFrame(buf, func(dst []byte) ([]byte, error) {
+		return c.encodeCheckpoint(dst, batchIdx, nullFloor, tuples, idFloors, nextParkID, parked)
+	})
 }
 
 // checkpointRecord is one decoded checkpoint payload.
@@ -489,12 +514,25 @@ func decodeCheckpoint(payload []byte, rels []string) (checkpointRecord, error) {
 	return out, nil
 }
 
-// appendFrame appends a length- and CRC-prefixed frame to buf.
-func appendFrame(buf []byte, payload []byte) []byte {
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-	return append(append(buf, hdr[:]...), payload...)
+// appendFrame appends one length- and CRC-prefixed frame to dst,
+// built in place: it reserves the header, lets encode append the
+// payload behind it, validates the payload's length, and only then
+// fills in the header. On any error dst's contents are unchanged and
+// nothing has been written anywhere, so the caller can refuse the
+// operation outright.
+func appendFrame(dst []byte, encode func([]byte) ([]byte, error)) ([]byte, error) {
+	start := len(dst)
+	buf, err := encode(append(dst, make([]byte, frameHdrLen)...))
+	if err != nil {
+		return dst, err
+	}
+	payload := buf[start+frameHdrLen:]
+	if err := checkFrameLen(len(payload)); err != nil {
+		return dst, err
+	}
+	binary.LittleEndian.PutUint32(buf[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(buf[start+4:], crc32.ChecksumIEEE(payload))
+	return buf, nil
 }
 
 // nextFrame extracts the frame at the head of b. ok is false — a clean
@@ -506,7 +544,7 @@ func nextFrame(b []byte) (payload, rest []byte, ok bool) {
 	}
 	n := binary.LittleEndian.Uint32(b[0:4])
 	crc := binary.LittleEndian.Uint32(b[4:8])
-	if n > frameMax || uint64(len(b)-8) < uint64(n) {
+	if uint64(n) > uint64(frameMax) || uint64(len(b)-8) < uint64(n) {
 		return nil, nil, false
 	}
 	payload = b[8 : 8+n]

@@ -45,7 +45,6 @@
 package wal
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -166,6 +165,7 @@ type Manager struct {
 	lastCkpt  int64    // batch index of the last durable checkpoint
 	sinceCkpt int64    // log bytes since the last durable checkpoint
 	syncs     int64    // fsyncs that covered appended batches
+	frame     []byte   // reusable frame buffer; see takeFrameLocked
 	closed    bool
 	ioErr     error // sticky poison cause (wraps ErrPoisoned); see poisonLocked
 	bgErr     error // first background-checkpoint failure
@@ -446,11 +446,13 @@ func (m *Manager) appendBatch(writers []int, recs []storage.WriteRec) (storage.C
 		// file that is going away.
 		return nil, fmt.Errorf("wal: sync-failure rescue in progress: %w", ErrRetrying)
 	}
-	payload, err := m.cdc.encodeBatch(m.batches+1, writers, recs)
+	frame, err := appendFrame(m.takeFrameLocked(), func(dst []byte) ([]byte, error) {
+		return m.cdc.encodeBatch(dst, m.batches+1, writers, recs)
+	})
+	defer m.putFrameLocked(frame)
 	if err != nil {
 		return nil, err
 	}
-	frame := appendFrame(nil, payload)
 	if err := m.ensureSegmentLocked(int64(len(frame))); err != nil {
 		return nil, err
 	}
@@ -483,6 +485,22 @@ func (m *Manager) appendBatch(writers []int, recs []storage.WriteRec) (storage.C
 	}
 	return func() error { return m.waitSynced(batch) }, nil
 }
+
+// takeFrameLocked lends the caller the manager's frame buffer, emptied;
+// putFrameLocked returns it. Every append encodes its frame there, so
+// a warm append allocates no frame. The buffer is on loan, not shared:
+// a commit append can release m.mu while it holds the buffer (rotation
+// in ensureSegmentLocked waits out an in-flight sync), and a control
+// append that runs meanwhile finds it gone and builds its frame in a
+// fresh slice rather than overwriting the waiting one. Callers hold
+// m.mu.
+func (m *Manager) takeFrameLocked() []byte {
+	b := m.frame[:0]
+	m.frame = nil
+	return b
+}
+
+func (m *Manager) putFrameLocked(b []byte) { m.frame = b[:0] }
 
 // waitSynced blocks until the given batch index is covered by a
 // durable sync or checkpoint. Transient sync failures hold the waiter
@@ -638,14 +656,14 @@ func (m *Manager) syncPending() {
 // segments are named by their first batch, so its successor would
 // take its name.
 func (m *Manager) ensureSegmentLocked(frameLen int64) error {
-	if m.f != nil && m.size > headerLen && m.size+frameLen > m.opts.SegmentBytes &&
-		filepath.Base(m.f.Name()) != segName(m.batches+1) {
+	if m.rotationDueLocked(frameLen) && m.syncing {
 		for m.syncing {
 			m.syncCond.Wait()
 		}
 		// The wait released m.mu: a concurrent Close may have drained
-		// and released the handle in the interim — and the syncer may
-		// have changed the state — re-check before touching the file.
+		// and released the handle in the interim, the syncer may have
+		// changed the state, and a control append may have rotated
+		// already — re-check before touching the file.
 		if m.closed || m.f == nil {
 			return fmt.Errorf("wal: append to closed log")
 		}
@@ -655,6 +673,8 @@ func (m *Manager) ensureSegmentLocked(frameLen int64) error {
 		case StateDegraded:
 			return fmt.Errorf("wal: commit rejected while read-only (%s): %w", m.reason, ErrReadOnly)
 		}
+	}
+	if m.rotationDueLocked(frameLen) {
 		var err error
 		for attempt := 0; ; attempt++ {
 			if err = m.f.Sync(); err == nil {
@@ -739,6 +759,13 @@ func (m *Manager) ensureSegmentLocked(frameLen int64) error {
 	return m.degradeLocked("creating the next segment failed", vfs.IsNoSpace(lastErr), lastErr)
 }
 
+// rotationDueLocked reports whether a frame of frameLen bytes must go
+// to a fresh segment. Callers hold m.mu.
+func (m *Manager) rotationDueLocked(frameLen int64) bool {
+	return m.f != nil && m.size > headerLen && m.size+frameLen > m.opts.SegmentBytes &&
+		filepath.Base(m.f.Name()) != segName(m.batches+1)
+}
+
 // checkpointLoop is the background checkpointer.
 func (m *Manager) checkpointLoop(ch <-chan struct{}) {
 	defer m.wg.Done()
@@ -810,14 +837,10 @@ func (m *Manager) Checkpoint() error {
 		testCkptSerialize()
 	}
 	tuples, floor := ep.Serialize()
-	payload, err := m.cdc.encodeCheckpoint(k, floor, tuples, ep.IDFloors(), nextParkID, parkedSnap)
+	buf, err := m.cdc.checkpointFile(k, floor, tuples, ep.IDFloors(), nextParkID, parkedSnap)
 	if err != nil {
 		return err
 	}
-	buf := make([]byte, 0, ckptHdrLen+8+len(payload))
-	buf = append(buf, ckptMagic...)
-	buf = binary.LittleEndian.AppendUint64(buf, m.cdc.hash)
-	buf = appendFrame(buf, payload)
 
 	// Each step retries transient failures with backoff; a failure
 	// here leaves the old checkpoint lineage authoritative (the temp

@@ -1,7 +1,7 @@
 package wal
 
 import (
-	"bytes"
+	"encoding/binary"
 	"os"
 	"slices"
 	"strings"
@@ -161,20 +161,16 @@ func TestMintedNullsLogTheirName(t *testing.T) {
 		{n(300), 3}, // kind, 300 (two bytes)
 		{c("NY"), 4},
 	} {
-		var b bytes.Buffer
-		encodeValue(&b, tc.v)
-		if b.Len() != tc.size {
-			t.Errorf("%v encodes to %d bytes, want %d", tc.v, b.Len(), tc.size)
+		b := encodeValue(nil, tc.v)
+		if len(b) != tc.size {
+			t.Errorf("%v encodes to %d bytes, want %d", tc.v, len(b), tc.size)
 		}
-		r := reader{b.Bytes()}
+		r := reader{b}
 		if got, err := r.value(); err != nil || got != tc.v || len(r.b) != 0 {
 			t.Errorf("%v decodes to %v (%v), %d bytes left", tc.v, got, err, len(r.b))
 		}
 	}
-	var b bytes.Buffer
-	b.WriteByte(valNull)
-	putUvarint(&b, uint64(minted.NullID()))
-	r := reader{b.Bytes()}
+	r := reader{binary.AppendUvarint([]byte{valNull}, uint64(minted.NullID()))}
 	if got, err := r.value(); err != nil || got != minted {
 		t.Errorf("an identifier-encoded minted null decodes to %v (%v), want %v", got, err, minted)
 	}
