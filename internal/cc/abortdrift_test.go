@@ -57,7 +57,7 @@ func driftFixture(t *testing.T) (storage.Backend, *Config, []*Txn, *query.Violat
 	txns := make([]*Txn, 9)
 	for i := range txns {
 		u := chase.NewUpdate(i+1, chase.Insert(model.NewTuple("C", a)))
-		txns[i] = &Txn{Upd: u, Number: i + 1, deps: make(map[int]bool)}
+		txns[i] = &Txn{Upd: u, Number: i + 1}
 	}
 	cfg := &Config{Tracker: Coarse{}}
 

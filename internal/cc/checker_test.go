@@ -1,6 +1,7 @@
 package cc
 
 import (
+	"slices"
 	"testing"
 
 	"youtopia/internal/chase"
@@ -93,7 +94,7 @@ func TestConflictCheckAllocFree(t *testing.T) {
 		}
 	}
 
-	u := &Txn{Upd: chase.NewUpdate(5, chase.Op{}), Number: 5, deps: make(map[int]bool), sc: new(stepScratch)}
+	u := &Txn{Upd: chase.NewUpdate(5, chase.Op{}), Number: 5, sc: new(stepScratch)}
 	content := &query.ContentRead{Rel: "A", Vals: []model.Value{model.Const("zz")}, ReaderNo: 5}
 	for name, q := range map[string]query.ReadQuery{"structural": content, "violation": f.single} {
 		Coarse{}.OnRead(f.st, u, q)
@@ -101,7 +102,7 @@ func TestConflictCheckAllocFree(t *testing.T) {
 			t.Errorf("COARSE OnRead of a %s read allocates %.1f times, want 0", name, n)
 		}
 	}
-	if !u.deps[2] || !u.deps[3] {
+	if !slices.Equal(u.deps, []int{2, 3}) {
 		t.Fatalf("COARSE recorded deps %v, want writers 2 and 3", u.deps)
 	}
 }
@@ -121,7 +122,7 @@ func BenchmarkConflictCheck(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			var sc stepScratch
 			var m Metrics
-			reader := &Txn{Upd: chase.NewUpdate(5, chase.Op{}), Number: 5, deps: make(map[int]bool)}
+			reader := &Txn{Upd: chase.NewUpdate(5, chase.Op{}), Number: 5}
 			reader.Upd.RecordRead(bc.q)
 			sc.cands = candidatesInto(sc.cands[:0], above([]*Txn{reader}, 2))
 			check := func() {
@@ -140,7 +141,7 @@ func BenchmarkConflictCheck(b *testing.B) {
 	b.Run("removal", func(b *testing.B) {
 		var sc stepScratch
 		var m Metrics
-		reader := &Txn{Upd: chase.NewUpdate(5, chase.Op{}), Number: 5, deps: make(map[int]bool)}
+		reader := &Txn{Upd: chase.NewUpdate(5, chase.Op{}), Number: 5}
 		reader.Upd.RecordRead(f.single)
 		sc.removal = removalCandidatesInto(sc.removal[:0], cfg, []*Txn{reader}, nil)
 		removed := f.st.WritesOf(2)

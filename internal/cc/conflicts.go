@@ -238,7 +238,7 @@ func rollbackTxn(store storage.Backend, cfg *Config, t *Txn, m *Metrics) error {
 	}
 	m.FrontierRequests += t.Upd.Stats.FrontierRequests
 	store.Abort(t.Number)
-	clear(t.deps)
+	t.deps = t.deps[:0]
 	t.Upd.Reset()
 	return nil
 }

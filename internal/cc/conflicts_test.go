@@ -1,6 +1,7 @@
 package cc
 
 import (
+	"fmt"
 	"testing"
 
 	"youtopia/internal/chase"
@@ -29,7 +30,7 @@ func mkTxn(number int, reads ...query.ReadQuery) *Txn {
 	for _, q := range reads {
 		u.RecordRead(q)
 	}
-	return &Txn{Upd: u, Number: number, deps: make(map[int]bool)}
+	return &Txn{Upd: u, Number: number}
 }
 
 func TestDirectConflictsDisjointRelations(t *testing.T) {
@@ -149,5 +150,45 @@ func TestDirectConflictsViolationReadRelations(t *testing.T) {
 	marked := directConflicts(st, cfg, new(query.Checker), cands, []storage.WriteRec{wR}, &m)
 	if len(marked) != 1 {
 		t.Fatalf("overlapping R write marked %d victims, want 1", len(marked))
+	}
+}
+
+// TestAbortWaveKeepsWriterRecords pins that the records a step hands
+// out (StepResult.Writes, the engine's buffer) survive the abort wave
+// their conflict processing starts: rolling a victim back resets its
+// update, and a reset must leave the engine's buffer alone.
+func TestAbortWaveKeepsWriterRecords(t *testing.T) {
+	schema := model.NewSchema()
+	schema.MustAddRelation("A", "x")
+	schema.MustAddRelation("B", "x")
+	set := tgd.MustNewSet(tgd.New("m",
+		[]tgd.Atom{tgd.NewAtom("A", tgd.V("x"))},
+		[]tgd.Atom{tgd.NewAtom("B", tgd.V("x"))}))
+	if err := set.Validate(schema); err != nil {
+		t.Fatal(err)
+	}
+	a := chase.Insert(model.NewTuple("A", model.Const("a")))
+	s := NewScheduler(storage.NewStore(schema), set, Config{})
+	s.begin([]chase.Op{a, a})
+	// Update 2 steps first and stores a content read of A(a), which
+	// update 1's insert of the same fact changes.
+	for _, tx := range []*Txn{s.txns[1], s.txns[0]} {
+		res, err := s.engine.Step(s.start(tx))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Writes) == 0 {
+			t.Fatalf("update %d wrote nothing", tx.Number)
+		}
+		before := fmt.Sprintf("%+v", res.Writes)
+		if err := s.processWrites(res.Writes); err != nil {
+			t.Fatal(err)
+		}
+		if after := fmt.Sprintf("%+v", res.Writes); after != before {
+			t.Fatalf("update %d's records changed under conflict processing:\n%s\nbecame\n%s", tx.Number, before, after)
+		}
+	}
+	if s.m.Aborts != 1 || s.txns[1].Upd.Attempt != 2 {
+		t.Fatalf("%d aborts, update 2 on attempt %d: want update 2 aborted once", s.m.Aborts, s.txns[1].Upd.Attempt)
 	}
 }

@@ -163,7 +163,7 @@ func (Precise) OnRead(st storage.Backend, u *Txn, q query.ReadQuery) {
 		if w.Writer == u.Number {
 			continue
 		}
-		if u.deps[w.Writer] {
+		if u.dependsOn(w.Writer) {
 			continue // already dependent; skip the expensive check
 		}
 		if vq.AffectedBy(&sc.chk, st, w) {
@@ -182,7 +182,7 @@ func (Precise) Cascade(_ storage.Backend, aborted *Txn, live []*Txn) []*Txn {
 func depCascade(aborted *Txn, live []*Txn) []*Txn {
 	var out []*Txn
 	for _, t := range above(live, aborted.Number) {
-		if t.deps[aborted.Number] {
+		if t.dependsOn(aborted.Number) {
 			out = append(out, t)
 		}
 	}

@@ -3,6 +3,7 @@ package cc
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"youtopia/internal/chase"
@@ -25,9 +26,8 @@ type Txn struct {
 	Number int
 
 	// deps are the lower-numbered uncommitted updates whose writes
-	// influenced this txn's read answers (§5.1); nil until the first
-	// dependency.
-	deps map[int]bool
+	// influenced this txn's read answers (§5.1), ascending, each once.
+	deps []int
 	// committed is set once the txn terminated and every lower-numbered
 	// txn committed; committed txns can no longer abort and their
 	// stored queries are released.
@@ -45,8 +45,15 @@ type Txn struct {
 	park *parkState
 }
 
-// Deps returns the recorded read dependencies, for inspection.
-func (t *Txn) Deps() map[int]bool { return t.deps }
+// Deps returns the recorded read dependencies in ascending order, for
+// inspection. The slice is the txn's own; callers must not modify it.
+func (t *Txn) Deps() []int { return t.deps }
+
+// dependsOn reports whether the txn recorded a dependency on writer.
+func (t *Txn) dependsOn(writer int) bool {
+	_, ok := slices.BinarySearch(t.deps, writer)
+	return ok
+}
 
 // Committed reports whether the txn has committed.
 func (t *Txn) Committed() bool { return t.committed }
@@ -60,10 +67,9 @@ func (t *Txn) addDep(writer int) {
 	if writer == 0 || writer == t.Number || writer > t.Number {
 		return
 	}
-	if t.deps == nil {
-		t.deps = make(map[int]bool)
+	if i, ok := slices.BinarySearch(t.deps, writer); !ok {
+		t.deps = slices.Insert(t.deps, i, writer)
 	}
-	t.deps[writer] = true
 }
 
 // Scheduler drives a workload of updates to termination under
@@ -388,7 +394,7 @@ func (s *Scheduler) cancel(t *Txn) error {
 		s.store.Abort(t.Number)
 		t.Upd.Cancel()
 		t.Upd.ReleaseReads()
-		clear(t.deps)
+		t.deps = t.deps[:0]
 		t.cancelled = true
 	}
 	s.dropEntry(t)

@@ -9,8 +9,10 @@ import (
 	"youtopia/internal/chase"
 	"youtopia/internal/model"
 	"youtopia/internal/query"
+	"youtopia/internal/simuser"
 	"youtopia/internal/storage"
 	"youtopia/internal/tgd"
+	"youtopia/internal/workload"
 )
 
 // fullCandidates is the walk the live window replaced, kept as the
@@ -140,43 +142,82 @@ func (w *WindowWatch) ReplaceNull(writer int, x, to model.Value) ([]storage.Writ
 }
 
 // TestSchedulerAllocBudget is the scheduler's twin of
-// core.TestApplyAllocBudget: a width-1 run of all-insert
-// updates, each a forward repair through A(x) -> B(x), allocates at
-// most its pinned bytes per update, and creates no more chase.Update
-// values than the peak number of live txns holding one — a committed
-// txn's update is renewed for the next txn's first step.
+// core.TestApplyAllocBudget: a run allocates at most its pinned bytes
+// per update. At width 1, all-insert updates, each a forward repair
+// through A(x) -> B(x), run one after another, and the run creates no
+// more chase.Update values than the peak number of live txns holding
+// one — a committed txn's update is renewed for the next txn's first
+// step. At width 0 every update of a §6-generator window is in flight
+// at once, with its aborts and frontier questions, and the step and
+// frontier scratch is the engine's, not each attempt's.
 func TestSchedulerAllocBudget(t *testing.T) {
-	const n = 400
-	const bytesBound = 1300 // 1183 measured, plus 10%
-	schema := model.NewSchema()
-	schema.MustAddRelation("A", "x")
-	schema.MustAddRelation("B", "x")
-	set := tgd.MustNewSet(tgd.New("m",
-		[]tgd.Atom{tgd.NewAtom("A", tgd.V("x"))},
-		[]tgd.Atom{tgd.NewAtom("B", tgd.V("x"))}))
-	if err := set.Validate(schema); err != nil {
-		t.Fatal(err)
-	}
-	ops := make([]chase.Op, n)
-	for i := range ops {
-		ops[i] = chase.Insert(model.NewTuple("A", model.Const(fmt.Sprint("a", i))))
-	}
-	s := NewScheduler(storage.NewStore(schema), set, Config{Workers: 1})
-	// Everything runs on the calling goroutine, so the read observer may
-	// look at every txn's update.
-	seen := map[*chase.Update]bool{}
-	peak := 0
-	s.engine.SetReadObserver(func(u *chase.Update, q query.ReadQuery) {
-		seen[u] = true
-		live := 0
-		for _, tx := range s.txns {
-			if tx.Upd != nil && !tx.committed {
-				live++
-			}
+	t.Run("width=1", func(t *testing.T) {
+		const n = 400
+		const bytesBound = 1300 // 793 measured, 1183 when this bound was set
+		schema := model.NewSchema()
+		schema.MustAddRelation("A", "x")
+		schema.MustAddRelation("B", "x")
+		set := tgd.MustNewSet(tgd.New("m",
+			[]tgd.Atom{tgd.NewAtom("A", tgd.V("x"))},
+			[]tgd.Atom{tgd.NewAtom("B", tgd.V("x"))}))
+		if err := set.Validate(schema); err != nil {
+			t.Fatal(err)
 		}
-		peak = max(peak, live)
-		s.onRead(u, q)
+		ops := make([]chase.Op, n)
+		for i := range ops {
+			ops[i] = chase.Insert(model.NewTuple("A", model.Const(fmt.Sprint("a", i))))
+		}
+		s := NewScheduler(storage.NewStore(schema), set, Config{Workers: 1})
+		// Everything runs on the calling goroutine, so the read observer
+		// may look at every txn's update.
+		seen := map[*chase.Update]bool{}
+		peak := 0
+		s.engine.SetReadObserver(func(u *chase.Update, q query.ReadQuery) {
+			seen[u] = true
+			live := 0
+			for _, tx := range s.txns {
+				if tx.Upd != nil && !tx.committed {
+					live++
+				}
+			}
+			peak = max(peak, live)
+			s.onRead(u, q)
+		})
+		m := runAllocBudget(t, s, ops, bytesBound)
+		if m.Runs != n {
+			t.Fatalf("%d runs of %d updates: the workload is not conflict-free", m.Runs, n)
+		}
+		t.Logf("%d updates created, peak %d live", len(seen), peak)
+		if len(seen) > peak {
+			t.Errorf("the run created %d updates for a peak of %d live txns", len(seen), peak)
+		}
 	})
+	t.Run("width=0", func(t *testing.T) {
+		// 16970 measured, plus 3%. Most of the window's bytes are its
+		// conflict checks and seeded queries, in package query, so a
+		// 10% margin would also admit step scratch held per attempt
+		// (18264 bytes per update).
+		const bytesBound = 17500
+		u, err := workload.Build(workload.Quick())
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := u.NewBackend()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ops := u.GenOpsSeeded(1)
+		m := runAllocBudget(t, NewScheduler(st, u.Mappings, Config{User: simuser.New(1)}), ops, bytesBound)
+		if m.Aborts == 0 || m.FrontierOps == 0 {
+			t.Fatalf("%d aborts and %d frontier operations: the window does not exercise what it pins", m.Aborts, m.FrontierOps)
+		}
+	})
+}
+
+// runAllocBudget runs ops on s and fails t when the run allocates more
+// than bound bytes per update.
+func runAllocBudget(t *testing.T, s *Scheduler, ops []chase.Op, bound float64) Metrics {
+	t.Helper()
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	m, err := s.Run(ops)
@@ -184,17 +225,12 @@ func TestSchedulerAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Runs != n {
-		t.Fatalf("%d runs of %d updates: the workload is not conflict-free", m.Runs, n)
+	bytes := float64(m1.TotalAlloc-m0.TotalAlloc) / float64(len(ops))
+	t.Logf("%.0f bytes per update over %d runs of %d updates", bytes, m.Runs, len(ops))
+	if bytes > bound {
+		t.Errorf("%.0f bytes per update, budget %.0f", bytes, bound)
 	}
-	bytes := float64(m1.TotalAlloc-m0.TotalAlloc) / n
-	t.Logf("%.0f bytes per update; %d updates created, peak %d live", bytes, len(seen), peak)
-	if bytes > bytesBound {
-		t.Errorf("%.0f bytes per update, budget %d", bytes, bytesBound)
-	}
-	if len(seen) > peak {
-		t.Errorf("the run created %d updates for a peak of %d live txns", len(seen), peak)
-	}
+	return m
 }
 
 // TestAbortWaveReadsRemovedLogWarm pins where an abort wave reads a

@@ -137,12 +137,12 @@ func TestCoarseOnReadAllocFree(t *testing.T) {
 		{&query.NullOccRead{Null: x, ReaderNo: 6}, []int{3}},
 	} {
 		u := &Txn{Upd: chase.NewUpdate(6, chase.Op{}), Number: 6, sc: new(stepScratch)}
-		Coarse{}.OnRead(st, u, c.q) // warm: the matcher, the buffer, the deps map
+		Coarse{}.OnRead(st, u, c.q) // warm: the matcher, the buffer, the deps array
 		if got := logScanWriters(st, 6, c.q); !slices.Equal(got, c.want) {
 			t.Fatalf("%s: log scan charges %v, fixture wants %v", c.q, got, c.want)
 		}
 		for _, w := range c.want {
-			if w != 6 && !u.deps[w] {
+			if w != 6 && !u.dependsOn(w) {
 				t.Fatalf("%s: deps %v miss writer %d", c.q, u.deps, w)
 			}
 		}

@@ -521,8 +521,8 @@ func countRel(sn *storage.Snapshot, rel string) int {
 
 // TestScratchOptionsAllocFree pins that a warm positiveOptions over a
 // tuple with two unify targets allocates nothing: the targets, their
-// canonical renderings and the decisions all go into the attempt's
-// query context.
+// canonical renderings and the decisions all go into the engine's
+// scratch.
 func TestScratchOptionsAllocFree(t *testing.T) {
 	f := newStepFixture(t)
 	if _, err := f.st.Load(model.NewTuple("K", model.Const("h"), model.Const("k2"))); err != nil {
@@ -538,11 +538,10 @@ func TestScratchOptionsAllocFree(t *testing.T) {
 	}
 }
 
-// TestScratchOptionsWideAllocFree: a group with more than
-// maxIdleOptions decisions enumerates without allocating after its
-// context went idle and was taken again. The idle context gives its
-// wide decision array to the engine, and the enumeration borrows it
-// back instead of regrowing one.
+// TestScratchOptionsWideAllocFree: a group with more than 64 decisions
+// enumerates without allocating after its context went idle and was
+// taken again. The decision array is the engine's, so no context keeps
+// or regrows one.
 func TestScratchOptionsWideAllocFree(t *testing.T) {
 	f := newStepFixture(t)
 	// hold's repair generates K(h, z) and L(z): every K(h, k*) and every
@@ -559,8 +558,8 @@ func TestScratchOptionsWideAllocFree(t *testing.T) {
 	}
 	u := f.warmAttempt(t)
 	g := u.Groups()[0]
-	if opts := f.eng.scratchOptions(u, g); len(opts) <= maxIdleOptions {
-		t.Fatalf("%d options, want more than %d", len(opts), maxIdleOptions)
+	if opts := f.eng.scratchOptions(u, g); len(opts) <= 64 {
+		t.Fatalf("%d options, want more than 64", len(opts))
 	}
 	c := u.qctx
 	allocs := testing.AllocsPerRun(20, func() {

@@ -23,6 +23,12 @@ type ReadObserver func(u *Update, q query.ReadQuery)
 // Engine executes chase steps against a store and a mapping set. It
 // is driven from outside (package cc's scheduler, or the single-user
 // Runner below) and performs no scheduling of its own.
+//
+// One goroutine steps an engine at a time: a scheduler runs every
+// update on the goroutine that called Run, and a repository steps its
+// engine under its lock. That is what lets the engine own the step
+// scratch below, one copy for all its updates, rather than each
+// attempt or each update owning one.
 type Engine struct {
 	store storage.Backend
 	tgds  *tgd.Set
@@ -43,12 +49,27 @@ type Engine struct {
 	idleMu  sync.Mutex
 	idle    []*queryContext
 	engines []*query.Engine
-	// wideOpts is the one decision array wider than maxIdleOptions
-	// the engine keeps, guarded by idleMu: an idle context gives its
-	// wide array up (giveBack), and the next enumeration to outgrow
-	// its own borrows it (lendOptions), so many contexts do not each
-	// keep one and a wide frontier does not regrow one per attempt.
-	wideOpts []Decision
+
+	// Step scratch: buffers no attempt carries from one call to the
+	// next, whichever update the call serves. writes holds the records
+	// a step hands out as StepResult.Writes, valid until the engine's
+	// next step; generated, minted, frontier and candidates are
+	// planForward's and planBackward's planning scratch.
+	writes     []storage.WriteRec
+	generated  []model.Tuple
+	minted     []model.Value
+	frontier   []model.Tuple
+	candidates []storage.TupleID
+
+	// Frontier-question scratch: the decisions scratchOptions
+	// enumerates, the unify targets of the tuple it asks about, and the
+	// canonical renderings of Options and DecisionContext.
+	opts    []Decision
+	targets []storage.TupleID
+	canon   []byte
+	spans   []targetSpan
+	tuples  []model.Tuple
+	scratch model.CanonScratch
 }
 
 // NewEngine creates a chase engine.
@@ -83,11 +104,12 @@ func (e *Engine) record(c *queryContext, u *Update, q query.ReadQuery) {
 
 // queryContext is the state of one update attempt that outlives a
 // single call: one live snapshot at the update's reader priority, the
-// violation queue's storage, the read log's dedup index and the
-// frontier questions' scratch. The snapshot is a stateless view over
-// live store state, so it stays valid across the attempt's own writes.
-// It holds no query engine: each step's read half borrows one
-// (Engine.borrowEngine) and re-points it at the context's snapshot.
+// violation queue's storage and the read log's dedup index. The
+// snapshot is a stateless view over live store state, so it stays
+// valid across the attempt's own writes. It holds no query engine:
+// each step's read half borrows one (Engine.borrowEngine) and
+// re-points it at the context's snapshot. Scratch that no call leaves
+// anything in belongs to the engine, not here.
 //
 // Contexts are recycled through the engine's idle list. An attempt
 // takes one at its first query or logged read (Engine.queryContext),
@@ -115,17 +137,6 @@ type queryContext struct {
 	// later than the log. The log itself stays on the update, which
 	// concurrency control checks until commit.
 	readIdx map[uint64]int32
-
-	// Canonical renderings of Options and DecisionContext, the
-	// decisions scratchOptions enumerates and the unify targets of the
-	// tuple it asks about, reused across the attempt's frontier
-	// questions.
-	opts    []Decision
-	targets []storage.TupleID
-	canon   []byte
-	spans   []targetSpan
-	tuples  []model.Tuple
-	scratch model.CanonScratch
 
 	// The violation queue's storage, kept warm for the next attempt:
 	// spare entries for enqueue to reuse, the arena the queued
@@ -211,17 +222,12 @@ func (e *Engine) returnEngine(qe *query.Engine) {
 }
 
 // giveBack returns a context to the idle list, its read dedup index
-// emptied. A decision array longer than maxIdleOptions goes to the
-// engine's one wide slot (the wider of two is kept). A longer target
-// array, more spare queue entries or seeded results than
-// maxIdleEntries, or a signature arena past maxIdleSigs is dropped:
-// one wide frontier or long queue would otherwise stay reachable for
-// the context's lifetime.
+// emptied. More spare queue entries or seeded results than
+// maxIdleEntries, or a signature arena past maxIdleSigs, is dropped:
+// one long queue would otherwise stay reachable for the context's
+// lifetime.
 func (e *Engine) giveBack(c *queryContext) {
 	clear(c.readIdx)
-	if cap(c.targets) > maxIdleOptions {
-		c.targets = nil
-	}
 	if len(c.spare) > maxIdleEntries {
 		clear(c.spare[maxIdleEntries:])
 		c.spare = c.spare[:maxIdleEntries]
@@ -233,40 +239,13 @@ func (e *Engine) giveBack(c *queryContext) {
 		c.sigs = nil
 	}
 	e.idleMu.Lock()
-	if cap(c.opts) > maxIdleOptions {
-		if cap(c.opts) > cap(e.wideOpts) {
-			e.wideOpts = c.opts[:0]
-		}
-		c.opts = nil
-	}
 	e.idle = append(e.idle, c)
 	e.idleMu.Unlock()
 }
 
-// lendOptions returns out with room for need more decisions, moving
-// its contents into the engine's wide array when that is wide enough
-// and out is not; the array then stays with the context until giveBack.
-func (e *Engine) lendOptions(out []Decision, need int) []Decision {
-	if cap(out)-len(out) >= need {
-		return out
-	}
-	e.idleMu.Lock()
-	wide := e.wideOpts
-	if cap(wide) >= len(out)+need {
-		e.wideOpts = nil
-	}
-	e.idleMu.Unlock()
-	if cap(wide) < len(out)+need {
-		return out
-	}
-	return append(wide, out...)
-}
-
-// Bounds on what an idle context keeps: decisions and unify targets
-// (a wider decision array goes to Engine.wideOpts), spare queue
-// entries and seeded results, and signature arena bytes.
+// Bounds on what an idle context keeps: spare queue entries and seeded
+// results, and signature arena bytes.
 const (
-	maxIdleOptions = 64
 	maxIdleEntries = 64
 	maxIdleSigs    = 4 << 10
 )
@@ -274,8 +253,9 @@ const (
 // StepResult reports what one chase step did.
 type StepResult struct {
 	// Writes are the storage writes the step performed. The slice is
-	// the update's reused buffer: it is valid until the update's next
-	// step or Reset, and callers must not keep it longer.
+	// the engine's reused buffer: it is valid until the engine's next
+	// step, of any update, and callers must not keep it longer. Reset
+	// and Cancel leave it alone, so an abort wave may walk it.
 	Writes []storage.WriteRec
 	// State is the update's state after the step.
 	State State
@@ -386,18 +366,18 @@ func (e *Engine) stepReads(u *Update, writes []storage.WriteRec) (StepResult, er
 // and null-occurrence reads those writes imply.
 func (e *Engine) performWrites(u *Update) ([]storage.WriteRec, error) {
 	ops := u.writeSet
-	clear(u.writes)
-	out := u.writes[:0]
+	clear(e.writes)
+	out := e.writes[:0]
 	var c *queryContext
 	if e.logsReads() {
 		c = e.queryContext(u)
 	}
 	// The next write set is planned into the same array once these
 	// writes are performed; the store keeps copies, never an op. The
-	// records go out in the update's buffer (StepResult.Writes).
+	// records go out in the engine's buffer (StepResult.Writes).
 	defer func() {
 		clear(ops)
-		u.writeSet, u.writes = ops[:0], out
+		u.writeSet, e.writes = ops[:0], out
 	}()
 	for i := range ops {
 		op := &ops[i]
@@ -662,15 +642,15 @@ func (e *Engine) planRepair(u *Update, qv *queuedViolation) error {
 // tuples with one become positive frontier tuples and stop their path
 // awaiting a frontier operation.
 func (e *Engine) planForward(u *Update, qv *queuedViolation) error {
-	minted, err := e.mint(u, u.minted[:0], len(qv.v.TGD.ExistentialVars()))
-	u.minted = minted
+	minted, err := e.mint(u, e.minted[:0], len(qv.v.TGD.ExistentialVars()))
+	e.minted = minted
 	if err != nil {
 		return err
 	}
-	tuples := query.InstantiateRHS(qv.v.TGD, qv.v.Vals, minted, u.generated[:0])
-	u.generated = tuples
+	tuples := query.InstantiateRHS(qv.v.TGD, qv.v.Vals, minted, e.generated[:0])
+	e.generated = tuples
 	c := e.queryContext(u)
-	frontier := u.frontier[:0]
+	frontier := e.frontier[:0]
 	planned := len(u.writeSet)
 	for _, t := range tuples {
 		// The generated tuple's values are never modified in place
@@ -690,14 +670,12 @@ func (e *Engine) planForward(u *Update, qv *queuedViolation) error {
 		return nil
 	}
 	// Fresh nulls reaching the database through the planned inserts are
-	// no longer private to the frontier group.
-	var fresh map[model.Value]bool
-	if len(minted) > 0 {
-		fresh = make(map[model.Value]bool, len(minted))
-	}
+	// no longer private to the frontier group; the rest are kept in
+	// minted's array, which the group copies.
+	fresh := minted[:0]
 	for _, v := range minted {
 		if !slices.ContainsFunc(u.writeSet[planned:], func(op Op) bool { return op.Tuple.HasNull(v) }) {
-			fresh[v] = true
+			fresh = append(fresh, v)
 		}
 	}
 	g := &FrontierGroup{
@@ -705,10 +683,10 @@ func (e *Engine) planForward(u *Update, qv *queuedViolation) error {
 		Positive:   true,
 		Viol:       qv.v,
 		Tuples:     slices.Clone(frontier),
-		FreshNulls: fresh,
+		FreshNulls: slices.Clone(fresh),
 	}
 	clear(frontier)
-	u.frontier = frontier[:0]
+	e.frontier = frontier[:0]
 	u.nextGID++
 	u.groups = append(u.groups, g)
 	qv.state = ViolAwaitingUser
@@ -764,13 +742,13 @@ func (e *Engine) mint(u *Update, dst []model.Value, n int) ([]model.Value, error
 func (e *Engine) planBackward(u *Update, qv *queuedViolation) error {
 	// A witness has one tuple per atom, so a linear membership test
 	// deduplicates it.
-	candidates := u.candidates[:0]
+	candidates := e.candidates[:0]
 	for _, id := range qv.v.Witness {
 		if !slices.Contains(candidates, id) {
 			candidates = append(candidates, id)
 		}
 	}
-	u.candidates = candidates
+	e.candidates = candidates
 	if len(candidates) == 1 {
 		u.writeSet = append(u.writeSet, DeleteID(candidates[0]).because(causeBackward, qv.v.TGD.Name))
 		qv.state = ViolRepairing

@@ -95,37 +95,32 @@ var (
 // explicit-intent extension operation — but Apply accepts it.
 func (e *Engine) Options(u *Update, g *FrontierGroup) []Decision {
 	if g.Positive {
-		return e.positiveOptions(u, g, nil, false)
+		return e.positiveOptions(u, g, nil)
 	}
 	return negativeOptions(g)
 }
 
 // scratchOptions is Options enumerating a positive group's decisions
-// into the attempt's query context: the result is valid until the
-// context's next enumeration, so callers use it within one call.
+// into the engine's scratch: the result is valid until the engine's
+// next enumeration, so callers use it within one call.
 func (e *Engine) scratchOptions(u *Update, g *FrontierGroup) []Decision {
 	if !g.Positive {
 		return negativeOptions(g)
 	}
-	c := e.queryContext(u)
-	c.opts = e.positiveOptions(u, g, c.opts[:0], true)
-	return c.opts
+	e.opts = e.positiveOptions(u, g, e.opts[:0])
+	return e.opts
 }
 
-// positiveOptions appends a positive group's decisions to out; lend
-// grows out through the engine's wide array (lendOptions).
-func (e *Engine) positiveOptions(u *Update, g *FrontierGroup, out []Decision, lend bool) []Decision {
+// positiveOptions appends a positive group's decisions to out.
+func (e *Engine) positiveOptions(u *Update, g *FrontierGroup, out []Decision) []Decision {
 	c := e.queryContext(u)
 	snap := &c.snap
 	for idx, t := range g.Tuples {
 		if e.logsReads() {
 			e.record(c, u, &query.MoreSpecificRead{Rel: t.Rel, Pattern: t.Vals, ReaderNo: u.Number})
 		}
-		c.targets = snap.MoreSpecificInto(t, c.targets[:0])
-		targets := c.targets
-		if lend {
-			out = e.lendOptions(out, 1+len(targets))
-		}
+		e.targets = snap.MoreSpecificInto(t, e.targets[:0])
+		targets := e.targets
 		out = slices.Grow(out, 1+len(targets))
 		out = append(out, Decision{Kind: DecideExpand, TupleIdx: idx})
 		if len(targets) < 2 {
@@ -135,7 +130,7 @@ func (e *Engine) positiveOptions(u *Update, g *FrontierGroup, out []Decision, le
 			}
 			continue
 		}
-		for _, sp := range c.sortTargets(snap, targets) {
+		for _, sp := range e.sortTargets(snap, targets) {
 			out = append(out, Decision{Kind: DecideUnify, TupleIdx: idx, Target: sp.id})
 		}
 	}
@@ -170,7 +165,7 @@ func negativeOptions(g *FrontierGroup) []Decision {
 }
 
 // targetSpan locates one unify target's canonical rendering in
-// queryContext.canon.
+// Engine.canon.
 type targetSpan struct {
 	id     storage.TupleID
 	lo, hi int
@@ -178,10 +173,10 @@ type targetSpan struct {
 
 // sortTargets orders unify targets by their canonical renderings
 // (model.AppendCanonTuple's bytes), ties by tuple ID, rendering into the
-// context's reused arena. Targets no longer visible are dropped. The
-// returned spans are valid until the context's next rendering.
-func (c *queryContext) sortTargets(snap *storage.Snapshot, targets []storage.TupleID) []targetSpan {
-	buf, spans := c.canon[:0], c.spans[:0]
+// engine's reused arena. Targets no longer visible are dropped. The
+// returned spans are valid until the engine's next rendering.
+func (e *Engine) sortTargets(snap *storage.Snapshot, targets []storage.TupleID) []targetSpan {
+	buf, spans := e.canon[:0], e.spans[:0]
 	for _, id := range targets {
 		tv, ok := snap.GetTuple(id)
 		if !ok {
@@ -197,7 +192,7 @@ func (c *queryContext) sortTargets(snap *storage.Snapshot, targets []storage.Tup
 		}
 		return cmp.Compare(a.id, b.id)
 	})
-	c.canon, c.spans = buf, spans
+	e.canon, e.spans = buf, spans
 	return spans
 }
 
@@ -206,12 +201,11 @@ func (c *queryContext) sortTargets(snap *storage.Snapshot, targets []storage.Tup
 // invariant) contents of the witness and the remaining frontier
 // tuples. Deterministic simulated users key their choices on this, so
 // replays after aborts — and serial reference executions — decide
-// identically. The rendering reuses the attempt's buffers; only the
+// identically. The rendering reuses the engine's buffers; only the
 // returned string is allocated.
 func (e *Engine) DecisionContext(u *Update, g *FrontierGroup) string {
-	c := e.queryContext(u)
-	snap := &c.snap
-	ts := c.tuples[:0]
+	snap := &e.queryContext(u).snap
+	ts := e.tuples[:0]
 	for _, id := range g.Viol.Witness {
 		if tv, ok := snap.GetTuple(id); ok {
 			ts = append(ts, tv)
@@ -226,15 +220,15 @@ func (e *Engine) DecisionContext(u *Update, g *FrontierGroup) string {
 			}
 		}
 	}
-	buf := append(c.canon[:0], g.Viol.TGD.Name...)
+	buf := append(e.canon[:0], g.Viol.TGD.Name...)
 	if g.Positive {
 		buf = append(buf, "|positive|"...)
 	} else {
 		buf = append(buf, "|negative|"...)
 	}
-	buf = model.AppendCanonTuples(buf, ts, &c.scratch)
+	buf = model.AppendCanonTuples(buf, ts, &e.scratch)
 	clear(ts)
-	c.tuples, c.canon = ts[:0], buf
+	e.tuples, e.canon = ts[:0], buf
 	return string(buf)
 }
 
@@ -304,9 +298,7 @@ func (e *Engine) applyExpand(u *Update, g *FrontierGroup, d Decision) error {
 	u.writeSet = append(u.writeSet, Insert(t).because(causeExpansion, g.Viol.TGD.Name))
 	// The tuple's fresh nulls are now headed for the database; they are
 	// no longer private to the group.
-	for _, v := range t.Nulls() {
-		delete(g.FreshNulls, v)
-	}
+	g.FreshNulls = slices.DeleteFunc(g.FreshNulls, t.HasNull)
 	g.Tuples = append(g.Tuples[:d.TupleIdx], g.Tuples[d.TupleIdx+1:]...)
 	u.Stats.Expansions++
 	if g.Empty() {
@@ -349,7 +341,7 @@ func (e *Engine) applyUnify(u *Update, g *FrontierGroup, d Decision) error {
 	// be rewritten by their own substitution.
 	u.applySubst(sub)
 	for _, k := range nulls {
-		if g.FreshNulls[k] {
+		if slices.Contains(g.FreshNulls, k) {
 			// Never escaped: provably absent from the database.
 			continue
 		}
@@ -359,9 +351,6 @@ func (e *Engine) applyUnify(u *Update, g *FrontierGroup, d Decision) error {
 		if len(snap.TuplesWithNull(k)) > 0 {
 			u.writeSet = append(u.writeSet, ReplaceNull(k, sub[k]).because(causeUnification, g.Viol.TGD.Name))
 		}
-	}
-	for _, k := range nulls {
-		delete(g.FreshNulls, k)
 	}
 	// The unified tuple disappears (§2.2).
 	g.Tuples = append(g.Tuples[:d.TupleIdx], g.Tuples[d.TupleIdx+1:]...)

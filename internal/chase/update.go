@@ -2,6 +2,7 @@ package chase
 
 import (
 	"fmt"
+	"slices"
 
 	"youtopia/internal/model"
 	"youtopia/internal/query"
@@ -67,8 +68,9 @@ type FrontierGroup struct {
 	// removed as they are expanded or unified.
 	Tuples []model.Tuple
 	// FreshNulls are the labeled nulls minted for the group's
-	// existential variables that have not yet reached the database.
-	FreshNulls map[model.Value]bool
+	// existential variables that have not yet reached the database,
+	// each once.
+	FreshNulls []model.Value
 
 	// Candidates are the remaining deletion candidates (negative
 	// groups); reconfirmation removes entries without deleting them.
@@ -152,6 +154,12 @@ type Update struct {
 	// Number (Engine.mint). Renew clears it.
 	NamedAs int
 
+	// Buffers the update reuses: the arrays of writeSet, queue, groups
+	// and reads are kept across steps, attempts and Renew, since the
+	// attempt carries their contents from one step to the next.
+	// Buffers no call leaves anything in (the writes a step hands out
+	// as StepResult.Writes, the planning and frontier scratch) belong
+	// to the engine that steps the update (Engine).
 	state    State
 	writeSet []Op
 	queue    []*queuedViolation
@@ -193,16 +201,6 @@ type Update struct {
 
 	// Stats for the current attempt.
 	Stats Stats
-
-	// Buffers the update reuses across steps, attempts and Renew: the
-	// performed writes a step hands out as StepResult.Writes (valid
-	// until the next step or Reset), and the planning scratch of
-	// planForward and planBackward, which no call leaves anything in.
-	writes     []storage.WriteRec
-	generated  []model.Tuple
-	minted     []model.Value
-	frontier   []model.Tuple
-	candidates []storage.TupleID
 }
 
 // NewUpdate creates an update for an initial operation with the given
@@ -238,8 +236,6 @@ func (u *Update) Reset() {
 	u.dropPending()
 	u.writeSet = append(u.writeSet, u.Initial.because(causeInitial, ""))
 	u.nextGID, u.ordinal = 0, 0
-	clear(u.writes)
-	u.writes = u.writes[:0]
 	u.releaseContext()
 	u.Attempt++
 	u.ReleaseReads()
@@ -410,9 +406,10 @@ func (u *Update) applySubst(s model.Subst) {
 		// A substituted fresh null is no longer the group's to mint: it
 		// either became a database value or was renamed onto a null that
 		// carries its own freshness entry.
-		for from := range s {
-			delete(g.FreshNulls, from)
-		}
+		g.FreshNulls = slices.DeleteFunc(g.FreshNulls, func(v model.Value) bool {
+			_, ok := s[v]
+			return ok
+		})
 	}
 }
 

@@ -4,7 +4,9 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
+	"time"
 
 	"youtopia/internal/cc"
 	"youtopia/internal/chase"
@@ -198,5 +200,41 @@ func TestOptionsValidation(t *testing.T) {
 				t.Fatalf("refused options touched the data directory: %v", err)
 			}
 		})
+	}
+}
+
+// TestCloseLeavesNoGoroutines: every goroutine a durable repository
+// starts (the log's sync, health and checkpoint loops, the commit-ack
+// waiters) has ended shortly after Close returns, after Apply and after
+// RunConcurrent at round widths 0 and 2: the goroutine count returns to
+// its value before the open.
+func TestCloseLeavesNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	for _, workers := range []int{0, 2} {
+		r, _, err := OpenWithOptions(durableDoc, Options{DataDir: t.TempDir()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ops []chase.Op
+		for _, city := range []string{"Boston", "Albany", "Utica", "Troy"} {
+			ops = append(ops, chase.Insert(model.NewTuple("C", model.Const(city))))
+		}
+		if _, err := r.RunConcurrent(ops, concurrentConfig(workers)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.Apply(chase.Insert(model.NewTuple("C", model.Const("Elmira"))), simuser.New(42)); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for n := runtime.NumGoroutine(); n > before; n = runtime.NumGoroutine() {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines 5 s after Close, %d before the open:\n%s", n, before, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
