@@ -54,7 +54,9 @@ func (m Mode) String() string {
 	return "prevent"
 }
 
-// Config parameterizes a scheduler run.
+// Config parameterizes a scheduler run. It holds no bound on one
+// attempt's chase steps: the chase engine enforces that one
+// (chase.Engine.MaxStepsPerAttempt, set by chase.NewEngine).
 type Config struct {
 	// Tracker computes cascading aborts; defaults to Coarse.
 	Tracker Tracker
@@ -64,8 +66,6 @@ type Config struct {
 	Mode Mode
 	// User supplies frontier operations.
 	User chase.User
-	// MaxStepsPerUpdate bounds a single attempt's chase (0 = 100000).
-	MaxStepsPerUpdate int
 	// MaxIdleRounds bounds consecutive scheduler rounds without
 	// progress before giving up on absent users (0 = 10000).
 	MaxIdleRounds int
@@ -102,8 +102,6 @@ type Config struct {
 // call it before any update is numbered or any write is made.
 func (c Config) Validate() error {
 	switch {
-	case c.MaxStepsPerUpdate < 0:
-		return fmt.Errorf("cc: negative MaxStepsPerUpdate %d", c.MaxStepsPerUpdate)
 	case c.MaxIdleRounds < 0:
 		return fmt.Errorf("cc: negative MaxIdleRounds %d", c.MaxIdleRounds)
 	case c.MaxAbortsPerUpdate < 0:

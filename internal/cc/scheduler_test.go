@@ -399,7 +399,6 @@ func TestConfigValidate(t *testing.T) {
 		name string
 		cfg  cc.Config
 	}{
-		{"negative MaxStepsPerUpdate", cc.Config{MaxStepsPerUpdate: -1}},
 		{"negative MaxIdleRounds", cc.Config{MaxIdleRounds: -1}},
 		{"negative MaxAbortsPerUpdate", cc.Config{MaxAbortsPerUpdate: -1}},
 		{"negative Workers", cc.Config{Workers: -1}},

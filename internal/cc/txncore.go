@@ -115,14 +115,10 @@ func NewScheduler(store storage.Backend, set *tgd.Set, cfg Config) *Scheduler {
 	if cfg.Tracker == nil {
 		cfg.Tracker = Coarse{}
 	}
-	if cfg.MaxStepsPerUpdate == 0 {
-		cfg.MaxStepsPerUpdate = 100000
-	}
 	if cfg.MaxIdleRounds == 0 {
 		cfg.MaxIdleRounds = 10000
 	}
 	s := &Scheduler{store: store, cfg: cfg, engine: chase.NewEngine(store, set)}
-	s.engine.MaxStepsPerAttempt = cfg.MaxStepsPerUpdate
 	s.engine.SetReadObserver(s.onRead)
 	return s
 }
@@ -191,7 +187,6 @@ func (s *Scheduler) start(t *Txn) *chase.Update {
 	} else {
 		u = chase.NewUpdate(t.Number, op)
 	}
-	u.NoTrace = true
 	t.Upd = u
 	s.top = max(s.top, t.Number)
 	return u

@@ -103,8 +103,9 @@ func runCooperative(tr cc.Tracker, u *workload.Universe, ops []chase.Op, seed ui
 	return err
 }
 
-// TestOneQueryEnginePerScheduler: query engines are borrowed per chase
-// step, so a scheduler with a window of 100 updates in flight —
+// TestOneQueryEnginePerScheduler: every chase step runs on its chase
+// engine's one query engine, so a scheduler with a window of 100
+// updates in flight —
 // frontier parks, aborts and reruns included — builds exactly one, at
 // width 0 and at width 2, however many attempts hold a query context
 // at once.

@@ -16,9 +16,8 @@ import (
 // context from its first query until it gives the context back
 // (termination, Cancel, Reset), a context taken again reads at its new
 // update's number, and an engine builds no more contexts than the peak
-// number of attempts holding one. Query engines are borrowed by each
-// step's read half and returned on exit, so attempts stepped one at a time
-// share one. Plus the allocation budget of a step that runs on a warm
+// number of attempts holding one. Every step's read half runs on the
+// engine's one query engine. Plus the allocation budget of a step that runs on a warm
 // context and a warm engine.
 
 // stepFixture is a store with three mappings that between them exercise
@@ -130,9 +129,9 @@ func (f *stepFixture) stepInsert(tb testing.TB, u *Update, t model.Tuple) int {
 // growth of the attempt's logs (reads, dedupe index, trace); it now
 // achieves 1. The forward repair's is the 14 achieved since violations
 // carry their values as a slice instead of a map, plus 10%; it now
-// achieves 6: index lists change in place, and the queue entry, its
+// achieves 5: index lists change in place, the queue entry, its
 // witness signature, the seeded query's result array and its dedup
-// key come from reused storage. With a Go map per indexed value and a
+// key come from reused storage, and the update records no trace. With a Go map per indexed value and a
 // rendered content key in the store the same inserts cost 27 and 71;
 // before the per-attempt query context, 66 and 157.
 //
@@ -187,8 +186,7 @@ func TestLoggedViolationReadAllocs(t *testing.T) {
 	f.eng.SetReadObserver(func(*Update, query.ReadQuery) { logged++ })
 	u := f.warmAttempt(t)
 	c := u.qctx
-	qe := f.eng.borrowEngine(&c.snap)
-	defer f.eng.returnEngine(qe)
+	qe := f.eng.queryEngine(&c.snap)
 	const runs = 200
 	tuples := f.freshTuples("R", runs+1) // quiet's seeded query: R(v, nowhere) joins no S
 	queued, before := u.QueueLen(), logged
@@ -270,14 +268,16 @@ func BenchmarkChaseStep(b *testing.B) {
 // the whole attempt, given back at termination, Reset and Cancel, and
 // taken again by the next attempt at that attempt's own update number.
 // The engine builds one context and one query engine for the whole
-// test, and no step keeps the query engine it borrowed.
+// test, and each step's read half runs that query engine on the
+// stepping attempt's context.
 func TestQueryContextLifetime(t *testing.T) {
 	f := newStepFixture(t)
 	contexts, engines := obsQueryContexts.Value(), obsQueryEngines.Value()
+	var c *queryContext
 	returned := func(what string) {
 		t.Helper()
-		if len(f.eng.engines) != 1 || f.eng.engines[0].Snapshot() != nil {
-			t.Fatalf("%s: %d idle query engines, want the one borrowed, returned unpointed", what, len(f.eng.engines))
+		if f.eng.qe == nil || f.eng.qe.Snapshot() != &c.snap {
+			t.Fatalf("%s: the step's query engine does not read through the attempt's context", what)
 		}
 	}
 
@@ -289,7 +289,7 @@ func TestQueryContextLifetime(t *testing.T) {
 	if err != nil || res.State != StateReady {
 		t.Fatalf("step 1: %v, %v", res.State, err)
 	}
-	c := u.qctx
+	c = u.qctx
 	if c == nil {
 		t.Fatal("no context after the attempt's first queries")
 	}
@@ -445,8 +445,8 @@ func TestQueryContextsBoundedByAttemptsInFlight(t *testing.T) {
 	if int(created) >= n {
 		t.Fatalf("%d contexts for %d attempts: nothing was recycled", created, n)
 	}
-	if got := obsQueryEngines.Value() - engines; got != 1 || len(f.eng.engines) != 1 {
-		t.Fatalf("%d query engines created, %d idle; want one, idle between steps", got, len(f.eng.engines))
+	if got := obsQueryEngines.Value() - engines; got != 1 || f.eng.qe == nil {
+		t.Fatalf("%d query engines created, want the engine's one", got)
 	}
 }
 

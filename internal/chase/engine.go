@@ -38,17 +38,21 @@ type Engine struct {
 	// observer may be nil.
 	observer ReadObserver
 	// MaxStepsPerAttempt guards against runaway chases (cyclic mappings
-	// with users who always expand). Zero means no limit.
+	// with users who always expand). NewEngine sets it to 100000; zero
+	// means no limit.
 	MaxStepsPerAttempt int
 
-	// idle holds the query contexts no attempt owns (queryContext), and
-	// engines the query engines no step runs on (borrowEngine),
-	// both guarded by idleMu. They are plain lists rather than
-	// sync.Pools, which drain at every collection and would hand out
-	// cold pools.
-	idleMu  sync.Mutex
-	idle    []*queryContext
-	engines []*query.Engine
+	// idle holds the query contexts no attempt owns (queryContext),
+	// guarded by idleMu. It is a plain list rather than a sync.Pool,
+	// which drains at every collection and would hand out cold pools.
+	idleMu sync.Mutex
+	idle   []*queryContext
+
+	// qe is the query engine every step's read half runs on, built at
+	// the engine's first step and pointed at the stepping attempt's
+	// snapshot (queryEngine). Its pools (slot runs, row stack, key and
+	// signature buffers) stay warm from one attempt to the next.
+	qe *query.Engine
 
 	// Step scratch: buffers no attempt carries from one call to the
 	// next, whichever update the call serves. writes holds the records
@@ -72,9 +76,10 @@ type Engine struct {
 	scratch model.CanonScratch
 }
 
-// NewEngine creates a chase engine.
+// NewEngine creates a chase engine that bounds an attempt at 100000
+// steps (MaxStepsPerAttempt).
 func NewEngine(store storage.Backend, set *tgd.Set) *Engine {
-	return &Engine{store: store, tgds: set}
+	return &Engine{store: store, tgds: set, MaxStepsPerAttempt: 100000}
 }
 
 // SetReadObserver installs the read observer.
@@ -107,9 +112,9 @@ func (e *Engine) record(c *queryContext, u *Update, q query.ReadQuery) {
 // violation queue's storage and the read log's dedup index. The
 // snapshot is a stateless view over live store state, so it stays
 // valid across the attempt's own writes. It holds no query engine:
-// each step's read half borrows one (Engine.borrowEngine) and
-// re-points it at the context's snapshot. Scratch that no call leaves
-// anything in belongs to the engine, not here.
+// each step's read half points the engine's one (Engine.queryEngine)
+// at the context's snapshot. Scratch that no call leaves anything in
+// belongs to the engine, not here.
 //
 // Contexts are recycled through the engine's idle list. An attempt
 // takes one at its first query or logged read (Engine.queryContext),
@@ -190,35 +195,17 @@ func (e *Engine) queryContext(u *Update) *queryContext {
 	return u.qctx
 }
 
-// borrowEngine lends an idle query engine, or builds one, re-pointed
-// at snap; returnEngine takes it back. A query engine is not safe for
-// concurrent use, so each step's read half in flight borrows its own,
-// and an engine serves one attempt after another with its pools (slot
-// runs, row stack, key and signature buffers) warm: a scheduler, which
-// steps one update at a time, builds one.
-func (e *Engine) borrowEngine(snap *storage.Snapshot) *query.Engine {
-	var qe *query.Engine
-	e.idleMu.Lock()
-	if n := len(e.engines); n > 0 {
-		qe = e.engines[n-1]
-		e.engines[n-1] = nil
-		e.engines = e.engines[:n-1]
-	}
-	e.idleMu.Unlock()
-	if qe == nil {
+// queryEngine returns the engine's query engine pointed at snap,
+// building it at the first step. A query engine is not safe for
+// concurrent use; one goroutine steps the engine at a time, and only
+// stepReads calls this.
+func (e *Engine) queryEngine(snap *storage.Snapshot) *query.Engine {
+	if e.qe == nil {
 		obsQueryEngines.Inc()
-		return query.NewEngine(snap)
+		e.qe = query.NewEngine(nil)
 	}
-	qe.SetSnapshot(snap)
-	return qe
-}
-
-// returnEngine puts a borrowed engine back on the idle list.
-func (e *Engine) returnEngine(qe *query.Engine) {
-	qe.SetSnapshot(nil)
-	e.idleMu.Lock()
-	e.engines = append(e.engines, qe)
-	e.idleMu.Unlock()
+	e.qe.SetSnapshot(snap)
+	return e.qe
 }
 
 // giveBack returns a context to the idle list, its read dedup index
@@ -316,8 +303,7 @@ func (e *Engine) stepWrites(u *Update) (StepResult, error) {
 // update's write set — and mutates nothing but the update itself.
 func (e *Engine) stepReads(u *Update, writes []storage.WriteRec) (StepResult, error) {
 	c := e.queryContext(u)
-	qe := e.borrowEngine(&c.snap)
-	defer e.returnEngine(qe)
+	qe := e.queryEngine(&c.snap)
 	// Entries queued before this step; the rest are discovered on the
 	// state the recheck reads.
 	old := len(u.queue)
@@ -651,7 +637,6 @@ func (e *Engine) planForward(u *Update, qv *queuedViolation) error {
 	e.generated = tuples
 	c := e.queryContext(u)
 	frontier := e.frontier[:0]
-	planned := len(u.writeSet)
 	for _, t := range tuples {
 		// The generated tuple's values are never modified in place
 		// (substitutions copy), so the stored pattern shares them.
@@ -669,21 +654,11 @@ func (e *Engine) planForward(u *Update, qv *queuedViolation) error {
 		qv.state = ViolRepairing
 		return nil
 	}
-	// Fresh nulls reaching the database through the planned inserts are
-	// no longer private to the frontier group; the rest are kept in
-	// minted's array, which the group copies.
-	fresh := minted[:0]
-	for _, v := range minted {
-		if !slices.ContainsFunc(u.writeSet[planned:], func(op Op) bool { return op.Tuple.HasNull(v) }) {
-			fresh = append(fresh, v)
-		}
-	}
 	g := &FrontierGroup{
-		ID:         u.nextGID,
-		Positive:   true,
-		Viol:       qv.v,
-		Tuples:     slices.Clone(frontier),
-		FreshNulls: slices.Clone(fresh),
+		ID:       u.nextGID,
+		Positive: true,
+		Viol:     qv.v,
+		Tuples:   slices.Clone(frontier),
 	}
 	clear(frontier)
 	e.frontier = frontier[:0]

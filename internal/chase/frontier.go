@@ -296,9 +296,6 @@ func (e *Engine) applyExpand(u *Update, g *FrontierGroup, d Decision) error {
 	}
 	t := g.Tuples[d.TupleIdx]
 	u.writeSet = append(u.writeSet, Insert(t).because(causeExpansion, g.Viol.TGD.Name))
-	// The tuple's fresh nulls are now headed for the database; they are
-	// no longer private to the group.
-	g.FreshNulls = slices.DeleteFunc(g.FreshNulls, t.HasNull)
 	g.Tuples = append(g.Tuples[:d.TupleIdx], g.Tuples[d.TupleIdx+1:]...)
 	u.Stats.Expansions++
 	if g.Empty() {
@@ -325,11 +322,11 @@ func (e *Engine) applyUnify(u *Update, g *FrontierGroup, d Decision) error {
 	if !ok {
 		return fmt.Errorf("%w: #%d is not more specific than %s", ErrStaleDecision, d.Target, t)
 	}
-	// Plan the global null-replacements. Replacements are needed — and
-	// the null-occurrence correction query is logged — for every
-	// substituted null that may occur in the database: all non-fresh
-	// nulls, plus fresh nulls that escaped through an earlier expand.
-	// Deterministic order: by null ID.
+	// Plan the global null-replacements: for every substituted null, in
+	// null-ID order, the null-occurrence correction query is logged and,
+	// when the null occurs in the database, its replacement is planned.
+	// A fresh null that never reached the database occurs nowhere, so
+	// the query finds nothing and plans no write.
 	nulls := make([]model.Value, 0, len(sub))
 	for k := range sub {
 		nulls = append(nulls, k)
@@ -341,10 +338,6 @@ func (e *Engine) applyUnify(u *Update, g *FrontierGroup, d Decision) error {
 	// be rewritten by their own substitution.
 	u.applySubst(sub)
 	for _, k := range nulls {
-		if slices.Contains(g.FreshNulls, k) {
-			// Never escaped: provably absent from the database.
-			continue
-		}
 		if e.logsReads() {
 			e.record(c, u, &query.NullOccRead{Null: k, ReaderNo: u.Number})
 		}

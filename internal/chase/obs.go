@@ -16,9 +16,9 @@ var (
 	obsRechecks         = obs.Default.Counter("chase_rechecks_total")
 
 	// The query seam: attempt contexts created (recycled, so at most
-	// one per attempt in flight), query engines created (borrowed per
-	// step, so at most one per step in flight), reads stored in
-	// read logs, and identical reads the logs dropped.
+	// one per attempt in flight), query engines created (one per chase
+	// engine that stepped), reads stored in read logs, and identical
+	// reads the logs dropped.
 	obsQueryContexts = obs.Default.Counter("chase_query_contexts_total")
 	obsQueryEngines  = obs.Default.Counter("chase_query_engines_total")
 	obsReadsRecorded = obs.Default.Counter("chase_reads_recorded_total")

@@ -12,6 +12,7 @@ func TestTraceRecordsProvenance(t *testing.T) {
 	// Example 1.1: the generated review's trace entry names sigma3.
 	st, _, e := travel(t)
 	u := chase.NewUpdate(1, chase.Insert(tup("T", c("Niagara Falls"), c("ABC Tours"), c("Toronto"))))
+	u.Traced = true
 	runToCompletion(t, e, u, simuser.Silent())
 	if len(u.Trace) != 2 {
 		t.Fatalf("trace = %v", u.Trace)
@@ -33,6 +34,7 @@ func TestTraceFrontierOperations(t *testing.T) {
 	// the mapping name; the automatic inserts carry theirs.
 	st, _, e := travel(t)
 	u := chase.NewUpdate(1, chase.Insert(tup("S", c("JFK"), c("NYC"), c("Ithaca"))))
+	u.Traced = true
 	runToCompletion(t, e, u, simuser.UnifyFirst())
 	var causes []string
 	for _, entry := range u.Trace {
@@ -54,6 +56,7 @@ func TestTraceFrontierOperations(t *testing.T) {
 func TestTraceResetOnRestart(t *testing.T) {
 	_, _, e := travel(t)
 	u := chase.NewUpdate(2, chase.Insert(tup("C", c("Boston"))))
+	u.Traced = true
 	runToCompletion(t, e, u, simuser.New(1))
 	if len(u.Trace) == 0 {
 		t.Fatal("no trace")

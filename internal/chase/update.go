@@ -2,7 +2,6 @@ package chase
 
 import (
 	"fmt"
-	"slices"
 
 	"youtopia/internal/model"
 	"youtopia/internal/query"
@@ -67,10 +66,6 @@ type FrontierGroup struct {
 	// aligned with the mapping's RHS atoms at creation; entries are
 	// removed as they are expanded or unified.
 	Tuples []model.Tuple
-	// FreshNulls are the labeled nulls minted for the group's
-	// existential variables that have not yet reached the database,
-	// each once.
-	FreshNulls []model.Value
 
 	// Candidates are the remaining deletion candidates (negative
 	// groups); reconfirmation removes entries without deleting them.
@@ -191,13 +186,12 @@ type Update struct {
 
 	// Trace records every performed write with its provenance cause,
 	// in execution order — the derivation a user interface can show
-	// alongside frontier tuples (§2.2). It is not kept under NoTrace.
+	// alongside frontier tuples (§2.2). It is kept only under Traced.
 	Trace []TraceEntry
-	// NoTrace turns the recording of Trace off. Repository.Apply and
-	// the concurrent scheduler set it, since nothing on their paths
-	// reads a trace; Repository.ApplyTraced does not. It survives
-	// Reset and is cleared by Renew.
-	NoTrace bool
+	// Traced turns the recording of Trace on. Repository.ApplyTraced
+	// sets it; every other path leaves it off, since nothing else reads
+	// a trace. It survives Reset and is cleared by Renew.
+	Traced bool
 
 	// Stats for the current attempt.
 	Stats Stats
@@ -224,7 +218,7 @@ func (u *Update) Renew(number int, initial Op) {
 		panic("chase: update numbers start at 1")
 	}
 	u.Number, u.Initial, u.Attempt, u.NamedAs = number, initial, 0, 0
-	u.NoTrace = false
+	u.Traced = false
 	u.Reset()
 }
 
@@ -403,13 +397,6 @@ func (u *Update) applySubst(s model.Subst) {
 		for i := range g.Tuples {
 			g.Tuples[i] = s.ApplyTuple(g.Tuples[i])
 		}
-		// A substituted fresh null is no longer the group's to mint: it
-		// either became a database value or was renamed onto a null that
-		// carries its own freshness entry.
-		g.FreshNulls = slices.DeleteFunc(g.FreshNulls, func(v model.Value) bool {
-			_, ok := s[v]
-			return ok
-		})
 	}
 }
 
@@ -425,9 +412,9 @@ func (u *Update) findQueued(v *query.Violation) *queuedViolation {
 }
 
 // trace appends the performed writes of one operation to the
-// provenance trace, unless the update keeps none.
+// provenance trace, if the update keeps one.
 func (u *Update) trace(recs []storage.WriteRec, op *Op) {
-	if u.NoTrace || len(recs) == 0 {
+	if !u.Traced || len(recs) == 0 {
 		return
 	}
 	cause := op.Cause()

@@ -40,6 +40,7 @@ func TestViolationProcessingOrderIsContentCanonical(t *testing.T) {
 		}
 		e := NewEngine(st, set)
 		u := NewUpdate(1, Insert(model.NewTuple("S", model.Const("a"))))
+		u.Traced = true
 		for i := 0; i < 100; i++ {
 			res, err := e.Step(u)
 			if err != nil {

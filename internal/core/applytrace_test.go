@@ -5,7 +5,10 @@ import (
 	"slices"
 	"testing"
 
+	"youtopia/internal/cc"
 	"youtopia/internal/chase"
+	"youtopia/internal/fixtures"
+	"youtopia/internal/inbox"
 	"youtopia/internal/model"
 	"youtopia/internal/simuser"
 )
@@ -72,22 +75,36 @@ func TestApplyTracedTravelTrace(t *testing.T) {
 	}
 }
 
-// TestApplyRecordsNoTrace: the update a user sees under Apply has
-// performed writes but recorded none; under ApplyTraced it has
-// recorded them.
+// traceLengths is a user that records len(u.Trace) at every frontier
+// question before answering it as inner would.
+func traceLengths(seen *[]int, inner chase.User) chase.User {
+	return chase.UserFunc(func(u *chase.Update, g *chase.FrontierGroup, opts []chase.Decision, ctx string) (chase.Decision, bool) {
+		*seen = append(*seen, len(u.Trace))
+		return inner.Decide(u, g, opts, ctx)
+	})
+}
+
+// untraced fails unless the frontier was asked something and the
+// update had recorded no trace at every question.
+func untraced(t *testing.T, path string, seen []int) {
+	t.Helper()
+	if len(seen) == 0 || slices.ContainsFunc(seen, func(n int) bool { return n != 0 }) {
+		t.Fatalf("%s: trace lengths at the frontier %v, want all 0", path, seen)
+	}
+}
+
+// TestApplyRecordsNoTrace: the update a user sees under Apply, a
+// concurrent run or a bare chase.Runner has performed writes but
+// recorded none; under ApplyTraced it has recorded them.
 func TestApplyRecordsNoTrace(t *testing.T) {
 	r := travelRepo(t)
 	var seen []int
-	user := chase.UserFunc(func(u *chase.Update, g *chase.FrontierGroup, opts []chase.Decision, ctx string) (chase.Decision, bool) {
-		seen = append(seen, len(u.Trace))
-		return simuser.UnifyFirst().Decide(u, g, opts, ctx)
-	})
-	if _, err := r.Apply(chase.Insert(tup("S", c("JFK"), c("NYC"), c("Ithaca"))), user); err != nil {
+	user := traceLengths(&seen, simuser.UnifyFirst())
+	jfk := chase.Insert(tup("S", c("JFK"), c("NYC"), c("Ithaca")))
+	if _, err := r.Apply(jfk, user); err != nil {
 		t.Fatal(err)
 	}
-	if len(seen) == 0 || slices.ContainsFunc(seen, func(n int) bool { return n != 0 }) {
-		t.Fatalf("Apply: trace lengths at the frontier %v, want all 0", seen)
-	}
+	untraced(t, "Apply", seen)
 	seen = nil
 	if _, _, err := r.ApplyTraced(chase.Insert(tup("S", c("EWR"), c("Newark"), c("Ithaca"))), user); err != nil {
 		t.Fatal(err)
@@ -95,6 +112,39 @@ func TestApplyRecordsNoTrace(t *testing.T) {
 	if len(seen) == 0 || seen[0] == 0 {
 		t.Fatalf("ApplyTraced: trace lengths at the frontier %v, want a recorded trace", seen)
 	}
+
+	seen = nil
+	if _, err := travelRepo(t).RunConcurrent([]chase.Op{jfk}, cc.Config{User: user}); err != nil {
+		t.Fatal(err)
+	}
+	untraced(t, "RunConcurrent", seen)
+
+	seen = nil
+	run := chase.Runner{Engine: chase.NewEngine(travelRepo(t).Store(), fixtures.TravelMappings()), User: user}
+	if _, err := run.Run(chase.NewUpdate(1, jfk)); err != nil {
+		t.Fatal(err)
+	}
+	untraced(t, "chase.Runner", seen)
+}
+
+// TestInboxResumeRecordsNoTrace: a parked update resumed by a deadline
+// auto-answer records no trace either; nothing reads one there.
+func TestInboxResumeRecordsNoTrace(t *testing.T) {
+	r, _, err := Open(durableDoc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seen []int
+	r.SetInboxPolicy(inbox.Policy{Deadline: 1, OnDeadline: inbox.DeadlineAutoAnswer})
+	r.SetFallbackUser(traceLengths(&seen, simuser.UnifyFirst()))
+	id := mustPark(t, r)
+	if err := r.InboxTick(1); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := r.InboxEntry(id); ok {
+		t.Fatal("deadline auto-answer did not settle the entry")
+	}
+	untraced(t, "inbox resume", seen)
 }
 
 // TestParkedUpdateIsNeverRenewed: Apply renews one update across calls,

@@ -12,6 +12,7 @@ import (
 	"youtopia/internal/chase"
 	"youtopia/internal/model"
 	"youtopia/internal/simuser"
+	"youtopia/internal/vfs"
 	"youtopia/internal/wal"
 )
 
@@ -229,6 +230,52 @@ func TestCloseLeavesNoGoroutines(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	awaitGoroutines(t, before)
+}
+
+// TestCloseLeavesNoGoroutinesUnderFaults: the same holds when the log
+// degrades on ENOSPC in the middle of an Apply's commit, and when every
+// sync fails, the rescue checkpoint's too, which poisons it.
+func TestCloseLeavesNoGoroutinesUnderFaults(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		// fault scripts the schedule once the repository is open.
+		fault func(*vfs.FaultFS)
+	}{
+		{"ENOSPC on append", func(ffs *vfs.FaultFS) {
+			ffs.Script(vfs.Rule{Op: vfs.OpWrite, Path: "wal-", Err: vfs.NoSpace()})
+			ffs.SetFreeBytes(0)
+		}},
+		{"failing sync", func(ffs *vfs.FaultFS) {
+			ffs.Script(vfs.Rule{Op: vfs.OpSync})
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			ffs := vfs.NewFaultFS(vfs.OS, 1)
+			r, _, err := OpenWithOptions(durableDoc, Options{DataDir: t.TempDir(), FS: ffs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := r.Apply(chase.Insert(model.NewTuple("C", model.Const("Boston"))), simuser.New(42)); err != nil {
+				t.Fatal(err)
+			}
+			c.fault(ffs)
+			_, err = r.Apply(chase.Insert(model.NewTuple("C", model.Const("Elmira"))), simuser.New(42))
+			h := r.Health()
+			if err == nil || h.State == wal.StateHealthy {
+				t.Fatalf("commit under the fault: %v, health %s; want an error and an unhealthy log", err, h.State)
+			}
+			t.Logf("commit: %v; health %s; close: %v", err, h.State, r.Close())
+			awaitGoroutines(t, before)
+		})
+	}
+}
+
+// awaitGoroutines fails unless the goroutine count returns to before
+// within 5 s.
+func awaitGoroutines(t *testing.T, before int) {
+	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for n := runtime.NumGoroutine(); n > before; n = runtime.NumGoroutine() {
 		if time.Now().After(deadline) {

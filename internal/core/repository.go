@@ -168,7 +168,6 @@ func NewWithOptions(schema *model.Schema, mappings *tgd.Set, opts Options) (*Rep
 		r.store = st
 	}
 	r.engine = chase.NewEngine(r.store, mappings)
-	r.engine.MaxStepsPerAttempt = 100000
 	r.box = inbox.NewBox()
 	if r.wal != nil {
 		if err := r.recoverParked(); err != nil {
@@ -179,16 +178,11 @@ func NewWithOptions(schema *model.Schema, mappings *tgd.Set, opts Options) (*Rep
 	return r, nil
 }
 
-// FromDocument builds a repository from a parsed document, loading its
-// tuples as the committed initial state. The document's update
-// operations are returned for the caller to apply (or ignore).
-func FromDocument(doc *parse.Document) (*Repository, []chase.Op, error) {
-	return FromDocumentWithOptions(doc, Options{})
-}
-
-// FromDocumentWithOptions is FromDocument with a backing selection.
-// The document's tuples are loaded only when there is no recovered
-// durable state — on a fresh data directory they bootstrap the
+// FromDocumentWithOptions builds a repository from a parsed document
+// with a backing selection, loading its tuples as the committed initial
+// state; the document's update operations are returned for the caller
+// to apply (or ignore). The tuples are loaded only when there is no
+// recovered durable state — on a fresh data directory they bootstrap the
 // committed instance and are made durable with a checkpoint (writer-0
 // loads bypass the commit log). Once a directory holds durable state,
 // that state alone is the truth: reloading the document could
@@ -328,8 +322,9 @@ func (r *Repository) FreshNull() model.Value { return r.store.FreshNull() }
 
 // Protect marks a relation as protected: updates whose deletion
 // cascade would remove tuples from it are rejected and rolled back —
-// the access-control check of §2.1. It returns an error for unknown
-// relations.
+// the access-control check of §2.1. Apply and ApplyTraced enforce it;
+// RunConcurrent, which cannot, refuses to run while any relation is
+// protected. It returns an error for unknown relations.
 func (r *Repository) Protect(rel string) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -383,7 +378,7 @@ func (r *Repository) apply(op chase.Op, user chase.User, traced bool) (chase.Sta
 	}
 	r.trace.Note(number, "submit")
 	u := r.renewSpare(number, op)
-	u.NoTrace, u.NamedAs = !traced, r.committed+1
+	u.Traced, u.NamedAs = traced, r.committed+1
 	stats, err := r.runSingle(u, func(u *chase.Update) (bool, error) {
 		if user == nil {
 			return false, chase.ErrNoDecision
@@ -511,12 +506,20 @@ var errNoAnswer = errors.New("core: user has no frontier answer yet")
 // Workers is the scheduler's round width: a round serves at most that
 // many updates, and zero serves every eligible one. The whole workload
 // runs on the calling goroutine.
+//
+// The scheduler does not enforce protected relations (Protect). While
+// any relation is protected, RunConcurrent returns an error wrapping
+// ErrProtectedCascade before it numbers or writes anything, and the
+// repository is unchanged.
 func (r *Repository) RunConcurrent(ops []chase.Op, cfg cc.Config) (cc.Metrics, error) {
 	if err := cfg.Validate(); err != nil {
 		return cc.Metrics{}, err
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if len(r.protected) > 0 {
+		return cc.Metrics{}, fmt.Errorf("%w: RunConcurrent cannot enforce protected relations; use Apply", ErrProtectedCascade)
+	}
 	// The scheduler numbers updates 1..n; to compose with single-user
 	// updates the repository requires a fresh numbering region. Since
 	// committed writers are never revisited, reuse is safe only going

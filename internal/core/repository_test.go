@@ -77,6 +77,24 @@ func TestApplyRollbackOnFailure(t *testing.T) {
 	}
 }
 
+// deleteFrom is a user that answers a deletion choice with the
+// candidate in rel.
+func deleteFrom(r *Repository, rel string) chase.User {
+	return chase.UserFunc(func(u *chase.Update, g *chase.FrontierGroup, opts []chase.Decision, _ string) (chase.Decision, bool) {
+		snap := r.Store().Snap(u.Number)
+		for _, id := range g.Candidates {
+			if tv, ok := snap.GetTuple(id); ok && tv.Rel == rel {
+				return chase.Decision{Kind: chase.DecideDelete, Subset: []storage.TupleID{id}}, true
+			}
+		}
+		return opts[0], true
+	})
+}
+
+// reviewDelete deletes the travel fixture's review, which cascades
+// into A or T.
+var reviewDelete = chase.Delete(tup("R", c("XYZ"), c("Geneva Winery"), c("Great!")))
+
 func TestProtectedRelationRejectsCascade(t *testing.T) {
 	r := travelRepo(t)
 	if err := r.Protect("T"); err != nil {
@@ -86,17 +104,7 @@ func TestProtectedRelationRejectsCascade(t *testing.T) {
 		t.Fatal("protecting unknown relation accepted")
 	}
 	before := r.Dump()
-	// Deleting the review cascades into A or T; force the T choice.
-	user := chase.UserFunc(func(u *chase.Update, g *chase.FrontierGroup, opts []chase.Decision, _ string) (chase.Decision, bool) {
-		snap := r.Store().Snap(u.Number)
-		for _, id := range g.Candidates {
-			if tv, ok := snap.GetTuple(id); ok && tv.Rel == "T" {
-				return chase.Decision{Kind: chase.DecideDelete, Subset: []storage.TupleID{id}}, true
-			}
-		}
-		return opts[0], true
-	})
-	_, err := r.Apply(chase.Delete(tup("R", c("XYZ"), c("Geneva Winery"), c("Great!"))), user)
+	_, err := r.Apply(reviewDelete, deleteFrom(r, "T"))
 	if !errors.Is(err, ErrProtectedCascade) {
 		t.Fatalf("err = %v", err)
 	}
@@ -104,17 +112,31 @@ func TestProtectedRelationRejectsCascade(t *testing.T) {
 		t.Fatal("rejected update left changes")
 	}
 	// Cascading into A instead is allowed.
-	user2 := chase.UserFunc(func(u *chase.Update, g *chase.FrontierGroup, opts []chase.Decision, _ string) (chase.Decision, bool) {
-		snap := r.Store().Snap(u.Number)
-		for _, id := range g.Candidates {
-			if tv, ok := snap.GetTuple(id); ok && tv.Rel == "A" {
-				return chase.Decision{Kind: chase.DecideDelete, Subset: []storage.TupleID{id}}, true
-			}
-		}
-		return opts[0], true
-	})
-	if _, err := r.Apply(chase.Delete(tup("R", c("XYZ"), c("Geneva Winery"), c("Great!"))), user2); err != nil {
+	if _, err := r.Apply(reviewDelete, deleteFrom(r, "A")); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRunConcurrentRefusesProtected: the scheduler cannot enforce
+// protected relations, so RunConcurrent refuses a repository that has
+// one before it numbers or writes anything, even for a workload whose
+// cascade would delete from it.
+func TestRunConcurrentRefusesProtected(t *testing.T) {
+	r := travelRepo(t)
+	if err := r.Protect("T"); err != nil {
+		t.Fatal(err)
+	}
+	before := r.Dump()
+	m, err := r.RunConcurrent([]chase.Op{reviewDelete}, cc.Config{User: deleteFrom(r, "T")})
+	if !errors.Is(err, ErrProtectedCascade) {
+		t.Fatalf("err = %v, want ErrProtectedCascade", err)
+	}
+	if got := r.Dump(); got != before || m.Submitted != 0 {
+		t.Fatalf("the refused workload ran: %d submitted, dump changed %v", m.Submitted, got != before)
+	}
+	// Nothing was numbered: Apply's update is still update 1.
+	if _, err := r.Apply(reviewDelete, deleteFrom(r, "A")); err != nil || r.nextUpdate != 2 {
+		t.Fatalf("Apply after the refusal: %v, next update %d", err, r.nextUpdate)
 	}
 }
 
@@ -183,7 +205,7 @@ func TestRunConcurrentValidatesConfig(t *testing.T) {
 	r := travelRepo(t)
 	ops := []chase.Op{chase.Insert(tup("C", c("Boston")))}
 	before := r.Dump()
-	for _, cfg := range []cc.Config{{MaxIdleRounds: -1}, {MaxStepsPerUpdate: -1, Workers: 2}} {
+	for _, cfg := range []cc.Config{{MaxIdleRounds: -1}, {MaxAbortsPerUpdate: -1, Workers: 2}} {
 		cfg.User = simuser.New(5)
 		if _, err := r.RunConcurrent(ops, cfg); err == nil {
 			t.Fatalf("RunConcurrent accepted %+v", cfg)

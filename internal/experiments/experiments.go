@@ -37,11 +37,13 @@ type Options struct {
 	// plots only its first few points because it degenerates. 0 means
 	// all points.
 	NaivePoints int
-	// MaxAbortsPerUpdate guards against degenerate runs (0 = 10000).
-	MaxAbortsPerUpdate int
 	// Progress, when non-nil, receives one line per completed point.
 	Progress io.Writer
 }
+
+// maxAbortsPerUpdate bounds the restarts of one update in every
+// study's scheduler runs, guarding against degenerate runs.
+const maxAbortsPerUpdate = 10000
 
 // DefaultSweep is the paper's mapping-count axis.
 var DefaultSweep = []int{20, 40, 60, 80, 100}
@@ -79,9 +81,6 @@ func Run(name string, opts Options) (*Figure, error) {
 	}
 	if opts.Runs == 0 {
 		opts.Runs = 3
-	}
-	if opts.MaxAbortsPerUpdate == 0 {
-		opts.MaxAbortsPerUpdate = 10000
 	}
 	maxSweep := 0
 	for _, m := range opts.Sweep {
@@ -133,7 +132,7 @@ func Run(name string, opts Options) (*Figure, error) {
 					Tracker:            tracker,
 					Policy:             cc.PolicyRoundRobinStep,
 					User:               simuser.New(uint64(opts.Base.Seed)*31 + uint64(r)),
-					MaxAbortsPerUpdate: opts.MaxAbortsPerUpdate,
+					MaxAbortsPerUpdate: maxAbortsPerUpdate,
 				})
 				start := time.Now()
 				met, err := sched.Run(ops)

@@ -118,7 +118,7 @@ func measureInboxPoint(u *workload.Universe, base workload.Config, p *InboxPoint
 		cfg := cc.Config{
 			Tracker:            cc.Coarse{},
 			User:               simuser.New(seed),
-			MaxAbortsPerUpdate: 10000,
+			MaxAbortsPerUpdate: maxAbortsPerUpdate,
 			Workers:            p.Workers,
 		}
 		var answerer *workload.Answerer

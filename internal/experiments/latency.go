@@ -52,7 +52,7 @@ func LatencyStudy(base workload.Config, latencies []int, runs int) ([]LatencyPoi
 				Tracker:            cc.Coarse{},
 				Policy:             cc.PolicyRoundRobinStep,
 				User:               user,
-				MaxAbortsPerUpdate: 10000,
+				MaxAbortsPerUpdate: maxAbortsPerUpdate,
 			})
 			start := time.Now()
 			m, err := sched.Run(u.GenOpsSeeded(base.Seed*7919 + int64(r)))

@@ -170,7 +170,7 @@ func measurePoint(u *workload.Universe, base workload.Config, p *ParallelPoint, 
 		cfg := cc.Config{
 			Tracker:            cc.Coarse{},
 			User:               simuser.New(uint64(base.Seed)*31 + uint64(r)),
-			MaxAbortsPerUpdate: 10000,
+			MaxAbortsPerUpdate: maxAbortsPerUpdate,
 			Workers:            p.Workers,
 		}
 		ops := u.GenOpsSeeded(base.Seed*6151 + int64(r))

@@ -31,7 +31,7 @@ func TestProfilePrecise(t *testing.T) {
 	pprof.StartCPUProfile(f)
 	sched := cc.NewScheduler(st, u.Mappings, cc.Config{
 		Tracker: cc.Precise{}, Policy: cc.PolicyRoundRobinStep,
-		User: simuser.New(uint64(1)*31 + 0), MaxAbortsPerUpdate: 10000,
+		User: simuser.New(uint64(1)*31 + 0), MaxAbortsPerUpdate: maxAbortsPerUpdate,
 	})
 	m, err := sched.Run(u.GenOps(rngFor()))
 	pprof.StopCPUProfile()

@@ -27,9 +27,7 @@ import (
 // acknowledged, the durability point the schedulers' runs share. It
 // returns the chase work summed over the updates.
 func Execute(st storage.Backend, set *tgd.Set, ops []chase.Op, user chase.User) (chase.Stats, error) {
-	e := chase.NewEngine(st, set)
-	e.MaxStepsPerAttempt = 100000
-	r := chase.Runner{Engine: e, User: user}
+	r := chase.Runner{Engine: chase.NewEngine(st, set), User: user}
 	forget, _ := user.(chase.Forgetter)
 	var total chase.Stats
 	var acks []storage.CommitAck
@@ -42,7 +40,6 @@ func Execute(st storage.Backend, set *tgd.Set, ops []chase.Op, user chase.User) 
 			} else {
 				u.Renew(n, op)
 			}
-			u.NoTrace = true
 			s, err := r.Run(u)
 			addStats(&total, s)
 			if err != nil {
