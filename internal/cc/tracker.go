@@ -100,7 +100,7 @@ func (sc *stepScratch) coarseWriters(dst []int, st storage.Backend, reader int, 
 // structuralWriters appends to dst the uncommitted writers other than
 // reader with a write that changes a structural query's answer. The
 // query's AffectedBy is store-free, so it runs as the scan's matcher,
-// under the stripe read locks; the matcher is built once per scratch
+// under the store's read lock; the matcher is built once per scratch
 // and reads the query being charged from the scratch.
 func (sc *stepScratch) structuralWriters(dst []int, st storage.Backend, reader int, q query.ReadQuery) []int {
 	rel := "" // a null-occurrence query ranges over every relation

@@ -235,36 +235,71 @@ func TestCloseLeavesNoGoroutines(t *testing.T) {
 
 // TestCloseLeavesNoGoroutinesUnderFaults: the same holds when the log
 // degrades on ENOSPC in the middle of an Apply's commit, and when every
-// sync fails, the rescue checkpoint's too, which poisons it.
+// sync fails, the rescue checkpoint's too, which poisons it. It holds
+// too when every checkpoint fails — on writing its temp file, on
+// installing it by rename, or torn mid-write — while a background
+// checkpoint follows each commit, and when those background
+// checkpoints cut the store while Apply commits without a fault. A
+// checkpoint fault leaves the log healthy: the old checkpoint lineage
+// stays authoritative, so commits go on and only checkpoints fail.
 func TestCloseLeavesNoGoroutinesUnderFaults(t *testing.T) {
 	for _, c := range []struct {
 		name string
-		// fault scripts the schedule once the repository is open.
+		// ckptBytes is the repository's CheckpointBytes; 1 makes every
+		// commit start a background checkpoint.
+		ckptBytes int64
+		// fault, when non-nil, scripts the schedule once the repository
+		// is open.
 		fault func(*vfs.FaultFS)
+		// unhealthy: the fault fails a commit and leaves the log
+		// degraded or poisoned. Otherwise every commit succeeds, the log
+		// stays healthy, and a checkpoint fails iff there is a fault.
+		unhealthy bool
 	}{
-		{"ENOSPC on append", func(ffs *vfs.FaultFS) {
+		{"ENOSPC on append", 0, func(ffs *vfs.FaultFS) {
 			ffs.Script(vfs.Rule{Op: vfs.OpWrite, Path: "wal-", Err: vfs.NoSpace()})
 			ffs.SetFreeBytes(0)
-		}},
-		{"failing sync", func(ffs *vfs.FaultFS) {
+		}, true},
+		{"failing sync", 0, func(ffs *vfs.FaultFS) {
 			ffs.Script(vfs.Rule{Op: vfs.OpSync})
-		}},
+		}, true},
+		{"failing checkpoint write", 1, func(ffs *vfs.FaultFS) {
+			ffs.Script(vfs.Rule{Op: vfs.OpWrite, Path: "ckpt.tmp"})
+		}, false},
+		{"failing checkpoint rename", 1, func(ffs *vfs.FaultFS) {
+			ffs.Script(vfs.Rule{Op: vfs.OpRename, Path: "ckpt-"})
+		}, false},
+		{"torn checkpoint write", 1, func(ffs *vfs.FaultFS) {
+			ffs.Script(vfs.Rule{Op: vfs.OpWrite, Path: "ckpt.tmp", Short: 7})
+		}, false},
+		{"background checkpoints during commits", 1, nil, false},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			before := runtime.NumGoroutine()
 			ffs := vfs.NewFaultFS(vfs.OS, 1)
-			r, _, err := OpenWithOptions(durableDoc, Options{DataDir: t.TempDir(), FS: ffs})
+			r, _, err := OpenWithOptions(durableDoc, Options{DataDir: t.TempDir(), FS: ffs, CheckpointBytes: c.ckptBytes})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if _, err := r.Apply(chase.Insert(model.NewTuple("C", model.Const("Boston"))), simuser.New(42)); err != nil {
 				t.Fatal(err)
 			}
-			c.fault(ffs)
-			_, err = r.Apply(chase.Insert(model.NewTuple("C", model.Const("Elmira"))), simuser.New(42))
+			if c.fault != nil {
+				c.fault(ffs)
+			}
+			for _, city := range []string{"Elmira", "Albany", "Utica", "Troy", "Rome", "Olean"} {
+				if _, err = r.Apply(chase.Insert(model.NewTuple("C", model.Const(city))), simuser.New(42)); err != nil {
+					break
+				}
+			}
 			h := r.Health()
-			if err == nil || h.State == wal.StateHealthy {
-				t.Fatalf("commit under the fault: %v, health %s; want an error and an unhealthy log", err, h.State)
+			if (err != nil) != c.unhealthy || (h.State != wal.StateHealthy) != c.unhealthy {
+				t.Fatalf("commits under the fault: %v, health %s; want unhealthy %v", err, h.State, c.unhealthy)
+			}
+			if !c.unhealthy {
+				if err := r.Checkpoint(); (err != nil) != (c.fault != nil) {
+					t.Fatalf("checkpoint: %v; want an error iff a fault is scripted", err)
+				}
 			}
 			t.Logf("commit: %v; health %s; close: %v", err, h.State, r.Close())
 			awaitGoroutines(t, before)

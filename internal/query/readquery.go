@@ -118,7 +118,7 @@ type ViolationRead struct {
 // violations it found. The reader is the engine's snapshot reader. The
 // read vector is captured before the evaluation: per stripe, everything
 // at or below the captured sequence is already applied (stripe
-// sequences publish under the stripe lock), so the vector lower-bounds
+// sequences publish under the store's write lock), so the vector lower-bounds
 // what the evaluation saw in each relation and is exact whenever no
 // writer runs during the read — which the scheduler guarantees: it
 // runs one chase step at a time, so no write lands during a read.

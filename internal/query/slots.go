@@ -103,7 +103,7 @@ func (r *slotRun) side(rhs bool, shape slotSet) {
 // rec enumerates matches of the steps from level on; pos is the first
 // argument position of the step in the order's bind bits. The step's
 // probe copies the candidates that match onto the engine's row stack
-// under one stripe lock, and the level walks its own range of the
+// under one read lock, and the level walks its own range of the
 // stack, re-matching each row to bind its slots, before popping it.
 func (r *slotRun) rec(level int, pos int32) bool {
 	if level == len(r.ord.steps) {

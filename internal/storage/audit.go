@@ -16,12 +16,12 @@ import (
 // newest committed one, or a committed tombstone — must be on its
 // stripe's pending list, and with no uncommitted writer live every
 // pending list is empty, so every tuple has exactly one version and no
-// tombstone is left. It holds every stripe's read lock and costs a pass
+// tombstone is left. It holds the store's read lock and costs a pass
 // over the whole store, so it is for tests and on-demand diagnosis, not
 // for a hot path.
 func (st *Store) AuditIndexes() error {
-	st.rlockAll()
-	defer st.runlockAll()
+	st.rlock()
+	defer st.runlock()
 	idle := st.horizon().idle()
 	var nulls postings[uint64]
 	for _, s := range st.byIdx {
@@ -64,8 +64,6 @@ func (st *Store) AuditIndexes() error {
 			return fmt.Errorf("storage: audit %s content index: %w", s.rel, err)
 		}
 	}
-	st.nullMu.Lock()
-	defer st.nullMu.Unlock()
 	if err := sameIndex(&nulls, &st.nullIdx); err != nil {
 		return fmt.Errorf("storage: audit null index: %w", err)
 	}
@@ -91,7 +89,7 @@ func sameIndex[W uint32 | uint64](want, got *postings[W]) error {
 // member list that is not strictly ascending, a record table of another
 // length, a marker without a chain of two or more versions, a chain
 // without a marker or out of (writer, seq) order. Callers hold the
-// stripe's lock.
+// lock.
 func (s *stripe) checkTable() error {
 	if len(s.recs) != len(s.ids) {
 		return fmt.Errorf("%d records for %d members", len(s.recs), len(s.ids))

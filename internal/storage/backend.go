@@ -13,9 +13,10 @@ import (
 //
 // The contract, beyond the method comments on *Store:
 //
-//   - Every method is individually atomic and safe for concurrent use
-//     (multi-operation protocols need the concurrency-control layer on
-//     top, which runs them one at a time).
+//   - Every method is individually atomic, the ones that span
+//     relations included, and safe for concurrent use (multi-operation
+//     protocols need the concurrency-control layer on top, which runs
+//     them one at a time).
 //   - Sequence numbers are totally ordered across the whole backend,
 //     per-relation sequences are monotone, and labeled nulls are
 //     unique backend-wide.
@@ -36,8 +37,8 @@ type Backend interface {
 	SnapInto(dst *Snapshot, reader int)
 	// EpochSnap returns a committed-state snapshot: a live view, like
 	// Snap's, that admits only versions of committed writers. It is
-	// neither frozen nor lock-free; each read takes the stripe read
-	// locks it needs.
+	// neither frozen nor lock-free; each read takes the store's read
+	// lock.
 	EpochSnap() *Snapshot
 
 	// Insert, Delete, DeleteContent and ReplaceNull are the write
@@ -80,7 +81,7 @@ type Backend interface {
 	//
 	// AppendUncommittedWriters is the same scan over writers instead of
 	// records: every uncommitted writer into rel, or only those with a
-	// write match accepts (match runs under the stripe read locks and
+	// write match accepts (match runs under the store's read lock and
 	// must not call the backend), appended in no particular order and
 	// possibly repeated. It is what COARSE charges its dependencies
 	// from (§5.1.1); UncommittedWritersOf is its sorted, compacted

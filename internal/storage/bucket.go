@@ -29,16 +29,16 @@ import (
 // and reused by the next list; the array it held is dropped.
 //
 // Index lists are the store's own. Mutators change them in place under
-// the write lock that guards the index — a member inserted or removed
-// in the middle shifts the array, which reallocates only when full —
-// and no reader keeps a list past the read lock it read it under:
-// readers receive copies, in buffers they own, taken under that lock
+// the store's write lock — a member inserted or removed in the middle
+// shifts the array, which reallocates only when full — and no reader
+// keeps a list past the read lock it read it under: readers receive
+// copies, in buffers they own, taken under that lock
 // (Snapshot.ProbeRows copies rows, Store.appendNullIDs the null
 // index's IDs). The member list of a relation (stripe.ids) follows the
 // same rule.
 //
-// Mutators hold the write lock that guards the index. The zero value is
-// an empty index with base 0.
+// Mutators hold the store's write lock. The zero value is an empty
+// index with base 0.
 type postings[W uint32 | uint64] struct {
 	m     map[W]W
 	lists [][]TupleID

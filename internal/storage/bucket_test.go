@@ -387,7 +387,9 @@ func TestProbeRowsDuringInPlaceWrites(t *testing.T) {
 			for i := 0; !done.Load(); i++ {
 				p := probes[(i+r)%len(probes)]
 				rows, _ = st.Snap(1<<30).ProbeRows(p.rel, p.col, p.v, rows[:0], nil)
+				st.rlock()
 				nulls := st.appendNullIDs(nil, hub)
+				st.runlock()
 				mu.RLock()
 				for _, row := range rows {
 					if !history[row.ID][refContentKey(row.Vals)] || p.col >= 0 && row.Vals[p.col] != p.v {
@@ -535,6 +537,8 @@ func TestIndexProbeAllocFree(t *testing.T) {
 		return len(rows)
 	}
 	nullIDs := func(x model.Value) int {
+		st.rlock()
+		defer st.runlock()
 		ids = st.appendNullIDs(ids[:0], x)
 		return len(ids)
 	}

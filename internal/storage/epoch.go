@@ -3,21 +3,18 @@ package storage
 import "time"
 
 // This file is the committed cut the checkpointer serializes, and the
-// stripe lock entry points every acquisition in the package goes
+// store lock entry points every acquisition in the package goes
 // through.
 //
 // # Why every cut is consistent
 //
-// A commit batch holds the write locks of all the stripes it wrote
-// while it flips its writers and then, last, advances commits. Epoch
-// read-locks every stripe in ascending order, loads commits and copies
-// each stripe's committed tops before it unlocks. A batch is therefore
-// wholly before the cut, content and count included, or blocked before
-// it has changed anything; the cut never tears across stripes, and
-// Commits() is exactly the number of batches it contains.
-//
-// The one cross-stripe mutator besides commit is ReplaceNull, which
-// the engine only ever runs for live uncommitted writers (committed
+// A commit batch holds the store's write lock while it flips its
+// writers and then, last, advances commits. Epoch holds the read lock
+// while it loads commits and copies each stripe's committed tops. A
+// batch is therefore wholly before the cut, content and count
+// included, or has not started; Commits() is exactly the number of
+// batches the cut contains. ReplaceNull, the other mutator that spans
+// relations, only ever runs for live uncommitted writers (committed
 // writers cannot acquire new writes), so its versions never carry
 // committed visibility at write time.
 //
@@ -73,13 +70,13 @@ func (ep *CommittedEpoch) Serialize() ([]CommittedTuple, int64) {
 // parked delete-by-ID could then hit the new tuple).
 func (ep *CommittedEpoch) IDFloors() []int64 { return ep.idFloors }
 
-// Epoch takes a committed cut: it read-locks every stripe (never a
-// write lock), loads the commit count and copies each stripe's
-// committed tops. Commits wait for the copy only; see the file comment
-// for why the cut is consistent.
+// Epoch takes a committed cut: under the store's read lock it loads
+// the commit count and copies each stripe's committed tops. Commits
+// wait for the copy only; see the file comment for why the cut is
+// consistent.
 func (st *Store) Epoch() *CommittedEpoch {
-	st.rlockAll()
-	defer st.runlockAll()
+	st.rlock()
+	defer st.runlock()
 	ep := &CommittedEpoch{store: st, commits: st.commits.Load(), idFloors: make([]int64, len(st.byIdx))}
 	n := 0
 	for _, s := range st.byIdx {
@@ -103,38 +100,38 @@ func (st *Store) Epoch() *CommittedEpoch {
 // EpochSnap returns a committed-state snapshot: a live view that
 // admits only versions of committed writers (writer 0 included), the
 // maximal one winning. It is neither frozen nor lock-free — like Snap,
-// each call reads the store as it is then, under the stripe read locks
-// it needs — so it answers "what is committed now", not "what was
+// each call reads the store as it is then, under the store's read
+// lock — so it answers "what is committed now", not "what was
 // committed at some cut"; Epoch takes the cut.
 func (st *Store) EpochSnap() *Snapshot {
 	return &Snapshot{store: st, reader: maxReader, committedOnly: true}
 }
 
-// lock / rlock are the stripe's mutex entry points; every acquisition
-// in the package goes through them. An immediately available mutex is
+// lock / rlock are the store lock's entry points; every acquisition in
+// the package goes through them. An immediately available mutex is
 // taken with the try-acquire (same cost class as the plain acquire);
 // only when that fails does the wait get timed into the contention
 // histogram.
-func (s *stripe) lock() {
-	if s.mu.TryLock() {
+func (st *Store) lock() {
+	if st.mu.TryLock() {
 		return
 	}
 	start := time.Now()
-	s.mu.Lock()
+	st.mu.Lock()
 	obsLockContended.Inc()
 	obsLockWait.ObserveSince(start)
 }
 
-func (s *stripe) unlock() { s.mu.Unlock() }
+func (st *Store) unlock() { st.mu.Unlock() }
 
-func (s *stripe) rlock() {
-	if s.mu.TryRLock() {
+func (st *Store) rlock() {
+	if st.mu.TryRLock() {
 		return
 	}
 	start := time.Now()
-	s.mu.RLock()
+	st.mu.RLock()
 	obsRLockContended.Inc()
 	obsLockWait.ObserveSince(start)
 }
 
-func (s *stripe) runlock() { s.mu.RUnlock() }
+func (st *Store) runlock() { st.mu.RUnlock() }

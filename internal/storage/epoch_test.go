@@ -98,7 +98,7 @@ func TestCommittedSnapshotMatchesLockedOracle(t *testing.T) {
 	// The oracle re-derives the committed instance: every stripe's
 	// tuples in ID order, topmost committed version.
 	var want []CommittedTuple
-	st.rlockAll()
+	st.rlock()
 	for _, s := range st.byIdx {
 		for p, id := range s.ids {
 			vs := s.chain(p)
@@ -116,7 +116,7 @@ func TestCommittedSnapshotMatchesLockedOracle(t *testing.T) {
 			}
 		}
 	}
-	st.runlockAll()
+	st.runlock()
 	wantFloor := st.nulls.Floor()
 
 	if !reflect.DeepEqual(got, want) {

@@ -28,15 +28,13 @@ func (h horizon) releases(v *version) bool {
 // idle reports whether no uncommitted writer has a live write.
 func (h horizon) idle() bool { return h.writer == math.MaxInt }
 
-// horizon computes the store's horizon. Safe under any stripe lock.
+// horizon computes the store's horizon. Callers hold the lock.
 func (st *Store) horizon() horizon {
 	h := horizon{writer: math.MaxInt, seq: math.MaxInt64}
-	st.commitMu.RLock()
 	for w, lw := range st.writerStripes {
 		h.writer = min(h.writer, w)
 		h.seq = min(h.seq, lw.first-1)
 	}
-	st.commitMu.RUnlock()
 	return h
 }
 
@@ -64,7 +62,7 @@ func (st *Store) garbage(vs []version) bool {
 // then the tuple itself when all that is left is a committed tombstone.
 // It reports whether garbage the horizon did not release remains, which
 // the caller puts on the stripe's pending list. A tuple that is not a
-// member has none. Callers hold the stripe's write lock.
+// member has none. Callers hold the write lock.
 func (st *Store) trim(s *stripe, id TupleID, h horizon) bool {
 	if st.noTrim {
 		return false
@@ -99,7 +97,7 @@ func (st *Store) trim(s *stripe, id TupleID, h horizon) bool {
 
 // trimOrDefer trims tuple id, which a committed write has just touched,
 // computing the horizon only when there is garbage. Callers hold the
-// stripe's write lock.
+// write lock.
 func (st *Store) trimOrDefer(s *stripe, id TupleID) {
 	if st.noTrim {
 		return
@@ -114,12 +112,11 @@ func (st *Store) trimOrDefer(s *stripe, id TupleID) {
 	}
 }
 
-// trimStripe is a commit's trimming of one locked stripe: it drains
-// the pending list and trims every tuple the committing writers logged
+// trimStripe is a commit's trimming of one stripe: it drains the
+// pending list and trims every tuple the committing writers logged
 // there, keeping on the list what h does not release. The writers'
 // logs stay for the caller to retire (Store.retireLogs). Callers hold
-// the stripe's write lock and have already marked the writers
-// committed.
+// the write lock and have already marked the writers committed.
 func (st *Store) trimStripe(s *stripe, writers []int, h horizon) {
 	had := len(s.pending) > 0
 	kept := s.pending[:0]
@@ -146,35 +143,31 @@ func (st *Store) trimStripe(s *stripe, writers []int, h horizon) {
 
 // notePending keeps pendingIn in step with the stripe's pending list,
 // which was non-empty before the caller's change iff had. Callers hold
-// the stripe's write lock.
+// the write lock.
 func (st *Store) notePending(s *stripe, had bool) {
 	if has := len(s.pending) > 0; has != had {
-		st.commitMu.Lock()
 		if has {
 			st.pendingIn = append(st.pendingIn, s.idx)
 		} else {
 			st.pendingIn = slices.DeleteFunc(st.pendingIn, func(i int) bool { return i == s.idx })
 		}
-		st.commitMu.Unlock()
 	}
 }
 
-// settle drains the pending lists once no writer is live,
-// so that history whose last holder aborted does not wait for the next
-// commit. It locks the stripes with pending entries in ascending order,
-// as a commit batch would.
+// settle drains the pending lists once no writer is live, so that
+// history whose last holder aborted does not wait for the next commit.
+// Callers hold the write lock.
 func (st *Store) settle() {
-	st.commitMu.RLock()
-	stripes := slices.Clone(st.pendingIn)
-	st.commitMu.RUnlock()
-	if len(stripes) == 0 || !st.horizon().idle() {
+	if len(st.pendingIn) == 0 {
 		return
 	}
-	slices.Sort(stripes)
-	st.lockStripes(stripes)
-	defer st.unlockStripes(stripes)
 	h := st.horizon()
-	for _, si := range stripes {
-		st.trimStripe(st.byIdx[si], nil, h)
+	if !h.idle() {
+		return
+	}
+	for _, s := range st.byIdx {
+		if len(s.pending) > 0 {
+			st.trimStripe(s, nil, h)
+		}
 	}
 }

@@ -153,8 +153,8 @@ func FuzzHorizonTrim(f *testing.F) {
 			return append(out, next)
 		}
 		live := func(w int) bool {
-			trimmed.commitMu.RLock()
-			defer trimmed.commitMu.RUnlock()
+			trimmed.rlock()
+			defer trimmed.runlock()
 			_, ok := trimmed.writerStripes[w]
 			return ok
 		}

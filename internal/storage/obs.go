@@ -2,9 +2,11 @@ package storage
 
 import "youtopia/internal/obs"
 
-// Stripe-lock and committed-cut instrumentation on the shared
-// registry. The uncontended lock path stays one try-acquire (a CAS,
-// same cost class as the plain acquire it replaces) — timing only
+// Store-lock and committed-cut instrumentation on the shared
+// registry. The lock counters keep the storage_stripe_ names they had
+// when the store locked each relation apart, which dashboards and the
+// benchmark read. The uncontended lock path stays one try-acquire (a
+// CAS, same cost class as the plain acquire it replaces) — timing only
 // starts once a lock actually blocks, so the zero-alloc gates are
 // unaffected.
 var (

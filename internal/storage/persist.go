@@ -17,16 +17,16 @@ import (
 // CommitAck blocks until the commit batch that returned it is durable
 // and reports the outcome. The commit pipeline splits a durable commit
 // into append-under-lock and sync-outside: the hook appends the batch
-// to its log while CommitBatch holds the locks of the stripes the
-// batch wrote, but the fsync happens after the locks are released, and
-// the ack is how a caller waits for it. Callers must not acknowledge a
-// commit to anyone — return from a synchronous apply, completion of a
-// scheduler run — before the ack resolves without error.
+// to its log while CommitBatch holds the store's write lock, but the
+// fsync happens after the lock is released, and the ack is how a
+// caller waits for it. Callers must not acknowledge a commit to
+// anyone — return from a synchronous apply, completion of a scheduler
+// run — before the ack resolves without error.
 type CommitAck func() error
 
 // CommitHook observes a commit batch before it takes effect. It is
-// called by CommitBatch, one batch at a time, while the locks of the
-// stripes the batch wrote are held, with the batch's writers in
+// called by CommitBatch, one batch at a time, under the store's write
+// lock, with the batch's writers in
 // ascending order and their write records merged in (writer, seq)
 // order — the serialization order of the batch. Both
 // slices are only valid for the duration of the call (the record slice
@@ -46,7 +46,7 @@ type CommitHook func(writers []int, recs []WriteRec) (CommitAck, error)
 func (st *Store) SetCommitHook(h CommitHook) { st.commitHook = h }
 
 // CommitGuard is a fast pre-commit admission check: a non-nil return
-// rejects the commit before any stripe lock is taken, with the store
+// rejects the commit before the store lock is taken, with the store
 // unchanged. Durability backends install one so a log that degraded
 // to read-only rejects new submissions cheaply while reads keep
 // serving. The guard runs outside every store lock and
@@ -92,8 +92,7 @@ func sortedWriters(writers []int) []int {
 // scratch buffer (sized exactly from the per-writer log lengths, so
 // steady-state batches allocate nothing) and is valid only until the
 // next batch; CommitBatch hands it to the hook under that contract.
-// Callers hold those stripes' locks and batchMu, which is what
-// serializes scratch reuse.
+// Callers hold the write lock, which is what serializes scratch reuse.
 func (st *Store) batchWrites(stripes, writers []int) []WriteRec {
 	n := 0
 	for _, si := range stripes {
@@ -126,16 +125,15 @@ func (st *Store) batchWrites(stripes, writers []int) []WriteRec {
 // durability hook. The closure reuses the store's scratch buffer, so
 // after a warm-up call it exhibits the steady-state allocation
 // behaviour of the commit path; experiments.ParallelStudy publishes
-// its allocs/op into the bench artifacts CI gates. The store must be
-// quiescent while the probe runs.
+// its allocs/op into the bench artifacts CI gates. The probe takes the
+// store's write lock for each merge, as a commit batch does.
 func (st *Store) CommitMergeProbe(writers []int) func() {
 	ws := sortedWriters(writers)
 	return func() {
-		st.batchMu.Lock()
-		stripes, _ := st.lockBatch(ws)
+		st.lock()
+		defer st.unlock()
+		stripes, _ := st.batchStripes(ws)
 		st.batchWrites(stripes, ws)
-		st.unlockStripes(stripes)
-		st.batchMu.Unlock()
 	}
 }
 
@@ -174,8 +172,8 @@ func (st *Store) ApplyRedo(rec WriteRec) error {
 	}
 	st.noteNulls(rec.Before)
 	st.noteNulls(rec.After)
-	s.lock()
-	defer s.unlock()
+	st.lock()
+	defer st.unlock()
 	st.raiseIDFloor(s, rec.ID)
 	if _, known := s.find(rec.ID); !known && rec.Op != OpInsert {
 		return fmt.Errorf("storage: redo %s of unknown tuple %d in %s", rec.Op, rec.ID, rec.Rel)
@@ -186,7 +184,7 @@ func (st *Store) ApplyRedo(rec WriteRec) error {
 }
 
 // raiseIDFloor makes sure the stripe never mints id again. Callers
-// hold the stripe's write lock.
+// hold the write lock.
 func (st *Store) raiseIDFloor(s *stripe, id TupleID) {
 	if local := int64(id) & (1<<localIDBits - 1); local > s.nextLocal {
 		s.nextLocal = local
@@ -243,11 +241,11 @@ func (st *Store) RestoreSnapshot(tuples []CommittedTuple, nullFloor int64, idFlo
 	for i, floor := range idFloors {
 		st.byIdx[i].nextLocal = max(st.byIdx[i].nextLocal, floor)
 	}
+	st.lock()
+	defer st.unlock()
 	for _, ct := range tuples {
 		s := st.stripes[ct.Rel]
-		s.lock()
 		if _, dup := s.find(ct.ID); dup {
-			s.unlock()
 			return fmt.Errorf("storage: checkpoint declares tuple %d of %s twice", ct.ID, ct.Rel)
 		}
 		st.raiseIDFloor(s, ct.ID)
@@ -255,7 +253,6 @@ func (st *Store) RestoreSnapshot(tuples []CommittedTuple, nullFloor int64, idFlo
 			st.noteNulls(ct.Vals)
 			st.insertVersion(s, ct.ID, newVersion(0, st.nextSeq.Add(1), append([]model.Value(nil), ct.Vals...)))
 		}
-		s.unlock()
 	}
 	st.nulls.SetFloor(nullFloor)
 	return nil

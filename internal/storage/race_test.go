@@ -163,3 +163,108 @@ func TestStoreConcurrentCommitAbort(t *testing.T) {
 	}
 	mustAudit(t, st)
 }
+
+// TestCrossRelationReadsAtomic: a read that spans relations sees a
+// commit or an abort wholly or not at all. Each round a writer inserts
+// R(x) and S(x) with one fresh null x, while the readers are held off,
+// and then commits or aborts — in turn — while they read. The null
+// index, the committed view, a scan of every relation and the
+// write-log scan over every relation must each show both tuples or
+// neither.
+func TestCrossRelationReadsAtomic(t *testing.T) {
+	rounds := 400
+	if testing.Short() {
+		rounds = 80
+	}
+	s := model.NewSchema()
+	s.MustAddRelation("R", "a")
+	s.MustAddRelation("S", "a")
+	st := NewStore(s)
+
+	// phase holds the readers off while a round inserts; x and w, the
+	// round's null and writer, change only under its write lock.
+	var phase sync.RWMutex
+	var x model.Value
+	var w int
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(done)
+		for i := 1; i <= rounds; i++ {
+			phase.Lock()
+			x, w = st.FreshNull(), i
+			for _, rel := range []string{"R", "S"} {
+				if _, _, _, err := st.Insert(w, model.NewTuple(rel, x)); err != nil {
+					t.Error(err)
+				}
+			}
+			phase.Unlock()
+			if i%2 == 0 {
+				if err := st.CommitBatch([]int{i}); err != nil {
+					t.Error(err)
+				}
+			} else {
+				st.Abort(i)
+			}
+			if t.Failed() {
+				return
+			}
+		}
+	}()
+
+	withX := func(facts map[string][]model.Tuple, x model.Value) int {
+		n := 0
+		for _, ts := range facts {
+			for _, tu := range ts {
+				if tu.Vals[0] == x {
+					n++
+				}
+			}
+		}
+		return n
+	}
+	var writes []WriteRec
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				phase.RLock()
+				x, w := x, w
+				counts := map[string]int{
+					"committed TuplesWithNull": len(st.EpochSnap().TuplesWithNull(x)),
+					"writer's TuplesWithNull":  len(st.Snap(w).TuplesWithNull(x)),
+					"committed VisibleFacts":   withX(st.EpochSnap().VisibleFacts(), x),
+				}
+				if r == 0 {
+					writes = st.AppendUncommittedWrites(writes[:0], "")
+					n := 0
+					for _, wr := range writes {
+						if wr.After[0] == x {
+							n++
+						}
+					}
+					counts["AppendUncommittedWrites"] = n
+				}
+				phase.RUnlock()
+				for read, n := range counts {
+					if n != 0 && n != 2 {
+						t.Errorf("%s of %s saw %d of the round's 2 tuples", read, x, n)
+					}
+				}
+				if t.Failed() {
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	mustAudit(t, st)
+}

@@ -26,14 +26,11 @@ func ceilingOf(rels []string, seqs []int64, rel string) (int64, bool) {
 // uses masks to compare query answers with and without a single write.
 //
 // Snapshots are cheap descriptors over live store state, not frozen
-// copies: results reflect the store at call time. Single-relation
-// methods take that relation's stripe read lock for their own
-// duration, so individual calls are atomic and safe to issue from any
-// goroutine; methods that span relations (TuplesWithNull,
-// VisibleFacts) lock stripe-by-stripe and are atomic per relation
-// only. Two successive calls may observe
-// different store states if a writer runs in between — multi-call
-// protocols need external phasing.
+// copies: results reflect the store at call time. Each method holds
+// the store's read lock for its own duration, so every call is atomic
+// and safe to issue from any goroutine. Two successive calls may
+// observe different store states if a writer runs in between —
+// multi-call protocols need external phasing.
 //
 // A committed-state snapshot (Backend.EpochSnap) is the same live view
 // with one more filter: it admits only versions of committed writers.
@@ -42,8 +39,7 @@ type Snapshot struct {
 	reader int
 
 	// noLock marks snapshots handed out by store code that already
-	// holds the locks the snapshot's calls need; their methods must not
-	// re-lock.
+	// holds the lock; their methods must not take it again.
 	noLock bool
 
 	// committedOnly hides versions of uncommitted writers; writer 0,
@@ -72,17 +68,17 @@ type Snapshot struct {
 	windowSeq int64
 }
 
-// rlock acquires a stripe's read lock unless this snapshot was minted
-// under already-held locks.
-func (sn *Snapshot) rlock(s *stripe) {
+// rlock takes the store's read lock unless this snapshot was minted
+// under the held lock.
+func (sn *Snapshot) rlock() {
 	if !sn.noLock {
-		s.rlock()
+		sn.store.rlock()
 	}
 }
 
-func (sn *Snapshot) runlock(s *stripe) {
+func (sn *Snapshot) runlock() {
 	if !sn.noLock {
-		s.runlock()
+		sn.store.runlock()
 	}
 }
 
@@ -153,7 +149,7 @@ func (sn *Snapshot) admits(v *version, rel string) bool {
 }
 
 // versionOf returns the visible version in the chain vs of a tuple of
-// relation rel, or nil. Callers hold the owning stripe's lock.
+// relation rel, or nil. Callers hold the lock.
 func (sn *Snapshot) versionOf(vs []version, rel string) *version {
 	for i := len(vs) - 1; i >= 0; i-- {
 		v := &vs[i]
@@ -172,8 +168,8 @@ func (sn *Snapshot) Get(id TupleID) ([]model.Value, bool) {
 	if s == nil {
 		return nil, false
 	}
-	sn.rlock(s)
-	defer sn.runlock(s)
+	sn.rlock()
+	defer sn.runlock()
 	return sn.getInStripe(s, id)
 }
 
@@ -201,8 +197,8 @@ func (sn *Snapshot) GetTuple(id TupleID) (model.Tuple, bool) {
 	if s == nil {
 		return model.Tuple{}, false
 	}
-	sn.rlock(s)
-	defer sn.runlock(s)
+	sn.rlock()
+	defer sn.runlock()
 	vals, ok := sn.getInStripe(s, id)
 	if !ok {
 		return model.Tuple{}, false
@@ -224,16 +220,16 @@ type Row struct {
 // key, or of all the relation's members for a scan, those up to and
 // including the one where keep stopped, visible or not. keep reports
 // whether to take a row and whether the probe stops there; a nil keep
-// takes every row. One stripe read lock covers the whole probe and keep
-// runs under it, so keep must not call back into the store: a join
+// takes every row. One read lock covers the whole probe and keep runs
+// under it, so keep must not call back into the store: a join
 // step passes its match, and only rows that can match are copied.
 func (sn *Snapshot) ProbeRows(rel string, col int, v model.Value, dst []Row, keep func(vals []model.Value) (take, stop bool)) ([]Row, int) {
 	s := sn.store.stripes[rel]
 	if s == nil || col >= len(s.valIdx) {
 		return dst, 0
 	}
-	sn.rlock(s)
-	defer sn.runlock(s)
+	sn.rlock()
+	defer sn.runlock()
 	stop := false
 	if col < 0 {
 		for i, id := range s.ids {
@@ -271,15 +267,15 @@ func probeRow(dst []Row, id TupleID, vals []model.Value, keep func([]model.Value
 }
 
 // ScanRel calls fn for every visible tuple of the relation in tuple-ID
-// order; fn returning false stops the scan. The stripe's read lock is
-// held across the whole scan, so fn must not call back into the store.
+// order; fn returning false stops the scan. The read lock is held
+// across the whole scan, so fn must not call back into the store.
 func (sn *Snapshot) ScanRel(rel string, fn func(id TupleID, vals []model.Value) bool) {
 	s := sn.store.stripes[rel]
 	if s == nil {
 		return
 	}
-	sn.rlock(s)
-	defer sn.runlock(s)
+	sn.rlock()
+	defer sn.runlock()
 	sn.scanStripe(s, fn)
 }
 
@@ -307,8 +303,8 @@ type RelStats struct {
 }
 
 // RelStatsInto writes cardinality statistics for the relation into st,
-// counted off its live stripe and value index under the stripe read
-// lock; a plan asks once per join order it computes. The numbers
+// counted off its live stripe and value index under the read lock; a
+// plan asks once per join order it computes. The numbers
 // describe what the stripe holds, not the snapshot's visibility — they
 // feed ordering heuristics, never correctness. It reuses the array of
 // st.Distinct, so a caller that keeps st computes statistics without
@@ -319,8 +315,8 @@ func (sn *Snapshot) RelStatsInto(rel string, st *RelStats) {
 	if s == nil {
 		return
 	}
-	sn.rlock(s)
-	defer sn.runlock(s)
+	sn.rlock()
+	defer sn.runlock()
 	st.Live = len(s.ids)
 	if st.Live > 0 {
 		st.Distinct = slices.Grow(st.Distinct, len(s.valIdx))
@@ -330,36 +326,25 @@ func (sn *Snapshot) RelStatsInto(rel string, st *RelStats) {
 	}
 }
 
-// appendNullIDs appends to dst the null index's members for x: a copy
-// taken under nullMu, as writers change the index's lists in place.
+// appendNullIDs appends to dst the null index's members for x: a copy,
+// as writers change the index's lists in place. Callers hold the lock.
 func (st *Store) appendNullIDs(dst []TupleID, x model.Value) []TupleID {
-	st.nullMu.Lock()
-	defer st.nullMu.Unlock()
 	var one [1]TupleID
 	return append(dst, st.nullIdx.get(x.Hash(), &one)...)
 }
 
 // TuplesWithNull returns, in ascending order, the IDs of visible
-// tuples containing the labeled null x. The null index spans
-// relations, so visibility is verified
-// stripe-by-stripe; consecutive hits cluster by stripe and share one
-// lock acquisition. ReplaceNull calls it through a snapshot minted
-// under every stripe lock.
+// tuples containing the labeled null x. ReplaceNull calls it through a
+// snapshot minted under the write lock.
 func (sn *Snapshot) TuplesWithNull(x model.Value) []TupleID {
+	sn.rlock()
+	defer sn.runlock()
 	ids := sn.store.appendNullIDs(nil, x)
 	out := ids[:0] // filtered in place
-	var cur *stripe
 	for _, id := range ids {
 		s := sn.store.stripeOf(id)
 		if s == nil {
 			continue
-		}
-		if s != cur {
-			if cur != nil {
-				sn.runlock(cur)
-			}
-			cur = s
-			sn.rlock(cur)
 		}
 		vals, ok := sn.getInStripe(s, id)
 		if !ok {
@@ -371,9 +356,6 @@ func (sn *Snapshot) TuplesWithNull(x model.Value) []TupleID {
 				break
 			}
 		}
-	}
-	if cur != nil {
-		sn.runlock(cur)
 	}
 	return out
 }
@@ -412,8 +394,8 @@ func (sn *Snapshot) walkMoreSpecific(t model.Tuple, fn func(TupleID) bool) {
 	if s == nil {
 		return
 	}
-	sn.rlock(s)
-	defer sn.runlock(s)
+	sn.rlock()
+	defer sn.runlock()
 	bestCol := -1
 	bestSize := -1
 	for i, v := range t.Vals {
@@ -447,12 +429,13 @@ func (sn *Snapshot) walkMoreSpecific(t model.Tuple, fn func(TupleID) bool) {
 // relation, as canonical sets keyed by relation name. The
 // serializability checker compares these across executions.
 func (sn *Snapshot) VisibleFacts() map[string][]model.Tuple {
+	sn.rlock()
+	defer sn.runlock()
 	out := make(map[string][]model.Tuple)
 	for _, rel := range sn.store.relsByIdx {
 		s := sn.store.stripes[rel]
 		seen := make(map[string]bool)
 		var ts []model.Tuple
-		sn.rlock(s)
 		sn.scanStripe(s, func(id TupleID, vals []model.Value) bool {
 			t := model.Tuple{Rel: rel, Vals: append([]model.Value(nil), vals...)}
 			if k := t.Key(); !seen[k] {
@@ -461,7 +444,6 @@ func (sn *Snapshot) VisibleFacts() map[string][]model.Tuple {
 			}
 			return true
 		})
-		sn.runlock(s)
 		if len(ts) > 0 {
 			out[rel] = ts
 		}

@@ -75,9 +75,9 @@ func contains(sn *Snapshot, t model.Tuple) bool { return len(lookupContent(sn, t
 // column col lists under v's key, visible or not: what the index
 // holds, which the probes then check against the versions.
 func indexIDs(st *Store, rel string, col int, v model.Value) []TupleID {
+	st.rlock()
+	defer st.runlock()
 	s := st.stripes[rel]
-	s.rlock()
-	defer s.runlock()
 	var one [1]TupleID
 	return slices.Clone(s.valIdx[col].get(st.key(v.Hash()), &one))
 }

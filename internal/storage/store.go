@@ -28,7 +28,7 @@
 // a tuple with more holds a marker in its slot and its chain in the
 // stripe's overflow map, and goes back to its slot when a commit, trim
 // or abort leaves it one version. A lookup by ID is a binary search of
-// ids. recs and the overflow map change in place under the stripe's
+// ids. recs and the overflow map change in place under the store's
 // write lock, so no pointer into them outlives a mutation of the
 // stripe; the value arrays never change.
 //
@@ -49,11 +49,10 @@
 // Trimming drops the versions below the newest committed one together
 // with their index entries (unindexVersion) and deletes a tuple whose
 // only version left is a committed tombstone from the tuple table and
-// every index. A commit batch trims the tuples in its writers' logs
-// under the stripe locks it already holds; what the horizon does not
-// yet release goes on the stripe's pending list, which a later batch
-// drains (adding those stripes to its ascending lock round) or the
-// abort of the last live writer settles.
+// every index. A commit batch trims the tuples in its writers' logs;
+// what the horizon does not yet release goes on the stripe's pending
+// list, which a later batch drains or the abort of the last live
+// writer settles.
 //
 // Why the rule is sound: the stored reads that consult history are the
 // ones with a ceiling or a window — ViolationRead and NullOccRead — and
@@ -78,50 +77,31 @@
 //
 // # Locking
 //
-// The store's write lock is striped by relation: each relation owns a
-// stripe holding its tuples, indexes, its slice of the per-writer
-// logs, and an
-// RWMutex, so mutators of disjoint relations proceed truly
-// concurrently and readers only contend on the stripes they touch.
-// Three pieces of state span stripes and have their own coordination:
+// One RWMutex, Store.mu, guards every table of the store: each
+// relation's stripe (its tuples, indexes and slice of the per-writer
+// logs), the null index, the live-writer entries and the pending and
+// free lists. Every write, commit batch and abort holds it exclusively
+// for the whole call; every read holds it shared for the whole call, so
+// each exported operation is atomic, the ones that span relations
+// (TuplesWithNull, VisibleFacts, the write-log scan over every
+// relation, Epoch, Stats, Dump) included. cc.Scheduler steps every
+// update on the goroutine that called Run; the one reader beside it is
+// the checkpointer's committed cut (Epoch).
 //
-//   - nullIdx (labeled-null occurrences cross relations) is guarded by
-//     nullMu, a leaf lock acquired while holding a stripe lock; no
-//     stripe lock is ever acquired while holding nullMu. Writers change
-//     its lists in place, so a reader copies the IDs it needs into its
-//     own buffer under nullMu (appendNullIDs) and checks them against
-//     the stripes only after releasing it.
-//   - the set of stripes each uncommitted writer has written is
-//     guarded by commitMu, a leaf lock below the stripe locks.
-//   - Abort and CommitBatch lock exactly the stripes their writers
-//     wrote — that write set, not the schema, bounds their lock round
-//     and their scan — in ascending stripe order. A writer's own
-//     operations (its writes, its commit, its abort) must be issued one
-//     at a time, which the scheduler does; different writers need no
-//     coordination. Commit batches additionally serialize among
-//     themselves on batchMu, taken before any stripe lock.
-//   - the remaining cross-relation operations (ReplaceNull, the
-//     write-log scan over every relation, Epoch, Stats, Dump) acquire
-//     every stripe lock in ascending stripe order. Every multi-stripe
-//     acquisition in the package is ascending, which makes these
-//     operations atomic against all single-stripe operations and
-//     against each other without a global mutex on the hot paths.
+// The lock is never taken twice on one goroutine: a read lock taken
+// again deadlocks once a writer queues between the two. So code that
+// already holds it reads through snapLocked, whose snapshot takes no
+// lock, and helpers such as appendNullIDs take none; and a callback the
+// store runs under its lock (a probe's keep, a scan's fn, a log scan's
+// match) must not call back into the store.
 //
-// Sequence numbers and tuple IDs are allocated without locks: the
-// global sequence counter is atomic (assigned while holding the
-// written stripe's lock, so per-stripe sequences stay monotone), and a
-// TupleID encodes its stripe index in the high bits, so resolving an
-// ID to its relation requires no shared lookup structure.
-//
-// Each exported operation is individually atomic; multi-operation
-// protocols (a chase step's write-then-validate sequence) rely on the
-// concurrency-control layer running them one at a time: cc.Scheduler
-// steps every update on the goroutine that called Run. The one
-// relaxation against the pre-striping store: snapshot reads that span
-// relations (TuplesWithNull, VisibleFacts) lock stripe-by-stripe, so
-// under concurrent mutators they may observe different relations at
-// different instants — the scheduler never reads while a writer runs,
-// and single-relation calls remain fully atomic.
+// Sequence numbers are atomic so that CurrentSeq and Snapshot.RelSeq
+// read them without the lock; they are assigned under the write lock,
+// so per-stripe sequences stay monotone. A TupleID encodes its stripe
+// index in the high bits, so resolving an ID to its relation requires
+// no shared lookup structure. Multi-operation protocols (a chase step's
+// write-then-validate sequence) rely on the concurrency-control layer
+// running them one at a time.
 package storage
 
 import (
@@ -246,8 +226,8 @@ func newVersion(writer int, seq int64, vals []model.Value) version {
 const chained = -1
 
 // stripe is the per-relation slice of the store: one relation's
-// tuples, secondary indexes, and slice of the per-writer logs, guarded
-// by its own RWMutex.
+// tuples, secondary indexes, and slice of the per-writer logs. Store.mu
+// guards every field but seq.
 //
 // The member list ids is the tuple table. recs runs parallel to it:
 // recs[i] is the only version of tuple ids[i], or, when that tuple has
@@ -262,11 +242,6 @@ const chained = -1
 type stripe struct {
 	rel string
 	idx int
-
-	// mu guards every field below. Single-relation operations lock only
-	// their stripe; cross-relation operations lock all stripes in
-	// ascending idx order.
-	mu sync.RWMutex
 
 	nextLocal int64
 	ids       []TupleID // members of the relation, visible or not
@@ -292,7 +267,7 @@ type stripe struct {
 	logs map[int][]WriteRec
 
 	// seq publishes the highest global sequence number applied in this
-	// stripe (monotone: assigned under mu). A stored violation read
+	// stripe (monotone: assigned under Store.mu). A stored violation read
 	// records it per relation as its read vector, which conflict checks
 	// narrow their view to.
 	seq atomic.Int64
@@ -310,7 +285,7 @@ func (s *stripe) base() TupleID { return TupleID(s.idx) << localIDBits }
 
 // newID mints the next tuple ID of the stripe, or fails with
 // ErrIDSpaceExhausted, changing nothing, once the counter is at
-// maxLocalID. Callers hold s.mu.
+// maxLocalID. Callers hold the write lock.
 func (s *stripe) newID() (TupleID, error) {
 	if s.nextLocal >= maxLocalID {
 		return 0, fmt.Errorf("%w: %s has minted %d tuple IDs", ErrIDSpaceExhausted, s.rel, s.nextLocal)
@@ -325,7 +300,7 @@ func (s *stripe) newID() (TupleID, error) {
 // sits at most at position L and at least at L less the number of those
 // counters that are not members: the binary search runs over that
 // window, which stays a few entries wide while the stripe holds most of
-// the IDs it minted. Callers hold s.mu.
+// the IDs it minted. Callers hold the lock.
 func (s *stripe) find(id TupleID) (int, bool) {
 	local := int64(id) & (1<<localIDBits - 1)
 	if local > s.nextLocal {
@@ -339,7 +314,7 @@ func (s *stripe) find(id TupleID) (int, bool) {
 
 // chain returns the versions of the member at position i, ascending by
 // (writer, seq). The slice aliases recs or chains: callers read it
-// under s.mu and drop it before the stripe next changes.
+// under the lock and drop it before the stripe next changes.
 func (s *stripe) chain(i int) []version {
 	if s.recs[i].writer == chained {
 		return s.chains[s.ids[i]]
@@ -410,8 +385,10 @@ type Store struct {
 	byIdx     []*stripe
 	relsByIdx []string // sorted relation names, aligned with byIdx
 
-	// nullMu guards nullIdx; see the package comment for lock order.
-	nullMu sync.Mutex
+	// mu guards every field below and every stripe; see the package
+	// comment.
+	mu sync.RWMutex
+
 	// nullIdx[null.Hash()] lists the tuples with a version containing
 	// the labeled null.
 	nullIdx postings[uint64]
@@ -420,8 +397,6 @@ type Store struct {
 	// turns each probe into a scan of the candidates' values.
 	collideKeys bool
 
-	// commitMu guards writerStripes, pendingIn and logFree.
-	commitMu sync.RWMutex
 	// writerStripes[w] describes uncommitted writer w's live writes in
 	// this store: the stripes they are in — a stripe joins with w's
 	// first record in its logs — and the sequence number of the first.
@@ -434,8 +409,7 @@ type Store struct {
 	// into a stripe (addVersion pops, retireLogs pushes). An array may
 	// be handed to another writer as soon as it is pushed because no
 	// reader keeps one: appendLogs and batchWrites copy the records out
-	// under the stripe lock, and every other reader of a log holds that
-	// stripe's write lock. The list is bounded by count (maxFreeLogs)
+	// under the lock. The list is bounded by count (maxFreeLogs)
 	// and by array capacity (maxFreeLogCap), so a burst of long logs
 	// does not stay reachable.
 	logFree [][]WriteRec
@@ -452,17 +426,15 @@ type Store struct {
 	commitGuard CommitGuard
 	syncCounter func() int64
 
-	// batchMu serializes commit batches, so the hook sees them, and
-	// commits counts them, in one order. It also guards the two reusable
-	// buffers a batch fills: the stripes it locks and the merged write
-	// records it hands the hook.
-	batchMu       sync.Mutex
+	// stripeScratch and commitScratch are the reusable buffers a commit
+	// batch fills: the stripes it trims and the merged write records it
+	// hands the hook.
 	stripeScratch []int
 	commitScratch []WriteRec
 	// commits counts the batches with writes committed so far — on a
 	// durable store exactly the batches the hook accepted. A batch
-	// advances it while still holding its stripes' write locks, so a cut
-	// taken under every stripe read lock pairs with it (epoch.go).
+	// advances it while still holding the write lock, so a cut taken
+	// under the read lock pairs with it (epoch.go).
 	commits atomic.Int64
 }
 
@@ -502,34 +474,6 @@ func (st *Store) stripeOf(id TupleID) *stripe {
 		return nil
 	}
 	return st.byIdx[i]
-}
-
-// lockAll acquires every stripe's write lock in ascending order; the
-// caller then owns the whole store. unlockAll releases them. Only
-// ReplaceNull needs this; commits and aborts lock their write set.
-func (st *Store) lockAll() {
-	for _, s := range st.byIdx {
-		s.lock()
-	}
-}
-
-func (st *Store) unlockAll() {
-	for _, s := range st.byIdx {
-		s.unlock()
-	}
-}
-
-// rlockAll / runlockAll are the shared-mode counterparts of lockAll.
-func (st *Store) rlockAll() {
-	for _, s := range st.byIdx {
-		s.rlock()
-	}
-}
-
-func (st *Store) runlockAll() {
-	for _, s := range st.byIdx {
-		s.runlock()
-	}
 }
 
 // Schema returns the schema the store was created with.
@@ -579,8 +523,7 @@ func (st *Store) key(h uint64) uint32 {
 func (st *Store) contentKey(vals []model.Value) uint32 { return st.key(contentHash(vals)) }
 
 // indexVersion enters one version's values into the stripe's secondary
-// indexes and the global null index. Callers hold the stripe's write
-// lock; nullMu is a leaf below it.
+// indexes and the global null index. Callers hold the write lock.
 func (st *Store) indexVersion(s *stripe, id TupleID, vals []model.Value) {
 	if vals == nil {
 		return
@@ -588,9 +531,7 @@ func (st *Store) indexVersion(s *stripe, id TupleID, vals []model.Value) {
 	for i, v := range vals {
 		s.valIdx[i].add(st.key(v.Hash()), id)
 		if v.IsNull() {
-			st.nullMu.Lock()
 			st.nullIdx.add(v.Hash(), id)
-			st.nullMu.Unlock()
 		}
 	}
 	s.contentIdx.add(st.contentKey(vals), id)
@@ -611,7 +552,7 @@ func (s *stripe) carries(vs []version, has func(vals []model.Value) bool) bool {
 // left the chain of tuple id put there and none of rest, the versions
 // the tuple still has, carries. The stripe indexes are keyed by folds
 // that several values share, so there it is the key another version has
-// to share, not the value. Callers hold the stripe's write lock.
+// to share, not the value. Callers hold the write lock.
 func (st *Store) unindexVersion(s *stripe, id TupleID, rest []version, vals []model.Value) {
 	if vals == nil {
 		return
@@ -622,9 +563,7 @@ func (st *Store) unindexVersion(s *stripe, id TupleID, rest []version, vals []mo
 			s.valIdx[i].remove(k, id)
 		}
 		if v.IsNull() && !s.carries(rest, func(w []model.Value) bool { return slices.Contains(w, v) }) {
-			st.nullMu.Lock()
 			st.nullIdx.remove(v.Hash(), id)
-			st.nullMu.Unlock()
 		}
 	}
 	k := st.contentKey(vals)
@@ -635,7 +574,7 @@ func (st *Store) unindexVersion(s *stripe, id TupleID, rest []version, vals []mo
 
 // dropVersion takes the j-th version of the member at position i out of
 // its chain and out of the indexes, and the member out of the stripe
-// with its last version. Callers hold the stripe's write lock.
+// with its last version. Callers hold the write lock.
 func (st *Store) dropVersion(s *stripe, i, j int) {
 	id, vs := s.ids[i], s.chain(i)
 	vals := s.valsOf(&vs[j])
@@ -652,27 +591,21 @@ func (st *Store) dropVersion(s *stripe, i, j int) {
 // isCommitted reports whether a version's writer has committed: the
 // store keeps no commit status, so a writer counts as committed iff it
 // is writer 0, the initial load, or has no writerStripes entry. A
-// writer with live writes has an entry from its first write on (made
-// under that write's stripe lock), a commit deletes it under the write
-// locks of the writer's stripes, and an abort deletes it only once it
-// holds those locks too. So a reader holding a stripe lock sees every
-// version of a live or aborting writer as uncommitted: an abort's
-// versions are gone before the stripe unlocks. Safe under any stripe
-// lock (commitMu is a leaf).
+// writer with live writes has an entry from its first write on, and a
+// commit or an abort deletes it in the same critical section that
+// retires or removes the writer's versions. Callers hold the lock.
 func (st *Store) isCommitted(writer int) bool {
 	if writer == 0 {
 		return true
 	}
-	st.commitMu.RLock()
 	_, live := st.writerStripes[writer]
-	st.commitMu.RUnlock()
 	return !live
 }
 
 // insertVersion splices a version into the chain of tuple id, keeping
 // the chain sorted by (writer, seq) and making id a member if it is not
 // one, and maintains the stripe indexes and published sequence number.
-// Callers hold the stripe's write lock. Logging and writer accounting
+// Callers hold the write lock. Logging and writer accounting
 // are the caller's concern: live writes go through addVersion, recovery
 // replay applies versions directly.
 func (st *Store) insertVersion(s *stripe, id TupleID, v version) {
@@ -696,7 +629,7 @@ func (st *Store) insertVersion(s *stripe, id TupleID, v version) {
 
 // addVersion adds a version to the chain of the tuple logRec names, as
 // insertVersion does, and maintains indexes and logs. Callers hold the
-// stripe's write lock. Every writer but writer 0, the initial load,
+// write lock. Every writer but writer 0, the initial load,
 // logs: writer 0 never commits through a batch and never aborts, so
 // nothing would read its log.
 func (st *Store) addVersion(s *stripe, v version, logRec WriteRec) {
@@ -707,7 +640,6 @@ func (st *Store) addVersion(s *stripe, v version, logRec WriteRec) {
 	}
 	log := s.logs[v.writer]
 	if len(log) == 0 {
-		st.commitMu.Lock()
 		if n := len(st.logFree); n > 0 {
 			log = st.logFree[n-1]
 			st.logFree[n-1] = nil
@@ -719,7 +651,6 @@ func (st *Store) addVersion(s *stripe, v version, logRec WriteRec) {
 		}
 		lw.stripes = append(lw.stripes, s.idx)
 		st.writerStripes[v.writer] = lw
-		st.commitMu.Unlock()
 	}
 	s.logs[v.writer] = append(log, logRec)
 }
@@ -730,12 +661,10 @@ const (
 	maxFreeLogCap = 8
 )
 
-// retireLogs drops the writers' logs from the locked stripes, keeping
-// their arrays, cleared, on the free list within its bounds. Callers
-// hold the stripes' write locks and are done reading the logs.
+// retireLogs drops the writers' logs from the stripes, keeping their
+// arrays, cleared, on the free list within its bounds. Callers hold the
+// write lock and are done reading the logs.
 func (st *Store) retireLogs(stripes, writers []int) {
-	st.commitMu.Lock()
-	defer st.commitMu.Unlock()
 	for _, si := range stripes {
 		s := st.byIdx[si]
 		for _, w := range writers {
@@ -758,20 +687,6 @@ type liveWriter struct {
 	stripes []int // stripes holding its live writes, in join order
 }
 
-// lockStripes write-locks the listed stripes, which must be in
-// ascending index order; unlockStripes releases them.
-func (st *Store) lockStripes(idxs []int) {
-	for _, i := range idxs {
-		st.byIdx[i].lock()
-	}
-}
-
-func (st *Store) unlockStripes(idxs []int) {
-	for _, i := range idxs {
-		st.byIdx[i].unlock()
-	}
-}
-
 // CurrentSeq returns the sequence number of the most recent write or
 // abort; reads record it so conflict checks can reconstruct read-time
 // state.
@@ -789,10 +704,9 @@ func (st *Store) Insert(writer int, t model.Tuple) (id TupleID, rec WriteRec, in
 	if err := st.schema.CheckTuple(t); err != nil {
 		return 0, WriteRec{}, false, err
 	}
-	s := st.stripes[t.Rel]
-	s.lock()
-	defer s.unlock()
-	return st.insertLocked(s, writer, t)
+	st.lock()
+	defer st.unlock()
+	return st.insertLocked(st.stripes[t.Rel], writer, t)
 }
 
 func (st *Store) insertLocked(s *stripe, writer int, t model.Tuple) (id TupleID, rec WriteRec, inserted bool, err error) {
@@ -823,8 +737,8 @@ func (st *Store) Delete(writer int, id TupleID) (rec WriteRec, ok bool, err erro
 	if s == nil {
 		return WriteRec{}, false, nil
 	}
-	s.lock()
-	defer s.unlock()
+	st.lock()
+	defer st.unlock()
 	return st.deleteLocked(s, writer, id)
 }
 
@@ -848,8 +762,8 @@ func (st *Store) DeleteContent(writer int, t model.Tuple) ([]WriteRec, error) {
 		return nil, err
 	}
 	s := st.stripes[t.Rel]
-	s.lock()
-	defer s.unlock()
+	st.lock()
+	defer st.unlock()
 	snap := st.snapLocked(writer)
 	var ids []TupleID
 	var one [1]TupleID
@@ -876,9 +790,6 @@ func (st *Store) DeleteContent(writer int, t model.Tuple) ([]WriteRec, error) {
 // writer is replaced by the value to (a constant for the paper's
 // null-replacement user operation, or another null during frontier
 // unification). It returns one modify record per rewritten tuple.
-//
-// The replacement spans relations, so it holds every stripe lock for
-// its duration — the one mutator that still serializes store-wide.
 func (st *Store) ReplaceNull(writer int, x, to model.Value) ([]WriteRec, error) {
 	if !x.IsNull() {
 		return nil, fmt.Errorf("storage: ReplaceNull target %s is not a labeled null", x)
@@ -887,8 +798,8 @@ func (st *Store) ReplaceNull(writer int, x, to model.Value) ([]WriteRec, error) 
 		return nil, fmt.Errorf("storage: ReplaceNull of %s with itself", x)
 	}
 	st.nulls.Note(to)
-	st.lockAll()
-	defer st.unlockAll()
+	st.lock()
+	defer st.unlock()
 	snap := st.snapLocked(writer)
 	// Collect affected tuples first, in ascending tuple-ID order:
 	// rewriting mutates the null index.
@@ -958,17 +869,10 @@ func (st *Store) Abort(writer int) {
 	if writer == 0 {
 		panic("storage: cannot abort the initial load")
 	}
-	// Write-lock the writer's stripes in ascending order, and only then
-	// drop its entry: the versions must leave before anyone under a
-	// stripe lock counts them committed (see isCommitted).
-	st.commitMu.Lock()
+	st.lock()
+	defer st.unlock()
 	stripes := st.writerStripes[writer].stripes
-	sort.Ints(stripes)
-	st.commitMu.Unlock()
-	st.lockStripes(stripes)
-	st.commitMu.Lock()
 	delete(st.writerStripes, writer)
-	st.commitMu.Unlock()
 	for _, si := range stripes {
 		s := st.byIdx[si]
 		log := s.logs[writer]
@@ -991,7 +895,6 @@ func (st *Store) Abort(writer int) {
 	if len(stripes) > 0 {
 		st.nextSeq.Add(1)
 	}
-	st.unlockStripes(stripes)
 	st.settle()
 }
 
@@ -1003,13 +906,13 @@ func (st *Store) Commit(writer int) error {
 	return st.CommitBatch([]int{writer})
 }
 
-// CommitBatch commits a group of writers in one lock round over the
-// stripes they wrote — the group-commit primitive the scheduler's
-// commit frontier uses to drain a whole terminated prefix at once —
-// and, on a durable store, blocks until the batch's log sync lands. It
-// is CommitBatchAsync followed by the ack wait; an ack failure means
-// the batch is committed in memory but its durability could not be
-// confirmed (the backend refuses further commits until reopened).
+// CommitBatch commits a group of writers in one critical section —
+// the group-commit primitive the scheduler's commit frontier uses to
+// drain a whole terminated prefix at once — and, on a durable store,
+// blocks until the batch's log sync lands. It is CommitBatchAsync
+// followed by the ack wait; an ack failure means the batch is committed
+// in memory but its durability could not be confirmed (the backend
+// refuses further commits until reopened).
 func (st *Store) CommitBatch(writers []int) error {
 	ack, err := st.CommitBatchAsync(writers)
 	if err != nil {
@@ -1024,11 +927,11 @@ func (st *Store) CommitBatch(writers []int) error {
 // CommitBatchAsync is the pipelined commit: logs and per-relation
 // writer counts are retired for every writer in the batch and the
 // batch's write records are handed to the durability hook — appended
-// to the log, one call per commit batch — all under the write locks of
-// the stripes the batch wrote, but the locks are released *before* any
-// fsync. The returned ack (nil on in-memory stores) blocks until the
-// covering sync lands; callers must not report the commit as durable
-// before the ack resolves.
+// to the log, one call per commit batch — all under the store's write
+// lock, but the lock is released *before* any fsync. The returned ack
+// (nil on in-memory stores) blocks until the covering sync lands;
+// callers must not report the commit as durable before the ack
+// resolves.
 //
 // A hook error vetoes the commit: nothing was appended past the
 // failure, the store is unchanged, and the error is returned — the
@@ -1043,7 +946,7 @@ func (st *Store) CommitBatchAsync(writers []int) (CommitAck, error) {
 		return nil, nil
 	}
 	if st.commitGuard != nil {
-		// Fast rejection before any stripe lock is taken: a durability
+		// Fast rejection before the store lock is taken: a durability
 		// backend that cannot accept writes (degraded to read-only,
 		// poisoned) says so here, so doomed commits never contend with
 		// the readers the store is still serving. The hook re-checks
@@ -1052,10 +955,9 @@ func (st *Store) CommitBatchAsync(writers []int) (CommitAck, error) {
 			return nil, err
 		}
 	}
-	st.batchMu.Lock()
-	defer st.batchMu.Unlock()
-	stripes, wrote := st.lockBatch(writers)
-	defer st.unlockStripes(stripes)
+	st.lock()
+	defer st.unlock()
+	stripes, wrote := st.batchStripes(writers)
 	var ack CommitAck
 	if st.commitHook != nil && wrote {
 		// A batch with no live writes in this store has nothing to make
@@ -1067,11 +969,9 @@ func (st *Store) CommitBatchAsync(writers []int) (CommitAck, error) {
 		}
 		ack = a
 	}
-	st.commitMu.Lock()
 	for _, w := range writers {
 		delete(st.writerStripes, w)
 	}
-	st.commitMu.Unlock()
 	if len(stripes) == 0 {
 		return ack, nil
 	}
@@ -1086,23 +986,20 @@ func (st *Store) CommitBatchAsync(writers []int) (CommitAck, error) {
 	return ack, nil
 }
 
-// lockBatch write-locks, in ascending order, the stripes the batch's
-// writers wrote together with the stripes holding deferred trims, and
-// returns their indexes in the store's reusable buffer; wrote reports
-// whether the batch has live writes here. Callers hold batchMu.
-func (st *Store) lockBatch(writers []int) (stripes []int, wrote bool) {
+// batchStripes returns, ascending and each once, the stripes the
+// batch's writers wrote together with the stripes holding deferred
+// trims, in the store's reusable buffer; wrote reports whether the
+// batch has live writes here. Callers hold the write lock.
+func (st *Store) batchStripes(writers []int) (stripes []int, wrote bool) {
 	stripes = st.stripeScratch[:0]
-	st.commitMu.RLock()
 	for _, w := range writers {
 		stripes = append(stripes, st.writerStripes[w].stripes...)
 	}
 	wrote = len(stripes) > 0
 	stripes = append(stripes, st.pendingIn...)
-	st.commitMu.RUnlock()
 	slices.Sort(stripes)
 	stripes = slices.Compact(stripes)
 	st.stripeScratch = stripes
-	st.lockStripes(stripes)
 	return stripes, wrote
 }
 
@@ -1112,22 +1009,11 @@ const anyWriter = -1
 // appendLogs is the one scan of the live write log: it appends to dst
 // the log records in relation rel ("" = every relation) of writer, or
 // of every uncommitted writer when writer is anyWriter, and returns the
-// extended slice. Records come in no particular order. The scanned
-// stripes are read-locked together, so a scan of every relation is
-// one consistent cut.
+// extended slice. Records come in no particular order.
 func (st *Store) appendLogs(dst []WriteRec, rel string, writer int) []WriteRec {
-	stripes := st.byIdx
-	if rel != "" {
-		s := st.stripes[rel]
-		if s == nil {
-			return dst
-		}
-		stripes = st.byIdx[s.idx : s.idx+1]
-	}
-	for _, s := range stripes {
-		s.rlock()
-	}
-	for _, s := range stripes {
+	st.rlock()
+	defer st.runlock()
+	for _, s := range st.scanned(rel) {
 		if writer != anyWriter {
 			dst = append(dst, s.logs[writer]...)
 			continue
@@ -1136,10 +1022,19 @@ func (st *Store) appendLogs(dst []WriteRec, rel string, writer int) []WriteRec {
 			dst = append(dst, log...)
 		}
 	}
-	for _, s := range stripes {
-		s.runlock()
-	}
 	return dst
+}
+
+// scanned returns the stripes a log scan of rel reads: rel's, none for
+// an undeclared relation, or every stripe when rel is "".
+func (st *Store) scanned(rel string) []*stripe {
+	if rel == "" {
+		return st.byIdx
+	}
+	if s := st.stripes[rel]; s != nil {
+		return st.byIdx[s.idx : s.idx+1]
+	}
+	return nil
 }
 
 // AppendUncommittedWrites appends to dst the live writes of every
@@ -1156,30 +1051,17 @@ func (st *Store) AppendUncommittedWrites(dst []WriteRec, rel string) []WriteRec 
 // returns the extended slice. With a nil match every such writer is
 // appended; otherwise only a writer one of whose writes match accepts.
 // A writer may appear more than once and order is unspecified: the
-// dependency trackers (§5.1) charge each one as a set member. The
-// stripes are read-locked as in appendLogs, and match runs under those
-// locks, so it must not call into the store.
+// dependency trackers (§5.1) charge each one as a set member. match
+// runs under the store's read lock, so it must not call into the store.
 func (st *Store) AppendUncommittedWriters(dst []int, rel string, match func(*WriteRec) bool) []int {
-	stripes := st.byIdx
-	if rel != "" {
-		s := st.stripes[rel]
-		if s == nil {
-			return dst
-		}
-		stripes = st.byIdx[s.idx : s.idx+1]
-	}
-	for _, s := range stripes {
-		s.rlock()
-	}
-	for _, s := range stripes {
+	st.rlock()
+	defer st.runlock()
+	for _, s := range st.scanned(rel) {
 		for w, log := range s.logs {
 			if match == nil || anyMatch(log, match) {
 				dst = append(dst, w)
 			}
 		}
-	}
-	for _, s := range stripes {
-		s.runlock()
 	}
 	return dst
 }
@@ -1237,8 +1119,8 @@ func (st *Store) UncommittedWritersOf(rel string) []int {
 }
 
 // Snap returns a read view of the store at the given reader priority.
-// The snapshot locks internally per call and is safe for concurrent
-// use.
+// Each of its calls takes the store's read lock and is safe for
+// concurrent use.
 func (st *Store) Snap(reader int) *Snapshot {
 	return &Snapshot{store: st, reader: reader}
 }
@@ -1249,8 +1131,7 @@ func (st *Store) SnapInto(dst *Snapshot, reader int) {
 }
 
 // snapLocked returns a read view for use by code already holding the
-// locks its calls will need (a single stripe for relation-local use,
-// or every stripe for cross-relation operations).
+// lock; its calls take none.
 func (st *Store) snapLocked(reader int) *Snapshot {
 	return &Snapshot{store: st, reader: reader, noLock: true}
 }
@@ -1265,8 +1146,8 @@ type Stats struct {
 // Stats computes summary statistics. The Visible count uses the
 // highest possible reader (every writer included).
 func (st *Store) Stats() Stats {
-	st.rlockAll()
-	defer st.runlockAll()
+	st.rlock()
+	defer st.runlock()
 	var s Stats
 	snap := st.snapLocked(maxReader)
 	for _, sp := range st.byIdx {
@@ -1285,8 +1166,8 @@ func (st *Store) Stats() Stats {
 // Dump renders the database visible to reader as sorted text, one
 // tuple per line. Intended for examples, debugging, and golden tests.
 func (st *Store) Dump(reader int) string {
-	st.rlockAll()
-	defer st.runlockAll()
+	st.rlock()
+	defer st.runlock()
 	snap := st.snapLocked(reader)
 	var lines []string
 	for _, rel := range st.relsByIdx {

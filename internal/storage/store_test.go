@@ -302,18 +302,17 @@ func TestAbortInitialLoadPanics(t *testing.T) {
 
 // TestAbortKeepsWriterLiveUntilLocked: a writer's live-writer entry is
 // what marks its versions uncommitted, so Abort may drop it only once
-// it holds the write locks of the writer's stripes. A committed-state
-// scan parks on the stripe's first tuple while an Abort of the writer
-// of a later tuple waits for the scan's read lock; the rest of the
-// scan must still hide that writer's tuple. The callback waits until
-// the entry is gone or the abort is queued on the lock (a read
-// try-lock fails once a writer waits), and never calls back into the
-// store's stripe locks, which the waiting writer now holds off.
+// it holds the store's write lock. A committed-state scan parks on the
+// stripe's first tuple while an Abort of the writer of a later tuple
+// waits for the scan's read lock; the rest of the scan must still hide
+// that writer's tuple. The callback waits until the entry is gone or
+// the abort is queued on the lock (a read try-lock fails once a writer
+// waits), and never calls back into the store's lock, which the
+// waiting writer now holds off.
 func TestAbortKeepsWriterLiveUntilLocked(t *testing.T) {
 	st := NewStore(testSchema())
 	st.Load(tup("C", c("a")))
 	st.Insert(1, tup("C", c("b")))
-	s := st.stripes["C"]
 	var seen []model.Value
 	aborted := make(chan struct{})
 	st.EpochSnap().ScanRel("C", func(_ TupleID, vals []model.Value) bool {
@@ -323,10 +322,10 @@ func TestAbortKeepsWriterLiveUntilLocked(t *testing.T) {
 				if st.isCommitted(1) {
 					break
 				}
-				if !s.mu.TryRLock() {
+				if !st.mu.TryRLock() {
 					break
 				}
-				s.mu.RUnlock()
+				st.mu.RUnlock()
 			}
 		}
 		seen = append(seen, vals[0])

@@ -12,7 +12,7 @@ import (
 // epoch with a batch index, while it renders the instance) must not
 // block a concurrent durable commit — append, sync, and ack all
 // complete while the checkpointer is frozen. The old implementation
-// held every stripe read lock across serialization, which made this
+// held the store's read locks across serialization, which made this
 // exact schedule deadlock.
 func TestCheckpointDoesNotStallCommits(t *testing.T) {
 	dir := t.TempDir()

@@ -101,7 +101,7 @@ func (m *Manager) Health() Health {
 }
 
 // writeGate is installed as the store's commit guard: it rejects
-// commits before any stripe lock is taken when the log cannot make
+// commits before the store lock is taken when the log cannot make
 // them durable. appendBatch re-checks under the same mutex, so the
 // gate is a fast path, not the correctness boundary.
 func (m *Manager) writeGate() error {

@@ -152,8 +152,8 @@ type Manager struct {
 	info RecoveryInfo
 
 	// ckptMu serializes checkpoints (explicit and background). It is
-	// never held together with the store's stripe locks on the append
-	// path; see Checkpoint for the ordering argument.
+	// never held together with the store's lock on the append path;
+	// see Checkpoint for the ordering argument.
 	ckptMu sync.Mutex
 
 	// mu guards everything below.
@@ -408,12 +408,12 @@ func (m *Manager) LastCheckpoint() int64 {
 }
 
 // appendBatch is the storage.CommitHook: one frame append per commit
-// batch, written while the store holds every stripe lock — which is
-// what makes the log order the commit order — but *not* fsynced
-// there. Under SyncAlways the returned ack ticket blocks until the
-// syncer goroutine's next covering fsync lands (or a checkpoint
-// supersedes it), so the expensive disk wait happens after the stripe
-// locks are released and concurrent batches share syncs.
+// batch, written while the store holds its write lock — which is what
+// makes the log order the commit order — but *not* fsynced there.
+// Under SyncAlways the returned ack ticket blocks until the syncer
+// goroutine's next covering fsync lands (or a checkpoint supersedes
+// it), so the expensive disk wait happens after the store lock is
+// released and consecutive batches share syncs.
 //
 // I/O failures on the append path are classified, not fatal:
 // transient write errors retry in place with backoff (the torn tail
@@ -795,7 +795,7 @@ var testCkptSerialize func()
 // temp-file rename, and deletes segments (and older checkpoints) the
 // new checkpoint wholly covers. It never stalls commits beyond the
 // copy: the instance is a committed cut the store copies under its
-// stripe read locks (storage.Store.Epoch), then encoded and written
+// read lock (storage.Store.Epoch), then encoded and written
 // entirely outside both the manager's mutex and the store's locks. The
 // cut is paired with the exact batch index it reflects by matching its
 // Commits counter against the manager's batch counter. The store runs
