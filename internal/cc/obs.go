@@ -1,10 +1,6 @@
 package cc
 
-import (
-	"time"
-
-	"youtopia/internal/obs"
-)
+import "youtopia/internal/obs"
 
 // Shared metric handles for the scheduler, resolved once against
 // obs.Default at package init so the hot path is plain atomic adds —
@@ -28,18 +24,16 @@ var (
 	obsCancelled         = obs.Default.Counter("cc_cancelled_total")
 	obsCommitBatchSize   = obs.Default.HistogramWith("cc_commit_batch_updates",
 		[]int64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024})
-	obsCommitAck = obs.Default.LatencyHistogram("cc_commit_ack_seconds")
 )
 
 // InstrumentationProbe returns a closure performing exactly the
-// registry updates one scheduler step-plus-commit makes — the
-// counter bumps of the step path and the histogram observations of
+// registry updates one scheduler step-plus-commit makes — the counter
+// bumps of the step path and the batch-size histogram observation of
 // the commit path — against live handles. TestInstrumentationAllocFree
 // runs it under testing.AllocsPerRun to pin the instrumentation at
 // zero heap allocations per operation, as CandidateProbe pins the
 // live window's candidate collection.
 func InstrumentationProbe() func() {
-	perRun := obs.NewLatencyHistogram() // the ackTracker's per-run histogram
 	return func() {
 		obsSteps.Inc()
 		obsWrites.Add(2)
@@ -47,7 +41,5 @@ func InstrumentationProbe() func() {
 		obsCommitBatches.Inc()
 		obsUpdatesCommitted.Add(4)
 		obsCommitBatchSize.Observe(4)
-		perRun.ObserveDuration(5 * time.Millisecond)
-		obsCommitAck.ObserveDuration(5 * time.Millisecond)
 	}
 }

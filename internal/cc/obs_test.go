@@ -2,7 +2,6 @@ package cc
 
 import (
 	"testing"
-	"time"
 
 	"youtopia/internal/chase"
 	"youtopia/internal/fixtures"
@@ -21,30 +20,6 @@ func TestInstrumentationAllocFree(t *testing.T) {
 	probe() // warm the handles
 	if got := testing.AllocsPerRun(200, probe); got != 0 {
 		t.Fatalf("hot-path instrumentation allocates %.1f/op in steady state, want 0", got)
-	}
-}
-
-// The satellite guarantee replacing the unbounded lats slice: tracking
-// many commit acks grows no per-commit state — the histogram is fixed
-// size — and the percentiles still come out ordered.
-func TestAckTrackerBoundedAndOrdered(t *testing.T) {
-	var a ackTracker
-	a.init(nil)
-	for i := 1; i <= 5000; i++ {
-		lat := time.Duration(i) * 10 * time.Microsecond
-		done := make(chan struct{})
-		a.track(time.Now().Add(-lat), func() error { close(done); return nil }, []int{i})
-		<-done
-	}
-	if err := a.wait(); err != nil {
-		t.Fatal(err)
-	}
-	p50, p99 := a.percentiles()
-	if p50 <= 0 || p99 < p50 {
-		t.Fatalf("percentiles not ordered: p50=%v p99=%v", p50, p99)
-	}
-	if got := a.hist.Count(); got != 5000 {
-		t.Fatalf("histogram count = %d, want 5000", got)
 	}
 }
 

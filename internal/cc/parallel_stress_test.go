@@ -14,9 +14,7 @@ import (
 // TestParallelSchedulerStress drives a denser synthetic universe
 // through rounds of width 8, under every tracker, to shake out
 // interactions between chase steps, conflict processing, frontier
-// polling, cascading aborts, and the commit frontier. The race
-// detector (go test -race ./internal/cc/) also covers the ack
-// tracker's goroutines.
+// polling, cascading aborts, and the commit frontier.
 func TestParallelSchedulerStress(t *testing.T) {
 	u, ops := stressUniverse(t)
 	for _, tr := range []cc.Tracker{cc.Naive{}, cc.Coarse{}, cc.Precise{}} {

@@ -165,22 +165,13 @@ type Metrics struct {
 	MaxCommitBatch int
 	// WALSyncs counts the log fsyncs that covered this run's commit
 	// batches. Every commit-frontier drain is exactly one log append,
-	// but the pipelined sync coalesces consecutive batches, so under
-	// the default sync-always policy WALSyncs <= CommitBatches — and
-	// strictly below it whenever commits outpace the disk, which is
-	// the group commit and the sync pipeline amortizing fsync cost.
-	// Zero on in-memory stores and under a no-sync log policy (the
-	// appends happen but the fsyncs are the OS's).
+	// but the run waits for durability once, at its end, so under the
+	// default sync-always policy one covering fsync lands them all:
+	// WALSyncs is at most 1 plus the segment rotations and inbox
+	// control appends, which sync on their own. Zero on in-memory
+	// stores and under a no-sync log policy (the appends happen but the
+	// fsyncs are the OS's).
 	WALSyncs int
-	// CommitAckP50 and CommitAckP99 are fixed-bucket-histogram
-	// percentiles of commit-acknowledgment latency: the time from a
-	// commit batch's frontier drain to its covering log sync landing.
-	// The estimate is the upper bound of the bucket holding the
-	// nearest-rank sample (at most 2x the true sample with the
-	// doubling bounds). Zero when no batch needed a sync (in-memory
-	// stores, no-sync logs).
-	CommitAckP50 time.Duration
-	CommitAckP99 time.Duration
 	// WallTime is the total run time.
 	WallTime time.Duration
 }
@@ -198,9 +189,11 @@ func (m Metrics) PerUpdateTime() time.Duration {
 // returns the collected metrics; the error reports stalls (absent
 // users), step-limit or abort-limit overruns, or storage failures —
 // including a commit batch whose log sync failed, which is only
-// surfaced here because acknowledgment is pipelined (the run keeps
-// chasing while syncs are in flight and settles them before
-// returning).
+// surfaced here because acknowledgment is deferred: on a durable store
+// the run appends every commit batch without waiting and, before it
+// returns, waits once on the last batch's ack, whose covering sync
+// makes the whole run durable on the calling goroutine. A run starts
+// no goroutine.
 func (s *Scheduler) Run(ops []chase.Op) (Metrics, error) {
 	if err := s.cfg.Validate(); err != nil {
 		return Metrics{}, err

@@ -85,8 +85,11 @@ type Scheduler struct {
 	cfg     Config
 	ops     []chase.Op
 	txns    []*Txn
-	acks    ackTracker
 	scratch stepScratch
+	// lastAck is the ack of the run's latest durable commit batch. A
+	// covering sync covers every batch appended before it, so waiting
+	// on the last ack acknowledges every earlier batch too.
+	lastAck storage.CommitAck
 
 	// The live window, txns[committedUpTo:top]: top is the highest
 	// number start has given a chase.Update. Algorithm 4 checks a write
@@ -155,7 +158,6 @@ func (s *Scheduler) onRead(u *chase.Update, q query.ReadQuery) {
 func (s *Scheduler) begin(ops []chase.Op) {
 	s.started = time.Now()
 	s.syncs0 = s.store.SyncCount()
-	s.acks.init(s.cfg.Trace)
 	s.ops = ops
 	recs := make([]Txn, len(ops))
 	s.txns = make([]*Txn, len(ops))
@@ -231,15 +233,24 @@ func (s *Scheduler) loop() error {
 	}
 }
 
-// end settles the commit pipeline — nothing is acknowledged, Run
-// included, until its covering sync landed — and completes the run's
-// metrics. runErr is the run's own failure; a failed sync is reported
-// when there is none.
+// end acknowledges the run's commits — nothing is acknowledged, Run
+// included, until a covering sync landed — and completes the run's
+// metrics. The wait on the last ack runs that sync on this goroutine,
+// one fsync for every batch the run appended, and each committed
+// update's trace gets its "ack" once it lands. runErr is the run's own
+// failure; a failed sync is reported when there is none.
 func (s *Scheduler) end(runErr error) (Metrics, error) {
-	if err := s.acks.wait(); err != nil && runErr == nil {
-		runErr = err
+	if s.lastAck != nil {
+		err := s.lastAck()
+		if err == nil && s.cfg.Trace.Enabled() {
+			for _, t := range s.txns[:s.committedUpTo] {
+				s.cfg.Trace.Note(t.Number, "ack")
+			}
+		}
+		if runErr == nil {
+			runErr = err
+		}
 	}
-	s.m.CommitAckP50, s.m.CommitAckP99 = s.acks.percentiles()
 	s.m.WALSyncs = int(s.store.SyncCount() - s.syncs0)
 	s.m.Runs = s.m.Submitted + s.m.Aborts
 	s.m.WallTime = time.Since(s.started)
@@ -251,10 +262,10 @@ func (s *Scheduler) end(runErr error) (Metrics, error) {
 // until every lower-numbered update has terminated) — and returns how
 // many txns it committed. The whole terminated prefix above
 // committedUpTo drains through one storage group commit: on a durable
-// store one log append, whose fsync is pipelined — CommitBatchAsync
-// returns once the batch is in the log, the scheduler keeps running
-// while the disk works, and the ack tracker settles the sync before Run
-// returns, so back-to-back drains can share one fsync.
+// store one log append, whose fsync is deferred — CommitBatchAsync
+// returns once the batch is in the log and the scheduler keeps running;
+// end waits on the last drain's ack, whose covering sync lands every
+// drain of the run at once.
 func (s *Scheduler) commitReady() (int, error) {
 	batch := s.txns[s.committedUpTo:]
 	for i, t := range batch {
@@ -270,7 +281,6 @@ func (s *Scheduler) commitReady() (int, error) {
 	for i, t := range batch {
 		numbers[i] = t.Number
 	}
-	ackStart := time.Now()
 	ack, err := s.store.CommitBatchAsync(numbers)
 	if err != nil {
 		return 0, fmt.Errorf("cc: commit of updates %d..%d: %w",
@@ -281,7 +291,15 @@ func (s *Scheduler) commitReady() (int, error) {
 			s.cfg.Trace.NoteDetail(n, "commit", fmt.Sprintf("batch_size=%d", len(numbers)))
 		}
 	}
-	s.acks.track(ackStart, ack, numbers)
+	if ack != nil {
+		s.lastAck = ack
+	} else if s.cfg.Trace.Enabled() {
+		// In memory (or under a no-sync log) the commit is all the
+		// durability there is.
+		for _, n := range numbers {
+			s.cfg.Trace.Note(n, "ack")
+		}
+	}
 	for _, t := range batch {
 		t.committed = true
 		s.m.FrontierRequests += t.Upd.Stats.FrontierRequests

@@ -430,7 +430,8 @@ func (r *Repository) commitLocked(number int) error {
 	r.committed++
 	if ack != nil {
 		// The caller is synchronous, so its return IS the
-		// acknowledgment: block until the covering log sync lands. On
+		// acknowledgment: block until the covering log sync lands
+		// (this goroutine runs it unless one is in flight). On
 		// failure the update is committed in memory but its durability
 		// is unknown — the log refuses further commits until the
 		// directory is reopened (which recovers exactly the durable

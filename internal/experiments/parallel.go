@@ -78,20 +78,13 @@ type ParallelPoint struct {
 	// UpdatesPerSec is committed-update throughput: Submitted / wall.
 	UpdatesPerSec float64
 	// WALSyncs is the mean number of log fsyncs per run — zero for
-	// in-memory studies; for durable studies (DataDir set) the sync
-	// pipeline coalesces consecutive commit batches, so WALSyncs below
-	// the commit-batch (and far below the update) count is the group
-	// commit plus pipelined-sync amortization at work.
+	// in-memory studies; for durable studies (DataDir set) a run
+	// waits for durability once, at its end, so one covering fsync
+	// (plus one per segment rotation) lands all its commit batches.
 	WALSyncs float64 `json:",omitempty"`
 	// CommitBatches is the mean number of commit-frontier drains per
-	// run; WALSyncs/CommitBatches < 1 is observable coalescing.
+	// run, each one log append on a durable study.
 	CommitBatches float64 `json:",omitempty"`
-	// AckP50Millis / AckP99Millis are the mean commit-acknowledgment
-	// latency percentiles (frontier drain to covering fsync) per run —
-	// the latency side of the pipelined commit's latency/throughput
-	// trade. Zero for in-memory studies.
-	AckP50Millis float64 `json:",omitempty"`
-	AckP99Millis float64 `json:",omitempty"`
 	// SnapshotAllocsPerOp and CommitMergeAllocsPerOp are steady-state
 	// heap allocations of the two hot coordination steps (conflict-
 	// candidate collection, commit-batch merge), measured once per
@@ -187,8 +180,6 @@ func measurePoint(u *workload.Universe, base workload.Config, p *ParallelPoint, 
 		p.WallMillis += float64(elapsed.Milliseconds())
 		p.WALSyncs += float64(m.WALSyncs)
 		p.CommitBatches += float64(m.CommitBatches)
-		p.AckP50Millis += float64(m.CommitAckP50) / float64(time.Millisecond)
-		p.AckP99Millis += float64(m.CommitAckP99) / float64(time.Millisecond)
 		if secs := elapsed.Seconds(); secs > 0 {
 			updates += float64(m.Submitted) / secs
 		}
@@ -198,8 +189,6 @@ func measurePoint(u *workload.Universe, base workload.Config, p *ParallelPoint, 
 	p.WallMillis /= n
 	p.WALSyncs /= n
 	p.CommitBatches /= n
-	p.AckP50Millis /= n
-	p.AckP99Millis /= n
 	p.UpdatesPerSec = updates / n
 	return nil
 }
@@ -338,20 +327,19 @@ func CheckRegression(current, baseline []ParallelPoint, tolerancePct float64) er
 // ParallelCSV renders the study as CSV, one row per point.
 func ParallelCSV(points []ParallelPoint) string {
 	var b strings.Builder
-	b.WriteString("mode,workers,runs,aborts,wall_ms,upd_per_sec,wal_syncs,commit_batches,ack_p50_ms,ack_p99_ms,snapshot_allocs,commit_merge_allocs\n")
+	b.WriteString("mode,workers,runs,aborts,wall_ms,upd_per_sec,wal_syncs,commit_batches,snapshot_allocs,commit_merge_allocs\n")
 	for _, p := range points {
-		fmt.Fprintf(&b, "%s,%d,%d,%.2f,%.2f,%.2f,%.1f,%.1f,%.3f,%.3f,%.2f,%.2f\n",
+		fmt.Fprintf(&b, "%s,%d,%d,%.2f,%.2f,%.2f,%.1f,%.1f,%.2f,%.2f\n",
 			p.Label(), p.Workers, p.Runs, p.Aborts, p.WallMillis,
 			p.UpdatesPerSec,
-			p.WALSyncs, p.CommitBatches, p.AckP50Millis, p.AckP99Millis,
+			p.WALSyncs, p.CommitBatches,
 			p.SnapshotAllocsPerOp, p.CommitMergeAllocsPerOp)
 	}
 	return b.String()
 }
 
 // RenderParallel prints the study as an aligned table; durable studies
-// additionally show the sync coalescing (wal syncs vs commit batches)
-// and the commit-ack latency percentiles.
+// additionally show the sync coalescing (wal syncs vs commit batches).
 func RenderParallel(points []ParallelPoint) string {
 	var b strings.Builder
 	b.WriteString("round-width study (COARSE tracker, same seeded workload)\n")
@@ -363,13 +351,13 @@ func RenderParallel(points []ParallelPoint) string {
 	}
 	fmt.Fprintf(&b, "%-20s%10s%12s%12s", "mode", "aborts", "wall(ms)", "upd/s")
 	if durable {
-		fmt.Fprintf(&b, "%12s%10s%12s%12s", "wal syncs", "batches", "ack-p50(ms)", "ack-p99(ms)")
+		fmt.Fprintf(&b, "%12s%10s", "wal syncs", "batches")
 	}
 	b.WriteByte('\n')
 	for _, p := range points {
 		fmt.Fprintf(&b, "%-20s%10.1f%12.1f%12.1f", p.Label(), p.Aborts, p.WallMillis, p.UpdatesPerSec)
 		if durable {
-			fmt.Fprintf(&b, "%12.1f%10.1f%12.3f%12.3f", p.WALSyncs, p.CommitBatches, p.AckP50Millis, p.AckP99Millis)
+			fmt.Fprintf(&b, "%12.1f%10.1f", p.WALSyncs, p.CommitBatches)
 		}
 		b.WriteByte('\n')
 	}

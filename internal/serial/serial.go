@@ -30,7 +30,9 @@ func Execute(st storage.Backend, set *tgd.Set, ops []chase.Op, user chase.User) 
 	r := chase.Runner{Engine: chase.NewEngine(st, set), User: user}
 	forget, _ := user.(chase.Forgetter)
 	var total chase.Stats
-	var acks []storage.CommitAck
+	// A covering sync covers every batch appended before it, so the
+	// last commit's ack acknowledges them all.
+	var lastAck storage.CommitAck
 	err := func() error {
 		var u *chase.Update
 		for i, op := range ops {
@@ -50,7 +52,7 @@ func Execute(st storage.Backend, set *tgd.Set, ops []chase.Op, user chase.User) 
 				return fmt.Errorf("serial: commit of update %d: %w", n, err)
 			}
 			if ack != nil {
-				acks = append(acks, ack)
+				lastAck = ack
 			}
 			if forget != nil {
 				forget.Forget(n)
@@ -58,8 +60,8 @@ func Execute(st storage.Backend, set *tgd.Set, ops []chase.Op, user chase.User) 
 		}
 		return nil
 	}()
-	for _, ack := range acks {
-		if aerr := ack(); aerr != nil && err == nil {
+	if lastAck != nil {
+		if aerr := lastAck(); aerr != nil && err == nil {
 			err = fmt.Errorf("serial: commit acknowledgment: %w", aerr)
 		}
 	}

@@ -50,8 +50,9 @@ type Backend interface {
 	Load(t model.Tuple) (TupleID, error)
 
 	// Abort rolls a writer back; Commit and CommitBatch make writers
-	// permanent, blocking on durability; CommitBatchAsync is the
-	// pipelined variant whose ack resolves when the batch is durable.
+	// permanent, blocking on durability; CommitBatchAsync returns once
+	// the batch is appended, and its ack syncs and resolves when the
+	// batch is durable.
 	Abort(writer int)
 	Commit(writer int) error
 	CommitBatch(writers []int) error

@@ -15,13 +15,15 @@ import (
 // internal/wal; storage only exposes the structured state.
 
 // CommitAck blocks until the commit batch that returned it is durable
-// and reports the outcome. The commit pipeline splits a durable commit
-// into append-under-lock and sync-outside: the hook appends the batch
-// to its log while CommitBatch holds the store's write lock, but the
-// fsync happens after the lock is released, and the ack is how a
-// caller waits for it. Callers must not acknowledge a commit to
-// anyone — return from a synchronous apply, completion of a scheduler
-// run — before the ack resolves without error.
+// and reports the outcome. A durable commit is split into
+// append-under-lock and sync-outside: the hook appends the batch to
+// its log while CommitBatch holds the store's write lock, but the
+// fsync happens after the lock is released, in the goroutine that
+// calls the ack — one covering sync for every batch appended before
+// it, so waiting on a run's last ack acknowledges the whole run.
+// Callers must not acknowledge a commit to anyone — return from a
+// synchronous apply, completion of a scheduler run — before the ack
+// resolves without error.
 type CommitAck func() error
 
 // CommitHook observes a commit batch before it takes effect. It is
@@ -64,9 +66,9 @@ func (st *Store) Persistent() bool { return st.commitHook != nil }
 
 // SetSyncCounter installs a callback reporting how many log fsyncs the
 // durability backend has issued so far. The schedulers diff it across
-// a run to report Metrics.WALSyncs: with the pipelined sync decoupled
-// from the commit lock, consecutive batches coalesce and the count can
-// be strictly below the commit-batch count. Like SetCommitHook it must
+// a run to report Metrics.WALSyncs: one covering sync serves every
+// batch appended before it, so the count can be strictly below the
+// commit-batch count. Like SetCommitHook it must
 // be installed before the store sees concurrent use.
 func (st *Store) SetSyncCounter(f func() int64) { st.syncCounter = f }
 

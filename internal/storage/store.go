@@ -924,20 +924,20 @@ func (st *Store) CommitBatch(writers []int) error {
 	return nil
 }
 
-// CommitBatchAsync is the pipelined commit: logs and per-relation
-// writer counts are retired for every writer in the batch and the
-// batch's write records are handed to the durability hook — appended
-// to the log, one call per commit batch — all under the store's write
-// lock, but the lock is released *before* any fsync. The returned ack
-// (nil on in-memory stores) blocks until the covering sync lands;
+// CommitBatchAsync is the commit that defers durability: logs and
+// per-relation writer counts are retired for every writer in the batch
+// and the batch's write records are handed to the durability hook —
+// appended to the log, one call per commit batch — all under the
+// store's write lock, but the lock is released *before* any fsync. The
+// returned ack (nil on in-memory stores) blocks until a covering sync
+// lands, running it in the calling goroutine when none is in flight;
 // callers must not report the commit as durable before the ack
 // resolves.
 //
 // A hook error vetoes the commit: nothing was appended past the
-// failure, the store is unchanged, and the error is returned — the
-// pre-pipeline semantics. Once the hook accepts the append the commit
-// takes effect in memory unconditionally; only acknowledgment waits
-// for the disk.
+// failure, the store is unchanged, and the error is returned. Once the
+// hook accepts the append the commit takes effect in memory
+// unconditionally; only acknowledgment waits for the disk.
 //
 // The commit builds nothing for committed-state readers; it advances
 // the batch count, which Epoch pairs its cut with.

@@ -49,9 +49,10 @@ import (
 // writes, so recovery heals a crash between commit and resume frame
 // on its own.
 //
-// Control appends are fsynced synchronously (they are human-paced and
-// rare, so the sync pipeline's coalescing buys nothing) — an
-// AppendPark or AppendAnswer that returned is durable.
+// Control appends are fsynced inline, under the manager's mutex (they
+// are human-paced and rare, so sharing a covering sync with commit
+// batches buys nothing) — an AppendPark or AppendAnswer that returned
+// is durable.
 
 const (
 	kindPark   = 2
@@ -319,12 +320,12 @@ func (m *Manager) Parked() []ParkedUpdate {
 // fsync — being a covering sync of the active segment — advances the
 // synced frontier over every batch appended so far.
 //
-// An in-flight pipeline sync is waited out *before* the frame is
+// An in-flight covering sync is waited out *before* the frame is
 // written, and m.mu is then held through the inline fsync, so the
 // control frame is the last bytes in the segment when its sync runs:
 // a sync failure can truncate exactly the frame back off, keeping the
 // durable log free of control records their callers were told failed
-// (no ghost parks on recovery). While the syncer is mid-retry or
+// (no ghost parks on recovery). While a covering sync is mid-retry or
 // mid-rescue the append bounces with ErrRetrying instead of
 // interleaving with that sequence. The in-memory bookkeeping
 // (ctrlSeq, per-segment control watermarks, checkpoint pressure) only
@@ -344,7 +345,7 @@ func (m *Manager) appendControlLocked(encode func([]byte) ([]byte, error)) error
 		return fmt.Errorf("wal: control append rejected while read-only (%s): %w", m.reason, ErrReadOnly)
 	}
 	if m.syncRetrying || m.rescuing {
-		return fmt.Errorf("wal: the syncer is retrying a transient failure; retry the control append shortly: %w", ErrRetrying)
+		return fmt.Errorf("wal: a covering sync is retrying a transient failure; retry the control append shortly: %w", ErrRetrying)
 	}
 	frame, err := appendFrame(m.takeFrameLocked(), encode)
 	defer m.putFrameLocked(frame)

@@ -11,7 +11,7 @@ import (
 )
 
 // These table tests pin down the crash points of the ISSUE: a process
-// killed right after an append, between an append and its pipelined
+// killed right after an append, between an append and its covering
 // sync, between the sync and the acknowledgment, halfway through a
 // checkpoint, or between checkpoint install and segment truncation
 // must always recover to the serial oracle — the state after the last

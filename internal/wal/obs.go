@@ -5,7 +5,7 @@ import "youtopia/internal/obs"
 // Durability instrumentation on the shared registry. Appends are
 // counted where the frame lands in the segment (under m.mu, so the
 // adds ride an already-serialized path); fsync latency is measured
-// only around the coalesced pipeline sync, which runs outside every
+// only around the covering sync an ack waiter runs outside every
 // lock — rotation, close, and checkpoint syncs are counted but not
 // timed, since they hold m.mu and their latency is not the commit
 // path the histogram exists to explain.

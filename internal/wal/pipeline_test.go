@@ -1,8 +1,11 @@
 package wal
 
 import (
+	"errors"
 	"fmt"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -10,20 +13,23 @@ import (
 	"youtopia/internal/vfs"
 )
 
-// These tests pin the sync pipeline of ISSUE 4: appends happen under
-// the commit lock, fsyncs happen behind it, acknowledgment waits for
-// the covering sync, and consecutive batches coalesce into fewer
-// fsyncs than batches.
+// These tests pin the split commit: appends happen under the commit
+// lock, fsyncs happen behind it in the goroutine that waits for an
+// ack, acknowledgment waits for the covering sync, and batches
+// appended before a wait coalesce into fewer fsyncs than batches.
 
-// parkBackground stops the manager's background goroutines so a test
-// can drive the pipeline by hand; Close still works afterwards (the
-// shutdown is idempotent) and performs the drain itself.
+// parkBackground stops the manager's background goroutines (the
+// checkpointer and the health loop) so a test can drive the log by
+// hand with no checkpoint covering a batch behind its back; Close
+// still works afterwards (the shutdown is idempotent) and performs the
+// drain itself.
 func parkBackground(m *Manager) { m.stopBackground() }
 
-// TestSyncPendingCoalescesAcks drives the pipeline deterministically:
-// three batches appended with no syncer running, then one manual
-// covering fsync — which must resolve all three acks at the cost of a
-// single sync, the coalescing that makes Syncs() <= Batches().
+// TestSyncPendingCoalescesAcks drives the log deterministically: three
+// batches appended while nobody waits on an ack, which syncs nothing,
+// then one manual covering fsync — which must resolve all three acks
+// at the cost of a single sync, the coalescing that makes
+// Syncs() <= Batches().
 func TestSyncPendingCoalescesAcks(t *testing.T) {
 	dir := t.TempDir()
 	schema := testSchema()
@@ -49,9 +55,11 @@ func TestSyncPendingCoalescesAcks(t *testing.T) {
 		t.Fatalf("Syncs = %d before any covering sync", got)
 	}
 	if got := m.SyncedBatches(); got != 0 {
-		t.Fatalf("SyncedBatches = %d with the syncer parked", got)
+		t.Fatalf("SyncedBatches = %d before any ack was awaited", got)
 	}
+	m.mu.Lock()
 	m.syncPending()
+	m.mu.Unlock()
 	if got := m.Syncs(); got != 1 {
 		t.Fatalf("Syncs = %d, want 1 covering fsync for 3 batches", got)
 	}
@@ -142,14 +150,12 @@ func TestCloseDrainsPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	done := make(chan error, 1)
-	go func() { done <- ack() }()
-	// Close performs the covering sync itself (the parked syncer never
-	// will) and wakes the waiter.
+	// Nobody waits on the ack, so Close performs the covering sync
+	// itself; the ack then finds its batch covered.
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := <-done; err != nil {
+	if err := ack(); err != nil {
 		t.Fatalf("ack after close drain: %v", err)
 	}
 	if got := m.Syncs(); got != 1 {
@@ -168,35 +174,104 @@ func TestCloseDrainsPipeline(t *testing.T) {
 	}
 }
 
-// TestPoisonWakesParkedAckWaiters regresses a deadlock: a goroutine
-// parked in an ack ticket (exactly what the schedulers' ackTracker
-// does) must be woken with an error when a LATER batch's append
-// poisons the log — without the wake, scheduler Run and ApplyTraced
-// would block forever on a covering sync that can never come.
-func TestPoisonWakesParkedAckWaiters(t *testing.T) {
-	dir := t.TempDir()
-	schema := testSchema()
-	m, st, err := Open(dir, schema, Options{CheckpointBytes: -1})
+// holdSyncs installs testSyncHold for the test: the first covering
+// sync to reach its fsync closes the returned inSync channel and waits
+// until the test closes release. Later syncs pass straight through.
+func holdSyncs(t *testing.T) (inSync, release chan struct{}) {
+	inSync, release = make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	testSyncHold = func() { once.Do(func() { close(inSync); <-release }) }
+	t.Cleanup(func() { testSyncHold = nil })
+	return inSync, release
+}
+
+// TestWaitersElectOneCoveringSync pins the group commit: while one
+// waiter leads a covering sync, the waiters of batches appended behind
+// it park, and once it lands exactly one of them leads the next sync,
+// which covers all of their batches — two fsyncs for five batches,
+// however the waiters interleave.
+func TestWaitersElectOneCoveringSync(t *testing.T) {
+	inSync, release := holdSyncs(t)
+	m, st, err := Open(t.TempDir(), testSchema(), Options{CheckpointBytes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parkBackground(m) // no syncer: batch 1's ack can only end via the poison
+	defer m.Close()
+	commit := func(i int) storage.CommitAck {
+		mustInsert(t, st, i, tup("C", c(fmt.Sprintf("v%d", i))))
+		ack, err := st.CommitBatchAsync([]int{i})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ack
+	}
+	results := make(chan error, 5)
+	ack1 := commit(1)
+	go func() { results <- ack1() }()
+	<-inSync // the first waiter leads and holds its fsync over batch 1
+	for i := 2; i <= 5; i++ {
+		ack := commit(i)
+		go func() { results <- ack() }()
+	}
+	close(release)
+	for i := 0; i < 5; i++ {
+		if err := <-results; err != nil {
+			t.Fatalf("ack: %v", err)
+		}
+	}
+	if got := m.Syncs(); got != 2 {
+		t.Fatalf("Syncs = %d, want 2 (the held leader's, then one covering batches 2..5)", got)
+	}
+	if got := m.SyncedBatches(); got != 5 {
+		t.Fatalf("SyncedBatches = %d, want 5", got)
+	}
+}
 
-	mustInsert(t, st, 1, tup("C", c("parked")))
-	ack, err := st.CommitBatchAsync([]int{1})
+// TestPoisonWakesParkedAckWaiters regresses a deadlock: a waiter parked
+// behind another waiter's covering sync must be woken with an error
+// when a LATER batch's append poisons the log — without the wake, a
+// scheduler Run or an Apply would block forever on a covering sync
+// that can never come. The leader's fsync is held throughout, so the
+// poison is the only way the parked waiter's wait can end.
+func TestPoisonWakesParkedAckWaiters(t *testing.T) {
+	inSync, release := holdSyncs(t)
+	ffs := vfs.NewFaultFS(vfs.OS, 1)
+	m, st, err := Open(t.TempDir(), testSchema(), Options{CheckpointBytes: -1, FS: ffs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+
+	mustInsert(t, st, 1, tup("C", c("led")))
+	ack1, err := st.CommitBatchAsync([]int{1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	leader := make(chan error, 1)
+	go func() { leader <- ack1() }()
+	<-inSync
+
+	mustInsert(t, st, 2, tup("C", c("parked")))
+	ack2, err := st.CommitBatchAsync([]int{2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	parked := make(chan error, 1)
-	go func() { parked <- ack() }()
+	go func() { parked <- ack2() }()
 
-	// Yank the segment: batch 2's append fails and poisons the log.
-	m.mu.Lock()
-	m.f.Close()
-	m.mu.Unlock()
-	mustInsert(t, st, 2, tup("C", c("fails")))
-	if err := st.CommitBatch([]int{2}); err == nil {
+	// Batch 3's frame write fails and so does the truncate that would
+	// cut its torn bytes back off: the tail is unknowable, which
+	// poisons the log.
+	ffs.Script(
+		vfs.Rule{Op: vfs.OpWrite, Path: "wal-", Err: errors.New("yanked")},
+		vfs.Rule{Op: vfs.OpTruncate, Path: "wal-", Err: errors.New("yanked")},
+	)
+	mustInsert(t, st, 3, tup("C", c("fails")))
+	if err := st.CommitBatch([]int{3}); err == nil {
 		t.Fatal("commit over a dead segment succeeded")
+	}
+	if h := m.Health(); h.State != StatePoisoned {
+		t.Fatalf("state = %v after an unrestorable tail, want poisoned", h.State)
 	}
 
 	select {
@@ -210,10 +285,45 @@ func TestPoisonWakesParkedAckWaiters(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("parked ack waiter never woken by the poison")
 	}
-	m.mu.Lock()
-	m.closed = true
-	m.f = nil
-	m.mu.Unlock()
+	close(release)
+	if err := <-leader; err != nil {
+		t.Fatalf("the leader's fsync covered batch 1, yet its ack failed: %v", err)
+	}
+}
+
+// TestCloseRacingBackgroundCheckpoint: a background checkpoint that
+// finds the log closed did nothing wrong, so Close of a healthy log
+// returns nil. The hook holds the checkpoint until Close has marked
+// the log closed, which makes the race deterministic.
+func TestCloseRacingBackgroundCheckpoint(t *testing.T) {
+	entered, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	testCkptStart = func() { once.Do(func() { close(entered); <-release }) }
+	defer func() { testCkptStart = nil }()
+	m, st, err := Open(t.TempDir(), testSchema(), Options{CheckpointBytes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustInsert(t, st, 1, tup("C", c("v")))
+	if err := st.CommitBatch([]int{1}); err != nil {
+		t.Fatal(err)
+	}
+	<-entered // the commit woke the checkpointer, which is now held
+	closed := make(chan error, 1)
+	go func() { closed <- m.Close() }()
+	for {
+		m.mu.Lock()
+		isClosed := m.closed
+		m.mu.Unlock()
+		if isClosed {
+			break
+		}
+		runtime.Gosched()
+	}
+	close(release)
+	if err := <-closed; err != nil {
+		t.Fatalf("Close of a healthy log = %v, want nil", err)
+	}
 }
 
 // TestSyncNeverNeedsNoAck: under SyncNever the append is all the
@@ -278,8 +388,8 @@ func TestTransientSyncRetryReleasesAcksOnce(t *testing.T) {
 	if ack == nil {
 		t.Fatal("durable commit returned no ack")
 	}
-	// Several waiters park on the same ticket — the schedulers do
-	// exactly this through their ack tracker.
+	// Several waiters share the ticket: one leads the covering sync
+	// through its retries, the others park behind it.
 	const waiters = 4
 	results := make(chan error, waiters)
 	for i := 0; i < waiters; i++ {

@@ -16,14 +16,17 @@
 // byte-for-byte and frees the whole update-number space for the next
 // run.
 //
-// Syncing is pipelined (append → coalesced sync → ack): the append
-// happens under the store's commit lock, but the fsync does not — a
-// dedicated syncer goroutine issues covering fsyncs and resolves the
-// ack tickets appendBatch hands out, so batches committed while a
-// sync is in flight share the next one (Syncs() <= Batches()).
-// Acknowledgment — a CommitBatch return, a scheduler run completing,
-// Close — still waits for the covering sync, so anything reported
-// durable is durable; a batch that was appended but never
+// Appending and syncing are split (append → covering sync → ack): the
+// append happens under the store's commit lock, but the fsync does
+// not. appendBatch hands out an ack ticket, and the goroutine that
+// waits on a ticket performs the fsync itself, as group commit: the
+// first waiter to find no sync in flight leads and syncs everything
+// appended so far, later waiters whose batches that sync covers just
+// wait for it, so batches appended before a wait share one fsync
+// (Syncs() <= Batches()). No fsync happens where nobody waits for
+// one. Acknowledgment — a CommitBatch return, a scheduler run
+// completing, Close — waits for the covering sync, so anything
+// reported durable is durable; a batch that was appended but never
 // acknowledged may recover fully or be cut at a frame boundary by
 // the CRCs, never partially.
 //
@@ -63,9 +66,9 @@ type SyncPolicy uint8
 
 const (
 	// SyncAlways (the default) makes every commit batch's
-	// acknowledgment wait for a covering fsync; the sync pipeline
-	// coalesces consecutive batches into fewer fsyncs, and a crash
-	// loses nothing that was acknowledged.
+	// acknowledgment wait for a covering fsync; batches appended
+	// before a wait share one fsync, and a crash loses nothing that
+	// was acknowledged.
 	SyncAlways SyncPolicy = iota
 	// SyncNever leaves flushing to the OS: group commit still bounds
 	// the write rate, but a crash may lose the most recent batches
@@ -175,7 +178,7 @@ type Manager struct {
 	// degrade to read-only; unknowable-tail failures poison. suspect
 	// marks the active segment as unsafe to keep after a failed fsync
 	// over it; syncRetrying and rescuing bounce operations that must
-	// not interleave with the syncer's retry/rescue sequence.
+	// not interleave with a covering sync's retry/rescue sequence.
 	state         State
 	reason        string
 	since         time.Time
@@ -197,30 +200,28 @@ type Manager struct {
 	ctrlSeq int64
 	segCtrl map[string]int64
 
-	// Sync pipeline state (SyncAlways): appendBatch writes the frame
-	// under mu and returns an ack ticket; the syncer goroutine fsyncs
-	// outside every lock and advances syncedBatch, waking ticket
-	// waiters through syncCond. Consecutive appends that land while a
-	// sync is in flight are covered by the next one — that coalescing
-	// is what makes syncs <= batches. syncing marks an fsync in
-	// flight; segment rotation and Close wait it out before touching
-	// the file handle.
+	// Covering-sync state (SyncAlways): appendBatch writes the frame
+	// under mu and returns an ack ticket; a ticket's waiter that finds
+	// no sync in flight runs syncPending, which fsyncs outside every
+	// lock and advances syncedBatch, waking the other waiters through
+	// syncCond. Appends that land while a sync is in flight are covered
+	// by the next one — that coalescing is what makes syncs <= batches.
+	// syncing marks an fsync in flight; segment rotation and Close wait
+	// it out before touching the file handle.
 	syncCond    *sync.Cond // on mu
 	syncedBatch int64      // highest batch index covered by a durable sync (or checkpoint)
 	syncing     bool
 
-	// ckptCh wakes the background checkpointer (nil when disabled);
-	// syncCh wakes the syncer (nil under SyncNever). stopOnce makes
-	// the goroutine shutdown idempotent across Close and the test
-	// helpers that simulate crashes.
+	// ckptCh wakes the background checkpointer (nil when disabled).
+	// stopOnce makes the goroutine shutdown idempotent across Close and
+	// the test helpers that simulate crashes.
 	ckptCh   chan struct{}
-	syncCh   chan struct{}
 	done     chan struct{}
 	stopOnce sync.Once
 	wg       sync.WaitGroup
 }
 
-// stopBackground stops the syncer and checkpointer goroutines, once.
+// stopBackground stops the checkpointer and health goroutines, once.
 func (m *Manager) stopBackground() {
 	m.stopOnce.Do(func() {
 		close(m.done)
@@ -265,7 +266,8 @@ func ckptName(batch int64) string {
 
 // Open recovers the directory's durable state into a fresh store over
 // the schema, repairs any torn tail, installs the manager as the
-// store's durability hook, and starts the background checkpointer.
+// store's durability hook, and starts the health loop and (unless
+// CheckpointBytes is negative) the background checkpointer.
 // The directory is created if absent. The returned store is ready for
 // use; Close releases the log.
 func Open(dir string, schema *model.Schema, opts Options) (*Manager, *storage.Store, error) {
@@ -310,11 +312,6 @@ func Open(dir string, schema *model.Schema, opts Options) (*Manager, *storage.St
 		m.ckptCh = make(chan struct{}, 1)
 		m.wg.Add(1)
 		go m.checkpointLoop(m.ckptCh)
-	}
-	if m.opts.Sync == SyncAlways {
-		m.syncCh = make(chan struct{}, 1)
-		m.wg.Add(1)
-		go m.syncLoop(m.syncCh)
 	}
 	return m, rec.st, nil
 }
@@ -380,10 +377,11 @@ func (m *Manager) Batches() int64 {
 }
 
 // Syncs returns the number of fsyncs that covered appended batches —
-// pipeline syncs, rotation syncs over pending batches, and the
-// close-time drain. With the sync pipeline coalescing consecutive
-// batches this is at most Batches(), and strictly below it whenever
-// commits arrive faster than the disk syncs.
+// the covering syncs ack waiters run, rotation and control-append
+// syncs over pending batches, and the close-time drain. One covering
+// sync serves every batch appended before it, so this is at most
+// Batches(), and strictly below it whenever several batches are
+// appended before anyone waits.
 func (m *Manager) Syncs() int64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -410,10 +408,11 @@ func (m *Manager) LastCheckpoint() int64 {
 // appendBatch is the storage.CommitHook: one frame append per commit
 // batch, written while the store holds its write lock — which is what
 // makes the log order the commit order — but *not* fsynced there.
-// Under SyncAlways the returned ack ticket blocks until the syncer
-// goroutine's next covering fsync lands (or a checkpoint supersedes
-// it), so the expensive disk wait happens after the store lock is
-// released and consecutive batches share syncs.
+// Under SyncAlways the returned ack ticket blocks until a covering
+// fsync lands (or a checkpoint supersedes it), running that fsync in
+// the waiting goroutine when none is in flight (see waitSynced), so
+// the expensive disk wait happens after the store lock is released
+// and batches appended before the wait share one sync.
 //
 // I/O failures on the append path are classified, not fatal:
 // transient write errors retry in place with backoff (the torn tail
@@ -424,9 +423,10 @@ func (m *Manager) LastCheckpoint() int64 {
 // tail that cannot be restored — the truncate after a failed write
 // itself failing — poisons, because a later append past torn bytes
 // would be silently cut by the next recovery, losing an acknowledged
-// commit. Sync failures are the syncer's business (see syncPending):
-// bounded retries, then a rescue checkpoint that acknowledges the
-// stranded batches before the log degrades.
+// commit. Sync failures are the business of the waiter that runs the
+// covering sync (see syncPending): bounded retries, then a rescue
+// checkpoint that acknowledges the stranded batches before the log
+// degrades.
 func (m *Manager) appendBatch(writers []int, recs []storage.WriteRec) (storage.CommitAck, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -440,7 +440,7 @@ func (m *Manager) appendBatch(writers []int, recs []storage.WriteRec) (storage.C
 		return nil, fmt.Errorf("wal: commit rejected while read-only (%s): %w", m.reason, ErrReadOnly)
 	}
 	if m.rescuing {
-		// The syncer is mid-rescue: a checkpoint is acknowledging the
+		// A covering sync is mid-rescue: a checkpoint is acknowledging the
 		// stranded batches and the active segment is about to be
 		// dropped. Admitting an append now would put frames into a
 		// file that is going away.
@@ -479,10 +479,6 @@ func (m *Manager) appendBatch(writers []int, recs []storage.WriteRec) (storage.C
 		return nil, nil
 	}
 	batch := m.batches
-	select {
-	case m.syncCh <- struct{}{}:
-	default:
-	}
 	return func() error { return m.waitSynced(batch) }, nil
 }
 
@@ -503,10 +499,14 @@ func (m *Manager) takeFrameLocked() []byte {
 func (m *Manager) putFrameLocked(b []byte) { m.frame = b[:0] }
 
 // waitSynced blocks until the given batch index is covered by a
-// durable sync or checkpoint. Transient sync failures hold the waiter
-// parked — the syncer is retrying and will either land a covering
-// sync (waking it with success, exactly once) or transition the
-// state, waking it with the error. A waiter the rescue checkpoint
+// durable sync or checkpoint. While the batch is uncovered and no
+// sync, retry or rescue is in flight, the waiter leads: it runs
+// syncPending, one fsync covering every batch appended so far. It
+// elects itself in the same critical section of m.mu in which
+// syncPending sets its in-flight flag, so two waiters never sync the
+// same prefix twice. Otherwise it parks until the leader's sync lands
+// or the state changes; across transient sync failures it stays
+// parked while the leader retries, and a waiter the rescue checkpoint
 // covers stays parked until the rescue has also made its state
 // transition, so a caller whose ack resolved reads the health the
 // rescue left behind, not the one it started from.
@@ -514,7 +514,16 @@ func (m *Manager) waitSynced(batch int64) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for (m.syncedBatch < batch || m.rescuing) && m.state == StateHealthy && !m.closed {
-		m.syncCond.Wait()
+		if m.syncing || m.syncRetrying || m.rescuing {
+			m.syncCond.Wait()
+			continue
+		}
+		if m.f == nil {
+			// Nothing to fsync can cover the batch; leading would
+			// make no progress.
+			return fmt.Errorf("wal: commit batch %d not durable: no active segment to sync it", batch)
+		}
+		m.syncPending()
 	}
 	if m.syncedBatch >= batch {
 		return nil
@@ -528,26 +537,14 @@ func (m *Manager) waitSynced(batch int64) error {
 	return fmt.Errorf("wal: closed before commit batch %d was synced", batch)
 }
 
-// syncLoop is the dedicated syncer: woken after appends, it fsyncs the
-// active segment outside every lock and advances the synced frontier
-// to whatever had been appended when the fsync started. Appends that
-// land during an fsync are picked up by the next round — one fsync per
-// wake, however many batches accumulated.
-func (m *Manager) syncLoop(ch <-chan struct{}) {
-	defer m.wg.Done()
-	for {
-		select {
-		case <-m.done:
-			return
-		case <-ch:
-			m.syncPending()
-		}
-	}
-}
-
 // syncPending performs one covering fsync if any appended batch awaits
-// one. Close drains the tail itself, so a closed manager is left
-// alone.
+// one: it fsyncs the active segment outside every lock and advances
+// the synced frontier to whatever had been appended when the fsync
+// started. Callers hold m.mu, which it releases around the fsync, the
+// retry backoff and the rescue; one of the syncing, syncRetrying and
+// rescuing flags is set whenever it does, and it broadcasts syncCond
+// before it returns. Close drains the tail itself, so a closed
+// manager is left alone.
 //
 // A transient sync failure holds the ack waiters parked and retries
 // with backoff — commits keep landing meanwhile and are swept into
@@ -560,9 +557,7 @@ func (m *Manager) syncLoop(ch <-chan struct{}) {
 // dropped its dirty pages; see dropSuspectSegmentLocked). Only a
 // rescue that itself fails poisons.
 func (m *Manager) syncPending() {
-	m.mu.Lock()
 	if m.closed || m.state != StateHealthy || m.f == nil || m.syncedBatch >= m.batches {
-		m.mu.Unlock()
 		return
 	}
 	syncStart := time.Now()
@@ -571,6 +566,9 @@ func (m *Manager) syncPending() {
 		f := m.f
 		m.syncing = true
 		m.mu.Unlock()
+		if testSyncHold != nil {
+			testSyncHold()
+		}
 		err := f.Sync()
 		m.mu.Lock()
 		m.syncing = false
@@ -583,7 +581,6 @@ func (m *Manager) syncPending() {
 			obsSyncWait.ObserveSince(syncStart)
 			m.syncRetrying = false
 			m.syncCond.Broadcast()
-			m.mu.Unlock()
 			return
 		}
 		if !m.closed && vfs.IsTransient(err) && attempt < m.opts.RetryAttempts {
@@ -600,7 +597,6 @@ func (m *Manager) syncPending() {
 			if m.closed || m.state != StateHealthy || m.f == nil {
 				m.syncRetrying = false
 				m.syncCond.Broadcast()
-				m.mu.Unlock()
 				return
 			}
 			continue
@@ -609,7 +605,6 @@ func (m *Manager) syncPending() {
 		if m.closed {
 			// Close owns the drain now; leave the failure to it.
 			m.syncCond.Broadcast()
-			m.mu.Unlock()
 			return
 		}
 		// Rescue: rescuing bounces new appends (the active segment is
@@ -634,7 +629,6 @@ func (m *Manager) syncPending() {
 			m.poisonLocked(fmt.Errorf("wal: sync failed (%v) and the rescue checkpoint failed (%v)", err, cause))
 		}
 		m.syncCond.Broadcast()
-		m.mu.Unlock()
 		return
 	}
 }
@@ -643,25 +637,24 @@ func (m *Manager) syncPending() {
 // next one. Callers hold m.mu.
 //
 // Rotation is a natural sync point: the outgoing segment is fsynced
-// before it is closed, which covers every batch appended so far (the
-// pipeline never leaves unsynced batches behind in a rotated-away
-// segment — the syncer only ever needs the active one). An in-flight
-// pipeline fsync is waited out first so the handle is not closed
-// under it. A rotation sync that fails past the transient-retry
-// budget marks the segment suspect and degrades; a failure anywhere
-// in creating the next segment leaves nothing referenced — the
-// partial file is removed and, for persistent failures, the log
-// degrades with everything already appended still intact. A segment
-// that holds no commit batch yet (only control frames) is not rotated:
-// segments are named by their first batch, so its successor would
-// take its name.
+// before it is closed, which covers every batch appended so far (no
+// unsynced batch is left behind in a rotated-away segment — a covering
+// sync only ever needs the active one). An in-flight covering fsync is
+// waited out first so the handle is not closed under it. A rotation
+// sync that fails past the transient-retry budget marks the segment
+// suspect and degrades; a failure anywhere in creating the next
+// segment leaves nothing referenced — the partial file is removed
+// and, for persistent failures, the log degrades with everything
+// already appended still intact. A segment that holds no commit batch
+// yet (only control frames) is not rotated: segments are named by their
+// first batch, so its successor would take its name.
 func (m *Manager) ensureSegmentLocked(frameLen int64) error {
 	if m.rotationDueLocked(frameLen) && m.syncing {
 		for m.syncing {
 			m.syncCond.Wait()
 		}
 		// The wait released m.mu: a concurrent Close may have drained
-		// and released the handle in the interim, the syncer may have
+		// and released the handle in the interim, a covering sync may have
 		// changed the state, and a control append may have rotated
 		// already — re-check before touching the file.
 		if m.closed || m.f == nil {
@@ -766,7 +759,9 @@ func (m *Manager) rotationDueLocked(frameLen int64) bool {
 		filepath.Base(m.f.Name()) != segName(m.batches+1)
 }
 
-// checkpointLoop is the background checkpointer.
+// checkpointLoop is the background checkpointer. A checkpoint that
+// finds the log closed did nothing and failed nothing: Close raced it,
+// and its error is not a background failure.
 func (m *Manager) checkpointLoop(ch <-chan struct{}) {
 	defer m.wg.Done()
 	for {
@@ -774,7 +769,7 @@ func (m *Manager) checkpointLoop(ch <-chan struct{}) {
 		case <-m.done:
 			return
 		case <-ch:
-			if err := m.Checkpoint(); err != nil {
+			if err := m.Checkpoint(); err != nil && !errors.Is(err, errClosedLog) {
 				m.mu.Lock()
 				if m.bgErr == nil {
 					m.bgErr = err
@@ -785,11 +780,18 @@ func (m *Manager) checkpointLoop(ch <-chan struct{}) {
 	}
 }
 
-// testCkptSerialize, when non-nil, runs after the checkpoint's
-// committed cut is paired with its batch index and before
-// serialization. Tests use it to hold a checkpoint mid-flight and
-// prove commits proceed.
-var testCkptSerialize func()
+// Test hooks, nil outside tests. testCkptStart runs when a checkpoint
+// begins, before it checks for a closed log; tests use it to hold a
+// background checkpoint until Close has begun. testCkptSerialize runs
+// after the checkpoint's committed cut is paired with its batch index
+// and before serialization; tests use it to hold a checkpoint
+// mid-flight and prove commits proceed. testSyncHold runs in
+// syncPending after the in-flight flag is set and m.mu released, just
+// before the fsync; tests use it to hold a leader's covering sync.
+var testCkptStart, testCkptSerialize, testSyncHold func()
+
+// errClosedLog is Checkpoint's report that the log was closed.
+var errClosedLog = errors.New("wal: checkpoint of closed log")
 
 // Checkpoint serializes the committed instance, installs it with a
 // temp-file rename, and deletes segments (and older checkpoints) the
@@ -811,6 +813,9 @@ func (m *Manager) Checkpoint() error {
 	m.ckptMu.Lock()
 	defer m.ckptMu.Unlock()
 	ckptStart := time.Now()
+	if testCkptStart != nil {
+		testCkptStart()
+	}
 
 	var ep *storage.CommittedEpoch
 	var k, ctrlAt, nextParkID int64
@@ -820,7 +825,7 @@ func (m *Manager) Checkpoint() error {
 		m.mu.Lock()
 		if m.closed {
 			m.mu.Unlock()
-			return fmt.Errorf("wal: checkpoint of closed log")
+			return errClosedLog
 		}
 		if m.batches == m.batchBase+ep.Commits() {
 			k = m.batches
@@ -947,11 +952,12 @@ func (m *Manager) retire(k, ctrlAt int64, keepCkpt, activeSeg string) {
 	}
 }
 
-// Close drains the sync pipeline (a final covering fsync for any
+// Close drains the log (a final covering fsync for any
 // appended-but-unsynced batches, waking their ack waiters), stops the
-// background checkpointer and syncer, and releases the active
+// background checkpointer and health loop, and releases the active
 // segment. It returns the first background checkpoint failure, if
-// any. Close is idempotent.
+// any; a background checkpoint that Close cut short is none. Close is
+// idempotent.
 func (m *Manager) Close() error {
 	m.mu.Lock()
 	if m.closed {
@@ -959,7 +965,7 @@ func (m *Manager) Close() error {
 		return nil
 	}
 	m.closed = true
-	// Let an in-flight pipeline fsync settle before touching the file.
+	// Let an in-flight covering fsync settle before touching the file.
 	for m.syncing {
 		m.syncCond.Wait()
 	}

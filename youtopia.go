@@ -148,12 +148,14 @@ func ReplaceNull(x, with Value) Op { return chase.ReplaceNull(x, with) }
 // Durability surface. A repository opened with a non-empty
 // Options.DataDir keeps a segmented, CRC-checked write-ahead log plus
 // periodic checkpoints under that directory: every commit batch is
-// appended and synced before it takes effect (the group-commit
-// frontier makes that one fsync for a whole batch of updates), and
-// reopening the directory recovers the committed instance exactly —
-// a crash at any point loses at most un-committed work, and a
-// committed batch is recovered all-or-nothing. Call Repository.Close
-// when done with a durable repository.
+// appended to the log, and nothing is acknowledged — Apply returning,
+// RunConcurrent returning, Close — before a covering fsync made it
+// durable; the goroutine that waits runs that fsync, so a concurrent
+// run syncs once for all its batches. Reopening the directory
+// recovers the committed instance exactly — a crash at any point
+// loses nothing that was acknowledged, and a committed batch is
+// recovered all-or-nothing. Call Repository.Close when done with a
+// durable repository.
 type (
 	// Options selects how a repository is backed; the zero value is
 	// the in-memory default.
