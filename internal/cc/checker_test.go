@@ -49,14 +49,14 @@ func newCheckFixture(tb testing.TB) *checkFixture {
 		return w
 	}
 	f := &checkFixture{st: st, pre: insert(3, "c")}
-	read := func(v string) *query.ViolationRead {
-		q, _ := query.NewViolationRead(query.NewEngine(st.Snap(5)), m, "A", []model.Value{model.Const(v)}, query.SeedLHS)
+	read := func(v string, want int) *query.ViolationRead {
+		q, vs := query.NewViolationRead(query.NewEngine(st.Snap(5)), m, "A", []model.Value{model.Const(v)}, query.SeedLHS)
+		if len(vs) != want {
+			tb.Fatalf("fixture read of A(%s) found %d violations, want %d", v, len(vs), want)
+		}
 		return q
 	}
-	f.empty, f.single = read("b"), read("a")
-	if f.empty.Answer != "" || f.single.Answer == "" {
-		tb.Fatalf("fixture answers: empty %q, single %q", f.empty.Answer, f.single.Answer)
-	}
+	f.empty, f.single = read("b", 0), read("a", 1)
 	f.post = insert(2, "zz")
 	return f
 }

@@ -17,19 +17,18 @@ import (
 
 // chaseSeam reads the chase's query-seam counters off the process-wide
 // registry by name — the way /metrics and the benchmark see them.
-type chaseSeam struct{ contexts, engines, recorded, deduped int64 }
+type chaseSeam struct{ contexts, engines, recorded int64 }
 
 func readChaseSeam() chaseSeam {
 	return chaseSeam{
 		contexts: obs.Default.Counter("chase_query_contexts_total").Value(),
 		engines:  obs.Default.Counter("chase_query_engines_total").Value(),
 		recorded: obs.Default.Counter("chase_reads_recorded_total").Value(),
-		deduped:  obs.Default.Counter("chase_reads_deduped_total").Value(),
 	}
 }
 
 func (a chaseSeam) since(b chaseSeam) chaseSeam {
-	return chaseSeam{a.contexts - b.contexts, a.engines - b.engines, a.recorded - b.recorded, a.deduped - b.deduped}
+	return chaseSeam{a.contexts - b.contexts, a.engines - b.engines, a.recorded - b.recorded}
 }
 
 func randomUniverse(t *testing.T, seed int64) *workload.Universe {
@@ -119,8 +118,8 @@ func TestOneQueryContextPerAttempt(t *testing.T) {
 			}
 		}
 
-		// The serial subtest's workload, whose chases repeat reads: the
-		// concurrent path logs them and drops the repeats.
+		// The serial subtest's workload: the concurrent path logs its
+		// reads.
 		u := randomUniverse(t, 1)
 		st, err = u.NewStore()
 		if err != nil {
@@ -132,8 +131,8 @@ func TestOneQueryContextPerAttempt(t *testing.T) {
 		}).Run(u.GenOpsSeeded(501)); err != nil {
 			t.Fatal(err)
 		}
-		if d := readChaseSeam().since(before); d.recorded == 0 || d.deduped == 0 {
-			t.Fatalf("read-log counters did not move: recorded %d, deduped %d", d.recorded, d.deduped)
+		if d := readChaseSeam().since(before); d.recorded == 0 {
+			t.Fatal("the read-log counter did not move")
 		}
 	})
 }

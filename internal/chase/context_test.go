@@ -177,9 +177,8 @@ func TestStepAllocBudget(t *testing.T) {
 
 // TestLoggedViolationReadAllocs pins what logging a violation read
 // with an empty answer allocates on a warm attempt and a warm engine:
-// the read and its read vector, 2 objects. The answer goes into the
-// context's result array, and the log's array and dedup index grow
-// amortized.
+// the read, 1 object. The answer goes into the context's result array,
+// and the log's array grows amortized.
 func TestLoggedViolationReadAllocs(t *testing.T) {
 	f := newStepFixture(t)
 	logged := 0
@@ -199,8 +198,8 @@ func TestLoggedViolationReadAllocs(t *testing.T) {
 		t.Fatalf("%d reads logged, queue %d → %d; want %d new reads and no violation", got, queued, u.QueueLen(), runs+1)
 	}
 	t.Logf("logged empty violation read: %.1f allocs", allocs)
-	if allocs > 2 {
-		t.Errorf("%.1f allocations per logged empty violation read, want at most 2 (the read, its read vector)", allocs)
+	if allocs > 1 {
+		t.Errorf("%.1f allocations per logged empty violation read, want at most 1 (the read)", allocs)
 	}
 }
 

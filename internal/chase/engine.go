@@ -95,30 +95,30 @@ func (e *Engine) Mappings() *tgd.Set { return e.tgds }
 // an observer is installed. Read sites test it before building a read.
 func (e *Engine) logsReads() bool { return e.observer != nil }
 
-// record logs a read query on the update's read log, through the
-// dedup index of the attempt's context c, and notifies the observer.
-// Callers have checked logsReads. Re-performing an identical
-// intensional read is not re-logged: the stored copy already guards
-// its answer, and any write that would have shifted the answer in
-// between triggered a conflict on it.
-func (e *Engine) record(c *queryContext, u *Update, q query.ReadQuery) {
-	if c.addRead(u, q) {
-		e.observer(u, q)
-	}
+// record logs a read query on the update's read log and notifies the
+// observer. Callers have checked logsReads. Every read performed is
+// logged, a repeat of an earlier one too: a repeat guards the same
+// answer, and no read site repeats often (positiveOptions logs a
+// group's patterns only when they changed).
+func (e *Engine) record(u *Update, q query.ReadQuery) {
+	u.reads = append(u.reads, q)
+	obsReadsRecorded.Inc()
+	e.observer(u, q)
 }
 
 // queryContext is the state of one update attempt that outlives a
-// single call: one live snapshot at the update's reader priority, the
-// violation queue's storage and the read log's dedup index. The
-// snapshot is a stateless view over live store state, so it stays
-// valid across the attempt's own writes. It holds no query engine:
-// each step's read half points the engine's one (Engine.queryEngine)
-// at the context's snapshot. Scratch that no call leaves anything in
-// belongs to the engine, not here.
+// single call: one live snapshot at the update's reader priority and
+// the violation queue's storage. The snapshot is a stateless view over
+// live store state, so it stays valid across the attempt's own writes.
+// The read log is not here: it stays on the update, which concurrency
+// control checks until commit. It holds no query engine: each step's
+// read half points the engine's one (Engine.queryEngine) at the
+// context's snapshot. Scratch that no call leaves anything in belongs
+// to the engine, not here.
 //
 // Contexts are recycled through the engine's idle list. An attempt
-// takes one at its first query or logged read (Engine.queryContext),
-// which re-points the snapshot at the attempt's update number in place
+// takes one at its first query (Engine.queryContext), which re-points
+// the snapshot at the attempt's update number in place
 // (Backend.SnapInto), and gives it back when the attempt ends: at
 // termination, Cancel and Reset (Update.releaseContext). Between the
 // two, the context belongs to that attempt alone and is used by one
@@ -130,18 +130,6 @@ func (e *Engine) record(c *queryContext, u *Update, q query.ReadQuery) {
 type queryContext struct {
 	snap storage.Snapshot
 	home *Engine
-
-	// readIdx is the dedup index over the owning update's read log
-	// (Update.reads): identity hash (query.ReadHash) to position in the
-	// log. Two different reads with one hash probe linearly — the
-	// second lives under hash+1 — which is sound because entries are
-	// only ever removed all at once. A constant hashes by its canonical
-	// copy's address, an identity only while the constant is alive
-	// (model.Value.Hash); the log holds every read a key was hashed
-	// from, and giveBack and Update.ReleaseReads empty the index no
-	// later than the log. The log itself stays on the update, which
-	// concurrency control checks until commit.
-	readIdx map[uint64]int32
 
 	// The violation queue's storage, kept warm for the next attempt:
 	// spare entries for enqueue to reuse, the arena the queued
@@ -208,13 +196,11 @@ func (e *Engine) queryEngine(snap *storage.Snapshot) *query.Engine {
 	return e.qe
 }
 
-// giveBack returns a context to the idle list, its read dedup index
-// emptied. More spare queue entries or seeded results than
-// maxIdleEntries, or a signature arena past maxIdleSigs, is dropped:
-// one long queue would otherwise stay reachable for the context's
-// lifetime.
+// giveBack returns a context to the idle list. More spare queue
+// entries or seeded results than maxIdleEntries, or a signature arena
+// past maxIdleSigs, is dropped: one long queue would otherwise stay
+// reachable for the context's lifetime.
 func (e *Engine) giveBack(c *queryContext) {
-	clear(c.readIdx)
 	if len(c.spare) > maxIdleEntries {
 		clear(c.spare[maxIdleEntries:])
 		c.spare = c.spare[:maxIdleEntries]
@@ -354,10 +340,6 @@ func (e *Engine) performWrites(u *Update) ([]storage.WriteRec, error) {
 	ops := u.writeSet
 	clear(e.writes)
 	out := e.writes[:0]
-	var c *queryContext
-	if e.logsReads() {
-		c = e.queryContext(u)
-	}
 	// The next write set is planned into the same array once these
 	// writes are performed; the store keeps copies, never an op. The
 	// records go out in the engine's buffer (StepResult.Writes).
@@ -381,7 +363,7 @@ func (e *Engine) performWrites(u *Update) ([]storage.WriteRec, error) {
 			// would have no-op'ed here, so the stored probe must exist
 			// for Algorithm 4 to abort and rerun this update.
 			if e.logsReads() {
-				e.record(c, u, &query.ContentRead{Rel: op.Tuple.Rel,
+				e.record(u, &query.ContentRead{Rel: op.Tuple.Rel,
 					Vals: contentVals(op.Tuple.Vals, rec.After), ReaderNo: u.Number})
 			}
 			if inserted {
@@ -398,7 +380,7 @@ func (e *Engine) performWrites(u *Update) ([]storage.WriteRec, error) {
 				if len(recs) > 0 {
 					removed = recs[0].Before
 				}
-				e.record(c, u, &query.ContentRead{Rel: op.Tuple.Rel,
+				e.record(u, &query.ContentRead{Rel: op.Tuple.Rel,
 					Vals: contentVals(op.Tuple.Vals, removed), ReaderNo: u.Number})
 			}
 			out = append(out, recs...)
@@ -413,7 +395,7 @@ func (e *Engine) performWrites(u *Update) ([]storage.WriteRec, error) {
 		case OpReplaceNull:
 			// The set of rewritten tuples is the null-occurrence read.
 			if e.logsReads() {
-				e.record(c, u, &query.NullOccRead{Null: op.Null, ReaderNo: u.Number})
+				e.record(u, &query.NullOccRead{Null: op.Null, ReaderNo: u.Number})
 			}
 			recs, err := e.store.ReplaceNull(u.Number, op.Null, op.With)
 			if err != nil {
@@ -458,8 +440,8 @@ func (e *Engine) discoverViolations(u *Update, qe *query.Engine, w *storage.Writ
 
 // seedAndEnqueue runs, logs and harvests the violation query of every
 // mapping a write of vals into rel can violate on the given side.
-// Without a read log the query is evaluated bare: no read object, read
-// vector or canonical answer is built.
+// Without a read log the query is evaluated bare: no read object is
+// built.
 func (e *Engine) seedAndEnqueue(u *Update, qe *query.Engine, rel string, vals []model.Value, side query.Side) {
 	if vals == nil {
 		return
@@ -474,7 +456,7 @@ func (e *Engine) seedAndEnqueue(u *Update, qe *query.Engine, rel string, vals []
 		if e.logsReads() {
 			var rq query.ReadQuery
 			rq, vs = query.AppendViolationRead(vs, qe, t, rel, vals, side)
-			e.record(c, u, rq)
+			e.record(u, rq)
 		} else {
 			vs = qe.AppendViolationsSeeded(vs, t, rel, vals, side)
 		}
@@ -641,7 +623,7 @@ func (e *Engine) planForward(u *Update, qv *queuedViolation) error {
 		// The generated tuple's values are never modified in place
 		// (substitutions copy), so the stored pattern shares them.
 		if e.logsReads() {
-			e.record(c, u, &query.MoreSpecificRead{Rel: t.Rel, Pattern: t.Vals, ReaderNo: u.Number})
+			e.record(u, &query.MoreSpecificRead{Rel: t.Rel, Pattern: t.Vals, ReaderNo: u.Number})
 		}
 		if c.snap.AnyMoreSpecific(t) {
 			frontier = append(frontier, t)
@@ -655,10 +637,11 @@ func (e *Engine) planForward(u *Update, qv *queuedViolation) error {
 		return nil
 	}
 	g := &FrontierGroup{
-		ID:       u.nextGID,
-		Positive: true,
-		Viol:     qv.v,
-		Tuples:   slices.Clone(frontier),
+		ID:             u.nextGID,
+		Positive:       true,
+		Viol:           qv.v,
+		Tuples:         slices.Clone(frontier),
+		patternsLogged: true,
 	}
 	clear(frontier)
 	e.frontier = frontier[:0]

@@ -60,8 +60,9 @@ func TestStepLimitEnforced(t *testing.T) {
 
 func TestReadDeduplication(t *testing.T) {
 	// Re-offering options for the same group must not duplicate the
-	// stored more-specific queries. Reads are logged only under an
-	// observer.
+	// stored more-specific queries: planForward logged the group's
+	// patterns, and no substitution changed them. Reads are logged only
+	// under an observer.
 	st, _, e := travel(t)
 	e.SetReadObserver(func(*chase.Update, query.ReadQuery) {})
 	u := chase.NewUpdate(1, chase.Insert(tup("S", c("JFK"), c("NYC"), c("Ithaca"))))
@@ -82,7 +83,7 @@ func TestReadDeduplication(t *testing.T) {
 	e.Options(u, g)
 	e.Options(u, g)
 	after := len(u.StoredReads())
-	if after != mid {
+	if mid != before || after != mid {
 		t.Fatalf("repeated Options grew the read log: %d -> %d -> %d", before, mid, after)
 	}
 	_ = st

@@ -115,9 +115,11 @@ func (e *Engine) scratchOptions(u *Update, g *FrontierGroup) []Decision {
 func (e *Engine) positiveOptions(u *Update, g *FrontierGroup, out []Decision) []Decision {
 	c := e.queryContext(u)
 	snap := &c.snap
+	logPatterns := e.logsReads() && !g.patternsLogged
+	g.patternsLogged = true
 	for idx, t := range g.Tuples {
-		if e.logsReads() {
-			e.record(c, u, &query.MoreSpecificRead{Rel: t.Rel, Pattern: t.Vals, ReaderNo: u.Number})
+		if logPatterns {
+			e.record(u, &query.MoreSpecificRead{Rel: t.Rel, Pattern: t.Vals, ReaderNo: u.Number})
 		}
 		e.targets = snap.MoreSpecificInto(t, e.targets[:0])
 		targets := e.targets
@@ -339,7 +341,7 @@ func (e *Engine) applyUnify(u *Update, g *FrontierGroup, d Decision) error {
 	u.applySubst(sub)
 	for _, k := range nulls {
 		if e.logsReads() {
-			e.record(c, u, &query.NullOccRead{Null: k, ReaderNo: u.Number})
+			e.record(u, &query.NullOccRead{Null: k, ReaderNo: u.Number})
 		}
 		if len(snap.TuplesWithNull(k)) > 0 {
 			u.writeSet = append(u.writeSet, ReplaceNull(k, sub[k]).because(causeUnification, g.Viol.TGD.Name))

@@ -17,10 +17,8 @@ var (
 
 	// The query seam: attempt contexts created (recycled, so at most
 	// one per attempt in flight), query engines created (one per chase
-	// engine that stepped), reads stored in read logs, and identical
-	// reads the logs dropped.
+	// engine that stepped) and reads stored in read logs.
 	obsQueryContexts = obs.Default.Counter("chase_query_contexts_total")
 	obsQueryEngines  = obs.Default.Counter("chase_query_engines_total")
 	obsReadsRecorded = obs.Default.Counter("chase_reads_recorded_total")
-	obsReadsDeduped  = obs.Default.Counter("chase_reads_deduped_total")
 )

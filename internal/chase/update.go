@@ -2,6 +2,7 @@ package chase
 
 import (
 	"fmt"
+	"slices"
 
 	"youtopia/internal/model"
 	"youtopia/internal/query"
@@ -70,6 +71,12 @@ type FrontierGroup struct {
 	// Candidates are the remaining deletion candidates (negative
 	// groups); reconfirmation removes entries without deleting them.
 	Candidates []storage.TupleID
+
+	// patternsLogged marks a positive group whose Tuples' more-specific
+	// reads are all in the read log: planForward logged them when it
+	// built the group, and a substitution that rewrites a tuple clears
+	// it, so positiveOptions logs each pattern once, not at every poll.
+	patternsLogged bool
 }
 
 // Empty reports whether every frontier tuple of the group has been
@@ -171,11 +178,7 @@ type Update struct {
 	// reads are the stored read queries of the current attempt, in the
 	// order performed; concurrency control checks writes against them
 	// until the update commits. The engine keeps them only while a read
-	// observer is installed (Engine.logsReads). Identical queries are
-	// stored once (they denote the same intensional read): the
-	// attempt's context holds the dedup index (queryContext.readIdx),
-	// and no read is logged once the attempt gave its context back.
-	// The log takes no lock: every reader runs on the goroutine that
+	// observer is installed (Engine.logsReads). The log takes no lock: every reader runs on the goroutine that
 	// steps the update, between or inside its steps.
 	reads []query.ReadQuery
 
@@ -268,7 +271,8 @@ func (u *Update) dropPending() {
 
 // releaseContext gives the attempt's query context back to the engine
 // it came from (see queryContext for why this is safe from any caller
-// holding the update). A detached context (RecordRead) is dropped.
+// holding the update). A context without a home (built by a test) is
+// dropped.
 func (u *Update) releaseContext() {
 	if c := u.qctx; c != nil {
 		u.qctx = nil
@@ -290,45 +294,10 @@ func (t TraceEntry) String() string {
 	return t.Write.String() + "  <- " + t.Cause
 }
 
-// addRead stores a read query in the read log of u, the context's
-// owner, deduplicating identical ones (query.SameRead). It reports
-// whether the query was new.
-func (c *queryContext) addRead(u *Update, q query.ReadQuery) bool {
-	return c.addReadHashed(u, q, query.ReadHash(q))
-}
-
-// addReadHashed is addRead with the identity hash supplied by the
-// caller (tests force collisions through it).
-func (c *queryContext) addReadHashed(u *Update, q query.ReadQuery, h uint64) bool {
-	for ; ; h++ {
-		i, taken := c.readIdx[h]
-		if !taken {
-			break
-		}
-		if query.SameRead(u.reads[i], q) {
-			obsReadsDeduped.Inc()
-			return false
-		}
-	}
-	if c.readIdx == nil {
-		c.readIdx = make(map[uint64]int32)
-	}
-	c.readIdx[h] = int32(len(u.reads))
-	u.reads = append(u.reads, q)
-	obsReadsRecorded.Inc()
-	return true
-}
-
 // RecordRead stores a read query as if an engine call had performed
-// it, for tests and probes. It reports whether the query was new. An
-// update without a context dedups through a detached one, which no
-// engine lent and which Reset or Cancel drops: it is meant for
-// updates no engine steps.
-func (u *Update) RecordRead(q query.ReadQuery) bool {
-	if u.qctx == nil {
-		u.qctx = new(queryContext)
-	}
-	return u.qctx.addRead(u, q)
+// it, for tests and probes.
+func (u *Update) RecordRead(q query.ReadQuery) {
+	u.reads = append(u.reads, q)
 }
 
 // StoredReads returns the live read log of the current attempt (see
@@ -337,16 +306,12 @@ func (u *Update) StoredReads() []query.ReadQuery { return u.reads }
 
 // ReleaseReads drops the stored read queries — the commit-time release
 // of Algorithm 4 (a committed update's reads can no longer cause
-// conflicts) — and empties the dedup index of a context the attempt
-// still holds. The log's array stays for the next attempt or Renew,
+// conflicts). The log's array stays for the next attempt or Renew,
 // cleared to full capacity as dropPending clears the write set, so
 // that no dropped read is kept alive.
 func (u *Update) ReleaseReads() {
 	clear(u.reads[:cap(u.reads)])
 	u.reads = u.reads[:0]
-	if c := u.qctx; c != nil {
-		clear(c.readIdx)
-	}
 }
 
 // State returns the update's current lifecycle state.
@@ -378,24 +343,35 @@ func (u *Update) String() string {
 
 // applySubst rewrites the update's pending state — queued violations'
 // values, frontier tuples, and planned writes — under a null
-// substitution produced by a unification.
+// substitution produced by a unification. While the attempt keeps a
+// read log, a queued violation's values are copied before they change:
+// a stored read's answer may share them (query.ViolationRead). Without
+// one, nothing else reads them, and they change in place.
 func (u *Update) applySubst(s model.Subst) {
 	for i := range u.writeSet {
 		u.writeSet[i] = u.writeSet[i].applySubst(s)
 	}
+	shared := len(u.reads) > 0
 	for _, qv := range u.queue {
+		if !s.Touches(qv.v.Vals) {
+			continue
+		}
+		if shared {
+			qv.v.Vals = slices.Clone(qv.v.Vals)
+		}
 		for k, v := range qv.v.Vals {
-			if v.IsNull() {
-				if r, ok := s[v]; ok {
-					qv.v.Vals[k] = r
-					qv.dirty = true
-				}
+			if r, ok := s[v]; ok && v.IsNull() {
+				qv.v.Vals[k] = r
 			}
 		}
+		qv.dirty = true
 	}
 	for _, g := range u.groups {
 		for i := range g.Tuples {
-			g.Tuples[i] = s.ApplyTuple(g.Tuples[i])
+			if s.Touches(g.Tuples[i].Vals) {
+				g.Tuples[i] = s.ApplyTuple(g.Tuples[i])
+				g.patternsLogged = false
+			}
 		}
 	}
 }

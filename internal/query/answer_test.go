@@ -152,7 +152,7 @@ func scratchQueries() []*CQ {
 func TestCertainAnswersScratchReuse(t *testing.T) {
 	st, _ := scratchWorld(t)
 	snap := st.Snap(1)
-	e, ref := NewEngine(snap), refEngine{snap}
+	e, ref := NewEngine(snap), refEngine{snap: snap}
 	qs := scratchQueries()
 	order := slices.Clone(qs)
 	slices.Reverse(order)

@@ -3,6 +3,9 @@ package query
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"sort"
+	"strings"
 	"testing"
 
 	"youtopia/internal/model"
@@ -13,7 +16,9 @@ import (
 // This file holds the checker to the conflict check it replaced: a
 // cold engine per verdict on heap-derived snapshots, the answer
 // rendered in full and compared as a string (answerCanon), behind the
-// binding-building mayTouch prefilter.
+// binding-building mayTouch prefilter. It also keeps the per-relation
+// read vector a stored read recorded before it recorded one sequence,
+// as the reference the one sequence is held to.
 
 // refMayTouch is the prefilter as it was: unifyValsAtom against a
 // fresh binding.
@@ -44,13 +49,13 @@ func refAffectedBy(q *ViolationRead, st storage.Backend, w storage.WriteRec) boo
 		return false
 	}
 	snap := st.Snap(q.ReaderNo)
-	if w.Seq > q.readCeil(w.Rel) {
-		snap.SetRelWindow(q.TGD.Relations(), q.ReadSeqs, w.Seq)
+	if w.Seq > q.ReadSeq {
+		snap.SetWindow(q.ReadSeq, w.Seq)
 	} else {
-		snap.SetRelCeilings(q.TGD.Relations(), q.ReadSeqs)
+		snap.SetCeiling(q.ReadSeq)
 		snap.SetMask(w.Writer, w.Seq)
 	}
-	return q.answerCanon(snap) != q.Answer
+	return q.answerCanon(snap) != q.recordedCanon()
 }
 
 // refAffectedByRemoval is ViolationRead.AffectedByRemoval before the
@@ -64,8 +69,74 @@ func refAffectedByRemoval(q *ViolationRead, st storage.Backend, removed []storag
 		return false
 	}
 	snap := st.Snap(q.ReaderNo)
-	snap.SetRelWindow(q.TGD.Relations(), q.ReadSeqs, st.CurrentSeq())
-	return q.answerCanon(snap) != q.Answer
+	snap.SetWindow(q.ReadSeq, st.CurrentSeq())
+	return q.answerCanon(snap) != q.recordedCanon()
+}
+
+// A read vector is what a stored violation read recorded before it
+// recorded one sequence: for each relation of its mapping, aligned with
+// TGD.Relations(), the highest sequence number applied in that relation
+// when the read happened. Its view cut each relation at the relation's
+// own ceiling, and a write was judged before or after the read by the
+// ceiling of the write's relation. The functions below evaluate that
+// view on the reference engine, reading each relation through a
+// snapshot cut at its ceiling.
+
+// vectorView returns the reference engine over q's vector view: each
+// relation of the mapping read through a snapshot at q's reader,
+// narrowed by narrow to the relation's ceiling.
+func vectorView(q *ViolationRead, vec []int64, st storage.Backend, narrow func(sn *storage.Snapshot, ceil int64)) refEngine {
+	byRel := make(map[string]*storage.Snapshot, len(vec))
+	for i, rel := range q.TGD.Relations() {
+		sn := st.Snap(q.ReaderNo)
+		narrow(sn, vec[i])
+		byRel[rel] = sn
+	}
+	return refEngine{byRel: byRel}
+}
+
+// vectorDiffers evaluates q on a vector view in full and compares the
+// rendering with the recorded answer.
+func vectorDiffers(q *ViolationRead, r refEngine) bool {
+	found := r.ViolationsSeeded(q.TGD, q.SeedRel(), q.SeedVals, q.SeedSide)
+	keys := make([]string, len(found))
+	for i := range found {
+		keys[i] = found[i].key()
+	}
+	sort.Strings(keys)
+	return strings.Join(keys, ";") != q.recordedCanon()
+}
+
+// vectorAffectedBy is AffectedBy judged through the read vector.
+func vectorAffectedBy(q *ViolationRead, vec []int64, st storage.Backend, w storage.WriteRec) bool {
+	if !refReaches(q, w) {
+		return false
+	}
+	if w.Seq > vec[slices.Index(q.TGD.Relations(), w.Rel)] {
+		return vectorDiffers(q, vectorView(q, vec, st, func(sn *storage.Snapshot, ceil int64) {
+			sn.SetWindow(ceil, w.Seq)
+		}))
+	}
+	return vectorDiffers(q, vectorView(q, vec, st, func(sn *storage.Snapshot, ceil int64) {
+		sn.SetCeiling(ceil)
+		sn.SetMask(w.Writer, w.Seq)
+	}))
+}
+
+// vectorAffectedByRemoval is AffectedByRemoval judged through the read
+// vector.
+func vectorAffectedByRemoval(q *ViolationRead, vec []int64, st storage.Backend, removed []storage.WriteRec) bool {
+	relevant := false
+	for _, w := range removed {
+		relevant = relevant || refReaches(q, w)
+	}
+	if !relevant {
+		return false
+	}
+	upto := st.CurrentSeq()
+	return vectorDiffers(q, vectorView(q, vec, st, func(sn *storage.Snapshot, ceil int64) {
+		sn.SetWindow(ceil, upto)
+	}))
 }
 
 // wideVars pads the wide world's mapping past 64 variables, one
@@ -78,6 +149,9 @@ type checkerWorld struct {
 	st  *storage.Store
 	m   *tgd.TGD
 	rng *rand.Rand
+	// relSeq is each relation's highest applied sequence number, kept
+	// from the world's own loads and writes.
+	relSeq map[string]int64
 }
 
 func fieldNames(n int) []string {
@@ -136,9 +210,11 @@ func genCheckerWorld(seed int64, wide bool) *checkerWorld {
 			break
 		}
 	}
-	w := &checkerWorld{st: storage.NewStore(s), m: m, rng: rng}
+	w := &checkerWorld{st: storage.NewStore(s), m: m, rng: rng, relSeq: map[string]int64{}}
 	for i, n := 0, 10+rng.Intn(20); i < n; i++ {
-		w.st.Load(w.tuple(w.anyRel()))
+		tup := w.tuple(w.anyRel())
+		w.st.Load(tup)
+		w.relSeq[tup.Rel] = w.st.CurrentSeq()
 	}
 	return w
 }
@@ -167,15 +243,32 @@ func (w *checkerWorld) tuple(rel string) model.Tuple {
 func (w *checkerWorld) write(t *testing.T, writer int) {
 	t.Helper()
 	tup := w.tuple(w.anyRel())
+	var recs []storage.WriteRec
 	var err error
 	if w.rng.Intn(3) == 0 {
-		_, err = w.st.DeleteContent(writer, tup)
+		recs, err = w.st.DeleteContent(writer, tup)
 	} else {
-		_, _, _, err = w.st.Insert(writer, tup)
+		_, rec, inserted, ierr := w.st.Insert(writer, tup)
+		if err = ierr; inserted {
+			recs = append(recs, rec)
+		}
 	}
 	if err != nil {
 		t.Fatal(err)
 	}
+	for _, rec := range recs {
+		w.relSeq[rec.Rel] = rec.Seq
+	}
+}
+
+// vector returns the read vector of the mapping's relations now.
+func (w *checkerWorld) vector() []int64 {
+	rels := w.m.Relations()
+	vec := make([]int64, len(rels))
+	for i, rel := range rels {
+		vec[i] = w.relSeq[rel]
+	}
+	return vec
 }
 
 // read records reader's seeded violation query, seeded from a tuple of
@@ -194,39 +287,37 @@ func (w *checkerWorld) read(reader int) *ViolationRead {
 }
 
 func answerShape(q *ViolationRead) string {
-	switch {
-	case q.Answer == "":
+	switch q.answerLen() {
+	case 0:
 		return "empty"
-	case q.multi:
-		return "multi"
-	default:
+	case 1:
 		return "singleton"
+	default:
+		return "multi"
 	}
 }
 
-// TestCheckerMatchesAnswerCanon: over random worlds, one checker —
-// reused across every world, mappings of one and of several slot-set
-// words — agrees with the cold-engine reference on
-// AffectedBy for every uncommitted write, both before the read (the
-// masked at-or-below-ceiling branch) and after it (the past-ceiling
-// window, invisible writers included), and on AffectedByRemoval before
-// and after the removed writer's rollback. Every answer shape must be
-// exercised with both verdicts.
-func TestCheckerMatchesAnswerCanon(t *testing.T) {
-	var chk Checker
-	seen := map[string]int{}
-	wide := false
-	check := func(label string, got, want bool, q *ViolationRead, reached bool) {
-		t.Helper()
-		if got != want {
-			t.Fatalf("%s: checker says %v, reference %v (%s answer %q)", label, got, want, answerShape(q), q.Answer)
-		}
-		if reached {
-			seen[fmt.Sprintf("wide=%v/%s/%v", wide, answerShape(q), got)]++
-		}
-	}
+// checkEvent is one conflict check of the battery: a stored read with
+// the read vector captured beside it, and either a write or a removed
+// log.
+type checkEvent struct {
+	label   string
+	q       *ViolationRead
+	vec     []int64
+	write   storage.WriteRec
+	removed []storage.WriteRec // non-nil for a removal check
+}
+
+// checkerBattery runs the checks of the random worlds: over mappings
+// of one and of several slot-set words, every stored read against every
+// uncommitted write, both before the read (the masked
+// at-or-below-ceiling branch) and after it (the past-ceiling window,
+// invisible writers included), and against the removal of writers 2
+// and 3 before and after their rollback. visit receives each check,
+// with wide naming the world's kind.
+func checkerBattery(t *testing.T, visit func(wide bool, st *storage.Store, e checkEvent)) {
 	worlds := 0
-	for _, wide = range []bool{false, true} {
+	for _, wide := range []bool{false, true} {
 		n := int64(150)
 		if wide {
 			n = 100
@@ -240,26 +331,34 @@ func TestCheckerMatchesAnswerCanon(t *testing.T) {
 			for i, k := 0, 2+w.rng.Intn(5); i < k; i++ {
 				w.write(t, 1+w.rng.Intn(4))
 			}
-			reads := []*ViolationRead{w.read(6), w.read(6), w.read(8)}
+			var reads []*ViolationRead
+			var vecs [][]int64
+			for _, reader := range []int{6, 6, 8} {
+				vecs = append(vecs, w.vector())
+				reads = append(reads, w.read(reader))
+			}
 			for i, k := 0, 2+w.rng.Intn(6); i < k; i++ {
 				w.write(t, []int{2, 3, 5, 7, 9}[w.rng.Intn(5)])
 			}
-			for _, q := range reads {
+			for i, q := range reads {
 				for _, wr := range w.st.UncommittedWrites() {
 					label := fmt.Sprintf("wide=%v seed %d reader %d write %v", wide, seed, q.ReaderNo, wr)
-					check(label, q.AffectedBy(&chk, w.st, wr), refAffectedBy(q, w.st, wr), q, refReaches(q, wr))
+					visit(wide, w.st, checkEvent{label: label, q: q, vec: vecs[i], write: wr})
 				}
 			}
 			for _, writer := range []int{2, 3} {
 				removed := w.st.WritesOf(writer)
-				for _, q := range reads {
-					label := fmt.Sprintf("wide=%v seed %d reader %d removal of %d", wide, seed, q.ReaderNo, writer)
-					check(label+" (live)", q.AffectedByRemoval(&chk, w.st, removed), refAffectedByRemoval(q, w.st, removed), q, false)
+				if removed == nil {
+					removed = []storage.WriteRec{}
+				}
+				for i, q := range reads {
+					label := fmt.Sprintf("wide=%v seed %d reader %d removal of %d (live)", wide, seed, q.ReaderNo, writer)
+					visit(wide, w.st, checkEvent{label: label, q: q, vec: vecs[i], removed: removed})
 				}
 				w.st.Abort(writer)
-				for _, q := range reads {
-					label := fmt.Sprintf("wide=%v seed %d reader %d removal of %d", wide, seed, q.ReaderNo, writer)
-					check(label+" (rolled back)", q.AffectedByRemoval(&chk, w.st, removed), refAffectedByRemoval(q, w.st, removed), q, false)
+				for i, q := range reads {
+					label := fmt.Sprintf("wide=%v seed %d reader %d removal of %d (rolled back)", wide, seed, q.ReaderNo, writer)
+					visit(wide, w.st, checkEvent{label: label, q: q, vec: vecs[i], removed: removed})
 				}
 			}
 		}
@@ -267,6 +366,29 @@ func TestCheckerMatchesAnswerCanon(t *testing.T) {
 	if worlds < 100 {
 		t.Fatalf("only %d worlds", worlds)
 	}
+}
+
+// TestCheckerMatchesAnswerCanon: over the battery's random worlds, one
+// checker — reused across every world — agrees with the cold-engine
+// reference on AffectedBy and AffectedByRemoval. Every answer shape
+// must be exercised with both verdicts.
+func TestCheckerMatchesAnswerCanon(t *testing.T) {
+	var chk Checker
+	seen := map[string]int{}
+	checkerBattery(t, func(wide bool, st *storage.Store, e checkEvent) {
+		got, want, reached := false, false, false
+		if e.removed != nil {
+			got, want = e.q.AffectedByRemoval(&chk, st, e.removed), refAffectedByRemoval(e.q, st, e.removed)
+		} else {
+			got, want, reached = e.q.AffectedBy(&chk, st, e.write), refAffectedBy(e.q, st, e.write), refReaches(e.q, e.write)
+		}
+		if got != want {
+			t.Fatalf("%s: checker says %v, reference %v (%s answer %q)", e.label, got, want, answerShape(e.q), e.q.recordedCanon())
+		}
+		if reached {
+			seen[fmt.Sprintf("wide=%v/%s/%v", wide, answerShape(e.q), got)]++
+		}
+	})
 	for _, wide := range []bool{false, true} {
 		for _, shape := range []string{"empty", "singleton", "multi"} {
 			for _, verdict := range []bool{false, true} {
@@ -277,4 +399,35 @@ func TestCheckerMatchesAnswerCanon(t *testing.T) {
 		}
 	}
 	t.Logf("evaluated checks by shape and verdict: %v", seen)
+}
+
+// TestReadSeqMatchesVector: a stored read's one read sequence gives
+// every verdict its per-relation read vector gave, on every check of
+// the battery: every write lands under one lock, so a relation holds no
+// version between its own ceiling and the read sequence. Checks whose
+// write's relation ceiling lies below the read sequence while the write
+// lies between the two must occur, or the battery would not tell the
+// vector from the sequence.
+func TestReadSeqMatchesVector(t *testing.T) {
+	var chk Checker
+	split, verdicts := 0, map[bool]int{}
+	checkerBattery(t, func(_ bool, st *storage.Store, e checkEvent) {
+		var got, want bool
+		if e.removed != nil {
+			got, want = e.q.AffectedByRemoval(&chk, st, e.removed), vectorAffectedByRemoval(e.q, e.vec, st, e.removed)
+		} else {
+			got, want = e.q.AffectedBy(&chk, st, e.write), vectorAffectedBy(e.q, e.vec, st, e.write)
+			if i := slices.Index(e.q.TGD.Relations(), e.write.Rel); i >= 0 && e.vec[i] < e.q.ReadSeq && refReaches(e.q, e.write) {
+				split++
+			}
+		}
+		if got != want {
+			t.Fatalf("%s: read sequence %d says %v, read vector %v says %v", e.label, e.q.ReadSeq, got, e.vec, want)
+		}
+		verdicts[got]++
+	})
+	if split == 0 || verdicts[true] == 0 || verdicts[false] == 0 {
+		t.Fatalf("the battery does not separate the vector from the sequence: %d split checks, verdicts %v", split, verdicts)
+	}
+	t.Logf("%d checks with a relation ceiling below the read sequence; verdicts %v", split, verdicts)
 }

@@ -166,21 +166,15 @@ func TestAffectedByAgreesWithRecomputation(t *testing.T) {
 		}
 
 		got := q.AffectedBy(new(Checker), st, w2)
-		// Brute force: answer as of read time + interference window,
-		// with the read time expressed as one ceiling for every schema
-		// relation, captured independently of the query's per-relation
-		// vector. This
-		// execution is single-threaded, so the two reconstructions must
-		// agree — which checks the vector capture and the structural
-		// prefilters at once.
-		names := st.Schema().SortedNames()
-		vec := make([]int64, len(names))
-		for i := range vec {
-			vec[i] = readSeq
-		}
+		// Brute force: the full answer as of read time + interference
+		// window, on a cold engine, with the read time captured
+		// independently of the query, against the recorded answer
+		// rendered in full. This execution is single-threaded, so the
+		// two must agree — which checks the sequence capture, the
+		// structural prefilters and the in-place comparison at once.
 		win := st.Snap(5)
-		win.SetRelWindow(names, vec, w2.Seq)
-		want := q.answerCanon(win) != q.Answer
+		win.SetWindow(readSeq, w2.Seq)
+		want := q.answerCanon(win) != q.recordedCanon()
 		if got != want {
 			t.Fatalf("seed %d: AffectedBy = %v, brute force = %v (write %v)", seed, got, want, w2)
 		}

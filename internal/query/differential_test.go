@@ -273,9 +273,9 @@ func TestCompiledVsInterpreted(t *testing.T) {
 			r := rand.New(rand.NewSource(seed))
 			w := genWorld(r)
 			snap := w.st.Snap(1)
-			checkWorld(t, r, w, NewEngine(snap), refEngine{snap})
+			checkWorld(t, r, w, NewEngine(snap), refEngine{snap: snap})
 			ep := w.st.EpochSnap()
-			checkWorld(t, r, w, NewEngine(ep), refEngine{ep})
+			checkWorld(t, r, w, NewEngine(ep), refEngine{snap: ep})
 		})
 	}
 }
@@ -295,7 +295,7 @@ func TestCompiledVsInterpretedParallel(t *testing.T) {
 		go func(gseed int64) {
 			defer wg.Done()
 			gr := rand.New(rand.NewSource(gseed))
-			checkWorld(t, gr, w, NewEngine(snap), refEngine{snap})
+			checkWorld(t, gr, w, NewEngine(snap), refEngine{snap: snap})
 		}(int64(g))
 	}
 	wg.Wait()
@@ -311,6 +311,6 @@ func FuzzCompiledVsInterpreted(f *testing.F) {
 		r := rand.New(rand.NewSource(seed))
 		w := genWorld(r)
 		snap := w.st.Snap(1)
-		checkWorld(t, r, w, NewEngine(snap), refEngine{snap})
+		checkWorld(t, r, w, NewEngine(snap), refEngine{snap: snap})
 	})
 }

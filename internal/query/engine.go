@@ -150,12 +150,13 @@ type Engine struct {
 	// enumeration and its nested RHS probe).
 	runPool []*slotRun
 
-	// Reusable buffers for violation keys and the witness signatures'
-	// null-renaming scratch; seen is the seeded-query dedup index
+	// renBuf is the witness signatures' null-renaming scratch; sorted
+	// orders a stored read's multi-violation answer
+	// (ViolationRead.setAnswer); seen is the seeded-query dedup index
 	// (srViolation), allocated on first violation and cleared per
 	// query.
-	keyBuf []byte
 	renBuf []model.Value
+	sorted []Violation
 	seen   map[uint64]int32
 
 	// vout is the violation-collection target. Collecting through an
@@ -327,27 +328,38 @@ func (e *Engine) AppendViolationsSeeded(dst []Violation, t *tgd.TGD, rel string,
 }
 
 // answerDiffers reports whether a stored violation query's answer on
-// the engine's snapshot differs from its recorded Answer, materialising
-// no more than the comparison needs: an empty Answer is an existence
-// probe that stops at the first violation, a single-violation Answer is
-// compared violation by violation in the key buffer, and only a
-// multi-violation Answer is evaluated and rendered in full.
+// the engine's snapshot differs from its recorded answer, materialising
+// no more than the comparison needs: an empty answer is an existence
+// probe that stops at the first violation, a single-violation answer is
+// compared field by field in the registers, and only a multi-violation
+// answer is evaluated in full, each violation found looked up in the
+// recorded one.
 func (e *Engine) answerDiffers(q *ViolationRead) bool {
-	if q.multi {
-		return e.canonViolations(q.eval(e)) != q.Answer
+	n := q.answerLen()
+	if n > 1 {
+		found := q.eval(e)
+		if len(found) != n {
+			return true
+		}
+		for i := range found {
+			if !q.answerHas(&found[i]) {
+				return true
+			}
+		}
+		return false
 	}
 	defer e.flushObs()
 	p := PlanFor(q.TGD)
 	lr, rr := e.getRun(p), e.getRun(p)
 	lr.found = false
 	lr.fn = srFirstViolation
-	if q.Answer != "" {
-		lr.fn, lr.answer = srSameAnswer, q.Answer
+	if n == 1 {
+		lr.fn, lr.answer = srSameAnswer, q
 	}
-	e.seededJoin(p, lr, rr, q.SeedRel, q.SeedVals, q.SeedSide)
+	e.seededJoin(p, lr, rr, q.SeedRel(), q.SeedVals, q.SeedSide)
 	// An empty answer changed once a violation exists; a singleton
 	// unless the recorded violation, and only it, was found.
-	differs := lr.found == (q.Answer == "")
+	differs := lr.found == (n == 0)
 	e.putRun(rr)
 	e.putRun(lr)
 	return differs

@@ -91,7 +91,7 @@ func TestPlanTooManyVars(t *testing.T) {
 	}
 	snap := st.Snap(1)
 	got := NewEngine(snap).Violations(m)
-	checkViols(t, "Violations(wide)", got, refEngine{snap}.Violations(m))
+	checkViols(t, "Violations(wide)", got, refEngine{snap: snap}.Violations(m))
 	if len(got) != 2 {
 		t.Fatalf("violations %v, want 2", got)
 	}

@@ -2,10 +2,8 @@ package query
 
 import (
 	"fmt"
-	"hash/maphash"
 	"slices"
 	"sort"
-	"strings"
 
 	"youtopia/internal/model"
 	"youtopia/internal/storage"
@@ -82,107 +80,119 @@ type ReadQuery interface {
 
 // ViolationRead stores a seeded violation query: "which violations of
 // TGD did the write of SeedVals into SeedRel create?" (Example 4.1).
-// Besides the intensional query it records the canonical answer and a
-// per-relation read vector — the stripe sequence number of each of the
-// mapping's relations at read time — so conflict checks
-// can ask whether a later write retroactively changes what was read,
-// even after the reader's own repairs have moved the current answer
-// on. The vector replaces an earlier single global read sequence: a
-// read's validity boundary is judged per stripe, which stays exact
-// when stripes advance independently (any evaluation that observed
-// different stripes at different moments).
+// Besides the intensional query it records the store's sequence number
+// at read time and the answer, so conflict checks can ask whether a
+// later write retroactively changes what was read, even after the
+// reader's own repairs have moved the current answer on. A stored read
+// is one allocation: the answer is held by reference to the found
+// violations' own arrays, and the seed relation by its index.
 type ViolationRead struct {
 	TGD      *tgd.TGD
-	SeedRel  string
 	SeedVals []model.Value
-	// SeedSide records which atoms the seed was bound against; the
-	// re-evaluation used by AffectedBy reproduces the same query.
-	SeedSide Side
+	// ReadSeq is the store's CurrentSeq when the read happened. One lock
+	// orders every write, so each version at or below it existed at read
+	// time (or was since aborted) and every later write lies above it.
+	ReadSeq  int64
 	ReaderNo int
-	// Answer is the canonical rendering of the violations read; multi
-	// marks an Answer of two or more violations, the one shape a
-	// conflict check compares by rendering rather than in place.
-	Answer string
-	multi  bool
-	// ReadSeqs is the per-relation read vector, aligned with
-	// TGD.Relations(): each relation's stripe sequence number when the
-	// read happened. Two reads of the same seeded query with equal
-	// vectors observed identical relevant state (the answer depends on
-	// no other relations), so the vector doubles as the read's identity
-	// in String.
-	ReadSeqs []int64
+	// vals and witness are the answer: the Vals and Witness arrays of
+	// the one violation found, or those of every violation found
+	// concatenated in witness order. Both are empty for an empty answer
+	// and immutable either way.
+	vals    []model.Value
+	witness []storage.TupleID
+	// seedRel indexes the seed relation in TGD.Relations() (-1 when the
+	// mapping does not use it); SeedSide records which atoms the seed
+	// was bound against. The re-evaluation used by AffectedBy
+	// reproduces the same query.
+	seedRel  int32
+	SeedSide Side
 }
 
 // NewViolationRead evaluates the seeded violation query on the
 // reader's engine and returns both the stored read descriptor and the
 // violations it found. The reader is the engine's snapshot reader. The
-// read vector is captured before the evaluation: per stripe, everything
-// at or below the captured sequence is already applied (stripe
-// sequences publish under the store's write lock), so the vector lower-bounds
-// what the evaluation saw in each relation and is exact whenever no
-// writer runs during the read — which the scheduler guarantees: it
-// runs one chase step at a time, so no write lands during a read.
+// read sequence is captured before the evaluation and is exact, since
+// no writer runs during the read: the scheduler runs one chase step at
+// a time.
 //
 // seedVals is retained, not copied: callers pass a write record's
-// immutable value slice.
+// immutable value slice. So are the violations' arrays: nobody may
+// modify them in place.
 func NewViolationRead(e *Engine, t *tgd.TGD, seedRel string, seedVals []model.Value, side Side) (*ViolationRead, []Violation) {
 	return AppendViolationRead(nil, e, t, seedRel, seedVals, side)
 }
 
 // AppendViolationRead is NewViolationRead appending the violations to
 // dst, so that a caller consuming them at once reuses one array: the
-// read then allocates only itself and its read vector, and each
-// violation found its own Vals and Witness.
+// read then allocates only itself for an empty or single-violation
+// answer, and each violation found its own Vals and Witness.
 func AppendViolationRead(dst []Violation, e *Engine, t *tgd.TGD, seedRel string, seedVals []model.Value, side Side) (*ViolationRead, []Violation) {
-	rels := t.Relations()
-	seqs := make([]int64, len(rels))
-	for i, rel := range rels {
-		seqs[i] = e.snap.RelSeq(rel)
-	}
 	q := &ViolationRead{
 		TGD:      t,
-		SeedRel:  seedRel,
 		SeedVals: seedVals,
-		SeedSide: side,
+		ReadSeq:  e.snap.CurrentSeq(),
 		ReaderNo: e.snap.Reader(),
-		ReadSeqs: seqs,
+		seedRel:  int32(slices.Index(t.Relations(), seedRel)),
+		SeedSide: side,
 	}
 	out := e.AppendViolationsSeeded(dst, t, seedRel, seedVals, side)
-	vs := out[len(dst):]
-	q.Answer, q.multi = e.canonViolations(vs), len(vs) > 1
+	q.setAnswer(e, out[len(dst):])
 	return q, out
 }
 
-// readCeil returns the read vector's boundary for a relation (0 when
-// the relation is outside the mapping, which callers pre-filter).
-func (q *ViolationRead) readCeil(rel string) int64 {
-	for i, r := range q.TGD.Relations() {
-		if r == rel {
-			return q.ReadSeqs[i]
-		}
-	}
-	return 0
-}
-
-// canonViolations renders a violation set canonically, through the
-// engine's reusable key buffer. The empty and the singleton answer —
-// all but a sliver of the reads a chase stores — need no key slice,
-// sort or join.
-func (e *Engine) canonViolations(vs []Violation) string {
+// setAnswer records vs as the answer: a single violation by reference,
+// several concatenated in witness order, sorted in the engine's
+// scratch.
+func (q *ViolationRead) setAnswer(e *Engine, vs []Violation) {
 	switch len(vs) {
 	case 0:
-		return ""
+		return
 	case 1:
-		e.keyBuf = vs[0].AppendKey(e.keyBuf[:0])
-		return string(e.keyBuf)
+		q.vals, q.witness = vs[0].Vals, vs[0].Witness
+		return
 	}
-	keys := make([]string, len(vs))
-	for i := range vs {
-		e.keyBuf = vs[i].AppendKey(e.keyBuf[:0])
-		keys[i] = string(e.keyBuf)
+	sorted := append(e.sorted[:0], vs...)
+	slices.SortFunc(sorted, func(a, b Violation) int { return slices.Compare(a.Witness, b.Witness) })
+	q.vals = make([]model.Value, 0, len(vs)*len(vs[0].Vals))
+	q.witness = make([]storage.TupleID, 0, len(vs)*len(vs[0].Witness))
+	for _, v := range sorted {
+		q.vals = append(q.vals, v.Vals...)
+		q.witness = append(q.witness, v.Witness...)
 	}
-	sort.Strings(keys)
-	return strings.Join(keys, ";")
+	clear(sorted)
+	e.sorted = sorted[:0]
+}
+
+// SeedRel returns the relation the seed was written into, or "" for a
+// relation outside the mapping, whose seeded query matches nothing.
+func (q *ViolationRead) SeedRel() string {
+	if q.seedRel < 0 {
+		return ""
+	}
+	return q.TGD.Relations()[q.seedRel]
+}
+
+// answerLen returns the number of violations in the answer.
+func (q *ViolationRead) answerLen() int { return len(q.witness) / len(q.TGD.LHS) }
+
+// answerAt returns the i-th violation of the answer, in witness order.
+func (q *ViolationRead) answerAt(i int) (vals []model.Value, witness []storage.TupleID) {
+	nv, nw := len(q.vals)/q.answerLen(), len(q.TGD.LHS)
+	return q.vals[i*nv : (i+1)*nv], q.witness[i*nw : (i+1)*nw]
+}
+
+// answerHas reports whether the answer holds the violation v, found by
+// binary search over the witnesses.
+func (q *ViolationRead) answerHas(v *Violation) bool {
+	i, ok := sort.Find(q.answerLen(), func(i int) int {
+		_, w := q.answerAt(i)
+		return slices.Compare(v.Witness, w)
+	})
+	if !ok {
+		return false
+	}
+	vals, _ := q.answerAt(i)
+	return slices.Equal(v.Vals, vals)
 }
 
 // Kind implements ReadQuery.
@@ -195,23 +205,11 @@ func (q *ViolationRead) Reader() int { return q.ReaderNo }
 func (q *ViolationRead) Relations() []string { return q.TGD.Relations() }
 
 // String implements ReadQuery. It identifies the read, including its
-// read-time vector: the same intensional query read at different
-// moments guards different answers, so both instances are kept —
-// unless the vectors are equal, in which case no write landed in any
-// relation the answer depends on and the reads are genuinely the
-// same.
+// read sequence: the same intensional query read at different moments
+// guards different answers.
 func (q *ViolationRead) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "violation-query[%s seeded %s by %s @", q.TGD.Name, q.SeedSide,
-		model.Tuple{Rel: q.SeedRel, Vals: q.SeedVals})
-	for i := range q.ReadSeqs {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "%d", q.ReadSeqs[i])
-	}
-	b.WriteByte(']')
-	return b.String()
+	return fmt.Sprintf("violation-query[%s seeded %s by %s @%d]", q.TGD.Name, q.SeedSide,
+		model.Tuple{Rel: q.SeedRel(), Vals: q.SeedVals}, q.ReadSeq)
 }
 
 // mayTouch is a cheap structural prefilter: can values unify with any
@@ -254,10 +252,10 @@ func unifiable(vals []model.Value, a tgd.Atom) bool {
 }
 
 // Checker is the warm query context of one conflict-checking goroutine:
-// one engine, whose run pools, register files and key buffer stay warm
-// from check to check, and one snapshot value each check's view is
-// derived into — the reader's live view narrowed to the read vector and
-// the write's window or mask. A Checker belongs to one goroutine (a
+// one engine, whose run pools and register files stay warm from check
+// to check, and one snapshot value each check's view is
+// derived into — the reader's live view narrowed to the read sequence
+// and the write's window or mask. A Checker belongs to one goroutine (a
 // cc.Scheduler keeps one) and is never an
 // update attempt's query context. The zero value is ready to use.
 type Checker struct {
@@ -275,22 +273,18 @@ func (c *Checker) view(st storage.Backend, reader int) *storage.Snapshot {
 
 // eval re-evaluates the stored query on an engine.
 func (q *ViolationRead) eval(e *Engine) []Violation {
-	return e.ViolationsSeeded(q.TGD, q.SeedRel, q.SeedVals, q.SeedSide)
+	return e.ViolationsSeeded(q.TGD, q.SeedRel(), q.SeedVals, q.SeedSide)
 }
 
 // AffectedBy implements ReadQuery: does the write change what was read
 // at read time? Whether the write precedes or follows the read is
-// judged against the read vector's boundary for the write's own
-// relation — the per-stripe validity window — not a global sequence.
-// For a write past its relation's boundary, the answer is re-evaluated
-// on the read-time state (each relation cut at its own boundary)
-// augmented with the interference window — every write up to and
-// including w, in any relation, by writers other than the reader (the
-// reader's own later repairs must not hide the change; the global
-// upper bound is meaningful because sequence numbers are totally
-// ordered backend-wide). For a write at or below its
-// relation's boundary (the dependency direction of §5.1), the
-// read-time state is re-evaluated with that single write masked.
+// judged against the read sequence. For a write past it, the answer is
+// re-evaluated on the read-time state augmented with the interference
+// window — every write up to and including w, in any relation, by
+// writers other than the reader (the reader's own later repairs must
+// not hide the change). For a write at or below it (the dependency
+// direction of §5.1), the read-time state is re-evaluated with that
+// single write masked.
 // Either way a difference from the recorded answer means the write
 // influences the read. This is the "single query combining the
 // original violation query with information about the new tuple" of
@@ -308,10 +302,10 @@ func (q *ViolationRead) AffectedBy(c *Checker, st storage.Backend, w storage.Wri
 		return false
 	}
 	snap := c.view(st, q.ReaderNo)
-	if w.Seq > q.readCeil(w.Rel) {
-		snap.SetRelWindow(q.TGD.Relations(), q.ReadSeqs, w.Seq)
+	if w.Seq > q.ReadSeq {
+		snap.SetWindow(q.ReadSeq, w.Seq)
 	} else {
-		snap.SetRelCeilings(q.TGD.Relations(), q.ReadSeqs)
+		snap.SetCeiling(q.ReadSeq)
 		snap.SetMask(w.Writer, w.Seq)
 	}
 	return c.eng.answerDiffers(q)
@@ -356,7 +350,7 @@ func (q *ViolationRead) AffectedByRemoval(c *Checker, st storage.Backend, remove
 	if !relevant {
 		return false
 	}
-	c.view(st, q.ReaderNo).SetRelWindow(q.TGD.Relations(), q.ReadSeqs, st.CurrentSeq())
+	c.view(st, q.ReaderNo).SetWindow(q.ReadSeq, st.CurrentSeq())
 	return c.eng.answerDiffers(q)
 }
 
@@ -469,90 +463,4 @@ func (q *ContentRead) AffectedBy(_ *Checker, _ storage.Backend, w storage.WriteR
 		return false
 	}
 	return slices.Equal(w.Before, q.Vals) || slices.Equal(w.After, q.Vals)
-}
-
-// Read identity. A chase step performs the same intensional read many
-// times (every recheck, every re-enumeration of a frontier group's
-// options); the update's read log stores each distinct read once. Two
-// reads are the same read iff they are of the same kind and agree on
-// everything String renders — for a violation query the mapping, the
-// seed (side, relation, values) and the read vector; for the
-// correction and content queries their relation and values — compared
-// here on the comparable parts themselves (the mapping pointer, the
-// two-word interned values, the sequence numbers) so that logging a
-// read renders nothing. String stays the diagnostic form and the
-// reference the tests compare this identity against.
-
-// hashWord folds one word into a running 64-bit hash (multiply-xorshift
-// per word; the constant is splitmix64's).
-func hashWord(h, x uint64) uint64 {
-	h = (h ^ x) * 0xbf58476d1ce4e5b9
-	return h ^ h>>31
-}
-
-// hashSeed seeds the hashing of relation and mapping names; identity
-// hashes never leave the process.
-var hashSeed = maphash.MakeSeed()
-
-func hashString(h uint64, s string) uint64 {
-	return hashWord(h, maphash.String(hashSeed, s))
-}
-
-func hashVals(h uint64, vals []model.Value) uint64 {
-	for _, v := range vals {
-		h = hashWord(h, v.Hash())
-	}
-	return hashWord(h, uint64(len(vals)))
-}
-
-// ReadHash hashes a read's identity: SameRead(a, b) implies
-// ReadHash(a) == ReadHash(b). Constants hash by address
-// (model.Value.Hash), so the hash identifies a read only while the read
-// is alive: a structure keyed by it must retain the reads it hashed.
-func ReadHash(q ReadQuery) uint64 {
-	h := uint64(q.Kind()) + 0x9e3779b97f4a7c15
-	switch r := q.(type) {
-	case *ViolationRead:
-		h = hashString(h, r.TGD.Name)
-		h = hashWord(h, uint64(r.SeedSide))
-		h = hashString(h, r.SeedRel)
-		h = hashVals(h, r.SeedVals)
-		for _, seq := range r.ReadSeqs {
-			h = hashWord(h, uint64(seq))
-		}
-	case *MoreSpecificRead:
-		h = hashVals(hashString(h, r.Rel), r.Pattern)
-	case *NullOccRead:
-		h = hashWord(h, r.Null.Hash())
-	case *ContentRead:
-		h = hashVals(hashString(h, r.Rel), r.Vals)
-	default:
-		h = hashString(h, q.String())
-	}
-	return h
-}
-
-// SameRead reports whether a and b are the same intensional read (see
-// above). Reads of a kind this package does not define compare by
-// their String rendering.
-func SameRead(a, b ReadQuery) bool {
-	switch x := a.(type) {
-	case *ViolationRead:
-		y, ok := b.(*ViolationRead)
-		// Same mapping, so the vectors align with the same relations;
-		// only the sequence numbers can differ.
-		return ok && x.TGD == y.TGD && x.SeedSide == y.SeedSide && x.SeedRel == y.SeedRel &&
-			slices.Equal(x.SeedVals, y.SeedVals) && slices.Equal(x.ReadSeqs, y.ReadSeqs)
-	case *MoreSpecificRead:
-		y, ok := b.(*MoreSpecificRead)
-		return ok && x.Rel == y.Rel && slices.Equal(x.Pattern, y.Pattern)
-	case *NullOccRead:
-		y, ok := b.(*NullOccRead)
-		return ok && x.Null == y.Null
-	case *ContentRead:
-		y, ok := b.(*ContentRead)
-		return ok && x.Rel == y.Rel && slices.Equal(x.Vals, y.Vals)
-	default:
-		return a.Kind() == b.Kind() && a.String() == b.String()
-	}
 }

@@ -1,19 +1,48 @@
 package query
 
 import (
+	"slices"
+	"sort"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"youtopia/internal/model"
 	"youtopia/internal/storage"
+	"youtopia/internal/tgd"
 )
 
 // answerCanon renders the full answer of the stored query on a
 // snapshot, canonically, on a cold engine: the reference the checker's
 // in-place comparison (Engine.answerDiffers) is held to.
 func (q *ViolationRead) answerCanon(snap *storage.Snapshot) string {
-	e := NewEngine(snap)
-	return e.canonViolations(q.eval(e))
+	return renderViolations(q.eval(NewEngine(snap)))
+}
+
+// recorded returns the stored answer as violations, in witness order.
+func (q *ViolationRead) recorded() []Violation {
+	out := make([]Violation, q.answerLen())
+	for i := range out {
+		vals, witness := q.answerAt(i)
+		out[i] = Violation{TGD: q.TGD, Vals: vals, Witness: witness}
+	}
+	return out
+}
+
+// recordedCanon renders the stored answer as answerCanon renders an
+// evaluated one.
+func (q *ViolationRead) recordedCanon() string { return renderViolations(q.recorded()) }
+
+// renderViolations renders a violation set canonically: the sorted keys,
+// joined. It is how a stored read kept its answer before the answer was
+// held by reference.
+func renderViolations(vs []Violation) string {
+	keys := make([]string, len(vs))
+	for i := range vs {
+		keys[i] = vs[i].Key()
+	}
+	sort.Strings(keys)
+	return strings.Join(keys, ";")
 }
 
 func TestKindString(t *testing.T) {
@@ -190,7 +219,7 @@ func TestReadQueryMetadata(t *testing.T) {
 	st, set := fig2(t)
 	sigma3, _ := set.ByName("sigma3")
 	qs := []ReadQuery{
-		&ViolationRead{TGD: sigma3, SeedRel: "T", SeedVals: []model.Value{c("a"), c("b"), c("d")}, ReaderNo: 2},
+		&ViolationRead{TGD: sigma3, seedRel: int32(slices.Index(sigma3.Relations(), "T")), SeedVals: []model.Value{c("a"), c("b"), c("d")}, ReaderNo: 2},
 		&MoreSpecificRead{Rel: "C", Pattern: []model.Value{n(1)}, ReaderNo: 2},
 		&NullOccRead{Null: n(1), ReaderNo: 2},
 		&ContentRead{Rel: "C", Vals: []model.Value{c("a")}, ReaderNo: 2},
@@ -220,4 +249,50 @@ func TestReadQueryMetadata(t *testing.T) {
 		t.Errorf("violation query string = %q", qs[0].String())
 	}
 	_ = st
+}
+
+// TestViolationReadOneAllocation pins the stored read's footprint: a
+// ViolationRead fits the 112-byte size class it had when it kept a
+// per-relation read vector and a rendered answer, and storing a read
+// with an empty or a single-violation answer allocates exactly one
+// object, the read itself. The single violation's Vals and Witness are
+// allocated by the evaluation either way (AppendViolationsSeeded); the
+// read holds them by reference.
+func TestViolationReadOneAllocation(t *testing.T) {
+	if size := unsafe.Sizeof(ViolationRead{}); size > 112 {
+		t.Fatalf("ViolationRead is %d bytes, past the 112-byte size class", size)
+	}
+	s := model.NewSchema()
+	s.MustAddRelation("A", "x")
+	s.MustAddRelation("B", "x")
+	m := tgd.New("m", []tgd.Atom{tgd.NewAtom("A", tgd.V("x"))}, []tgd.Atom{tgd.NewAtom("B", tgd.V("x"))})
+	if err := m.Validate(s); err != nil {
+		t.Fatal(err)
+	}
+	st := storage.NewStore(s)
+	for _, tu := range []model.Tuple{tup("A", c("a")), tup("A", c("b")), tup("B", c("b"))} {
+		if _, err := st.Load(tu); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e := NewEngine(st.Snap(5))
+	dst := make([]Violation, 0, 4)
+	for _, tc := range []struct {
+		seed string
+		want int
+	}{{"b", 0}, {"a", 1}} {
+		vals := []model.Value{c(tc.seed)}
+		q, vs := AppendViolationRead(dst, e, m, "A", vals, SeedLHS)
+		if len(vs) != tc.want || q.answerLen() != tc.want {
+			t.Fatalf("seed A(%s): %d violations, answer of %d, want %d", tc.seed, len(vs), q.answerLen(), tc.want)
+		}
+		bare := testing.AllocsPerRun(100, func() { e.AppendViolationsSeeded(dst, m, "A", vals, SeedLHS) })
+		stored := testing.AllocsPerRun(100, func() { AppendViolationRead(dst, e, m, "A", vals, SeedLHS) })
+		if stored-bare != 1 {
+			t.Errorf("seed A(%s): storing the read allocates %.0f objects beyond the evaluation's %.0f, want 1", tc.seed, stored-bare, bare)
+		}
+		if tc.want == 0 && stored != 1 {
+			t.Errorf("an empty-answer read allocates %.0f objects, want 1", stored)
+		}
+	}
 }

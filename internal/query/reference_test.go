@@ -22,8 +22,20 @@ import (
 )
 
 // refEngine evaluates queries by interpreting the mapping's atoms over
-// refBinding maps.
-type refEngine struct{ snap *storage.Snapshot }
+// refBinding maps. A join reads relation rel through byRel[rel] when
+// byRel names it, and through snap otherwise.
+type refEngine struct {
+	snap  *storage.Snapshot
+	byRel map[string]*storage.Snapshot
+}
+
+// snapOf returns the snapshot the join reads rel through.
+func (r refEngine) snapOf(rel string) *storage.Snapshot {
+	if sn, ok := r.byRel[rel]; ok {
+		return sn
+	}
+	return r.snap
+}
 
 // refBinding is the reference's variable assignment: variable name to
 // value.
@@ -128,7 +140,7 @@ func (r refEngine) candidates(a tgd.Atom, b refBinding) []storage.TupleID {
 			}
 			val = bound
 		}
-		ids := rowIDs(r.snap, a.Rel, i, val)
+		ids := rowIDs(r.snapOf(a.Rel), a.Rel, i, val)
 		if !determined || len(ids) < len(best) {
 			best, determined = ids, true
 		}
@@ -136,7 +148,7 @@ func (r refEngine) candidates(a tgd.Atom, b refBinding) []storage.TupleID {
 	if determined {
 		return best
 	}
-	return rowIDs(r.snap, a.Rel, -1, model.Value{})
+	return rowIDs(r.snapOf(a.Rel), a.Rel, -1, model.Value{})
 }
 
 // rowIDs returns the IDs of the visible tuples of rel whose column col
@@ -173,7 +185,7 @@ func (r refEngine) join(atoms []tgd.Atom, b refBinding, fn func(refBinding, []st
 		done[best] = true
 		defer func() { done[best] = false }()
 		for _, id := range r.candidates(a, b) {
-			vals, ok := r.snap.Get(id)
+			vals, ok := r.snapOf(a.Rel).Get(id)
 			if !ok {
 				continue
 			}

@@ -42,10 +42,10 @@ type slotRun struct {
 	first bool
 
 	// Callback state, valid for one evaluation:
-	found  bool     // srExists / srFirstViolation / srSameAnswer output
-	dedup  bool     // srViolation: dedup through e.seen
-	answer string   // srSameAnswer: the recorded single-violation key
-	rhsRun *slotRun // nested RHS existence probe, sharing regs
+	found  bool           // srExists / srFirstViolation / srSameAnswer output
+	dedup  bool           // srViolation: dedup through e.seen
+	answer *ViolationRead // srSameAnswer: the read whose one violation to match
+	rhsRun *slotRun       // nested RHS existence probe, sharing regs
 	vout   *[]Violation
 }
 
@@ -83,7 +83,7 @@ func (e *Engine) putRun(r *slotRun) {
 	r.fn = nil
 	r.first = false
 	r.dedup = false
-	r.answer = ""
+	r.answer = nil
 	r.rhsRun = nil
 	r.vout = nil
 	e.runPool = append(e.runPool, r)
@@ -274,22 +274,15 @@ func srFirstViolation(r *slotRun) bool {
 }
 
 // srSameAnswer compares each violation with a recorded single-violation
-// answer in the engine's key buffer, building no string: found reports
-// whether the last violation was the recorded one (the same violation
-// reached through another seed atom matches again), and the first that
-// is not stops the enumeration.
+// answer field by field, in the registers: found reports whether the
+// last violation was the recorded one (the same violation reached
+// through another seed atom matches again), and the first that is not
+// stops the enumeration.
 func srSameAnswer(r *slotRun) bool {
 	if rhsHolds(r) {
 		return true
 	}
-	e := r.e
-	e.keyBuf = r.appendKey(e.keyBuf[:0])
-	r.found = string(e.keyBuf) == r.answer
+	q := r.answer
+	r.found = slices.Equal(r.witness, q.witness) && slices.Equal(r.regs[:r.p.nLHS], q.vals)
 	return r.found
-}
-
-// appendKey renders the current violation's key from the registers:
-// the bytes Violation.AppendKey produces once it is copied out.
-func (r *slotRun) appendKey(dst []byte) []byte {
-	return appendKey(dst, r.p, r.witness, r.regs[:r.p.nLHS])
 }

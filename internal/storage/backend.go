@@ -17,9 +17,9 @@ import (
 //     relations included, and safe for concurrent use (multi-operation
 //     protocols need the concurrency-control layer on top, which runs
 //     them one at a time).
-//   - Sequence numbers are totally ordered across the whole backend,
-//     per-relation sequences are monotone, and labeled nulls are
-//     unique backend-wide.
+//   - Sequence numbers are totally ordered across the whole backend in
+//     the order writes land, and labeled nulls are unique
+//     backend-wide.
 //   - CommitBatchAsync hands the durability hook only batches with at
 //     least one write record; a commit of a write-free update leaves
 //     nothing in the store that recovery needs.
@@ -68,8 +68,8 @@ type Backend interface {
 
 	// CurrentSeq is the backend-wide sequence high-water mark, which
 	// every write and every Abort that removes versions advances: while
-	// it stands still, no live snapshot's view changes. Snapshot.RelSeq
-	// reads the per-relation one.
+	// it stands still, no live snapshot's view changes. A stored read
+	// records it as its read sequence (Snapshot.CurrentSeq).
 	CurrentSeq() int64
 
 	// AppendUncommittedWrites is the one scan of the live write log:

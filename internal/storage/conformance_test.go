@@ -120,8 +120,8 @@ func TestConformanceCommitOrdering(t *testing.T) {
 				t.Fatalf("sequence not increasing across relations: %d after %d", rec.Seq, lastSeq)
 			}
 			lastSeq = rec.Seq
-			if got := b.Snap(1 << 30).RelSeq(rel); got != rec.Seq {
-				t.Fatalf("RelSeq(%s) = %d, want %d", rel, got, rec.Seq)
+			if got := b.Snap(1 << 30).CurrentSeq(); got != rec.Seq {
+				t.Fatalf("after a write into %s, the snapshot's CurrentSeq = %d, want %d", rel, got, rec.Seq)
 			}
 		}
 		if b.CurrentSeq() != lastSeq {
@@ -252,18 +252,17 @@ func TestConformanceReplaceNullSpansRelations(t *testing.T) {
 	})
 }
 
-// TestConformanceSnapshotFilters: per-relation ceilings and windows —
-// the reconstruction machinery the conflict checks rely on.
+// TestConformanceSnapshotFilters: ceilings and windows — the
+// reconstruction machinery the conflict checks rely on.
 func TestConformanceSnapshotFilters(t *testing.T) {
 	onStore(t, func(t *testing.T, b Backend) {
 		idA, _ := mustInsert(t, b, 1, "A", cv("early"), cv("x"))
-		live := b.Snap(1 << 30)
-		rels, ceils := []string{"A", "B"}, []int64{live.RelSeq("A"), live.RelSeq("B")}
+		ceil := b.Snap(1 << 30).CurrentSeq()
 		idB, recB := mustInsert(t, b, 2, "B", cv("late"))
 		idA2, _ := mustInsert(t, b, 2, "A", cv("later"), cv("y"))
 
 		past := b.Snap(1 << 30)
-		past.SetRelCeilings(rels, ceils)
+		past.SetCeiling(ceil)
 		if _, ok := past.Get(idA); !ok {
 			t.Fatal("ceiling hides a pre-ceiling version")
 		}
@@ -277,7 +276,7 @@ func TestConformanceSnapshotFilters(t *testing.T) {
 		// The window admits other writers' post-ceiling writes up to the
 		// bound, in every relation, but never the reader's own.
 		reader3 := b.Snap(3)
-		reader3.SetRelWindow(rels, ceils, recB.Seq)
+		reader3.SetWindow(ceil, recB.Seq)
 		if _, ok := reader3.Get(idB); !ok {
 			t.Fatal("window excludes an admitted interference write")
 		}

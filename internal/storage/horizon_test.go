@@ -52,7 +52,7 @@ func TestCommitTrimsHistory(t *testing.T) {
 }
 
 // TestTrimWaitsForLiveReaders: a commit whose history a live writer may
-// still read through a read vector captured before it — that writer
+// still read through a read sequence captured before it — that writer
 // wrote first — defers the trim; the next batch drains it once the
 // writer is gone, and an abort of the last live writer drains it too.
 func TestTrimWaitsForLiveReaders(t *testing.T) {
@@ -300,13 +300,9 @@ func compareReaders(t *testing.T, trimmed, full *Store, readers []int, knob byte
 			"plain":   func(sn *Snapshot) *Snapshot { return sn },
 			"ceiling": func(sn *Snapshot) *Snapshot { return ceiled(sn, ceil) },
 			"window":  func(sn *Snapshot) *Snapshot { return windowed(sn, low, cur) },
-			"relceil": func(sn *Snapshot) *Snapshot {
-				sn.SetRelCeilings([]string{"A", "B"}, []int64{ceil, low})
-				return sn
-			},
-			"relwindow": func(sn *Snapshot) *Snapshot {
-				sn.SetRelWindow([]string{"A", "B"}, []int64{low, ceil}, cur)
-				return sn
+			"lowceil": func(sn *Snapshot) *Snapshot { return ceiled(sn, low) },
+			"midwindow": func(sn *Snapshot) *Snapshot {
+				return windowed(sn, low, ceil)
 			},
 		}
 		if len(logs) > 0 {

@@ -112,10 +112,7 @@ func FuzzMoreSpecificProbe(f *testing.F) {
 				masked.SetMask(reader, recs[len(recs)/2].Seq)
 				views = append(views, &masked)
 			}
-			ceiled, windowed := *plain, *plain
-			ceiled.SetRelCeilings([]string{"R"}, []int64{seq / 2})
-			windowed.SetRelWindow([]string{"S"}, []int64{seq / 3}, seq)
-			views = append(views, &ceiled, &windowed)
+			views = append(views, ceiled(plain, seq/3), windowed(plain, seq/2, seq))
 		}
 
 		type row struct {

@@ -6,24 +6,14 @@ import (
 	"youtopia/internal/model"
 )
 
-// ceilingOf returns the ceiling a read vector sets for rel: the
-// sequence number aligned with rel in rels, or ok == false when the
-// relation is not part of the vector. Vectors are tiny (a mapping's
-// relation set), so lookup is a linear scan without allocation.
-func ceilingOf(rels []string, seqs []int64, rel string) (int64, bool) {
-	for i := range rels {
-		if rels[i] == rel {
-			return seqs[i], true
-		}
-	}
-	return 0, false
-}
-
 // Snapshot is a read view of a backend at a reader priority: versions
 // written by updates with priority number ≤ reader are visible, the
-// maximal one in (writer, seq) order winning. A snapshot may carry a
-// mask excluding one specific version; PRECISE dependency analysis
-// uses masks to compare query answers with and without a single write.
+// maximal one in (writer, seq) order winning. The conflict checks
+// narrow a view with one sequence number: a ceiling reconstructs the
+// state a stored read saw when the store's CurrentSeq was at it, and a
+// window widens that state by other writers' later writes. A mask
+// excludes one specific version; PRECISE dependency analysis uses masks
+// to compare query answers with and without a single write.
 //
 // Snapshots are cheap descriptors over live store state, not frozen
 // copies: results reflect the store at call time. Each method holds
@@ -50,22 +40,19 @@ type Snapshot struct {
 	maskWriter int
 	maskSeq    int64
 
-	// ceilRels and ceils, when set, are a per-relation read vector:
-	// they restrict visibility per relation to versions with seq at
-	// most the ceiling aligned with the version's relation,
-	// reconstructing the state as of a past read.
-	// Relations absent from the vector are unconstrained — a read
-	// vector always covers every relation its query ranges over, so
-	// missing entries can only belong to relations the query ignores.
-	// hasWindow further admits versions past the ceiling up to
-	// windowSeq written by writers other than the reader — "the
+	// hasCeiling restricts visibility to versions with seq at most
+	// ceiling, reconstructing the state as of a past read: one lock
+	// orders every write, so a version at or below the read's sequence
+	// existed when it read (or was since aborted) and every later one
+	// is above it. hasWindow further admits versions past the ceiling
+	// up to windowSeq written by writers other than the reader — "the
 	// interference that landed after my read, excluding my own later
 	// repairs" (used by the as-of-read-time conflict check of
 	// Algorithm 4).
-	ceilRels  []string
-	ceils     []int64
-	hasWindow bool
-	windowSeq int64
+	hasCeiling bool
+	hasWindow  bool
+	ceiling    int64
+	windowSeq  int64
 }
 
 // rlock takes the store's read lock unless this snapshot was minted
@@ -85,17 +72,10 @@ func (sn *Snapshot) runlock() {
 // Reader returns the snapshot's reader priority.
 func (sn *Snapshot) Reader() int { return sn.reader }
 
-// RelSeq returns the highest sequence number applied in the relation's
-// stripe of the live store the snapshot was taken from, whatever the
-// snapshot's filters (0 for an undeclared or untouched relation).
-// Readers capture their per-relation read vectors through it.
-func (sn *Snapshot) RelSeq(rel string) int64 {
-	s := sn.store.stripes[rel]
-	if s == nil {
-		return 0
-	}
-	return s.seq.Load()
-}
+// CurrentSeq returns the sequence high-water mark of the live store the
+// snapshot was taken from, whatever the snapshot's filters. A stored
+// read records it as its read sequence.
+func (sn *Snapshot) CurrentSeq() int64 { return sn.store.CurrentSeq() }
 
 // SetMask hides the version (writer, seq) from sn. Used to answer
 // "what would this query return had that write not happened?". The
@@ -106,28 +86,23 @@ func (sn *Snapshot) SetMask(writer int, seq int64) {
 	sn.masked, sn.maskWriter, sn.maskSeq = true, writer, seq
 }
 
-// SetRelCeilings restricts sn, per relation, to versions with sequence
-// numbers at most the relation's ceiling — the state a read observed
-// judged stripe by stripe. The read vector is two aligned slices: the
-// relations (a mapping's relation list) and their ceilings. Relations
-// absent from it are unrestricted. The caller must keep both slices
-// immutable for the snapshot's lifetime.
-func (sn *Snapshot) SetRelCeilings(rels []string, seqs []int64) {
-	sn.ceilRels, sn.ceils = rels, seqs
+// SetCeiling restricts sn to versions with sequence numbers at most
+// seq: the state a read that recorded CurrentSeq() == seq observed.
+func (sn *Snapshot) SetCeiling(seq int64) {
+	sn.hasCeiling, sn.ceiling = true, seq
 }
 
-// SetRelWindow narrows sn to the state as of the per-relation ceilings,
-// augmented with the writes other writers performed past their
-// relation's ceiling up to sequence upto — the reader's own
-// post-ceiling writes stay hidden.
-func (sn *Snapshot) SetRelWindow(rels []string, seqs []int64, upto int64) {
-	sn.ceilRels, sn.ceils = rels, seqs
+// SetWindow narrows sn to the state as of the ceiling, augmented with
+// the writes other writers performed past it up to sequence upto — the
+// reader's own post-ceiling writes stay hidden.
+func (sn *Snapshot) SetWindow(ceiling, upto int64) {
+	sn.hasCeiling, sn.ceiling = true, ceiling
 	sn.hasWindow, sn.windowSeq = true, upto
 }
 
-// admits reports whether a version of a tuple in rel is visible under
-// all of the snapshot's filters.
-func (sn *Snapshot) admits(v *version, rel string) bool {
+// admits reports whether a version is visible under all of the
+// snapshot's filters.
+func (sn *Snapshot) admits(v *version) bool {
 	if v.writer > sn.reader {
 		return false
 	}
@@ -137,7 +112,7 @@ func (sn *Snapshot) admits(v *version, rel string) bool {
 	if sn.committedOnly && !sn.store.isCommitted(v.writer) {
 		return false
 	}
-	if ceil, ok := ceilingOf(sn.ceilRels, sn.ceils, rel); ok && v.seq > ceil {
+	if sn.hasCeiling && v.seq > sn.ceiling {
 		if !sn.hasWindow {
 			return false
 		}
@@ -148,12 +123,12 @@ func (sn *Snapshot) admits(v *version, rel string) bool {
 	return true
 }
 
-// versionOf returns the visible version in the chain vs of a tuple of
-// relation rel, or nil. Callers hold the lock.
-func (sn *Snapshot) versionOf(vs []version, rel string) *version {
+// versionOf returns the visible version in the chain vs, or nil.
+// Callers hold the lock.
+func (sn *Snapshot) versionOf(vs []version) *version {
 	for i := len(vs) - 1; i >= 0; i-- {
 		v := &vs[i]
-		if sn.admits(v, rel) {
+		if sn.admits(v) {
 			return v
 		}
 	}
@@ -184,7 +159,7 @@ func (sn *Snapshot) getInStripe(s *stripe, id TupleID) ([]model.Value, bool) {
 // visibleAt returns the values of the member at position i visible to
 // this snapshot, or ok == false when none is or it is a tombstone.
 func (sn *Snapshot) visibleAt(s *stripe, i int) ([]model.Value, bool) {
-	v := sn.versionOf(s.chain(i), s.rel)
+	v := sn.versionOf(s.chain(i))
 	if v == nil || v.vals == nil {
 		return nil, false
 	}

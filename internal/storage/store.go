@@ -42,8 +42,8 @@
 //   - u > v'.writer, so u's plain view already prefers v' to v, and
 //   - v'.seq < first(u) - 1, where first(u) is the sequence number of
 //     u's first live write (kept beside u's entry in writerStripes):
-//     a read vector u captured at CurrentSeq before that write lies at
-//     or above first(u) - 1, so a ceiling or a window built from it
+//     a read sequence u captures (CurrentSeq at read time) lies at or
+//     above first(u) - 1, so a ceiling or a window built from it
 //     admits v' and never falls through to v.
 //
 // Trimming drops the versions below the newest committed one together
@@ -95,9 +95,9 @@
 // store runs under its lock (a probe's keep, a scan's fn, a log scan's
 // match) must not call back into the store.
 //
-// Sequence numbers are atomic so that CurrentSeq and Snapshot.RelSeq
-// read them without the lock; they are assigned under the write lock,
-// so per-stripe sequences stay monotone. A TupleID encodes its stripe
+// The sequence counter is atomic so that CurrentSeq reads it without
+// the lock; numbers are assigned under the write lock, so the order of
+// sequence numbers is the order in which writes landed. A TupleID encodes its stripe
 // index in the high bits, so resolving an ID to its relation requires
 // no shared lookup structure. Multi-operation protocols (a chase step's
 // write-then-validate sequence) rely on the concurrency-control layer
@@ -265,12 +265,6 @@ type stripe struct {
 	// logs holds this relation's live writes per uncommitted writer;
 	// a writer's entry goes when it commits or aborts.
 	logs map[int][]WriteRec
-
-	// seq publishes the highest global sequence number applied in this
-	// stripe (monotone: assigned under Store.mu). A stored violation read
-	// records it per relation as its read vector, which conflict checks
-	// narrow their view to.
-	seq atomic.Int64
 
 	// pending lists tuples whose committed history the horizon did not
 	// yet release when a commit (or a writer-0 write) made it garbage; a
@@ -604,9 +598,8 @@ func (st *Store) isCommitted(writer int) bool {
 
 // insertVersion splices a version into the chain of tuple id, keeping
 // the chain sorted by (writer, seq) and making id a member if it is not
-// one, and maintains the stripe indexes and published sequence number.
-// Callers hold the write lock. Logging and writer accounting
-// are the caller's concern: live writes go through addVersion, recovery
+// one, and maintains the stripe indexes. Callers hold the write lock.
+// Logging and writer accounting are the caller's concern: live writes go through addVersion, recovery
 // replay applies versions directly.
 func (st *Store) insertVersion(s *stripe, id TupleID, v version) {
 	if i, ok := s.find(id); !ok {
@@ -624,7 +617,6 @@ func (st *Store) insertVersion(s *stripe, id TupleID, v version) {
 		s.setChain(i, slices.Insert(vs, j, v))
 	}
 	st.indexVersion(s, id, s.valsOf(&v))
-	s.seq.Store(v.seq)
 }
 
 // addVersion adds a version to the chain of the tuple logRec names, as
@@ -1155,7 +1147,7 @@ func (st *Store) Stats() Stats {
 		for i := range sp.ids {
 			vs := sp.chain(i)
 			s.Versions += len(vs)
-			if v := snap.versionOf(vs, sp.rel); v != nil && v.vals != nil {
+			if v := snap.versionOf(vs); v != nil && v.vals != nil {
 				s.Visible++
 			}
 		}

@@ -411,26 +411,6 @@ func TestCommitBatchRetiresAllWriters(t *testing.T) {
 	st.CommitBatch(nil)
 }
 
-func TestRelSeqPerStripe(t *testing.T) {
-	st := NewStore(testSchema())
-	relSeq := func(rel string) int64 { return st.Snap(1 << 30).RelSeq(rel) }
-	if relSeq("C") != 0 || relSeq("nope") != 0 {
-		t.Fatal("untouched/unknown relations must report seq 0")
-	}
-	_, w1, _, _ := st.Insert(1, tup("C", c("a")))
-	if got := relSeq("C"); got != w1.Seq {
-		t.Fatalf("RelSeq(C) = %d, want %d", got, w1.Seq)
-	}
-	// Writes to another relation leave C's stripe sequence untouched.
-	_, w2, _, _ := st.Insert(1, tup("R", c("p"), c("q")))
-	if got := relSeq("C"); got != w1.Seq {
-		t.Fatalf("RelSeq(C) moved to %d after a disjoint write", got)
-	}
-	if got := relSeq("R"); got != w2.Seq {
-		t.Fatalf("RelSeq(R) = %d, want %d", got, w2.Seq)
-	}
-}
-
 func TestUncommittedWritesSorted(t *testing.T) {
 	st := NewStore(testSchema())
 	st.Insert(2, tup("C", c("a")))

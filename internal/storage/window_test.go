@@ -9,30 +9,19 @@ import (
 // The ceiling/window filters reconstruct read-time state for the
 // conflict checks of Algorithm 4; these tests pin their semantics.
 
-// ceiled returns a copy of sn whose read vector names every schema
-// relation at seq: the whole store as of that sequence number.
+// ceiled returns a copy of sn as of sequence number seq.
 func ceiled(sn *Snapshot, seq int64) *Snapshot {
 	out := *sn
-	out.SetRelCeilings(sn.store.relsByIdx, everyRel(sn, seq))
+	out.SetCeiling(seq)
 	return &out
 }
 
-// windowed returns a copy of sn as of ceil in every schema relation,
-// widened by the writes other writers performed up to upto.
+// windowed returns a copy of sn as of ceil, widened by the writes other
+// writers performed up to upto.
 func windowed(sn *Snapshot, ceil, upto int64) *Snapshot {
 	out := *sn
-	out.SetRelWindow(sn.store.relsByIdx, everyRel(sn, ceil), upto)
+	out.SetWindow(ceil, upto)
 	return &out
-}
-
-// everyRel returns a ceiling vector aligned with the store's relation
-// list that sets every relation's ceiling at seq.
-func everyRel(sn *Snapshot, seq int64) []int64 {
-	vec := make([]int64, len(sn.store.relsByIdx))
-	for i := range vec {
-		vec[i] = seq
-	}
-	return vec
 }
 
 func TestWithCeilingReconstructsPast(t *testing.T) {

@@ -18,6 +18,7 @@ package tgd
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync/atomic"
 
@@ -190,9 +191,11 @@ func (t *TGD) LHSRelations() map[string]bool { return t.lhsRels }
 // RHSRelations returns the set of relation names used on the RHS.
 func (t *TGD) RHSRelations() map[string]bool { return t.rhsRels }
 
-// UsesRelation reports whether the relation occurs on either side.
+// UsesRelation reports whether the relation occurs on either side. It
+// scans Relations(), a handful of names, which is cheaper than a map
+// lookup on the conflict checks' path.
 func (t *TGD) UsesRelation(rel string) bool {
-	return t.lhsRels[rel] || t.rhsRels[rel]
+	return slices.Contains(t.rels, rel)
 }
 
 // Relations returns every relation mentioned by the mapping, LHS first

@@ -4,7 +4,9 @@
 // schedule — (1) every acknowledged commit survives recovery, (2)
 // every faulted batch commits fully or aborts fully, (3) an
 // all-transient schedule never leaves StateHealthy (retries absorb
-// it invisibly). CHAOS_SEEDS scales the battery (CI runs 100).
+// it invisibly). After every randomized schedule, Close leaves no
+// goroutine running the log's code. CHAOS_SEEDS scales the battery (CI
+// runs 100).
 package wal_test
 
 import (
@@ -13,6 +15,8 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"regexp"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -97,11 +101,13 @@ func TestChaosDurableWorkload(t *testing.T) {
 			}
 			final := st.Dump(allSeeing)
 			total := mgr.Batches()
+			awaitManagerGoroutines(t, mgr, "run the open log", func(n int) bool { return n > 0 })
 			// Close with whatever faults remain armed: the drain sync
 			// retries transients the same way the pipeline does.
 			if err := mgr.Close(); err != nil {
 				t.Fatalf("close under leftover faults: %v", err)
 			}
+			awaitManagerGoroutines(t, mgr, "are left after Close", func(n int) bool { return n == 0 })
 
 			st2, info, err := wal.Recover(dir, u.Schema)
 			if err != nil {
@@ -191,6 +197,50 @@ func TestChaosNoSpaceWorkload(t *testing.T) {
 	}
 	if got := committedDump(st2); got != want {
 		t.Fatalf("recovered instance differs after degrade/resume:\n got:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// managerGoroutines counts the goroutines running m's methods, read off
+// every goroutine's stack: runtime.NumGoroutine would count the logs of
+// the battery's other seeds too, which run in parallel.
+func managerGoroutines(m *wal.Manager) int {
+	ours := regexp.MustCompile(fmt.Sprintf(`youtopia/internal/wal\.\(\*Manager\)\.\w+\(%p[,)]`, m))
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	count := 0
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if ours.MatchString(g) {
+			count++
+		}
+	}
+	return count
+}
+
+// awaitManagerGoroutines waits until ok holds for the count of
+// goroutines running m's code, and fails t if it does not within 5 s: a
+// goroutine that has not run yet shows no receiver on its stack, and a
+// background loop Close waited for may still be unwinding its frame
+// when Close returns. Before Close the count must become positive, so
+// that the count after it is known to see the log's goroutines.
+func awaitManagerGoroutines(t *testing.T, m *wal.Manager, what string, ok func(n int) bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		n := managerGoroutines(m)
+		if ok(n) {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines %s", n, what)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -290,7 +340,9 @@ func FuzzFaultSchedule(f *testing.F) {
 
 		ffs.Clear()
 		ffs.SetFreeBytes(-1)
+		awaitManagerGoroutines(t, m, "run the open log", func(n int) bool { return n > 0 })
 		_ = m.Close() // a degraded/poisoned close may report the failure; recovery below is the oracle
+		awaitManagerGoroutines(t, m, "are left after Close", func(n int) bool { return n == 0 })
 
 		st2, _, err := wal.Recover(dir, schema)
 		if err != nil {
