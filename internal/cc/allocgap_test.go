@@ -1,0 +1,89 @@
+package cc_test
+
+import (
+	"runtime"
+	"testing"
+
+	"youtopia/internal/cc"
+	"youtopia/internal/serial"
+	"youtopia/internal/simuser"
+	"youtopia/internal/workload"
+)
+
+// TestSchedulerAllocGapToSerial bounds what the transaction core
+// allocates beyond the serial execution of the same updates, each side
+// on a fresh store: the scheduler's read log recycles its records, so
+// what is left is the Txn table and the conflict checks.
+//
+//   - On Quick() with 2,000 inserts (ops seed 3, user seed 7), cc at
+//     width 1 under COARSE allocates at most 1.10 times what
+//     serial.Execute does. Nothing else is in flight there, so the gap
+//     is what one core would cost Apply.
+//   - On parallel_sparse's shape (the §6 generator at 1,000 seed tuples,
+//     40 mappings, 4,000 inserts, ops seed 1), width 2 allocates at most
+//     1.20 times serial.
+func TestSchedulerAllocGapToSerial(t *testing.T) {
+	quick := workload.Quick()
+	quick.Updates = 2000
+	sparse := workload.Default()
+	sparse.InitialTuples, sparse.Updates = 1000, 4000
+	for _, c := range []struct {
+		name     string
+		cfg      workload.Config
+		mappings int
+		opsSeed  int64
+		userSeed uint64
+		workers  int
+		bound    float64
+	}{
+		{"quick/width=1", quick, 0, 3, 7, 1, 1.10},
+		{"parallel_sparse/width=2", sparse, 40, 1, 1, 2, 1.20},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			u, err := workload.Build(c.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			set := u.Mappings
+			if c.mappings > 0 {
+				set = set.Prefix(c.mappings)
+			}
+			ops := u.GenOpsSeeded(c.opsSeed)
+			perUpdate := func(run func() error) float64 {
+				var m0, m1 runtime.MemStats
+				runtime.GC()
+				runtime.ReadMemStats(&m0)
+				if err := run(); err != nil {
+					t.Fatal(err)
+				}
+				runtime.ReadMemStats(&m1)
+				return float64(m1.TotalAlloc-m0.TotalAlloc) / float64(len(ops))
+			}
+			st, err := u.NewBackend()
+			if err != nil {
+				t.Fatal(err)
+			}
+			ser := perUpdate(func() error {
+				_, err := serial.Execute(st, set, ops, simuser.New(c.userSeed))
+				return err
+			})
+			cst, err := u.NewBackend()
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := cc.Config{Tracker: cc.Coarse{}, User: simuser.New(c.userSeed), Workers: c.workers}
+			sched := perUpdate(func() error {
+				_, err := cc.NewScheduler(cst, set, cfg).Run(ops)
+				return err
+			})
+			if got, want := cst.Dump(1<<30), st.Dump(1<<30); got != want {
+				t.Fatal("the scheduler's dump differs from serial.Execute's")
+			}
+			ratio := sched / ser
+			t.Logf("serial %.0f B, cc %.0f B per update: ratio %.3f", ser, sched, ratio)
+			if ratio > c.bound {
+				t.Errorf("cc allocates %.3f times serial.Execute, bound %.2f", ratio, c.bound)
+			}
+		})
+	}
+}

@@ -103,9 +103,12 @@ type Scheduler struct {
 	committedUpTo int // txns[:committedUpTo] have committed
 	// free holds committed txns' updates for start to renew; commitReady
 	// fills it.
-	free   []*chase.Update
-	m      Metrics
-	byPark map[int64]*Txn // inbox entry ID -> parked txn
+	free []*chase.Update
+	// numbers is commitReady's list of a batch's update numbers, reused
+	// from batch to batch: the store keeps nothing of it.
+	numbers []int
+	m       Metrics
+	byPark  map[int64]*Txn // inbox entry ID -> parked txn
 
 	started time.Time
 	syncs0  int64
@@ -277,10 +280,11 @@ func (s *Scheduler) commitReady() (int, error) {
 	if len(batch) == 0 {
 		return 0, nil
 	}
-	numbers := make([]int, len(batch))
-	for i, t := range batch {
-		numbers[i] = t.Number
+	numbers := s.numbers[:0]
+	for _, t := range batch {
+		numbers = append(numbers, t.Number)
 	}
+	s.numbers = numbers
 	ack, err := s.store.CommitBatchAsync(numbers)
 	if err != nil {
 		return 0, fmt.Errorf("cc: commit of updates %d..%d: %w",
@@ -304,7 +308,9 @@ func (s *Scheduler) commitReady() (int, error) {
 		t.committed = true
 		s.m.FrontierRequests += t.Upd.Stats.FrontierRequests
 		// Released stored queries can no longer cause conflicts, and
-		// the update leaves the window for the next txn's start.
+		// the update leaves the window for the next txn's start. The
+		// release hands the reads to the engine's read pool for later
+		// reads, so it comes after the drain that committed them.
 		t.Upd.ReleaseReads()
 		s.free = append(s.free, t.Upd)
 		t.Upd = nil

@@ -176,9 +176,11 @@ func TestStepAllocBudget(t *testing.T) {
 }
 
 // TestLoggedViolationReadAllocs pins what logging a violation read
-// with an empty answer allocates on a warm attempt and a warm engine:
-// the read, 1 object. The answer goes into the context's result array,
-// and the log's array grows amortized.
+// with an empty answer allocates on a warm attempt and a warm engine
+// whose read pool holds a released record: nothing. The read is stored
+// into the pooled record, the answer goes into the context's result
+// array, and the log's array is kept across releases. It was 1 object,
+// the read, while each read was a fresh record.
 func TestLoggedViolationReadAllocs(t *testing.T) {
 	f := newStepFixture(t)
 	logged := 0
@@ -188,18 +190,23 @@ func TestLoggedViolationReadAllocs(t *testing.T) {
 	qe := f.eng.queryEngine(&c.snap)
 	const runs = 200
 	tuples := f.freshTuples("R", runs+1) // quiet's seeded query: R(v, nowhere) joins no S
+	u.ReleaseReads()
 	queued, before := u.QueueLen(), logged
 	allocs := testing.AllocsPerRun(runs, func() {
 		tu := tuples[0]
 		tuples = tuples[1:]
 		f.eng.seedAndEnqueue(u, qe, tu.Rel, tu.Vals, query.SeedLHS)
+		if len(u.StoredReads()) != 1 {
+			t.Fatalf("the log holds %d reads, want the one just logged", len(u.StoredReads()))
+		}
+		u.ReleaseReads()
 	})
 	if got := logged - before; got != runs+1 || u.QueueLen() != queued {
 		t.Fatalf("%d reads logged, queue %d → %d; want %d new reads and no violation", got, queued, u.QueueLen(), runs+1)
 	}
 	t.Logf("logged empty violation read: %.1f allocs", allocs)
-	if allocs > 1 {
-		t.Errorf("%.1f allocations per logged empty violation read, want at most 1 (the read)", allocs)
+	if allocs > 0 {
+		t.Errorf("%.1f allocations per logged empty violation read, want none", allocs)
 	}
 }
 

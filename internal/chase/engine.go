@@ -28,7 +28,8 @@ type ReadObserver func(u *Update, q query.ReadQuery)
 // update on the goroutine that called Run, and a repository steps its
 // engine under its lock. That is what lets the engine own the step
 // scratch below, one copy for all its updates, rather than each
-// attempt or each update owning one.
+// attempt or each update owning one, and the read pool its read sites
+// take stored reads from and its updates' releases give them back to.
 type Engine struct {
 	store storage.Backend
 	tgds  *tgd.Set
@@ -47,6 +48,11 @@ type Engine struct {
 	// which drains at every collection and would hand out cold pools.
 	idleMu sync.Mutex
 	idle   []*queryContext
+
+	// reads recycles the stored reads of the updates the engine steps
+	// (readPool). Like the step scratch, it is touched only by the
+	// goroutine stepping the engine.
+	reads readPool
 
 	// qe is the query engine every step's read half runs on, built at
 	// the engine's first step and pointed at the stepping attempt's
@@ -95,12 +101,14 @@ func (e *Engine) Mappings() *tgd.Set { return e.tgds }
 // an observer is installed. Read sites test it before building a read.
 func (e *Engine) logsReads() bool { return e.observer != nil }
 
-// record logs a read query on the update's read log and notifies the
-// observer. Callers have checked logsReads. Every read performed is
-// logged, a repeat of an earlier one too: a repeat guards the same
-// answer, and no read site repeats often (positiveOptions logs a
-// group's patterns only when they changed).
+// record logs a read query that the engine's read pool built on the
+// update's read log, which then gives it back to that pool at release,
+// and notifies the observer. Callers have checked logsReads. Every read
+// performed is logged, a repeat of an earlier one too: a repeat guards
+// the same answer, and no read site repeats often (positiveOptions logs
+// a group's patterns only when they changed).
 func (e *Engine) record(u *Update, q query.ReadQuery) {
+	u.pool = &e.reads
 	u.reads = append(u.reads, q)
 	obsReadsRecorded.Inc()
 	e.observer(u, q)
@@ -363,8 +371,7 @@ func (e *Engine) performWrites(u *Update) ([]storage.WriteRec, error) {
 			// would have no-op'ed here, so the stored probe must exist
 			// for Algorithm 4 to abort and rerun this update.
 			if e.logsReads() {
-				e.record(u, &query.ContentRead{Rel: op.Tuple.Rel,
-					Vals: contentVals(op.Tuple.Vals, rec.After), ReaderNo: u.Number})
+				e.record(u, e.reads.content(op.Tuple.Rel, contentVals(op.Tuple.Vals, rec.After), u.Number))
 			}
 			if inserted {
 				out = append(out, rec)
@@ -380,8 +387,7 @@ func (e *Engine) performWrites(u *Update) ([]storage.WriteRec, error) {
 				if len(recs) > 0 {
 					removed = recs[0].Before
 				}
-				e.record(u, &query.ContentRead{Rel: op.Tuple.Rel,
-					Vals: contentVals(op.Tuple.Vals, removed), ReaderNo: u.Number})
+				e.record(u, e.reads.content(op.Tuple.Rel, contentVals(op.Tuple.Vals, removed), u.Number))
 			}
 			out = append(out, recs...)
 		case OpDeleteID:
@@ -395,7 +401,7 @@ func (e *Engine) performWrites(u *Update) ([]storage.WriteRec, error) {
 		case OpReplaceNull:
 			// The set of rewritten tuples is the null-occurrence read.
 			if e.logsReads() {
-				e.record(u, &query.NullOccRead{Null: op.Null, ReaderNo: u.Number})
+				e.record(u, e.reads.nullOcc(op.Null, u.Number))
 			}
 			recs, err := e.store.ReplaceNull(u.Number, op.Null, op.With)
 			if err != nil {
@@ -439,9 +445,9 @@ func (e *Engine) discoverViolations(u *Update, qe *query.Engine, w *storage.Writ
 }
 
 // seedAndEnqueue runs, logs and harvests the violation query of every
-// mapping a write of vals into rel can violate on the given side.
-// Without a read log the query is evaluated bare: no read object is
-// built.
+// mapping a write of vals into rel can violate on the given side. With
+// a read log, each query is stored into a record from the engine's
+// read pool.
 func (e *Engine) seedAndEnqueue(u *Update, qe *query.Engine, rel string, vals []model.Value, side query.Side) {
 	if vals == nil {
 		return
@@ -453,12 +459,11 @@ func (e *Engine) seedAndEnqueue(u *Update, qe *query.Engine, rel string, vals []
 	c := u.qctx
 	for _, t := range mappings {
 		vs := c.viols[:0]
+		vs = qe.AppendViolationsSeeded(vs, t, rel, vals, side)
 		if e.logsReads() {
-			var rq query.ReadQuery
-			rq, vs = query.AppendViolationRead(vs, qe, t, rel, vals, side)
+			rq := e.reads.violation(vs)
+			rq.Store(qe, t, rel, vals, side, vs)
 			e.record(u, rq)
-		} else {
-			vs = qe.AppendViolationsSeeded(vs, t, rel, vals, side)
 		}
 		c.viols = vs
 		for i := range vs {
@@ -623,7 +628,7 @@ func (e *Engine) planForward(u *Update, qv *queuedViolation) error {
 		// The generated tuple's values are never modified in place
 		// (substitutions copy), so the stored pattern shares them.
 		if e.logsReads() {
-			e.record(u, &query.MoreSpecificRead{Rel: t.Rel, Pattern: t.Vals, ReaderNo: u.Number})
+			e.record(u, e.reads.moreSpecific(t, u.Number))
 		}
 		if c.snap.AnyMoreSpecific(t) {
 			frontier = append(frontier, t)

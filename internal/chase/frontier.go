@@ -9,7 +9,6 @@ import (
 	"sort"
 
 	"youtopia/internal/model"
-	"youtopia/internal/query"
 	"youtopia/internal/storage"
 )
 
@@ -119,7 +118,7 @@ func (e *Engine) positiveOptions(u *Update, g *FrontierGroup, out []Decision) []
 	g.patternsLogged = true
 	for idx, t := range g.Tuples {
 		if logPatterns {
-			e.record(u, &query.MoreSpecificRead{Rel: t.Rel, Pattern: t.Vals, ReaderNo: u.Number})
+			e.record(u, e.reads.moreSpecific(t, u.Number))
 		}
 		e.targets = snap.MoreSpecificInto(t, e.targets[:0])
 		targets := e.targets
@@ -341,7 +340,7 @@ func (e *Engine) applyUnify(u *Update, g *FrontierGroup, d Decision) error {
 	u.applySubst(sub)
 	for _, k := range nulls {
 		if e.logsReads() {
-			e.record(u, &query.NullOccRead{Null: k, ReaderNo: u.Number})
+			e.record(u, e.reads.nullOcc(k, u.Number))
 		}
 		if len(snap.TuplesWithNull(k)) > 0 {
 			u.writeSet = append(u.writeSet, ReplaceNull(k, sub[k]).because(causeUnification, g.Viol.TGD.Name))

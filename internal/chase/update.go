@@ -144,6 +144,12 @@ type Stats struct {
 // Update is a Youtopia update (Definition 2.6): the complete cascade
 // of consequences of one initial operation, including the frontier
 // operations users perform on its behalf.
+//
+// Under a read observer the update's read log holds the stored reads
+// of its current attempt (StoredReads). The log owns the reads the
+// engine built, until ReleaseReads or Reset hands them back to the
+// engine's read pool for later reads; a read recorded through
+// RecordRead stays the caller's.
 type Update struct {
 	// Number is the update's priority for serializability; lower is
 	// higher priority (§3). It doubles as the MVCC writer number.
@@ -178,9 +184,18 @@ type Update struct {
 	// reads are the stored read queries of the current attempt, in the
 	// order performed; concurrency control checks writes against them
 	// until the update commits. The engine keeps them only while a read
-	// observer is installed (Engine.logsReads). The log takes no lock: every reader runs on the goroutine that
-	// steps the update, between or inside its steps.
+	// observer is installed (Engine.logsReads). The log takes no lock:
+	// every reader runs on the goroutine that steps the update, between
+	// or inside its steps.
+	//
+	// The log owns the reads an engine built: ReleaseReads (and so
+	// Reset) empties each and gives it back to pool, the read pool of
+	// the engine that logged last, which refills it for a later read.
+	// A read handed in through RecordRead stays its caller's: once the
+	// log holds one (lent), the release gives nothing back.
 	reads []query.ReadQuery
+	pool  *readPool
+	lent  bool
 
 	// qctx is the attempt's query context (Engine.queryContext): nil
 	// until the attempt's first query and again once the attempt gave
@@ -295,9 +310,11 @@ func (t TraceEntry) String() string {
 }
 
 // RecordRead stores a read query as if an engine call had performed
-// it, for tests and probes.
+// it, for tests and probes. The read stays the caller's: no release
+// empties it or hands it to a later read (Update.reads).
 func (u *Update) RecordRead(q query.ReadQuery) {
 	u.reads = append(u.reads, q)
+	u.lent = true
 }
 
 // StoredReads returns the live read log of the current attempt (see
@@ -306,12 +323,19 @@ func (u *Update) StoredReads() []query.ReadQuery { return u.reads }
 
 // ReleaseReads drops the stored read queries — the commit-time release
 // of Algorithm 4 (a committed update's reads can no longer cause
-// conflicts). The log's array stays for the next attempt or Renew,
-// cleared to full capacity as dropPending clears the write set, so
-// that no dropped read is kept alive.
+// conflicts). Each read an engine built is emptied and goes back to
+// that engine's read pool (Update.reads), so nobody may keep a stored
+// read past its release. The log's array stays for the next attempt or
+// Renew, cleared to full capacity as dropPending clears the write set,
+// so that no dropped read is kept alive.
 func (u *Update) ReleaseReads() {
+	if u.pool != nil && !u.lent {
+		for _, q := range u.reads {
+			u.pool.release(q)
+		}
+	}
 	clear(u.reads[:cap(u.reads)])
-	u.reads = u.reads[:0]
+	u.reads, u.lent = u.reads[:0], false
 }
 
 // State returns the update's current lifecycle state.

@@ -1,7 +1,13 @@
 package query
 
-// The read-vector reference and the recorded answer's rendering, for
-// the external cc battery (vector_universe_test.go).
+import (
+	"youtopia/internal/model"
+	"youtopia/internal/storage"
+)
+
+// The read-vector reference, the recorded answer's rendering and its
+// arrays, for the external cc batteries (vector_universe_test.go,
+// readalias_test.go).
 var (
 	VectorAffectedBy        = vectorAffectedBy
 	VectorAffectedByRemoval = vectorAffectedByRemoval
@@ -9,3 +15,9 @@ var (
 
 // RecordedCanon renders the stored answer canonically.
 func (q *ViolationRead) RecordedCanon() string { return q.recordedCanon() }
+
+// AnswerArrays returns the stored answer's arrays and whether the read
+// owns them.
+func (q *ViolationRead) AnswerArrays() ([]model.Value, []storage.TupleID, bool) {
+	return q.vals, q.witness, q.owned
+}

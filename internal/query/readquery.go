@@ -83,9 +83,12 @@ type ReadQuery interface {
 // Besides the intensional query it records the store's sequence number
 // at read time and the answer, so conflict checks can ask whether a
 // later write retroactively changes what was read, even after the
-// reader's own repairs have moved the current answer on. A stored read
-// is one allocation: the answer is held by reference to the found
-// violations' own arrays, and the seed relation by its index.
+// reader's own repairs have moved the current answer on. A fresh stored
+// read with an empty or single-violation answer is one allocation, and
+// a read stored into a released record (Store after Release) none: a
+// single violation is held by reference to its own arrays, and several
+// are copied into arrays the record owns and keeps across releases.
+// The seed relation is held by its index.
 type ViolationRead struct {
 	TGD      *tgd.TGD
 	SeedVals []model.Value
@@ -97,7 +100,7 @@ type ViolationRead struct {
 	// vals and witness are the answer: the Vals and Witness arrays of
 	// the one violation found, or those of every violation found
 	// concatenated in witness order. Both are empty for an empty answer
-	// and immutable either way.
+	// and immutable while the read is stored.
 	vals    []model.Value
 	witness []storage.TupleID
 	// seedRel indexes the seed relation in TGD.Relations() (-1 when the
@@ -106,61 +109,91 @@ type ViolationRead struct {
 	// reproduces the same query.
 	seedRel  int32
 	SeedSide Side
+	// owned marks vals and witness as the record's own arrays, which
+	// Store may overwrite once the read is released. Arrays held by
+	// reference belong to the violation found and are never written.
+	owned bool
 }
+
+// ReleasedReader is the reader number of a released stored read, which
+// no update has: a read consulted after its release is recognisable.
+const ReleasedReader = -1
 
 // NewViolationRead evaluates the seeded violation query on the
-// reader's engine and returns both the stored read descriptor and the
-// violations it found. The reader is the engine's snapshot reader. The
-// read sequence is captured before the evaluation and is exact, since
-// no writer runs during the read: the scheduler runs one chase step at
-// a time.
+// reader's engine and returns both a new stored read descriptor
+// (Store) and the violations it found.
+func NewViolationRead(e *Engine, t *tgd.TGD, seedRel string, seedVals []model.Value, side Side) (*ViolationRead, []Violation) {
+	vs := e.AppendViolationsSeeded(nil, t, seedRel, seedVals, side)
+	q := new(ViolationRead)
+	q.Store(e, t, seedRel, seedVals, side, vs)
+	return q, vs
+}
+
+// Store fills q, a new record or a released one (Release), with the
+// seeded violation query whose answer on the reader's engine e is vs,
+// evaluated just now (Engine.AppendViolationsSeeded). The reader is the
+// engine's snapshot reader, and the read sequence is the store's
+// current one: it is exact, since no writer runs between the
+// evaluation and Store (the scheduler runs one chase step at a time).
 //
 // seedVals is retained, not copied: callers pass a write record's
-// immutable value slice. So are the violations' arrays: nobody may
-// modify them in place.
-func NewViolationRead(e *Engine, t *tgd.TGD, seedRel string, seedVals []model.Value, side Side) (*ViolationRead, []Violation) {
-	return AppendViolationRead(nil, e, t, seedRel, seedVals, side)
-}
-
-// AppendViolationRead is NewViolationRead appending the violations to
-// dst, so that a caller consuming them at once reuses one array: the
-// read then allocates only itself for an empty or single-violation
-// answer, and each violation found its own Vals and Witness.
-func AppendViolationRead(dst []Violation, e *Engine, t *tgd.TGD, seedRel string, seedVals []model.Value, side Side) (*ViolationRead, []Violation) {
-	q := &ViolationRead{
-		TGD:      t,
-		SeedVals: seedVals,
-		ReadSeq:  e.snap.CurrentSeq(),
-		ReaderNo: e.snap.Reader(),
-		seedRel:  int32(slices.Index(t.Relations(), seedRel)),
-		SeedSide: side,
+// immutable value slice. A single violation's arrays are retained too,
+// unless q owns arrays it fits in: nobody may modify them in place.
+// Several violations are copied into q's own arrays, which are
+// allocated only when those q owns do not fit (Slack).
+func (q *ViolationRead) Store(e *Engine, t *tgd.TGD, seedRel string, seedVals []model.Value, side Side, vs []Violation) {
+	q.TGD, q.SeedVals, q.SeedSide = t, seedVals, side
+	q.ReadSeq, q.ReaderNo = e.snap.CurrentSeq(), e.snap.Reader()
+	q.seedRel = int32(slices.Index(t.Relations(), seedRel))
+	q.vals, q.witness = q.vals[:0], q.witness[:0]
+	if len(vs) == 0 {
+		return
 	}
-	out := e.AppendViolationsSeeded(dst, t, seedRel, seedVals, side)
-	q.setAnswer(e, out[len(dst):])
-	return q, out
-}
-
-// setAnswer records vs as the answer: a single violation by reference,
-// several concatenated in witness order, sorted in the engine's
-// scratch.
-func (q *ViolationRead) setAnswer(e *Engine, vs []Violation) {
-	switch len(vs) {
-	case 0:
+	fits := q.Slack(vs) >= 0
+	if len(vs) == 1 && !fits {
+		q.vals, q.witness, q.owned = vs[0].Vals, vs[0].Witness, false
 		return
-	case 1:
-		q.vals, q.witness = vs[0].Vals, vs[0].Witness
-		return
+	}
+	if !fits {
+		nv, nw := len(vs)*len(vs[0].Vals), len(vs)*len(vs[0].Witness)
+		q.vals, q.witness, q.owned = make([]model.Value, 0, nv), make([]storage.TupleID, 0, nw), true
 	}
 	sorted := append(e.sorted[:0], vs...)
 	slices.SortFunc(sorted, func(a, b Violation) int { return slices.Compare(a.Witness, b.Witness) })
-	q.vals = make([]model.Value, 0, len(vs)*len(vs[0].Vals))
-	q.witness = make([]storage.TupleID, 0, len(vs)*len(vs[0].Witness))
 	for _, v := range sorted {
 		q.vals = append(q.vals, v.Vals...)
 		q.witness = append(q.witness, v.Witness...)
 	}
 	clear(sorted)
 	e.sorted = sorted[:0]
+}
+
+// Slack returns how many values and tuple IDs the arrays q owns would
+// have to spare after holding the answer vs, or -1 when q owns none
+// that fit it.
+func (q *ViolationRead) Slack(vs []Violation) int {
+	if !q.owned {
+		return -1
+	}
+	nv, nw := 0, 0
+	if len(vs) > 0 {
+		nv, nw = len(vs)*len(vs[0].Vals), len(vs)*len(vs[0].Witness)
+	}
+	if cap(q.vals) < nv || cap(q.witness) < nw {
+		return -1
+	}
+	return cap(q.vals) - nv + cap(q.witness) - nw
+}
+
+// Release empties a read that no update stores any more, for Store to
+// reuse: it keeps only the arrays q owns, and its reader reads
+// ReleasedReader.
+func (q *ViolationRead) Release() {
+	vals, witness := q.vals[:0], q.witness[:0]
+	if !q.owned {
+		vals, witness = nil, nil
+	}
+	*q = ViolationRead{ReaderNo: ReleasedReader, vals: vals, witness: witness, owned: q.owned}
 }
 
 // SeedRel returns the relation the seed was written into, or "" for a

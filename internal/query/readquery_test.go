@@ -251,26 +251,38 @@ func TestReadQueryMetadata(t *testing.T) {
 	_ = st
 }
 
+// readSink keeps a measured fresh read on the heap, as a read log does.
+var readSink *ViolationRead
+
 // TestViolationReadOneAllocation pins the stored read's footprint: a
 // ViolationRead fits the 112-byte size class it had when it kept a
-// per-relation read vector and a rendered answer, and storing a read
-// with an empty or a single-violation answer allocates exactly one
-// object, the read itself. The single violation's Vals and Witness are
-// allocated by the evaluation either way (AppendViolationsSeeded); the
-// read holds them by reference.
+// per-relation read vector and a rendered answer. A fresh read with an
+// empty or a single-violation answer allocates exactly one object, the
+// read itself, and a read stored into a released record allocates
+// nothing, a multi-violation answer included once the record owns
+// arrays it fits in. Each violation's Vals and Witness are allocated by
+// the evaluation either way (AppendViolationsSeeded); the read holds a
+// single one by reference and copies several.
 func TestViolationReadOneAllocation(t *testing.T) {
+	defer func() { readSink = nil }()
 	if size := unsafe.Sizeof(ViolationRead{}); size > 112 {
 		t.Fatalf("ViolationRead is %d bytes, past the 112-byte size class", size)
 	}
 	s := model.NewSchema()
 	s.MustAddRelation("A", "x")
 	s.MustAddRelation("B", "x")
+	s.MustAddRelation("C", "x", "y")
 	m := tgd.New("m", []tgd.Atom{tgd.NewAtom("A", tgd.V("x"))}, []tgd.Atom{tgd.NewAtom("B", tgd.V("x"))})
-	if err := m.Validate(s); err != nil {
-		t.Fatal(err)
+	pair := tgd.New("pair", []tgd.Atom{tgd.NewAtom("A", tgd.V("x")), tgd.NewAtom("C", tgd.V("x"), tgd.V("y"))},
+		[]tgd.Atom{tgd.NewAtom("B", tgd.V("y"))})
+	for _, tg := range []*tgd.TGD{m, pair} {
+		if err := tg.Validate(s); err != nil {
+			t.Fatal(err)
+		}
 	}
 	st := storage.NewStore(s)
-	for _, tu := range []model.Tuple{tup("A", c("a")), tup("A", c("b")), tup("B", c("b"))} {
+	for _, tu := range []model.Tuple{tup("A", c("a")), tup("A", c("b")), tup("B", c("b")),
+		tup("C", c("a"), c("1")), tup("C", c("a"), c("2"))} {
 		if _, err := st.Load(tu); err != nil {
 			t.Fatal(err)
 		}
@@ -278,21 +290,62 @@ func TestViolationReadOneAllocation(t *testing.T) {
 	e := NewEngine(st.Snap(5))
 	dst := make([]Violation, 0, 4)
 	for _, tc := range []struct {
+		tgd  *tgd.TGD
 		seed string
 		want int
-	}{{"b", 0}, {"a", 1}} {
+	}{{m, "b", 0}, {m, "a", 1}, {pair, "a", 2}} {
 		vals := []model.Value{c(tc.seed)}
-		q, vs := AppendViolationRead(dst, e, m, "A", vals, SeedLHS)
+		q, vs := NewViolationRead(e, tc.tgd, "A", vals, SeedLHS)
 		if len(vs) != tc.want || q.answerLen() != tc.want {
-			t.Fatalf("seed A(%s): %d violations, answer of %d, want %d", tc.seed, len(vs), q.answerLen(), tc.want)
+			t.Fatalf("%s seed A(%s): %d violations, answer of %d, want %d", tc.tgd.Name, tc.seed, len(vs), q.answerLen(), tc.want)
 		}
-		bare := testing.AllocsPerRun(100, func() { e.AppendViolationsSeeded(dst, m, "A", vals, SeedLHS) })
-		stored := testing.AllocsPerRun(100, func() { AppendViolationRead(dst, e, m, "A", vals, SeedLHS) })
-		if stored-bare != 1 {
-			t.Errorf("seed A(%s): storing the read allocates %.0f objects beyond the evaluation's %.0f, want 1", tc.seed, stored-bare, bare)
+		if q.owned != (tc.want > 1) || tc.want == 1 && &q.vals[0] != &vs[0].Vals[0] {
+			t.Fatalf("%s seed A(%s): owned %v; a single violation must be held by reference, several copied", tc.tgd.Name, tc.seed, q.owned)
 		}
-		if tc.want == 0 && stored != 1 {
-			t.Errorf("an empty-answer read allocates %.0f objects, want 1", stored)
+		bare := testing.AllocsPerRun(100, func() { e.AppendViolationsSeeded(dst, tc.tgd, "A", vals, SeedLHS) })
+		fresh := testing.AllocsPerRun(100, func() {
+			readSink = new(ViolationRead)
+			readSink.Store(e, tc.tgd, "A", vals, SeedLHS, e.AppendViolationsSeeded(dst, tc.tgd, "A", vals, SeedLHS))
+		})
+		want := 1.0 // the read; several violations add its two arrays
+		if tc.want > 1 {
+			want = 3
 		}
+		if fresh-bare != want {
+			t.Errorf("%s seed A(%s): a fresh read allocates %.0f objects beyond the evaluation's %.0f, want %.0f",
+				tc.tgd.Name, tc.seed, fresh-bare, bare, want)
+		}
+		if tc.want == 0 && fresh != 1 {
+			t.Errorf("an empty-answer read allocates %.0f objects, want 1", fresh)
+		}
+		answer := q.recordedCanon()
+		reused := testing.AllocsPerRun(100, func() {
+			q.Release()
+			q.Store(e, tc.tgd, "A", vals, SeedLHS, e.AppendViolationsSeeded(dst, tc.tgd, "A", vals, SeedLHS))
+		})
+		if reused != bare {
+			t.Errorf("%s seed A(%s): a read stored into a released record allocates %.0f objects beyond the evaluation's %.0f, want none",
+				tc.tgd.Name, tc.seed, reused-bare, bare)
+		}
+		if got := q.recordedCanon(); got != answer {
+			t.Errorf("%s seed A(%s): the reused record answers %q, want %q", tc.tgd.Name, tc.seed, got, answer)
+		}
+		q.Release()
+		if q.ReaderNo != ReleasedReader || q.TGD != nil || (q.vals == nil) == q.owned {
+			t.Errorf("%s seed A(%s): a release left reader %d, owned %v, arrays %v", tc.tgd.Name, tc.seed, q.ReaderNo, q.owned, q.vals != nil)
+		}
+	}
+
+	// A single violation fits a released record's own arrays: it is
+	// copied there, and the violation's arrays stay unwritten.
+	q, _ := NewViolationRead(e, pair, "A", []model.Value{c("a")}, SeedLHS)
+	q.Release()
+	vs := e.AppendViolationsSeeded(nil, m, "A", []model.Value{c("a")}, SeedLHS)
+	if q.Slack(vs) < 0 {
+		t.Fatal("a single violation does not fit arrays that held two")
+	}
+	q.Store(e, m, "A", []model.Value{c("a")}, SeedLHS, vs)
+	if !q.owned || q.answerLen() != 1 || &q.vals[0] == &vs[0].Vals[0] || &q.witness[0] == &vs[0].Witness[0] {
+		t.Errorf("a single violation stored into owned arrays: owned %v, answer of %d", q.owned, q.answerLen())
 	}
 }

@@ -52,7 +52,8 @@ type Backend interface {
 	// Abort rolls a writer back; Commit and CommitBatch make writers
 	// permanent, blocking on durability; CommitBatchAsync returns once
 	// the batch is appended, and its ack syncs and resolves when the
-	// batch is durable.
+	// batch is durable. None keeps the writers slice: a caller may reuse
+	// it once the call returns.
 	Abort(writer int)
 	Commit(writer int) error
 	CommitBatch(writers []int) error

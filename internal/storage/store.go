@@ -405,8 +405,11 @@ type Store struct {
 	// reader keeps one: appendLogs and batchWrites copy the records out
 	// under the lock. The list is bounded by count (maxFreeLogs)
 	// and by array capacity (maxFreeLogCap), so a burst of long logs
-	// does not stay reachable.
-	logFree [][]WriteRec
+	// does not stay reachable. stripesFree does the same for the
+	// stripe lists of writerStripes entries: a writer's first write
+	// pops one, and its commit or abort (freeStripes) pushes it back.
+	logFree     [][]WriteRec
+	stripesFree [][]int
 
 	// noTrim disables trimming; a test seam for differential checks.
 	noTrim bool
@@ -640,6 +643,10 @@ func (st *Store) addVersion(s *stripe, v version, logRec WriteRec) {
 		lw := st.writerStripes[v.writer]
 		if len(lw.stripes) == 0 {
 			lw.first = v.seq
+			if n := len(st.stripesFree); n > 0 {
+				lw.stripes = st.stripesFree[n-1]
+				st.stripesFree = st.stripesFree[:n-1]
+			}
 		}
 		lw.stripes = append(lw.stripes, s.idx)
 		st.writerStripes[v.writer] = lw
@@ -647,7 +654,8 @@ func (st *Store) addVersion(s *stripe, v version, logRec WriteRec) {
 	s.logs[v.writer] = append(log, logRec)
 }
 
-// Bounds of the store's free list of write-log arrays (Store.logFree).
+// Bounds of the store's free lists of write-log arrays and of stripe
+// lists (Store.logFree, Store.stripesFree).
 const (
 	maxFreeLogs   = 16
 	maxFreeLogCap = 8
@@ -670,6 +678,15 @@ func (st *Store) retireLogs(stripes, writers []int) {
 				st.logFree = append(st.logFree, log[:0])
 			}
 		}
+	}
+}
+
+// freeStripes keeps the array of a stripe list whose writerStripes
+// entry went on the free list, within its bounds. Callers hold the
+// write lock and are done reading the list.
+func (st *Store) freeStripes(stripes []int) {
+	if stripes != nil && len(st.stripesFree) < maxFreeLogs && cap(stripes) <= maxFreeLogCap {
+		st.stripesFree = append(st.stripesFree, stripes[:0])
 	}
 }
 
@@ -884,6 +901,7 @@ func (st *Store) Abort(writer int) {
 		}
 	}
 	st.retireLogs(stripes, []int{writer})
+	st.freeStripes(stripes)
 	if len(stripes) > 0 {
 		st.nextSeq.Add(1)
 	}
@@ -962,6 +980,7 @@ func (st *Store) CommitBatchAsync(writers []int) (CommitAck, error) {
 		ack = a
 	}
 	for _, w := range writers {
+		st.freeStripes(st.writerStripes[w].stripes)
 		delete(st.writerStripes, w)
 	}
 	if len(stripes) == 0 {
