@@ -12,16 +12,20 @@ import (
 
 // TestSchedulerAllocGapToSerial bounds what the transaction core
 // allocates beyond the serial execution of the same updates, each side
-// on a fresh store: the scheduler's read log recycles its records, so
-// what is left is the Txn table and the conflict checks.
+// on a fresh store. The scheduler's read log recycles its reads, and a
+// txn's record and update are recycled at its commit, so the core
+// keeps no per-update state past the live window: what is left is the
+// conflict checks and the answers of several violations that fit no
+// pooled read.
 //
 //   - On Quick() with 2,000 inserts (ops seed 3, user seed 7), cc at
 //     width 1 under COARSE allocates at most 1.10 times what
-//     serial.Execute does. Nothing else is in flight there, so the gap
-//     is what one core would cost Apply.
+//     serial.Execute does (1.087 measured). Nothing else is in flight
+//     there, so the gap is what one core would cost Apply.
 //   - On parallel_sparse's shape (the §6 generator at 1,000 seed tuples,
 //     40 mappings, 4,000 inserts, ops seed 1), width 2 allocates at most
-//     1.20 times serial.
+//     1.05 times serial (1.022 measured). The bound was 1.20 (1.181)
+//     while every submitted op had a Txn record for the whole run.
 func TestSchedulerAllocGapToSerial(t *testing.T) {
 	quick := workload.Quick()
 	quick.Updates = 2000
@@ -37,7 +41,7 @@ func TestSchedulerAllocGapToSerial(t *testing.T) {
 		bound    float64
 	}{
 		{"quick/width=1", quick, 0, 3, 7, 1, 1.10},
-		{"parallel_sparse/width=2", sparse, 40, 1, 1, 2, 1.20},
+		{"parallel_sparse/width=2", sparse, 40, 1, 1, 2, 1.05},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			u, err := workload.Build(c.cfg)

@@ -90,9 +90,12 @@ func expandFor(allow map[int]bool) chase.User {
 
 // allAwaiting reports whether every txn has started and stopped at a
 // frontier.
-func allAwaiting(txns []*Txn) bool {
-	for _, tx := range txns {
-		if tx.Upd == nil || tx.Upd.State() != chase.StateAwaitingUser {
+func allAwaiting(s *Scheduler) bool {
+	if len(s.window) != len(s.ops) {
+		return false
+	}
+	for _, tx := range s.window {
+		if tx.Upd.State() != chase.StateAwaitingUser {
 			return false
 		}
 	}
@@ -100,41 +103,53 @@ func allAwaiting(txns []*Txn) bool {
 }
 
 // cancelWatch records the txns' abort counts when one is cancelled, and
-// the cancelled txn's attempt: its update is released at commit, so
-// the check reads the attempt recorded here, and an attempt can only
-// move through an abort.
+// the cancelled txn's attempt: its record is recycled at commit, so
+// the check reads the attempt recorded here and the abort counts the
+// commits show, and an attempt can only move through an abort.
 type cancelWatch struct {
 	cancelled int
 	attempt   int
 	aborts    []int
+	commits   *CommitWatch
 }
 
-func watchCancel(txns []*Txn, cancelled int) cancelWatch {
-	w := cancelWatch{cancelled: cancelled, attempt: txns[cancelled-1].Upd.Attempt}
-	for _, tx := range txns {
+func watchCancel(t *testing.T, s *Scheduler, cancelled int) cancelWatch {
+	w := cancelWatch{cancelled: cancelled, attempt: s.txn(cancelled).Upd.Attempt, commits: WatchCommits(t)}
+	for _, tx := range s.window {
 		w.aborts = append(w.aborts, tx.aborts)
 	}
 	return w
 }
 
+// abortsOf returns txn n's abort count: its record's while it is live,
+// the one it committed with after.
+func (w cancelWatch) abortsOf(s *Scheduler, n int) int {
+	if tx := s.txn(n); tx != nil {
+		return tx.aborts
+	}
+	return w.commits.at[n].Aborts
+}
+
 // check checks that the cancelled txn was never rolled back after its
 // cancellation, that its insert is gone for good, and that every txn
-// committed — only a terminated txn commits — and gave its update
-// back. When update 3 is the one cancelled, update 2 must have been
-// aborted after the cancellation, so the wave did run past it.
-func (w cancelWatch) check(t *testing.T, st *storage.Store, txns []*Txn) {
+// committed — only a terminated txn commits — and gave its record and
+// update back. When update 3 is the one cancelled, update 2 must have
+// been aborted after the cancellation, so the wave did run past it.
+func (w cancelWatch) check(t *testing.T, st *storage.Store, s *Scheduler) {
 	t.Helper()
-	tc := txns[w.cancelled-1]
-	if tc.aborts != w.aborts[w.cancelled-1] {
-		t.Fatalf("the cancelled update was rolled back: attempt %d, aborts %d -> %d", w.attempt, w.aborts[w.cancelled-1], tc.aborts)
+	if got := w.abortsOf(s, w.cancelled); got != w.aborts[w.cancelled-1] {
+		t.Fatalf("the cancelled update was rolled back: attempt %d, aborts %d -> %d", w.attempt, w.aborts[w.cancelled-1], got)
 	}
-	if w.cancelled == 3 && txns[1].aborts == w.aborts[1] {
+	if w.cancelled == 3 && w.abortsOf(s, 2) == w.aborts[1] {
 		t.Fatal("update 2 was not aborted after update 3's cancellation: the case is not exercised")
 	}
-	for _, tx := range txns {
-		if !tx.Committed() || tx.Upd != nil {
-			t.Fatalf("update %d: committed %v, update released %v", tx.Number, tx.Committed(), tx.Upd == nil)
+	for _, tx := range w.commits.Txns(len(s.ops)) {
+		if !tx.Committed || s.txn(tx.Number) != nil {
+			t.Fatalf("update %d: committed %v, record released %v", tx.Number, tx.Committed, s.txn(tx.Number) == nil)
 		}
+	}
+	if len(s.window) != 0 || len(s.free) != len(s.ops) {
+		t.Fatalf("%d records live and %d free after the run, want 0 and %d", len(s.window), len(s.free), len(s.ops))
 	}
 	rel, want := "J", 0
 	if w.cancelled == 3 {
@@ -153,7 +168,7 @@ func TestCancelledUpdateIsNoConflictVictim(t *testing.T) {
 				allow := map[int]bool{}
 				s := NewScheduler(st, set, Config{Tracker: tr, Policy: PolicyRoundRobinStep, User: expandFor(allow)})
 				s.begin(cancelOps)
-				for round := 0; !allAwaiting(s.txns); round++ {
+				for round := 0; !allAwaiting(s); round++ {
 					if round == 5 {
 						t.Fatal("the updates did not all reach a frontier")
 					}
@@ -161,23 +176,23 @@ func TestCancelledUpdateIsNoConflictVictim(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				victim := s.txns[tc.cancelled-1]
+				victim := s.txn(tc.cancelled)
 				if len(victim.Upd.StoredReads()) == 0 {
 					t.Fatalf("update %d stored no reads", tc.cancelled)
 				}
-				w := watchCancel(s.txns, tc.cancelled)
+				w := watchCancel(t, s, tc.cancelled)
 				if err := s.cancel(victim); err != nil {
 					t.Fatal(err)
 				}
 				allow[1], allow[2], allow[3] = true, true, true
 				_, err := s.end(s.loop())
-				if victim.aborts != w.aborts[tc.cancelled-1] {
-					t.Fatalf("the cancelled update was rolled back and re-run (attempt %d, aborts %d -> %d, run error %v)", w.attempt, w.aborts[tc.cancelled-1], victim.aborts, err)
+				if got := w.abortsOf(s, tc.cancelled); got != w.aborts[tc.cancelled-1] {
+					t.Fatalf("the cancelled update was rolled back and re-run (attempt %d, aborts %d -> %d, run error %v)", w.attempt, w.aborts[tc.cancelled-1], got, err)
 				}
 				if err != nil {
 					t.Fatal(err)
 				}
-				w.check(t, st, s.txns)
+				w.check(t, st, s)
 			})
 		}
 	}
@@ -196,7 +211,7 @@ func TestParallelCancelledUpdateIsNoConflictVictim(t *testing.T) {
 				// The updates step to their frontiers in rounds, a deadline
 				// abort cancels one between rounds, as inboxIdle does, and
 				// the others get their answers and finish.
-				for round := 0; !allAwaiting(s.txns); round++ {
+				for round := 0; !allAwaiting(s); round++ {
 					if round == 5 {
 						t.Fatal("the updates did not all reach a frontier")
 					}
@@ -204,8 +219,8 @@ func TestParallelCancelledUpdateIsNoConflictVictim(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				victim := s.txns[tc.cancelled-1]
-				w := watchCancel(s.txns, tc.cancelled)
+				victim := s.txn(tc.cancelled)
+				w := watchCancel(t, s, tc.cancelled)
 				if err := s.cancel(victim); err != nil {
 					t.Fatal(err)
 				}
@@ -213,7 +228,7 @@ func TestParallelCancelledUpdateIsNoConflictVictim(t *testing.T) {
 				if _, err := s.end(s.loop()); err != nil {
 					t.Fatal(err)
 				}
-				w.check(t, st, s.txns)
+				w.check(t, st, s)
 			})
 		}
 	}

@@ -61,15 +61,6 @@ func newCheckFixture(tb testing.TB) *checkFixture {
 	return f
 }
 
-// CheckerOf exposes to the external batteries the checker a txn's
-// reads last ran on (nil before its first step).
-func CheckerOf(t *Txn) *query.Checker {
-	if t.sc == nil {
-		return nil
-	}
-	return &t.sc.chk
-}
-
 // TestConflictCheckAllocFree: on a warm checker, a violation-read check
 // with an empty and with a singleton recorded answer — in both the
 // masked and the window branch — and a removal check allocate nothing,

@@ -15,7 +15,7 @@ import (
 // that performed the writes, on the goroutine that called Run, so
 // every candidate's read log is complete (Scheduler.processWrites).
 // Every walk covers only the live window, or a part of it
-// (Scheduler.top says why that misses no victim); live stands for such
+// (Scheduler.window says why that misses no victim); live stands for such
 // a window below, a run of consecutively numbered txns.
 
 // above returns the txns of a live window numbered above the writer.
@@ -31,7 +31,7 @@ func above(live []*Txn, writer int) []*Txn {
 // extended slice; with a warm scratch it allocates nothing.
 func candidatesInto(dst []*Txn, live []*Txn) []*Txn {
 	for _, t := range live {
-		if t.Upd != nil && len(t.Upd.StoredReads()) > 0 {
+		if len(t.Upd.StoredReads()) > 0 {
 			dst = append(dst, t)
 		}
 	}
@@ -83,7 +83,7 @@ func removalCandidatesInto(dst []*Txn, cfg *Config, live []*Txn, marked map[int]
 		return dst
 	}
 	for _, t := range live {
-		if t.Upd == nil || marked[t.Number] {
+		if marked[t.Number] {
 			continue
 		}
 		for _, q := range t.Upd.StoredReads() {

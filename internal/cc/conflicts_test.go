@@ -172,8 +172,9 @@ func TestAbortWaveKeepsWriterRecords(t *testing.T) {
 	s.begin([]chase.Op{a, a})
 	// Update 2 steps first and stores a content read of A(a), which
 	// update 1's insert of the same fact changes.
-	for _, tx := range []*Txn{s.txns[1], s.txns[0]} {
-		res, err := s.engine.Step(s.start(tx))
+	t1, t2 := s.start(), s.start()
+	for _, tx := range []*Txn{t2, t1} {
+		res, err := s.engine.Step(tx.Upd)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,7 +189,7 @@ func TestAbortWaveKeepsWriterRecords(t *testing.T) {
 			t.Fatalf("update %d's records changed under conflict processing:\n%s\nbecame\n%s", tx.Number, before, after)
 		}
 	}
-	if s.m.Aborts != 1 || s.txns[1].Upd.Attempt != 2 {
-		t.Fatalf("%d aborts, update 2 on attempt %d: want update 2 aborted once", s.m.Aborts, s.txns[1].Upd.Attempt)
+	if s.m.Aborts != 1 || t2.Upd.Attempt != 2 {
+		t.Fatalf("%d aborts, update 2 on attempt %d: want update 2 aborted once", s.m.Aborts, t2.Upd.Attempt)
 	}
 }

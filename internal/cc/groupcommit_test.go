@@ -28,8 +28,8 @@ func groupCommitScheduler(t *testing.T, n int) *Scheduler {
 	s.begin(ops)
 	// Start each txn and drive its update to termination through the
 	// engine (no mappings: the initial insert is the whole chase).
-	for i, tx := range s.txns {
-		u := s.start(tx)
+	for i := range ops {
+		u := s.start().Upd
 		if _, err := s.engine.Step(u); err != nil {
 			t.Fatal(err)
 		}
@@ -46,14 +46,16 @@ func groupCommitScheduler(t *testing.T, n int) *Scheduler {
 func TestGroupCommitDrainsTerminatedPrefix(t *testing.T) {
 	const n = 5
 	s := groupCommitScheduler(t, n)
+	w := WatchCommits(t)
 	if k, err := s.commitReady(); err != nil || k == 0 {
 		t.Fatalf("commitReady on a terminated prefix: committed %d, err=%v", k, err)
 	}
+	txns := w.Txns(n)
 	for i := 1; i <= n; i++ {
 		if !contains(s.store.EpochSnap(), model.NewTuple("R", model.Const(string(rune('a'+i-1))))) {
 			t.Fatalf("update %d not committed by the drain", i)
 		}
-		if !s.txns[i-1].Committed() {
+		if !txns[i-1].Committed {
 			t.Fatalf("txn %d mirror not committed", i)
 		}
 	}
@@ -78,18 +80,20 @@ func TestGroupCommitStopsAtFirstUnterminated(t *testing.T) {
 	s := groupCommitScheduler(t, n)
 	// Update 3 is still mid-chase: reset it to a fresh (ready) attempt.
 	s.store.Abort(3)
-	s.txns[2].Upd.Reset()
+	s.txn(3).Upd.Reset()
 
+	w := WatchCommits(t)
 	if k, err := s.commitReady(); err != nil || k == 0 {
 		t.Fatalf("commitReady: committed %d, err=%v, want progress", k, err)
 	}
+	txns := w.Txns(n)
 	for i := 1; i <= 2; i++ {
-		if !s.txns[i-1].Committed() {
+		if !txns[i-1].Committed {
 			t.Fatalf("txn %d (before the gap) not committed", i)
 		}
 	}
 	for i := 3; i <= n; i++ {
-		if s.txns[i-1].Committed() {
+		if txns[i-1].Committed {
 			t.Fatalf("txn %d (at/after the gap) committed across a non-terminated update", i)
 		}
 	}
@@ -112,6 +116,7 @@ func TestParallelRunBatchesCommits(t *testing.T) {
 			model.Const(string(rune('a'+i%26))), model.Const(string(rune('a'+i/26))))))
 	}
 	s := NewScheduler(st, tgd.MustNewSet(), Config{Workers: 4})
+	w := WatchCommits(t)
 	m, err := s.Run(ops)
 	if err != nil {
 		t.Fatal(err)
@@ -119,8 +124,8 @@ func TestParallelRunBatchesCommits(t *testing.T) {
 	if m.CommitBatches == 0 || m.CommitBatches > m.Submitted {
 		t.Fatalf("CommitBatches = %d out of range (submitted %d)", m.CommitBatches, m.Submitted)
 	}
-	for _, txn := range s.Txns() {
-		if !txn.Committed() {
+	for _, txn := range w.Txns(len(ops)) {
+		if !txn.Committed {
 			t.Fatalf("update %d never committed", txn.Number)
 		}
 	}

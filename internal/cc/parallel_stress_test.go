@@ -29,11 +29,12 @@ func TestParallelSchedulerStress(t *testing.T) {
 				MaxAbortsPerUpdate: 5000,
 				Workers:            8,
 			})
+			w := cc.WatchCommits(t)
 			if _, err := sched.Run(ops); err != nil {
 				t.Fatal(err)
 			}
-			for _, txn := range sched.Txns() {
-				if !txn.Committed() {
+			for _, txn := range w.Txns(len(ops)) {
+				if !txn.Committed {
 					t.Fatalf("update %d never committed", txn.Number)
 				}
 			}
@@ -161,11 +162,13 @@ func TestParallelSchedulerHighLatencyUsers(t *testing.T) {
 		MaxAbortsPerUpdate: 5000,
 		Workers:            4,
 	})
-	if _, err := sched.Run(u.GenOpsSeeded(77)); err != nil {
+	ops := u.GenOpsSeeded(77)
+	w := cc.WatchCommits(t)
+	if _, err := sched.Run(ops); err != nil {
 		t.Fatal(err)
 	}
-	for _, txn := range sched.Txns() {
-		if !txn.Committed() {
+	for _, txn := range w.Txns(len(ops)) {
+		if !txn.Committed {
 			t.Fatalf("update %d never committed", txn.Number)
 		}
 	}

@@ -94,6 +94,7 @@ func TestOneQueryContextPerAttempt(t *testing.T) {
 		}
 		st := storage.NewStore(schema)
 		sched := cc.NewScheduler(st, set, cc.Config{Tracker: cc.Coarse{}, Workers: workers})
+		w := cc.WatchCommits(t)
 		before := readChaseSeam()
 		m, err := sched.Run(ops)
 		if err != nil {
@@ -112,8 +113,8 @@ func TestOneQueryContextPerAttempt(t *testing.T) {
 		if d.recorded == 0 {
 			t.Fatal("the scheduler recorded no reads")
 		}
-		for _, txn := range sched.Txns() {
-			if !txn.Committed() {
+		for _, txn := range w.Txns(n) {
+			if !txn.Committed {
 				t.Fatalf("update %d never committed", txn.Number)
 			}
 		}

@@ -143,11 +143,12 @@ func TestParallelSerializabilityOnRandomUniverses(t *testing.T) {
 					MaxAbortsPerUpdate: 500,
 					Workers:            workers,
 				})
+				w := cc.WatchCommits(t)
 				if _, err := sched.Run(ops); err != nil {
 					t.Fatalf("seed %d workers %d %s: %v", seed, workers, tr.Name(), err)
 				}
-				for _, txn := range sched.Txns() {
-					if !txn.Committed() {
+				for _, txn := range w.Txns(len(ops)) {
+					if !txn.Committed {
 						t.Fatalf("seed %d workers %d %s: update %d never committed",
 							seed, workers, tr.Name(), txn.Number)
 					}
@@ -187,13 +188,14 @@ func TestParallelCheckersPerWorker(t *testing.T) {
 		sched := cc.NewScheduler(st, u.Mappings, cc.Config{
 			Tracker: tr, User: simuser.New(2), MaxAbortsPerUpdate: 1000, Workers: workers,
 		})
+		w := cc.WatchCommits(t)
 		if _, err := sched.Run(ops); err != nil {
 			t.Fatalf("%s: %v", tr.Name(), err)
 		}
 		checkAgainstSerial(t, st, u, stSerial, "width 4 "+tr.Name())
 		checkers := map[*query.Checker]bool{}
-		for _, txn := range sched.Txns() {
-			if c := cc.CheckerOf(txn); c != nil {
+		for _, txn := range w.Txns(len(ops)) {
+			if c := txn.Checker; c != nil {
 				checkers[c] = true
 			}
 		}

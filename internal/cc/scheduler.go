@@ -205,11 +205,20 @@ func (s *Scheduler) Run(ops []chase.Op) (Metrics, error) {
 // round performs one scheduler round: the lowest-numbered eligible
 // txns, at most Config.Workers of them (all when it is zero), each get
 // one scheduling opportunity — a chase step, a whole stratum, or a
-// frontier-operation poll — and a txn's first one starts it. It
-// reports whether any txn made progress.
+// frontier-operation poll. The round walks the live window, then
+// admits txns top+1, top+2, … in number order while the width allows:
+// a txn that has not started is always eligible, and its first
+// opportunity starts it. It reports whether any txn made progress.
 func (s *Scheduler) round() (bool, error) {
 	progressed, served := false, 0
-	for _, t := range s.txns[s.committedUpTo:] {
+	// No opportunity takes a txn out of the window: only commitReady
+	// does. So when the walk reaches its end, the next txn is admitted
+	// there.
+	for i := 0; i < len(s.window) || s.top() < len(s.ops); i++ {
+		if i == len(s.window) {
+			s.start()
+		}
+		t := s.window[i]
 		if !s.eligible(t) {
 			continue
 		}
@@ -225,14 +234,11 @@ func (s *Scheduler) round() (bool, error) {
 	return progressed, nil
 }
 
-// eligible reports whether a txn takes an opportunity in a round: it
-// has not started, is ready, or awaits a user. A txn parked in the
-// inbox awaits an answer instead, and is eligible only when a poll can
-// move it (parkState.pollable).
+// eligible reports whether a started txn takes an opportunity in a
+// round: it is ready or awaits a user. A txn parked in the inbox awaits
+// an answer instead, and is eligible only when a poll can move it
+// (parkState.pollable).
 func (s *Scheduler) eligible(t *Txn) bool {
-	if t.Upd == nil {
-		return true
-	}
 	switch t.Upd.State() {
 	case chase.StateReady:
 		return true
@@ -244,10 +250,9 @@ func (s *Scheduler) eligible(t *Txn) bool {
 }
 
 // schedule gives one txn its opportunity: a blocked txn is polled live,
-// or in inbox mode parks / consumes its recorded answers instead. A txn
-// without an update gets one here, before its first step.
+// or in inbox mode parks / consumes its recorded answers instead.
 func (s *Scheduler) schedule(t *Txn) (bool, error) {
-	switch s.start(t).State() {
+	switch t.Upd.State() {
 	case chase.StateReady:
 		return true, s.runSteps(t)
 	case chase.StateAwaitingUser:

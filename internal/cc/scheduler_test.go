@@ -266,11 +266,12 @@ func TestCommitOrder(t *testing.T) {
 		chase.Insert(tup("V", c("Ithaca"), c("ConfA"))),
 		chase.Insert(tup("V", c("Ithaca"), c("ConfB"))),
 	}
+	w := cc.WatchCommits(t)
 	if _, err := sched.Run(ops); err != nil {
 		t.Fatal(err)
 	}
-	for _, txn := range sched.Txns() {
-		if !txn.Committed() {
+	for _, txn := range w.Txns(len(ops)) {
+		if !txn.Committed {
 			t.Fatalf("txn %d not committed", txn.Number)
 		}
 	}
@@ -417,7 +418,7 @@ func TestConfigValidate(t *testing.T) {
 			if _, err := s.Run(ops); err == nil {
 				t.Fatal("Run accepted the config")
 			}
-			if n := len(s.Txns()); n != 0 {
+			if n := s.Metrics().Submitted; n != 0 {
 				t.Fatalf("Run numbered %d updates", n)
 			}
 			if after := st.Dump(1 << 30); after != before {

@@ -14,6 +14,7 @@ package cc
 
 import (
 	"fmt"
+	"slices"
 
 	"youtopia/internal/query"
 	"youtopia/internal/storage"
@@ -35,8 +36,7 @@ type Tracker interface {
 }
 
 // Naive is the strawman of §5.1: when update i aborts, every live
-// update numbered above i is assumed to have read from it. A txn in the
-// window that has not stepped yet has read nothing and is left alone.
+// update numbered above i is assumed to have read from it.
 type Naive struct{}
 
 // Name implements Tracker.
@@ -47,13 +47,7 @@ func (Naive) OnRead(storage.Backend, *Txn, query.ReadQuery) {}
 
 // Cascade implements Tracker.
 func (Naive) Cascade(_ storage.Backend, aborted *Txn, live []*Txn) []*Txn {
-	var out []*Txn
-	for _, t := range above(live, aborted.Number) {
-		if t.Upd != nil {
-			out = append(out, t)
-		}
-	}
-	return out
+	return slices.Clone(above(live, aborted.Number))
 }
 
 // Coarse is the cheaper dependency tracker of §5.1.1: for violation

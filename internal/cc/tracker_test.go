@@ -25,10 +25,11 @@ func TestTrackerDependencyRecording(t *testing.T) {
 			chase.Insert(tup("T", c("Niagara Falls"), c("QQQ"), c("Syracuse"))),
 			chase.Insert(tup("V", c("Syracuse"), c("Late Conf"))),
 		}
+		w := cc.WatchCommits(t)
 		if _, err := sched.Run(ops); err != nil {
 			t.Fatal(err)
 		}
-		return sched.Txns()[1].Deps()
+		return w.Txns(len(ops))[1].Deps
 	}
 
 	// NAIVE records nothing (its cascade ignores dependencies).
@@ -65,10 +66,11 @@ func TestPreciseRejectsFalseDependency(t *testing.T) {
 			chase.Insert(tup("T", c("Niagara Falls"), c("QQQ"), c("Toronto"))),
 			chase.Insert(tup("V", c("Ithaca"), c("Gorges Conf"))),
 		}
+		w := cc.WatchCommits(t)
 		if _, err := sched.Run(ops); err != nil {
 			t.Fatal(err)
 		}
-		return sched.Txns()[1].Deps()
+		return w.Txns(len(ops))[1].Deps
 	}
 	coarse := run(cc.Coarse{})
 	precise := run(cc.Precise{})
@@ -91,16 +93,17 @@ func TestDepsNeverIncludeInvalidWriters(t *testing.T) {
 		chase.Insert(tup("V", c("Syracuse"), c("Late Conf"))),
 		chase.Insert(tup("A", c("Letchworth"), c("Letchworth Falls"))),
 	}
+	w := cc.WatchCommits(t)
 	if _, err := sched.Run(ops); err != nil {
 		t.Fatal(err)
 	}
-	for _, txn := range sched.Txns() {
-		for _, dep := range txn.Deps() {
+	for _, txn := range w.Txns(len(ops)) {
+		for _, dep := range txn.Deps {
 			if dep >= txn.Number || dep <= 0 {
 				t.Fatalf("txn %d has invalid dep %d", txn.Number, dep)
 			}
 		}
-		if txn.Aborts() != 0 {
+		if txn.Aborts != 0 {
 			t.Fatalf("unexpected aborts: txn %d", txn.Number)
 		}
 	}

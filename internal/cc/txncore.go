@@ -13,32 +13,35 @@ import (
 	"youtopia/internal/tgd"
 )
 
-// Txn is one update under concurrency control. The record lasts for
-// the whole run, so Txns and Deps still answer after Run returns.
+// Txn is one update under concurrency control. The record exists only
+// while its txn is live: the scheduler gives it out at the txn's first
+// step (Scheduler.start) and takes it back, with its update, at the
+// txn's commit, to give it to a later txn. A txn that has not started
+// or has committed has no record, so nothing may keep one past its
+// commit.
 type Txn struct {
-	// Upd is the chase update while the txn is live: nil until the
-	// scheduler gives the txn its first step, and nil again once it
-	// commits, when the update goes back to the run's free list and is
-	// renewed for a later txn's first step (Scheduler.start). Upd.Number
-	// is the priority.
+	// Upd is the txn's chase update, renewed with the record.
+	// Upd.Number is the priority.
 	Upd *chase.Update
-	// Number is the update's priority; it outlives Upd.
+	// Number is the update's priority.
 	Number int
 
 	// deps are the lower-numbered uncommitted updates whose writes
 	// influenced this txn's read answers (§5.1), ascending, each once.
+	// A renewed record keeps the slice's capacity.
 	deps []int
-	// committed is set once the txn terminated and every lower-numbered
-	// txn committed; committed txns can no longer abort and their
-	// stored queries are released.
+	// committed is set by the commit drain, once the txn terminated and
+	// every lower-numbered txn committed: a committed txn can no longer
+	// abort, its stored queries are released, and its record goes back
+	// to the free list.
 	committed bool
 	// cancelled is set when cancel dropped the txn's chase: like a
 	// committed txn it can no longer abort.
 	cancelled bool
 	// aborts counts how many times this txn has aborted.
 	aborts int
-	// sc is the scheduler's scratch, set at submission: the trackers'
-	// OnRead reaches its checker and scan buffers through it.
+	// sc is the scheduler's scratch, set when the record is made: the
+	// trackers' OnRead reaches its checker and scan buffers through it.
 	sc *stepScratch
 	// park is the inbox entry the txn is parked under (nil = not
 	// parked).
@@ -46,7 +49,8 @@ type Txn struct {
 }
 
 // Deps returns the recorded read dependencies in ascending order, for
-// inspection. The slice is the txn's own; callers must not modify it.
+// inspection. The slice is the txn's own and, like the record, valid
+// only while the txn is live; callers must not modify it.
 func (t *Txn) Deps() []int { return t.deps }
 
 // dependsOn reports whether the txn recorded a dependency on writer.
@@ -54,9 +58,6 @@ func (t *Txn) dependsOn(writer int) bool {
 	_, ok := slices.BinarySearch(t.deps, writer)
 	return ok
 }
-
-// Committed reports whether the txn has committed.
-func (t *Txn) Committed() bool { return t.committed }
 
 // Aborts returns how many times the txn has aborted so far.
 func (t *Txn) Aborts() int { return t.aborts }
@@ -84,26 +85,25 @@ type Scheduler struct {
 	engine  *chase.Engine
 	cfg     Config
 	ops     []chase.Op
-	txns    []*Txn
 	scratch stepScratch
 	// lastAck is the ack of the run's latest durable commit batch. A
 	// covering sync covers every batch appended before it, so waiting
 	// on the last ack acknowledges every earlier batch too.
 	lastAck storage.CommitAck
 
-	// The live window, txns[committedUpTo:top]: top is the highest
-	// number start has given a chase.Update. Algorithm 4 checks a write
-	// only against the stored reads of uncommitted updates numbered
-	// above the writer, and cascades only through reads. A txn below
-	// the window has committed and released its reads; a txn above it
-	// has never stepped, so it has no stored reads and no dependencies.
-	// Conflict processing therefore walks only the window (live) and
-	// misses no victim.
-	top           int
-	committedUpTo int // txns[:committedUpTo] have committed
-	// free holds committed txns' updates for start to renew; commitReady
-	// fills it.
-	free []*chase.Update
+	// window holds the records of the live txns, committedUpTo+1..top()
+	// in number order: top is the highest number start has admitted.
+	// Algorithm 4 checks a write only against the stored reads of
+	// uncommitted updates numbered above the writer, and cascades only
+	// through reads. A txn below the window has committed and released
+	// its reads; a txn above it has never stepped, so it has no stored
+	// reads and no dependencies. Conflict processing therefore walks
+	// only the window (live) and misses no victim.
+	window        []*Txn
+	committedUpTo int // txns 1..committedUpTo have committed
+	// free holds committed txns' records, each with its update, for
+	// start to renew; commitReady fills it.
+	free []*Txn
 	// numbers is commitReady's list of a batch's update numbers, reused
 	// from batch to batch: the store keeps nothing of it.
 	numbers []int
@@ -136,9 +136,6 @@ func NewParallelScheduler(store storage.Backend, set *tgd.Set, cfg Config) *Sche
 	return NewScheduler(store, set, cfg)
 }
 
-// Txns returns the scheduler's transactions (after Run started).
-func (s *Scheduler) Txns() []*Txn { return s.txns }
-
 // Metrics returns the metrics collected so far. Like every method, it
 // runs on the goroutine that called Run, or after Run returned.
 func (s *Scheduler) Metrics() Metrics { return s.m }
@@ -148,25 +145,35 @@ func (s *Scheduler) Metrics() Metrics { return s.m }
 // are determined when the read is issued). Flag mode never cascades,
 // so it skips dependency tracking.
 func (s *Scheduler) onRead(u *chase.Update, q query.ReadQuery) {
-	if s.cfg.Mode == ModeFlag || u.Number < 1 || u.Number > len(s.txns) {
+	if s.cfg.Mode == ModeFlag {
 		return
 	}
-	if t := s.txns[u.Number-1]; t != nil {
+	if t := s.txn(u.Number); t != nil {
 		s.cfg.Tracker.OnRead(s.store, t, q)
 	}
 }
 
+// txn returns the record of live txn n, or nil when n has not started
+// or has committed.
+func (s *Scheduler) txn(n int) *Txn {
+	if i := n - 1 - s.committedUpTo; i >= 0 && i < len(s.window) {
+		return s.window[i]
+	}
+	return nil
+}
+
 // begin starts the run clock and submits the workload: ops[i] becomes
-// txn number i+1. No txn has an update yet.
+// txn number i+1. No txn has a record yet; start gives each its own at
+// its first step.
 func (s *Scheduler) begin(ops []chase.Op) {
 	s.started = time.Now()
 	s.syncs0 = s.store.SyncCount()
 	s.ops = ops
-	recs := make([]Txn, len(ops))
-	s.txns = make([]*Txn, len(ops))
-	for i := range recs {
-		recs[i] = Txn{Number: i + 1, sc: &s.scratch}
-		s.txns[i] = &recs[i]
+	if s.cfg.Workers == 0 {
+		// The first round starts every txn.
+		s.window = make([]*Txn, 0, len(ops))
+	}
+	for i := range ops {
 		s.cfg.Trace.Note(i+1, "submit")
 	}
 	s.m.Submitted = len(ops)
@@ -175,30 +182,32 @@ func (s *Scheduler) begin(ops []chase.Op) {
 	}
 }
 
-// start returns a txn's update. At the txn's first step it gives it
-// one, extending the live window: a committed txn's update from the
-// free list, renewed, or a new one.
-func (s *Scheduler) start(t *Txn) *chase.Update {
-	if t.Upd != nil {
-		return t.Upd
-	}
-	op := s.ops[t.Number-1]
-	var u *chase.Update
-	if n := len(s.free); n > 0 {
-		u = s.free[n-1]
-		s.free[n-1] = nil
-		s.free = s.free[:n-1]
-		u.Renew(t.Number, op)
+// start admits the next txn, top+1, before its first step: it extends
+// the live window with a record for it, a committed txn's record and
+// update from the free list, renewed, or new ones.
+func (s *Scheduler) start() *Txn {
+	n := s.top() + 1
+	op := s.ops[n-1]
+	var t *Txn
+	if k := len(s.free); k > 0 {
+		t = s.free[k-1]
+		s.free[k-1] = nil
+		s.free = s.free[:k-1]
+		t.Upd.Renew(n, op)
+		*t = Txn{Upd: t.Upd, Number: n, deps: t.deps[:0], sc: t.sc}
 	} else {
-		u = chase.NewUpdate(t.Number, op)
+		t = &Txn{Upd: chase.NewUpdate(n, op), Number: n, sc: &s.scratch}
 	}
-	t.Upd = u
-	s.top = max(s.top, t.Number)
-	return u
+	s.window = append(s.window, t)
+	return t
 }
 
-// live returns the live window (see top).
-func (s *Scheduler) live() []*Txn { return s.txns[s.committedUpTo:s.top] }
+// top returns the highest number start has admitted.
+func (s *Scheduler) top() int { return s.committedUpTo + len(s.window) }
+
+// live returns the live window: the records of txns
+// committedUpTo+1..top(), consecutively numbered.
+func (s *Scheduler) live() []*Txn { return s.window }
 
 // loop runs commit drains and rounds until every txn committed or the
 // run fails.
@@ -208,7 +217,7 @@ func (s *Scheduler) loop() error {
 		if _, err := s.commitReady(); err != nil {
 			return err
 		}
-		if s.committedUpTo == len(s.txns) {
+		if s.committedUpTo == len(s.ops) {
 			return nil
 		}
 		progressed, err := s.round()
@@ -246,8 +255,8 @@ func (s *Scheduler) end(runErr error) (Metrics, error) {
 	if s.lastAck != nil {
 		err := s.lastAck()
 		if err == nil && s.cfg.Trace.Enabled() {
-			for _, t := range s.txns[:s.committedUpTo] {
-				s.cfg.Trace.Note(t.Number, "ack")
+			for n := 1; n <= s.committedUpTo; n++ {
+				s.cfg.Trace.Note(n, "ack")
 			}
 		}
 		if runErr == nil {
@@ -268,11 +277,12 @@ func (s *Scheduler) end(runErr error) (Metrics, error) {
 // store one log append, whose fsync is deferred — CommitBatchAsync
 // returns once the batch is in the log and the scheduler keeps running;
 // end waits on the last drain's ack, whose covering sync lands every
-// drain of the run at once.
+// drain of the run at once. The committed txns' records leave the
+// window for the free list.
 func (s *Scheduler) commitReady() (int, error) {
-	batch := s.txns[s.committedUpTo:]
+	batch := s.window
 	for i, t := range batch {
-		if t.Upd == nil || t.Upd.State() != chase.StateTerminated {
+		if t.Upd.State() != chase.StateTerminated {
 			batch = batch[:i]
 			break
 		}
@@ -307,14 +317,14 @@ func (s *Scheduler) commitReady() (int, error) {
 	for _, t := range batch {
 		t.committed = true
 		s.m.FrontierRequests += t.Upd.Stats.FrontierRequests
-		// Released stored queries can no longer cause conflicts, and
-		// the update leaves the window for the next txn's start. The
+		// Released stored queries can no longer cause conflicts. The
 		// release hands the reads to the engine's read pool for later
 		// reads, so it comes after the drain that committed them.
 		t.Upd.ReleaseReads()
-		s.free = append(s.free, t.Upd)
-		t.Upd = nil
 		s.resolveEntry(t)
+		if testCommitted != nil {
+			testCommitted(t)
+		}
 	}
 	forgetCommitted(s.cfg.User, batch)
 	obsCommitBatches.Inc()
@@ -323,8 +333,19 @@ func (s *Scheduler) commitReady() (int, error) {
 	s.m.CommitBatches++
 	s.m.MaxCommitBatch = max(s.m.MaxCommitBatch, len(batch))
 	s.committedUpTo += len(batch)
+	// The records, updates included, go to the free list for the next
+	// txns' starts, and the window keeps its array.
+	s.free = append(s.free, batch...)
+	n := copy(s.window, s.window[len(batch):])
+	clear(s.window[n:])
+	s.window = s.window[:n]
 	return len(batch), nil
 }
+
+// testCommitted, when non-nil, is shown every txn's record at its
+// commit, before the record goes back to the free list, so that tests
+// can observe what a txn recorded.
+var testCommitted func(t *Txn)
 
 // pollUser offers a blocked txn one live frontier decision
 // (Engine.DecideOne), reporting whether it applied one.
@@ -400,8 +421,8 @@ func (s *Scheduler) inboxPoll(t *Txn) (bool, error) {
 
 // cancel aborts an update for good: its writes roll back, the update
 // becomes an empty terminated commit (preserving commit order), and its
-// inbox entry is dropped. Until that commit the update stays in the
-// txn list, so cancel also takes it out of conflict processing: its
+// inbox entry is dropped. Until that commit the txn stays in the live
+// window, so cancel also takes it out of conflict processing: its
 // reads are released, as at commit, and the abort wave skips it. An
 // empty commit depends on nothing, and rolling it back would re-plan
 // the initial operation the deadline policy dropped.

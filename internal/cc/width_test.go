@@ -19,18 +19,21 @@ type widthWatch struct {
 	polls map[int]int
 }
 
-// fingerprints renders every txn's observable scheduling state.
+// fingerprints renders every txn's observable scheduling state. The
+// rounds run without commit drains, so a txn without a record has not
+// started.
 func (w *widthWatch) fingerprints() []string {
-	out := make([]string, len(w.s.txns))
-	for i, t := range w.s.txns {
-		fp := "unstarted"
-		if t.Upd != nil {
+	out := make([]string, len(w.s.ops))
+	for i := range out {
+		fp, cancelled := "unstarted", false
+		if t := w.s.txn(i + 1); t != nil {
 			fp = fmt.Sprintf("steps=%d", t.Upd.Stats.Steps)
+			if p := t.park; p != nil {
+				fp += fmt.Sprintf(" park=%d offered=%d at=%d", p.id, p.offered, p.steps)
+			}
+			cancelled = t.cancelled
 		}
-		if p := t.park; p != nil {
-			fp += fmt.Sprintf(" park=%d offered=%d at=%d", p.id, p.offered, p.steps)
-		}
-		out[i] = fmt.Sprintf("%s polls=%d cancelled=%v", fp, w.polls[t.Number], t.cancelled)
+		out[i] = fmt.Sprintf("%s polls=%d cancelled=%v", fp, w.polls[i+1], cancelled)
 	}
 	return out
 }
@@ -41,11 +44,11 @@ func (w *widthWatch) fingerprints() []string {
 // await a user without being parked where no poll can move them.
 func (w *widthWatch) expected(width int) []int {
 	var out []int
-	for _, t := range w.s.txns[w.s.committedUpTo:] {
+	for n := w.s.committedUpTo + 1; n <= len(w.s.ops); n++ {
 		if width > 0 && len(out) == width {
 			break
 		}
-		if t.Upd != nil {
+		if t := w.s.txn(n); t != nil {
 			switch t.Upd.State() {
 			case chase.StateReady:
 			case chase.StateAwaitingUser:
@@ -56,7 +59,7 @@ func (w *widthWatch) expected(width int) []int {
 				continue
 			}
 		}
-		out = append(out, t.Number)
+		out = append(out, n)
 	}
 	return out
 }
@@ -132,9 +135,9 @@ func TestRoundWidth(t *testing.T) {
 					break
 				}
 			}
-			for _, tx := range s.txns {
-				if tx.Upd == nil || tx.Upd.State() != chase.StateTerminated {
-					t.Fatalf("update %d did not terminate", tx.Number)
+			for k := 1; k <= n; k++ {
+				if tx := s.txn(k); tx == nil || tx.Upd.State() != chase.StateTerminated {
+					t.Fatalf("update %d did not terminate", k)
 				}
 			}
 			if s.m.Aborts != 0 {
@@ -171,7 +174,7 @@ func TestRoundWidth(t *testing.T) {
 		s := NewScheduler(st, set, Config{Workers: 1, Inbox: box})
 		s.begin(cancelOps)
 		w := &widthWatch{s: s}
-		for r := 0; !allParked(s.txns); r++ {
+		for r := 0; !allParked(s); r++ {
 			if r == 20 {
 				t.Fatal("the updates did not all park")
 			}
@@ -182,7 +185,7 @@ func TestRoundWidth(t *testing.T) {
 		if served := w.round(t); served != 0 {
 			t.Fatalf("a round served %d parked txns with nothing to offer", served)
 		}
-		entry := s.txns[1].park.id
+		entry := s.txn(2).park.id
 		if err := box.Answer(entry, inbox.Answer{Context: "no such context"}); err != nil {
 			t.Fatal(err)
 		}
@@ -193,9 +196,13 @@ func TestRoundWidth(t *testing.T) {
 	})
 }
 
-// allParked reports whether every txn is parked in the inbox.
-func allParked(txns []*Txn) bool {
-	for _, tx := range txns {
+// allParked reports whether every txn has started and is parked in the
+// inbox.
+func allParked(s *Scheduler) bool {
+	if len(s.window) != len(s.ops) {
+		return false
+	}
+	for _, tx := range s.window {
 		if tx.park == nil {
 			return false
 		}

@@ -15,53 +15,24 @@ import (
 	"youtopia/internal/workload"
 )
 
-// fullCandidates is the walk the live window replaced, kept as the
-// reference: every uncommitted txn numbered above the writer that has
-// stored reads.
-func fullCandidates(txns []*Txn, writer int) []*Txn {
-	var out []*Txn
-	for _, t := range txns {
-		if t.Number > writer && !t.committed && t.Upd != nil && len(t.Upd.StoredReads()) > 0 {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
-// fullRemovalCandidates is the reference walk of removalCandidatesInto
-// outside any wave: every uncommitted txn with a stored violation read,
-// none in ModeFlag.
-func fullRemovalCandidates(cfg *Config, txns []*Txn) []*Txn {
-	if cfg.Mode == ModeFlag {
-		return nil
-	}
-	var out []*Txn
-	for _, t := range txns {
-		if t.committed || t.Upd == nil {
-			continue
-		}
-		if slices.ContainsFunc(t.Upd.StoredReads(), func(q query.ReadQuery) bool {
-			_, ok := q.(*query.ViolationRead)
-			return ok
-		}) {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
 // WindowWatch is a store decorator for the external batteries. Before
 // each write lands, it checks the live window of the scheduler it is
-// attached to against the full walk of every txn: the direct
-// candidates above the writer and the removal candidates must be the
-// same txns, and no txn outside the window, nor one inside it that has
-// not started, may hold an update, stored reads or a dependency. The
+// attached to against a full walk that does not use the window: every
+// update that has stored a read, under the number it read for, while
+// the store has not committed that number. The direct candidates above
+// the writer and the removal candidates must be the same txns; every
+// such update must be the update of the window's record for its
+// number, and no record off the window may hold stored reads. The
 // check runs where the writes land, inside the step that performs
 // them.
 type WindowWatch struct {
 	storage.Backend
 	tb testing.TB
 	c  *Scheduler
+	// read maps each number to the last update that stored a read for
+	// it; committed holds the numbers the store committed.
+	read      map[int]*chase.Update
+	committed map[int]bool
 
 	// Writes counts the checked writes, Candidates the direct
 	// candidates they found, Removal the removal candidates, and
@@ -71,11 +42,44 @@ type WindowWatch struct {
 
 // WatchWindow decorates st; Attach names the scheduler to watch.
 func WatchWindow(tb testing.TB, st storage.Backend) *WindowWatch {
-	return &WindowWatch{Backend: st, tb: tb}
+	return &WindowWatch{Backend: st, tb: tb, read: map[int]*chase.Update{}, committed: map[int]bool{}}
 }
 
-// Attach starts watching a scheduler built over the decorated store.
-func (w *WindowWatch) Attach(s *Scheduler) { w.c = s }
+// Attach starts watching a scheduler built over the decorated store:
+// its read observer notes every reading update before the scheduler
+// sees the read.
+func (w *WindowWatch) Attach(s *Scheduler) {
+	w.c = s
+	s.engine.SetReadObserver(func(u *chase.Update, q query.ReadQuery) {
+		w.read[u.Number] = u
+		s.onRead(u, q)
+	})
+}
+
+// liveReaders returns the full walk: the numbers above writer, in
+// ascending order, of the uncommitted txns whose update has stored
+// reads that keep passes.
+func (w *WindowWatch) liveReaders(writer int, keep func(query.ReadQuery) bool) []int {
+	var out []int
+	for n, u := range w.read {
+		// A renewed update reads for its new number.
+		if n <= writer || w.committed[n] || u.Number != n {
+			continue
+		}
+		if slices.ContainsFunc(u.StoredReads(), keep) {
+			out = append(out, n)
+		}
+	}
+	slices.Sort(out)
+	return out
+}
+
+func anyRead(query.ReadQuery) bool { return true }
+
+func violationRead(q query.ReadQuery) bool {
+	_, ok := q.(*query.ViolationRead)
+	return ok
+}
 
 func (w *WindowWatch) check(writer int) {
 	c := w.c
@@ -83,28 +87,38 @@ func (w *WindowWatch) check(writer int) {
 		return
 	}
 	w.Writes++
-	got := candidatesInto(nil, above(c.live(), writer))
-	want := fullCandidates(c.txns, writer)
+	got := numbers(candidatesInto(nil, above(c.live(), writer)))
+	want := w.liveReaders(writer, anyRead)
 	if !slices.Equal(got, want) {
 		w.tb.Errorf("write by %d: window [%d:%d] candidates %v, full walk %v",
-			writer, c.committedUpTo, c.top, numbers(got), numbers(want))
+			writer, c.committedUpTo, c.top(), got, want)
 	}
 	w.Candidates += len(want)
-	gotR := removalCandidatesInto(nil, &c.cfg, c.live(), nil)
-	wantR := fullRemovalCandidates(&c.cfg, c.txns)
+	gotR := numbers(removalCandidatesInto(nil, &c.cfg, c.live(), nil))
+	var wantR []int
+	if c.cfg.Mode != ModeFlag {
+		wantR = w.liveReaders(0, violationRead)
+	}
 	if !slices.Equal(gotR, wantR) {
 		w.tb.Errorf("write by %d: window [%d:%d] removal candidates %v, full walk %v",
-			writer, c.committedUpTo, c.top, numbers(gotR), numbers(wantR))
+			writer, c.committedUpTo, c.top(), gotR, wantR)
 	}
 	w.Removal += len(wantR)
-	if c.top-c.committedUpTo < len(c.txns) {
+	if len(c.live()) < len(c.ops) {
 		w.Narrowed++
 	}
-	for i, t := range c.txns {
-		inWindow := i >= c.committedUpTo && i < c.top
-		if (!inWindow && t.Upd != nil) || (t.Upd == nil && !t.committed && len(t.deps) > 0) {
-			w.tb.Errorf("write by %d: txn %d outside window [%d:%d] or not started holds an update or dependencies",
-				writer, t.Number, c.committedUpTo, c.top)
+	for n, u := range w.read {
+		if w.committed[n] || u.Number != n {
+			continue
+		}
+		if t := c.txn(n); t == nil || t.Upd != u {
+			w.tb.Errorf("write by %d: txn %d holds an update outside window [%d:%d]",
+				writer, n, c.committedUpTo, c.top())
+		}
+	}
+	for _, t := range c.free {
+		if len(t.Upd.StoredReads()) > 0 {
+			w.tb.Errorf("write by %d: a free record holds the reads of txn %d", writer, t.Number)
 		}
 	}
 }
@@ -115,6 +129,14 @@ func numbers(txns []*Txn) []int {
 		out[i] = t.Number
 	}
 	return out
+}
+
+// CommitBatchAsync implements storage.Backend.
+func (w *WindowWatch) CommitBatchAsync(writers []int) (storage.CommitAck, error) {
+	for _, n := range writers {
+		w.committed[n] = true
+	}
+	return w.Backend.CommitBatchAsync(writers)
 }
 
 // Insert implements storage.Backend.
@@ -145,19 +167,22 @@ func (w *WindowWatch) ReplaceNull(writer int, x, to model.Value) ([]storage.Writ
 // core.TestApplyAllocBudget: a run allocates at most its pinned bytes
 // per update. At width 1, all-insert updates, each a forward repair
 // through A(x) -> B(x), run one after another, and the run creates no
-// more chase.Update values than the peak number of live txns holding
-// one — a committed txn's update is renewed for the next txn's first
-// step. At width 0 every update of a §6-generator window is in flight
+// more chase.Update values and Txn records than the peak number of live
+// txns — a committed txn's record and update are renewed for the next
+// txn's first step. At width 0 every update of a §6-generator window is in flight
 // at once, with its aborts and frontier questions, and the step and
 // frontier scratch is the engine's, not each attempt's.
 func TestSchedulerAllocBudget(t *testing.T) {
 	t.Run("width=1", func(t *testing.T) {
 		const n = 400
-		// 472 measured. The bound was 1300 (759 measured) while each
-		// stored read was a fresh record; a committed update's reads now
-		// go back to the engine's read pool for the next update's reads,
-		// and the commit batch's number list is the scheduler's own.
-		const bytesBound = 520
+		// 382 measured. The bound was 520 (472 measured) while every
+		// submitted op had a Txn record for the whole run; a committed
+		// txn's record now goes back to the free list with its update for
+		// the next txn's start. It was 1300 (759 measured) while each
+		// stored read was a fresh record; a committed update's reads go
+		// back to the engine's read pool for the next update's reads, and
+		// the commit batch's number list is the scheduler's own.
+		const bytesBound = 400
 		schema := model.NewSchema()
 		schema.MustAddRelation("A", "x")
 		schema.MustAddRelation("B", "x")
@@ -173,27 +198,24 @@ func TestSchedulerAllocBudget(t *testing.T) {
 		}
 		s := NewScheduler(storage.NewStore(schema), set, Config{Workers: 1})
 		// Everything runs on the calling goroutine, so the read observer
-		// may look at every txn's update.
-		seen := map[*chase.Update]bool{}
+		// may look at the live window.
+		seen, records := map[*chase.Update]bool{}, map[*Txn]bool{}
 		peak := 0
 		s.engine.SetReadObserver(func(u *chase.Update, q query.ReadQuery) {
 			seen[u] = true
-			live := 0
-			for _, tx := range s.txns {
-				if tx.Upd != nil && !tx.committed {
-					live++
-				}
+			for _, tx := range s.live() {
+				records[tx] = true
 			}
-			peak = max(peak, live)
+			peak = max(peak, len(s.live()))
 			s.onRead(u, q)
 		})
 		m := runAllocBudget(t, s, ops, bytesBound)
 		if m.Runs != n {
 			t.Fatalf("%d runs of %d updates: the workload is not conflict-free", m.Runs, n)
 		}
-		t.Logf("%d updates created, peak %d live", len(seen), peak)
-		if len(seen) > peak {
-			t.Errorf("the run created %d updates for a peak of %d live txns", len(seen), peak)
+		t.Logf("%d updates and %d txn records created, peak %d live", len(seen), len(records), peak)
+		if len(seen) > peak || len(records) > peak {
+			t.Errorf("the run created %d updates and %d txn records for a peak of %d live txns", len(seen), len(records), peak)
 		}
 	})
 	t.Run("width=0", func(t *testing.T) {
@@ -222,6 +244,63 @@ func TestSchedulerAllocBudget(t *testing.T) {
 			t.Fatalf("%d aborts and %d frontier operations: the window does not exercise what it pins", m.Aborts, m.FrontierOps)
 		}
 	})
+}
+
+// TestTxnRecordsBoundedByLiveWindow pins the life of a txn record: it
+// is made at the txn's first step and recycled at its commit, with its
+// update, for a later txn's first step. On a §6-generator window with
+// aborts and frontier questions, a run at widths 0, 1 and 2 creates no
+// more Txn records and chase.Update values than its peak live window,
+// and the txns commit in number order. Width 0 starts every txn in its
+// first round, so only the narrower widths recycle. The window only grows
+// in rounds and only shrinks in a commit drain, so its peak is its
+// length at some commit.
+func TestTxnRecordsBoundedByLiveWindow(t *testing.T) {
+	u, err := workload.Build(workload.Quick())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := u.GenOpsSeeded(1)
+	for _, width := range []int{0, 1, 2} {
+		t.Run(fmt.Sprintf("width=%d", width), func(t *testing.T) {
+			st, err := u.NewBackend()
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := NewScheduler(st, u.Mappings, Config{User: simuser.New(1), Workers: width})
+			records, updates := map[*Txn]bool{}, map[*chase.Update]bool{}
+			committed, peak := 0, 0
+			testCommitted = func(tx *Txn) {
+				if tx.Number != committed+1 || !tx.committed {
+					t.Errorf("txn %d committed after %d txns, committed flag %v", tx.Number, committed, tx.committed)
+				}
+				committed++
+				records[tx], updates[tx.Upd] = true, true
+				peak = max(peak, len(s.window))
+			}
+			t.Cleanup(func() { testCommitted = nil })
+			m, err := s.Run(ops)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if width != 1 && m.Aborts == 0 {
+				t.Fatal("no aborts: the window does not recycle under rework")
+			}
+			if width > 0 && len(records) == len(ops) {
+				t.Fatal("every txn had a record of its own: none was recycled")
+			}
+			t.Logf("%d txns, %d aborts: %d records and %d updates for a peak window of %d", len(ops), m.Aborts, len(records), len(updates), peak)
+			if committed != len(ops) {
+				t.Fatalf("%d of %d txns committed", committed, len(ops))
+			}
+			if len(records) > peak || len(updates) > peak {
+				t.Errorf("the run created %d records and %d updates for a peak live window of %d", len(records), len(updates), peak)
+			}
+			if len(s.window) != 0 || len(s.free) != len(records) {
+				t.Errorf("%d records live and %d free after the run, want 0 and %d", len(s.window), len(s.free), len(records))
+			}
+		})
+	}
 }
 
 // runAllocBudget runs ops on s and fails t when the run allocates more

@@ -60,11 +60,9 @@ type Backend interface {
 	CommitBatchAsync(writers []int) (CommitAck, error)
 
 	// SetCommitHook installs the durability hook; it must be called
-	// before the backend sees concurrent use. Persistent reports
-	// whether a hook is installed, and SyncCount the backend's fsync
-	// count.
+	// before the backend sees concurrent use. SyncCount reports the
+	// backend's fsync count.
 	SetCommitHook(h CommitHook)
-	Persistent() bool
 	SyncCount() int64
 
 	// CurrentSeq is the backend-wide sequence high-water mark, which

@@ -166,9 +166,6 @@ func TestConformanceHookMergeOrder(t *testing.T) {
 			calls = append(calls, append([]WriteRec(nil), recs...))
 			return nil, nil
 		})
-		if !b.Persistent() {
-			t.Fatal("Persistent() false with a hook installed")
-		}
 		if err := b.CommitBatch([]int{2, 1}); err != nil {
 			t.Fatal(err)
 		}

@@ -60,10 +60,6 @@ type CommitGuard func() error
 // must be called before the store sees concurrent use.
 func (st *Store) SetCommitGuard(g CommitGuard) { st.commitGuard = g }
 
-// Persistent reports whether a durability hook is installed, which is
-// how the schedulers know each commit batch costs a log append.
-func (st *Store) Persistent() bool { return st.commitHook != nil }
-
 // SetSyncCounter installs a callback reporting how many log fsyncs the
 // durability backend has issued so far. The schedulers diff it across
 // a run to report Metrics.WALSyncs: one covering sync serves every
