@@ -7,16 +7,19 @@
 //
 // Beyond the paper's figures, -figure parallel compares the serial
 // reference execution against the concurrency-controlled scheduler
-// across a sweep of round widths (-workers), reporting wall time and
-// committed-update throughput; with -data-dir the runs execute against
-// a write-ahead-logged store (one fsync per commit batch), measuring
-// durable throughput and the group-commit sync amortization.
+// across a sweep of round widths (-workers), and -figure inbox compares
+// busy-repoll answering with parking in the decision inbox. Both report
+// counts (aborts, commit batches, WAL syncs, user polls, inbox entries)
+// and walls; with -data-dir the runs execute against a write-ahead-
+// logged store, and with -baseline every count must match the
+// committed baseline exactly. The walls are never gated.
 //
 // Usage:
 //
 //	youtopia-bench -figure both -preset paper -runs 3
 //	youtopia-bench -figure parallel -preset quick -workers 0,2,4
 //	youtopia-bench -figure parallel -preset quick -data-dir /tmp/ybench
+//	youtopia-bench -figure inbox -preset quick -baseline bench/BENCH_baseline_inbox.json
 //
 // Observability riders work with every figure: -debug-addr serves
 // /metrics (Prometheus text), /healthz, /debug/vars and /debug/pprof
@@ -44,7 +47,6 @@ import (
 	"runtime/pprof"
 	"strconv"
 	"strings"
-	"time"
 
 	"youtopia/internal/debugserver"
 	"youtopia/internal/experiments"
@@ -55,12 +57,10 @@ import (
 func main() {
 	figure := flag.String("figure", "both", "which figure to reproduce: 3, 4, both, latency (the §5.2 user-latency extension study), parallel (serial reference vs the scheduler's round widths), or inbox (busy-repoll vs decision-inbox park/answer/resume)")
 	inboxWorkers := flag.Int("inbox-workers", 4, "worker count the -figure inbox study runs both modes on (at least 1)")
-	inboxLatency := flag.Int("inbox-latency", 200, "per-answer think time of the -figure inbox asynchronous answerer, in microseconds")
 	workersFlag := flag.String("workers", "", "comma-separated round widths for -figure parallel (0 = serial reference; default 0,1,2,4,8)")
-	dataDir := flag.String("data-dir", "", "back each -figure parallel run with a write-ahead log under this directory; empty = in-memory, the unchanged default")
-	jsonPath := flag.String("json", "", "write the -figure parallel study as JSON to this file (the CI bench artifact)")
-	baseline := flag.String("baseline", "", "compare the -figure parallel study against this committed JSON baseline and exit nonzero on regression")
-	regressPct := flag.Float64("regress", 20, "tolerated throughput regression vs -baseline, in percent")
+	dataDir := flag.String("data-dir", "", "back each -figure parallel or inbox run with a write-ahead log under this directory; empty = in-memory, the unchanged default")
+	jsonPath := flag.String("json", "", "write the -figure parallel or inbox study as JSON to this file (the CI bench artifact)")
+	baseline := flag.String("baseline", "", "gate the -figure parallel or inbox study against this committed JSON baseline: exit nonzero unless every count matches exactly")
 	preset := flag.String("preset", "moderate", "parameter preset: quick, moderate or paper")
 	runs := flag.Int("runs", 3, "runs averaged per data point (paper: 100)")
 	seed := flag.Int64("seed", 1, "master random seed")
@@ -165,67 +165,16 @@ func main() {
 			fail(err)
 		}
 		fmt.Println(experiments.RenderParallel(points))
-		if *csvPath != "" {
-			if err := os.WriteFile(*csvPath, []byte(experiments.ParallelCSV(points)), 0o644); err != nil {
-				fail(err)
-			}
-			fmt.Fprintf(os.Stderr, "wrote %s\n", *csvPath)
-		}
-		if *jsonPath != "" {
-			data, err := experiments.ParallelJSON(points)
-			if err != nil {
-				fail(err)
-			}
-			if err := os.WriteFile(*jsonPath, data, 0o644); err != nil {
-				fail(err)
-			}
-			fmt.Fprintf(os.Stderr, "wrote %s\n", *jsonPath)
-		}
-		if *baseline != "" {
-			base, err := experiments.LoadParallelJSON(*baseline)
-			if err != nil {
-				fail(err)
-			}
-			if err := experiments.CheckRegression(points, base, *regressPct); err != nil {
-				fail(err)
-			}
-			fmt.Fprintf(os.Stderr, "throughput within %.0f%% of %s\n", *regressPct, *baseline)
-		}
+		report(points, experiments.ParallelCSV(points), *csvPath, *jsonPath, *baseline)
 		return
 	}
 	if *figure == "inbox" {
-		points, err := experiments.InboxStudy(base, *inboxWorkers, *runs,
-			time.Duration(*inboxLatency)*time.Microsecond, *dataDir)
+		points, err := experiments.InboxStudy(base, *inboxWorkers, *runs, *dataDir)
 		if err != nil {
 			fail(err)
 		}
 		fmt.Println(experiments.RenderInbox(points))
-		if *csvPath != "" {
-			if err := os.WriteFile(*csvPath, []byte(experiments.InboxCSV(points)), 0o644); err != nil {
-				fail(err)
-			}
-			fmt.Fprintf(os.Stderr, "wrote %s\n", *csvPath)
-		}
-		if *jsonPath != "" {
-			data, err := experiments.InboxJSON(points)
-			if err != nil {
-				fail(err)
-			}
-			if err := os.WriteFile(*jsonPath, data, 0o644); err != nil {
-				fail(err)
-			}
-			fmt.Fprintf(os.Stderr, "wrote %s\n", *jsonPath)
-		}
-		if *baseline != "" {
-			base, err := experiments.LoadInboxJSON(*baseline)
-			if err != nil {
-				fail(err)
-			}
-			if err := experiments.CheckInboxRegression(points, base, *regressPct); err != nil {
-				fail(err)
-			}
-			fmt.Fprintf(os.Stderr, "inbox throughput and poll counts within %.0f%% of %s\n", *regressPct, *baseline)
-		}
+		report(points, experiments.InboxCSV(points), *csvPath, *jsonPath, *baseline)
 		return
 	}
 	if *figure == "latency" {
@@ -287,6 +236,33 @@ func main() {
 			fail(err)
 		}
 		fmt.Fprintf(os.Stderr, "wrote %s\n", *csvPath)
+	}
+}
+
+// report writes a study's CSV and JSON files when asked, and gates its
+// counts against the committed baseline exactly.
+func report[P experiments.StudyPoint](points []P, csv, csvPath, jsonPath, baseline string) {
+	if csvPath != "" {
+		if err := os.WriteFile(csvPath, []byte(csv), 0o644); err != nil {
+			fail(err)
+		}
+		fmt.Fprintf(os.Stderr, "wrote %s\n", csvPath)
+	}
+	if jsonPath != "" {
+		if err := experiments.WriteStudy(jsonPath, points); err != nil {
+			fail(err)
+		}
+		fmt.Fprintf(os.Stderr, "wrote %s\n", jsonPath)
+	}
+	if baseline != "" {
+		base, err := experiments.LoadStudy[P](baseline)
+		if err != nil {
+			fail(err)
+		}
+		if err := experiments.CheckCounts(points, base); err != nil {
+			fail(err)
+		}
+		fmt.Fprintf(os.Stderr, "counts match %s exactly\n", baseline)
 	}
 }
 

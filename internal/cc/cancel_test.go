@@ -1,6 +1,7 @@
 package cc
 
 import (
+	"fmt"
 	"testing"
 
 	"youtopia/internal/chase"
@@ -238,4 +239,81 @@ func TestParallelCancelledUpdateIsNoConflictVictim(t *testing.T) {
 func countRel(sn *storage.Snapshot, rel string) int {
 	rows, _ := sn.ProbeRows(rel, -1, model.Value{}, nil, nil)
 	return len(rows)
+}
+
+// A cancelled update's writes roll back, so an update that derived
+// something from them must roll back too and re-run on what is left.
+//
+//	hold:   H(x) -> exists z: K(x, z) & L(z)
+//	derive: Q(x) & H(x) -> R(x)
+//
+// K(h, k) is loaded. Update 1 inserts H(h) and stops at hold's
+// frontier; update 2 inserts Q(h) and derives R(h) from the
+// uncommitted H(h). Cancelling update 1 must leave what the serial
+// execution of update 2 alone leaves: Q(h), and neither H(h) nor R(h).
+func TestReadersOfCancelledUpdateRollBack(t *testing.T) {
+	for _, tr := range []Tracker{Naive{}, Coarse{}, Precise{}} {
+		for _, width := range []int{0, 2} {
+			t.Run(fmt.Sprintf("%s/width=%d", tr.Name(), width), func(t *testing.T) {
+				schema := model.NewSchema()
+				schema.MustAddRelation("H", "x")
+				schema.MustAddRelation("K", "x", "z")
+				schema.MustAddRelation("L", "z")
+				schema.MustAddRelation("Q", "x")
+				schema.MustAddRelation("R", "x")
+				set := tgd.MustNewSet(
+					tgd.New("hold",
+						[]tgd.Atom{tgd.NewAtom("H", tgd.V("x"))},
+						[]tgd.Atom{tgd.NewAtom("K", tgd.V("x"), tgd.V("z")), tgd.NewAtom("L", tgd.V("z"))}),
+					tgd.New("derive",
+						[]tgd.Atom{tgd.NewAtom("Q", tgd.V("x")), tgd.NewAtom("H", tgd.V("x"))},
+						[]tgd.Atom{tgd.NewAtom("R", tgd.V("x"))}),
+				)
+				if err := set.Validate(schema); err != nil {
+					t.Fatal(err)
+				}
+				st := storage.NewStore(schema)
+				if _, err := st.Load(model.NewTuple("K", model.Const("h"), model.Const("k"))); err != nil {
+					t.Fatal(err)
+				}
+				ops := []chase.Op{
+					chase.Insert(model.NewTuple("H", model.Const("h"))),
+					chase.Insert(model.NewTuple("Q", model.Const("h"))),
+				}
+				s := NewScheduler(st, set, Config{Tracker: tr, Workers: width, User: expandFor(map[int]bool{})})
+				s.begin(ops)
+				for round := 0; ; round++ {
+					if round == 5 {
+						t.Fatal("update 1 did not block while update 2 finished")
+					}
+					if _, err := s.round(); err != nil {
+						t.Fatal(err)
+					}
+					if len(s.window) == 2 && s.window[0].Upd.State() == chase.StateAwaitingUser &&
+						s.window[1].Upd.State() == chase.StateTerminated {
+						break
+					}
+				}
+				if n := countRel(st.Snap(1<<30), "R"); n != 1 {
+					t.Fatalf("update 2 derived %d R tuples from the uncommitted H(h), want 1", n)
+				}
+				if err := s.cancel(s.txn(1)); err != nil {
+					t.Fatal(err)
+				}
+				m, err := s.end(s.loop())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if m.Cancelled != 1 {
+					t.Fatalf("cancelled %d updates, want 1", m.Cancelled)
+				}
+				sn := st.Snap(1 << 30)
+				for rel, want := range map[string]int{"H": 0, "Q": 1, "R": 0} {
+					if n := countRel(sn, rel); n != want {
+						t.Fatalf("%s holds %d tuples after update 1 was cancelled, want %d (the serial run of update 2 alone)", rel, n, want)
+					}
+				}
+			})
+		}
+	}
 }

@@ -221,10 +221,19 @@ func collectDirect(store storage.Backend, cfg *Config, live []*Txn, writes []sto
 // with the same priority number for a fresh attempt, enforcing the
 // abort limit. Aborts and FrontierRequests accumulate into m (the §6
 // metric charges an attempt's frontier requests when it dies or
-// commits).
+// commits). A cancelled update is not requeued: its chase is dropped
+// and its reads released, and it counts no abort; its attempt's
+// frontier requests are charged at its commit.
 func rollbackTxn(store storage.Backend, cfg *Config, t *Txn, m *Metrics) error {
 	if t.committed {
 		return fmt.Errorf("cc: attempt to abort committed update %d", t.Number)
+	}
+	if t.cancelled {
+		store.Abort(t.Number)
+		t.deps = t.deps[:0]
+		t.Upd.Cancel()
+		t.Upd.ReleaseReads()
+		return nil
 	}
 	m.Aborts++
 	obsAborts.Inc()

@@ -82,10 +82,13 @@ type Config struct {
 	// Inbox switches the scheduler from busy-repolling blocked updates
 	// to parking them: a blocked update files its question in the box
 	// once, and no user is polled on its behalf until an answer is
-	// recorded (by an asynchronous answerer, a curator, or a deadline
-	// policy the scheduler's idle rounds run). Nil keeps the legacy
-	// repoll behaviour, whose per-wait poll counts simuser.Latency
-	// relies on.
+	// recorded (by an asynchronous answerer or a curator) or a deadline
+	// policy the scheduler's idle rounds run acts on it. The inbox
+	// study (experiments.InboxStudy) answers through the policy alone:
+	// InboxPolicy's DeadlineAutoAnswer polls User a few idle rounds
+	// after the question parks, so its runs replay from their seed.
+	// Nil keeps the legacy repoll behaviour, whose per-wait poll counts
+	// simuser.Latency relies on.
 	Inbox *inbox.Box
 	// InboxPolicy is stamped on every entry parked in inbox mode.
 	InboxPolicy inbox.Policy

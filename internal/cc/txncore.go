@@ -35,8 +35,9 @@ type Txn struct {
 	// abort, its stored queries are released, and its record goes back
 	// to the free list.
 	committed bool
-	// cancelled is set when cancel dropped the txn's chase: like a
-	// committed txn it can no longer abort.
+	// cancelled is set when cancel's abort wave rolls the txn back for
+	// good, dropping its chase: like a committed txn it can no longer
+	// abort.
 	cancelled bool
 	// aborts counts how many times this txn has aborted.
 	aborts int
@@ -419,23 +420,28 @@ func (s *Scheduler) inboxPoll(t *Txn) (bool, error) {
 	return true, nil
 }
 
-// cancel aborts an update for good: its writes roll back, the update
-// becomes an empty terminated commit (preserving commit order), and its
-// inbox entry is dropped. Until that commit the txn stays in the live
-// window, so cancel also takes it out of conflict processing: its
-// reads are released, as at commit, and the abort wave skips it. An
-// empty commit depends on nothing, and rolling it back would re-plan
-// the initial operation the deadline policy dropped.
+// cancel aborts an update for good: an abort wave rolls back its
+// writes and, as at any abort, every live txn that read them, but the
+// update itself does not restart. It becomes an empty terminated commit
+// (preserving commit order), and its inbox entry is dropped. Until that
+// commit the txn stays in the live window, so its reads are released,
+// as at commit, and later waves skip it: an empty commit depends on
+// nothing, and rolling it back would re-plan the initial operation the
+// deadline policy dropped.
 func (s *Scheduler) cancel(t *Txn) error {
 	if t.committed {
 		return fmt.Errorf("cc: cancel of committed update %d", t.Number)
 	}
 	if t.Upd.State() != chase.StateTerminated {
-		s.store.Abort(t.Number)
-		t.Upd.Cancel()
-		t.Upd.ReleaseReads()
-		t.deps = t.deps[:0]
-		t.cancelled = true
+		err := executeAbortWave(s.store, &s.cfg, s.live(), []*Txn{t}, &s.m, &s.scratch, func(v *Txn) error {
+			if v == t {
+				t.cancelled = true
+			}
+			return s.rollback(v)
+		})
+		if err != nil {
+			return err
+		}
 	}
 	s.dropEntry(t)
 	s.m.Cancelled++
@@ -466,9 +472,9 @@ func (s *Scheduler) processWrites(writes []storage.WriteRec) error {
 }
 
 // rollback is the abort wave's rollback of one victim: rollbackTxn's
-// storage-level abort and restart, then the victim's inbox entry goes —
-// a parked victim's question is void, its attempt restarts from
-// scratch.
+// storage-level abort and, unless the victim is being cancelled, its
+// restart; then the victim's inbox entry goes — a parked victim's
+// question is void, its attempt restarts from scratch.
 func (s *Scheduler) rollback(t *Txn) error {
 	if err := rollbackTxn(s.store, &s.cfg, t, &s.m); err != nil {
 		return err

@@ -6,6 +6,14 @@
 // deletes; each figure reports total aborts, purely cascading abort
 // requests, and the per-update execution-time slowdown of PRECISE
 // relative to COARSE.
+//
+// Beside the figures it runs two studies of the scheduler: the
+// round-width study (ParallelStudy), the serial reference against the
+// scheduler's round widths, in memory or durable, and the decision-inbox
+// study (InboxStudy), busy-repoll answering against parking in the inbox
+// with its deadline policy answering. Their runs replay from their
+// seeds, so CheckCounts gates their counts exactly against committed
+// baselines; their walls are reported and never gated.
 package experiments
 
 import (

@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -67,7 +65,9 @@ func RunMode(st storage.Backend, set *tgd.Set, cfg cc.Config, ops []chase.Op) (c
 	}, wall, err
 }
 
-// ParallelPoint is one measurement of the round-width study.
+// ParallelPoint is one measurement of the round-width study. Its
+// counts, means over the point's runs, replay exactly; CheckCounts
+// gates them. The walls are reported, never gated.
 type ParallelPoint struct {
 	// Workers is the scheduler's round width; 0 denotes the serial
 	// reference execution (serial.Execute, no concurrency control).
@@ -81,26 +81,37 @@ type ParallelPoint struct {
 	// in-memory studies; for durable studies (DataDir set) a run
 	// waits for durability once, at its end, so one covering fsync
 	// (plus one per segment rotation) lands all its commit batches.
-	WALSyncs float64 `json:",omitempty"`
+	WALSyncs float64
 	// CommitBatches is the mean number of commit-frontier drains per
 	// run, each one log append on a durable study.
-	CommitBatches float64 `json:",omitempty"`
+	CommitBatches float64
 	// SnapshotAllocsPerOp and CommitMergeAllocsPerOp are steady-state
 	// heap allocations of the two hot coordination steps (conflict-
 	// candidate collection, commit-batch merge), measured once per
-	// study and attached to every point. CheckRegression gates them
-	// alongside throughput; both are expected to be zero.
-	SnapshotAllocsPerOp    float64 `json:"SnapshotAllocsPerOp"`
-	CommitMergeAllocsPerOp float64 `json:"CommitMergeAllocsPerOp"`
+	// study and attached to every point; both are expected to be zero.
+	SnapshotAllocsPerOp    float64
+	CommitMergeAllocsPerOp float64
 	// NumCPU and GoMaxProcs record the hardware the point actually ran
 	// on — runtime.NumCPU and the effective GOMAXPROCS — so published
-	// artifacts are attributable to a runner generation.
+	// walls are attributable to a runner generation.
 	NumCPU     int `json:",omitempty"`
 	GoMaxProcs int `json:",omitempty"`
 }
 
 // Label names the point's execution mode.
 func (p ParallelPoint) Label() string { return ModeLabel(p.Workers) }
+
+// Counts lists the point's gated counts.
+func (p ParallelPoint) Counts() []Count {
+	return []Count{
+		{"Runs", float64(p.Runs)},
+		{"Aborts", p.Aborts},
+		{"CommitBatches", p.CommitBatches},
+		{"WALSyncs", p.WALSyncs},
+		{"SnapshotAllocsPerOp", p.SnapshotAllocsPerOp},
+		{"CommitMergeAllocsPerOp", p.CommitMergeAllocsPerOp},
+	}
+}
 
 // ParallelStudy compares the serial reference execution against the
 // scheduler across a sweep of round widths on the same seeded
@@ -109,10 +120,10 @@ func (p ParallelPoint) Label() string { return ModeLabel(p.Workers) }
 // property the cc tests assert).
 //
 // With a non-empty dataDir every run executes against a write-ahead-
-// logged store rooted in a per-run subdirectory (one fsync per commit
-// batch), so the study measures durable throughput; the wall time
-// includes the syncs but not the one-off seed build. Empty keeps the
-// pre-durability in-memory measurement.
+// logged store rooted in a per-run subdirectory (one log append per
+// commit batch, one covering fsync at the run's end), so the study
+// measures durable throughput; the wall time includes the syncs but
+// not the one-off seed build. Empty keeps the in-memory measurement.
 func ParallelStudy(base workload.Config, workers []int, runs int, dataDir string) ([]ParallelPoint, error) {
 	if len(workers) == 0 {
 		workers = []int{0, 1, 2, 4, 8}
@@ -198,8 +209,8 @@ func measurePoint(u *workload.Universe, base workload.Config, p *ParallelPoint, 
 // allocation-free: conflict-candidate collection (candidate txns into
 // a reusable scratch) and the commit-batch merge (per-writer log
 // slices into the store's scratch buffer). The
-// numbers ride along in every study point so the CI regression gate
-// catches allocation churn creeping back into either step.
+// numbers ride along in every study point so the count gate catches
+// allocation churn creeping back into either step.
 func MeasureHotPathAllocs(u *workload.Universe) (snapshot, merge float64, err error) {
 	// testing.AllocsPerRun is an ordinary function, fine outside test
 	// binaries (flag registration only happens in testing.Init).
@@ -230,100 +241,6 @@ func MeasureHotPathAllocs(u *workload.Universe) (snapshot, merge float64, err er
 	return snapshot, merge, nil
 }
 
-// ParallelJSON renders the study as indented JSON — the
-// BENCH_parallel.json artifact CI uploads and gates regressions on.
-func ParallelJSON(points []ParallelPoint) ([]byte, error) {
-	return json.MarshalIndent(points, "", "  ")
-}
-
-// LoadParallelJSON reads a study previously written by ParallelJSON.
-func LoadParallelJSON(path string) ([]ParallelPoint, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var points []ParallelPoint
-	if err := json.Unmarshal(data, &points); err != nil {
-		return nil, fmt.Errorf("experiments: parse %s: %w", path, err)
-	}
-	return points, nil
-}
-
-// CheckRegression compares a fresh parallel study against a committed
-// baseline and returns an error when any shared mode's throughput
-// regressed by more than tolerancePct percent. Raw upd/s is
-// machine-dependent, so when both studies carry a serial reference
-// point (workers == 0) each mode is first normalized by its own run's
-// serial throughput — the parallel-speedup ratio — making the gate
-// portable across CI runner generations; without a serial point the
-// raw numbers are compared.
-//
-// The hot-path allocation probes are gated alongside throughput:
-// allocs/op, unlike upd/s, is machine-independent, so the comparison
-// is direct — the current number may exceed the baseline by at most
-// tolerancePct percent AND half an allocation (the absolute slack is
-// what keeps a zero-allocation baseline meaningful: 0 -> 0.4 passes,
-// 0 -> 1 fails).
-func CheckRegression(current, baseline []ParallelPoint, tolerancePct float64) error {
-	// A mode is a worker count.
-	find := func(points []ParallelPoint, workers int) (ParallelPoint, bool) {
-		for _, p := range points {
-			if p.Workers == workers {
-				return p, true
-			}
-		}
-		return ParallelPoint{}, false
-	}
-	curSerial, cs := find(current, 0)
-	baseSerial, bs := find(baseline, 0)
-	normalized := cs && bs && curSerial.UpdatesPerSec > 0 && baseSerial.UpdatesPerSec > 0
-	var failures []string
-	for _, bp := range baseline {
-		cp, ok := find(current, bp.Workers)
-		if !ok {
-			continue
-		}
-		if bp.UpdatesPerSec > 0 && !(normalized && bp.Workers == 0) {
-			cur, base := cp.UpdatesPerSec, bp.UpdatesPerSec
-			metric := "upd/s"
-			if normalized {
-				cur /= curSerial.UpdatesPerSec
-				base /= baseSerial.UpdatesPerSec
-				metric = "speedup-vs-serial"
-			}
-			if cur < base*(1-tolerancePct/100) {
-				failures = append(failures, fmt.Sprintf(
-					"%s: %s %.2f vs baseline %.2f (-%.1f%%, tolerance %.0f%%)",
-					cp.Label(), metric, cur, base, 100*(1-cur/base), tolerancePct))
-			}
-		}
-	}
-	// Allocation gate: the probes are attached identically to every
-	// point, so compare them once, off the serial point (or the first
-	// shared mode when no serial point exists).
-	if len(baseline) > 0 {
-		bp := baseline[0]
-		if p, ok := find(baseline, 0); ok {
-			bp = p
-		}
-		if cp, ok := find(current, bp.Workers); ok {
-			checkAllocs := func(name string, cur, base float64) {
-				if cur > base*(1+tolerancePct/100) && cur > base+0.5 {
-					failures = append(failures, fmt.Sprintf(
-						"%s: %.2f allocs/op vs baseline %.2f (tolerance %.0f%% + 0.5)",
-						name, cur, base, tolerancePct))
-				}
-			}
-			checkAllocs("candidate-snapshot", cp.SnapshotAllocsPerOp, bp.SnapshotAllocsPerOp)
-			checkAllocs("commit-merge", cp.CommitMergeAllocsPerOp, bp.CommitMergeAllocsPerOp)
-		}
-	}
-	if len(failures) > 0 {
-		return fmt.Errorf("experiments: performance regression:\n  %s", strings.Join(failures, "\n  "))
-	}
-	return nil
-}
-
 // ParallelCSV renders the study as CSV, one row per point.
 func ParallelCSV(points []ParallelPoint) string {
 	var b strings.Builder
@@ -338,28 +255,15 @@ func ParallelCSV(points []ParallelPoint) string {
 	return b.String()
 }
 
-// RenderParallel prints the study as an aligned table; durable studies
-// additionally show the sync coalescing (wal syncs vs commit batches).
+// RenderParallel prints the study as an aligned table: the gated
+// counts, then the walls.
 func RenderParallel(points []ParallelPoint) string {
 	var b strings.Builder
 	b.WriteString("round-width study (COARSE tracker, same seeded workload)\n")
-	durable := false
+	fmt.Fprintf(&b, "%-20s%10s%10s%12s%12s%12s\n", "mode", "aborts", "batches", "wal syncs", "wall(ms)", "upd/s")
 	for _, p := range points {
-		if p.WALSyncs > 0 {
-			durable = true
-		}
-	}
-	fmt.Fprintf(&b, "%-20s%10s%12s%12s", "mode", "aborts", "wall(ms)", "upd/s")
-	if durable {
-		fmt.Fprintf(&b, "%12s%10s", "wal syncs", "batches")
-	}
-	b.WriteByte('\n')
-	for _, p := range points {
-		fmt.Fprintf(&b, "%-20s%10.1f%12.1f%12.1f", p.Label(), p.Aborts, p.WallMillis, p.UpdatesPerSec)
-		if durable {
-			fmt.Fprintf(&b, "%12.1f%10.1f", p.WALSyncs, p.CommitBatches)
-		}
-		b.WriteByte('\n')
+		fmt.Fprintf(&b, "%-20s%10.1f%10.1f%12.1f%12.1f%12.1f\n",
+			p.Label(), p.Aborts, p.CommitBatches, p.WALSyncs, p.WallMillis, p.UpdatesPerSec)
 	}
 	return b.String()
 }

@@ -1,130 +1,232 @@
 package experiments
 
 import (
-	"os"
+	"fmt"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
+
+	"youtopia/internal/workload"
 )
 
-func pts(vals ...float64) []ParallelPoint {
-	// vals alternate (workers, upd/s).
-	var out []ParallelPoint
-	for i := 0; i+1 < len(vals); i += 2 {
-		out = append(out, ParallelPoint{Workers: int(vals[i]), UpdatesPerSec: vals[i+1]})
+// bumped returns a copy of points whose point i has the named count
+// raised by one. The count's name must be the point's field name.
+func bumped[P StudyPoint](t *testing.T, points []P, i int, name string) []P {
+	t.Helper()
+	out := slices.Clone(points)
+	f := reflect.ValueOf(&out[i]).Elem().FieldByName(name)
+	if !f.IsValid() {
+		t.Fatalf("%s has no field %s", points[i].Label(), name)
+	}
+	if f.CanFloat() {
+		f.SetFloat(f.Float() + 1)
+	} else {
+		f.SetInt(f.Int() + 1)
 	}
 	return out
 }
 
-func TestCheckRegressionNormalized(t *testing.T) {
-	// Baseline: serial 100, 4 workers 300 (3x speedup).
-	baseline := pts(0, 100, 4, 300)
-	// Current machine is half as fast but keeps the speedup: pass.
-	if err := CheckRegression(pts(0, 50, 4, 150), baseline, 20); err != nil {
-		t.Fatalf("proportional slowdown flagged: %v", err)
+// requireGateNames checks that the gate passes a study against itself,
+// and that a baseline with any one count of any one point raised by one
+// fails, naming the point and the count.
+func requireGateNames[P StudyPoint](t *testing.T, points []P) {
+	t.Helper()
+	if err := CheckCounts(points, points); err != nil {
+		t.Fatalf("a study fails against itself: %v", err)
 	}
-	// Speedup collapses to 1.5x (-50%): fail.
-	err := CheckRegression(pts(0, 50, 4, 75), baseline, 20)
-	if err == nil {
-		t.Fatal("collapsed speedup not flagged")
-	}
-	if !strings.Contains(err.Error(), "speedup-vs-serial") {
-		t.Fatalf("expected normalized comparison, got: %v", err)
-	}
-	// Within tolerance (-10%): pass.
-	if err := CheckRegression(pts(0, 50, 4, 135), baseline, 20); err != nil {
-		t.Fatalf("10%% drop flagged at 20%% tolerance: %v", err)
+	for i, p := range points {
+		for _, c := range p.Counts() {
+			err := CheckCounts(points, bumped(t, points, i, c.Name))
+			if err == nil {
+				t.Fatalf("%s: one more %s passed the gate", p.Label(), c.Name)
+			}
+			if want := p.Label() + ": " + c.Name + " "; !strings.Contains(err.Error(), want) {
+				t.Fatalf("%s: one more %s: the failure does not name it:\n%v", p.Label(), c.Name, err)
+			}
+		}
 	}
 }
 
-func TestCheckRegressionRawFallback(t *testing.T) {
-	// No serial point on either side: raw upd/s comparison.
-	baseline := pts(4, 300)
-	if err := CheckRegression(pts(4, 100), baseline, 20); err == nil {
-		t.Fatal("raw regression not flagged without serial points")
+func TestCheckCountsNamesPointAndField(t *testing.T) {
+	parallel := []ParallelPoint{
+		{Workers: 0, Runs: 2, CommitBatches: 150, WALSyncs: 1, WallMillis: 2, UpdatesPerSec: 75000},
+		{Workers: 4, Runs: 2, Aborts: 29.5, CommitBatches: 27.5, WALSyncs: 1, WallMillis: 6, UpdatesPerSec: 25000},
 	}
-	if err := CheckRegression(pts(4, 290), baseline, 20); err != nil {
-		t.Fatalf("raw pass flagged: %v", err)
+	requireGateNames(t, parallel)
+	inbox := []InboxPoint{
+		{Mode: "inline", Workers: 4, Runs: 3, Aborts: 3, UserPolls: 11.5},
+		{Mode: "inbox", Workers: 4, Runs: 3, Aborts: 37.5, UserPolls: 18.5, Parked: 10.5},
 	}
-	// Modes missing from current are skipped, not failed.
-	if err := CheckRegression(pts(2, 1), baseline, 20); err != nil {
-		t.Fatalf("missing mode flagged: %v", err)
+	requireGateNames(t, inbox)
+
+	// The walls are not gated: a tenfold slowdown passes.
+	slow := slices.Clone(parallel)
+	for i := range slow {
+		slow[i].WallMillis *= 10
+		slow[i].UpdatesPerSec /= 10
+	}
+	if err := CheckCounts(slow, parallel); err != nil {
+		t.Fatalf("slower walls failed the gate: %v", err)
+	}
+	// A point only one side has fails, named.
+	err := CheckCounts(parallel[:1], parallel)
+	if err == nil || !strings.Contains(err.Error(), "workers=4: in the baseline, not in the study") {
+		t.Fatalf("a point missing from the study: %v", err)
+	}
+	err = CheckCounts(parallel, parallel[1:])
+	if err == nil || !strings.Contains(err.Error(), "serial: in the study, not in the baseline") {
+		t.Fatalf("a point missing from the baseline: %v", err)
 	}
 }
 
 func TestParallelJSONRoundTrip(t *testing.T) {
 	points := []ParallelPoint{
 		{Workers: 0, Runs: 2, Aborts: 1.5, WallMillis: 12.5, UpdatesPerSec: 80},
-		{Workers: 8, Runs: 2, Aborts: 3, WallMillis: 4, UpdatesPerSec: 250},
-	}
-	data, err := ParallelJSON(points)
-	if err != nil {
-		t.Fatal(err)
+		{Workers: 8, Runs: 2, Aborts: 1.0 / 3, WallMillis: 4, UpdatesPerSec: 250},
 	}
 	path := filepath.Join(t.TempDir(), "BENCH_parallel.json")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	if err := WriteStudy(path, points); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadParallelJSON(path)
+	got, err := LoadStudy[ParallelPoint](path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(points) || got[1].UpdatesPerSec != 250 || got[0].Workers != 0 {
+	// Means go through JSON bit for bit, so a loaded baseline gates
+	// exactly.
+	if !slices.Equal(got, points) {
 		t.Fatalf("round trip mangled points: %+v", got)
 	}
-	if _, err := LoadParallelJSON(filepath.Join(t.TempDir(), "missing.json")); err == nil {
+	if _, err := LoadStudy[ParallelPoint](filepath.Join(t.TempDir(), "missing.json")); err == nil {
 		t.Fatal("missing baseline must error")
 	}
 }
 
-// TestCommittedBaselinesLoadAndGate: every baseline the CI bench jobs
-// gate against still loads, keys each point to a distinct worker
-// count, passes against itself, and flags a collapse of its parallel
-// points.
+// withoutWalls returns points with the wall fields zeroed: what is left
+// is what a replay must repeat.
+func withoutWalls[P any](points []P) []P {
+	out := slices.Clone(points)
+	for i := range out {
+		v := reflect.ValueOf(&out[i]).Elem()
+		for _, name := range []string{"WallMillis", "UpdatesPerSec", "ResumeP50Millis", "ResumeP99Millis"} {
+			if f := v.FieldByName(name); f.IsValid() {
+				f.SetFloat(0)
+			}
+		}
+	}
+	return out
+}
+
+// replayPoint is a study point a replay can be compared with.
+type replayPoint interface {
+	StudyPoint
+	comparable
+}
+
+// requireReplay runs a study twice and requires both runs to report
+// the same points outside the walls.
+func requireReplay[P replayPoint](t *testing.T, study func(run int) ([]P, error)) []P {
+	t.Helper()
+	a, err := study(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := study(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(withoutWalls(a), withoutWalls(b)) {
+		t.Fatalf("the study did not replay:\n%+v\n%+v", a, b)
+	}
+	return a
+}
+
+// TestStudiesReplay runs each gated study twice with one seed — the
+// round-width study in memory and durable, and the inbox study — and
+// requires both runs to report the same points outside the walls.
+func TestStudiesReplay(t *testing.T) {
+	base := workload.Quick()
+	base.Updates = 60
+	workers := []int{0, 1, 4}
+	t.Run("parallel", func(t *testing.T) {
+		requireReplay(t, func(int) ([]ParallelPoint, error) { return ParallelStudy(base, workers, 2, "") })
+	})
+	t.Run("durable", func(t *testing.T) {
+		dir := t.TempDir()
+		points := requireReplay(t, func(run int) ([]ParallelPoint, error) {
+			return ParallelStudy(base, workers, 2, filepath.Join(dir, fmt.Sprint(run)))
+		})
+		if points[0].WALSyncs == 0 {
+			t.Fatal("no WAL sync: the durable side is not exercised")
+		}
+	})
+	t.Run("inbox", func(t *testing.T) {
+		points := requireReplay(t, func(int) ([]InboxPoint, error) { return InboxStudy(base, 4, 2, "") })
+		if points[1].Parked == 0 {
+			t.Fatal("no update parked: the inbox side is not exercised")
+		}
+	})
+}
+
+// TestCommittedBaselinesLoadAndGate: every baseline the CI study steps
+// gate against loads, keys each point to a distinct mode, gates every
+// count of every point exactly, and holds the counts that the CI step's
+// study — run here with the step's parameters — reports today.
 func TestCommittedBaselinesLoadAndGate(t *testing.T) {
+	path := func(name string) string {
+		return filepath.Join("..", "..", "bench", "BENCH_baseline_"+name+".json")
+	}
+	// -preset quick -updates 150 -runs 8 -workers 0,1,2,4,8
+	wide := workload.Quick()
+	wide.Updates = 150
 	for _, name := range []string{"parallel", "wal"} {
 		t.Run(name, func(t *testing.T) {
-			base, err := LoadParallelJSON(filepath.Join("..", "..", "bench", "BENCH_baseline_"+name+".json"))
+			base, err := LoadStudy[ParallelPoint](path(name))
 			if err != nil {
 				t.Fatal(err)
 			}
-			seen := make(map[int]bool)
-			for _, p := range base {
-				if seen[p.Workers] && p.Workers != 0 {
-					t.Fatalf("two baseline points share mode %s", p.Label())
-				}
-				seen[p.Workers] = true
+			requireDistinctLabels(t, base)
+			requireGateNames(t, base)
+			dataDir := ""
+			if name == "wal" {
+				dataDir = t.TempDir()
 			}
-			if err := CheckRegression(base, base, 20); err != nil {
-				t.Fatalf("baseline fails against itself: %v", err)
+			points, err := ParallelStudy(wide, []int{0, 1, 2, 4, 8}, 8, dataDir)
+			if err != nil {
+				t.Fatal(err)
 			}
-			collapsed := append([]ParallelPoint(nil), base...)
-			for i := range collapsed {
-				if collapsed[i].Workers > 0 {
-					collapsed[i].UpdatesPerSec /= 2
-				}
-			}
-			if err := CheckRegression(collapsed, base, 20); err == nil {
-				t.Fatal("halved parallel throughput not flagged")
+			if err := CheckCounts(points, base); err != nil {
+				t.Fatal(err)
 			}
 		})
 	}
 	t.Run("inbox", func(t *testing.T) {
-		base, err := LoadInboxJSON(filepath.Join("..", "..", "bench", "BENCH_baseline_inbox.json"))
+		base, err := LoadStudy[InboxPoint](path("inbox"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := CheckInboxRegression(base, base, 20); err != nil {
-			t.Fatalf("baseline fails against itself: %v", err)
+		requireDistinctLabels(t, base)
+		requireGateNames(t, base)
+		// -preset quick -runs 3 -inbox-workers 4
+		points, err := InboxStudy(workload.Quick(), 4, 3, "")
+		if err != nil {
+			t.Fatal(err)
 		}
-		collapsed := append([]InboxPoint(nil), base...)
-		for i := range collapsed {
-			if collapsed[i].Mode == "inbox" {
-				collapsed[i].UpdatesPerSec /= 2
-			}
-		}
-		if err := CheckInboxRegression(collapsed, base, 20); err == nil {
-			t.Fatal("halved inbox throughput not flagged")
+		if err := CheckCounts(points, base); err != nil {
+			t.Fatal(err)
 		}
 	})
+}
+
+func requireDistinctLabels[P StudyPoint](t *testing.T, points []P) {
+	t.Helper()
+	seen := make(map[string]bool)
+	for _, p := range points {
+		if seen[p.Label()] {
+			t.Fatalf("two baseline points share mode %s", p.Label())
+		}
+		seen[p.Label()] = true
+	}
 }
