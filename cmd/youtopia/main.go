@@ -26,11 +26,11 @@
 //	               while the repository is degraded or poisoned —
 //	               /debug/vars, /debug/pprof) on address a
 //	-resume        re-arm a repository that degraded to read-only
-//	               after a persistent I/O failure (run it once the
+//	               after an I/O failure (run it once the
 //	               fault — disk full, bad mount — is cleared)
-//	-fault-rate p  inject transient write/sync faults into the log
-//	               with probability p per operation (testing aid;
-//	               exercises the retry and degradation machinery)
+//	-fault-rate p  inject EIO write/sync faults into the log with
+//	               probability p per operation (testing aid; exercises
+//	               the rescue and degradation machinery)
 //	-fault-seed n  seed for -fault-rate's fault schedule
 //	-trace-out f   record each update's lifecycle spans (submit, park,
 //	               answer, resume, commit, ack) and write the
@@ -62,6 +62,7 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"syscall"
 
 	"youtopia"
 	"youtopia/internal/chase"
@@ -80,8 +81,8 @@ func main() {
 	trace := flag.Bool("trace", false, "print each update's write provenance")
 	traceOut := flag.String("trace-out", "", "write per-update lifecycle span timelines (submit/park/answer/resume/commit/ack) to this JSON file")
 	debugAddr := flag.String("debug-addr", "", "serve /metrics, /healthz, /debug/vars and /debug/pprof on this address (empty = disabled)")
-	resume := flag.Bool("resume", false, "re-arm a repository that degraded to read-only after a persistent I/O failure")
-	faultRate := flag.Float64("fault-rate", 0, "inject transient write/sync faults into the log with this per-operation probability (testing aid)")
+	resume := flag.Bool("resume", false, "re-arm a repository that degraded to read-only after an I/O failure")
+	faultRate := flag.Float64("fault-rate", 0, "inject EIO write/sync faults into the log with this per-operation probability (testing aid)")
 	faultSeed := flag.Int64("fault-seed", 1, "seed for -fault-rate's fault schedule")
 	park := flag.Bool("park", false, "park blocked updates in the decision inbox instead of prompting")
 	listInbox := flag.Bool("inbox", false, "list the parked decisions")
@@ -110,10 +111,11 @@ func main() {
 	ropts := youtopia.Options{DataDir: *dataDir}
 	if *faultRate > 0 {
 		ffs := vfs.NewFaultFS(vfs.OS, *faultSeed)
-		ffs.Probability(vfs.OpWrite, *faultRate, vfs.TransientIO)
-		ffs.Probability(vfs.OpSync, *faultRate, vfs.TransientIO)
+		eio := func() error { return fmt.Errorf("injected fault: %w", syscall.EIO) }
+		ffs.Probability(vfs.OpWrite, *faultRate, eio)
+		ffs.Probability(vfs.OpSync, *faultRate, eio)
 		ropts.FS = ffs
-		fmt.Printf("fault injection armed: transient write/sync faults at %.3g per op (seed %d)\n", *faultRate, *faultSeed)
+		fmt.Printf("fault injection armed: EIO write/sync faults at %.3g per op (seed %d)\n", *faultRate, *faultSeed)
 	}
 	repo, doc, err := youtopia.OpenDocumentWithOptions(string(src), ropts)
 	if err != nil {

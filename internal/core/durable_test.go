@@ -287,6 +287,9 @@ func TestCloseLeavesNoGoroutinesUnderFaults(t *testing.T) {
 			if c.fault != nil {
 				c.fault(ffs)
 			}
+			// Commits create no file here (the segment already exists),
+			// so every create from now on is a checkpoint's.
+			creates := ffs.OpCount(vfs.OpCreate)
 			for _, city := range []string{"Elmira", "Albany", "Utica", "Troy", "Rome", "Olean"} {
 				if _, err = r.Apply(chase.Insert(model.NewTuple("C", model.Const(city))), simuser.New(42)); err != nil {
 					break
@@ -299,9 +302,11 @@ func TestCloseLeavesNoGoroutinesUnderFaults(t *testing.T) {
 			if !c.unhealthy {
 				if c.fault != nil {
 					// Every commit woke the background checkpointer;
-					// wait until one is retrying the fault, so its
-					// failure lands before Close.
-					awaitRetries(t, r)
+					// wait until one has created its temp file after
+					// the fault was scripted, so it fails on the fault
+					// rather than finding the log closed. The explicit
+					// Checkpoint below serializes behind it.
+					awaitCheckpointCreate(t, ffs, creates)
 				}
 				if err := r.Checkpoint(); (err != nil) != (c.fault != nil) {
 					t.Fatalf("checkpoint: %v; want an error iff a fault is scripted", err)
@@ -321,14 +326,14 @@ func TestCloseLeavesNoGoroutinesUnderFaults(t *testing.T) {
 	}
 }
 
-// awaitRetries waits up to 5 s for the log to count a transient
-// retry.
-func awaitRetries(t *testing.T, r *Repository) {
+// awaitCheckpointCreate waits up to 5 s for a checkpoint to create a
+// file, that is, for FaultFS to count more creates than before.
+func awaitCheckpointCreate(t *testing.T, ffs *vfs.FaultFS, before int64) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for r.Health().Retries == 0 {
+	for ffs.OpCount(vfs.OpCreate) == before {
 		if time.Now().After(deadline) {
-			t.Fatal("no background checkpoint retried the fault within 5 s")
+			t.Fatal("no background checkpoint reached the fault within 5 s")
 		}
 		time.Sleep(time.Millisecond)
 	}

@@ -6,39 +6,6 @@ import (
 	"syscall"
 )
 
-// transientError marks an error as worth retrying: the operation
-// failed for a reason that a short backoff plausibly clears (an
-// interrupted syscall, a momentarily saturated device). FaultFS uses
-// it to script retryable faults; the log consults IsTransient to pick
-// between retry and degrade.
-type transientError struct{ err error }
-
-func (e *transientError) Error() string { return "transient: " + e.err.Error() }
-func (e *transientError) Unwrap() error { return e.err }
-
-// Transient wraps err so IsTransient reports true for it.
-func Transient(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &transientError{err: err}
-}
-
-// IsTransient reports whether err is marked transient (via Transient)
-// or is one of the errno values that are transient by nature.
-func IsTransient(err error) bool {
-	var t *transientError
-	if errors.As(err, &t) {
-		return true
-	}
-	return errors.Is(err, syscall.EINTR) || errors.Is(err, syscall.EAGAIN)
-}
-
-// TransientIO returns a fresh injected transient I/O error.
-func TransientIO() error {
-	return Transient(fmt.Errorf("vfs: injected transient I/O fault: %w", syscall.EIO))
-}
-
 // NoSpace returns a fresh injected out-of-space error; IsNoSpace
 // recognizes it alongside real ENOSPC from the kernel.
 func NoSpace() error {
@@ -46,6 +13,6 @@ func NoSpace() error {
 }
 
 // IsNoSpace reports whether err means the disk is full. Out-of-space
-// is not transient — no backoff clears it — but it is recoverable: the
-// log degrades to read-only and re-arms once space returns.
+// is recoverable: the log degrades to read-only and re-arms once space
+// returns.
 func IsNoSpace(err error) bool { return errors.Is(err, syscall.ENOSPC) }

@@ -196,7 +196,13 @@ func (f *FaultFS) OpenFile(name string, flag int, perm os.FileMode) (File, error
 	if err != nil {
 		return nil, err
 	}
-	return &faultFile{File: inner, fs: f}, nil
+	// What the file held when opened counts as durable.
+	fi, err := f.inner.Stat(name)
+	if err != nil {
+		inner.Close()
+		return nil, err
+	}
+	return &faultFile{File: inner, fs: f, size: fi.Size(), synced: fi.Size()}, nil
 }
 
 func (f *FaultFS) ReadFile(name string) ([]byte, error) {
@@ -268,51 +274,85 @@ func (f *FaultFS) FreeBytes(dir string) (int64, error) {
 	return f.inner.FreeBytes(dir)
 }
 
-// injected resolves a fired rule to its error, defaulting to a
-// transient EIO so a bare Rule{Op: ...} is retryable.
+// injected resolves a fired rule to its error, defaulting to EIO.
 func injected(r *Rule, what string) error {
 	if r.Err != nil {
 		return r.Err
 	}
-	return Transient(fmt.Errorf("vfs: injected fault on %s: %w", what, syscall.EIO))
+	return fmt.Errorf("vfs: injected fault on %s: %w", what, syscall.EIO)
 }
 
-// faultFile intercepts the write-path operations of an open file.
+// faultFile intercepts the write-path operations of an open file. It
+// tracks the file's length and its length at the last successful sync,
+// so that a failed sync can drop what it failed to make durable. The
+// model is an append-only file, as every file the log syncs is.
 type faultFile struct {
 	File
 	fs *FaultFS
+
+	mu     sync.Mutex
+	size   int64
+	synced int64
 }
 
 // Write passes p, or on a torn write its prefix, straight to the inner
 // file and keeps no reference to it, as File requires.
 func (f *faultFile) Write(p []byte) (int, error) {
-	if r := f.fs.fault(OpWrite, f.Name()); r != nil {
-		n := 0
-		if r.Short > 0 {
-			cut := r.Short
-			if cut > len(p) {
-				cut = len(p)
-			}
-			n, _ = f.File.Write(p[:cut])
-		}
-		return n, injected(r, "write "+f.Name())
+	r := f.fs.fault(OpWrite, f.Name())
+	if r == nil {
+		f.mu.Lock()
+		defer f.mu.Unlock()
+		n, err := f.File.Write(p)
+		f.size += int64(n)
+		return n, err
 	}
-	return f.File.Write(p)
+	n := 0
+	if r.Short > 0 {
+		f.mu.Lock()
+		n, _ = f.File.Write(p[:min(r.Short, len(p))])
+		f.size += int64(n)
+		f.mu.Unlock()
+	}
+	return n, injected(r, "write "+f.Name())
 }
 
-// Sync faults are injected *instead of* the underlying fsync, modeling
-// a kernel that reported failure and may have dropped the dirty pages:
-// nothing is known durable until a later sync succeeds.
+// Sync faults are injected *instead of* the underlying fsync and model
+// a kernel whose writeback failed: the dirty pages are dropped, so the
+// bytes written since the last successful sync are gone, and a later
+// sync that succeeds does not bring them back.
 func (f *faultFile) Sync() error {
 	if r := f.fs.fault(OpSync, f.Name()); r != nil {
+		f.mu.Lock()
+		defer f.mu.Unlock()
+		if err := f.File.Truncate(f.synced); err != nil {
+			return err
+		}
+		f.size = f.synced
 		return injected(r, "sync "+f.Name())
 	}
-	return f.File.Sync()
+	f.mu.Lock()
+	at := f.size
+	f.mu.Unlock()
+	if err := f.File.Sync(); err != nil {
+		return err
+	}
+	f.mu.Lock()
+	// A truncate that ran during the sync may have cut below at.
+	f.synced = max(f.synced, min(at, f.size))
+	f.mu.Unlock()
+	return nil
 }
 
 func (f *faultFile) Truncate(size int64) error {
 	if r := f.fs.fault(OpTruncate, f.Name()); r != nil {
 		return injected(r, "truncate "+f.Name())
 	}
-	return f.File.Truncate(size)
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if err := f.File.Truncate(size); err != nil {
+		return err
+	}
+	f.size = size
+	f.synced = min(f.synced, size)
+	return nil
 }

@@ -2,9 +2,9 @@
 // durability stack so every I/O site the write-ahead log touches is
 // injectable. Production code runs on the passthrough OsFS; tests and
 // the chaos harness substitute a FaultFS that injects scripted and
-// probabilistic faults (transient and persistent write/sync errors,
-// ENOSPC, short writes, bit-rot on read) at exactly the operations the
-// log performs.
+// probabilistic faults (EIO on writes and syncs, a failed sync dropping
+// the bytes it should have made durable, ENOSPC, short writes, bit-rot
+// on read) at exactly the operations the log performs.
 //
 // The interface is deliberately the slice of os that internal/wal
 // actually uses — not a general filesystem. Keeping it narrow is what
@@ -27,8 +27,8 @@ type File interface {
 	// Sync flushes written data to stable storage (fsync).
 	Sync() error
 	// Truncate restores the file to size bytes; the log uses it to cut
-	// a torn tail back to the last known-good frame boundary before
-	// retrying an append.
+	// a torn tail back to the last known-good frame boundary after a
+	// failed append.
 	Truncate(size int64) error
 	Close() error
 	// Name reports the path the file was opened with.

@@ -53,8 +53,8 @@ func TestScriptedRuleAfterCount(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		_, err := f.Write([]byte("x"))
 		got = append(got, err != nil)
-		if err != nil && !IsTransient(err) {
-			t.Fatalf("write %d: injected default fault not transient: %v", i, err)
+		if err != nil && !errors.Is(err, syscall.EIO) {
+			t.Fatalf("write %d: injected default fault not EIO: %v", i, err)
 		}
 	}
 	want := []bool{false, false, true, true, false, false}
@@ -97,8 +97,8 @@ func TestShortWritePersistsPrefix(t *testing.T) {
 	if werr == nil {
 		t.Fatal("torn write: want error")
 	}
-	if !IsTransient(werr) {
-		t.Fatalf("torn write default error not transient: %v", werr)
+	if !errors.Is(werr, syscall.EIO) {
+		t.Fatalf("torn write default error not EIO: %v", werr)
 	}
 	if n != 3 {
 		t.Fatalf("torn write reported n = %d, want 3", n)
@@ -130,34 +130,64 @@ func TestFlipBitBitRot(t *testing.T) {
 	}
 }
 
-func TestSyncFaultSkipsRealFsync(t *testing.T) {
+// TestFailedSyncDropsUnsyncedBytes pins the honest sync fault: what was
+// written since the last successful sync is gone once a sync fails, and
+// a later sync that succeeds does not bring it back.
+func TestFailedSyncDropsUnsyncedBytes(t *testing.T) {
 	ffs := NewFaultFS(OS, 1)
-	ffs.Script(Rule{Op: OpSync, Count: 1})
-	dir := t.TempDir()
-	f, err := ffs.OpenFile(filepath.Join(dir, "s"), os.O_CREATE|os.O_WRONLY, 0o644)
+	path := filepath.Join(t.TempDir(), "s")
+	writeTemp(t, OS, path, []byte("old"))
+	f, err := ffs.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
 	defer f.Close()
-	if err := f.Sync(); err == nil || !IsTransient(err) {
-		t.Fatalf("first sync = %v, want injected transient fault", err)
+	contents := func() string {
+		t.Helper()
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data)
+	}
+	if _, err := f.Write([]byte("+synced")); err != nil {
+		t.Fatal(err)
 	}
 	if err := f.Sync(); err != nil {
-		t.Fatalf("second sync: %v", err)
+		t.Fatalf("clean sync: %v", err)
+	}
+	if _, err := f.Write([]byte("+lost")); err != nil {
+		t.Fatal(err)
+	}
+	ffs.Script(Rule{Op: OpSync, Count: 1})
+	if err := f.Sync(); !errors.Is(err, syscall.EIO) {
+		t.Fatalf("faulted sync = %v, want injected EIO", err)
+	}
+	if got := contents(); got != "old+synced" {
+		t.Fatalf("after the failed sync the file holds %q, want %q", got, "old+synced")
+	}
+	if err := f.Sync(); err != nil {
+		t.Fatalf("sync after the fault: %v", err)
+	}
+	if _, err := f.Write([]byte("+next")); err != nil {
+		t.Fatal(err)
+	}
+	if got := contents(); got != "old+synced+next" {
+		t.Fatalf("after a later clean sync and write the file holds %q, want %q", got, "old+synced+next")
 	}
 }
 
 func TestProbabilityAndClear(t *testing.T) {
 	ffs := NewFaultFS(OS, 42)
-	ffs.Probability(OpWrite, 1.0, TransientIO)
+	ffs.Probability(OpWrite, 1.0, NoSpace)
 	dir := t.TempDir()
 	f, err := ffs.OpenFile(filepath.Join(dir, "p"), os.O_CREATE|os.O_WRONLY, 0o644)
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
 	defer f.Close()
-	if _, err := f.Write([]byte("x")); err == nil {
-		t.Fatal("p=1.0 write did not fault")
+	if _, err := f.Write([]byte("x")); !IsNoSpace(err) {
+		t.Fatalf("p=1.0 write = %v, want the injected ENOSPC", err)
 	}
 	ffs.Clear()
 	if _, err := f.Write([]byte("x")); err != nil {
@@ -179,27 +209,6 @@ func TestFreeBytesScripting(t *testing.T) {
 	ffs.SetFreeBytes(-1)
 	if free, err := ffs.FreeBytes(dir); err != nil || free <= 0 {
 		t.Fatalf("passthrough FreeBytes = %d, %v", free, err)
-	}
-}
-
-func TestTransientAndNoSpaceClassification(t *testing.T) {
-	if !IsTransient(TransientIO()) {
-		t.Fatal("TransientIO not IsTransient")
-	}
-	if IsTransient(NoSpace()) {
-		t.Fatal("NoSpace classified transient; retry cannot help a full disk")
-	}
-	if !IsNoSpace(NoSpace()) {
-		t.Fatal("NoSpace not IsNoSpace")
-	}
-	if !errors.Is(NoSpace(), syscall.ENOSPC) {
-		t.Fatal("NoSpace does not unwrap to ENOSPC")
-	}
-	if IsTransient(errors.New("plain")) {
-		t.Fatal("plain error classified transient")
-	}
-	if !IsTransient(syscall.EINTR) {
-		t.Fatal("EINTR not classified transient")
 	}
 }
 

@@ -325,9 +325,9 @@ func (m *Manager) Parked() []ParkedUpdate {
 // control frame is the last bytes in the segment when its sync runs:
 // a sync failure can truncate exactly the frame back off, keeping the
 // durable log free of control records their callers were told failed
-// (no ghost parks on recovery). While a covering sync is mid-retry or
-// mid-rescue the append bounces with ErrRetrying instead of
-// interleaving with that sequence. The in-memory bookkeeping
+// (no ghost parks on recovery). While a failed covering sync's rescue
+// runs the append bounces with ErrReadOnly, the state the rescue ends
+// in, instead of interleaving with it. The in-memory bookkeeping
 // (ctrlSeq, per-segment control watermarks, checkpoint pressure) only
 // advances once the frame is durable.
 func (m *Manager) appendControlLocked(encode func([]byte) ([]byte, error)) error {
@@ -344,8 +344,8 @@ func (m *Manager) appendControlLocked(encode func([]byte) ([]byte, error)) error
 	case StateDegraded:
 		return fmt.Errorf("wal: control append rejected while read-only (%s): %w", m.reason, ErrReadOnly)
 	}
-	if m.syncRetrying || m.rescuing {
-		return fmt.Errorf("wal: a covering sync is retrying a transient failure; retry the control append shortly: %w", ErrRetrying)
+	if m.rescuing {
+		return fmt.Errorf("wal: control append rejected during a sync-failure rescue: %w", ErrReadOnly)
 	}
 	frame, err := appendFrame(m.takeFrameLocked(), encode)
 	defer m.putFrameLocked(frame)
@@ -366,13 +366,7 @@ func (m *Manager) appendControlLocked(encode func([]byte) ([]byte, error)) error
 		m.segCtrl[m.f.Name()] = m.ctrlSeq
 		return nil
 	}
-	for attempt := 0; ; attempt++ {
-		if err = m.f.Sync(); err == nil || !vfs.IsTransient(err) || attempt >= m.opts.RetryAttempts {
-			break
-		}
-		m.noteRetryLocked(attempt)
-	}
-	if err != nil {
+	if err := m.f.Sync(); err != nil {
 		// The frame is not durable and must not become replayable:
 		// cut it back off. The segment's earlier unsynced region is
 		// suspect now (the failed fsync may have dropped its pages).

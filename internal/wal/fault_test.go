@@ -13,17 +13,13 @@ import (
 )
 
 // These tests drive the health machine (healthy → degraded →
-// poisoned) through injected faults: transient failures must be
-// retried invisibly, persistent ones must degrade to read-only
-// without losing an acknowledged commit, and only unknowable-tail
-// failures may poison.
+// poisoned) through injected faults: an I/O failure must degrade to
+// read-only without losing an acknowledged commit, and only
+// unknowable-tail failures may poison.
 
 func faultOpen(t *testing.T, dir string, ffs *vfs.FaultFS, opts Options) (*Manager, *storage.Store) {
 	t.Helper()
 	opts.FS = ffs
-	if opts.RetryBase == 0 {
-		opts.RetryBase = 50 * time.Microsecond
-	}
 	m, st, err := Open(dir, testSchema(), opts)
 	if err != nil {
 		t.Fatal(err)
@@ -31,41 +27,7 @@ func faultOpen(t *testing.T, dir string, ffs *vfs.FaultFS, opts Options) (*Manag
 	return m, st
 }
 
-func TestTransientAppendRetrySucceeds(t *testing.T) {
-	dir := t.TempDir()
-	ffs := vfs.NewFaultFS(vfs.OS, 1)
-	m, st := faultOpen(t, dir, ffs, Options{})
-	mustInsert(t, st, 1, tup("C", c("a")))
-	mustCommitBatch(t, st, 1)
-
-	ffs.Script(vfs.Rule{Op: vfs.OpWrite, Path: "wal-", Count: 2})
-	mustInsert(t, st, 2, tup("C", c("b")))
-	mustCommitBatch(t, st, 2)
-
-	h := m.Health()
-	if h.State != StateHealthy {
-		t.Fatalf("state = %v after transient faults, want healthy", h.State)
-	}
-	if h.Retries < 2 {
-		t.Fatalf("Retries = %d, want >= 2", h.Retries)
-	}
-	want := st.Dump(allSeeing)
-	if err := m.Close(); err != nil {
-		t.Fatal(err)
-	}
-	st2, info, err := Recover(dir, testSchema())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Repaired {
-		t.Fatal("recovery repaired a log whose retries should have left it clean")
-	}
-	if got := st2.Dump(allSeeing); got != want {
-		t.Fatalf("recovered %q, want %q", got, want)
-	}
-}
-
-func TestTornAppendRetryRestoresTail(t *testing.T) {
+func TestTornAppendRestoresTail(t *testing.T) {
 	dir := t.TempDir()
 	ffs := vfs.NewFaultFS(vfs.OS, 1)
 	m, st := faultOpen(t, dir, ffs, Options{})
@@ -73,17 +35,23 @@ func TestTornAppendRetryRestoresTail(t *testing.T) {
 	mustCommitBatch(t, st, 1)
 
 	// The torn write persists 5 bytes of the frame before failing;
-	// the retry must first truncate them back off or the segment
-	// holds garbage between two valid frames.
+	// they must be truncated back off, or the segment holds garbage
+	// ahead of the next frame appended after Resume.
 	ffs.Script(vfs.Rule{Op: vfs.OpWrite, Path: "wal-", Short: 5, Count: 1})
-	mustInsert(t, st, 2, tup("C", c("b")))
-	mustCommitBatch(t, st, 2)
+	mustInsert(t, st, 2, tup("C", c("torn")))
+	if err := st.CommitBatch([]int{2}); !errors.Is(err, ErrReadOnly) {
+		t.Fatalf("torn-append commit error = %v, want ErrReadOnly", err)
+	}
+	st.Abort(2)
+	if h := m.Health(); h.State != StateDegraded || h.NoSpace {
+		t.Fatalf("health = %+v, want degraded without NoSpace", h)
+	}
+
+	if err := m.Resume(); err != nil {
+		t.Fatalf("Resume: %v", err)
+	}
 	mustInsert(t, st, 3, tup("C", c("d")))
 	mustCommitBatch(t, st, 3)
-
-	if h := m.Health(); h.State != StateHealthy || h.Retries < 1 {
-		t.Fatalf("health = %+v, want healthy with retries", h)
-	}
 	want := st.Dump(allSeeing)
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
@@ -93,12 +61,12 @@ func TestTornAppendRetryRestoresTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	if info.Repaired {
-		t.Fatal("torn bytes survived the in-place truncate repair")
+		t.Fatal("torn bytes survived the truncate repair")
 	}
-	if info.LastBatch != 3 {
-		t.Fatalf("LastBatch = %d, want 3", info.LastBatch)
+	if info.LastBatch != 2 {
+		t.Fatalf("LastBatch = %d, want 2", info.LastBatch)
 	}
-	if got := st2.Dump(allSeeing); got != want {
+	if got := st2.Dump(allSeeing); got != want || strings.Contains(got, "torn") {
 		t.Fatalf("recovered %q, want %q", got, want)
 	}
 }
@@ -203,47 +171,6 @@ func TestNoSpaceAutoResumeOnSpaceReturn(t *testing.T) {
 	mustCommitBatch(t, st, 3)
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestExhaustedAppendRetriesDegrade(t *testing.T) {
-	dir := t.TempDir()
-	ffs := vfs.NewFaultFS(vfs.OS, 1)
-	m, st := faultOpen(t, dir, ffs, Options{RetryAttempts: 3})
-	mustInsert(t, st, 1, tup("C", c("a")))
-	mustCommitBatch(t, st, 1)
-
-	ffs.Script(vfs.Rule{Op: vfs.OpWrite, Path: "wal-"}) // transient, forever
-	mustInsert(t, st, 2, tup("C", c("b")))
-	err := st.CommitBatch([]int{2})
-	if !errors.Is(err, ErrReadOnly) {
-		t.Fatalf("exhausted-retry commit error = %v, want ErrReadOnly", err)
-	}
-	st.Abort(2)
-	h := m.Health()
-	if h.State != StateDegraded || h.NoSpace {
-		t.Fatalf("health = %+v, want degraded without NoSpace", h)
-	}
-	if h.Retries != 3 {
-		t.Fatalf("Retries = %d, want exactly the budget of 3", h.Retries)
-	}
-
-	ffs.Clear()
-	if err := m.Resume(); err != nil {
-		t.Fatalf("Resume: %v", err)
-	}
-	mustInsert(t, st, 3, tup("C", c("d")))
-	mustCommitBatch(t, st, 3)
-	want := st.Dump(allSeeing)
-	if err := m.Close(); err != nil {
-		t.Fatal(err)
-	}
-	st2, _, err := Recover(dir, testSchema())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := st2.Dump(allSeeing); got != want {
-		t.Fatalf("recovered %q, want %q", got, want)
 	}
 }
 
@@ -355,7 +282,7 @@ func TestSyncFailureWithFailedRescuePoisons(t *testing.T) {
 	}
 }
 
-func TestControlAppendBouncesDuringSyncRetry(t *testing.T) {
+func TestControlAppendBouncesDuringRescue(t *testing.T) {
 	dir := t.TempDir()
 	ffs := vfs.NewFaultFS(vfs.OS, 1)
 	m, _ := faultOpen(t, dir, ffs, Options{})
@@ -363,23 +290,16 @@ func TestControlAppendBouncesDuringSyncRetry(t *testing.T) {
 
 	op := chase.Insert(tup("C", c("x")))
 	m.mu.Lock()
-	m.syncRetrying = true
-	m.mu.Unlock()
-	if _, err := m.AppendPark(op); !errors.Is(err, ErrRetrying) {
-		t.Fatalf("park during sync retry = %v, want ErrRetrying", err)
-	}
-	m.mu.Lock()
-	m.syncRetrying = false
 	m.rescuing = true
 	m.mu.Unlock()
-	if _, err := m.AppendPark(op); !errors.Is(err, ErrRetrying) {
-		t.Fatalf("park during rescue = %v, want ErrRetrying", err)
+	if _, err := m.AppendPark(op); !errors.Is(err, ErrReadOnly) {
+		t.Fatalf("park during rescue = %v, want ErrReadOnly", err)
 	}
 	m.mu.Lock()
 	m.rescuing = false
 	m.mu.Unlock()
 	if _, err := m.AppendPark(op); err != nil {
-		t.Fatalf("park after retry window: %v", err)
+		t.Fatalf("park after the rescue window: %v", err)
 	}
 }
 

@@ -3,7 +3,6 @@ package wal
 import (
 	"errors"
 	"fmt"
-	"math/rand/v2"
 	"time"
 
 	"youtopia/internal/vfs"
@@ -18,11 +17,13 @@ import (
 //	poisoned — the durable prefix can no longer be tracked; only a
 //	           reopen (which re-runs recovery and repair) helps
 //
-// Transitions only go rightward while the manager is open: transient
-// I/O failures are retried in place with backoff and never change the
-// state; ENOSPC and exhausted retries degrade; only failures that
-// leave the tail in an unknowable state (a torn append whose truncate
-// also failed, a sync failure whose rescue checkpoint failed) poison.
+// Transitions only go rightward while the manager is open. Every I/O
+// failure is taken as the kernel reports it and none is retried: a
+// failed or torn append is cut back off the tail, a failed covering
+// sync is rescued by a checkpoint, and both degrade, as ENOSPC does.
+// Only failures that leave the tail in an unknowable state (a torn
+// append whose truncate also failed, a sync failure whose rescue
+// checkpoint failed) poison.
 type State int32
 
 const (
@@ -45,12 +46,6 @@ func (s State) String() string {
 }
 
 var (
-	// ErrRetrying marks an operation bounced because a transient
-	// failure is being retried in its way (a control append during a
-	// sync retry, a commit during a sync-failure rescue). The
-	// operation was not performed; retrying it shortly will succeed or
-	// surface the terminal state.
-	ErrRetrying = errors.New("wal: transient failure being retried")
 	// ErrReadOnly marks an operation rejected because the log degraded
 	// to read-only mode. Reads keep serving; Resume re-arms writes.
 	ErrReadOnly = errors.New("wal: log is read-only")
@@ -70,9 +65,6 @@ type Health struct {
 	// NoSpace reports a degrade caused by ENOSPC; the background space
 	// recheck resumes these automatically once the disk drains.
 	NoSpace bool
-	// Retries counts transient-failure retries over the manager's
-	// lifetime, healthy or not.
-	Retries int64
 }
 
 // Err returns the sentinel-wrapped error a write would be rejected
@@ -96,7 +88,6 @@ func (m *Manager) Health() Health {
 		Reason:  m.reason,
 		Since:   m.since,
 		NoSpace: m.noSpace,
-		Retries: m.retries,
 	}
 }
 
@@ -263,86 +254,29 @@ func (m *Manager) healthLoop() {
 	}
 }
 
-// backoff returns the capped exponential backoff with ±50% jitter for
-// the given retry attempt (0-based).
-func backoff(base time.Duration, attempt int) time.Duration {
-	if base <= 0 {
-		base = 500 * time.Microsecond
-	}
-	if attempt > 6 {
-		attempt = 6
-	}
-	d := base << uint(attempt)
-	half := d / 2
-	return half + time.Duration(rand.Int64N(int64(half)+1))
-}
-
-// noteRetryLocked counts one transient-failure retry and sleeps the
-// backoff while holding m.mu. Blocking the manager is deliberate:
-// append-path retries happen inside the commit order, and later
-// commits must not overtake the one being retried.
-func (m *Manager) noteRetryLocked(attempt int) {
-	m.retries++
-	obsRetries.Inc()
-	time.Sleep(backoff(m.opts.RetryBase, attempt))
-}
-
-// retryTransient runs op, retrying transient failures with backoff up
-// to the manager's attempt budget, without holding m.mu. The
-// checkpoint path uses it for its file operations. steps is how many
-// distinct fault points op contains (a composite like create + write +
-// fsync passes 3): the budget scales with it, so a burst of transients
-// on one step cannot eat the attempts another step still needs.
-func (m *Manager) retryTransient(steps int, op func() error) error {
-	if steps < 1 {
-		steps = 1
-	}
-	var err error
-	for attempt := 0; ; attempt++ {
-		err = op()
-		if err == nil || !vfs.IsTransient(err) || attempt >= steps*m.opts.RetryAttempts {
-			return err
-		}
-		m.mu.Lock()
-		m.retries++
-		m.mu.Unlock()
-		obsRetries.Inc()
-		time.Sleep(backoff(m.opts.RetryBase, attempt))
-	}
-}
-
-// writeFrameLocked appends one frame at the current tail, retrying
-// transient failures with backoff. A failed or short write leaves
-// torn bytes past the known-good tail, so before every retry (and
-// before degrading) the tail is truncated back to its pre-append
-// size; segments are opened O_APPEND, so the retry lands at the
-// restored end. If the truncate itself fails the tail is unknowable
-// and the log poisons — a later successful append past torn bytes
-// would be cut by the next recovery, losing an acknowledged commit.
-// Callers hold m.mu and account m.size themselves on success.
+// writeFrameLocked appends one frame at the current tail. A failed or
+// short write leaves torn bytes past the known-good tail, so the tail
+// is truncated back to its pre-append size before the log degrades
+// (segments are opened O_APPEND, so the next append after Resume lands
+// at the restored end). If the truncate itself fails the tail is
+// unknowable and the log poisons — a later successful append past torn
+// bytes would be cut by the next recovery, losing an acknowledged
+// commit. Callers hold m.mu and account m.size themselves on success.
 func (m *Manager) writeFrameLocked(frame []byte, what string) error {
-	base := m.size
-	for attempt := 0; ; attempt++ {
-		n, err := m.f.Write(frame)
-		if err == nil && n == len(frame) {
-			return nil
-		}
-		if err == nil {
-			err = fmt.Errorf("short write: %d of %d bytes", n, len(frame))
-		}
-		// Even a 0-byte error report may have touched the file;
-		// always restore the tail to the frame boundary.
-		if terr := m.f.Truncate(base); terr != nil {
-			return m.poisonLocked(fmt.Errorf("wal: %s append failed (%v) and the tail could not be restored (%v)", what, err, terr))
-		}
-		switch {
-		case vfs.IsNoSpace(err):
-			return m.degradeLocked(what+" append: no space left on device", true, err)
-		case !vfs.IsTransient(err):
-			return m.degradeLocked(what+" append failed", false, err)
-		case attempt >= m.opts.RetryAttempts:
-			return m.degradeLocked(fmt.Sprintf("%s append: %d transient failures exhausted the retry budget", what, attempt+1), false, err)
-		}
-		m.noteRetryLocked(attempt)
+	n, err := m.f.Write(frame)
+	if err == nil && n == len(frame) {
+		return nil
 	}
+	if err == nil {
+		err = fmt.Errorf("short write: %d of %d bytes", n, len(frame))
+	}
+	// Even a 0-byte error report may have touched the file; always
+	// restore the tail to the frame boundary.
+	if terr := m.f.Truncate(m.size); terr != nil {
+		return m.poisonLocked(fmt.Errorf("wal: %s append failed (%v) and the tail could not be restored (%v)", what, err, terr))
+	}
+	if vfs.IsNoSpace(err) {
+		return m.degradeLocked(what+" append: no space left on device", true, err)
+	}
+	return m.degradeLocked(what+" append failed", false, err)
 }

@@ -19,7 +19,6 @@ var (
 	obsSyncWait     = obs.Default.LatencyHistogram("wal_sync_seconds")
 	obsCkpts        = obs.Default.Counter("wal_checkpoints_total")
 	obsCkptWait     = obs.Default.LatencyHistogram("wal_checkpoint_seconds")
-	obsRetries      = obs.Default.Counter("wal_retries_total")
 	obsDegrades     = obs.Default.Counter("wal_degrades_total")
 	obsRetireSkips  = obs.Default.Counter("wal_retire_skipped_total")
 	obsDegradedSecs = obs.Default.Gauge("wal_degraded_seconds")

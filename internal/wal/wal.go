@@ -106,13 +106,6 @@ type Options struct {
 	// FS is the filesystem the log runs on (nil = the real one).
 	// Tests and the chaos harness inject a vfs.FaultFS here.
 	FS vfs.FS
-	// RetryAttempts bounds how many times a transient I/O failure is
-	// retried before the log degrades to read-only (0 = 6; negative
-	// disables retries).
-	RetryAttempts int
-	// RetryBase is the first retry's backoff; successive attempts
-	// double it (capped at 64x) with ±50% jitter (0 = 500µs).
-	RetryBase time.Duration
 	// RecheckInterval paces the degraded-mode health loop: the
 	// wal_degraded_seconds gauge update and, for ENOSPC degrades, the
 	// free-space poll that re-arms writes automatically (0 = 500ms).
@@ -128,14 +121,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.FS == nil {
 		o.FS = vfs.OS
-	}
-	if o.RetryAttempts == 0 {
-		o.RetryAttempts = 6
-	} else if o.RetryAttempts < 0 {
-		o.RetryAttempts = 0
-	}
-	if o.RetryBase <= 0 {
-		o.RetryBase = 500 * time.Microsecond
 	}
 	if o.RecheckInterval <= 0 {
 		o.RecheckInterval = 500 * time.Millisecond
@@ -173,20 +158,17 @@ type Manager struct {
 	ioErr     error // sticky poison cause (wraps ErrPoisoned); see poisonLocked
 	bgErr     error // first background-checkpoint failure
 
-	// Health machine (see health.go): transient failures retry in
-	// place and leave state alone; ENOSPC and exhausted retries
-	// degrade to read-only; unknowable-tail failures poison. suspect
-	// marks the active segment as unsafe to keep after a failed fsync
-	// over it; syncRetrying and rescuing bounce operations that must
-	// not interleave with a covering sync's retry/rescue sequence.
+	// Health machine (see health.go): I/O failures degrade to
+	// read-only; unknowable-tail failures poison. suspect marks the
+	// active segment as unsafe to keep after a failed fsync over it;
+	// rescuing bounces appends while a failed covering sync's rescue
+	// checkpoint runs.
 	state         State
 	reason        string
 	since         time.Time
 	noSpace       bool
-	retries       int64
 	degradedAccum time.Duration
 	suspect       bool
-	syncRetrying  bool
 	rescuing      bool
 	healthCh      chan struct{}
 
@@ -414,19 +396,16 @@ func (m *Manager) LastCheckpoint() int64 {
 // the expensive disk wait happens after the store lock is released
 // and batches appended before the wait share one sync.
 //
-// I/O failures on the append path are classified, not fatal:
-// transient write errors retry in place with backoff (the torn tail
-// is truncated back to the frame boundary before every retry, so the
-// commit order never admits a gap), ENOSPC and exhausted retries veto
-// the commit and degrade the log to read-only (the store is
-// unchanged; the scheduler aborts the batch's updates), and only a
-// tail that cannot be restored — the truncate after a failed write
-// itself failing — poisons, because a later append past torn bytes
-// would be silently cut by the next recovery, losing an acknowledged
-// commit. Sync failures are the business of the waiter that runs the
-// covering sync (see syncPending): bounded retries, then a rescue
-// checkpoint that acknowledges the stranded batches before the log
-// degrades.
+// An I/O failure on the append path vetoes the commit and degrades
+// the log to read-only (the store is unchanged; the scheduler aborts
+// the batch's updates) once the torn tail is truncated back to the
+// frame boundary, so the commit order never admits a gap. Only a tail
+// that cannot be restored — the truncate after a failed write itself
+// failing — poisons, because a later append past torn bytes would be
+// silently cut by the next recovery, losing an acknowledged commit.
+// Sync failures are the business of the waiter that runs the covering
+// sync (see syncPending): a rescue checkpoint acknowledges the
+// stranded batches before the log degrades.
 func (m *Manager) appendBatch(writers []int, recs []storage.WriteRec) (storage.CommitAck, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -443,8 +422,10 @@ func (m *Manager) appendBatch(writers []int, recs []storage.WriteRec) (storage.C
 		// A covering sync is mid-rescue: a checkpoint is acknowledging the
 		// stranded batches and the active segment is about to be
 		// dropped. Admitting an append now would put frames into a
-		// file that is going away.
-		return nil, fmt.Errorf("wal: sync-failure rescue in progress: %w", ErrRetrying)
+		// file that is going away. The append cannot wait either: it
+		// holds the store's commit lock, which the rescue's cut needs.
+		// A rescue always ends read-only or poisoned.
+		return nil, fmt.Errorf("wal: sync-failure rescue in progress: %w", ErrReadOnly)
 	}
 	frame, err := appendFrame(m.takeFrameLocked(), func(dst []byte) ([]byte, error) {
 		return m.cdc.encodeBatch(dst, m.batches+1, writers, recs)
@@ -500,21 +481,20 @@ func (m *Manager) putFrameLocked(b []byte) { m.frame = b[:0] }
 
 // waitSynced blocks until the given batch index is covered by a
 // durable sync or checkpoint. While the batch is uncovered and no
-// sync, retry or rescue is in flight, the waiter leads: it runs
+// sync or rescue is in flight, the waiter leads: it runs
 // syncPending, one fsync covering every batch appended so far. It
 // elects itself in the same critical section of m.mu in which
 // syncPending sets its in-flight flag, so two waiters never sync the
 // same prefix twice. Otherwise it parks until the leader's sync lands
-// or the state changes; across transient sync failures it stays
-// parked while the leader retries, and a waiter the rescue checkpoint
-// covers stays parked until the rescue has also made its state
+// or the state changes; a waiter the rescue checkpoint covers stays
+// parked until the rescue has also made its state
 // transition, so a caller whose ack resolved reads the health the
 // rescue left behind, not the one it started from.
 func (m *Manager) waitSynced(batch int64) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for (m.syncedBatch < batch || m.rescuing) && m.state == StateHealthy && !m.closed {
-		if m.syncing || m.syncRetrying || m.rescuing {
+		if m.syncing || m.rescuing {
 			m.syncCond.Wait()
 			continue
 		}
@@ -540,96 +520,69 @@ func (m *Manager) waitSynced(batch int64) error {
 // syncPending performs one covering fsync if any appended batch awaits
 // one: it fsyncs the active segment outside every lock and advances
 // the synced frontier to whatever had been appended when the fsync
-// started. Callers hold m.mu, which it releases around the fsync, the
-// retry backoff and the rescue; one of the syncing, syncRetrying and
-// rescuing flags is set whenever it does, and it broadcasts syncCond
-// before it returns. Close drains the tail itself, so a closed
-// manager is left alone.
+// started. Callers hold m.mu, which it releases around the fsync and
+// the rescue; the syncing or rescuing flag is set whenever it does,
+// and it broadcasts syncCond before it returns. Close drains the tail
+// itself, so a closed manager is left alone.
 //
-// A transient sync failure holds the ack waiters parked and retries
-// with backoff — commits keep landing meanwhile and are swept into
-// the retried sync's fresh target. Once the retry budget is exhausted
-// (or the failure is persistent), the stranded batches are rescued:
-// a checkpoint serializes the committed instance — which includes
-// them — through an untainted file path, acknowledging them without
-// the broken fsync, and the log degrades to read-only with the active
-// segment marked suspect (after a failed fsync the kernel may have
-// dropped its dirty pages; see dropSuspectSegmentLocked). Only a
-// rescue that itself fails poisons.
+// A failed fsync is never retried: after it the kernel may have
+// dropped the dirty pages, and a later fsync that succeeds proves
+// nothing about them (Rebello et al., "Can Applications Recover from
+// fsync Failures?", ATC 2020). The stranded batches are rescued
+// instead: a checkpoint serializes the committed instance — which
+// includes them — through an untainted file path, acknowledging them
+// without the broken fsync, and the log degrades to read-only with the
+// active segment dropped (see dropSuspectSegmentLocked). Only a rescue
+// that itself fails poisons.
 func (m *Manager) syncPending() {
 	if m.closed || m.state != StateHealthy || m.f == nil || m.syncedBatch >= m.batches {
 		return
 	}
+	defer m.syncCond.Broadcast()
 	syncStart := time.Now()
-	for attempt := 0; ; attempt++ {
-		target := m.batches
-		f := m.f
-		m.syncing = true
-		m.mu.Unlock()
-		if testSyncHold != nil {
-			testSyncHold()
+	target := m.batches
+	f := m.f
+	m.syncing = true
+	m.mu.Unlock()
+	if testSyncHold != nil {
+		testSyncHold()
+	}
+	err := f.Sync()
+	m.mu.Lock()
+	m.syncing = false
+	if err == nil {
+		if target > m.syncedBatch {
+			m.syncedBatch = target
 		}
-		err := f.Sync()
-		m.mu.Lock()
-		m.syncing = false
-		if err == nil {
-			if target > m.syncedBatch {
-				m.syncedBatch = target
-			}
-			m.syncs++
-			obsFsyncs.Inc()
-			obsSyncWait.ObserveSince(syncStart)
-			m.syncRetrying = false
-			m.syncCond.Broadcast()
-			return
-		}
-		if !m.closed && vfs.IsTransient(err) && attempt < m.opts.RetryAttempts {
-			// Hold the ack waiters parked and retry; control appends
-			// (which sync inline and must not interleave with the
-			// retry sequence) bounce with ErrRetrying meanwhile.
-			m.syncRetrying = true
-			m.retries++
-			obsRetries.Inc()
-			delay := backoff(m.opts.RetryBase, attempt)
-			m.mu.Unlock()
-			time.Sleep(delay)
-			m.mu.Lock()
-			if m.closed || m.state != StateHealthy || m.f == nil {
-				m.syncRetrying = false
-				m.syncCond.Broadcast()
-				return
-			}
-			continue
-		}
-		m.syncRetrying = false
-		if m.closed {
-			// Close owns the drain now; leave the failure to it.
-			m.syncCond.Broadcast()
-			return
-		}
-		// Rescue: rescuing bounces new appends (the active segment is
-		// about to be dropped), the checkpoint runs outside m.mu.
-		m.rescuing = true
-		m.suspect = true
-		m.mu.Unlock()
-		rescueErr := m.Checkpoint()
-		m.mu.Lock()
-		m.rescuing = false
-		switch {
-		case m.closed:
-			// Close raced the rescue and already woke the waiters.
-		case rescueErr == nil && m.syncedBatch >= target:
-			m.dropSuspectSegmentLocked()
-			m.degradeLocked(fmt.Sprintf("sync failed after %d attempts; pending batches rescued by checkpoint", attempt+1), vfs.IsNoSpace(err), err)
-		default:
-			cause := rescueErr
-			if cause == nil {
-				cause = fmt.Errorf("checkpoint landed below the stranded batches")
-			}
-			m.poisonLocked(fmt.Errorf("wal: sync failed (%v) and the rescue checkpoint failed (%v)", err, cause))
-		}
-		m.syncCond.Broadcast()
+		m.syncs++
+		obsFsyncs.Inc()
+		obsSyncWait.ObserveSince(syncStart)
 		return
+	}
+	if m.closed {
+		// Close owns the drain now; leave the failure to it.
+		return
+	}
+	// Rescue: rescuing bounces new appends (the active segment is about
+	// to be dropped), the checkpoint runs outside m.mu.
+	m.rescuing = true
+	m.suspect = true
+	m.mu.Unlock()
+	rescueErr := m.Checkpoint()
+	m.mu.Lock()
+	m.rescuing = false
+	switch {
+	case m.closed:
+		// Close raced the rescue and already woke the waiters.
+	case rescueErr == nil && m.syncedBatch >= target:
+		m.dropSuspectSegmentLocked()
+		m.degradeLocked("sync failed; pending batches rescued by checkpoint", vfs.IsNoSpace(err), err)
+	default:
+		cause := rescueErr
+		if cause == nil {
+			cause = fmt.Errorf("checkpoint landed below the stranded batches")
+		}
+		m.poisonLocked(fmt.Errorf("wal: sync failed (%v) and the rescue checkpoint failed (%v)", err, cause))
 	}
 }
 
@@ -641,10 +594,9 @@ func (m *Manager) syncPending() {
 // unsynced batch is left behind in a rotated-away segment — a covering
 // sync only ever needs the active one). An in-flight covering fsync is
 // waited out first so the handle is not closed under it. A rotation
-// sync that fails past the transient-retry budget marks the segment
-// suspect and degrades; a failure anywhere in creating the next
-// segment leaves nothing referenced — the partial file is removed
-// and, for persistent failures, the log degrades with everything
+// sync that fails marks the segment suspect and degrades; a failure
+// anywhere in creating the next segment leaves nothing referenced —
+// the partial file is removed and the log degrades with everything
 // already appended still intact. A segment that holds no commit batch
 // yet (only control frames) is not rotated: segments are named by their
 // first batch, so its successor would take its name.
@@ -668,20 +620,12 @@ func (m *Manager) ensureSegmentLocked(frameLen int64) error {
 		}
 	}
 	if m.rotationDueLocked(frameLen) {
-		var err error
-		for attempt := 0; ; attempt++ {
-			if err = m.f.Sync(); err == nil {
-				break
-			}
-			if !vfs.IsTransient(err) || attempt >= m.opts.RetryAttempts {
-				// The outgoing segment's unsynced region is suspect
-				// after a failed fsync; everything in it is already
-				// committed in memory, so the rescue on Resume is the
-				// covering checkpoint.
-				m.suspect = true
-				return m.degradeLocked("sync on rotation failed", vfs.IsNoSpace(err), err)
-			}
-			m.noteRetryLocked(attempt)
+		if err := m.f.Sync(); err != nil {
+			// The outgoing segment's unsynced region is suspect after a
+			// failed fsync; everything in it is already committed in
+			// memory, so the rescue on Resume is the covering checkpoint.
+			m.suspect = true
+			return m.degradeLocked("sync on rotation failed", vfs.IsNoSpace(err), err)
 		}
 		if m.syncedBatch < m.batches {
 			m.syncedBatch = m.batches
@@ -701,55 +645,22 @@ func (m *Manager) ensureSegmentLocked(frameLen int64) error {
 		return nil
 	}
 	path := filepath.Join(m.dir, segName(m.batches+1))
-	// Creation is a composite of three fault points — create, header
-	// write, directory sync — and each gets its own transient-retry
-	// budget: a burst of transients on one step must not eat the
-	// attempts another step still needs.
-	var lastErr error
-	var tries [3]int
-	retryStep := func(step int, err error) bool {
-		lastErr = err
-		if !vfs.IsTransient(err) || vfs.IsNoSpace(err) || tries[step] >= m.opts.RetryAttempts {
-			return false
+	f, err := m.fs.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err == nil {
+		if _, err = f.Write(segmentHeader(m.cdc.hash, m.batches+1)); err == nil {
+			err = syncDir(m.fs, m.dir)
 		}
-		m.noteRetryLocked(tries[step])
-		tries[step]++
-		return true
-	}
-	for {
-		// A previous attempt may have left the file behind; the
-		// create below insists on O_EXCL.
-		if lastErr != nil {
-			m.fs.Remove(path)
-		}
-		f, err := m.fs.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
-			if retryStep(0, err) {
-				continue
-			}
-			break
-		}
-		if _, err := f.Write(segmentHeader(m.cdc.hash, m.batches+1)); err != nil {
 			f.Close()
 			m.fs.Remove(path)
-			if retryStep(1, err) {
-				continue
-			}
-			break
 		}
-		if err := syncDir(m.fs, m.dir); err != nil {
-			f.Close()
-			m.fs.Remove(path)
-			if retryStep(2, err) {
-				continue
-			}
-			break
-		}
-		m.f = f
-		m.size = headerLen
-		return nil
 	}
-	return m.degradeLocked("creating the next segment failed", vfs.IsNoSpace(lastErr), lastErr)
+	if err != nil {
+		return m.degradeLocked("creating the next segment failed", vfs.IsNoSpace(err), err)
+	}
+	m.f = f
+	m.size = headerLen
+	return nil
 }
 
 // rotationDueLocked reports whether a frame of frameLen bytes must go
@@ -847,19 +758,18 @@ func (m *Manager) Checkpoint() error {
 		return err
 	}
 
-	// Each step retries transient failures with backoff; a failure
-	// here leaves the old checkpoint lineage authoritative (the temp
-	// file is never read by recovery and the rename is atomic), so
-	// the error is reported without any state transition.
+	// A failure here leaves the old checkpoint lineage authoritative
+	// (the temp file is never read by recovery and the rename is
+	// atomic), so the error is reported without any state transition.
 	tmp := filepath.Join(m.dir, tmpCkptName)
-	if err := m.retryTransient(3, func() error { return writeFileSync(m.fs, tmp, buf) }); err != nil {
+	if err := writeFileSync(m.fs, tmp, buf); err != nil {
 		return err
 	}
 	final := filepath.Join(m.dir, ckptName(k))
-	if err := m.retryTransient(1, func() error { return m.fs.Rename(tmp, final) }); err != nil {
+	if err := m.fs.Rename(tmp, final); err != nil {
 		return fmt.Errorf("wal: installing checkpoint: %w", err)
 	}
-	if err := m.retryTransient(1, func() error { return syncDir(m.fs, m.dir) }); err != nil {
+	if err := syncDir(m.fs, m.dir); err != nil {
 		return err
 	}
 
@@ -972,13 +882,7 @@ func (m *Manager) Close() error {
 	var err error
 	if m.f != nil {
 		if m.state == StateHealthy {
-			var serr error
-			for attempt := 0; ; attempt++ {
-				if serr = m.f.Sync(); serr == nil || !vfs.IsTransient(serr) || attempt >= m.opts.RetryAttempts {
-					break
-				}
-				m.noteRetryLocked(attempt)
-			}
+			serr := m.f.Sync()
 			switch {
 			case serr != nil:
 				m.poisonLocked(fmt.Errorf("wal: sync on close: %w", serr))
@@ -1016,8 +920,8 @@ func fileExists(fsys vfs.FS, path string) bool {
 	return err == nil
 }
 
-// writeFileSync writes data to path and fsyncs it. O_TRUNC makes a
-// retry after a partial write start from a clean slate.
+// writeFileSync writes data to path and fsyncs it. O_TRUNC makes the
+// next checkpoint after a failed one start from a clean slate.
 func writeFileSync(fsys vfs.FS, path string, data []byte) error {
 	f, err := fsys.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {

@@ -174,14 +174,16 @@ const (
 	SyncNever = wal.SyncNever
 )
 
-// Failure surface. A transient I/O failure on the log is retried with
-// capped exponential backoff and never surfaces to callers; a failure
-// that persists (or ENOSPC) degrades the repository to read-only —
-// reads and inbox listing keep serving, new updates are rejected with
-// ErrReadOnly until Repository.Resume proves the write path works
-// again (disk-full degradations also re-arm automatically once space
-// returns). Only failures that leave the log in an unknowable state
-// poison it, which is terminal until the directory is reopened.
+// Failure surface. An I/O failure on the log is never retried: a
+// failed fsync may already have lost the bytes it was to make durable,
+// so a later one that succeeds proves nothing. The failure (ENOSPC
+// included) degrades the repository to read-only — reads and inbox
+// listing keep serving, new updates are rejected with ErrReadOnly until
+// Repository.Resume proves the write path works again (disk-full
+// degradations also re-arm automatically once space returns); commits
+// whose fsync failed are made durable by a rescue checkpoint first.
+// Only failures that leave the log in an unknowable state poison it,
+// which is terminal until the directory is reopened.
 type (
 	// Health is a snapshot of the durable backing's failure state
 	// (Repository.Health; the zero value is healthy).
@@ -194,8 +196,8 @@ type (
 const (
 	// StateHealthy accepts updates; the log is at full function.
 	StateHealthy = wal.StateHealthy
-	// StateDegraded is read-only after a persistent I/O failure;
-	// Resume re-arms it.
+	// StateDegraded is read-only after an I/O failure; Resume re-arms
+	// it.
 	StateDegraded = wal.StateDegraded
 	// StatePoisoned is terminal: reopen the data directory to recover
 	// the durable prefix.
@@ -209,9 +211,6 @@ var (
 	ErrReadOnly = wal.ErrReadOnly
 	// ErrPoisoned marks updates rejected after the log poisoned.
 	ErrPoisoned = wal.ErrPoisoned
-	// ErrRetrying marks operations bounced while a transient-failure
-	// retry is in flight (callers may simply retry).
-	ErrRetrying = wal.ErrRetrying
 	// ErrShardedLayout marks an Open refused because the data
 	// directory holds the shard-<k> log layout of an older release.
 	ErrShardedLayout = wal.ErrShardedLayout
