@@ -29,8 +29,9 @@
 //	               after an I/O failure (run it once the
 //	               fault — disk full, bad mount — is cleared)
 //	-fault-rate p  inject EIO write/sync faults into the log with
-//	               probability p per operation (testing aid; exercises
-//	               the rescue and degradation machinery)
+//	               probability p per operation, armed once the
+//	               repository is open (testing aid; exercises the
+//	               rescue and degradation machinery)
 //	-fault-seed n  seed for -fault-rate's fault schedule
 //	-trace-out f   record each update's lifecycle spans (submit, park,
 //	               answer, resume, commit, ack) and write the
@@ -109,19 +110,24 @@ func main() {
 		fmt.Printf("debug server on http://%s (/metrics, /healthz, /debug/vars, /debug/pprof)\n", srv.Addr)
 	}
 	ropts := youtopia.Options{DataDir: *dataDir}
+	var ffs *vfs.FaultFS
 	if *faultRate > 0 {
-		ffs := vfs.NewFaultFS(vfs.OS, *faultSeed)
-		eio := func() error { return fmt.Errorf("injected fault: %w", syscall.EIO) }
-		ffs.Probability(vfs.OpWrite, *faultRate, eio)
-		ffs.Probability(vfs.OpSync, *faultRate, eio)
+		ffs = vfs.NewFaultFS(vfs.OS, *faultSeed)
 		ropts.FS = ffs
-		fmt.Printf("fault injection armed: EIO write/sync faults at %.3g per op (seed %d)\n", *faultRate, *faultSeed)
 	}
 	repo, doc, err := youtopia.OpenDocumentWithOptions(string(src), ropts)
 	if err != nil {
 		fail(err)
 	}
 	defer repo.Close()
+	if ffs != nil {
+		// Armed once the repository is open: the faults exercise the
+		// updates' commits, not recovery and the document's load.
+		eio := func() error { return fmt.Errorf("injected fault: %w", syscall.EIO) }
+		ffs.Probability(vfs.OpWrite, *faultRate, eio)
+		ffs.Probability(vfs.OpSync, *faultRate, eio)
+		fmt.Printf("fault injection armed: EIO write/sync faults at %.3g per op (seed %d)\n", *faultRate, *faultSeed)
+	}
 	debugserver.SetHealthProbe(func() (string, bool) {
 		h := repo.Health()
 		return h.State.String(), h.State == youtopia.StateHealthy

@@ -9,7 +9,7 @@ import (
 // secondary indexes against the version chains they are derived from.
 // It rebuilds every index from the chains, in
 // ascending tuple-ID order, and requires the live one to be identical:
-// a tuple is listed under a column value's key, a content key or a
+// a tuple is listed under a column constant's key, a content key or a
 // labeled null exactly when one of its versions carries it, every list is
 // strictly ascending, and no empty list is left behind. It also checks
 // the horizon: a tuple holding committed garbage — a version below its
@@ -36,7 +36,7 @@ func (st *Store) AuditIndexes() error {
 		if idle && len(s.pending) > 0 && !st.noTrim {
 			return fmt.Errorf("storage: audit %s: no writer is live, yet trims of %v are pending", s.rel, s.pending)
 		}
-		for p, id := range s.ids {
+		for p, id := range s.members() {
 			vs := s.chain(p)
 			if !st.noTrim && st.garbage(vs) && !slices.Contains(s.pending, id) {
 				return fmt.Errorf("storage: audit %s: tuple %d holds history the horizon may release (%d versions) and no trim is pending", s.rel, id, len(vs))
@@ -47,9 +47,10 @@ func (st *Store) AuditIndexes() error {
 					continue
 				}
 				for i, val := range vals {
-					cols[i].add(st.key(val.Hash()), id)
 					if val.IsNull() {
 						nulls.add(val.Hash(), id)
+					} else {
+						cols[i].add(st.key(val.Hash()), id)
 					}
 				}
 				content.add(st.contentKey(vals), id)
@@ -85,33 +86,53 @@ func sameIndex[W uint32 | uint64](want, got *postings[W]) error {
 	return got.checkLayout()
 }
 
-// checkTable reports the first breach of the tuple table's layout: a
-// member list that is not strictly ascending, a record table of another
-// length, a marker without a chain of two or more versions, a chain
+// checkTable reports the first breach of the tuple table's layout: an
+// empty page, members out of strictly ascending ID order within a page
+// or across pages, a used slot past a free one or a free slot with a
+// record, two neighbouring pages that fit in one, a member count that
+// is off, a marker without a chain of two or more versions, a chain
 // without a marker or out of (writer, seq) order. Callers hold the
 // lock.
 func (s *stripe) checkTable() error {
-	if len(s.recs) != len(s.ids) {
-		return fmt.Errorf("%d records for %d members", len(s.recs), len(s.ids))
-	}
-	markers := 0
-	for i, id := range s.ids {
-		if i > 0 && id <= s.ids[i-1] {
-			return fmt.Errorf("member list %v is not strictly ascending", s.ids)
+	members, markers := 0, 0
+	var last TupleID
+	for k, pg := range s.pages {
+		n := pg.len()
+		if n == 0 {
+			return fmt.Errorf("page %d is empty", k)
 		}
-		if s.recs[i].writer != chained {
-			continue
+		if k > 0 && s.pages[k-1].len()+n <= pageSize {
+			return fmt.Errorf("pages %d and %d hold %d members, which fit in one page", k-1, k, s.pages[k-1].len()+n)
 		}
-		markers++
-		vs, ok := s.chains[id]
-		if !ok || len(vs) < 2 {
-			return fmt.Errorf("tuple %d is marked chained but has the chain %v", id, vs)
-		}
-		for j := 1; j < len(vs); j++ {
-			if a, b := vs[j-1], vs[j]; a.writer > b.writer || a.writer == b.writer && a.seq >= b.seq {
-				return fmt.Errorf("chain of tuple %d is out of (writer, seq) order", id)
+		for i, id := range pg.ids {
+			if i >= n {
+				if id != 0 || pg.recs[i] != (version{}) {
+					return fmt.Errorf("page %d holds %d members and slot %d in use", k, n, i)
+				}
+				continue
+			}
+			if id <= last {
+				return fmt.Errorf("member %d at page %d slot %d follows %d", id, k, i, last)
+			}
+			last = id
+			members++
+			if pg.recs[i].writer != chained {
+				continue
+			}
+			markers++
+			vs, ok := s.chains[id]
+			if !ok || len(vs) < 2 {
+				return fmt.Errorf("tuple %d is marked chained but has the chain %v", id, vs)
+			}
+			for j := 1; j < len(vs); j++ {
+				if a, b := vs[j-1], vs[j]; a.writer > b.writer || a.writer == b.writer && a.seq >= b.seq {
+					return fmt.Errorf("chain of tuple %d is out of (writer, seq) order", id)
+				}
 			}
 		}
+	}
+	if members != s.count {
+		return fmt.Errorf("%d members counted as %d", members, s.count)
 	}
 	if markers != len(s.chains) {
 		return fmt.Errorf("%d chains for %d marked members", len(s.chains), markers)

@@ -17,8 +17,10 @@ import (
 // 32-bit fold of a value's Hash or a content hash (Store.key), so one
 // key may stand for several values, and a slot holds a member's
 // stripe-local counter, base (the stripe's bits) added back on the way
-// out. The cross-stripe null index is postings[uint64]: keys are a
-// null's full Hash, slots full TupleIDs, base 0.
+// out; a labeled null is not listed there. The cross-stripe null index
+// is postings[uint64], the one index a null is listed in: keys are a
+// null's full Hash, slots full TupleIDs, base 0, so a stripe's members
+// form one run of a list.
 //
 // The map holds no pointers, so the collector never scans it, and no
 // key owns an object of its own. Most keys have one member, and their
@@ -34,7 +36,7 @@ import (
 // keeps a list past the read lock it read it under: readers receive
 // copies, in buffers they own, taken under that lock
 // (Snapshot.ProbeRows copies rows, Store.appendNullIDs the null
-// index's IDs). The member list of a relation (stripe.ids) follows the
+// index's IDs). A relation's tuple table (stripe.pages) follows the
 // same rule.
 //
 // Mutators hold the store's write lock. The zero value is an empty

@@ -3,6 +3,7 @@ package storage
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -247,6 +248,80 @@ func TestConformanceReplaceNullSpansRelations(t *testing.T) {
 			t.Fatal("B-occurrence not rewritten")
 		}
 	})
+}
+
+// TestConformanceNullProbe: a probe for a labeled null reads the null
+// index, not a column's; in every column of every relation, and for
+// every reader, it must return what a scan filtered by the value
+// returns. The nulls sit in several relations and columns, twice in
+// one tuple, in more tuples of one relation than a page holds, and in
+// versions that a replacement, a delete, an abort and a commit add and
+// take away.
+func TestConformanceNullProbe(t *testing.T) {
+	onStore(t, func(t *testing.T, b Backend) {
+		x, y, z := b.FreshNull(), b.FreshNull(), b.FreshNull()
+		mustInsert(t, b, 1, "A", x, cv("k"))
+		mustInsert(t, b, 1, "A", y, x)
+		mustInsert(t, b, 1, "B", x)
+		mustInsert(t, b, 1, "C", cv("c"), x, x)
+		mustInsert(t, b, 1, "E", y, cv("e"))
+		for i := range 40 {
+			mustInsert(t, b, 1, "E", cv(fmt.Sprint("e", i)), z)
+		}
+		idD, _ := mustInsert(t, b, 1, "D", z)
+		readers := []int{0, 1, 2, 3, 1 << 30}
+		check := func(step string) {
+			t.Helper()
+			for _, r := range readers {
+				sn := b.Snap(r)
+				for _, rel := range b.Schema().SortedNames() {
+					for col := range b.Schema().Arity(rel) {
+						for _, v := range []model.Value{x, y, z, cv("k")} {
+							if err := probeMatchesScan(sn, rel, col, v); err != nil {
+								t.Fatalf("%s, reader %d: %v", step, r, err)
+							}
+						}
+					}
+				}
+			}
+		}
+		check("inserts")
+		if err := b.CommitBatch([]int{1}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := b.ReplaceNull(2, x, y); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok, err := b.Delete(3, idD); err != nil || !ok {
+			t.Fatalf("delete: %v %v", ok, err)
+		}
+		if _, err := b.ReplaceNull(3, z, cv("k")); err != nil {
+			t.Fatal(err)
+		}
+		check("replacements")
+		b.Abort(3)
+		check("abort")
+		if err := b.CommitBatch([]int{2}); err != nil {
+			t.Fatal(err)
+		}
+		check("commit")
+	})
+}
+
+// probeMatchesScan reports how ProbeRows for v in column col of rel
+// differs from a scan of rel filtered by that column's value.
+func probeMatchesScan(sn *Snapshot, rel string, col int, v model.Value) error {
+	var want []TupleID
+	sn.ScanRel(rel, func(id TupleID, vals []model.Value) bool {
+		if vals[col] == v {
+			want = append(want, id)
+		}
+		return true
+	})
+	if got := rowIDs(sn, rel, col, v); !slices.Equal(got, want) {
+		return fmt.Errorf("probe for %s in %s column %d gives %v, a filtered scan %v", v, rel, col, got, want)
+	}
+	return nil
 }
 
 // TestConformanceSnapshotFilters: ceilings and windows — the

@@ -80,13 +80,13 @@ func (st *Store) Epoch() *CommittedEpoch {
 	ep := &CommittedEpoch{store: st, commits: st.commits.Load(), idFloors: make([]int64, len(st.byIdx))}
 	n := 0
 	for _, s := range st.byIdx {
-		n += len(s.ids)
+		n += s.count
 	}
 	ep.tuples = make([]CommittedTuple, 0, n)
 	for i, s := range st.byIdx {
 		ep.idFloors[i] = s.nextLocal
-		for i, id := range s.ids {
-			vs := s.chain(i)
+		for p, id := range s.members() {
+			vs := s.chain(p)
 			if j := st.newestCommitted(vs); j >= 0 {
 				v := &vs[j]
 				ep.tuples = append(ep.tuples, CommittedTuple{ID: id, Rel: s.rel, Deleted: v.vals == nil, Vals: s.valsOf(v)})

@@ -100,7 +100,7 @@ func TestCommittedSnapshotMatchesLockedOracle(t *testing.T) {
 	var want []CommittedTuple
 	st.rlock()
 	for _, s := range st.byIdx {
-		for p, id := range s.ids {
+		for p, id := range s.members() {
 			vs := s.chain(p)
 			for i := len(vs) - 1; i >= 0; i-- {
 				v := &vs[i]

@@ -67,11 +67,11 @@ func (st *Store) trim(s *stripe, id TupleID, h horizon) bool {
 	if st.noTrim {
 		return false
 	}
-	i, ok := s.find(id)
+	p, ok := s.find(id)
 	if !ok {
 		return false
 	}
-	vs := s.chain(i)
+	vs := s.chain(p)
 	top := st.newestCommitted(vs)
 	if top < 0 {
 		return false
@@ -87,10 +87,10 @@ func (st *Store) trim(s *stripe, id TupleID, h horizon) bool {
 	tomb := rest[0].vals == nil
 	switch {
 	case tomb && len(rest) == 1:
-		s.removeMember(i)
+		st.removeMember(s, p)
 		return false
 	case top > 0:
-		s.setChain(i, slices.Delete(vs, 0, top))
+		st.setChain(s, p, slices.Delete(vs, 0, top))
 	}
 	return tomb
 }
@@ -102,7 +102,7 @@ func (st *Store) trimOrDefer(s *stripe, id TupleID) {
 	if st.noTrim {
 		return
 	}
-	if i, ok := s.find(id); !ok || !st.garbage(s.chain(i)) {
+	if p, ok := s.find(id); !ok || !st.garbage(s.chain(p)) {
 		return
 	}
 	if st.trim(s, id, st.horizon()) {

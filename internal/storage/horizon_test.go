@@ -200,7 +200,7 @@ func FuzzHorizonTrim(f *testing.F) {
 			// Deletes by ID pick from the untrimmed store's members, which
 			// include every ID the trimming store dropped.
 			var id TupleID
-			if ids := full.stripes[rel].ids; len(ids) > 0 {
+			if ids := memberIDs(full.stripes[rel]); len(ids) > 0 {
 				id = ids[int(b1>>1)%len(ids)]
 			}
 			if w == next && b0&7 <= 3 {
@@ -337,7 +337,7 @@ func render(sn *Snapshot) string {
 	}
 	for n := int64(1); n <= 4; n++ {
 		if ids := sn.TuplesWithNull(model.Null(n)); len(ids) > 0 {
-			fmt.Fprintf(&b, "_%d in %v\n", n, ids)
+			fmt.Fprintf(&b, "_%d in %v, A.y %v, B.x %v\n", n, ids, rowIDs(sn, "A", 1, model.Null(n)), rowIDs(sn, "B", 0, model.Null(n)))
 		}
 	}
 	for c := 0; c < 4; c++ {

@@ -149,17 +149,17 @@ func (sn *Snapshot) Get(id TupleID) ([]model.Value, bool) {
 }
 
 func (sn *Snapshot) getInStripe(s *stripe, id TupleID) ([]model.Value, bool) {
-	i, ok := s.find(id)
+	p, ok := s.find(id)
 	if !ok {
 		return nil, false
 	}
-	return sn.visibleAt(s, i)
+	return sn.visibleAt(s, p)
 }
 
-// visibleAt returns the values of the member at position i visible to
+// visibleAt returns the values of the member at position p visible to
 // this snapshot, or ok == false when none is or it is a tombstone.
-func (sn *Snapshot) visibleAt(s *stripe, i int) ([]model.Value, bool) {
-	v := sn.versionOf(s.chain(i))
+func (sn *Snapshot) visibleAt(s *stripe, p pos) ([]model.Value, bool) {
+	v := sn.versionOf(s.chain(p))
 	if v == nil || v.vals == nil {
 		return nil, false
 	}
@@ -192,8 +192,9 @@ type Row struct {
 // rel whose column col holds v — every visible tuple when col < 0 —
 // that keep takes, and returns dst with the number of candidates the
 // probe examined: of the members the column's index lists under v's
-// key, or of all the relation's members for a scan, those up to and
-// including the one where keep stopped, visible or not. keep reports
+// key, the null index lists for a labeled null v, or of all the
+// relation's members for a scan, those up to and including the one
+// where keep stopped, visible or not. keep reports
 // whether to take a row and whether the probe stops there; a nil keep
 // takes every row. One read lock covers the whole probe and keep runs
 // under it, so keep must not call back into the store: a join
@@ -207,17 +208,24 @@ func (sn *Snapshot) ProbeRows(rel string, col int, v model.Value, dst []Row, kee
 	defer sn.runlock()
 	stop := false
 	if col < 0 {
-		for i, id := range s.ids {
-			if vals, ok := sn.visibleAt(s, i); ok {
+		n := 0
+		for p, id := range s.members() {
+			n++
+			if vals, ok := sn.visibleAt(s, p); ok {
 				if dst, stop = probeRow(dst, id, vals, keep); stop {
-					return dst, i + 1
+					return dst, n
 				}
 			}
 		}
-		return dst, len(s.ids)
+		return dst, n
 	}
 	var one [1]TupleID
-	cands := s.valIdx[col].get(sn.store.key(v.Hash()), &one)
+	var cands []TupleID
+	if v.IsNull() {
+		cands = sn.store.nullRun(s, v, &one)
+	} else {
+		cands = s.valIdx[col].get(sn.store.key(v.Hash()), &one)
+	}
 	for i, id := range cands {
 		if vals, ok := sn.getInStripe(s, id); ok && vals[col] == v {
 			if dst, stop = probeRow(dst, id, vals, keep); stop {
@@ -255,8 +263,8 @@ func (sn *Snapshot) ScanRel(rel string, fn func(id TupleID, vals []model.Value) 
 }
 
 func (sn *Snapshot) scanStripe(s *stripe, fn func(id TupleID, vals []model.Value) bool) {
-	for i, id := range s.ids {
-		if vals, ok := sn.visibleAt(s, i); ok {
+	for p, id := range s.members() {
+		if vals, ok := sn.visibleAt(s, p); ok {
 			if !fn(id, vals) {
 				return
 			}
@@ -272,8 +280,9 @@ type RelStats struct {
 	// its visibility.
 	Live int
 	// Distinct[c] is the number of keys in column c's index, which is
-	// the number of distinct values unless two share a key; nil for
-	// empty or zero-arity relations.
+	// the number of distinct constants unless two share a key; labeled
+	// nulls are listed in the null index and not counted. nil for empty
+	// or zero-arity relations.
 	Distinct []int
 }
 
@@ -292,7 +301,7 @@ func (sn *Snapshot) RelStatsInto(rel string, st *RelStats) {
 	}
 	sn.rlock()
 	defer sn.runlock()
-	st.Live = len(s.ids)
+	st.Live = s.count
 	if st.Live > 0 {
 		st.Distinct = slices.Grow(st.Distinct, len(s.valIdx))
 		for c := range s.valIdx {
@@ -306,6 +315,17 @@ func (sn *Snapshot) RelStatsInto(rel string, st *RelStats) {
 func (st *Store) appendNullIDs(dst []TupleID, x model.Value) []TupleID {
 	var one [1]TupleID
 	return append(dst, st.nullIdx.get(x.Hash(), &one)...)
+}
+
+// nullRun returns the members of s the null index lists for x: one run
+// of the list, found by two binary searches, as the stripe's IDs share
+// its base bits. The run is the index's own, as get returns it. Callers
+// hold the lock.
+func (st *Store) nullRun(s *stripe, x model.Value, one *[1]TupleID) []TupleID {
+	list := st.nullIdx.get(x.Hash(), one)
+	lo, _ := slices.BinarySearch(list, s.base())
+	hi, _ := slices.BinarySearch(list[lo:], s.base()+1<<localIDBits)
+	return list[lo : lo+hi]
 }
 
 // TuplesWithNull returns, in ascending order, the IDs of visible

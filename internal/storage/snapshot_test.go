@@ -71,14 +71,19 @@ func lookupContent(sn *Snapshot, t model.Tuple) []TupleID {
 // contains reports whether a tuple with t's content is visible in sn.
 func contains(sn *Snapshot, t model.Tuple) bool { return len(lookupContent(sn, t)) > 0 }
 
-// indexIDs returns a copy of the members the stripe index of rel's
-// column col lists under v's key, visible or not: what the index
-// holds, which the probes then check against the versions.
+// indexIDs returns a copy of the members of rel an index lists for v,
+// visible or not: for a constant what the stripe index of column col
+// lists under v's key, for a labeled null the stripe's run of the null
+// index's list, whatever the column. It is what the index holds, which
+// the probes then check against the versions.
 func indexIDs(st *Store, rel string, col int, v model.Value) []TupleID {
 	st.rlock()
 	defer st.runlock()
 	s := st.stripes[rel]
 	var one [1]TupleID
+	if v.IsNull() {
+		return slices.Clone(st.nullRun(s, v, &one))
+	}
 	return slices.Clone(s.valIdx[col].get(st.key(v.Hash()), &one))
 }
 

@@ -19,18 +19,27 @@
 //
 // # The tuple table
 //
-// A relation's stripe keeps its tuples in two parallel arrays: ids, the
-// member list in ascending ID order, and recs, whose i-th entry is the
-// only version of ids[i]. A version is three words — writer, sequence
-// number and a pointer to the tuple's values, as many as the relation's
-// arity — and a nil pointer is a tombstone. At rest almost every tuple
-// has one version and costs its value array and its two array entries;
-// a tuple with more holds a marker in its slot and its chain in the
-// stripe's overflow map, and goes back to its slot when a commit, trim
-// or abort leaves it one version. A lookup by ID is a binary search of
-// ids. recs and the overflow map change in place under the store's
-// write lock, so no pointer into them outlives a mutation of the
-// stripe; the value arrays never change.
+// A relation's stripe keeps its tuples in fixed pages of pageSize
+// members, listed in ID order by a directory. A page holds the members'
+// IDs, ascending, and beside each ID the tuple's only version. A
+// version is three words — writer, sequence number and a pointer to the
+// tuple's values, as many as the relation's arity — and a nil pointer
+// is a tombstone. At rest almost every tuple has one version and costs
+// its value array and its page slot; a tuple with more holds a marker
+// in its slot and its chain in the stripe's overflow map, and goes back
+// to its slot when a commit, trim or abort leaves it one version.
+//
+// A new tuple's ID is the stripe's largest, so an insert appends to the
+// last page or opens a new one, and nothing is copied to grow. Only an
+// ID that arrives out of order, as in redo replay, splits a full page.
+// A removal shifts the members of its own page, and two neighbouring
+// pages merge when their members fit in one, so any two neighbours hold
+// more than pageSize members: P pages hold at least (pageSize+1)·⌊P/2⌋
+// members, over half of their slots. A lookup by ID is a binary search
+// of the directory, then of a page. Pages and the overflow map change
+// in place under the store's write lock, so no position or pointer into
+// them outlives a mutation of the stripe; the value arrays never
+// change.
 //
 // # The version horizon
 //
@@ -108,6 +117,8 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"iter"
+	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -139,10 +150,14 @@ const maxLocalID = 1<<31 - 1
 var ErrIDSpaceExhausted = errors.New("storage: tuple-ID space exhausted")
 
 // checkLocalID fails with ErrIDSpaceExhausted when id's per-stripe
-// counter lies beyond maxLocalID.
+// counter lies beyond maxLocalID, and fails when it is 0, which no
+// minted ID has and a free page slot holds.
 func checkLocalID(rel string, id TupleID) error {
-	if local := int64(id) & (1<<localIDBits - 1); local > maxLocalID {
+	switch local := int64(id) & (1<<localIDBits - 1); {
+	case local > maxLocalID:
 		return fmt.Errorf("%w: tuple ID %d of %s has counter %d, above %d", ErrIDSpaceExhausted, id, rel, local, maxLocalID)
+	case local == 0:
+		return fmt.Errorf("storage: tuple ID %d of %s has counter 0", id, rel)
 	}
 	return nil
 }
@@ -220,45 +235,83 @@ func newVersion(writer int, seq int64, vals []model.Value) version {
 	return version{writer: writer, seq: seq, vals: unsafe.SliceData(vals)}
 }
 
-// chained is the writer of the marker a member's recs slot holds while
-// its chain has two or more versions; the chain is then in
-// stripe.chains.
+// chained is the writer of the marker a member's slot holds while its
+// chain has two or more versions; the chain is then in stripe.chains.
 const chained = -1
+
+// pageSize is the number of members a page of the tuple table holds.
+// The benchmark's relations hold tens to a hundred or so members, and a
+// relation's last page is the one that is not full: at 16 its slack is
+// at most 15 members, below what regrowing one array per relation left.
+const pageSize = 16
+
+// page is one fixed block of a stripe's tuple table: 512 bytes, one
+// object. Its members come first, in ascending ID order, recs[i] the
+// record of ids[i]; a slot past them holds ID 0, which no member has
+// (a TupleID's counter starts at 1), and a zero record, so a page keeps
+// no value array reachable that left it.
+type page struct {
+	ids  [pageSize]TupleID
+	recs [pageSize]version
+}
+
+// len returns the number of members of the page.
+func (pg *page) len() int { return pg.search(math.MaxInt64) }
+
+// search returns the slot of member id on the page, or the slot it
+// would take: the first holding a larger ID or none.
+func (pg *page) search(id TupleID) int {
+	lo, hi := 0, pageSize
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); pg.ids[m] != 0 && pg.ids[m] < id {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+// pos is a member's place in the tuple table: slot i of the page pg of
+// the directory.
+type pos struct{ pg, i int }
 
 // stripe is the per-relation slice of the store: one relation's
 // tuples, secondary indexes, and slice of the per-writer logs. Store.mu
 // guards every field but seq.
 //
-// The member list ids is the tuple table. recs runs parallel to it:
-// recs[i] is the only version of tuple ids[i], or, when that tuple has
-// two or more, a marker (writer chained) whose chain, sorted ascending
-// by (writer, seq), is chains[ids[i]]. A chain that a commit, a trim or
-// an abort brings back to one version returns to its slot. Readers find
-// a tuple by binary search over ids. ids, recs and chains are changed
-// in place under the write lock, as the index lists are (see postings),
-// so a slice of ids, a pointer into recs or chains, or a position in
-// ids does not outlive the lock it was read under: code looks the tuple
-// up again by ID after any insert, removal or trim.
+// pages is the tuple table, its directory in ID order (see the package
+// comment). A member's slot holds its only version or, when the tuple
+// has two or more, a marker (writer chained) whose chain, sorted
+// ascending by (writer, seq), is chains[id]. A chain that a commit, a
+// trim or an abort brings back to one version returns to its slot.
+// Pages and chains are changed in place under the write lock, as the
+// index lists are (see postings), so a pos, a pointer into a page or
+// chains, or a chain slice does not outlive the lock it was read under:
+// code looks the tuple up again by ID after any insert, removal or
+// trim.
 type stripe struct {
 	rel string
 	idx int
 
 	nextLocal int64
-	ids       []TupleID // members of the relation, visible or not
-	recs      []version // aligned with ids
+	pages     []*page
+	count     int // members of the relation, visible or not
 	chains    map[TupleID][]version
 
 	// valIdx[col][key(value.Hash())] lists the tuples with a version
-	// carrying, in that column, a value whose key is that one;
-	// contentIdx[key(contentHash(vals))] those with a version whose
-	// content has that key. A key is a 32-bit fold, so several values or
-	// contents may share it: both indexes over-approximate, and readers
-	// verify candidates against the values themselves. Keys are hashes so
-	// that the maps hold no pointers for the collector to trace. A
-	// constant hashes by its address (model.Value.Hash), so a tuple stays
-	// listed under a key exactly while one of its versions carries a
-	// value with that key, hashed from the value the version holds
-	// (unindexVersion): an index never outlives the values it hashed.
+	// carrying the constant value, or another constant whose key is that
+	// one, in that column; contentIdx[key(contentHash(vals))] those with a
+	// version whose content has that key. A labeled null is listed in the
+	// store's nullIdx only, under its full Hash. A key is a 32-bit fold,
+	// so several values or contents may share it: both indexes
+	// over-approximate, and readers verify candidates against the values
+	// themselves. Keys are hashes so that the maps hold no pointers for
+	// the collector to trace. A constant hashes by its address
+	// (model.Value.Hash), so a tuple stays listed under a key exactly while
+	// one of its versions carries a value with that key, hashed from the
+	// value the version holds (unindexVersion): an index never outlives
+	// the values it hashed.
 	valIdx     []postings[uint32]
 	contentIdx postings[uint32]
 
@@ -289,67 +342,224 @@ func (s *stripe) newID() (TupleID, error) {
 }
 
 // find returns the position of tuple id, an ID of this stripe, in the
-// member list, or where it would go, and whether it is a member. Members
-// hold distinct counters in [0, nextLocal], so the one with counter L
-// sits at most at position L and at least at L less the number of those
-// counters that are not members: the binary search runs over that
-// window, which stays a few entries wide while the stripe holds most of
-// the IDs it minted. Callers hold the lock.
-func (s *stripe) find(id TupleID) (int, bool) {
-	local := int64(id) & (1<<localIDBits - 1)
-	if local > s.nextLocal {
-		return len(s.ids), false
+// tuple table, or where it would go, and whether it is a member: a
+// binary search of the directory for the last page starting at or below
+// id (the first page when none does), then of that page. Callers hold
+// the lock.
+func (s *stripe) find(id TupleID) (pos, bool) {
+	lo, hi := 0, len(s.pages)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); s.pages[m].ids[0] <= id {
+			lo = m + 1
+		} else {
+			hi = m
+		}
 	}
-	absent := s.nextLocal + 1 - int64(len(s.ids))
-	lo, hi := max(0, int(local-absent)), min(int(local)+1, len(s.ids))
-	i, ok := slices.BinarySearch(s.ids[lo:hi], id)
-	return lo + i, ok
+	if lo == 0 {
+		if len(s.pages) == 0 {
+			return pos{}, false
+		}
+		lo = 1
+	}
+	pg := s.pages[lo-1]
+	i := pg.search(id)
+	return pos{lo - 1, i}, i < pageSize && pg.ids[i] == id
 }
 
-// chain returns the versions of the member at position i, ascending by
-// (writer, seq). The slice aliases recs or chains: callers read it
-// under the lock and drop it before the stripe next changes.
-func (s *stripe) chain(i int) []version {
-	if s.recs[i].writer == chained {
-		return s.chains[s.ids[i]]
+// members yields the position and ID of every member, in ascending ID
+// order. Callers hold the lock and change nothing while it runs.
+func (s *stripe) members() iter.Seq2[pos, TupleID] {
+	return func(yield func(pos, TupleID) bool) {
+		for k, pg := range s.pages {
+			for i, id := range pg.ids {
+				if id == 0 {
+					break
+				}
+				if !yield(pos{k, i}, id) {
+					return
+				}
+			}
+		}
 	}
-	return s.recs[i : i+1]
+}
+
+// at returns the page and slot of position p.
+func (s *stripe) at(p pos) (*page, int) { return s.pages[p.pg], p.i }
+
+// chain returns the versions of the member at position p, ascending by
+// (writer, seq). The slice aliases its page or chains: callers read it
+// under the lock and drop it before the stripe next changes.
+func (s *stripe) chain(p pos) []version {
+	pg, i := s.at(p)
+	if pg.recs[i].writer == chained {
+		return s.chains[pg.ids[i]]
+	}
+	return pg.recs[i : i+1]
 }
 
 // setChain makes vs, of one version or more, the chain of the member at
-// position i: a single version goes into its slot, a longer chain into
-// chains behind a marker. Callers hold the write lock.
-func (s *stripe) setChain(i int, vs []version) {
-	id := s.ids[i]
+// position p: a single version goes into its slot, a longer chain into
+// chains behind a marker. A chain that leaves chains goes on the
+// store's free list, so callers are done reading it. Callers hold the
+// write lock.
+func (st *Store) setChain(s *stripe, p pos, vs []version) {
+	pg, i := s.at(p)
+	id := pg.ids[i]
 	if len(vs) == 1 {
-		if s.recs[i].writer == chained {
-			delete(s.chains, id)
+		v := vs[0]
+		if pg.recs[i].writer == chained {
+			st.freeChain(s, id)
 		}
-		s.recs[i] = vs[0]
+		pg.recs[i] = v
 		return
 	}
 	if s.chains == nil {
 		s.chains = make(map[TupleID][]version)
 	}
-	s.recs[i] = version{writer: chained}
+	pg.recs[i] = version{writer: chained}
 	s.chains[id] = vs
 }
 
-// addMember makes id, which is not a member and would sit at position
-// i, one with the single version v. Callers hold the write lock.
-func (s *stripe) addMember(i int, id TupleID, v version) {
-	s.ids = slices.Insert(s.ids, i, id)
-	s.recs = slices.Insert(s.recs, i, v)
+// freeChain takes the chain of tuple id out of chains, keeping its
+// array, cleared, on the free list within its bounds. Callers hold the
+// write lock and are done reading the chain.
+func (st *Store) freeChain(s *stripe, id TupleID) {
+	vs := s.chains[id]
+	delete(s.chains, id)
+	if len(st.chainFree) < maxFreeLogs && cap(vs) <= maxFreeLogCap {
+		clear(vs[:cap(vs)])
+		st.chainFree = append(st.chainFree, vs[:0])
+	}
 }
 
-// removeMember takes the member at position i out of the stripe, with
-// its chain. Callers hold the write lock.
-func (s *stripe) removeMember(i int) {
-	if s.recs[i].writer == chained {
-		delete(s.chains, s.ids[i])
+// newChain returns an empty array for a chain of two or more versions,
+// from the free list when it holds one.
+func (st *Store) newChain() []version {
+	if vs, ok := pop(&st.chainFree); ok {
+		return vs
 	}
-	s.ids = slices.Delete(s.ids, i, i+1)
-	s.recs = slices.Delete(s.recs, i, i+1)
+	return make([]version, 0, 2)
+}
+
+// pop takes the last entry off a free list, or reports that it is
+// empty.
+func pop[T any](free *[]T) (T, bool) {
+	var zero T
+	n := len(*free)
+	if n == 0 {
+		return zero, false
+	}
+	v := (*free)[n-1]
+	(*free)[n-1] = zero
+	*free = (*free)[:n-1]
+	return v, true
+}
+
+// insert puts id with the version v at slot i of a page holding n
+// members, fewer than pageSize, shifting the members from i on.
+func (pg *page) insert(i, n int, id TupleID, v version) {
+	copy(pg.ids[i+1:n+1], pg.ids[i:n])
+	copy(pg.recs[i+1:n+1], pg.recs[i:n])
+	pg.ids[i], pg.recs[i] = id, v
+}
+
+// addMember makes id, which is not a member and would sit at position
+// p, one with the single version v. An ID past the last member goes at
+// the end of the last page, or on a new page when that one is full.
+// Any other insert into a full page splits it into halves, which then
+// merge with their outer neighbours where they fit. Callers hold the
+// write lock.
+func (st *Store) addMember(s *stripe, p pos, id TupleID, v version) {
+	s.count++
+	if len(s.pages) == 0 {
+		s.pages = append(s.pages, st.newPage())
+	}
+	pg, i := s.at(p)
+	if n := pg.len(); n < pageSize {
+		pg.insert(i, n, id, v)
+		return
+	}
+	right := st.newPage()
+	if i == pageSize && p.pg == len(s.pages)-1 {
+		right.ids[0], right.recs[0] = id, v
+		s.pages = append(s.pages, right)
+		return
+	}
+	const half = pageSize / 2
+	copy(right.ids[:], pg.ids[half:])
+	copy(right.recs[:], pg.recs[half:])
+	clear(pg.ids[half:])
+	clear(pg.recs[half:])
+	s.pages = slices.Insert(s.pages, p.pg+1, right)
+	if i > half {
+		right.insert(i-half, half, id, v)
+	} else {
+		pg.insert(i, half, id, v)
+	}
+	st.mergeNext(s, p.pg+1)
+	st.mergeNext(s, p.pg-1)
+}
+
+// removeMember takes the member at position p out of the stripe, with
+// its chain. Its page leaves the directory when emptied, or merges with
+// a neighbour that it now fits in one page with. Callers hold the write
+// lock.
+func (st *Store) removeMember(s *stripe, p pos) {
+	pg, i := s.at(p)
+	if pg.recs[i].writer == chained {
+		st.freeChain(s, pg.ids[i])
+	}
+	s.count--
+	n := pg.len()
+	if n == 1 {
+		s.pages = slices.Delete(s.pages, p.pg, p.pg+1)
+		st.freePage(pg)
+		return
+	}
+	copy(pg.ids[i:n-1], pg.ids[i+1:n])
+	copy(pg.recs[i:n-1], pg.recs[i+1:n])
+	pg.ids[n-1], pg.recs[n-1] = 0, version{}
+	if !st.mergeNext(s, p.pg-1) {
+		st.mergeNext(s, p.pg)
+	}
+}
+
+// mergeNext moves the members of page k+1 to the end of page k and
+// drops page k+1 from the directory when the two fit in one page, and
+// reports whether it did.
+func (st *Store) mergeNext(s *stripe, k int) bool {
+	if k < 0 || k+1 >= len(s.pages) {
+		return false
+	}
+	a, b := s.pages[k], s.pages[k+1]
+	na, nb := a.len(), b.len()
+	if na+nb > pageSize {
+		return false
+	}
+	copy(a.ids[na:], b.ids[:nb])
+	copy(a.recs[na:], b.recs[:nb])
+	s.pages = slices.Delete(s.pages, k+1, k+2)
+	st.freePage(b)
+	return true
+}
+
+// freePage keeps a page that left a directory, cleared, on the free
+// list within its bound (maxFreeLogs pages, 8 KB), so that a relation
+// whose last page empties and fills again, as an aborted insert and
+// its retry make it, does not allocate a page each time.
+func (st *Store) freePage(pg *page) {
+	if len(st.pageFree) < maxFreeLogs {
+		*pg = page{}
+		st.pageFree = append(st.pageFree, pg)
+	}
+}
+
+// newPage returns an empty page, from the free list when it holds one.
+func (st *Store) newPage() *page {
+	if pg, ok := pop(&st.pageFree); ok {
+		return pg
+	}
+	return new(page)
 }
 
 // valsOf returns a version's values, nil for a tombstone. The slice is
@@ -384,7 +594,9 @@ type Store struct {
 	mu sync.RWMutex
 
 	// nullIdx[null.Hash()] lists the tuples with a version containing
-	// the labeled null.
+	// the labeled null, in any column: the one index a null is listed in.
+	// A stripe's members form one run of a list, as a TupleID carries its
+	// stripe in its high bits (stripe.nullRun).
 	nullIdx postings[uint64]
 
 	// collideKeys folds every stripe index key to 0; a test seam that
@@ -408,8 +620,15 @@ type Store struct {
 	// does not stay reachable. stripesFree does the same for the
 	// stripe lists of writerStripes entries: a writer's first write
 	// pops one, and its commit or abort (freeStripes) pushes it back.
+	// chainFree, within the same bounds, holds the cleared arrays of
+	// chains that went back to one version (freeChain), for a tuple's
+	// next second version (newChain); no chain slice outlives the lock
+	// it was read under. pageFree, within the same count, holds cleared
+	// pages that left a tuple table (freePage, newPage).
 	logFree     [][]WriteRec
 	stripesFree [][]int
+	chainFree   [][]version
+	pageFree    []*page
 
 	// noTrim disables trimming; a test seam for differential checks.
 	noTrim bool
@@ -519,16 +738,19 @@ func (st *Store) key(h uint64) uint32 {
 // contentKey is the content index's key of a tuple's values.
 func (st *Store) contentKey(vals []model.Value) uint32 { return st.key(contentHash(vals)) }
 
-// indexVersion enters one version's values into the stripe's secondary
-// indexes and the global null index. Callers hold the write lock.
+// indexVersion enters one version's values into the indexes: each
+// constant into its column's stripe index, each labeled null into the
+// global null index, and the content into the content index. Callers
+// hold the write lock.
 func (st *Store) indexVersion(s *stripe, id TupleID, vals []model.Value) {
 	if vals == nil {
 		return
 	}
 	for i, v := range vals {
-		s.valIdx[i].add(st.key(v.Hash()), id)
 		if v.IsNull() {
 			st.nullIdx.add(v.Hash(), id)
+		} else {
+			s.valIdx[i].add(st.key(v.Hash()), id)
 		}
 	}
 	s.contentIdx.add(st.contentKey(vals), id)
@@ -548,19 +770,23 @@ func (s *stripe) carries(vs []version, has func(vals []model.Value) bool) bool {
 // unindexVersion takes out of the indexes what a version that has just
 // left the chain of tuple id put there and none of rest, the versions
 // the tuple still has, carries. The stripe indexes are keyed by folds
-// that several values share, so there it is the key another version has
-// to share, not the value. Callers hold the write lock.
+// that several constants share, so there it is the key another
+// version's constant has to share, not the value. Callers hold the
+// write lock.
 func (st *Store) unindexVersion(s *stripe, id TupleID, rest []version, vals []model.Value) {
 	if vals == nil {
 		return
 	}
 	for i, v := range vals {
-		k := st.key(v.Hash())
-		if !s.carries(rest, func(w []model.Value) bool { return st.key(w[i].Hash()) == k }) {
-			s.valIdx[i].remove(k, id)
+		if v.IsNull() {
+			if !s.carries(rest, func(w []model.Value) bool { return slices.Contains(w, v) }) {
+				st.nullIdx.remove(v.Hash(), id)
+			}
+			continue
 		}
-		if v.IsNull() && !s.carries(rest, func(w []model.Value) bool { return slices.Contains(w, v) }) {
-			st.nullIdx.remove(v.Hash(), id)
+		k := st.key(v.Hash())
+		if !s.carries(rest, func(w []model.Value) bool { return w[i].IsConst() && st.key(w[i].Hash()) == k }) {
+			s.valIdx[i].remove(k, id)
 		}
 	}
 	k := st.contentKey(vals)
@@ -569,20 +795,21 @@ func (st *Store) unindexVersion(s *stripe, id TupleID, rest []version, vals []mo
 	}
 }
 
-// dropVersion takes the j-th version of the member at position i out of
-// its chain and out of the indexes, and the member out of the stripe
+// dropVersion takes the j-th version of the member at position p out
+// of its chain and out of the indexes, and the member out of the stripe
 // with its last version. Callers hold the write lock.
-func (st *Store) dropVersion(s *stripe, i, j int) {
-	id, vs := s.ids[i], s.chain(i)
+func (st *Store) dropVersion(s *stripe, p pos, j int) {
+	pg, i := s.at(p)
+	id, vs := pg.ids[i], s.chain(p)
 	vals := s.valsOf(&vs[j])
 	if len(vs) == 1 {
-		s.removeMember(i)
+		st.removeMember(s, p)
 		st.unindexVersion(s, id, nil, vals)
 		return
 	}
 	rest := slices.Delete(vs, j, j+1)
-	s.setChain(i, rest)
 	st.unindexVersion(s, id, rest, vals)
+	st.setChain(s, p, rest)
 }
 
 // isCommitted reports whether a version's writer has committed: the
@@ -605,19 +832,19 @@ func (st *Store) isCommitted(writer int) bool {
 // Logging and writer accounting are the caller's concern: live writes go through addVersion, recovery
 // replay applies versions directly.
 func (st *Store) insertVersion(s *stripe, id TupleID, v version) {
-	if i, ok := s.find(id); !ok {
-		s.addMember(i, id, v)
+	if p, ok := s.find(id); !ok {
+		st.addMember(s, p, id, v)
 	} else {
-		vs := s.chain(i)
+		vs := s.chain(p)
 		j := sort.Search(len(vs), func(j int) bool {
 			w := vs[j]
 			return w.writer > v.writer || (w.writer == v.writer && w.seq > v.seq)
 		})
 		if len(vs) == 1 {
 			// The slot's version moves into a chain of its own.
-			vs = append(make([]version, 0, 2), vs[0])
+			vs = append(st.newChain(), vs[0])
 		}
-		s.setChain(i, slices.Insert(vs, j, v))
+		st.setChain(s, p, slices.Insert(vs, j, v))
 	}
 	st.indexVersion(s, id, s.valsOf(&v))
 }
@@ -635,18 +862,11 @@ func (st *Store) addVersion(s *stripe, v version, logRec WriteRec) {
 	}
 	log := s.logs[v.writer]
 	if len(log) == 0 {
-		if n := len(st.logFree); n > 0 {
-			log = st.logFree[n-1]
-			st.logFree[n-1] = nil
-			st.logFree = st.logFree[:n-1]
-		}
+		log, _ = pop(&st.logFree)
 		lw := st.writerStripes[v.writer]
 		if len(lw.stripes) == 0 {
 			lw.first = v.seq
-			if n := len(st.stripesFree); n > 0 {
-				lw.stripes = st.stripesFree[n-1]
-				st.stripesFree = st.stripesFree[:n-1]
-			}
+			lw.stripes, _ = pop(&st.stripesFree)
 		}
 		lw.stripes = append(lw.stripes, s.idx)
 		st.writerStripes[v.writer] = lw
@@ -1162,9 +1382,9 @@ func (st *Store) Stats() Stats {
 	var s Stats
 	snap := st.snapLocked(maxReader)
 	for _, sp := range st.byIdx {
-		s.Tuples += len(sp.ids)
-		for i := range sp.ids {
-			vs := sp.chain(i)
+		s.Tuples += sp.count
+		for p := range sp.members() {
+			vs := sp.chain(p)
 			s.Versions += len(vs)
 			if v := snap.versionOf(vs); v != nil && v.vals != nil {
 				s.Visible++

@@ -36,10 +36,22 @@ func (c scalingCounts) String() string {
 // a probe whose keep stops early, as an existence check does at its
 // first match, no longer counts the rows after the stop. Counting every
 // listed row read 155726, 736031 and 6006331.
+//
+// A labeled null is listed in the store's null index only, not under
+// its column (storage.stripe.valIdx). A probe for a null then examines
+// every tuple of the relation holding that null in any column, which by
+// itself adds 86, 96 and 96 candidates. The planner's Distinct now
+// counts a column's constant keys alone, so a column holding many
+// nulls no longer looks selective, and the join orders that change cut
+// candidates from 118363, 539352 and 4849263 to the figures below.
+// Those orders also match 18, 19 and 8 more rows on their way: the
+// rise is in intermediate join rows, not in answers, as steps and
+// rechecks are unchanged. Counting null keys in Distinct again, as a
+// check, gives back the earlier matched counts exactly.
 var scalingWant = map[int]scalingCounts{
-	5000:  {9943, 5226, 118363, 28658},
-	10000: {22322, 14032, 539352, 89711},
-	20000: {55625, 50961, 4849263, 385422},
+	5000:  {9943, 5226, 112338, 28676},
+	10000: {22322, 14032, 517917, 89730},
+	20000: {55625, 50961, 4773721, 385430},
 }
 
 // TestChaseScalingCounts builds the §6 universe at 5k, 10k and 20k
