@@ -12,20 +12,26 @@ import (
 
 // TestSchedulerAllocGapToSerial bounds what the transaction core
 // allocates beyond the serial execution of the same updates, each side
-// on a fresh store. The scheduler's read log recycles its reads, and a
-// txn's record and update are recycled at its commit, so the core
-// keeps no per-update state past the live window: what is left is the
-// conflict checks and the answers of several violations that fit no
-// pooled read.
+// on a fresh store, in bytes per update. The scheduler's read log
+// recycles its reads, and a txn's record and update are recycled at its
+// commit, so the core keeps no per-update state past the live window:
+// what is left is the conflict checks and the answers of several
+// violations that fit no pooled read. The gap is bounded in bytes, not
+// as a ratio to serial: the store both sides share getting cheaper
+// raises a ratio while the gap stays put.
 //
 //   - On Quick() with 2,000 inserts (ops seed 3, user seed 7), cc at
-//     width 1 under COARSE allocates at most 1.10 times what
-//     serial.Execute does (1.087 measured). Nothing else is in flight
-//     there, so the gap is what one core would cost Apply.
+//     width 1 under COARSE allocates at most 270 B per update more than
+//     serial.Execute does (255 measured). Nothing else is in flight
+//     there, so the gap is what one core would cost Apply. The bound
+//     was a ratio of 1.10 (1.093 measured), 274 B at the serial figure
+//     of the time.
 //   - On parallel_sparse's shape (the §6 generator at 1,000 seed tuples,
 //     40 mappings, 4,000 inserts, ops seed 1), width 2 allocates at most
-//     1.05 times serial (1.022 measured). The bound was 1.20 (1.181)
-//     while every submitted op had a Txn record for the whole run.
+//     20 B per update more than serial (12 measured). The bound was a
+//     ratio of 1.05 (1.022 measured), 20.8 B at the serial figure of the
+//     time, and 1.20 (1.181) while every submitted op had a Txn record
+//     for the whole run.
 func TestSchedulerAllocGapToSerial(t *testing.T) {
 	quick := workload.Quick()
 	quick.Updates = 2000
@@ -38,10 +44,10 @@ func TestSchedulerAllocGapToSerial(t *testing.T) {
 		opsSeed  int64
 		userSeed uint64
 		workers  int
-		bound    float64
+		bound    float64 // bytes per update beyond serial
 	}{
-		{"quick/width=1", quick, 0, 3, 7, 1, 1.10},
-		{"parallel_sparse/width=2", sparse, 40, 1, 1, 2, 1.05},
+		{"quick/width=1", quick, 0, 3, 7, 1, 270},
+		{"parallel_sparse/width=2", sparse, 40, 1, 1, 2, 20},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			u, err := workload.Build(c.cfg)
@@ -83,10 +89,10 @@ func TestSchedulerAllocGapToSerial(t *testing.T) {
 			if got, want := cst.Dump(1<<30), st.Dump(1<<30); got != want {
 				t.Fatal("the scheduler's dump differs from serial.Execute's")
 			}
-			ratio := sched / ser
-			t.Logf("serial %.0f B, cc %.0f B per update: ratio %.3f", ser, sched, ratio)
-			if ratio > c.bound {
-				t.Errorf("cc allocates %.3f times serial.Execute, bound %.2f", ratio, c.bound)
+			gap := sched - ser
+			t.Logf("serial %.0f B, cc %.0f B per update: gap %.0f B", ser, sched, gap)
+			if gap > c.bound {
+				t.Errorf("cc allocates %.0f B per update beyond serial.Execute, bound %.0f", gap, c.bound)
 			}
 		})
 	}

@@ -175,7 +175,11 @@ func (w *WindowWatch) ReplaceNull(writer int, x, to model.Value) ([]storage.Writ
 func TestSchedulerAllocBudget(t *testing.T) {
 	t.Run("width=1", func(t *testing.T) {
 		const n = 400
-		// 247 measured. The bound was 400 (382 measured) while each
+		// 202 measured (207 under -race). The bound was 270 (247
+		// measured) while each stripe index was a Go map from a key to
+		// its member or to a list, which grew by doubling and splitting
+		// its tables as keys arrived; the indexes are now sorted runs in
+		// fixed pages. It was 400 (382 measured) while each
 		// relation's member list and record table regrew by insertion and
 		// a labeled null was indexed under its column as well as in the
 		// null index; the store's tuple table now grows by fixed pages.
@@ -186,7 +190,7 @@ func TestSchedulerAllocBudget(t *testing.T) {
 		// stored read was a fresh record; a committed update's reads go
 		// back to the engine's read pool for the next update's reads, and
 		// the commit batch's number list is the scheduler's own.
-		const bytesBound = 270
+		const bytesBound = 225
 		schema := model.NewSchema()
 		schema.MustAddRelation("A", "x")
 		schema.MustAddRelation("B", "x")
@@ -224,7 +228,8 @@ func TestSchedulerAllocBudget(t *testing.T) {
 	})
 	t.Run("width=0", func(t *testing.T) {
 		// 9909 measured (9982 before the store's tuple table moved into
-		// fixed pages and a null into the null index only); the bound is
+		// fixed pages and a null into the null index only, 9688–9709
+		// once the indexes did too, 9791 under -race); the bound is
 		// 9984 plus 3%, as -race runs read about 110 bytes more and
 		// swing by 140. Most of the window's bytes are its
 		// seeded queries and stored reads, in package query, so a 10%

@@ -129,7 +129,7 @@ func (f *stepFixture) stepInsert(tb testing.TB, u *Update, t model.Tuple) int {
 // growth of the attempt's logs (reads, dedupe index, trace); it now
 // achieves 1. The forward repair's is the 14 achieved since violations
 // carry their values as a slice instead of a map, plus 10%; it now
-// achieves 5: index lists change in place, the queue entry, its
+// achieves 5: index pages change in place, the queue entry, its
 // witness signature, the seeded query's result array and its dedup
 // key come from reused storage, and the update records no trace. With a Go map per indexed value and a
 // rendered content key in the store the same inserts cost 27 and 71;

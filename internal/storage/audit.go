@@ -7,18 +7,19 @@ import (
 
 // AuditIndexes checks each stripe's tuple table (checkTable) and the
 // secondary indexes against the version chains they are derived from.
-// It rebuilds every index from the chains, in
-// ascending tuple-ID order, and requires the live one to be identical:
-// a tuple is listed under a column constant's key, a content key or a
-// labeled null exactly when one of its versions carries it, every list is
-// strictly ascending, and no empty list is left behind. It also checks
-// the horizon: a tuple holding committed garbage — a version below its
-// newest committed one, or a committed tombstone — must be on its
-// stripe's pending list, and with no uncommitted writer live every
-// pending list is empty, so every tuple has exactly one version and no
-// tombstone is left. It holds the store's read lock and costs a pass
-// over the whole store, so it is for tests and on-demand diagnosis, not
-// for a hot path.
+// It rebuilds every index from the chains, in ascending tuple-ID order,
+// and requires the live one to hold the same entries: a tuple is listed
+// under a column constant's key, a content key or a labeled null
+// exactly when one of its versions carries it. Each index must keep its
+// layout (postings.checkLayout): entries strictly ascending across its
+// pages, no empty page, no two neighbouring pages that fit in one, and
+// its distinct-key count. It also checks the horizon: a tuple holding
+// committed garbage — a version below its newest committed one, or a
+// committed tombstone — must be on its stripe's pending list, and with
+// no uncommitted writer live every pending list is empty, so every
+// tuple has exactly one version and no tombstone is left. It holds the
+// store's read lock and costs a pass over the whole store, so it is for
+// tests and on-demand diagnosis, not for a hot path.
 func (st *Store) AuditIndexes() error {
 	st.rlock()
 	defer st.runlock()
@@ -74,16 +75,30 @@ func (st *Store) AuditIndexes() error {
 // sameIndex reports how a live index differs from its rebuild, or
 // breaks its layout.
 func sameIndex[W uint32 | uint64](want, got *postings[W]) error {
-	var g1, w1 [1]TupleID
-	for k := range got.m {
-		if g, w := got.get(k, &g1), want.get(k, &w1); !slices.Equal(g, w) {
-			return fmt.Errorf("key %d lists %v, its versions give %v", k, g, w)
+	if err := got.checkLayout(); err != nil {
+		return err
+	}
+	g, w := got.entries(), want.entries()
+	for i := range min(len(g), len(w)) {
+		if g[i] != w[i] {
+			return fmt.Errorf("entry %d is (%d, %d), its versions give (%d, %d)", i, g[i][0], g[i][1], w[i][0], w[i][1])
 		}
 	}
-	if len(got.m) != len(want.m) {
-		return fmt.Errorf("%d keys listed, the versions give %d", len(got.m), len(want.m))
+	if len(g) != len(w) {
+		return fmt.Errorf("%d entries listed, the versions give %d", len(g), len(w))
 	}
-	return got.checkLayout()
+	return nil
+}
+
+// entries returns the index's (key, slot) entries in order.
+func (p *postings[W]) entries() [][2]W {
+	var out [][2]W
+	for _, pg := range p.pages {
+		for i := range pg.len() {
+			out = append(out, [2]W{pg.keys[i], pg.slots[i]})
+		}
+	}
+	return out
 }
 
 // checkTable reports the first breach of the tuple table's layout: an

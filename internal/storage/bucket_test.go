@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -13,9 +12,9 @@ import (
 	"youtopia/internal/model"
 )
 
-// refBucket is the index entry the posting lists replaced: a Go map
+// refBucket is the index entry the posting indexes replaced: a Go map
 // per indexed value counting the versions of each member, sorted on
-// demand. It stays here as the reference the posting maps are compared
+// demand. It stays here as the reference the paged runs are compared
 // against.
 type refBucket struct{ counts map[TupleID]int }
 
@@ -37,7 +36,7 @@ func (b *refBucket) ids() []TupleID {
 	for id := range b.counts {
 		s = append(s, id)
 	}
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	slices.Sort(s)
 	return s
 }
 
@@ -56,17 +55,37 @@ func mustAudit(t testing.TB, st *Store) {
 	}
 }
 
-// TestPostingListMatchesMapMultiset drives a posting map, key by key,
-// and a plain member list with the same random streams of version adds
-// and removes as the old map multisets — repeated members, descending
-// IDs, IDs of several stripes, removes of non-members — the way the
-// store drives an index: the member is added with every version and
-// removed when its last version goes. Members, counts and keys must
-// agree after every step, and the map's layout must pass the audit.
-// Keys keep going from empty to one member, to a list and
-// back, and the list table must never outgrow the most lists that were
-// alive at once: freed slots are reused. Both widths run: the
-// full-width map of the null index over IDs of three stripes, and a
+// drain returns the members a cursor walks, in order.
+func drain[W uint32 | uint64](c *postCursor[W]) []TupleID {
+	var ids []TupleID
+	for id, ok := c.next(); ok; id, ok = c.next() {
+		ids = append(ids, id)
+	}
+	return ids
+}
+
+// postPageCounts returns the number of entries on each page of p.
+func postPageCounts[W uint32 | uint64](p *postings[W]) []int {
+	var ns []int
+	for _, pg := range p.pages {
+		ns = append(ns, pg.len())
+	}
+	return ns
+}
+
+// TestPostingListMatchesMapMultiset drives a posting index, key by key,
+// with the same random streams of version adds and removes as the old
+// map multisets — repeated members, descending IDs, IDs of several
+// stripes, removes of non-members — the way the store drives an index:
+// the member is added with every version and removed when its last
+// version goes. Each seed first grows the keys' runs, interleaved in one
+// sorted run, and then shrinks them, so runs span three pages or more,
+// straddle page boundaries, split, merge and empty pages. Members,
+// counts, each stripe's sub-run and the distinct-key count must agree
+// with the reference after every step, the index must hold exactly the
+// reference's (key, slot) entries in order and pass the layout audit,
+// and the free list stays within its bound. Both widths run: the
+// full-width index of the null index over IDs of three stripes, and a
 // stripe index, whose slots hold counters, over the IDs of its stripe.
 func TestPostingListMatchesMapMultiset(t *testing.T) {
 	t.Run("full-width", func(t *testing.T) { postingsMatchMultiset(t, postings[uint64]{}, 3) })
@@ -78,40 +97,37 @@ func TestPostingListMatchesMapMultiset(t *testing.T) {
 // from it on.
 func postingsMatchMultiset[W uint32 | uint64](t *testing.T, empty postings[W], stripes int) {
 	const nkeys = 4
-	var shrinks, reuses int
-	for seed := int64(0); seed < 200; seed++ {
+	var longRuns, straddles, emptied int
+	for seed := int64(0); seed < 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		refs := make([]*refBucket, nkeys+1) // the last drives the member list
+		refs := make([]*refBucket, nkeys)
 		for k := range refs {
 			refs[k] = &refBucket{counts: make(map[TupleID]int)}
 		}
 		p := empty
-		var list []TupleID
+		var free []*postPage[W]
+		p.free = &free
 		pick := func() TupleID {
-			stripe, local := TupleID(rng.Intn(stripes)), TupleID(rng.Intn(12)+1)
+			stripe, local := TupleID(rng.Intn(stripes)), TupleID(rng.Intn(150)+1)
 			return p.base + stripe<<localIDBits + local
 		}
-		next := p.base + 13 // ascending tail appends, first stripe first
-		peak := 0
-		for step := 0; step < 400; step++ {
-			k := rng.Intn(nkeys + 1)
+		next := p.base + 151 // ascending tail appends, first stripe first
+		for step := 0; step < 900; step++ {
+			k := rng.Intn(nkeys)
 			ref := refs[k]
 			var id TupleID
+			addShare := 8 // of 10: the runs grow, then shrink
+			if step >= 450 {
+				addShare = 3
+			}
 			switch r := rng.Intn(10); {
-			case r < 5:
+			case r < addShare:
 				if r < 2 {
 					id, next = next, next+1
 				} else {
 					id = pick()
 				}
-				if k == nkeys {
-					list = addID(list, id)
-				} else {
-					if ref.counts[id] == 0 && len(ref.counts) == 1 && len(p.free) > 0 {
-						reuses++
-					}
-					p.add(W(k), id)
-				}
+				p.add(W(k), id)
 				ref.add(id)
 			default:
 				id = pick()
@@ -121,89 +137,151 @@ func postingsMatchMultiset[W uint32 | uint64](t *testing.T, empty postings[W], s
 				if !ref.remove(id) {
 					break
 				}
-				if k == nkeys {
-					list = removeID(list, id)
-				} else {
-					if p.count(W(k)) == 2 {
-						shrinks++
-					}
-					p.remove(W(k), id)
+				pages := len(p.pages)
+				p.remove(W(k), id)
+				if len(p.pages) < pages {
+					emptied++
 				}
 			}
-			want := postings[W]{base: p.base}
-			lists := 0
-			for k, ref := range refs[:nkeys] {
+			var want [][2]W
+			keys := 0
+			for k, ref := range refs {
 				ids := ref.ids()
 				for _, id := range ids {
-					want.add(W(k), id)
+					want = append(want, [2]W{W(k), W(id - p.base)})
 				}
-				got := p.get(W(k), new([1]TupleID))
+				if len(ids) > 0 {
+					keys++
+				}
+				got := p.appendMembers(nil, W(k))
 				if !slices.Equal(got, ids) || p.count(W(k)) != len(ids) {
 					t.Fatalf("seed %d step %d after %d: key %d lists %v (count %d), reference %v", seed, step, id, k, got, p.count(W(k)), ids)
 				}
-				if len(ids) > 1 {
-					lists++
+				for st := range TupleID(stripes) {
+					if stripes == 1 {
+						break // a stripe index's slots are counters: its run is the stripe's
+					}
+					lo := p.base + st<<localIDBits
+					var c postCursor[W]
+					c.seek(&p, W(k), W(lo), W(lo+1<<localIDBits))
+					sub := drain(&c)
+					if wantSub := slices.DeleteFunc(slices.Clone(ids), func(id TupleID) bool { return id < lo || id >= lo+1<<localIDBits }); !slices.Equal(sub, wantSub) {
+						t.Fatalf("seed %d step %d: key %d's run in stripe %d is %v, reference %v", seed, step, k, st, sub, wantSub)
+					}
+				}
+				if j0, _, _ := p.find(W(k), 0); len(ids) > 0 {
+					j1, _, _ := p.find(W(k), ^W(0))
+					if j1-j0 >= 2 {
+						longRuns++
+					}
 				}
 			}
-			if err := sameIndex(&want, &p); err != nil {
+			if err := p.checkLayout(); err != nil {
 				t.Fatalf("seed %d step %d: %v", seed, step, err)
 			}
-			if want := refs[nkeys].ids(); !slices.Equal(list, want) {
-				t.Fatalf("seed %d step %d after %d: member list %v, reference %v", seed, step, id, list, want)
+			if got := p.entries(); !slices.Equal(got, want) {
+				t.Fatalf("seed %d step %d: entries %v, reference %v", seed, step, got, want)
 			}
-			peak = max(peak, lists)
-			if len(p.lists) > peak {
-				t.Fatalf("seed %d step %d: %d list slots, at most %d lists were ever alive at once", seed, step, len(p.lists), peak)
+			if p.keys != keys {
+				t.Fatalf("seed %d step %d: %d distinct keys counted, reference %d", seed, step, p.keys, keys)
+			}
+			if len(free) > maxFreeLogs {
+				t.Fatalf("seed %d step %d: %d free pages, bound %d", seed, step, len(free), maxFreeLogs)
+			}
+			for j := 1; j < len(p.pages); j++ {
+				a, b := p.pages[j-1], p.pages[j]
+				last, bLast := a.keys[a.len()-1], b.keys[b.len()-1]
+				if last == b.keys[0] && (a.keys[0] != last || bLast != last) {
+					straddles++ // a run crosses the boundary beside another key
+				}
 			}
 		}
 	}
-	if shrinks == 0 || reuses == 0 {
-		t.Fatalf("the streams never took a list back to one member (%d) or reused a freed slot (%d)", shrinks, reuses)
+	if longRuns == 0 || straddles == 0 || emptied == 0 {
+		t.Fatalf("the streams never made a run of three pages (%d), a run crossing a page boundary beside another key (%d) or an emptied page (%d)", longRuns, straddles, emptied)
 	}
 }
 
-// TestPostingTransitions walks one key of a stripe index through every
-// shape it can take — empty, one member in the map slot as its
-// stripe-local counter, a list of full IDs, one member again, empty —
-// and a second key through the list slot the first one freed.
+// TestPostingTransitions walks a stripe index through every change of
+// its pages: an append past a full last page opens a page, a removal
+// that empties a page drops it onto the free list, an insert into a
+// full page without neighbours splits it with a page taken back from
+// the free list, an insert into a full page moves an entry over to a
+// neighbour with room, right or left, instead, removals merge two
+// neighbours that fit in one page, and the free list keeps at most
+// maxFreeLogs pages. The distinct-key count follows keys that come and
+// go, and a key's run reads the same across the changes.
 func TestPostingTransitions(t *testing.T) {
 	const base = 5 << localIDBits
-	p := postings[uint32]{base: base}
-	var one [1]TupleID
-	check := func(k uint32, want []TupleID, inSlot bool) {
+	var free []*postPage[uint32]
+	p := postings[uint32]{base: base, free: &free}
+	check := func(what string, counts []int, nfree, keys int) {
 		t.Helper()
-		if got := p.get(k, &one); !slices.Equal(got, want) || p.count(k) != len(want) {
-			t.Fatalf("key %d lists %v (count %d), want %v", k, got, p.count(k), want)
+		if got := postPageCounts(&p); !slices.Equal(got, counts) || len(free) != nfree || p.keys != keys {
+			t.Fatalf("%s: pages %v, %d free, %d keys; want %v, %d, %d", what, got, len(free), p.keys, counts, nfree, keys)
 		}
-		v, ok := p.m[k]
-		if ok != (len(want) > 0) || ok && (v&listTag[uint32]() == 0) != inSlot {
-			t.Fatalf("key %d maps to %#x (present %v), want a member in the slot: %v", k, v, ok, inSlot)
-		}
-		if inSlot && TupleID(v) != want[0]-base {
-			t.Fatalf("key %d holds %d in its slot, want the counter %d", k, v, want[0]-base)
+		if err := p.checkLayout(); err != nil {
+			t.Fatalf("%s: %v", what, err)
 		}
 	}
-	check(1, nil, false)
-	p.add(1, base+7)
-	check(1, []TupleID{base + 7}, true)
-	p.add(1, base+5)
-	check(1, []TupleID{base + 5, base + 7}, false)
-	p.remove(1, base+7)
-	check(1, []TupleID{base + 5}, true)
-	if len(p.free) != 1 || p.lists[p.free[0]] != nil {
-		t.Fatalf("the list slot was not freed: lists %v, free %v", p.lists, p.free)
+	var run []TupleID // key 1's members
+	checkRun := func(what string) {
+		t.Helper()
+		if got := p.appendMembers(nil, 1); !slices.Equal(got, run) || p.count(1) != len(run) {
+			t.Fatalf("%s: key 1 reads %v (count %d), want %v", what, got, p.count(1), run)
+		}
 	}
-	p.add(2, base+9)
-	p.add(2, base+3)
-	check(2, []TupleID{base + 3, base + 9}, false)
-	if len(p.lists) != 1 || len(p.free) != 0 {
-		t.Fatalf("key 2 did not reuse the freed slot: lists %v, free %v", p.lists, p.free)
+	for i := range TupleID(postPageSize) {
+		p.add(1, base+2+2*i)
+		run = append(run, base+2+2*i)
 	}
-	p.remove(1, base+5)
-	check(1, nil, false)
-	if len(p.m) != 1 {
-		t.Fatalf("%d keys, want 1", len(p.m))
+	check("a full page", []int{32}, 0, 1)
+	p.add(2, base+1)
+	check("a key past a full last page", []int{32, 1}, 0, 2)
+	p.remove(2, base+1)
+	check("the emptied page", []int{32}, 1, 1)
+	p.add(1, base+3)
+	run = slices.Insert(run, 1, base+3)
+	check("a split", []int{17, 16}, 0, 1)
+	checkRun("the split")
+	for i := range TupleID(16) {
+		p.add(0, base+1+i) // key 0 sorts first: page 0 fills, then spills
 	}
+	check("a spill to the right", []int{32, 17}, 0, 2)
+	for i := range TupleID(15) {
+		p.add(2, base+1+i) // key 2 sorts last
+	}
+	check("two full pages", []int{32, 32}, 0, 3)
+	p.remove(0, base+1)
+	check("room on the left", []int{31, 32}, 0, 3)
+	p.add(2, base+16)
+	check("a spill to the left", []int{32, 32}, 0, 3)
+	checkRun("the spills")
+	p.add(2, base+17)
+	check("a tail page", []int{32, 32, 1}, 0, 3)
+	for i := range TupleID(17) {
+		p.remove(2, base+17-i)
+	}
+	check("a key gone, its last page emptied", []int{32, 16}, 1, 2)
+	for i := range TupleID(15) {
+		p.remove(0, base+2+i)
+	}
+	check("a key gone, its page held by the next", []int{17, 16}, 1, 1)
+	p.remove(1, run[0])
+	run = run[1:]
+	check("two neighbours that fit in one page", []int{32}, 2, 1)
+	checkRun("the merge")
+	// Growing by appends to 20 pages and emptying them again leaves
+	// maxFreeLogs pages on the free list and an empty directory.
+	for i := range TupleID(20*postPageSize - 32) {
+		p.add(3, base+1+i)
+	}
+	for _, k := range []uint32{1, 3} {
+		for _, id := range p.appendMembers(nil, k) {
+			p.remove(k, id)
+		}
+	}
+	check("an emptied index", nil, maxFreeLogs, 0)
 }
 
 // TestProbeRowsDuringInPlaceWrites runs probes and scans of two
@@ -224,7 +302,7 @@ func TestPostingTransitions(t *testing.T) {
 //     another's values — and that the rows they kept from earlier
 //     probes still read as they did.
 //
-// Under the race detector a reader still reading an index list the
+// Under the race detector a reader still reading an index page the
 // writer shifts fails too.
 func TestProbeRowsDuringInPlaceWrites(t *testing.T) {
 	rounds := 300
@@ -569,29 +647,24 @@ func TestIndexProbeAllocFree(t *testing.T) {
 	}
 }
 
-// TestInPlaceListChangesAllocFree pins that an index list with spare
-// capacity takes a member in its middle, and gives it back, without
-// allocating: a plain ascending list and a posting key's list.
+// TestInPlaceListChangesAllocFree pins that a page of a posting index
+// with spare room takes an entry in its middle, and gives it back,
+// without allocating, and that the distinct-key count follows.
 func TestInPlaceListChangesAllocFree(t *testing.T) {
-	list := append(make([]TupleID, 0, 8), 1, 3, 5, 7)
-	if allocs := testing.AllocsPerRun(100, func() {
-		list = addID(list, 4)
-		list = removeID(list, 4)
-	}); allocs != 0 || !slices.Equal(list, []TupleID{1, 3, 5, 7}) {
-		t.Errorf("list %v: %.1f allocations per middle insert and removal, want 0", list, allocs)
-	}
 	var p postings[uint32]
-	for _, id := range []TupleID{1, 3, 5, 7, 9} {
+	for _, id := range []TupleID{1, 3, 5, 7} {
 		p.add(1, id)
+		p.add(3, id)
 	}
-	p.remove(1, 9) // leaves spare capacity
 	if allocs := testing.AllocsPerRun(100, func() {
 		p.add(1, 4)
+		p.add(2, 4)
 		p.remove(1, 4)
+		p.remove(2, 4)
 	}); allocs != 0 {
-		t.Errorf("posting list: %.1f allocations per middle insert and removal, want 0", allocs)
+		t.Errorf("posting page: %.1f allocations per middle insert and removal, want 0", allocs)
 	}
-	if got := p.get(1, new([1]TupleID)); !slices.Equal(got, []TupleID{1, 3, 5, 7}) {
-		t.Errorf("posting list reads %v after the changes", got)
+	if got := p.appendMembers(nil, 1); !slices.Equal(got, []TupleID{1, 3, 5, 7}) || p.keys != 2 || len(p.pages) != 1 {
+		t.Errorf("key 1 reads %v, %d keys on %d pages after the changes", got, p.keys, len(p.pages))
 	}
 }

@@ -28,11 +28,19 @@ func pageCounts(s *stripe) []int {
 	return ns
 }
 
-// TestPageIsOneSizeClass pins a page at 512 bytes, a size class of its
-// own: a count field would round it up to 576.
+// TestPageIsOneSizeClass pins a page of the tuple table at 512 bytes,
+// a size class of its own: a count field would round it up to 576. An
+// index page is 256 bytes in a stripe index and 512 in the null index,
+// for the same reason.
 func TestPageIsOneSizeClass(t *testing.T) {
 	if got := unsafe.Sizeof(page{}); got != 512 {
 		t.Fatalf("a page is %d bytes, want 512", got)
+	}
+	if got := unsafe.Sizeof(postPage[uint32]{}); got != 256 {
+		t.Fatalf("a stripe index page is %d bytes, want 256", got)
+	}
+	if got := unsafe.Sizeof(postPage[uint64]{}); got != 512 {
+		t.Fatalf("a null index page is %d bytes, want 512", got)
 	}
 }
 

@@ -206,9 +206,8 @@ func (sn *Snapshot) ProbeRows(rel string, col int, v model.Value, dst []Row, kee
 	}
 	sn.rlock()
 	defer sn.runlock()
-	stop := false
 	if col < 0 {
-		n := 0
+		n, stop := 0, false
 		for p, id := range s.members() {
 			n++
 			if vals, ok := sn.visibleAt(s, p); ok {
@@ -219,21 +218,35 @@ func (sn *Snapshot) ProbeRows(rel string, col int, v model.Value, dst []Row, kee
 		}
 		return dst, n
 	}
-	var one [1]TupleID
-	var cands []TupleID
+	n := 0
 	if v.IsNull() {
-		cands = sn.store.nullRun(s, v, &one)
-	} else {
-		cands = s.valIdx[col].get(sn.store.key(v.Hash()), &one)
-	}
-	for i, id := range cands {
-		if vals, ok := sn.getInStripe(s, id); ok && vals[col] == v {
-			if dst, stop = probeRow(dst, id, vals, keep); stop {
-				return dst, i + 1
+		var c postCursor[uint64]
+		sn.store.nullRun(&c, s, v)
+		for id, ok := c.next(); ok; id, ok = c.next() {
+			if n++; sn.probeCand(&dst, s, id, col, v, keep) {
+				return dst, n
 			}
 		}
+		return dst, n
 	}
-	return dst, len(cands)
+	var c postCursor[uint32]
+	c.run(&s.valIdx[col], sn.store.key(v.Hash()))
+	for id, ok := c.next(); ok; id, ok = c.next() {
+		if n++; sn.probeCand(&dst, s, id, col, v, keep) {
+			return dst, n
+		}
+	}
+	return dst, n
+}
+
+// probeCand appends candidate id of s to *dst when it is visible, holds
+// v in column col and keep takes it, and reports whether keep stops the
+// probe.
+func (sn *Snapshot) probeCand(dst *[]Row, s *stripe, id TupleID, col int, v model.Value, keep func([]model.Value) (take, stop bool)) (stop bool) {
+	if vals, ok := sn.getInStripe(s, id); ok && vals[col] == v {
+		*dst, stop = probeRow(*dst, id, vals, keep)
+	}
+	return stop
 }
 
 // probeRow appends the row (id, vals) to dst when keep takes it, and
@@ -305,27 +318,22 @@ func (sn *Snapshot) RelStatsInto(rel string, st *RelStats) {
 	if st.Live > 0 {
 		st.Distinct = slices.Grow(st.Distinct, len(s.valIdx))
 		for c := range s.valIdx {
-			st.Distinct = append(st.Distinct, len(s.valIdx[c].m))
+			st.Distinct = append(st.Distinct, s.valIdx[c].keys)
 		}
 	}
 }
 
 // appendNullIDs appends to dst the null index's members for x: a copy,
-// as writers change the index's lists in place. Callers hold the lock.
+// as writers change the index's pages in place. Callers hold the lock.
 func (st *Store) appendNullIDs(dst []TupleID, x model.Value) []TupleID {
-	var one [1]TupleID
-	return append(dst, st.nullIdx.get(x.Hash(), &one)...)
+	return st.nullIdx.appendMembers(dst, x.Hash())
 }
 
-// nullRun returns the members of s the null index lists for x: one run
-// of the list, found by two binary searches, as the stripe's IDs share
-// its base bits. The run is the index's own, as get returns it. Callers
-// hold the lock.
-func (st *Store) nullRun(s *stripe, x model.Value, one *[1]TupleID) []TupleID {
-	list := st.nullIdx.get(x.Hash(), one)
-	lo, _ := slices.BinarySearch(list, s.base())
-	hi, _ := slices.BinarySearch(list[lo:], s.base()+1<<localIDBits)
-	return list[lo : lo+hi]
+// nullRun places c at the members of s the null index lists for x: one
+// sub-run of x's run, found by a seek to (x's Hash, the stripe's base),
+// as the stripe's IDs share its base bits. Callers hold the lock.
+func (st *Store) nullRun(c *postCursor[uint64], s *stripe, x model.Value) {
+	c.seek(&st.nullIdx, x.Hash(), uint64(s.base()), uint64(s.base()+1<<localIDBits))
 }
 
 // TuplesWithNull returns, in ascending order, the IDs of visible
@@ -409,8 +417,9 @@ func (sn *Snapshot) walkMoreSpecific(t model.Tuple, fn func(TupleID) bool) {
 		return true
 	}
 	if bestCol >= 0 {
-		var one [1]TupleID
-		for _, id := range s.valIdx[bestCol].get(sn.store.key(t.Vals[bestCol].Hash()), &one) {
+		var c postCursor[uint32]
+		c.run(&s.valIdx[bestCol], sn.store.key(t.Vals[bestCol].Hash()))
+		for id, ok := c.next(); ok; id, ok = c.next() {
 			if vals, ok := sn.getInStripe(s, id); ok && !check(id, vals) {
 				return
 			}

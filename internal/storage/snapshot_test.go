@@ -73,18 +73,19 @@ func contains(sn *Snapshot, t model.Tuple) bool { return len(lookupContent(sn, t
 
 // indexIDs returns a copy of the members of rel an index lists for v,
 // visible or not: for a constant what the stripe index of column col
-// lists under v's key, for a labeled null the stripe's run of the null
-// index's list, whatever the column. It is what the index holds, which
+// lists under v's key, for a labeled null the stripe's sub-run of the null
+// index's run, whatever the column. It is what the index holds, which
 // the probes then check against the versions.
 func indexIDs(st *Store, rel string, col int, v model.Value) []TupleID {
 	st.rlock()
 	defer st.runlock()
 	s := st.stripes[rel]
-	var one [1]TupleID
 	if v.IsNull() {
-		return slices.Clone(st.nullRun(s, v, &one))
+		var c postCursor[uint64]
+		st.nullRun(&c, s, v)
+		return drain(&c)
 	}
-	return slices.Clone(s.valIdx[col].get(st.key(v.Hash()), &one))
+	return s.valIdx[col].appendMembers(nil, st.key(v.Hash()))
 }
 
 func TestSnapshotCountRel(t *testing.T) {

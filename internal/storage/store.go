@@ -140,8 +140,7 @@ type TupleID int64
 const localIDBits = 40
 
 // maxLocalID is the largest per-stripe counter: a stripe index stores a
-// single member as its counter in a uint32 slot whose top bit is the
-// list tag (postings).
+// member as its counter in a uint32 slot (postings).
 const maxLocalID = 1<<31 - 1
 
 // ErrIDSpaceExhausted is returned, wrapped, by a write, redo record or
@@ -286,7 +285,7 @@ type pos struct{ pg, i int }
 // ascending by (writer, seq), is chains[id]. A chain that a commit, a
 // trim or an abort brings back to one version returns to its slot.
 // Pages and chains are changed in place under the write lock, as the
-// index lists are (see postings), so a pos, a pointer into a page or
+// index pages are (see postings), so a pos, a pointer into a page or
 // chains, or a chain slice does not outlive the lock it was read under:
 // code looks the tuple up again by ID after any insert, removal or
 // trim.
@@ -299,19 +298,20 @@ type stripe struct {
 	count     int // members of the relation, visible or not
 	chains    map[TupleID][]version
 
-	// valIdx[col][key(value.Hash())] lists the tuples with a version
+	// valIdx[col] lists under key(value.Hash()) the tuples with a version
 	// carrying the constant value, or another constant whose key is that
-	// one, in that column; contentIdx[key(contentHash(vals))] those with a
-	// version whose content has that key. A labeled null is listed in the
-	// store's nullIdx only, under its full Hash. A key is a 32-bit fold,
-	// so several values or contents may share it: both indexes
-	// over-approximate, and readers verify candidates against the values
-	// themselves. Keys are hashes so that the maps hold no pointers for
-	// the collector to trace. A constant hashes by its address
-	// (model.Value.Hash), so a tuple stays listed under a key exactly while
-	// one of its versions carries a value with that key, hashed from the
-	// value the version holds (unindexVersion): an index never outlives
-	// the values it hashed.
+	// one, in that column; contentIdx lists under key(contentHash(vals))
+	// those with a version whose content has that key. Each is one sorted
+	// run of (key, stripe-local counter) entries in fixed 256-byte pages
+	// (postings). A labeled null is listed in the store's nullIdx only,
+	// under its full Hash. A key is a 32-bit fold, so several values or
+	// contents may share it: both indexes over-approximate, and readers
+	// verify candidates against the values themselves. Keys are hashes so
+	// that the pages hold no pointers for the collector to trace. A
+	// constant hashes by its address (model.Value.Hash), so a tuple stays
+	// listed under a key exactly while one of its versions carries a
+	// value with that key, hashed from the value the version holds
+	// (unindexVersion): an index never outlives the values it hashed.
 	valIdx     []postings[uint32]
 	contentIdx postings[uint32]
 
@@ -593,10 +593,10 @@ type Store struct {
 	// comment.
 	mu sync.RWMutex
 
-	// nullIdx[null.Hash()] lists the tuples with a version containing
-	// the labeled null, in any column: the one index a null is listed in.
-	// A stripe's members form one run of a list, as a TupleID carries its
-	// stripe in its high bits (stripe.nullRun).
+	// nullIdx lists under null.Hash() the tuples with a version
+	// containing the labeled null, in any column: the one index a null is
+	// listed in. A stripe's members form one sub-run of the null's run,
+	// as a TupleID carries its stripe in its high bits (Store.nullRun).
 	nullIdx postings[uint64]
 
 	// collideKeys folds every stripe index key to 0; a test seam that
@@ -624,11 +624,15 @@ type Store struct {
 	// chains that went back to one version (freeChain), for a tuple's
 	// next second version (newChain); no chain slice outlives the lock
 	// it was read under. pageFree, within the same count, holds cleared
-	// pages that left a tuple table (freePage, newPage).
-	logFree     [][]WriteRec
-	stripesFree [][]int
-	chainFree   [][]version
-	pageFree    []*page
+	// pages that left a tuple table (freePage, newPage); keyPageFree and
+	// nullPageFree those that left a stripe index and the null index
+	// (postings.freePage).
+	logFree      [][]WriteRec
+	stripesFree  [][]int
+	chainFree    [][]version
+	pageFree     []*page
+	keyPageFree  []*postPage[uint32]
+	nullPageFree []*postPage[uint64]
 
 	// noTrim disables trimming; a test seam for differential checks.
 	noTrim bool
@@ -665,6 +669,7 @@ func NewStore(schema *model.Schema) *Store {
 
 		writerStripes: make(map[int]liveWriter),
 	}
+	st.nullIdx.free = &st.nullPageFree
 	for i, name := range names {
 		s := &stripe{
 			rel:    name,
@@ -672,9 +677,10 @@ func NewStore(schema *model.Schema) *Store {
 			valIdx: make([]postings[uint32], schema.Arity(name)),
 			logs:   make(map[int][]WriteRec),
 		}
-		s.contentIdx.base = s.base()
+		empty := postings[uint32]{base: s.base(), free: &st.keyPageFree}
+		s.contentIdx = empty
 		for c := range s.valIdx {
-			s.valIdx[c].base = s.base()
+			s.valIdx[c] = empty
 		}
 		st.stripes[name] = s
 		st.byIdx = append(st.byIdx, s)
@@ -941,8 +947,9 @@ func (st *Store) Insert(writer int, t model.Tuple) (id TupleID, rec WriteRec, in
 func (st *Store) insertLocked(s *stripe, writer int, t model.Tuple) (id TupleID, rec WriteRec, inserted bool, err error) {
 	// Visible-duplicate check.
 	snap := st.snapLocked(writer)
-	var one [1]TupleID
-	for _, dupID := range s.contentIdx.get(st.contentKey(t.Vals), &one) {
+	var c postCursor[uint32]
+	c.run(&s.contentIdx, st.contentKey(t.Vals))
+	for dupID, ok := c.next(); ok; dupID, ok = c.next() {
 		if vals, ok := snap.getInStripe(s, dupID); ok && (model.Tuple{Rel: t.Rel, Vals: vals}).Equal(t) {
 			return dupID, WriteRec{}, false, nil
 		}
@@ -995,8 +1002,9 @@ func (st *Store) DeleteContent(writer int, t model.Tuple) ([]WriteRec, error) {
 	defer st.unlock()
 	snap := st.snapLocked(writer)
 	var ids []TupleID
-	var one [1]TupleID
-	for _, id := range s.contentIdx.get(st.contentKey(t.Vals), &one) {
+	var c postCursor[uint32]
+	c.run(&s.contentIdx, st.contentKey(t.Vals))
+	for id, ok := c.next(); ok; id, ok = c.next() {
 		if vals, ok := snap.getInStripe(s, id); ok && (model.Tuple{Rel: t.Rel, Vals: vals}).Equal(t) {
 			ids = append(ids, id)
 		}
@@ -1046,7 +1054,7 @@ func (st *Store) ReplaceNull(writer int, x, to model.Value) ([]WriteRec, error) 
 	}
 	sub := model.Subst{x: to}
 	out := make([]WriteRec, 0, len(hits))
-	var one [1]TupleID
+	var c postCursor[uint32]
 	for _, h := range hits {
 		s := st.stripeOf(h.id)
 		newVals := sub.Apply(h.vals)
@@ -1056,7 +1064,8 @@ func (st *Store) ReplaceNull(writer int, x, to model.Value) ([]WriteRec, error) 
 		// check runs against the live store so that two tuples rewritten
 		// to the same content within one replacement also collapse.
 		collapsed := false
-		for _, dupID := range s.contentIdx.get(st.contentKey(newVals), &one) {
+		c.run(&s.contentIdx, st.contentKey(newVals))
+		for dupID, ok := c.next(); ok; dupID, ok = c.next() {
 			if dupID == h.id {
 				continue
 			}
