@@ -164,7 +164,7 @@ insert C("Elmira")
 // (which used to write one segment file per commit) and a Durability
 // naming no sync policy (which used to report itself as "always") with
 // an *OptionsError, before it creates the data directory; a negative
-// CheckpointBytes keeps its meaning, no background checkpoints.
+// CheckpointBytes keeps its meaning, no automatic checkpoints.
 func TestOptionsValidation(t *testing.T) {
 	for _, c := range []struct {
 		name  string
@@ -235,18 +235,18 @@ func TestCloseLeavesNoGoroutines(t *testing.T) {
 
 // TestCloseLeavesNoGoroutinesUnderFaults: the same holds when the log
 // degrades on ENOSPC in the middle of an Apply's commit, and when every
-// sync fails, the rescue checkpoint's too, which poisons it. It holds
-// too when every checkpoint fails — on writing its temp file, on
-// installing it by rename, or torn mid-write — while a background
-// checkpoint follows each commit, and when those background
-// checkpoints cut the store while Apply commits without a fault. A
-// checkpoint fault leaves the log healthy: the old checkpoint lineage
-// stays authoritative, so commits go on and only checkpoints fail.
+// sync fails, the rescue checkpoint's too, which also degrades it. It
+// holds too when every checkpoint fails — on writing its temp file, on
+// installing it by rename, or torn mid-write — while each commit's ack
+// takes an automatic checkpoint, and when those checkpoints cut the
+// store with no fault. A checkpoint fault leaves the log healthy: the
+// old checkpoint lineage stays authoritative, so commits go on and only
+// checkpoints fail.
 func TestCloseLeavesNoGoroutinesUnderFaults(t *testing.T) {
 	for _, c := range []struct {
 		name string
 		// ckptBytes is the repository's CheckpointBytes; 1 makes every
-		// commit start a background checkpoint.
+		// commit's ack take a checkpoint.
 		ckptBytes int64
 		// fault, when non-nil, scripts the schedule once the repository
 		// is open.
@@ -300,13 +300,11 @@ func TestCloseLeavesNoGoroutinesUnderFaults(t *testing.T) {
 				t.Fatalf("commits under the fault: %v, health %s; want unhealthy %v", err, h.State, c.unhealthy)
 			}
 			if !c.unhealthy {
-				if c.fault != nil {
-					// Every commit woke the background checkpointer;
-					// wait until one has created its temp file after
-					// the fault was scripted, so it fails on the fault
-					// rather than finding the log closed. The explicit
-					// Checkpoint below serializes behind it.
-					awaitCheckpointCreate(t, ffs, creates)
+				// Each Apply returned only once its ack's checkpoint had
+				// run, so one has created its temp file since the fault
+				// was scripted.
+				if ffs.OpCount(vfs.OpCreate) == creates {
+					t.Fatal("no automatic checkpoint ran before Apply returned")
 				}
 				if err := r.Checkpoint(); (err != nil) != (c.fault != nil) {
 					t.Fatalf("checkpoint: %v; want an error iff a fault is scripted", err)
@@ -319,28 +317,15 @@ func TestCloseLeavesNoGoroutinesUnderFaults(t *testing.T) {
 			case c.fault == nil && cerr != nil:
 				t.Fatalf("Close of a healthy log = %v, want nil", cerr)
 			case c.fault != nil && (cerr == nil || !strings.Contains(cerr.Error(), "injected fault")):
-				t.Fatalf("Close = %v, want the background checkpoint's injected fault", cerr)
+				t.Fatalf("Close = %v, want the automatic checkpoint's injected fault", cerr)
 			}
 			awaitGoroutines(t, before)
 		})
 	}
 }
 
-// awaitCheckpointCreate waits up to 5 s for a checkpoint to create a
-// file, that is, for FaultFS to count more creates than before.
-func awaitCheckpointCreate(t *testing.T, ffs *vfs.FaultFS, before int64) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for ffs.OpCount(vfs.OpCreate) == before {
-		if time.Now().After(deadline) {
-			t.Fatal("no background checkpoint reached the fault within 5 s")
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
 // TestDurableRunSyncsOnce: a durable scheduler run appends each commit
-// batch and waits for durability once, at its end, so with background
+// batch and waits for durability once, at its end, so with automatic
 // checkpoints off and no segment rotation one covering fsync lands the
 // whole run, at every round width — and every update's trace shows its
 // ack after its commit.
@@ -377,10 +362,10 @@ insert C("Ithaca")
 	}
 }
 
-// TestDurableOpenStartsTwoGoroutines: a durable repository's log runs
-// two goroutines, the background checkpointer and the health loop; its
-// commits sync in the goroutines that wait for them.
-func TestDurableOpenStartsTwoGoroutines(t *testing.T) {
+// TestDurableOpenStartsNoGoroutine: a durable repository's log runs no
+// goroutine of its own; its commits sync, and its automatic checkpoints
+// run, in the goroutines that wait for them.
+func TestDurableOpenStartsNoGoroutine(t *testing.T) {
 	r, _, err := OpenWithOptions(durableDoc, Options{DataDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
@@ -396,8 +381,8 @@ func TestDurableOpenStartsTwoGoroutines(t *testing.T) {
 			n++
 		}
 	}
-	if n != 2 {
-		t.Fatalf("%d goroutines run the log after a durable open, want 2", n)
+	if n != 0 {
+		t.Fatalf("%d goroutines run the log after a durable open, want 0", n)
 	}
 }
 

@@ -44,8 +44,8 @@ type Options struct {
 	SegmentBytes    int64
 	// FS overrides the filesystem the write-ahead log runs on (nil =
 	// the real one). Fault-injection harnesses pass a vfs.FaultFS here
-	// to exercise the log's retry and degradation machinery. Ignored
-	// when DataDir is empty.
+	// to exercise the log's rescue and degradation paths. Ignored when
+	// DataDir is empty.
 	FS vfs.FS
 }
 
@@ -63,7 +63,7 @@ func (e *OptionsError) Error() string {
 // Validate reports, as an *OptionsError, the first field that holds a
 // value no backing accepts: a negative SegmentBytes (0 selects the
 // default size) or a Durability that names no sync policy. A negative
-// CheckpointBytes is valid: it turns background checkpoints off.
+// CheckpointBytes is valid: it turns automatic checkpoints off.
 // NewWithOptions calls it before it touches any file.
 func (o Options) Validate() error {
 	if o.SegmentBytes < 0 {
@@ -405,7 +405,9 @@ func (r *Repository) apply(op chase.Op, user chase.User, traced bool) (chase.Sta
 // numberLocked assigns the next update number. It fast-rejects first:
 // a degraded or poisoned log would veto the commit anyway, but failing
 // here keeps the rejected update out of the numbering sequence and the
-// trace. Callers hold r.mu.
+// trace. Reading the log's health is also when an ENOSPC-degraded log
+// re-checks itself, so the first update after the disk drains is
+// admitted. Callers hold r.mu.
 func (r *Repository) numberLocked() (int, error) {
 	if r.wal != nil {
 		if h := r.wal.Health(); h.State != wal.StateHealthy {

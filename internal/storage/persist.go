@@ -51,9 +51,10 @@ func (st *Store) SetCommitHook(h CommitHook) { st.commitHook = h }
 // rejects the commit before the store lock is taken, with the store
 // unchanged. Durability backends install one so a log that degraded
 // to read-only rejects new submissions cheaply while reads keep
-// serving. The guard runs outside every store lock and
-// must not call back into the store; it is advisory — the commit hook
-// remains the authoritative veto.
+// serving. The guard runs outside every store lock; it may take a
+// committed cut (Epoch), as a log re-arming itself with a checkpoint
+// does, but must not write to the store. It is advisory — the commit
+// hook remains the authoritative veto.
 type CommitGuard func() error
 
 // SetCommitGuard installs the admission guard. Like SetCommitHook it

@@ -94,8 +94,9 @@
 // each exported operation is atomic, the ones that span relations
 // (TuplesWithNull, VisibleFacts, the write-log scan over every
 // relation, Epoch, Stats, Dump) included. cc.Scheduler steps every
-// update on the goroutine that called Run; the one reader beside it is
-// the checkpointer's committed cut (Epoch).
+// update on the goroutine that called Run; a checkpoint's committed cut
+// (Epoch) is taken on the goroutine that runs the checkpoint, the run's
+// own when its last ack finds the log past its threshold.
 //
 // The lock is never taken twice on one goroutine: a read lock taken
 // again deadlocks once a writer queues between the two. So code that

@@ -69,8 +69,9 @@ func FaultSchedule(seed int64, intensity int) []vfs.Rule {
 // NoSpaceSchedule returns a persistent disk-full schedule: every
 // segment append after the first `after` fails with ENOSPC, forever.
 // The log must degrade to read-only on it and must not poison. Pair
-// with FaultFS.SetFreeBytes(0) so the automatic space recheck stays
-// parked until the harness restores space.
+// with FaultFS.SetFreeBytes(0) so the free-space probe a degraded log
+// makes when its health is read finds no room, and the log stays
+// degraded until the harness restores space.
 func NoSpaceSchedule(after int) []vfs.Rule {
 	return []vfs.Rule{{
 		Op:    vfs.OpWrite,

@@ -2,7 +2,7 @@
 
 package vfs
 
-// osFreeBytes reports "unknown" on platforms without Statfs; the
-// degraded-mode space recheck treats unknown as permission to attempt
-// a resume.
+// osFreeBytes reports "unknown" on platforms without Statfs; an
+// ENOSPC-degraded log's free-space probe treats unknown as permission
+// to attempt a resume.
 func osFreeBytes(string) (int64, error) { return -1, nil }

@@ -52,9 +52,9 @@ type FS interface {
 	// within it are durable.
 	SyncDir(dir string) error
 	// FreeBytes reports the free space of the filesystem holding dir,
-	// or -1 when the platform (or the wrapped FS) cannot tell. The
-	// degraded-mode space recheck polls it to decide when an ENOSPC
-	// degrade may be resumed automatically.
+	// or -1 when the platform (or the wrapped FS) cannot tell. An
+	// ENOSPC-degraded log probes it when its health is read, to decide
+	// when it may resume automatically.
 	FreeBytes(dir string) (int64, error)
 }
 

@@ -5,8 +5,9 @@
 // log never poisons, (2) Resume re-arms the log once the faults clear,
 // (3) recovery yields exactly the committed instance, so every
 // acknowledged commit survives and every faulted batch commits fully
-// or aborts fully, (4) Close leaves no goroutine running the log's
-// code. CHAOS_SEEDS scales the battery (CI runs 100).
+// or aborts fully, (4) no goroutine runs the log's code once the
+// workload has returned, before Close or after it: the log starts
+// none. CHAOS_SEEDS scales the battery (CI runs 100).
 package wal_test
 
 import (
@@ -21,7 +22,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"youtopia/internal/cc"
 	"youtopia/internal/model"
@@ -98,9 +98,9 @@ func TestChaosDurableWorkload(t *testing.T) {
 			if h := mgr.Health(); h.State == wal.StatePoisoned {
 				t.Fatalf("a schedule without truncate faults poisoned the log: %s", h.Reason)
 			}
-			awaitManagerGoroutines(t, mgr, "run the open log", func(n int) bool { return n > 0 })
+			checkNoManagerGoroutines(t, mgr, "run the open log")
 			resumeCommitRecover(t, u, dir, ffs, st, mgr)
-			awaitManagerGoroutines(t, mgr, "are left after Close", func(n int) bool { return n == 0 })
+			checkNoManagerGoroutines(t, mgr, "are left after Close")
 		})
 	}
 }
@@ -220,24 +220,12 @@ func managerGoroutines(m *wal.Manager) int {
 	return count
 }
 
-// awaitManagerGoroutines waits until ok holds for the count of
-// goroutines running m's code, and fails t if it does not within 5 s: a
-// goroutine that has not run yet shows no receiver on its stack, and a
-// background loop Close waited for may still be unwinding its frame
-// when Close returns. Before Close the count must become positive, so
-// that the count after it is known to see the log's goroutines.
-func awaitManagerGoroutines(t *testing.T, m *wal.Manager, what string, ok func(n int) bool) {
+// checkNoManagerGoroutines fails t if any goroutine is running m's
+// code: the log starts none, and every call into it has returned.
+func checkNoManagerGoroutines(t *testing.T, m *wal.Manager, what string) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		n := managerGoroutines(m)
-		if ok(n) {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("%d goroutines %s", n, what)
-		}
-		time.Sleep(time.Millisecond)
+	if n := managerGoroutines(m); n != 0 {
+		t.Fatalf("%d goroutines %s", n, what)
 	}
 }
 
@@ -336,9 +324,9 @@ func FuzzFaultSchedule(f *testing.F) {
 
 		ffs.Clear()
 		ffs.SetFreeBytes(-1)
-		awaitManagerGoroutines(t, m, "run the open log", func(n int) bool { return n > 0 })
+		checkNoManagerGoroutines(t, m, "run the open log")
 		_ = m.Close() // a degraded/poisoned close may report the failure; recovery below is the oracle
-		awaitManagerGoroutines(t, m, "are left after Close", func(n int) bool { return n == 0 })
+		checkNoManagerGoroutines(t, m, "are left after Close")
 
 		st2, _, err := wal.Recover(dir, schema)
 		if err != nil {

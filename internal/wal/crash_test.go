@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -20,9 +21,8 @@ import (
 // unacknowledged batch may be recovered fully or cut at a frame
 // boundary, never partially applied.
 
-// crashStop simulates a kill -9 against a live manager: background
-// goroutines are stopped and the segment handle is closed WITHOUT the
-// close-time covering sync, leaving the directory exactly as an OS
+// crashStop simulates a kill -9 against a live manager: the segment
+// handle is closed WITHOUT the close-time covering sync, leaving the directory exactly as an OS
 // crash would find the file — except for page-cache loss, which the
 // tests simulate afterwards by truncating or corrupting the tail.
 // Acks that were never waited on stay unacknowledged, which is the
@@ -43,7 +43,6 @@ func (m *Manager) crashStop() {
 	}
 	m.syncCond.Broadcast()
 	m.mu.Unlock()
-	m.stopBackground()
 }
 
 // driveWorkload runs a fixed scripted workload covering every write
@@ -475,6 +474,9 @@ func TestAppendFailurePoisonsLog(t *testing.T) {
 	mustInsert(t, st, 3, tup("C", c("c")))
 	if err := st.CommitBatch([]int{3}); err == nil || !strings.Contains(err.Error(), "poisoned") {
 		t.Fatalf("commit after poisoning: err = %v, want poisoned refusal", err)
+	}
+	if err := m.Resume(); !errors.Is(err, ErrPoisoned) {
+		t.Fatalf("Resume of a poisoned log = %v, want ErrPoisoned", err)
 	}
 	m.Close()
 

@@ -138,10 +138,16 @@ func TestNoSpaceDegradesAndResumes(t *testing.T) {
 	}
 }
 
+// TestNoSpaceAutoResumeOnSpaceReturn: an ENOSPC-degraded log re-checks
+// itself when its health is read or a commit asks to be admitted,
+// probing the free space at most once per recheckInterval, and resumes
+// once the disk has drained — no operator Resume, no goroutine.
 func TestNoSpaceAutoResumeOnSpaceReturn(t *testing.T) {
+	defer func(d time.Duration) { recheckInterval = d }(recheckInterval)
+	recheckInterval = time.Hour
 	dir := t.TempDir()
 	ffs := vfs.NewFaultFS(vfs.OS, 1)
-	m, st := faultOpen(t, dir, ffs, Options{RecheckInterval: 5 * time.Millisecond})
+	m, st := faultOpen(t, dir, ffs, Options{})
 	mustInsert(t, st, 1, tup("C", c("a")))
 	mustCommitBatch(t, st, 1)
 
@@ -156,19 +162,21 @@ func TestNoSpaceAutoResumeOnSpaceReturn(t *testing.T) {
 		t.Fatalf("health = %+v, want degraded with NoSpace", h)
 	}
 
-	// The disk drains; the background recheck must re-arm the log
-	// without an operator Resume.
+	// The disk drains, but the last probe (at the degrade) is too
+	// recent for another.
 	ffs.Clear()
 	ffs.SetFreeBytes(-1)
-	deadline := time.Now().Add(5 * time.Second)
-	for m.Health().State != StateHealthy {
-		if time.Now().After(deadline) {
-			t.Fatalf("log did not auto-resume; health = %+v", m.Health())
-		}
-		time.Sleep(2 * time.Millisecond)
+	if h := m.Health(); h.State != StateDegraded {
+		t.Fatalf("health = %+v within the recheck interval, want still degraded", h)
 	}
+	// Once the interval has passed, the next commit's admission check
+	// probes, finds room, and re-arms the log before the commit runs.
+	recheckInterval = 0
 	mustInsert(t, st, 3, tup("C", c("d")))
 	mustCommitBatch(t, st, 3)
+	if h := m.Health(); h.State != StateHealthy {
+		t.Fatalf("health = %+v after the re-armed commit, want healthy", h)
+	}
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -239,46 +247,57 @@ func segPathUnderTest(m *Manager, first int64) string {
 	return m.dir + "/" + segName(first)
 }
 
-func TestSyncFailureWithFailedRescuePoisons(t *testing.T) {
+// TestSyncFailureWithFailedRescueDegrades: a covering sync fails and
+// so does its rescue checkpoint's temp write. The stranded batch is
+// left unacknowledged on the suspect segment and the log degrades, as
+// after a failed rotation sync; it does not poison. Resume's checkpoint
+// covers the batch and drops the segment, and a reopen holds every
+// commit.
+func TestSyncFailureWithFailedRescueDegrades(t *testing.T) {
 	dir := t.TempDir()
 	ffs := vfs.NewFaultFS(vfs.OS, 1)
-	m, st := faultOpen(t, dir, ffs, Options{})
+	m, st := faultOpen(t, dir, ffs, Options{CheckpointBytes: -1})
 	mustInsert(t, st, 1, tup("C", c("a")))
 	mustCommitBatch(t, st, 1)
 
-	// Sync fails forever AND the rescue checkpoint's install fails
-	// with a hard error: the stranded batch is acknowledged nowhere
-	// and the log must poison, waking the ack waiter with the truth.
 	ffs.Script(
-		vfs.Rule{Op: vfs.OpSync, Path: "wal-"},
-		vfs.Rule{Op: vfs.OpRename, Err: errors.New("device detached")},
+		vfs.Rule{Op: vfs.OpSync, Path: "wal-", Count: 1},
+		vfs.Rule{Op: vfs.OpWrite, Path: tmpCkptName, Count: 1},
 	)
-	mustInsert(t, st, 2, tup("C", c("b")))
-	ack, err := st.CommitBatchAsync([]int{2})
-	if err != nil {
-		t.Fatalf("append: %v", err)
+	mustInsert(t, st, 2, tup("C", c("stranded")))
+	if err := st.CommitBatch([]int{2}); !errors.Is(err, ErrReadOnly) {
+		t.Fatalf("ack = %v, want ErrReadOnly (the batch is not durable)", err)
 	}
-	if err := ack(); !errors.Is(err, ErrPoisoned) {
-		t.Fatalf("ack = %v, want ErrPoisoned", err)
+	h := m.Health()
+	if h.State != StateDegraded {
+		t.Fatalf("state = %v after a failed rescue, want degraded", h.State)
+	}
+	if !strings.Contains(h.Reason, "rescue checkpoint failed") {
+		t.Fatalf("Reason = %q, want the failed rescue spelled out", h.Reason)
+	}
+	if !fileExists(vfs.OS, segPathUnderTest(m, 1)) {
+		t.Fatal("the suspect segment was dropped with no checkpoint covering it")
+	}
+
+	ffs.Clear()
+	if err := m.Resume(); err != nil {
+		t.Fatalf("Resume: %v", err)
+	}
+	if fileExists(vfs.OS, segPathUnderTest(m, 1)) {
+		t.Fatal("suspect segment survived Resume's covering checkpoint")
 	}
 	mustInsert(t, st, 3, tup("C", c("d")))
-	if err := st.CommitBatch([]int{3}); !errors.Is(err, ErrPoisoned) {
-		t.Fatalf("commit after poison = %v, want ErrPoisoned", err)
+	mustCommitBatch(t, st, 3)
+	want := st.Dump(allSeeing)
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
 	}
-	st.Abort(3)
-	if err := m.Resume(); err == nil {
-		t.Fatal("Resume revived a poisoned log")
-	}
-	ffs.Clear()
-	m.Close()
-
-	// Recovery of the directory yields the acknowledged prefix.
 	st2, _, err := Recover(dir, testSchema())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := st2.Dump(allSeeing); !strings.Contains(got, "a") {
-		t.Fatalf("recovered %q lost the acknowledged first batch", got)
+	if got := st2.Dump(allSeeing); got != want {
+		t.Fatalf("recovered %q, want %q", got, want)
 	}
 }
 

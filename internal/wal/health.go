@@ -20,10 +20,10 @@ import (
 // Transitions only go rightward while the manager is open. Every I/O
 // failure is taken as the kernel reports it and none is retried: a
 // failed or torn append is cut back off the tail, a failed covering
-// sync is rescued by a checkpoint, and both degrade, as ENOSPC does.
-// Only failures that leave the tail in an unknowable state (a torn
-// append whose truncate also failed, a sync failure whose rescue
-// checkpoint failed) poison.
+// sync is rescued by a checkpoint (or, if that fails too, left for
+// Resume's checkpoint), and all of these degrade, as ENOSPC does. Only
+// a failure that leaves the tail unknowable poisons: a torn or
+// unsynced frame whose truncate also failed.
 type State int32
 
 const (
@@ -62,8 +62,9 @@ type Health struct {
 	Reason string
 	// Since is when the current non-healthy spell began.
 	Since time.Time
-	// NoSpace reports a degrade caused by ENOSPC; the background space
-	// recheck resumes these automatically once the disk drains.
+	// NoSpace reports a degrade caused by ENOSPC. Reading the health
+	// (Health, or a commit's admission check) probes the free space at
+	// most every 500 ms and resumes the log once the disk drains.
 	NoSpace bool
 }
 
@@ -79,8 +80,10 @@ func (h Health) Err() error {
 	return nil
 }
 
-// Health reports the manager's current state.
+// Health reports the manager's current state, after a degraded log
+// has re-checked itself (see recheck).
 func (m *Manager) Health() Health {
+	m.recheck()
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return Health{
@@ -93,39 +96,25 @@ func (m *Manager) Health() Health {
 
 // writeGate is installed as the store's commit guard: it rejects
 // commits before the store lock is taken when the log cannot make
-// them durable. appendBatch re-checks under the same mutex, so the
-// gate is a fast path, not the correctness boundary.
-func (m *Manager) writeGate() error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	switch m.state {
-	case StatePoisoned:
-		return fmt.Errorf("wal: log poisoned by earlier failure: %w", m.ioErr)
-	case StateDegraded:
-		return fmt.Errorf("wal: commit rejected while read-only (%s): %w", m.reason, ErrReadOnly)
-	}
-	return nil
-}
+// them durable, with the error Health reports. Reading the health lets
+// a degraded log re-check itself first, so the first commit after an
+// ENOSPC degrade's disk drains goes through. appendBatch re-checks
+// under m.mu, so the gate is a fast path, not the correctness boundary.
+func (m *Manager) writeGate() error { return m.Health().Err() }
 
 // degradeLocked moves a healthy log to read-only and returns the
 // error the failed operation should surface. Callers hold m.mu. The
 // transition wakes parked ack waiters (they observe the state and
-// fail rather than sleep forever) and nudges the health loop, which
-// owns the degraded-seconds gauge and the automatic space recheck.
+// fail rather than sleep forever).
 func (m *Manager) degradeLocked(reason string, noSpace bool, cause error) error {
 	if m.state == StateHealthy {
 		m.state = StateDegraded
 		m.reason = reason
 		m.noSpace = noSpace
 		m.since = time.Now()
+		m.probed = m.since
 		obsHealth.Set(int64(StateDegraded))
 		obsDegrades.Inc()
-		if m.healthCh != nil {
-			select {
-			case m.healthCh <- struct{}{}:
-			default:
-			}
-		}
 	}
 	m.syncCond.Broadcast()
 	return fmt.Errorf("wal: %s (%v); log is read-only until Resume: %w", reason, cause, ErrReadOnly)
@@ -203,54 +192,35 @@ func (m *Manager) dropSuspectSegmentLocked() {
 	m.suspect = false
 }
 
-// healthLoop owns the degraded-time gauge and the automatic space
-// recheck: while the log is degraded it ticks, publishing
-// wal_degraded_seconds, and for ENOSPC degrades it polls the
-// filesystem's free space and calls Resume once the disk has drained.
-func (m *Manager) healthLoop() {
-	defer m.wg.Done()
-	for {
-		select {
-		case <-m.done:
-			return
-		case <-m.healthCh:
-		}
-		ticker := time.NewTicker(m.opts.RecheckInterval)
-		for degraded := true; degraded; {
-			select {
-			case <-m.done:
-				ticker.Stop()
-				return
-			case <-ticker.C:
-			}
-			m.mu.Lock()
-			if m.state != StateDegraded {
-				degraded = false
-				m.mu.Unlock()
-				continue
-			}
-			noSpace := m.noSpace
-			accum := m.degradedAccum + time.Since(m.since)
-			m.mu.Unlock()
-			obsDegradedSecs.Set(int64(accum / time.Second))
-			if !noSpace {
-				continue
-			}
-			free, err := m.fs.FreeBytes(m.dir)
-			if err != nil {
-				continue
-			}
-			// A checkpoint needs room for the snapshot plus a fresh
-			// segment; unknown (-1) means the platform can't tell and
-			// the resume attempt itself is the probe.
-			if free >= 0 && free < m.opts.SegmentBytes {
-				continue
-			}
-			if m.Resume() == nil {
-				degraded = false
-			}
-		}
-		ticker.Stop()
+// recheckInterval is the least time between two free-space probes of
+// a log degraded by ENOSPC. Tests shorten it.
+var recheckInterval = 500 * time.Millisecond
+
+// recheck is how a degraded log re-checks itself, run whenever its
+// health is read: it refreshes wal_degraded_seconds and, for an ENOSPC
+// degrade, probes the filesystem's free space at most once per
+// recheckInterval (read off the clock) and calls Resume once the disk
+// has drained.
+func (m *Manager) recheck() {
+	m.mu.Lock()
+	if m.state != StateDegraded || m.closed {
+		m.mu.Unlock()
+		return
+	}
+	obsDegradedSecs.Set(int64((m.degradedAccum + time.Since(m.since)) / time.Second))
+	probe := m.noSpace && time.Since(m.probed) >= recheckInterval
+	if probe {
+		m.probed = time.Now()
+	}
+	m.mu.Unlock()
+	if !probe {
+		return
+	}
+	// A checkpoint needs room for the snapshot plus a fresh segment;
+	// unknown (-1) means the platform can't tell and the resume attempt
+	// itself is the probe.
+	if free, err := m.fs.FreeBytes(m.dir); err == nil && (free < 0 || free >= m.opts.SegmentBytes) {
+		m.Resume()
 	}
 }
 

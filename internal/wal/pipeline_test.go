@@ -18,13 +18,6 @@ import (
 // ack, acknowledgment waits for the covering sync, and batches
 // appended before a wait coalesce into fewer fsyncs than batches.
 
-// parkBackground stops the manager's background goroutines (the
-// checkpointer and the health loop) so a test can drive the log by
-// hand with no checkpoint covering a batch behind its back; Close
-// still works afterwards (the shutdown is idempotent) and performs the
-// drain itself.
-func parkBackground(m *Manager) { m.stopBackground() }
-
 // TestSyncPendingCoalescesAcks drives the log deterministically: three
 // batches appended while nobody waits on an ack, which syncs nothing,
 // then one manual covering fsync — which must resolve all three acks
@@ -37,8 +30,6 @@ func TestSyncPendingCoalescesAcks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parkBackground(m)
-
 	var acks []storage.CommitAck
 	for i := 1; i <= 3; i++ {
 		mustInsert(t, st, i, tup("C", c(fmt.Sprintf("v%d", i))))
@@ -101,8 +92,6 @@ func TestCheckpointAcknowledgesPendingBatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parkBackground(m)
-
 	mustInsert(t, st, 1, tup("C", c("ckpt-covered")))
 	ack, err := st.CommitBatchAsync([]int{1})
 	if err != nil {
@@ -143,8 +132,6 @@ func TestCloseDrainsPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parkBackground(m)
-
 	mustInsert(t, st, 1, tup("C", c("drained")))
 	ack, err := st.CommitBatchAsync([]int{1})
 	if err != nil {
@@ -291,24 +278,78 @@ func TestPoisonWakesParkedAckWaiters(t *testing.T) {
 	}
 }
 
-// TestCloseRacingBackgroundCheckpoint: a background checkpoint that
-// finds the log closed did nothing wrong, so Close of a healthy log
-// returns nil. The hook holds the checkpoint until Close has marked
-// the log closed, which makes the race deterministic.
-func TestCloseRacingBackgroundCheckpoint(t *testing.T) {
+// TestRotationWaitBouncesDuringRescue regresses a deadlock: a commit
+// append that must rotate waits out the covering sync in flight while
+// it holds the store's commit lock. When that sync fails, its rescue
+// checkpoint needs the store's lock for its cut, so the parked append
+// must be woken and bounce with ErrReadOnly rather than wait on.
+func TestRotationWaitBouncesDuringRescue(t *testing.T) {
+	inSync, release := holdSyncs(t)
+	ffs := vfs.NewFaultFS(vfs.OS, 1)
+	// One-byte segments: every append past the first rotates.
+	m, st, err := Open(t.TempDir(), testSchema(), Options{CheckpointBytes: -1, SegmentBytes: 1, FS: ffs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	mustInsert(t, st, 1, tup("C", c("led")))
+	ack1, err := st.CommitBatchAsync([]int{1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	leader := make(chan error, 1)
+	go func() { leader <- ack1() }()
+	<-inSync
+	ffs.Script(vfs.Rule{Op: vfs.OpSync, Path: "wal-", Count: 1}) // the held sync fails
+
+	mustInsert(t, st, 2, tup("C", c("rotates")))
+	appended := make(chan error, 1)
+	go func() { appended <- st.CommitBatch([]int{2}) }()
+	for !goroutineIn("wal.(*Manager).ensureSegmentLocked") {
+		runtime.Gosched() // until the append parks behind the held sync
+	}
+	close(release)
+	select {
+	case err := <-appended:
+		if !errors.Is(err, ErrReadOnly) {
+			t.Fatalf("append parked behind a failed sync = %v, want ErrReadOnly", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the parked append and the rescue checkpoint deadlocked")
+	}
+	st.Abort(2)
+	if err := <-leader; err != nil {
+		t.Fatalf("the rescue checkpoint covers batch 1, yet its ack failed: %v", err)
+	}
+	if h := m.Health(); h.State != StateDegraded {
+		t.Fatalf("state = %v after the rescue, want degraded", h.State)
+	}
+}
+
+// goroutineIn reports whether some goroutine's stack holds fn.
+func goroutineIn(fn string) bool {
+	buf := make([]byte, 1<<20)
+	return strings.Contains(string(buf[:runtime.Stack(buf, true)]), fn)
+}
+
+// TestCloseRacingAckLeaderCheckpoint: Close waits out the automatic
+// checkpoint an ack is running, so none outlives it, and Close of a
+// healthy log returns nil. The hook holds the checkpoint past its cut
+// until Close has marked the log closed, which makes the race
+// deterministic.
+func TestCloseRacingAckLeaderCheckpoint(t *testing.T) {
 	entered, release := make(chan struct{}), make(chan struct{})
 	var once sync.Once
-	testCkptStart = func() { once.Do(func() { close(entered); <-release }) }
-	defer func() { testCkptStart = nil }()
+	testCkptSerialize = func() { once.Do(func() { close(entered); <-release }) }
+	defer func() { testCkptSerialize = nil }()
 	m, st, err := Open(t.TempDir(), testSchema(), Options{CheckpointBytes: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	mustInsert(t, st, 1, tup("C", c("v")))
-	if err := st.CommitBatch([]int{1}); err != nil {
-		t.Fatal(err)
-	}
-	<-entered // the commit woke the checkpointer, which is now held
+	acked := make(chan error, 1)
+	go func() { acked <- st.CommitBatch([]int{1}) }()
+	<-entered // the ack synced batch 1 and runs the checkpoint, now held
 	closed := make(chan error, 1)
 	go func() { closed <- m.Close() }()
 	for {
@@ -320,9 +361,106 @@ func TestCloseRacingBackgroundCheckpoint(t *testing.T) {
 		}
 		runtime.Gosched()
 	}
+	select {
+	case err := <-closed:
+		t.Fatalf("Close returned (%v) while an ack's checkpoint was in flight", err)
+	case <-time.After(20 * time.Millisecond):
+	}
 	close(release)
 	if err := <-closed; err != nil {
 		t.Fatalf("Close of a healthy log = %v, want nil", err)
+	}
+	if got := m.LastCheckpoint(); got != 1 {
+		t.Fatalf("LastCheckpoint = %d once Close returned, want 1 (the held checkpoint landed)", got)
+	}
+	if err := <-acked; err != nil {
+		t.Fatalf("ack: %v", err)
+	}
+}
+
+// TestAckLeaderCheckpointsPastThreshold: the log starts no checkpoint
+// goroutine, so the commit whose append carries the log past
+// CheckpointBytes takes the checkpoint in its ack and returns with it
+// installed at its own batch; under SyncNever that ack is the only one
+// handed out. A failing automatic checkpoint never fails the ack and
+// leaves the log healthy; Close reports it.
+func TestAckLeaderCheckpointsPastThreshold(t *testing.T) {
+	const threshold = 256
+	for _, policy := range []SyncPolicy{SyncAlways, SyncNever} {
+		t.Run(policy.String(), func(t *testing.T) {
+			dir := t.TempDir()
+			ffs := vfs.NewFaultFS(vfs.OS, 1)
+			var m *Manager
+			var crossing int64 // the last batch whose append reached the threshold
+			m, st, err := Open(dir, testSchema(), Options{
+				Sync: policy, CheckpointBytes: threshold, FS: ffs,
+				// Observers run under m.mu, after the append is counted.
+				Observer: func(batch int64, _ []int, _ []storage.WriteRec) {
+					if m.sinceCkpt >= threshold {
+						crossing = batch
+					}
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			commit := func(i int) {
+				t.Helper()
+				mustInsert(t, st, i, tup("C", c(fmt.Sprintf("v%03d", i))))
+				ack, err := st.CommitBatchAsync([]int{i})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if policy == SyncNever && (ack != nil) != (crossing == int64(i)) {
+					t.Fatalf("batch %d: ack handed out %v, crossing at %d", i, ack != nil, crossing)
+				}
+				if ack != nil {
+					if err := ack(); err != nil {
+						t.Fatalf("ack of batch %d: %v", i, err)
+					}
+				}
+			}
+			checkpoints := 0
+			for i := 1; i <= 40; i++ {
+				prev := m.LastCheckpoint()
+				commit(i)
+				switch got := m.LastCheckpoint(); {
+				case crossing == int64(i):
+					if got != int64(i) {
+						t.Fatalf("batch %d crossed the threshold; LastCheckpoint = %d on its return", i, got)
+					}
+					checkpoints++
+				case got != prev:
+					t.Fatalf("batch %d crossed nothing, yet LastCheckpoint moved %d -> %d", i, prev, got)
+				}
+			}
+			if checkpoints < 2 {
+				t.Fatalf("%d automatic checkpoints in 40 batches, want at least 2", checkpoints)
+			}
+
+			ffs.Script(vfs.Rule{Op: vfs.OpWrite, Path: tmpCkptName})
+			last := m.LastCheckpoint()
+			for i := 41; crossing < 41; i++ {
+				commit(i) // fails the test on an ack error
+			}
+			if got := m.LastCheckpoint(); got != last {
+				t.Fatalf("LastCheckpoint = %d past a failing checkpoint write, want %d", got, last)
+			}
+			if h := m.Health(); h.State != StateHealthy {
+				t.Fatalf("health = %+v after a failed automatic checkpoint, want healthy", h)
+			}
+			want := st.Dump(allSeeing)
+			if err := m.Close(); err == nil || !strings.Contains(err.Error(), "injected fault") {
+				t.Fatalf("Close = %v, want the automatic checkpoint's injected fault", err)
+			}
+			st2, _, err := Recover(dir, testSchema())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := st2.Dump(allSeeing); got != want {
+				t.Fatalf("recovered instance differs:\n got:\n%s\nwant:\n%s", got, want)
+			}
+		})
 	}
 }
 

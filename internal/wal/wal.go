@@ -36,15 +36,19 @@
 //	ckpt-<batch>.ckpt    committed instance as of commit batch <batch>
 //	wal-<batch>.seg      commit batches <batch>.. in append order
 //
-// The checkpointer (Manager.Checkpoint, also run in the background
-// once CheckpointBytes of log accumulate) serializes a consistent
-// committed snapshot, writes it via a temp-file rename, and deletes
-// segments wholly covered by it. Crashes at any point — mid-append,
-// mid-checkpoint, mid-truncation — recover to exactly the durable
-// prefix of whole commit batches: torn tails are detected by the
-// frame CRCs and cut off, half-written checkpoints never get renamed
-// into place, and an interrupted truncation only leaves fully-covered
-// segments whose records recovery skips.
+// The checkpointer (Manager.Checkpoint, also run by the first ack to
+// resolve once CheckpointBytes of log accumulate) serializes a
+// consistent committed snapshot, writes it via a temp-file rename, and
+// deletes segments wholly covered by it. Crashes at any point —
+// mid-append, mid-checkpoint, mid-truncation — recover to exactly the
+// durable prefix of whole commit batches: torn tails are detected by
+// the frame CRCs and cut off, half-written checkpoints never get
+// renamed into place, and an interrupted truncation only leaves
+// fully-covered segments whose records recovery skips.
+//
+// The log starts no goroutine. Syncs and checkpoints run on the
+// goroutines that wait for acks or call in, and a degraded log
+// re-checks itself when its health is read (see Manager.Health).
 package wal
 
 import (
@@ -91,9 +95,10 @@ type Options struct {
 	// SegmentBytes rotates the active segment once it exceeds this
 	// size (0 = 4 MiB).
 	SegmentBytes int64
-	// CheckpointBytes triggers a background checkpoint once this much
-	// log has accumulated since the last one (0 = 8 MiB; negative
-	// disables background checkpointing — Checkpoint can still be
+	// CheckpointBytes triggers an automatic checkpoint once this much
+	// log has accumulated since the last one: the first ack to resolve
+	// after the crossing takes it before it returns (0 = 8 MiB;
+	// negative disables automatic checkpoints — Checkpoint can still be
 	// called explicitly).
 	CheckpointBytes int64
 	// Observer, when non-nil, is called after every append with the
@@ -106,10 +111,6 @@ type Options struct {
 	// FS is the filesystem the log runs on (nil = the real one).
 	// Tests and the chaos harness inject a vfs.FaultFS here.
 	FS vfs.FS
-	// RecheckInterval paces the degraded-mode health loop: the
-	// wal_degraded_seconds gauge update and, for ENOSPC degrades, the
-	// free-space poll that re-arms writes automatically (0 = 500ms).
-	RecheckInterval time.Duration
 }
 
 func (o Options) withDefaults() Options {
@@ -121,9 +122,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.FS == nil {
 		o.FS = vfs.OS
-	}
-	if o.RecheckInterval <= 0 {
-		o.RecheckInterval = 500 * time.Millisecond
 	}
 	return o
 }
@@ -139,7 +137,7 @@ type Manager struct {
 	st   *storage.Store
 	info RecoveryInfo
 
-	// ckptMu serializes checkpoints (explicit and background). It is
+	// ckptMu serializes checkpoints (explicit, automatic, rescue). It is
 	// never held together with the store's lock on the append path;
 	// see Checkpoint for the ordering argument.
 	ckptMu sync.Mutex
@@ -156,13 +154,15 @@ type Manager struct {
 	frame     []byte   // reusable frame buffer; see takeFrameLocked
 	closed    bool
 	ioErr     error // sticky poison cause (wraps ErrPoisoned); see poisonLocked
-	bgErr     error // first background-checkpoint failure
+	autoCkpt  bool  // an ack is running the automatic checkpoint; see checkpointIfDue
+	bgErr     error // first automatic-checkpoint failure
 
 	// Health machine (see health.go): I/O failures degrade to
 	// read-only; unknowable-tail failures poison. suspect marks the
 	// active segment as unsafe to keep after a failed fsync over it;
 	// rescuing bounces appends while a failed covering sync's rescue
-	// checkpoint runs.
+	// checkpoint runs; probed is when an ENOSPC-degraded log last
+	// probed for free space (see recheck).
 	state         State
 	reason        string
 	since         time.Time
@@ -170,7 +170,7 @@ type Manager struct {
 	degradedAccum time.Duration
 	suspect       bool
 	rescuing      bool
-	healthCh      chan struct{}
+	probed        time.Time
 
 	// Decision-inbox control state (see control.go): the live parked
 	// updates, a monotone control-append counter, and the last control
@@ -193,22 +193,6 @@ type Manager struct {
 	syncCond    *sync.Cond // on mu
 	syncedBatch int64      // highest batch index covered by a durable sync (or checkpoint)
 	syncing     bool
-
-	// ckptCh wakes the background checkpointer (nil when disabled).
-	// stopOnce makes the goroutine shutdown idempotent across Close and
-	// the test helpers that simulate crashes.
-	ckptCh   chan struct{}
-	done     chan struct{}
-	stopOnce sync.Once
-	wg       sync.WaitGroup
-}
-
-// stopBackground stops the checkpointer and health goroutines, once.
-func (m *Manager) stopBackground() {
-	m.stopOnce.Do(func() {
-		close(m.done)
-		m.wg.Wait()
-	})
 }
 
 // poisonLocked records the terminal failure — the durable prefix can
@@ -247,9 +231,8 @@ func ckptName(batch int64) string {
 }
 
 // Open recovers the directory's durable state into a fresh store over
-// the schema, repairs any torn tail, installs the manager as the
-// store's durability hook, and starts the health loop and (unless
-// CheckpointBytes is negative) the background checkpointer.
+// the schema, repairs any torn tail, and installs the manager as the
+// store's durability hook and commit guard. It starts no goroutine.
 // The directory is created if absent. The returned store is ready for
 // use; Close releases the log.
 func Open(dir string, schema *model.Schema, opts Options) (*Manager, *storage.Store, error) {
@@ -286,15 +269,6 @@ func Open(dir string, schema *model.Schema, opts Options) (*Manager, *storage.St
 	rec.st.SetCommitHook(m.appendBatch)
 	rec.st.SetCommitGuard(m.writeGate)
 	rec.st.SetSyncCounter(m.Syncs)
-	m.done = make(chan struct{})
-	m.healthCh = make(chan struct{}, 1)
-	m.wg.Add(1)
-	go m.healthLoop()
-	if m.opts.CheckpointBytes > 0 {
-		m.ckptCh = make(chan struct{}, 1)
-		m.wg.Add(1)
-		go m.checkpointLoop(m.ckptCh)
-	}
 	return m, rec.st, nil
 }
 
@@ -406,6 +380,11 @@ func (m *Manager) LastCheckpoint() int64 {
 // Sync failures are the business of the waiter that runs the covering
 // sync (see syncPending): a rescue checkpoint acknowledges the
 // stranded batches before the log degrades.
+//
+// Once CheckpointBytes of log have accumulated, the ticket also takes
+// the automatic checkpoint (see checkpointIfDue). Under SyncNever that
+// is the only case in which a ticket is returned: every append past the
+// threshold carries one until a checkpoint lands.
 func (m *Manager) appendBatch(writers []int, recs []storage.WriteRec) (storage.CommitAck, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -448,19 +427,23 @@ func (m *Manager) appendBatch(writers []int, recs []storage.WriteRec) (storage.C
 	if obs := m.opts.Observer; obs != nil {
 		obs(m.batches, writers, recs)
 	}
-	if m.ckptCh != nil && m.sinceCkpt >= m.opts.CheckpointBytes {
-		select {
-		case m.ckptCh <- struct{}{}:
-		default:
-		}
-	}
 	if m.opts.Sync != SyncAlways {
 		// SyncNever: flushing is the OS's business; the append is all
 		// the durability the caller asked for.
-		return nil, nil
+		if !m.checkpointDueLocked() {
+			return nil, nil
+		}
+		return m.checkpointIfDue, nil
 	}
 	batch := m.batches
-	return func() error { return m.waitSynced(batch) }, nil
+	return func() error {
+		// Once the batch is covered and the sync broadcast, the ack
+		// takes a due checkpoint; no other waiter is held behind it.
+		if err := m.waitSynced(batch); err != nil {
+			return err
+		}
+		return m.checkpointIfDue()
+	}, nil
 }
 
 // takeFrameLocked lends the caller the manager's frame buffer, emptied;
@@ -532,8 +515,10 @@ func (m *Manager) waitSynced(batch int64) error {
 // instead: a checkpoint serializes the committed instance — which
 // includes them — through an untainted file path, acknowledging them
 // without the broken fsync, and the log degrades to read-only with the
-// active segment dropped (see dropSuspectSegmentLocked). Only a rescue
-// that itself fails poisons.
+// active segment dropped (see dropSuspectSegmentLocked). A rescue that
+// itself fails degrades too, leaving the segment suspect and the
+// batches unacknowledged, as a failed rotation sync does: Resume's
+// checkpoint then covers them and drops the segment.
 func (m *Manager) syncPending() {
 	if m.closed || m.state != StateHealthy || m.f == nil || m.syncedBatch >= m.batches {
 		return
@@ -564,9 +549,12 @@ func (m *Manager) syncPending() {
 		return
 	}
 	// Rescue: rescuing bounces new appends (the active segment is about
-	// to be dropped), the checkpoint runs outside m.mu.
+	// to be dropped), the checkpoint runs outside m.mu. A commit append
+	// parked behind this sync to rotate is woken to bounce too: it holds
+	// the store's commit lock, which the checkpoint's cut needs.
 	m.rescuing = true
 	m.suspect = true
+	m.syncCond.Broadcast()
 	m.mu.Unlock()
 	rescueErr := m.Checkpoint()
 	m.mu.Lock()
@@ -574,15 +562,12 @@ func (m *Manager) syncPending() {
 	switch {
 	case m.closed:
 		// Close raced the rescue and already woke the waiters.
-	case rescueErr == nil && m.syncedBatch >= target:
+	case rescueErr == nil:
 		m.dropSuspectSegmentLocked()
 		m.degradeLocked("sync failed; pending batches rescued by checkpoint", vfs.IsNoSpace(err), err)
 	default:
-		cause := rescueErr
-		if cause == nil {
-			cause = fmt.Errorf("checkpoint landed below the stranded batches")
-		}
-		m.poisonLocked(fmt.Errorf("wal: sync failed (%v) and the rescue checkpoint failed (%v)", err, cause))
+		m.degradeLocked(fmt.Sprintf("sync failed and the rescue checkpoint failed (%v)", rescueErr),
+			vfs.IsNoSpace(err) || vfs.IsNoSpace(rescueErr), err)
 	}
 }
 
@@ -607,10 +592,13 @@ func (m *Manager) ensureSegmentLocked(frameLen int64) error {
 		}
 		// The wait released m.mu: a concurrent Close may have drained
 		// and released the handle in the interim, a covering sync may have
-		// changed the state, and a control append may have rotated
-		// already — re-check before touching the file.
+		// failed into a rescue or changed the state, and a control append
+		// may have rotated already — re-check before touching the file.
 		if m.closed || m.f == nil {
 			return fmt.Errorf("wal: append to closed log")
+		}
+		if m.rescuing {
+			return fmt.Errorf("wal: sync-failure rescue in progress: %w", ErrReadOnly)
 		}
 		switch m.state {
 		case StatePoisoned:
@@ -670,36 +658,47 @@ func (m *Manager) rotationDueLocked(frameLen int64) bool {
 		filepath.Base(m.f.Name()) != segName(m.batches+1)
 }
 
-// checkpointLoop is the background checkpointer. A checkpoint that
-// finds the log closed did nothing and failed nothing: Close raced it,
-// and its error is not a background failure.
-func (m *Manager) checkpointLoop(ch <-chan struct{}) {
-	defer m.wg.Done()
-	for {
-		select {
-		case <-m.done:
-			return
-		case <-ch:
-			if err := m.Checkpoint(); err != nil && !errors.Is(err, errClosedLog) {
-				m.mu.Lock()
-				if m.bgErr == nil {
-					m.bgErr = err
-				}
-				m.mu.Unlock()
-			}
-		}
-	}
+// checkpointDueLocked reports whether CheckpointBytes of log have
+// accumulated since the last checkpoint with no automatic checkpoint
+// under way. Callers hold m.mu.
+func (m *Manager) checkpointDueLocked() bool {
+	return m.opts.CheckpointBytes > 0 && m.sinceCkpt >= m.opts.CheckpointBytes && !m.autoCkpt
 }
 
-// Test hooks, nil outside tests. testCkptStart runs when a checkpoint
-// begins, before it checks for a closed log; tests use it to hold a
-// background checkpoint until Close has begun. testCkptSerialize runs
-// after the checkpoint's committed cut is paired with its batch index
-// and before serialization; tests use it to hold a checkpoint
-// mid-flight and prove commits proceed. testSyncHold runs in
-// syncPending after the in-flight flag is set and m.mu released, just
-// before the fsync; tests use it to hold a leader's covering sync.
-var testCkptStart, testCkptSerialize, testSyncHold func()
+// checkpointIfDue takes the automatic checkpoint when one is due, on
+// the goroutine of the ack that found it so; Close waits it out. It
+// returns nil whatever happens: the batch whose ack runs it is already
+// as durable as the sync policy makes it, so a failed checkpoint never
+// fails the ack. The first failure is kept for Close instead; one that
+// found the log closed did nothing and failed nothing.
+func (m *Manager) checkpointIfDue() error {
+	m.mu.Lock()
+	due := m.checkpointDueLocked() && !m.closed
+	if due {
+		m.autoCkpt = true
+	}
+	m.mu.Unlock()
+	if !due {
+		return nil
+	}
+	err := m.Checkpoint()
+	m.mu.Lock()
+	m.autoCkpt = false
+	if err != nil && !errors.Is(err, errClosedLog) && m.bgErr == nil {
+		m.bgErr = err
+	}
+	m.syncCond.Broadcast()
+	m.mu.Unlock()
+	return nil
+}
+
+// Test hooks, nil outside tests. testCkptSerialize runs after the
+// checkpoint's committed cut is paired with its batch index and before
+// serialization; tests use it to hold a checkpoint mid-flight and prove
+// commits proceed. testSyncHold runs in syncPending after the in-flight
+// flag is set and m.mu released, just before the fsync; tests use it to
+// hold a leader's covering sync.
+var testCkptSerialize, testSyncHold func()
 
 // errClosedLog is Checkpoint's report that the log was closed.
 var errClosedLog = errors.New("wal: checkpoint of closed log")
@@ -724,9 +723,6 @@ func (m *Manager) Checkpoint() error {
 	m.ckptMu.Lock()
 	defer m.ckptMu.Unlock()
 	ckptStart := time.Now()
-	if testCkptStart != nil {
-		testCkptStart()
-	}
 
 	var ep *storage.CommittedEpoch
 	var k, ctrlAt, nextParkID int64
@@ -862,12 +858,11 @@ func (m *Manager) retire(k, ctrlAt int64, keepCkpt, activeSeg string) {
 	}
 }
 
-// Close drains the log (a final covering fsync for any
-// appended-but-unsynced batches, waking their ack waiters), stops the
-// background checkpointer and health loop, and releases the active
-// segment. It returns the first background checkpoint failure, if
-// any; a background checkpoint that Close cut short is none. Close is
-// idempotent.
+// Close waits out an in-flight automatic checkpoint, drains the log (a
+// final covering fsync for any appended-but-unsynced batches, waking
+// their ack waiters), and releases the active segment. It returns the
+// first automatic checkpoint failure, if any; one that Close cut short
+// is none. Close is idempotent.
 func (m *Manager) Close() error {
 	m.mu.Lock()
 	if m.closed {
@@ -875,8 +870,10 @@ func (m *Manager) Close() error {
 		return nil
 	}
 	m.closed = true
-	// Let an in-flight covering fsync settle before touching the file.
-	for m.syncing {
+	// Let an in-flight covering fsync settle before touching the file,
+	// and an in-flight automatic checkpoint land (or, not yet past its
+	// cut, find the log closed) so none outlives Close.
+	for m.syncing || m.autoCkpt {
 		m.syncCond.Wait()
 	}
 	var err error
@@ -906,9 +903,6 @@ func (m *Manager) Close() error {
 	}
 	m.syncCond.Broadcast()
 	m.mu.Unlock()
-	m.stopBackground()
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if m.bgErr != nil {
 		return m.bgErr
 	}
